@@ -14,9 +14,8 @@ Gen_VF + Gen_dens below 2% of the iteration.
 
 ``test_bench_kernel_pack`` is this reproduction's own measured analogue:
 the PR 6 hot-path kernel pack (install-once potentials, FFT workspace
-reuse, blocked nonlocal projection, stacked small-fragment tasks) with
-before/after per-stage timings, shipped payload bytes, accumulator
-allocations and pool submissions, written to
+reuse, blocked nonlocal projection) with before/after per-stage timings,
+shipped payload bytes and accumulator allocations, written to
 ``benchmarks/results/kernel_pack.json``.
 """
 
@@ -42,7 +41,6 @@ from repro.parallel.executor import ThreadPoolFragmentExecutor
 from repro.parallel.flops import LS3DFWorkload
 from repro.parallel.machine import FRANKLIN, INTREPID
 from repro.parallel.perfmodel import LS3DFPerformanceModel
-from repro.parallel.scheduler import pack_stacks
 from repro.pw import fftcache
 
 
@@ -161,9 +159,7 @@ def _run_kernel_pack_experiment():
         fftcache.reset_stats()
         reset_reduce_stats()
         try:
-            with ThreadPoolFragmentExecutor(
-                2, stack_small_tasks=optimized
-            ) as ex:
+            with ThreadPoolFragmentExecutor(2) as ex:
                 scf = _kernel_pack_scf(
                     ex,
                     install_potentials=optimized,
@@ -178,7 +174,6 @@ def _run_kernel_pack_experiment():
                     "result": result,
                     "stages": stages,
                     "tasks_submitted": ex.tasks_submitted,
-                    "pool_submissions": ex.pool_submissions,
                     "fft": fftcache.stats(),
                     "reduce": reduce_stats(),
                 }
@@ -218,15 +213,6 @@ def _run_kernel_pack_experiment():
         "after": micro["allocations"],
         "reused": micro["reused"],
     }
-
-    # Submission stacking on a mixed batch: two big + four small fragments
-    # on two workers.
-    costs = [100.0, 100.0, 1.0, 1.0, 1.0, 1.0]
-    groups = pack_stacks(costs, 2)
-    measurements["submissions"] = {
-        "logical_tasks": len(costs),
-        "physical_submissions": len(groups),
-    }
     return measurements
 
 
@@ -260,11 +246,6 @@ def test_bench_kernel_pack(benchmark, results_dir):
         f"{m['gen_dens_allocations']['before']} -> "
         f"{m['gen_dens_allocations']['after']} allocations"
     )
-    print(
-        "mixed batch submissions: "
-        f"{m['submissions']['logical_tasks']} logical -> "
-        f"{m['submissions']['physical_submissions']} physical"
-    )
     save_records(
         [
             ResultRecord(
@@ -277,7 +258,6 @@ def test_bench_kernel_pack(benchmark, results_dir):
                         for k in ("hits", "misses", "reused_bytes")
                     },
                     "gen_dens_allocations": m["gen_dens_allocations"],
-                    "submissions": m["submissions"],
                     "total_energy": after["result"].total_energy,
                 },
             )
@@ -298,11 +278,6 @@ def test_bench_kernel_pack(benchmark, results_dir):
     assert before["fft"]["hits"] == 0  # disabled = the allocating seed path
     # Gen_dens: O(log chunks) accumulator allocations instead of one per chunk.
     assert m["gen_dens_allocations"]["after"] < m["gen_dens_allocations"]["before"]
-    # Stacking: fewer physical submissions than logical tasks.
-    assert (
-        m["submissions"]["physical_submissions"]
-        < m["submissions"]["logical_tasks"]
-    )
-    # Logical accounting is backend-invariant: one task per fragment per
-    # iteration, stacked or not.
+    # Logical accounting is knob-invariant: one task per fragment per
+    # iteration.
     assert after["tasks_submitted"] == before["tasks_submitted"]

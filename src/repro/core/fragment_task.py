@@ -430,6 +430,23 @@ def clear_installed_potentials() -> None:
         _INSTALLED_POTENTIALS.clear()
 
 
+def _resolve_potential(inline: np.ndarray | None, key: str | None) -> np.ndarray | None:
+    """Inline array or installed key; ``None`` when the task has neither.
+
+    A task that arrives with both is the executor's retry after a missed
+    install: the payload is installed under its key on the way, so later
+    key-only tasks in this worker resolve without another retry.
+    """
+    if inline is not None:
+        arr = np.asarray(inline)
+        if key is not None:
+            install_potential(key, arr)
+        return arr
+    if key is not None:
+        return fetch_potential(key)
+    return None
+
+
 def resolve_screening_potential(task: FragmentTask) -> np.ndarray:
     """The task's screening potential — inline array or installed key.
 
@@ -437,11 +454,10 @@ def resolve_screening_potential(task: FragmentTask) -> np.ndarray:
     a key this worker has not installed, and ``ValueError`` when it
     carries neither.
     """
-    if task.screening_potential is not None:
-        return np.asarray(task.screening_potential)
-    if task.screening_key is not None:
-        return fetch_potential(task.screening_key)
-    raise ValueError(f"task {task.label!r} has no screening potential")
+    v = _resolve_potential(task.screening_potential, task.screening_key)
+    if v is None:
+        raise ValueError(f"task {task.label!r} has no screening potential")
+    return v
 
 
 def solve_fragment_task(
@@ -596,14 +612,15 @@ def resolve_global_potential(pipeline_task: FragmentPipelineTask) -> np.ndarray:
     a key this worker has not installed, and ``ValueError`` when it
     carries neither.
     """
-    if pipeline_task.global_potential is not None:
-        return np.asarray(pipeline_task.global_potential)
-    if pipeline_task.global_potential_key is not None:
-        return fetch_potential(pipeline_task.global_potential_key)
-    raise ValueError(
-        f"pipeline task {pipeline_task.label!r} has neither a global "
-        "potential nor an installed-potential key"
+    v = _resolve_potential(
+        pipeline_task.global_potential, pipeline_task.global_potential_key
     )
+    if v is None:
+        raise ValueError(
+            f"pipeline task {pipeline_task.label!r} has neither a global "
+            "potential nor an installed-potential key"
+        )
+    return v
 
 
 @dataclass
@@ -763,72 +780,6 @@ def run_fragment_pipeline_task(
         contribution=contribution,
         gen_vf_time=gen_vf_time,
         gen_dens_time=gen_dens_time,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Stacked small-fragment tasks (PR 6)
-
-
-@dataclass
-class StackedPipelineTask:
-    """Several small fragment pipeline tasks fused into one submission.
-
-    Pool submission overhead (pickling, future bookkeeping, scheduler
-    round trips) is per-submission, so many tiny fragments — single-cell
-    boxes at divided-surface corners — pay it over and over while the big
-    fragments still bound the wall clock.  Stacking bins the small tasks
-    (see :func:`repro.parallel.scheduler.pack_stacks`) so each bin rides
-    one pool submission and runs its members sequentially in the worker.
-    Logical-task accounting (``tasks_submitted``) is unchanged; only the
-    physical ``pool_submissions`` count drops.
-    """
-
-    tasks: list[FragmentPipelineTask]
-
-    @property
-    def label(self) -> str:
-        """Synthetic label naming the stack's members."""
-        inner = ",".join(t.label for t in self.tasks)
-        return f"stack[{inner}]"
-
-    def cost(self) -> float:
-        """Relative cost for load balancing: the members' summed cost."""
-        return float(sum(t.cost() for t in self.tasks))
-
-    def with_potential_payload(
-        self, key: str, payload: np.ndarray
-    ) -> "StackedPipelineTask":
-        """Copy with the installed potential attached to matching members."""
-        return StackedPipelineTask(
-            tasks=[t.with_potential_payload(key, payload) for t in self.tasks]
-        )
-
-
-@dataclass
-class StackedPipelineResult:
-    """Results of one stacked submission, in the stack's member order.
-
-    Executors flatten these back into per-fragment
-    :class:`FragmentPipelineResult` entries at gather time, so reports
-    look exactly like unstacked runs.
-    """
-
-    results: list[FragmentPipelineResult]
-
-
-def run_stacked_pipeline_task(stacked: StackedPipelineTask) -> StackedPipelineResult:
-    """Execute a stack's members sequentially in this worker.
-
-    Each member runs through the ordinary
-    :func:`run_fragment_pipeline_task` kernel, so the arithmetic — and
-    therefore every result array — is bit-identical to unstacked
-    execution.  A missing installed potential propagates as
-    :class:`PotentialNotInstalledError` for the whole stack; the executor
-    retries the stack with the payload attached.
-    """
-    return StackedPipelineResult(
-        results=[run_fragment_pipeline_task(t) for t in stacked.tasks]
     )
 
 
@@ -1142,8 +1093,18 @@ class PipelineFragmentExecutor(FragmentExecutor, Protocol):
     """A backend that additionally runs fused fragment pipeline tasks.
 
     All backends shipped in :mod:`repro.parallel.executor` implement this;
-    :class:`repro.core.scf.LS3DFSCF` requires it when ``pipeline=True``.
+    :class:`repro.core.scf.LS3DFSCF` requires it when ``pipeline=True``
+    (the iteration consumes the ``submit_pipeline_batch`` futures;
+    ``run_pipeline`` is the same submission gathered into a report).
     """
+
+    def submit_pipeline_batch(self, tasks: Sequence[FragmentPipelineTask]) -> list:
+        """Submit a batch of fused tasks; one future per task, in task order.
+
+        Each future (``done`` / ``result`` / ``add_done_callback``)
+        resolves to that task's :class:`FragmentPipelineResult`.
+        """
+        ...
 
     def run_pipeline(
         self, tasks: Sequence[FragmentPipelineTask]

@@ -12,10 +12,10 @@ In the paper GENPOT does not run on the fragment groups' data layout: the
 global fields live as **1D slabs along the z-axis** and the Poisson/XC/
 mixing work is distributed over those slabs, with explicit layout
 conversion charged to the global step.  ``shards=`` reproduces that:
-:class:`GlobalPotentialSolver` splits every global field into z-slabs
-(:class:`repro.parallel.distributed.DistributedField`) and pushes the
-per-slab work through the same executor backends that run fragment solves
-(:meth:`run_global <repro.parallel.distributed.GlobalStepExecutor>` on
+:class:`GlobalPotentialSolver` splits every global field into z-slabs and
+streams the per-slab work (:mod:`repro.parallel.streaming`) through the
+same executor backends that run fragment solves
+(:meth:`submit_global <repro.parallel.distributed.GlobalStepExecutor>` on
 any backend from :mod:`repro.parallel.executor`), with deterministic slab
 ordering — the sharded results are **bit-identical** to the serial path
 for any shard count.
@@ -46,26 +46,24 @@ from repro.pw.xc import lda_xc
 class GenpotStepTimings:
     """Wall-clock breakdown of one GENPOT evaluation.
 
-    ``poisson`` / ``xc`` / ``mix`` time the three global steps (including
-    the executor round trips when sharded).  ``task_times`` holds the
-    in-worker wall time of every per-slab
-    :class:`~repro.parallel.distributed.GlobalStepTask` of a sharded
-    evaluation — the work an executor may spread over any number of
-    workers — and ``driver`` the remaining driver-side residue (layout
-    conversion, scalar reductions, task/executor overhead), estimated as
-    the evaluation wall time minus the summed task times (clamped at
-    zero, since a real pool overlaps tasks).  On the serial (unsharded)
-    path ``task_times`` is empty and the whole evaluation is driver work.
+    On the serial (unsharded) path ``poisson`` / ``xc`` / ``mix`` time
+    the three global steps, ``task_times`` is empty and the whole
+    evaluation is driver work.
 
-    With the streaming engine (``overlap=True``; see
-    :mod:`repro.parallel.streaming`) the stages interleave, so
-    ``poisson`` / ``xc`` / ``mix`` hold summed in-worker task walls per
-    category instead of phase walls (a fused pointwise mix rides the
-    finish stage and lands under ``poisson``), and three new meters
-    describe the driver loop: ``wait`` (blocked on task completions),
-    ``busy`` (its complement) and ``layout_conversion`` (scatter /
-    incremental-exchange / gather copy seconds — the cost the paper's
-    conversion/compute overlap hides).
+    A sharded evaluation (:mod:`repro.parallel.streaming`) interleaves
+    the stages, so ``poisson`` / ``xc`` / ``mix`` hold summed in-worker
+    task walls per category instead of phase walls (a fused pointwise mix
+    rides the finish stage and lands under ``poisson``).  ``task_times``
+    holds the in-worker wall time of every per-slab
+    :class:`~repro.parallel.distributed.GlobalStepTask` — the work an
+    executor may spread over any number of workers — and ``driver`` the
+    remaining driver-side residue (layout conversion, scalar reductions,
+    task/executor overhead), estimated as the evaluation wall time minus
+    the summed task times (clamped at zero, since a real pool overlaps
+    tasks).  Three meters describe the driver loop: ``wait`` (blocked on
+    task completions), ``busy`` (its complement) and
+    ``layout_conversion`` (scatter / incremental-exchange / gather copy
+    seconds — the cost the paper's conversion/compute overlap hides).
     """
 
     poisson: float = 0.0
@@ -75,7 +73,6 @@ class GenpotStepTimings:
     sharded: bool = False
     shards: int = 1
     task_times: list[float] = field(default_factory=list)
-    overlap: bool = False
     layout_conversion: float = 0.0
     wait: float = 0.0
     busy: float = 0.0
@@ -90,7 +87,7 @@ class GenpotStepTimings:
         """Fraction of the streaming driver loop spent doing useful work.
 
         ``busy / (busy + wait)``; 0.0 when the engine did not run (the
-        synchronous and serial paths leave both meters at zero).
+        unsharded path leaves both meters at zero).
         """
         denom = self.busy + self.wait
         return self.busy / denom if denom > 0 else 0.0
@@ -149,25 +146,23 @@ class GlobalPotentialSolver:
         keeps the serial single-array path.  With ``shards > 1`` the
         Poisson solve runs as a slab-transpose distributed FFT, XC and
         mixing run slab-wise, and every per-slab unit of work is
-        submitted to ``executor`` — results are bit-identical to the
-        serial path for any shard count (see
-        :mod:`repro.parallel.distributed` for the layout and task
-        machinery, and :class:`repro.core.scf.LS3DFSCF` for the
-        ``genpot_shards=`` wiring into the outer loop).  Must not exceed
-        the number of z planes of ``grid``.
+        streamed to ``executor`` the moment its inputs exist: slabs stay
+        resident through fused Poisson/XC/mix stages and the layout
+        conversion overlaps the compute, like the paper's production
+        GENPOT.  Results are bit-identical to the serial path for any
+        shard count (see :mod:`repro.parallel.streaming` for the engine,
+        :mod:`repro.parallel.distributed` for the task machinery, and
+        :class:`repro.core.scf.LS3DFSCF` for the ``genpot_shards=``
+        wiring into the outer loop).  Must not exceed the number of z
+        planes of ``grid``.
     executor:
         Backend implementing
-        :class:`repro.parallel.distributed.GlobalStepExecutor` (all
-        backends in :mod:`repro.parallel.executor` do); only used when
-        ``shards > 1``.  Defaults to a serial in-process backend.
-    overlap:
-        Use the streaming engine (:mod:`repro.parallel.streaming`) for
-        sharded evaluations: slabs stay resident through fused
-        Poisson/XC/mix stages and the layout conversion overlaps the
-        compute, like the paper's production GENPOT.  Default on;
-        results are bit-identical to the synchronous staged path, so
-        this is purely a scheduling choice.  Ignored when ``shards = 1``
-        or the executor lacks the ``submit_global`` futures surface.
+        :class:`repro.parallel.distributed.GlobalStepExecutor` — the
+        ``submit_global`` futures surface (all backends in
+        :mod:`repro.parallel.executor` and
+        :class:`repro.parallel.remote.RemoteExecutor` do); only used,
+        and only checked (``TypeError``), when ``shards > 1``.  Defaults
+        to a serial in-process backend.
     """
 
     def __init__(
@@ -179,7 +174,6 @@ class GlobalPotentialSolver:
         mixer_options: dict | None = None,
         shards: int | None = None,
         executor=None,
-        overlap: bool = True,
     ) -> None:
         self.structure = structure
         self.grid = grid
@@ -200,7 +194,6 @@ class GlobalPotentialSolver:
                 f"of the global grid"
             )
         self.executor = executor
-        self.overlap = bool(overlap)
         if self.shards > 1:
             self._check_executor()
 
@@ -217,7 +210,7 @@ class GlobalPotentialSolver:
             self.executor = SerialFragmentExecutor()
         if not isinstance(self.executor, GlobalStepExecutor):
             raise TypeError(
-                f"shards>1 needs an executor with run_global(); "
+                f"shards>1 streams per-slab tasks through submit_global(); "
                 f"{type(self.executor).__name__} does not provide it — use a "
                 f"backend from repro.parallel.executor or set shards=1"
             )
@@ -276,43 +269,20 @@ class GlobalPotentialSolver:
             rho = normalize_density(rho, self.nelectrons, self.grid.dvol)
         net = rho - self.ionic_density
         timings = GenpotStepTimings(sharded=self.shards > 1, shards=self.shards)
-        streaming = (
-            self.shards > 1
-            and self.overlap
-            and hasattr(self.executor, "submit_global")
-        )
-        if streaming:
+        if self.shards > 1:
             v_out, e_es, e_xc, v_next = self._evaluate_streaming(
                 rho, net, input_potential, timings
             )
-            diff = potential_distance(v_out, input_potential, self.grid)
-            if v_next is None:
-                # Serial mixers (Anderson) stay a driver-side sync point:
-                # their history reduction is global by nature.
-                t0 = time.perf_counter()
-                v_next = self.mixer.mix(input_potential, v_out)
-                timings.mix += time.perf_counter() - t0
         else:
-            if self.shards > 1:
-                v_out, e_es, e_xc = self._evaluate_fields_sharded(rho, net, timings)
-            else:
-                v_out, e_es, e_xc = self._evaluate_fields_serial(rho, net, timings)
-            diff = potential_distance(v_out, input_potential, self.grid)
+            v_out, e_es, e_xc = self._evaluate_fields_serial(rho, net, timings)
+            v_next = None
+        diff = potential_distance(v_out, input_potential, self.grid)
+        if v_next is None:
+            # Unsharded, or a serial mixer (Anderson): its history
+            # reduction is global by nature, a driver-side sync point.
             t0 = time.perf_counter()
-            if self.shards > 1:
-                from repro.parallel.distributed import sharded_mix
-
-                v_next = sharded_mix(
-                    self.mixer,
-                    input_potential,
-                    v_out,
-                    self.shards,
-                    self.executor,
-                    task_times=timings.task_times,
-                )
-            else:
-                v_next = self.mixer.mix(input_potential, v_out)
-            timings.mix = time.perf_counter() - t0
+            v_next = self.mixer.mix(input_potential, v_out)
+            timings.mix += time.perf_counter() - t0
         total = time.perf_counter() - t_start
         timings.driver = max(total - timings.task_cpu, 0.0)
         return GenpotOutput(
@@ -353,21 +323,17 @@ class GlobalPotentialSolver:
         input_potential: np.ndarray,
         timings: GenpotStepTimings,
     ) -> tuple[np.ndarray, float, float, np.ndarray | None]:
-        """Streamed sharded evaluation (resident slabs, fused stages).
+        """Sharded evaluation (resident slabs, fused stages).
 
         Drives :func:`repro.parallel.streaming.stream_genpot`: the whole
         Poisson/XC/mix dataflow is issued through the executor's futures
-        surface with slabs resident across stages, and — as everywhere —
-        the scalar o(N) reductions run on the gathered driver arrays, so
-        the results match the synchronous sharded path bit for bit.  With
-        :func:`repro.pw.fftcache.real_fft_enabled` the Poisson chain runs
-        on the half spectrum (matching the serial real-FFT branch of
-        :func:`repro.pw.hartree.hartree_potential` instead).
+        surface with slabs resident across stages, and the scalar o(N)
+        reductions run on the gathered driver arrays with the same
+        full-array sums as the serial path (summation order is part of
+        bit-identity).
         """
         from repro.parallel.streaming import stream_genpot
-        from repro.pw import fftcache
 
-        use_real = fftcache.real_fft_enabled() and not np.iscomplexobj(net)
         v_es, v_out, eps_xc, v_next = stream_genpot(
             net,
             rho,
@@ -376,41 +342,11 @@ class GlobalPotentialSolver:
             self.shards,
             self.executor,
             mixer=self.mixer,
-            use_real_fft=use_real,
             timings=timings,
         )
         e_es = 0.5 * float(np.sum(net * v_es) * self.grid.dvol)
         e_xc = float(np.sum(np.maximum(rho, 0.0) * eps_xc) * self.grid.dvol)
         return v_out, e_es, e_xc, v_next
-
-    def _evaluate_fields_sharded(
-        self, rho: np.ndarray, net: np.ndarray, timings: GenpotStepTimings
-    ) -> tuple[np.ndarray, float, float]:
-        """V_out and energies with the global fields sharded into z-slabs.
-
-        The Poisson solve is the slab-transpose distributed FFT of
-        :func:`repro.parallel.distributed.sharded_hartree_potential`; XC
-        runs one :class:`~repro.parallel.distributed.GlobalStepTask` per
-        slab.  Energies are evaluated on the gathered fields with the
-        same full-array reductions as the serial path (summation order is
-        part of bit-identity).
-        """
-        from repro.parallel.distributed import sharded_hartree_potential, sharded_xc
-
-        executor = self.executor  # resolved and validated in __init__
-        t0 = time.perf_counter()
-        v_es = sharded_hartree_potential(
-            net, self.grid.g2, self.shards, executor, task_times=timings.task_times
-        )
-        e_es = 0.5 * float(np.sum(net * v_es) * self.grid.dvol)
-        timings.poisson = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        v_xc, eps_xc = sharded_xc(
-            rho, self.shards, executor, task_times=timings.task_times
-        )
-        e_xc = float(np.sum(np.maximum(rho, 0.0) * eps_xc) * self.grid.dvol)
-        timings.xc = time.perf_counter() - t0
-        return v_es + v_xc, e_es, e_xc
 
     # ------------------------------------------------------------------
     def electrostatic_potential_of(self, density: np.ndarray) -> np.ndarray:

@@ -16,8 +16,10 @@ not just the solves; only the small GENPOT Poisson solve is serial.  The
 Gen_dens contribution are fused into one
 :class:`~repro.core.fragment_task.FragmentPipelineTask` per fragment (a
 single executor round trip), and the global density is assembled by a
-deterministic chunked tree-reduce — the driver's remaining serial work
-per iteration is task building, the reduce and GENPOT.  The default
+deterministic chunked tree-reduce that consumes the fragments' futures
+in order while the batch tail is still running — the driver's remaining
+serial work per iteration is task building, the reduce's residue and
+GENPOT.  The default
 ``pipeline=False`` path produces byte-identical *results* to the seed;
 only its timing attribution moved (task building — restriction plus
 screening-potential assembly, i.e. the paper's Gen_VF — is now timed
@@ -106,13 +108,11 @@ class IterationTimings:
     measured counterpart of the paper's Amdahl fit (compare
     :func:`repro.parallel.amdahl.serial_fraction_history`).
 
-    With the overlapped pipeline reduce (``overlap`` True — the default
-    whenever the executor offers ``submit_pipeline_batch``) the driver
-    consumes fragment futures in fragment order while the batch tail is
-    still draining: ``overlap_wait`` / ``overlap_busy`` split that loop
-    into blocked-on-workers versus useful reduce work (see
-    ``overlap_occupancy``), and ``gen_dens`` shrinks to the residue left
-    *after* the last fragment landed.
+    The pipeline iteration's reduce consumes fragment futures in fragment
+    order while the batch tail is still draining: ``overlap_wait`` /
+    ``overlap_busy`` split that loop into blocked-on-workers versus
+    useful reduce work (see ``overlap_occupancy``), and ``gen_dens`` is
+    the residue left *after* the last fragment landed.
 
     ``genpot_poisson`` / ``genpot_xc`` / ``genpot_mix`` break the GENPOT
     wall time down into its three global steps.  With ``genpot_shards >
@@ -120,12 +120,12 @@ class IterationTimings:
     in-worker wall times land in ``genpot_tasks`` (counted as parallel
     work by ``parallel_cpu``), ``genpot_sharded`` is set, and only the
     driver residue ``genpot_driver`` (slab scatter/gather/exchange,
-    scalar reductions, task overhead) stays in ``serial_time``.  With the
-    streaming engine (``genpot_overlap``; :mod:`repro.parallel.streaming`)
-    the three steps interleave per slab: ``genpot_wait`` is the driver
-    loop's blocked time and ``layout_conversion`` the *measured*
-    scatter/exchange/gather copy seconds — the previously modelled
-    layout-conversion cost of the paper's dual-layout design.
+    scalar reductions, task overhead) stays in ``serial_time``.  The
+    three steps interleave per slab (:mod:`repro.parallel.streaming`):
+    ``genpot_wait`` is the driver loop's blocked time and
+    ``layout_conversion`` the *measured* scatter/exchange/gather copy
+    seconds — the layout-conversion cost of the paper's dual-layout
+    design.
 
     With band-parallel PEtot_F (``band_groups > 1``) each fragment's
     all-band CG is itself distributed: ``band_sliced`` is set,
@@ -171,7 +171,6 @@ class IterationTimings:
     gen_vf_fragments: list[float] = field(default_factory=list)
     gen_dens_fragments: list[float] = field(default_factory=list)
     pipeline: bool = False
-    overlap: bool = False
     overlap_wait: float = 0.0
     overlap_busy: float = 0.0
     genpot_poisson: float = 0.0
@@ -180,7 +179,6 @@ class IterationTimings:
     genpot_driver: float = 0.0
     genpot_tasks: list[float] = field(default_factory=list)
     genpot_sharded: bool = False
-    genpot_overlap: bool = False
     genpot_wait: float = 0.0
     layout_conversion: float = 0.0
     checkpoint_io: float = 0.0
@@ -218,14 +216,13 @@ class IterationTimings:
 
     @property
     def overlap_occupancy(self) -> float:
-        """Useful fraction of the overlapped Gen_dens reduce's driver loop.
+        """Useful fraction of the pipeline Gen_dens reduce's driver loop.
 
-        With the overlapped pipeline reduce (``overlap`` True) the driver
-        consumes fragment futures in order while the batch tail drains:
-        ``overlap_busy`` seconds went into the chunked tree-reduce under
-        still-running workers and ``overlap_wait`` seconds were spent
-        blocked on the next future.  This is their ratio — 0.0 when the
-        overlapped path did not run.
+        The driver consumes fragment futures in order while the batch
+        tail drains: ``overlap_busy`` seconds went into the chunked
+        tree-reduce under still-running workers and ``overlap_wait``
+        seconds were spent blocked on the next future.  This is their
+        ratio — 0.0 when the pipeline path did not run.
         """
         denom = self.overlap_busy + self.overlap_wait
         return self.overlap_busy / denom if denom > 0 else 0.0
@@ -416,11 +413,12 @@ class LS3DFSCF:
         disappear (the restriction and the weighted-interior extraction
         run inside the workers, one round trip per fragment) and the
         global density is assembled by a deterministic chunked
-        tree-reduce.  Requires an executor with a ``run_pipeline`` method
-        (all backends in :mod:`repro.parallel.executor` have one).  The
-        default False keeps the seed serial data path (byte-identical
-        results; see the module docstring for the timing-attribution
-        changes).
+        tree-reduce, which consumes the fragments' futures in order while
+        the batch tail is still running.  Requires an executor with
+        ``run_pipeline`` / ``submit_pipeline_batch`` (all backends in
+        :mod:`repro.parallel.executor` have them).  The default False
+        keeps the seed serial data path (byte-identical results; see the
+        module docstring for the timing-attribution changes).
     patch_chunk_size:
         Chunk size of the pipeline path's Gen_dens tree-reduce (see
         :func:`repro.core.patching.patch_contributions`).  Fixed by
@@ -430,20 +428,14 @@ class LS3DFSCF:
         Number of 1D z-slabs the GENPOT global steps are distributed
         over (the paper's dual fragment/slab data layout).  The default
         ``None`` (or 1) keeps the serial global step.  With more shards
-        the Poisson solve, XC and mixing run as per-slab
-        :class:`~repro.parallel.distributed.GlobalStepTask` batches
-        through this driver's ``executor`` — bit-identical results for
+        the Poisson solve, XC and mixing stream as per-slab
+        :class:`~repro.parallel.distributed.GlobalStepTask` units
+        through this driver's ``executor`` (resident slabs, fused
+        stages, layout conversion overlapped with compute; see
+        :mod:`repro.parallel.streaming`) — bit-identical results for
         any shard count and backend — and the iteration timings count the
         per-slab work as parallel (see :class:`IterationTimings`).
-    genpot_overlap:
-        Stream the sharded GENPOT (resident slabs, fused stages, layout
-        conversion overlapped with compute; see
-        :mod:`repro.parallel.streaming`) and, on the pipeline paths,
-        consume fragment futures in order while the batch tail drains
-        instead of idling behind the whole batch.  Default on; purely a
-        scheduling choice — iterates are bit-identical with it on or
-        off — taking effect only where the executor offers the
-        ``submit_global`` / ``submit_pipeline_batch`` futures surface.
+        Requires an executor with ``submit_global``.
     band_groups:
         Number of band slices each fragment's all-band CG is distributed
         over — the local analogue of the paper's Np cores *per fragment
@@ -512,7 +504,6 @@ class LS3DFSCF:
         pipeline: bool = False,
         patch_chunk_size: int = 8,
         genpot_shards: int | None = None,
-        genpot_overlap: bool = True,
         band_groups: int | None = None,
         install_potentials: bool = True,
         sliced_nonlocal: bool = True,
@@ -553,16 +544,15 @@ class LS3DFSCF:
             mixer_options=mixer_options,
             shards=genpot_shards,
             executor=executor,
-            overlap=genpot_overlap,
         )
         self.genpot_shards = self.genpot.shards
-        self.genpot_overlap = self.genpot.overlap
         self.pipeline = bool(pipeline)
         if self.pipeline and not isinstance(executor, PipelineFragmentExecutor):
             raise TypeError(
-                f"pipeline=True needs an executor with run_pipeline(); "
-                f"{type(executor).__name__} only supports plain run() — use a "
-                f"backend from repro.parallel.executor or set pipeline=False"
+                f"pipeline=True needs an executor with run_pipeline() and "
+                f"submit_pipeline_batch(); {type(executor).__name__} lacks "
+                f"them — use a backend from repro.parallel.executor or set "
+                f"pipeline=False"
             )
         if patch_chunk_size < 1:
             raise ValueError("patch_chunk_size must be positive")
@@ -668,17 +658,14 @@ class LS3DFSCF:
     ) -> tuple[np.ndarray, list[FragmentSolveResult]]:
         """Consume pipeline results: cache update, conversion, tree-reduce.
 
-        The driver-side Gen_dens residue shared by the pipeline and
-        band-grouped paths: store warm starts, attach fragments to the
-        kernel results, and assemble the global density with the
-        deterministic chunked tree sum (scatter maps come from the
-        division — no index arrays ride on results).
+        The driver-side Gen_dens step of the band-grouped path (whose
+        results are complete before the reduce starts): store warm
+        starts, attach fragments to the kernel results, and assemble the
+        global density with the same deterministic chunked tree sum as
+        the pipeline path (scatter maps come from the division — no index
+        arrays ride on results).
         """
-        self.state_cache.update([p.result for p in results])
-        frag_results = [
-            FragmentSolver.result_from_task(f, p.result)
-            for f, p in zip(self.fragments, results)
-        ]
+        frag_results = self._adopt_pipeline_results(results)
         density = patch_contributions(
             self.global_grid.shape,
             (
@@ -688,6 +675,14 @@ class LS3DFSCF:
             chunk_size=self.patch_chunk_size,
         )
         return density, frag_results
+
+    def _adopt_pipeline_results(self, results: Sequence) -> list[FragmentSolveResult]:
+        """Store the warm starts and attach fragments to the kernel results."""
+        self.state_cache.update([p.result for p in results])
+        return [
+            FragmentSolver.result_from_task(f, p.result)
+            for f, p in zip(self.fragments, results)
+        ]
 
     def _run_pipeline_iteration(
         self,
@@ -704,9 +699,12 @@ class LS3DFSCF:
         performs the restriction, the Kohn-Sham solve and the
         weighted-interior extraction.  The driver only builds tasks
         (timed as ``gen_vf``) and reduces the returned contributions with
-        the deterministic chunked tree sum (timed as ``gen_dens``), so
-        the per-fragment serial loops of the unfused path vanish from the
-        driver's serial time.
+        the deterministic chunked tree sum, consuming each fragment's
+        future as soon as it resolves instead of idling until the whole
+        batch returns.  The reduce walks fragments in fragment order with
+        a fixed ``patch_chunk_size`` chunking, so the summation tree —
+        and hence every density bit — is independent of the backend and
+        of the order in which workers finish.
         """
         t.pipeline = True
         # --- Gen_VF (driver residue): build one fused task per fragment.
@@ -716,43 +714,8 @@ class LS3DFSCF:
         )
         t.gen_vf = time.perf_counter() - t0
 
-        if self.genpot_overlap and hasattr(self.executor, "submit_pipeline_batch"):
-            return self._run_overlapped_pipeline_batch(tasks, t)
-
-        # --- PEtot_F (fused): restrict + solve + contribute per worker.
-        t0 = time.perf_counter()
-        report = self.executor.run_pipeline(tasks)
-        t.petot_f = time.perf_counter() - t0
-        t.petot_f_fragments = [p.wall_time for p in report.results]
-        t.petot_f_workers = report.worker_count
-        t.gen_vf_fragments = [p.gen_vf_time for p in report.results]
-        t.gen_dens_fragments = [p.gen_dens_time for p in report.results]
-
-        # --- Gen_dens (driver residue): consume the results and chunked-
-        # tree-reduce the pre-weighted contributions the workers shipped
-        # back.  Cache update and conversion are serial driver work and
-        # belong in this bucket, not in the PEtot_F wall time.
-        t0 = time.perf_counter()
-        density, frag_results = self._reduce_pipeline_results(report.results)
-        t.gen_dens = time.perf_counter() - t0
-        return density, frag_results
-
-    def _run_overlapped_pipeline_batch(
-        self, tasks: list, t: IterationTimings
-    ) -> tuple[np.ndarray, list[FragmentSolveResult]]:
-        """Consume a pipeline batch future-by-future, reducing under the tail.
-
-        The physical submissions are the same heaviest-first (optionally
-        stacked) units as :meth:`run_pipeline
-        <repro.parallel.executor._PoolFragmentExecutor.run_pipeline>` —
-        only the driver's schedule changes: instead of idling until the
-        whole batch returns, the chunked tree-reduce of Gen_dens consumes
-        each fragment's future as soon as it resolves.  The reduce walks
-        fragments in fragment order with the same ``patch_chunk_size``
-        chunking, so the summation tree — and hence every density bit —
-        matches the synchronous path exactly.
-        """
-        t.overlap = True
+        # --- PEtot_F (fused): restrict + solve + contribute per worker,
+        # with the Gen_dens tree-reduce running under the batch tail.
         t0 = time.perf_counter()
         futures = self.executor.submit_pipeline_batch(tasks)
         results: list = [None] * len(tasks)
@@ -789,12 +752,10 @@ class LS3DFSCF:
         t.gen_dens_fragments = [p.gen_dens_time for p in results]
 
         # --- Gen_dens residue: only the post-tail work remains serial.
+        # Cache update and conversion are driver work and belong in this
+        # bucket, not in the PEtot_F wall time.
         t0 = time.perf_counter()
-        self.state_cache.update([p.result for p in results])
-        frag_results = [
-            FragmentSolver.result_from_task(f, p.result)
-            for f, p in zip(self.fragments, results)
-        ]
+        frag_results = self._adopt_pipeline_results(results)
         t.gen_dens = time.perf_counter() - t0
         return density, frag_results
 
@@ -1255,7 +1216,6 @@ class LS3DFSCF:
                 t.genpot_driver = out.timings.driver
                 t.genpot_tasks = out.timings.task_times
                 t.genpot_sharded = out.timings.sharded
-                t.genpot_overlap = out.timings.overlap
                 t.genpot_wait = out.timings.wait
                 t.layout_conversion = out.timings.layout_conversion
             timings.append(t)

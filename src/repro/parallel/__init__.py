@@ -25,11 +25,13 @@ explicit execution model:
   :class:`repro.core.fragment_task.FragmentExecutor` protocol, for
   running actual fragment solves concurrently on local cores;
 * :mod:`repro.parallel.distributed` — the paper's 1D slab data layout for
-  the *global* steps: :class:`~repro.parallel.distributed.DistributedField`
-  (scatter/gather/exchange), a slab-transpose distributed FFT that is
-  bit-identical to ``numpy.fft.fftn``, and the per-slab
-  :class:`~repro.parallel.distributed.GlobalStepTask` units the sharded
-  GENPOT path pushes through the same executor backends;
+  the *global* steps: the slab bounds and the per-slab
+  :class:`~repro.parallel.distributed.GlobalStepTask` units (FFT stages
+  in ``numpy.fft.fftn``'s axis order, Poisson kernel, XC, fused mix) the
+  sharded GENPOT path pushes through the same executor backends;
+* :mod:`repro.parallel.streaming` — the engine that runs them: one
+  GENPOT evaluation as a slab dataflow with incremental transposes,
+  bit-identical to the single-array path;
 * :mod:`repro.parallel.bands` — the band-parallel distributed
   eigensolver: :class:`~repro.parallel.bands.BandSlice` partitions of a
   fragment's band block, per-slice
@@ -88,16 +90,10 @@ from repro.parallel.bands import (
     run_band_block_task,
 )
 from repro.parallel.distributed import (
-    DistributedField,
     GlobalStepExecutor,
     GlobalStepResult,
     GlobalStepTask,
-    distributed_fftn,
-    distributed_ifftn,
     run_global_step_task,
-    sharded_hartree_potential,
-    sharded_mix,
-    sharded_xc,
     slab_bounds,
 )
 from repro.parallel.executor import (
@@ -164,16 +160,10 @@ __all__ = [
     "BandSlice",
     "band_slices",
     "run_band_block_task",
-    "DistributedField",
     "GlobalStepExecutor",
     "GlobalStepResult",
     "GlobalStepTask",
-    "distributed_fftn",
-    "distributed_ifftn",
     "run_global_step_task",
-    "sharded_hartree_potential",
-    "sharded_mix",
-    "sharded_xc",
     "slab_bounds",
     "ExecutionReport",
     "FragmentExecutor",

@@ -1,4 +1,4 @@
-"""DistributedField: 1D-slab decomposition of the global grid + global-step tasks.
+"""The 1D-slab layout of the global grid and its per-slab global-step tasks.
 
 The paper runs the *global* steps of every LS3DF iteration — GENPOT's
 Poisson solve, exchange-correlation and potential mixing — on a second
@@ -8,34 +8,30 @@ converts between the two layouts every iteration (Section IV; the dual
 fragment/slab layout is what keeps the o(N) global work off the fragment
 groups' critical path).
 
-This module is the local-machine analogue of that slab layout:
+This module holds the pieces of that layout the executors ship around:
 
-* :func:`slab_bounds` / :class:`DistributedField` — a global real-space
-  field held as contiguous slabs along one axis, with ``scatter`` /
-  ``gather`` / ``exchange`` (slab transpose) primitives.  All data
-  movement is deterministic and exact: slabs are plain array copies, so a
-  scatter -> gather round trip is bit-identical to the original field.
+* :func:`slab_bounds` — the deterministic block distribution of planes
+  over slabs; depends only on ``(n, nshards)``, so every backend and
+  worker count sees identical slab boundaries.
 * :class:`GlobalStepTask` / :func:`run_global_step_task` — picklable
   per-slab units of global-step work (FFT stages, the Poisson reciprocal-
-  space kernel, LDA XC, mixing), executed through the same
-  :class:`repro.core.fragment_task.FragmentExecutor` backends that run
-  fragment solves (``run_global`` on every backend in
-  :mod:`repro.parallel.executor`).
-* :func:`distributed_fftn` / :func:`distributed_ifftn` — slab-transpose
-  distributed FFTs built from per-axis ``numpy.fft`` calls.  NumPy's
-  ``fftn`` applies 1D transforms last-axis-first and each 1D transform is
-  independent of how the other axes are batched, so the distributed
-  transform is **bit-identical** to the single-array ``numpy.fft.fftn``
-  for any shard count — the property the sharded GENPOT path relies on.
-* :func:`sharded_hartree_potential` / :func:`sharded_xc` /
-  :func:`sharded_mix` — the three global steps of
-  :class:`repro.core.genpot.GlobalPotentialSolver`, orchestrated over
-  slabs (driver does the data movement, the executor's workers do the
-  compute).
+  space kernel, LDA XC, the fused finish/mix stage), executed through the
+  same executor backends that run fragment solves (``submit_global`` /
+  ``run_global`` on every backend in :mod:`repro.parallel.executor` and
+  :mod:`repro.parallel.remote`).  The stages apply the 1D transforms in
+  the order ``numpy.fft.fftn`` uses (last axis first), and each 1D
+  transform is independent of how the other axes are batched, so a
+  slab-transposed transform is **bit-identical** to the single-array one
+  for any shard count.
+* :class:`GlobalStepExecutor` — the protocol a backend must satisfy to
+  run them.
+
+The orchestration — which stage runs when, and the slab transposes
+between them — lives in :mod:`repro.parallel.streaming`.
 
 Layering: this module depends only on :mod:`numpy`, :mod:`repro.constants`
 and the plane-wave substrate; the executors import the task kernel from
-here, and :mod:`repro.core.genpot` imports the orchestrators lazily.
+here.
 """
 
 from __future__ import annotations
@@ -85,88 +81,6 @@ def slab_bounds(n: int, nshards: int) -> list[tuple[int, int]]:
         bounds.append((lo, hi))
         lo = hi
     return bounds
-
-
-@dataclass
-class DistributedField:
-    """A global real-space/reciprocal-space field held as 1D slabs.
-
-    Parameters
-    ----------
-    grid_shape:
-        Shape of the full global field.
-    axis:
-        The distributed axis (2 = z-slabs, the canonical GENPOT layout;
-        0 = x-slabs, the transposed layout the distributed FFT passes
-        through).
-    slabs:
-        Per-shard arrays; shard ``k`` holds the planes
-        ``slab_bounds(grid_shape[axis], nshards)[k]`` along ``axis`` and
-        the full extent of the other two axes.
-    """
-
-    grid_shape: tuple[int, int, int]
-    axis: int
-    slabs: list[np.ndarray]
-
-    def __post_init__(self) -> None:
-        if self.axis not in (0, 1, 2):
-            raise ValueError("axis must be 0, 1 or 2")
-        if not self.slabs:
-            raise ValueError("need at least one slab")
-
-    # -- basic accessors -----------------------------------------------------
-    @property
-    def nshards(self) -> int:
-        """Number of slabs the field is split into."""
-        return len(self.slabs)
-
-    @property
-    def bounds(self) -> list[tuple[int, int]]:
-        """The ``[lo, hi)`` plane range of every shard along ``axis``."""
-        return slab_bounds(self.grid_shape[self.axis], self.nshards)
-
-    # -- layout primitives ---------------------------------------------------
-    @classmethod
-    def scatter(
-        cls, array: np.ndarray, nshards: int, axis: int = 2
-    ) -> "DistributedField":
-        """Split a global field into ``nshards`` contiguous slabs."""
-        array = np.asarray(array)
-        if array.ndim != 3:
-            raise ValueError("DistributedField holds 3D fields")
-        shape = tuple(int(s) for s in array.shape)
-        slabs = []
-        index: list[slice] = [slice(None)] * 3
-        for lo, hi in slab_bounds(shape[axis], nshards):
-            index[axis] = slice(lo, hi)
-            slabs.append(np.ascontiguousarray(array[tuple(index)]))
-        return cls(shape, axis, slabs)
-
-    def gather(self) -> np.ndarray:
-        """Reassemble the full global field (exact concatenation)."""
-        return np.concatenate(self.slabs, axis=self.axis)
-
-    def exchange(self, axis: int) -> "DistributedField":
-        """Transpose the slab layout onto a different distributed axis.
-
-        This is the all-to-all of the distributed FFT: shard ``k`` of the
-        new layout collects, from every old shard, the planes it owns
-        along the new axis.  Pure data movement — values are copied, never
-        recomputed — so the represented global field is unchanged bit for
-        bit.
-        """
-        if axis == self.axis:
-            return self
-        new_bounds = slab_bounds(self.grid_shape[axis], self.nshards)
-        new_slabs = []
-        index: list[slice] = [slice(None)] * 3
-        for lo, hi in new_bounds:
-            index[axis] = slice(lo, hi)
-            index[self.axis] = slice(None)
-            pieces = [slab[tuple(index)] for slab in self.slabs]
-            new_slabs.append(np.concatenate(pieces, axis=self.axis))
-        return DistributedField(self.grid_shape, axis, new_slabs)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +159,6 @@ def _kernel_fft_planes(task: GlobalStepTask):
         return np.fft.fft(a, axis=1), None
 
 
-def _kernel_fft_lines(task: GlobalStepTask):
-    # Forward FFT along the x-axis of a z-slab (completes the 3D transform).
-    return np.fft.fft(task.data, axis=0), None
-
-
 def _kernel_poisson_lines(task: GlobalStepTask):
     # Complete the forward transform, then apply the reciprocal-space
     # Poisson kernel 4 pi / |G|^2 with the G = 0 component zeroed —
@@ -276,16 +185,6 @@ def _kernel_ifft_planes(task: GlobalStepTask):
         return np.fft.ifft(a, axis=1), None
 
 
-def _kernel_ifft_lines(task: GlobalStepTask):
-    return np.fft.ifft(task.data, axis=0), None
-
-
-def _kernel_ifft_lines_real(task: GlobalStepTask):
-    with fftcache.scratch(task.data.shape) as w:
-        u = fftcache.ifft(task.data, axis=0, out=w)
-        return u.real.copy(), None
-
-
 def _kernel_ifft_lines_combine(task: GlobalStepTask):
     # Final stage of a spectral (Kerker) mix: finish the inverse
     # transform of the filtered residual and take the damped step
@@ -302,52 +201,17 @@ def _kernel_xc(task: GlobalStepTask):
     return v_xc, eps_xc
 
 
-def _kernel_mix_pointwise(task: GlobalStepTask):
-    return task.mixer.mix_slab(task.data, task.aux), None
-
-
-def _kernel_rfft_planes(task: GlobalStepTask):
-    # Real-FFT forward over the z-axis of an x-slab: the first transform
-    # of numpy's rfftn order (rfft last axis, then fft the others).  The
-    # half spectrum (nz//2 + 1 planes) is what crosses the wire.
-    return fftcache.rfft(task.data, axis=2), None
-
-
-def _kernel_poisson_half_lines(task: GlobalStepTask):
-    # Middle stage of the real-FFT Poisson solve, on a half-spectrum
-    # z-slab where axes 0 and 1 are locally complete: finish rfftn's
-    # remaining transforms (axis 0, then 1 — numpy's order), apply the
-    # 4 pi / |G|^2 kernel on the half spectrum, and run irfftn's two
-    # local inverse transforms (axis 0, then 1).  One task instead of
-    # the complex path's two, and no full-spectrum exchange at all.
-    with fftcache.scratch(task.data.shape) as w:
-        a = fftcache.fft(task.data, axis=0, out=w)
-        a = np.fft.fft(a, axis=1)
-        g2 = task.aux
-        vg = np.zeros(a.shape, dtype=a.dtype)
-        nonzero = g2 > 1e-12
-        vg[nonzero] = FOUR_PI * a[nonzero] / g2[nonzero]
-        u = fftcache.ifft(vg, axis=0, out=w)
-        return np.fft.ifft(u, axis=1), None
-
-
 def _kernel_genpot_finish(task: GlobalStepTask):
-    # Fused final stage of the streaming GENPOT (PR 8): finish the
-    # inverse Poisson transform on this resident slab, add its XC slab,
-    # and start the mix — one task where the synchronous path pays a
-    # gather, two driver-side elementwise passes and a fresh scatter.
-    # ``aux`` is ``(v_xc_slab, v_in_slab_or_None)``; ``scalars`` may
-    # carry ``irfft_n`` (real-FFT path: the data slab is the half
-    # spectrum along z, to be inverse-real-transformed to ``irfft_n``
-    # planes) and ``residual`` (also return v_out - v_in, feeding a
-    # spectral mix); a pointwise ``mixer`` fuses the whole mix in.
+    # Fused final stage of GENPOT: finish the inverse Poisson transform
+    # on this resident slab, add its XC slab, and start the mix — one
+    # task instead of a gather, two driver-side elementwise passes and a
+    # fresh scatter.  ``aux`` is ``(v_xc_slab, v_in_slab_or_None)``;
+    # ``scalars`` may carry ``residual`` (also return v_out - v_in,
+    # feeding a spectral mix); a pointwise ``mixer`` fuses the whole mix
+    # in.
     v_xc, v_in = task.aux
-    n = int(task.scalars.get("irfft_n", 0))
-    if n:
-        v_es = fftcache.irfft(task.data, n=n, axis=2)
-    else:
-        with fftcache.scratch(task.data.shape) as w:
-            v_es = fftcache.ifft(task.data, axis=0, out=w).real.copy()
+    with fftcache.scratch(task.data.shape) as w:
+        v_es = fftcache.ifft(task.data, axis=0, out=w).real.copy()
     v_out = v_es + v_xc
     extra = {"v_out": v_out}
     if v_in is not None and task.scalars.get("residual"):
@@ -359,17 +223,11 @@ def _kernel_genpot_finish(task: GlobalStepTask):
 
 _STEP_KERNELS = {
     "fft_planes": _kernel_fft_planes,
-    "fft_lines": _kernel_fft_lines,
     "poisson_lines": _kernel_poisson_lines,
     "filter_lines": _kernel_filter_lines,
     "ifft_planes": _kernel_ifft_planes,
-    "ifft_lines": _kernel_ifft_lines,
-    "ifft_lines_real": _kernel_ifft_lines_real,
     "ifft_lines_combine": _kernel_ifft_lines_combine,
     "xc": _kernel_xc,
-    "mix_pointwise": _kernel_mix_pointwise,
-    "rfft_planes": _kernel_rfft_planes,
-    "poisson_half_lines": _kernel_poisson_half_lines,
     "genpot_finish": _kernel_genpot_finish,
 }
 
@@ -379,13 +237,14 @@ def run_global_step_task(task: GlobalStepTask) -> GlobalStepResult:
 
     Like :func:`repro.core.fragment_task.solve_fragment_task` for
     fragments, this runs identically in the calling process and inside
-    pool workers; every backend's ``run_global`` dispatches here.
+    pool workers; every backend's ``submit_global`` / ``run_global``
+    dispatches here.
 
     Parameters
     ----------
     task:
         The per-slab work unit; its ``kind`` selects the kernel
-        (``fft_planes``, ``poisson_lines``, ``xc``, ``mix_pointwise``,
+        (``fft_planes``, ``poisson_lines``, ``xc``, ``genpot_finish``,
         ...), unknown kinds raise ``ValueError``.
 
     Returns
@@ -414,14 +273,25 @@ def run_global_step_task(task: GlobalStepTask) -> GlobalStepResult:
 class GlobalStepExecutor(Protocol):
     """A fragment-execution backend that also runs global-step tasks.
 
-    All backends in :mod:`repro.parallel.executor` implement this;
-    ``run_global`` takes a batch of :class:`GlobalStepTask` and returns an
-    execution report whose ``results`` are :class:`GlobalStepResult`
-    objects in task order (the deterministic slab order every reduction
-    below relies on).
+    All backends in :mod:`repro.parallel.executor` and
+    :class:`repro.parallel.remote.RemoteExecutor` implement this.
+    ``submit_global`` is what sharded GENPOT runs on
+    (:func:`repro.parallel.streaming.stream_genpot` issues each per-slab
+    stage the moment its inputs exist); ``run_global`` is the same
+    submission for a whole batch, gathered in task order.
     """
 
     n_workers: int
+
+    def submit_global(self, task: GlobalStepTask):
+        """Submit one per-slab global-step task.
+
+        Returns
+        -------
+        A future (``done`` / ``result`` / ``add_done_callback``) that
+        resolves to the task's :class:`GlobalStepResult`.
+        """
+        ...
 
     def run_global(self, tasks: Sequence[GlobalStepTask]):
         """Execute a batch of per-slab global-step tasks.
@@ -437,285 +307,3 @@ class GlobalStepExecutor(Protocol):
             With ``results`` (:class:`GlobalStepResult`) in task order.
         """
         ...
-
-
-# ---------------------------------------------------------------------------
-# Slab orchestration (driver side): distributed FFT and the GENPOT steps
-
-
-def _run_stage(
-    executor: GlobalStepExecutor,
-    kind: str,
-    slabs: Sequence[np.ndarray],
-    aux: Sequence[np.ndarray] | None = None,
-    scalars: dict | None = None,
-    mixer: object | None = None,
-    task_times: list[float] | None = None,
-) -> list[GlobalStepResult]:
-    """Run one per-slab stage through the executor (one task per shard)."""
-    nshards = len(slabs)
-    tasks = [
-        GlobalStepTask(
-            kind=kind,
-            shard=k,
-            nshards=nshards,
-            data=slabs[k],
-            aux=None if aux is None else aux[k],
-            scalars=scalars or {},
-            mixer=mixer,
-        )
-        for k in range(nshards)
-    ]
-    report = executor.run_global(tasks)
-    results = list(report.results)
-    if task_times is not None:
-        task_times.extend(r.wall_time for r in results)
-    return results
-
-
-def _slab_transform(
-    field: DistributedField,
-    executor: GlobalStepExecutor,
-    planes_kind: str,
-    lines_kind: str,
-    lines_aux: Sequence[np.ndarray] | None = None,
-    lines_scalars: dict | None = None,
-    task_times: list[float] | None = None,
-) -> DistributedField:
-    """One full slab-transpose 3D transform pass over a z-slab field.
-
-    The shared motif of every distributed FFT-based step: exchange to
-    x-slabs, run the ``planes_kind`` stage over the two locally complete
-    axes (2 then 1 — numpy's ``fftn`` order), exchange back to z-slabs,
-    and run the ``lines_kind`` stage along the now-complete x-axis
-    (optionally with per-slab ``lines_aux`` arrays / ``lines_scalars``,
-    which is where the Poisson kernel, the Kerker filter and the mix
-    combine fuse into the final stage).
-    """
-    if field.axis != 2:
-        raise ValueError("slab transforms expect a z-slab field")
-    fx = field.exchange(0)
-    planes = _run_stage(executor, planes_kind, fx.slabs, task_times=task_times)
-    fz = DistributedField(field.grid_shape, 0, [r.data for r in planes]).exchange(2)
-    lines = _run_stage(
-        executor,
-        lines_kind,
-        fz.slabs,
-        aux=lines_aux,
-        scalars=lines_scalars,
-        task_times=task_times,
-    )
-    return DistributedField(field.grid_shape, 2, [r.data for r in lines])
-
-
-def distributed_fftn(
-    field: DistributedField,
-    executor: GlobalStepExecutor,
-    task_times: list[float] | None = None,
-) -> DistributedField:
-    """Slab-transpose distributed forward FFT (bit-identical to ``fftn``).
-
-    Input and output are z-slab fields.  The 1D transforms run in the
-    exact order ``numpy.fft.fftn`` uses — axis 2, then 1, then 0 — with
-    the two slab transposes making each axis locally complete when its
-    turn comes, so the gathered result equals ``numpy.fft.fftn`` of the
-    gathered input bit for bit, for any shard count.
-
-    Parameters
-    ----------
-    field:
-        A z-slab :class:`DistributedField`.
-    executor:
-        Backend the per-slab FFT stages are submitted to.
-    task_times:
-        Optional list the in-worker task times are appended to (the
-        sharded-GENPOT timing accounting).
-
-    Returns
-    -------
-    DistributedField
-        The transformed field, again as z-slabs.
-    """
-    return _slab_transform(
-        field, executor, "fft_planes", "fft_lines", task_times=task_times
-    )
-
-
-def distributed_ifftn(
-    field: DistributedField,
-    executor: GlobalStepExecutor,
-    task_times: list[float] | None = None,
-) -> DistributedField:
-    """Slab-transpose distributed inverse FFT (bit-identical to ``ifftn``).
-
-    Parameters and return mirror :func:`distributed_fftn` (z-slab field
-    in, z-slab field out, task times appended to ``task_times``).
-    """
-    return _slab_transform(
-        field, executor, "ifft_planes", "ifft_lines", task_times=task_times
-    )
-
-
-def _slab_views(array: np.ndarray, bounds: Sequence[tuple[int, int]]) -> list[np.ndarray]:
-    """z-slab views of a global array (no copy; read-only use by tasks)."""
-    return [array[:, :, lo:hi] for lo, hi in bounds]
-
-
-def sharded_hartree_potential(
-    net_density: np.ndarray,
-    g2: np.ndarray,
-    nshards: int,
-    executor: GlobalStepExecutor,
-    task_times: list[float] | None = None,
-) -> np.ndarray:
-    """Distributed GENPOT Poisson solve: V_H of the net charge density.
-
-    Bit-identical to :func:`repro.pw.hartree.hartree_potential` of the
-    same (already ion-subtracted) density: forward distributed FFT, the
-    per-slab 4 pi / |G|^2 kernel, inverse distributed FFT, real part.
-
-    Parameters
-    ----------
-    net_density:
-        Net (electron minus ionic) charge density on the global grid.
-    g2:
-        The grid's ``|G|^2`` array (``FFTGrid.g2``), sliced into slabs
-        for the per-shard Poisson kernel.
-    nshards:
-        Number of z-slabs.
-    executor:
-        Backend the per-slab stages run through.
-    task_times:
-        Optional list the in-worker task times are appended to.
-
-    Returns
-    -------
-    np.ndarray
-        The gathered Hartree potential (real, global grid).
-    """
-    fz = DistributedField.scatter(net_density, nshards, axis=2)
-    rho_g = _slab_transform(
-        fz,
-        executor,
-        "fft_planes",
-        "poisson_lines",
-        lines_aux=_slab_views(g2, fz.bounds),
-        task_times=task_times,
-    )
-    v = _slab_transform(
-        rho_g, executor, "ifft_planes", "ifft_lines_real", task_times=task_times
-    )
-    return v.gather()
-
-
-def sharded_xc(
-    density: np.ndarray,
-    nshards: int,
-    executor: GlobalStepExecutor,
-    task_times: list[float] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distributed LDA exchange-correlation: ``(v_xc, eps_xc)`` gathered.
-
-    Pointwise, so each shard evaluates :func:`repro.pw.xc.lda_xc` on its
-    own planes; the gathered fields are bit-identical to the single-array
-    evaluation.
-
-    Parameters
-    ----------
-    density:
-        Electron density on the global grid.
-    nshards:
-        Number of z-slabs.
-    executor:
-        Backend the one-task-per-slab XC stage runs through.
-    task_times:
-        Optional list the in-worker task times are appended to.
-
-    Returns
-    -------
-    tuple[np.ndarray, np.ndarray]
-        ``(v_xc, eps_xc)`` on the global grid.
-    """
-    fz = DistributedField.scatter(density, nshards, axis=2)
-    results = _run_stage(executor, "xc", fz.slabs, task_times=task_times)
-    v_xc = DistributedField(fz.grid_shape, 2, [r.data for r in results]).gather()
-    eps_xc = DistributedField(fz.grid_shape, 2, [r.extra for r in results]).gather()
-    return v_xc, eps_xc
-
-
-def sharded_mix(
-    mixer,
-    v_in: np.ndarray,
-    v_out: np.ndarray,
-    nshards: int,
-    executor: GlobalStepExecutor,
-    task_times: list[float] | None = None,
-) -> np.ndarray:
-    """Distributed potential mixing, dispatched on the mixer's capability.
-
-    ``mixer.sharding`` (see the :class:`repro.pw.mixing.Mixer` protocol)
-    selects the strategy:
-
-    * ``"pointwise"`` — one ``mix_slab`` task per shard (linear mixing);
-    * ``"spectral"``  — residual -> distributed FFT -> per-slab filter ->
-      distributed inverse FFT -> per-slab damped combine (Kerker);
-    * anything else   — fall back to the mixer's serial ``mix`` on the
-      gathered potentials (Anderson: its history gram matrix is a global
-      o(N) reduction, kept on the driver like the paper's global module).
-
-    All three routes are bit-identical to ``mixer.mix(v_in, v_out)``.
-
-    Parameters
-    ----------
-    mixer:
-        A :class:`repro.pw.mixing.Mixer` (its ``sharding`` attribute
-        picks the route above).
-    v_in, v_out:
-        This iteration's input and output potentials on the global grid.
-    nshards:
-        Number of z-slabs.
-    executor:
-        Backend the per-slab stages run through.
-    task_times:
-        Optional list the in-worker task times are appended to.
-
-    Returns
-    -------
-    np.ndarray
-        The next input potential on the global grid.
-    """
-    mode = getattr(mixer, "sharding", "serial")
-    if mode == "pointwise":
-        shape = v_in.shape
-        vin_f = DistributedField.scatter(v_in, nshards, axis=2)
-        vout_f = DistributedField.scatter(v_out, nshards, axis=2)
-        results = _run_stage(
-            executor,
-            "mix_pointwise",
-            vin_f.slabs,
-            aux=vout_f.slabs,
-            mixer=mixer,
-            task_times=task_times,
-        )
-        return DistributedField(shape, 2, [r.data for r in results]).gather()
-    if mode == "spectral":
-        fz = DistributedField.scatter(v_out - v_in, nshards, axis=2)
-        resid_g = _slab_transform(
-            fz,
-            executor,
-            "fft_planes",
-            "filter_lines",
-            lines_aux=_slab_views(mixer.spectral_filter(), fz.bounds),
-            task_times=task_times,
-        )
-        v_next = _slab_transform(
-            resid_g,
-            executor,
-            "ifft_planes",
-            "ifft_lines_combine",
-            lines_aux=_slab_views(v_in, fz.bounds),
-            lines_scalars={"alpha": mixer.alpha},
-            task_times=task_times,
-        )
-        return v_next.gather()
-    return mixer.mix(v_in, v_out)

@@ -21,18 +21,27 @@ also implements ``run_pipeline`` for fused
 :class:`repro.core.fragment_task.FragmentPipelineTask` batches (restrict
 -> solve -> weighted-density contribution in one worker round trip; see
 :func:`repro.core.fragment_task.run_fragment_pipeline_task`),
-``run_global`` for the per-slab global-step tasks of the sharded GENPOT
-path (:class:`repro.parallel.distributed.GlobalStepTask` — the paper's
+``run_global`` for per-slab global-step tasks
+(:class:`repro.parallel.distributed.GlobalStepTask` — the paper's
 1D-slab layout of the Poisson/XC/mixing work; see
 :func:`repro.parallel.distributed.run_global_step_task`), and
 ``run_bands`` for the per-slice band tasks of the band-parallel
 eigensolver (:class:`repro.parallel.bands.BandBlockTask` — the paper's
 Np-cores-per-group distribution of one fragment's all-band CG; see
-:func:`repro.parallel.bands.run_band_block_task`).  The pool
-backends order submissions heaviest-first, the greedy longest-processing-
-time (LPT) heuristic :mod:`repro.parallel.scheduler` uses to balance
-fragment classes whose costs differ by ~8x (1x1x1 vs 2x2x2 cells), and
-attach the scheduler's predicted assignment to the report.
+:func:`repro.parallel.bands.run_band_block_task`).
+
+Each backend has one dispatch engine: a task reaches a worker through a
+single internal submit that returns a future, and one physical
+submission is always one logical task.  The batch methods (``run_*``)
+are that submit plus an order-preserving gather
+(:func:`gather_in_order`); ``submit_global`` and
+``submit_pipeline_batch`` hand the same futures to callers that consume
+results as they resolve (the streaming GENPOT engine, the pipeline
+iteration's Gen_dens reduce).  The pool backends order
+submissions heaviest-first, the greedy longest-processing-time (LPT)
+heuristic :mod:`repro.parallel.scheduler` uses to balance fragment
+classes whose costs differ by ~8x (1x1x1 vs 2x2x2 cells), and attach
+the scheduler's predicted assignment to the report.
 """
 
 from __future__ import annotations
@@ -60,12 +69,9 @@ from repro.core.fragment_task import (
     FragmentTaskResult,
     PipelineFragmentExecutor,
     PotentialNotInstalledError,
-    StackedPipelineResult,
-    StackedPipelineTask,
     install_potential,
     potential_fingerprint,
     run_fragment_pipeline_task,
-    run_stacked_pipeline_task,
     solve_fragment_task,
 )
 from repro.parallel.bands import (
@@ -78,7 +84,7 @@ from repro.parallel.distributed import (
     GlobalStepTask,
     run_global_step_task,
 )
-from repro.parallel.scheduler import FragmentScheduler, ScheduleSummary, pack_stacks
+from repro.parallel.scheduler import FragmentScheduler, ScheduleSummary
 
 __all__ = [
     "BandBlockTask",
@@ -97,39 +103,24 @@ __all__ = [
     "ProcessPoolFragmentExecutor",
     "ScheduleSummary",
     "SerialFragmentExecutor",
-    "StackedPipelineResult",
-    "StackedPipelineTask",
     "ThreadPoolFragmentExecutor",
+    "gather_in_order",
     "install_potential",
-    "pack_stacks",
     "potential_fingerprint",
     "run_band_block_task",
     "run_fragment_pipeline_task",
     "run_global_step_task",
-    "run_stacked_pipeline_task",
     "solve_fragment_task",
 ]
-
-
-def _run_pipeline_unit(unit):
-    """Kernel dispatcher for stacked pipeline batches (picklable).
-
-    One physical submission is either a plain pipeline task or a stack of
-    small ones; both run the same per-fragment kernel underneath.
-    """
-    if isinstance(unit, StackedPipelineTask):
-        return run_stacked_pipeline_task(unit)
-    return run_fragment_pipeline_task(unit)
 
 
 class _ImmediateFuture:
     """A future that already completed: in-process backends run at submit.
 
-    The streaming GENPOT engine and the overlapped Gen_dens reduce drive
-    every backend through the same ``submit_*`` future surface; the
-    serial executor (and single-worker pools) resolve each submission
-    synchronously, so streaming degenerates to exactly the synchronous
-    task order — which is what keeps it bit-identical there.
+    Every backend is driven through the same future surface; the serial
+    executor (and single-worker pools) resolve each submission
+    synchronously, so a stream of submissions degenerates to plain task
+    order — which is what keeps them bit-identical to the pools.
     """
 
     def __init__(self, result=None, error: BaseException | None = None):
@@ -138,6 +129,9 @@ class _ImmediateFuture:
 
     def done(self) -> bool:
         return True
+
+    def cancel(self) -> bool:
+        return False
 
     def result(self, timeout=None):
         if self._error is not None:
@@ -149,12 +143,12 @@ class _ImmediateFuture:
 
 
 class _HealingFuture:
-    """Pool future wrapper that heals a missed potential install on resolve.
+    """Pool future that heals a missed potential install on resolve.
 
     ``result()`` routes through the owning executor's ``_gather`` — the
-    same one-shot resubmission with the driver's payload attached that the
-    batch paths use — so futures-based submission keeps the install-once
-    machinery's failure mode covered.
+    one-shot resubmission with the driver's payload attached — so every
+    pool submission keeps the install-once machinery's failure mode
+    covered.
     """
 
     def __init__(self, executor, future, task, kernel):
@@ -166,6 +160,9 @@ class _HealingFuture:
     def done(self) -> bool:
         return self._future.done()
 
+    def cancel(self) -> bool:
+        return self._future.cancel()
+
     def result(self, timeout=None):
         return self._executor._gather(self._future, self._task, self._kernel)
 
@@ -173,34 +170,26 @@ class _HealingFuture:
         self._future.add_done_callback(lambda _inner: fn(self))
 
 
-class _StackedMemberFuture:
-    """One fragment's slice of a stacked pipeline submission.
-
-    The PR 6 small-task stacking packs several fragments into one pool
-    submission; the streaming consumers want one future per fragment, so
-    each member resolves the shared unit future (healing included) and
-    picks out its own result.
-    """
-
-    def __init__(self, unit_future: "_HealingFuture", member: int):
-        self._unit_future = unit_future
-        self._member = member
-
-    def done(self) -> bool:
-        return self._unit_future.done()
-
-    def result(self, timeout=None):
-        return self._unit_future.result(timeout).results[self._member]
-
-    def add_done_callback(self, fn) -> None:
-        self._unit_future.add_done_callback(lambda _inner: fn(self))
-
-
 def _immediate(task, kernel) -> _ImmediateFuture:
     try:
         return _ImmediateFuture(result=kernel(task))
     except Exception as exc:  # resolved, but carrying the kernel's error
         return _ImmediateFuture(error=exc)
+
+
+def gather_in_order(futures: Sequence) -> list:
+    """Resolve a batch's futures in task order (the ``run_*`` gather).
+
+    When one of them raises, the batch's tasks that no worker has started
+    yet are cancelled before the error propagates: a failed batch leaves
+    nothing queued ahead of the next one.
+    """
+    try:
+        return [future.result() for future in futures]
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        raise
 
 
 def _resolve_worker_count(n_workers: int | None, nworkers: int | None) -> int:
@@ -312,21 +301,22 @@ class SerialFragmentExecutor:
 
         The future surface of the streaming GENPOT engine: serially every
         submission runs immediately in the calling process, so a stream
-        degenerates to the synchronous stage order (bit-identical by
-        construction) while the engine code stays backend-agnostic.
+        runs its stages in plain submission order while the engine code
+        stays backend-agnostic.
         """
-        self._bump(1, 1)
-        return _immediate(task, run_global_step_task)
+        return self._submit_batch([task], run_global_step_task)[0]
 
     def submit_pipeline_batch(self, tasks: Sequence) -> list:
         """Per-fragment futures for a pipeline batch (resolved at submit)."""
+        return self._submit_batch(tasks, run_fragment_pipeline_task)
+
+    def _submit_batch(self, tasks: Sequence, kernel) -> list:
         self._bump(len(tasks), len(tasks))
-        return [_immediate(t, run_fragment_pipeline_task) for t in tasks]
+        return [_immediate(t, kernel) for t in tasks]
 
     def _execute(self, tasks: Sequence, kernel) -> ExecutionReport:
         t0 = time.perf_counter()
-        self._bump(len(tasks), len(tasks))
-        results = [kernel(t) for t in tasks]
+        results = gather_in_order(self._submit_batch(tasks, kernel))
         return ExecutionReport(
             results=results,
             wall_time=time.perf_counter() - t0,
@@ -355,21 +345,19 @@ class _PoolFragmentExecutor:
         self,
         n_workers: int | None = None,
         nworkers: int | None = None,
-        stack_small_tasks: bool = True,
     ) -> None:
         self.n_workers = _resolve_worker_count(n_workers, nworkers)
         self._pool: Executor | None = None
         self._scheduler = FragmentScheduler()
         # Count of every *logical* task handed to this executor over its
         # lifetime; the pipeline tests use it to assert one submission per
-        # fragment per SCF iteration.  Stacking does not change it.
+        # fragment per SCF iteration.
         self.tasks_submitted = 0
-        # Physical submissions (pool futures or fast-path kernel calls);
-        # stacking makes this smaller than tasks_submitted.
+        # Physical submissions (pool futures or fast-path kernel calls):
+        # one per logical task, plus one per healed install miss.
         self.pool_submissions = 0
         # Install-channel broadcasts (not counted as pool submissions).
         self.install_broadcasts = 0
-        self.stack_small_tasks = bool(stack_small_tasks)
         # Driver-side copies of installed potentials, for the retry path
         # when a pool worker misses a broadcast (LRU-bounded).  Partition
         # children share the root's store (any group can heal any key)
@@ -408,9 +396,7 @@ class _PoolFragmentExecutor:
 
             cached = []
             for per_group in partition_worker_counts(self.n_workers, ngroups):
-                child = type(self)(
-                    n_workers=per_group, stack_small_tasks=self.stack_small_tasks
-                )
+                child = type(self)(n_workers=per_group)
                 child._counter_root = self._counter_root
                 child._install_payloads = self._install_payloads
                 cached.append(child)
@@ -493,20 +479,11 @@ class _PoolFragmentExecutor:
     ) -> ExecutionReport:
         """Run fused Gen_VF -> solve -> Gen_dens tasks through the pool.
 
-        Each fragment is one *logical* submission: the worker gathers the
+        Each fragment is one submission: the worker gathers the
         restriction, solves, and extracts the weighted interior in a
         single round trip (the unfused path needs the same submission plus
-        two driver-side serial loops around it).  With
-        ``stack_small_tasks`` (the default) the small fragments of a
-        mixed batch are LPT-binned into
-        :class:`~repro.core.fragment_task.StackedPipelineTask` stacks, so
-        they share pool submissions without touching the logical-task
-        accounting or any result bit.
+        two driver-side serial loops around it).
         """
-        if self.stack_small_tasks and self.n_workers > 1 and len(tasks) > 2:
-            groups = pack_stacks([t.cost() for t in tasks], self.n_workers)
-            if any(len(g) > 1 for g in groups):
-                return self._execute_stacked(tasks, groups)
         return self._execute(tasks, run_fragment_pipeline_task)
 
     def run_global(self, tasks: Sequence[GlobalStepTask]) -> ExecutionReport:
@@ -535,55 +512,43 @@ class _PoolFragmentExecutor:
         The streaming GENPOT engine issues per-slab stage tasks the
         moment their inputs are assembled, instead of batching a whole
         stage behind a scatter barrier; single-worker pools resolve
-        synchronously (the stream then replays the synchronous order).
+        synchronously (the stream then runs in plain submission order).
         """
         self._bump(1, 1)
         if self.n_workers == 1:
             return _immediate(task, run_global_step_task)
-        future = self._ensure_pool().submit(run_global_step_task, task)
-        return _HealingFuture(self, future, task, run_global_step_task)
+        return self._submit(task, run_global_step_task)
 
     def submit_pipeline_batch(self, tasks: Sequence) -> list:
-        """Per-fragment futures for a pipeline batch (stacking preserved).
+        """Per-fragment futures for a pipeline batch, submitted heaviest-first.
 
-        The overlapped Gen_dens reduce consumes fragments in order while
-        the batch tail is still draining; physical submissions are the
-        same heaviest-first (optionally stacked, PR 6) units as
-        :meth:`run_pipeline`, so the pool sees an identical schedule —
-        only the driver stops idling between the last submit and the
-        first reduce.
+        The pipeline iteration's Gen_dens reduce consumes fragments in
+        order while the batch tail is still draining, so the driver does
+        not idle between the last submit and the first reduce.
         """
+        return self._submit_batch(tasks, run_fragment_pipeline_task)
+
+    def _submit(self, task, kernel) -> _HealingFuture:
+        """Hand one task to a pool worker — the only place this backend does."""
+        return _HealingFuture(
+            self, self._ensure_pool().submit(kernel, task), task, kernel
+        )
+
+    def _submit_batch(self, tasks: Sequence, kernel) -> list:
+        """Futures for a batch, in task order.
+
+        Single-worker pools and one-task batches run in the calling
+        process (no pool round trip to win anything from); otherwise the
+        tasks are submitted heaviest-first, so workers pulling from the
+        shared queue realise exactly the greedy LPT balancing of the
+        scheduler.
+        """
+        self._bump(len(tasks), len(tasks))
         if self.n_workers == 1 or len(tasks) <= 1:
-            self._bump(len(tasks), len(tasks))
-            return [_immediate(t, run_fragment_pipeline_task) for t in tasks]
-        groups = [[i] for i in range(len(tasks))]
-        if self.stack_small_tasks and len(tasks) > 2:
-            packed = pack_stacks([t.cost() for t in tasks], self.n_workers)
-            if any(len(g) > 1 for g in packed):
-                groups = packed
-        self._bump(len(tasks), len(groups))
-        units: list = [
-            tasks[g[0]] if len(g) == 1 else StackedPipelineTask([tasks[i] for i in g])
-            for g in groups
-        ]
-        order = np.argsort([u.cost() for u in units])[::-1]
-        pool = self._ensure_pool()
-        unit_futures: dict[int, object] = {}
-        for i in order:
-            gi = int(i)
-            unit_futures[gi] = _HealingFuture(
-                self,
-                pool.submit(_run_pipeline_unit, units[gi]),
-                units[gi],
-                _run_pipeline_unit,
-            )
+            return [_immediate(t, kernel) for t in tasks]
         futures: list = [None] * len(tasks)
-        for gi, g in enumerate(groups):
-            if len(g) == 1:
-                futures[g[0]] = unit_futures[gi]
-            else:
-                for member, idx in enumerate(g):
-                    futures[idx] = _StackedMemberFuture(unit_futures[gi], member)
+        for i in np.argsort([t.cost() for t in tasks])[::-1]:
+            futures[int(i)] = self._submit(tasks[int(i)], kernel)
         return futures
 
     def _gather(self, future, task, kernel):
@@ -592,82 +557,35 @@ class _PoolFragmentExecutor:
         A pool worker that never received an ``install_state`` broadcast
         raises :class:`PotentialNotInstalledError`; the task is resubmitted
         once with the driver's payload attached (bit-identical bytes, so
-        the result is unchanged).  Tasks without an install channel, or
-        keys the driver does not hold, re-raise.
+        the result is unchanged; the worker keeps the payload it was
+        sent).  The key also leaves ``_broadcast_keys`` — that delivery
+        did not happen, so the next ``install_state`` of the key
+        broadcasts again.  Tasks without an install channel, or keys the
+        driver does not hold, re-raise.
         """
         try:
             return future.result()
         except PotentialNotInstalledError as exc:
+            self._broadcast_keys.discard(exc.key)
             attach = getattr(task, "with_potential_payload", None)
             payload = self._install_payloads.get(exc.key)
             if attach is None or payload is None:
                 raise
+            healed = attach(exc.key, payload)
+            if healed is task:  # nothing to attach: a retry would miss again
+                raise
             self._bump(0, 1)
-            return self._ensure_pool().submit(kernel, attach(exc.key, payload)).result()
+            return self._submit(healed, kernel).result()
 
     def _execute(self, tasks: Sequence, kernel) -> ExecutionReport:
         t0 = time.perf_counter()
-        self._bump(len(tasks), len(tasks))
-        if self.n_workers == 1 or len(tasks) <= 1:
-            results = [kernel(t) for t in tasks]
-            return ExecutionReport(
-                results=results,
-                wall_time=time.perf_counter() - t0,
-                worker_count=1,
-            )
-        schedule = self.schedule(tasks)
-        # Submit heaviest-first: workers pulling from the shared queue then
-        # realise exactly the greedy LPT balancing of the scheduler.
-        order = np.argsort([t.cost() for t in tasks])[::-1]
-        pool = self._ensure_pool()
-        futures = {int(i): pool.submit(kernel, tasks[int(i)]) for i in order}
-        results = [
-            self._gather(futures[i], tasks[i], kernel) for i in range(len(tasks))
-        ]
+        pooled = self.n_workers > 1 and len(tasks) > 1
+        schedule = self.schedule(tasks) if pooled else None
+        results = gather_in_order(self._submit_batch(tasks, kernel))
         return ExecutionReport(
             results=results,
             wall_time=time.perf_counter() - t0,
-            worker_count=self.n_workers,
-            schedule=schedule,
-        )
-
-    def _execute_stacked(
-        self, tasks: Sequence[FragmentPipelineTask], groups: list[list[int]]
-    ) -> ExecutionReport:
-        """Run a pipeline batch with small tasks stacked per ``groups``.
-
-        ``groups`` partitions the task indices (from
-        :func:`repro.parallel.scheduler.pack_stacks`); singleton groups
-        run the plain pipeline kernel, larger ones ride one
-        :class:`~repro.core.fragment_task.StackedPipelineTask` submission
-        and are flattened back so ``results`` stays in task order —
-        reports are indistinguishable from unstacked runs apart from the
-        physical ``pool_submissions`` count.
-        """
-        t0 = time.perf_counter()
-        self._bump(len(tasks), len(groups))
-        units: list = [
-            tasks[g[0]] if len(g) == 1 else StackedPipelineTask([tasks[i] for i in g])
-            for g in groups
-        ]
-        schedule = self._scheduler.schedule_tasks(units, self.n_workers)
-        order = np.argsort([u.cost() for u in units])[::-1]
-        pool = self._ensure_pool()
-        futures = {
-            int(i): pool.submit(_run_pipeline_unit, units[int(i)]) for i in order
-        }
-        results: list = [None] * len(tasks)
-        for gi, g in enumerate(groups):
-            res = self._gather(futures[gi], units[gi], _run_pipeline_unit)
-            if len(g) == 1:
-                results[g[0]] = res
-            else:
-                for idx, r in zip(g, res.results):
-                    results[idx] = r
-        return ExecutionReport(
-            results=results,
-            wall_time=time.perf_counter() - t0,
-            worker_count=self.n_workers,
+            worker_count=self.n_workers if pooled else 1,
             schedule=schedule,
         )
 
@@ -728,9 +646,6 @@ class ProcessPoolFragmentExecutor(_PoolFragmentExecutor):
     n_workers:
         Number of worker processes ("groups"); defaults to the CPU count.
         The legacy spelling ``nworkers`` is also accepted.
-    stack_small_tasks:
-        Bin small pipeline tasks into stacked submissions (PR 6 knob,
-        default on; see :meth:`run_pipeline`).
     """
 
     _broadcast_installs = True

@@ -7,8 +7,9 @@ tiny length-prefixed-frame protocol over TCP, a ``repro-worker`` daemon
 (:class:`WorkerServer` / :func:`worker_main`) that executes the exact
 same kernels as the local backends, and a driver-side
 :class:`RemoteExecutor` pool implementing the full executor protocol
-family — ``run`` / ``run_pipeline`` / ``run_global`` / ``run_bands``
-plus the ``install_state`` broadcast channel with fingerprint-keyed
+family — ``run`` / ``run_pipeline`` / ``run_global`` / ``run_bands``,
+the ``submit_global`` / ``submit_pipeline_batch`` futures they are built
+on, plus the ``install_state`` broadcast channel with fingerprint-keyed
 per-worker dedup.  Because workers invoke the same pure kernels on the
 same task bytes, remote results are bit-identical to the serial
 backend's.
@@ -42,10 +43,12 @@ request/response alternation; requests are dicts with an ``op`` field:
 
 Failure model (the degradation ladder)
 --------------------------------------
-Every socket wait is bounded by a configurable timeout, so no failure
-mode can hang the driver.  A worker that times out, drops the
-connection or dies mid-task is marked dead and its in-flight task is
-resubmitted to the surviving workers (results are bit-identical because
+Every task — batch or streamed — enters one shared queue drained by one
+persistent thread per live worker, so there is one ladder.  Every
+socket wait is bounded by a configurable timeout, so no failure mode can
+hang the driver.  A worker that times out, drops the connection or dies
+mid-task is marked dead and its in-flight task goes back to the head of
+the queue for the surviving workers (results are bit-identical because
 the kernels are pure).  When *every* worker is gone the executor
 degrades gracefully to a local fallback executor — or raises the typed
 :class:`NoRemoteWorkersError` when constructed with ``fallback=None``.
@@ -67,7 +70,8 @@ import sys
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from concurrent.futures import Future
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -81,6 +85,7 @@ from repro.core.fragment_task import (
 )
 from repro.parallel.bands import run_band_block_task
 from repro.parallel.distributed import run_global_step_task
+from repro.parallel.executor import SerialFragmentExecutor, gather_in_order
 from repro.parallel.scheduler import FragmentScheduler
 
 __all__ = [
@@ -663,24 +668,32 @@ class _WorkerHandle:
             self.sock = None
 
 
+def _claim(future: Future) -> bool:
+    """Mark a queued future running; False when its batch already failed
+    and cancelled it (:func:`repro.parallel.executor.gather_in_order`).
+    A task requeued after a worker death is already running."""
+    return future.running() or future.set_running_or_notify_cancel()
+
+
 class RemoteExecutor:
     """Executor backend running tasks on socket-connected remote workers.
 
     Implements the full local-backend surface — ``run`` /
-    ``run_pipeline`` / ``run_global`` / ``run_bands``,
+    ``run_pipeline`` / ``run_global`` / ``run_bands``, the
+    ``submit_global`` / ``submit_pipeline_batch`` futures,
     ``install_state``, the logical/physical submission counters and
     ``partition`` for concurrent band-group sub-pools — so it drops into
-    :class:`repro.core.scf.LS3DFSCF` (and
-    :class:`repro.parallel.distributed` orchestration) unchanged.
-    Results are bit-identical to the serial backend: workers run the
-    same pure kernels on the same task bytes, and the driver returns
-    results in task order.
+    :class:`repro.core.scf.LS3DFSCF` (and the streaming GENPOT engine)
+    unchanged.  Results are bit-identical to the serial backend: workers
+    run the same pure kernels on the same task bytes, and the driver
+    returns results in task order.
 
-    Dispatch submits heaviest-first from a shared queue (one driver
-    thread per worker), realising the same greedy LPT balancing as the
-    local pools.  See the module docstring for the failure model; the
-    counters ``resubmissions``, ``workers_lost`` and ``degraded_tasks``
-    record how much of it a run exercised.
+    Every task enters one shared queue drained by one persistent driver
+    thread per live worker; batches are submitted heaviest-first,
+    realising the same greedy LPT balancing as the local pools.  See the
+    module docstring for the failure model; the counters
+    ``resubmissions``, ``workers_lost`` and ``degraded_tasks`` record how
+    much of it a run exercised.
 
     Parameters
     ----------
@@ -719,10 +732,9 @@ class RemoteExecutor:
         self._scheduler = FragmentScheduler()
         self._last_heartbeat = time.monotonic()
         self._partitions: dict[int, list["RemoteExecutor"]] = {}
-        # Streaming (futures-based) dispatch state: a shared work deque
-        # drained by one persistent thread per live worker, so per-slab
-        # GENPOT stages flow to workers the moment their inputs exist
-        # instead of in synchronous per-stage batches.
+        # Dispatch state: a shared work deque drained by one persistent
+        # thread per live worker, so tasks flow to workers the moment the
+        # driver submits them.
         self._stream_lock = threading.Lock()
         self._stream_cond = threading.Condition(self._stream_lock)
         self._stream_queue: deque = deque()
@@ -814,7 +826,7 @@ class RemoteExecutor:
                 handle.installed_keys.add(key)
                 self._count("install_broadcasts")
 
-    # -- the four protocols --------------------------------------------
+    # -- the four batch protocols --------------------------------------
     def run(self, tasks: Sequence) -> ExecutionReport:
         """Run plain fragment solve tasks on the remote workers."""
         return self._execute(tasks, "solve")
@@ -831,45 +843,65 @@ class RemoteExecutor:
         """Run per-slice band-eigensolver tasks on the remote workers."""
         return self._execute(tasks, "bands")
 
-    # -- streaming (futures-based) dispatch ----------------------------
-    def submit_global(self, task):
-        """Submit one global-step task; returns a ``concurrent.futures``
-        future resolved by the persistent per-worker stream threads.
+    def _execute(self, tasks: Sequence, kind: str) -> ExecutionReport:
+        """One batch: heartbeat, submit, gather in task order."""
+        if not tasks:
+            return ExecutionReport(results=[], wall_time=0.0, worker_count=0)
+        t0 = time.perf_counter()
+        self._maybe_heartbeat()
+        workers = len(self._live_handles())
+        schedule = (
+            self._scheduler.schedule_tasks(tasks, workers) if workers > 1 else None
+        )
+        results = gather_in_order(self._submit_batch(tasks, kind))
+        return ExecutionReport(
+            results=results,
+            wall_time=time.perf_counter() - t0,
+            worker_count=max(workers, 1),
+            schedule=schedule,
+            resubmissions=self.resubmissions,
+        )
 
-        The streaming analogue of :meth:`run_global`: tasks enter a
-        shared deque the moment the driver submits them and are drained
-        by one thread per live worker, so slab stages overlap with the
-        driver's layout conversion exactly like the paper's isend/irecv-
-        under-compute.  The failure model matches the batch path — a
-        worker that dies mid-task is marked dead, its task is requeued
-        for the survivors (``resubmissions``), and with no survivors
-        left the queue drains through the local fallback executor.
+    # -- the futures surface -------------------------------------------
+    def submit_global(self, task) -> Future:
+        """Submit one global-step task; returns a ``concurrent.futures``
+        future resolved by the persistent per-worker drain threads.
+
+        Tasks enter the shared deque the moment the driver submits them,
+        so slab stages overlap with the driver's layout conversion
+        exactly like the paper's isend/irecv-under-compute.
         """
-        return self._submit_stream(task, "global")
+        return self._submit(task, "global")
 
     def submit_pipeline_batch(self, tasks: Sequence) -> list:
         """Per-fragment futures for a pipeline batch (heaviest-first)."""
+        return self._submit_batch(tasks, "pipeline")
+
+    def _submit_batch(self, tasks: Sequence, kind: str) -> list:
+        """Futures for a batch, in task order, queued heaviest-first."""
         costs = [float(getattr(t, "cost", lambda: 1.0)()) for t in tasks]
-        order = np.argsort(costs)[::-1]
         futures: list = [None] * len(tasks)
-        for i in order:
-            futures[int(i)] = self._submit_stream(tasks[int(i)], "pipeline")
+        for i in np.argsort(costs)[::-1]:
+            futures[int(i)] = self._submit(tasks[int(i)], kind)
         return futures
 
-    def _submit_stream(self, task, kind: str):
-        from concurrent.futures import Future
+    def _submit(self, task, kind: str) -> Future:
+        """Queue one task for the drain threads — the only way in.
 
+        With no live worker left the task goes straight to the bottom of
+        the ladder (:meth:`_resolve_locally`).
+        """
         self._bump(1, 1)
         future: Future = Future()
-        future.set_running_or_notify_cancel()
         with self._stream_cond:
             if not self._stream_dead:
                 self._ensure_stream_threads()
-            if self._stream_dead:
-                self._resolve_locally(task, kind, future)
-                return future
-            self._stream_queue.append((task, kind, future))
-            self._stream_cond.notify()
+            dead = self._stream_dead
+            if not dead:
+                self._stream_queue.append((task, kind, future))
+                self._stream_cond.notify()
+        if dead:
+            self._resolve_locally(task, kind, future)
         return future
 
     def _ensure_stream_threads(self) -> None:
@@ -884,53 +916,69 @@ class RemoteExecutor:
             )
             self._stream_threads[key] = thread
             thread.start()
-        if not self._stream_threads:
+        if not any(t.is_alive() for t in self._stream_threads.values()):
             self._stream_dead = True
 
     def _stream_drain(self, handle: _WorkerHandle) -> None:
+        """Feed one worker from the shared queue until it dies or we close.
+
+        A transport failure marks the worker dead and puts its task back
+        at the head of the queue; the thread of a dead worker (however it
+        died — mid-task here, or in a heartbeat) retires, and the last one
+        to retire hands whatever is still queued to the local fallback.
+        """
         while True:
+            leftovers: list = []
+            item = None
             with self._stream_cond:
-                while not self._stream_queue and not self._stream_stop:
+                while (
+                    handle.alive
+                    and not self._stream_queue
+                    and not self._stream_stop
+                ):
                     self._stream_cond.wait(0.2)
-                if not self._stream_queue:
-                    return
-                item = self._stream_queue.popleft()
+                if not handle.alive:
+                    self._stream_threads.pop(id(handle), None)
+                    if any(t.is_alive() for t in self._stream_threads.values()):
+                        self._stream_cond.notify_all()
+                    else:
+                        self._stream_dead = True
+                        leftovers = list(self._stream_queue)
+                        self._stream_queue.clear()
+                elif self._stream_queue:
+                    item = self._stream_queue.popleft()
+            if item is None:  # worker dead, or closed with nothing queued
+                for task, kind, future in leftovers:
+                    self._resolve_locally(task, kind, future)
+                return
             task, kind, future = item
+            if not _claim(future):
+                continue
             try:
                 result = self._run_one(handle, task, kind)
             except (OSError, ConnectionError, WorkerDiedError, RemoteProtocolError):
                 handle.mark_dead()
                 self._count("workers_lost")
                 self._count("resubmissions")
-                leftovers: list = []
                 with self._stream_cond:
                     self._stream_queue.appendleft(item)
-                    self._stream_threads.pop(id(handle), None)
-                    survivors = any(
-                        t.is_alive() for t in self._stream_threads.values()
-                    )
-                    if survivors:
-                        self._stream_cond.notify_all()
-                    else:
-                        self._stream_dead = True
-                        leftovers = list(self._stream_queue)
-                        self._stream_queue.clear()
-                for task, kind, future in leftovers:
-                    self._resolve_locally(task, kind, future)
-                return
+                continue
             except Exception as exc:
                 future.set_exception(exc)
                 continue
             future.set_result(result)
 
-    def _resolve_locally(self, task, kind: str, future) -> None:
-        """Bottom of the streaming ladder: run one task on the fallback."""
+    def _resolve_locally(self, task, kind: str, future: Future) -> None:
+        """Bottom of the ladder: run one task on the local fallback."""
+        if not _claim(future):
+            return
         fallback = self._fallback_executor()
         if fallback is None:
             future.set_exception(
                 NoRemoteWorkersError(
-                    f"no remote worker answered for a streamed {kind} task "
-                    f"and the local fallback is disabled"
+                    f"no remote worker answered for a {kind} task "
+                    f"(addresses: {[h.address for h in self._handles]}) and "
+                    f"the local fallback is disabled"
                 )
             )
             return
@@ -947,74 +995,6 @@ class RemoteExecutor:
             future.set_exception(exc)
             return
         future.set_result(report.results[0])
-
-    # -- dispatch ------------------------------------------------------
-    def _execute(self, tasks: Sequence, kind: str) -> ExecutionReport:
-        t0 = time.perf_counter()
-        self._bump(len(tasks), len(tasks))
-        self._maybe_heartbeat()
-        handles = self._live_handles()
-        results: list = [None] * len(tasks)
-        if not tasks:
-            return ExecutionReport(results=[], wall_time=0.0, worker_count=0)
-        if not handles:
-            self._degrade(tasks, range(len(tasks)), kind, results)
-            return ExecutionReport(
-                results=results,
-                wall_time=time.perf_counter() - t0,
-                worker_count=1,
-            )
-        schedule = (
-            self._scheduler.schedule_tasks(tasks, len(handles))
-            if len(handles) > 1
-            else None
-        )
-        costs = [float(getattr(t, "cost", lambda: 1.0)()) for t in tasks]
-        order = np.argsort(costs)[::-1]
-        queue: deque[int] = deque(int(i) for i in order)
-        queue_lock = threading.Lock()
-        first_error: list = [None]
-
-        def drain(handle: _WorkerHandle) -> None:
-            while True:
-                with queue_lock:
-                    if first_error[0] is not None or not queue:
-                        return
-                    idx = queue.popleft()
-                try:
-                    results[idx] = self._run_one(handle, tasks[idx], kind)
-                except (OSError, ConnectionError, WorkerDiedError, RemoteProtocolError):
-                    handle.mark_dead()
-                    self._count("workers_lost")
-                    self._count("resubmissions")
-                    with queue_lock:
-                        queue.appendleft(idx)
-                    return
-                except Exception as exc:
-                    with queue_lock:
-                        if first_error[0] is None:
-                            first_error[0] = exc
-                    return
-
-        threads = [
-            threading.Thread(target=drain, args=(h,), daemon=True) for h in handles
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if first_error[0] is not None:
-            raise first_error[0]
-        leftovers = [i for i in range(len(tasks)) if results[i] is None]
-        if leftovers:
-            self._degrade(tasks, leftovers, kind, results)
-        return ExecutionReport(
-            results=results,
-            wall_time=time.perf_counter() - t0,
-            worker_count=len(handles),
-            schedule=schedule,
-            resubmissions=self.resubmissions,
-        )
 
     def _run_one(self, handle: _WorkerHandle, task, kind: str):
         """One task round trip on one worker, healing missed installs."""
@@ -1044,31 +1024,8 @@ class RemoteExecutor:
             str(reply.get("error_type")), str(reply.get("error"))
         )
 
-    def _degrade(self, tasks: Sequence, indices, kind: str, results: list) -> None:
-        """Bottom of the ladder: run leftover tasks on the local fallback."""
-        indices = list(indices)
-        fallback = self._fallback_executor()
-        if fallback is None:
-            raise NoRemoteWorkersError(
-                f"no remote worker answered for {len(indices)} {kind} task(s) "
-                f"(addresses: {[h.address for h in self._handles]}) and the "
-                f"local fallback is disabled"
-            )
-        self._count("degraded_tasks", len(indices))
-        runner = {
-            "solve": fallback.run,
-            "pipeline": fallback.run_pipeline,
-            "global": fallback.run_global,
-            "bands": fallback.run_bands,
-        }[kind]
-        report = runner([tasks[i] for i in indices])
-        for i, result in zip(indices, report.results):
-            results[i] = result
-
     def _fallback_executor(self):
         if self._fallback is None and self._fallback_spec == "serial":
-            from repro.parallel.executor import SerialFragmentExecutor
-
             self._fallback = SerialFragmentExecutor()
         return self._fallback
 
@@ -1091,32 +1048,12 @@ class RemoteExecutor:
         if cached is not None:
             return cached
         children = []
-        handles = self._handles
         for g in range(ngroups):
-            child = RemoteExecutor.__new__(RemoteExecutor)
-            child.config = self.config
-            child._handles = [h for i, h in enumerate(handles) if i % ngroups == g]
-            child._fallback_spec = self._fallback_spec
-            child._fallback = None
-            child.tasks_submitted = 0
-            child.pool_submissions = 0
-            child.install_broadcasts = 0
-            child.resubmissions = 0
-            child.workers_lost = 0
-            child.degraded_tasks = 0
-            child._counter_mutex = threading.Lock()
+            child = RemoteExecutor([], config=self.config, fallback=self._fallback_spec)
+            child._handles = [
+                h for i, h in enumerate(self._handles) if i % ngroups == g
+            ]
             child._counter_root = self._counter_root
-            child._install_payloads = OrderedDict()
-            child._install_payload_max = self._install_payload_max
-            child._scheduler = FragmentScheduler()
-            child._last_heartbeat = time.monotonic()
-            child._partitions = {}
-            child._stream_lock = threading.Lock()
-            child._stream_cond = threading.Condition(child._stream_lock)
-            child._stream_queue = deque()
-            child._stream_threads = {}
-            child._stream_stop = False
-            child._stream_dead = False
             children.append(child)
         self._partitions[ngroups] = children
         return children
@@ -1137,7 +1074,8 @@ class RemoteExecutor:
         return acked
 
     def close(self) -> None:
-        """Close every connection (workers keep running; see
+        """Stop the drain threads and close every connection, partition
+        children included (workers keep running; see
         :meth:`shutdown_workers`)."""
         with self._stream_cond:
             self._stream_stop = True
@@ -1146,8 +1084,7 @@ class RemoteExecutor:
             handle.close()
         for children in self._partitions.values():
             for child in children:
-                for handle in child._handles:
-                    handle.close()
+                child.close()
 
     def __enter__(self) -> "RemoteExecutor":
         return self

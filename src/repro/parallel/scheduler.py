@@ -169,61 +169,6 @@ class GroupExecutionRecord:
         )
 
 
-def pack_stacks(
-    costs: Sequence[float],
-    n_workers: int,
-    small_fraction: float = 0.5,
-) -> list[list[int]]:
-    """Bin small tasks into stacks so each stack is one pool submission.
-
-    Fragment batches mix costs by ~8x (1x1x1 vs 2x2x2 cells); the small
-    tasks pay per-submission overhead (pickling, future bookkeeping)
-    without contributing to the makespan, which the big tasks set.  This
-    groups every task whose cost is at most ``small_fraction`` times the
-    largest cost into at most ``n_workers`` LPT-balanced bins; big tasks
-    stay singletons.
-
-    Parameters
-    ----------
-    costs:
-        Relative cost per task (``task.cost()``).
-    n_workers:
-        Pool worker count — the bin budget for the small tasks (keeping
-        at least one stack per worker preserves parallelism).
-    small_fraction:
-        Cost threshold, as a fraction of the batch maximum, below which
-        a task counts as small.
-
-    Returns
-    -------
-    list[list[int]]
-        Groups of task indices covering ``0..len(costs)`` exactly once;
-        singleton groups for big tasks, multi-member LPT bins for small
-        ones.  When fewer than two tasks qualify as small, every group
-        is a singleton (no packing).
-    """
-    if n_workers < 1:
-        raise ValueError("n_workers must be positive")
-    costs_arr = np.asarray(costs, dtype=float)
-    n = len(costs_arr)
-    if n == 0:
-        return []
-    cmax = float(np.max(costs_arr))
-    small = np.nonzero(costs_arr <= small_fraction * cmax)[0]
-    if len(small) < 2:
-        return [[i] for i in range(n)]
-    nbins = min(int(n_workers), len(small))
-    summary = FragmentScheduler().schedule_by_costs(costs_arr[small], nbins)
-    groups: list[list[int]] = [
-        [i] for i in range(n) if costs_arr[i] > small_fraction * cmax
-    ]
-    for bin_members in summary.assignments:
-        if bin_members:
-            members = sorted(int(small[j]) for j in bin_members)
-            groups.append(members)
-    return groups
-
-
 class FragmentScheduler:
     """Greedy LPT scheduler for fragments onto processor groups.
 

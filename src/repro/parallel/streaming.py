@@ -1,47 +1,31 @@
 """Streaming GENPOT: resident slabs, dataflow stages, incremental exchange.
 
-The synchronous sharded GENPOT (:mod:`repro.parallel.distributed`, PR 3)
-runs each global step as a *barrier* sequence: scatter a full field, run
-one stage on every slab, exchange, run the next stage, gather — and the
-driver sits idle whenever any worker still owes a slab.  The paper's
-production GENPOT does better: each processor keeps its slab resident
+The paper's production GENPOT keeps each processor's slab resident
 through the whole Poisson/XC/mixing chain and posts its all-to-all
 contributions as soon as they exist, overlapping the layout conversion
 with compute (Section IV's "the conversion is overlapped with the
-computation").
-
-This module is that engine, on top of the executor backends' futures
-surface (``submit_global`` on every backend in
-:mod:`repro.parallel.executor` and :mod:`repro.parallel.remote`):
+computation").  This module is that engine — the one way sharded GENPOT
+runs — on top of the executor backends' futures surface
+(``submit_global`` on every backend in :mod:`repro.parallel.executor`
+and :mod:`repro.parallel.remote`):
 
 * :class:`SlabExchangeBuffer` — the incremental slab transpose.  Target
   slabs are preallocated; every arriving source slab is copied straight
   into all of them, and a target whose last contribution lands is handed
-  to the next stage immediately.  The assembled bytes equal
-  :meth:`repro.parallel.distributed.DistributedField.exchange` exactly
-  (same plane ranges, same source order per target), so downstream FFTs
-  see bit-identical inputs.
+  to the next stage immediately.  The assembled bytes are exactly the
+  target's plane range of the global field, so downstream FFTs see the
+  same inputs a single-array transform would.
 * :func:`stream_genpot` — one whole GENPOT evaluation as a dataflow
   graph over per-slab :class:`~repro.parallel.distributed.GlobalStepTask`
   units: XC runs concurrently with the Poisson transform chain, the
   fused ``genpot_finish`` stage (inverse transform + ``v_es + v_xc`` +
   pointwise mix / residual) fires per slab the moment both of its inputs
   exist, and a spectral (Kerker) mix streams through the same
-  filter-transform chain slab by slab.  Every kernel, slab boundary and
-  exchange byte matches the synchronous path, and all o(N) scalar
+  filter-transform chain slab by slab.  Every 1D transform runs in the
+  order ``numpy.fft.fftn`` uses on the same values, and all o(N) scalar
   reductions stay on the driver's gathered arrays — so the streamed
-  results are **bit-identical** to the synchronous sharded path (hence
-  to the serial path) on every backend, for any shard count.
-
-The engine also carries the opt-in real-FFT density path
-(``REPRO_REAL_FFT``, :func:`repro.pw.fftcache.real_fft_enabled`): for a
-real net density the forward transform is ``rfft`` along z on resident
-x-slabs, the middle Poisson stage runs fused on the *half* spectrum
-(``nz//2 + 1`` planes — half the exchange bytes, two exchanges instead
-of four), and ``genpot_finish`` closes with ``irfft``.  That path is
-bit-identical to the serial real-FFT branch of
-:func:`repro.pw.hartree.hartree_potential`, but only tolerance-equal to
-the complex transform, which is why the knob defaults off.
+  results are **bit-identical** to the unsharded single-array path on
+  every backend, for any shard count.
 
 Timing: the driver loop attributes its wall time to ``wait`` (blocked on
 the completion queue) versus busy work, and separately meters
@@ -62,31 +46,23 @@ from repro.parallel.distributed import (
     slab_bounds,
 )
 
-__all__ = ["SlabExchangeBuffer", "stream_genpot", "streaming_supported"]
-
-
-def streaming_supported(executor) -> bool:
-    """Whether ``executor`` offers the futures surface the stream needs."""
-    return hasattr(executor, "submit_global")
+__all__ = ["SlabExchangeBuffer", "stream_genpot"]
 
 
 class SlabExchangeBuffer:
     """Incremental slab transpose between two distributed axes.
 
-    The streaming analogue of
-    :meth:`repro.parallel.distributed.DistributedField.exchange`: instead
-    of waiting for every source slab and concatenating, the target slabs
-    are preallocated and each source slab is scattered into all of them
-    on arrival.  Because target ``j`` receives exactly the plane range
-    ``slab_bounds(shape[dst_axis], nshards)[j]`` from every source, in
-    source order, the completed target equals the synchronous exchange's
-    ``np.concatenate`` output value for value.
+    Instead of waiting for every source slab and concatenating, the
+    target slabs are preallocated and each source slab is scattered into
+    all of them on arrival.  Target ``j`` receives exactly the plane range
+    ``slab_bounds(shape[dst_axis], nshards)[j]`` from every source, so
+    the completed target equals that slice of the global field value for
+    value, whatever order the sources arrive in.
 
     Parameters
     ----------
     shape:
-        Global shape of the exchanged field (the spectral-half chain
-        passes the reduced ``nz//2 + 1`` extent here).
+        Global shape of the exchanged field.
     src_axis, dst_axis:
         Distributed axis of the incoming slabs / of the assembled
         targets (0 and 2 in some order for the GENPOT chains).
@@ -163,8 +139,6 @@ _TAG_CATEGORY = {
     "pf": "poisson",
     "pl": "poisson",
     "pi": "poisson",
-    "rf": "poisson",
-    "ph": "poisson",
     "fin": "poisson",
     "kf": "mix",
     "kfilt": "mix",
@@ -182,7 +156,7 @@ class _StreamEngine:
     their inputs are assembled — there is no stage barrier anywhere.
     """
 
-    def __init__(self, net, rho, v_in, g2, nshards, executor, mixer, use_real_fft):
+    def __init__(self, net, rho, v_in, g2, nshards, executor, mixer):
         self.net = net
         self.rho = rho
         self.v_in = v_in
@@ -190,16 +164,10 @@ class _StreamEngine:
         self.S = int(nshards)
         self.executor = executor
         self.mixer = mixer
-        self.real = bool(use_real_fft)
         self.shape = tuple(int(s) for s in net.shape)
         mode = getattr(mixer, "sharding", "serial") if mixer is not None else "serial"
         self.pointwise_mixer = mixer if mode == "pointwise" else None
         self.spectral = mode == "spectral"
-        # The fused finish stage lives on the forward transform's resident
-        # slabs: z-slabs on the complex path, x-slabs on the real path.
-        self.home_axis = 0 if self.real else 2
-        self.home_bounds = slab_bounds(self.shape[self.home_axis], self.S)
-        self.bounds_z = slab_bounds(self.shape[2], self.S)
 
         self._done: queue.Queue = queue.Queue()
         self._inflight = 0
@@ -222,8 +190,6 @@ class _StreamEngine:
             "pf": self._on_pf,
             "pl": self._on_pl,
             "pi": self._on_pi,
-            "rf": self._on_rf,
-            "ph": self._on_ph,
             "fin": self._on_fin,
             "kf": self._on_kf,
             "kfilt": self._on_kfilt,
@@ -260,7 +226,7 @@ class _StreamEngine:
             self._handlers[tag](shard, result)
 
     def _scatter(self, array, axis):
-        """Contiguous slabs of a global array (same bytes as ``scatter``)."""
+        """Contiguous slab copies of a global array along ``axis``."""
         t0 = time.perf_counter()
         index: list[slice] = [slice(None)] * 3
         slabs = []
@@ -270,17 +236,9 @@ class _StreamEngine:
         self.conv += time.perf_counter() - t0
         return slabs
 
-    def _views(self, array, axis, bounds=None):
-        """Read-only slab views (aux inputs; pickled per task if shipped)."""
-        bounds = bounds if bounds is not None else slab_bounds(
-            array.shape[axis], self.S
-        )
-        index: list[slice] = [slice(None)] * 3
-        views = []
-        for lo, hi in bounds:
-            index[axis] = slice(lo, hi)
-            views.append(array[tuple(index)])
-        return views
+    def _views(self, array):
+        """Read-only z-slab views (aux inputs; pickled per task if shipped)."""
+        return [array[:, :, lo:hi] for lo, hi in slab_bounds(self.shape[2], self.S)]
 
     def _add(self, buffer, shard, slab):
         """Timed incremental-exchange contribution."""
@@ -292,47 +250,31 @@ class _StreamEngine:
     # -- graph construction --------------------------------------------
     def run(self):
         S, shape = self.S, self.shape
-        # Finish-stage aux inputs: the home-axis slabs of v_in feed the
-        # fused mix/residual; the serial (Anderson) route keeps v_in on
-        # the driver and mixes after the gather.
+        # Finish-stage aux inputs: the z-slabs of v_in feed the fused
+        # mix/residual; the serial (Anderson) route keeps v_in on the
+        # driver and mixes after the gather.
         if self.pointwise_mixer is not None or self.spectral:
-            self.v_in_home = self._views(self.v_in, self.home_axis)
+            self.v_in_slabs = self._views(self.v_in)
         else:
-            self.v_in_home = [None] * S
+            self.v_in_slabs = [None] * S
         if self.spectral:
-            self.filter_slabs = self._views(self.mixer.spectral_filter(), 2)
-            self.v_in_z = self._views(self.v_in, 2)
-            kshape = shape
-            self.ex_k2 = SlabExchangeBuffer(kshape, 0, 2, S)
-            self.ex_k3 = SlabExchangeBuffer(kshape, 2, 0, S)
-            self.ex_k4 = SlabExchangeBuffer(kshape, 0, 2, S)
-            if not self.real:
-                self.ex_k1 = SlabExchangeBuffer(kshape, 2, 0, S, dtype=np.float64)
-        if self.real:
-            nzh = shape[2] // 2 + 1
-            half_shape = (shape[0], shape[1], nzh)
-            self.nzh = nzh
-            self.bounds_h = slab_bounds(nzh, S)
-            self.ex_fwd = SlabExchangeBuffer(half_shape, 0, 2, S)
-            self.ex_inv = SlabExchangeBuffer(half_shape, 2, 0, S)
-            g2h = self.g2[:, :, :nzh]
-            self.g2_slabs = self._views(g2h, 2, self.bounds_h)
-        else:
-            self.ex_fwd = SlabExchangeBuffer(shape, 0, 2, S)
-            self.ex_inv1 = SlabExchangeBuffer(shape, 2, 0, S)
-            self.ex_inv2 = SlabExchangeBuffer(shape, 0, 2, S)
-            self.g2_slabs = self._views(self.g2, 2)
+            self.filter_slabs = self._views(self.mixer.spectral_filter())
+            self.ex_k1 = SlabExchangeBuffer(shape, 2, 0, S, dtype=np.float64)
+            self.ex_k2 = SlabExchangeBuffer(shape, 0, 2, S)
+            self.ex_k3 = SlabExchangeBuffer(shape, 2, 0, S)
+            self.ex_k4 = SlabExchangeBuffer(shape, 0, 2, S)
+        self.ex_fwd = SlabExchangeBuffer(shape, 0, 2, S)
+        self.ex_inv1 = SlabExchangeBuffer(shape, 2, 0, S)
+        self.ex_inv2 = SlabExchangeBuffer(shape, 0, 2, S)
+        self.g2_slabs = self._views(self.g2)
 
-        # Roots of the dataflow: XC on the resident home slabs, and the
-        # forward transform on x-slabs of the net density.  Scattering
-        # directly on the transform's axis copies the same bytes the
-        # synchronous scatter(2) + exchange(0) pair assembles.
-        for j, slab in enumerate(self._scatter(self.rho, self.home_axis)):
+        # Roots of the dataflow: XC on the resident z-slabs, and the
+        # forward transform on x-slabs of the net density (scattered
+        # directly on the transform's first axis).
+        for j, slab in enumerate(self._scatter(self.rho, 2)):
             self._submit("xc", "xc", j, slab)
-        kind = "rfft_planes" if self.real else "fft_planes"
-        tag = "rf" if self.real else "pf"
         for i, slab in enumerate(self._scatter(self.net, 0)):
-            self._submit(tag, kind, i, slab)
+            self._submit("pf", "fft_planes", i, slab)
         self._drain()
         return self._gather()
 
@@ -357,39 +299,19 @@ class _StreamEngine:
             self.spec_ready[j] = self.ex_inv2.take(j)
             self._maybe_finish(j)
 
-    def _on_rf(self, i, r):
-        for j in self._add(self.ex_fwd, i, r.data):
-            self._submit(
-                "ph",
-                "poisson_half_lines",
-                j,
-                self.ex_fwd.take(j),
-                aux=self.g2_slabs[j],
-            )
-
-    def _on_ph(self, j, r):
-        for i in self._add(self.ex_inv, j, r.data):
-            self.spec_ready[i] = self.ex_inv.take(i)
-            self._maybe_finish(i)
-
     def _maybe_finish(self, k):
         if self._fin_submitted[k]:
             return
         if self.v_xc_slabs[k] is None or self.spec_ready[k] is None:
             return
         self._fin_submitted[k] = True
-        scalars = {}
-        if self.spectral:
-            scalars["residual"] = 1
-        if self.real:
-            scalars["irfft_n"] = self.shape[2]
         self._submit(
             "fin",
             "genpot_finish",
             k,
             self.spec_ready[k],
-            aux=(self.v_xc_slabs[k], self.v_in_home[k]),
-            scalars=scalars,
+            aux=(self.v_xc_slabs[k], self.v_in_slabs[k]),
+            scalars={"residual": 1} if self.spectral else {},
             mixer=self.pointwise_mixer,
         )
         self.spec_ready[k] = None
@@ -403,13 +325,8 @@ class _StreamEngine:
         resid = extra.get("resid")
         if resid is None:
             return
-        if self.real:
-            # Real path: residual slabs already live on x — the Kerker
-            # chain's first transform axis — so they enter it directly.
-            self._submit("kf", "fft_planes", k, resid)
-        else:
-            for i in self._add(self.ex_k1, k, resid):
-                self._submit("kf", "fft_planes", i, self.ex_k1.take(i))
+        for i in self._add(self.ex_k1, k, resid):
+            self._submit("kf", "fft_planes", i, self.ex_k1.take(i))
 
     def _on_kf(self, i, r):
         for j in self._add(self.ex_k2, i, r.data):
@@ -432,7 +349,7 @@ class _StreamEngine:
                 "ifft_lines_combine",
                 j,
                 self.ex_k4.take(j),
-                aux=self.v_in_z[j],
+                aux=self.v_in_slabs[j],
                 scalars={"alpha": self.mixer.alpha},
             )
 
@@ -442,12 +359,10 @@ class _StreamEngine:
     # -- reduction -------------------------------------------------------
     def _gather(self):
         t0 = time.perf_counter()
-        v_es = np.concatenate(self.v_es_slabs, axis=self.home_axis)
-        v_out = np.concatenate(self.v_out_slabs, axis=self.home_axis)
-        eps_xc = np.concatenate(self.eps_slabs, axis=self.home_axis)
-        if self.pointwise_mixer is not None:
-            v_next = np.concatenate(self.v_next_slabs, axis=self.home_axis)
-        elif self.spectral:
+        v_es = np.concatenate(self.v_es_slabs, axis=2)
+        v_out = np.concatenate(self.v_out_slabs, axis=2)
+        eps_xc = np.concatenate(self.eps_slabs, axis=2)
+        if self.pointwise_mixer is not None or self.spectral:
             v_next = np.concatenate(self.v_next_slabs, axis=2)
         else:
             v_next = None
@@ -463,7 +378,6 @@ def stream_genpot(
     nshards: int,
     executor,
     mixer=None,
-    use_real_fft: bool = False,
     timings=None,
 ):
     """Run one streamed GENPOT field evaluation (Poisson + XC + mix).
@@ -481,35 +395,29 @@ def stream_genpot(
     nshards:
         Number of 1D slabs.
     executor:
-        Any backend with ``submit_global`` (see
-        :func:`streaming_supported`).
+        Any backend with ``submit_global``
+        (:class:`repro.parallel.distributed.GlobalStepExecutor`).
     mixer:
         A :class:`repro.pw.mixing.Mixer` or ``None``.  Pointwise mixers
         fuse into the finish stage, spectral mixers stream through the
         filter chain; serial mixers (Anderson) are left to the caller —
         the returned ``v_next`` is then ``None``.
-    use_real_fft:
-        Route the Poisson chain through the half-spectrum real-FFT
-        stages (:func:`repro.pw.fftcache.real_fft_enabled` decides the
-        default at the call site).
     timings:
         Optional :class:`repro.core.genpot.GenpotStepTimings` to fill:
-        per-category task walls, ``task_times``, ``wait`` /
-        ``layout_conversion`` and the ``overlap`` flag.
+        per-category task walls, ``task_times``, ``wait`` / ``busy`` and
+        ``layout_conversion``.
 
     Returns
     -------
     tuple
         ``(v_es, v_out, eps_xc, v_next_or_None)`` on the global grid —
-        bit-identical to the synchronous sharded path (complex
-        transforms) / to the serial real-FFT branch (real transforms).
+        bit-identical to the unsharded single-array evaluation.
     """
     t_start = time.perf_counter()
-    engine = _StreamEngine(net, rho, v_in, g2, nshards, executor, mixer, use_real_fft)
+    engine = _StreamEngine(net, rho, v_in, g2, nshards, executor, mixer)
     v_es, v_out, eps_xc, v_next = engine.run()
     wall = time.perf_counter() - t_start
     if timings is not None:
-        timings.overlap = True
         timings.poisson += engine.walls["poisson"]
         timings.xc += engine.walls["xc"]
         timings.mix += engine.walls["mix"]

@@ -44,13 +44,8 @@ def _env_enabled() -> bool:
     return os.environ.get("REPRO_FFT_CACHE", "1").strip().lower() not in _FALSEY
 
 
-def _env_real_fft() -> bool:
-    return os.environ.get("REPRO_REAL_FFT", "0").strip().lower() not in _FALSEY | {""}
-
-
 _LOCK = threading.Lock()
 _ENABLED: bool = _env_enabled()
-_REAL_FFT: bool | None = None
 _MAX_PER_KEY: int = 4
 _MAX_KEYS: int = 32
 _POOL: "OrderedDict[tuple, list[np.ndarray]]" = OrderedDict()
@@ -60,30 +55,6 @@ _STATS = {"hits": 0, "misses": 0, "reused_bytes": 0, "evictions": 0}
 def enabled() -> bool:
     """True when the workspace pool is active."""
     return _ENABLED
-
-
-def real_fft_enabled() -> bool:
-    """True when the real-FFT density path is active (PR 8 knob).
-
-    The real-valued density -> Hartree chain can run through
-    ``rfftn``/``irfftn`` (about half the FFT work and half the wire bytes
-    of the middle exchanges of the streaming Poisson solve).  The real
-    path is mathematically identical but *not* bit-identical to the
-    complex path, so it defaults **off** — the repo's bit-identity
-    discipline stays intact — and is enabled with ``REPRO_REAL_FFT=1``
-    or :func:`configure_real_fft`.  The environment variable is re-read
-    on every call unless an explicit override is installed, so tests can
-    toggle it without re-importing.
-    """
-    if _REAL_FFT is not None:
-        return _REAL_FFT
-    return _env_real_fft()
-
-
-def configure_real_fft(enabled: bool | None) -> None:
-    """Override the ``REPRO_REAL_FFT`` knob (``None`` re-reads the env)."""
-    global _REAL_FFT
-    _REAL_FFT = None if enabled is None else bool(enabled)
 
 
 def configure(
@@ -204,40 +175,3 @@ def ifft(a, axis=-1, out=None) -> np.ndarray:
     if out is not None and _ENABLED:
         return np.fft.ifft(a, axis=axis, out=out)
     return np.fft.ifft(a, axis=axis)
-
-
-# -- real-FFT variants (PR 8) ------------------------------------------------
-# The density -> Hartree chain transforms real fields, so the half-spectrum
-# rfft family does the same job with ~2x less work and wire bytes.  The
-# output shape of an rfft differs from the input shape (last transformed
-# axis shrinks to n//2 + 1), so these wrappers never take ``out=`` from the
-# shape-keyed pool — the transforms are cheap enough that the win is the
-# halved spectrum, not buffer reuse.
-#
-# The 3D variants are deliberately *decomposed* into the per-axis 1D
-# transforms of numpy's rfftn/irfftn order (rfft z, fft x, fft y; the
-# inverses reversed) rather than calling the fused numpy.fft.rfftn:
-# pocketfft's fused n-d real transform is not bit-identical to its own
-# per-axis decomposition, and the decomposition is what the distributed
-# slab pipeline (repro.parallel.streaming) can actually run — so the
-# serial and streamed real paths agree bit for bit, at the cost of a
-# round-off-level difference from the fused numpy call.
-
-def rfftn(a) -> np.ndarray:
-    out = rfft(a, axis=2)
-    out = np.fft.fft(out, axis=0)
-    return np.fft.fft(out, axis=1)
-
-
-def irfftn(a, s) -> np.ndarray:
-    out = np.fft.ifft(a, axis=0)
-    out = np.fft.ifft(out, axis=1)
-    return irfft(out, n=s[2], axis=2)
-
-
-def rfft(a, axis=-1) -> np.ndarray:
-    return np.fft.rfft(a, axis=axis)
-
-
-def irfft(a, n, axis=-1) -> np.ndarray:
-    return np.fft.irfft(a, n=n, axis=axis)

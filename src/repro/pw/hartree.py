@@ -42,18 +42,6 @@ def hartree_potential(density: np.ndarray, grid: FFTGrid) -> np.ndarray:
         raise ValueError("density shape does not match grid")
     g2 = grid.g2
     nonzero = poisson_nonzero_mask(grid)
-    if fftcache.real_fft_enabled() and not np.iscomplexobj(density):
-        # Real-FFT path (REPRO_REAL_FFT): the density is real, so the
-        # half-spectrum rfftn carries the full information at half the
-        # transform work.  Mathematically identical to the complex path
-        # but not bit-identical, hence opt-in.
-        half = g2.shape[2] // 2 + 1
-        rho_g = fftcache.rfftn(density)
-        g2h = g2[:, :, :half]
-        vg = np.zeros(rho_g.shape, dtype=rho_g.dtype)
-        mask = nonzero[:, :, :half]
-        vg[mask] = FOUR_PI * rho_g[mask] / g2h[mask]
-        return fftcache.irfftn(vg, s=grid.shape)
     # Workspace-pooled transforms: identical operations on reused buffers,
     # bit-identical to the allocating path (fftcache module docstring).
     with fftcache.scratch(grid.shape) as w1, fftcache.scratch(grid.shape) as w2:

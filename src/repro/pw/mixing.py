@@ -44,7 +44,7 @@ class Mixer(Protocol):
     ``kind`` is the mixer's registry name (what :func:`make_mixer`
     accepts and what checkpoint manifests record); ``sharding`` declares
     how the mix decomposes over 1D slabs of the global grid (see
-    :func:`repro.parallel.distributed.sharded_mix`):
+    :func:`repro.parallel.streaming.stream_genpot`):
 
     * ``"pointwise"`` — the mix is elementwise; the mixer provides
       ``mix_slab(v_in_slab, v_out_slab)`` and any slab partition of the

@@ -1,8 +1,8 @@
-"""Distributed slab layout + sharded GENPOT: bit-identity and accounting.
+"""Slab layout + sharded GENPOT: bit-identity and accounting.
 
 The sharded global step's contract is exact: for any shard count and any
-execution backend, the slab-transpose distributed FFT, the per-slab
-Poisson/XC kernels and the shard-wise mixers must reproduce the serial
+execution backend, the streamed slab-transpose FFT stages, the per-slab
+Poisson/XC kernels and the shard-wise mixers must reproduce the unsharded
 single-array path **bit for bit** (the acceptance bar of the paper's dual
 fragment/slab layout reproduction — no tolerance, ``==``).  No measured-
 speedup assertions anywhere: CI may have a single loaded core; only
@@ -24,14 +24,8 @@ from repro.parallel.amdahl import (
 )
 from repro.parallel.comm import CommScheme, CommunicationModel
 from repro.parallel.distributed import (
-    DistributedField,
     GlobalStepTask,
-    distributed_fftn,
-    distributed_ifftn,
     run_global_step_task,
-    sharded_hartree_potential,
-    sharded_mix,
-    sharded_xc,
     slab_bounds,
 )
 from repro.parallel.executor import (
@@ -41,15 +35,12 @@ from repro.parallel.executor import (
 )
 from repro.parallel.machine import FRANKLIN
 from repro.pw.grid import FFTGrid
-from repro.pw.hartree import hartree_potential
 from repro.pw.mixing import AndersonMixer, KerkerMixer, LinearMixer, Mixer, make_mixer
 from repro.pw.pseudopotential import default_pseudopotentials
-from repro.pw.xc import lda_xc
 
 # Deliberately anisotropic, non-power-of-two, with nx < max shard count so
 # the transposed (x-slab) layout exercises empty shards.
 GRID_SHAPE = (4, 6, 8)
-SHARD_COUNTS = [1, 2, 3, 7, GRID_SHAPE[2]]
 
 
 @pytest.fixture(scope="module")
@@ -90,73 +81,6 @@ def test_slab_bounds_validation():
         slab_bounds(-1, 2)
 
 
-@pytest.mark.parametrize("nshards", SHARD_COUNTS)
-def test_scatter_gather_exchange_roundtrip_bitexact(nshards):
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal(GRID_SHAPE)
-    f = DistributedField.scatter(a, nshards, axis=2)
-    assert f.nshards == nshards
-    assert np.array_equal(f.gather(), a)
-    # z-slabs -> x-slabs -> z-slabs is pure data movement: exact.
-    g = f.exchange(0)
-    assert g.axis == 0
-    assert np.array_equal(g.gather(), a)
-    assert np.array_equal(g.exchange(2).gather(), a)
-    # exchange onto the same axis is a no-op.
-    assert f.exchange(2) is f
-
-
-def test_charge_conservation_per_slab(grid, fields):
-    """Scatter conserves the represented charge exactly, slab by slab."""
-    rho, _, _ = fields
-    total = float(np.sum(rho) * grid.dvol)
-    for nshards in SHARD_COUNTS:
-        f = DistributedField.scatter(rho, nshards, axis=2)
-        slab_charges = [float(np.sum(s) * grid.dvol) for s in f.slabs]
-        assert np.isclose(sum(slab_charges), total, rtol=1e-13, atol=1e-15)
-        # Every slab's planes carry exactly the charge of those planes.
-        for (lo, hi), q in zip(f.bounds, slab_charges):
-            expected = float(np.sum(rho[:, :, lo:hi]) * grid.dvol)
-            assert q == expected
-
-
-# ---------------------------------------------------------------------------
-# Distributed FFT
-
-
-@pytest.mark.parametrize("nshards", SHARD_COUNTS)
-def test_distributed_fftn_bit_identical(nshards):
-    rng = np.random.default_rng(3)
-    executor = SerialFragmentExecutor()
-    real = rng.standard_normal(GRID_SHAPE)
-    cplx = rng.standard_normal(GRID_SHAPE) + 1j * rng.standard_normal(GRID_SHAPE)
-    for a in (real, cplx):
-        f = DistributedField.scatter(a, nshards, axis=2)
-        fwd = distributed_fftn(f, executor)
-        assert fwd.axis == 2
-        assert np.array_equal(fwd.gather(), np.fft.fftn(a))
-        back = distributed_ifftn(fwd, executor)
-        assert np.array_equal(back.gather(), np.fft.ifftn(np.fft.fftn(a)))
-
-
-@pytest.mark.parametrize("nshards", SHARD_COUNTS)
-def test_sharded_hartree_bit_identical(grid, fields, nshards):
-    rho, _, _ = fields
-    executor = SerialFragmentExecutor()
-    v = sharded_hartree_potential(rho, grid.g2, nshards, executor)
-    assert np.array_equal(v, hartree_potential(rho, grid))
-
-
-def test_sharded_xc_bit_identical(grid, fields):
-    rho, _, _ = fields
-    executor = SerialFragmentExecutor()
-    eps_ref, v_ref = lda_xc(rho)
-    for nshards in SHARD_COUNTS:
-        v_xc, eps_xc = sharded_xc(rho, nshards, executor)
-        assert np.array_equal(v_xc, v_ref)
-        assert np.array_equal(eps_xc, eps_ref)
-
-
 def test_unknown_global_step_kind_rejected():
     task = GlobalStepTask(kind="nope", shard=0, nshards=1, data=np.zeros((2, 2, 2)))
     with pytest.raises(ValueError, match="unknown global step"):
@@ -185,38 +109,11 @@ def test_make_mixer_returns_mixer_protocol(grid):
     assert AndersonMixer.sharding == "serial"
 
 
-@pytest.mark.parametrize("kind", ["linear", "kerker", "anderson"])
-@pytest.mark.parametrize("nshards", SHARD_COUNTS)
-def test_sharded_mix_bit_identical(grid, fields, kind, nshards):
-    _, v_in, v_out = fields
-    executor = SerialFragmentExecutor()
-    reference = make_mixer(kind, grid=grid).mix(v_in, v_out)
-    sharded = sharded_mix(
-        make_mixer(kind, grid=grid), v_in, v_out, nshards, executor
-    )
-    assert np.array_equal(sharded, reference)
-
-
-def test_custom_mixer_defaults_to_serial_sharding(grid, fields):
-    """A minimal protocol-only mixer works sharded via the serial fallback."""
-    _, v_in, v_out = fields
-
-    class HalfMixer:
-        def reset(self):
-            pass
-
-        def mix(self, a, b):
-            return 0.5 * (a + b)
-
-    result = sharded_mix(HalfMixer(), v_in, v_out, 3, SerialFragmentExecutor())
-    assert np.array_equal(result, 0.5 * (v_in + v_out))
-
-
 # ---------------------------------------------------------------------------
 # Sharded GENPOT evaluation
 
 
-def _make_solver(grid, mixer, shards=None, executor=None, overlap=True):
+def _make_solver(grid, mixer, shards=None, executor=None):
     structure = cscl_binary((1, 1, 1), "Zn", "O", 6.0)
     return GlobalPotentialSolver(
         structure,
@@ -225,7 +122,6 @@ def _make_solver(grid, mixer, shards=None, executor=None, overlap=True):
         mixer=mixer,
         shards=shards,
         executor=executor,
-        overlap=overlap,
     )
 
 
@@ -245,6 +141,25 @@ def test_sharded_genpot_evaluate_bit_identical(grid, fields, mixer, shards):
     assert sharded.xc_energy == serial.xc_energy
     assert sharded.timings.sharded and sharded.timings.shards == shards
     assert not serial.timings.sharded and serial.timings.task_times == []
+
+
+def test_custom_mixer_defaults_to_serial_sharding(grid, fields):
+    """A minimal protocol-only mixer works sharded: it mixes on the driver."""
+    rho, v_in, _ = fields
+
+    class HalfMixer:
+        def reset(self):
+            pass
+
+        def mix(self, a, b):
+            return 0.5 * (a + b)
+
+    serial = _make_solver(grid, HalfMixer()).evaluate(rho, v_in)
+    sharded = _make_solver(grid, HalfMixer(), shards=3).evaluate(rho, v_in)
+    assert np.array_equal(
+        sharded.next_input_potential, 0.5 * (v_in + sharded.output_potential)
+    )
+    assert np.array_equal(sharded.next_input_potential, serial.next_input_potential)
 
 
 def test_sharded_genpot_backend_equivalence(grid, fields):
@@ -274,21 +189,16 @@ def test_sharded_genpot_backend_equivalence(grid, fields):
 def test_one_submission_per_slab_accounting(grid, fields):
     """Every sharded stage is exactly one executor submission per slab.
 
-    Synchronous (overlap=False) stage counts: the Poisson solve is 4 slab
-    stages (forward planes, kernelled lines, inverse planes, real lines),
-    XC is 1, and the mix is 4 (spectral), 1 (pointwise) or 0 (serial
-    fallback).  Streaming (the default) fuses the real-lines stage, the
-    XC add and a pointwise mix into one ``genpot_finish`` task: the
-    Poisson chain is 4 stages with XC's 1 alongside, plus 4 for a
-    spectral mix (a pointwise mix rides the finish stage for free).
+    The Poisson chain is 4 slab stages (forward planes, kernelled lines,
+    inverse planes, and the fused ``genpot_finish`` that also adds XC and
+    a pointwise mix) with XC's 1 alongside, plus 4 for a spectral mix; a
+    serial mixer adds none.
     """
     rho, v_in, _ = fields
     shards = 3
-    for mixer, stages in (("kerker", 9), ("linear", 6), ("anderson", 5)):
+    for mixer, stages in (("kerker", 9), ("linear", 5), ("anderson", 5)):
         executor = SerialFragmentExecutor()
-        solver = _make_solver(
-            grid, mixer, shards=shards, executor=executor, overlap=False
-        )
+        solver = _make_solver(grid, mixer, shards=shards, executor=executor)
         out = solver.evaluate(rho, v_in)
         assert executor.tasks_submitted == stages * shards
         assert len(out.timings.task_times) == stages * shards
@@ -296,13 +206,6 @@ def test_one_submission_per_slab_accounting(grid, fields):
         # A second evaluation submits exactly the same number again.
         solver.evaluate(rho, v_in)
         assert executor.tasks_submitted == 2 * stages * shards
-    for mixer, stages in (("kerker", 9), ("linear", 5), ("anderson", 5)):
-        executor = SerialFragmentExecutor()
-        solver = _make_solver(grid, mixer, shards=shards, executor=executor)
-        out = solver.evaluate(rho, v_in)
-        assert out.timings.overlap
-        assert executor.tasks_submitted == stages * shards
-        assert len(out.timings.task_times) == stages * shards
 
 
 def test_genpot_shards_validation(grid):
@@ -311,13 +214,18 @@ def test_genpot_shards_validation(grid):
     with pytest.raises(ValueError, match="z planes"):
         _make_solver(grid, "kerker", shards=grid.shape[2] + 1)
 
-    class NotAnExecutor:
+    class BatchOnly:
+        """Has run_global but not the submit_global futures surface."""
+
         n_workers = 1
 
-    with pytest.raises(TypeError, match="run_global"):
-        _make_solver(grid, "kerker", shards=2, executor=NotAnExecutor())
+        def run_global(self, tasks):  # pragma: no cover - never called
+            raise AssertionError
+
+    with pytest.raises(TypeError, match="submit_global"):
+        _make_solver(grid, "kerker", shards=2, executor=BatchOnly())
     # shards=1 never touches the executor, so anything goes.
-    _make_solver(grid, "kerker", shards=1, executor=NotAnExecutor())
+    _make_solver(grid, "kerker", shards=1, executor=BatchOnly())
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ accounting, so the matrix is meaningful on any machine.
 """
 
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.core.fragment_task import (
     solve_fragment_task,
 )
 from repro.core.scf import LS3DFSCF
+from repro.parallel.distributed import GlobalStepTask
 from repro.parallel.executor import (
     ProcessPoolFragmentExecutor,
     SerialFragmentExecutor,
@@ -175,6 +177,45 @@ def test_pool_report_carries_lpt_schedule():
     assert assigned == list(range(len(tasks)))
     assert report.schedule.imbalance < 1.5
     assert len(report.results) == len(tasks)
+
+
+def test_failed_batch_raises_and_leaves_nothing_queued(monkeypatch):
+    """A kernel error surfaces from ``run_*`` and the batch's tasks that no
+    worker had started are dropped, so they cannot delay the next batch."""
+    import repro.parallel.executor as executor_module
+
+    release = threading.Event()
+    ran = []
+
+    def kernel(task):
+        ran.append(task.label)
+        if task.label == "bad":
+            raise ValueError("boom")
+        release.wait(30)
+        return task.label
+
+    monkeypatch.setattr(executor_module, "run_global_step_task", kernel)
+
+    def task(label, size):
+        return GlobalStepTask(
+            kind="xc", shard=0, nshards=1, data=np.zeros(size), label=label
+        )
+
+    # Heaviest-first submission: "bad" reaches a worker first and fails at
+    # once, the two workers then block inside slow0/slow1 at most.
+    batch = [task("bad", 9)] + [task(f"slow{i}", 8 - i) for i in range(6)]
+    with ThreadPoolFragmentExecutor(2) as executor:
+        with pytest.raises(ValueError, match="boom"):
+            executor.run_global(batch)
+        release.set()
+        # The pool queue is FIFO: anything the failed batch left behind
+        # would run before this batch completes.
+        report = executor.run_global([task("next0", 2), task("next1", 1)])
+    assert report.results == ["next0", "next1"]
+    assert len([label for label in ran if label.startswith("slow")]) <= 2
+    # Serially the failing task stops the batch by itself.
+    with pytest.raises(ValueError, match="boom"):
+        SerialFragmentExecutor().run_global(batch[:2])
 
 
 # --- SCF equivalence (acceptance criterion) ---------------------------------------

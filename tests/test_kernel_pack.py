@@ -1,6 +1,6 @@
 """Tests for the PR 6 hot-path kernel pack.
 
-Four cooperating optimisations, all opt-in-by-default and all required to
+Three cooperating optimisations, all on by default and all required to
 be *bit-identical* to the un-optimised paths:
 
 * the :mod:`repro.pw.fftcache` shape-keyed FFT workspace pool (and the
@@ -10,17 +10,12 @@ be *bit-identical* to the un-optimised paths:
   (:meth:`repro.pw.hamiltonian.Hamiltonian.add_nonlocal`) and the BLAS
   GEMM content-independence property that makes it row-slice stable;
 * the install-once potential channel (fingerprint-keyed worker state plus
-  the executor's resubmit-with-payload self-healing);
-* stacked small-fragment pipeline submissions (``pack_stacks`` binning,
-  physical vs logical submission accounting).
+  the executor's resubmit-with-payload self-healing).
 
 Plus the satellite regressions: grid-level memoisation cache hits, the
 Gen_dens accumulator-reuse byte-identity and allocation bounds, and the
 end-to-end backend x knob equivalence matrix through LS3DFSCF.
 """
-
-import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +24,6 @@ from repro.atoms.toy import cscl_binary
 from repro.core.fragment_task import (
     FragmentTask,
     PotentialNotInstalledError,
-    StackedPipelineTask,
     build_task_problem,
     clear_installed_potentials,
     clear_problem_cache,
@@ -39,7 +33,6 @@ from repro.core.fragment_task import (
     installed_potential_count,
     potential_fingerprint,
     run_fragment_pipeline_task,
-    run_stacked_pipeline_task,
     solve_fragment_task,
     solve_fragment_task_grouped,
 )
@@ -55,7 +48,6 @@ from repro.parallel.executor import (
     SerialFragmentExecutor,
     ThreadPoolFragmentExecutor,
 )
-from repro.parallel.scheduler import pack_stacks
 from repro.pw import fftcache
 from repro.pw.grid import FFTGrid, clear_grid_memo, grid_memo_stats
 from repro.pw.hamiltonian import default_nonlocal_block
@@ -408,8 +400,9 @@ def test_missing_worker_install_heals_by_retry(tmp_path):
             clear_installed_potentials()  # simulate worker amnesia
             report = ex.run_pipeline(keyed)
         assert ex.tasks_submitted == len(keyed)
-        # every task failed once and was resubmitted with the payload
-        assert ex.pool_submissions == 2 * len(keyed)
+        # a task that missed the install is resubmitted once with the
+        # payload (which the worker then keeps, so later ones may hit)
+        assert len(keyed) < ex.pool_submissions <= 2 * len(keyed)
         for got, want in zip(report.results, ref):
             np.testing.assert_array_equal(got.contribution, want.contribution)
             np.testing.assert_array_equal(
@@ -419,89 +412,58 @@ def test_missing_worker_install_heals_by_retry(tmp_path):
         clear_installed_potentials()
 
 
-# ---------------------------------------------------------------------------
-# Stacked small-fragment tasks
-# ---------------------------------------------------------------------------
+def test_healed_install_miss_is_forgotten_so_next_install_rebroadcasts():
+    """A heal means the broadcast of that key did not reach every worker:
+    the key leaves ``_broadcast_keys`` so ``install_state`` sends it again."""
 
+    class Missed:
+        def result(self):
+            raise PotentialNotInstalledError("K")
 
-def test_pack_stacks_bins_smalls_and_keeps_bigs_alone():
-    groups = pack_stacks([8.0, 8.0, 1.0, 1.0, 1.0, 1.0], 2)
-    assert sorted(i for g in groups for i in g) == [0, 1, 2, 3, 4, 5]
-    assert [0] in groups and [1] in groups  # bigs stay singletons
-    small_bins = [g for g in groups if g[0] >= 2]
-    assert len(small_bins) == 2  # four smalls share two submissions
-    assert all(len(g) == 2 for g in small_bins)
-    # Edge cases: equal costs never pack; a lone small stays single.
-    assert pack_stacks([3.0, 3.0, 3.0], 4) == [[0], [1], [2]]
-    assert pack_stacks([9.0, 9.0, 1.0], 4) == [[0], [1], [2]]
-    assert pack_stacks([], 2) == []
-    with pytest.raises(ValueError):
-        pack_stacks([1.0], 0)
-
-
-def _varied_cost_tasks(scf, v_in, costs):
-    tasks = []
-    for i, cost in enumerate(costs):
-        fragment = scf.fragments[i % len(scf.fragments)]
-        ptask = scf.fragment_solver.make_pipeline_task(
-            fragment, v_in, eigensolver_tolerance=1e-4,
-            eigensolver_iterations=40,
-        )
-        inner = replace(
-            ptask.task, label=f"{ptask.task.label}#{i}", cost_hint=cost
-        )
-        tasks.append(replace(ptask, task=inner))
-    return tasks
-
-
-def test_stacked_pipeline_task_unit():
-    scf = _tiny_scf()
-    v_in = scf.genpot.initial_potential()
-    tasks = _varied_cost_tasks(scf, v_in, [2.0, 1.0])
-    stacked = StackedPipelineTask(tasks)
-    assert stacked.cost() == 3.0
-    assert all(t.label in stacked.label for t in tasks)
-    clone = pickle.loads(pickle.dumps(stacked))  # rides the process pool
-    assert clone.label == stacked.label
-    ref = [run_fragment_pipeline_task(t) for t in tasks]
-    got = run_stacked_pipeline_task(stacked)
-    for g, w in zip(got.results, ref):
-        assert g.label == w.label
-        np.testing.assert_array_equal(g.contribution, w.contribution)
-    # with_potential_payload maps over the members
-    key = potential_fingerprint(v_in)
-    keyed = StackedPipelineTask(
-        [replace(t, global_potential=None, global_potential_key=key)
-         for t in tasks]
-    )
-    healed = keyed.with_potential_payload(key, v_in)
-    assert all(t.global_potential is not None for t in healed.tasks)
-
-
-def test_stacked_submissions_accounting_and_bit_identity():
-    scf = _tiny_scf()
-    v_in = scf.genpot.initial_potential()
-    costs = [100.0, 100.0, 1.0, 1.0, 1.0, 1.0]
-    tasks = _varied_cost_tasks(scf, v_in, costs)
-    groups = pack_stacks(costs, 2)
-    assert any(len(g) > 1 for g in groups)
-    ref = [run_fragment_pipeline_task(t) for t in tasks]
+    class Keyed:
+        def with_potential_payload(self, key, payload):
+            return ("healed", key, payload)
 
     with ThreadPoolFragmentExecutor(2) as ex:
-        report = ex.run_pipeline(tasks)
-    assert ex.tasks_submitted == len(tasks)  # logical accounting unchanged
-    assert ex.pool_submissions == len(groups) < len(tasks)
-    assert [r.label for r in report.results] == [t.label for t in tasks]
-    for got, want in zip(report.results, ref):
-        np.testing.assert_array_equal(got.contribution, want.contribution)
-        np.testing.assert_array_equal(got.result.density, want.result.density)
-        assert got.result.quantum_energy == want.result.quantum_energy
+        payload = np.arange(3.0)
+        ex._install_payloads["K"] = payload
+        ex._broadcast_keys.update({"K", "other"})
+        healed = ex._gather(Missed(), Keyed(), lambda task: task)
+        assert healed == ("healed", "K", payload)
+        assert ex._broadcast_keys == {"other"}
+        assert ex.pool_submissions == 1  # the one-shot retry
+        # Nothing to attach (unknown key): the miss propagates, still forgotten.
+        ex._broadcast_keys.add("gone")
 
-    with ThreadPoolFragmentExecutor(2, stack_small_tasks=False) as ex2:
-        unstacked = ex2.run_pipeline(tasks)
-    assert ex2.pool_submissions == len(tasks)  # knob off: one sub per task
-    for got, want in zip(unstacked.results, report.results):
-        np.testing.assert_array_equal(got.contribution, want.contribution)
+        class MissedGone:
+            def result(self):
+                raise PotentialNotInstalledError("gone")
+
+        with pytest.raises(PotentialNotInstalledError):
+            ex._gather(MissedGone(), Keyed(), lambda task: task)
+        assert "gone" not in ex._broadcast_keys
+
+
+def test_task_with_key_and_payload_installs_it_in_the_worker():
+    """The retry's inline payload stays behind: later key-only tasks in
+    that worker resolve without another retry."""
+    scf = _tiny_scf()
+    v_in = scf.genpot.initial_potential()
+    key = potential_fingerprint(v_in)
+    keyed = scf.fragment_solver.make_pipeline_task(
+        scf.fragments[0], v_in, eigensolver_tolerance=1e-4,
+        eigensolver_iterations=40, global_potential_key=key,
+    )
+    clear_installed_potentials()
+    try:
+        with pytest.raises(PotentialNotInstalledError):
+            run_fragment_pipeline_task(keyed)
+        healed = run_fragment_pipeline_task(keyed.with_potential_payload(key, v_in))
+        np.testing.assert_array_equal(fetch_potential(key), v_in)
+        again = run_fragment_pipeline_task(keyed)  # key-only now resolves
+        np.testing.assert_array_equal(again.contribution, healed.contribution)
+    finally:
+        clear_installed_potentials()
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +530,7 @@ def knob_matrix():
         fftcache.configure(enabled=True)
     with ThreadPoolFragmentExecutor(2) as ex:
         runs["threads-on"] = _tiny_scf(executor=ex).run(**_RUN_KW)
-    with ThreadPoolFragmentExecutor(2, stack_small_tasks=False) as ex:
+    with ThreadPoolFragmentExecutor(2) as ex:
         runs["threads-off"] = _tiny_scf(
             executor=ex, install_potentials=False, sliced_nonlocal=False
         ).run(**_RUN_KW)

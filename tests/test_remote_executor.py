@@ -28,6 +28,7 @@ import json
 import os
 import socket
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -509,6 +510,43 @@ def test_remote_task_error_carries_worker_exception_type():
         with pytest.raises(RemoteTaskError) as err:
             executor.run_pipeline([object()])
         assert err.value.error_type == "AttributeError"
+
+
+def test_failed_batch_raises_and_leaves_nothing_queued(monkeypatch):
+    """A kernel error surfaces from ``run_*`` as RemoteTaskError and the
+    batch's still-queued tasks are dropped, so they cannot delay the next
+    batch (every batch shares the executor's one queue)."""
+    from repro.parallel import remote as remote_module
+    from repro.parallel.distributed import GlobalStepTask
+
+    release = threading.Event()
+    ran = []
+
+    def kernel(task):
+        ran.append(task.label)
+        if task.label == "bad":
+            raise ValueError("boom")
+        release.wait(30)
+        return task.label
+
+    monkeypatch.setitem(remote_module._KERNELS, "global", kernel)
+
+    def task(label, size):
+        return GlobalStepTask(
+            kind="xc", shard=0, nshards=1, data=np.zeros(size), label=label
+        )
+
+    # Heaviest-first: "bad" is served first; the single worker can have
+    # started at most slow0 by the time the driver sees the error.
+    batch = [task("bad", 9)] + [task(f"slow{i}", 8 - i) for i in range(4)]
+    with _cluster(1) as (executor, _):
+        with pytest.raises(RemoteTaskError, match="boom"):
+            executor.run_global(batch)
+        release.set()
+        report = executor.run_global([task("next", 1)])
+        assert report.results == ["next"]
+        assert executor.resubmissions == 0 and executor.degraded_tasks == 0
+    assert len([label for label in ran if label.startswith("slow")]) <= 1
 
 
 # --- real subprocess workers (the CI remote-smoke job) ----------------------------

@@ -62,10 +62,10 @@ def compute_density(
     if occupations.shape != (coefficients.shape[0],):
         raise ValueError("occupations length must equal number of bands")
     density = np.zeros(basis.grid.shape, dtype=float)
-    for occ, c in zip(occupations, coefficients):
-        if occ == 0.0:
-            continue
-        psi_r = basis.to_real_space(c)
+    # One batched transform of the occupied bands; the accumulation stays a
+    # per-band loop in band order, which fixes the floating-point sum.
+    occupied = occupations != 0.0
+    for occ, psi_r in zip(occupations[occupied], basis.to_real_space(coefficients[occupied])):
         density += occ * np.real(psi_r * np.conj(psi_r))
     return density
 

@@ -72,17 +72,17 @@ class FFTGrid:
         object.__setattr__(self, "shape", shape_arr)
 
     # -- sizes -------------------------------------------------------------
-    @property
+    @cached_property
     def npoints(self) -> int:
         """Total number of real-space grid points."""
         return int(np.prod(self.shape))
 
-    @property
+    @cached_property
     def volume(self) -> float:
         """Cell volume (Bohr^3)."""
         return float(np.prod(self.cell))
 
-    @property
+    @cached_property
     def dvol(self) -> float:
         """Volume element associated with one grid point (Bohr^3)."""
         return self.volume / self.npoints

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.atoms.structure import Structure
-from repro.pw import fftcache
 from repro.pw.basis import PlaneWaveBasis
 from repro.pw.pseudopotential import PseudopotentialSet
 
@@ -101,8 +100,8 @@ class Hamiltonian:
         if local_potential.shape != basis.grid.shape:
             raise ValueError("local potential shape does not match grid")
         self.basis = basis
-        self.v_ionic = np.asarray(local_potential, dtype=float)
-        self.v_screening = np.zeros_like(self.v_ionic)
+        v_ionic = np.asarray(local_potential, dtype=float)
+        self._set_local(v_ionic, np.zeros_like(v_ionic))
         if projectors is None:
             projectors = np.zeros((0, basis.npw), dtype=complex)
         if projector_strengths is None:
@@ -159,13 +158,35 @@ class Hamiltonian:
         """
         if v_total.shape != self.basis.grid.shape:
             raise ValueError("potential shape mismatch")
-        self.v_ionic = np.asarray(v_total, dtype=float)
-        self.v_screening = np.zeros_like(self.v_ionic)
+        v_total = np.asarray(v_total, dtype=float)
+        self._set_local(v_total, np.zeros_like(v_total))
+
+    def _set_local(self, v_ionic: np.ndarray, v_screening: np.ndarray) -> None:
+        # ``apply_local`` multiplies by the sum; form it once per change of
+        # either part, not once per application.
+        self._v_ionic, self._v_screening = v_ionic, v_screening
+        self._v_local = v_ionic + v_screening
+        self._v_local.flags.writeable = False
+
+    @property
+    def v_ionic(self) -> np.ndarray:
+        """Ionic local (+ passivation) part of the local potential."""
+        return self._v_ionic
+
+    @property
+    def v_screening(self) -> np.ndarray:
+        """Screening (Hartree + XC) part; assignable (the energy routines
+        zero it around an expectation value)."""
+        return self._v_screening
+
+    @v_screening.setter
+    def v_screening(self, value: np.ndarray) -> None:
+        self._set_local(self._v_ionic, value)
 
     @property
     def local_potential(self) -> np.ndarray:
-        """Current total local potential (ionic + screening)."""
-        return self.v_ionic + self.v_screening
+        """Current total local potential (ionic + screening), read-only."""
+        return self._v_local
 
     # -- application ---------------------------------------------------------
     def apply_local(self, coefficients: np.ndarray) -> np.ndarray:
@@ -185,20 +206,14 @@ class Hamiltonian:
         c = np.asarray(coefficients, dtype=complex)
         if c.ndim != 2 or c.shape[1] != self.basis.npw:
             raise ValueError("coefficient length must equal npw")
-        nbands = c.shape[0]
 
         # Kinetic: diagonal in G.
         out = c * self.basis.kinetic[None, :]
 
-        # Local potential: FFT to real space, multiply, FFT back — through
-        # pooled workspace buffers (repro.pw.fftcache): identical operations
-        # on reused memory, bit-identical to the allocating path.
-        shape = (nbands,) + self.basis.grid.shape
-        with fftcache.scratch(shape) as w1, fftcache.scratch(shape) as w2:
-            psi_r = self.basis.to_real_space(c, out=w2, work=w1)
-            psi_r *= self.local_potential[None, :, :, :]
-            out += self.basis.from_real_space(psi_r, work=w1)
-        self.counter.add(n_fft=2 * nbands)
+        # Local potential: FFT to real space, multiply, FFT back (the
+        # sphere-pruned staged transforms of PlaneWaveBasis).
+        out += self.basis.apply_potential(c, self._v_local)
+        self.counter.add(n_fft=2 * c.shape[0])
         return out
 
     def add_nonlocal(

@@ -97,6 +97,29 @@ def test_dense_matrix_matches_apply(small_problem):
     assert np.allclose(mat, mat.conj().T, atol=1e-12)
 
 
+def test_local_potential_follows_every_way_of_setting_its_parts():
+    """The cached ionic + screening sum is what ``apply_local`` multiplies by;
+    it must track direct attribute writes (energy.py zeroes ``v_screening``
+    that way) as well as the two setter methods."""
+    basis = PlaneWaveBasis(FFTGrid((7.0, 7.0, 7.0), (8, 8, 8)), ecut=1.5)
+    rng = np.random.default_rng(3)
+    v_ion, v_scr, v_tot = (rng.standard_normal(basis.grid.shape) for _ in range(3))
+    c = basis.random_coefficients(2, rng)
+    h = Hamiltonian(basis, v_ion)
+    assert np.array_equal(h.local_potential, v_ion + np.zeros_like(v_ion))
+    h.set_effective_potential(v_scr)
+    assert np.array_equal(h.local_potential, v_ion + v_scr)
+    screened = h.apply_local(c)
+    h.v_screening = np.zeros_like(v_scr)
+    assert np.array_equal(h.apply_local(c), Hamiltonian(basis, v_ion).apply_local(c))
+    h.v_screening = v_scr
+    assert np.array_equal(h.apply_local(c), screened)
+    h.set_total_local_potential(v_tot)
+    assert np.array_equal(h.local_potential, v_tot) and not h.v_screening.any()
+    with pytest.raises(ValueError):
+        h.local_potential[0, 0, 0] = 1.0
+
+
 def test_expectation_values_are_real_and_above_ground_state(small_problem):
     basis, h = small_problem[3], small_problem[4]
     exact = exact_diagonalization(h, 4)

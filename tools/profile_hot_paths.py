@@ -7,7 +7,11 @@ prints the top-20 functions by cumulative time per stage.  This is the
 measurement behind the "Hot paths and where the time goes" section of
 ``docs/ARCHITECTURE.md``: PEtot_F dominates, and inside it the batched
 per-band FFTs (``Hamiltonian.apply_local``) and the nonlocal projection
-GEMMs (``Hamiltonian.add_nonlocal``) are nearly the whole bill.
+GEMMs (``Hamiltonian.add_nonlocal``) are nearly the whole bill.  Before
+the stage profiles it prints, for every distinct fragment basis, the
+sphere-pruned FFT line counts (``PlaneWaveBasis.fft_lines``) and the time
+of each 1-D pass (z / y / x) of one inverse + forward band-block transform
+— the per-pass split the next kernel change should start from.
 
 Usage::
 
@@ -24,7 +28,10 @@ import argparse
 import cProfile
 import pstats
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -38,6 +45,69 @@ def profile_stage(name: str, func, top: int):
     print(f"\n{'=' * 72}\n{name}: top {top} by cumulative time\n{'=' * 72}")
     stats.sort_stats("cumulative").print_stats(top)
     return out
+
+
+def time_fft_passes(basis, nbands: int, repeats: int = 20) -> dict:
+    """Seconds per call of each pass of ``to_real_space`` / ``from_real_space``.
+
+    Wraps ``np.fft.fft`` / ``np.fft.ifft`` with a clock for the duration of
+    the measurement; ``"total"`` is the whole round trip, so the remainder
+    is scatter, embedding and gather.
+    """
+    spent = dict.fromkeys(
+        [(name, axis) for name in ("ifft", "fft") for axis in (-1, -2, -3)], 0.0
+    )
+    originals = {name: getattr(np.fft, name) for name in ("fft", "ifft")}
+
+    def timed(name):
+        def call(a, axis=-1, out=None):
+            start = time.perf_counter()
+            result = originals[name](a, axis=axis, out=out)
+            spent[name, axis] += time.perf_counter() - start
+            return result
+        return call
+
+    coeffs = basis.random_coefficients(nbands, rng=0)
+    basis.from_real_space(basis.to_real_space(coeffs))  # warm pocketfft's plans
+    for name in originals:
+        setattr(np.fft, name, timed(name))
+    try:
+        start = time.perf_counter()
+        for _ in range(repeats):
+            basis.from_real_space(basis.to_real_space(coeffs))
+        total = time.perf_counter() - start
+    finally:
+        for name, func in originals.items():
+            setattr(np.fft, name, func)
+    passes = {key: value / repeats for key, value in spent.items()}
+    passes["total"] = total / repeats
+    return passes
+
+
+def report_fft_passes(problems) -> None:
+    """One block per distinct fragment basis: box, line counts, per-pass times."""
+    seen = {}
+    for problem in problems:
+        basis = problem.basis
+        seen.setdefault((basis.grid.shape, basis.npw), (basis, problem.nbands))
+    print(f"\n{'=' * 72}\nsphere-pruned FFT passes per fragment basis\n{'=' * 72}")
+    for (shape, npw), (basis, nbands) in seen.items():
+        pruned, dense = basis.fft_lines
+        occupied = np.nonzero(basis.to_grid(np.ones(basis.npw)))
+        box = tuple(len(np.unique(i)) for i in occupied)
+        passes = time_fft_passes(basis, nbands)
+        print(
+            f"grid {shape}  npw {npw}  box {box}  "
+            f"fft_lines {pruned}/{dense} per band ({pruned / dense:.0%})"
+        )
+        for name, label in (("ifft", "to_real_space  "), ("fft", "from_real_space")):
+            z, y, x = (passes[name, axis] * 1e3 for axis in (-1, -2, -3))
+            print(f"  {label} ({nbands} bands): z {z:.3f} ms  y {y:.3f} ms  x {x:.3f} ms")
+        fft = sum(v for k, v in passes.items() if k != "total")
+        print(
+            f"  round trip {passes['total'] * 1e3:.3f} ms, of which "
+            f"{(passes['total'] - fft) * 1e3:.3f} ms scatter/embed/gather"
+        )
 
 
 def main() -> int:
@@ -88,6 +158,7 @@ def main() -> int:
         return tasks
 
     tasks = profile_stage("Gen_VF", gen_vf, args.top)
+    report_fft_passes(scf.fragment_solver.problems().values())
 
     # PEtot_F: the per-fragment Kohn-Sham solves (the dominant stage).
     def petot_f():

@@ -103,11 +103,9 @@ def test_fig4_band_groups_largest_fragment(results_dir):
     subsystem (the largest fragment stops bounding PEtot_F).
     """
     from _real_tasks import make_real_tasks
-    from repro.core.fragment_task import (
-        solve_fragment_task,
-        solve_fragment_task_grouped,
-    )
+    from repro.core.fragment_task import solve_fragment_task
     from repro.parallel.amdahl import measured_intra_group_efficiency
+    from repro.parallel.bands import BandGroup
     from repro.parallel.executor import ThreadPoolFragmentExecutor
 
     tasks = make_real_tasks((2, 2, 1))
@@ -124,8 +122,10 @@ def test_fig4_band_groups_largest_fragment(results_dir):
 
     with ThreadPoolFragmentExecutor(n_workers=nslices) as executor:
         t0 = time.perf_counter()
-        grouped, stats = solve_fragment_task_grouped(largest, executor, nslices)
+        group = BandGroup(executor, nslices)
+        grouped = solve_fragment_task(largest, group=group)
         grouped_wall = time.perf_counter() - t0
+    stats = group.stats
 
     np.testing.assert_array_equal(grouped.eigenvalues, reference.eigenvalues)
     np.testing.assert_array_equal(grouped.density, reference.density)

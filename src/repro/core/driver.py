@@ -147,11 +147,6 @@ class LS3DF:
         """Band slices per fragment solve (``None`` = ungrouped PEtot_F)."""
         return self.scf.band_groups
 
-    @property
-    def concurrent_groups(self) -> bool:
-        """Whether band groups run on concurrent per-group worker sub-pools."""
-        return self.scf.concurrent_groups
-
     # -- convenience accessors ------------------------------------------------
     @property
     def global_grid(self) -> FFTGrid:

@@ -31,8 +31,6 @@ from repro.core.fragment_task import (
     TaskProblem,
     build_task_problem,
     seed_task_problem,
-    solve_fragment_task,
-    solve_fragment_task_grouped,
 )
 from repro.core.fragments import Fragment
 from repro.core.passivation import PassivationResult, passivate_fragment
@@ -99,7 +97,6 @@ class FragmentProblem:
     passivation: PassivationResult
     ionic_density: np.ndarray
     task_problem: TaskProblem = field(repr=False)
-    wavefunctions: np.ndarray | None = field(default=None, repr=False)
     # Fixed passivation correction Delta V_F (see
     # FragmentSolver.passivation_potential); computed once, reused every
     # iteration.  None until first requested or for unpassivated fragments.
@@ -379,77 +376,6 @@ class FragmentSolver:
             wall_time=result.wall_time,
             worker_pid=result.worker_pid,
         )
-
-    def solve_fragment(
-        self,
-        fragment: Fragment,
-        restricted_potential: np.ndarray,
-        eigensolver_tolerance: float = 1e-5,
-        eigensolver_iterations: int = 60,
-    ) -> FragmentSolveResult:
-        """Solve one fragment for the given restricted global input potential.
-
-        Convenience in-process entry point: builds the task (warm-started
-        from this solver's own per-fragment state) and runs the shared
-        kernel directly.
-        """
-        problem = self.build_problem(fragment)
-        task = self.make_task(
-            fragment,
-            restricted_potential,
-            eigensolver_tolerance=eigensolver_tolerance,
-            eigensolver_iterations=eigensolver_iterations,
-            initial_coefficients=problem.wavefunctions,
-        )
-        result = solve_fragment_task(task, problem=problem.task_problem)
-        problem.wavefunctions = result.coefficients
-        return self.result_from_task(fragment, result)
-
-    def solve_fragment_grouped(
-        self,
-        fragment: Fragment,
-        restricted_potential: np.ndarray,
-        executor,
-        band_slices: int,
-        eigensolver_tolerance: float = 1e-5,
-        eigensolver_iterations: int = 60,
-    ) -> FragmentSolveResult:
-        """Solve one fragment with its band block spread over a worker group.
-
-        The band-parallel counterpart of :meth:`solve_fragment`: the task
-        is built identically, but the solve runs through
-        :func:`repro.core.fragment_task.solve_fragment_task_grouped` —
-        this process acts as the group root while ``executor`` carries
-        the per-slice H·psi and residual work.  Results are bit-identical
-        to :meth:`solve_fragment` for any ``band_slices``.
-
-        Parameters
-        ----------
-        fragment:
-            The fragment to solve.
-        restricted_potential:
-            The Gen_VF restriction of the global input potential.
-        executor:
-            Backend implementing
-            :class:`repro.parallel.bands.BandGroupExecutor`.
-        band_slices:
-            Number of band slices (the paper's Np per group, locally).
-        eigensolver_tolerance, eigensolver_iterations:
-            Eigensolver controls, as in :meth:`solve_fragment`.
-        """
-        problem = self.build_problem(fragment)
-        task = self.make_task(
-            fragment,
-            restricted_potential,
-            eigensolver_tolerance=eigensolver_tolerance,
-            eigensolver_iterations=eigensolver_iterations,
-            initial_coefficients=problem.wavefunctions,
-        )
-        result, _stats = solve_fragment_task_grouped(
-            task, executor, band_slices, problem=problem.task_problem
-        )
-        problem.wavefunctions = result.coefficients
-        return self.result_from_task(fragment, result)
 
     # ------------------------------------------------------------------
     def problems(self) -> dict[str, FragmentProblem]:

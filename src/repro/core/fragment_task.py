@@ -10,10 +10,11 @@ implemented:
   solver controls, optional warm-start wavefunctions), mirroring the way
   the production code ships fragment data between MPI groups rather than
   live solver objects.
-* :func:`solve_fragment_task` executes one task.  It is the kernel that
-  :class:`repro.core.fragment_solver.FragmentSolver` calls in-process and
-  that the executors in :mod:`repro.parallel.executor` call from worker
-  threads or processes.
+* :func:`solve_fragment_task` executes one task.  It is the kernel the
+  executors in :mod:`repro.parallel.executor` call in-process and from
+  worker threads or processes; with ``group=`` the same body spreads the
+  fragment's band block over a worker group (the paper's Np cores per
+  fragment — Np = 1 is the same code).
 * A per-process cache of the static (iteration-independent) problem data
   — basis, Hamiltonian, occupations — reproduces the paper's "store
   everything in the LS3DF global module" optimisation: the expensive
@@ -38,6 +39,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -461,22 +463,34 @@ def resolve_screening_potential(task: FragmentTask) -> np.ndarray:
 
 
 def solve_fragment_task(
-    task: FragmentTask, problem: TaskProblem | None = None
+    task: FragmentTask, problem: TaskProblem | None = None, group=None
 ) -> FragmentTaskResult:
     """Solve one fragment task — THE shared PEtot_F kernel.
 
     Runs identically in the calling process (serial backend, thread
-    backend, :class:`~repro.core.fragment_solver.FragmentSolver`) and
-    inside process-pool workers.
+    backend) and inside process-pool or remote workers.
 
     Parameters
     ----------
     task:
         The fragment solve description; must carry a real
-        ``screening_potential`` array.
+        ``screening_potential`` array (or an installed ``screening_key``).
     problem:
         Optional pre-built static problem, bypassing the per-process
         cache lookup when the caller already holds the data.
+    group:
+        Optional :class:`repro.parallel.bands.BandGroup`: the calling
+        process then acts as the *group root* — it runs the outer
+        all-band CG loop and every dense cross-band reduction — while
+        the heavy per-band work (H·psi, preconditioned residuals) is
+        sliced over the group's executor.  Results are **bit-identical**
+        to the ungrouped solve for any slice count and backend (the
+        property ``tests/test_band_parallel.py`` asserts): the sliced
+        kernels are row-independent bit for bit and the root-side algebra
+        operates on full blocks of unchanged shape.  Only the
+        ``"all_band"`` eigensolver can be grouped (the band-by-band
+        reference algorithm is inherently sequential over bands).  The
+        group's task accounting is left on ``group.stats``.
 
     Returns
     -------
@@ -487,12 +501,21 @@ def solve_fragment_task(
     """
     t0 = time.perf_counter()
     v_screen = resolve_screening_potential(task)
+    if group is not None and task.eigensolver != "all_band":
+        raise ValueError(
+            f"band groups require the all-band eigensolver; task {task.label!r} "
+            f"uses {task.eigensolver!r}"
+        )
     if problem is None:
         problem = get_task_problem(task)
     hamiltonian = problem.hamiltonian
+    # Held across a grouped solve too: the band-slice kernel never takes
+    # this lock (see repro.parallel.bands.run_band_block_task).
     with problem.lock:
         hamiltonian.set_effective_potential(v_screen)
         solver = all_band_cg if task.eigensolver == "all_band" else band_by_band_cg
+        if group is not None:
+            solver = partial(all_band_cg, band_groups=group.bind(task))
         result = solver(
             hamiltonian,
             problem.nbands,
@@ -727,7 +750,9 @@ class FragmentPipelineResult:
 
 
 def run_fragment_pipeline_task(
-    pipeline_task: FragmentPipelineTask, problem: TaskProblem | None = None
+    pipeline_task: FragmentPipelineTask,
+    problem: TaskProblem | None = None,
+    group=None,
 ) -> FragmentPipelineResult:
     """Execute one fused fragment pipeline task (worker-side Figure 2 lap).
 
@@ -750,9 +775,10 @@ def run_fragment_pipeline_task(
     ----------
     pipeline_task:
         The fused work unit (solve task + global potential + index maps).
-    problem:
-        Optional pre-built static problem forwarded to
-        :func:`solve_fragment_task`.
+    problem, group:
+        Optional pre-built static problem and band group, forwarded to
+        :func:`solve_fragment_task`.  With a group the restriction and
+        the extraction still run here, on the group root.
 
     Returns
     -------
@@ -770,7 +796,7 @@ def run_fragment_pipeline_task(
     task = pipeline_task.task
     task.screening_potential = v_screen
     gen_vf_time = time.perf_counter() - t0
-    result = solve_fragment_task(task, problem=problem)
+    result = solve_fragment_task(task, problem=problem, group=group)
     t0 = time.perf_counter()
     interior = result.density[pipeline_task.interior_slice]
     contribution = task.weight * np.real(interior)
@@ -783,157 +809,19 @@ def run_fragment_pipeline_task(
     )
 
 
-# ---------------------------------------------------------------------------
-# Grouped (band-parallel) variants: one fragment, a whole worker group
-
-
-def solve_fragment_task_grouped(
-    task: FragmentTask,
-    executor,
-    band_slices: int,
-    problem: TaskProblem | None = None,
-    install_potentials: bool = True,
-    sliced_nonlocal: bool = True,
-):
-    """Solve one fragment with its band block distributed over a group.
-
-    The band-parallel counterpart of :func:`solve_fragment_task`: the
-    calling process acts as the *group root* — it runs the outer all-band
-    CG loop and every dense cross-band reduction — while the heavy
-    per-band work (H·psi, preconditioned residuals) is sliced into
-    :class:`repro.parallel.bands.BandBlockTask` batches and pushed
-    through ``executor.run_bands``.  Results are **bit-identical** to
-    :func:`solve_fragment_task` for any slice count and backend (the
-    property ``tests/test_band_parallel.py`` asserts), because the sliced
-    kernels are row-independent bit for bit and the root-side algebra
-    operates on full blocks of unchanged shape.
-
-    Only the ``"all_band"`` eigensolver can be grouped (the band-by-band
-    reference algorithm is inherently sequential over bands).
-
-    Parameters
-    ----------
-    task:
-        The fragment solve description; must carry a real
-        ``screening_potential`` array.
-    executor:
-        Backend implementing
-        :class:`repro.parallel.bands.BandGroupExecutor` (all backends in
-        :mod:`repro.parallel.executor` do).
-    band_slices:
-        Number of band slices — the local analogue of the paper's Np
-        cores per fragment group.
-    problem:
-        Optional pre-built static problem, bypassing the cache lookup.
-    install_potentials:
-        Install the screening potential once per worker and reference it
-        by key from every band slice (PR 6); ``False`` ships the array
-        in every task as before.  Bit-identical either way.
-    sliced_nonlocal:
-        Apply the Kleinman-Bylander term inside band slices via the
-        blocked fixed-shape kernel (PR 6); ``False`` keeps it on the
-        group root.  Bit-identical either way.
-
-    Returns
-    -------
-    tuple[FragmentTaskResult, repro.parallel.bands.BandGroupStats]
-        The solve result (identical to the ungrouped kernel's) plus the
-        group's task accounting (stages, submissions, in-worker times).
-    """
-    # Imported lazily: repro.parallel.bands depends on this module, so a
-    # module-level import here would be circular.
-    from repro.parallel.bands import BandGroup
-    from repro.pw.eigensolver import all_band_cg as all_band_solver
-
-    t0 = time.perf_counter()
-    v_screen = resolve_screening_potential(task)
-    if task.eigensolver != "all_band":
-        raise ValueError(
-            f"band groups require the all-band eigensolver; task {task.label!r} "
-            f"uses {task.eigensolver!r}"
-        )
-    if problem is None:
-        problem = get_task_problem(task)
-    hamiltonian = problem.hamiltonian
-    # The problem lock is safe to hold across the grouped solve: the band
-    # task kernel never acquires it (grouped solves own their fragment's
-    # problem for the duration; see run_band_block_task).
-    with problem.lock:
-        hamiltonian.set_effective_potential(v_screen)
-        group = BandGroup(
-            executor,
-            band_slices,
-            task,
-            problem=problem,
-            install=install_potentials,
-            sliced_nonlocal=sliced_nonlocal,
-        )
-        result = all_band_solver(
-            hamiltonian,
-            problem.nbands,
-            initial=task.initial_coefficients,
-            max_iterations=task.max_iterations,
-            tolerance=task.tolerance,
-            band_groups=group,
-        )
-        density = compute_density(
-            problem.basis, result.coefficients, problem.occupations
-        )
-        saved = hamiltonian.v_screening
-        hamiltonian.v_screening = np.zeros_like(saved)
-        try:
-            expect = hamiltonian.expectation(result.coefficients)
-        finally:
-            hamiltonian.v_screening = saved
-    quantum_energy = float(np.sum(problem.occupations * expect))
-    band_energy = float(np.sum(problem.occupations * result.eigenvalues))
-    task_result = FragmentTaskResult(
-        label=task.label,
-        eigenvalues=result.eigenvalues,
-        density=density,
-        quantum_energy=quantum_energy,
-        band_energy=band_energy,
-        solver_iterations=result.iterations,
-        converged=result.converged,
-        wall_time=time.perf_counter() - t0,
-        worker_pid=os.getpid(),
-        coefficients=result.coefficients if task.return_coefficients else None,
-    )
-    return task_result, group.stats
-
-
 def run_fragment_pipeline_task_grouped(
     pipeline_task: FragmentPipelineTask,
     executor,
     band_slices: int,
-    problem: TaskProblem | None = None,
     install_potentials: bool = True,
-    sliced_nonlocal: bool = True,
 ):
-    """Execute one fused fragment pipeline with a band-sliced solve.
+    """One fused fragment pipeline with its solve sliced over ``executor``.
 
-    The grouped counterpart of :func:`run_fragment_pipeline_task`: the
-    restriction and the weighted-interior extraction run on the group
-    root (the caller — with band grouping the driver orchestrates one
-    fragment at a time, so there is no per-fragment round trip to fuse
-    them into), and the solve in the middle is
-    :func:`solve_fragment_task_grouped`.  The arithmetic matches the
-    ungrouped pipeline kernel operation for operation.
-
-    Parameters
-    ----------
-    pipeline_task:
-        The fused work unit (solve task + global potential + index maps).
-    executor:
-        Backend implementing
-        :class:`repro.parallel.bands.BandGroupExecutor`.
-    band_slices:
-        Number of band slices per solve.
-    problem:
-        Optional pre-built static problem forwarded to the solve.
-    install_potentials, sliced_nonlocal:
-        Forwarded to :func:`solve_fragment_task_grouped` (PR 6 knobs;
-        bit-identical on or off).
+    Builds the fragment's :class:`repro.parallel.bands.BandGroup`
+    (``band_slices`` slices on ``executor``; ``install_potentials`` picks
+    keyed or inline shipping of the screening potential, bit-identical
+    either way) and runs :func:`run_fragment_pipeline_task` with it — what
+    the band-grouped SCF iteration calls once per fragment.
 
     Returns
     -------
@@ -941,36 +829,13 @@ def run_fragment_pipeline_task_grouped(
         The pipeline result (identical to the ungrouped kernel's) plus
         the solve's band-task accounting.
     """
-    t0 = time.perf_counter()
-    ix, iy, iz = pipeline_task.box_indices
-    global_potential = resolve_global_potential(pipeline_task)
-    v_screen = global_potential[np.ix_(ix, iy, iz)]
-    if pipeline_task.passivation_potential is not None:
-        v_screen = v_screen - pipeline_task.passivation_potential
-    task = pipeline_task.task
-    task.screening_potential = v_screen
-    gen_vf_time = time.perf_counter() - t0
-    result, stats = solve_fragment_task_grouped(
-        task,
-        executor,
-        band_slices,
-        problem=problem,
-        install_potentials=install_potentials,
-        sliced_nonlocal=sliced_nonlocal,
-    )
-    t0 = time.perf_counter()
-    interior = result.density[pipeline_task.interior_slice]
-    contribution = task.weight * np.real(interior)
-    gen_dens_time = time.perf_counter() - t0
-    return (
-        FragmentPipelineResult(
-            result=result,
-            contribution=contribution,
-            gen_vf_time=gen_vf_time,
-            gen_dens_time=gen_dens_time,
-        ),
-        stats,
-    )
+    # Imported lazily: repro.parallel.bands depends on this module, so a
+    # module-level import here would be circular.
+    from repro.parallel.bands import BandGroup
+
+    group = BandGroup(executor, band_slices, install=install_potentials)
+    result = run_fragment_pipeline_task(pipeline_task, group=group)
+    return result, group.stats
 
 
 class FragmentStateCache:

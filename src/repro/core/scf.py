@@ -144,13 +144,14 @@ class IterationTimings:
     ``band_schedule`` carries a
     :class:`repro.parallel.scheduler.GroupExecutionRecord`: the LPT
     plan over group-sized bins *plus* the measured wall time of every
-    group bin and of the whole step.  With ``concurrent_groups`` (and an
-    executor whose ``partition`` can split its workers) the Ng groups
-    run on disjoint sub-pools from concurrent driver threads, so the
-    record's ``concurrent`` flag is set and ``measured_makespan`` /
-    ``concurrency_efficiency`` describe a genuinely overlapped
-    execution; otherwise the groups time-share one pool sequentially
-    and the same fields measure that serialisation.  The modelled
+    group bin and of the whole step.  When the schedule has more than
+    one group and the executor's ``partition`` can split its workers,
+    the Ng groups run on disjoint sub-pools from concurrent driver
+    threads, so the record's ``concurrent`` flag is set and
+    ``measured_makespan`` / ``concurrency_efficiency`` describe a
+    genuinely overlapped execution; otherwise the groups drain their
+    queues one after another on the one pool and the same fields
+    measure that serialisation.  The modelled
     quantities (Np, modelled intra-group efficiency) remain reachable
     through the record's delegating properties.
 
@@ -450,7 +451,16 @@ class LS3DFSCF:
         :class:`~repro.parallel.bands.BandBlockTask` batches —
         bit-identical results to the ungrouped paths for any slice count
         and backend, which is what removes the largest-fragment floor on
-        the PEtot_F wall time.  Requires the ``"all_band"`` eigensolver
+        the PEtot_F wall time.  When the schedule yields more than one
+        group (total workers > ``band_groups``) and the executor supports
+        ``partition``, the Ng groups run *concurrently*: one worker
+        sub-pool per group (see
+        :func:`repro.parallel.groups.partition_worker_counts`), each
+        group's LPT queue drained by its own driver thread acting as
+        that group's root; otherwise the same queues are drained one
+        after another on the whole executor.  Bit-identical either way —
+        fragment results are pure functions of their tasks and the
+        Gen_dens reduce is order-fixed.  Requires the ``"all_band"`` eigensolver
         and an executor with ``run_bands`` (all backends in
         :mod:`repro.parallel.executor`).  With ``checkpoint_dir=`` set
         on :meth:`run`, completed fragments are additionally persisted
@@ -459,30 +469,10 @@ class LS3DFSCF:
     install_potentials:
         Install each iteration's global input potential once per worker
         through the executor's install channel and ship pipeline (and
-        band-slice) tasks with a fingerprint key instead of the array
-        (PR 6).  Bit-identical on or off; silently falls back to inline
+        band-slice) tasks with a fingerprint key instead of the array.
+        Bit-identical on or off; silently falls back to inline
         shipping when the executor lacks ``install_state``.  Only
         affects the pipeline / band-grouped paths.
-    sliced_nonlocal:
-        Run the Kleinman-Bylander term inside band slices via the
-        blocked fixed-shape projector kernel instead of on each group
-        root (PR 6).  Bit-identical on or off; only affects the
-        band-grouped path.
-    concurrent_groups:
-        Run the Ng band groups of a ``band_groups`` iteration
-        *concurrently*: the executor's workers are partitioned into one
-        sub-pool per group (``executor.partition``; see
-        :func:`repro.parallel.groups.partition_worker_counts`), each
-        group bin's LPT task queue is drained by its own driver thread
-        acting as that group's root, and
-        ``IterationTimings.band_schedule`` records the measured
-        per-group walls instead of only the modelled decomposition.
-        Bit-identical on or off — fragment results are pure functions
-        of their tasks and the Gen_dens reduce is order-fixed.  Takes
-        effect when the schedule yields more than one group (total
-        workers > ``band_groups``) and the executor supports
-        ``partition``; otherwise the groups run sequentially as before.
-        Default True.
     """
 
     def __init__(
@@ -506,8 +496,6 @@ class LS3DFSCF:
         genpot_shards: int | None = None,
         band_groups: int | None = None,
         install_potentials: bool = True,
-        sliced_nonlocal: bool = True,
-        concurrent_groups: bool = True,
     ) -> None:
         self.structure = structure
         self.grid_dims = tuple(int(m) for m in grid_dims)
@@ -575,8 +563,6 @@ class LS3DFSCF:
                 )
         self.executor = executor
         self.install_potentials = bool(install_potentials)
-        self.sliced_nonlocal = bool(sliced_nonlocal)
-        self.concurrent_groups = bool(concurrent_groups)
         self.state_cache = FragmentStateCache()
         self._last_install_key: str | None = None
 
@@ -653,20 +639,17 @@ class LS3DFSCF:
             for f in self.fragments
         ]
 
-    def _reduce_pipeline_results(
-        self, results: Sequence
-    ) -> tuple[np.ndarray, list[FragmentSolveResult]]:
-        """Consume pipeline results: cache update, conversion, tree-reduce.
+    def _patch_in_fragment_order(self, results) -> np.ndarray:
+        """Gen_dens: the deterministic chunked tree sum over the fragments.
 
-        The driver-side Gen_dens step of the band-grouped path (whose
-        results are complete before the reduce starts): store warm
-        starts, attach fragments to the kernel results, and assemble the
-        global density with the same deterministic chunked tree sum as
-        the pipeline path (scatter maps come from the division — no index
-        arrays ride on results).
+        ``results`` yields one pipeline result per fragment, in fragment
+        order — a finished list, or a generator that blocks on each
+        fragment's future — and the fixed ``patch_chunk_size`` chunking
+        makes the summation tree, hence every density bit, independent of
+        the backend and of the order in which workers finish.  Scatter
+        maps come from the division; no index arrays ride on results.
         """
-        frag_results = self._adopt_pipeline_results(results)
-        density = patch_contributions(
+        return patch_contributions(
             self.global_grid.shape,
             (
                 (self.division.global_indices(f, interior_only=True), p.contribution)
@@ -674,7 +657,6 @@ class LS3DFSCF:
             ),
             chunk_size=self.patch_chunk_size,
         )
-        return density, frag_results
 
     def _adopt_pipeline_results(self, results: Sequence) -> list[FragmentSolveResult]:
         """Store the warm starts and attach fragments to the kernel results."""
@@ -699,12 +681,10 @@ class LS3DFSCF:
         performs the restriction, the Kohn-Sham solve and the
         weighted-interior extraction.  The driver only builds tasks
         (timed as ``gen_vf``) and reduces the returned contributions with
-        the deterministic chunked tree sum, consuming each fragment's
+        the deterministic chunked tree sum
+        (:meth:`_patch_in_fragment_order`), consuming each fragment's
         future as soon as it resolves instead of idling until the whole
-        batch returns.  The reduce walks fragments in fragment order with
-        a fixed ``patch_chunk_size`` chunking, so the summation tree —
-        and hence every density bit — is independent of the backend and
-        of the order in which workers finish.
+        batch returns.
         """
         t.pipeline = True
         # --- Gen_VF (driver residue): build one fused task per fragment.
@@ -718,27 +698,17 @@ class LS3DFSCF:
         # with the Gen_dens tree-reduce running under the batch tail.
         t0 = time.perf_counter()
         futures = self.executor.submit_pipeline_batch(tasks)
-        results: list = [None] * len(tasks)
+        results: list = []
         wait = [0.0]
 
-        def ordered_contributions():
-            for i, future in enumerate(futures):
+        def resolved():
+            for future in futures:
                 tw = time.perf_counter()
-                p = future.result()
+                results.append(future.result())
                 wait[0] += time.perf_counter() - tw
-                results[i] = p
-                yield (
-                    self.division.global_indices(
-                        self.fragments[i], interior_only=True
-                    ),
-                    p.contribution,
-                )
+                yield results[-1]
 
-        density = patch_contributions(
-            self.global_grid.shape,
-            ordered_contributions(),
-            chunk_size=self.patch_chunk_size,
-        )
+        density = self._patch_in_fragment_order(resolved())
         wall = time.perf_counter() - t0
         # The consume loop is PEtot_F as the outer loop sees it; its
         # blocked/busy split is the overlap accounting (the busy part ran
@@ -774,18 +744,17 @@ class LS3DFSCF:
         """One band-parallel Gen_VF -> PEtot_F -> Gen_dens lap.
 
         The two-level hierarchy in action: fragments are LPT-assigned to
-        *worker groups* (bins of ``band_groups`` workers).  With
-        ``concurrent_groups`` and a partitionable executor the Ng bins
-        run genuinely in parallel — each group gets its own worker
-        sub-pool (``executor.partition``) and its own driver thread as
-        group root, draining that bin's queue heaviest-first — while the
-        per-slice H·psi / residual work of each fragment spreads over
-        the group's sub-pool as
-        :class:`~repro.parallel.bands.BandBlockTask` batches.  Without
-        partition support (or when the schedule has a single group) the
-        bins time-share the executor sequentially, heaviest fragment
-        first, exactly as before.  Either way the measured per-group
-        walls land in ``t.band_schedule`` (a
+        *worker groups* (bins of ``band_groups`` workers), and one
+        runner drains each bin's queue heaviest-first, the per-slice
+        H·psi / residual work of each fragment spreading over the
+        runner's executor as
+        :class:`~repro.parallel.bands.BandBlockTask` batches.  With more
+        than one bin and a partitionable executor the bins run genuinely
+        in parallel — each runner gets its own worker sub-pool
+        (``executor.partition``) and its own driver thread as group
+        root; otherwise the runners are called one after another on the
+        whole executor.  Either way the measured per-group walls land in
+        ``t.band_schedule`` (a
         :class:`~repro.parallel.scheduler.GroupExecutionRecord`).  The
         data path around the solves is the fused pipeline's (same task
         construction, same deterministic chunked tree-reduce), and each
@@ -840,9 +809,9 @@ class LS3DFSCF:
             }
             t.checkpoint_io += time.perf_counter() - t0
 
-        # --- PEtot_F (band-grouped): LPT over group-sized bins, then run
+        # --- PEtot_F (band-grouped): LPT over group-sized bins, then drain
         # the bins — concurrently on partitioned sub-pools when possible,
-        # else one grouped solve at a time, heaviest fragment first.
+        # else one bin after another on the whole executor.
         t0 = time.perf_counter()
         n_workers = int(getattr(self.executor, "n_workers", 1))
         from repro.parallel.scheduler import FragmentScheduler, GroupExecutionRecord
@@ -853,10 +822,8 @@ class LS3DFSCF:
             cores_per_group=self.band_groups,
         )
         ngroups = len(plan.assignments)
-        concurrent = bool(
-            self.concurrent_groups
-            and ngroups > 1
-            and callable(getattr(self.executor, "partition", None))
+        concurrent = ngroups > 1 and callable(
+            getattr(self.executor, "partition", None)
         )
         results: list[FragmentPipelineResult | None] = [None] * len(tasks)
         replayed_indices: set[int] = set()
@@ -886,7 +853,6 @@ class LS3DFSCF:
                 executor,
                 self.band_groups,
                 install_potentials=self.install_potentials,
-                sliced_nonlocal=self.sliced_nonlocal,
             )
             results[idx] = pres
             group_stats[group].append(stats)
@@ -903,6 +869,14 @@ class LS3DFSCF:
                     )
                 group_io[group] += time.perf_counter() - tio
 
+        def _drain_group(group: int, executor) -> None:
+            g0 = time.perf_counter()
+            try:
+                for idx in queues[group]:
+                    _solve_into_group(idx, group, executor)
+            finally:
+                group_walls[group] = time.perf_counter() - g0
+
         if concurrent:
             subs = self.executor.partition(ngroups)
             # The iteration's input potential was installed on the parent
@@ -915,18 +889,14 @@ class LS3DFSCF:
                         sub.install_state(self._last_install_key, v_in)
             errors: list[BaseException | None] = [None] * ngroups
 
-            def _run_group(group: int) -> None:
-                g0 = time.perf_counter()
+            def _drain_on_thread(group: int) -> None:
                 try:
-                    for idx in queues[group]:
-                        _solve_into_group(idx, group, subs[group])
+                    _drain_group(group, subs[group])
                 except BaseException as exc:
                     errors[group] = exc
-                finally:
-                    group_walls[group] = time.perf_counter() - g0
 
             threads = [
-                threading.Thread(target=_run_group, args=(g,), daemon=True)
+                threading.Thread(target=_drain_on_thread, args=(g,), daemon=True)
                 for g in range(ngroups)
             ]
             for thread in threads:
@@ -941,17 +911,8 @@ class LS3DFSCF:
                 if error is not None:
                     raise error
         else:
-            group_of = {
-                idx: g for g, members in enumerate(plan.assignments) for idx in members
-            }
-            order = np.argsort([task.cost() for task in tasks], kind="stable")[::-1]
-            for idx in order:
-                idx = int(idx)
-                if idx in replayed_indices:
-                    continue
-                f0 = time.perf_counter()
-                _solve_into_group(idx, group_of[idx], self.executor)
-                group_walls[group_of[idx]] += time.perf_counter() - f0
+            for group in range(ngroups):
+                _drain_group(group, self.executor)
 
         for stats_list in group_stats:
             for stats in stats_list:
@@ -984,9 +945,11 @@ class LS3DFSCF:
             for i, p in enumerate(results)
         ]
 
-        # --- Gen_dens (driver residue): identical to the pipeline path.
+        # --- Gen_dens (driver residue): the pipeline path's reduce, over
+        # results that are all complete before it starts.
         t0 = time.perf_counter()
-        density, frag_results = self._reduce_pipeline_results(results)
+        density = self._patch_in_fragment_order(results)
+        frag_results = self._adopt_pipeline_results(results)
         t.gen_dens = time.perf_counter() - t0
         return density, frag_results
 

@@ -18,21 +18,23 @@ families:
   :func:`repro.parallel.distributed.slab_bounds`).
 * :class:`BandBlockTask` / :func:`run_band_block_task` — picklable
   per-slice units of eigensolver work, executed through ``run_bands`` on
-  every backend in :mod:`repro.parallel.executor`.  Three kinds exist:
-  ``"apply_local"`` (the FFT-heavy kinetic + local-potential share of
-  H·psi), ``"apply_h"`` (the full H·psi share including the
-  Kleinman-Bylander term via the blocked fixed-shape kernel) and
-  ``"residual_precond"`` (the preconditioned-residual step of one CG
-  sweep).  All kernels are **row-independent bit for bit** — elementwise
+  every backend in :mod:`repro.parallel.executor`.  Two kinds exist:
+  ``"apply_h"`` (the slice's rows of H·psi: the FFT-heavy kinetic +
+  local-potential share plus the Kleinman-Bylander term via the blocked
+  fixed-shape kernel) and ``"residual_precond"`` (the
+  preconditioned-residual step of one CG sweep).  Both kernels are
+  **row-independent bit for bit** — elementwise
   products, per-band batched FFTs, per-row norms, and globally-aligned
   fixed-shape projector blocks — so a sliced run concatenates to exactly
   the full-block result.
 * :class:`BandGroup` — the driver-side handle one grouped eigensolve
   holds: it scatters the band block into slices, pushes
-  :class:`BandBlockTask` batches through the executor, gathers the rows
-  back, and performs the root share (the dense cross-band algebra) on
-  the full block.  :func:`repro.pw.eigensolver.all_band_cg` accepts one
-  via ``band_groups=``.
+  :class:`BandBlockTask` batches through the executor and gathers the
+  rows back; the root share (the dense cross-band algebra) stays in the
+  eigensolver, on the full block.
+  :func:`repro.core.fragment_task.solve_fragment_task` takes one as
+  ``group=`` and hands it to :func:`repro.pw.eigensolver.all_band_cg`
+  (``band_groups=``).
 
 Why the split is drawn where it is: a *variable-shape* BLAS product is
 not row-slice stable (a 1-row GEMM may dispatch to GEMV with a different
@@ -41,11 +43,11 @@ matrices, subspace rotations — stays on the group root operating on full
 blocks of identical shape.  Per-band work rides in the slices: the FFT +
 pointwise kernels are slice-stable by the verified pocketfft batching
 property (the same one the slab-distributed FFT of
-:mod:`repro.parallel.distributed` rests on), and since PR 6 the nonlocal
-KB term is too — :meth:`repro.pw.hamiltonian.Hamiltonian.add_nonlocal`
-runs as fixed-shape GEMMs over globally-aligned band blocks whose
-outputs are content-independent per column, so any slicing reproduces
-the full-block bits (``sliced_nonlocal=False`` keeps it on the root).
+:mod:`repro.parallel.distributed` rests on), and so is the nonlocal KB
+term — :meth:`repro.pw.hamiltonian.Hamiltonian.add_nonlocal` runs as
+fixed-shape GEMMs over globally-aligned band blocks whose outputs are
+content-independent per column, so any slicing reproduces the
+full-block bits.
 That division happens to mirror the paper's: the q-space data
 parallelism scales with Np, the group-wide reductions are what erode
 intra-group efficiency at large Np
@@ -53,10 +55,9 @@ intra-group efficiency at large Np
 
 Layering: depends on :mod:`repro.core.fragment_task` (the per-process
 static-problem cache keyed by task fingerprints) and :mod:`repro.pw`;
-the executor backends import the task kernel from here, and the grouped
-solve kernels in :mod:`repro.core.fragment_task` import
-:class:`BandGroup` lazily (the same inversion `core.scf` uses for the
-executors).
+the executor backends import the task kernel from here, and the solve
+kernel in :mod:`repro.core.fragment_task` receives a :class:`BandGroup`
+as an argument, so it never imports this module.
 """
 
 from __future__ import annotations
@@ -150,11 +151,11 @@ class BandBlockTask:
     Attributes
     ----------
     kind:
-        Kernel selector — ``"apply_local"`` (kinetic + local-potential
-        share of H·psi for the slice's rows), ``"apply_h"`` (the same
-        plus the slice's Kleinman-Bylander term via the blocked
-        fixed-shape kernel) or ``"residual_precond"`` (residual, per-row
-        norms and preconditioned residual of one CG sweep).
+        Kernel selector — ``"apply_h"`` (H·psi for the slice's rows:
+        kinetic + local potential plus the slice's Kleinman-Bylander
+        term via the blocked fixed-shape kernel) or
+        ``"residual_precond"`` (residual, per-row norms and
+        preconditioned residual of one CG sweep).
     bands:
         The :class:`BandSlice` this task covers (bookkeeping for the
         gathers, and the global band offset the blocked nonlocal kernel
@@ -165,15 +166,14 @@ class BandBlockTask:
         keys the per-process static-problem cache, so pool workers build
         each fragment's basis/Hamiltonian once and reuse it for every
         slice of every sweep; the iteration's screening potential rides
-        either inline (``screening_potential``) or — with the PR 6
-        install channel — as a fingerprint key (``screening_key``) the
+        either inline (``screening_potential``) or — with the install
+        channel — as a fingerprint key (``screening_key``) the
         worker resolves from its installed-potential store, so the array
         is pickled once per (fragment, iteration, worker) instead of
         once per slice per stage.  :class:`BandGroup` strips the
         (never-read) warm-start block either way.
     block:
-        The slice's rows of the primary band block (``x`` rows for
-        ``apply_local``; ``x`` rows for ``residual_precond``).
+        The slice's ``x`` rows of the primary band block (both kinds).
     aux:
         Second per-slice array (``hx`` rows for ``residual_precond``).
     evals:
@@ -226,7 +226,7 @@ class BandBlockResult:
     index:
         Slice index, so gathers can re-order results defensively.
     data:
-        The kernel's primary output rows (H_local·x slice, or the
+        The kernel's primary output rows (H·x slice, or the
         preconditioned residual ``w`` slice).
     extra:
         Secondary per-row output (``residual_precond`` returns the
@@ -278,7 +278,7 @@ def run_band_block_task(
     t0 = time.perf_counter()
     if problem is None:
         problem = get_task_problem(task.template)
-    if task.kind in ("apply_local", "apply_h"):
+    if task.kind == "apply_h":
         h = problem.hamiltonian
         # Raises PotentialNotInstalledError for an uninstalled key — the
         # executor retries this task with the payload attached.
@@ -286,11 +286,11 @@ def run_band_block_task(
         # Idempotent across the slices of one grouped solve (same array).
         h.set_effective_potential(v_screen)
         cblock = np.asarray(task.block, dtype=complex)
-        data = h.apply_local(cblock)
-        if task.kind == "apply_h":
-            # Blocked fixed-shape KB kernel aligned to the GLOBAL band
-            # index — concatenated slices match the full-block bits.
-            h.add_nonlocal(data, cblock, band_offset=task.bands.lo)
+        # Blocked fixed-shape KB kernel aligned to the GLOBAL band index —
+        # concatenated slices match the full-block bits.
+        data = h.add_nonlocal(
+            h.apply_local(cblock), cblock, band_offset=task.bands.lo
+        )
         extra = None
     elif task.kind == "residual_precond":
         precond = problem.hamiltonian.preconditioner()
@@ -387,12 +387,13 @@ class BandGroupStats:
 class BandGroup:
     """Driver-side handle of one band-parallel eigensolve.
 
-    Bound to one fragment's solve task and an executor, this is what
-    :func:`repro.pw.eigensolver.all_band_cg` receives as ``band_groups=``:
-    the solver calls :meth:`apply_h` and :meth:`residual_precond` instead
-    of touching the Hamiltonian directly, and this class scatters the
-    block rows into :class:`BandBlockTask` batches, gathers the results,
-    and performs the root-side share.
+    What :func:`repro.core.fragment_task.solve_fragment_task` receives as
+    ``group=`` and :func:`repro.pw.eigensolver.all_band_cg` as
+    ``band_groups=``: the kernel binds it to the fragment it is solving
+    (:meth:`bind`), and the solver then calls :meth:`apply_h` and
+    :meth:`residual_precond` instead of touching the Hamiltonian directly —
+    this class scatters the block rows into :class:`BandBlockTask`
+    batches and gathers the results in slice order.
 
     Parameters
     ----------
@@ -401,37 +402,15 @@ class BandGroup:
     nslices:
         Number of band slices — the local analogue of the paper's Np
         cores per fragment group.
-    template:
-        The fragment's solve task (must carry a real
-        ``screening_potential`` or an installed ``screening_key``);
-        shipped with every band task so pool workers can reach the
-        cached static problem.
-    problem:
-        The driver-side static problem (for the root's nonlocal term and
-        Hamiltonian bookkeeping); looked up from the per-process cache
-        when omitted.
     install:
         Install the screening potential once per worker through
         ``executor.install_state`` and strip the array from the shipped
-        template (PR 6); falls back to inline shipping when the executor
-        lacks an install channel.  Bit-identical either way.
-    sliced_nonlocal:
-        Run the Kleinman-Bylander term inside the slices (``"apply_h"``
-        tasks, blocked fixed-shape kernel) instead of on the root.
-        Bit-identical either way; automatically falls back to the root
-        path when the blocked kernel is disabled
-        (``REPRO_NONLOCAL_BLOCK=0``), whose single variable-shape GEMM
-        is not slice-stable.
+        template; falls back to inline shipping when the executor lacks
+        an install channel.  Bit-identical either way.
     """
 
     def __init__(
-        self,
-        executor: BandGroupExecutor,
-        nslices: int,
-        template: FragmentTask,
-        problem: TaskProblem | None = None,
-        install: bool = True,
-        sliced_nonlocal: bool = True,
+        self, executor: BandGroupExecutor, nslices: int, install: bool = True
     ) -> None:
         if nslices < 1:
             raise ValueError("nslices must be positive")
@@ -442,22 +421,29 @@ class BandGroup:
             )
         self.executor = executor
         self.nslices = int(nslices)
+        self.install = bool(install) and hasattr(executor, "install_state")
+        self.template: FragmentTask | None = None
+        self.stats = BandGroupStats(nslices=self.nslices)
+
+    def bind(self, task: FragmentTask) -> "BandGroup":
+        """Attach the fragment solve whose band block this group slices.
+
+        ``task`` must carry a real ``screening_potential`` or an installed
+        ``screening_key``; a copy of it ships with every band task so pool
+        workers can reach the cached static problem.
+        """
         # Every band task of every stage ships this template (the process
         # backend pickles it each time), so drop the warm-start block —
         # neither band kernel reads it, and it is the largest field after
         # the screening potential, which the install channel strips next.
-        self.template = replace(template, initial_coefficients=None)
-        self.problem = problem if problem is not None else get_task_problem(template)
-        self.sliced_nonlocal = bool(sliced_nonlocal)
-        self.install = bool(install) and hasattr(executor, "install_state")
-        if self.install and self.template.screening_potential is not None:
-            v = np.asarray(self.template.screening_potential)
+        template = replace(task, initial_coefficients=None)
+        if self.install and template.screening_potential is not None:
+            v = np.asarray(template.screening_potential)
             key = potential_fingerprint(v)
-            executor.install_state(key, v)
-            self.template = replace(
-                self.template, screening_potential=None, screening_key=key
-            )
-        self.stats = BandGroupStats(nslices=self.nslices)
+            self.executor.install_state(key, v)
+            template = replace(template, screening_potential=None, screening_key=key)
+        self.template = template
+        return self
 
     # ------------------------------------------------------------------
     def _run_stage(
@@ -468,6 +454,8 @@ class BandGroup:
         evals: np.ndarray | None = None,
     ) -> list[BandBlockResult]:
         """Scatter one block into slice tasks, run them, gather in order."""
+        if self.template is None:
+            raise RuntimeError("BandGroup.bind(task) must precede the first stage")
         tasks = [
             BandBlockTask(
                 kind=kind,
@@ -489,21 +477,14 @@ class BandGroup:
     def apply_h(self, block: np.ndarray) -> np.ndarray:
         """Group-distributed H·psi on a band block, bit-identical to serial.
 
-        With ``sliced_nonlocal`` (the default) each slice computes its
-        rows' *full* H·psi — kinetic + local potential plus its share of
-        the Kleinman-Bylander term through the blocked fixed-shape kernel
-        aligned to global band indices — and the root only concatenates.
-        Otherwise the slices carry the row-independent
-        :meth:`~repro.pw.hamiltonian.Hamiltonian.apply_local` share and
-        the root adds the nonlocal term on the full block.  Both paths
-        produce identical bits to the single-worker ``h.apply``.
+        Each slice computes its rows' *full* H·psi — kinetic + local
+        potential plus its share of the Kleinman-Bylander term through
+        the blocked fixed-shape kernel aligned to global band indices —
+        and the root only concatenates: the same bits as the
+        single-worker ``h.apply``.
         """
-        if self.sliced_nonlocal and self.problem.hamiltonian.nonlocal_block > 0:
-            results = self._run_stage("apply_h", block)
-            return np.concatenate([r.data for r in results], axis=0)
-        results = self._run_stage("apply_local", block)
-        out = np.concatenate([r.data for r in results], axis=0)
-        return self.problem.hamiltonian.add_nonlocal(out, block)
+        results = self._run_stage("apply_h", block)
+        return np.concatenate([r.data for r in results], axis=0)
 
     def residual_precond(
         self, x: np.ndarray, hx: np.ndarray, evals: np.ndarray

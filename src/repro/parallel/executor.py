@@ -55,11 +55,6 @@ from typing import Sequence
 
 import numpy as np
 
-# Re-exported so existing `from repro.parallel.executor import ...` sites
-# keep working; the canonical home is now repro.core.fragment_task.  Note
-# the kernel's signature changed with the move: solve_fragment_task takes
-# an optional TaskProblem (not the old return_coefficients flag — that is
-# now the task's `return_coefficients` field, default True).
 from repro.core.fragment_task import (
     ExecutionReport,
     FragmentExecutor,
@@ -192,14 +187,6 @@ def gather_in_order(futures: Sequence) -> list:
         raise
 
 
-def _resolve_worker_count(n_workers: int | None, nworkers: int | None) -> int:
-    """Merge the ``n_workers`` spelling with the legacy ``nworkers`` one."""
-    n = n_workers if n_workers is not None else nworkers
-    if n is not None and n < 1:
-        raise ValueError("n_workers must be positive")
-    return int(n or os.cpu_count() or 1)
-
-
 class SerialFragmentExecutor:
     """Executes fragment tasks one after another in the calling process.
 
@@ -218,11 +205,6 @@ class SerialFragmentExecutor:
         self._counter_mutex = threading.Lock()
         self._counter_root: "SerialFragmentExecutor" = self
         self._partitions: dict[int, list["SerialFragmentExecutor"]] = {}
-
-    @property
-    def nworkers(self) -> int:
-        """Worker count under the legacy spelling (same as ``n_workers``)."""
-        return self.n_workers
 
     def _bump(self, logical: int, physical: int) -> None:
         """Thread-safely count submissions on the partition root.
@@ -341,12 +323,10 @@ class _PoolFragmentExecutor:
     _broadcast_installs = False
     _INSTALL_PAYLOAD_MAX = 64
 
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        nworkers: int | None = None,
-    ) -> None:
-        self.n_workers = _resolve_worker_count(n_workers, nworkers)
+    def __init__(self, n_workers: int | None = None) -> None:
+        if n_workers is not None and n_workers < 1:
+            raise ValueError("n_workers must be positive")
+        self.n_workers = int(n_workers or os.cpu_count() or 1)
         self._pool: Executor | None = None
         self._scheduler = FragmentScheduler()
         # Count of every *logical* task handed to this executor over its
@@ -402,11 +382,6 @@ class _PoolFragmentExecutor:
                 cached.append(child)
             self._partitions[ngroups] = cached
         return cached
-
-    @property
-    def nworkers(self) -> int:
-        """Worker count under the legacy spelling (same as ``n_workers``)."""
-        return self.n_workers
 
     def _make_pool(self) -> Executor:
         raise NotImplementedError
@@ -645,7 +620,6 @@ class ProcessPoolFragmentExecutor(_PoolFragmentExecutor):
     ----------
     n_workers:
         Number of worker processes ("groups"); defaults to the CPU count.
-        The legacy spelling ``nworkers`` is also accepted.
     """
 
     _broadcast_installs = True

@@ -749,11 +749,6 @@ class RemoteExecutor:
         return max(1, len(self._live_handles()))
 
     @property
-    def nworkers(self) -> int:
-        """Worker count under the legacy spelling (same as ``n_workers``)."""
-        return self.n_workers
-
-    @property
     def bytes_sent(self) -> int:
         """Driver-to-worker bytes over this executor's connections."""
         return sum(h.bytes_sent for h in self._handles)
@@ -1011,14 +1006,10 @@ class RemoteExecutor:
                 healed = attach(key, payload)
                 reply = handle.request({"op": "task", "kind": kind, "task": healed})
                 if reply.get("ok"):
-                    # The healed payload rode inline; install it properly so
-                    # later key-only tasks on this worker need no more heals.
-                    install_reply = handle.request(
-                        {"op": "install", "key": key, "payload": payload}
-                    )
-                    if install_reply.get("ok"):
-                        handle.installed_keys.add(key)
-                        self._count("install_broadcasts")
+                    # The worker installed the payload that rode in with its
+                    # key (fragment_task._resolve_potential): later key-only
+                    # tasks there resolve, and install_state need not resend.
+                    handle.installed_keys.add(key)
                     return reply["result"]
         raise RemoteTaskError(
             str(reply.get("error_type")), str(reply.get("error"))

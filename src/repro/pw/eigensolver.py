@@ -131,7 +131,8 @@ def all_band_cg(
         rotations, Rayleigh-Ritz.  Results are bit-identical to the
         default in-process path for any slice count, because the sliced
         kernels are row-independent bit for bit
-        (:meth:`repro.pw.hamiltonian.Hamiltonian.apply_local`) and the
+        (:meth:`repro.pw.hamiltonian.Hamiltonian.apply_local`,
+        :meth:`~repro.pw.hamiltonian.Hamiltonian.add_nonlocal`) and the
         root-side algebra runs on full blocks of identical shape.  The
         default ``None`` keeps the single-worker path.
 

@@ -15,7 +15,6 @@ exact-diagonalization reference solver on tiny fragments.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -26,17 +25,11 @@ from repro.pw.basis import PlaneWaveBasis
 from repro.pw.pseudopotential import PseudopotentialSet
 
 
-def default_nonlocal_block() -> int:
-    """Column-block size of the fixed-shape nonlocal kernel (PR 6).
-
-    ``REPRO_NONLOCAL_BLOCK`` overrides the default of 8; ``0`` disables
-    blocking and restores the seed's single variable-shape GEMM pair
-    (which is *not* row-slice stable — see :meth:`Hamiltonian.add_nonlocal`).
-    """
-    try:
-        return int(os.environ.get("REPRO_NONLOCAL_BLOCK", "8"))
-    except ValueError:
-        return 8
+# Column-block width of the fixed-shape nonlocal kernel.  A constant, not a
+# setting: it fixes the GEMM operand shapes and hence the result bits, so
+# every process of a run (driver, pool workers, repro-worker daemons) must
+# agree on it for sliced solves to stay bit-identical.
+_NONLOCAL_BLOCK = 8
 
 
 @dataclass
@@ -115,7 +108,6 @@ class Hamiltonian:
         self.projectors = projectors
         self.projector_strengths = projector_strengths
         self.counter = ApplyCounter()
-        self.nonlocal_block = default_nonlocal_block()
         self._projectors_conj: np.ndarray | None = None
         self._projectors_t: np.ndarray | None = None
         self._default_preconditioner: np.ndarray | None = None
@@ -221,9 +213,9 @@ class Hamiltonian:
     ) -> np.ndarray:
         """Add the nonlocal KB term of a band block to ``out`` (in place).
 
-        Blocked fixed-shape kernel (PR 6).  Bands are pushed through the
-        two projection GEMMs in column blocks of exactly
-        ``self.nonlocal_block`` columns, aligned to the *global* band index
+        Blocked fixed-shape kernel.  Bands are pushed through the two
+        projection GEMMs in column blocks of exactly ``_NONLOCAL_BLOCK``
+        columns, aligned to the *global* band index
         ``band_offset + i``; columns the call does not own are zero-filled.
         A BLAS GEMM output column depends only on its own input column once
         the operand shapes and the column position are fixed (verified
@@ -231,9 +223,10 @@ class Hamiltonian:
         batched-pocketfft property ``apply_local`` rests on), so every
         band's result is bit-identical no matter how the block is sliced
         across workers.  The band-sliced eigensolver therefore runs this
-        term inside band slices (``band_offset = slice.lo``) instead of on
-        the group root.  ``nonlocal_block = 0`` restores the seed's single
-        variable-shape GEMM pair, which is *not* row-slice stable.
+        term inside band slices (``band_offset = slice.lo``).  (One GEMM
+        pair over the whole variable-shape block would *not* be row-slice
+        stable: a 1-row product may dispatch to GEMV with a different
+        accumulation order.)
         """
         if not self.nproj:
             return out
@@ -249,13 +242,9 @@ class Hamiltonian:
             # "below numpy" item; measured by tools/profile_hot_paths.py).
             self._projectors_t = np.ascontiguousarray(self.projectors.T)
         projectors_t = self._projectors_t
-        blk = int(self.nonlocal_block or 0)
-        if blk <= 0:
-            beta = self._projectors_conj @ c.T  # (nproj, nbands)
-            out += (projectors_t @ (strengths * beta)).T
-        elif m:
-            npw = self.basis.npw
-            cblk = np.empty((npw, blk), dtype=complex)
+        blk = _NONLOCAL_BLOCK
+        if m:
+            cblk = np.empty((self.basis.npw, blk), dtype=complex)
             first = band_offset // blk
             last = (band_offset + m - 1) // blk
             for k in range(first, last + 1):

@@ -149,9 +149,9 @@ def test_serial_executor_runs_all_tasks():
 
 def test_process_pool_executor_distributes_tasks():
     tasks = [_make_task(f"f{i}") for i in range(2)]
-    report = ProcessPoolFragmentExecutor(nworkers=2).run(tasks)
+    report = ProcessPoolFragmentExecutor(n_workers=2).run(tasks)
     assert len(report.results) == 2
     assert {r.label for r in report.results} == {"f0", "f1"}
     assert report.distinct_workers >= 1
     with pytest.raises(ValueError):
-        ProcessPoolFragmentExecutor(nworkers=0)
+        ProcessPoolFragmentExecutor(n_workers=0)

@@ -26,7 +26,6 @@ from repro.core.fragment_task import (
     run_fragment_pipeline_task,
     run_fragment_pipeline_task_grouped,
     solve_fragment_task,
-    solve_fragment_task_grouped,
 )
 from repro.core.scf import LS3DFSCF
 from repro.io.checkpoint import (
@@ -121,14 +120,14 @@ def test_band_block_task_pickle_roundtrip():
     task = _make_task()
     block = np.zeros((2, 5), dtype=complex)
     btask = BandBlockTask(
-        kind="apply_local",
+        kind="apply_h",
         bands=band_slices(4, 2)[0],
         template=task,
         block=block,
     )
     clone = pickle.loads(pickle.dumps(btask))
-    assert clone.kind == "apply_local"
-    assert clone.label == btask.label == f"{task.label}:apply_local[0/2]"
+    assert clone.kind == "apply_h"
+    assert clone.label == btask.label == f"{task.label}:apply_h[0/2]"
     assert clone.bands == btask.bands
     assert np.array_equal(clone.block, block)
     assert clone.template.static_fingerprint() == task.static_fingerprint()
@@ -145,14 +144,18 @@ def test_run_band_block_task_rejects_unknown_kind():
     )
     with pytest.raises(ValueError, match="unknown band task kind"):
         run_band_block_task(btask)
+    # The root-side-nonlocal kind is gone with the switch that selected it.
+    btask.kind = "apply_local"
+    with pytest.raises(ValueError, match="unknown band task kind"):
+        run_band_block_task(btask)
 
 
 def test_grouped_apply_bit_identical_to_hamiltonian_apply():
     """BandGroup.apply_h == Hamiltonian.apply bit for bit, any slice count.
 
-    The load-bearing decomposition: slices carry the row-independent
-    kinetic + local (FFT) share, the root adds the nonlocal term on the
-    full block with unchanged BLAS shapes.
+    The load-bearing decomposition: each slice carries its rows' whole
+    H·psi — the row-independent kinetic + local (FFT) share plus the
+    blocked fixed-shape nonlocal term — and the root only concatenates.
     """
     from repro.core.fragment_task import get_task_problem
 
@@ -165,7 +168,7 @@ def test_grouped_apply_bit_identical_to_hamiltonian_apply():
     ref = h.apply(x)
     executor = SerialFragmentExecutor()
     for nslices in (1, 2, 3, nbands):
-        group = BandGroup(executor, nslices, task, problem=problem)
+        group = BandGroup(executor, nslices).bind(task)
         np.testing.assert_array_equal(group.apply_h(x), ref)
         assert group.stats.stages == 1
         assert group.stats.submissions == nslices
@@ -189,7 +192,7 @@ def test_grouped_residual_precond_bit_identical():
     rnorm_ref = np.linalg.norm(r, axis=1)
     executor = SerialFragmentExecutor()
     for nslices in (1, 2, 3, nbands):
-        group = BandGroup(executor, nslices, task, problem=problem)
+        group = BandGroup(executor, nslices).bind(task)
         w, rnorm = group.residual_precond(x, hx, evals)
         np.testing.assert_array_equal(w, w_ref)
         np.testing.assert_array_equal(rnorm, rnorm_ref)
@@ -200,7 +203,9 @@ def test_band_group_requires_capable_executor():
         n_workers = 1
 
     with pytest.raises(TypeError, match="run_bands"):
-        BandGroup(RunOnly(), 2, _make_task())
+        BandGroup(RunOnly(), 2)
+    with pytest.raises(RuntimeError, match="bind"):
+        BandGroup(SerialFragmentExecutor(), 2).apply_h(np.zeros((2, 5), dtype=complex))
     for executor in (
         SerialFragmentExecutor(),
         ThreadPoolFragmentExecutor(n_workers=1),
@@ -231,7 +236,7 @@ def test_grouped_all_band_cg_bit_identical_serial(solve_reference):
         tolerance=task.tolerance)
     executor = SerialFragmentExecutor()
     for nslices in (1, 2, 3, problem.nbands):
-        group = BandGroup(executor, nslices, task, problem=problem)
+        group = BandGroup(executor, nslices).bind(task)
         got = all_band_cg(
             h, problem.nbands, max_iterations=task.max_iterations,
             tolerance=task.tolerance, band_groups=group)
@@ -256,8 +261,9 @@ def test_grouped_solve_bit_identical_all_backends(backend, solve_reference):
     }
     with executors[backend]() as executor:
         for nslices in (1, 2, 3, nbands):
-            result, stats = solve_fragment_task_grouped(
-                _make_task(), executor, nslices)
+            group = BandGroup(executor, nslices)
+            result = solve_fragment_task(_make_task(), group=group)
+            stats = group.stats
             np.testing.assert_array_equal(result.eigenvalues, ref.eigenvalues)
             np.testing.assert_array_equal(result.density, ref.density)
             np.testing.assert_array_equal(result.coefficients, ref.coefficients)
@@ -274,8 +280,9 @@ def test_one_submission_per_slice_per_stage():
     agrees with the group's."""
     for nslices in (1, 2, 3):
         executor = SerialFragmentExecutor()
-        _result, stats = solve_fragment_task_grouped(
-            _make_task(), executor, nslices)
+        group = BandGroup(executor, nslices)
+        solve_fragment_task(_make_task(), group=group)
+        stats = group.stats
         assert stats.submissions == stats.stages * nslices
         assert executor.tasks_submitted == stats.submissions
         assert len(stats.task_times) == stats.submissions
@@ -287,30 +294,7 @@ def test_grouped_solve_rejects_band_by_band():
     task = _make_task()
     task.eigensolver = "band_by_band"
     with pytest.raises(ValueError, match="all-band"):
-        solve_fragment_task_grouped(task, SerialFragmentExecutor(), 2)
-
-
-def test_fragment_solver_grouped_convenience_matches_plain():
-    """FragmentSolver.solve_fragment_grouped == solve_fragment, bitwise,
-    including the per-fragment warm-start bookkeeping both maintain."""
-    from repro.core.patching import restrict_to_fragment
-
-    scf_a, scf_b = _tiny_scf(), _tiny_scf()
-    fragment = scf_a.fragments[0]
-    v_in = scf_a.genpot.initial_potential()
-    restricted_a = restrict_to_fragment(scf_a.division, fragment, v_in)
-    ref = scf_a.fragment_solver.solve_fragment(
-        fragment, restricted_a,
-        eigensolver_tolerance=1e-4, eigensolver_iterations=40)
-    got = scf_b.fragment_solver.solve_fragment_grouped(
-        scf_b.fragments[0], restricted_a, SerialFragmentExecutor(), 2,
-        eigensolver_tolerance=1e-4, eigensolver_iterations=40)
-    np.testing.assert_array_equal(got.eigenvalues, ref.eigenvalues)
-    np.testing.assert_array_equal(got.density, ref.density)
-    assert got.quantum_energy == ref.quantum_energy
-    # Both entry points store the converged wavefunctions for warm starts.
-    problem = scf_b.fragment_solver.build_problem(scf_b.fragments[0])
-    assert problem.wavefunctions is not None
+        solve_fragment_task(task, group=BandGroup(SerialFragmentExecutor(), 2))
 
 
 def test_grouped_pipeline_kernel_matches_ungrouped():

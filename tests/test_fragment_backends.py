@@ -155,14 +155,13 @@ def test_executors_satisfy_protocol():
         assert isinstance(executor, FragmentExecutor)
 
 
-def test_worker_count_spellings_and_validation():
+def test_worker_count_validation():
     assert ProcessPoolFragmentExecutor(n_workers=3).n_workers == 3
-    assert ProcessPoolFragmentExecutor(nworkers=3).n_workers == 3  # legacy
-    assert ProcessPoolFragmentExecutor(nworkers=3).nworkers == 3
+    assert ProcessPoolFragmentExecutor(3).n_workers == 3  # positional
     with pytest.raises(ValueError):
         ProcessPoolFragmentExecutor(n_workers=0)
     with pytest.raises(ValueError):
-        ThreadPoolFragmentExecutor(nworkers=-1)
+        ThreadPoolFragmentExecutor(n_workers=-1)
 
 
 def test_pool_report_carries_lpt_schedule():

@@ -14,8 +14,9 @@ actually overlapped.  These tests pin down:
   reference, plus one-submission-per-slice accounting per group;
 * the measured record itself (``concurrent`` flag, per-group walls,
   ``concurrency_efficiency``) and its LPT-plan delegation;
-* the opt-outs: ``concurrent_groups=False`` and a serial executor both
-  fall back to the sequential path, bit-identically;
+* the inline path: an executor without ``partition`` (or with a single
+  worker) drains the same group queues one after another,
+  bit-identically;
 * fault recovery: killing one group mid-iteration with the
   :class:`~repro.parallel.faults.FlakyExecutor` harness loses only that
   group's fragments — the PR 5 partial-checkpoint replay heals exactly
@@ -184,7 +185,7 @@ def grouped_concurrent():
     return result, stats
 
 
-def test_concurrent_groups_bit_identical(pipeline_reference, grouped_concurrent):
+def test_groups_on_subpools_bit_identical(pipeline_reference, grouped_concurrent):
     result, _ = grouped_concurrent
     _assert_scf_identical(result, pipeline_reference)
 
@@ -208,7 +209,7 @@ def test_band_schedule_is_a_measured_record(grouped_concurrent):
         assert 0.0 < record.intra_group_efficiency <= 1.0
 
 
-def test_concurrent_groups_one_submission_per_slice(grouped_concurrent):
+def test_groups_on_subpools_one_submission_per_slice(grouped_concurrent):
     result, stats = grouped_concurrent
     stages = sum(t.band_stages for t in result.timings)
     assert stages > 0
@@ -217,16 +218,30 @@ def test_concurrent_groups_one_submission_per_slice(grouped_concurrent):
     assert stats["tasks"] == stages * 2
 
 
-def test_concurrent_groups_opt_out(pipeline_reference):
+class _Unpartitionable:
+    """A 4-worker pool seen through an executor surface without ``partition``."""
+
+    def __init__(self, pool):
+        self.n_workers = pool.n_workers
+        self.run = pool.run
+        self.run_bands = pool.run_bands
+        self.install_state = pool.install_state
+
+
+def test_groups_run_inline_without_partition(grouped_concurrent):
+    """More workers than ``band_groups`` but no ``partition``: the same
+    per-group queue runner is called inline on the whole executor."""
+    concurrent, _ = grouped_concurrent
     pool = ThreadPoolFragmentExecutor(4)
     try:
-        scf = _tiny_scf(pool, band_groups=2, concurrent_groups=False)
-        assert scf.concurrent_groups is False
-        result = scf.run(**_RUN_KW)
+        result = _tiny_scf(_Unpartitionable(pool), band_groups=2).run(**_RUN_KW)
     finally:
         pool.close()
-    _assert_scf_identical(result, pipeline_reference)
-    assert all(not t.band_schedule.concurrent for t in result.timings)
+    _assert_scf_identical(result, concurrent)
+    for t in result.timings:
+        assert t.band_schedule.concurrent is False
+        assert len(t.band_schedule.group_walls) == 2
+        assert all(w > 0.0 for w in t.band_schedule.group_walls)
 
 
 def test_serial_executor_runs_groups_sequentially(pipeline_reference):
@@ -240,7 +255,7 @@ def test_serial_executor_runs_groups_sequentially(pipeline_reference):
         assert t.band_schedule.wall_time > 0.0
 
 
-def test_remote_partition_children_and_concurrent_groups(pipeline_reference):
+def test_remote_partition_children_run_groups_concurrently(pipeline_reference):
     servers = [start_worker_thread() for _ in range(4)]
     config = RemoteExecutorConfig(
         connect_timeout=2.0, request_timeout=60.0, heartbeat_interval=1e9,

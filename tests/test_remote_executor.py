@@ -234,7 +234,7 @@ def test_remote_executor_satisfies_protocols():
     executor = RemoteExecutor([])
     assert isinstance(executor, FragmentExecutor)
     assert isinstance(executor, PipelineFragmentExecutor)
-    assert executor.n_workers == executor.nworkers == 1  # never degenerates
+    assert executor.n_workers == 1  # never degenerates
 
 
 def test_remote_run_matches_local_kernels():
@@ -299,7 +299,8 @@ def test_install_dedup_keeps_repeats_off_the_wire():
 def test_missed_install_heals_with_payload_then_reinstalls():
     """A worker that never saw the install answers with the typed miss;
     the driver resubmits once with the payload inline (bit-identical
-    result), then installs the key properly so the heal happens once."""
+    result) and the worker keeps that payload under its key, so the heal
+    happens once and the potential crosses the wire once per heal."""
     scf = _tiny_scf()
     v_in = scf.genpot.initial_potential()
     key = potential_fingerprint(v_in)
@@ -314,14 +315,31 @@ def test_missed_install_heals_with_payload_then_reinstalls():
         with _cluster(1) as (executor, _):
             executor.install_state(key, v_in)
             clear_installed_potentials()  # simulate worker amnesia
+            sent = [executor.bytes_sent]
             report = executor.run_pipeline([keyed])
+            sent.append(executor.bytes_sent)
             np.testing.assert_array_equal(
                 report.results[0].contribution, reference.contribution)
             assert executor.tasks_submitted == 1
             assert executor.pool_submissions == 2  # one heal retry
-            # The post-heal explicit install restocked the worker store.
-            assert executor.install_broadcasts == 2
+            assert executor.install_broadcasts == 1  # no install frame after it
+            # The retry's payload restocked the worker store ...
             np.testing.assert_array_equal(fetch_potential(key), v_in)
+            # ... so a second key-only task there needs no further heal, and
+            # a repeated install_state of the key sends nothing.
+            again = executor.run_pipeline([keyed])
+            sent.append(executor.bytes_sent)
+            np.testing.assert_array_equal(
+                again.results[0].contribution, reference.contribution)
+            assert executor.pool_submissions == 3
+            executor.install_state(key, v_in)
+            assert executor.install_broadcasts == 1
+            assert executor.bytes_sent == sent[2]
+            # One payload crossed the wire for the heal: the healed batch is
+            # two task frames (miss, retry) plus the potential, once.
+            task_frame = sent[2] - sent[1]
+            extra = (sent[1] - sent[0]) - 2 * task_frame
+            assert v_in.nbytes <= extra < 1.5 * v_in.nbytes
     finally:
         clear_installed_potentials()
 

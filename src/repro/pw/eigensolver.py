@@ -8,9 +8,10 @@ Two solvers are provided, mirroring the paper's PEtot_F optimisation story:
   are matrix-vector (BLAS-2-like) operations.
 
 * :func:`all_band_cg` — the optimised algorithm: iterate on the whole band
-  block simultaneously, using an expanded subspace [X, W] (current block +
-  preconditioned residuals), an overlap-matrix orthogonalisation and a
-  Rayleigh-Ritz subspace diagonalisation.  All heavy operations are
+  block simultaneously, using an expanded subspace [X, P, W] (current block,
+  previous search directions, preconditioned residuals), an overlap-matrix
+  orthogonalisation and a Rayleigh-Ritz subspace diagonalisation, at the
+  paper's cost of one H·psi per band per step.  All heavy operations are
   matrix-matrix (BLAS-3) products, which is exactly the change that took
   PEtot from 15% to ~56% of peak in the paper.
 
@@ -48,7 +49,7 @@ class EigensolverResult:
     iterations:
         Number of outer iterations performed.
     converged:
-        True when all residuals fell below the tolerance.
+        True when every entry of ``residual_norms`` is below the tolerance.
     history:
         Per-iteration maximum residual norm (diagnostics / tests of
         monotone convergence behaviour).
@@ -90,8 +91,41 @@ def exact_diagonalization(h: Hamiltonian, nbands: int) -> EigensolverResult:
 
 
 # ---------------------------------------------------------------------------
-# All-band solver (BLAS-3): block iteration with Rayleigh-Ritz on [X, W]
+# All-band solver (BLAS-3): block iteration with Rayleigh-Ritz on [X, P, W]
 # ---------------------------------------------------------------------------
+
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().T)
+
+
+def _ritz(x: np.ndarray, hx: np.ndarray):
+    """Rayleigh-Ritz inside an orthonormal block: ``(evals, u.T x, u.T hx)``."""
+    evals, u = np.linalg.eigh(_hermitian(x.conj() @ hx.T))
+    return evals, u.T @ x, u.T @ hx
+
+
+def _expansion_block(basis, w: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the part of ``w`` outside the rows of ``held``.
+
+    ``held`` has orthonormal rows.  Rows of ``w`` that vanish under the
+    projection and near-null directions of what is left are dropped, so the
+    result may have fewer rows than ``w`` (none when ``w`` lies in ``held``).
+    The projection runs twice: the first pass leaves rounding-sized
+    components along ``held`` that normalising amplifies, the second removes
+    them ("twice is enough").
+    """
+    w = w - (w @ held.conj().T) @ held
+    norm = np.linalg.norm(w, axis=1)
+    keep = norm > 1e-14
+    w = w[keep] / norm[keep, None]
+    if not len(w):
+        return w
+    svals, svecs = np.linalg.eigh(_hermitian(w @ w.conj().T))
+    good = svals > 1e-10
+    w = (svecs[:, good] * (1.0 / np.sqrt(svals[good]))[None, :]).conj().T @ w
+    w -= (w @ held.conj().T) @ held
+    return basis.orthonormalize(w)
+
 
 def all_band_cg(
     h: Hamiltonian,
@@ -102,7 +136,18 @@ def all_band_cg(
     rng: np.random.Generator | int | None = 0,
     band_groups=None,
 ) -> EigensolverResult:
-    """All-band preconditioned block solver (LOBPCG-style without history).
+    """All-band preconditioned block solver (LOBPCG on an orthonormal basis).
+
+    One H application per band per iteration.  The block ``x``, the block
+    ``p`` of previous search directions and the preconditioned residuals
+    ``w`` are kept as one orthonormal basis ``s = [x, p, w]``; H is applied
+    to ``w`` only, and the images of ``x`` and ``p`` are carried as the same
+    linear combinations of ``h s`` that produce ``x`` and ``p`` from ``s``.
+    Every matrix that multiplies a carried image has orthonormal columns,
+    so rounding drift in the images grows by about one ulp per iteration
+    instead of being amplified (``docs/ARCHITECTURE.md``, "Hot paths").
+    The carried images only steer the iteration: the solver stops on a
+    fresh ``H x``, and every field of the result is computed from it.
 
     Parameters
     ----------
@@ -115,7 +160,7 @@ def all_band_cg(
         previous SCF iteration's wavefunctions (as LS3DF does) makes each
         SCF step much cheaper.
     max_iterations:
-        Maximum outer iterations.
+        Maximum number of iterations (subspace expansions).
     tolerance:
         Convergence threshold on the maximum residual 2-norm.
     rng:
@@ -139,6 +184,9 @@ def all_band_cg(
     Returns
     -------
     EigensolverResult
+        ``iterations`` counts the subspace expansions, i.e. the in-loop H
+        applications per band; ``history`` holds the maximum residual each
+        of them started from.
     """
     basis = h.basis
     if nbands < 1 or nbands > basis.npw // 2:
@@ -163,76 +211,54 @@ def all_band_cg(
         apply_h = band_groups.apply_h
         residual_precond = band_groups.residual_precond
     history: list[float] = []
-    evals = np.zeros(nbands)
-    converged = False
     it = 0
-    p: np.ndarray | None = None  # LOBPCG-style search directions (history)
-    for it in range(1, max_iterations + 1):
-        hx = apply_h(x)
-        # Rayleigh-Ritz within the current block first (keeps x H-orthogonal).
-        hsub = x.conj() @ hx.T
-        hsub = 0.5 * (hsub + hsub.conj().T)
-        evals_sub, u = np.linalg.eigh(hsub)
-        x = u.T @ x
-        hx = u.T @ hx
-        evals = evals_sub
-
-        # Preconditioned residuals (per-band work: sliceable), then the
-        # cross-band projection out of the current subspace (root work).
-        w, rnorm = residual_precond(x, hx, evals)
-        history.append(float(rnorm.max()))
-        if rnorm.max() < tolerance:
-            converged = True
-            break
-
-        w -= (w @ x.conj().T) @ x
-        wnorm = np.linalg.norm(w, axis=1)
-        keep = wnorm > 1e-14
-        w = w[keep] / wnorm[keep, None]
-        if w.shape[0] == 0:
-            converged = rnorm.max() < tolerance
-            break
-
-        # Rayleigh-Ritz on the expanded subspace [x, w, p]  (the p block of
-        # previous search directions gives LOBPCG-grade convergence while
-        # keeping every heavy operation a matrix-matrix product).
-        blocks = [x, w]
-        if p is not None and p.shape[0]:
-            q = p - (p @ x.conj().T) @ x
-            q -= (q @ w.conj().T) @ w
-            qnorm = np.linalg.norm(q, axis=1)
-            keep_q = qnorm > 1e-10
-            if np.any(keep_q):
-                blocks.append(q[keep_q] / qnorm[keep_q, None])
-        sub = np.vstack(blocks)
-        overlap = sub @ sub.conj().T
-        overlap = 0.5 * (overlap + overlap.conj().T)
-        # Drop near-null directions for numerical safety.
-        svals, svecs = np.linalg.eigh(overlap)
-        good = svals > 1e-10
-        trans = svecs[:, good] * (1.0 / np.sqrt(svals[good]))[None, :]
-        sub_on = trans.conj().T @ sub
-        hsub_big = sub_on.conj() @ apply_h(sub_on).T
-        hsub_big = 0.5 * (hsub_big + hsub_big.conj().T)
-        evals_big, u_big = np.linalg.eigh(hsub_big)
-        x_new = u_big[:, :nbands].T @ sub_on
-        # New search directions: the part of the update outside the old block.
-        p = x_new - (x_new @ x.conj().T) @ x
-        x = basis.orthonormalize(x_new)
-
     hx = apply_h(x)
-    hsub = x.conj() @ hx.T
-    hsub = 0.5 * (hsub + hsub.conj().T)
-    evals, u = np.linalg.eigh(hsub)
-    x = u.T @ x
-    r = apply_h(x) - evals[:, None] * x
-    rnorm = np.linalg.norm(r, axis=1)
+    # Previous search directions and their carried images.  ``p is None``
+    # exactly when ``hx`` is a fresh application rather than a recurrence.
+    p = hp = None
+    while True:
+        evals, x, hx = _ritz(x, hx)
+        # Preconditioned residuals (per-band work: sliceable); everything
+        # after it in the iteration is cross-band root work.
+        w, rnorm = residual_precond(x, hx, evals)
+        stop = rnorm.max() < tolerance or it == max_iterations
+        if not stop:
+            held = x if p is None else np.vstack([x, p])
+            w = _expansion_block(basis, w, held)
+            stop = not len(w)
+        if stop:
+            if p is None:
+                break
+            # Only a fresh image is believed: re-apply H, drop the history
+            # and come back through the test above, which ends the solve or,
+            # if the recurrence had drifted, carries on from clean state.
+            hx = apply_h(x)
+            p = hp = None
+            continue
+        it += 1
+        history.append(float(rnorm.max()))
+
+        # Rayleigh-Ritz on the orthonormal basis s = [x, p, w]; its first
+        # nbands Ritz vectors are the new block.
+        hw = apply_h(w)
+        s = np.vstack([held, w])
+        hs = np.vstack([hx, hw] if p is None else [hx, hp, hw])
+        _, c = np.linalg.eigh(_hermitian(s.conj() @ hs.T))
+        cx, crest = c[:, :nbands], c[:, nbands:]
+        # New search directions: an orthonormal basis of the part of the
+        # old block outside the new one, so span[x_new, p] = span[x_new, x]
+        # with p orthogonal to x_new (no x_new - x cancellation).
+        q, _ = np.linalg.qr(crest[:nbands].conj().T)
+        cp = crest @ q
+        x, hx = cx.T @ s, cx.T @ hs
+        p, hp = cp.T @ s, cp.T @ hs
+
     return EigensolverResult(
         eigenvalues=evals,
         coefficients=x,
         residual_norms=rnorm,
         iterations=it,
-        converged=bool(converged or rnorm.max() < tolerance),
+        converged=bool(rnorm.max() < tolerance),
         history=history,
     )
 
@@ -314,12 +340,7 @@ def band_by_band_cg(
             x[band] = c
         # Subspace rotation (kept cheap: nbands x nbands) + residual check.
         x = basis.orthonormalize(x)
-        hx = h.apply(x)
-        hsub = x.conj() @ hx.T
-        hsub = 0.5 * (hsub + hsub.conj().T)
-        evals, u = np.linalg.eigh(hsub)
-        x = u.T @ x
-        hx = u.T @ hx
+        evals, x, hx = _ritz(x, h.apply(x))
         r = hx - evals[:, None] * x
         rnorm = np.linalg.norm(r, axis=1)
         history.append(float(rnorm.max()))

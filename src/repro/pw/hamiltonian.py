@@ -34,36 +34,28 @@ _NONLOCAL_BLOCK = 8
 
 @dataclass
 class ApplyCounter:
-    """Counts Hamiltonian applications and FFTs for performance accounting.
+    """Counts the band rows :meth:`Hamiltonian.apply` has been applied to.
 
-    Updates go through :meth:`add` under a lock: the band-sliced
-    eigensolver's thread backend applies slices of one band block on the
-    *same* Hamiltonian concurrently, and bare ``+=`` read-modify-writes
-    would lose increments.
+    H·psi rows are the unit of the eigensolvers' cost model (the all-band
+    solver's is one per band per CG step).  Updates go through :meth:`add`
+    under a lock: thread-backend workers may apply the *same* Hamiltonian
+    concurrently, and a bare ``+=`` read-modify-write would lose increments.
     """
 
     n_apply: int = 0
-    n_fft: int = 0
-    n_projector_flops: float = 0.0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def add(
-        self, n_apply: int = 0, n_fft: int = 0, n_projector_flops: float = 0.0
-    ) -> None:
-        """Atomically accumulate application/FFT/flop counts."""
+    def add(self, n_apply: int) -> None:
+        """Atomically accumulate applied band rows."""
         with self._lock:
             self.n_apply += n_apply
-            self.n_fft += n_fft
-            self.n_projector_flops += n_projector_flops
 
     def reset(self) -> None:
-        """Zero all counters."""
+        """Zero the counter."""
         with self._lock:
             self.n_apply = 0
-            self.n_fft = 0
-            self.n_projector_flops = 0.0
 
 
 class Hamiltonian:
@@ -205,7 +197,6 @@ class Hamiltonian:
         # Local potential: FFT to real space, multiply, FFT back (the
         # sphere-pruned staged transforms of PlaneWaveBasis).
         out += self.basis.apply_potential(c, self._v_local)
-        self.counter.add(n_fft=2 * c.shape[0])
         return out
 
     def add_nonlocal(
@@ -258,9 +249,6 @@ class Hamiltonian:
                 beta = self._projectors_conj @ cblk  # (nproj, blk)
                 nl = projectors_t @ (strengths * beta)  # (npw, blk)
                 out[rows] += nl[:, cols].T
-        self.counter.add(
-            n_projector_flops=16.0 * self.nproj * self.basis.npw * m
-        )
         return out
 
     def apply(self, coefficients: np.ndarray) -> np.ndarray:
@@ -275,7 +263,7 @@ class Hamiltonian:
         if single:
             c = c[None, :]
         out = self.add_nonlocal(self.apply_local(c), c)
-        self.counter.add(n_apply=c.shape[0])
+        self.counter.add(c.shape[0])
         return out[0] if single else out
 
     def expectation(self, coefficients: np.ndarray) -> np.ndarray:

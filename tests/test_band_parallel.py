@@ -248,6 +248,29 @@ def test_grouped_all_band_cg_bit_identical_serial(solve_reference):
         assert got.history == ref.history
 
 
+def test_grouped_all_band_cg_with_fewer_rows_than_slices():
+    """Near convergence the residual block loses rows, so ``apply_h`` sees
+    blocks smaller than the band block - and than the slice count."""
+    from repro.core.fragment_task import get_task_problem
+
+    task = _make_task()
+    problem = get_task_problem(task)
+    h, nb = problem.hamiltonian, problem.nbands
+    h.set_effective_potential(np.asarray(task.screening_potential))
+    h.counter.reset()
+    ref = all_band_cg(h, nb, max_iterations=60, tolerance=1e-13)
+    assert h.counter.n_apply < nb * (ref.iterations + 1)  # rows were dropped
+    executor = SerialFragmentExecutor()
+    for nslices in (1, 2, 3, nb, nb + 2):
+        group = BandGroup(executor, nslices).bind(task)
+        got = all_band_cg(h, nb, max_iterations=60, tolerance=1e-13, band_groups=group)
+        np.testing.assert_array_equal(got.eigenvalues, ref.eigenvalues)
+        np.testing.assert_array_equal(got.coefficients, ref.coefficients)
+        np.testing.assert_array_equal(got.residual_norms, ref.residual_norms)
+        assert (got.iterations, got.converged, got.history) == (
+            ref.iterations, ref.converged, ref.history)
+
+
 @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
 def test_grouped_solve_bit_identical_all_backends(backend, solve_reference):
     """The grouped fragment solve == the ungrouped kernel, bit for bit,

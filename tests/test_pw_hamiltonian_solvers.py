@@ -13,7 +13,7 @@ from repro.pw.energy import (
     screening_potential,
     total_energy_from_orbitals,
 )
-from repro.pw.fsm import folded_spectrum
+from repro.pw.fsm import FoldedHamiltonian, folded_spectrum
 from repro.pw.grid import FFTGrid
 from repro.pw.hamiltonian import Hamiltonian
 from repro.pw.pseudopotential import (
@@ -179,6 +179,107 @@ def test_all_band_history_is_recorded(small_problem):
     assert len(res.history) == res.iterations
     # Residual histories should broadly decrease (allow small plateaus).
     assert res.history[-1] < res.history[0]
+
+
+def _fresh_residual_norms(h, result):
+    """||H c - eps c|| per band, recomputed from the returned fields."""
+    c = result.coefficients
+    return np.linalg.norm(h.apply(c) - result.eigenvalues[:, None] * c, axis=1)
+
+
+def _orthonormality_error(c):
+    return np.linalg.norm(c @ c.conj().T - np.eye(len(c)))
+
+
+def test_all_band_cg_applies_h_once_per_band_per_iteration(small_problem):
+    """The cost model: initial block + one row per band per iteration + the
+    exit verification.  (Re-applying H to [x, w, p] costs ~4 nb a step.)"""
+    h = small_problem[4]
+    nb = 8
+    h.counter.reset()
+    res = all_band_cg(h, nb, max_iterations=150, tolerance=1e-8)
+    assert res.converged
+    assert h.counter.n_apply <= nb * (res.iterations + 2)
+
+
+def test_all_band_cg_stopped_at_the_cap_reports_fresh_residuals(small_problem):
+    h = small_problem[4]
+    res = all_band_cg(h, 6, max_iterations=3, tolerance=1e-10)
+    assert res.iterations == 3
+    assert not res.converged
+    np.testing.assert_allclose(
+        res.residual_norms, _fresh_residual_norms(h, res), rtol=0, atol=1e-12)
+    assert res.residual_norms.max() > 1e-10
+
+
+def test_all_band_cg_does_not_believe_the_recurrence(small_problem):
+    """A carried residual under the tolerance only triggers a fresh H·x; when
+    that disagrees the solve carries on (without p) to real convergence."""
+    h = small_problem[4]
+    precond = h.preconditioner()
+
+    class LiesOnce:
+        calls = 0
+
+        def apply_h(self, block):
+            return h.apply(block)
+
+        def residual_precond(self, x, hx, evals):
+            self.calls += 1
+            r = hx - evals[:, None] * x
+            rnorm = np.linalg.norm(r, axis=1)
+            if self.calls == 4:  # a carried image claiming convergence
+                rnorm = np.zeros_like(rnorm)
+            return r * precond[None, :], rnorm
+
+    group = LiesOnce()
+    res = all_band_cg(h, 6, max_iterations=150, tolerance=1e-7, band_groups=group)
+    assert res.iterations > 3
+    assert res.converged
+    assert _fresh_residual_norms(h, res).max() < 1e-7
+    exact = exact_diagonalization(h, 6)
+    assert np.allclose(res.eigenvalues, exact.eigenvalues, atol=1e-8)
+
+
+def test_all_band_cg_on_the_folded_operator_converges_without_drift(small_problem):
+    """(H - e_ref)^2 squares the condition number: ~100 iterations at 1e-9 is
+    where a drifting H·x recurrence falls apart."""
+    h = small_problem[4]
+    ref = float(exact_diagonalization(h, 10).eigenvalues[4]) + 1e-3
+    folded = FoldedHamiltonian(h, ref)
+    res = all_band_cg(folded, 3, max_iterations=250, tolerance=1e-9)
+    assert res.converged
+    assert res.iterations <= 110
+    assert _fresh_residual_norms(folded, res).max() < 1e-9
+    assert _orthonormality_error(res.coefficients) < 1e-12
+
+
+@pytest.mark.parametrize("nb", [5, 7], ids=["triplet", "triplet+doublet"])
+def test_all_band_cg_degenerate_block(small_problem, nb):
+    """Bands 3-5 of the cubic cell are an exact triplet, 6-7 a doublet."""
+    h = small_problem[4]
+    exact = exact_diagonalization(h, nb)
+    assert np.ptp(exact.eigenvalues[2:5]) < 1e-12
+    res = all_band_cg(h, nb, max_iterations=150, tolerance=1e-9)
+    assert res.converged
+    assert _orthonormality_error(res.coefficients) < 1e-12
+    assert np.allclose(res.eigenvalues, exact.eigenvalues, atol=1e-8)
+
+
+@pytest.mark.parametrize("tolerance", [1e-10, 0.0], ids=["stops-at-once", "w-empties"])
+def test_all_band_cg_from_a_converged_start(small_problem, tolerance):
+    """With nothing left to expand by (residuals at rounding level lose rows
+    or vanish under the projection) the block comes back intact."""
+    h = small_problem[4]
+    nb = 6
+    exact = exact_diagonalization(h, nb)
+    res = all_band_cg(
+        h, nb, initial=exact.coefficients, max_iterations=20, tolerance=tolerance)
+    assert res.converged == (tolerance > 0)
+    assert res.iterations < 20
+    assert res.residual_norms.max() < 1e-12
+    assert _orthonormality_error(res.coefficients) < 1e-12
+    assert np.allclose(res.eigenvalues, exact.eigenvalues, atol=1e-8)
 
 
 # --- density / energy ---------------------------------------------------------------

@@ -11,7 +11,12 @@ GEMMs (``Hamiltonian.add_nonlocal``) are nearly the whole bill.  Before
 the stage profiles it prints, for every distinct fragment basis, the
 sphere-pruned FFT line counts (``PlaneWaveBasis.fft_lines``) and the time
 of each 1-D pass (z / y / x) of one inverse + forward band-block transform
-— the per-pass split the next kernel change should start from.
+— the per-pass split the next kernel change should start from.  After the
+PEtot_F profile it prints, per fragment solve, the eigensolver iterations and
+the H·psi rows applied (``Hamiltonian.counter``): the all-band solver's cost
+model is one row per band per iteration, so rows / (nbands · iterations)
+should sit just above 1 (initial, exit-verification and ``expectation``
+passes on top), not near 4.
 
 Usage::
 
@@ -110,6 +115,23 @@ def report_fft_passes(problems) -> None:
         )
 
 
+def report_applications(labels, solves) -> None:
+    """One row per fragment solve: iterations and the H·psi rows it cost.
+
+    ``solves`` holds ``(nbands, iterations, rows)``; ``rows`` counts every
+    band row ``Hamiltonian.apply`` saw during ``solve_fragment_task`` — the
+    eigensolve plus the one ``expectation`` pass after it.
+    """
+    print(f"\n{'=' * 72}\nH·psi applications per fragment solve\n{'=' * 72}")
+    print(f"{'fragment':<24}{'nbands':>8}{'iterations':>12}{'rows':>8}{'rows/(nb·it)':>14}")
+    for label, (nbands, iterations, rows) in zip(labels, solves):
+        ratio = rows / (nbands * max(1, iterations))
+        print(f"{label:<24}{nbands:>8}{iterations:>12}{rows:>8}{ratio:>14.2f}")
+    rows = sum(r for _, _, r in solves)
+    steps = sum(nb * max(1, it) for nb, it, _ in solves)
+    print(f"{'all':<24}{'':>20}{rows:>8}{rows / steps:>14.2f}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     parser.add_argument(
@@ -123,7 +145,7 @@ def main() -> int:
     args = parser.parse_args()
 
     from repro.atoms.toy import cscl_binary
-    from repro.core.fragment_task import solve_fragment_task
+    from repro.core.fragment_task import get_task_problem, solve_fragment_task
     from repro.core.patching import patch_fragment_fields, restrict_to_fragment
     from repro.core.scf import LS3DFSCF
 
@@ -161,10 +183,20 @@ def main() -> int:
     report_fft_passes(scf.fragment_solver.problems().values())
 
     # PEtot_F: the per-fragment Kohn-Sham solves (the dominant stage).
+    solves = []
+
     def petot_f():
-        return [solve_fragment_task(t) for t in tasks]
+        results = []
+        for task in tasks:
+            problem = get_task_problem(task)
+            before = problem.hamiltonian.counter.n_apply
+            results.append(solve_fragment_task(task, problem))
+            rows = problem.hamiltonian.counter.n_apply - before
+            solves.append((problem.nbands, results[-1].solver_iterations, rows))
+        return results
 
     results = profile_stage("PEtot_F", petot_f, args.top)
+    report_applications([t.label for t in tasks], solves)
 
     # Gen_dens: patch the weighted fragment densities into the global one.
     def gen_dens():

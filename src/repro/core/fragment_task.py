@@ -481,12 +481,12 @@ def solve_fragment_task(
     group:
         Optional :class:`repro.parallel.bands.BandGroup`: the calling
         process then acts as the *group root* — it runs the outer
-        all-band CG loop and every dense cross-band reduction — while
-        the heavy per-band work (H·psi, preconditioned residuals) is
+        all-band CG loop, the elementwise residual step and every dense
+        cross-band reduction — while the H·psi applications are
         sliced over the group's executor.  Results are **bit-identical**
         to the ungrouped solve for any slice count and backend (the
         property ``tests/test_band_parallel.py`` asserts): the sliced
-        kernels are row-independent bit for bit and the root-side algebra
+        kernel is row-independent bit for bit and the root-side algebra
         operates on full blocks of unchanged shape.  Only the
         ``"all_band"`` eigensolver can be grouped (the band-by-band
         reference algorithm is inherently sequential over bands).  The

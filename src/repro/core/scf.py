@@ -132,14 +132,16 @@ class IterationTimings:
     ``band_slices`` records the slice count (the local Np per group),
     ``band_tasks`` holds the in-worker wall time of every per-slice
     :class:`~repro.parallel.bands.BandBlockTask` (the parallel bucket),
-    ``band_stages`` counts the sliced stages dispatched and
+    ``band_stages`` counts the sliced stages dispatched (one per H·psi
+    application of a grouped eigensolve, ``band_slices`` tasks each) and
     ``band_replayed`` the fragments replayed from a mid-iteration
     partial checkpoint instead of re-solved (their per-fragment timing
     entries are zero — this run only paid the payload read, counted in
-    ``checkpoint_io``).  The group root's dense cross-band algebra plus
-    dispatch overhead — ``band_driver`` = ``petot_f - band_cpu`` — is
-    what stays serial, so ``measured_intra_group_efficiency`` is the
-    measured counterpart of the modelled
+    ``checkpoint_io``).  The group root's residual step and dense
+    cross-band algebra plus dispatch overhead — ``band_driver`` =
+    ``petot_f - band_cpu`` — is what stays serial, so
+    ``measured_intra_group_efficiency`` is the measured counterpart of
+    the modelled
     :meth:`repro.parallel.groups.GroupDecomposition.intra_group_efficiency`.
     ``band_schedule`` carries a
     :class:`repro.parallel.scheduler.GroupExecutionRecord`: the LPT
@@ -238,9 +240,10 @@ class IterationTimings:
         """Group-root residue of a band-sliced PEtot_F step.
 
         The PEtot_F wall time minus the summed in-worker band-task time
-        (clamped at zero, since a real pool overlaps tasks): the dense
-        cross-band reductions, gathers and dispatch overhead the group
-        root keeps.  Zero when the step did not run band-sliced.
+        (clamped at zero, since a real pool overlaps tasks): the
+        residual step, dense cross-band reductions, gathers and dispatch
+        overhead the group root keeps.  Zero when the step did not run
+        band-sliced.
         """
         if not self.band_sliced:
             return 0.0
@@ -445,9 +448,9 @@ class LS3DFSCF:
         the driver hands fragments to the executor one group at a time
         (LPT over group-sized bins, heaviest first; see
         :meth:`repro.parallel.scheduler.FragmentScheduler.schedule_grouped`),
-        acts as each group's root for the dense cross-band reductions,
-        and pushes the per-slice H·psi / residual work through
-        ``executor.run_bands`` as
+        acts as each group's root for the dense cross-band reductions
+        and the elementwise residual step, and pushes the per-slice
+        H·psi work through ``executor.run_bands`` as
         :class:`~repro.parallel.bands.BandBlockTask` batches —
         bit-identical results to the ungrouped paths for any slice count
         and backend, which is what removes the largest-fragment floor on
@@ -746,7 +749,7 @@ class LS3DFSCF:
         The two-level hierarchy in action: fragments are LPT-assigned to
         *worker groups* (bins of ``band_groups`` workers), and one
         runner drains each bin's queue heaviest-first, the per-slice
-        H·psi / residual work of each fragment spreading over the
+        H·psi work of each fragment spreading over the
         runner's executor as
         :class:`~repro.parallel.bands.BandBlockTask` batches.  With more
         than one bin and a partitionable executor the bins run genuinely

@@ -35,8 +35,8 @@ explicit execution model:
 * :mod:`repro.parallel.bands` — the band-parallel distributed
   eigensolver: :class:`~repro.parallel.bands.BandSlice` partitions of a
   fragment's band block, per-slice
-  :class:`~repro.parallel.bands.BandBlockTask` units (H·psi and
-  preconditioned-residual kernels, row-independent bit for bit) and the
+  :class:`~repro.parallel.bands.BandBlockTask` units (the slice's rows
+  of H·psi, row-independent bit for bit) and the
   :class:`~repro.parallel.bands.BandGroup` root handle that makes
   ``all_band_cg`` run on a whole worker group — the paper's Np cores per
   fragment group — with bit-identical results;

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 
 def amdahl_speedup(n: np.ndarray | float, alpha: float) -> np.ndarray | float:
@@ -119,6 +118,10 @@ def fit_amdahl(cores: np.ndarray, performance: np.ndarray) -> AmdahlFit:
         alpha = abs(alpha)
         model = amdahl_performance(cores, p_s, alpha)
         return (model - performance) / performance
+
+    # Imported on use: scipy.optimize costs ~0.45 s and ~40 MB, and every
+    # driver, pool worker and daemon imports this package.
+    from scipy.optimize import least_squares
 
     sol = least_squares(residuals, x0, method="lm", max_nfev=10_000)
     p_s, alpha = float(sol.x[0]), float(abs(sol.x[1]))

@@ -16,22 +16,23 @@ families:
 * :func:`band_slices` / :class:`BandSlice` — deterministic contiguous
   partition of a band block's rows (same block distribution as
   :func:`repro.parallel.distributed.slab_bounds`).
-* :class:`BandBlockTask` / :func:`run_band_block_task` — picklable
-  per-slice units of eigensolver work, executed through ``run_bands`` on
-  every backend in :mod:`repro.parallel.executor`.  Two kinds exist:
-  ``"apply_h"`` (the slice's rows of H·psi: the FFT-heavy kinetic +
-  local-potential share plus the Kleinman-Bylander term via the blocked
-  fixed-shape kernel) and ``"residual_precond"`` (the
-  preconditioned-residual step of one CG sweep).  Both kernels are
-  **row-independent bit for bit** — elementwise
-  products, per-band batched FFTs, per-row norms, and globally-aligned
+* :class:`BandBlockTask` / :func:`run_band_block_task` — the picklable
+  per-slice unit of eigensolver work, executed through ``run_bands`` on
+  every backend in :mod:`repro.parallel.executor`: the slice's rows of
+  H·psi (the FFT-heavy kinetic + local-potential share plus the
+  Kleinman-Bylander term via the blocked fixed-shape kernel) — the one
+  expensive per-band operation of PEtot_F and the only thing a group
+  worker does.  The kernel is **row-independent bit for bit** —
+  elementwise products, per-band batched FFTs and globally-aligned
   fixed-shape projector blocks — so a sliced run concatenates to exactly
   the full-block result.
 * :class:`BandGroup` — the driver-side handle one grouped eigensolve
   holds: it scatters the band block into slices, pushes
   :class:`BandBlockTask` batches through the executor and gathers the
-  rows back; the root share (the dense cross-band algebra) stays in the
-  eigensolver, on the full block.
+  rows back; the root share (the elementwise preconditioned residual,
+  which moves 32 bytes per ~10 flops and so is never worth shipping,
+  and the dense cross-band algebra) stays in the eigensolver, on the
+  full block.
   :func:`repro.core.fragment_task.solve_fragment_task` takes one as
   ``group=`` and hands it to :func:`repro.pw.eigensolver.all_band_cg`
   (``band_groups=``).
@@ -141,7 +142,7 @@ def band_slices(nbands: int, nslices: int) -> list[BandSlice]:
 
 @dataclass
 class BandBlockTask:
-    """One band slice's worth of eigensolver work (picklable).
+    """One band slice's rows of H·psi to compute (picklable).
 
     Mirrors :class:`repro.core.fragment_task.FragmentTask` and
     :class:`repro.parallel.distributed.GlobalStepTask` for the band
@@ -150,12 +151,6 @@ class BandBlockTask:
 
     Attributes
     ----------
-    kind:
-        Kernel selector — ``"apply_h"`` (H·psi for the slice's rows:
-        kinetic + local potential plus the slice's Kleinman-Bylander
-        term via the blocked fixed-shape kernel) or
-        ``"residual_precond"`` (residual, per-row norms and
-        preconditioned residual of one CG sweep).
     bands:
         The :class:`BandSlice` this task covers (bookkeeping for the
         gathers, and the global band offset the blocked nonlocal kernel
@@ -173,28 +168,21 @@ class BandBlockTask:
         once per slice per stage.  :class:`BandGroup` strips the
         (never-read) warm-start block either way.
     block:
-        The slice's ``x`` rows of the primary band block (both kinds).
-    aux:
-        Second per-slice array (``hx`` rows for ``residual_precond``).
-    evals:
-        Per-slice eigenvalue entries (``residual_precond``).
+        The slice's rows of the band block H is applied to.
     label:
         Display/bookkeeping label, defaulting to
-        ``<fragment>:<kind>[index/nslices]``.
+        ``<fragment>:apply_h[index/nslices]``.
     """
 
-    kind: str
     bands: BandSlice
     template: FragmentTask
     block: np.ndarray
-    aux: np.ndarray | None = None
-    evals: np.ndarray | None = None
     label: str = ""
 
     def __post_init__(self) -> None:
         if not self.label:
             self.label = (
-                f"{self.template.label}:{self.kind}"
+                f"{self.template.label}:apply_h"
                 f"[{self.bands.index}/{self.bands.nslices}]"
             )
 
@@ -226,11 +214,7 @@ class BandBlockResult:
     index:
         Slice index, so gathers can re-order results defensively.
     data:
-        The kernel's primary output rows (H·x slice, or the
-        preconditioned residual ``w`` slice).
-    extra:
-        Secondary per-row output (``residual_precond`` returns the
-        residual norms here); ``None`` otherwise.
+        The slice's rows of H·psi.
     wall_time:
         In-worker wall-clock seconds of the kernel.
     worker_pid:
@@ -240,7 +224,6 @@ class BandBlockResult:
     label: str
     index: int
     data: np.ndarray
-    extra: np.ndarray | None
     wall_time: float
     worker_pid: int
 
@@ -263,8 +246,7 @@ def run_band_block_task(
     Parameters
     ----------
     task:
-        The per-slice work unit; unknown ``kind`` values raise
-        ``ValueError``.
+        The per-slice work unit.
     problem:
         Optional pre-built static problem, bypassing the per-process
         cache lookup.
@@ -272,38 +254,26 @@ def run_band_block_task(
     Returns
     -------
     BandBlockResult
-        The transformed rows (plus per-row extras), with wall time and
-        worker PID for the timing accounting.
+        The slice's rows of H·psi, with wall time and worker PID for the
+        timing accounting.
     """
     t0 = time.perf_counter()
     if problem is None:
         problem = get_task_problem(task.template)
-    if task.kind == "apply_h":
-        h = problem.hamiltonian
-        # Raises PotentialNotInstalledError for an uninstalled key — the
-        # executor retries this task with the payload attached.
-        v_screen = resolve_screening_potential(task.template)
-        # Idempotent across the slices of one grouped solve (same array).
-        h.set_effective_potential(v_screen)
-        cblock = np.asarray(task.block, dtype=complex)
-        # Blocked fixed-shape KB kernel aligned to the GLOBAL band index —
-        # concatenated slices match the full-block bits.
-        data = h.add_nonlocal(
-            h.apply_local(cblock), cblock, band_offset=task.bands.lo
-        )
-        extra = None
-    elif task.kind == "residual_precond":
-        precond = problem.hamiltonian.preconditioner()
-        r = task.aux - task.evals[:, None] * task.block
-        extra = np.linalg.norm(r, axis=1)
-        data = r * precond[None, :]
-    else:
-        raise ValueError(f"unknown band task kind {task.kind!r}")
+    h = problem.hamiltonian
+    # Raises PotentialNotInstalledError for an uninstalled key — the
+    # executor retries this task with the payload attached.
+    v_screen = resolve_screening_potential(task.template)
+    # Idempotent across the slices of one grouped solve (same array).
+    h.set_effective_potential(v_screen)
+    cblock = np.asarray(task.block, dtype=complex)
+    # Blocked fixed-shape KB kernel aligned to the GLOBAL band index —
+    # concatenated slices match the full-block bits.
+    data = h.add_nonlocal(h.apply_local(cblock), cblock, band_offset=task.bands.lo)
     return BandBlockResult(
         label=task.label,
         index=task.bands.index,
         data=data,
-        extra=extra,
         wall_time=time.perf_counter() - t0,
         worker_pid=os.getpid(),
     )
@@ -328,7 +298,7 @@ class BandGroupExecutor(Protocol):
         Parameters
         ----------
         tasks:
-            One :class:`BandBlockTask` per slice of one stage.
+            One :class:`BandBlockTask` per slice of one H application.
 
         Returns
         -------
@@ -347,9 +317,8 @@ class BandGroupStats:
     nslices:
         Band-slice count (the local analogue of Np cores per group).
     stages:
-        Number of sliced stages the solve dispatched (H·psi applications
-        plus residual/precondition steps — each stage is one
-        ``run_bands`` batch of ``nslices`` tasks).
+        Number of H·psi applications the solve dispatched — each stage
+        is one ``run_bands`` batch of ``nslices`` tasks.
     submissions:
         Total band tasks submitted (``stages * nslices``).
     task_times:
@@ -390,10 +359,9 @@ class BandGroup:
     What :func:`repro.core.fragment_task.solve_fragment_task` receives as
     ``group=`` and :func:`repro.pw.eigensolver.all_band_cg` as
     ``band_groups=``: the kernel binds it to the fragment it is solving
-    (:meth:`bind`), and the solver then calls :meth:`apply_h` and
-    :meth:`residual_precond` instead of touching the Hamiltonian directly —
-    this class scatters the block rows into :class:`BandBlockTask`
-    batches and gathers the results in slice order.
+    (:meth:`bind`), and the solver then calls :meth:`apply_h` instead of
+    ``Hamiltonian.apply`` — this class scatters the block rows into
+    :class:`BandBlockTask` batches and gathers the results in slice order.
 
     Parameters
     ----------
@@ -434,7 +402,7 @@ class BandGroup:
         """
         # Every band task of every stage ships this template (the process
         # backend pickles it each time), so drop the warm-start block —
-        # neither band kernel reads it, and it is the largest field after
+        # the band kernel never reads it, and it is the largest field after
         # the screening potential, which the install channel strips next.
         template = replace(task, initial_coefficients=None)
         if self.install and template.screening_potential is not None:
@@ -445,35 +413,6 @@ class BandGroup:
         self.template = template
         return self
 
-    # ------------------------------------------------------------------
-    def _run_stage(
-        self,
-        kind: str,
-        block: np.ndarray,
-        aux: np.ndarray | None = None,
-        evals: np.ndarray | None = None,
-    ) -> list[BandBlockResult]:
-        """Scatter one block into slice tasks, run them, gather in order."""
-        if self.template is None:
-            raise RuntimeError("BandGroup.bind(task) must precede the first stage")
-        tasks = [
-            BandBlockTask(
-                kind=kind,
-                bands=s,
-                template=self.template,
-                block=block[s.lo : s.hi],
-                aux=None if aux is None else aux[s.lo : s.hi],
-                evals=None if evals is None else evals[s.lo : s.hi],
-            )
-            for s in band_slices(block.shape[0], self.nslices)
-        ]
-        report = self.executor.run_bands(tasks)
-        results = list(report.results)
-        self.stats.stages += 1
-        self.stats.submissions += len(tasks)
-        self.stats.task_times.extend(r.wall_time for r in results)
-        return results
-
     def apply_h(self, block: np.ndarray) -> np.ndarray:
         """Group-distributed H·psi on a band block, bit-identical to serial.
 
@@ -481,26 +420,17 @@ class BandGroup:
         potential plus its share of the Kleinman-Bylander term through
         the blocked fixed-shape kernel aligned to global band indices —
         and the root only concatenates: the same bits as the
-        single-worker ``h.apply``.
+        single-worker ``h.apply``.  One call is one stage: one
+        ``run_bands`` batch of ``nslices`` tasks.
         """
-        results = self._run_stage("apply_h", block)
+        if self.template is None:
+            raise RuntimeError("BandGroup.bind(task) must precede the first stage")
+        tasks = [
+            BandBlockTask(bands=s, template=self.template, block=block[s.lo : s.hi])
+            for s in band_slices(block.shape[0], self.nslices)
+        ]
+        results = list(self.executor.run_bands(tasks).results)
+        self.stats.stages += 1
+        self.stats.submissions += len(tasks)
+        self.stats.task_times.extend(r.wall_time for r in results)
         return np.concatenate([r.data for r in results], axis=0)
-
-    def residual_precond(
-        self, x: np.ndarray, hx: np.ndarray, evals: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Group-distributed preconditioned-residual step of one CG sweep.
-
-        Each slice forms its rows' residual ``r = hx - evals x``, the
-        per-row norms and the preconditioned residual ``r * K`` — all
-        row-independent — and the root gathers them in slice order.
-
-        Returns
-        -------
-        tuple[np.ndarray, np.ndarray]
-            ``(w, rnorm)`` exactly as the serial path computes them.
-        """
-        results = self._run_stage("residual_precond", x, aux=hx, evals=evals)
-        w = np.concatenate([r.data for r in results], axis=0)
-        rnorm = np.concatenate([r.extra for r in results], axis=0)
-        return w, rnorm

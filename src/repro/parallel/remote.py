@@ -39,7 +39,9 @@ request/response alternation; requests are dicts with an ``op`` field:
     (``key`` set for a missed potential install, which the driver heals
     by resubmitting with the payload attached).
 ``shutdown``
-    Stop the worker after replying.
+    Stop the worker: the listening socket is closed by the time the
+    reply arrives, so a later connect is refused at once rather than
+    parked in a backlog nobody serves.
 
 Failure model (the degradation ladder)
 --------------------------------------
@@ -282,6 +284,13 @@ class WorkerServer:
         self._stop.set()
         if self._sock is not None:
             try:
+                # Wakes the acceptor blocked on this socket, whose pending
+                # poll would otherwise keep the backlog open until it times
+                # out (Linux; elsewhere ENOTCONN, and the poll runs out).
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
                 self._sock.close()
             except OSError:  # pragma: no cover - close is best effort
                 pass
@@ -301,9 +310,10 @@ class WorkerServer:
 
     # -- serving -------------------------------------------------------
     def _accept_loop(self) -> None:
+        sock = self._sock  # stop() clears the attribute from another thread
         while not self._stop.is_set():
             try:
-                conn, _ = self._sock.accept()
+                conn, _ = sock.accept()
             except socket.timeout:
                 continue
             except OSError:
@@ -366,9 +376,10 @@ class WorkerServer:
                 "bytes_sent": self.bytes_sent,
             }
         if op == "shutdown":
-            # Reply first (the driver awaits it), then stop from the
-            # connection loop's next iteration.
-            self._stop.set()
+            # Close the listening socket before acking, so that once the
+            # driver has the reply no connect can land in a dead backlog;
+            # this connection's loop ends after the reply is written.
+            self.stop()
             return {"ok": True}
         if op == "task":
             return self._handle_task(request)
@@ -1051,17 +1062,22 @@ class RemoteExecutor:
 
     # -- lifecycle -----------------------------------------------------
     def shutdown_workers(self) -> int:
-        """Send ``shutdown`` to every live worker; returns how many acked."""
+        """Send ``shutdown`` to every live worker; returns how many acked.
+
+        Every handle asked is dead afterwards, so later batches go
+        straight down the degradation ladder instead of reconnecting.
+        A deliberate shutdown is not a *lost* worker: ``workers_lost``
+        does not move.
+        """
         acked = 0
         for handle in self._live_handles():
             try:
                 reply = handle.request({"op": "shutdown"})
             except (OSError, ConnectionError, WorkerDiedError, RemoteProtocolError):
-                handle.mark_dead()
-                continue
+                reply = {}
             if reply.get("ok"):
                 acked += 1
-            handle.close()
+            handle.mark_dead()
         return acked
 
     def close(self) -> None:

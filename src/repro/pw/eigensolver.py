@@ -20,9 +20,9 @@ Two solvers are provided, mirroring the paper's PEtot_F optimisation story:
 
 :func:`all_band_cg` additionally accepts ``band_groups=`` — a band-parallel
 worker group (:class:`repro.parallel.bands.BandGroup`) that distributes the
-per-band heavy work (H·psi, preconditioned residuals) over executor
-workers while the caller remains the serial group root for the dense
-cross-band reductions; results are bit-identical for any slice count.
+H·psi applications over executor workers while the caller remains the serial
+group root for the elementwise residual step and the dense cross-band
+reductions; results are bit-identical for any slice count.
 """
 
 from __future__ import annotations
@@ -167,16 +167,16 @@ def all_band_cg(
         Seed/generator for the random start when ``initial`` is None.
     band_groups:
         Optional band-parallel worker group (duck-typed; canonically a
-        :class:`repro.parallel.bands.BandGroup`).  When given, the heavy
-        per-band work — H·psi applications and the preconditioned-residual
-        line-search step — is delegated to its ``apply_h`` /
-        ``residual_precond`` methods, which slice the band block over a
-        worker group, while this function (the *group root*) keeps every
-        cross-band dense reduction: Gram/overlap matrices, subspace
-        rotations, Rayleigh-Ritz.  Results are bit-identical to the
-        default in-process path for any slice count, because the sliced
-        kernels are row-independent bit for bit
-        (:meth:`repro.pw.hamiltonian.Hamiltonian.apply_local`,
+        :class:`repro.parallel.bands.BandGroup`).  When given, every
+        H·psi application — the one expensive per-band operation — is
+        delegated to its ``apply_h`` method (the only one used), which
+        slices the band block over a worker group, while this function
+        (the *group root*) keeps everything else: the elementwise
+        preconditioned residual and every cross-band dense reduction
+        (Gram/overlap matrices, subspace rotations, Rayleigh-Ritz).
+        Results are bit-identical to the default in-process path for any
+        slice count, because the sliced kernel is row-independent bit for
+        bit (:meth:`repro.pw.hamiltonian.Hamiltonian.apply_local`,
         :meth:`~repro.pw.hamiltonian.Hamiltonian.add_nonlocal`) and the
         root-side algebra runs on full blocks of identical shape.  The
         default ``None`` keeps the single-worker path.
@@ -201,15 +201,12 @@ def all_band_cg(
             raise ValueError("initial coefficients have the wrong shape")
 
     precond = h.preconditioner()
-    if band_groups is None:
-        apply_h = h.apply
+    apply_h = h.apply if band_groups is None else band_groups.apply_h
 
-        def residual_precond(x, hx, evals):
-            r = hx - evals[:, None] * x
-            return r * precond[None, :], np.linalg.norm(r, axis=1)
-    else:
-        apply_h = band_groups.apply_h
-        residual_precond = band_groups.residual_precond
+    def residual_precond(x, hx, evals):
+        r = hx - evals[:, None] * x
+        return r * precond[None, :], np.linalg.norm(r, axis=1)
+
     history: list[float] = []
     it = 0
     hx = apply_h(x)
@@ -218,8 +215,8 @@ def all_band_cg(
     p = hp = None
     while True:
         evals, x, hx = _ritz(x, hx)
-        # Preconditioned residuals (per-band work: sliceable); everything
-        # after it in the iteration is cross-band root work.
+        # Preconditioned residuals: elementwise, so cheaper to compute here
+        # on the full block than to ship; the one sliced kernel is apply_h.
         w, rnorm = residual_precond(x, hx, evals)
         stop = rnorm.max() < tolerance or it == max_iterations
         if not stop:

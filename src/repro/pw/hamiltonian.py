@@ -305,8 +305,8 @@ class Hamiltonian:
         Returns a positive array ``(npw,)`` approximating (H - eps)^{-1}
         for low-lying states; larger kinetic energy components are damped.
         The default-reference array depends only on the basis, so it is
-        computed once and cached — the band-sliced eigensolver requests
-        it in every ``residual_precond`` worker task.
+        computed once and cached — every eigensolve requests it (always
+        in the solving process: band-group workers only apply H).
         """
         t = self.basis.kinetic
         if reference_kinetic is None:

@@ -14,6 +14,7 @@ have a single core (``os.cpu_count() == 1``); only correctness and
 accounting are gated.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.atoms.toy import cscl_binary
 from repro.core.fragment_task import (
     FragmentPipelineResult,
     FragmentTask,
+    get_task_problem,
     run_fragment_pipeline_task,
     run_fragment_pipeline_task_grouped,
     solve_fragment_task,
@@ -39,6 +41,7 @@ from repro.parallel.amdahl import (
     measured_intra_group_efficiency,
 )
 from repro.parallel.bands import (
+    BandBlockResult,
     BandBlockTask,
     BandGroup,
     BandGroupExecutor,
@@ -119,14 +122,8 @@ def test_band_slice_validation():
 def test_band_block_task_pickle_roundtrip():
     task = _make_task()
     block = np.zeros((2, 5), dtype=complex)
-    btask = BandBlockTask(
-        kind="apply_h",
-        bands=band_slices(4, 2)[0],
-        template=task,
-        block=block,
-    )
+    btask = BandBlockTask(bands=band_slices(4, 2)[0], template=task, block=block)
     clone = pickle.loads(pickle.dumps(btask))
-    assert clone.kind == "apply_h"
     assert clone.label == btask.label == f"{task.label}:apply_h[0/2]"
     assert clone.bands == btask.bands
     assert np.array_equal(clone.block, block)
@@ -134,20 +131,23 @@ def test_band_block_task_pickle_roundtrip():
     assert clone.cost() == btask.cost() == float(block.size)
 
 
-def test_run_band_block_task_rejects_unknown_kind():
+def test_band_block_task_is_rows_of_h_psi_only():
+    """One band-task kind: the wire types carry a block of rows out and
+    its H·psi back, with no kernel selector or second operand."""
+    assert [f.name for f in dataclasses.fields(BandBlockTask)] == [
+        "bands", "template", "block", "label"]
+    assert [f.name for f in dataclasses.fields(BandBlockResult)] == [
+        "label", "index", "data", "wall_time", "worker_pid"]
+    assert not hasattr(BandGroup, "residual_precond")
     task = _make_task()
-    btask = BandBlockTask(
-        kind="nonsense",
-        bands=band_slices(1, 1)[0],
-        template=task,
-        block=np.zeros((1, 5), dtype=complex),
-    )
-    with pytest.raises(ValueError, match="unknown band task kind"):
-        run_band_block_task(btask)
-    # The root-side-nonlocal kind is gone with the switch that selected it.
-    btask.kind = "apply_local"
-    with pytest.raises(ValueError, match="unknown band task kind"):
-        run_band_block_task(btask)
+    h = get_task_problem(task).hamiltonian
+    h.set_effective_potential(np.asarray(task.screening_potential))
+    x = h.basis.random_coefficients(4, np.random.default_rng(3))
+    s = band_slices(4, 2)[1]
+    result = run_band_block_task(
+        BandBlockTask(bands=s, template=task, block=x[s.lo : s.hi]))
+    np.testing.assert_array_equal(result.data, h.apply(x)[s.lo : s.hi])
+    assert result.index == 1
 
 
 def test_grouped_apply_bit_identical_to_hamiltonian_apply():
@@ -157,8 +157,6 @@ def test_grouped_apply_bit_identical_to_hamiltonian_apply():
     H·psi — the row-independent kinetic + local (FFT) share plus the
     blocked fixed-shape nonlocal term — and the root only concatenates.
     """
-    from repro.core.fragment_task import get_task_problem
-
     task = _make_task()
     problem = get_task_problem(task)
     h = problem.hamiltonian
@@ -172,30 +170,6 @@ def test_grouped_apply_bit_identical_to_hamiltonian_apply():
         np.testing.assert_array_equal(group.apply_h(x), ref)
         assert group.stats.stages == 1
         assert group.stats.submissions == nslices
-
-
-def test_grouped_residual_precond_bit_identical():
-    from repro.core.fragment_task import get_task_problem
-
-    task = _make_task()
-    problem = get_task_problem(task)
-    h = problem.hamiltonian
-    h.set_effective_potential(np.asarray(task.screening_potential))
-    nbands = problem.nbands
-    rng = np.random.default_rng(11)
-    x = h.basis.random_coefficients(nbands, rng)
-    hx = h.apply(x)
-    evals = np.sort(rng.standard_normal(nbands))
-    precond = h.preconditioner()
-    r = hx - evals[:, None] * x
-    w_ref = r * precond[None, :]
-    rnorm_ref = np.linalg.norm(r, axis=1)
-    executor = SerialFragmentExecutor()
-    for nslices in (1, 2, 3, nbands):
-        group = BandGroup(executor, nslices).bind(task)
-        w, rnorm = group.residual_precond(x, hx, evals)
-        np.testing.assert_array_equal(w, w_ref)
-        np.testing.assert_array_equal(rnorm, rnorm_ref)
 
 
 def test_band_group_requires_capable_executor():
@@ -225,8 +199,6 @@ def solve_reference():
 
 def test_grouped_all_band_cg_bit_identical_serial(solve_reference):
     """all_band_cg(band_groups=...) == all_band_cg() for {1,2,3,nbands}."""
-    from repro.core.fragment_task import get_task_problem
-
     task = _make_task()
     problem = get_task_problem(task)
     h = problem.hamiltonian
@@ -251,8 +223,6 @@ def test_grouped_all_band_cg_bit_identical_serial(solve_reference):
 def test_grouped_all_band_cg_with_fewer_rows_than_slices():
     """Near convergence the residual block loses rows, so ``apply_h`` sees
     blocks smaller than the band block - and than the slice count."""
-    from repro.core.fragment_task import get_task_problem
-
     task = _make_task()
     problem = get_task_problem(task)
     h, nb = problem.hamiltonian, problem.nbands
@@ -538,17 +508,20 @@ def _state_fingerprint(scf, tolerance=1e-4, iterations=40):
     return fp.hexdigest()
 
 
-class _KillAfterBatches(SerialFragmentExecutor):
-    """Serial backend that dies after a fixed number of band-task batches."""
+class _KillAfterFragments(SerialFragmentExecutor):
+    """Serial backend that dies on the first band batch of the fragment
+    after the ``nfragments``-th, i.e. once that many have been solved
+    (the serial grouped path finishes one fragment before the next)."""
 
-    def __init__(self, nbatches):
+    def __init__(self, nfragments):
         super().__init__()
-        self.left = nbatches
+        self.nfragments = nfragments
+        self.seen = set()
 
     def run_bands(self, tasks):
-        if self.left <= 0:
+        self.seen.add(tasks[0].template.label)
+        if len(self.seen) > self.nfragments:
             raise RuntimeError("simulated mid-PEtot_F kill")
-        self.left -= 1
         return super().run_bands(tasks)
 
 
@@ -559,7 +532,7 @@ def test_mid_iteration_checkpoint_replays_only_unfinished(tmp_path):
                   eigensolver_tolerance=1e-4, eigensolver_iterations=40)
     reference = _tiny_scf(SerialFragmentExecutor(), band_groups=2).run(**run_kw)
 
-    killer = _KillAfterBatches(90)  # enough stages to finish >= 1 fragment
+    killer = _KillAfterFragments(1)
     scf = _tiny_scf(killer, band_groups=2)
     with pytest.raises(RuntimeError, match="simulated"):
         scf.run(checkpoint_dir=tmp_path, resume=True, **run_kw)
@@ -587,7 +560,7 @@ def test_resume_with_changed_inputs_does_not_splice_stale_partials(tmp_path):
     two inconsistent calculations into one iteration)."""
     kill_kw = dict(max_iterations=1, potential_tolerance=1e-9,
                    eigensolver_tolerance=1e-4, eigensolver_iterations=40)
-    killer = _KillAfterBatches(90)
+    killer = _KillAfterFragments(1)
     scf = _tiny_scf(killer, band_groups=2)
     with pytest.raises(RuntimeError, match="simulated"):
         scf.run(checkpoint_dir=tmp_path, resume=True, **kill_kw)
@@ -606,7 +579,7 @@ def test_fresh_run_never_replays_stale_partials(tmp_path):
     another run's results without being asked would silently mix state."""
     run_kw = dict(max_iterations=1, potential_tolerance=1e-9,
                   eigensolver_tolerance=1e-4, eigensolver_iterations=40)
-    killer = _KillAfterBatches(90)
+    killer = _KillAfterFragments(1)
     scf = _tiny_scf(killer, band_groups=2)
     with pytest.raises(RuntimeError, match="simulated"):
         scf.run(checkpoint_dir=tmp_path, resume=True, **run_kw)

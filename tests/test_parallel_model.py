@@ -1,6 +1,11 @@
 """Tests for the parallel-machine substrate (machines, groups, scheduler,
 flop counts, communication model, performance model, Amdahl fits)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,6 +275,31 @@ def test_fit_amdahl_on_model_strong_scaling_is_tight():
     fit = fit_amdahl(np.array(cores, float), np.array(perf))
     assert fit.mean_absolute_relative_deviation < 0.05
     assert fit.serial_fraction < 1e-3
+
+
+_IMPORT_HYGIENE_SCRIPT = """
+import sys
+import repro, repro.core, repro.parallel.remote, repro.store.server
+assert "scipy.optimize" not in sys.modules, "scipy.optimize imported at package import"
+from repro.parallel.amdahl import amdahl_performance, fit_amdahl
+import numpy as np
+cores = np.array([2.0, 4.0, 8.0])
+fit_amdahl(cores, amdahl_performance(cores, 1.0, 0.01))
+assert "scipy.optimize" in sys.modules, "the fit no longer goes through scipy.optimize"
+"""
+
+
+def test_importing_the_package_does_not_import_scipy_optimize():
+    """Every driver, pool worker, ``repro-worker`` and daemon imports the
+    package; scipy.optimize (~0.45 s, ~40 MB) is only for the VFF relaxer
+    and the Amdahl fit, which import it when called."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_HYGIENE_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_fit_amdahl_validation():

@@ -24,11 +24,14 @@ against the golden-regression systems; CI runs it in the dedicated
 """
 
 import contextlib
+import dataclasses
 import json
 import os
+import pickle
 import socket
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,7 @@ from repro.core.fragment_task import (
     solve_fragment_task,
 )
 from repro.core.scf import LS3DFSCF
+from repro.parallel.bands import BandGroup
 from repro.parallel.executor import SerialFragmentExecutor
 from repro.parallel.faults import FaultPlan
 from repro.parallel.remote import (
@@ -254,12 +258,21 @@ def test_remote_run_matches_local_kernels():
 def test_shutdown_workers_then_degrade_to_local():
     tasks = [_make_task(f"s{i}") for i in range(2)]
     reference = [solve_fragment_task(t) for t in tasks]
-    with _cluster(2) as (executor, _):
+    with _cluster(2) as (executor, servers):
         assert executor.shutdown_workers() == 2
+        # Shut-down workers are dead to the driver and refuse connections;
+        # they were not *lost*, so that counter stays put.
+        assert not executor._live_handles() and executor.n_workers == 1
+        for server in servers:
+            with pytest.raises(OSError):
+                socket.create_connection(server.address, timeout=1.0).close()
+        t0 = time.perf_counter()
         report = executor.run(tasks)  # everything falls through to serial
+        elapsed = time.perf_counter() - t0
         _assert_results_equal(report.results, reference)
-        assert executor.workers_lost == 2
+        assert executor.workers_lost == 0
         assert executor.degraded_tasks == 2
+        assert elapsed < 2.0  # no reconnect into a dead backlog, no timeout
 
 
 def test_heartbeat_flags_dead_workers():
@@ -340,6 +353,50 @@ def test_missed_install_heals_with_payload_then_reinstalls():
             task_frame = sent[2] - sent[1]
             extra = (sent[1] - sent[0]) - 2 * task_frame
             assert v_in.nbytes <= extra < 1.5 * v_in.nbytes
+    finally:
+        clear_installed_potentials()
+
+
+# --- band-group wire contract -----------------------------------------------------
+
+def test_band_group_wire_carries_h_psi_only():
+    """A grouped solve ships H·psi and nothing else: one stage of
+    ``nslices`` task frames per ``apply_h`` call the solver makes (the
+    residual step stays on the root), and the bytes sent are the blocks
+    handed to ``apply_h`` plus per-task framing."""
+    # A basis large enough (341 plane waves) that the band rows, not the
+    # ~0.9 KB of template and framing per task, are what a frame weighs.
+    task = dataclasses.replace(_make_task(), ecut=10.0)
+    reference = solve_fragment_task(task)
+    nslices = 2
+    blocks = []
+    try:
+        with _cluster(2) as (executor, servers):
+            group = BandGroup(executor, nslices)
+            sliced_apply_h = group.apply_h
+
+            def counting_apply_h(block):
+                blocks.append(block)
+                return sliced_apply_h(block)
+
+            group.apply_h = counting_apply_h
+            # Connect and install up front, so the growth measured below is
+            # task frames only (the solve's own install is then deduped).
+            v = np.asarray(task.screening_potential)
+            executor.install_state(potential_fingerprint(v), v)
+            sent = executor.bytes_sent
+            result = solve_fragment_task(task, group=group)
+            sent = executor.bytes_sent - sent
+            _assert_results_equal([result], [reference])
+            # The initial image, one per iteration, one per verification.
+            assert result.solver_iterations + 2 <= len(blocks) <= (
+                2 * result.solver_iterations + 2)
+            assert group.stats.stages == len(blocks)
+            assert group.stats.submissions == nslices * len(blocks)
+            assert sum(s.tasks_served for s in servers) == nslices * len(blocks)
+            assert executor.install_broadcasts == 2
+            payload = sum(len(pickle.dumps(b, pickle.HIGHEST_PROTOCOL)) for b in blocks)
+            assert sent < 1.2 * payload
     finally:
         clear_installed_potentials()
 

@@ -105,8 +105,8 @@ def test_bench_remote_executor(results_dir):
     latency_us = float(np.median(samples) * 1e6)
 
     # -- install dedup: shipped bytes with the fingerprint channel on/off.
-    on_result, on = _remote_run(pipeline=True)
-    off_result, off = _remote_run(pipeline=True, install_potentials=False)
+    on_result, on = _remote_run()
+    off_result, off = _remote_run(install_potentials=False)
     assert on_result.total_energy == off_result.total_energy  # same physics
     assert on["installs"] > 0 and off["installs"] == 0
     savings = 1.0 - on["bytes_sent"] / off["bytes_sent"]

@@ -3,8 +3,8 @@
 Part A reproduces the modelled evaluation (Table I, Figures 3-5) for any of
 the three machines; Part B runs a *real* laptop-scale strong-scaling
 measurement: a full LS3DF self-consistent calculation is repeated with the
-serial, thread-pool and process-pool fragment-execution backends — with
-and without the fused Gen_VF->solve->Gen_dens fragment pipeline — and the
+serial, thread-pool and process-pool fragment-execution backends (every
+fragment one fused Gen_VF->solve->Gen_dens task per iteration) and the
 *measured* PEtot_F speedup (from the per-fragment wall times the SCF loop
 records) is printed next to the speedup the LPT load-balancing model
 predicts for the same fragment batch, together with the measured Amdahl
@@ -65,7 +65,7 @@ def real_strong_scaling(max_workers: int) -> None:
     print("\n=== Real LS3DF strong scaling (pluggable fragment backends) ===")
     structure = cscl_binary((2, 2, 1), "Zn", "Se", 6.5)
 
-    def run_with(executor, pipeline=False):
+    def run_with(executor):
         scf = LS3DFSCF(
             structure,
             grid_dims=(2, 2, 1),
@@ -74,7 +74,6 @@ def real_strong_scaling(max_workers: int) -> None:
             n_empty=2,
             mixer="kerker",
             executor=executor,
-            pipeline=pipeline,
         )
         result = scf.run(
             max_iterations=3,
@@ -84,28 +83,25 @@ def real_strong_scaling(max_workers: int) -> None:
         )
         return scf, result
 
-    backends = [("serial", 1, False, SerialFragmentExecutor()),
-                ("serial+pipeline", 1, True, SerialFragmentExecutor())]
+    backends = [("serial", 1, SerialFragmentExecutor())]
     for workers in sorted({2, max_workers} if max_workers > 1 else set()):
-        backends.append((f"threads x{workers}", workers, False,
+        backends.append((f"threads x{workers}", workers,
                          ThreadPoolFragmentExecutor(n_workers=workers)))
-        backends.append((f"processes x{workers}", workers, False,
-                         ProcessPoolFragmentExecutor(n_workers=workers)))
-        backends.append((f"processes x{workers}+pipeline", workers, True,
+        backends.append((f"processes x{workers}", workers,
                          ProcessPoolFragmentExecutor(n_workers=workers)))
 
     scheduler = FragmentScheduler()
     rows = []
     baseline_wall = None
-    for name, workers, pipeline, executor in backends:
-        scf, result = run_with(executor, pipeline)
+    for name, workers, executor in backends:
+        scf, result = run_with(executor)
         if hasattr(executor, "close"):
             executor.close()
         petot_wall = sum(t.petot_f for t in result.timings)
         petot_cpu = sum(t.petot_f_cpu for t in result.timings)
         # Measured Amdahl alpha of the last (warm) iteration: driver-side
-        # serial time vs. summed per-fragment time.  The fused pipeline
-        # moves the Gen_VF/Gen_dens loops out of the serial part.
+        # serial time (task building, reduce residue, GENPOT) vs. summed
+        # per-fragment time.
         alpha = result.timings[-1].measured_serial_fraction
         if baseline_wall is None:
             baseline_wall = petot_wall
@@ -161,7 +157,6 @@ def band_group_study(max_workers: int) -> None:
             n_empty=2,
             mixer="kerker",
             executor=executor,
-            pipeline=band_groups is None,
             band_groups=band_groups,
         )
         result = scf.run(

@@ -44,7 +44,6 @@ from repro.core.fragment_task import (
     FragmentStateCache,
     FragmentTask,
     FragmentTaskResult,
-    PipelineFragmentExecutor,
     clear_problem_cache,
     run_fragment_pipeline_task,
     solve_fragment_task,
@@ -74,7 +73,6 @@ __all__ = [
     "FragmentStateCache",
     "FragmentTask",
     "FragmentTaskResult",
-    "PipelineFragmentExecutor",
     "clear_problem_cache",
     "run_fragment_pipeline_task",
     "solve_fragment_task",

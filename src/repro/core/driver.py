@@ -72,13 +72,12 @@ class LS3DF:
         the serial in-process backend.  Pass e.g.
         ``ProcessPoolFragmentExecutor(n_workers=4)`` from
         :mod:`repro.parallel.executor` to solve fragments concurrently.
+        Every fragment runs as one fused Gen_VF -> solve -> Gen_dens task
+        per iteration (see :class:`repro.core.scf.LS3DFSCF`).
     pipeline:
-        When True, run every fragment as one fused
-        Gen_VF -> solve -> Gen_dens task per iteration instead of serial
-        driver loops around the solves (see
-        :class:`repro.core.scf.LS3DFSCF`); all shipped executors support
-        it.  Default False (the serial data path, byte-identical results
-        to the seed).
+        Vestige kept for the benchmark harness (ROADMAP flagship 3):
+        the fused task is the one iteration path, so anything but True
+        raises ``ValueError`` and the value is not forwarded.
     genpot_shards:
         Distribute the GENPOT global steps (Poisson, XC, mixing) over
         this many 1D z-slabs pushed through ``executor`` — the paper's
@@ -96,8 +95,7 @@ class LS3DF:
         :mod:`repro.parallel.bands`.
     kwargs:
         Remaining options forwarded to :class:`repro.core.scf.LS3DFSCF`
-        (buffer_cells, mixer, eigensolver, passivation switches,
-        patch_chunk_size, ...).
+        (buffer_cells, mixer, eigensolver, passivation switches, ...).
     """
 
     def __init__(
@@ -107,11 +105,16 @@ class LS3DF:
         ecut: float = 4.0,
         pseudopotentials: PseudopotentialSet | None = None,
         executor: FragmentExecutor | None = None,
-        pipeline: bool = False,
+        pipeline: bool = True,
         genpot_shards: int | None = None,
         band_groups: int | None = None,
         **kwargs,
     ) -> None:
+        if pipeline is not True:
+            raise ValueError(
+                f"pipeline={pipeline!r}: PR 18 removed the unfused per-fragment "
+                f"driver loop; the fused task is the only path, drop the argument"
+            )
         self.structure = structure
         self.pseudopotentials = pseudopotentials or default_pseudopotentials()
         self.scf = LS3DFSCF(
@@ -120,7 +123,6 @@ class LS3DF:
             ecut=ecut,
             pseudopotentials=self.pseudopotentials,
             executor=executor,
-            pipeline=pipeline,
             genpot_shards=genpot_shards,
             band_groups=band_groups,
             **kwargs,
@@ -131,11 +133,6 @@ class LS3DF:
     def executor(self) -> FragmentExecutor:
         """The fragment-execution backend used by the SCF loop."""
         return self.scf.executor
-
-    @property
-    def pipeline(self) -> bool:
-        """Whether the SCF loop runs fused fragment pipeline tasks."""
-        return self.scf.pipeline
 
     @property
     def genpot_shards(self) -> int:

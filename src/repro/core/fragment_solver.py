@@ -329,9 +329,8 @@ class FragmentSolver:
         correction, and the worker performs the restriction, the solve and
         the weighted-interior extraction itself
         (:func:`repro.core.fragment_task.run_fragment_pipeline_task`).
-        This is what :class:`repro.core.scf.LS3DFSCF` hands to a
-        pipeline-capable backend every outer iteration when
-        ``pipeline=True``.
+        This is what :class:`repro.core.scf.LS3DFSCF` hands to its
+        executor every outer iteration.
 
         With ``global_potential_key`` set (the PR 6 install channel) the
         task references the potential by fingerprint instead of carrying

@@ -554,22 +554,20 @@ def solve_fragment_task(
 class FragmentPipelineTask:
     """Fused Gen_VF -> PEtot_F -> Gen_dens unit of work for one fragment.
 
-    The plain :class:`FragmentTask` covers only the Kohn-Sham solve; the
-    driver then still owns two serial per-fragment loops (the Gen_VF
-    restriction before the solve, the Gen_dens interior extraction after
-    it).  This task fuses all three per-fragment steps into one picklable
+    The plain :class:`FragmentTask` covers only the Kohn-Sham solve.  This
+    task — the unit of work of every :class:`repro.core.scf.LS3DFSCF`
+    iteration — fuses all three per-fragment steps into one picklable
     description, so a pool worker receives the global input potential plus
     index maps, performs restrict -> solve -> weighted-interior extraction
-    locally, and ships back a single result — one round trip per fragment
-    per SCF iteration instead of a solve round trip sandwiched between two
-    driver-side loops.
+    locally, and ships back a single result: one round trip per fragment
+    per SCF iteration and no per-fragment loop left on the driver.
 
-    IPC trade-off (process pools): each submission pickles the *global*
-    potential instead of the box-sized restriction the unfused path ships,
-    buying the driver out of the serial per-fragment Gen_VF loop at the
-    price of larger submissions.  At the scales this reproduction runs the
-    loop is the bottleneck, not the bytes; the production code avoids both
-    by point-to-point isend/irecv of box-sized pieces.
+    IPC trade-off (process pools): each submission carries the *global*
+    potential (or its fingerprint key, with the install channel) instead
+    of a box-sized restriction; at the scales this reproduction runs a
+    driver-side restriction loop would cost more than the bytes.  The
+    production code avoids both by point-to-point isend/irecv of
+    box-sized pieces.
 
     Attributes
     ----------
@@ -762,14 +760,16 @@ def run_fragment_pipeline_task(
     1. **Gen_VF** — gather the fragment-box restriction of the global
        input potential and subtract the fixed passivation correction;
     2. **PEtot_F** — run the shared solve kernel
-       (:func:`solve_fragment_task`, same static-problem cache and warm
-       starts as the unfused path);
+       (:func:`solve_fragment_task`, with its static-problem cache and
+       warm starts);
     3. **Gen_dens** — extract the region interior of the solved density
        and apply the fragment's charge-conserving alpha weight.
 
-    The arithmetic matches the driver-side unfused path operation for
-    operation, so fused and unfused runs differ only in where (and in what
-    summation grouping) the global density is reduced.
+    The arithmetic matches the step-by-step sequence
+    :func:`repro.core.patching.restrict_to_fragment` ->
+    :func:`solve_fragment_task` -> weighted interior operation for
+    operation; only the grouping of the global density sum is the
+    reducer's choice (:func:`repro.core.patching.patch_contributions`).
 
     Parameters
     ----------
@@ -925,67 +925,25 @@ class FragmentStateCache:
 
 @runtime_checkable
 class FragmentExecutor(Protocol):
-    """Protocol every fragment-execution backend implements.
+    """What :class:`repro.core.scf.LS3DFSCF` needs of an execution backend.
 
-    Backends take a batch of :class:`FragmentTask` and return an
-    execution report whose ``results`` list is ordered like the input
-    tasks.  Implementations live in :mod:`repro.parallel.executor`
-    (serial, thread pool, process pool); anything with this shape — e.g.
-    an MPI- or cluster-backed mapper — plugs into
-    :class:`repro.core.scf.LS3DFSCF` the same way.
+    Every iteration submits one fused :class:`FragmentPipelineTask` per
+    fragment and consumes the futures in fragment order.  The backends
+    in :mod:`repro.parallel.executor` and :mod:`repro.parallel.remote`
+    also offer gathered batch forms (``run``, ``run_pipeline``, returning
+    an :class:`ExecutionReport`) and the optional ``run_bands``
+    (``band_groups=``) and ``submit_global`` (``genpot_shards=``)
+    surfaces; anything with this shape — e.g. an MPI- or cluster-backed
+    mapper — plugs into the SCF loop the same way.
     """
 
     n_workers: int
-
-    def run(self, tasks: Sequence[FragmentTask]) -> "ExecutionReport":
-        """Execute a batch of fragment solve tasks.
-
-        Parameters
-        ----------
-        tasks:
-            Picklable solve descriptions, one per fragment.
-
-        Returns
-        -------
-        ExecutionReport
-            With ``results`` (:class:`FragmentTaskResult`) in task order.
-        """
-        ...
-
-
-@runtime_checkable
-class PipelineFragmentExecutor(FragmentExecutor, Protocol):
-    """A backend that additionally runs fused fragment pipeline tasks.
-
-    All backends shipped in :mod:`repro.parallel.executor` implement this;
-    :class:`repro.core.scf.LS3DFSCF` requires it when ``pipeline=True``
-    (the iteration consumes the ``submit_pipeline_batch`` futures;
-    ``run_pipeline`` is the same submission gathered into a report).
-    """
 
     def submit_pipeline_batch(self, tasks: Sequence[FragmentPipelineTask]) -> list:
         """Submit a batch of fused tasks; one future per task, in task order.
 
         Each future (``done`` / ``result`` / ``add_done_callback``)
         resolves to that task's :class:`FragmentPipelineResult`.
-        """
-        ...
-
-    def run_pipeline(
-        self, tasks: Sequence[FragmentPipelineTask]
-    ) -> "ExecutionReport":
-        """Execute a batch of fused restrict -> solve -> contribute tasks.
-
-        Parameters
-        ----------
-        tasks:
-            One :class:`FragmentPipelineTask` per fragment.
-
-        Returns
-        -------
-        ExecutionReport
-            With ``results`` (:class:`FragmentPipelineResult`) in task
-            order.
         """
         ...
 
@@ -1022,13 +980,6 @@ class ExecutionReport:
         if self.wall_time <= 0 or self.worker_count <= 0:
             return 0.0
         return self.total_cpu_time / (self.worker_count * self.wall_time)
-
-    @property
-    def speedup(self) -> float:
-        """total task time / wall time — the measured PEtot_F speedup."""
-        if self.wall_time <= 0:
-            return 0.0
-        return self.total_cpu_time / self.wall_time
 
     @property
     def distinct_workers(self) -> int:

@@ -21,7 +21,6 @@ tests) is obtained by passing a grid with one dimension equal to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -190,20 +189,6 @@ def fragments_by_weight(fragments: Sequence[Fragment]) -> dict[int, list[Fragmen
     for f in fragments:
         out[f.weight].append(f)
     return out
-
-
-@lru_cache(maxsize=None)
-def fragment_size_multiset(ndim_active: int = 3) -> dict[tuple[int, ...], int]:
-    """Count of fragments per size class emitted from one corner.
-
-    For the full 3D case this is {(1,1,1):1, (2,1,1)-type:3, (2,2,1)-type:3,
-    (2,2,2):1}; used by the performance model to weight per-fragment costs.
-    """
-    counts: dict[tuple[int, ...], int] = {}
-    for size in product((1, 2), repeat=ndim_active):
-        key = tuple(sorted(size, reverse=True))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 def iter_corner_fragments(

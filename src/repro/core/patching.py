@@ -173,6 +173,12 @@ def tree_reduce_fields(
     return total
 
 
+#: Chunk size of the SCF loop's Gen_dens tree-reduce: fixed, never derived
+#: from a worker count, so the summation tree (every density bit) is the
+#: same on every backend.  One chunk is plain sequential summation.
+PATCH_CHUNK_SIZE = 8
+
+
 def patch_contributions(
     shape: tuple[int, int, int],
     contributions: Iterable[FragmentContribution],
@@ -186,11 +192,12 @@ def patch_contributions(
     be any iterable (it is consumed lazily, one chunk at a time).
 
     ``chunk_size=None`` accumulates every contribution sequentially into a
-    single array (the seed behaviour, byte-identical addition order).  A
-    positive ``chunk_size`` splits the contributions into fixed
-    consecutive chunks, accumulates each into its own partial field, and
-    combines the partials with a pairwise tree sum — the deterministic
-    chunked tree-reduce the pipeline path uses.  The chunk boundaries
+    single array (the reference addition order).  A positive
+    ``chunk_size`` splits the contributions into fixed consecutive
+    chunks, accumulates each into its own partial field, and combines the
+    partials with a pairwise tree sum — the deterministic chunked
+    tree-reduce the SCF loop uses with :data:`PATCH_CHUNK_SIZE`.  The
+    chunk boundaries
     depend only on the contribution order and ``chunk_size``, so every
     backend (and any worker count) produces identical bits.
     """
@@ -254,7 +261,7 @@ def patch_fragment_fields(
         fragment's alpha).
     chunk_size:
         ``None`` (default) accumulates sequentially in fragment order —
-        the seed behaviour, byte-identical addition order.  A positive
+        the reference addition order.  A positive
         value sums through the deterministic chunked tree-reduce of
         :func:`patch_contributions` instead.
 

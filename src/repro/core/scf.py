@@ -1,47 +1,37 @@
 """The LS3DF outer self-consistent loop (Figure 2 of the paper).
 
 Every iteration performs the four steps Gen_VF -> PEtot_F -> Gen_dens ->
-GENPOT.  Fragment solves are independent of each other — the property the
-paper exploits for near-perfect parallel scaling — so PEtot_F is executed
-through a pluggable backend implementing the
-:class:`repro.core.fragment_task.FragmentExecutor` protocol: the serial
-default, a thread pool, or a process pool
-(:mod:`repro.parallel.executor`).  The loop itself only builds picklable
-fragment tasks and consumes their results; it never cares *where* a
-fragment was solved.
-
-In the paper *all three* per-fragment steps are embarrassingly parallel,
-not just the solves; only the small GENPOT Poisson solve is serial.  The
-``pipeline=True`` mode reproduces that: Gen_VF, the solve and the
-Gen_dens contribution are fused into one
-:class:`~repro.core.fragment_task.FragmentPipelineTask` per fragment (a
-single executor round trip), and the global density is assembled by a
+GENPOT.  In the paper all three per-fragment steps are embarrassingly
+parallel and only the small GENPOT Poisson solve is global, and that is
+the one data path here: Gen_VF, the solve and the Gen_dens contribution
+of a fragment are fused into one
+:class:`~repro.core.fragment_task.FragmentPipelineTask` (a single
+executor round trip), executed through a pluggable backend implementing
+the :class:`repro.core.fragment_task.FragmentExecutor` protocol — the
+serial default, a thread pool, a process pool
+(:mod:`repro.parallel.executor`) or socket workers
+(:mod:`repro.parallel.remote`).  The global density is assembled by a
 deterministic chunked tree-reduce that consumes the fragments' futures
-in order while the batch tail is still running — the driver's remaining
-serial work per iteration is task building, the reduce's residue and
-GENPOT.  The default
-``pipeline=False`` path produces byte-identical *results* to the seed;
-only its timing attribution moved (task building — restriction plus
-screening-potential assembly, i.e. the paper's Gen_VF — is now timed
-under ``gen_vf`` instead of inflating the ``petot_f`` wall time, and the
-fixed passivation potential is cached across iterations instead of
-rebuilt).
+in order while the batch tail is still running, so the driver's serial
+work per iteration is task building, the reduce's residue and GENPOT;
+the loop never cares *where* a fragment was solved.
 
 The paper's parallelism is two-level: fragments go to processor
 *groups*, and the Np cores inside a group distribute one fragment's
 all-band CG among themselves.  ``band_groups=`` reproduces the second
-level: each fragment's solve is band-sliced over the executor's workers
-(:mod:`repro.parallel.bands`), with the driver as group root — so a
-single huge fragment no longer bounds the PEtot_F wall time — while
-results stay bit-identical to the single-worker paths for any slice
-count and backend.
+level — the single fork inside an iteration: the same fused tasks are
+drained group by group with each fragment's solve band-sliced over the
+executor's workers (:mod:`repro.parallel.bands`), the driver acting as
+group root — so a single huge fragment no longer bounds the PEtot_F wall
+time — while results stay bit-identical to the one-worker-per-fragment
+side for any slice count and backend.
 
 Long runs can be checkpointed and resumed (``checkpoint_dir=`` /
 ``checkpoint_every=`` / ``resume=`` on :meth:`LS3DFSCF.run`): the
 cross-iteration state — input potential, mixer history, warm-start
 wavefunctions — is persisted via :mod:`repro.io.checkpoint`, and a
 resumed run's iterates are bit-identical to an uninterrupted run's.  On
-the band-grouped path, completed fragments are additionally persisted
+the band-grouped side, completed fragments are additionally persisted
 *within* each iteration, so a kill mid-PEtot_F replays only the
 unfinished fragments.
 """
@@ -64,17 +54,12 @@ from repro.core.fragment_task import (
     FragmentExecutor,
     FragmentPipelineResult,
     FragmentStateCache,
-    PipelineFragmentExecutor,
     potential_fingerprint,
     run_fragment_pipeline_task_grouped,
 )
 from repro.core.fragments import Fragment, enumerate_fragments
 from repro.core.genpot import GlobalPotentialSolver
-from repro.core.patching import (
-    patch_contributions,
-    patch_fragment_fields,
-    restrict_to_fragment,
-)
+from repro.core.patching import PATCH_CHUNK_SIZE, patch_contributions
 from repro.io.checkpoint import (
     SCFCheckpoint,
     clear_partial_payloads,
@@ -97,22 +82,24 @@ class IterationTimings:
     solve time (in fragment order), so real speedups and parallel
     efficiencies can be measured instead of modelled.
 
-    With the fused fragment pipeline (``pipeline`` True) the Gen_VF
-    restriction and the Gen_dens interior extraction run *inside* the
-    per-fragment tasks: their in-worker times land in
+    The Gen_VF restriction and the Gen_dens interior extraction run
+    *inside* the fused per-fragment tasks: their in-worker times land in
     ``gen_vf_fragments`` / ``gen_dens_fragments`` (and inside
-    ``petot_f_fragments``, which then times the whole fused step), while
-    the driver-side ``gen_vf`` / ``gen_dens`` shrink to task building and
-    the chunked tree-reduce.  ``serial_time`` / ``measured_serial_fraction``
-    expose how much of the iteration actually remained serial — the
-    measured counterpart of the paper's Amdahl fit (compare
+    ``petot_f_fragments``, which times the whole fused step), while the
+    driver-side ``gen_vf`` / ``gen_dens`` are task building and the
+    residue of the chunked tree-reduce.  ``serial_time`` /
+    ``measured_serial_fraction`` expose how much of the iteration
+    actually remained serial — the measured counterpart of the paper's
+    Amdahl fit (compare
     :func:`repro.parallel.amdahl.serial_fraction_history`).
 
-    The pipeline iteration's reduce consumes fragment futures in fragment
-    order while the batch tail is still draining: ``overlap_wait`` /
-    ``overlap_busy`` split that loop into blocked-on-workers versus
-    useful reduce work (see ``overlap_occupancy``), and ``gen_dens`` is
-    the residue left *after* the last fragment landed.
+    The reduce consumes fragment results in fragment order while the
+    batch tail is still draining: ``overlap_wait`` / ``overlap_busy``
+    split the PEtot_F wall into not-reducing (the submission, blocked
+    pulls; with band groups the whole drain, which finishes before the
+    reduce starts) versus useful reduce work (see
+    ``overlap_occupancy``), and ``gen_dens`` is the residue left *after*
+    the last fragment landed.
 
     ``genpot_poisson`` / ``genpot_xc`` / ``genpot_mix`` break the GENPOT
     wall time down into its three global steps.  With ``genpot_shards >
@@ -146,20 +133,13 @@ class IterationTimings:
     ``band_schedule`` carries a
     :class:`repro.parallel.scheduler.GroupExecutionRecord`: the LPT
     plan over group-sized bins *plus* the measured wall time of every
-    group bin and of the whole step.  When the schedule has more than
-    one group and the executor's ``partition`` can split its workers,
-    the Ng groups run on disjoint sub-pools from concurrent driver
-    threads, so the record's ``concurrent`` flag is set and
-    ``measured_makespan`` / ``concurrency_efficiency`` describe a
-    genuinely overlapped execution; otherwise the groups drain their
-    queues one after another on the one pool and the same fields
-    measure that serialisation.  The modelled
-    quantities (Np, modelled intra-group efficiency) remain reachable
-    through the record's delegating properties.
+    group bin and of the whole drain, and whether the groups ran
+    concurrently on partitioned sub-pools (see
+    :meth:`LS3DFSCF._drain_band_groups`).
 
     ``checkpoint_io`` records the seconds spent writing this iteration's
     checkpoint — including mid-iteration partial-fragment payloads on
-    the band-grouped path (zero when checkpointing is off).  Checkpoint
+    the band-grouped side (zero when checkpointing is off).  Checkpoint
     I/O happens on the driver while every worker idles, so it is counted
     in ``serial_time`` — the Amdahl accounting stays honest about the
     cost of restartability.
@@ -173,7 +153,6 @@ class IterationTimings:
     petot_f_workers: int = 1
     gen_vf_fragments: list[float] = field(default_factory=list)
     gen_dens_fragments: list[float] = field(default_factory=list)
-    pipeline: bool = False
     overlap_wait: float = 0.0
     overlap_busy: float = 0.0
     genpot_poisson: float = 0.0
@@ -219,13 +198,14 @@ class IterationTimings:
 
     @property
     def overlap_occupancy(self) -> float:
-        """Useful fraction of the pipeline Gen_dens reduce's driver loop.
+        """Useful fraction of the streamed Gen_dens reduce's driver loop.
 
         The driver consumes fragment futures in order while the batch
         tail drains: ``overlap_busy`` seconds went into the chunked
         tree-reduce under still-running workers and ``overlap_wait``
         seconds were spent blocked on the next future.  This is their
-        ratio — 0.0 when the pipeline path did not run.
+        ratio (near zero on a band-grouped iteration, which reduces
+        after its drain).
         """
         denom = self.overlap_busy + self.overlap_wait
         return self.overlap_busy / denom if denom > 0 else 0.0
@@ -273,10 +253,9 @@ class IterationTimings:
     def serial_time(self) -> float:
         """Driver-side unparallelised time of the iteration.
 
-        The Gen_VF and Gen_dens entries time serial per-fragment driver
-        loops on the unfused path but only task building plus the chunked
-        tree-reduce on the pipeline path.  GENPOT is serial on the
-        default path; with ``genpot_shards > 1`` the per-slab Poisson/XC/
+        The Gen_VF and Gen_dens entries time task building and the
+        residue of the chunked tree-reduce.  GENPOT is serial by
+        default; with ``genpot_shards > 1`` the per-slab Poisson/XC/
         mixing work moves to the executor (parallel bucket) and only the
         driver residue — layout conversion, scalar reductions, task
         overhead (``genpot_driver``) — remains serial.  With band-sliced
@@ -406,28 +385,13 @@ class LS3DFSCF:
         Fragment-execution backend implementing the
         :class:`~repro.core.fragment_task.FragmentExecutor` protocol; the
         default :class:`~repro.parallel.executor.SerialFragmentExecutor`
-        solves fragments one after another in-process.  Pass a
-        :class:`~repro.parallel.executor.ThreadPoolFragmentExecutor` or
-        :class:`~repro.parallel.executor.ProcessPoolFragmentExecutor` to
-        solve the independent fragment problems concurrently.
-    pipeline:
-        When True, fuse Gen_VF -> PEtot_F -> Gen_dens into one
-        :class:`~repro.core.fragment_task.FragmentPipelineTask` per
-        fragment per iteration: the serial per-fragment driver loops
-        disappear (the restriction and the weighted-interior extraction
-        run inside the workers, one round trip per fragment) and the
-        global density is assembled by a deterministic chunked
-        tree-reduce, which consumes the fragments' futures in order while
-        the batch tail is still running.  Requires an executor with
-        ``run_pipeline`` / ``submit_pipeline_batch`` (all backends in
-        :mod:`repro.parallel.executor` have them).  The default False
-        keeps the seed serial data path (byte-identical results; see the
-        module docstring for the timing-attribution changes).
-    patch_chunk_size:
-        Chunk size of the pipeline path's Gen_dens tree-reduce (see
-        :func:`repro.core.patching.patch_contributions`).  Fixed by
-        fragment order only, so results are independent of the backend
-        and worker count.  Ignored when ``pipeline`` is False.
+        runs the fused fragment tasks one after another in-process.
+        Pass a :class:`~repro.parallel.executor.ThreadPoolFragmentExecutor`
+        or :class:`~repro.parallel.executor.ProcessPoolFragmentExecutor`
+        to run the independent fragment problems concurrently.  Every
+        iteration consumes ``executor.submit_pipeline_batch`` futures,
+        so an object without that method is rejected with a
+        ``TypeError`` here rather than mid-run.
     genpot_shards:
         Number of 1D z-slabs the GENPOT global steps are distributed
         over (the paper's dual fragment/slab data layout).  The default
@@ -443,39 +407,26 @@ class LS3DFSCF:
     band_groups:
         Number of band slices each fragment's all-band CG is distributed
         over — the local analogue of the paper's Np cores *per fragment
-        group*.  The default ``None`` keeps the one-worker-per-fragment
-        paths.  When set, PEtot_F switches to the band-grouped pipeline:
-        the driver hands fragments to the executor one group at a time
-        (LPT over group-sized bins, heaviest first; see
-        :meth:`repro.parallel.scheduler.FragmentScheduler.schedule_grouped`),
-        acts as each group's root for the dense cross-band reductions
-        and the elementwise residual step, and pushes the per-slice
-        H·psi work through ``executor.run_bands`` as
-        :class:`~repro.parallel.bands.BandBlockTask` batches —
-        bit-identical results to the ungrouped paths for any slice count
-        and backend, which is what removes the largest-fragment floor on
-        the PEtot_F wall time.  When the schedule yields more than one
-        group (total workers > ``band_groups``) and the executor supports
-        ``partition``, the Ng groups run *concurrently*: one worker
-        sub-pool per group (see
-        :func:`repro.parallel.groups.partition_worker_counts`), each
-        group's LPT queue drained by its own driver thread acting as
-        that group's root; otherwise the same queues are drained one
-        after another on the whole executor.  Bit-identical either way —
-        fragment results are pure functions of their tasks and the
-        Gen_dens reduce is order-fixed.  Requires the ``"all_band"`` eigensolver
-        and an executor with ``run_bands`` (all backends in
-        :mod:`repro.parallel.executor`).  With ``checkpoint_dir=`` set
-        on :meth:`run`, completed fragments are additionally persisted
-        *within* each iteration, so a killed run replays only the
-        unfinished ones (see :mod:`repro.io.checkpoint`).
+        group*.  The default ``None`` runs one worker per fragment.
+        When set, the iteration takes its band-grouped side
+        (:meth:`_drain_band_groups`): fragments go to worker groups
+        heaviest first, the driver acts as each group's root for the
+        dense cross-band reductions and the elementwise residual step,
+        and the per-slice H·psi work goes through ``executor.run_bands``
+        — bit-identical results to the ungrouped side for any slice
+        count, backend and group concurrency, which is what removes the
+        largest-fragment floor on the PEtot_F wall time.  Requires the
+        ``"all_band"`` eigensolver and an executor with ``run_bands``
+        (all backends in :mod:`repro.parallel.executor`).  With
+        ``checkpoint_dir=`` set on :meth:`run`, completed fragments are
+        additionally persisted *within* each iteration, so a killed run
+        replays only the unfinished ones (see :mod:`repro.io.checkpoint`).
     install_potentials:
         Install each iteration's global input potential once per worker
-        through the executor's install channel and ship pipeline (and
+        through the executor's install channel and ship fragment (and
         band-slice) tasks with a fingerprint key instead of the array.
         Bit-identical on or off; silently falls back to inline
-        shipping when the executor lacks ``install_state``.  Only
-        affects the pipeline / band-grouped paths.
+        shipping when the executor lacks ``install_state``.
     """
 
     def __init__(
@@ -494,8 +445,6 @@ class LS3DFSCF:
         polar_passivation: bool = True,
         points_per_bohr: float | None = None,
         executor: FragmentExecutor | None = None,
-        pipeline: bool = False,
-        patch_chunk_size: int = 8,
         genpot_shards: int | None = None,
         band_groups: int | None = None,
         install_potentials: bool = True,
@@ -527,6 +476,12 @@ class LS3DFSCF:
             from repro.parallel.executor import SerialFragmentExecutor
 
             executor = SerialFragmentExecutor()
+        if not callable(getattr(executor, "submit_pipeline_batch", None)):
+            raise TypeError(
+                f"LS3DFSCF needs an executor with submit_pipeline_batch(); "
+                f"{type(executor).__name__} does not provide one — use a "
+                f"backend from repro.parallel.executor"
+            )
         self.genpot = GlobalPotentialSolver(
             structure,
             global_grid,
@@ -537,17 +492,6 @@ class LS3DFSCF:
             executor=executor,
         )
         self.genpot_shards = self.genpot.shards
-        self.pipeline = bool(pipeline)
-        if self.pipeline and not isinstance(executor, PipelineFragmentExecutor):
-            raise TypeError(
-                f"pipeline=True needs an executor with run_pipeline() and "
-                f"submit_pipeline_batch(); {type(executor).__name__} lacks "
-                f"them — use a backend from repro.parallel.executor or set "
-                f"pipeline=False"
-            )
-        if patch_chunk_size < 1:
-            raise ValueError("patch_chunk_size must be positive")
-        self.patch_chunk_size = int(patch_chunk_size)
         self.band_groups = None if band_groups is None else int(band_groups)
         if self.band_groups is not None:
             if self.band_groups < 1:
@@ -567,7 +511,6 @@ class LS3DFSCF:
         self.executor = executor
         self.install_potentials = bool(install_potentials)
         self.state_cache = FragmentStateCache()
-        self._last_install_key: str | None = None
 
     # ------------------------------------------------------------------
     def _default_grid(self, points_per_bohr: float | None) -> FFTGrid:
@@ -617,9 +560,7 @@ class LS3DFSCF:
     ) -> list:
         """One fused pipeline task per fragment (the driver's Gen_VF residue).
 
-        Shared by the pipeline and band-grouped iteration paths so their
-        task construction — and hence their bit-identity — cannot
-        diverge.  With ``install_potentials`` (and an executor exposing
+        With ``install_potentials`` (and an executor exposing
         ``install_state``) the iteration's V_in is installed once per
         worker and the tasks carry only its fingerprint key — the
         restriction then reads the exact installed bytes, so results are
@@ -629,7 +570,6 @@ class LS3DFSCF:
         if self.install_potentials and hasattr(self.executor, "install_state"):
             potential_key = potential_fingerprint(v_in)
             self.executor.install_state(potential_key, v_in)
-        self._last_install_key = potential_key
         return [
             self.fragment_solver.make_pipeline_task(
                 f,
@@ -647,10 +587,11 @@ class LS3DFSCF:
 
         ``results`` yields one pipeline result per fragment, in fragment
         order — a finished list, or a generator that blocks on each
-        fragment's future — and the fixed ``patch_chunk_size`` chunking
-        makes the summation tree, hence every density bit, independent of
-        the backend and of the order in which workers finish.  Scatter
-        maps come from the division; no index arrays ride on results.
+        fragment's future — and the fixed
+        :data:`~repro.core.patching.PATCH_CHUNK_SIZE` chunking makes the
+        summation tree, hence every density bit, independent of the
+        backend and of the order in which workers finish.  Scatter maps
+        come from the division; no index arrays ride on results.
         """
         return patch_contributions(
             self.global_grid.shape,
@@ -658,7 +599,7 @@ class LS3DFSCF:
                 (self.division.global_indices(f, interior_only=True), p.contribution)
                 for f, p in zip(self.fragments, results)
             ),
-            chunk_size=self.patch_chunk_size,
+            chunk_size=PATCH_CHUNK_SIZE,
         )
 
     def _adopt_pipeline_results(self, results: Sequence) -> list[FragmentSolveResult]:
@@ -669,71 +610,7 @@ class LS3DFSCF:
             for f, p in zip(self.fragments, results)
         ]
 
-    def _run_pipeline_iteration(
-        self,
-        v_in: np.ndarray,
-        eigensolver_tolerance: float,
-        eigensolver_iterations: int,
-        t: IterationTimings,
-    ) -> tuple[np.ndarray, list[FragmentSolveResult]]:
-        """One fused Gen_VF -> PEtot_F -> Gen_dens lap of the iteration.
-
-        Each fragment is a single
-        :class:`~repro.core.fragment_task.FragmentPipelineTask` — one
-        executor submission per fragment per iteration — whose worker
-        performs the restriction, the Kohn-Sham solve and the
-        weighted-interior extraction.  The driver only builds tasks
-        (timed as ``gen_vf``) and reduces the returned contributions with
-        the deterministic chunked tree sum
-        (:meth:`_patch_in_fragment_order`), consuming each fragment's
-        future as soon as it resolves instead of idling until the whole
-        batch returns.
-        """
-        t.pipeline = True
-        # --- Gen_VF (driver residue): build one fused task per fragment.
-        t0 = time.perf_counter()
-        tasks = self._build_pipeline_tasks(
-            v_in, eigensolver_tolerance, eigensolver_iterations
-        )
-        t.gen_vf = time.perf_counter() - t0
-
-        # --- PEtot_F (fused): restrict + solve + contribute per worker,
-        # with the Gen_dens tree-reduce running under the batch tail.
-        t0 = time.perf_counter()
-        futures = self.executor.submit_pipeline_batch(tasks)
-        results: list = []
-        wait = [0.0]
-
-        def resolved():
-            for future in futures:
-                tw = time.perf_counter()
-                results.append(future.result())
-                wait[0] += time.perf_counter() - tw
-                yield results[-1]
-
-        density = self._patch_in_fragment_order(resolved())
-        wall = time.perf_counter() - t0
-        # The consume loop is PEtot_F as the outer loop sees it; its
-        # blocked/busy split is the overlap accounting (the busy part ran
-        # under still-working workers and leaves the serial residue).
-        t.petot_f = wall
-        t.overlap_wait = wait[0]
-        t.overlap_busy = max(wall - wait[0], 0.0)
-        t.petot_f_fragments = [p.wall_time for p in results]
-        t.petot_f_workers = getattr(self.executor, "n_workers", 1)
-        t.gen_vf_fragments = [p.gen_vf_time for p in results]
-        t.gen_dens_fragments = [p.gen_dens_time for p in results]
-
-        # --- Gen_dens residue: only the post-tail work remains serial.
-        # Cache update and conversion are driver work and belong in this
-        # bucket, not in the PEtot_F wall time.
-        t0 = time.perf_counter()
-        frag_results = self._adopt_pipeline_results(results)
-        t.gen_dens = time.perf_counter() - t0
-        return density, frag_results
-
-    # ------------------------------------------------------------------
-    def _run_band_grouped_iteration(
+    def _run_iteration(
         self,
         v_in: np.ndarray,
         eigensolver_tolerance: float,
@@ -744,12 +621,113 @@ class LS3DFSCF:
         division_signature: str,
         replay_partials: bool,
     ) -> tuple[np.ndarray, list[FragmentSolveResult]]:
-        """One band-parallel Gen_VF -> PEtot_F -> Gen_dens lap.
+        """One fused Gen_VF -> PEtot_F -> Gen_dens lap of the iteration.
 
-        The two-level hierarchy in action: fragments are LPT-assigned to
-        *worker groups* (bins of ``band_groups`` workers), and one
-        runner drains each bin's queue heaviest-first, the per-slice
-        H·psi work of each fragment spreading over the
+        The driver builds one
+        :class:`~repro.core.fragment_task.FragmentPipelineTask` per
+        fragment (timed as ``gen_vf``), obtains each one's
+        :class:`~repro.core.fragment_task.FragmentPipelineResult`, and
+        reduces the contributions with :meth:`_patch_in_fragment_order`.
+        The only fork is where the results come from: without band
+        groups one executor submission per fragment, each future consumed
+        by the reduce as soon as it resolves instead of idling until the
+        whole batch returns; with ``band_groups`` the finished list of
+        :meth:`_drain_band_groups`.  A fragment's result is a pure
+        function of its task and the reduce order is fixed, so both sides
+        give the same bits on every backend.
+        """
+        # --- Gen_VF (driver residue): build one fused task per fragment.
+        t0 = time.perf_counter()
+        tasks = self._build_pipeline_tasks(
+            v_in, eigensolver_tolerance, eigensolver_iterations
+        )
+        t.gen_vf = time.perf_counter() - t0
+
+        # --- PEtot_F (fused): restrict + solve + contribute per fragment,
+        # with the Gen_dens tree-reduce pulling results in fragment order.
+        t0 = time.perf_counter()
+        replayed: frozenset[int] = frozenset()
+        partial_io = 0.0
+        if self.band_groups is None:
+            futures = self.executor.submit_pipeline_batch(tasks)
+            stream = (future.result() for future in futures)
+        else:
+            stream, replayed, partial_io = self._drain_band_groups(
+                tasks,
+                v_in,
+                eigensolver_tolerance,
+                eigensolver_iterations,
+                t,
+                iteration,
+                checkpoint_path,
+                division_signature,
+                replay_partials,
+            )
+        # Time not spent reducing: the submission (the serial backend
+        # solves at submit), the group drain, and every blocked pull.
+        wait = time.perf_counter() - t0
+        results: list[FragmentPipelineResult] = []
+
+        def resolved():
+            nonlocal wait
+            tw = time.perf_counter()
+            for pres in stream:
+                wait += time.perf_counter() - tw
+                results.append(pres)
+                yield pres  # suspended here while the reduce works
+                tw = time.perf_counter()
+
+        density = self._patch_in_fragment_order(resolved())
+        # The consume loop is PEtot_F as the outer loop sees it; its
+        # blocked/busy split is the overlap accounting (the busy part ran
+        # under still-working workers and leaves the serial residue).
+        # Partial-checkpoint I/O is booked as checkpoint_io, not here.
+        elapsed = time.perf_counter() - t0
+        t.checkpoint_io += partial_io
+        t.petot_f = max(0.0, elapsed - partial_io)
+        t.overlap_wait = max(0.0, wait - partial_io)
+        t.overlap_busy = max(0.0, elapsed - wait)
+        t.petot_f_workers = int(getattr(self.executor, "n_workers", 1))
+        # Replayed fragments cost this run only the payload read (already in
+        # checkpoint_io), so their entries are zero — the killed attempt's
+        # wall times must not inflate this iteration's petot_f_cpu/speedup.
+        t.petot_f_fragments = [
+            0.0 if i in replayed else p.wall_time for i, p in enumerate(results)
+        ]
+        t.gen_vf_fragments = [
+            0.0 if i in replayed else p.gen_vf_time for i, p in enumerate(results)
+        ]
+        t.gen_dens_fragments = [
+            0.0 if i in replayed else p.gen_dens_time
+            for i, p in enumerate(results)
+        ]
+
+        # --- Gen_dens residue: only the post-tail work remains serial.
+        # Cache update and conversion are driver work and belong in this
+        # bucket, not in the PEtot_F wall time.
+        t0 = time.perf_counter()
+        frag_results = self._adopt_pipeline_results(results)
+        t.gen_dens = time.perf_counter() - t0
+        return density, frag_results
+
+    def _drain_band_groups(
+        self,
+        tasks: list,
+        v_in: np.ndarray,
+        eigensolver_tolerance: float,
+        eigensolver_iterations: int,
+        t: IterationTimings,
+        iteration: int,
+        checkpoint_path: Path | None,
+        division_signature: str,
+        replay_partials: bool,
+    ) -> tuple[list[FragmentPipelineResult], frozenset[int], float]:
+        """The band-parallel side of :meth:`_run_iteration`'s fork.
+
+        The two-level hierarchy in action: the fused tasks are
+        LPT-assigned to *worker groups* (bins of ``band_groups``
+        workers), and one runner drains each bin's queue heaviest-first,
+        the per-slice H·psi work of each fragment spreading over the
         runner's executor as
         :class:`~repro.parallel.bands.BandBlockTask` batches.  With more
         than one bin and a partitionable executor the bins run genuinely
@@ -758,13 +736,8 @@ class LS3DFSCF:
         root; otherwise the runners are called one after another on the
         whole executor.  Either way the measured per-group walls land in
         ``t.band_schedule`` (a
-        :class:`~repro.parallel.scheduler.GroupExecutionRecord`).  The
-        data path around the solves is the fused pipeline's (same task
-        construction, same deterministic chunked tree-reduce), and each
-        fragment's grouped solve is a pure function of its task, so
-        results are bit-identical to ``pipeline=True`` runs — and hence
-        to the seed path — for any slice count, backend and group
-        concurrency.
+        :class:`~repro.parallel.scheduler.GroupExecutionRecord`) and the
+        band accounting in ``t.band_*``.
 
         With ``checkpoint_path`` set, every completed fragment's
         :class:`~repro.core.fragment_task.FragmentPipelineResult` is
@@ -775,17 +748,13 @@ class LS3DFSCF:
         disk instead of re-solved, so a kill mid-PEtot_F costs only the
         unfinished fragments.  A fresh run never replays (its partials
         were wiped up front by :meth:`run`).
+
+        Returns the results in fragment order, the indices of the
+        replayed ones, and the seconds of partial-checkpoint I/O (payload
+        reads plus writes) contained in this call's wall time.
         """
-        t.pipeline = True
         t.band_sliced = True
         t.band_slices = self.band_groups
-        # --- Gen_VF (driver residue): build one fused task per fragment.
-        t0 = time.perf_counter()
-        tasks = self._build_pipeline_tasks(
-            v_in, eigensolver_tolerance, eigensolver_iterations
-        )
-        t.gen_vf = time.perf_counter() - t0
-
         # --- Mid-iteration replay: fragments already completed (and
         # persisted) by a killed attempt at this very iteration.  The
         # state fingerprint pins the replay to this iteration's actual
@@ -799,6 +768,7 @@ class LS3DFSCF:
             fp.update(np.int64(eigensolver_iterations).tobytes())
             state_fingerprint = fp.hexdigest()
         replayed: dict[str, FragmentPipelineResult] = {}
+        replay_io = 0.0
         if checkpoint_path is not None and replay_partials:
             t0 = time.perf_counter()
             replayed = {
@@ -810,11 +780,11 @@ class LS3DFSCF:
                     state_fingerprint=state_fingerprint,
                 ).items()
             }
-            t.checkpoint_io += time.perf_counter() - t0
+            replay_io = time.perf_counter() - t0
 
-        # --- PEtot_F (band-grouped): LPT over group-sized bins, then drain
-        # the bins — concurrently on partitioned sub-pools when possible,
-        # else one bin after another on the whole executor.
+        # --- LPT over group-sized bins, then drain the bins —
+        # concurrently on partitioned sub-pools when possible, else one
+        # bin after another on the whole executor.
         t0 = time.perf_counter()
         n_workers = int(getattr(self.executor, "n_workers", 1))
         from repro.parallel.scheduler import FragmentScheduler, GroupExecutionRecord
@@ -828,55 +798,48 @@ class LS3DFSCF:
         concurrent = ngroups > 1 and callable(
             getattr(self.executor, "partition", None)
         )
-        results: list[FragmentPipelineResult | None] = [None] * len(tasks)
-        replayed_indices: set[int] = set()
         # Replay saved fragments up front (group-independent), leaving each
         # group bin's queue with only the work that still needs solving.
-        queues: list[list[int]] = []
-        for members in plan.assignments:
-            queue: list[int] = []
-            for idx in members:
-                saved = replayed.get(self.fragments[idx].label)
-                if saved is not None:
-                    results[idx] = saved
-                    replayed_indices.add(idx)
-                    t.band_replayed += 1
-                else:
-                    queue.append(idx)
-            queues.append(queue)
+        results: list[FragmentPipelineResult | None] = [
+            replayed.get(f.label) for f in self.fragments
+        ]
+        replayed_indices = frozenset(
+            i for i, saved in enumerate(results) if saved is not None
+        )
+        t.band_replayed = len(replayed_indices)
+        queues = [
+            [idx for idx in members if idx not in replayed_indices]
+            for members in plan.assignments
+        ]
 
         group_walls = [0.0] * ngroups
         group_io = [0.0] * ngroups
         group_stats: list[list] = [[] for _ in range(ngroups)]
         io_lock = threading.Lock()
 
-        def _solve_into_group(idx: int, group: int, executor) -> None:
-            pres, stats = run_fragment_pipeline_task_grouped(
-                tasks[idx],
-                executor,
-                self.band_groups,
-                install_potentials=self.install_potentials,
-            )
-            results[idx] = pres
-            group_stats[group].append(stats)
-            if checkpoint_path is not None:
-                tio = time.perf_counter()
-                with io_lock:
-                    save_partial_payload(
-                        checkpoint_path,
-                        iteration,
-                        division_signature,
-                        self.fragments[idx].label,
-                        pres.state_dict(),
-                        state_fingerprint=state_fingerprint,
-                    )
-                group_io[group] += time.perf_counter() - tio
-
         def _drain_group(group: int, executor) -> None:
             g0 = time.perf_counter()
             try:
                 for idx in queues[group]:
-                    _solve_into_group(idx, group, executor)
+                    results[idx], stats = run_fragment_pipeline_task_grouped(
+                        tasks[idx],
+                        executor,
+                        self.band_groups,
+                        install_potentials=self.install_potentials,
+                    )
+                    group_stats[group].append(stats)
+                    if checkpoint_path is not None:
+                        tio = time.perf_counter()
+                        with io_lock:
+                            save_partial_payload(
+                                checkpoint_path,
+                                iteration,
+                                division_signature,
+                                self.fragments[idx].label,
+                                results[idx].state_dict(),
+                                state_fingerprint=state_fingerprint,
+                            )
+                        group_io[group] += time.perf_counter() - tio
             finally:
                 group_walls[group] = time.perf_counter() - g0
 
@@ -886,10 +849,11 @@ class LS3DFSCF:
             # executor when the tasks were built; each group sub-pool has
             # its own workers, so install it there too (per-sub-pool dedup
             # makes repeats free).
-            if self._last_install_key is not None:
+            potential_key = tasks[0].global_potential_key
+            if potential_key is not None:
                 for sub in subs:
                     if hasattr(sub, "install_state"):
-                        sub.install_state(self._last_install_key, v_in)
+                        sub.install_state(potential_key, v_in)
             errors: list[BaseException | None] = [None] * ngroups
 
             def _drain_on_thread(group: int) -> None:
@@ -921,40 +885,13 @@ class LS3DFSCF:
             for stats in stats_list:
                 t.band_stages += stats.stages
                 t.band_tasks.extend(stats.task_times)
-        step_wall = time.perf_counter() - t0
-        partial_io = float(sum(group_io))
         t.band_schedule = GroupExecutionRecord(
             plan=plan,
             group_walls=group_walls,
-            wall_time=step_wall,
+            wall_time=time.perf_counter() - t0,
             concurrent=concurrent,
         )
-        t.petot_f = max(0.0, step_wall - partial_io)
-        t.checkpoint_io += partial_io
-        # Replayed fragments cost this run only the payload read (already in
-        # checkpoint_io), so their entries are zero — the killed attempt's
-        # wall times must not inflate this iteration's petot_f_cpu/speedup.
-        t.petot_f_fragments = [
-            0.0 if i in replayed_indices else p.wall_time
-            for i, p in enumerate(results)
-        ]
-        t.petot_f_workers = n_workers
-        t.gen_vf_fragments = [
-            0.0 if i in replayed_indices else p.gen_vf_time
-            for i, p in enumerate(results)
-        ]
-        t.gen_dens_fragments = [
-            0.0 if i in replayed_indices else p.gen_dens_time
-            for i, p in enumerate(results)
-        ]
-
-        # --- Gen_dens (driver residue): the pipeline path's reduce, over
-        # results that are all complete before it starts.
-        t0 = time.perf_counter()
-        density = self._patch_in_fragment_order(results)
-        frag_results = self._adopt_pipeline_results(results)
-        t.gen_dens = time.perf_counter() - t0
-        return density, frag_results
+        return results, replayed_indices, replay_io + float(sum(group_io))
 
     # ------------------------------------------------------------------
     def run(
@@ -964,7 +901,6 @@ class LS3DFSCF:
         eigensolver_tolerance: float = 1e-5,
         eigensolver_iterations: int = 60,
         initial_potential: np.ndarray | None = None,
-        callback: Callable[[int, float, float], None] | None = None,
         verbose: bool = False,
         checkpoint_dir: str | Path | None = None,
         checkpoint_every: int = 1,
@@ -996,16 +932,14 @@ class LS3DFSCF:
         initial_potential:
             Optional starting input potential (defaults to the neutral-atom
             guess).  Ignored when resuming from a checkpoint.
-        callback:
-            Optional ``callback(iteration, potential_difference, energy)``.
         verbose:
             Print per-iteration progress.
         checkpoint_dir:
             Directory to write SCF checkpoints to (input potential, mixer
             state, warm-start wavefunctions, histories).  ``None``
             (default) disables checkpointing.  The write time is recorded
-            as serial work in ``IterationTimings.checkpoint_io``.  On the
-            band-grouped path (``band_groups=``) each completed fragment
+            as serial work in ``IterationTimings.checkpoint_io``.  With
+            band groups (``band_groups=``) each completed fragment
             is additionally persisted *within* the iteration, so a killed
             run replays the finished fragments from disk and re-solves
             only the rest.
@@ -1022,8 +956,8 @@ class LS3DFSCF:
             ``resume=True``).
         event_hook:
             Optional ``event_hook(kind, data)`` called alongside the
-            checkpoint hooks — the emission channel of the run store
-            (:mod:`repro.store`).  Emitted kinds: ``"iteration"`` after
+            checkpoint hooks — the one per-iteration channel, used by the
+            run store (:mod:`repro.store`).  Emitted kinds: ``"iteration"`` after
             every completed outer iteration (``iteration``,
             ``potential_difference``, ``energy``, ``converged``) and
             ``"checkpointed"`` after every checkpoint save
@@ -1112,62 +1046,16 @@ class LS3DFSCF:
         for iteration in range(start_iteration, max_iterations + 1):
             t = IterationTimings()
 
-            if self.band_groups is not None:
-                density, frag_results = self._run_band_grouped_iteration(
-                    v_in,
-                    eigensolver_tolerance,
-                    eigensolver_iterations,
-                    t,
-                    iteration,
-                    checkpoint_path,
-                    division_signature,
-                    replay_partials=resume,
-                )
-            elif self.pipeline:
-                density, frag_results = self._run_pipeline_iteration(
-                    v_in, eigensolver_tolerance, eigensolver_iterations, t
-                )
-            else:
-                # --- Gen_VF: restrict the global potential to every fragment
-                # box and assemble the screening potentials (task building —
-                # the paper's "restrict V_in, add passivation potential").
-                t0 = time.perf_counter()
-                tasks = [
-                    self.fragment_solver.make_task(
-                        f,
-                        restrict_to_fragment(self.division, f, v_in),
-                        eigensolver_tolerance=eigensolver_tolerance,
-                        eigensolver_iterations=eigensolver_iterations,
-                        initial_coefficients=self.state_cache.get(f.label),
-                    )
-                    for f in self.fragments
-                ]
-                t.gen_vf = time.perf_counter() - t0
-
-                # --- PEtot_F: solve every fragment (independent problems)
-                # through the pluggable execution backend.
-                t0 = time.perf_counter()
-                report = self.executor.run(tasks)
-                t.petot_f = time.perf_counter() - t0
-                t.petot_f_fragments = [res.wall_time for res in report.results]
-                t.petot_f_workers = report.worker_count
-
-                # --- Gen_dens: consume the results (warm-start cache,
-                # result conversion) and patch the fragment densities into
-                # the global one — all of it serial driver work, so it is
-                # timed here rather than hiding in the PEtot_F wall time.
-                t0 = time.perf_counter()
-                self.state_cache.update(report.results)
-                frag_results = [
-                    FragmentSolver.result_from_task(f, res)
-                    for f, res in zip(self.fragments, report.results)
-                ]
-                density = patch_fragment_fields(
-                    self.division,
-                    self.fragments,
-                    [res.density for res in frag_results],
-                )
-                t.gen_dens = time.perf_counter() - t0
+            density, frag_results = self._run_iteration(
+                v_in,
+                eigensolver_tolerance,
+                eigensolver_iterations,
+                t,
+                iteration,
+                checkpoint_path,
+                division_signature,
+                replay_partials=resume,
+            )
 
             # --- GENPOT: global Poisson + XC + mixing (slab-distributed
             # through the executor when genpot_shards > 1).
@@ -1197,8 +1085,6 @@ class LS3DFSCF:
             )
             conv_history.append(out.potential_difference)
             energy_history.append(total_energy)
-            if callback is not None:
-                callback(iteration, out.potential_difference, total_energy)
             if event_hook is not None:
                 event_hook(
                     "iteration",

@@ -103,7 +103,6 @@ from repro.parallel.executor import (
     FragmentPipelineTask,
     FragmentTask,
     FragmentTaskResult,
-    PipelineFragmentExecutor,
     ProcessPoolFragmentExecutor,
     SerialFragmentExecutor,
     ThreadPoolFragmentExecutor,
@@ -171,7 +170,6 @@ __all__ = [
     "FragmentPipelineTask",
     "FragmentTask",
     "FragmentTaskResult",
-    "PipelineFragmentExecutor",
     "ProcessPoolFragmentExecutor",
     "SerialFragmentExecutor",
     "ThreadPoolFragmentExecutor",

@@ -148,14 +148,13 @@ class SerialFractionEstimate:
         alpha = serial_time / (serial_time + parallel_time).
     serial_time:
         Wall-clock seconds of the driver's unparallelised work in the
-        iteration: the Gen_VF / Gen_dens driver loops on the unfused
-        path (task building and the tree-reduce once the fused pipeline
-        is on), GENPOT (or only its driver residue when the global step
+        iteration: Gen_VF task building and the Gen_dens tree-reduce
+        residue, GENPOT (or only its driver residue when the global step
         is sharded) and checkpoint I/O when enabled.
     parallel_time:
         Serial-equivalent seconds of the executor-distributable work
-        (summed per-fragment wall times; with the fused pipeline this
-        includes the in-worker restrict and patch steps, and with
+        (summed per-fragment wall times of the fused tasks, which
+        include the in-worker restrict and patch steps, and with
         ``genpot_shards`` the per-slab global-step task times).
     """
 

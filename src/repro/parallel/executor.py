@@ -17,9 +17,10 @@ equivalents of those groups as interchangeable backends behind the
 All three call the same kernel, :func:`repro.core.fragment_task.
 solve_fragment_task`, on the same picklable :class:`FragmentTask`
 descriptions — there is no backend-specific solve path.  Every backend
-also implements ``run_pipeline`` for fused
-:class:`repro.core.fragment_task.FragmentPipelineTask` batches (restrict
--> solve -> weighted-density contribution in one worker round trip; see
+also implements ``run_pipeline`` / ``submit_pipeline_batch`` for the
+fused :class:`repro.core.fragment_task.FragmentPipelineTask` batches the
+SCF loop submits (restrict -> solve -> weighted-density contribution in
+one worker round trip; see
 :func:`repro.core.fragment_task.run_fragment_pipeline_task`),
 ``run_global`` for per-slab global-step tasks
 (:class:`repro.parallel.distributed.GlobalStepTask` — the paper's
@@ -36,7 +37,7 @@ submission is always one logical task.  The batch methods (``run_*``)
 are that submit plus an order-preserving gather
 (:func:`gather_in_order`); ``submit_global`` and
 ``submit_pipeline_batch`` hand the same futures to callers that consume
-results as they resolve (the streaming GENPOT engine, the pipeline
+results as they resolve (the streaming GENPOT engine, the SCF
 iteration's Gen_dens reduce).  The pool backends order
 submissions heaviest-first, the greedy longest-processing-time (LPT)
 heuristic :mod:`repro.parallel.scheduler` uses to balance fragment
@@ -62,7 +63,6 @@ from repro.core.fragment_task import (
     FragmentPipelineTask,
     FragmentTask,
     FragmentTaskResult,
-    PipelineFragmentExecutor,
     PotentialNotInstalledError,
     install_potential,
     potential_fingerprint,
@@ -93,7 +93,6 @@ __all__ = [
     "FragmentTaskResult",
     "GlobalStepExecutor",
     "GlobalStepTask",
-    "PipelineFragmentExecutor",
     "PotentialNotInstalledError",
     "ProcessPoolFragmentExecutor",
     "ScheduleSummary",
@@ -456,8 +455,7 @@ class _PoolFragmentExecutor:
 
         Each fragment is one submission: the worker gathers the
         restriction, solves, and extracts the weighted interior in a
-        single round trip (the unfused path needs the same submission plus
-        two driver-side serial loops around it).
+        single round trip.
         """
         return self._execute(tasks, run_fragment_pipeline_task)
 

@@ -61,9 +61,9 @@ class ScheduleSummary:
     def lpt_speedup(self) -> float:
         """Predicted speedup of this assignment: total load / makespan.
 
-        The load-balancing model's counterpart to the measured PEtot_F
-        speedup an :class:`~repro.core.fragment_task.ExecutionReport`
-        reports; benchmarks and examples print the two side by side.
+        The load-balancing model's counterpart to the measured
+        :attr:`repro.core.scf.IterationTimings.petot_f_speedup`;
+        benchmarks and examples print the two side by side.
         """
         if self.makespan <= 0:
             return 0.0

@@ -136,36 +136,6 @@ def total_energy_from_orbitals(
     )
 
 
-def total_energy_from_eigenvalues(
-    eigenvalues: np.ndarray,
-    occupations: np.ndarray,
-    density: np.ndarray,
-    grid: FFTGrid,
-    ionic_density: np.ndarray | None = None,
-    ionic_self_energy: float = 0.0,
-) -> float:
-    """Total energy from the Kohn-Sham eigenvalue sum.
-
-    E = sum_i occ_i eps_i - integral rho_e (V_es + V_xc) dr
-        + E_es[rho_e - rho_ion] - E_self + E_xc[rho_e]
-
-    where the eigenvalues were computed with the *screened* potential
-    V_sr + V_es + V_xc evaluated at this same density.  Agrees with
-    :func:`total_energy_from_orbitals` at self-consistency.
-    """
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    occupations = np.asarray(occupations, dtype=float)
-    if eigenvalues.shape != occupations.shape:
-        raise ValueError("eigenvalues/occupations shape mismatch")
-    band_sum = float(np.sum(occupations * eigenvalues))
-    v_es = electrostatic_potential(density, grid, ionic_density)
-    _, v_xc = lda_xc(density)
-    double_count = float(np.sum(density * (v_es + v_xc)) * grid.dvol)
-    e_es = electrostatic_energy(density, grid, ionic_density)
-    e_xc = xc_energy(density, grid.dvol)
-    return band_sum - double_count + e_es + e_xc - ionic_self_energy
-
-
 def potential_distance(v_a: np.ndarray, v_b: np.ndarray, grid: FFTGrid) -> float:
     """The paper's convergence metric  integral |V_a(r) - V_b(r)| d^3r  (a.u.).
 

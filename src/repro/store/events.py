@@ -23,6 +23,7 @@ the log itself, which is what keeps ``status`` queries payload-free).
 from __future__ import annotations
 
 import json
+import re
 import zlib
 from dataclasses import dataclass, field
 
@@ -37,6 +38,10 @@ __all__ = [
 
 RECORD_MAGIC = "REV1"
 _HEADER_LEN = len(RECORD_MAGIC) + 1 + 8 + 1 + 8 + 1  # "REV1 crc8 len8 "
+# Exactly what encode_record writes (lowercase hex, zero-padded decimal):
+# a lenient int() would let a damaged header ("+", "_", upper case) pass.
+_MAGIC = RECORD_MAGIC.encode("ascii") + b" "
+_HEADER_RE = re.compile(re.escape(_MAGIC) + rb"([0-9a-f]{8}) ([0-9]{8}) ")
 
 #: Lifecycle vocabulary of a run's event stream, in the order a healthy
 #: run emits them.  ``attached`` records a deduplicated second client;
@@ -140,22 +145,19 @@ def decode_record(line: bytes) -> Event:
     Raises
     ------
     TornRecordError
-        Missing newline, bad magic, short body, or checksum mismatch —
-        the signatures of a write cut short.
+        Missing newline, malformed header, short body, checksum mismatch
+        or a body that is not an event object — the signatures of a
+        write cut short.  No other exception escapes, whatever the bytes.
     """
     if not line.endswith(b"\n"):
         raise TornRecordError("record is missing its terminating newline")
-    if len(line) < _HEADER_LEN + 1:
-        raise TornRecordError("record is shorter than its fixed header")
-    header = line[: _HEADER_LEN].decode("ascii", errors="replace")
-    magic, crc_hex, len_dec = header.split(" ")[:3]
-    if magic != RECORD_MAGIC:
-        raise TornRecordError(f"bad record magic {magic!r}")
-    try:
-        expected_crc = int(crc_hex, 16)
-        body_len = int(len_dec, 10)
-    except ValueError as exc:
-        raise TornRecordError(f"unparsable record header {header!r}") from exc
+    if not line.startswith(_MAGIC):
+        raise TornRecordError(f"bad record magic {line[:len(_MAGIC)]!r}")
+    header = _HEADER_RE.fullmatch(line[:_HEADER_LEN])
+    if header is None:
+        raise TornRecordError(f"unparsable record header {line[:_HEADER_LEN]!r}")
+    expected_crc = int(header.group(1), 16)
+    body_len = int(header.group(2), 10)
     raw = line[_HEADER_LEN:-1]
     if len(raw) != body_len:
         raise TornRecordError(
@@ -165,6 +167,9 @@ def decode_record(line: bytes) -> Event:
         raise TornRecordError("record checksum mismatch")
     try:
         body = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TornRecordError("record body is not valid JSON") from exc
-    return Event.from_json(body)
+    try:
+        return Event.from_json(body)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise TornRecordError("record body is not an event object") from exc

@@ -1,6 +1,6 @@
-"""Regenerate the golden-value regression fixtures (ISSUE-2 satellite).
+"""Regenerate the golden-value regression fixtures.
 
-Runs the fixed golden protocol — the *seed-identical* serial LS3DF path —
+Runs the fixed golden protocol — LS3DF on the default serial executor —
 on two toy systems and stores total energy, patched quantum energy,
 per-iteration convergence/energy histories and folded-spectrum band-edge
 eigenvalues as JSON under ``tests/golden/``.
@@ -26,12 +26,12 @@ sys.path.insert(0, str(GOLDEN_DIR.parents[1] / "src"))
 from repro.atoms.toy import cscl_binary  # noqa: E402
 from repro.core.driver import LS3DF  # noqa: E402
 
-#: The two seed systems and the exact run protocol (fixed forever; the
+#: The two toy systems and the exact run protocol (fixed forever; the
 #: test re-runs precisely this).  Deliberately small: the fixtures anchor
 #: drift, they do not claim converged physics.  Keep every system at
-#: <= 8 fragments (the default patch_chunk_size): that makes the fused
-#: pipeline bit-compatible with these seed-path fixtures, which
-#: test_golden_regression exploits (and asserts).
+#: <= repro.core.patching.PATCH_CHUNK_SIZE fragments (one Gen_dens reduce
+#: chunk, i.e. sequential summation — the order these fixtures were
+#: recorded with), which test_golden_regression asserts.
 SYSTEMS = {
     "zno_2x1x1": dict(cation="Zn", anion="O", lattice=6.0, dims=(2, 1, 1)),
     "gaas_1x1x2": dict(cation="Ga", anion="As", lattice=6.5, dims=(1, 1, 2)),
@@ -51,7 +51,7 @@ PROTOCOL = dict(
 )
 
 
-def run_protocol(name: str, pipeline: bool = False):
+def run_protocol(name: str):
     """One golden run; the regression test calls this too."""
     spec = SYSTEMS[name]
     structure = cscl_binary(spec["dims"], spec["cation"], spec["anion"], spec["lattice"])
@@ -62,7 +62,6 @@ def run_protocol(name: str, pipeline: bool = False):
         buffer_cells=PROTOCOL["buffer_cells"],
         n_empty=PROTOCOL["n_empty"],
         mixer=PROTOCOL["mixer"],
-        pipeline=pipeline,
     )
     result = ls3df.run(**PROTOCOL["run"])
     states = ls3df.band_edge_states(result, **PROTOCOL["band_edge"])

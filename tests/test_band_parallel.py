@@ -309,8 +309,8 @@ def test_grouped_pipeline_kernel_matches_ungrouped():
 
 @pytest.fixture(scope="module")
 def pipeline_run():
-    """The fused-pipeline reference the grouped path must reproduce."""
-    return _tiny_scf(SerialFragmentExecutor(), pipeline=True).run(**_RUN_KW)
+    """The ungrouped serial reference the grouped side must reproduce."""
+    return _tiny_scf(SerialFragmentExecutor()).run(**_RUN_KW)
 
 
 def _assert_scf_identical(result, reference):
@@ -345,7 +345,7 @@ def test_scf_band_groups_timings_and_accounting(pipeline_run):
     assert executor.tasks_submitted == sum(
         t.band_stages for t in result.timings) * 2
     for t in result.timings:
-        assert t.band_sliced and t.pipeline
+        assert t.band_sliced
         assert t.band_slices == 2
         assert len(t.band_tasks) == t.band_stages * 2
         assert len(t.petot_f_fragments) == scf.nfragments
@@ -375,14 +375,14 @@ def test_scf_band_groups_validation():
         _tiny_scf(SerialFragmentExecutor(), band_groups=2,
                   eigensolver="band_by_band")
 
-    class RunOnly:
+    class NoBands:
         n_workers = 1
 
-        def run(self, tasks):  # pragma: no cover - never called
+        def submit_pipeline_batch(self, tasks):  # pragma: no cover - never called
             raise AssertionError
 
     with pytest.raises(TypeError, match="run_bands"):
-        _tiny_scf(RunOnly(), band_groups=2)
+        _tiny_scf(NoBands(), band_groups=2)
 
 
 def test_ls3df_driver_accepts_band_groups():

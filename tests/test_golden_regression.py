@@ -1,7 +1,7 @@
-"""Golden-value regression against fixtures in tests/golden/ (ISSUE-2).
+"""Golden-value regression against fixtures in tests/golden/.
 
 Re-runs the fixed golden protocol (see ``tests/golden/generate.py``) on
-two seed systems and compares converged total energy, quantum energy,
+two toy systems and compares converged total energy, quantum energy,
 convergence/energy histories and folded-spectrum band-edge eigenvalues
 against the stored JSON at 1e-10 — tight enough that any refactor
 touching the physics path (potential assembly, summation order,
@@ -12,9 +12,10 @@ exceed 1e-10, in which case regenerate once with
 ``PYTHONPATH=src python tests/golden/generate.py`` and commit the new
 fixtures with a note saying the platform changed.
 
-One system runs the seed serial path, the other the fused fragment
-pipeline: both paths are anchored to the *same* seed-generated fixtures,
-so the pipeline cannot drift away from the serial physics unnoticed.
+Both systems fit one Gen_dens reduce chunk, so their density sum is plain
+sequential summation; the chunked tree sum is pinned where it differs —
+across backends on a ten-fragment system — in
+``tests/test_fragment_backends.py``.
 """
 
 import json
@@ -29,6 +30,8 @@ sys.path.insert(0, str(GOLDEN_DIR))
 
 from generate import SYSTEMS, run_protocol  # noqa: E402
 
+from repro.core.patching import PATCH_CHUNK_SIZE  # noqa: E402
+
 RTOL = 1e-10
 ATOL = 1e-12
 
@@ -37,23 +40,11 @@ def _load(name: str) -> dict:
     return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
 
 
-@pytest.mark.parametrize(
-    "name,pipeline",
-    [("zno_2x1x1", False), ("gaas_1x1x2", True)],
-    ids=["zno-serial-seed-path", "gaas-fused-pipeline"],
-)
-def test_golden_regression(name, pipeline):
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_golden_regression(name):
     golden = _load(name)
-    ls3df, result, states = run_protocol(name, pipeline=pipeline)
-
-    if pipeline:
-        # The fixtures are generated on the seed serial path.  A pipeline
-        # run matches them at 1e-10 only while the system fits in a single
-        # Gen_dens reduce chunk (nfragments <= patch_chunk_size), which
-        # makes the tree-reduce degenerate to the seed's sequential
-        # summation order.  If a golden system ever grows past the chunk
-        # size, regenerate its fixture with pipeline=True instead.
-        assert ls3df.scf.nfragments <= ls3df.scf.patch_chunk_size
+    ls3df, result, states = run_protocol(name)
+    assert ls3df.scf.nfragments <= PATCH_CHUNK_SIZE
 
     assert result.iterations == golden["iterations"]
     assert result.converged == golden["converged"]

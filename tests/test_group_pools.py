@@ -170,7 +170,7 @@ def test_grouped_schedule_is_deterministic_lpt():
 
 @pytest.fixture(scope="module")
 def pipeline_reference():
-    return _tiny_scf(SerialFragmentExecutor(), pipeline=True).run(**_RUN_KW)
+    return _tiny_scf(SerialFragmentExecutor()).run(**_RUN_KW)
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +223,7 @@ class _Unpartitionable:
 
     def __init__(self, pool):
         self.n_workers = pool.n_workers
-        self.run = pool.run
+        self.submit_pipeline_batch = pool.submit_pipeline_batch
         self.run_bands = pool.run_bands
         self.install_state = pool.install_state
 

@@ -89,7 +89,6 @@ def _tiny_scf(executor=None, **kwargs) -> LS3DFSCF:
         n_empty=2,
         mixer="kerker",
         executor=executor,
-        pipeline=True,
         **kwargs,
     )
 

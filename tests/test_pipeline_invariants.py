@@ -26,6 +26,7 @@ from repro.atoms.toy import cscl_binary, simple_cubic
 from repro.core.division import SpatialDivision
 from repro.core.fragments import enumerate_fragments
 from repro.core.patching import (
+    PATCH_CHUNK_SIZE,
     patch_contributions,
     patch_fragment_fields,
     patching_identity_residual,
@@ -103,16 +104,34 @@ def test_patch_contributions_validation_and_empty():
 
 
 def test_patch_fragment_fields_chunk_size_paths_agree():
-    division = _division()
-    fragments = enumerate_fragments(division.grid_dims)
-    rng = np.random.default_rng(13)
-    fields = [
-        rng.normal(size=division.fragment_box(f).npoints) for f in fragments
-    ]
-    default = patch_fragment_fields(division, fragments, fields)
-    chunked = patch_fragment_fields(
-        division, fragments, fields, chunk_size=8)
-    np.testing.assert_allclose(chunked, default, rtol=1e-12, atol=1e-13)
+    """Sequential ``patch_fragment_fields`` is the reference of the SCF
+    loop's chunked reduce: the same bits while everything fits one chunk,
+    and within one ulp per summed term beyond."""
+    eps = np.finfo(float).eps
+    for dims in ((2, 1, 1), (4, 1, 1), (5, 1, 1), (2, 2, 2)):
+        division = _division(dims)
+        fragments = enumerate_fragments(division.grid_dims)
+        rng = np.random.default_rng(13)
+        fields = [
+            rng.normal(size=division.fragment_box(f).npoints) for f in fragments
+        ]
+        shape = division.global_grid.shape
+        contributions = _weighted_contributions(division, fragments, fields)
+        reference = patch_fragment_fields(division, fragments, fields)
+        chunked = patch_contributions(
+            shape, contributions, chunk_size=PATCH_CHUNK_SIZE)
+        np.testing.assert_array_equal(
+            patch_fragment_fields(
+                division, fragments, fields, chunk_size=PATCH_CHUNK_SIZE),
+            chunked)
+        if len(fragments) <= PATCH_CHUNK_SIZE:
+            np.testing.assert_array_equal(chunked, reference)
+            continue
+        terms = patch_contributions(
+            shape, [(idx, np.ones_like(c)) for idx, c in contributions])
+        magnitude = patch_contributions(
+            shape, [(idx, np.abs(c)) for idx, c in contributions])
+        assert np.all(np.abs(chunked - reference) <= terms * eps * magnitude)
 
 
 # --- charge conservation ----------------------------------------------------------
@@ -200,7 +219,7 @@ def test_pipeline_task_maps_match_division(tmp_path):
     from repro.core.scf import LS3DFSCF
 
     structure = cscl_binary((2, 1, 1), "Zn", "O", 6.0)
-    scf = LS3DFSCF(structure, grid_dims=(2, 1, 1), ecut=2.2, pipeline=True)
+    scf = LS3DFSCF(structure, grid_dims=(2, 1, 1), ecut=2.2)
     v_in = scf.genpot.initial_potential()
     for fragment in scf.fragments:
         ptask = scf.fragment_solver.make_pipeline_task(fragment, v_in)

@@ -41,7 +41,6 @@ from repro.atoms.toy import cscl_binary
 from repro.core.fragment_task import (
     FragmentExecutor,
     FragmentTask,
-    PipelineFragmentExecutor,
     clear_installed_potentials,
     fetch_potential,
     potential_fingerprint,
@@ -237,7 +236,6 @@ def test_worker_protocol_surface():
 def test_remote_executor_satisfies_protocols():
     executor = RemoteExecutor([])
     assert isinstance(executor, FragmentExecutor)
-    assert isinstance(executor, PipelineFragmentExecutor)
     assert executor.n_workers == 1  # never degenerates
 
 
@@ -410,13 +408,13 @@ def remote_scf_runs():
     Module-scoped because the four tiny SCF runs dominate this file's
     cost; every run crosses real loopback TCP for every task.
     """
-    reference = _tiny_scf(SerialFragmentExecutor(), pipeline=True).run(**_RUN_KW)
+    reference = _tiny_scf(SerialFragmentExecutor()).run(**_RUN_KW)
     runs = {"reference": (reference, None)}
     servers = [start_worker_thread() for _ in range(2)]
     try:
         cases = [
-            ("pipeline", dict(pipeline=True)),
-            ("genpot", dict(pipeline=True, genpot_shards=2)),
+            ("pipeline", dict()),
+            ("genpot", dict(genpot_shards=2)),
             ("bands", dict(band_groups=2)),
         ]
         for name, kw in cases:
@@ -635,7 +633,7 @@ sys.path.insert(0, str(_GOLDEN_DIR))
 def test_remote_subprocess_workers_match_golden_systems(name):
     """Two real ``repro-worker`` subprocesses run the golden-regression
     protocol through the remote backend: bit-identical to the in-process
-    pipeline path, and anchored to the stored golden numbers."""
+    serial run, and anchored to the stored golden numbers."""
     from generate import PROTOCOL, SYSTEMS
     from repro.core.driver import LS3DF
 
@@ -652,7 +650,6 @@ def test_remote_subprocess_workers_match_golden_systems(name):
             n_empty=PROTOCOL["n_empty"],
             mixer=PROTOCOL["mixer"],
             executor=executor,
-            pipeline=True,
         )
 
     serial = build().run(**PROTOCOL["run"])

@@ -26,10 +26,13 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.io.gridio as gridio
 from repro.io.gridio import write_npz_atomic, write_text_atomic
@@ -63,6 +66,29 @@ SPEC = {
 
 def _event(seq: int, kind: str = "iteration", **data) -> Event:
     return Event(seq=seq, kind=kind, ts=123.25, data=data)
+
+
+def _frame(raw: bytes) -> bytes:
+    """Valid REV1 framing (length, checksum, newline) around any body bytes."""
+    crc = zlib.crc32(raw) & 0xFFFFFFFF
+    return f"REV1 {crc:08x} {len(raw):08d} ".encode("ascii") + raw + b"\n"
+
+
+_HEADER_LEN = len(_frame(b"")) - 1
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+_EVENTS = st.builds(
+    Event,
+    seq=st.integers(min_value=0),
+    kind=st.text(),
+    ts=st.floats(allow_nan=False, allow_infinity=False),
+    data=st.dictionaries(st.text(), _JSON, max_size=4),
+    payload=st.none() | st.text(),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +128,58 @@ class TestRecordFormat:
         record = b"XXX1" + encode_record(_event(0))[4:]
         with pytest.raises(TornRecordError, match="magic"):
             decode_record(record)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"x" * _HEADER_LEN + b"\n",  # long enough, no field separators
+            b"REV1 " + b"x" * (_HEADER_LEN - 5) + b"\n",
+            _frame(b"[1,2]"),  # checksum-valid JSON that is no event object
+            _frame(b"{}"),
+            _frame(b'{"seq":"x","kind":"k","ts":0}'),
+            _frame(b'{"seq":1e999,"kind":"k","ts":0}'),
+            _frame(b'{"seq":0,"kind":"k","ts":0,"data":3}'),
+            _frame(b"[" * 100_000),
+        ],
+        ids=["no-separators", "magic-only", "list-body", "empty-object",
+             "seq-not-a-number", "seq-overflows", "data-not-a-mapping",
+             "nesting-too-deep"],
+    )
+    def test_malformed_records_are_torn_not_crashes(self, line):
+        # EventStream's tail scan only truncates on TornRecordError: any
+        # other exception from a torn tail would crash replay.
+        with pytest.raises(TornRecordError):
+            decode_record(line)
+
+    @settings(deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=64),
+            st.binary(min_size=_HEADER_LEN, max_size=64).map(lambda b: b + b"\n"),
+            st.binary(max_size=64).map(_frame),
+            _JSON.map(lambda value: _frame(json.dumps(value).encode("utf-8"))),
+        )
+    )
+    def test_any_bytes_decode_to_an_event_or_tear(self, line):
+        try:
+            event = decode_record(line)
+        except TornRecordError:
+            return
+        assert isinstance(event, Event)
+
+    @settings(deadline=None)
+    @given(_EVENTS)
+    def test_property_roundtrip(self, event):
+        assert decode_record(encode_record(event)) == event
+
+    @settings(deadline=None)
+    @given(_EVENTS, st.data())
+    def test_any_single_byte_change_is_detected(self, event, data):
+        record = bytearray(encode_record(event))
+        index = data.draw(st.integers(0, len(record) - 1))
+        record[index] ^= data.draw(st.integers(1, 255))
+        with pytest.raises(TornRecordError):
+            decode_record(bytes(record))
 
 
 # ---------------------------------------------------------------------------

@@ -267,11 +267,11 @@ def _assert_runs_equal(got, want):
 @pytest.fixture(scope="module")
 def scf_reference():
     """Unsharded pipeline run on the serial backend."""
-    return _scf(SerialFragmentExecutor(), pipeline=True).run(**_RUN_KW)
+    return _scf(SerialFragmentExecutor()).run(**_RUN_KW)
 
 
 def test_scf_streaming_bit_identical_serial(scf_reference):
-    scf = _scf(SerialFragmentExecutor(), pipeline=True, genpot_shards=4)
+    scf = _scf(SerialFragmentExecutor(), genpot_shards=4)
     result = scf.run(**_RUN_KW)
     _assert_runs_equal(result, scf_reference)
     t = result.timings[0]
@@ -283,19 +283,19 @@ def test_scf_streaming_bit_identical_serial(scf_reference):
 
 def test_scf_streaming_bit_identical_threads(scf_reference):
     with ThreadPoolFragmentExecutor(n_workers=2) as executor:
-        result = _scf(executor, pipeline=True, genpot_shards=4).run(**_RUN_KW)
+        result = _scf(executor, genpot_shards=4).run(**_RUN_KW)
     _assert_runs_equal(result, scf_reference)
 
 
 def test_scf_streaming_bit_identical_process(scf_reference):
     with ProcessPoolFragmentExecutor(n_workers=2) as executor:
-        result = _scf(executor, pipeline=True, genpot_shards=4).run(**_RUN_KW)
+        result = _scf(executor, genpot_shards=4).run(**_RUN_KW)
     _assert_runs_equal(result, scf_reference)
 
 
 def test_scf_streaming_bit_identical_remote(scf_reference):
     with _cluster(2) as (executor, _):
-        result = _scf(executor, pipeline=True, genpot_shards=4).run(**_RUN_KW)
+        result = _scf(executor, genpot_shards=4).run(**_RUN_KW)
     _assert_runs_equal(result, scf_reference)
 
 

@@ -166,7 +166,9 @@ def main() -> int:
     v_in = scf.genpot.initial_potential()
 
     # Gen_VF: restrict the global potential to every fragment box and
-    # build the picklable solve tasks (what the driver does per iteration).
+    # build the picklable solve tasks.  The SCF loop runs the same
+    # arithmetic fused into one task per fragment; here the stage kernels
+    # run one after another so each gets its own profile.
     def gen_vf():
         tasks = []
         for fragment in scf.fragments:

@@ -117,11 +117,6 @@ class SpatialDivision:
         # Guard against atoms sitting exactly on the upper boundary.
         return np.minimum(idx, np.asarray(self.grid_dims) - 1)
 
-    @property
-    def atom_cell_indices(self) -> np.ndarray:
-        """Per-atom fragment-grid cell indices, shape ``(natoms, 3)``."""
-        return self._assignments.copy()
-
     def atoms_in_cell(self, cell: tuple[int, int, int]) -> np.ndarray:
         """Indices of the atoms assigned to one grid cell."""
         mask = np.all(self._assignments == np.asarray(cell, dtype=int), axis=1)
@@ -215,10 +210,6 @@ class SpatialDivision:
                 idx = np.arange(start, start + n)
             axes.append(np.mod(idx, shape[axis]))
         return axes[0], axes[1], axes[2]
-
-    def n_fragment_cells(self) -> int:
-        """Total number of grid cells M = m1*m2*m3."""
-        return int(np.prod(self.grid_dims))
 
     def signature(self) -> str:
         """Digest identifying this division (checkpoint compatibility key).

@@ -380,7 +380,3 @@ class FragmentSolver:
     def problems(self) -> dict[str, FragmentProblem]:
         """All fragment problems built so far, keyed by fragment label."""
         return dict(self._problems)
-
-    def total_fragment_atoms(self) -> int:
-        """Total atom count over all built fragments (incl. passivants)."""
-        return sum(p.structure.natoms for p in self._problems.values())

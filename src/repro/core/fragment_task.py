@@ -38,6 +38,7 @@ import pickle
 import threading
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Protocol, Sequence, runtime_checkable
@@ -510,7 +511,8 @@ def solve_fragment_task(
         problem = get_task_problem(task)
     hamiltonian = problem.hamiltonian
     # Held across a grouped solve too: the band-slice kernel never takes
-    # this lock (see repro.parallel.bands.run_band_block_task).
+    # this lock (see repro.parallel.bands.run_band_block_task), and it is
+    # what keeps two group roots off one static problem at a time.
     with problem.lock:
         hamiltonian.set_effective_potential(v_screen)
         solver = all_band_cg if task.eigensolver == "all_band" else band_by_band_cg
@@ -523,17 +525,19 @@ def solve_fragment_task(
             max_iterations=task.max_iterations,
             tolerance=task.tolerance,
         )
-        density = compute_density(
-            problem.basis, result.coefficients, problem.occupations
-        )
-        # Quantum energy: kinetic + short-range ionic + nonlocal only (the
-        # screening/electrostatic parts are assembled globally by GENPOT).
-        saved = hamiltonian.v_screening
-        hamiltonian.v_screening = np.zeros_like(saved)
-        try:
-            expect = hamiltonian.expectation(result.coefficients)
-        finally:
-            hamiltonian.v_screening = saved
+        # The root-local FFT work; a band group's roots take turns at it.
+        with group.root_lock if group is not None else nullcontext():
+            density = compute_density(
+                problem.basis, result.coefficients, problem.occupations
+            )
+            # Quantum energy: kinetic + short-range ionic + nonlocal only
+            # (screening/electrostatics are assembled globally by GENPOT).
+            saved = hamiltonian.v_screening
+            hamiltonian.v_screening = np.zeros_like(saved)
+            try:
+                expect = hamiltonian.expectation(result.coefficients)
+            finally:
+                hamiltonian.v_screening = saved
     quantum_energy = float(np.sum(problem.occupations * expect))
     band_energy = float(np.sum(problem.occupations * result.eigenvalues))
     return FragmentTaskResult(
@@ -814,13 +818,15 @@ def run_fragment_pipeline_task_grouped(
     executor,
     band_slices: int,
     install_potentials: bool = True,
+    root_lock=None,
 ):
     """One fused fragment pipeline with its solve sliced over ``executor``.
 
     Builds the fragment's :class:`repro.parallel.bands.BandGroup`
     (``band_slices`` slices on ``executor``; ``install_potentials`` picks
     keyed or inline shipping of the screening potential, bit-identical
-    either way) and runs :func:`run_fragment_pipeline_task` with it — what
+    either way; ``root_lock`` is the lock the roots of one worker group
+    share) and runs :func:`run_fragment_pipeline_task` with it — what
     the band-grouped SCF iteration calls once per fragment.
 
     Returns
@@ -833,7 +839,7 @@ def run_fragment_pipeline_task_grouped(
     # module-level import here would be circular.
     from repro.parallel.bands import BandGroup
 
-    group = BandGroup(executor, band_slices, install=install_potentials)
+    group = BandGroup(executor, band_slices, install_potentials, root_lock)
     result = run_fragment_pipeline_task(pipeline_task, group=group)
     return result, group.stats
 

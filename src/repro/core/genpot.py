@@ -30,11 +30,7 @@ import numpy as np
 
 from repro.atoms.structure import Structure
 from repro.pw.density import integrated_charge, normalize_density
-from repro.pw.energy import (
-    electrostatic_potential,
-    potential_distance,
-    screening_potential,
-)
+from repro.pw.energy import potential_distance, screening_potential
 from repro.pw.grid import FFTGrid
 from repro.pw.hartree import hartree_potential
 from repro.pw.mixing import Mixer, make_mixer
@@ -347,13 +343,3 @@ class GlobalPotentialSolver:
         e_es = 0.5 * float(np.sum(net * v_es) * self.grid.dvol)
         e_xc = float(np.sum(np.maximum(rho, 0.0) * eps_xc) * self.grid.dvol)
         return v_out, e_es, e_xc, v_next
-
-    # ------------------------------------------------------------------
-    def electrostatic_potential_of(self, density: np.ndarray) -> np.ndarray:
-        """Electrostatic potential of an electron density against the ions."""
-        return electrostatic_potential(density, self.grid, self.ionic_density)
-
-    def xc_potential_of(self, density: np.ndarray) -> np.ndarray:
-        """Exchange-correlation potential of an electron density."""
-        _, v_xc = lda_xc(np.clip(density, 0.0, None))
-        return v_xc

@@ -21,10 +21,11 @@ The paper's parallelism is two-level: fragments go to processor
 all-band CG among themselves.  ``band_groups=`` reproduces the second
 level — the single fork inside an iteration: the same fused tasks are
 drained group by group with each fragment's solve band-sliced over the
-executor's workers (:mod:`repro.parallel.bands`), the driver acting as
-group root — so a single huge fragment no longer bounds the PEtot_F wall
-time — while results stay bit-identical to the one-worker-per-fragment
-side for any slice count and backend.
+executor's workers (:mod:`repro.parallel.bands`), driver threads acting
+as group roots (two per group, so a root's dense algebra overlaps the
+other fragment's slices) — so a single huge fragment no longer bounds
+the PEtot_F wall time — while results stay bit-identical to the
+one-worker-per-fragment side for any slice count and backend.
 
 Long runs can be checkpointed and resumed (``checkpoint_dir=`` /
 ``checkpoint_every=`` / ``resume=`` on :meth:`LS3DFSCF.run`): the
@@ -41,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -71,6 +73,13 @@ from repro.io.checkpoint import (
 )
 from repro.pw.grid import FFTGrid
 from repro.pw.pseudopotential import PseudopotentialSet, default_pseudopotentials
+
+#: Root threads per band group (at most one per worker and per queued
+#: fragment).  A grouped solve alternates "root waits for slices" with
+#: "workers wait for the root's algebra"; a second root fills each phase
+#: with another fragment's, a third measured worse (0.80 s against
+#: 0.73-0.78 s on ``scf_remote_bands``).
+GROUP_ROOTS = 2
 
 
 @dataclass
@@ -124,18 +133,19 @@ class IterationTimings:
     ``band_replayed`` the fragments replayed from a mid-iteration
     partial checkpoint instead of re-solved (their per-fragment timing
     entries are zero — this run only paid the payload read, counted in
-    ``checkpoint_io``).  The group root's residual step and dense
+    ``checkpoint_io``).  The group roots' residual step and dense
     cross-band algebra plus dispatch overhead — ``band_driver`` =
-    ``petot_f - band_cpu`` — is what stays serial, so
+    ``petot_f - band_cpu`` — is what the workers did not cover (two
+    roots per group overlap it with another fragment's slices), so
     ``measured_intra_group_efficiency`` is the measured counterpart of
     the modelled
     :meth:`repro.parallel.groups.GroupDecomposition.intra_group_efficiency`.
     ``band_schedule`` carries a
     :class:`repro.parallel.scheduler.GroupExecutionRecord`: the LPT
     plan over group-sized bins *plus* the measured wall time of every
-    group bin and of the whole drain, and whether the groups ran
-    concurrently on partitioned sub-pools (see
-    :meth:`LS3DFSCF._drain_band_groups`).
+    group bin and of the whole drain, how many root threads drained
+    each bin, and whether the groups ran concurrently on partitioned
+    sub-pools (see :meth:`LS3DFSCF._drain_band_groups`).
 
     ``checkpoint_io`` records the seconds spent writing this iteration's
     checkpoint — including mid-iteration partial-fragment payloads on
@@ -410,9 +420,10 @@ class LS3DFSCF:
         group*.  The default ``None`` runs one worker per fragment.
         When set, the iteration takes its band-grouped side
         (:meth:`_drain_band_groups`): fragments go to worker groups
-        heaviest first, the driver acts as each group's root for the
-        dense cross-band reductions and the elementwise residual step,
-        and the per-slice H·psi work goes through ``executor.run_bands``
+        heaviest first, driver threads act as each group's roots (up to
+        :data:`GROUP_ROOTS`, one on a one-worker executor) for the dense
+        cross-band reductions and the elementwise residual step, and
+        the per-slice H·psi work goes through ``executor.run_bands``
         — bit-identical results to the ungrouped side for any slice
         count, backend and group concurrency, which is what removes the
         largest-fragment floor on the PEtot_F wall time.  Requires the
@@ -726,18 +737,23 @@ class LS3DFSCF:
 
         The two-level hierarchy in action: the fused tasks are
         LPT-assigned to *worker groups* (bins of ``band_groups``
-        workers), and one runner drains each bin's queue heaviest-first,
-        the per-slice H·psi work of each fragment spreading over the
-        runner's executor as
-        :class:`~repro.parallel.bands.BandBlockTask` batches.  With more
-        than one bin and a partitionable executor the bins run genuinely
-        in parallel — each runner gets its own worker sub-pool
-        (``executor.partition``) and its own driver thread as group
-        root; otherwise the runners are called one after another on the
-        whole executor.  Either way the measured per-group walls land in
-        ``t.band_schedule`` (a
+        workers), and each bin's queue is drained heaviest-first by up
+        to :data:`GROUP_ROOTS` root threads sharing the bin's executor,
+        each fragment's per-slice H·psi work spreading over it as
+        :class:`~repro.parallel.bands.BandBlockTask` batches: while one
+        root does its dense cross-band algebra the workers compute the
+        other root's slices (why interleaved fragments are safe:
+        :func:`repro.parallel.bands.run_band_block_task`).  A one-worker
+        executor keeps one root, so "serial" stays on one core.  With
+        more than one bin and a partitionable executor the bins run
+        genuinely in parallel — each on its own worker sub-pool
+        (``executor.partition``) and driver thread; otherwise one after
+        another on the whole executor.  The measured per-group walls and
+        root counts land in ``t.band_schedule`` (a
         :class:`~repro.parallel.scheduler.GroupExecutionRecord`) and the
-        band accounting in ``t.band_*``.
+        band accounting in ``t.band_*``.  A root's first error closes
+        its bin's queue: the sibling root finishes (and persists) the
+        fragment it holds, then the error is raised.
 
         With ``checkpoint_path`` set, every completed fragment's
         :class:`~repro.core.fragment_task.FragmentPipelineResult` is
@@ -813,35 +829,66 @@ class LS3DFSCF:
         ]
 
         group_walls = [0.0] * ngroups
+        group_roots = [0] * ngroups
         group_io = [0.0] * ngroups
         group_stats: list[list] = [[] for _ in range(ngroups)]
         io_lock = threading.Lock()
 
         def _drain_group(group: int, executor) -> None:
+            queue = deque(queues[group])
+            errors: list[BaseException] = []
+            # One root-local FFT section (density, quantum energy) per group
+            # at a time: two only grow the driver's FFT workspace pool.
+            root_lock = threading.Lock()
+
+            def _root() -> None:
+                while True:
+                    try:
+                        idx = queue.popleft()
+                    except IndexError:
+                        return
+                    try:
+                        results[idx], stats = run_fragment_pipeline_task_grouped(
+                            tasks[idx],
+                            executor,
+                            self.band_groups,
+                            install_potentials=self.install_potentials,
+                            root_lock=root_lock,
+                        )
+                        group_stats[group].append(stats)
+                        if checkpoint_path is not None:
+                            tio = time.perf_counter()
+                            with io_lock:
+                                save_partial_payload(
+                                    checkpoint_path,
+                                    iteration,
+                                    division_signature,
+                                    self.fragments[idx].label,
+                                    results[idx].state_dict(),
+                                    state_fingerprint=state_fingerprint,
+                                )
+                                group_io[group] += time.perf_counter() - tio
+                    except BaseException as exc:
+                        queue.clear()  # the sibling root stops after its fragment
+                        errors.append(exc)
+                        return
+
+            group_roots[group] = min(
+                GROUP_ROOTS, int(getattr(executor, "n_workers", 1)), max(1, len(queue))
+            )
+            siblings = [
+                threading.Thread(target=_root, daemon=True)
+                for _ in range(group_roots[group] - 1)
+            ]
             g0 = time.perf_counter()
-            try:
-                for idx in queues[group]:
-                    results[idx], stats = run_fragment_pipeline_task_grouped(
-                        tasks[idx],
-                        executor,
-                        self.band_groups,
-                        install_potentials=self.install_potentials,
-                    )
-                    group_stats[group].append(stats)
-                    if checkpoint_path is not None:
-                        tio = time.perf_counter()
-                        with io_lock:
-                            save_partial_payload(
-                                checkpoint_path,
-                                iteration,
-                                division_signature,
-                                self.fragments[idx].label,
-                                results[idx].state_dict(),
-                                state_fingerprint=state_fingerprint,
-                            )
-                        group_io[group] += time.perf_counter() - tio
-            finally:
-                group_walls[group] = time.perf_counter() - g0
+            for thread in siblings:
+                thread.start()
+            _root()  # the calling thread is the group's first root
+            for thread in siblings:
+                thread.join()
+            group_walls[group] = time.perf_counter() - g0
+            if errors:
+                raise errors[0]
 
         if concurrent:
             subs = self.executor.partition(ngroups)
@@ -888,6 +935,7 @@ class LS3DFSCF:
         t.band_schedule = GroupExecutionRecord(
             plan=plan,
             group_walls=group_walls,
+            group_roots=group_roots,
             wall_time=time.perf_counter() - t0,
             concurrent=concurrent,
         )

@@ -83,10 +83,6 @@ class AmdahlFit:
             return float("inf")
         return 1.0 / self.serial_fraction
 
-    def predict(self, cores: np.ndarray | float) -> np.ndarray | float:
-        """Fitted aggregate performance at the given core count(s)."""
-        return amdahl_performance(cores, self.single_core_performance, self.serial_fraction)
-
 
 def fit_amdahl(cores: np.ndarray, performance: np.ndarray) -> AmdahlFit:
     """Least-squares fit of Amdahl's law to (cores, performance) data.
@@ -173,10 +169,6 @@ class SerialFractionEstimate:
     def max_speedup(self) -> float:
         """Amdahl's limit for this alpha: lim_{n->inf} speedup = 1/alpha."""
         return self.inverse_serial_fraction
-
-    def speedup_at(self, cores: np.ndarray | float) -> np.ndarray | float:
-        """Amdahl speedup this measured alpha predicts at ``cores``."""
-        return amdahl_speedup(cores, self.serial_fraction)
 
 
 def measured_serial_fraction(

@@ -64,6 +64,7 @@ as an argument, so it never imports this module.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Protocol, Sequence, runtime_checkable
@@ -77,7 +78,6 @@ from repro.core.fragment_task import (
     potential_fingerprint,
     resolve_screening_potential,
 )
-from repro.parallel.amdahl import measured_intra_group_efficiency
 from repro.parallel.distributed import slab_bounds
 
 
@@ -238,10 +238,16 @@ def run_band_block_task(
     pool workers; every backend's ``run_bands`` dispatches here.
 
     Concurrency note: unlike the whole-fragment kernel this does **not**
-    take the problem lock — all slices of one grouped solve install the
-    *same* screening potential (an idempotent assignment), and the
-    orchestrating :class:`BandGroup` owns the fragment's problem for the
-    duration of the solve (grouped solves run one fragment at a time).
+    take the problem lock, although a worker group's roots interleave
+    slices of different fragments on the same workers.  That is safe
+    because (1) a task sets its fragment's potential and applies H in
+    one go, (2) a worker serves one request at a time (per connection /
+    pool worker) and in-process workers running side by side hold
+    different Hamiltonians, and (3) roots of fragments sharing a
+    ``static_fingerprint`` serialise on ``problem.lock``, which
+    :func:`~repro.core.fragment_task.solve_fragment_task` holds for the
+    whole grouped solve — so slices in flight on one problem all install
+    the same potential (an idempotent assignment).
 
     Parameters
     ----------
@@ -336,22 +342,6 @@ class BandGroupStats:
         """Summed in-worker band-task time (serial-equivalent cost)."""
         return float(sum(self.task_times))
 
-    def intra_group_efficiency(self, wall_time: float) -> float:
-        """Measured intra-group efficiency of this solve.
-
-        Delegates to
-        :func:`repro.parallel.amdahl.measured_intra_group_efficiency`
-        (``task_cpu / (nslices * wall_time)``) — the measured
-        counterpart of the modelled
-        :meth:`repro.parallel.groups.GroupDecomposition.intra_group_efficiency`:
-        1.0 means the group's workers were busy with sliced work for the
-        whole solve; the gap is root-side dense algebra plus dispatch
-        overhead (the analogue of the paper's group-wide reductions).
-        """
-        return measured_intra_group_efficiency(
-            self.task_cpu, wall_time, self.nslices
-        )
-
 
 class BandGroup:
     """Driver-side handle of one band-parallel eigensolve.
@@ -375,10 +365,22 @@ class BandGroup:
         ``executor.install_state`` and strip the array from the shipped
         template; falls back to inline shipping when the executor lacks
         an install channel.  Bit-identical either way.
+    root_lock:
+        Lock the roots of one worker group share
+        (:meth:`repro.core.scf.LS3DFSCF._drain_band_groups`); the solve
+        kernel holds it over its root-local FFT section.  Private when
+        omitted.
+
+    Handles bound to different fragments may drive one executor at the
+    same time (see :func:`run_band_block_task`).
     """
 
     def __init__(
-        self, executor: BandGroupExecutor, nslices: int, install: bool = True
+        self,
+        executor: BandGroupExecutor,
+        nslices: int,
+        install: bool = True,
+        root_lock: threading.Lock | None = None,
     ) -> None:
         if nslices < 1:
             raise ValueError("nslices must be positive")
@@ -390,6 +392,7 @@ class BandGroup:
         self.executor = executor
         self.nslices = int(nslices)
         self.install = bool(install) and hasattr(executor, "install_state")
+        self.root_lock = root_lock or threading.Lock()
         self.template: FragmentTask | None = None
         self.stats = BandGroupStats(nslices=self.nslices)
 

@@ -42,7 +42,8 @@ iteration's Gen_dens reduce).  The pool backends order
 submissions heaviest-first, the greedy longest-processing-time (LPT)
 heuristic :mod:`repro.parallel.scheduler` uses to balance fragment
 classes whose costs differ by ~8x (1x1x1 vs 2x2x2 cells), and attach
-the scheduler's predicted assignment to the report.
+the scheduler's predicted assignment to the report (not for ``run_bands``
+batches, whose reports are read for their results only).
 """
 
 from __future__ import annotations
@@ -345,6 +346,7 @@ class _PoolFragmentExecutor:
         self._install_payloads: OrderedDict[str, np.ndarray] = OrderedDict()
         self._broadcast_keys: set[str] = set()
         self._counter_mutex = threading.Lock()
+        self._pool_mutex = threading.Lock()
         self._counter_root: "_PoolFragmentExecutor" = self
         self._partitions: dict[int, list["_PoolFragmentExecutor"]] = {}
 
@@ -386,9 +388,10 @@ class _PoolFragmentExecutor:
         raise NotImplementedError
 
     def _ensure_pool(self) -> Executor:
-        if self._pool is None:
-            self._pool = self._make_pool()
-        return self._pool
+        with self._pool_mutex:  # two group roots may reach a cold pool at once
+            if self._pool is None:
+                self._pool = self._make_pool()
+            return self._pool
 
     def install_state(self, key: str, payload: np.ndarray) -> None:
         """Install a shared potential once per worker under ``key``.
@@ -426,10 +429,6 @@ class _PoolFragmentExecutor:
         self._broadcast_keys.add(key)
         with root._counter_mutex:
             root.install_broadcasts += self.n_workers
-
-    def schedule(self, tasks: Sequence[FragmentTask]) -> ScheduleSummary:
-        """LPT assignment of the batch onto the workers (predicted loads)."""
-        return self._scheduler.schedule_tasks(tasks, self.n_workers)
 
     def run(self, tasks: Sequence[FragmentTask]) -> ExecutionReport:
         """Run fragment solve tasks through the pool (LPT, heaviest-first).
@@ -553,7 +552,11 @@ class _PoolFragmentExecutor:
     def _execute(self, tasks: Sequence, kernel) -> ExecutionReport:
         t0 = time.perf_counter()
         pooled = self.n_workers > 1 and len(tasks) > 1
-        schedule = self.schedule(tasks) if pooled else None
+        schedule = None
+        # Not for band stages: hundreds per solve on the group root's
+        # critical path, and their reports are read for .results only.
+        if pooled and kernel is not run_band_block_task:
+            schedule = self._scheduler.schedule_tasks(tasks, self.n_workers)
         results = gather_in_order(self._submit_batch(tasks, kernel))
         return ExecutionReport(
             results=results,

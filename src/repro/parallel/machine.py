@@ -91,11 +91,6 @@ class Machine:
             )
         return n * self.core_peak_gflops / 1000.0
 
-    def sustained_core_gflops(self, large_fragment: bool = True) -> float:
-        """Sustained per-core rate of the fragment kernel (Gflop/s)."""
-        eff = self.kernel_efficiency if large_fragment else self.small_fragment_efficiency
-        return self.core_peak_gflops * eff
-
 
 # The three evaluation platforms of the paper.
 FRANKLIN = Machine(

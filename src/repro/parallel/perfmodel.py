@@ -200,12 +200,6 @@ class LS3DFPerformanceModel:
             breakdown=breakdown,
         )
 
-    def strong_scaling(
-        self, core_counts: list[int], np_per_group: int
-    ) -> list[PerformancePoint]:
-        """Fixed problem size, increasing core counts (paper Figure 3)."""
-        return [self.evaluate(c, np_per_group) for c in core_counts]
-
     def petot_f_only_tflops(self, cores: int, np_per_group: int) -> float:
         """Sustained Tflop/s counting only PEtot_F (the paper's second curve)."""
         t = self.petot_f_time(cores, np_per_group)

@@ -111,6 +111,12 @@ PROTOCOL_VERSION = 1
 _MAGIC = b"RPW1"
 _HEADER = struct.Struct(">4sQ")
 _DEFAULT_MAX_FRAME = 1 << 30
+#: ``--host`` help of both daemons (``repro-worker``, ``repro-serve``).
+_HOST_HELP = (
+    "bind address; frames are unauthenticated pickles, so whoever can "
+    "connect can run code as this user - keep the loopback default unless "
+    "every host on the network is trusted"
+)
 
 
 class RemoteProtocolError(RuntimeError):
@@ -192,9 +198,11 @@ def recv_frame(sock: socket.socket, max_bytes: int = _DEFAULT_MAX_FRAME):
     Raises
     ------
     RemoteProtocolError
-        Wrong magic or an over-limit length (stream corruption).
+        Wrong magic, an over-limit length or a payload that does not
+        unpickle (stream corruption).
     ConnectionError
-        The peer closed the connection mid-frame.
+        The peer closed the connection mid-frame.  A header may claim up
+        to ``max_bytes``; memory grows only with the bytes that arrive.
     """
     header = _recv_exact(sock, _HEADER.size)
     magic, length = _HEADER.unpack(header)
@@ -205,7 +213,11 @@ def recv_frame(sock: socket.socket, max_bytes: int = _DEFAULT_MAX_FRAME):
             f"frame of {length} bytes exceeds the {max_bytes}-byte limit"
         )
     payload = _recv_exact(sock, int(length))
-    return pickle.loads(payload), _HEADER.size + int(length)
+    try:
+        obj = pickle.loads(payload)
+    except Exception as exc:  # damage inside the pickle: any type can come out
+        raise RemoteProtocolError(f"frame payload does not unpickle: {exc!r}") from exc
+    return obj, _HEADER.size + int(length)
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +451,7 @@ def worker_main(argv: Sequence[str] | None = None) -> int:
         prog="repro-worker",
         description="LS3DF remote fragment worker (trusted networks only).",
     )
-    parser.add_argument("--host", default="127.0.0.1", help="bind address")
+    parser.add_argument("--host", default="127.0.0.1", help=_HOST_HELP)
     parser.add_argument("--port", type=int, default=0, help="bind port (0 = any)")
     args = parser.parse_args(argv)
     server = WorkerServer(host=args.host, port=args.port)
@@ -856,9 +868,9 @@ class RemoteExecutor:
         t0 = time.perf_counter()
         self._maybe_heartbeat()
         workers = len(self._live_handles())
-        schedule = (
-            self._scheduler.schedule_tasks(tasks, workers) if workers > 1 else None
-        )
+        schedule = None
+        if workers > 1 and kind != "bands":  # band reports: .results only
+            schedule = self._scheduler.schedule_tasks(tasks, workers)
         results = gather_in_order(self._submit_batch(tasks, kind))
         return ExecutionReport(
             results=results,

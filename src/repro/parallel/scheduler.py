@@ -77,13 +77,11 @@ class GroupExecutionRecord:
     :meth:`FragmentScheduler.schedule_grouped` produces the modelled
     two-level decomposition; this record wraps that plan together with
     the wall-clock reality of actually running it — one measured wall
-    time per group bin, plus whether the groups genuinely overlapped
-    (per-group worker sub-pools driven by concurrent driver threads) or
-    time-shared one pool sequentially.  It is what
-    :attr:`repro.core.scf.IterationTimings.band_schedule` now carries;
-    the modelled quantities stay reachable through the delegating
-    properties, so existing reports keep printing model and measurement
-    side by side.
+    time and root count per group bin, plus whether the groups genuinely
+    overlapped (per-group worker sub-pools driven by concurrent driver
+    threads) or time-shared one pool sequentially.  It is what
+    :attr:`repro.core.scf.IterationTimings.band_schedule` carries; the
+    plan's modelled Np and efficiency stay reachable as properties.
 
     Attributes
     ----------
@@ -93,16 +91,20 @@ class GroupExecutionRecord:
         task queue, in dispatch order).
     group_walls:
         Measured wall-clock seconds each group spent on its queue.
+    group_roots:
+        Group-root threads that drained each group's queue (see
+        :data:`repro.core.scf.GROUP_ROOTS`; 1 on a one-worker executor).
     wall_time:
         Measured wall-clock of the whole PEtot_F step (all groups).
     concurrent:
         True when the groups ran on disjoint worker sub-pools in
         parallel; False for the sequential fallback (single pool, one
-        grouped solve at a time).
+        group's queue at a time).
     """
 
     plan: ScheduleSummary
     group_walls: list[float]
+    group_roots: list[int]
     wall_time: float
     concurrent: bool
 
@@ -121,21 +123,6 @@ class GroupExecutionRecord:
     def intra_group_efficiency(self) -> float | None:
         """The plan's *modelled* intra-group efficiency."""
         return self.plan.intra_group_efficiency
-
-    @property
-    def makespan(self) -> float:
-        """The plan's modelled makespan (cost units, not seconds)."""
-        return self.plan.makespan
-
-    @property
-    def imbalance(self) -> float:
-        """The plan's modelled imbalance."""
-        return self.plan.imbalance
-
-    @property
-    def lpt_speedup(self) -> float:
-        """The plan's modelled LPT speedup."""
-        return self.plan.lpt_speedup
 
     # -- measured quantities -------------------------------------------
     @property

@@ -186,10 +186,6 @@ class FFTGrid:
             return complex(total)
         return float(total)
 
-    def inner_product(self, f: np.ndarray, g: np.ndarray) -> complex:
-        """<f|g> = integral conj(f) g dr on the real-space grid."""
-        return complex(np.vdot(f, g) * self.dvol)
-
     # -- construction helpers -------------------------------------------------
     @classmethod
     def for_structure(

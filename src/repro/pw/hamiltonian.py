@@ -272,12 +272,6 @@ class Hamiltonian:
         hc = self.apply(c)
         return np.real(np.einsum("ij,ij->i", c.conj(), hc))
 
-    def subspace_matrix(self, coefficients: np.ndarray) -> np.ndarray:
-        """Subspace (Rayleigh-Ritz) matrix  C H C^H  for a band block."""
-        c = np.atleast_2d(np.asarray(coefficients, dtype=complex))
-        hc = self.apply(c)
-        return c.conj() @ hc.T
-
     # -- dense reference -------------------------------------------------------
     def dense_matrix(self) -> np.ndarray:
         """Build the full (npw x npw) Hamiltonian matrix.

@@ -36,6 +36,7 @@ import numpy as np
 from repro.io.checkpoint import has_checkpoint
 from repro.parallel.remote import (
     _DEFAULT_MAX_FRAME,
+    _HOST_HELP,
     RemoteProtocolError,
     recv_frame,
     send_frame,
@@ -378,7 +379,7 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
         ),
     )
     parser.add_argument("--root", required=True, help="run store root directory")
-    parser.add_argument("--host", default="127.0.0.1", help="bind address")
+    parser.add_argument("--host", default="127.0.0.1", help=_HOST_HELP)
     parser.add_argument("--port", type=int, default=0, help="bind port (0 = any)")
     parser.add_argument(
         "--job-slots", type=int, default=1, help="concurrent solves"

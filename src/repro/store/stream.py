@@ -372,11 +372,6 @@ class EventStream:
         events, _valid, _torn = _scan_records(raw, 0)
         return [e for e in events if e.seq >= int(since_seq)]
 
-    def last_event(self) -> Event | None:
-        """The newest valid event, or None on an empty stream."""
-        events = self.replay()
-        return events[-1] if events else None
-
     def is_terminal(self) -> bool:
         """Whether the run has converged or failed."""
         return self.read_head()["status"] in TERMINAL_KINDS

@@ -20,22 +20,39 @@ actually overlapped.  These tests pin down:
 * fault recovery: killing one group mid-iteration with the
   :class:`~repro.parallel.faults.FlakyExecutor` harness loses only that
   group's fragments — the PR 5 partial-checkpoint replay heals exactly
-  the dead group's work on resume.
+  the dead group's work on resume;
+* two group roots per group (PR 19): at most
+  :data:`~repro.core.scf.GROUP_ROOTS` ``run_bands`` callers per group at
+  a time (one on a one-worker executor), ``==`` the serial reference on
+  every backend, a killed root closes its group's queue without losing
+  its sibling's fragment, and band groups bound to different fragments
+  can share one worker.
 """
+
+import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.atoms.toy import cscl_binary
-from repro.core.scf import LS3DFSCF
+from repro.core.scf import GROUP_ROOTS, LS3DFSCF
 from repro.io.checkpoint import load_partial_payloads
 from repro.parallel.executor import (
+    ProcessPoolFragmentExecutor,
     SerialFragmentExecutor,
     ThreadPoolFragmentExecutor,
 )
 from repro.parallel.faults import FlakyExecutor
 from repro.parallel.groups import partition_worker_counts
-from repro.parallel.remote import RemoteExecutor, RemoteExecutorConfig, start_worker_thread
+from repro.parallel.remote import (
+    LocalWorkerPool,
+    RemoteExecutor,
+    RemoteExecutorConfig,
+    WorkerDiedError,
+    start_worker_thread,
+)
 from repro.parallel.scheduler import FragmentScheduler, GroupExecutionRecord
 
 
@@ -59,6 +76,15 @@ _RUN_KW = dict(
     eigensolver_tolerance=1e-4,
     eigensolver_iterations=40,
 )
+
+
+def _state_fingerprint(scf) -> str:
+    """The solve-input digest the grouped path salts its partials with."""
+    fp = hashlib.sha256()
+    fp.update(np.ascontiguousarray(scf.genpot.initial_potential()).tobytes())
+    fp.update(np.float64(_RUN_KW["eigensolver_tolerance"]).tobytes())
+    fp.update(np.int64(_RUN_KW["eigensolver_iterations"]).tobytes())
+    return fp.hexdigest()
 
 
 def _assert_scf_identical(got, want):
@@ -281,8 +307,6 @@ def test_remote_partition_children_run_groups_concurrently(pipeline_reference):
 # --- fault injection: losing one group mid-iteration ------------------------------
 
 def test_flaky_executor_kills_at_scheduled_batches():
-    from repro.parallel.remote import WorkerDiedError
-
     inner = SerialFragmentExecutor()
     flaky = FlakyExecutor(inner, kill_at=(1,))
     assert flaky.n_workers == inner.n_workers  # delegation
@@ -293,8 +317,6 @@ def test_flaky_executor_kills_at_scheduled_batches():
 
 
 def test_flaky_executor_partition_wraps_only_the_doomed_group():
-    from repro.parallel.remote import WorkerDiedError
-
     pool = ThreadPoolFragmentExecutor(4)
     try:
         flaky = FlakyExecutor(pool, kill_at=(0,), kill_group=1)
@@ -312,24 +334,15 @@ def test_killed_group_heals_from_partial_checkpoint(tmp_path, pipeline_reference
     fragments persist as partials, and resuming with a healthy pool
     replays exactly the dead group's lost fragments — not the whole
     iteration."""
-    import hashlib
-
-    from repro.parallel.remote import WorkerDiedError
-
     pool = ThreadPoolFragmentExecutor(4)
     try:
         flaky = FlakyExecutor(pool, kill_at=(0,), kill_group=1)
         scf = _tiny_scf(flaky, band_groups=2)
         with pytest.raises(WorkerDiedError, match="injected fault"):
             scf.run(checkpoint_dir=tmp_path, resume=True, **_RUN_KW)
-        # The grouped path salts its partials with the solve inputs.
-        fp = hashlib.sha256()
-        fp.update(np.ascontiguousarray(scf.genpot.initial_potential()).tobytes())
-        fp.update(np.float64(_RUN_KW["eigensolver_tolerance"]).tobytes())
-        fp.update(np.int64(_RUN_KW["eigensolver_iterations"]).tobytes())
         saved = load_partial_payloads(
             tmp_path, 1, scf._problem_signature(),
-            state_fingerprint=fp.hexdigest())
+            state_fingerprint=_state_fingerprint(scf))
         # Only the surviving group's fragments made it to disk.
         assert 0 < len(saved) < scf.nfragments
     finally:
@@ -344,3 +357,228 @@ def test_killed_group_heals_from_partial_checkpoint(tmp_path, pipeline_reference
     # The replay healed exactly the dead group's fragments.
     assert resumed.timings[0].band_replayed == len(saved)
     _assert_scf_identical(resumed, pipeline_reference)
+
+
+# --- two group roots per worker group ---------------------------------------------
+
+class _CallerCount:
+    """Executor wrapper recording how many threads are inside ``run_bands``
+    at once — per group: :meth:`partition` wraps each child separately."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.inside = 0
+        self.peak = 0
+        self.children: list["_CallerCount"] = []
+        self._lock = threading.Lock()
+
+    def run_bands(self, tasks):
+        with self._lock:
+            self.inside += 1
+            self.peak = max(self.peak, self.inside)
+        try:
+            return self.inner.run_bands(tasks)
+        finally:
+            with self._lock:
+                self.inside -= 1
+
+    def partition(self, ngroups):
+        if not self.children:
+            self.children = [_CallerCount(c) for c in self.inner.partition(ngroups)]
+        return self.children
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_two_roots_call_run_bands_concurrently(pipeline_reference):
+    """With two workers or more a group's queue is drained by two roots:
+    never more than two ``run_bands`` callers at once, and two at least
+    once — on a single group and on each partitioned sub-pool."""
+    assert GROUP_ROOTS == 2
+    for workers, ngroups in ((2, 1), (4, 2)):
+        pool = ThreadPoolFragmentExecutor(workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more threads than cores, switching often
+        try:
+            counted = _CallerCount(pool)
+            result = _tiny_scf(counted, band_groups=2).run(**_RUN_KW)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        # Every fragment was popped by exactly one root.
+        _assert_scf_identical(result, pipeline_reference)
+        assert pool.tasks_submitted == 2 * sum(t.band_stages for t in result.timings)
+        groups = counted.children or [counted]
+        assert len(groups) == ngroups
+        assert [g.peak for g in groups] == [2] * ngroups
+        for t in result.timings:
+            assert t.band_schedule.group_roots == [2] * ngroups
+
+
+def test_one_worker_keeps_one_root(pipeline_reference):
+    """"Serial" stays on one core: a one-worker executor gets one root."""
+    counted = _CallerCount(SerialFragmentExecutor())
+    result = _tiny_scf(counted, band_groups=2).run(**_RUN_KW)
+    _assert_scf_identical(result, pipeline_reference)
+    assert counted.peak == 1
+    assert all(t.band_schedule.group_roots == [1] for t in result.timings)
+
+
+def _assert_one_group_two_roots(result, executor, reference):
+    _assert_scf_identical(result, reference)
+    stages = sum(t.band_stages for t in result.timings)
+    assert stages > 0 and executor.tasks_submitted == stages * 2
+    for t in result.timings:
+        assert t.band_schedule.group_roots == [2]
+        assert not t.band_schedule.concurrent
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes", "loopback"])
+def test_one_group_two_roots_bit_identical(backend, pipeline_reference):
+    """The benchmark's shape — ``band_groups=2`` on two workers, so one
+    group drained by two roots — is ``==`` serial on every backend, with
+    one submission per slice per stage and nothing lost or degraded."""
+    if backend == "loopback":
+        servers = [start_worker_thread() for _ in range(2)]
+        config = RemoteExecutorConfig(
+            connect_timeout=2.0, request_timeout=60.0, heartbeat_interval=1e9,
+            max_retries=1, backoff=0.01)
+        executor = RemoteExecutor(
+            [s.address for s in servers], config=config, fallback=None)
+    else:
+        servers = []
+        pool_type = (ThreadPoolFragmentExecutor if backend == "threads"
+                     else ProcessPoolFragmentExecutor)
+        executor = pool_type(2)
+    try:
+        result = _tiny_scf(executor, band_groups=2).run(**_RUN_KW)
+        _assert_one_group_two_roots(result, executor, pipeline_reference)
+        if backend == "loopback":
+            assert executor.workers_lost == 0 and executor.degraded_tasks == 0
+            assert executor.resubmissions == 0
+    finally:
+        executor.close()
+        for server in servers:
+            server.stop()
+
+
+@pytest.mark.remote
+def test_one_group_two_roots_on_subprocess_workers(pipeline_reference):
+    """Two real ``repro-worker`` processes, one group, two roots: ``==``
+    the in-process serial run (the CI ``remote-smoke`` job)."""
+    with LocalWorkerPool(2) as pool:
+        with RemoteExecutor(pool.addresses, fallback=None) as executor:
+            result = _tiny_scf(executor, band_groups=2).run(**_RUN_KW)
+            _assert_one_group_two_roots(result, executor, pipeline_reference)
+            assert executor.workers_lost == 0 and executor.degraded_tasks == 0
+
+
+class _FlakyByFragment(FlakyExecutor):
+    """:class:`FlakyExecutor` that remembers which fragments reached
+    ``run_bands`` and which one the injected fault hit."""
+
+    def __init__(self, inner, kill_at):
+        super().__init__(inner, kill_at=kill_at)
+        self.started: set[str] = set()
+        self.killed: str | None = None
+
+    def run_bands(self, tasks):
+        label = tasks[0].template.label
+        self.started.add(label)
+        try:
+            return super().run_bands(tasks)
+        except WorkerDiedError:
+            self.killed = label
+            raise
+
+
+def test_killed_root_closes_queue_and_sibling_persists(
+        tmp_path, pipeline_reference, grouped_concurrent):
+    """A root dying mid-queue closes its group's queue: the sibling root
+    finishes and persists the fragment it holds, nothing new is started,
+    and a resume replays exactly what was persisted."""
+    # Stage counts are deterministic: die halfway through iteration 1.
+    first_iteration_stages = grouped_concurrent[0].timings[0].band_stages
+    pool = ThreadPoolFragmentExecutor(2)
+    try:
+        flaky = _FlakyByFragment(pool, kill_at=(first_iteration_stages // 2,))
+        scf = _tiny_scf(flaky, band_groups=2)
+        with pytest.raises(WorkerDiedError, match="injected fault"):
+            scf.run(checkpoint_dir=tmp_path, resume=True, **_RUN_KW)
+        saved = load_partial_payloads(
+            tmp_path, 1, scf._problem_signature(),
+            state_fingerprint=_state_fingerprint(scf))
+    finally:
+        pool.close()
+    # Every fragment a root had started — the sibling's in-flight one
+    # included — was finished and persisted, except the one that died ...
+    assert flaky.killed is not None
+    assert set(saved) == flaky.started - {flaky.killed}
+    assert len(saved) >= 1
+    # ... and the closed queue handed out nothing more.
+    assert len(flaky.started) < scf.nfragments
+
+    pool = ThreadPoolFragmentExecutor(2)
+    try:
+        resumed = _tiny_scf(pool, band_groups=2).run(
+            checkpoint_dir=tmp_path, resume=True, **_RUN_KW)
+    finally:
+        pool.close()
+    assert resumed.timings[0].band_replayed == len(saved)
+    _assert_scf_identical(resumed, pipeline_reference)
+
+
+def test_band_groups_of_two_fragments_share_one_worker():
+    """Two :class:`BandGroup` handles, bound to fragments with different
+    screening potentials on the *same* static problem, driven from two
+    threads through one worker connection: every batch sets its own
+    potential before applying H, so each thread gets its own fragment's
+    rows of ``Hamiltonian.apply`` however the requests interleave."""
+    from repro.core.fragment_task import FragmentTask, build_task_problem
+    from repro.parallel.bands import BandGroup
+    from repro.pw.grid import FFTGrid
+
+    structure = cscl_binary((1, 1, 1), "Zn", "O", 6.0)
+    grid = FFTGrid(structure.cell, (10, 10, 10))
+    tasks = [
+        FragmentTask(
+            label=label, cell=tuple(structure.cell), grid_shape=grid.shape,
+            symbols=structure.symbols, positions=structure.positions,
+            screening_potential=np.full(grid.shape, screening),
+            ecut=2.0, n_empty=1, tolerance=1e-5, max_iterations=40)
+        for label, screening in (("a", 0.02), ("b", 0.35))
+    ]
+    # References on private Hamiltonians: the in-process worker shares
+    # this process's problem cache, the references must not.
+    blocks, references = [], []
+    for seed, task in enumerate(tasks):
+        problem = build_task_problem(task)
+        problem.hamiltonian.set_effective_potential(task.screening_potential)
+        x = problem.basis.random_coefficients(
+            problem.nbands, np.random.default_rng(seed))
+        blocks.append(x)
+        references.append(problem.hamiltonian.apply(x))
+    assert not np.array_equal(references[0], problem.hamiltonian.apply(blocks[0]))
+
+    server = start_worker_thread()
+    mismatches: list[str] = []
+    try:
+        with RemoteExecutor([server.address], fallback=None) as executor:
+            groups = [BandGroup(executor, 2).bind(task) for task in tasks]
+
+            def drive(k):
+                for _ in range(25):
+                    if not np.array_equal(groups[k].apply_h(blocks[k]), references[k]):
+                        mismatches.append(tasks[k].label)
+
+            threads = [threading.Thread(target=drive, args=(k,)) for k in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert executor.tasks_submitted == 2 * 25 * 2
+    finally:
+        server.stop()
+    assert mismatches == []

@@ -36,6 +36,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.atoms.toy import cscl_binary
 from repro.core.fragment_task import (
@@ -195,6 +197,91 @@ def test_frame_connection_closed_mid_stream():
             recv_frame(b)
     finally:
         b.close()
+
+
+def _recv_after(data: bytes, **limits):
+    """What :func:`recv_frame` makes of ``data`` followed by EOF.  The
+    read side carries a timeout, so a decoder that waited for bytes that
+    never come would fail the test with ``TimeoutError``, not hang it."""
+    a, b = socket.socketpair()
+    try:
+        b.settimeout(10.0)
+        a.sendall(data)
+        a.close()
+        return recv_frame(b, **limits)
+    finally:
+        a.close()
+        b.close()
+
+
+def _frame_bytes(obj) -> bytes:
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return b"RPW1" + len(payload).to_bytes(8, "big") + payload
+
+
+# Frames for the damage property are built from bytes below ``p``: pickle's
+# explicit memo-index opcodes (``p``, ``q``, ``r``) size an allocation from
+# a number instead of from the data that arrived, which no frame layer can
+# bound — it is why ``--host`` documents frames as trusted.  Keeping those
+# three bytes out of the stream aims the property at the RPW1 decoder.
+_SAFE_TEXT = st.text(alphabet="abcdefgh_ ", max_size=12)
+_SAFE_FRAMES = st.dictionaries(
+    _SAFE_TEXT,
+    st.one_of(st.integers(0, 100), _SAFE_TEXT, st.lists(st.integers(0, 100), max_size=4)),
+    max_size=4,
+).map(_frame_bytes)
+_ANY_FRAMES = st.one_of(
+    _SAFE_FRAMES,
+    st.integers(0, 32).map(lambda n: _frame_bytes({"op": "task", "x": np.arange(float(n))})),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_ANY_FRAMES, st.data())
+def test_truncated_frame_is_a_connection_error(frame, data):
+    assert _recv_after(frame)[1] == len(frame)
+    cut = data.draw(st.integers(0, len(frame) - 1))
+    with pytest.raises(ConnectionError):
+        _recv_after(frame[:cut])
+
+
+@settings(deadline=None, max_examples=200)
+@given(_SAFE_FRAMES, st.data())
+def test_single_byte_damage_gives_a_value_or_a_typed_error(frame, data):
+    damaged = bytearray(frame)
+    index = data.draw(st.integers(0, len(frame) - 1))
+    damaged[index] ^= data.draw(st.integers(1, 255))
+    assume(damaged[index] not in b"pqr")
+    try:
+        _, nbytes = _recv_after(bytes(damaged))
+    except (RemoteProtocolError, ConnectionError):
+        return
+    assert nbytes <= len(frame)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 1 << 30), st.binary(max_size=4096))
+def test_header_claim_allocates_only_what_arrives(claimed, arrived):
+    """A header may claim anything up to ``max_bytes``; when the peer
+    then closes, the error is typed and memory stayed with the bytes
+    that came (plus one 1 MiB receive buffer)."""
+    import tracemalloc
+
+    data = b"RPW1" + claimed.to_bytes(8, "big") + arrived[: claimed - 1]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConnectionError):
+            _recv_after(data, max_bytes=1 << 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(data) + (2 << 20)
+
+
+def test_undecodable_payload_is_a_protocol_error():
+    payload = b"\x80\x05not a pickle"
+    with pytest.raises(RemoteProtocolError, match="unpickle"):
+        _recv_after(b"RPW1" + len(payload).to_bytes(8, "big") + payload)
 
 
 # --- worker protocol surface ------------------------------------------------------

@@ -481,17 +481,12 @@ def solve_fragment_task(
         cache lookup when the caller already holds the data.
     group:
         Optional :class:`repro.parallel.bands.BandGroup`: the calling
-        process then acts as the *group root* — it runs the outer
-        all-band CG loop, the elementwise residual step and every dense
-        cross-band reduction — while the H·psi applications are
-        sliced over the group's executor.  Results are **bit-identical**
-        to the ungrouped solve for any slice count and backend (the
-        property ``tests/test_band_parallel.py`` asserts): the sliced
-        kernel is row-independent bit for bit and the root-side algebra
-        operates on full blocks of unchanged shape.  Only the
-        ``"all_band"`` eigensolver can be grouped (the band-by-band
-        reference algorithm is inherently sequential over bands).  The
-        group's task accounting is left on ``group.stats``.
+        process is then the *group root* — it runs the all-band CG loop and
+        every cross-band reduction — while the H·psi applications are sliced
+        over the group's executor.  **Bit-identical** to the ungrouped solve
+        for any slice count and backend (``tests/test_band_parallel.py``).
+        Only the ``"all_band"`` eigensolver can be grouped; the group's task
+        accounting is left on ``group.stats``.
 
     Returns
     -------
@@ -530,16 +525,11 @@ def solve_fragment_task(
             density = compute_density(
                 problem.basis, result.coefficients, problem.occupations
             )
-            # Quantum energy: kinetic + short-range ionic + nonlocal only
-            # (screening/electrostatics are assembled globally by GENPOT).
-            saved = hamiltonian.v_screening
-            hamiltonian.v_screening = np.zeros_like(saved)
-            try:
-                expect = hamiltonian.expectation(result.coefficients)
-            finally:
-                hamiltonian.v_screening = saved
-    quantum_energy = float(np.sum(problem.occupations * expect))
     band_energy = float(np.sum(problem.occupations * result.eigenvalues))
+    # Quantum energy: kinetic + short-range ionic + nonlocal only (GENPOT
+    # assembles the screened parts); the Ritz values are <x_i|H|x_i> on a
+    # fresh image, so taking the screening share back out needs no H·psi.
+    quantum_energy = band_energy - problem.grid.integrate(v_screen * density)
     return FragmentTaskResult(
         label=task.label,
         eigenvalues=result.eigenvalues,

@@ -1,64 +1,46 @@
 """Band-parallel distributed eigensolver: worker groups inside a fragment.
 
-The paper's two-level hierarchy gives every fragment group ``Np`` cores,
-so the all-band CG *inside one fragment* is itself distributed: each core
-owns a share of the heavy per-band work, while small dense cross-band
-reductions (Gram/overlap matrices, subspace rotations, Rayleigh-Ritz) run
-group-wide every CG sweep.  Until this module existed the reproduction
-solved each fragment's band block on a single worker, so one huge
-fragment bounded the PEtot_F wall time no matter how many workers were
-available — the largest-fragment floor this subsystem removes.
-
-This is the local-machine analogue of those ``Np``-core groups, built on
-the same executor machinery as the fragment and global-step task
-families:
+The paper's two-level hierarchy gives every fragment group ``Np`` cores, so
+the all-band CG *inside one fragment* is itself distributed: each core owns
+a share of the heavy per-band work while the small dense cross-band
+reductions run group-wide every sweep.  This is the local-machine analogue,
+built on the same executor machinery as the fragment and global-step tasks:
 
 * :func:`band_slices` / :class:`BandSlice` — deterministic contiguous
-  partition of a band block's rows (same block distribution as
+  partition of a block's rows (the block distribution of
   :func:`repro.parallel.distributed.slab_bounds`).
 * :class:`BandBlockTask` / :func:`run_band_block_task` — the picklable
-  per-slice unit of eigensolver work, executed through ``run_bands`` on
-  every backend in :mod:`repro.parallel.executor`: the slice's rows of
-  H·psi (the FFT-heavy kinetic + local-potential share plus the
-  Kleinman-Bylander term via the blocked fixed-shape kernel) — the one
-  expensive per-band operation of PEtot_F and the only thing a group
-  worker does.  The kernel is **row-independent bit for bit** —
-  elementwise products, per-band batched FFTs and globally-aligned
-  fixed-shape projector blocks — so a sliced run concatenates to exactly
-  the full-block result.
-* :class:`BandGroup` — the driver-side handle one grouped eigensolve
-  holds: it scatters the band block into slices, pushes
-  :class:`BandBlockTask` batches through the executor and gathers the
-  rows back; the root share (the elementwise preconditioned residual,
-  which moves 32 bytes per ~10 flops and so is never worth shipping,
-  and the dense cross-band algebra) stays in the eigensolver, on the
-  full block.
-  :func:`repro.core.fragment_task.solve_fragment_task` takes one as
-  ``group=`` and hands it to :func:`repro.pw.eigensolver.all_band_cg`
-  (``band_groups=``).
+  per-slice unit, executed through ``run_bands`` on every backend: the
+  slice's rows of H·psi, the one expensive per-band operation of PEtot_F and
+  the only thing a group worker does.
+* :class:`BandGroup` — the handle one grouped eigensolve holds
+  (:func:`repro.core.fragment_task.solve_fragment_task` takes it as
+  ``group=``, :func:`repro.pw.eigensolver.all_band_cg` as ``band_groups=``):
+  it scatters a block into slices and gathers the rows back.  The rows it
+  sees are the solver's *packed* rows — two real orbitals ``a + i b`` per
+  complex row, packed on the root before the scatter — so a stage over ``m``
+  bands ships ``ceil(m / 2)`` rows each way.
 
-Why the split is drawn where it is: a *variable-shape* BLAS product is
-not row-slice stable (a 1-row GEMM may dispatch to GEMV with a different
-accumulation order), so the dense cross-band algebra — Gram/overlap
-matrices, subspace rotations — stays on the group root operating on full
-blocks of identical shape.  Per-band work rides in the slices: the FFT +
-pointwise kernels are slice-stable by the verified pocketfft batching
-property (the same one the slab-distributed FFT of
-:mod:`repro.parallel.distributed` rests on), and so is the nonlocal KB
-term — :meth:`repro.pw.hamiltonian.Hamiltonian.add_nonlocal` runs as
-fixed-shape GEMMs over globally-aligned band blocks whose outputs are
-content-independent per column, so any slicing reproduces the
-full-block bits.
-That division happens to mirror the paper's: the q-space data
-parallelism scales with Np, the group-wide reductions are what erode
-intra-group efficiency at large Np
+Why the split is drawn there: a *variable-shape* BLAS product is not
+row-slice stable (a 1-row GEMM may dispatch to GEMV with a different
+accumulation order), so the cross-band algebra — Gram matrices, rotations,
+Rayleigh-Ritz — and the elementwise residual step (32 bytes moved per ~10
+flops, never worth shipping) stay on the group root, on full blocks of
+identical shape.  The slice kernel is **row-independent bit for bit**:
+elementwise products, per-band batched FFTs (the verified pocketfft batching
+property) and the Kleinman-Bylander term as fixed-shape GEMMs over
+globally-aligned band blocks
+(:meth:`repro.pw.hamiltonian.Hamiltonian.add_nonlocal`), so concatenated
+slices equal the full-block result for any slice count.  The paper divides
+the same way: q-space data parallelism scales with Np, the group-wide
+reductions erode intra-group efficiency
 (:meth:`repro.parallel.groups.GroupDecomposition.intra_group_efficiency`).
 
 Layering: depends on :mod:`repro.core.fragment_task` (the per-process
-static-problem cache keyed by task fingerprints) and :mod:`repro.pw`;
-the executor backends import the task kernel from here, and the solve
-kernel in :mod:`repro.core.fragment_task` receives a :class:`BandGroup`
-as an argument, so it never imports this module.
+static-problem cache keyed by task fingerprints) and :mod:`repro.pw`; the
+executor backends import the task kernel from here, and the solve kernel
+receives a :class:`BandGroup` as an argument, so it never imports this
+module.
 """
 
 from __future__ import annotations
@@ -417,14 +399,12 @@ class BandGroup:
         return self
 
     def apply_h(self, block: np.ndarray) -> np.ndarray:
-        """Group-distributed H·psi on a band block, bit-identical to serial.
+        """Group-distributed H·psi on a block of rows, bit-identical to serial.
 
-        Each slice computes its rows' *full* H·psi — kinetic + local
-        potential plus its share of the Kleinman-Bylander term through
-        the blocked fixed-shape kernel aligned to global band indices —
-        and the root only concatenates: the same bits as the
-        single-worker ``h.apply``.  One call is one stage: one
-        ``run_bands`` batch of ``nslices`` tasks.
+        Each slice computes its rows' *full* H·psi (the Kleinman-Bylander
+        share through the blocked kernel aligned to global row indices) and
+        the root only concatenates: the same bits as ``h.apply``.  One call
+        is one stage: one ``run_bands`` batch of ``nslices`` tasks.
         """
         if self.template is None:
             raise RuntimeError("BandGroup.bind(task) must precede the first stage")

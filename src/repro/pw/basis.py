@@ -114,6 +114,27 @@ class PlaneWaveBasis:
             raise RuntimeError("basis must contain exactly one G=0 vector")
         return int(idx[0])
 
+    @cached_property
+    def minus_g(self) -> np.ndarray:
+        """Index of ``-G`` for every basis vector ``G``; ``ValueError`` when the
+        sphere is not closed under ``G -> -G`` (it reaches the Nyquist plane
+        of an even grid, whose vectors have no partner)."""
+        shape = self.grid.shape
+        index = np.unravel_index(self._indices, shape)
+        flipped = np.ravel_multi_index([(-i) % n for i, n in zip(index, shape)], shape)
+        minus = np.searchsorted(self._indices, flipped)
+        if not np.array_equal(self._g[minus], -self._g):
+            raise ValueError(
+                "basis is not closed under G -> -G: the cutoff sphere touches "
+                "the Nyquist plane of the FFT grid; use a finer grid"
+            )
+        return minus
+
+    def conjugate(self, coeffs: np.ndarray) -> np.ndarray:
+        """``K c``: coefficients of the complex-conjugate wavefunction,
+        ``c(G) -> c(-G)*``; ``c == K c`` exactly when psi(r) is real."""
+        return np.conj(coeffs[..., self.minus_g])
+
     # -- grid scatter / gather -------------------------------------------------
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Scatter coefficient vector(s) onto the full FFT reciprocal grid.

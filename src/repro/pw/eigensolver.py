@@ -18,16 +18,17 @@ Two solvers are provided, mirroring the paper's PEtot_F optimisation story:
 * :func:`exact_diagonalization` — dense reference for small fragments and
   for the test-suite's correctness checks.
 
-:func:`all_band_cg` additionally accepts ``band_groups=`` — a band-parallel
-worker group (:class:`repro.parallel.bands.BandGroup`) that distributes the
-H·psi applications over executor workers while the caller remains the serial
-group root for the elementwise residual step and the dense cross-band
-reductions; results are bit-identical for any slice count.
+:func:`all_band_cg` works on real orbitals (``c(-G) = c(G)*``), two of them
+per complex row of H·psi, and accepts ``band_groups=`` — a band-parallel
+worker group (:class:`repro.parallel.bands.BandGroup`) that distributes those
+rows over executor workers while the caller stays the group root for the
+cross-band reductions; results are bit-identical for any slice count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -63,10 +64,6 @@ class EigensolverResult:
     history: list[float] = field(default_factory=list)
 
 
-def _residuals(h: Hamiltonian, coeffs: np.ndarray, evals: np.ndarray) -> np.ndarray:
-    return h.apply(coeffs) - evals[:, None] * coeffs
-
-
 def exact_diagonalization(h: Hamiltonian, nbands: int) -> EigensolverResult:
     """Dense diagonalisation of the full plane-wave Hamiltonian.
 
@@ -78,8 +75,7 @@ def exact_diagonalization(h: Hamiltonian, nbands: int) -> EigensolverResult:
     mat = h.dense_matrix()
     evals, evecs = np.linalg.eigh(mat)
     coeffs = np.ascontiguousarray(evecs[:, :nbands].T)
-    res = _residuals(h, coeffs, evals[:nbands])
-    rn = np.linalg.norm(res, axis=1)
+    rn = np.linalg.norm(h.apply(coeffs) - evals[:nbands, None] * coeffs, axis=1)
     return EigensolverResult(
         eigenvalues=evals[:nbands].copy(),
         coefficients=coeffs,
@@ -93,15 +89,34 @@ def exact_diagonalization(h: Hamiltonian, nbands: int) -> EigensolverResult:
 # ---------------------------------------------------------------------------
 # All-band solver (BLAS-3): block iteration with Rayleigh-Ritz on [X, P, W]
 # ---------------------------------------------------------------------------
+# The block lives in the real subspace c = K c (``basis.conjugate``): inner
+# products of such rows are real, so these helpers run on float64 views (eigh
+# reads the lower triangle only).  Private to this solver; the band-by-band
+# one keeps generic complex algebra.  docs/ARCHITECTURE.md, "Two bands per FFT".
 
-def _hermitian(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``<a_i|b_j>`` of K-symmetric rows: real, one float64 GEMM."""
+    return a.view(np.float64) @ b.view(np.float64).T
 
 
-def _ritz(x: np.ndarray, hx: np.ndarray):
-    """Rayleigh-Ritz inside an orthonormal block: ``(evals, u.T x, u.T hx)``."""
-    evals, u = np.linalg.eigh(_hermitian(x.conj() @ hx.T))
-    return evals, u.T @ x, u.T @ hx
+def _mix(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows ``sum_j c[i, j] s[j]`` for a real ``c``, as a float64 GEMM."""
+    return (c @ s.view(np.float64)).view(np.complex128)
+
+
+def _apply_packed(apply_h, basis, block: np.ndarray) -> np.ndarray:
+    """H on K-symmetric rows, two of them per complex row given to ``apply_h``:
+    H commutes with K, so ``z = a + i b`` has ``H z = H a + i H b`` and the two
+    images are the K-even and K-odd parts of ``H z``.  An odd last row rides alone."""
+    half = len(block) // 2
+    z = block[0::2].copy()
+    z[:half] += 1j * block[1::2]
+    hz = apply_h(z)
+    khz = basis.conjugate(hz)
+    out = np.empty_like(block)
+    out[0::2] = 0.5 * (hz + khz)
+    out[1::2] = -0.5j * (hz[:half] - khz[:half])
+    return out
 
 
 def _expansion_block(basis, w: np.ndarray, held: np.ndarray) -> np.ndarray:
@@ -112,19 +127,24 @@ def _expansion_block(basis, w: np.ndarray, held: np.ndarray) -> np.ndarray:
     result may have fewer rows than ``w`` (none when ``w`` lies in ``held``).
     The projection runs twice: the first pass leaves rounding-sized
     components along ``held`` that normalising amplifies, the second removes
-    them ("twice is enough").
+    them ("twice is enough").  The finished block is put back into
+    ``c = K c``: the real products cannot see a component ``i * (symmetric
+    vector)``, so nothing else removes it and normalising a small residual
+    block amplifies it step after step.
     """
-    w = w - (w @ held.conj().T) @ held
+    w = w - _mix(_gram(w, held), held)
     norm = np.linalg.norm(w, axis=1)
     keep = norm > 1e-14
     w = w[keep] / norm[keep, None]
     if not len(w):
         return w
-    svals, svecs = np.linalg.eigh(_hermitian(w @ w.conj().T))
+    svals, svecs = np.linalg.eigh(_gram(w, w))
     good = svals > 1e-10
-    w = (svecs[:, good] * (1.0 / np.sqrt(svals[good]))[None, :]).conj().T @ w
-    w -= (w @ held.conj().T) @ held
-    return basis.orthonormalize(w)
+    w = _mix((svecs[:, good] / np.sqrt(svals[good])).T, w)
+    w -= _mix(_gram(w, held), held)
+    svals, svecs = np.linalg.eigh(_gram(w, w))
+    w = _mix((svecs / np.sqrt(svals)) @ svecs.T, w)
+    return 0.5 * (w + basis.conjugate(w))
 
 
 def all_band_cg(
@@ -138,11 +158,15 @@ def all_band_cg(
 ) -> EigensolverResult:
     """All-band preconditioned block solver (LOBPCG on an orthonormal basis).
 
-    One H application per band per iteration.  The block ``x``, the block
-    ``p`` of previous search directions and the preconditioned residuals
-    ``w`` are kept as one orthonormal basis ``s = [x, p, w]``; H is applied
-    to ``w`` only, and the images of ``x`` and ``p`` are carried as the same
-    linear combinations of ``h s`` that produce ``x`` and ``p`` from ``s``.
+    One H application per band per iteration, two bands per complex row: H
+    is real at Gamma (it commutes with ``K = basis.conjugate``), so the
+    block is kept in the real subspace ``c = K c``, every application is
+    packed (:func:`_apply_packed`) and the cross-band algebra is real; any
+    complex ``initial`` is mapped onto that subspace first.  The block
+    ``x``, the previous search directions ``p`` and the preconditioned
+    residuals ``w`` are kept as one orthonormal basis ``s = [x, p, w]``; H
+    is applied to ``w`` only, and the images of ``x`` and ``p`` are carried
+    as the combinations of ``h s`` that produce ``x`` and ``p`` from ``s``.
     Every matrix that multiplies a carried image has orthonormal columns,
     so rounding drift in the images grows by about one ulp per iteration
     instead of being amplified (``docs/ARCHITECTURE.md``, "Hot paths").
@@ -167,19 +191,13 @@ def all_band_cg(
         Seed/generator for the random start when ``initial`` is None.
     band_groups:
         Optional band-parallel worker group (duck-typed; canonically a
-        :class:`repro.parallel.bands.BandGroup`).  When given, every
-        H·psi application — the one expensive per-band operation — is
-        delegated to its ``apply_h`` method (the only one used), which
-        slices the band block over a worker group, while this function
-        (the *group root*) keeps everything else: the elementwise
-        preconditioned residual and every cross-band dense reduction
-        (Gram/overlap matrices, subspace rotations, Rayleigh-Ritz).
-        Results are bit-identical to the default in-process path for any
-        slice count, because the sliced kernel is row-independent bit for
-        bit (:meth:`repro.pw.hamiltonian.Hamiltonian.apply_local`,
-        :meth:`~repro.pw.hamiltonian.Hamiltonian.add_nonlocal`) and the
-        root-side algebra runs on full blocks of identical shape.  The
-        default ``None`` keeps the single-worker path.
+        :class:`repro.parallel.bands.BandGroup`): its ``apply_h`` then runs
+        every H application, sliced over workers, while this function (the
+        *group root*) keeps the elementwise residual step and every
+        cross-band reduction.  Bit-identical to the in-process path for any
+        slice count: rows are packed here, before the scatter, the sliced
+        kernel is row-independent bit for bit and the root's algebra runs
+        on full blocks of identical shape.
 
     Returns
     -------
@@ -194,19 +212,22 @@ def all_band_cg(
             f"nbands={nbands} out of range for basis with {basis.npw} plane waves"
         )
     if initial is None:
-        x = basis.random_coefficients(nbands, rng)
-    else:
-        x = basis.orthonormalize(np.asarray(initial, dtype=complex))
-        if x.shape != (nbands, basis.npw):
-            raise ValueError("initial coefficients have the wrong shape")
+        initial = basis.random_coefficients(nbands, rng)
+        initial = 0.5 * (initial + basis.conjugate(initial))
+    initial = np.asarray(initial, dtype=complex)
+    if initial.shape != (nbands, basis.npw):
+        raise ValueError("initial coefficients have the wrong shape")
+    # Real start: both real parts of every row, null directions dropped (all
+    # second parts of a K-symmetric block); the first Ritz step keeps nbands.
+    flipped = basis.conjugate(initial)
+    parts = np.vstack([0.5 * (initial + flipped), -0.5j * (initial - flipped)])
+    x = _expansion_block(basis, parts, parts[:0])
+    if len(x) < nbands:
+        raise np.linalg.LinAlgError("linearly dependent band block")
 
     precond = h.preconditioner()
-    apply_h = h.apply if band_groups is None else band_groups.apply_h
-
-    def residual_precond(x, hx, evals):
-        r = hx - evals[:, None] * x
-        return r * precond[None, :], np.linalg.norm(r, axis=1)
-
+    rows = h.apply if band_groups is None else band_groups.apply_h
+    apply_h = partial(_apply_packed, rows, basis)
     history: list[float] = []
     it = 0
     hx = apply_h(x)
@@ -214,10 +235,15 @@ def all_band_cg(
     # exactly when ``hx`` is a fresh application rather than a recurrence.
     p = hp = None
     while True:
-        evals, x, hx = _ritz(x, hx)
+        # Rayleigh-Ritz inside the orthonormal block, lowest nbands kept.
+        evals, u = np.linalg.eigh(_gram(x, hx))
+        evals, u = evals[:nbands], u[:, :nbands].T
+        x, hx = _mix(u, x), _mix(u, hx)
         # Preconditioned residuals: elementwise, so cheaper to compute here
         # on the full block than to ship; the one sliced kernel is apply_h.
-        w, rnorm = residual_precond(x, hx, evals)
+        w = hx - evals[:, None] * x
+        rnorm = np.linalg.norm(w, axis=1)
+        w *= precond
         stop = rnorm.max() < tolerance or it == max_iterations
         if not stop:
             held = x if p is None else np.vstack([x, p])
@@ -240,15 +266,15 @@ def all_band_cg(
         hw = apply_h(w)
         s = np.vstack([held, w])
         hs = np.vstack([hx, hw] if p is None else [hx, hp, hw])
-        _, c = np.linalg.eigh(_hermitian(s.conj() @ hs.T))
+        _, c = np.linalg.eigh(_gram(s, hs))
         cx, crest = c[:, :nbands], c[:, nbands:]
         # New search directions: an orthonormal basis of the part of the
         # old block outside the new one, so span[x_new, p] = span[x_new, x]
         # with p orthogonal to x_new (no x_new - x cancellation).
-        q, _ = np.linalg.qr(crest[:nbands].conj().T)
+        q, _ = np.linalg.qr(crest[:nbands].T)
         cp = crest @ q
-        x, hx = cx.T @ s, cx.T @ hs
-        p, hp = cp.T @ s, cp.T @ hs
+        x, hx = _mix(cx.T, s), _mix(cx.T, hs)
+        p, hp = _mix(cp.T, s), _mix(cp.T, hs)
 
     return EigensolverResult(
         eigenvalues=evals,
@@ -337,7 +363,10 @@ def band_by_band_cg(
             x[band] = c
         # Subspace rotation (kept cheap: nbands x nbands) + residual check.
         x = basis.orthonormalize(x)
-        evals, x, hx = _ritz(x, h.apply(x))
+        hx = h.apply(x)
+        m = x.conj() @ hx.T
+        evals, u = np.linalg.eigh(0.5 * (m + m.conj().T))
+        x, hx = u.T @ x, u.T @ hx
         r = hx - evals[:, None] * x
         rnorm = np.linalg.norm(r, axis=1)
         history.append(float(rnorm.max()))

@@ -101,9 +101,8 @@ def total_energy_from_orbitals(
     Parameters
     ----------
     ionic_hamiltonian:
-        Hamiltonian whose local potential is the *short-range ionic*
-        (+ passivation) part only; its screening potential is temporarily
-        zeroed during the evaluation and restored afterwards.
+        Hamiltonian of the orbitals; the share of its screening potential,
+        ``integral v_scr rho``, is taken back out of the expectation values.
     coefficients, occupations:
         Orbital block and occupations.
     density:
@@ -119,13 +118,9 @@ def total_energy_from_orbitals(
     if density is None:
         density = compute_density(basis, coefficients, occupations)
 
-    saved_screening = ionic_hamiltonian.v_screening
-    ionic_hamiltonian.v_screening = np.zeros_like(saved_screening)
-    try:
-        expect = ionic_hamiltonian.expectation(coefficients)
-    finally:
-        ionic_hamiltonian.v_screening = saved_screening
-    e_band_ionic = float(np.sum(occupations * expect))
+    expect = ionic_hamiltonian.expectation(coefficients)
+    screened = grid.integrate(ionic_hamiltonian.v_screening * density)
+    e_band_ionic = float(np.sum(occupations * expect)) - screened
     e_es = electrostatic_energy(density, grid, ionic_density)
     e_xc = xc_energy(density, grid.dvol)
     return EnergyBreakdown(

@@ -43,11 +43,6 @@ class FoldedHamiltonian:
         )
         return self.inner.apply(h_minus) - self.reference_energy * h_minus
 
-    def expectation(self, coefficients: np.ndarray) -> np.ndarray:
-        c = np.atleast_2d(np.asarray(coefficients, dtype=complex))
-        fc = self.apply(c)
-        return np.real(np.einsum("ij,ij->i", c.conj(), fc))
-
     def preconditioner(self, reference_kinetic: float | None = None) -> np.ndarray:
         p = self.inner.preconditioner(reference_kinetic)
         return p * p

@@ -37,7 +37,7 @@ class ApplyCounter:
     """Counts the band rows :meth:`Hamiltonian.apply` has been applied to.
 
     H·psi rows are the unit of the eigensolvers' cost model (the all-band
-    solver's is one per band per CG step).  Updates go through :meth:`add`
+    solver's is one per band *pair* per CG step).  Updates go through :meth:`add`
     under a lock: thread-backend workers may apply the *same* Hamiltonian
     concurrently, and a bare ``+=`` read-modify-write would lose increments.
     """
@@ -85,8 +85,8 @@ class Hamiltonian:
         if local_potential.shape != basis.grid.shape:
             raise ValueError("local potential shape does not match grid")
         self.basis = basis
-        v_ionic = np.asarray(local_potential, dtype=float)
-        self._set_local(v_ionic, np.zeros_like(v_ionic))
+        self._v_ionic = np.asarray(local_potential, dtype=float)
+        self.set_effective_potential(np.zeros_like(self._v_ionic))
         if projectors is None:
             projectors = np.zeros((0, basis.npw), dtype=complex)
         if projector_strengths is None:
@@ -97,6 +97,16 @@ class Hamiltonian:
             raise ValueError("projector count mismatch")
         if projectors.size and projectors.shape[1] != basis.npw:
             raise ValueError("projector length must equal npw")
+        # H must commute with K: c(G) -> c(-G)* — all_band_cg packs two real
+        # orbitals per row on that footing.  The real local part does; the
+        # nonlocal part does when every projector is K-symmetric.
+        if projectors.size and np.any(
+            np.abs(projectors - basis.conjugate(projectors)) > 1e-12 * np.abs(projectors).max()
+        ):
+            raise ValueError(
+                "projectors must be real in real space, p(-G) = p(G)*: "
+                "this is a Gamma-point Hamiltonian"
+            )
         self.projectors = projectors
         self.projector_strengths = projector_strengths
         self.counter = ApplyCounter()
@@ -131,25 +141,10 @@ class Hamiltonian:
         """Set the screening (Hartree + XC) part of the local potential."""
         if v_screening.shape != self.basis.grid.shape:
             raise ValueError("screening potential shape mismatch")
-        self.v_screening = np.asarray(v_screening, dtype=float)
-
-    def set_total_local_potential(self, v_total: np.ndarray) -> None:
-        """Set the *total* local potential directly (LS3DF Gen_VF path).
-
-        In LS3DF the fragment receives the global input potential restricted
-        to its box plus the fixed passivation correction; in that mode the
-        Hamiltonian does not recompute Hartree/XC itself.
-        """
-        if v_total.shape != self.basis.grid.shape:
-            raise ValueError("potential shape mismatch")
-        v_total = np.asarray(v_total, dtype=float)
-        self._set_local(v_total, np.zeros_like(v_total))
-
-    def _set_local(self, v_ionic: np.ndarray, v_screening: np.ndarray) -> None:
-        # ``apply_local`` multiplies by the sum; form it once per change of
-        # either part, not once per application.
-        self._v_ionic, self._v_screening = v_ionic, v_screening
-        self._v_local = v_ionic + v_screening
+        # ``apply_local`` multiplies by the sum; form it once per change, not
+        # once per application.
+        self._v_screening = np.asarray(v_screening, dtype=float)
+        self._v_local = self._v_ionic + self._v_screening
         self._v_local.flags.writeable = False
 
     @property
@@ -159,13 +154,8 @@ class Hamiltonian:
 
     @property
     def v_screening(self) -> np.ndarray:
-        """Screening (Hartree + XC) part; assignable (the energy routines
-        zero it around an expectation value)."""
+        """Screening (Hartree + XC) part of the local potential."""
         return self._v_screening
-
-    @v_screening.setter
-    def v_screening(self, value: np.ndarray) -> None:
-        self._set_local(self._v_ionic, value)
 
     @property
     def local_potential(self) -> np.ndarray:

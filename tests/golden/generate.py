@@ -51,11 +51,11 @@ PROTOCOL = dict(
 )
 
 
-def run_protocol(name: str):
-    """One golden run; the regression test calls this too."""
+def build(name: str) -> LS3DF:
+    """The golden system ``name`` under the protocol, not yet run."""
     spec = SYSTEMS[name]
     structure = cscl_binary(spec["dims"], spec["cation"], spec["anion"], spec["lattice"])
-    ls3df = LS3DF(
+    return LS3DF(
         structure,
         grid_dims=spec["dims"],
         ecut=PROTOCOL["ecut"],
@@ -63,6 +63,11 @@ def run_protocol(name: str):
         n_empty=PROTOCOL["n_empty"],
         mixer=PROTOCOL["mixer"],
     )
+
+
+def run_protocol(name: str):
+    """One golden run; the regression test calls this too."""
+    ls3df = build(name)
     result = ls3df.run(**PROTOCOL["run"])
     states = ls3df.band_edge_states(result, **PROTOCOL["band_edge"])
     return ls3df, result, states

@@ -283,6 +283,32 @@ def test_one_submission_per_slice_per_stage():
         assert stats.stages > 0
 
 
+class _RecordingExecutor(SerialFragmentExecutor):
+    """Notes how many band rows each stage shipped."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.stage_rows: list[int] = []
+
+    def run_bands(self, tasks):
+        self.stage_rows.append(sum(t.block.shape[0] for t in tasks))
+        return super().run_bands(tasks)
+
+
+def test_band_stages_ship_packed_row_pairs():
+    """The root packs two real orbitals into one complex row before the
+    scatter, so a stage over m bands ships ceil(m/2) rows: the initial block
+    and the exit verification exactly, the in-loop expansion blocks at most
+    (they lose rows near convergence)."""
+    executor = _RecordingExecutor()
+    group = BandGroup(executor, 2)
+    result = solve_fragment_task(_make_task(), group=group)
+    half = -(-len(result.eigenvalues) // 2)
+    assert len(executor.stage_rows) == group.stats.stages == result.solver_iterations + 2
+    assert executor.stage_rows[0] == executor.stage_rows[-1] == half
+    assert max(executor.stage_rows) == half
+
+
 def test_grouped_solve_rejects_band_by_band():
     task = _make_task()
     task.eigensolver = "band_by_band"

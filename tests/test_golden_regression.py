@@ -28,9 +28,11 @@ import pytest
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN_DIR))
 
-from generate import SYSTEMS, run_protocol  # noqa: E402
+from generate import PROTOCOL, SYSTEMS, build, run_protocol  # noqa: E402
 
-from repro.core.patching import PATCH_CHUNK_SIZE  # noqa: E402
+from repro.core.fragment_task import get_task_problem, solve_fragment_task  # noqa: E402
+from repro.core.patching import PATCH_CHUNK_SIZE, restrict_to_fragment  # noqa: E402
+from repro.pw.hamiltonian import Hamiltonian  # noqa: E402
 
 RTOL = 1e-10
 ATOL = 1e-12
@@ -63,6 +65,26 @@ def test_golden_regression(name):
         golden["band_edge_reference"], rel=RTOL, abs=ATOL)
 
 
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_quantum_energy_needs_no_h_application(name):
+    """``band_energy - integral v_scr rho_F`` is the quantum energy the kernel
+    used to get from one more H application with the screening zeroed (the
+    Ritz values are <x_i|H|x_i> on a fresh image, converged or not)."""
+    scf = build(name).scf
+    fragment = scf.fragments[-1]
+    restricted = restrict_to_fragment(scf.division, fragment, scf.genpot.initial_potential())
+    task = scf.fragment_solver.make_task(
+        fragment, restricted, eigensolver_tolerance=1e-5, eigensolver_iterations=4)
+    problem = get_task_problem(task)
+    result = solve_fragment_task(task, problem)
+    assert not result.converged
+    h = problem.hamiltonian
+    unscreened = Hamiltonian(h.basis, h.v_ionic, h.projectors, h.projector_strengths)
+    expect = unscreened.expectation(result.coefficients)
+    assert result.quantum_energy == pytest.approx(
+        float(np.sum(problem.occupations * expect)), rel=0, abs=1e-12)
+
+
 def test_golden_fixtures_exist_for_every_system():
     for name in SYSTEMS:
         path = GOLDEN_DIR / f"{name}.json"
@@ -71,6 +93,4 @@ def test_golden_fixtures_exist_for_every_system():
         assert golden["system"] == name
         # The stored protocol must match the generator's current one —
         # otherwise the fixture was generated by a different recipe.
-        from generate import PROTOCOL
-
         assert golden["protocol"] == json.loads(json.dumps(PROTOCOL))

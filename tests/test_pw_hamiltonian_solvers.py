@@ -6,7 +6,12 @@ import pytest
 from repro.atoms.toy import cscl_binary
 from repro.pw.basis import PlaneWaveBasis
 from repro.pw.density import compute_density, integrated_charge, occupations_for_insulator
-from repro.pw.eigensolver import all_band_cg, band_by_band_cg, exact_diagonalization
+from repro.pw.eigensolver import (
+    _apply_packed,
+    all_band_cg,
+    band_by_band_cg,
+    exact_diagonalization,
+)
 from repro.pw.energy import (
     electrostatic_energy,
     potential_distance,
@@ -99,25 +104,25 @@ def test_dense_matrix_matches_apply(small_problem):
 
 def test_local_potential_follows_every_way_of_setting_its_parts():
     """The cached ionic + screening sum is what ``apply_local`` multiplies by;
-    it must track direct attribute writes (energy.py zeroes ``v_screening``
-    that way) as well as the two setter methods."""
+    it must track the constructor and every ``set_effective_potential``."""
     basis = PlaneWaveBasis(FFTGrid((7.0, 7.0, 7.0), (8, 8, 8)), ecut=1.5)
     rng = np.random.default_rng(3)
-    v_ion, v_scr, v_tot = (rng.standard_normal(basis.grid.shape) for _ in range(3))
+    v_ion, v_scr = (rng.standard_normal(basis.grid.shape) for _ in range(2))
     c = basis.random_coefficients(2, rng)
     h = Hamiltonian(basis, v_ion)
     assert np.array_equal(h.local_potential, v_ion + np.zeros_like(v_ion))
     h.set_effective_potential(v_scr)
     assert np.array_equal(h.local_potential, v_ion + v_scr)
+    assert np.array_equal(h.v_ionic, v_ion) and np.array_equal(h.v_screening, v_scr)
     screened = h.apply_local(c)
-    h.v_screening = np.zeros_like(v_scr)
+    h.set_effective_potential(np.zeros_like(v_scr))
     assert np.array_equal(h.apply_local(c), Hamiltonian(basis, v_ion).apply_local(c))
-    h.v_screening = v_scr
+    h.set_effective_potential(v_scr)
     assert np.array_equal(h.apply_local(c), screened)
-    h.set_total_local_potential(v_tot)
-    assert np.array_equal(h.local_potential, v_tot) and not h.v_screening.any()
     with pytest.raises(ValueError):
         h.local_potential[0, 0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        h.v_screening = v_scr  # one way in: set_effective_potential
 
 
 def test_expectation_values_are_real_and_above_ground_state(small_problem):
@@ -134,6 +139,32 @@ def test_preconditioner_positive(small_problem):
     p = h.preconditioner()
     assert np.all(p > 0)
     assert np.all(p <= 1.0 + 1e-12)
+
+
+def test_hamiltonian_rejects_projectors_that_are_not_real_in_real_space(small_problem):
+    """H must commute with K: c(G) -> c(-G)* — what the all-band solver's
+    two-bands-per-FFT packing rests on; everything ``from_structure`` builds
+    qualifies, an arbitrary complex projector does not."""
+    basis, h = small_problem[3], small_problem[4]
+    assert np.array_equal(basis.conjugate(h.projectors), h.projectors)
+    assert np.array_equal(basis.minus_g[basis.minus_g], np.arange(basis.npw))
+    rng = np.random.default_rng(5)
+    row = rng.standard_normal((1, basis.npw)) + 1j * rng.standard_normal((1, basis.npw))
+    with pytest.raises(ValueError, match="Gamma-point"):
+        Hamiltonian(basis, h.v_ionic, row, np.ones(1))
+    symmetric = 0.5 * (row + basis.conjugate(row))
+    Hamiltonian(basis, h.v_ionic, symmetric, np.ones(1))
+
+
+def test_basis_touching_the_nyquist_plane_has_no_minus_g():
+    """On an even grid the Nyquist plane holds G without -G; a cutoff that
+    reaches it cannot carry real orbitals (or K-symmetric projectors)."""
+    grid = FFTGrid((6.0, 6.0, 6.0), (4, 4, 4))
+    basis = PlaneWaveBasis(grid, ecut=0.5 * grid.gmax2)
+    with pytest.raises(ValueError, match="Nyquist"):
+        basis.minus_g
+    with pytest.raises(ValueError, match="Nyquist"):
+        Hamiltonian(basis, np.zeros(grid.shape), np.ones((1, basis.npw)), np.ones(1))
 
 
 # --- eigensolvers -----------------------------------------------------------------
@@ -155,6 +186,18 @@ def test_band_by_band_cg_reasonable_accuracy(small_problem):
     exact = exact_diagonalization(h, nb)
     bb = band_by_band_cg(h, nb, max_iterations=40, tolerance=1e-5)
     assert np.allclose(bb.eigenvalues, exact.eigenvalues, atol=5e-3)
+
+
+def test_band_by_band_cg_keeps_generic_complex_algebra(small_problem):
+    """The real Gram/rotation helpers belong to the all-band solver alone: a
+    start far from c == K c must still end on the exact spectrum."""
+    basis, h = small_problem[3], small_problem[4]
+    nb = 4
+    start = basis.random_coefficients(nb, 11) * np.exp(0.7j)
+    assert np.abs(start - basis.conjugate(start)).max() > 0.05
+    bb = band_by_band_cg(h, nb, initial=start, max_iterations=60, tolerance=1e-6)
+    assert np.allclose(bb.eigenvalues, exact_diagonalization(h, nb).eigenvalues, atol=1e-6)
+    assert _orthonormality_error(bb.coefficients) < 1e-10
 
 
 def test_all_band_warm_start_converges_faster(small_problem):
@@ -191,15 +234,40 @@ def _orthonormality_error(c):
     return np.linalg.norm(c @ c.conj().T - np.eye(len(c)))
 
 
+def _symmetric_block(basis, m, seed):
+    c = basis.random_coefficients(m, seed)
+    return 0.5 * (c + basis.conjugate(c))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 9])
+def test_packed_application_matches_apply_row_by_row(small_problem, m):
+    """Two K-symmetric rows per complex row of ``h.apply``; an odd last row
+    rides alone."""
+    basis, h = small_problem[3], small_problem[4]
+    block = _symmetric_block(basis, m, seed=m)
+    h.counter.reset()
+    packed = _apply_packed(h.apply, basis, block)
+    assert h.counter.n_apply == (m + 1) // 2
+    scale = 1e-14 * np.linalg.norm(h.dense_matrix(), 2)
+    assert np.abs(packed - h.apply(block)).max() <= scale
+    assert np.abs(packed - basis.conjugate(packed)).max() <= scale
+
+
 def test_all_band_cg_applies_h_once_per_band_per_iteration(small_problem):
-    """The cost model: initial block + one row per band per iteration + the
-    exit verification.  (Re-applying H to [x, w, p] costs ~4 nb a step.)"""
-    h = small_problem[4]
-    nb = 8
+    """The cost model: initial block + one packed row per two bands per
+    iteration + the exit verification, from the random start and from a
+    K-symmetric warm start alike.  (Re-applying H to [x, w, p] costs ~4 nb a
+    step; unpacked rows cost twice this.)"""
+    basis, h = small_problem[3], small_problem[4]
+    nb = 7
     h.counter.reset()
     res = all_band_cg(h, nb, max_iterations=150, tolerance=1e-8)
     assert res.converged
-    assert h.counter.n_apply <= nb * (res.iterations + 2)
+    assert h.counter.n_apply <= -(-nb // 2) * (res.iterations + 2)
+    h.counter.reset()
+    warm = all_band_cg(h, nb, initial=_symmetric_block(basis, nb, seed=3), max_iterations=150, tolerance=1e-8)
+    assert warm.converged
+    assert h.counter.n_apply <= -(-nb // 2) * (warm.iterations + 2)
 
 
 def test_all_band_cg_stopped_at_the_cap_reports_fresh_residuals(small_problem):
@@ -219,8 +287,14 @@ def test_all_band_cg_does_not_believe_the_recurrence(small_problem):
     The band group (all a group has to offer is ``apply_h``) lies once: its
     first in-loop image is H·w compressed to span[x, w].  With a flat
     preconditioner H·x lies in that span too, so the Ritz step is the honest
-    one but the image carried for the new block is exactly eps·x."""
+    one but the image carried for the new block is exactly eps·x.  The group
+    sees packed rows ``a + i b``; it unpacks them to name that span."""
     h = small_problem[4]
+
+    def real_rows(z):
+        flipped = h.basis.conjugate(z)
+        rows = np.vstack([0.5 * (z + flipped), -0.5j * (z - flipped)])
+        return rows[np.linalg.norm(rows, axis=1) > 0.5]  # an odd row's empty half
 
     class Unpreconditioned:
         basis = h.basis
@@ -236,7 +310,7 @@ def test_all_band_cg_does_not_believe_the_recurrence(small_problem):
             self.blocks.append(block)
             image = h.apply(block)
             if len(self.blocks) == 2:  # a carried image claiming convergence
-                s = np.vstack([self.blocks[0], block])
+                s = real_rows(np.vstack([self.blocks[0], block]))
                 image = (image @ s.conj().T) @ s
             return image
 
@@ -266,16 +340,46 @@ def test_all_band_cg_on_the_folded_operator_converges_without_drift(small_proble
     assert _orthonormality_error(res.coefficients) < 1e-12
 
 
-@pytest.mark.parametrize("nb", [5, 7], ids=["triplet", "triplet+doublet"])
+@pytest.mark.parametrize(
+    "nb", [5, 6, 7, 8], ids=["triplet", "nb6", "triplet+doublet", "nb8"])
 def test_all_band_cg_degenerate_block(small_problem, nb):
-    """Bands 3-5 of the cubic cell are an exact triplet, 6-7 a doublet."""
-    h = small_problem[4]
+    """Bands 3-5 of the cubic cell are an exact triplet, 6-7 a doublet.
+
+    Also the stagnation regression of the real-arithmetic block: without the
+    ``(w + K w) / 2`` projection of the expansion block, noise ``i * (real
+    vector)`` is invisible to the real Gram products and grows every step
+    until the larger blocks stop converging."""
+    basis, h = small_problem[3], small_problem[4]
     exact = exact_diagonalization(h, nb)
     assert np.ptp(exact.eigenvalues[2:5]) < 1e-12
     res = all_band_cg(h, nb, max_iterations=150, tolerance=1e-9)
     assert res.converged
     assert _orthonormality_error(res.coefficients) < 1e-12
     assert np.allclose(res.eigenvalues, exact.eigenvalues, atol=1e-8)
+    assert np.abs(res.coefficients - basis.conjugate(res.coefficients)).max() < 1e-12
+
+
+def test_all_band_cg_warm_starts_from_any_complex_block(small_problem):
+    """Every complex start is split into its two real parts: eigenvectors
+    with arbitrary phases (theta = pi/2 has no K-even part at all) and a
+    (v1 +- i v2) mixture inside the doublet, whose K-even parts coincide,
+    all warm-start — no ``LinAlgError``, no more steps than from cold."""
+    basis, h = small_problem[3], small_problem[4]
+    nb = 7
+    cold = all_band_cg(h, nb, max_iterations=150, tolerance=1e-9)
+    exact = exact_diagonalization(h, nb)
+    mixture = cold.coefficients.copy()
+    v1, v2 = cold.coefficients[5], cold.coefficients[6]
+    mixture[5], mixture[6] = (v1 + 1j * v2) / np.sqrt(2), (v1 - 1j * v2) / np.sqrt(2)
+    starts = [exact.coefficients * np.exp(1j * theta) for theta in (0.0, 0.3, np.pi / 2, 2.5)]
+    for start in [*starts, mixture]:
+        warm = all_band_cg(h, nb, initial=start, max_iterations=150, tolerance=1e-9)
+        assert warm.converged
+        assert warm.iterations <= cold.iterations
+        assert np.allclose(warm.eigenvalues, exact.eigenvalues, atol=1e-8)
+        assert np.abs(warm.coefficients - basis.conjugate(warm.coefficients)).max() < 1e-12
+    with pytest.raises(np.linalg.LinAlgError):
+        all_band_cg(h, nb, initial=cold.coefficients[[0, 1, 2, 3, 4, 5, 0]])
 
 
 @pytest.mark.parametrize("tolerance", [1e-10, 0.0], ids=["stops-at-once", "w-empties"])

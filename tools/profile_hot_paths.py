@@ -13,10 +13,12 @@ sphere-pruned FFT line counts (``PlaneWaveBasis.fft_lines``) and the time
 of each 1-D pass (z / y / x) of one inverse + forward band-block transform
 — the per-pass split the next kernel change should start from.  After the
 PEtot_F profile it prints, per fragment solve, the eigensolver iterations and
-the H·psi rows applied (``Hamiltonian.counter``): the all-band solver's cost
-model is one row per band per iteration, so rows / (nbands · iterations)
-should sit just above 1 (initial, exit-verification and ``expectation``
-passes on top), not near 4.
+the H·psi rows applied (``Hamiltonian.counter``).  Rows are *packed pairs*:
+the all-band solver works on real orbitals and sends two of them through H
+as one complex row, one application per band per iteration, so rows /
+(nbands · iterations) should read about 0.5-0.6 (half a row per band per
+step, plus the initial and exit-verification blocks and the odd band of a
+block that rides alone) — not near 1, which would mean unpacked rows.
 
 Usage::
 
@@ -119,10 +121,10 @@ def report_applications(labels, solves) -> None:
     """One row per fragment solve: iterations and the H·psi rows it cost.
 
     ``solves`` holds ``(nbands, iterations, rows)``; ``rows`` counts every
-    band row ``Hamiltonian.apply`` saw during ``solve_fragment_task`` — the
-    eigensolve plus the one ``expectation`` pass after it.
+    row ``Hamiltonian.apply`` saw during ``solve_fragment_task`` — packed
+    pairs of bands, all of them inside the eigensolve.
     """
-    print(f"\n{'=' * 72}\nH·psi applications per fragment solve\n{'=' * 72}")
+    print(f"\n{'=' * 72}\nH·psi rows (two bands each) per fragment solve\n{'=' * 72}")
     print(f"{'fragment':<24}{'nbands':>8}{'iterations':>12}{'rows':>8}{'rows/(nb·it)':>14}")
     for label, (nbands, iterations, rows) in zip(labels, solves):
         ratio = rows / (nbands * max(1, iterations))

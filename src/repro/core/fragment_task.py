@@ -482,9 +482,9 @@ def solve_fragment_task(
     group:
         Optional :class:`repro.parallel.bands.BandGroup`: the calling
         process is then the *group root* — it runs the all-band CG loop and
-        every cross-band reduction — while the H·psi applications are sliced
-        over the group's executor.  **Bit-identical** to the ungrouped solve
-        for any slice count and backend (``tests/test_band_parallel.py``).
+        every cross-band reduction — while H·psi of the unconverged bands is
+        sliced over the group's executor.  **Bit-identical** to the ungrouped
+        solve for any slice count and backend (``tests/test_band_parallel.py``).
         Only the ``"all_band"`` eigensolver can be grouped; the group's task
         accounting is left on ``group.stats``.
 

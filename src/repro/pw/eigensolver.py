@@ -10,10 +10,10 @@ Two solvers are provided, mirroring the paper's PEtot_F optimisation story:
 * :func:`all_band_cg` — the optimised algorithm: iterate on the whole band
   block simultaneously, using an expanded subspace [X, P, W] (current block,
   previous search directions, preconditioned residuals), an overlap-matrix
-  orthogonalisation and a Rayleigh-Ritz subspace diagonalisation, at the
-  paper's cost of one H·psi per band per step.  All heavy operations are
-  matrix-matrix (BLAS-3) products, which is exactly the change that took
-  PEtot from 15% to ~56% of peak in the paper.
+  orthogonalisation and a Rayleigh-Ritz subspace diagonalisation, at one
+  H·psi per *unconverged* band per step (the paper's cost is its upper
+  bound).  All heavy operations are matrix-matrix (BLAS-3) products, the
+  change that took PEtot from 15% to ~56% of peak in the paper.
 
 * :func:`exact_diagonalization` — dense reference for small fragments and
   for the test-suite's correctness checks.
@@ -158,20 +158,22 @@ def all_band_cg(
 ) -> EigensolverResult:
     """All-band preconditioned block solver (LOBPCG on an orthonormal basis).
 
-    One H application per band per iteration, two bands per complex row: H
-    is real at Gamma (it commutes with ``K = basis.conjugate``), so the
-    block is kept in the real subspace ``c = K c``, every application is
-    packed (:func:`_apply_packed`) and the cross-band algebra is real; any
-    complex ``initial`` is mapped onto that subspace first.  The block
-    ``x``, the previous search directions ``p`` and the preconditioned
-    residuals ``w`` are kept as one orthonormal basis ``s = [x, p, w]``; H
-    is applied to ``w`` only, and the images of ``x`` and ``p`` are carried
-    as the combinations of ``h s`` that produce ``x`` and ``p`` from ``s``.
-    Every matrix that multiplies a carried image has orthonormal columns,
-    so rounding drift in the images grows by about one ulp per iteration
-    instead of being amplified (``docs/ARCHITECTURE.md``, "Hot paths").
-    The carried images only steer the iteration: the solver stops on a
-    fresh ``H x``, and every field of the result is computed from it.
+    Two bands per complex row: H is real at Gamma (it commutes with
+    ``K = basis.conjugate``), so the block is kept in the real subspace
+    ``c = K c``, every application is packed (:func:`_apply_packed`) and the
+    cross-band algebra is real; any complex ``initial`` is mapped onto that
+    subspace first.  The block ``x``, the previous search directions ``p`` and
+    the expansion ``w`` form one orthonormal basis ``s = [x, p, w]``; H is
+    applied to ``w`` only, and the images of ``x`` and ``p`` are carried as the
+    combinations of ``h s`` that produce them from ``s`` — through matrices
+    with orthonormal columns, so rounding drift in the images grows by about
+    one ulp per iteration (``docs/ARCHITECTURE.md``, "Hot paths").  ``w`` holds
+    the preconditioned residuals of the *active* bands only, those still at or
+    above ``tolerance`` this step: a converged band costs no H application but
+    stays in ``x`` and in the Rayleigh-Ritz, so it keeps improving and is
+    active again if it drifts back up.  The carried images only steer the
+    iteration: the solver stops on a fresh ``H x`` with every band under the
+    tolerance, and every result field is computed from it.
 
     Parameters
     ----------
@@ -195,16 +197,16 @@ def all_band_cg(
         every H application, sliced over workers, while this function (the
         *group root*) keeps the elementwise residual step and every
         cross-band reduction.  Bit-identical to the in-process path for any
-        slice count: rows are packed here, before the scatter, the sliced
-        kernel is row-independent bit for bit and the root's algebra runs
-        on full blocks of identical shape.
+        slice count: the active rows are chosen and packed here, before the
+        scatter, the sliced kernel is row-independent bit for bit and the
+        root's algebra runs on full blocks of identical shape.
 
     Returns
     -------
     EigensolverResult
-        ``iterations`` counts the subspace expansions, i.e. the in-loop H
-        applications per band; ``history`` holds the maximum residual each
-        of them started from.
+        ``iterations`` counts the subspace expansions (one H application
+        each, on the active bands only); ``history`` holds the maximum
+        residual each of them started from.
     """
     basis = h.basis
     if nbands < 1 or nbands > basis.npw // 2:
@@ -230,51 +232,48 @@ def all_band_cg(
     apply_h = partial(_apply_packed, rows, basis)
     history: list[float] = []
     it = 0
-    hx = apply_h(x)
-    # Previous search directions and their carried images.  ``p is None``
-    # exactly when ``hx`` is a fresh application rather than a recurrence.
-    p = hp = None
+    # ``held`` = [x, p] (p: the previous search directions, none before the first
+    # step); ``hheld`` its images, carried unless ``fresh`` (just applied to x).
+    held, hheld, fresh = x, apply_h(x), True
     while True:
-        # Rayleigh-Ritz inside the orthonormal block, lowest nbands kept.
-        evals, u = np.linalg.eigh(_gram(x, hx))
-        evals, u = evals[:nbands], u[:, :nbands].T
-        x, hx = _mix(u, x), _mix(u, hx)
+        if fresh:
+            # Rayleigh-Ritz inside the orthonormal block, lowest nbands kept
+            # (after a step, x and evals already are the step's Ritz pairs).
+            evals, u = np.linalg.eigh(_gram(held, hheld))
+            evals, u = evals[:nbands], u[:, :nbands].T
+            held, hheld = _mix(u, held), _mix(u, hheld)
+        x, hx = held[:nbands], hheld[:nbands]
         # Preconditioned residuals: elementwise, so cheaper to compute here
         # on the full block than to ship; the one sliced kernel is apply_h.
         w = hx - evals[:, None] * x
         rnorm = np.linalg.norm(w, axis=1)
-        w *= precond
         stop = rnorm.max() < tolerance or it == max_iterations
         if not stop:
-            held = x if p is None else np.vstack([x, p])
-            w = _expansion_block(basis, w, held)
+            # Soft locking: only the bands not yet converged expand the basis.
+            w = _expansion_block(basis, w[rnorm >= tolerance] * precond, held)
             stop = not len(w)
         if stop:
-            if p is None:
+            if fresh:
                 break
             # Only a fresh image is believed: re-apply H, drop the history
             # and come back through the test above, which ends the solve or,
             # if the recurrence had drifted, carries on from clean state.
-            hx = apply_h(x)
-            p = hp = None
+            held, hheld, fresh = x, apply_h(x), True
             continue
         it += 1
         history.append(float(rnorm.max()))
 
         # Rayleigh-Ritz on the orthonormal basis s = [x, p, w]; its first
-        # nbands Ritz vectors are the new block.
-        hw = apply_h(w)
-        s = np.vstack([held, w])
-        hs = np.vstack([hx, hw] if p is None else [hx, hp, hw])
-        _, c = np.linalg.eigh(_gram(s, hs))
-        cx, crest = c[:, :nbands], c[:, nbands:]
+        # nbands Ritz pairs are the new block and its eigenvalues.
+        s, hs = np.vstack([held, w]), np.vstack([hheld, apply_h(w)])
+        theta, c = np.linalg.eigh(_gram(s, hs))
+        evals, crest = theta[:nbands], c[:, nbands:]
         # New search directions: an orthonormal basis of the part of the
         # old block outside the new one, so span[x_new, p] = span[x_new, x]
         # with p orthogonal to x_new (no x_new - x cancellation).
         q, _ = np.linalg.qr(crest[:nbands].T)
-        cp = crest @ q
-        x, hx = _mix(cx.T, s), _mix(cx.T, hs)
-        p, hp = _mix(cp.T, s), _mix(cp.T, hs)
+        rot = np.hstack([c[:, :nbands], crest @ q]).T
+        held, hheld, fresh = _mix(rot, s), _mix(rot, hs), False
 
     return EigensolverResult(
         eigenvalues=evals,

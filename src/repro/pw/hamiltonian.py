@@ -37,9 +37,9 @@ class ApplyCounter:
     """Counts the band rows :meth:`Hamiltonian.apply` has been applied to.
 
     H·psi rows are the unit of the eigensolvers' cost model (the all-band
-    solver's is one per band *pair* per CG step).  Updates go through :meth:`add`
-    under a lock: thread-backend workers may apply the *same* Hamiltonian
-    concurrently, and a bare ``+=`` read-modify-write would lose increments.
+    solver's: one per pair of unconverged bands per CG step).  Updates go
+    through :meth:`add` under a lock: thread-backend workers may apply the
+    *same* Hamiltonian concurrently, and a bare ``+=`` would lose increments.
     """
 
     n_apply: int = 0

@@ -220,25 +220,47 @@ def test_grouped_all_band_cg_bit_identical_serial(solve_reference):
         assert got.history == ref.history
 
 
+class _WatchedGroup:
+    """Band-group double around any ``apply_h``: notes how many real rows each
+    packed block holds (a last row without an odd part rides alone)."""
+
+    def __init__(self, apply_h, basis) -> None:
+        self.inner, self.basis, self.active = apply_h, basis, []
+
+    def apply_h(self, block):
+        lone = np.linalg.norm(block[-1] - self.basis.conjugate(block[-1])) < 0.5
+        self.active.append(2 * len(block) - int(lone))
+        return self.inner(block)
+
+
 def test_grouped_all_band_cg_with_fewer_rows_than_slices():
-    """Near convergence the residual block loses rows, so ``apply_h`` sees
-    blocks smaller than the band block - and than the slice count."""
+    """Bands under the tolerance are not expanded on, so ``apply_h`` sees
+    blocks that shrink below the band block - and below the slice count,
+    leaving slices empty - through odd sizes, down to a single band and up
+    again when a locked band comes back: == serial all the way."""
     task = _make_task()
     problem = get_task_problem(task)
     h, nb = problem.hamiltonian, problem.nbands
     h.set_effective_potential(np.asarray(task.screening_potential))
-    h.counter.reset()
-    ref = all_band_cg(h, nb, max_iterations=60, tolerance=1e-13)
-    assert h.counter.n_apply < nb * (ref.iterations + 1)  # rows were dropped
+    watched = _WatchedGroup(h.apply, h.basis)
+    ref = all_band_cg(h, nb, max_iterations=60, tolerance=1e-8, band_groups=watched)
+    assert ref.converged
+    inloop = watched.active[1:-1]
+    assert watched.active[0] == watched.active[-1] == nb == 5
+    assert {1, 2, 3} <= set(inloop)
+    assert any(after > before for before, after in zip(inloop, inloop[1:]))
     executor = SerialFragmentExecutor()
     for nslices in (1, 2, 3, nb, nb + 2):
         group = BandGroup(executor, nslices).bind(task)
-        got = all_band_cg(h, nb, max_iterations=60, tolerance=1e-13, band_groups=group)
+        watched = _WatchedGroup(group.apply_h, h.basis)
+        got = all_band_cg(h, nb, max_iterations=60, tolerance=1e-8, band_groups=watched)
         np.testing.assert_array_equal(got.eigenvalues, ref.eigenvalues)
         np.testing.assert_array_equal(got.coefficients, ref.coefficients)
         np.testing.assert_array_equal(got.residual_norms, ref.residual_norms)
         assert (got.iterations, got.converged, got.history) == (
             ref.iterations, ref.converged, ref.history)
+        assert group.stats.stages == len(watched.active) == ref.iterations + 2
+        assert group.stats.submissions == group.stats.stages * nslices
 
 
 @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
@@ -298,15 +320,15 @@ class _RecordingExecutor(SerialFragmentExecutor):
 def test_band_stages_ship_packed_row_pairs():
     """The root packs two real orbitals into one complex row before the
     scatter, so a stage over m bands ships ceil(m/2) rows: the initial block
-    and the exit verification exactly, the in-loop expansion blocks at most
-    (they lose rows near convergence)."""
+    and the exit verification all of them, the in-loop expansion blocks only
+    the bands still at or above the tolerance."""
     executor = _RecordingExecutor()
     group = BandGroup(executor, 2)
     result = solve_fragment_task(_make_task(), group=group)
     half = -(-len(result.eigenvalues) // 2)
     assert len(executor.stage_rows) == group.stats.stages == result.solver_iterations + 2
     assert executor.stage_rows[0] == executor.stage_rows[-1] == half
-    assert max(executor.stage_rows) == half
+    assert max(executor.stage_rows) == half and min(executor.stage_rows) < half
 
 
 def test_grouped_solve_rejects_band_by_band():

@@ -253,21 +253,42 @@ def test_packed_application_matches_apply_row_by_row(small_problem, m):
     assert np.abs(packed - basis.conjugate(packed)).max() <= scale
 
 
-def test_all_band_cg_applies_h_once_per_band_per_iteration(small_problem):
-    """The cost model: initial block + one packed row per two bands per
-    iteration + the exit verification, from the random start and from a
-    K-symmetric warm start alike.  (Re-applying H to [x, w, p] costs ~4 nb a
-    step; unpacked rows cost twice this.)"""
+@pytest.mark.parametrize("tolerance", [1e-5, 1e-9])
+def test_all_band_cg_soft_locking_ends_on_fresh_residuals(small_problem, tolerance):
+    """Bands under the tolerance stop being expanded on, not being solved for:
+    every band of the result is converged on a fresh image (the low bands
+    now sit within a factor ten of the tolerance, not at 1e-14).  A residual
+    r bounds the eigenvalue error by r^2 / gap, the gap to the 8th level being
+    0.24 Ha: measured 8.4e-11 at 1e-5 and 1.3e-15 (rounding) at 1e-9."""
     basis, h = small_problem[3], small_problem[4]
     nb = 7
-    h.counter.reset()
-    res = all_band_cg(h, nb, max_iterations=150, tolerance=1e-8)
+    res = all_band_cg(h, nb, max_iterations=150, tolerance=tolerance)
     assert res.converged
-    assert h.counter.n_apply <= -(-nb // 2) * (res.iterations + 2)
-    h.counter.reset()
-    warm = all_band_cg(h, nb, initial=_symmetric_block(basis, nb, seed=3), max_iterations=150, tolerance=1e-8)
-    assert warm.converged
-    assert h.counter.n_apply <= -(-nb // 2) * (warm.iterations + 2)
+    assert _fresh_residual_norms(h, res).max() < tolerance
+    exact = exact_diagonalization(h, nb)
+    assert np.abs(res.eigenvalues - exact.eigenvalues).max() < 10 * tolerance**2 + 1e-13
+    assert _orthonormality_error(res.coefficients) < 1e-12
+    assert np.abs(res.coefficients - basis.conjugate(res.coefficients)).max() < 1e-12
+
+
+def test_all_band_cg_applies_h_once_per_band_per_iteration(small_problem):
+    """The cost model: initial block + one packed row per two *unconverged*
+    bands per iteration + the exit verification.  ``ceil(nb/2) (iterations +
+    2)`` is met exactly while nothing has converged and strictly undercut by a
+    solve whose bands converge at different steps, from the random start and
+    from a K-symmetric warm start alike.  (Re-applying H to [x, w, p] costs
+    ~4 nb a step; unpacked rows cost twice this.)"""
+    basis, h = small_problem[3], small_problem[4]
+    nb = 7
+    for initial in (None, _symmetric_block(basis, nb, seed=3)):
+        h.counter.reset()
+        capped = all_band_cg(h, nb, initial=initial, max_iterations=3, tolerance=1e-8)
+        assert capped.residual_norms.min() > 1e-8
+        assert h.counter.n_apply == -(-nb // 2) * (3 + 2)
+        h.counter.reset()
+        res = all_band_cg(h, nb, initial=initial, max_iterations=150, tolerance=1e-8)
+        assert res.converged
+        assert h.counter.n_apply < -(-nb // 2) * (res.iterations + 2)
 
 
 def test_all_band_cg_stopped_at_the_cap_reports_fresh_residuals(small_problem):
@@ -325,6 +346,46 @@ def test_all_band_cg_does_not_believe_the_recurrence(small_problem):
     assert _fresh_residual_norms(h, res).max() < 1e-7
     exact = exact_diagonalization(h, 6)
     assert np.allclose(res.eigenvalues, exact.eigenvalues, atol=1e-8)
+
+
+def test_all_band_cg_reactivates_locked_bands(small_problem):
+    """Locked is not for ever: a band under the tolerance stops being expanded
+    on only while its residual stays there, and only a fresh image ends a solve.
+
+    The band group lies at the worst moment: the blocks it sees shrink as bands
+    lock, and from the first full block after that — the exit verification —
+    it applies a slightly different operator.  Every carried residual said
+    converged; the fresh ones say 8e-3, so all bands are expanded on again
+    (full blocks after the false alarm), lock again one by one, and the solve
+    ends converged on fresh images of the operator the group ended with."""
+    basis, h = small_problem[3], small_problem[4]
+    nb, full = 7, 4
+    ramp = np.cos(2 * np.pi * np.arange(basis.grid.shape[0]) / basis.grid.shape[0])
+    shifted = Hamiltonian(basis, h.v_ionic, h.projectors, h.projector_strengths)
+    shifted.set_effective_potential(h.v_screening + 1e-2 * ramp[:, None, None])
+
+    class ShiftsAtTheVerification:
+        def __init__(self):
+            self.operator, self.rows = h, []
+
+        def apply_h(self, block):
+            if len(block) == full and self.rows and self.rows[-1] < full:
+                self.operator = shifted
+            self.rows.append(len(block))
+            return self.operator.apply(block)
+
+    group = ShiftsAtTheVerification()
+    res = all_band_cg(h, nb, max_iterations=150, tolerance=1e-7, band_groups=group)
+    rows = group.rows
+    false_alarm = next(i for i in range(1, len(rows)) if rows[i - 1] < rows[i] == full)
+    assert min(rows[:false_alarm]) == 1  # one band was left, the rest locked
+    assert rows[false_alarm + 1] == full  # all of them are active again
+    assert min(rows[false_alarm + 1 : -1]) < full and rows[-1] == full
+    assert res.converged
+    assert _fresh_residual_norms(shifted, res).max() < 1e-7
+    assert _fresh_residual_norms(h, res).max() > 1e-3
+    exact = exact_diagonalization(shifted, nb)
+    assert np.allclose(res.eigenvalues, exact.eigenvalues, atol=1e-12)
 
 
 def test_all_band_cg_on_the_folded_operator_converges_without_drift(small_problem):

@@ -392,13 +392,11 @@ class LS3DFSCF:
     passivate, polar_passivation:
         Fragment surface passivation options.
     executor:
-        Fragment-execution backend implementing the
-        :class:`~repro.core.fragment_task.FragmentExecutor` protocol; the
-        default :class:`~repro.parallel.executor.SerialFragmentExecutor`
-        runs the fused fragment tasks one after another in-process.
-        Pass a :class:`~repro.parallel.executor.ThreadPoolFragmentExecutor`
-        or :class:`~repro.parallel.executor.ProcessPoolFragmentExecutor`
-        to run the independent fragment problems concurrently.  Every
+        Where fragments are solved: a backend of the one dispatch engine
+        in :mod:`repro.parallel.executor` (serial — the default —
+        threads, processes, or :mod:`repro.parallel.remote` workers), or
+        anything else with the
+        :class:`~repro.core.fragment_task.FragmentExecutor` shape.  Every
         iteration consumes ``executor.submit_pipeline_batch`` futures,
         so an object without that method is rejected with a
         ``TypeError`` here rather than mid-run.

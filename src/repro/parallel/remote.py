@@ -5,14 +5,13 @@ group its own set of MPI ranks; the driver scatters picklable work units
 and gathers results.  This module is the repo's network equivalent: a
 tiny length-prefixed-frame protocol over TCP, a ``repro-worker`` daemon
 (:class:`WorkerServer` / :func:`worker_main`) that executes the exact
-same kernels as the local backends, and a driver-side
-:class:`RemoteExecutor` pool implementing the full executor protocol
-family — ``run`` / ``run_pipeline`` / ``run_global`` / ``run_bands``,
-the ``submit_global`` / ``submit_pipeline_batch`` futures they are built
-on, plus the ``install_state`` broadcast channel with fingerprint-keyed
-per-worker dedup.  Because workers invoke the same pure kernels on the
-same task bytes, remote results are bit-identical to the serial
-backend's.
+same kernels as the local backends, and :class:`RemoteExecutor`, the
+backend that plugs those workers into the one dispatch engine of
+:mod:`repro.parallel.executor` — its ``_submit`` is a shared queue
+drained by one thread per worker, its ``_broadcast`` an ``install``
+frame with per-worker dedup.  Because workers invoke the same pure
+kernels on the same task bytes, remote results are bit-identical to the
+serial backend's.
 
 Wire protocol (version 1)
 -------------------------
@@ -71,7 +70,7 @@ import struct
 import sys
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Sequence
@@ -87,8 +86,7 @@ from repro.core.fragment_task import (
 )
 from repro.parallel.bands import run_band_block_task
 from repro.parallel.distributed import run_global_step_task
-from repro.parallel.executor import SerialFragmentExecutor, gather_in_order
-from repro.parallel.scheduler import FragmentScheduler
+from repro.parallel.executor import SerialFragmentExecutor, _Backend
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -229,14 +227,105 @@ _KERNELS = {
     "global": run_global_step_task,
     "bands": run_band_block_task,
 }
+# The wire's name for a kernel; by function name, because a profiler's
+# ``functools.wraps`` wrapper around a kernel is still that kernel.
+_KINDS = {kernel.__name__: kind for kind, kernel in _KERNELS.items()}
 
 
-class WorkerServer:
+def _refusal(message: str) -> dict:
+    """The typed reply to a request that breaks the protocol."""
+    return {"ok": False, "error_type": "RemoteProtocolError", "error": message}
+
+
+class _Listener:
+    """Lifecycle of a TCP daemon: bind, accept loop, ``stop``, ``join``.
+
+    One accept loop feeds one daemon thread per connection, each running
+    the subclass's ``_serve_connection(conn)`` — shared by
+    :class:`WorkerServer` and :class:`repro.store.server.StoreServer`.
+    Port 0 lets the OS pick a free port, published in :attr:`address`
+    after :meth:`start`.
+    """
+
+    def __init__(self, host: str, port: int, max_frame_bytes: int) -> None:
+        self.host = host
+        self.port = int(port)
+        self.max_frame_bytes = int(max_frame_bytes)
+        self.address: tuple[str, int] | None = None
+        self._sock: socket.socket | None = None
+        self._threads: list[threading.Thread] = []
+        self._stop = threading.Event()
+        self._lock = threading.Lock()
+
+    def start(self) -> tuple[str, int]:
+        """Bind, listen and serve in background threads; returns the address."""
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind((self.host, self.port))
+        sock.listen(16)
+        sock.settimeout(0.2)
+        self._sock = sock
+        self.address = (self.host, int(sock.getsockname()[1]))
+        self._spawn(self._accept_loop, sock)
+        return self.address
+
+    def _spawn(self, target, *args) -> None:
+        thread = threading.Thread(target=target, args=args, daemon=True)
+        thread.start()
+        self._threads.append(thread)
+
+    def stop(self) -> None:
+        """Stop accepting and close the listening socket (idempotent).
+
+        Once this returns a connect is refused at once rather than parked
+        in a backlog nobody serves.
+        """
+        self._stop.set()
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            try:
+                # Wakes the acceptor blocked on this socket, whose pending
+                # poll would otherwise keep the backlog open until it times
+                # out (Linux; elsewhere ENOTCONN, and the poll runs out).
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
+                sock.close()
+            except OSError:  # pragma: no cover - close is best effort
+                pass
+
+    def join(self, timeout: float | None = None) -> None:
+        """Block until :meth:`stop` is called (the daemon's main wait)."""
+        self._stop.wait(timeout)
+
+    def __enter__(self):
+        if self.address is None:
+            self.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+    def _accept_loop(self, sock: socket.socket) -> None:
+        # ``sock`` is the acceptor's own reference: stop() clears the
+        # attribute from another thread.
+        while not self._stop.is_set():
+            try:
+                conn, _ = sock.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                return
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._spawn(self._serve_connection, conn)
+
+
+class WorkerServer(_Listener):
     """A ``repro-worker``: serves executor task frames over TCP.
 
-    One accept loop feeds one thread per driver connection; each
-    connection speaks a strict request/response alternation, so a worker
-    serves its drivers' requests in arrival order.  Kernels and
+    Each connection speaks a strict request/response alternation, so a
+    worker serves its drivers' requests in arrival order.  Kernels and
     process-level caches (static problems, installed potentials, FFT
     workspaces) are exactly those of the local backends — a worker
     process behaves like one persistent process-pool worker that happens
@@ -245,8 +334,7 @@ class WorkerServer:
     Parameters
     ----------
     host, port:
-        Bind address; port 0 (the default) lets the OS pick a free port,
-        published in :attr:`address` after :meth:`start`.
+        Bind address (see :class:`_Listener`).
     fault_plan:
         Optional deterministic fault injector
         (:class:`repro.parallel.faults.FaultPlan`) consulted before each
@@ -262,80 +350,12 @@ class WorkerServer:
         fault_plan=None,
         max_frame_bytes: int = _DEFAULT_MAX_FRAME,
     ) -> None:
-        self.host = host
-        self.port = int(port)
+        super().__init__(host, port, max_frame_bytes)
         self.fault_plan = fault_plan
-        self.max_frame_bytes = int(max_frame_bytes)
-        self.address: tuple[str, int] | None = None
         self.tasks_served = 0
         self.installs = 0
         self.bytes_received = 0
         self.bytes_sent = 0
-        self._sock: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
-
-    # -- lifecycle -----------------------------------------------------
-    def start(self) -> tuple[str, int]:
-        """Bind, listen and serve in background threads; returns the address."""
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.host, self.port))
-        sock.listen(16)
-        sock.settimeout(0.2)
-        self._sock = sock
-        self.address = (self.host, int(sock.getsockname()[1]))
-        acceptor = threading.Thread(target=self._accept_loop, daemon=True)
-        acceptor.start()
-        self._threads.append(acceptor)
-        return self.address
-
-    def stop(self) -> None:
-        """Stop accepting and close the listening socket (idempotent)."""
-        self._stop.set()
-        if self._sock is not None:
-            try:
-                # Wakes the acceptor blocked on this socket, whose pending
-                # poll would otherwise keep the backlog open until it times
-                # out (Linux; elsewhere ENOTCONN, and the poll runs out).
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - close is best effort
-                pass
-            self._sock = None
-
-    def join(self, timeout: float | None = None) -> None:
-        """Block until :meth:`stop` is called (the daemon's main wait)."""
-        self._stop.wait(timeout)
-
-    def __enter__(self) -> "WorkerServer":
-        if self.address is None:
-            self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # -- serving -------------------------------------------------------
-    def _accept_loop(self) -> None:
-        sock = self._sock  # stop() clears the attribute from another thread
-        while not self._stop.is_set():
-            try:
-                conn, _ = sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
 
     def _serve_connection(self, conn: socket.socket) -> None:
         with conn:
@@ -354,6 +374,8 @@ class WorkerServer:
                 except _KillWorker:
                     self.stop()
                     return
+                except Exception as exc:  # not a request: refuse, keep serving
+                    reply = _refusal(f"malformed request: {exc!r}")
                 try:
                     self.bytes_sent += send_frame(conn, reply, self.max_frame_bytes)
                 except (ConnectionError, OSError):
@@ -363,14 +385,10 @@ class WorkerServer:
         op = request.get("op")
         if op == "hello":
             if request.get("version") != PROTOCOL_VERSION:
-                return {
-                    "ok": False,
-                    "error_type": "RemoteProtocolError",
-                    "error": (
-                        f"protocol version mismatch: driver "
-                        f"{request.get('version')} != worker {PROTOCOL_VERSION}"
-                    ),
-                }
+                return _refusal(
+                    f"protocol version mismatch: driver "
+                    f"{request.get('version')} != worker {PROTOCOL_VERSION}"
+                )
             return {"ok": True, "pid": os.getpid(), "version": PROTOCOL_VERSION}
         if op == "ping":
             return {"ok": True, "pid": os.getpid()}
@@ -395,20 +413,12 @@ class WorkerServer:
             return {"ok": True}
         if op == "task":
             return self._handle_task(request)
-        return {
-            "ok": False,
-            "error_type": "RemoteProtocolError",
-            "error": f"unknown op {op!r}",
-        }
+        return _refusal(f"unknown op {op!r}")
 
     def _handle_task(self, request: dict) -> dict:
         kernel = _KERNELS.get(request.get("kind"))
         if kernel is None:
-            return {
-                "ok": False,
-                "error_type": "RemoteProtocolError",
-                "error": f"unknown task kind {request.get('kind')!r}",
-            }
+            return _refusal(f"unknown task kind {request.get('kind')!r}")
         with self._lock:
             index = self.tasks_served
             self.tasks_served += 1
@@ -698,22 +708,17 @@ def _claim(future: Future) -> bool:
     return future.running() or future.set_running_or_notify_cancel()
 
 
-class RemoteExecutor:
+class RemoteExecutor(_Backend):
     """Executor backend running tasks on socket-connected remote workers.
 
-    Implements the full local-backend surface — ``run`` /
-    ``run_pipeline`` / ``run_global`` / ``run_bands``, the
-    ``submit_global`` / ``submit_pipeline_batch`` futures,
-    ``install_state``, the logical/physical submission counters and
-    ``partition`` for concurrent band-group sub-pools — so it drops into
-    :class:`repro.core.scf.LS3DFSCF` (and the streaming GENPOT engine)
-    unchanged.  Results are bit-identical to the serial backend: workers
-    run the same pure kernels on the same task bytes, and the driver
-    returns results in task order.
+    The engine of :mod:`repro.parallel.executor` with workers behind TCP,
+    so it drops into :class:`repro.core.scf.LS3DFSCF` (and the streaming
+    GENPOT engine) unchanged.  Results are bit-identical to the serial
+    backend: workers run the same pure kernels on the same task bytes,
+    and the driver returns results in task order.
 
     Every task enters one shared queue drained by one persistent driver
-    thread per live worker; batches are submitted heaviest-first,
-    realising the same greedy LPT balancing as the local pools.  See the
+    thread per live worker, the moment the driver submits it.  See the
     module docstring for the failure model; the counters
     ``resubmissions``, ``workers_lost`` and ``degraded_tasks`` record how
     much of it a run exercised.
@@ -732,29 +737,24 @@ class RemoteExecutor:
         :class:`NoRemoteWorkersError` instead.
     """
 
+    # Workers are the compute nodes: even a batch of one goes out.
+    _driver_computes = False
+
     def __init__(
         self,
         addresses: Sequence[tuple[str, int]],
         config: RemoteExecutorConfig | None = None,
         fallback="serial",
     ) -> None:
+        super().__init__()
         self.config = config or RemoteExecutorConfig()
         self._handles = [_WorkerHandle(a, self.config) for a in addresses]
         self._fallback_spec = fallback
         self._fallback = None if isinstance(fallback, str) else fallback
-        self.tasks_submitted = 0
-        self.pool_submissions = 0
-        self.install_broadcasts = 0
         self.resubmissions = 0
         self.workers_lost = 0
         self.degraded_tasks = 0
-        self._counter_mutex = threading.Lock()
-        self._counter_root = self
-        self._install_payloads: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._install_payload_max = 64
-        self._scheduler = FragmentScheduler()
         self._last_heartbeat = time.monotonic()
-        self._partitions: dict[int, list["RemoteExecutor"]] = {}
         # Dispatch state: a shared work deque drained by one persistent
         # thread per live worker, so tasks flow to workers the moment the
         # driver submits them.
@@ -784,17 +784,6 @@ class RemoteExecutor:
     def _live_handles(self) -> list[_WorkerHandle]:
         return [h for h in self._handles if h.alive]
 
-    def _bump(self, logical: int, physical: int) -> None:
-        root = self._counter_root
-        with root._counter_mutex:
-            root.tasks_submitted += logical
-            root.pool_submissions += physical
-
-    def _count(self, attr: str, n: int = 1) -> None:
-        root = self._counter_root
-        with root._counter_mutex:
-            setattr(root, attr, getattr(root, attr) + n)
-
     # -- health --------------------------------------------------------
     def heartbeat(self) -> int:
         """Ping every live worker; returns how many answered."""
@@ -803,34 +792,27 @@ class RemoteExecutor:
             if handle.ping():
                 alive += 1
             else:
-                self._count("workers_lost")
+                self._count(workers_lost=1)
         self._last_heartbeat = time.monotonic()
         return alive
 
-    def _maybe_heartbeat(self) -> None:
-        if time.monotonic() - self._last_heartbeat >= self.config.heartbeat_interval:
+    def _execute(self, tasks: Sequence, kernel) -> ExecutionReport:
+        """A batch, with the heartbeat riding ahead of it when one is due."""
+        if (
+            tasks
+            and time.monotonic() - self._last_heartbeat
+            >= self.config.heartbeat_interval
+        ):
             self.heartbeat()
+        return super()._execute(tasks, kernel)
 
     # -- install channel -----------------------------------------------
-    def install_state(self, key: str, payload: np.ndarray) -> None:
-        """Install a fingerprint-keyed potential once per remote worker.
+    def _broadcast(self, key: str, arr: np.ndarray) -> None:
+        """At most one ``install`` frame per key and worker.
 
-        The driver's process-level store always receives the payload
-        (covering the local fallback and the healing resubmission path);
-        each worker then gets at most one ``install`` frame per key —
-        the per-worker ``installed_keys`` set is the dedup that keeps
+        The per-worker ``installed_keys`` set is the dedup that keeps
         repeated installs of one iteration's potential off the wire.
         """
-        arr = np.asarray(payload)
-        root = self._counter_root
-        with root._counter_mutex:
-            if key in root._install_payloads:
-                root._install_payloads.move_to_end(key)
-            else:
-                install_potential(key, arr)
-                root._install_payloads[key] = arr
-                while len(root._install_payloads) > root._install_payload_max:
-                    root._install_payloads.popitem(last=False)
         for handle in self._live_handles():
             if key in handle.installed_keys:
                 continue
@@ -838,88 +820,32 @@ class RemoteExecutor:
                 reply = handle.request({"op": "install", "key": key, "payload": arr})
             except (OSError, ConnectionError, WorkerDiedError, RemoteProtocolError):
                 handle.mark_dead()
-                self._count("workers_lost")
+                self._count(workers_lost=1)
                 continue
             if reply.get("ok"):
                 handle.installed_keys.add(key)
-                self._count("install_broadcasts")
+                self._count(install_broadcasts=1)
 
-    # -- the four batch protocols --------------------------------------
-    def run(self, tasks: Sequence) -> ExecutionReport:
-        """Run plain fragment solve tasks on the remote workers."""
-        return self._execute(tasks, "solve")
-
-    def run_pipeline(self, tasks: Sequence) -> ExecutionReport:
-        """Run fused Gen_VF -> solve -> Gen_dens tasks on the remote workers."""
-        return self._execute(tasks, "pipeline")
-
-    def run_global(self, tasks: Sequence) -> ExecutionReport:
-        """Run per-slab GENPOT global-step tasks on the remote workers."""
-        return self._execute(tasks, "global")
-
-    def run_bands(self, tasks: Sequence) -> ExecutionReport:
-        """Run per-slice band-eigensolver tasks on the remote workers."""
-        return self._execute(tasks, "bands")
-
-    def _execute(self, tasks: Sequence, kind: str) -> ExecutionReport:
-        """One batch: heartbeat, submit, gather in task order."""
-        if not tasks:
-            return ExecutionReport(results=[], wall_time=0.0, worker_count=0)
-        t0 = time.perf_counter()
-        self._maybe_heartbeat()
-        workers = len(self._live_handles())
-        schedule = None
-        if workers > 1 and kind != "bands":  # band reports: .results only
-            schedule = self._scheduler.schedule_tasks(tasks, workers)
-        results = gather_in_order(self._submit_batch(tasks, kind))
-        return ExecutionReport(
-            results=results,
-            wall_time=time.perf_counter() - t0,
-            worker_count=max(workers, 1),
-            schedule=schedule,
-            resubmissions=self.resubmissions,
-        )
-
-    # -- the futures surface -------------------------------------------
-    def submit_global(self, task) -> Future:
-        """Submit one global-step task; returns a ``concurrent.futures``
-        future resolved by the persistent per-worker drain threads.
+    # -- dispatch ------------------------------------------------------
+    def _submit(self, task, kernel) -> Future:
+        """Queue one task for the drain threads — the only way in.
 
         Tasks enter the shared deque the moment the driver submits them,
         so slab stages overlap with the driver's layout conversion
-        exactly like the paper's isend/irecv-under-compute.
+        exactly like the paper's isend/irecv-under-compute.  With no live
+        worker left the task goes straight to the bottom of the ladder
+        (:meth:`_resolve_locally`).
         """
-        return self._submit(task, "global")
-
-    def submit_pipeline_batch(self, tasks: Sequence) -> list:
-        """Per-fragment futures for a pipeline batch (heaviest-first)."""
-        return self._submit_batch(tasks, "pipeline")
-
-    def _submit_batch(self, tasks: Sequence, kind: str) -> list:
-        """Futures for a batch, in task order, queued heaviest-first."""
-        costs = [float(getattr(t, "cost", lambda: 1.0)()) for t in tasks]
-        futures: list = [None] * len(tasks)
-        for i in np.argsort(costs)[::-1]:
-            futures[int(i)] = self._submit(tasks[int(i)], kind)
-        return futures
-
-    def _submit(self, task, kind: str) -> Future:
-        """Queue one task for the drain threads — the only way in.
-
-        With no live worker left the task goes straight to the bottom of
-        the ladder (:meth:`_resolve_locally`).
-        """
-        self._bump(1, 1)
         future: Future = Future()
         with self._stream_cond:
             if not self._stream_dead:
                 self._ensure_stream_threads()
             dead = self._stream_dead
             if not dead:
-                self._stream_queue.append((task, kind, future))
+                self._stream_queue.append((task, kernel, future))
                 self._stream_cond.notify()
         if dead:
-            self._resolve_locally(task, kind, future)
+            self._resolve_locally(task, kernel, future)
         return future
 
     def _ensure_stream_threads(self) -> None:
@@ -966,18 +892,17 @@ class RemoteExecutor:
                 elif self._stream_queue:
                     item = self._stream_queue.popleft()
             if item is None:  # worker dead, or closed with nothing queued
-                for task, kind, future in leftovers:
-                    self._resolve_locally(task, kind, future)
+                for task, kernel, future in leftovers:
+                    self._resolve_locally(task, kernel, future)
                 return
-            task, kind, future = item
+            task, kernel, future = item
             if not _claim(future):
                 continue
             try:
-                result = self._run_one(handle, task, kind)
+                result = self._run_one(handle, task, kernel)
             except (OSError, ConnectionError, WorkerDiedError, RemoteProtocolError):
                 handle.mark_dead()
-                self._count("workers_lost")
-                self._count("resubmissions")
+                self._count(workers_lost=1, resubmissions=1)
                 with self._stream_cond:
                     self._stream_queue.appendleft(item)
                 continue
@@ -986,10 +911,11 @@ class RemoteExecutor:
                 continue
             future.set_result(result)
 
-    def _resolve_locally(self, task, kind: str, future: Future) -> None:
+    def _resolve_locally(self, task, kernel, future: Future) -> None:
         """Bottom of the ladder: run one task on the local fallback."""
         if not _claim(future):
             return
+        kind = _KINDS[kernel.__name__]
         fallback = self._fallback_executor()
         if fallback is None:
             future.set_exception(
@@ -1000,7 +926,7 @@ class RemoteExecutor:
                 )
             )
             return
-        self._count("degraded_tasks")
+        self._count(degraded_tasks=1)
         runner = {
             "solve": fallback.run,
             "pipeline": fallback.run_pipeline,
@@ -1014,26 +940,22 @@ class RemoteExecutor:
             return
         future.set_result(report.results[0])
 
-    def _run_one(self, handle: _WorkerHandle, task, kind: str):
-        """One task round trip on one worker, healing missed installs."""
-        reply = handle.request({"op": "task", "kind": kind, "task": task})
-        if reply.get("ok"):
-            return reply["result"]
+    def _run_one(self, handle: _WorkerHandle, task, kernel):
+        """One task round trip on one worker, healing a missed install."""
+        request = {"op": "task", "kind": _KINDS[kernel.__name__], "task": task}
+        reply = handle.request(request)
         if reply.get("error_type") == "PotentialNotInstalledError":
-            attach = getattr(task, "with_potential_payload", None)
-            with self._counter_root._counter_mutex:
-                payload = self._counter_root._install_payloads.get(reply.get("key"))
-            if attach is not None and payload is not None:
-                key = reply["key"]
-                self._bump(0, 1)
-                healed = attach(key, payload)
-                reply = handle.request({"op": "task", "kind": kind, "task": healed})
+            key = reply.get("key")
+            healed = self._heal(task, key)
+            if healed is not None:
+                reply = handle.request({**request, "task": healed})
                 if reply.get("ok"):
                     # The worker installed the payload that rode in with its
                     # key (fragment_task._resolve_potential): later key-only
                     # tasks there resolve, and install_state need not resend.
                     handle.installed_keys.add(key)
-                    return reply["result"]
+        if reply.get("ok"):
+            return reply["result"]
         raise RemoteTaskError(
             str(reply.get("error_type")), str(reply.get("error"))
         )
@@ -1043,33 +965,17 @@ class RemoteExecutor:
             self._fallback = SerialFragmentExecutor()
         return self._fallback
 
-    # -- band-group sub-pools ------------------------------------------
-    def partition(self, ngroups: int) -> list["RemoteExecutor"]:
-        """Split the workers into ``ngroups`` disjoint sub-pools.
+    def _split(self, ngroups: int) -> list["RemoteExecutor"]:
+        """Views owning a round-robin share of the worker handles.
 
-        Each sub-pool is a :class:`RemoteExecutor` view owning a
-        round-robin share of this executor's worker handles (state —
-        connections, installed-key sets, byte counters — is shared with
-        the parent, and all logical counters accumulate on the parent),
-        so the concurrent band-group path can drive the groups from
-        independent threads with per-group task queues.  Partitions are
-        cached per ``ngroups``: repeated iterations reuse the same
-        sub-pools and their workers' warm caches.
+        Handle state — connections, installed-key sets, byte counters —
+        is shared with this executor; each view has its own task queue.
         """
-        if ngroups < 1:
-            raise ValueError("ngroups must be positive")
-        cached = self._partitions.get(ngroups)
-        if cached is not None:
-            return cached
         children = []
         for g in range(ngroups):
             child = RemoteExecutor([], config=self.config, fallback=self._fallback_spec)
-            child._handles = [
-                h for i, h in enumerate(self._handles) if i % ngroups == g
-            ]
-            child._counter_root = self._counter_root
+            child._handles = self._handles[g::ngroups]
             children.append(child)
-        self._partitions[ngroups] = children
         return children
 
     # -- lifecycle -----------------------------------------------------
@@ -1101,15 +1007,7 @@ class RemoteExecutor:
             self._stream_cond.notify_all()
         for handle in self._handles:
             handle.close()
-        for children in self._partitions.values():
-            for child in children:
-                child.close()
-
-    def __enter__(self) -> "RemoteExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        super().close()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -26,7 +26,6 @@ import argparse
 import os
 import queue
 import socket
-import threading
 import traceback
 from pathlib import Path
 from typing import Callable, Sequence
@@ -38,6 +37,8 @@ from repro.parallel.remote import (
     _DEFAULT_MAX_FRAME,
     _HOST_HELP,
     RemoteProtocolError,
+    _Listener,
+    _refusal,
     recv_frame,
     send_frame,
 )
@@ -68,7 +69,7 @@ def _make_executor_factory(
     raise ValueError(f"unknown backend {backend!r}")
 
 
-class StoreServer:
+class StoreServer(_Listener):
     """The SCF-as-a-service daemon: admission, scheduling, queries.
 
     Parameters
@@ -78,8 +79,7 @@ class StoreServer:
         mounts the same directory — coordination is the store's file
         locks).
     host, port:
-        Bind address; port 0 lets the OS pick (published in
-        :attr:`address` after :meth:`start`).
+        Bind address (see :class:`repro.parallel.remote._Listener`).
     job_slots:
         Number of concurrent solves; each slot owns one executor from
         ``executor_factory`` for its whole lifetime (the shared pool).
@@ -99,21 +99,14 @@ class StoreServer:
     ) -> None:
         if job_slots < 1:
             raise ValueError("job_slots must be positive")
+        super().__init__(host, port, max_frame_bytes)
         self.store = RunStore(root)
-        self.host = host
-        self.port = int(port)
         self.job_slots = int(job_slots)
         self.executor_factory = executor_factory
-        self.max_frame_bytes = int(max_frame_bytes)
-        self.address: tuple[str, int] | None = None
         self.jobs_started = 0
         self.jobs_finished = 0
         self._queue: "queue.Queue[str]" = queue.Queue()
         self._queued: set[str] = set()
-        self._sock: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> tuple[str, int]:
@@ -127,45 +120,10 @@ class StoreServer:
         """
         for run_id in self.store.pending_runs():
             self._enqueue(run_id)
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.host, self.port))
-        sock.listen(16)
-        sock.settimeout(0.2)
-        self._sock = sock
-        self.address = (self.host, int(sock.getsockname()[1]))
-        acceptor = threading.Thread(target=self._accept_loop, daemon=True)
-        acceptor.start()
-        self._threads.append(acceptor)
+        address = super().start()
         for slot in range(self.job_slots):
-            runner = threading.Thread(
-                target=self._runner_loop, args=(slot,), daemon=True
-            )
-            runner.start()
-            self._threads.append(runner)
-        return self.address
-
-    def stop(self) -> None:
-        """Stop accepting and signal the runner loops (idempotent)."""
-        self._stop.set()
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - close is best effort
-                pass
-            self._sock = None
-
-    def join(self, timeout: float | None = None) -> None:
-        """Block until :meth:`stop` is called (the daemon's main wait)."""
-        self._stop.wait(timeout)
-
-    def __enter__(self) -> "StoreServer":
-        if self.address is None:
-            self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+            self._spawn(self._runner_loop, slot)
+        return address
 
     # -- scheduling ----------------------------------------------------
     def _enqueue(self, run_id: str) -> bool:
@@ -250,21 +208,6 @@ class StoreServer:
                 self.jobs_finished += 1
 
     # -- serving -------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-
     def _serve_connection(self, conn: socket.socket) -> None:
         with conn:
             while not self._stop.is_set():
@@ -291,15 +234,11 @@ class StoreServer:
         op = request.get("op")
         if op == "hello":
             if request.get("version") != SERVICE_PROTOCOL_VERSION:
-                return {
-                    "ok": False,
-                    "error_type": "RemoteProtocolError",
-                    "error": (
-                        f"service protocol mismatch: client "
-                        f"{request.get('version')} != server "
-                        f"{SERVICE_PROTOCOL_VERSION}"
-                    ),
-                }
+                return _refusal(
+                    f"service protocol mismatch: client "
+                    f"{request.get('version')} != server "
+                    f"{SERVICE_PROTOCOL_VERSION}"
+                )
             return {
                 "ok": True,
                 "pid": os.getpid(),
@@ -355,11 +294,7 @@ class StoreServer:
             # solves are no loss — the next daemon resumes them.
             self._stop.set()
             return {"ok": True}
-        return {
-            "ok": False,
-            "error_type": "RemoteProtocolError",
-            "error": f"unknown op {op!r}",
-        }
+        return _refusal(f"unknown op {op!r}")
 
 
 def serve_main(argv: Sequence[str] | None = None) -> int:

@@ -1,0 +1,244 @@
+"""One contract, four backends: what the shared dispatch engine owns.
+
+``repro.parallel.executor._Backend`` writes the batch and future
+methods, the submission counters, the driver-side install store with
+its missed-install heal, the partition cache and ``close`` once; a
+backend adds ``_submit`` / ``_split`` / ``_broadcast``.  Every test
+here runs unchanged over the serial, thread-pool, process-pool and
+loopback-remote backends (remote workers are in-process threads
+speaking the full TCP protocol), through public names only.
+"""
+
+import contextlib
+
+import numpy as np
+import pytest
+
+from repro.atoms.toy import cscl_binary
+from repro.core.fragment_task import (
+    FragmentTask,
+    PotentialNotInstalledError,
+    clear_installed_potentials,
+    potential_fingerprint,
+    run_fragment_pipeline_task,
+    solve_fragment_task,
+)
+from repro.core.scf import LS3DFSCF
+from repro.parallel.distributed import GlobalStepTask, run_global_step_task
+from repro.parallel.executor import (
+    ProcessPoolFragmentExecutor,
+    SerialFragmentExecutor,
+    ThreadPoolFragmentExecutor,
+)
+from repro.parallel.remote import (
+    RemoteExecutor,
+    RemoteExecutorConfig,
+    RemoteTaskError,
+    start_worker_thread,
+)
+from repro.pw.grid import FFTGrid
+
+BACKENDS = ["serial", "thread", "process", "remote"]
+#: Backends whose kernels may run where the install did not reach.
+HEALING = ["thread", "process", "remote"]
+#: ``install_broadcasts`` per install on a two-worker executor.
+DELIVERIES = {"serial": 0, "thread": 0, "process": 2, "remote": 2}
+
+
+@contextlib.contextmanager
+def _backend(name: str, workers: int = 2):
+    servers = []
+    if name == "serial":
+        executor = SerialFragmentExecutor()
+    elif name == "thread":
+        executor = ThreadPoolFragmentExecutor(workers)
+    elif name == "process":
+        executor = ProcessPoolFragmentExecutor(workers)
+    else:
+        servers = [start_worker_thread() for _ in range(workers)]
+        executor = RemoteExecutor(
+            [s.address for s in servers],
+            config=RemoteExecutorConfig(heartbeat_interval=1e9, max_retries=1),
+            fallback=None,
+        )
+    try:
+        with executor:
+            yield executor
+    finally:
+        for server in servers:
+            server.stop()
+        clear_installed_potentials()
+
+
+def _forget(name: str, executor) -> None:
+    """Worker amnesia: every worker loses what was installed (a restart).
+
+    Thread and loopback workers share this process's store; a process
+    pool is closed, so its next batch forks fresh workers from a driver
+    whose store is empty while the executor still remembers the delivery.
+    """
+    if name == "process":
+        executor.close()
+    clear_installed_potentials()
+
+
+def _slab(label: str, size: int) -> GlobalStepTask:
+    rng = np.random.default_rng(size)
+    data = 0.1 + rng.random(size)
+    return GlobalStepTask(kind="xc", shard=0, nshards=1, data=data, label=label)
+
+
+def _fragment_task(label: str) -> FragmentTask:
+    structure = cscl_binary((1, 1, 1), "Zn", "O", 6.0)
+    grid = FFTGrid(structure.cell, (10, 10, 10))
+    return FragmentTask(
+        label=label,
+        cell=tuple(structure.cell),
+        grid_shape=grid.shape,
+        symbols=structure.symbols,
+        positions=structure.positions,
+        screening_potential=np.full(grid.shape, 0.02),
+        ecut=2.0,
+        n_empty=1,
+        tolerance=1e-4,
+        max_iterations=40,
+    )
+
+
+@pytest.fixture(scope="module")
+def keyed_pair():
+    """``(key, potential, [keyed task, inline task], reference results)``:
+    two fragments of one SCF, the first shipped by install key only."""
+    structure = cscl_binary((2, 1, 1), "Zn", "O", 6.0)
+    scf = LS3DFSCF(
+        structure, grid_dims=(2, 1, 1), ecut=2.2, buffer_cells=0.5,
+        n_empty=2, mixer="kerker",
+    )
+    v_in = scf.genpot.initial_potential()
+    key = potential_fingerprint(v_in)
+    kw = dict(eigensolver_tolerance=1e-4, eigensolver_iterations=40)
+    make = scf.fragment_solver.make_pipeline_task
+    a, b = scf.fragments[:2]
+    reference = [run_fragment_pipeline_task(make(f, v_in, **kw)) for f in (a, b)]
+    tasks = [make(a, v_in, global_potential_key=key, **kw), make(b, v_in, **kw)]
+    return key, v_in, tasks, reference
+
+
+def _assert_pipeline_equal(got, want):
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_array_equal(g.contribution, w.contribution)
+        np.testing.assert_array_equal(g.result.density, w.result.density)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_results_come_back_in_task_order_and_every_task_is_counted_once(name):
+    # Costs run against task order, so heaviest-first submission reorders.
+    slabs = [_slab(f"s{i}", size) for i, size in enumerate([3, 11, 5, 2, 7])]
+    slab_ref = [run_global_step_task(t) for t in slabs]
+    frags = [_fragment_task(f"f{i}") for i in range(3)]
+    frag_ref = [solve_fragment_task(t) for t in frags]
+    with _backend(name) as ex:
+        report = ex.run_global(slabs)
+        assert [r.label for r in report.results] == [t.label for t in slabs]
+        for got, want in zip(report.results, slab_ref):
+            np.testing.assert_array_equal(got.data, want.data)
+            np.testing.assert_array_equal(got.extra, want.extra)
+        assert (ex.tasks_submitted, ex.pool_submissions) == (5, 5)
+        spread = name != "serial"
+        assert report.worker_count == (2 if spread else 1)
+        assert (report.schedule is not None) == spread
+        assert report.resubmissions == 0
+
+        report = ex.run(frags)
+        assert [r.label for r in report.results] == [t.label for t in frags]
+        for got, want in zip(report.results, frag_ref):
+            np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+            np.testing.assert_array_equal(got.density, want.density)
+            assert got.quantum_energy == want.quantum_energy
+        assert (ex.tasks_submitted, ex.pool_submissions) == (8, 8)
+
+        future = ex.submit_global(slabs[1])
+        np.testing.assert_array_equal(future.result().data, slab_ref[1].data)
+        assert future.done()
+        assert (ex.tasks_submitted, ex.pool_submissions) == (9, 9)
+
+        assert ex.run_global([]).results == []
+        assert (ex.tasks_submitted, ex.pool_submissions) == (9, 9)
+        assert ex.install_broadcasts == 0
+
+
+@pytest.mark.parametrize("name", HEALING)
+def test_missed_install_heals_with_one_extra_submission(name, keyed_pair):
+    """A worker that never saw an install raises; the task is resubmitted
+    once with the driver's payload attached — same bits, exactly one
+    extra physical submission — and the delivery is forgotten: a process
+    pool broadcasts the key again, a remote worker kept the payload that
+    rode in, threads never broadcast."""
+    key, v_in, tasks, reference = keyed_pair
+    with _backend(name) as ex:
+        ex.install_state(key, v_in)
+        ex.install_state(key, v_in)  # a known key is a no-op
+        assert ex.install_broadcasts == DELIVERIES[name]
+        _forget(name, ex)
+        futures = ex.submit_pipeline_batch(tasks)
+        _assert_pipeline_equal([f.result() for f in futures], reference)
+        assert ex.tasks_submitted == 2
+        assert ex.pool_submissions == 3
+        ex.install_state(key, v_in)
+        again = DELIVERIES[name] if name == "process" else 0
+        assert ex.install_broadcasts == DELIVERIES[name] + again
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_miss_of_a_key_the_driver_does_not_hold_propagates(name, keyed_pair):
+    """Nothing to attach: the typed miss surfaces and nothing is retried."""
+    _, _, tasks, _ = keyed_pair
+    clear_installed_potentials()
+    with _backend(name) as ex:
+        with pytest.raises((PotentialNotInstalledError, RemoteTaskError)) as err:
+            ex.run_pipeline(tasks)
+        assert "PotentialNotInstalledError" in (
+            type(err.value).__name__, getattr(err.value, "error_type", "")
+        )
+        assert ex.tasks_submitted == 2
+        assert ex.pool_submissions == 2
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_partition_children_count_on_and_heal_from_the_parent(name, keyed_pair):
+    key, v_in, tasks, reference = keyed_pair
+    slabs = [_slab(f"s{i}", size) for i, size in enumerate([4, 9, 6])]
+    with _backend(name, workers=4) as ex:
+        children = ex.partition(2)
+        assert len(children) == 2
+        assert all(type(child) is type(ex) for child in children)
+        assert ex.partition(2) is children  # cached, not rebuilt
+        assert ex.partition(3) is not children
+        with pytest.raises(ValueError):
+            ex.partition(0)
+        a, b = children
+        assert a.n_workers == b.n_workers == (1 if name == "serial" else 2)
+
+        # Submissions land on the parent: the groups are sub-pools of
+        # one pool, not independent executors.
+        report = a.run_global(slabs[:2])
+        assert [r.label for r in report.results] == ["s0", "s1"]
+        assert b.submit_global(slabs[2]).result().label == "s2"
+        assert (ex.tasks_submitted, ex.pool_submissions) == (3, 3)
+        assert (a.tasks_submitted, b.pool_submissions) == (0, 0)
+
+        if name in HEALING:  # what one group installed, any group heals from
+            b.install_state(key, v_in)
+            assert ex.install_broadcasts == DELIVERIES[name]
+            _forget(name, a)
+            _assert_pipeline_equal(a.run_pipeline(tasks).results, reference)
+            assert (ex.tasks_submitted, ex.pool_submissions) == (5, 6)
+
+        closed = []
+        for child in [*children, *ex.partition(3)]:
+            child.close = lambda child=child, close=child.close: (
+                closed.append(child), close()
+            )
+        ex.close()
+        assert len(closed) == 5
+        assert ex.partition(2) is not children  # the cache went with them

@@ -106,23 +106,6 @@ def test_fingerprint_ignores_iteration_state_but_not_geometry():
     assert c.static_fingerprint() != a.static_fingerprint()
 
 
-def test_all_backends_run_the_same_kernel_identically():
-    tasks = [_make_task(f"f{i}") for i in range(3)]
-    reference = [solve_fragment_task(t) for t in tasks]
-    for executor in (
-        SerialFragmentExecutor(),
-        ThreadPoolFragmentExecutor(n_workers=2),
-        ProcessPoolFragmentExecutor(n_workers=2),
-    ):
-        with executor:
-            report = executor.run(tasks)
-        assert [r.label for r in report.results] == [t.label for t in tasks]
-        for got, ref in zip(report.results, reference):
-            np.testing.assert_allclose(got.eigenvalues, ref.eigenvalues, rtol=1e-10)
-            np.testing.assert_allclose(got.density, ref.density, rtol=1e-10)
-            assert got.quantum_energy == pytest.approx(ref.quantum_energy, rel=1e-10)
-
-
 def test_thread_backend_same_fingerprint_tasks_do_not_race():
     # Two tasks sharing one static fingerprint (same label + geometry) but
     # different potentials share one cached Hamiltonian; the per-problem

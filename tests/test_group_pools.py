@@ -127,43 +127,6 @@ def test_partition_children_are_cached_and_split_the_pool():
         pool.close()
 
 
-def test_partition_child_counters_accumulate_to_parent():
-    from repro.core.fragment_task import potential_fingerprint
-
-    pool = ThreadPoolFragmentExecutor(2)
-    try:
-        a, b = pool.partition(2)
-        scf = _tiny_scf()
-        v = scf.genpot.initial_potential()
-        tasks = [
-            scf.fragment_solver.make_pipeline_task(
-                f, v, eigensolver_tolerance=1e-4, eigensolver_iterations=40)
-            for f in scf.fragments[:2]
-        ]
-        a.run_pipeline(tasks[:1])
-        b.run_pipeline(tasks[1:])
-        # Submissions land on the shared parent counters: the groups are
-        # sub-pools of one pool, not independent executors.
-        assert pool.tasks_submitted == 2
-        assert pool.pool_submissions == 2
-        key = potential_fingerprint(v)
-        try:
-            a.install_state(key, v)
-            b.install_state(key, v)
-            # Thread workers share the process store: installs are local,
-            # never broadcast, and the second one is a dedup no-op.
-            assert pool.install_broadcasts == 0
-            from repro.core.fragment_task import fetch_potential
-
-            np.testing.assert_array_equal(fetch_potential(key), v)
-        finally:
-            from repro.core.fragment_task import clear_installed_potentials
-
-            clear_installed_potentials()
-    finally:
-        pool.close()
-
-
 def test_serial_executor_partition_shares_the_single_worker():
     serial = SerialFragmentExecutor()
     children = serial.partition(2)

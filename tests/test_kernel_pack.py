@@ -430,77 +430,6 @@ def test_keyed_submission_ships_without_the_global_potential():
     assert 0.5 * v_in.nbytes < saved <= v_in.nbytes + 512
 
 
-def test_missing_worker_install_heals_by_retry(tmp_path):
-    """If a worker never saw an install (restart, late join), the kernel
-    raises and the executor resubmits once with the payload attached —
-    same bits, one extra physical submission per healed task."""
-    scf = _tiny_scf()
-    v_in = scf.genpot.initial_potential()
-    key = potential_fingerprint(v_in)
-    keyed = [
-        scf.fragment_solver.make_pipeline_task(
-            f, v_in, eigensolver_tolerance=1e-4, eigensolver_iterations=40,
-            global_potential_key=key,
-        )
-        for f in scf.fragments
-    ]
-    inline = [
-        scf.fragment_solver.make_pipeline_task(
-            f, v_in, eigensolver_tolerance=1e-4, eigensolver_iterations=40,
-        )
-        for f in scf.fragments
-    ]
-    ref = [run_fragment_pipeline_task(t) for t in inline]
-    try:
-        with ThreadPoolFragmentExecutor(2) as ex:
-            ex.install_state(key, v_in)
-            clear_installed_potentials()  # simulate worker amnesia
-            report = ex.run_pipeline(keyed)
-        assert ex.tasks_submitted == len(keyed)
-        # a task that missed the install is resubmitted once with the
-        # payload (which the worker then keeps, so later ones may hit)
-        assert len(keyed) < ex.pool_submissions <= 2 * len(keyed)
-        for got, want in zip(report.results, ref):
-            np.testing.assert_array_equal(got.contribution, want.contribution)
-            np.testing.assert_array_equal(
-                got.result.density, want.result.density
-            )
-    finally:
-        clear_installed_potentials()
-
-
-def test_healed_install_miss_is_forgotten_so_next_install_rebroadcasts():
-    """A heal means the broadcast of that key did not reach every worker:
-    the key leaves ``_broadcast_keys`` so ``install_state`` sends it again."""
-
-    class Missed:
-        def result(self):
-            raise PotentialNotInstalledError("K")
-
-    class Keyed:
-        def with_potential_payload(self, key, payload):
-            return ("healed", key, payload)
-
-    with ThreadPoolFragmentExecutor(2) as ex:
-        payload = np.arange(3.0)
-        ex._install_payloads["K"] = payload
-        ex._broadcast_keys.update({"K", "other"})
-        healed = ex._gather(Missed(), Keyed(), lambda task: task)
-        assert healed == ("healed", "K", payload)
-        assert ex._broadcast_keys == {"other"}
-        assert ex.pool_submissions == 1  # the one-shot retry
-        # Nothing to attach (unknown key): the miss propagates, still forgotten.
-        ex._broadcast_keys.add("gone")
-
-        class MissedGone:
-            def result(self):
-                raise PotentialNotInstalledError("gone")
-
-        with pytest.raises(PotentialNotInstalledError):
-            ex._gather(MissedGone(), Keyed(), lambda task: task)
-        assert "gone" not in ex._broadcast_keys
-
-
 def test_task_with_key_and_payload_installs_it_in_the_worker():
     """The retry's inline payload stays behind: later key-only tasks in
     that worker resolve without another retry."""

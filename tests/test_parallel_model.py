@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fragments import enumerate_fragments
@@ -132,14 +132,19 @@ def test_scheduler_validation():
     ngroups=st.integers(min_value=1, max_value=12),
     seed=st.integers(min_value=0, max_value=1000),
 )
+@example(ncosts=12, ngroups=7, seed=206)  # 1.343x the lower bound, and right
 def test_property_lpt_schedule_bounds(ncosts, ngroups, seed):
-    """LPT makespan is within 4/3 of the lower bound max(mean, max_cost)."""
+    """List scheduling: makespan <= mean + (1 - 1/m) * max_cost.
+
+    Graham's 4/3 is against the *optimal* makespan, which can sit well
+    above the lower bound max(mean, max_cost) used here.
+    """
     rng = np.random.default_rng(seed)
     costs = rng.uniform(0.1, 10.0, size=ncosts)
     summary = FragmentScheduler().schedule_by_costs(costs, ngroups)
-    lower_bound = max(costs.sum() / ngroups, costs.max())
-    assert summary.makespan <= (4.0 / 3.0) * lower_bound + 1e-9
-    assert summary.makespan >= lower_bound - 1e-9
+    mean = costs.sum() / ngroups
+    assert summary.makespan <= mean + (1.0 - 1.0 / ngroups) * costs.max() + 1e-9
+    assert summary.makespan >= max(mean, costs.max()) - 1e-9
 
 
 # --- communication -------------------------------------------------------------------

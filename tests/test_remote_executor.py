@@ -313,9 +313,32 @@ def test_worker_protocol_surface():
             stats = _roundtrip(sock, {"op": "stats"})
             assert stats["ok"] and stats["tasks_served"] == 0
             assert stats["bytes_received"] > 0
+            # A well-formed frame that is not a request gets the typed
+            # refusal too, and the connection keeps serving.
+            for junk in ([1, 2], None, {"op": "install"}, {"op": "task", "kind": []}):
+                refused = _roundtrip(sock, junk)
+                assert not refused["ok"]
+                assert refused["error_type"] == "RemoteProtocolError"
+                assert _roundtrip(sock, {"op": "ping"})["ok"]
             assert _roundtrip(sock, {"op": "shutdown"})["ok"]
         finally:
             sock.close()
+
+
+@pytest.mark.parametrize("daemon", ["worker", "store"])
+def test_connect_right_after_stop_is_refused(daemon, tmp_path):
+    """Both daemons share one listener: ``stop()`` shuts the socket down
+    before closing it, so the acceptor's pending poll cannot keep a dead
+    backlog open for a late connect to be parked in."""
+    from repro.store.server import StoreServer
+
+    for _ in range(5):  # the parked connect needs the acceptor mid-poll
+        server = WorkerServer() if daemon == "worker" else StoreServer(tmp_path)
+        with server:
+            address = server.address
+            socket.create_connection(address, timeout=5).close()
+        with pytest.raises(OSError):
+            socket.create_connection(address, timeout=1.0).close()
 
 
 # --- executor basics --------------------------------------------------------------
@@ -347,7 +370,7 @@ def test_shutdown_workers_then_degrade_to_local():
         assert executor.shutdown_workers() == 2
         # Shut-down workers are dead to the driver and refuse connections;
         # they were not *lost*, so that counter stays put.
-        assert not executor._live_handles() and executor.n_workers == 1
+        assert executor.heartbeat() == 0 and executor.n_workers == 1
         for server in servers:
             with pytest.raises(OSError):
                 socket.create_connection(server.address, timeout=1.0).close()

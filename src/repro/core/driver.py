@@ -249,7 +249,9 @@ class LS3DF:
 
         Takes the patched-weighted mean of each fragment's HOMO and LUMO
         (positive-weight fragments only, which are the physically meaningful
-        large pieces) and returns their midpoint.
+        large pieces) and returns their midpoint.  The LUMO read here is the
+        first guard band — a Ritz value the solve did not wait for; the
+        estimate sits within 1e-4 Ha of an all-bands-converged one.
         """
         homos = []
         lumos = []

@@ -139,7 +139,7 @@ class FragmentSolver:
     ecut:
         Plane-wave cutoff for the fragment problems (Hartree).
     n_empty:
-        Number of extra (empty) bands per fragment.
+        Guard bands per fragment: iterated and returned, not gated.
     eigensolver:
         ``"all_band"`` (default, BLAS-3) or ``"band_by_band"`` (BLAS-2
         reference algorithm).

@@ -76,7 +76,8 @@ class FragmentTask:
     ecut:
         Plane-wave cutoff (Hartree).
     n_empty:
-        Extra empty bands.
+        Guard bands: iterated and returned, not gated (the solve ends when
+        the occupied bands are converged).
     eigensolver:
         ``"all_band"`` (BLAS-3) or ``"band_by_band"`` (BLAS-2 reference).
     tolerance, max_iterations:
@@ -167,10 +168,9 @@ class FragmentTaskResult:
         are assembled globally by GENPOT, so they are excluded here.
     band_energy:
         sum_i occ_i eps_i with the full (screened) fragment Hamiltonian.
-    solver_iterations:
-        Iterations the eigensolver used.
-    converged:
-        Eigensolver convergence flag.
+    solver_iterations, converged:
+        Eigensolver steps and convergence flag of the gated (occupied) bands;
+        ``eigenvalues`` beyond them are guard-band Ritz values.
     wall_time:
         In-worker wall-clock seconds of this solve.
     worker_pid:
@@ -212,6 +212,9 @@ class TaskProblem:
         The fragment's FFT grid, plane-wave basis and Hamiltonian.
     nelectrons, nbands, occupations:
         Electron count, band count and fixed insulator occupations.
+    noccupied:
+        Number of bands that carry charge — the ones the all-band solver
+        must converge, the rest are guard bands (1 in an empty box).
     lock:
         Guards the Hamiltonian's mutable potential during a solve (two
         same-fingerprint tasks may run concurrently on threads).
@@ -225,9 +228,7 @@ class TaskProblem:
     nelectrons: int
     nbands: int
     occupations: np.ndarray
-    # Guards the Hamiltonian's mutable potential during a solve: two tasks
-    # with the same fingerprint share this problem, and the thread backend
-    # may run them concurrently.
+    noccupied: int
     lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -272,6 +273,7 @@ def build_task_problem(task: FragmentTask) -> TaskProblem:
         nelectrons=nelectrons,
         nbands=nbands,
         occupations=occupations,
+        noccupied=max(1, int(np.count_nonzero(occupations))),
     )
 
 
@@ -510,9 +512,12 @@ def solve_fragment_task(
     # what keeps two group roots off one static problem at a time.
     with problem.lock:
         hamiltonian.set_effective_potential(v_screen)
-        solver = all_band_cg if task.eigensolver == "all_band" else band_by_band_cg
-        if group is not None:
-            solver = partial(all_band_cg, band_groups=group.bind(task))
+        solver = band_by_band_cg
+        if task.eigensolver == "all_band":
+            bands = None if group is None else group.bind(task)
+            solver = partial(
+                all_band_cg, band_groups=bands, nconverge=problem.noccupied
+            )
         result = solver(
             hamiltonian,
             problem.nbands,

@@ -384,7 +384,7 @@ class LS3DFSCF:
     buffer_cells:
         Fragment buffer size as a fraction of a cell (see SpatialDivision).
     n_empty:
-        Extra empty bands per fragment.
+        Guard bands per fragment: iterated and returned, not gated.
     mixer, mixer_options:
         Global potential mixing scheme (GENPOT step).
     eigensolver:

@@ -19,7 +19,7 @@ built on the same executor machinery as the fragment and global-step tasks:
   it scatters a block into slices and gathers the rows back.  The rows it
   sees are the solver's *packed* rows — two real orbitals ``a + i b`` per
   complex row, packed on the root before the scatter — so a stage over the
-  ``m`` unconverged bands ships ``ceil(m / 2)`` rows each way.
+  ``m`` active bands ships ``ceil(m / 2)`` rows each way.
 
 Why the split is drawn there: a *variable-shape* BLAS product is not
 row-slice stable (a 1-row GEMM may dispatch to GEMV with a different

@@ -50,7 +50,9 @@ class EigensolverResult:
     iterations:
         Number of outer iterations performed.
     converged:
-        True when every entry of ``residual_norms`` is below the tolerance.
+        True when every gated entry of ``residual_norms`` is below the tolerance
+        (:func:`all_band_cg`: the first ``nconverge``; ``iterations`` is what those
+        took, ``eigenvalues`` / ``residual_norms`` beyond them are guard-band Ritz data).
     history:
         Per-iteration maximum residual norm (diagnostics / tests of
         monotone convergence behaviour).
@@ -155,6 +157,7 @@ def all_band_cg(
     tolerance: float = 1e-6,
     rng: np.random.Generator | int | None = 0,
     band_groups=None,
+    nconverge: int | None = None,
 ) -> EigensolverResult:
     """All-band preconditioned block solver (LOBPCG on an orthonormal basis).
 
@@ -172,8 +175,10 @@ def all_band_cg(
     above ``tolerance`` this step: a converged band costs no H application but
     stays in ``x`` and in the Rayleigh-Ritz, so it keeps improving and is
     active again if it drifts back up.  The carried images only steer the
-    iteration: the solver stops on a fresh ``H x`` with every band under the
-    tolerance, and every result field is computed from it.
+    iteration: the solver stops on a fresh ``H x`` with the first ``nconverge``
+    bands under the tolerance, and every result field is computed from it.
+    The bands above the gate are guards: iterated like the rest (they expand
+    the basis while above the tolerance), rotated, returned, never waited for.
 
     Parameters
     ----------
@@ -200,19 +205,25 @@ def all_band_cg(
         slice count: the active rows are chosen and packed here, before the
         scatter, the sliced kernel is row-independent bit for bit and the
         root's algebra runs on full blocks of identical shape.
+    nconverge:
+        How many of the lowest bands the stop test waits for (the ones that
+        carry charge); ``None`` is ``nbands``.
 
     Returns
     -------
     EigensolverResult
         ``iterations`` counts the subspace expansions (one H application
         each, on the active bands only); ``history`` holds the maximum
-        residual each of them started from.
+        residual, guards included, each of them started from.
     """
     basis = h.basis
     if nbands < 1 or nbands > basis.npw // 2:
         raise ValueError(
             f"nbands={nbands} out of range for basis with {basis.npw} plane waves"
         )
+    nconverge = nbands if nconverge is None else nconverge
+    if nconverge < 1 or nconverge > nbands:
+        raise ValueError(f"nconverge={nconverge} out of range for {nbands} bands")
     if initial is None:
         initial = basis.random_coefficients(nbands, rng)
         initial = 0.5 * (initial + basis.conjugate(initial))
@@ -247,7 +258,7 @@ def all_band_cg(
         # on the full block than to ship; the one sliced kernel is apply_h.
         w = hx - evals[:, None] * x
         rnorm = np.linalg.norm(w, axis=1)
-        stop = rnorm.max() < tolerance or it == max_iterations
+        stop = rnorm[:nconverge].max() < tolerance or it == max_iterations
         if not stop:
             # Soft locking: only the bands not yet converged expand the basis.
             w = _expansion_block(basis, w[rnorm >= tolerance] * precond, held)
@@ -280,7 +291,7 @@ def all_band_cg(
         coefficients=x,
         residual_norms=rnorm,
         iterations=it,
-        converged=bool(rnorm.max() < tolerance),
+        converged=bool(rnorm[:nconverge].max() < tolerance),
         history=history,
     )
 

@@ -37,7 +37,7 @@ class ApplyCounter:
     """Counts the band rows :meth:`Hamiltonian.apply` has been applied to.
 
     H·psi rows are the unit of the eigensolvers' cost model (the all-band
-    solver's: one per pair of unconverged bands per CG step).  Updates go
+    solver's: one per pair of active bands per CG step).  Updates go
     through :meth:`add` under a lock: thread-backend workers may apply the
     *same* Hamiltonian concurrently, and a bare ``+=`` would lose increments.
     """

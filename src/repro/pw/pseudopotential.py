@@ -182,33 +182,32 @@ class PseudopotentialSet:
         return sorted(self._params)
 
     # ------------------------------------------------------------------
-    def local_potential(self, structure: Structure, grid: FFTGrid) -> np.ndarray:
-        """Total local pseudopotential on the real-space grid (Hartree).
+    def _lattice_sum(self, structure: Structure, grid: FFTGrid, key: str, form_factor) -> np.ndarray:
+        """Real-space field ``(1/Omega) sum_s f_s(|G|) S_s(G)``, transformed back.
 
-        Assembled in reciprocal space as
-        ``V(G) = (1/Omega) sum_s f_s(|G|) S_s(G)`` and transformed back, so
-        periodic images are summed exactly (no minimum-image truncation).
+        Assembled in reciprocal space, so periodic images are summed exactly
+        (no minimum-image truncation).  ``form_factor(pp, |G|^2)`` depends only
+        on (grid, species params) and is memoized on the grid under ``key``.
         """
-        gvec = grid.g_vectors.reshape(-1, 3)
-        vg = np.zeros(grid.npoints, dtype=complex)
+        g = grid.g_vectors
+        axes = g[:, 0, 0, 0], g[0, :, 0, 1], g[0, 0, :, 2]
+        fg = np.zeros(grid.shape, dtype=complex)
         symbols = np.asarray(structure.symbols)
-        positions = structure.positions
         for sym in np.unique(symbols):
             pp = self[sym]
-            tau = positions[symbols == sym]
-            # Structure factor S(G) = sum_a exp(-i G . tau_a)
-            phase = np.exp(-1j * gvec @ tau.T)  # (npoints, natoms_of_species)
-            sfac = phase.sum(axis=1)
-            # The |G|^2-derived form factor depends only on (grid, species
-            # params), so it is memoized on the grid — rebuilding the same
-            # fragment class re-reads it instead of re-evaluating the exps.
-            ff = grid.memo(
-                ("local_ff", pp), lambda: pp.local_form_factor(grid.g2.ravel())
-            )
-            vg += ff * sfac
-        vg /= grid.volume
-        vr = np.fft.ifftn(vg.reshape(grid.shape)) * grid.npoints
-        return np.real(vr)
+            # Structure factor S(G) = sum_a exp(-i G . tau_a): the grid is
+            # orthorhombic, so each atom's phase is a product of three 1-D ones.
+            tau = structure.positions[symbols == sym]
+            px, py, pz = (np.exp(-1j * np.outer(t, ax)) for t, ax in zip(tau.T, axes))
+            sfac = np.einsum("ax,ay,az->xyz", px, py, pz)
+            fg += sfac * grid.memo((key, pp), lambda: form_factor(pp, grid.g2))
+        return np.real(np.fft.ifftn(fg / grid.volume) * grid.npoints)
+
+    def local_potential(self, structure: Structure, grid: FFTGrid) -> np.ndarray:
+        """Total local pseudopotential on the real-space grid (Hartree)."""
+        return self._lattice_sum(
+            structure, grid, "local_ff", SpeciesPseudopotential.local_form_factor
+        )
 
     def ionic_density(self, structure: Structure, grid: FFTGrid) -> np.ndarray:
         """Smeared (Gaussian) ionic charge density on the real-space grid.
@@ -218,25 +217,9 @@ class PseudopotentialSet:
         systems).  The net charge handed to the Poisson solver is
         ``rho_electrons - rho_ions``.
         """
-        gvec = grid.g_vectors.reshape(-1, 3)
-        ng = np.zeros(grid.npoints, dtype=complex)
-        symbols = np.asarray(structure.symbols)
-        positions = structure.positions
-        for sym in np.unique(symbols):
-            pp = self[sym]
-            if pp.zion == 0.0:
-                continue
-            tau = positions[symbols == sym]
-            phase = np.exp(-1j * gvec @ tau.T)
-            sfac = phase.sum(axis=1)
-            ff = grid.memo(
-                ("ionic_ff", pp),
-                lambda: pp.ionic_charge_form_factor(grid.g2.ravel()),
-            )
-            ng += ff * sfac
-        ng /= grid.volume
-        nr = np.fft.ifftn(ng.reshape(grid.shape)) * grid.npoints
-        return np.real(nr)
+        return self._lattice_sum(
+            structure, grid, "ionic_ff", SpeciesPseudopotential.ionic_charge_form_factor
+        )
 
     def total_ionic_charge(self, structure: Structure) -> float:
         """Sum of the ionic charges of all atoms in the structure."""
@@ -281,10 +264,7 @@ class PseudopotentialSet:
             proj = radial * phase / np.sqrt(basis.grid.volume)
             rows.append(proj)
             strengths.append(pp.nonlocal_strength)
-        if rows:
-            projectors = np.asarray(rows)
-        else:
-            projectors = np.zeros((0, basis.npw), dtype=complex)
+        projectors = np.array(rows, dtype=complex).reshape(-1, basis.npw)
         return projectors, np.asarray(strengths)
 
     # ------------------------------------------------------------------

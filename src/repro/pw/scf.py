@@ -13,6 +13,7 @@ potential mixing.  It is used three ways in this repository:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -102,7 +103,8 @@ class DirectSCF:
         Number of bands; defaults to enough for the electrons plus ~20%
         empty bands (needed for gap evaluation and for FSM references).
     n_empty:
-        Explicit number of empty bands when ``nbands`` is not given.
+        Guard bands above the occupied ones when ``nbands`` is not given:
+        iterated and returned, not gated (``all_band_cg(nconverge=)``).
     extra_local_potential:
         Optional fixed local potential added to the ionic part (used by the
         LS3DF fragment solver for the passivation potential).
@@ -180,15 +182,12 @@ class DirectSCF:
     ) -> EigensolverResult:
         if self.eigensolver == "exact":
             return exact_diagonalization(self.hamiltonian, self.nbands)
-        if self.eigensolver == "band_by_band":
-            return band_by_band_cg(
-                self.hamiltonian,
-                self.nbands,
-                initial=initial,
-                max_iterations=max_iterations,
-                tolerance=tolerance,
-            )
-        return all_band_cg(
+        solver = band_by_band_cg
+        if self.eigensolver == "all_band":
+            # The same rule as the fragment solves: wait for the occupied bands.
+            noccupied = max(1, int(np.count_nonzero(self.occupations)))
+            solver = partial(all_band_cg, nconverge=noccupied)
+        return solver(
             self.hamiltonian,
             self.nbands,
             initial=initial,

@@ -16,6 +16,7 @@ accounting are gated.
 
 import dataclasses
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -197,27 +198,38 @@ def solve_reference():
     return solve_fragment_task(_make_task())
 
 
-def test_grouped_all_band_cg_bit_identical_serial(solve_reference):
-    """all_band_cg(band_groups=...) == all_band_cg() for {1,2,3,nbands}."""
+def _sliced_solves_match_the_unsliced_one(gated: bool) -> None:
     task = _make_task()
     problem = get_task_problem(task)
     h = problem.hamiltonian
     h.set_effective_potential(np.asarray(task.screening_potential))
-    ref = all_band_cg(
-        h, problem.nbands, max_iterations=task.max_iterations,
-        tolerance=task.tolerance)
+    assert problem.noccupied < problem.nbands
+    solve = partial(
+        all_band_cg, h, problem.nbands, max_iterations=task.max_iterations,
+        tolerance=task.tolerance, nconverge=problem.noccupied if gated else None)
+    ref = solve()
+    assert ref.converged
     executor = SerialFragmentExecutor()
     for nslices in (1, 2, 3, problem.nbands):
         group = BandGroup(executor, nslices).bind(task)
-        got = all_band_cg(
-            h, problem.nbands, max_iterations=task.max_iterations,
-            tolerance=task.tolerance, band_groups=group)
+        got = solve(band_groups=group)
         np.testing.assert_array_equal(got.eigenvalues, ref.eigenvalues)
         np.testing.assert_array_equal(got.coefficients, ref.coefficients)
         np.testing.assert_array_equal(got.residual_norms, ref.residual_norms)
         assert got.iterations == ref.iterations
         assert got.converged == ref.converged
         assert got.history == ref.history
+
+
+def test_grouped_all_band_cg_bit_identical_serial(solve_reference):
+    """all_band_cg(band_groups=...) == all_band_cg() for {1,2,3,nbands}."""
+    _sliced_solves_match_the_unsliced_one(gated=False)
+
+
+def test_grouped_all_band_cg_bit_identical_serial_with_a_gate():
+    """The gate is evaluated on the root from the full-block residuals, before
+    any scatter: waiting for the occupied bands only keeps every slice count ==."""
+    _sliced_solves_match_the_unsliced_one(gated=True)
 
 
 class _WatchedGroup:
@@ -245,8 +257,11 @@ def test_grouped_all_band_cg_with_fewer_rows_than_slices():
     watched = _WatchedGroup(h.apply, h.basis)
     ref = all_band_cg(h, nb, max_iterations=60, tolerance=1e-8, band_groups=watched)
     assert ref.converged
-    inloop = watched.active[1:-1]
+    blocks, inloop = watched.active, watched.active[1:-1]
     assert watched.active[0] == watched.active[-1] == nb == 5
+    # Initial block, one per step, the exit verification - and one more full
+    # block per verification that found a carried residual too optimistic.
+    assert len(blocks) >= ref.iterations + 2
     assert {1, 2, 3} <= set(inloop)
     assert any(after > before for before, after in zip(inloop, inloop[1:]))
     executor = SerialFragmentExecutor()
@@ -259,7 +274,7 @@ def test_grouped_all_band_cg_with_fewer_rows_than_slices():
         np.testing.assert_array_equal(got.residual_norms, ref.residual_norms)
         assert (got.iterations, got.converged, got.history) == (
             ref.iterations, ref.converged, ref.history)
-        assert group.stats.stages == len(watched.active) == ref.iterations + 2
+        assert watched.active == blocks and group.stats.stages == len(blocks)
         assert group.stats.submissions == group.stats.stages * nslices
 
 

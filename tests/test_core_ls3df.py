@@ -6,6 +6,7 @@ import pytest
 from repro.atoms.toy import cscl_binary
 from repro.core.driver import LS3DF
 from repro.core.genpot import GlobalPotentialSolver
+from repro.pw.eigensolver import all_band_cg
 from repro.pw.grid import FFTGrid
 from repro.pw.pseudopotential import default_pseudopotentials
 
@@ -82,6 +83,26 @@ def test_ls3df_band_edge_states(tiny_ls3df):
     assert dens.shape[0] == 2
     norms = np.sum(dens, axis=(1, 2, 3)) * ls3df.global_grid.dvol
     assert np.allclose(norms, 1.0, atol=1e-6)
+
+
+def test_gap_centre_reads_a_guard_band_as_lumo(tiny_ls3df, monkeypatch):
+    """The fragment solves wait for the occupied bands only, so the LUMO that
+    ``estimate_gap_center`` reads is a guard-band Ritz value: on the same
+    fragment Hamiltonians it sits within 1e-4 Ha (measured 6e-10) of the
+    estimate from solves that wait for every band."""
+    structure, ls3df, result = tiny_ls3df
+    step = dict(max_iterations=1, initial_potential=result.potential, eigensolver_tolerance=1e-5)
+    gated = ls3df.estimate_gap_center(ls3df.run(**step))
+    seen = []
+
+    def wait_for_every_band(*args, nconverge, **kwargs):
+        seen.append(nconverge < args[1])
+        return all_band_cg(*args, **kwargs)
+
+    monkeypatch.setattr("repro.core.fragment_task.all_band_cg", wait_for_every_band)
+    every = ls3df.estimate_gap_center(ls3df.run(**step))
+    assert seen and all(seen)
+    assert 0.0 < abs(gated - every) < 1e-4
 
 
 def test_ls3df_warm_restart_converges_quickly(tiny_ls3df):

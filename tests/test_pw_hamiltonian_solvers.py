@@ -212,6 +212,9 @@ def test_eigensolver_argument_validation(small_problem):
     h = small_problem[4]
     with pytest.raises(ValueError):
         all_band_cg(h, 0)
+    for nconverge in (0, -1, 5):
+        with pytest.raises(ValueError, match="nconverge"):
+            all_band_cg(h, 4, nconverge=nconverge)
     with pytest.raises(ValueError):
         exact_diagonalization(h, 10**6)
 
@@ -441,6 +444,58 @@ def test_all_band_cg_warm_starts_from_any_complex_block(small_problem):
         assert np.abs(warm.coefficients - basis.conjugate(warm.coefficients)).max() < 1e-12
     with pytest.raises(np.linalg.LinAlgError):
         all_band_cg(h, nb, initial=cold.coefficients[[0, 1, 2, 3, 4, 5, 0]])
+
+
+def _same_result(a, b):
+    return (
+        np.array_equal(a.eigenvalues, b.eigenvalues)
+        and np.array_equal(a.coefficients, b.coefficients)
+        and np.array_equal(a.residual_norms, b.residual_norms)
+        and (a.iterations, a.converged, a.history) == (b.iterations, b.converged, b.history)
+    )
+
+
+@pytest.mark.parametrize("tolerance", [1e-5, 1e-8])
+def test_all_band_cg_waits_for_the_gated_bands_only(small_problem, tolerance):
+    """``nconverge`` is the domain of the stop test and nothing else: the gated
+    bands end under the tolerance on a fresh image (eigenvalue error r^2 / gap)
+    while the two guards, still iterated, rotated and reported, may sit above
+    it - so the solve applies strictly fewer packed rows than the one that
+    waits for them.  ``None`` is ``nbands``: the same statements, the same bits."""
+    h = small_problem[4]
+    nb, gate = 8, 6
+    h.counter.reset()
+    ungated = all_band_cg(h, nb, max_iterations=150, tolerance=tolerance)
+    rows_ungated = h.counter.n_apply
+    assert _same_result(
+        ungated, all_band_cg(h, nb, max_iterations=150, tolerance=tolerance, nconverge=nb))
+    h.counter.reset()
+    res = all_band_cg(h, nb, max_iterations=150, tolerance=tolerance, nconverge=gate)
+    assert h.counter.n_apply < rows_ungated
+    assert res.converged and res.iterations < ungated.iterations
+    fresh = _fresh_residual_norms(h, res)
+    np.testing.assert_allclose(res.residual_norms, fresh, rtol=0, atol=1e-12)
+    assert fresh[:gate].max() < tolerance <= fresh[gate:].max()
+    exact = exact_diagonalization(h, nb)
+    assert np.abs(res.eigenvalues - exact.eigenvalues)[:gate].max() < 10 * tolerance**2 + 1e-13
+    assert np.abs(res.eigenvalues - exact.eigenvalues)[gate:].max() < 1e-6
+    assert res.coefficients.shape == ungated.coefficients.shape
+    assert _orthonormality_error(res.coefficients) < 1e-12
+
+
+@pytest.mark.parametrize("nb,gate", [(5, 3), (5, 4), (7, 6)], ids=["triplet-1", "triplet-2", "doublet"])
+def test_all_band_cg_gate_splits_a_degenerate_block(small_problem, nb, gate):
+    """The gate may fall inside the triplet (bands 3-5) or the doublet (6-7):
+    the gated members converge to the exact level with their partners as guards."""
+    basis, h = small_problem[3], small_problem[4]
+    exact = exact_diagonalization(h, nb)
+    assert abs(exact.eigenvalues[gate] - exact.eigenvalues[gate - 1]) < 1e-12
+    res = all_band_cg(h, nb, max_iterations=150, tolerance=1e-9, nconverge=gate)
+    assert res.converged
+    assert _fresh_residual_norms(h, res)[:gate].max() < 1e-9
+    assert np.allclose(res.eigenvalues[:gate], exact.eigenvalues[:gate], atol=1e-8)
+    assert _orthonormality_error(res.coefficients) < 1e-12
+    assert np.abs(res.coefficients - basis.conjugate(res.coefficients)).max() < 1e-12
 
 
 @pytest.mark.parametrize("tolerance", [1e-10, 0.0], ids=["stops-at-once", "w-empties"])

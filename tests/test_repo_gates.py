@@ -1,0 +1,51 @@
+"""The ``lint`` job's grep gates as tier-1 tests (stdlib only).
+
+``ruff`` is not installed where PRs are built, so the shell gates of
+``.github/workflows/ci.yml`` never ran there; these are the same checks.  The
+line-count limit is read from the workflow file, so there is one number.
+"""
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+
+
+def _lines_matching(pattern: str) -> list[str]:
+    regex = re.compile(pattern)
+    return [
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+        for path in SOURCES
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if regex.search(line)
+    ]
+
+
+def test_no_environment_switch_besides_the_fft_cache():
+    reads = _lines_matching(r"environ.*REPRO_")
+    assert [hit for hit in reads if "REPRO_FFT_CACHE" not in hit] == []
+
+
+def test_no_module_level_scipy_import():
+    assert _lines_matching(r"^(from|import) scipy") == []
+
+
+def test_all_band_cg_has_one_path_and_no_switch_for_it():
+    source = (ROOT / "src/repro/pw/eigensolver.py").read_text()
+    signature = re.search(r"^def all_band_cg\(.*?^\) -> ", source, re.S | re.M).group()
+    assert "nconverge: int | None = None" in signature
+    assert not re.search(
+        r"(real|pack|complex|gamma|lock|active|mask|soft)[a-z_]*\s*[:=]", signature)
+
+
+def test_the_gate_is_not_exposed_beyond_its_three_modules():
+    files = {hit.split(":")[0] for hit in _lines_matching(r"nconverge")}
+    assert files == {
+        "src/repro/pw/eigensolver.py", "src/repro/core/fragment_task.py", "src/repro/pw/scf.py"}
+
+
+def test_src_line_count_ratchet():
+    workflow = (ROOT / ".github/workflows/ci.yml").read_text()
+    limit = int(re.search(r"xargs cat \| wc -l\)\" -le (\d+)", workflow).group(1))
+    assert sum(path.read_text().count("\n") for path in SOURCES) <= limit

@@ -262,8 +262,7 @@ class PlaneWaveBasis:
         """
         if nbands > self.npw:
             raise ValueError("cannot request more bands than plane waves")
-        if isinstance(rng, (int, np.integer)) or rng is None:
-            rng = np.random.default_rng(rng)
+        rng = np.random.default_rng(rng)  # a Generator passes through
         damp = 1.0 / (1.0 + self._g2)
         raw = (
             rng.standard_normal((nbands, self.npw))

@@ -9,11 +9,12 @@ Two solvers are provided, mirroring the paper's PEtot_F optimisation story:
 
 * :func:`all_band_cg` — the optimised algorithm: iterate on the whole band
   block simultaneously, using an expanded subspace [X, P, W] (current block,
-  previous search directions, preconditioned residuals), an overlap-matrix
-  orthogonalisation and a Rayleigh-Ritz subspace diagonalisation, at one
-  H·psi per *unconverged* band per step (the paper's cost is its upper
-  bound).  All heavy operations are matrix-matrix (BLAS-3) products, the
-  change that took PEtot from 15% to ~56% of peak in the paper.
+  previous search directions, residuals preconditioned band by band), an
+  overlap-matrix orthogonalisation and a Rayleigh-Ritz subspace
+  diagonalisation, at one H·psi per *unconverged* band per step (the paper's
+  cost is its upper bound), cold from a Ritz-reduced low-kinetic block.  All
+  heavy operations are matrix-matrix (BLAS-3) products, the change that took
+  PEtot from 15% to ~56% of peak in the paper.
 
 * :func:`exact_diagonalization` — dense reference for small fragments and
   for the test-suite's correctness checks.
@@ -84,7 +85,7 @@ def exact_diagonalization(h: Hamiltonian, nbands: int) -> EigensolverResult:
         residual_norms=rn,
         iterations=1,
         converged=True,
-        history=[float(rn.max()) if nbands else 0.0],
+        history=[float(rn.max())],
     )
 
 
@@ -149,6 +150,36 @@ def _expansion_block(basis, w: np.ndarray, held: np.ndarray) -> np.ndarray:
     return 0.5 * (w + basis.conjugate(w))
 
 
+def _preconditioner(h, rows: np.ndarray) -> np.ndarray:
+    """``h.preconditioner`` at each row's own kinetic energy (one real GEMV),
+    floored: a band that is the G = 0 plane wave alone has none to divide by
+    (1e-6 to 1e-2 Ha measured the same counts per scf_serial run in PR 24)."""
+    ekin = (rows.real**2 + rows.imag**2) @ h.basis.kinetic
+    return h.preconditioner(np.maximum(ekin, 1e-3))
+
+
+def _low_kinetic_block(basis, nbands: int) -> np.ndarray:
+    """Cold-start rows: the cos / sin combinations of the complete ``|G|`` shells
+    holding the ``2 nbands`` lowest-kinetic plane waves, exactly orthonormal,
+    ``c = K c`` (1 / 2 / 3 / 4 ``nbands`` measured 127 / 127 / 125 / 128 steps and
+    636 / 640 / 656 / 678 packed rows per scf_serial run in PR 24).  Whole
+    shells and at most ``npw - nbands`` rows: the random rows beside them must
+    fit in the ``npw`` real dimensions of that space."""
+    t, room = basis.kinetic, basis.npw - nbands
+    cut = np.sort(t)[min(2 * nbands, room) - 1]
+    chosen = t <= cut * (1 + 1e-9)
+    if chosen.sum() > room:
+        chosen = t < cut * (1 - 1e-9)
+    g = np.nonzero(chosen)[0]
+    partner, row = basis.minus_g[g], np.arange(len(g))
+    amplitude = np.where(g < partner, 1.0, 1j) * np.sqrt(0.5)
+    amplitude[g == partner] = 0.5  # G = 0 is its own partner
+    rows = np.zeros((len(g), basis.npw), dtype=complex)
+    rows[row, g] = amplitude
+    rows[row, partner] += amplitude.conj()
+    return rows
+
+
 def all_band_cg(
     h: Hamiltonian,
     nbands: int,
@@ -171,14 +202,15 @@ def all_band_cg(
     combinations of ``h s`` that produce them from ``s`` — through matrices
     with orthonormal columns, so rounding drift in the images grows by about
     one ulp per iteration (``docs/ARCHITECTURE.md``, "Hot paths").  ``w`` holds
-    the preconditioned residuals of the *active* bands only, those still at or
-    above ``tolerance`` this step: a converged band costs no H application but
-    stays in ``x`` and in the Rayleigh-Ritz, so it keeps improving and is
-    active again if it drifts back up.  The carried images only steer the
-    iteration: the solver stops on a fresh ``H x`` with the first ``nconverge``
-    bands under the tolerance, and every result field is computed from it.
-    The bands above the gate are guards: iterated like the rest (they expand
-    the basis while above the tolerance), rotated, returned, never waited for.
+    the residuals of the *active* bands only, those still at or above
+    ``tolerance`` this step, each preconditioned at its own kinetic energy
+    (:meth:`Hamiltonian.preconditioner`): a converged band costs no H
+    application but stays in ``x`` and in the Rayleigh-Ritz, so it keeps
+    improving and is active again if it drifts back up.  The carried images
+    only steer the iteration: the solver stops on a fresh ``H x`` with the
+    first ``nconverge`` bands under the tolerance, and every result field is
+    computed from it.  The bands above the gate are guards: iterated like the
+    rest, rotated, returned, never waited for.
 
     Parameters
     ----------
@@ -187,15 +219,18 @@ def all_band_cg(
     nbands:
         Number of lowest eigenpairs wanted.
     initial:
-        Optional starting coefficients ``(nbands, npw)``; reusing the
-        previous SCF iteration's wavefunctions (as LS3DF does) makes each
-        SCF step much cheaper.
+        Starting coefficients ``(nbands, npw)``, as LS3DF passes from the
+        previous SCF iteration.  ``None`` is a cold start: the first Ritz step
+        picks ``nbands`` out of ``n0`` (about ``3 nbands``) rows, the
+        low-kinetic shells of :func:`_low_kinetic_block` beside ``nbands``
+        random rows, at ``ceil(n0 / 2)`` packed H rows.
     max_iterations:
         Maximum number of iterations (subspace expansions).
     tolerance:
         Convergence threshold on the maximum residual 2-norm.
     rng:
-        Seed/generator for the random start when ``initial`` is None.
+        Seed/generator of the cold start's random rows (they break the cell's
+        symmetry, which the shells cannot).
     band_groups:
         Optional band-parallel worker group (duck-typed; canonically a
         :class:`repro.parallel.bands.BandGroup`): its ``apply_h`` then runs
@@ -224,21 +259,26 @@ def all_band_cg(
     nconverge = nbands if nconverge is None else nconverge
     if nconverge < 1 or nconverge > nbands:
         raise ValueError(f"nconverge={nconverge} out of range for {nbands} bands")
+    shells = np.zeros((0, basis.npw), dtype=complex)  # a supplied start brings none
     if initial is None:
+        # Low-kinetic shells beside random rows: a span of complete shells is
+        # closed under the cell's point group and would hide every irrep it
+        # lacks from the iteration (it would stop on plane waves at step 0).
+        shells = _low_kinetic_block(basis, nbands)
         initial = basis.random_coefficients(nbands, rng)
         initial = 0.5 * (initial + basis.conjugate(initial))
     initial = np.asarray(initial, dtype=complex)
     if initial.shape != (nbands, basis.npw):
         raise ValueError("initial coefficients have the wrong shape")
-    # Real start: both real parts of every row, null directions dropped (all
-    # second parts of a K-symmetric block); the first Ritz step keeps nbands.
+    # Real start: both real parts of every row, outside the shells, null
+    # directions dropped (all second parts of a K-symmetric block); the first
+    # Ritz step keeps nbands.
     flipped = basis.conjugate(initial)
     parts = np.vstack([0.5 * (initial + flipped), -0.5j * (initial - flipped)])
-    x = _expansion_block(basis, parts, parts[:0])
+    x = np.vstack([shells, _expansion_block(basis, parts, shells)])
     if len(x) < nbands:
         raise np.linalg.LinAlgError("linearly dependent band block")
 
-    precond = h.preconditioner()
     rows = h.apply if band_groups is None else band_groups.apply_h
     apply_h = partial(_apply_packed, rows, basis)
     history: list[float] = []
@@ -261,7 +301,8 @@ def all_band_cg(
         stop = rnorm[:nconverge].max() < tolerance or it == max_iterations
         if not stop:
             # Soft locking: only the bands not yet converged expand the basis.
-            w = _expansion_block(basis, w[rnorm >= tolerance] * precond, held)
+            active = rnorm >= tolerance
+            w = _expansion_block(basis, w[active] * _preconditioner(h, x[active]), held)
             stop = not len(w)
         if stop:
             if fresh:
@@ -324,7 +365,6 @@ def band_by_band_cg(
     else:
         x = basis.orthonormalize(np.asarray(initial, dtype=complex))
 
-    precond = h.preconditioner()
     history: list[float] = []
     it = 0
     converged = False
@@ -338,23 +378,22 @@ def band_by_band_cg(
     for it in range(1, max_iterations + 1):
         for band in range(nbands):
             c = x[band]
-            prev_dir = None
-            prev_gk = None
+            prev_dir, prev_gk = 0.0, None
             for _ in range(cg_steps_per_band):
                 c = _project_out(c, x[:band])
                 c = c / np.linalg.norm(c)
                 hc = h.apply(c)
                 eps = np.real(c.conj() @ hc)
                 g = hc - eps * c
-                gk = g * precond
+                gk = g * _preconditioner(h, c)
                 gk = _project_out(gk, x[:band])
                 gk -= (c.conj() @ gk) * c
                 gamma = 0.0
-                if prev_dir is not None and prev_gk is not None:
+                if prev_gk is not None:
                     denom = np.real(np.vdot(prev_gk, prev_gk))
                     if denom > 1e-30:
                         gamma = np.real(np.vdot(gk, gk)) / denom
-                d = -gk + gamma * (prev_dir if prev_dir is not None else 0.0)
+                d = -gk + gamma * prev_dir
                 prev_dir, prev_gk = d, gk
                 dn = np.linalg.norm(d)
                 if dn < 1e-14:
@@ -362,13 +401,10 @@ def band_by_band_cg(
                 d = d / dn
                 # Exact line minimisation on the 2D subspace span{c, d}.
                 hd = h.apply(d)
-                h11 = np.real(c.conj() @ hc)
                 h22 = np.real(d.conj() @ hd)
                 h12 = c.conj() @ hd
-                theta_mat = np.array([[h11, h12], [np.conj(h12), h22]])
-                evals2, evecs2 = np.linalg.eigh(theta_mat)
-                a, b = evecs2[0, 0], evecs2[1, 0]
-                c = a * c + b * d
+                _, evecs2 = np.linalg.eigh(np.array([[eps, h12], [np.conj(h12), h22]]))
+                c = evecs2[0, 0] * c + evecs2[1, 0] * d
                 c = c / np.linalg.norm(c)
             x[band] = c
         # Subspace rotation (kept cheap: nbands x nbands) + residual check.

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.pw.density import compute_density
 from repro.pw.grid import FFTGrid
 from repro.pw.hamiltonian import Hamiltonian
 from repro.pw.hartree import hartree_potential
@@ -92,7 +91,7 @@ def total_energy_from_orbitals(
     ionic_hamiltonian: Hamiltonian,
     coefficients: np.ndarray,
     occupations: np.ndarray,
-    density: np.ndarray | None = None,
+    density: np.ndarray,
     ionic_density: np.ndarray | None = None,
     ionic_self_energy: float = 0.0,
 ) -> EnergyBreakdown:
@@ -106,18 +105,14 @@ def total_energy_from_orbitals(
     coefficients, occupations:
         Orbital block and occupations.
     density:
-        Optional precomputed electron density (recomputed if omitted).
+        The electron density of those orbitals.
     ionic_density:
         Smeared ionic charge density; omit for a bare electron gas model.
     ionic_self_energy:
         Constant Gaussian self-energy to subtract.
     """
-    basis = ionic_hamiltonian.basis
-    grid = basis.grid
+    grid = ionic_hamiltonian.basis.grid
     occupations = np.asarray(occupations, dtype=float)
-    if density is None:
-        density = compute_density(basis, coefficients, occupations)
-
     expect = ionic_hamiltonian.expectation(coefficients)
     screened = grid.integrate(ionic_hamiltonian.v_screening * density)
     e_band_ionic = float(np.sum(occupations * expect)) - screened

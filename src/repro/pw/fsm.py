@@ -43,7 +43,7 @@ class FoldedHamiltonian:
         )
         return self.inner.apply(h_minus) - self.reference_energy * h_minus
 
-    def preconditioner(self, reference_kinetic: float | None = None) -> np.ndarray:
+    def preconditioner(self, reference_kinetic) -> np.ndarray:
         p = self.inner.preconditioner(reference_kinetic)
         return p * p
 

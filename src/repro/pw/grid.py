@@ -22,7 +22,7 @@ from repro.pw import fftcache
 # -- cross-instance memo -------------------------------------------------------
 # LS3DF instantiates one FFTGrid per fragment, but fragments of the same
 # class share (cell, shape) — and everything derived from ``g2`` (Poisson
-# masks, preconditioners, pseudopotential form factors) is then identical
+# masks, Kerker filters, pseudopotential form factors) is then identical
 # across those instances.  The memo below shares such arrays across *equal*
 # grids so repeated fragment instantiation stops recomputing them.  Memoized
 # ndarrays are frozen read-only because they are shared.
@@ -135,8 +135,7 @@ class FFTGrid:
         parameter, e.g. an ``ecut``); the value is shared by every
         ``FFTGrid`` with the same ``(cell, shape)``, so returned ndarrays
         are frozen read-only.  Hot-path users: the Poisson nonzero mask,
-        the default eigensolver preconditioner and the pseudopotential
-        form factors.
+        the Kerker filter and the pseudopotential form factors.
         """
         full = (self.cell, self.shape, key)
         with _MEMO_LOCK:

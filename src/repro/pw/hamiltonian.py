@@ -112,7 +112,6 @@ class Hamiltonian:
         self.counter = ApplyCounter()
         self._projectors_conj: np.ndarray | None = None
         self._projectors_t: np.ndarray | None = None
-        self._default_preconditioner: np.ndarray | None = None
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -121,14 +120,9 @@ class Hamiltonian:
         structure: Structure,
         basis: PlaneWaveBasis,
         pseudopotentials: PseudopotentialSet,
-        extra_local_potential: np.ndarray | None = None,
     ) -> "Hamiltonian":
         """Build the ionic Hamiltonian for a structure (no screening yet)."""
         v_loc = pseudopotentials.local_potential(structure, basis.grid)
-        if extra_local_potential is not None:
-            if extra_local_potential.shape != basis.grid.shape:
-                raise ValueError("extra potential shape mismatch")
-            v_loc = v_loc + extra_local_potential
         proj, strength = pseudopotentials.nonlocal_projectors(structure, basis)
         return cls(basis, v_loc, proj, strength)
 
@@ -283,27 +277,21 @@ class Hamiltonian:
         return 0.5 * (h + h.conj().T)
 
     # -- preconditioner ----------------------------------------------------------
-    def preconditioner(self, reference_kinetic: float | None = None) -> np.ndarray:
-        """Diagonal TPA-style preconditioner for the CG eigensolvers.
+    def preconditioner(self, reference_kinetic) -> np.ndarray:
+        """Teter-Payne-Allan diagonal preconditioner (PRB 40, 12255), per band.
 
-        Returns a positive array ``(npw,)`` approximating (H - eps)^{-1}
-        for low-lying states; larger kinetic energy components are damped.
-        The default-reference array depends only on the basis, so it is
-        computed once and cached — every eigensolve requests it (always
-        in the solving process: band-group workers only apply H).
+        ``reference_kinetic`` is the kinetic energy of the band(s) being
+        corrected, a scalar or ``(k,)``; the result is ``(npw,)`` or ``(k, npw)``,
+        ``(27+18x+12x^2+8x^3) / (27+18x+12x^2+8x^3+16x^4)`` with
+        ``x = T(G) / reference``: 1 below the band's own kinetic energy,
+        ``1/(2x)`` far above.  A reference that is not finite and positive
+        raises ``ValueError`` (the solvers floor theirs).
         """
-        t = self.basis.kinetic
-        if reference_kinetic is None:
-            if self._default_preconditioner is None:
-                def build() -> np.ndarray:
-                    x = t / max(1.0, float(np.median(t)))
-                    return 1.0 / (1.0 + x + x * x)
-
-                # Shared (read-only) across every Hamiltonian on an equal
-                # grid/cutoff — fragment re-instantiation hits the memo.
-                self._default_preconditioner = self.basis.grid.memo(
-                    ("default_preconditioner", self.basis.ecut), build
-                )
-            return self._default_preconditioner
-        x = t / reference_kinetic
-        return 1.0 / (1.0 + x + x * x)
+        ref = np.asarray(reference_kinetic, dtype=float)
+        if not np.all(np.isfinite(ref) & (ref > 0)):
+            raise ValueError("reference kinetic energies must be finite and positive")
+        # x = T / (c ref) with c = 1: packed rows per scf_serial run 669 against
+        # 675 (c = 1.5, the textbook value) and 715 (c = 2), measured in PR 24.
+        x = self.basis.kinetic / ref[..., None]
+        poly = 27.0 + x * (18.0 + x * (12.0 + 8.0 * x))
+        return poly / (poly + 16.0 * x**4)

@@ -105,9 +105,6 @@ class DirectSCF:
     n_empty:
         Guard bands above the occupied ones when ``nbands`` is not given:
         iterated and returned, not gated (``all_band_cg(nconverge=)``).
-    extra_local_potential:
-        Optional fixed local potential added to the ionic part (used by the
-        LS3DF fragment solver for the passivation potential).
     eigensolver:
         ``"all_band"`` (default), ``"band_by_band"`` or ``"exact"``.
     mixer:
@@ -122,7 +119,6 @@ class DirectSCF:
         pseudopotentials: PseudopotentialSet | None = None,
         nbands: int | None = None,
         n_empty: int = 4,
-        extra_local_potential: np.ndarray | None = None,
         eigensolver: str = "all_band",
         mixer: str = "anderson",
         mixer_options: dict | None = None,
@@ -150,7 +146,7 @@ class DirectSCF:
         self.nbands = int(nbands)
         self.occupations = occupations_for_insulator(self.nelectrons, self.nbands)
         self.hamiltonian = Hamiltonian.from_structure(
-            structure, self.basis, self.pseudopotentials, extra_local_potential
+            structure, self.basis, self.pseudopotentials
         )
         self.ionic_density = self.pseudopotentials.ionic_density(structure, grid)
         self.ionic_self_energy = self.pseudopotentials.ionic_self_energy(structure)
@@ -202,12 +198,13 @@ class DirectSCF:
         eigensolver_tolerance: float = 1e-6,
         eigensolver_iterations: int = 40,
         initial_potential: np.ndarray | None = None,
-        verbose: bool = False,
     ) -> SCFResult:
         """Run the SCF loop to convergence (or the iteration cap).
 
         The convergence metric is the paper's integral |V_out - V_in| d^3r.
         """
+        if max_scf_iterations < 1:
+            raise ValueError("max_scf_iterations must be at least 1")
         grid = self.grid
         if initial_potential is None:
             rho0 = self.initial_density()
@@ -223,10 +220,6 @@ class DirectSCF:
         conv_history: list[float] = []
         energy_history: list[float] = []
         converged = False
-        eigenvalues = np.zeros(self.nbands)
-        density = self.initial_density()
-
-        iteration = 0
         for iteration in range(1, max_scf_iterations + 1):
             self.hamiltonian.set_effective_potential(v_in)
             band_result = self._solve_bands(
@@ -247,25 +240,12 @@ class DirectSCF:
                 self.ionic_self_energy,
             )
             energy_history.append(energy.total)
-            if verbose:  # pragma: no cover - logging
-                print(
-                    f"SCF {iteration:3d}: |Vout-Vin| = {diff:.3e}  "
-                    f"E = {energy.total:.6f} Ha"
-                )
             if diff < potential_tolerance:
                 converged = True
                 v_in = v_out
                 break
             v_in = self.mixer.mix(v_in, v_out)
 
-        energy = total_energy_from_orbitals(
-            self.hamiltonian,
-            coeffs,
-            self.occupations,
-            density,
-            self.ionic_density,
-            self.ionic_self_energy,
-        )
         return SCFResult(
             eigenvalues=eigenvalues,
             coefficients=coeffs,

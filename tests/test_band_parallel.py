@@ -56,7 +56,7 @@ from repro.parallel.executor import (
     ThreadPoolFragmentExecutor,
 )
 from repro.parallel.scheduler import FragmentScheduler
-from repro.pw.eigensolver import all_band_cg
+from repro.pw.eigensolver import _low_kinetic_block, all_band_cg
 from repro.pw.grid import FFTGrid
 
 
@@ -221,6 +221,20 @@ def _sliced_solves_match_the_unsliced_one(gated: bool) -> None:
         assert got.history == ref.history
 
 
+def test_cold_fragment_solve_takes_fewer_applications_than_the_parent():
+    """The 5-band reference fragment from cold: 28 packed rows / 10 steps at
+    1e-5 and 45 / 16 at 1e-8 at the parent of PR 24, pinned as upper bounds."""
+    task = _make_task()
+    problem = get_task_problem(task)
+    h = problem.hamiltonian
+    h.set_effective_potential(np.asarray(task.screening_potential))
+    for tolerance, rows, steps in ((1e-5, 28, 10), (1e-8, 45, 16)):
+        h.counter.reset()
+        res = all_band_cg(h, problem.nbands, max_iterations=60, tolerance=tolerance)
+        assert res.converged
+        assert h.counter.n_apply < rows and res.iterations < steps
+
+
 def test_grouped_all_band_cg_bit_identical_serial(solve_reference):
     """all_band_cg(band_groups=...) == all_band_cg() for {1,2,3,nbands}."""
     _sliced_solves_match_the_unsliced_one(gated=False)
@@ -246,10 +260,12 @@ class _WatchedGroup:
 
 
 def test_grouped_all_band_cg_with_fewer_rows_than_slices():
-    """Bands under the tolerance are not expanded on, so ``apply_h`` sees
-    blocks that shrink below the band block - and below the slice count,
-    leaving slices empty - through odd sizes, down to a single band and up
-    again when a locked band comes back: == serial all the way."""
+    """From a cold start the first stage is the ``n0`` start rows (low-kinetic
+    shells and ``nb`` random rows, ``ceil(n0/2)`` packed).  Bands under the
+    tolerance are not expanded on, so after it ``apply_h`` sees blocks that
+    shrink below the band block - and below the slice count, leaving slices
+    empty - through odd sizes, down to a single band and up again when a
+    locked band comes back: == serial all the way, for every slice count."""
     task = _make_task()
     problem = get_task_problem(task)
     h, nb = problem.hamiltonian, problem.nbands
@@ -258,7 +274,8 @@ def test_grouped_all_band_cg_with_fewer_rows_than_slices():
     ref = all_band_cg(h, nb, max_iterations=60, tolerance=1e-8, band_groups=watched)
     assert ref.converged
     blocks, inloop = watched.active, watched.active[1:-1]
-    assert watched.active[0] == watched.active[-1] == nb == 5
+    n0 = len(_low_kinetic_block(h.basis, nb)) + nb
+    assert watched.active[0] == n0 == 24 and watched.active[-1] == nb == 5
     # Initial block, one per step, the exit verification - and one more full
     # block per verification that found a carried residual too optimistic.
     assert len(blocks) >= ref.iterations + 2
@@ -334,16 +351,17 @@ class _RecordingExecutor(SerialFragmentExecutor):
 
 def test_band_stages_ship_packed_row_pairs():
     """The root packs two real orbitals into one complex row before the
-    scatter, so a stage over m bands ships ceil(m/2) rows: the initial block
-    and the exit verification all of them, the in-loop expansion blocks only
-    the bands still at or above the tolerance."""
+    scatter, so a stage over m bands ships ceil(m/2) rows: the cold start
+    block its ``n0`` rows (19 shell rows + 5 random ones here), the exit
+    verification every band, the in-loop expansion blocks only the bands
+    still at or above the tolerance."""
     executor = _RecordingExecutor()
     group = BandGroup(executor, 2)
     result = solve_fragment_task(_make_task(), group=group)
     half = -(-len(result.eigenvalues) // 2)
     assert len(executor.stage_rows) == group.stats.stages == result.solver_iterations + 2
-    assert executor.stage_rows[0] == executor.stage_rows[-1] == half
-    assert max(executor.stage_rows) == half and min(executor.stage_rows) < half
+    assert executor.stage_rows[0] == 12 and executor.stage_rows[-1] == half
+    assert max(executor.stage_rows[1:]) == half and min(executor.stage_rows) < half
 
 
 def test_grouped_solve_rejects_band_by_band():

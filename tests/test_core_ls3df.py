@@ -88,7 +88,7 @@ def test_ls3df_band_edge_states(tiny_ls3df):
 def test_gap_centre_reads_a_guard_band_as_lumo(tiny_ls3df, monkeypatch):
     """The fragment solves wait for the occupied bands only, so the LUMO that
     ``estimate_gap_center`` reads is a guard-band Ritz value: on the same
-    fragment Hamiltonians it sits within 1e-4 Ha (measured 6e-10) of the
+    fragment Hamiltonians it sits within 1e-4 Ha (measured 1.5e-11) of the
     estimate from solves that wait for every band."""
     structure, ls3df, result = tiny_ls3df
     step = dict(max_iterations=1, initial_potential=result.potential, eigensolver_tolerance=1e-5)

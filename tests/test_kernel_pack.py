@@ -55,6 +55,7 @@ from repro.parallel.executor import (
 )
 from repro.pw import fftcache
 from repro.pw.grid import FFTGrid, clear_grid_memo, grid_memo_stats
+from repro.pw.pseudopotential import default_pseudopotentials
 
 
 def _bits(a: np.ndarray) -> bytes:
@@ -371,19 +372,27 @@ def test_grid_memo_serves_rebuilt_problems_from_cache():
     clear_grid_memo()
     clear_problem_cache()
     task = _make_task("memo")
+
+    def local_form_factor(problem):
+        """The memoised local form factor of the task's first species (a hit:
+        building the problem derived it, so the factory must not run)."""
+        pp = default_pseudopotentials()[task.symbols[0]]
+        return problem.grid.memo(("local_ff", pp), lambda: pytest.fail("re-derived"))
+
     p1 = build_task_problem(task)
-    a = p1.hamiltonian.preconditioner()
     first = grid_memo_stats()
-    assert first["misses"] > 0  # form factors + preconditioner populated it
+    assert first["misses"] > 0  # the form factors populated it
+    a = local_form_factor(p1)
     # A rebuilt problem (fresh grid/basis objects, same geometry) re-derives
     # nothing: every g2-derived array comes back from the memo.
     clear_problem_cache()
     p2 = build_task_problem(task)
-    b = p2.hamiltonian.preconditioner()
+    assert p2.grid is not p1.grid
+    b = local_form_factor(p2)
     second = grid_memo_stats()
     assert second["misses"] == first["misses"]
-    assert second["hits"] > first["hits"]
-    assert _bits(a) == _bits(b)
+    assert second["hits"] > first["hits"] + 2
+    assert a is b
     # Memoised values are frozen: nobody can corrupt a shared array.
     assert not a.flags.writeable
 

@@ -1,13 +1,18 @@
 """Tests for the Hamiltonian, the eigensolvers, energies and the FSM."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.atoms.toy import cscl_binary
+from repro.core.fragment_task import FragmentTask, get_task_problem, solve_fragment_task
 from repro.pw.basis import PlaneWaveBasis
 from repro.pw.density import compute_density, integrated_charge, occupations_for_insulator
 from repro.pw.eigensolver import (
     _apply_packed,
+    _expansion_block,
+    _low_kinetic_block,
     all_band_cg,
     band_by_band_cg,
     exact_diagonalization,
@@ -135,10 +140,31 @@ def test_expectation_values_are_real_and_above_ground_state(small_problem):
 
 
 def test_preconditioner_positive(small_problem):
-    h = small_problem[4]
-    p = h.preconditioner()
-    assert np.all(p > 0)
-    assert np.all(p <= 1.0 + 1e-12)
+    """One row per reference energy, each the TPA polynomial at ``T / ref``:
+    1 well below the band's own kinetic energy, ``1 / (2x)`` far above it."""
+    basis, h = small_problem[3], small_problem[4]
+    refs = np.array([0.01, 0.4, 3.0])
+    p = h.preconditioner(refs)
+    assert p.shape == (3, basis.npw)
+    assert np.all(p > 0) and np.all(p <= 1.0)
+    for row, ref in zip(p, refs):
+        assert np.array_equal(row, h.preconditioner(ref))
+    x = basis.kinetic / refs[:, None]
+    poly = 27 + 18 * x + 12 * x**2 + 8 * x**3
+    np.testing.assert_allclose(p, poly / (poly + 16 * x**4), rtol=1e-14)
+    assert p[0, basis.gzero_index] == 1.0
+    far = x > 50
+    assert far.any() and np.allclose(p[far] * 2 * x[far], 1.0, atol=0.05)
+    folded = FoldedHamiltonian(h, 0.1).preconditioner(refs)
+    assert np.array_equal(folded, p * p)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.3, np.nan, np.inf, [0.5, 0.0], [np.nan, 1.0]])
+def test_preconditioner_rejects_a_reference_it_cannot_divide_by(small_problem, bad):
+    """``preconditioner(0.0)`` used to return inf / nan rows behind a bare
+    ``RuntimeWarning``; the solvers floor their references instead."""
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="finite and positive"):
+        small_problem[4].preconditioner(bad)
 
 
 def test_hamiltonian_rejects_projectors_that_are_not_real_in_real_space(small_problem):
@@ -275,23 +301,26 @@ def test_all_band_cg_soft_locking_ends_on_fresh_residuals(small_problem, toleran
 
 
 def test_all_band_cg_applies_h_once_per_band_per_iteration(small_problem):
-    """The cost model: initial block + one packed row per two *unconverged*
-    bands per iteration + the exit verification.  ``ceil(nb/2) (iterations +
-    2)`` is met exactly while nothing has converged and strictly undercut by a
-    solve whose bands converge at different steps, from the random start and
-    from a K-symmetric warm start alike.  (Re-applying H to [x, w, p] costs
-    ~4 nb a step; unpacked rows cost twice this.)"""
+    """The cost model: ``ceil(n0/2)`` packed rows for the ``n0`` start rows (the
+    ``nb`` of a warm start; low-kinetic shells plus ``nb`` random rows from
+    cold) + one per two *unconverged* bands per iteration + the exit
+    verification.  ``ceil(n0/2) + ceil(nb/2) (iterations + 1)`` is met exactly
+    while nothing has converged and strictly undercut by a solve whose bands
+    converge at different steps, cold and warm alike.  (Re-applying H to
+    [x, w, p] costs ~4 nb a step; unpacked rows cost twice this.)"""
     basis, h = small_problem[3], small_problem[4]
     nb = 7
-    for initial in (None, _symmetric_block(basis, nb, seed=3)):
+    n_cold = len(_low_kinetic_block(basis, nb)) + nb
+    assert n_cold == 19 + nb  # |G|^2 shells of 1, 6 and 12 hold the 14 lowest
+    for initial, n0 in ((None, n_cold), (_symmetric_block(basis, nb, seed=3), nb)):
         h.counter.reset()
         capped = all_band_cg(h, nb, initial=initial, max_iterations=3, tolerance=1e-8)
         assert capped.residual_norms.min() > 1e-8
-        assert h.counter.n_apply == -(-nb // 2) * (3 + 2)
+        assert h.counter.n_apply == -(-n0 // 2) + -(-nb // 2) * (3 + 1)
         h.counter.reset()
         res = all_band_cg(h, nb, initial=initial, max_iterations=150, tolerance=1e-8)
         assert res.converged
-        assert h.counter.n_apply < -(-nb // 2) * (res.iterations + 2)
+        assert h.counter.n_apply < -(-n0 // 2) + -(-nb // 2) * (res.iterations + 1)
 
 
 def test_all_band_cg_stopped_at_the_cap_reports_fresh_residuals(small_problem):
@@ -323,7 +352,7 @@ def test_all_band_cg_does_not_believe_the_recurrence(small_problem):
     class Unpreconditioned:
         basis = h.basis
 
-        def preconditioner(self):
+        def preconditioner(self, reference_kinetic):
             return np.ones(h.basis.npw)
 
     class LiesOnce:
@@ -339,8 +368,11 @@ def test_all_band_cg_does_not_believe_the_recurrence(small_problem):
             return image
 
     group = LiesOnce()
+    # From a supplied block, so that the first block the group sees spans x
+    # (a cold start's is wider: shells and random rows, Ritz-reduced after).
     res = all_band_cg(
-        Unpreconditioned(), 6, max_iterations=150, tolerance=1e-7, band_groups=group)
+        Unpreconditioned(), 6, initial=_symmetric_block(h.basis, 6, seed=0),
+        max_iterations=150, tolerance=1e-7, band_groups=group)
     assert res.iterations > 1
     assert res.converged
     # Initial image, one per iteration, and two verifications: the false
@@ -444,6 +476,136 @@ def test_all_band_cg_warm_starts_from_any_complex_block(small_problem):
         assert np.abs(warm.coefficients - basis.conjugate(warm.coefficients)).max() < 1e-12
     with pytest.raises(np.linalg.LinAlgError):
         all_band_cg(h, nb, initial=cold.coefficients[[0, 1, 2, 3, 4, 5, 0]])
+
+
+class _RecordingGroup:
+    """Band-group double: keeps every packed block handed to ``apply_h``."""
+
+    def __init__(self, h):
+        self.h, self.blocks = h, []
+
+    def apply_h(self, block):
+        self.blocks.append(block.copy())
+        return self.h.apply(block)
+
+
+def test_all_band_cg_cold_start_takes_fewer_applications_than_the_parent(small_problem):
+    """Per-band TPA preconditioning and the Ritz-reduced low-kinetic start:
+    62 packed rows / 19 steps at the parent of PR 24 (one band-independent
+    polynomial, ``nb`` damped random rows), pinned as upper bounds."""
+    h = small_problem[4]
+    h.counter.reset()
+    res = all_band_cg(h, 8, max_iterations=150, tolerance=1e-8)
+    assert res.converged
+    assert h.counter.n_apply < 62 and res.iterations < 19
+
+
+@pytest.mark.parametrize("nb", [3, 4, 5], ids=["below", "through-the-triplet", "triplet"])
+@pytest.mark.parametrize("tolerance", [1e-5, 1e-8])
+def test_all_band_cg_cold_start_on_the_cubic_cell(small_problem, nb, tolerance):
+    """The start shells are closed under the cubic point group and bands 3-5
+    are an exact triplet: a cold solve ends on the exact levels whether
+    ``nbands`` stops below, inside or on top of it."""
+    h = small_problem[4]
+    exact = exact_diagonalization(h, 5)
+    assert np.ptp(exact.eigenvalues[2:5]) < 1e-12
+    res = all_band_cg(h, nb, max_iterations=150, tolerance=tolerance)
+    assert res.converged
+    assert _fresh_residual_norms(h, res).max() < tolerance
+    assert np.abs(res.eigenvalues - exact.eigenvalues[:nb]).max() < 10 * tolerance**2 + 1e-13
+
+
+def test_all_band_cg_cold_start_sees_what_the_shells_cannot():
+    """Why the random rows stay.  A free-electron box plus one deep KB
+    projector, uniform on the shell ``|n|^2 = 3`` (K-symmetric): that shell
+    state is an eigenvector, at ``T_3 - 80`` Ha the lowest, and orthogonal to
+    the shells ``|n|^2 <= 1`` a 2-band cold start takes, whose span is
+    H-invariant.  From the shells alone the first Ritz pairs are plane waves
+    with zero residual and the solve stops at step 0 without the bound state.
+
+    The random rows are a guard, not a guarantee: they reach the kept block
+    through the first Ritz step only, here because the projector is deep
+    enough to pull their Ritz value under the plane waves' (at -5 Ha it is
+    not, and this solve does end at step 0 on ``[0, T_1]``).  A local
+    potential couples them to the shells whatever its depth."""
+    grid = FFTGrid((6.0, 6.0, 6.0), (10, 10, 10))
+    basis = PlaneWaveBasis(grid, ecut=2.0)
+    level = np.round(basis.kinetic / basis.kinetic[basis.kinetic > 0].min()).astype(int)
+    projector = (level == 3) / np.sqrt(np.count_nonzero(level == 3))
+    h = Hamiltonian(basis, np.zeros(grid.shape), projector[None, :], np.array([-80.0]))
+    shells = _low_kinetic_block(basis, 2)
+    assert len(shells) == 7 and not np.any(shells[:, level > 1])
+    hs = h.apply(shells)
+    assert np.abs(hs - (shells.conj() @ hs.T).T @ shells).max() < 1e-14  # invariant
+    exact = exact_diagonalization(h, 2)
+    assert exact.eigenvalues[0] == pytest.approx(basis.kinetic[level == 3][0] - 80.0, abs=1e-12)
+    for seed in (0, 1, 2):
+        res = all_band_cg(h, 2, max_iterations=60, tolerance=1e-8, rng=seed)
+        assert res.converged and res.iterations > 0
+        assert np.abs(res.eigenvalues - exact.eigenvalues).max() < 1e-12
+        assert abs(abs(res.coefficients[0] @ projector) - 1.0) < 1e-12
+
+
+def test_all_band_cg_cold_start_is_capped_by_the_basis(small_problem):
+    """``nbands = npw // 2`` is the solver's own limit: ``2 nbands`` shell rows
+    and ``nbands`` random ones would not fit in the ``npw`` real dimensions, so
+    whole shells are left out until they do."""
+    basis, h = small_problem[3], small_problem[4]
+    nb = basis.npw // 2
+    shells = _low_kinetic_block(basis, nb)
+    assert len(shells) == 27 <= basis.npw - nb < 2 * nb  # shells of 1, 6, 12 and 8
+    assert np.abs(shells @ shells.conj().T - np.eye(27)).max() < 1e-15
+    assert np.array_equal(shells, basis.conjugate(shells))
+    group = _RecordingGroup(h)
+    res = all_band_cg(h, nb, max_iterations=300, tolerance=1e-7, nconverge=8, band_groups=group)
+    assert res.converged
+    assert len(group.blocks[0]) == -(-(27 + nb) // 2)
+    assert np.abs(res.eigenvalues - exact_diagonalization(h, nb).eigenvalues)[:8].max() < 1e-12
+    with pytest.raises(ValueError, match="out of range"):
+        all_band_cg(h, nb + 1)
+
+
+def test_all_band_cg_warm_start_applies_the_rows_it_was_given(small_problem):
+    """A supplied ``initial`` sees none of the cold start: the first stage is
+    the Loewdin-orthonormalised block itself, ``ceil(nb/2)`` packed rows -
+    what warm SCF iterations, resume and checkpoints hand in."""
+    basis, h = small_problem[3], small_problem[4]
+    nb = 5
+    start = _symmetric_block(basis, nb, seed=4)
+    group = _RecordingGroup(h)
+    all_band_cg(h, nb, initial=start, max_iterations=2, tolerance=1e-8, band_groups=group)
+    rows = _expansion_block(basis, np.vstack([start, np.zeros_like(start)]), start[:0])
+    packed = rows[0::2].copy()
+    packed[: nb // 2] += 1j * rows[1::2]
+    assert np.array_equal(group.blocks[0], packed)
+    assert np.abs(rows @ rows.conj().T - np.eye(nb)).max() < 1e-14
+
+
+def test_solvers_floor_the_kinetic_energy_of_a_pure_g0_band(small_problem):
+    """A band that is the G = 0 plane wave alone has ``ekin = 0``: the lowest
+    band of a free-electron box (``noccupied == 1``), or a start handed in.
+    No warning, no inf / nan row - ``preconditioner`` itself would raise."""
+    basis, h = small_problem[3], small_problem[4]
+    grid = FFTGrid((6.0, 6.0, 6.0), (10, 10, 10))
+    task = FragmentTask(
+        label="box", cell=tuple(grid.cell), grid_shape=grid.shape, symbols=(),
+        positions=np.zeros((0, 3)), screening_potential=np.zeros(grid.shape),
+        ecut=2.0, n_empty=2, tolerance=1e-6, max_iterations=20)
+    problem = get_task_problem(task)
+    assert problem.noccupied == 1 and problem.nelectrons == 0
+    g0 = np.zeros((1, basis.npw), dtype=complex)
+    g0[0, basis.gzero_index] = 1.0
+    lowest = exact_diagonalization(h, 1).eigenvalues
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        box = solve_fragment_task(task, problem)
+        assert box.converged
+        assert np.allclose(box.eigenvalues, np.sort(problem.basis.kinetic)[: problem.nbands], atol=1e-12)
+        res = all_band_cg(h, 1, initial=g0, max_iterations=150, tolerance=1e-7)
+        assert res.converged and res.iterations > 0
+        assert abs(res.eigenvalues[0] - lowest[0]) < 1e-12
+        bb = band_by_band_cg(h, 1, initial=g0, max_iterations=60, tolerance=1e-6)
+        assert bb.converged and abs(bb.eigenvalues[0] - lowest[0]) < 1e-10
 
 
 def _same_result(a, b):

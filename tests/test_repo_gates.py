@@ -36,7 +36,8 @@ def test_all_band_cg_has_one_path_and_no_switch_for_it():
     signature = re.search(r"^def all_band_cg\(.*?^\) -> ", source, re.S | re.M).group()
     assert "nconverge: int | None = None" in signature
     assert not re.search(
-        r"(real|pack|complex|gamma|lock|active|mask|soft)[a-z_]*\s*[:=]", signature)
+        r"(real|pack|complex|gamma|lock|active|mask|soft|precond|start|guess|shell|low)[a-z_]*\s*[:=]",
+        signature)
 
 
 def test_the_gate_is_not_exposed_beyond_its_three_modules():

@@ -12,18 +12,22 @@ the stage profiles it prints, for every distinct fragment basis, the
 sphere-pruned FFT line counts (``PlaneWaveBasis.fft_lines``) and the time
 of each 1-D pass (z / y / x) of one inverse + forward band-block transform
 — the per-pass split the next kernel change should start from.  After the
-PEtot_F profile it prints, per fragment solve, the eigensolver iterations and
-the H·psi rows applied (``Hamiltonian.counter``) beside ``nbands ·
-iterations``.  Rows are *packed pairs*: the all-band solver works on real
-orbitals and sends two of them through H as one complex row, and only the
-bands still above the tolerance at each step.  The last column is the share
-of ``ceil(nbands / 2) · (iterations + 2)`` — every band every step, plus the
-initial and exit-verification blocks — the solve paid: 1.00 when nothing
-converges before the last band does, near 2 if rows went unpacked.  The solve
-ends when the bands that carry charge are converged (``nconverge``); the
-``guards`` columns are the steps and rows the same solve adds when it waits for
-every band instead - what used to be spent after the last gated band converged,
-and is 0 by construction now.
+PEtot_F profile it prints, per fragment solve, the eigensolver steps and
+the H·psi rows applied (``Hamiltonian.counter``) beside ``nbands · steps`` —
+once for the profiled iteration, whose solves start *cold* (``n0`` start rows:
+low-kinetic shells plus ``nbands`` random rows, Ritz-reduced to ``nbands``),
+and once more, after GENPOT, for the *warm* solves of the next iteration
+(``n0 = nbands``: the previous orbitals in the mixed potential).  Rows are
+*packed pairs*: the all-band solver works on real orbitals and sends two of
+them through H as one complex row, and only the bands still above the
+tolerance at each step.  ``of unlocked`` is the share of ``ceil(n0 / 2) +
+ceil(nbands / 2) · (steps + 1)`` — the start block, every band every step and
+the exit verification — the solve paid: 1.00 when nothing converges before
+the last band does, near 2 if rows went unpacked.  The solve ends when the
+bands that carry charge are converged (``nconverge``); the ``guards`` columns
+are the steps and rows the same solve adds when it waits for every band
+instead - what used to be spent after the last gated band converged, and is
+0 by construction now.
 
 Usage::
 
@@ -123,24 +127,27 @@ def report_fft_passes(problems) -> None:
 
 
 def report_applications(labels, solves) -> None:
-    """One row per fragment solve: iterations and the H·psi rows it cost.
+    """One row per fragment solve: start block, steps and the H·psi rows it cost.
 
-    ``solves`` holds ``(nbands, iterations, rows, guard_steps, guard_rows)``;
+    ``solves`` holds ``(start, n0, nbands, steps, rows, guard_steps, guard_rows)``;
     ``rows`` counts every row ``Hamiltonian.apply`` saw during
     ``solve_fragment_task`` — packed pairs of bands, all of them inside the
     eigensolve; the ``guard_*`` pair is what an every-band solve of the same
     task adds to that.
     """
     print(f"\n{'=' * 72}\nH·psi rows (two bands each) per fragment solve\n{'=' * 72}")
-    print(f"{'fragment':<24}{'nbands':>8}{'iterations':>12}{'nb·it':>8}{'rows':>8}{'of unlocked':>13}"
-          f"{'guards: +it':>13}{'+rows':>7}")
-    unlocked = [-(-nb // 2) * (it + 2) for nb, it, *_ in solves]
-    for label, (nbands, iterations, rows, gsteps, grows), full in zip(labels, solves, unlocked):
-        print(f"{label:<24}{nbands:>8}{iterations:>12}{nbands * iterations:>8}{rows:>8}{rows / full:>13.2f}"
-              f"{gsteps:>13}{grows:>7}")
-    steps = sum(nb * it for nb, it, *_ in solves)
-    rows, gsteps, grows = (sum(column) for column in list(zip(*solves))[2:])
-    print(f"{'all':<24}{'':>20}{steps:>8}{rows:>8}{rows / sum(unlocked):>13.2f}{gsteps:>13}{grows:>7}")
+    print(f"{'fragment':<24}{'start':>6}{'n0':>5}{'nbands':>8}{'steps':>7}{'nb·it':>8}{'rows':>8}"
+          f"{'of unlocked':>13}{'guards: +it':>13}{'+rows':>7}")
+    unlocked = [-(-n0 // 2) + -(-nb // 2) * (it + 1) for _, n0, nb, it, *_ in solves]
+    for label, (start, n0, nbands, steps, rows, gsteps, grows), full in zip(labels, solves, unlocked):
+        print(f"{label:<24}{start:>6}{n0:>5}{nbands:>8}{steps:>7}{nbands * steps:>8}{rows:>8}"
+              f"{rows / full:>13.2f}{gsteps:>13}{grows:>7}")
+    for start in dict.fromkeys(s[0] for s in solves):
+        picked = [(s, full) for s, full in zip(solves, unlocked) if s[0] == start]
+        steps, rows, gsteps, grows = (sum(s[i] for s, _ in picked) for i in (3, 4, 5, 6))
+        work = sum(s[2] * s[3] for s, _ in picked)
+        print(f"{'all ' + start:<24}{'':>19}{steps:>7}{work:>8}{rows:>8}"
+              f"{rows / sum(full for _, full in picked):>13.2f}{gsteps:>13}{grows:>7}")
 
 
 def main() -> int:
@@ -160,7 +167,7 @@ def main() -> int:
         get_task_problem, resolve_screening_potential, solve_fragment_task)
     from repro.core.patching import patch_fragment_fields, restrict_to_fragment
     from repro.core.scf import LS3DFSCF
-    from repro.pw.eigensolver import all_band_cg
+    from repro.pw.eigensolver import _low_kinetic_block, all_band_cg
 
     cells = tuple(args.cells)
     structure = cscl_binary(cells, "Zn", "O", 6.0)
@@ -182,47 +189,54 @@ def main() -> int:
     # build the picklable solve tasks.  The SCF loop runs the same
     # arithmetic fused into one task per fragment; here the stage kernels
     # run one after another so each gets its own profile.
-    def gen_vf():
+    def gen_vf(potential, initial=None):
         tasks = []
-        for fragment in scf.fragments:
-            restricted = restrict_to_fragment(scf.division, fragment, v_in)
+        for i, fragment in enumerate(scf.fragments):
+            restricted = restrict_to_fragment(scf.division, fragment, potential)
             tasks.append(
                 scf.fragment_solver.make_task(
                     fragment, restricted,
                     eigensolver_tolerance=1e-4, eigensolver_iterations=40,
+                    initial_coefficients=None if initial is None else initial[i],
                 )
             )
         return tasks
 
-    tasks = profile_stage("Gen_VF", gen_vf, args.top)
+    tasks = profile_stage("Gen_VF", lambda: gen_vf(v_in), args.top)
     report_fft_passes(scf.fragment_solver.problems().values())
 
     # PEtot_F: the per-fragment Kohn-Sham solves (the dominant stage).
     solves = []
 
-    def petot_f():
+    def petot_f(tasks):
         results = []
         for task in tasks:
             problem = get_task_problem(task)
+            nbands, cold = problem.nbands, task.initial_coefficients is None
+            n0 = nbands + (len(_low_kinetic_block(problem.basis, nbands)) if cold else 0)
             before = problem.hamiltonian.counter.n_apply
             results.append(solve_fragment_task(task, problem))
             rows = problem.hamiltonian.counter.n_apply - before
-            solves.append((problem.nbands, results[-1].solver_iterations, rows))
+            solves.append(
+                ("cold" if cold else "warm", n0, nbands, results[-1].solver_iterations, rows))
         return results
 
-    results = profile_stage("PEtot_F", petot_f, args.top)
-    # The same solves waiting for every band (outside the profile): the gated
-    # and the every-band iteration are the same statements until the gate fires.
-    for i, task in enumerate(tasks):
-        h = get_task_problem(task).hamiltonian
-        h.set_effective_potential(resolve_screening_potential(task))
-        before = h.counter.n_apply
-        every = all_band_cg(
-            h, solves[i][0], initial=task.initial_coefficients,
-            max_iterations=task.max_iterations, tolerance=task.tolerance)
-        rows = h.counter.n_apply - before
-        solves[i] += (every.iterations - solves[i][1], rows - solves[i][2])
-    report_applications([t.label for t in tasks], solves)
+    def add_guards(tasks):
+        """The last ``len(tasks)`` solves again, waiting for every band: the
+        gated and the every-band iteration are the same statements until the
+        gate fires."""
+        for i, task in enumerate(tasks, len(solves) - len(tasks)):
+            h = get_task_problem(task).hamiltonian
+            h.set_effective_potential(resolve_screening_potential(task))
+            before = h.counter.n_apply
+            every = all_band_cg(
+                h, solves[i][2], initial=task.initial_coefficients,
+                max_iterations=task.max_iterations, tolerance=task.tolerance)
+            rows = h.counter.n_apply - before
+            solves[i] += (every.iterations - solves[i][3], rows - solves[i][4])
+
+    results = profile_stage("PEtot_F", lambda: petot_f(tasks), args.top)
+    add_guards(tasks)
 
     # Gen_dens: patch the weighted fragment densities into the global one.
     def gen_dens():
@@ -237,6 +251,12 @@ def main() -> int:
         return scf.genpot.evaluate(density, v_in)
 
     out = profile_stage("GENPOT", genpot, args.top)
+    # The next iteration's solves (outside the profiles): the orbitals just
+    # found, in the mixed potential.
+    warm = gen_vf(out.next_input_potential, [r.coefficients for r in results])
+    petot_f(warm)
+    add_guards(warm)
+    report_applications([t.label for t in tasks + warm], solves)
     print(
         "\nconvergence metric after one iteration: "
         f"{out.potential_difference:.6e}"

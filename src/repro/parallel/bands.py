@@ -27,8 +27,8 @@ accumulation order), so the cross-band algebra — Gram matrices, rotations,
 Rayleigh-Ritz — and the elementwise residual step (32 bytes moved per ~10
 flops, never worth shipping) stay on the group root, on full blocks of
 identical shape.  The slice kernel is **row-independent bit for bit**:
-elementwise products, per-band batched FFTs (the verified pocketfft batching
-property) and the Kleinman-Bylander term as fixed-shape GEMMs over
+elementwise products, box-restricted DFT products with the band index as a
+batch dimension and the Kleinman-Bylander term as fixed-shape GEMMs over
 globally-aligned band blocks
 (:meth:`repro.pw.hamiltonian.Hamiltonian.add_nonlocal`), so concatenated
 slices equal the full-block result for any slice count.  The paper divides

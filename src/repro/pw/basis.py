@@ -2,19 +2,23 @@
 
 A wavefunction is expanded as psi(r) = (1/sqrt(Omega)) sum_G c_G e^{iG.r}
 over the reciprocal vectors with |G|^2/2 <= Ecut.  Coefficients are stored
-as flat arrays indexed by the basis ordering; the basis knows how to
-scatter them onto the FFT grid and gather them back, which is how the
-dual-space Hamiltonian application works.
+as flat arrays indexed by the basis ordering; the basis takes them to the
+real-space grid and back, which is how the dual-space Hamiltonian
+application works.
 
-The cutoff sphere fills a few percent of the FFT box, so the transforms
-are *staged and sphere-pruned*: one 1-D pass per axis in numpy's own
-``ifftn`` / ``fftn`` order (z, y, x), each restricted to the lines that can
-be non-zero (inverse) or whose output is gathered (forward) — equal to the
-dense 3-D transform bit for bit (docs/ARCHITECTURE.md, "Hot paths").
+The cutoff sphere fills a few percent of the FFT grid; its *box* — per
+axis, the FFT indices that carry a basis vector — is about half of each
+axis at fragment sizes.  The band transforms are therefore box-restricted
+DFTs: three matrix products per direction, one per axis, against matrices
+built once per basis.  The band index is a batch dimension of every
+product, never a GEMM row, so each band runs through GEMMs of one fixed
+shape and its bits do not depend on how many bands share the call
+(docs/ARCHITECTURE.md, "Hot paths").
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -22,10 +26,33 @@ import numpy as np
 from repro.pw import fftcache
 from repro.pw.grid import FFTGrid
 
-# Bands per trip through the pooled workspaces of ``apply_potential``: enough
-# to amortise the per-pass Python overhead (4 to 16 measure the same), small
-# enough that the workspace does not grow with the band block.
-_CHUNK = 8
+# Bands per trip through the pooled workspace of ``apply_potential``; chunking
+# changes no bit.  Measured at 2, 4 and 8 on the two benchmark fragment grids
+# (20x20x20, 30x20x20; one BLAS thread, 2-CPU Xeon): 2 is 15-25 % slower at
+# three or more rows, 4 and 8 tie on ``scf_serial`` ``wall_s`` (0.177 s) and
+# 8 holds ~2 MB more ``peak_rss_mb``.
+_CHUNK = 4
+
+
+def _dft_matrix(u: np.ndarray, n: int) -> np.ndarray:
+    """``E[j, k] = exp(2 pi i u[j] k / n)``: the inverse DFT from the box
+    indices ``u`` of an axis of ``n`` points to all ``n`` grid points.
+
+    The phase is reduced to the integer ``u[j] k mod n`` before anything is
+    rounded, and the table of the ``n`` roots of unity is built from its
+    first half, so the row of ``(-u) mod n`` is the conjugate of the row of
+    ``u`` bit for bit.
+    """
+    half = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
+    if n % 2 == 0:
+        half[-1] = -1.0  # exp(i pi): its own conjugate, so exactly real
+    roots = np.concatenate([half, half[1 : (n + 1) // 2][::-1].conj()])
+    return roots[np.outer(u, np.arange(n)) % n]
+
+
+def _view(flat: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading ``prod(shape)`` elements of a flat workspace, as ``shape``."""
+    return flat[: math.prod(shape)].reshape(shape)
 
 
 class PlaneWaveBasis:
@@ -53,25 +80,33 @@ class PlaneWaveBasis:
                 "FFT grid too coarse for requested cutoff: "
                 f"grid supports Ecut <= {0.5 * grid.gmax2:.3f} Ha, requested {ecut:.3f} Ha"
             )
-        self._mask = mask
         self._indices = np.nonzero(mask.ravel())[0]
         self._g = grid.g_vectors.reshape(-1, 3)[self._indices]
         self._g2 = g2.ravel()[self._indices]
         self._kinetic = 0.5 * self._g2
         # Box of the sphere: per axis, the sorted FFT indices that carry a
-        # basis vector (``_box``) and every vector's position among them.
+        # basis vector, and every vector's flat position in the box.
         ix, iy, iz = np.unravel_index(self._indices, grid.shape)
         (ux, px), (uy, py), (uz, pz) = (
             np.unique(i, return_inverse=True) for i in (ix, iy, iz)
         )
-        self._box = (ux, uy, uz)
-        nx, ny, nz = grid.shape
-        # Flat position of each basis vector in the first inverse stage
-        # ``(bx, by, nz)`` and in the last forward stage ``(nx, by, bz)``.
-        self._scatter = (px * len(uy) + py) * nz + iz
-        self._gather = (ix * len(uy) + py) * len(uz) + pz
-        # Per-band size of the second workspace (the larger middle stage).
-        self._work_size = max(len(ux) * ny * nz, nx * ny * len(uz))
+        _, ny, nz = grid.shape
+        bx, by, bz = self._box = (len(ux), len(uy), len(uz))
+        self._slot = (px * by + py) * bz + pz
+        # Per band, the largest stage short of the grid itself.
+        self._stage = bx * ny * nz
+        # The DFT matrices of the three axes in the orientation each product
+        # reads them.  The inverse runs z, y, x and the forward, its adjoint,
+        # x, y, z; 1/sqrt(Omega) is folded into the inverse z matrix and
+        # sqrt(Omega)/N into the forward x matrix.
+        ex, ey, ez = (_dft_matrix(u, n) for u, n in zip((ux, uy, uz), grid.shape))
+        root = np.sqrt(grid.volume)
+        self._ez = ez / root  # (bz, nz)
+        self._ey_t = np.ascontiguousarray(ey.T)  # (ny, by)
+        self._ex_t = np.ascontiguousarray(ex.T)  # (nx, bx)
+        self._fz_t = np.ascontiguousarray(ez.T.conj())  # (nz, bz)
+        self._fy = ey.conj()  # (by, ny)
+        self._fx = ex.conj() * (root / grid.npoints)  # (bx, nx)
 
     # -- sizes ---------------------------------------------------------------
     @property
@@ -93,18 +128,6 @@ class PlaneWaveBasis:
     def kinetic(self) -> np.ndarray:
         """Kinetic-energy diagonal |G|^2/2, shape ``(npw,)``."""
         return self._kinetic
-
-    @property
-    def fft_lines(self) -> tuple[int, int]:
-        """1-D FFT lines per band in :meth:`to_real_space`: ``(pruned, dense)``.
-
-        ``bx*by`` z-lines, ``bx*nz`` y-lines and ``ny*nz`` x-lines against all
-        of them; :meth:`from_real_space` runs the mirror image
-        (``nx*ny + nx*bz + by*bz``), the same count for a cubic box and grid.
-        """
-        nx, ny, nz = self.grid.shape
-        bx, by, _ = (len(u) for u in self._box)
-        return bx * by + bx * nz + ny * nz, nx * ny + nx * nz + ny * nz
 
     @cached_property
     def gzero_index(self) -> int:
@@ -141,8 +164,8 @@ class PlaneWaveBasis:
 
         ``coeffs`` has shape ``(..., npw)``; the result has shape
         ``(..., *grid.shape)`` with zeros outside the cutoff sphere.  With
-        :meth:`from_grid`, the dense reference the pruned transforms below
-        are tested against.
+        :meth:`from_grid`, the dense reference the box-restricted transforms
+        below are tested against.
         """
         coeffs = np.asarray(coeffs)
         lead = coeffs.shape[:-1]
@@ -162,94 +185,70 @@ class PlaneWaveBasis:
         """Wavefunction(s) on the real-space grid from basis coefficients.
 
         Normalisation: with coefficients normalised as sum |c_G|^2 = 1 the
-        returned psi(r) satisfies integral |psi|^2 dr = 1.  Bit-identical
-        to ``ifftn(to_grid(coeffs)) * scale``: the same three passes, minus
-        the lines that are zero on input.
+        returned psi(r) satisfies integral |psi|^2 dr = 1.  Equal to
+        ``ifftn(to_grid(coeffs)) * N / sqrt(Omega)`` to rounding.
         """
         coeffs = np.asarray(coeffs)
         block = coeffs.reshape(-1, self.npw)
         psi = np.empty((len(block),) + self.grid.shape, dtype=complex)
-        self._inverse(block, psi, np.empty(len(block) * self._work_size, dtype=complex))
+        self._inverse(block, psi, np.empty(len(block) * self._stage, dtype=complex))
         return psi.reshape(coeffs.shape[:-1] + self.grid.shape)
 
     def from_real_space(self, psi_r: np.ndarray) -> np.ndarray:
         """Project real-space wavefunction(s) back onto the basis.
 
-        Bit-identical to ``from_grid(fftn(psi_r) * scale)``: after each pass
-        only the indices the gather can reach are kept.
+        Equal to ``from_grid(fftn(psi_r)) * sqrt(Omega) / N`` to rounding.
         """
         psi_r = np.asarray(psi_r)
-        field = np.fft.fft(psi_r.reshape((-1,) + self.grid.shape), axis=-1)
-        coeffs = self._forward(field, np.empty(len(field) * self._work_size, dtype=complex))
+        field = psi_r.astype(complex).reshape((-1,) + self.grid.shape)  # a copy _forward may overwrite
+        coeffs = np.empty((len(field), self.npw), dtype=complex)
+        self._forward(field, np.empty(len(field) * self._stage, dtype=complex), coeffs)
         return coeffs.reshape(psi_r.shape[:-3] + (self.npw,))
 
     def apply_potential(self, coeffs: np.ndarray, potential: np.ndarray) -> np.ndarray:
         """``from_real_space(potential * to_real_space(coeffs))`` for a band block.
 
-        The dual-space kernel of :meth:`Hamiltonian.apply_local`.  Bands go
-        through two pooled workspaces ``_CHUNK`` at a time, so the pool holds
-        one pair per basis whatever block sizes the eigensolver produces;
-        every band is transformed on its own, so chunking changes no bit.
+        The dual-space kernel of :meth:`Hamiltonian.apply_local`: six
+        box-restricted DFT products around one multiplication by the
+        potential.  Bands go through one pooled workspace ``_CHUNK`` at a
+        time, so the pool holds one buffer per basis whatever block sizes the
+        eigensolver produces; the band index is a batch dimension of every
+        product, so chunking changes no bit.
         """
         out = np.empty(coeffs.shape, dtype=complex)
-        with fftcache.scratch((_CHUNK,) + self.grid.shape) as buffer, fftcache.scratch(
-            (_CHUNK * self._work_size,)
-        ) as work:
+        size = _CHUNK * self.grid.npoints
+        with fftcache.scratch((size + _CHUNK * self._stage,)) as buffer:
             for lo in range(0, len(coeffs), _CHUNK):
                 block = coeffs[lo : lo + _CHUNK]
-                psi = buffer[: len(block)]
-                self._inverse(block, psi, work)
+                psi = _view(buffer, len(block), *self.grid.shape)
+                self._inverse(block, psi, buffer[size:])
                 psi *= potential
-                np.fft.fft(psi, axis=-1, out=psi)
-                out[lo : lo + _CHUNK] = self._forward(psi, work)
+                self._forward(psi, buffer[size:], out[lo : lo + _CHUNK])
         return out
 
-    # The two kernels take a band block and the caller's memory: ``psi``
-    # ``(m, nx, ny, nz)`` and a flat ``work`` of ``m * _work_size`` elements.
-    # Stages ping-pong between the two and every pass runs in place.
+    # The two kernels take the caller's memory: the grid image ``psi``
+    # ``(m, nx, ny, nz)``, whose leading elements double as a stage, and a flat
+    # ``work`` of at least ``m * _stage`` elements.  Stages alternate between
+    # the two, so no product reads the memory it writes.
     def _inverse(self, block: np.ndarray, psi: np.ndarray, work: np.ndarray) -> None:
         """Fill ``psi`` with the real-space image of the coefficient block."""
-        m = len(block)
-        nx, ny, nz = self.grid.shape
-        ux, uy, _ = self._box
-        bx, by = len(ux), len(uy)
-        stage = psi.reshape(-1)[: m * bx * by * nz].reshape(m, bx * by * nz)
-        stage.fill(0)
-        stage[:, self._scatter] = block
-        stage = stage.reshape(m, bx, by, nz)
-        np.fft.ifft(stage, axis=-1, out=stage)
-        embed = work[: m * bx * ny * nz].reshape(m, bx, ny, nz)
-        embed.fill(0)
-        embed[:, :, uy] = stage
-        np.fft.ifft(embed, axis=-2, out=embed)
-        psi.fill(0)
-        psi[:, ux] = embed
-        np.fft.ifft(psi, axis=-3, out=psi)
-        # Each ifft pass carries its 1/n; the physical convention needs
-        # psi(r) = (1/sqrt(Omega)) sum_G c_G e^{iGr}, i.e. multiply by
-        # N/sqrt(Omega).
-        psi *= self.grid.npoints / np.sqrt(self.grid.volume)
+        (m, _), (nx, ny, nz), (bx, by, bz) = block.shape, self.grid.shape, self._box
+        box = _view(work, m, bx * by * bz)
+        box.fill(0)
+        box[:, self._slot] = block
+        zs = np.matmul(box.reshape(m, bx * by, bz), self._ez, out=_view(psi.reshape(-1), m, bx * by, nz))
+        ys = np.matmul(self._ey_t, zs.reshape(m, bx, by, nz), out=_view(work, m, bx, ny, nz))
+        np.matmul(self._ex_t, ys.reshape(m, bx, ny * nz), out=psi.reshape(m, nx, ny * nz))
 
-    def _forward(self, field: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """Coefficients of ``field``, whose z pass the caller has run.
-
-        ``field`` is overwritten; the returned block is freshly allocated.
-        """
-        m = len(field)
-        nx, ny, _ = self.grid.shape
-        _, uy, uz = self._box
-        by, bz = len(uy), len(uz)
-        stage = work[: m * nx * ny * bz].reshape(m, nx, ny, bz)
-        # mode="clip" only spares numpy's buffered copy; the box indices are
-        # in range by construction.
-        np.take(field, uz, axis=-1, out=stage, mode="clip")
-        np.fft.fft(stage, axis=-2, out=stage)
-        last = field.reshape(-1)[: m * nx * by * bz].reshape(m, nx, by, bz)
-        np.take(stage, uy, axis=-2, out=last, mode="clip")
-        np.fft.fft(last, axis=-3, out=last)
-        coeffs = last.reshape(m, nx * by * bz)[:, self._gather]
-        coeffs *= np.sqrt(self.grid.volume) / self.grid.npoints
-        return coeffs
+    def _forward(self, psi: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
+        """Write the coefficients of the real-space block ``psi`` into ``out``;
+        ``psi`` is overwritten."""
+        (m, nx, ny, nz), (bx, by, bz) = psi.shape, self._box
+        xs = np.matmul(self._fx, psi.reshape(m, nx, ny * nz), out=_view(work, m, bx, ny * nz))
+        ys = np.matmul(self._fy, xs.reshape(m, bx, ny, nz), out=_view(psi.reshape(-1), m, bx, by, nz))
+        box = np.matmul(ys.reshape(m, bx * by, nz), self._fz_t, out=_view(work, m, bx * by, bz))
+        # mode="clip" only spares numpy's buffered copy; the slots are in range.
+        np.take(box.reshape(m, bx * by * bz), self._slot, axis=1, out=out, mode="clip")
 
     # -- misc --------------------------------------------------------------------
     def random_coefficients(

@@ -4,7 +4,8 @@ H = -1/2 nabla^2 + V_eff(r) + V_NL, applied to a *block* of bands at once:
 
 * kinetic term: diagonal |G|^2/2 multiplication in reciprocal space;
 * local effective potential (ionic local + Hartree + XC + LS3DF passivation
-  potential): FFT each band to real space, multiply, FFT back;
+  potential): each band to real space, multiply, back — box-restricted
+  DFTs as matrix products (:meth:`PlaneWaveBasis.apply_potential`);
 * nonlocal Kleinman-Bylander term: two matrix-matrix multiplications with
   the projector matrix (the BLAS-3 structure from the paper's all-band
   optimisation).
@@ -160,16 +161,15 @@ class Hamiltonian:
     def apply_local(self, coefficients: np.ndarray) -> np.ndarray:
         """Kinetic + local-potential part of H on a band block ``(m, npw)``.
 
-        This is the dual-space (FFT-heavy) share of :meth:`apply`, and it is
+        This is the dual-space share of :meth:`apply`, and it is
         *row-independent bit for bit*: every output row depends only on the
-        matching input row through elementwise products and per-band FFTs
-        (numpy's batched pocketfft transforms each band identically no
-        matter how the leading axis is batched — the same verified property
-        the slab-distributed FFT of :mod:`repro.parallel.distributed` rests
-        on).  The band-sliced eigensolver
-        (:mod:`repro.parallel.bands`) therefore ships row slices of a band
-        block through this kernel on worker threads/processes and
-        concatenates the outputs, bit-identical to one full-block call.
+        matching input row through elementwise products and the
+        box-restricted DFT products of :meth:`PlaneWaveBasis.apply_potential`,
+        in which the band index is a batch dimension, never a GEMM row.  The
+        band-sliced eigensolver (:mod:`repro.parallel.bands`) therefore ships
+        row slices of a band block through this kernel on worker
+        threads/processes and concatenates the outputs, bit-identical to one
+        full-block call.
         """
         c = np.asarray(coefficients, dtype=complex)
         if c.ndim != 2 or c.shape[1] != self.basis.npw:
@@ -178,8 +178,8 @@ class Hamiltonian:
         # Kinetic: diagonal in G.
         out = c * self.basis.kinetic[None, :]
 
-        # Local potential: FFT to real space, multiply, FFT back (the
-        # sphere-pruned staged transforms of PlaneWaveBasis).
+        # Local potential: to real space, multiply, back (the box-restricted
+        # DFT products of PlaneWaveBasis).
         out += self.basis.apply_potential(c, self._v_local)
         return out
 
@@ -194,8 +194,8 @@ class Hamiltonian:
         ``band_offset + i``; columns the call does not own are zero-filled.
         A BLAS GEMM output column depends only on its own input column once
         the operand shapes and the column position are fixed (verified
-        property, ``tests/test_kernel_pack.py`` — the GEMM analogue of the
-        batched-pocketfft property ``apply_local`` rests on), so every
+        property, ``tests/test_kernel_pack.py`` — the column form of the
+        fixed-shape property ``apply_local``'s DFT products rest on), so every
         band's result is bit-identical no matter how the block is sliced
         across workers.  The band-sliced eigensolver therefore runs this
         term inside band slices (``band_offset = slice.lo``).  (One GEMM

@@ -46,6 +46,10 @@ def test_the_gate_is_not_exposed_beyond_its_three_modules():
         "src/repro/pw/eigensolver.py", "src/repro/core/fragment_task.py", "src/repro/pw/scf.py"}
 
 
+def test_one_transform_path_in_the_basis():
+    assert [line for line in (ROOT / "src/repro/pw/basis.py").read_text().splitlines() if "np.fft" in line] == []
+
+
 def test_src_line_count_ratchet():
     workflow = (ROOT / ".github/workflows/ci.yml").read_text()
     limit = int(re.search(r"xargs cat \| wc -l\)\" -le (\d+)", workflow).group(1))

@@ -5,13 +5,14 @@ Runs the paper's four subroutines — Gen_VF, PEtot_F, Gen_dens, GENPOT —
 on a model-scale problem, each under its own ``cProfile`` session, and
 prints the top-20 functions by cumulative time per stage.  This is the
 measurement behind the "Hot paths and where the time goes" section of
-``docs/ARCHITECTURE.md``: PEtot_F dominates, and inside it the batched
-per-band FFTs (``Hamiltonian.apply_local``) and the nonlocal projection
-GEMMs (``Hamiltonian.add_nonlocal``) are nearly the whole bill.  Before
-the stage profiles it prints, for every distinct fragment basis, the
-sphere-pruned FFT line counts (``PlaneWaveBasis.fft_lines``) and the time
-of each 1-D pass (z / y / x) of one inverse + forward band-block transform
-— the per-pass split the next kernel change should start from.  After the
+``docs/ARCHITECTURE.md``: PEtot_F dominates, and inside it the per-band
+box-restricted DFT products (``Hamiltonian.apply_local``), the nonlocal
+projection GEMMs (``Hamiltonian.add_nonlocal``) and the solver's own
+algebra are nearly the whole bill.  Before the stage profiles it prints,
+for every distinct fragment basis, the box of the cutoff sphere and the
+time of each of the six DFT products (inverse z / y / x, forward x / y / z)
+of one ``apply_potential`` call on the packed rows of the band block — the
+per-product split the next kernel change should start from.  After the
 PEtot_F profile it prints, per fragment solve, the eigensolver steps and
 the H·psi rows applied (``Hamiltonian.counter``) beside ``nbands · steps`` —
 once for the profiled iteration, whose solves start *cold* (``n0`` start rows:
@@ -33,9 +34,14 @@ Usage::
 
     PYTHONPATH=src python tools/profile_hot_paths.py [--cells X Y Z]
                                                      [--ecut E] [--top N]
+    PYTHONPATH=src python tools/profile_hot_paths.py --sweep
 
 Everything runs on the serial backend so the profile sees the kernels
-themselves, not pool plumbing.
+themselves, not pool plumbing.  ``--sweep`` instead times the
+``apply_potential`` kernel against the dense ``ifftn`` / ``fftn`` reference
+on cubic grids n = 20 ... 60 (12 Bohr cell, cutoff scaled with n^2 so the
+sphere keeps its share of the grid, four packed rows), to re-measure where
+the matrix products stop paying.
 """
 
 from __future__ import annotations
@@ -63,67 +69,103 @@ def profile_stage(name: str, func, top: int):
     return out
 
 
-def time_fft_passes(basis, nbands: int, repeats: int = 20) -> dict:
-    """Seconds per call of each pass of ``to_real_space`` / ``from_real_space``.
+#: The six products of ``PlaneWaveBasis.apply_potential``: the basis matrix
+#: each one multiplies by, in the order they run.
+PRODUCTS = (
+    ("_ez", "inverse z"), ("_ey_t", "inverse y"), ("_ex_t", "inverse x"),
+    ("_fx", "forward x"), ("_fy", "forward y"), ("_fz_t", "forward z"),
+)
 
-    Wraps ``np.fft.fft`` / ``np.fft.ifft`` with a clock for the duration of
-    the measurement; ``"total"`` is the whole round trip, so the remainder
-    is scatter, embedding and gather.
+
+def best_time(func, repeats: int, rounds: int = 5) -> float:
+    """Seconds per call of ``func``: the best of ``rounds`` averages."""
+    func()  # warm the workspace pool
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        for _ in range(repeats):
+            func()
+        best = min(best, (time.perf_counter() - start) / repeats)
+    return best
+
+
+def time_products(basis, rows: int, repeats: int = 50) -> dict:
+    """Seconds per ``apply_potential`` call on ``rows`` packed rows, by product.
+
+    Wraps ``np.matmul`` with a clock for the duration of the measurement and
+    books each call to the basis matrix it multiplies by; ``"total"`` is the
+    whole kernel, so the remainder is scatter, potential and gather.
     """
-    spent = dict.fromkeys(
-        [(name, axis) for name in ("ifft", "fft") for axis in (-1, -2, -3)], 0.0
-    )
-    originals = {name: getattr(np.fft, name) for name in ("fft", "ifft")}
+    names = {id(getattr(basis, attr)): label for attr, label in PRODUCTS}
+    spent = dict.fromkeys(names.values(), 0.0)
+    matmul = np.matmul
 
-    def timed(name):
-        def call(a, axis=-1, out=None):
-            start = time.perf_counter()
-            result = originals[name](a, axis=axis, out=out)
-            spent[name, axis] += time.perf_counter() - start
-            return result
-        return call
+    def timed(a, b, out=None):
+        start = time.perf_counter()
+        result = matmul(a, b, out=out)
+        spent[names.get(id(a)) or names[id(b)]] += time.perf_counter() - start
+        return result
 
-    coeffs = basis.random_coefficients(nbands, rng=0)
-    basis.from_real_space(basis.to_real_space(coeffs))  # warm pocketfft's plans
-    for name in originals:
-        setattr(np.fft, name, timed(name))
+    coeffs = basis.random_coefficients(rows, rng=0)
+    potential = np.random.default_rng(0).standard_normal(basis.grid.shape)
+    basis.apply_potential(coeffs, potential)  # warm the workspace pool
+    np.matmul = timed
     try:
         start = time.perf_counter()
         for _ in range(repeats):
-            basis.from_real_space(basis.to_real_space(coeffs))
+            basis.apply_potential(coeffs, potential)
         total = time.perf_counter() - start
     finally:
-        for name, func in originals.items():
-            setattr(np.fft, name, func)
-    passes = {key: value / repeats for key, value in spent.items()}
-    passes["total"] = total / repeats
-    return passes
+        np.matmul = matmul
+    times = {label: value / repeats for label, value in spent.items()}
+    times["total"] = total / repeats
+    return times
 
 
-def report_fft_passes(problems) -> None:
-    """One block per distinct fragment basis: box, line counts, per-pass times."""
+def report_products(problems) -> None:
+    """One block per distinct fragment basis: box and per-product times."""
     seen = {}
     for problem in problems:
         basis = problem.basis
         seen.setdefault((basis.grid.shape, basis.npw), (basis, problem.nbands))
-    print(f"\n{'=' * 72}\nsphere-pruned FFT passes per fragment basis\n{'=' * 72}")
+    print(f"\n{'=' * 72}\nbox-restricted DFT products per fragment basis\n{'=' * 72}")
     for (shape, npw), (basis, nbands) in seen.items():
-        pruned, dense = basis.fft_lines
-        occupied = np.nonzero(basis.to_grid(np.ones(basis.npw)))
-        box = tuple(len(np.unique(i)) for i in occupied)
-        passes = time_fft_passes(basis, nbands)
-        print(
-            f"grid {shape}  npw {npw}  box {box}  "
-            f"fft_lines {pruned}/{dense} per band ({pruned / dense:.0%})"
-        )
-        for name, label in (("ifft", "to_real_space  "), ("fft", "from_real_space")):
-            z, y, x = (passes[name, axis] * 1e3 for axis in (-1, -2, -3))
-            print(f"  {label} ({nbands} bands): z {z:.3f} ms  y {y:.3f} ms  x {x:.3f} ms")
-        fft = sum(v for k, v in passes.items() if k != "total")
-        print(
-            f"  round trip {passes['total'] * 1e3:.3f} ms, of which "
-            f"{(passes['total'] - fft) * 1e3:.3f} ms scatter/embed/gather"
-        )
+        rows = -(-nbands // 2)  # the solver packs two real bands per row
+        times = time_products(basis, rows)
+        print(f"grid {shape}  npw {npw}  box {basis._box}  "
+              f"apply_potential on {rows} packed rows ({nbands} bands)")
+        for direction in ("inverse", "forward"):
+            split = "  ".join(f"{label.split()[1]} {value * 1e3:.3f} ms"
+                              for label, value in times.items() if label.startswith(direction))
+            print(f"  {direction}  {split}")
+        products = sum(v for k, v in times.items() if k != "total")
+        print(f"  kernel {times['total'] * 1e3:.3f} ms, of which "
+              f"{(times['total'] - products) * 1e3:.3f} ms scatter / potential / gather")
+
+
+def sweep(sizes=(20, 24, 30, 36, 40, 48, 60), rows: int = 4) -> None:
+    """The kernel against the dense 3-D transform as the grid grows."""
+    from repro.pw.basis import PlaneWaveBasis
+    from repro.pw.grid import FFTGrid
+
+    print(f"apply_potential on {rows} packed rows vs dense ifftn/fftn, 12 Bohr cube\n"
+          f"{'n':>4}{'ecut':>7}{'npw':>7}{'box':>5}{'matmul ms':>11}{'dense ms':>10}{'ratio':>7}")
+    for n in sizes:
+        ecut = 2.2 * (n / 20) ** 2
+        basis = PlaneWaveBasis(FFTGrid((12.0, 12.0, 12.0), (n, n, n)), ecut)
+        coeffs = basis.random_coefficients(rows, rng=0)
+        potential = np.random.default_rng(0).standard_normal(basis.grid.shape)
+        scale = basis.grid.npoints / np.sqrt(basis.grid.volume)
+
+        def dense():
+            psi = np.fft.ifftn(basis.to_grid(coeffs), axes=(-3, -2, -1)) * scale
+            return basis.from_grid(np.fft.fftn(psi * potential, axes=(-3, -2, -1))) / scale
+
+        repeats = max(2, int(2e6 / (rows * n ** 4)))
+        gemm = best_time(lambda: basis.apply_potential(coeffs, potential), repeats)
+        reference = best_time(dense, repeats)
+        print(f"{n:>4}{ecut:>7.2f}{basis.npw:>7}{basis._box[0]:>5}{gemm * 1e3:>11.3f}"
+              f"{reference * 1e3:>10.3f}{gemm / reference:>7.2f}")
 
 
 def report_applications(labels, solves) -> None:
@@ -160,7 +202,12 @@ def main() -> int:
                         help="plane-wave cutoff in Hartree (default: 2.2)")
     parser.add_argument("--top", type=int, default=20,
                         help="rows to print per stage (default: 20)")
+    parser.add_argument("--sweep", action="store_true",
+                        help="only time the kernel against the dense transform, n = 20 ... 60")
     args = parser.parse_args()
+    if args.sweep:
+        sweep()
+        return 0
 
     from repro.atoms.toy import cscl_binary
     from repro.core.fragment_task import (
@@ -203,7 +250,7 @@ def main() -> int:
         return tasks
 
     tasks = profile_stage("Gen_VF", lambda: gen_vf(v_in), args.top)
-    report_fft_passes(scf.fragment_solver.problems().values())
+    report_products(scf.fragment_solver.problems().values())
 
     # PEtot_F: the per-fragment Kohn-Sham solves (the dominant stage).
     solves = []

@@ -52,18 +52,18 @@ def test_fig4_measured_parallel_efficiency(results_dir):
     """Real (not modelled) PEtot_F parallel efficiency on local cores.
 
     Complements the modelled % -of-peak table with a measured number: one
-    real fragment batch through the thread-pool backend, its parallel
+    real fragment batch through the process-pool backend, its parallel
     efficiency from per-fragment wall times, and the LPT scheduler's
     predicted load imbalance for the same batch.
     """
     from _real_tasks import make_real_tasks
-    from repro.parallel.executor import ThreadPoolFragmentExecutor
+    from repro.parallel.executor import ProcessPoolFragmentExecutor
 
     tasks = make_real_tasks((2, 2, 1))
-    with ThreadPoolFragmentExecutor(n_workers=2) as executor:
+    with ProcessPoolFragmentExecutor(n_workers=2) as executor:
         report = executor.run(tasks)
 
-    print("\nFigure 4 companion (measured PEtot_F efficiency, local threads x2):")
+    print("\nFigure 4 companion (measured PEtot_F efficiency, local processes x2):")
     print(f"  wall {report.wall_time:.2f}s  task-sum {report.total_cpu_time:.2f}s"
           f"  efficiency {report.parallel_efficiency:.2f}"
           f"  LPT imbalance {report.schedule.imbalance:.3f}")
@@ -94,7 +94,7 @@ def test_fig4_band_groups_largest_fragment(results_dir):
 
     The measured counterpart of the paper's Np-cores-per-group design
     point: solve the single most expensive fragment of a real batch once
-    on one worker and once band-sliced over a thread group, and record
+    on one worker and once band-sliced over a process group, and record
     both wall times (plus the measured intra-group efficiency) to
     ``fig4_band_groups.json``.  On a single-core CI box the grouped wall
     cannot beat the ungrouped one, so no speedup is asserted — only that
@@ -106,7 +106,7 @@ def test_fig4_band_groups_largest_fragment(results_dir):
     from repro.core.fragment_task import solve_fragment_task
     from repro.parallel.amdahl import measured_intra_group_efficiency
     from repro.parallel.bands import BandGroup
-    from repro.parallel.executor import ThreadPoolFragmentExecutor
+    from repro.parallel.executor import ProcessPoolFragmentExecutor
 
     tasks = make_real_tasks((2, 2, 1))
     largest = max(tasks, key=lambda t: t.cost())
@@ -120,7 +120,7 @@ def test_fig4_band_groups_largest_fragment(results_dir):
     reference = solve_fragment_task(largest)
     ungrouped_wall = time.perf_counter() - t0
 
-    with ThreadPoolFragmentExecutor(n_workers=nslices) as executor:
+    with ProcessPoolFragmentExecutor(n_workers=nslices) as executor:
         t0 = time.perf_counter()
         group = BandGroup(executor, nslices)
         grouped = solve_fragment_task(largest, group=group)

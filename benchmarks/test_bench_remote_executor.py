@@ -29,7 +29,7 @@ from repro.atoms.toy import cscl_binary
 from repro.core.scf import LS3DFSCF
 from repro.io.results import ResultRecord, save_records
 from repro.io.tables import format_table
-from repro.parallel.executor import ThreadPoolFragmentExecutor
+from repro.parallel.executor import ProcessPoolFragmentExecutor
 from repro.parallel.remote import (
     RemoteExecutor,
     RemoteExecutorConfig,
@@ -111,8 +111,8 @@ def test_bench_remote_executor(results_dir):
     assert on["installs"] > 0 and off["installs"] == 0
     savings = 1.0 - on["bytes_sent"] / off["bytes_sent"]
 
-    # -- measured band-group overlap on a local thread pool.
-    with ThreadPoolFragmentExecutor(4) as pool:
+    # -- measured band-group overlap on a local process pool.
+    with ProcessPoolFragmentExecutor(4) as pool:
         grouped = _tiny_scf(pool, band_groups=2).run(**_RUN_KW)
     records = [t.band_schedule for t in grouped.timings]
     assert all(r.concurrent for r in records)

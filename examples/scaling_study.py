@@ -3,7 +3,7 @@
 Part A reproduces the modelled evaluation (Table I, Figures 3-5) for any of
 the three machines; Part B runs a *real* laptop-scale strong-scaling
 measurement: a full LS3DF self-consistent calculation is repeated with the
-serial, thread-pool and process-pool fragment-execution backends (every
+serial and process-pool fragment-execution backends (every
 fragment one fused Gen_VF->solve->Gen_dens task per iteration) and the
 *measured* PEtot_F speedup (from the per-fragment wall times the SCF loop
 records) is printed next to the speedup the LPT load-balancing model
@@ -33,7 +33,6 @@ from repro.parallel import (
     LS3DFWorkload,
     ProcessPoolFragmentExecutor,
     SerialFragmentExecutor,
-    ThreadPoolFragmentExecutor,
     machine_by_name,
 )
 from repro.parallel.comm import CommScheme
@@ -85,8 +84,6 @@ def real_strong_scaling(max_workers: int) -> None:
 
     backends = [("serial", 1, SerialFragmentExecutor())]
     for workers in sorted({2, max_workers} if max_workers > 1 else set()):
-        backends.append((f"threads x{workers}", workers,
-                         ThreadPoolFragmentExecutor(n_workers=workers)))
         backends.append((f"processes x{workers}", workers,
                          ProcessPoolFragmentExecutor(n_workers=workers)))
 
@@ -143,8 +140,8 @@ def band_group_study(max_workers: int) -> None:
         ("serial (no groups)", SerialFragmentExecutor, None)
     ]
     for nslices in sorted({2, max(2, min(max_workers, 4))}):
-        configs.append((f"threads, band_groups={nslices}",
-                        lambda: ThreadPoolFragmentExecutor(
+        configs.append((f"processes, band_groups={nslices}",
+                        lambda: ProcessPoolFragmentExecutor(
                             n_workers=max(2, max_workers)),
                         nslices))
     for name, make_executor, band_groups in configs:

@@ -13,8 +13,8 @@ performs the paper's four steps:
 * **PEtot_F**  (:mod:`repro.core.fragment_task` /
   :mod:`repro.core.fragment_solver`) — solve the Kohn-Sham eigenproblem of
   every fragment with the plane-wave substrate, dispatched through a
-  pluggable execution backend (serial, thread pool or process pool; see
-  :mod:`repro.parallel.executor`);
+  pluggable execution backend (serial, process pool or remote workers;
+  see :mod:`repro.parallel.executor`);
 * **Gen_dens** (:mod:`repro.core.patching`)    — patch the weighted fragment
   densities into the global charge density;
 * **GENPOT**   (:mod:`repro.core.genpot`)      — solve the global Poisson

@@ -94,8 +94,9 @@ class LS3DF:
         :class:`repro.core.scf.LS3DFSCF` and
         :mod:`repro.parallel.bands`.
     kwargs:
-        Remaining options forwarded to :class:`repro.core.scf.LS3DFSCF`
-        (buffer_cells, mixer, eigensolver, passivation switches, ...).
+        Remaining options forwarded to :class:`repro.core.scf.LS3DFSCF`:
+        ``buffer_cells``, ``n_empty``, ``mixer``, ``mixer_options``,
+        ``points_per_bohr`` and ``install_potentials``.
     """
 
     def __init__(

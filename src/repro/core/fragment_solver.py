@@ -140,14 +140,9 @@ class FragmentSolver:
         Plane-wave cutoff for the fragment problems (Hartree).
     n_empty:
         Guard bands per fragment: iterated and returned, not gated.
-    eigensolver:
-        ``"all_band"`` (default, BLAS-3) or ``"band_by_band"`` (BLAS-2
-        reference algorithm).
-    passivate:
-        Whether to add pseudo-hydrogen passivation atoms (the paper always
-        does; turning it off is useful to demonstrate *why* it is needed).
-    polar_passivation:
-        Use partially charged pseudo-hydrogens (H_cation / H_anion).
+
+    Every fragment is passivated with partially charged pseudo-hydrogens
+    (H_cation / H_anion) and solved by the all-band CG, as in the paper.
     """
 
     def __init__(
@@ -156,19 +151,11 @@ class FragmentSolver:
         pseudopotentials: PseudopotentialSet,
         ecut: float,
         n_empty: int = 2,
-        eigensolver: str = "all_band",
-        passivate: bool = True,
-        polar_passivation: bool = True,
     ) -> None:
-        if eigensolver not in {"all_band", "band_by_band"}:
-            raise ValueError(f"unknown eigensolver {eigensolver!r}")
         self.division = division
         self.pseudopotentials = pseudopotentials
         self.ecut = float(ecut)
         self.n_empty = int(n_empty)
-        self.eigensolver = eigensolver
-        self.passivate = passivate
-        self.polar_passivation = polar_passivation
         self._problems: dict[str, FragmentProblem] = {}
 
     # ------------------------------------------------------------------
@@ -177,18 +164,7 @@ class FragmentSolver:
         key = fragment.label
         if key in self._problems:
             return self._problems[key]
-        if self.passivate:
-            passivation = passivate_fragment(
-                self.division, fragment, polar=self.polar_passivation
-            )
-        else:
-            structure = self.division.fragment_structure(fragment)
-            passivation = PassivationResult(
-                structure=structure,
-                n_passivants=0,
-                passivant_indices=[],
-                cut_bonds=[],
-            )
+        passivation = passivate_fragment(self.division, fragment)
         structure = passivation.structure
         grid = self.division.fragment_grid(fragment)
         # The basis/Hamiltonian/occupations construction is the shared
@@ -196,8 +172,8 @@ class FragmentSolver:
         template = self._static_task(fragment, structure, grid)
         task_problem = build_task_problem(template)
         ionic_density = self.pseudopotentials.ionic_density(structure, grid)
-        # Seed the shared per-process cache so the in-process backends
-        # (serial, threads) reuse this Hamiltonian instead of rebuilding it.
+        # Seed the shared per-process cache so in-process kernels (the
+        # serial backend, loopback workers) reuse this Hamiltonian.
         # Process pools benefit too on fork platforms: workers forked at
         # first use inherit the seeded cache copy-on-write.
         seed_task_problem(task_problem)
@@ -228,7 +204,6 @@ class FragmentSolver:
             screening_potential=screening_potential,
             ecut=self.ecut,
             n_empty=self.n_empty,
-            eigensolver=self.eigensolver,
             pseudopotentials=self.pseudopotentials,
             weight=fragment.weight,
             ncells=fragment.ncells,

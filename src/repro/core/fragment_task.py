@@ -22,7 +22,7 @@ implemented:
   outer iterations are cheap even inside pool workers.
 * :class:`FragmentStateCache` holds warm-start wavefunctions per fragment
   *outside* any particular backend, so warm starts survive no matter
-  which executor (serial, threads, processes) ran the previous iteration.
+  which executor ran the previous iteration.
 * :class:`FragmentExecutor` is the protocol every backend implements.
 
 Layering note: this module deliberately depends only on the plane-wave
@@ -40,7 +40,6 @@ import time
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -48,7 +47,7 @@ import numpy as np
 from repro.atoms.structure import Structure
 from repro.pw.basis import PlaneWaveBasis
 from repro.pw.density import compute_density, occupations_for_insulator
-from repro.pw.eigensolver import all_band_cg, band_by_band_cg
+from repro.pw.eigensolver import all_band_cg
 from repro.pw.grid import FFTGrid
 from repro.pw.hamiltonian import Hamiltonian
 from repro.pw.pseudopotential import PseudopotentialSet, default_pseudopotentials
@@ -78,8 +77,6 @@ class FragmentTask:
     n_empty:
         Guard bands: iterated and returned, not gated (the solve ends when
         the occupied bands are converged).
-    eigensolver:
-        ``"all_band"`` (BLAS-3) or ``"band_by_band"`` (BLAS-2 reference).
     tolerance, max_iterations:
         Eigensolver controls.
     initial_coefficients:
@@ -89,14 +86,7 @@ class FragmentTask:
     weight:
         The fragment's patching weight alpha_F (carried for bookkeeping).
     ncells:
-        Number of grid cells the fragment covers (1..8); the primary
-        relative-cost signal for load balancing.
-    cost_hint:
-        Optional explicit relative cost for the scheduler; when ``None``
-        an estimate from the grid volume is used (see :meth:`cost`).
-    return_coefficients:
-        Ship the converged wavefunctions back in the result (needed for
-        warm starts across iterations; the default).
+        Number of grid cells the fragment covers (1..8).
     screening_key:
         Install-channel reference (PR 6): when the screening potential
         was installed once per worker via
@@ -114,21 +104,16 @@ class FragmentTask:
     screening_potential: np.ndarray | None
     ecut: float
     n_empty: int = 2
-    eigensolver: str = "all_band"
     tolerance: float = 1e-5
     max_iterations: int = 60
     initial_coefficients: np.ndarray | None = None
     pseudopotentials: PseudopotentialSet | None = None
     weight: int = 1
     ncells: int = 1
-    cost_hint: float | None = None
-    return_coefficients: bool = True
     screening_key: str | None = None
 
     def cost(self) -> float:
         """Relative cost for load balancing (grid volume as npw proxy)."""
-        if self.cost_hint is not None:
-            return float(self.cost_hint)
         return float(np.prod(self.grid_shape))
 
     def static_fingerprint(self) -> str:
@@ -177,8 +162,7 @@ class FragmentTaskResult:
         PID of the process that executed the solve (distinguishes pool
         workers from the driver).
     coefficients:
-        Converged wavefunctions, or ``None`` when the task was built
-        with ``return_coefficients=False``.
+        Converged wavefunctions (the next iteration's warm start).
     """
 
     label: str
@@ -190,7 +174,7 @@ class FragmentTaskResult:
     converged: bool
     wall_time: float
     worker_pid: int
-    coefficients: np.ndarray | None = None
+    coefficients: np.ndarray
 
 
 @dataclass
@@ -394,7 +378,7 @@ def install_potential(key: str, array: np.ndarray) -> str:
     """Store a potential in this process under ``key`` (LRU, bounded).
 
     Returns the key for chaining.  Executors broadcast this to pool
-    workers; the serial and thread backends call it in-process.
+    workers; the serial backend calls it in-process.
     """
     arr = np.asarray(array)
     with _INSTALLED_LOCK:
@@ -470,8 +454,8 @@ def solve_fragment_task(
 ) -> FragmentTaskResult:
     """Solve one fragment task — THE shared PEtot_F kernel.
 
-    Runs identically in the calling process (serial backend, thread
-    backend) and inside process-pool or remote workers.
+    Runs identically in the calling process (serial backend) and inside
+    process-pool or remote workers.
 
     Parameters
     ----------
@@ -487,23 +471,16 @@ def solve_fragment_task(
         every cross-band reduction — while H·psi of the unconverged bands is
         sliced over the group's executor.  **Bit-identical** to the ungrouped
         solve for any slice count and backend (``tests/test_band_parallel.py``).
-        Only the ``"all_band"`` eigensolver can be grouped; the group's task
-        accounting is left on ``group.stats``.
+        The group's task accounting is left on ``group.stats``.
 
     Returns
     -------
     FragmentTaskResult
-        Eigenvalues, density, energies and solve bookkeeping; includes
-        the converged wavefunctions unless the task disabled
-        ``return_coefficients``.
+        Eigenvalues, density, energies, solve bookkeeping and the
+        converged wavefunctions.
     """
     t0 = time.perf_counter()
     v_screen = resolve_screening_potential(task)
-    if group is not None and task.eigensolver != "all_band":
-        raise ValueError(
-            f"band groups require the all-band eigensolver; task {task.label!r} "
-            f"uses {task.eigensolver!r}"
-        )
     if problem is None:
         problem = get_task_problem(task)
     hamiltonian = problem.hamiltonian
@@ -512,18 +489,14 @@ def solve_fragment_task(
     # what keeps two group roots off one static problem at a time.
     with problem.lock:
         hamiltonian.set_effective_potential(v_screen)
-        solver = band_by_band_cg
-        if task.eigensolver == "all_band":
-            bands = None if group is None else group.bind(task)
-            solver = partial(
-                all_band_cg, band_groups=bands, nconverge=problem.noccupied
-            )
-        result = solver(
+        result = all_band_cg(
             hamiltonian,
             problem.nbands,
             initial=task.initial_coefficients,
             max_iterations=task.max_iterations,
             tolerance=task.tolerance,
+            band_groups=None if group is None else group.bind(task),
+            nconverge=problem.noccupied,
         )
         # The root-local FFT work; a band group's roots take turns at it.
         with group.root_lock if group is not None else nullcontext():
@@ -545,7 +518,7 @@ def solve_fragment_task(
         converged=result.converged,
         wall_time=time.perf_counter() - t0,
         worker_pid=os.getpid(),
-        coefficients=result.coefficients if task.return_coefficients else None,
+        coefficients=result.coefficients,
     )
 
 
@@ -691,7 +664,7 @@ class FragmentPipelineResult:
             :meth:`from_state_dict`.
         """
         r = self.result
-        state: dict[str, np.ndarray] = {
+        return {
             "label": np.asarray(r.label),
             "eigenvalues": np.asarray(r.eigenvalues),
             "density": np.asarray(r.density),
@@ -704,10 +677,8 @@ class FragmentPipelineResult:
             "contribution": np.asarray(self.contribution),
             "gen_vf_time": np.float64(self.gen_vf_time),
             "gen_dens_time": np.float64(self.gen_dens_time),
+            "coefficients": np.asarray(r.coefficients),
         }
-        if r.coefficients is not None:
-            state["coefficients"] = np.asarray(r.coefficients)
-        return state
 
     @classmethod
     def from_state_dict(cls, state: dict[str, np.ndarray]) -> "FragmentPipelineResult":
@@ -725,7 +696,6 @@ class FragmentPipelineResult:
             through ``.npz``), so replaying it mid-iteration reproduces
             an uninterrupted run.
         """
-        coefficients = state.get("coefficients")
         result = FragmentTaskResult(
             label=str(state["label"]),
             eigenvalues=np.asarray(state["eigenvalues"]),
@@ -736,7 +706,7 @@ class FragmentPipelineResult:
             converged=bool(state["converged"]),
             wall_time=float(state["solve_wall_time"]),
             worker_pid=int(state["worker_pid"]),
-            coefficients=None if coefficients is None else np.asarray(coefficients),
+            coefficients=np.asarray(state["coefficients"]),
         )
         return cls(
             result=result,
@@ -878,13 +848,10 @@ class FragmentStateCache:
         Parameters
         ----------
         results:
-            Executed task results; entries whose ``coefficients`` are
-            ``None`` (tasks run with ``return_coefficients=False``) are
-            skipped, keeping whatever the cache held before.
+            Executed task results.
         """
         for res in results:
-            if res.coefficients is not None:
-                self._coefficients[res.label] = res.coefficients
+            self._coefficients[res.label] = res.coefficients
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Serialisable snapshot of every stored wavefunction.

@@ -8,13 +8,12 @@ of a fragment are fused into one
 :class:`~repro.core.fragment_task.FragmentPipelineTask` (a single
 executor round trip), executed through a pluggable backend implementing
 the :class:`repro.core.fragment_task.FragmentExecutor` protocol — the
-serial default, a thread pool, a process pool
-(:mod:`repro.parallel.executor`) or socket workers
-(:mod:`repro.parallel.remote`).  The global density is assembled by a
-deterministic chunked tree-reduce that consumes the fragments' futures
-in order while the batch tail is still running, so the driver's serial
-work per iteration is task building, the reduce's residue and GENPOT;
-the loop never cares *where* a fragment was solved.
+serial default, a process pool (:mod:`repro.parallel.executor`) or
+socket workers (:mod:`repro.parallel.remote`).  The global density is
+assembled by a deterministic chunked tree-reduce that consumes the
+fragments' futures in order while the batch tail is still running, so
+the driver's serial work per iteration is task building, the reduce's
+residue and GENPOT; the loop never cares *where* a fragment was solved.
 
 The paper's parallelism is two-level: fragments go to processor
 *groups*, and the Np cores inside a group distribute one fragment's
@@ -376,9 +375,6 @@ class LS3DFSCF:
         Fragment grid ``(m1, m2, m3)``.
     ecut:
         Plane-wave cutoff for the fragment solves (Hartree).
-    global_grid:
-        Global FFT grid; chosen automatically (divisible by ``grid_dims``)
-        when omitted.
     pseudopotentials:
         Model pseudopotential set.
     buffer_cells:
@@ -387,15 +383,14 @@ class LS3DFSCF:
         Guard bands per fragment: iterated and returned, not gated.
     mixer, mixer_options:
         Global potential mixing scheme (GENPOT step).
-    eigensolver:
-        Fragment eigensolver algorithm.
-    passivate, polar_passivation:
-        Fragment surface passivation options.
+    points_per_bohr:
+        Global grid density; the grid (divisible by ``grid_dims``) is
+        derived from ``ecut`` when omitted.
     executor:
         Where fragments are solved: a backend of the one dispatch engine
-        in :mod:`repro.parallel.executor` (serial — the default —
-        threads, processes, or :mod:`repro.parallel.remote` workers), or
-        anything else with the
+        — the serial default or a process pool
+        (:mod:`repro.parallel.executor`), or :mod:`repro.parallel.remote`
+        workers — or anything else with the
         :class:`~repro.core.fragment_task.FragmentExecutor` shape.  Every
         iteration consumes ``executor.submit_pipeline_batch`` futures,
         so an object without that method is rejected with a
@@ -424,9 +419,9 @@ class LS3DFSCF:
         the per-slice H·psi work goes through ``executor.run_bands``
         — bit-identical results to the ungrouped side for any slice
         count, backend and group concurrency, which is what removes the
-        largest-fragment floor on the PEtot_F wall time.  Requires the
-        ``"all_band"`` eigensolver and an executor with ``run_bands``
-        (all backends in :mod:`repro.parallel.executor`).  With
+        largest-fragment floor on the PEtot_F wall time.  Requires an
+        executor with ``run_bands`` (all backends in
+        :mod:`repro.parallel.executor`).  With
         ``checkpoint_dir=`` set on :meth:`run`, completed fragments are
         additionally persisted *within* each iteration, so a killed run
         replays only the unfinished ones (see :mod:`repro.io.checkpoint`).
@@ -443,15 +438,11 @@ class LS3DFSCF:
         structure: Structure,
         grid_dims: Sequence[int],
         ecut: float = 4.0,
-        global_grid: FFTGrid | None = None,
         pseudopotentials: PseudopotentialSet | None = None,
         buffer_cells: float = 0.5,
         n_empty: int = 2,
         mixer: str = "kerker",
         mixer_options: dict | None = None,
-        eigensolver: str = "all_band",
-        passivate: bool = True,
-        polar_passivation: bool = True,
         points_per_bohr: float | None = None,
         executor: FragmentExecutor | None = None,
         genpot_shards: int | None = None,
@@ -462,11 +453,9 @@ class LS3DFSCF:
         self.grid_dims = tuple(int(m) for m in grid_dims)
         self.pseudopotentials = pseudopotentials or default_pseudopotentials()
         self.ecut = float(ecut)
-        if global_grid is None:
-            global_grid = self._default_grid(points_per_bohr)
-        self.global_grid = global_grid
+        self.global_grid = self._default_grid(points_per_bohr)
         self.division = SpatialDivision(
-            structure, self.grid_dims, global_grid, buffer_cells
+            structure, self.grid_dims, self.global_grid, buffer_cells
         )
         self.fragments: list[Fragment] = enumerate_fragments(self.grid_dims)
         self.fragment_solver = FragmentSolver(
@@ -474,9 +463,6 @@ class LS3DFSCF:
             self.pseudopotentials,
             ecut=self.ecut,
             n_empty=n_empty,
-            eigensolver=eigensolver,
-            passivate=passivate,
-            polar_passivation=polar_passivation,
         )
         if executor is None:
             # Imported lazily: repro.parallel.executor depends on
@@ -493,7 +479,7 @@ class LS3DFSCF:
             )
         self.genpot = GlobalPotentialSolver(
             structure,
-            global_grid,
+            self.global_grid,
             self.pseudopotentials,
             mixer=mixer,
             mixer_options=mixer_options,
@@ -505,11 +491,6 @@ class LS3DFSCF:
         if self.band_groups is not None:
             if self.band_groups < 1:
                 raise ValueError("band_groups must be positive")
-            if eigensolver != "all_band":
-                raise ValueError(
-                    "band_groups requires the all-band eigensolver "
-                    f"(got {eigensolver!r})"
-                )
             if not hasattr(executor, "run_bands"):
                 raise TypeError(
                     f"band_groups needs an executor with run_bands(); "
@@ -947,7 +928,6 @@ class LS3DFSCF:
         eigensolver_tolerance: float = 1e-5,
         eigensolver_iterations: int = 60,
         initial_potential: np.ndarray | None = None,
-        verbose: bool = False,
         checkpoint_dir: str | Path | None = None,
         checkpoint_every: int = 1,
         resume: bool = False,
@@ -978,8 +958,6 @@ class LS3DFSCF:
         initial_potential:
             Optional starting input potential (defaults to the neutral-atom
             guess).  Ignored when resuming from a checkpoint.
-        verbose:
-            Print per-iteration progress.
         checkpoint_dir:
             Directory to write SCF checkpoints to (input potential, mixer
             state, warm-start wavefunctions, histories).  ``None``
@@ -1005,7 +983,8 @@ class LS3DFSCF:
             checkpoint hooks — the one per-iteration channel, used by the
             run store (:mod:`repro.store`).  Emitted kinds: ``"iteration"`` after
             every completed outer iteration (``iteration``,
-            ``potential_difference``, ``energy``, ``converged``) and
+            ``potential_difference``, ``energy``, ``converged``; a
+            printer of these is the way to watch progress) and
             ``"checkpointed"`` after every checkpoint save
             (``iteration``).  A hook exception fails the run loudly — a
             run whose durable record cannot be written must not continue
@@ -1019,6 +998,8 @@ class LS3DFSCF:
             include the checkpointed iterations; ``timings`` covers only
             the iterations this call executed.
         """
+        if max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
         checkpoint_path = Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -1081,14 +1062,9 @@ class LS3DFSCF:
             if v_in.shape != self.global_grid.shape:
                 raise ValueError("initial potential shape mismatch")
 
+        # start_iteration <= max_iterations here, so the loop runs at least once.
         timings: list[IterationTimings] = []
-        frag_results: list[FragmentSolveResult] = []
         converged = False
-        density = np.zeros(self.global_grid.shape)
-        total_energy = 0.0
-        quantum_energy = 0.0
-        iteration = start_iteration - 1
-
         for iteration in range(start_iteration, max_iterations + 1):
             t = IterationTimings()
 
@@ -1142,13 +1118,6 @@ class LS3DFSCF:
                             out.potential_difference < potential_tolerance
                         ),
                     },
-                )
-            if verbose:  # pragma: no cover - logging
-                print(
-                    f"LS3DF {iteration:3d}: |Vout-Vin| = {out.potential_difference:.3e}"
-                    f"  E = {total_energy:.6f} Ha"
-                    f"  (VF {t.gen_vf:.2f}s  F {t.petot_f:.2f}s"
-                    f"  dens {t.gen_dens:.2f}s  pot {t.genpot:.2f}s)"
                 )
             if out.potential_difference < potential_tolerance:
                 converged = True

@@ -21,7 +21,7 @@ explicit execution model:
   the above into per-iteration times, Tflop/s and %-of-peak figures;
 * :mod:`repro.parallel.amdahl`    — Amdahl's-law fitting used for Figure 3;
 * :mod:`repro.parallel.executor`  — *real* fragment-execution backends
-  (serial, thread pool, persistent process pool) behind the
+  (serial, persistent process pool) behind the
   :class:`repro.core.fragment_task.FragmentExecutor` protocol, for
   running actual fragment solves concurrently on local cores;
 * :mod:`repro.parallel.distributed` — the paper's 1D slab data layout for
@@ -46,8 +46,7 @@ explicit execution model:
   :class:`~repro.parallel.remote.RemoteExecutor` pool that runs fragment
   pipelines, GENPOT slabs and band slices on socket-connected workers —
   bit-identical to the serial backend, with heartbeats, timeouts,
-  resubmission on worker death and graceful degradation to local
-  execution;
+  resubmission on worker death and an optional local fallback executor;
 * :mod:`repro.parallel.faults` — seeded deterministic fault injection
   (:class:`~repro.parallel.faults.FlakyWorker`,
   :class:`~repro.parallel.faults.FlakyExecutor`) for testing the
@@ -105,7 +104,6 @@ from repro.parallel.executor import (
     FragmentTaskResult,
     ProcessPoolFragmentExecutor,
     SerialFragmentExecutor,
-    ThreadPoolFragmentExecutor,
     run_fragment_pipeline_task,
     solve_fragment_task,
 )
@@ -172,7 +170,6 @@ __all__ = [
     "FragmentTaskResult",
     "ProcessPoolFragmentExecutor",
     "SerialFragmentExecutor",
-    "ThreadPoolFragmentExecutor",
     "run_fragment_pipeline_task",
     "solve_fragment_task",
     "LocalWorkerPool",

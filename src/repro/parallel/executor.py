@@ -1,4 +1,4 @@
-"""The dispatch engine and its local backends: serial, threads, processes.
+"""The dispatch engine and its local backends: serial and processes.
 
 The paper's parallelism comes from solving independent fragments on
 independent processor groups; its driver scatters picklable work and
@@ -20,8 +20,6 @@ logical task, and there is no backend-specific solve path.
 
 * :class:`SerialFragmentExecutor` — an immediate ``_submit`` in the
   calling process; the default of :class:`repro.core.scf.LS3DFSCF`.
-* :class:`ThreadPoolFragmentExecutor` — a thread pool; the BLAS-3
-  eigensolver work releases the GIL, so fragments already overlap.
 * :class:`ProcessPoolFragmentExecutor` — a *persistent* process pool;
   each worker keeps its static-problem cache alive across outer
   iterations (the paper's cheap second iteration holds in the workers).
@@ -41,7 +39,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -87,7 +85,6 @@ __all__ = [
     "ProcessPoolFragmentExecutor",
     "ScheduleSummary",
     "SerialFragmentExecutor",
-    "ThreadPoolFragmentExecutor",
     "gather_in_order",
     "install_potential",
     "potential_fingerprint",
@@ -424,27 +421,36 @@ class SerialFragmentExecutor(_Backend):
         return [SerialFragmentExecutor() for _ in range(ngroups)]
 
 
-class _PoolFragmentExecutor(_Backend):
-    """A lazily started ``concurrent.futures`` pool behind the engine."""
+class ProcessPoolFragmentExecutor(_Backend):
+    """Executes fragment tasks concurrently in a persistent process pool.
+
+    The pool is created on first use and kept alive across batches, so
+    every worker's static-problem cache (and hence the cheap second
+    LS3DF iteration) survives from one outer iteration to the next.
+    Call :meth:`close` (or use as a context manager) to release the
+    workers.
+
+    Parameters
+    ----------
+    n_workers:
+        Number of worker processes ("groups"); defaults to the CPU count.
+    """
 
     def __init__(self, n_workers: int | None = None) -> None:
         if n_workers is not None and n_workers < 1:
             raise ValueError("n_workers must be positive")
         super().__init__()
         self.n_workers = int(n_workers or os.cpu_count() or 1)
-        self._pool: Executor | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._pool_mutex = threading.Lock()
         # Keys every worker of *this* pool was sent; each partition
         # child's workers are distinct and need their own broadcast.
         self._broadcast_keys: set[str] = set()
 
-    def _make_pool(self) -> Executor:
-        raise NotImplementedError
-
-    def _ensure_pool(self) -> Executor:
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._pool_mutex:  # two group roots may reach a cold pool at once
             if self._pool is None:
-                self._pool = self._make_pool()
+                self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
             return self._pool
 
     def _submit(self, task, kernel):
@@ -455,13 +461,27 @@ class _PoolFragmentExecutor(_Backend):
             self, self._ensure_pool().submit(kernel, task), task, kernel
         )
 
-    def _split(self, ngroups: int) -> list["_PoolFragmentExecutor"]:
+    def _split(self, ngroups: int) -> list["ProcessPoolFragmentExecutor"]:
         from repro.parallel.groups import partition_worker_counts
 
         return [
-            type(self)(n_workers=per_group)
+            ProcessPoolFragmentExecutor(n_workers=per_group)
             for per_group in partition_worker_counts(self.n_workers, ngroups)
         ]
+
+    def _broadcast(self, key: str, arr: np.ndarray) -> None:
+        """One install submission per worker (a busy one may miss its own)."""
+        if self.n_workers == 1 or key in self._broadcast_keys:
+            return
+        pool = self._ensure_pool()
+        futures = [
+            pool.submit(install_potential, key, arr)
+            for _ in range(self.n_workers)
+        ]
+        for f in futures:
+            f.result()
+        self._broadcast_keys.add(key)
+        self._count(install_broadcasts=self.n_workers)
 
     def close(self) -> None:
         """Shut the pool down; a later batch transparently restarts it.
@@ -478,53 +498,3 @@ class _PoolFragmentExecutor(_Backend):
             self.close()
         except Exception:
             pass
-
-
-class ThreadPoolFragmentExecutor(_PoolFragmentExecutor):
-    """Executes fragment tasks concurrently in a thread pool.
-
-    Threads share the per-process static-problem cache, so nothing is
-    rebuilt, and the BLAS-3 block operations dominating the eigensolver
-    release the GIL — fragments genuinely overlap.
-
-    Parameters
-    ----------
-    n_workers:
-        Number of worker threads ("groups"); defaults to the CPU count.
-    """
-
-    def _make_pool(self) -> Executor:
-        return ThreadPoolExecutor(max_workers=self.n_workers)
-
-
-class ProcessPoolFragmentExecutor(_PoolFragmentExecutor):
-    """Executes fragment tasks concurrently in a persistent process pool.
-
-    The pool is created on first use and kept alive across batches, so
-    every worker's static-problem cache (and hence the cheap second
-    LS3DF iteration) survives from one outer iteration to the next.
-    Call :meth:`close` (or use as a context manager) to release the
-    workers.
-
-    Parameters
-    ----------
-    n_workers:
-        Number of worker processes ("groups"); defaults to the CPU count.
-    """
-
-    def _make_pool(self) -> Executor:
-        return ProcessPoolExecutor(max_workers=self.n_workers)
-
-    def _broadcast(self, key: str, arr: np.ndarray) -> None:
-        """One install submission per worker (a busy one may miss its own)."""
-        if self.n_workers == 1 or key in self._broadcast_keys:
-            return
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(install_potential, key, arr)
-            for _ in range(self.n_workers)
-        ]
-        for f in futures:
-            f.result()
-        self._broadcast_keys.add(key)
-        self._count(install_broadcasts=self.n_workers)

@@ -50,9 +50,9 @@ socket wait is bounded by a configurable timeout, so no failure mode can
 hang the driver.  A worker that times out, drops the connection or dies
 mid-task is marked dead and its in-flight task goes back to the head of
 the queue for the surviving workers (results are bit-identical because
-the kernels are pure).  When *every* worker is gone the executor
-degrades gracefully to a local fallback executor — or raises the typed
-:class:`NoRemoteWorkersError` when constructed with ``fallback=None``.
+the kernels are pure).  When *every* worker is gone the executor hands
+the remaining tasks to the ``fallback=`` executor it was given — or,
+without one, fails them with the typed :class:`NoRemoteWorkersError`.
 A genuine kernel exception on a worker is *not* retried: it is raised
 as a :class:`RemoteTaskError` (the task would fail anywhere).
 
@@ -86,7 +86,7 @@ from repro.core.fragment_task import (
 )
 from repro.parallel.bands import run_band_block_task
 from repro.parallel.distributed import run_global_step_task
-from repro.parallel.executor import SerialFragmentExecutor, _Backend
+from repro.parallel.executor import _Backend
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -126,7 +126,7 @@ class WorkerDiedError(RuntimeError):
 
 
 class NoRemoteWorkersError(RuntimeError):
-    """No remote worker is reachable and no local fallback was allowed."""
+    """No remote worker is reachable and no fallback executor was given."""
 
 
 class RemoteTaskError(RuntimeError):
@@ -730,11 +730,11 @@ class RemoteExecutor(_Backend):
     config:
         Timeouts and retry policy (:class:`RemoteExecutorConfig`).
     fallback:
-        The bottom of the degradation ladder when no worker answers:
-        ``"serial"`` (default) runs remaining tasks in-process via a
-        :class:`repro.parallel.executor.SerialFragmentExecutor`, an
-        executor instance is used as-is, and ``None`` raises
-        :class:`NoRemoteWorkersError` instead.
+        The bottom of the degradation ladder when no worker answers: an
+        executor (e.g. a
+        :class:`repro.parallel.executor.SerialFragmentExecutor`) that runs
+        the remaining tasks, or ``None`` (default) to fail them with
+        :class:`NoRemoteWorkersError`.
     """
 
     # Workers are the compute nodes: even a batch of one goes out.
@@ -744,13 +744,12 @@ class RemoteExecutor(_Backend):
         self,
         addresses: Sequence[tuple[str, int]],
         config: RemoteExecutorConfig | None = None,
-        fallback="serial",
+        fallback=None,
     ) -> None:
         super().__init__()
         self.config = config or RemoteExecutorConfig()
         self._handles = [_WorkerHandle(a, self.config) for a in addresses]
-        self._fallback_spec = fallback
-        self._fallback = None if isinstance(fallback, str) else fallback
+        self._fallback = fallback
         self.resubmissions = 0
         self.workers_lost = 0
         self.degraded_tasks = 0
@@ -869,7 +868,7 @@ class RemoteExecutor(_Backend):
         A transport failure marks the worker dead and puts its task back
         at the head of the queue; the thread of a dead worker (however it
         died — mid-task here, or in a heartbeat) retires, and the last one
-        to retire hands whatever is still queued to the local fallback.
+        to retire hands whatever is still queued to the fallback executor.
         """
         while True:
             leftovers: list = []
@@ -912,17 +911,17 @@ class RemoteExecutor(_Backend):
             future.set_result(result)
 
     def _resolve_locally(self, task, kernel, future: Future) -> None:
-        """Bottom of the ladder: run one task on the local fallback."""
+        """Bottom of the ladder: run one task on the fallback executor."""
         if not _claim(future):
             return
         kind = _KINDS[kernel.__name__]
-        fallback = self._fallback_executor()
+        fallback = self._fallback
         if fallback is None:
             future.set_exception(
                 NoRemoteWorkersError(
                     f"no remote worker answered for a {kind} task "
                     f"(addresses: {[h.address for h in self._handles]}) and "
-                    f"the local fallback is disabled"
+                    f"no fallback executor was given"
                 )
             )
             return
@@ -960,11 +959,6 @@ class RemoteExecutor(_Backend):
             str(reply.get("error_type")), str(reply.get("error"))
         )
 
-    def _fallback_executor(self):
-        if self._fallback is None and self._fallback_spec == "serial":
-            self._fallback = SerialFragmentExecutor()
-        return self._fallback
-
     def _split(self, ngroups: int) -> list["RemoteExecutor"]:
         """Views owning a round-robin share of the worker handles.
 
@@ -973,7 +967,7 @@ class RemoteExecutor(_Backend):
         """
         children = []
         for g in range(ngroups):
-            child = RemoteExecutor([], config=self.config, fallback=self._fallback_spec)
+            child = RemoteExecutor([], config=self.config, fallback=self._fallback)
             child._handles = self._handles[g::ngroups]
             children.append(child)
         return children

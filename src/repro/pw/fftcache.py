@@ -1,13 +1,14 @@
-"""Shape-keyed FFT workspace pool for the hot-path kernels (PR 6).
+"""Shape-keyed FFT workspace pool for the hot-path kernels.
 
-The fragment kernels perform thousands of FFTs on identically-shaped
-arrays per SCF iteration (every band block of every fragment shares the
-fragment grid shape), and every ``np.fft.fftn`` call allocates a fresh
-complex output plus intermediates.  numpy >= 2.0 pocketfft accepts an
-``out=`` array and writes *bit-identical* results into it (verified
-empirically by ``tests/test_kernel_pack.py``), which makes a workspace
-pool safe for this codebase's bit-identity discipline: reusing a buffer
-changes *where* results live, never what they are.
+The global-grid kernels (Hartree, Kerker mixing, the GENPOT slab stages)
+transform identically-shaped arrays every SCF iteration, and every
+``np.fft.fftn`` call without ``out=`` allocates a fresh complex output;
+the plane-wave basis keeps its band-transform workspace here too.
+numpy >= 2.0 pocketfft accepts an ``out=`` array and writes
+*bit-identical* results into it (checked against the allocating call by
+``tests/test_kernel_pack.py``), which makes a workspace pool safe for
+this codebase's bit-identity discipline: reusing a buffer changes
+*where* results live, never what they are.
 
 Usage pattern (the only safe one)::
 
@@ -18,18 +19,12 @@ Usage pattern (the only safe one)::
 
 Pooled buffers are only ever *intermediates*; anything returned to a
 caller must be freshly allocated (or an explicit copy), because the pool
-will hand the buffer to the next acquirer.
-
-The pool is process-global and lock-guarded (the thread backend runs
-kernels concurrently).  Disable it with ``REPRO_FFT_CACHE=0`` or
-``fftcache.configure(enabled=False)``: the wrappers then ignore ``out=``
-and every call allocates, which is exactly the un-cached reference path
-the equivalence tests compare against.
+will hand the buffer to the next acquirer.  The pool is process-global
+and lock-guarded (in-process workers run kernels concurrently).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -37,42 +32,14 @@ from typing import Iterator
 
 import numpy as np
 
-_FALSEY = {"0", "false", "off", "no"}
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_FFT_CACHE", "1").strip().lower() not in _FALSEY
-
-
 _LOCK = threading.Lock()
-_ENABLED: bool = _env_enabled()
 _MAX_PER_KEY: int = 4
 _MAX_KEYS: int = 32
 _POOL: "OrderedDict[tuple, list[np.ndarray]]" = OrderedDict()
 _STATS = {"hits": 0, "misses": 0, "reused_bytes": 0, "evictions": 0}
 
-
-def enabled() -> bool:
-    """True when the workspace pool is active."""
-    return _ENABLED
-
-
-def configure(
-    enabled: bool | None = None,
-    max_per_key: int | None = None,
-    max_keys: int | None = None,
-) -> None:
-    """Adjust pool behaviour; disabling also drops all pooled buffers."""
-    global _ENABLED, _MAX_PER_KEY, _MAX_KEYS
-    with _LOCK:
-        if enabled is not None:
-            _ENABLED = bool(enabled)
-            if not _ENABLED:
-                _POOL.clear()
-        if max_per_key is not None:
-            _MAX_PER_KEY = int(max_per_key)
-        if max_keys is not None:
-            _MAX_KEYS = int(max_keys)
+# The transforms the pooled kernels call, ``out=`` included.
+fftn, ifftn, fft, ifft = np.fft.fftn, np.fft.ifftn, np.fft.fft, np.fft.ifft
 
 
 def clear() -> None:
@@ -106,25 +73,24 @@ def _key(shape: tuple, dtype) -> tuple:
 def acquire(shape, dtype=np.complex128) -> np.ndarray:
     """Take a buffer of ``shape``/``dtype`` from the pool (contents dirty).
 
-    Falls back to a fresh allocation on a pool miss or when disabled.
+    Falls back to a fresh allocation on a pool miss.
     """
     key = _key(shape, dtype)
-    if _ENABLED:
-        with _LOCK:
-            bucket = _POOL.get(key)
-            if bucket:
-                _POOL.move_to_end(key)
-                buf = bucket.pop()
-                _STATS["hits"] += 1
-                _STATS["reused_bytes"] += buf.nbytes
-                return buf
-            _STATS["misses"] += 1
+    with _LOCK:
+        bucket = _POOL.get(key)
+        if bucket:
+            _POOL.move_to_end(key)
+            buf = bucket.pop()
+            _STATS["hits"] += 1
+            _STATS["reused_bytes"] += buf.nbytes
+            return buf
+        _STATS["misses"] += 1
     return np.empty(key[0], dtype=dtype)
 
 
 def release(buf: np.ndarray) -> None:
-    """Return a buffer to the pool.  No-op when disabled or for views."""
-    if not _ENABLED or not isinstance(buf, np.ndarray):
+    """Return a buffer to the pool.  No-op for views and non-arrays."""
+    if not isinstance(buf, np.ndarray):
         return
     if buf.base is not None or not buf.flags.c_contiguous:
         return
@@ -147,31 +113,3 @@ def scratch(shape, dtype=np.complex128) -> Iterator[np.ndarray]:
         yield buf
     finally:
         release(buf)
-
-
-# -- np.fft wrappers ---------------------------------------------------------
-# Each forwards ``out=`` only while the pool is enabled, so disabling the
-# pool reproduces the plain allocating numpy path exactly.
-
-def fftn(a, axes=None, out=None) -> np.ndarray:
-    if out is not None and _ENABLED:
-        return np.fft.fftn(a, axes=axes, out=out)
-    return np.fft.fftn(a, axes=axes)
-
-
-def ifftn(a, axes=None, out=None) -> np.ndarray:
-    if out is not None and _ENABLED:
-        return np.fft.ifftn(a, axes=axes, out=out)
-    return np.fft.ifftn(a, axes=axes)
-
-
-def fft(a, axis=-1, out=None) -> np.ndarray:
-    if out is not None and _ENABLED:
-        return np.fft.fft(a, axis=axis, out=out)
-    return np.fft.fft(a, axis=axis)
-
-
-def ifft(a, axis=-1, out=None) -> np.ndarray:
-    if out is not None and _ENABLED:
-        return np.fft.ifft(a, axis=axis, out=out)
-    return np.fft.ifft(a, axis=axis)

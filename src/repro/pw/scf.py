@@ -13,14 +13,13 @@ potential mixing.  It is used three ways in this repository:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from repro.atoms.structure import Structure
 from repro.pw.basis import PlaneWaveBasis
 from repro.pw.density import compute_density, occupations_for_insulator
-from repro.pw.eigensolver import EigensolverResult, all_band_cg, band_by_band_cg, exact_diagonalization
+from repro.pw.eigensolver import all_band_cg
 from repro.pw.energy import (
     EnergyBreakdown,
     potential_distance,
@@ -30,7 +29,7 @@ from repro.pw.energy import (
 from repro.pw.density import normalize_density
 from repro.pw.grid import FFTGrid
 from repro.pw.hamiltonian import Hamiltonian
-from repro.pw.mixing import AndersonMixer, make_mixer
+from repro.pw.mixing import make_mixer
 from repro.pw.pseudopotential import PseudopotentialSet, default_pseudopotentials
 
 
@@ -105,8 +104,6 @@ class DirectSCF:
     n_empty:
         Guard bands above the occupied ones when ``nbands`` is not given:
         iterated and returned, not gated (``all_band_cg(nconverge=)``).
-    eigensolver:
-        ``"all_band"`` (default), ``"band_by_band"`` or ``"exact"``.
     mixer:
         ``"anderson"`` (default), ``"kerker"`` or ``"linear"``.
     """
@@ -119,7 +116,6 @@ class DirectSCF:
         pseudopotentials: PseudopotentialSet | None = None,
         nbands: int | None = None,
         n_empty: int = 4,
-        eigensolver: str = "all_band",
         mixer: str = "anderson",
         mixer_options: dict | None = None,
         points_per_bohr: float | None = None,
@@ -150,9 +146,6 @@ class DirectSCF:
         )
         self.ionic_density = self.pseudopotentials.ionic_density(structure, grid)
         self.ionic_self_energy = self.pseudopotentials.ionic_self_energy(structure)
-        if eigensolver not in {"all_band", "band_by_band", "exact"}:
-            raise ValueError(f"unknown eigensolver {eigensolver!r}")
-        self.eigensolver = eigensolver
         self.mixer = make_mixer(mixer, grid=grid, **(mixer_options or {}))
 
     # ------------------------------------------------------------------
@@ -169,27 +162,6 @@ class DirectSCF:
             rho = np.clip(self.ionic_density, 0.0, None)
             return normalize_density(rho, self.nelectrons, self.grid.dvol)
         return np.full(self.grid.shape, self.nelectrons / self.grid.volume)
-
-    def _solve_bands(
-        self,
-        initial: np.ndarray | None,
-        tolerance: float,
-        max_iterations: int,
-    ) -> EigensolverResult:
-        if self.eigensolver == "exact":
-            return exact_diagonalization(self.hamiltonian, self.nbands)
-        solver = band_by_band_cg
-        if self.eigensolver == "all_band":
-            # The same rule as the fragment solves: wait for the occupied bands.
-            noccupied = max(1, int(np.count_nonzero(self.occupations)))
-            solver = partial(all_band_cg, nconverge=noccupied)
-        return solver(
-            self.hamiltonian,
-            self.nbands,
-            initial=initial,
-            max_iterations=max_iterations,
-            tolerance=tolerance,
-        )
 
     def run(
         self,
@@ -213,8 +185,9 @@ class DirectSCF:
             if initial_potential.shape != grid.shape:
                 raise ValueError("initial potential shape mismatch")
             v_in = initial_potential.copy()
-        if isinstance(self.mixer, AndersonMixer):
-            self.mixer.reset()
+        self.mixer.reset()
+        # The same rule as the fragment solves: wait for the occupied bands.
+        noccupied = max(1, int(np.count_nonzero(self.occupations)))
 
         coeffs: np.ndarray | None = None
         conv_history: list[float] = []
@@ -222,8 +195,13 @@ class DirectSCF:
         converged = False
         for iteration in range(1, max_scf_iterations + 1):
             self.hamiltonian.set_effective_potential(v_in)
-            band_result = self._solve_bands(
-                coeffs, eigensolver_tolerance, eigensolver_iterations
+            band_result = all_band_cg(
+                self.hamiltonian,
+                self.nbands,
+                initial=coeffs,
+                max_iterations=eigensolver_iterations,
+                tolerance=eigensolver_tolerance,
+                nconverge=noccupied,
             )
             coeffs = band_result.coefficients
             eigenvalues = band_result.eigenvalues

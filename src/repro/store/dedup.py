@@ -8,7 +8,7 @@ daemon's auto-resume bit-identical — and (b) derive the *problem
 signature*: the solver's own checkpoint-compatibility digest
 (``LS3DFSCF._problem_signature``: structure + grids + buffer + ecut +
 n_empty) salted with every remaining knob that shapes the trajectory
-(mixer, eigensolver settings, tolerances, iteration budget).
+(mixer, eigensolver tolerances, iteration budget).
 
 The signature is the store's dedup key: two submits whose specs produce
 the same signature are, by construction, asking for the same sequence
@@ -44,9 +44,6 @@ SOLVER_KEYS = frozenset(
         "n_empty",
         "mixer",
         "mixer_options",
-        "eigensolver",
-        "passivate",
-        "polar_passivation",
         "points_per_bohr",
     }
 )
@@ -167,7 +164,6 @@ def problem_signature(spec: dict) -> str:
     salt = {
         "mixer": spec["solver"].get("mixer", "kerker"),
         "mixer_options": spec["solver"].get("mixer_options"),
-        "eigensolver": spec["solver"].get("eigensolver", "all_band"),
         "run": run_kwargs,
     }
     h.update(json.dumps(salt, sort_keys=True, separators=(",", ":")).encode())

@@ -58,10 +58,6 @@ def _make_executor_factory(
     """Executor factory for one job slot (None = serial in-process)."""
     if backend == "serial":
         return None
-    if backend == "thread":
-        from repro.parallel.executor import ThreadPoolFragmentExecutor
-
-        return lambda: ThreadPoolFragmentExecutor(workers)
     if backend == "process":
         from repro.parallel.executor import ProcessPoolFragmentExecutor
 
@@ -321,7 +317,7 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("serial", "thread", "process"),
+        choices=("serial", "process"),
         default="serial",
         help="fragment executor each job slot owns",
     )

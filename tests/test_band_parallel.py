@@ -2,7 +2,7 @@
 
 Covers the tentpole acceptance criteria: grouped ``all_band_cg`` runs are
 **bit-identical** (``==``) to the single-worker path for slice counts
-{1, 2, 3, nbands} on the serial, thread and process backends; every
+{1, 2, 3, nbands} on the serial, process and remote backends; every
 sliced stage is exactly one executor submission per slice; the grouped
 SCF path (``band_groups=``) reproduces the fused-pipeline results bit
 for bit; and the mid-iteration partial checkpoints let a run killed in
@@ -21,6 +21,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from _loopback import remote_executor
 from repro.atoms.toy import cscl_binary
 from repro.core.fragment_task import (
     FragmentPipelineResult,
@@ -50,11 +51,8 @@ from repro.parallel.bands import (
     band_slices,
     run_band_block_task,
 )
-from repro.parallel.executor import (
-    ProcessPoolFragmentExecutor,
-    SerialFragmentExecutor,
-    ThreadPoolFragmentExecutor,
-)
+from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
+from repro.parallel.remote import RemoteExecutor
 from repro.parallel.scheduler import FragmentScheduler
 from repro.pw.eigensolver import _low_kinetic_block, all_band_cg
 from repro.pw.grid import FFTGrid
@@ -183,8 +181,8 @@ def test_band_group_requires_capable_executor():
         BandGroup(SerialFragmentExecutor(), 2).apply_h(np.zeros((2, 5), dtype=complex))
     for executor in (
         SerialFragmentExecutor(),
-        ThreadPoolFragmentExecutor(n_workers=1),
         ProcessPoolFragmentExecutor(n_workers=1),
+        RemoteExecutor([]),
     ):
         assert isinstance(executor, BandGroupExecutor)
     assert not isinstance(RunOnly(), BandGroupExecutor)
@@ -295,7 +293,7 @@ def test_grouped_all_band_cg_with_fewer_rows_than_slices():
         assert group.stats.submissions == group.stats.stages * nslices
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "processes", "remote"])
 def test_grouped_solve_bit_identical_all_backends(backend, solve_reference):
     """The grouped fragment solve == the ungrouped kernel, bit for bit,
     for slice counts {1, 2, 3, nbands} on every backend."""
@@ -303,8 +301,8 @@ def test_grouped_solve_bit_identical_all_backends(backend, solve_reference):
     nbands = len(ref.eigenvalues)
     executors = {
         "serial": SerialFragmentExecutor,
-        "threads": lambda: ThreadPoolFragmentExecutor(n_workers=2),
         "processes": lambda: ProcessPoolFragmentExecutor(n_workers=2),
+        "remote": remote_executor,
     }
     with executors[backend]() as executor:
         for nslices in (1, 2, 3, nbands):
@@ -364,13 +362,6 @@ def test_band_stages_ship_packed_row_pairs():
     assert max(executor.stage_rows[1:]) == half and min(executor.stage_rows) < half
 
 
-def test_grouped_solve_rejects_band_by_band():
-    task = _make_task()
-    task.eigensolver = "band_by_band"
-    with pytest.raises(ValueError, match="all-band"):
-        solve_fragment_task(task, group=BandGroup(SerialFragmentExecutor(), 2))
-
-
 def test_grouped_pipeline_kernel_matches_ungrouped():
     scf = _tiny_scf()
     v_in = scf.genpot.initial_potential()
@@ -411,9 +402,9 @@ def test_scf_band_groups_bit_identical_serial(pipeline_run):
 
 
 def test_scf_band_groups_bit_identical_pools(pipeline_run):
-    with ThreadPoolFragmentExecutor(n_workers=2) as executor:
-        threaded = _tiny_scf(executor, band_groups=2).run(**_RUN_KW)
-    _assert_scf_identical(threaded, pipeline_run)
+    with remote_executor(2) as executor:
+        remote = _tiny_scf(executor, band_groups=2).run(**_RUN_KW)
+    _assert_scf_identical(remote, pipeline_run)
     with ProcessPoolFragmentExecutor(n_workers=2) as executor:
         pooled = _tiny_scf(executor, band_groups=2).run(**_RUN_KW)
     _assert_scf_identical(pooled, pipeline_run)
@@ -452,9 +443,6 @@ def test_scf_band_groups_timings_and_accounting(pipeline_run):
 def test_scf_band_groups_validation():
     with pytest.raises(ValueError, match="band_groups"):
         _tiny_scf(SerialFragmentExecutor(), band_groups=0)
-    with pytest.raises(ValueError, match="all-band"):
-        _tiny_scf(SerialFragmentExecutor(), band_groups=2,
-                  eigensolver="band_by_band")
 
     class NoBands:
         n_workers = 1

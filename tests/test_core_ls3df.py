@@ -116,6 +116,15 @@ def test_ls3df_warm_restart_converges_quickly(tiny_ls3df):
     assert restart.iterations <= 2
 
 
+@pytest.mark.parametrize("max_iterations", [0, -3])
+def test_run_without_an_iteration_is_refused(tiny_ls3df, max_iterations):
+    """A run that would never enter the loop is refused up front instead of
+    returning an all-zero density as its result."""
+    _, ls3df, _ = tiny_ls3df
+    with pytest.raises(ValueError, match="max_iterations"):
+        ls3df.run(max_iterations=max_iterations)
+
+
 def test_repeated_runs_of_one_solver_match_fresh_solver_runs(tiny_ls3df):
     """run() clears mixer history and warm-start cache unless resuming.
 

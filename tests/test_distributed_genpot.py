@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _loopback import remote_executor
 from repro.atoms.toy import cscl_binary
 from repro.core.genpot import GlobalPotentialSolver
 from repro.core.scf import LS3DFSCF
@@ -28,11 +29,7 @@ from repro.parallel.distributed import (
     run_global_step_task,
     slab_bounds,
 )
-from repro.parallel.executor import (
-    ProcessPoolFragmentExecutor,
-    SerialFragmentExecutor,
-    ThreadPoolFragmentExecutor,
-)
+from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
 from repro.parallel.machine import FRANKLIN
 from repro.pw.grid import FFTGrid
 from repro.pw.mixing import AndersonMixer, KerkerMixer, LinearMixer, Mixer, make_mixer
@@ -163,20 +160,20 @@ def test_custom_mixer_defaults_to_serial_sharding(grid, fields):
 
 
 def test_sharded_genpot_backend_equivalence(grid, fields):
-    """Thread and process backends produce the serial executor's exact bits."""
+    """Process and remote backends produce the serial executor's exact bits."""
     rho, v_in, _ = fields
     reference = _make_solver(
         grid, "kerker", shards=3, executor=SerialFragmentExecutor()
     ).evaluate(rho, v_in)
-    with ThreadPoolFragmentExecutor(n_workers=2) as threads:
-        threaded = _make_solver(grid, "kerker", shards=3, executor=threads).evaluate(
+    with remote_executor(2) as executor:
+        remote = _make_solver(grid, "kerker", shards=3, executor=executor).evaluate(
             rho, v_in
         )
     with ProcessPoolFragmentExecutor(n_workers=2) as procs:
         pooled = _make_solver(grid, "kerker", shards=3, executor=procs).evaluate(
             rho, v_in
         )
-    for got in (threaded, pooled):
+    for got in (remote, pooled):
         assert np.array_equal(got.output_potential, reference.output_potential)
         assert np.array_equal(
             got.next_input_potential, reference.next_input_potential

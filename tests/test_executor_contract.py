@@ -1,12 +1,12 @@
-"""One contract, four backends: what the shared dispatch engine owns.
+"""One contract, three backends: what the shared dispatch engine owns.
 
 ``repro.parallel.executor._Backend`` writes the batch and future
 methods, the submission counters, the driver-side install store with
 its missed-install heal, the partition cache and ``close`` once; a
 backend adds ``_submit`` / ``_split`` / ``_broadcast``.  Every test
-here runs unchanged over the serial, thread-pool, process-pool and
-loopback-remote backends (remote workers are in-process threads
-speaking the full TCP protocol), through public names only.
+here runs unchanged over the serial, process-pool and loopback-remote
+backends (remote workers are in-process threads speaking the full TCP
+protocol), through public names only.
 """
 
 import contextlib
@@ -14,6 +14,7 @@ import contextlib
 import numpy as np
 import pytest
 
+from _loopback import remote_executor
 from repro.atoms.toy import cscl_binary
 from repro.core.fragment_task import (
     FragmentTask,
@@ -25,55 +26,36 @@ from repro.core.fragment_task import (
 )
 from repro.core.scf import LS3DFSCF
 from repro.parallel.distributed import GlobalStepTask, run_global_step_task
-from repro.parallel.executor import (
-    ProcessPoolFragmentExecutor,
-    SerialFragmentExecutor,
-    ThreadPoolFragmentExecutor,
-)
-from repro.parallel.remote import (
-    RemoteExecutor,
-    RemoteExecutorConfig,
-    RemoteTaskError,
-    start_worker_thread,
-)
+from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
+from repro.parallel.remote import RemoteTaskError
 from repro.pw.grid import FFTGrid
 
-BACKENDS = ["serial", "thread", "process", "remote"]
+BACKENDS = ["serial", "process", "remote"]
 #: Backends whose kernels may run where the install did not reach.
-HEALING = ["thread", "process", "remote"]
+HEALING = ["process", "remote"]
 #: ``install_broadcasts`` per install on a two-worker executor.
-DELIVERIES = {"serial": 0, "thread": 0, "process": 2, "remote": 2}
+DELIVERIES = {"serial": 0, "process": 2, "remote": 2}
 
 
 @contextlib.contextmanager
 def _backend(name: str, workers: int = 2):
-    servers = []
     if name == "serial":
         executor = SerialFragmentExecutor()
-    elif name == "thread":
-        executor = ThreadPoolFragmentExecutor(workers)
     elif name == "process":
         executor = ProcessPoolFragmentExecutor(workers)
     else:
-        servers = [start_worker_thread() for _ in range(workers)]
-        executor = RemoteExecutor(
-            [s.address for s in servers],
-            config=RemoteExecutorConfig(heartbeat_interval=1e9, max_retries=1),
-            fallback=None,
-        )
+        executor = remote_executor(workers)
     try:
-        with executor:
-            yield executor
+        with executor as ex:
+            yield ex
     finally:
-        for server in servers:
-            server.stop()
         clear_installed_potentials()
 
 
 def _forget(name: str, executor) -> None:
     """Worker amnesia: every worker loses what was installed (a restart).
 
-    Thread and loopback workers share this process's store; a process
+    Loopback workers share this process's store; a process
     pool is closed, so its next batch forks fresh workers from a driver
     whose store is empty while the executor still remembers the delivery.
     """
@@ -173,7 +155,7 @@ def test_missed_install_heals_with_one_extra_submission(name, keyed_pair):
     once with the driver's payload attached — same bits, exactly one
     extra physical submission — and the delivery is forgotten: a process
     pool broadcasts the key again, a remote worker kept the payload that
-    rode in, threads never broadcast."""
+    rode in."""
     key, v_in, tasks, reference = keyed_pair
     with _backend(name) as ex:
         ex.install_state(key, v_in)

@@ -1,13 +1,13 @@
 """Tests for the pluggable fragment-execution backend layer.
 
 Covers the ISSUE-1 acceptance criteria: picklable task round-trips, the
-serial / thread / process backends all running the one shared kernel and
+serial / process / remote backends all running the one shared kernel and
 producing identical results (also end-to-end through LS3DFSCF), LPT load
 balancing, and warm-start reuse across outer iterations.
 
 Also covers the fused fragment task every SCF iteration runs: the
-backend-equivalence matrix (serial / thread / process / remote-socket
-runs bit-identical to each other, the remote rows crossing real loopback
+backend-equivalence matrix (serial / process / remote-socket runs
+bit-identical to each other, the remote rows crossing real loopback
 TCP), exactly one executor submission per fragment per SCF iteration,
 in-worker Gen_VF / Gen_dens timing capture, and the warm-start fix that
 skips the redundant per-iteration passivation-potential rebuild.
@@ -23,6 +23,7 @@ import threading
 import numpy as np
 import pytest
 
+from _loopback import remote_executor
 from repro.atoms.toy import cscl_binary
 from repro.core.fragment_task import (
     FragmentExecutor,
@@ -35,15 +36,12 @@ from repro.core.fragment_task import (
 from repro.core.patching import PATCH_CHUNK_SIZE, patch_fragment_fields
 from repro.core.scf import LS3DFSCF
 from repro.parallel.distributed import GlobalStepTask
-from repro.parallel.executor import (
-    ProcessPoolFragmentExecutor,
-    SerialFragmentExecutor,
-    ThreadPoolFragmentExecutor,
-)
+from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
+from repro.parallel.remote import RemoteExecutor
 from repro.pw.grid import FFTGrid
 
 
-def _make_task(label="frag", ncells=1) -> FragmentTask:
+def _make_task(label="frag") -> FragmentTask:
     structure = cscl_binary((1, 1, 1), "Zn", "O", 6.0)
     grid = FFTGrid(structure.cell, (10, 10, 10))
     return FragmentTask(
@@ -57,7 +55,6 @@ def _make_task(label="frag", ncells=1) -> FragmentTask:
         n_empty=1,
         tolerance=1e-4,
         max_iterations=40,
-        ncells=ncells,
     )
 
 
@@ -109,7 +106,8 @@ def test_fingerprint_ignores_iteration_state_but_not_geometry():
 def test_thread_backend_same_fingerprint_tasks_do_not_race():
     # Two tasks sharing one static fingerprint (same label + geometry) but
     # different potentials share one cached Hamiltonian; the per-problem
-    # lock must serialise them so concurrent execution stays correct.
+    # lock must serialise them when two loopback worker threads of this
+    # process run them at once.
     task_a = _make_task("same")
     task_b = _make_task("same")
     task_b.screening_potential = np.full(task_b.grid_shape, 0.05)
@@ -118,18 +116,15 @@ def test_thread_backend_same_fingerprint_tasks_do_not_race():
     ref_b = solve_fragment_task(task_b)
     assert not np.allclose(ref_a.eigenvalues, ref_b.eigenvalues)
     for _ in range(3):  # a few rounds to give a race a chance to show
-        with ThreadPoolFragmentExecutor(n_workers=2) as executor:
+        with remote_executor(2) as executor:
             report = executor.run([task_a, task_b])
         np.testing.assert_allclose(report.results[0].eigenvalues, ref_a.eigenvalues, rtol=1e-10)
         np.testing.assert_allclose(report.results[1].eigenvalues, ref_b.eigenvalues, rtol=1e-10)
 
 
 def test_executors_satisfy_protocol():
-    from repro.parallel.remote import RemoteExecutor
-
     for executor in (
         SerialFragmentExecutor(),
-        ThreadPoolFragmentExecutor(n_workers=1),
         ProcessPoolFragmentExecutor(n_workers=1),
         RemoteExecutor([]),
     ):
@@ -142,15 +137,17 @@ def test_worker_count_validation():
     with pytest.raises(ValueError):
         ProcessPoolFragmentExecutor(n_workers=0)
     with pytest.raises(ValueError):
-        ThreadPoolFragmentExecutor(n_workers=-1)
+        ProcessPoolFragmentExecutor(n_workers=-1)
 
 
 def test_pool_report_carries_lpt_schedule():
-    # Mixed fragment classes: costs differ, LPT must balance the groups.
-    tasks = [_make_task(f"f{i}", ncells=c) for i, c in enumerate([8, 1, 1, 8, 2, 4])]
-    for t in tasks:
-        t.cost_hint = float(t.ncells)
-    with ThreadPoolFragmentExecutor(n_workers=2) as executor:
+    # Mixed fragment classes: costs (grid volumes) differ, LPT must
+    # balance the groups.
+    tasks = [_make_task(f"f{i}") for i in range(6)]
+    for t, n in zip(tasks, (16, 10, 10, 16, 12, 14)):
+        t.grid_shape = (n, 10, 10)
+        t.screening_potential = np.zeros(t.grid_shape)
+    with remote_executor(2) as executor:
         report = executor.run(tasks)
     assert report.schedule is not None
     assigned = sorted(i for group in report.schedule.assignments for i in group)
@@ -163,6 +160,8 @@ def test_failed_batch_raises_and_leaves_nothing_queued(monkeypatch):
     """A kernel error surfaces from ``run_*`` and the batch's tasks that no
     worker had started are dropped, so they cannot delay the next batch."""
     import repro.parallel.executor as executor_module
+    from repro.parallel import remote as remote_module
+    from repro.parallel.remote import RemoteTaskError
 
     release = threading.Event()
     ran = []
@@ -174,8 +173,6 @@ def test_failed_batch_raises_and_leaves_nothing_queued(monkeypatch):
         release.wait(30)
         return task.label
 
-    monkeypatch.setattr(executor_module, "run_global_step_task", kernel)
-
     def task(label, size):
         return GlobalStepTask(
             kind="xc", shard=0, nshards=1, data=np.zeros(size), label=label
@@ -184,16 +181,18 @@ def test_failed_batch_raises_and_leaves_nothing_queued(monkeypatch):
     # Heaviest-first submission: "bad" reaches a worker first and fails at
     # once, the two workers then block inside slow0/slow1 at most.
     batch = [task("bad", 9)] + [task(f"slow{i}", 8 - i) for i in range(6)]
-    with ThreadPoolFragmentExecutor(2) as executor:
-        with pytest.raises(ValueError, match="boom"):
+    with monkeypatch.context() as patch, remote_executor(2) as executor:
+        patch.setitem(remote_module._KERNELS, "global", kernel)
+        with pytest.raises(RemoteTaskError, match="boom"):
             executor.run_global(batch)
         release.set()
-        # The pool queue is FIFO: anything the failed batch left behind
+        # The work queue is FIFO: anything the failed batch left behind
         # would run before this batch completes.
         report = executor.run_global([task("next0", 2), task("next1", 1)])
     assert report.results == ["next0", "next1"]
     assert len([label for label in ran if label.startswith("slow")]) <= 2
     # Serially the failing task stops the batch by itself.
+    monkeypatch.setattr(executor_module, "run_global_step_task", kernel)
     with pytest.raises(ValueError, match="boom"):
         SerialFragmentExecutor().run_global(batch[:2])
 
@@ -251,10 +250,10 @@ def test_scf_process_pool_matches_serial(ten_fragment_serial):
     _assert_scf_identical(pooled, ten_fragment_serial)
 
 
-def test_scf_thread_pool_matches_serial(ten_fragment_serial):
-    with ThreadPoolFragmentExecutor(n_workers=2) as executor:
-        threaded = _ten_fragment_scf(executor).run(**_TEN_RUN_KW)
-    _assert_scf_identical(threaded, ten_fragment_serial)
+def test_scf_remote_workers_match_serial(ten_fragment_serial):
+    with remote_executor(2) as executor:
+        remote = _ten_fragment_scf(executor).run(**_TEN_RUN_KW)
+    _assert_scf_identical(remote, ten_fragment_serial)
 
 
 def test_scf_band_groups_match_serial(ten_fragment_serial):
@@ -371,36 +370,18 @@ def pipeline_matrix():
     executor = SerialFragmentExecutor()
     scf = _tiny_scf(executor)
     runs["serial"] = (scf.run(**_RUN_KW), executor.tasks_submitted, scf.nfragments)
-    with ThreadPoolFragmentExecutor(n_workers=2) as executor:
-        scf = _tiny_scf(executor)
-        runs["threads"] = (scf.run(**_RUN_KW), executor.tasks_submitted, scf.nfragments)
     with ProcessPoolFragmentExecutor(n_workers=2) as executor:
         scf = _tiny_scf(executor)
         runs["processes"] = (scf.run(**_RUN_KW), executor.tasks_submitted, scf.nfragments)
-    from repro.parallel.remote import (
-        RemoteExecutor,
-        RemoteExecutorConfig,
-        start_worker_thread,
-    )
-
-    servers = [start_worker_thread() for _ in range(2)]
-    try:
-        config = RemoteExecutorConfig(
-            connect_timeout=2.0, request_timeout=60.0,
-            heartbeat_interval=1e9, max_retries=1, backoff=0.01)
-        with RemoteExecutor([s.address for s in servers], config=config) as executor:
-            scf = _tiny_scf(executor)
-            runs["remote"] = (
-                scf.run(**_RUN_KW), executor.tasks_submitted, scf.nfragments)
-            assert executor.workers_lost == 0 and executor.degraded_tasks == 0
-    finally:
-        for server in servers:
-            server.stop()
+    with remote_executor(2) as executor:
+        scf = _tiny_scf(executor)
+        runs["remote"] = (scf.run(**_RUN_KW), executor.tasks_submitted, scf.nfragments)
+        assert executor.workers_lost == 0 and executor.degraded_tasks == 0
     return runs
 
 
 def test_pipeline_backend_equivalence_matrix(pipeline_matrix):
-    """Serial, thread, process and remote runs are bit-identical."""
+    """Serial, process and remote runs are bit-identical."""
     reference = pipeline_matrix["serial"][0]
     for name, (result, _, _) in pipeline_matrix.items():
         assert result.iterations == reference.iterations, name

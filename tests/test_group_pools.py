@@ -36,23 +36,14 @@ import threading
 import numpy as np
 import pytest
 
+from _loopback import remote_executor
 from repro.atoms.toy import cscl_binary
 from repro.core.scf import GROUP_ROOTS, LS3DFSCF
 from repro.io.checkpoint import load_partial_payloads
-from repro.parallel.executor import (
-    ProcessPoolFragmentExecutor,
-    SerialFragmentExecutor,
-    ThreadPoolFragmentExecutor,
-)
+from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
 from repro.parallel.faults import FlakyExecutor
 from repro.parallel.groups import partition_worker_counts
-from repro.parallel.remote import (
-    LocalWorkerPool,
-    RemoteExecutor,
-    RemoteExecutorConfig,
-    WorkerDiedError,
-    start_worker_thread,
-)
+from repro.parallel.remote import LocalWorkerPool, RemoteExecutor, WorkerDiedError
 from repro.parallel.scheduler import FragmentScheduler, GroupExecutionRecord
 
 
@@ -115,16 +106,13 @@ def test_partition_worker_counts_rejects_bad_input():
 
 
 def test_partition_children_are_cached_and_split_the_pool():
-    pool = ThreadPoolFragmentExecutor(4)
-    try:
+    with ProcessPoolFragmentExecutor(4) as pool:  # never forks: no batch runs
         children = pool.partition(2)
         assert len(children) == 2
         assert [c.n_workers for c in children] == [2, 2]
         assert pool.partition(2) is children  # cached, not rebuilt
         assert pool.partition(3) is not children
         assert [c.n_workers for c in pool.partition(3)] == [2, 1, 1]
-    finally:
-        pool.close()
 
 
 def test_serial_executor_partition_shares_the_single_worker():
@@ -164,13 +152,11 @@ def pipeline_reference():
 
 @pytest.fixture(scope="module")
 def grouped_concurrent():
-    pool = ThreadPoolFragmentExecutor(4)
-    try:
+    with remote_executor(4) as pool:
         scf = _tiny_scf(pool, band_groups=2)
         result = scf.run(**_RUN_KW)
-        stats = dict(tasks=pool.tasks_submitted, nfragments=scf.nfragments)
-    finally:
-        pool.close()
+        stats = dict(tasks=pool.tasks_submitted, nfragments=scf.nfragments,
+                     lost=pool.workers_lost, degraded=pool.degraded_tasks)
     return result, stats
 
 
@@ -221,11 +207,8 @@ def test_groups_run_inline_without_partition(grouped_concurrent):
     """More workers than ``band_groups`` but no ``partition``: the same
     per-group queue runner is called inline on the whole executor."""
     concurrent, _ = grouped_concurrent
-    pool = ThreadPoolFragmentExecutor(4)
-    try:
+    with remote_executor(4) as pool:
         result = _tiny_scf(_Unpartitionable(pool), band_groups=2).run(**_RUN_KW)
-    finally:
-        pool.close()
     _assert_scf_identical(result, concurrent)
     for t in result.timings:
         assert t.band_schedule.concurrent is False
@@ -244,26 +227,16 @@ def test_serial_executor_runs_groups_sequentially(pipeline_reference):
         assert t.band_schedule.wall_time > 0.0
 
 
-def test_remote_partition_children_run_groups_concurrently(pipeline_reference):
-    servers = [start_worker_thread() for _ in range(4)]
-    config = RemoteExecutorConfig(
-        connect_timeout=2.0, request_timeout=60.0, heartbeat_interval=1e9,
-        max_retries=1, backoff=0.01)
-    try:
-        with RemoteExecutor([s.address for s in servers], config=config) as ex:
-            children = ex.partition(2)
-            assert len(children) == 2
-            assert [c.n_workers for c in children] == [2, 2]
-            assert ex.partition(2) is children
-            scf = _tiny_scf(ex, band_groups=2)
-            result = scf.run(**_RUN_KW)
-            assert ex.workers_lost == 0 and ex.degraded_tasks == 0
-            assert ex.tasks_submitted == sum(
-                t.band_stages for t in result.timings) * 2
-    finally:
-        for server in servers:
-            server.stop()
-    _assert_scf_identical(result, pipeline_reference)
+def test_remote_partition_children_run_groups_concurrently(grouped_concurrent):
+    """The shared four-worker run: children of the remote executor own two
+    workers each, drain their groups concurrently, and nothing is lost."""
+    with remote_executor(4) as ex:
+        children = ex.partition(2)
+        assert len(children) == 2
+        assert [c.n_workers for c in children] == [2, 2]
+        assert ex.partition(2) is children
+    result, stats = grouped_concurrent
+    assert stats["lost"] == stats["degraded"] == 0
     assert any(t.band_schedule.concurrent for t in result.timings)
 
 
@@ -280,16 +253,13 @@ def test_flaky_executor_kills_at_scheduled_batches():
 
 
 def test_flaky_executor_partition_wraps_only_the_doomed_group():
-    pool = ThreadPoolFragmentExecutor(4)
-    try:
+    with ProcessPoolFragmentExecutor(4) as pool:  # empty batches never fork
         flaky = FlakyExecutor(pool, kill_at=(0,), kill_group=1)
         children = flaky.partition(2)
         assert flaky.partition(2) is children  # cached: ticks accumulate
         children[0].run_pipeline([])  # healthy group never faults
         with pytest.raises(WorkerDiedError):
             children[1].run_pipeline([])
-    finally:
-        pool.close()
 
 
 def test_killed_group_heals_from_partial_checkpoint(tmp_path, pipeline_reference):
@@ -297,8 +267,7 @@ def test_killed_group_heals_from_partial_checkpoint(tmp_path, pipeline_reference
     fragments persist as partials, and resuming with a healthy pool
     replays exactly the dead group's lost fragments — not the whole
     iteration."""
-    pool = ThreadPoolFragmentExecutor(4)
-    try:
+    with remote_executor(4) as pool:
         flaky = FlakyExecutor(pool, kill_at=(0,), kill_group=1)
         scf = _tiny_scf(flaky, band_groups=2)
         with pytest.raises(WorkerDiedError, match="injected fault"):
@@ -308,15 +277,10 @@ def test_killed_group_heals_from_partial_checkpoint(tmp_path, pipeline_reference
             state_fingerprint=_state_fingerprint(scf))
         # Only the surviving group's fragments made it to disk.
         assert 0 < len(saved) < scf.nfragments
-    finally:
-        pool.close()
 
-    pool = ThreadPoolFragmentExecutor(4)
-    try:
+    with remote_executor(4) as pool:
         resumed = _tiny_scf(pool, band_groups=2).run(
             checkpoint_dir=tmp_path, resume=True, **_RUN_KW)
-    finally:
-        pool.close()
     # The replay healed exactly the dead group's fragments.
     assert resumed.timings[0].band_replayed == len(saved)
     _assert_scf_identical(resumed, pipeline_reference)
@@ -360,15 +324,14 @@ def test_two_roots_call_run_bands_concurrently(pipeline_reference):
     once — on a single group and on each partitioned sub-pool."""
     assert GROUP_ROOTS == 2
     for workers, ngroups in ((2, 1), (4, 2)):
-        pool = ThreadPoolFragmentExecutor(workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # more threads than cores, switching often
         try:
-            counted = _CallerCount(pool)
-            result = _tiny_scf(counted, band_groups=2).run(**_RUN_KW)
+            with remote_executor(workers) as pool:
+                counted = _CallerCount(pool)
+                result = _tiny_scf(counted, band_groups=2).run(**_RUN_KW)
         finally:
             sys.setswitchinterval(interval)
-            pool.close()
         # Every fragment was popped by exactly one root.
         _assert_scf_identical(result, pipeline_reference)
         assert pool.tasks_submitted == 2 * sum(t.band_stages for t in result.timings)
@@ -397,33 +360,21 @@ def _assert_one_group_two_roots(result, executor, reference):
         assert not t.band_schedule.concurrent
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes", "loopback"])
+@pytest.mark.parametrize("backend", ["processes", "loopback"])
 def test_one_group_two_roots_bit_identical(backend, pipeline_reference):
     """The benchmark's shape — ``band_groups=2`` on two workers, so one
     group drained by two roots — is ``==`` serial on every backend, with
     one submission per slice per stage and nothing lost or degraded."""
     if backend == "loopback":
-        servers = [start_worker_thread() for _ in range(2)]
-        config = RemoteExecutorConfig(
-            connect_timeout=2.0, request_timeout=60.0, heartbeat_interval=1e9,
-            max_retries=1, backoff=0.01)
-        executor = RemoteExecutor(
-            [s.address for s in servers], config=config, fallback=None)
+        executor_cm = remote_executor(2)
     else:
-        servers = []
-        pool_type = (ThreadPoolFragmentExecutor if backend == "threads"
-                     else ProcessPoolFragmentExecutor)
-        executor = pool_type(2)
-    try:
+        executor_cm = ProcessPoolFragmentExecutor(2)
+    with executor_cm as executor:
         result = _tiny_scf(executor, band_groups=2).run(**_RUN_KW)
         _assert_one_group_two_roots(result, executor, pipeline_reference)
         if backend == "loopback":
             assert executor.workers_lost == 0 and executor.degraded_tasks == 0
             assert executor.resubmissions == 0
-    finally:
-        executor.close()
-        for server in servers:
-            server.stop()
 
 
 @pytest.mark.remote
@@ -431,7 +382,7 @@ def test_one_group_two_roots_on_subprocess_workers(pipeline_reference):
     """Two real ``repro-worker`` processes, one group, two roots: ``==``
     the in-process serial run (the CI ``remote-smoke`` job)."""
     with LocalWorkerPool(2) as pool:
-        with RemoteExecutor(pool.addresses, fallback=None) as executor:
+        with RemoteExecutor(pool.addresses) as executor:
             result = _tiny_scf(executor, band_groups=2).run(**_RUN_KW)
             _assert_one_group_two_roots(result, executor, pipeline_reference)
             assert executor.workers_lost == 0 and executor.degraded_tasks == 0
@@ -463,8 +414,7 @@ def test_killed_root_closes_queue_and_sibling_persists(
     and a resume replays exactly what was persisted."""
     # Stage counts are deterministic: die halfway through iteration 1.
     first_iteration_stages = grouped_concurrent[0].timings[0].band_stages
-    pool = ThreadPoolFragmentExecutor(2)
-    try:
+    with remote_executor(2) as pool:
         flaky = _FlakyByFragment(pool, kill_at=(first_iteration_stages // 2,))
         scf = _tiny_scf(flaky, band_groups=2)
         with pytest.raises(WorkerDiedError, match="injected fault"):
@@ -472,8 +422,6 @@ def test_killed_root_closes_queue_and_sibling_persists(
         saved = load_partial_payloads(
             tmp_path, 1, scf._problem_signature(),
             state_fingerprint=_state_fingerprint(scf))
-    finally:
-        pool.close()
     # Every fragment a root had started — the sibling's in-flight one
     # included — was finished and persisted, except the one that died ...
     assert flaky.killed is not None
@@ -482,12 +430,9 @@ def test_killed_root_closes_queue_and_sibling_persists(
     # ... and the closed queue handed out nothing more.
     assert len(flaky.started) < scf.nfragments
 
-    pool = ThreadPoolFragmentExecutor(2)
-    try:
+    with remote_executor(2) as pool:
         resumed = _tiny_scf(pool, band_groups=2).run(
             checkpoint_dir=tmp_path, resume=True, **_RUN_KW)
-    finally:
-        pool.close()
     assert resumed.timings[0].band_replayed == len(saved)
     _assert_scf_identical(resumed, pipeline_reference)
 
@@ -524,24 +469,20 @@ def test_band_groups_of_two_fragments_share_one_worker():
         references.append(problem.hamiltonian.apply(x))
     assert not np.array_equal(references[0], problem.hamiltonian.apply(blocks[0]))
 
-    server = start_worker_thread()
     mismatches: list[str] = []
-    try:
-        with RemoteExecutor([server.address], fallback=None) as executor:
-            groups = [BandGroup(executor, 2).bind(task) for task in tasks]
+    with remote_executor(1) as executor:
+        groups = [BandGroup(executor, 2).bind(task) for task in tasks]
 
-            def drive(k):
-                for _ in range(25):
-                    if not np.array_equal(groups[k].apply_h(blocks[k]), references[k]):
-                        mismatches.append(tasks[k].label)
+        def drive(k):
+            for _ in range(25):
+                if not np.array_equal(groups[k].apply_h(blocks[k]), references[k]):
+                    mismatches.append(tasks[k].label)
 
-            threads = [threading.Thread(target=drive, args=(k,)) for k in (0, 1)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120.0)
-            assert not any(thread.is_alive() for thread in threads)
-            assert executor.tasks_submitted == 2 * 25 * 2
-    finally:
-        server.stop()
+        threads = [threading.Thread(target=drive, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert executor.tasks_submitted == 2 * 25 * 2
     assert mismatches == []

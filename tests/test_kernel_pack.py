@@ -1,7 +1,7 @@
 """Tests for the PR 6 hot-path kernel pack.
 
-Three cooperating optimisations, all on by default and all required to
-be *bit-identical* to the un-optimised paths:
+Three cooperating optimisations, each required to be *bit-identical* to
+the plain computation it replaces:
 
 * the :mod:`repro.pw.fftcache` shape-keyed FFT workspace pool (and the
   empirical numpy property it rests on: ``np.fft.*`` write bit-identical
@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _loopback import remote_executor
 from repro.atoms.toy import cscl_binary
 from repro.core.fragment_task import (
     FragmentTask,
@@ -48,11 +49,7 @@ from repro.core.patching import (
 )
 from repro.core.scf import LS3DFSCF
 from repro.parallel.bands import BandGroup
-from repro.parallel.executor import (
-    ProcessPoolFragmentExecutor,
-    SerialFragmentExecutor,
-    ThreadPoolFragmentExecutor,
-)
+from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
 from repro.pw import fftcache
 from repro.pw.grid import FFTGrid, clear_grid_memo, grid_memo_stats
 from repro.pw.pseudopotential import default_pseudopotentials
@@ -109,25 +106,12 @@ _RUN_KW = dict(
 
 @pytest.fixture
 def fresh_pool():
-    """Pristine, enabled pool around a test; defaults restored afterwards."""
-    fftcache.configure(enabled=True, max_per_key=4, max_keys=32)
+    """Pristine pool around a test, emptied again afterwards."""
     fftcache.clear()
     fftcache.reset_stats()
     yield
-    fftcache.configure(enabled=True, max_per_key=4, max_keys=32)
     fftcache.clear()
     fftcache.reset_stats()
-
-
-def test_fftcache_env_parsing(monkeypatch):
-    for value in ("0", "false", "OFF", " no "):
-        monkeypatch.setenv("REPRO_FFT_CACHE", value)
-        assert not fftcache._env_enabled()
-    for value in ("1", "true", "anything"):
-        monkeypatch.setenv("REPRO_FFT_CACHE", value)
-        assert fftcache._env_enabled()
-    monkeypatch.delenv("REPRO_FFT_CACHE", raising=False)
-    assert fftcache._env_enabled()  # default on
 
 
 def test_fftcache_acquire_release_roundtrip(fresh_pool):
@@ -156,8 +140,9 @@ def test_fftcache_release_rejects_views_and_noncontiguous(fresh_pool):
     assert fftcache.stats()["pooled_buffers"] == 0
 
 
-def test_fftcache_bucket_and_key_caps(fresh_pool):
-    fftcache.configure(max_per_key=2, max_keys=3)
+def test_fftcache_bucket_and_key_caps(fresh_pool, monkeypatch):
+    monkeypatch.setattr(fftcache, "_MAX_PER_KEY", 2)
+    monkeypatch.setattr(fftcache, "_MAX_KEYS", 3)
     for _ in range(4):
         fftcache.release(np.empty((7,), dtype=complex))
     assert fftcache.stats()["pooled_buffers"] == 2  # bucket capped
@@ -170,25 +155,6 @@ def test_fftcache_scratch_returns_buffer(fresh_pool):
     with fftcache.scratch((8,)) as buf:
         assert buf.shape == (8,)
     assert fftcache.acquire((8,)) is buf
-
-
-def test_fftcache_disabled_is_plain_numpy(fresh_pool):
-    fftcache.release(np.empty((4,), dtype=complex))  # pre-populate
-    fftcache.configure(enabled=False)
-    assert not fftcache.enabled()
-    assert fftcache.stats()["pooled_buffers"] == 0  # disabling drops buffers
-    a = fftcache.acquire((4,))
-    assert a.shape == (4,) and a.dtype == np.complex128
-    assert fftcache.stats()["hits"] == 0  # the pre-populated buffer is gone
-    fftcache.release(a)
-    assert fftcache.stats()["pooled_buffers"] == 0  # release is a no-op
-    # wrappers ignore out= and reproduce the allocating numpy path exactly
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
-    out = np.empty_like(x)
-    got = fftcache.fftn(x, out=out)
-    assert got is not out
-    assert _bits(got) == _bits(np.fft.fftn(x))
 
 
 def test_fft_wrappers_bit_identical_with_out(fresh_pool):
@@ -337,7 +303,7 @@ def test_nonlocal_block_env_in_child_changes_nothing(backend, monkeypatch):
             workers = ex.install_broadcasts
     else:
         with LocalWorkerPool(2) as pool:
-            with RemoteExecutor(pool.addresses, fallback=None) as ex:
+            with RemoteExecutor(pool.addresses) as ex:
                 got = solve_fragment_task(task, group=BandGroup(ex, 2))
                 workers = ex.install_broadcasts
     assert workers == 2  # the slices really ran in the children
@@ -514,52 +480,30 @@ def knob_matrix():
     runs["serial-on"] = _tiny_scf(executor=SerialFragmentExecutor()).run(
         **_RUN_KW
     )
-    fftcache.configure(enabled=False)
-    try:
-        runs["serial-nofftcache"] = _tiny_scf(
-            executor=SerialFragmentExecutor()
-        ).run(**_RUN_KW)
-    finally:
-        fftcache.configure(enabled=True)
-    with ThreadPoolFragmentExecutor(2) as ex:
-        runs["threads-on"] = _tiny_scf(executor=ex).run(**_RUN_KW)
+    with ProcessPoolFragmentExecutor(2) as ex:
+        runs["processes-on"] = _tiny_scf(executor=ex).run(**_RUN_KW)
+        assert ex.install_broadcasts > 0  # the install fan-out really ran
+    with remote_executor(2) as ex:
+        runs["remote-on"] = _tiny_scf(executor=ex).run(**_RUN_KW)
+        # The fingerprint install channel crossed the wire, once per
+        # worker per iteration, instead of riding along in each task.
+        assert ex.install_broadcasts > 0
+        assert ex.workers_lost == 0 and ex.degraded_tasks == 0
         submitted = ex.tasks_submitted
-    with ThreadPoolFragmentExecutor(2) as ex:
-        runs["threads-off"] = _tiny_scf(
+    with remote_executor(2) as ex:
+        runs["remote-off"] = _tiny_scf(
             executor=ex, install_potentials=False
         ).run(**_RUN_KW)
         # Logical accounting is knob-invariant: one task per fragment per
         # iteration, keyed or inline.
         assert ex.tasks_submitted == submitted
-    with ProcessPoolFragmentExecutor(2) as ex:
-        runs["processes-on"] = _tiny_scf(executor=ex).run(**_RUN_KW)
-        assert ex.install_broadcasts > 0  # the install fan-out really ran
-    from repro.parallel.remote import (
-        RemoteExecutor,
-        RemoteExecutorConfig,
-        start_worker_thread,
-    )
-
-    servers = [start_worker_thread() for _ in range(2)]
-    try:
-        config = RemoteExecutorConfig(
-            connect_timeout=2.0, request_timeout=60.0,
-            heartbeat_interval=1e9, max_retries=1, backoff=0.01)
-        with RemoteExecutor([s.address for s in servers], config=config) as ex:
-            runs["remote-on"] = _tiny_scf(executor=ex).run(**_RUN_KW)
-            # The fingerprint install channel crossed the wire, once per
-            # worker per iteration, instead of riding along in each task.
-            assert ex.install_broadcasts > 0
-            assert ex.workers_lost == 0 and ex.degraded_tasks == 0
-    finally:
-        for server in servers:
-            server.stop()
+        assert ex.install_broadcasts == 0
     return runs
 
 
 def test_knob_matrix_bit_identical(knob_matrix):
-    """Every backend, with every optimisation on or off (including the FFT
-    pool disabled entirely), lands on the same bits."""
+    """Every backend, with every optimisation on or off, lands on the
+    same bits."""
     ref = knob_matrix["serial-off"]
     for name, result in knob_matrix.items():
         np.testing.assert_array_equal(

@@ -71,5 +71,5 @@ def test_scf_validation_errors():
     structure = cscl_binary((1, 1, 1), "Zn", "Se", 6.5)
     with pytest.raises(ValueError):
         DirectSCF(structure, ecut=2.5, nbands=1)
-    with pytest.raises(ValueError):
-        DirectSCF(structure, ecut=2.5, eigensolver="magic")
+    with pytest.raises(ValueError, match="at least 1"):
+        DirectSCF(structure, ecut=2.5).run(max_scf_iterations=0)

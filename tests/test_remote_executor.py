@@ -10,7 +10,7 @@ dedup accounting and byte counters.
 The second half drives the failure model with the deterministic fault
 harness (:mod:`repro.parallel.faults`): dropped connections, killed
 workers, delayed and timed-out replies, unreachable addresses, total
-worker loss with and without a local fallback, and genuine kernel
+worker loss with and without a fallback executor, and genuine kernel
 errors.  The acceptance criterion from the ISSUE: every failure mode
 ends in either a bit-identical result (after resubmission) or a loud
 typed error — never a hang and never silent corruption.
@@ -23,7 +23,6 @@ against the golden-regression systems; CI runs it in the dedicated
 ``remote-smoke`` job.
 """
 
-import contextlib
 import dataclasses
 import json
 import os
@@ -39,6 +38,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _loopback import cluster as _cluster
+from _loopback import config as _config
 from repro.atoms.toy import cscl_binary
 from repro.core.fragment_task import (
     FragmentExecutor,
@@ -58,7 +59,6 @@ from repro.parallel.remote import (
     LocalWorkerPool,
     NoRemoteWorkersError,
     RemoteExecutor,
-    RemoteExecutorConfig,
     RemoteProtocolError,
     RemoteTaskError,
     WorkerServer,
@@ -106,38 +106,6 @@ _RUN_KW = dict(
     eigensolver_tolerance=1e-4,
     eigensolver_iterations=40,
 )
-
-
-def _config(**kw) -> RemoteExecutorConfig:
-    """Test defaults: fast retries, no heartbeat noise between batches."""
-    base = dict(
-        connect_timeout=2.0,
-        request_timeout=60.0,
-        heartbeat_interval=1e9,
-        max_retries=1,
-        backoff=0.01,
-    )
-    base.update(kw)
-    return RemoteExecutorConfig(**base)
-
-
-@contextlib.contextmanager
-def _cluster(n=2, plans=None, fallback="serial", **cfg):
-    """``n`` in-process loopback workers + a RemoteExecutor over them.
-
-    ``plans`` maps worker index -> :class:`FaultPlan` for that worker.
-    """
-    plans = plans or {}
-    servers = [start_worker_thread(fault_plan=plans.get(i)) for i in range(n)]
-    executor = RemoteExecutor(
-        [s.address for s in servers], config=_config(**cfg), fallback=fallback
-    )
-    try:
-        yield executor, servers
-    finally:
-        executor.close()
-        for server in servers:
-            server.stop()
 
 
 def _assert_results_equal(got, want):
@@ -366,7 +334,7 @@ def test_remote_run_matches_local_kernels():
 def test_shutdown_workers_then_degrade_to_local():
     tasks = [_make_task(f"s{i}") for i in range(2)]
     reference = [solve_fragment_task(t) for t in tasks]
-    with _cluster(2) as (executor, servers):
+    with _cluster(2, fallback=SerialFragmentExecutor()) as (executor, servers):
         assert executor.shutdown_workers() == 2
         # Shut-down workers are dead to the driver and refuse connections;
         # they were not *lost*, so that counter stays put.
@@ -630,7 +598,8 @@ def test_reply_past_timeout_marks_worker_dead():
     tasks = [_make_task(f"t{i}") for i in range(2)]
     reference = [solve_fragment_task(t) for t in tasks]
     with _cluster(
-        1, plans={0: FaultPlan(delay_at={0: 2.0})}, request_timeout=0.4
+        1, plans={0: FaultPlan(delay_at={0: 2.0})}, request_timeout=0.4,
+        fallback=SerialFragmentExecutor(),
     ) as (executor, _):
         report = executor.run(tasks)
         _assert_results_equal(report.results, reference)
@@ -642,7 +611,9 @@ def test_reply_past_timeout_marks_worker_dead():
 def test_all_workers_dead_degrades_to_serial():
     tasks = [_make_task(f"g{i}") for i in range(3)]
     reference = [solve_fragment_task(t) for t in tasks]
-    with _cluster(1, plans={0: FaultPlan(kill_at=(0,))}) as (executor, _):
+    with _cluster(
+        1, plans={0: FaultPlan(kill_at=(0,))}, fallback=SerialFragmentExecutor()
+    ) as (executor, _):
         report = executor.run(tasks)
         _assert_results_equal(report.results, reference)
         assert executor.workers_lost == 1
@@ -651,14 +622,13 @@ def test_all_workers_dead_degrades_to_serial():
 
 def test_all_workers_dead_without_fallback_raises():
     tasks = [_make_task("n0")]
-    with _cluster(1, plans={0: FaultPlan(kill_at=(0,))}, fallback=None) as (
-        executor, _,
-    ):
-        with pytest.raises(NoRemoteWorkersError, match="fallback is disabled"):
+    with _cluster(1, plans={0: FaultPlan(kill_at=(0,))}) as (executor, _):
+        with pytest.raises(NoRemoteWorkersError, match="no fallback executor"):
             executor.run(tasks)
-    # No addresses at all is the same typed error, with no hang.
+    # No addresses at all is the same typed error, with no hang: without a
+    # fallback executor given, there is none.
     with pytest.raises(NoRemoteWorkersError):
-        RemoteExecutor([], fallback=None).run(tasks)
+        RemoteExecutor([]).run(tasks)
 
 
 def test_unreachable_address_falls_back():
@@ -669,7 +639,8 @@ def test_unreachable_address_falls_back():
     tasks = [_make_task(f"u{i}") for i in range(2)]
     reference = [solve_fragment_task(t) for t in tasks]
     executor = RemoteExecutor(
-        [dead_address], config=_config(max_retries=0, connect_timeout=1.0)
+        [dead_address], config=_config(max_retries=0, connect_timeout=1.0),
+        fallback=SerialFragmentExecutor(),
     )
     report = executor.run(tasks)
     _assert_results_equal(report.results, reference)

@@ -5,8 +5,11 @@
 line-count limit is read from the workflow file, so there is one number.
 """
 
+import inspect
 import re
 from pathlib import Path
+
+from repro.core.scf import LS3DFSCF
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
@@ -22,9 +25,21 @@ def _lines_matching(pattern: str) -> list[str]:
     ]
 
 
-def test_no_environment_switch_besides_the_fft_cache():
-    reads = _lines_matching(r"environ.*REPRO_")
-    assert [hit for hit in reads if "REPRO_FFT_CACHE" not in hit] == []
+def test_no_environment_switch_in_src():
+    assert _lines_matching(r"environ.*REPRO_") == []
+
+
+def test_ls3dfscf_takes_exactly_these_parameters():
+    """A knob on the solver shows up here first: adding one means editing
+    this list in the same change."""
+    assert list(inspect.signature(LS3DFSCF.__init__).parameters) == [
+        "self", "structure", "grid_dims", "ecut", "pseudopotentials",
+        "buffer_cells", "n_empty", "mixer", "mixer_options", "points_per_bohr",
+        "executor", "genpot_shards", "band_groups", "install_potentials"]
+    assert list(inspect.signature(LS3DFSCF.run).parameters) == [
+        "self", "max_iterations", "potential_tolerance", "eigensolver_tolerance",
+        "eigensolver_iterations", "initial_potential", "checkpoint_dir",
+        "checkpoint_every", "resume", "event_hook"]
 
 
 def test_no_module_level_scipy_import():

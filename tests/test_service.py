@@ -195,6 +195,17 @@ class TestServiceInProcess:
         finally:
             srv.stop()
 
+    def test_zero_iteration_spec_lands_as_failed_event(self, server):
+        # Not a converged run with an all-zero density: the solver refuses
+        # the spec's run parameters and the stream records why.
+        with _client(server) as client:
+            run_id = client.submit(_spec_variant(SPEC_FAST, 0))["run_id"]
+            head = client.wait(run_id, timeout=60)
+            kinds = [e["kind"] for e in client.events(run_id)]
+        assert head["status"] == "failed"
+        assert "max_iterations" in head["error"]
+        assert "iteration" not in kinds and kinds[-1] == "failed"
+
     def test_bad_requests_surface_as_service_errors(self, server):
         with _client(server) as client:
             with pytest.raises(ServiceError, match="unknown builder"):

@@ -651,6 +651,13 @@ class TestSpecValidation:
         (lambda s: s["builder_args"].pop("dims"), "dims"),
         (lambda s: s["solver"].pop("grid_dims"), "grid_dims"),
         (lambda s: s["solver"].update(executor="x"), "unsupported solver"),
+        # The solver keywords deleted with their code paths.
+        *(
+            pytest.param(lambda s, key=key: s["solver"].update({key: value}),
+                         "unsupported solver", id=f"removed-{key}")
+            for key, value in (("eigensolver", "band_by_band"), ("passivate", False),
+                               ("polar_passivation", False))
+        ),
         (lambda s: s["run"].update(resume=True), "unsupported run"),
     ])
     def test_invalid_specs_rejected(self, mutate, match):

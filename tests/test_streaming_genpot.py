@@ -4,39 +4,29 @@
   source slabs arriving in *any* order, exactly the target plane ranges
   of the global field (plain numpy slicing is the reference).
 * The streamed GENPOT evaluation is bit-identical (``==``, not allclose)
-  to the *unsharded serial* evaluation across the serial / thread /
-  process / remote-socket backends, shard counts {1, 2, 3, nz} and the
+  to the *unsharded serial* evaluation across the serial / process /
+  remote-socket backends, shard counts {1, 2, 3, nz} and the
   kerker / linear / anderson mixers, including full SCF iterate
   histories through :class:`repro.core.scf.LS3DFSCF`.
 * An executor without the ``submit_global`` futures surface is refused
   at construction (``TypeError``), not silently routed elsewhere.
-* A worker killed mid-stream is resubmitted to the survivors (and the
-  local fallback drains the queue when no worker survives), with
+* A worker killed mid-stream is resubmitted to the survivors (and a
+  fallback executor drains the queue when no worker survives), with
   bit-identical results either way.
 * The stream accounting: occupancy in [0, 1], measured layout
   conversion, and the pipeline reduce's wait/busy split.
 """
 
-import contextlib
-
 import numpy as np
 import pytest
 
+from _loopback import cluster as _cluster
 from repro.atoms.toy import cscl_binary
 from repro.core.genpot import GlobalPotentialSolver
 from repro.core.scf import LS3DFSCF
 from repro.parallel.distributed import slab_bounds
-from repro.parallel.executor import (
-    ProcessPoolFragmentExecutor,
-    SerialFragmentExecutor,
-    ThreadPoolFragmentExecutor,
-)
+from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
 from repro.parallel.faults import FaultPlan
-from repro.parallel.remote import (
-    RemoteExecutor,
-    RemoteExecutorConfig,
-    start_worker_thread,
-)
 from repro.parallel.streaming import SlabExchangeBuffer, stream_genpot
 from repro.pw.grid import FFTGrid
 from repro.pw.mixing import make_mixer
@@ -68,33 +58,6 @@ def _make_solver(grid, mixer, shards=None, executor=None):
         shards=shards,
         executor=executor,
     )
-
-
-def _config(**kw) -> RemoteExecutorConfig:
-    base = dict(
-        connect_timeout=2.0,
-        request_timeout=60.0,
-        heartbeat_interval=1e9,
-        max_retries=1,
-        backoff=0.01,
-    )
-    base.update(kw)
-    return RemoteExecutorConfig(**base)
-
-
-@contextlib.contextmanager
-def _cluster(n=2, plans=None, fallback="serial", **cfg):
-    plans = plans or {}
-    servers = [start_worker_thread(fault_plan=plans.get(i)) for i in range(n)]
-    executor = RemoteExecutor(
-        [s.address for s in servers], config=_config(**cfg), fallback=fallback
-    )
-    try:
-        yield executor, servers
-    finally:
-        executor.close()
-        for server in servers:
-            server.stop()
 
 
 def _assert_outputs_equal(got, want):
@@ -169,18 +132,19 @@ def test_streaming_evaluate_bit_identical_serial(grid, fields, mixer, shards):
 
 @pytest.mark.parametrize("mixer", ["linear", "kerker", "anderson"])
 def test_streaming_evaluate_bit_identical_pools(grid, fields, mixer):
-    """Thread and process pools stream to the unsharded serial bits."""
+    """A process pool and three remote workers stream to the unsharded
+    serial bits, for every mixer."""
     rho, v_in = fields
     reference = _make_solver(grid, mixer).evaluate(rho, v_in)
-    with ThreadPoolFragmentExecutor(n_workers=3) as threads:
-        threaded = _make_solver(grid, mixer, shards=3, executor=threads).evaluate(
+    with _cluster(3) as (executor, _):
+        remote = _make_solver(grid, mixer, shards=3, executor=executor).evaluate(
             rho, v_in
         )
     with ProcessPoolFragmentExecutor(n_workers=2) as procs:
         pooled = _make_solver(grid, mixer, shards=3, executor=procs).evaluate(
             rho, v_in
         )
-    _assert_outputs_equal(threaded, reference)
+    _assert_outputs_equal(remote, reference)
     _assert_outputs_equal(pooled, reference)
 
 
@@ -281,12 +245,6 @@ def test_scf_streaming_bit_identical_serial(scf_reference):
     assert scf_reference.timings[0].layout_conversion == 0.0
 
 
-def test_scf_streaming_bit_identical_threads(scf_reference):
-    with ThreadPoolFragmentExecutor(n_workers=2) as executor:
-        result = _scf(executor, genpot_shards=4).run(**_RUN_KW)
-    _assert_runs_equal(result, scf_reference)
-
-
 def test_scf_streaming_bit_identical_process(scf_reference):
     with ProcessPoolFragmentExecutor(n_workers=2) as executor:
         result = _scf(executor, genpot_shards=4).run(**_RUN_KW)
@@ -317,10 +275,12 @@ def test_stream_resubmits_after_worker_death(grid, fields):
 
 
 def test_stream_degrades_to_fallback_when_all_workers_die(grid, fields):
-    """With no survivors the queue drains through the local fallback."""
+    """With no survivors the queue drains through the fallback executor."""
     rho, v_in = fields
     reference = _make_solver(grid, "kerker").evaluate(rho, v_in)
-    with _cluster(1, plans={0: FaultPlan(kill_at=(1,))}) as (executor, _):
+    with _cluster(
+        1, plans={0: FaultPlan(kill_at=(1,))}, fallback=SerialFragmentExecutor()
+    ) as (executor, _):
         out = _make_solver(grid, "kerker", shards=4, executor=executor).evaluate(
             rho, v_in
         )

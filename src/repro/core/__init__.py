@@ -39,16 +39,14 @@ from repro.core.genpot import GlobalPotentialSolver
 from repro.core.fragment_task import (
     ExecutionReport,
     FragmentExecutor,
-    FragmentPipelineResult,
     FragmentPipelineTask,
-    FragmentStateCache,
     FragmentTask,
     FragmentTaskResult,
     clear_problem_cache,
     run_fragment_pipeline_task,
     solve_fragment_task,
 )
-from repro.core.fragment_solver import FragmentSolveResult, FragmentSolver
+from repro.core.fragment_solver import FragmentSolver
 from repro.core.scf import LS3DFSCF, LS3DFResult, IterationTimings
 from repro.core.driver import LS3DF
 from repro.core.compare import compare_ls3df_to_direct, ComparisonReport
@@ -68,15 +66,12 @@ __all__ = [
     "GlobalPotentialSolver",
     "ExecutionReport",
     "FragmentExecutor",
-    "FragmentPipelineResult",
     "FragmentPipelineTask",
-    "FragmentStateCache",
     "FragmentTask",
     "FragmentTaskResult",
     "clear_problem_cache",
     "run_fragment_pipeline_task",
     "solve_fragment_task",
-    "FragmentSolveResult",
     "FragmentSolver",
     "LS3DFSCF",
     "LS3DFResult",

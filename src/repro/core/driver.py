@@ -256,10 +256,10 @@ class LS3DF:
         """
         homos = []
         lumos = []
-        for res in result.fragment_results:
-            if res.fragment.weight < 0:
+        for fragment, res in zip(self.scf.fragments, result.fragment_results):
+            if res.weight < 0:
                 continue
-            problem = self.scf.fragment_solver.build_problem(res.fragment)
+            problem = self.scf.fragment_solver.build_problem(fragment)
             nocc = int(np.count_nonzero(problem.occupations))
             if nocc == 0 or nocc >= len(res.eigenvalues):
                 continue
@@ -274,13 +274,14 @@ class LS3DF:
         rows = []
         for f in self.fragments:
             problem = self.scf.fragment_solver.build_problem(f)
+            passivation = self.scf.fragment_solver.passivations[f.label]
             rows.append(
                 {
                     "label": f.label,
                     "weight": f.weight,
                     "cells": f.ncells,
-                    "atoms": problem.structure.natoms - problem.passivation.n_passivants,
-                    "passivants": problem.passivation.n_passivants,
+                    "atoms": problem.structure.natoms - passivation.n_passivants,
+                    "passivants": passivation.n_passivants,
                     "electrons": problem.nelectrons,
                     "bands": problem.nbands,
                     "plane_waves": problem.basis.npw,

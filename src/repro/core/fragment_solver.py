@@ -18,7 +18,7 @@ no second solve path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,104 +27,15 @@ from repro.core.division import SpatialDivision
 from repro.core.fragment_task import (
     FragmentPipelineTask,
     FragmentTask,
-    FragmentTaskResult,
     TaskProblem,
     build_task_problem,
     seed_task_problem,
 )
 from repro.core.fragments import Fragment
 from repro.core.passivation import PassivationResult, passivate_fragment
-from repro.pw.basis import PlaneWaveBasis
 from repro.pw.grid import FFTGrid
-from repro.pw.hamiltonian import Hamiltonian
 from repro.pw.hartree import hartree_potential
 from repro.pw.pseudopotential import PseudopotentialSet
-
-
-@dataclass
-class FragmentSolveResult:
-    """Output of one fragment solve within one LS3DF iteration.
-
-    Attributes
-    ----------
-    fragment:
-        The fragment that was solved.
-    eigenvalues:
-        Fragment band energies (Hartree).
-    density:
-        Electron density on the fragment-box grid.
-    quantum_energy:
-        sum_i occ_i <psi_i| T + V_sr + V_NL |psi_i> of the fragment — the
-        piece entering the patched total energy E = sum_F alpha_F E_F.
-    band_energy:
-        sum_i occ_i eps_i with the full (screened) fragment Hamiltonian.
-    solver_iterations:
-        Iterations used by the iterative eigensolver.
-    converged:
-        Eigensolver convergence flag.
-    wall_time:
-        Wall-clock seconds of this fragment's solve.
-    worker_pid:
-        PID of the process that executed the solve.
-    """
-
-    fragment: Fragment
-    eigenvalues: np.ndarray
-    density: np.ndarray
-    quantum_energy: float
-    band_energy: float
-    solver_iterations: int
-    converged: bool
-    wall_time: float = 0.0
-    worker_pid: int = 0
-
-
-@dataclass
-class FragmentProblem:
-    """Static (iteration-independent) data of one fragment's Kohn-Sham problem.
-
-    Construction is the expensive "setup" the paper eliminated from the per-
-    iteration cost by storing everything in the LS3DF global module; here it
-    is built once by :class:`FragmentSolver`, seeded into the shared
-    per-process task-problem cache, and reused every iteration.  The
-    numerical pieces (grid, basis, Hamiltonian, band counts) live on the
-    wrapped :class:`~repro.core.fragment_task.TaskProblem` — the single
-    copy every backend uses — and are exposed here as read-only views.
-    """
-
-    fragment: Fragment
-    structure: Structure
-    passivation: PassivationResult
-    ionic_density: np.ndarray
-    task_problem: TaskProblem = field(repr=False)
-    # Fixed passivation correction Delta V_F (see
-    # FragmentSolver.passivation_potential); computed once, reused every
-    # iteration.  None until first requested or for unpassivated fragments.
-    passivation_potential: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def grid(self) -> FFTGrid:
-        return self.task_problem.grid
-
-    @property
-    def basis(self) -> PlaneWaveBasis:
-        return self.task_problem.basis
-
-    @property
-    def hamiltonian(self) -> Hamiltonian:
-        return self.task_problem.hamiltonian
-
-    @property
-    def nelectrons(self) -> int:
-        return self.task_problem.nelectrons
-
-    @property
-    def nbands(self) -> int:
-        return self.task_problem.nbands
-
-    @property
-    def occupations(self) -> np.ndarray:
-        return self.task_problem.occupations
 
 
 class FragmentSolver:
@@ -143,6 +54,12 @@ class FragmentSolver:
 
     Every fragment is passivated with partially charged pseudo-hydrogens
     (H_cation / H_anion) and solved by the all-band CG, as in the paper.
+
+    The static problem of each fragment is built once and kept per label
+    — the paper's "store everything in the LS3DF global module" — as the
+    same :class:`~repro.core.fragment_task.TaskProblem` every backend's
+    kernel uses, with the fragment's passivation result in
+    :attr:`passivations` and its cached Delta V_F beside it.
     """
 
     def __init__(
@@ -156,10 +73,12 @@ class FragmentSolver:
         self.pseudopotentials = pseudopotentials
         self.ecut = float(ecut)
         self.n_empty = int(n_empty)
-        self._problems: dict[str, FragmentProblem] = {}
+        self._problems: dict[str, TaskProblem] = {}
+        self.passivations: dict[str, PassivationResult] = {}
+        self._passivation_potentials: dict[str, np.ndarray | None] = {}
 
     # ------------------------------------------------------------------
-    def build_problem(self, fragment: Fragment) -> FragmentProblem:
+    def build_problem(self, fragment: Fragment) -> TaskProblem:
         """Construct (or fetch the cached) static problem of one fragment."""
         key = fragment.label
         if key in self._problems:
@@ -169,21 +88,13 @@ class FragmentSolver:
         grid = self.division.fragment_grid(fragment)
         # The basis/Hamiltonian/occupations construction is the shared
         # kernel's — one build path for this solver and the pool workers.
-        template = self._static_task(fragment, structure, grid)
-        task_problem = build_task_problem(template)
-        ionic_density = self.pseudopotentials.ionic_density(structure, grid)
+        problem = build_task_problem(self._static_task(fragment, structure, grid))
         # Seed the shared per-process cache so in-process kernels (the
         # serial backend, loopback workers) reuse this Hamiltonian.
         # Process pools benefit too on fork platforms: workers forked at
         # first use inherit the seeded cache copy-on-write.
-        seed_task_problem(task_problem)
-        problem = FragmentProblem(
-            fragment=fragment,
-            structure=structure,
-            passivation=passivation,
-            ionic_density=ionic_density,
-            task_problem=task_problem,
-        )
+        seed_task_problem(problem)
+        self.passivations[key] = passivation
         self._problems[key] = problem
         return problem
 
@@ -210,7 +121,7 @@ class FragmentSolver:
         )
 
     # ------------------------------------------------------------------
-    def passivation_potential(self, problem: FragmentProblem) -> np.ndarray | None:
+    def passivation_potential(self, fragment: Fragment) -> np.ndarray | None:
         """The fixed passivation correction Delta V_F of one fragment.
 
         Electrostatic potential of the *neutral* passivant pseudo-atoms:
@@ -219,14 +130,18 @@ class FragmentSolver:
         injecting a net monopole into the fragment box.  The term is
         iteration-independent — only the restricted global potential
         changes between outer iterations — so it is computed once per
-        fragment and cached on the problem; warm iterations reuse the
-        array instead of redoing the per-fragment Hartree solves every
-        Gen_VF.  Returns ``None`` for unpassivated fragments.
+        fragment and cached; warm iterations reuse the array instead of
+        redoing the per-fragment Hartree solves every Gen_VF.  Returns
+        ``None`` for unpassivated fragments.
         """
-        if not problem.passivation.n_passivants:
-            return None
-        if problem.passivation_potential is None:
-            passivants = problem.passivation.passivant_indices
+        key = fragment.label
+        if key in self._passivation_potentials:
+            return self._passivation_potentials[key]
+        problem = self.build_problem(fragment)
+        passivation = self.passivations[key]
+        delta_v = None
+        if passivation.n_passivants:
+            passivants = passivation.passivant_indices
             sub = Structure(
                 problem.structure.cell,
                 [problem.structure.symbols[i] for i in passivants],
@@ -239,13 +154,12 @@ class FragmentSolver:
                 cloud_overrides[sym] = replace(pp, core_width=2.0 * pp.core_width)
             cloud_set = self.pseudopotentials.with_override(cloud_overrides)
             rho_cloud_pass = cloud_set.ionic_density(sub, problem.grid)
-            problem.passivation_potential = hartree_potential(
-                rho_ion_pass - rho_cloud_pass, problem.grid
-            )
-        return problem.passivation_potential
+            delta_v = hartree_potential(rho_ion_pass - rho_cloud_pass, problem.grid)
+        self._passivation_potentials[key] = delta_v
+        return delta_v
 
     def fragment_screening_potential(
-        self, problem: FragmentProblem, restricted_potential: np.ndarray
+        self, fragment: Fragment, restricted_potential: np.ndarray
     ) -> np.ndarray:
         """Combine the restricted global potential with the fragment's own parts.
 
@@ -255,10 +169,10 @@ class FragmentSolver:
         passivation potential Delta V_F of the paper: nonzero only near
         the fragment boundary.
         """
-        if restricted_potential.shape != problem.grid.shape:
+        if restricted_potential.shape != self.build_problem(fragment).grid.shape:
             raise ValueError("restricted potential shape mismatch")
         v = restricted_potential
-        delta_v = self.passivation_potential(problem)
+        delta_v = self.passivation_potential(fragment)
         if delta_v is not None:
             v = v - delta_v
         return v
@@ -278,7 +192,7 @@ class FragmentSolver:
         execution backend every outer iteration.
         """
         problem = self.build_problem(fragment)
-        v_screen = self.fragment_screening_potential(problem, restricted_potential)
+        v_screen = self.fragment_screening_potential(fragment, restricted_potential)
         task = self._static_task(
             fragment, problem.structure, problem.grid, screening_potential=v_screen
         )
@@ -325,33 +239,11 @@ class FragmentSolver:
             global_potential=None if global_potential_key else global_potential,
             box_indices=self.division.global_indices(fragment, interior_only=False),
             interior_slice=box.interior_slice,
-            passivation_potential=self.passivation_potential(problem),
+            passivation_potential=self.passivation_potential(fragment),
             global_potential_key=global_potential_key,
         )
 
-    @staticmethod
-    def result_from_task(
-        fragment: Fragment, result: FragmentTaskResult
-    ) -> FragmentSolveResult:
-        """Attach the fragment object to a kernel result."""
-        if result.label != fragment.label:
-            raise ValueError(
-                f"task result {result.label!r} does not match fragment "
-                f"{fragment.label!r}"
-            )
-        return FragmentSolveResult(
-            fragment=fragment,
-            eigenvalues=result.eigenvalues,
-            density=result.density,
-            quantum_energy=result.quantum_energy,
-            band_energy=result.band_energy,
-            solver_iterations=result.solver_iterations,
-            converged=result.converged,
-            wall_time=result.wall_time,
-            worker_pid=result.worker_pid,
-        )
-
     # ------------------------------------------------------------------
-    def problems(self) -> dict[str, FragmentProblem]:
+    def problems(self) -> dict[str, TaskProblem]:
         """All fragment problems built so far, keyed by fragment label."""
         return dict(self._problems)

@@ -20,9 +20,9 @@ implemented:
   everything in the LS3DF global module" optimisation: the expensive
   setup happens once per fragment per process, so the second and later
   outer iterations are cheap even inside pool workers.
-* :class:`FragmentStateCache` holds warm-start wavefunctions per fragment
-  *outside* any particular backend, so warm starts survive no matter
-  which executor ran the previous iteration.
+* :class:`FragmentTaskResult` is the one per-fragment product — what a
+  plain solve, a fused pipeline step, every executor, the SCF result and
+  the mid-iteration partial checkpoint all carry.
 * :class:`FragmentExecutor` is the protocol every backend implements.
 
 Layering note: this module deliberately depends only on the plane-wave
@@ -39,7 +39,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -138,7 +138,11 @@ class FragmentTask:
 
 @dataclass
 class FragmentTaskResult:
-    """Result of one executed fragment task.
+    """The product of one fragment solve — the only per-fragment record.
+
+    A plain :func:`solve_fragment_task` fills the kernel fields; the fused
+    :func:`run_fragment_pipeline_task` also fills ``contribution`` and the
+    Gen_VF / Gen_dens times, and widens ``wall_time`` to the whole step.
 
     Attributes
     ----------
@@ -157,12 +161,21 @@ class FragmentTaskResult:
         Eigensolver steps and convergence flag of the gated (occupied) bands;
         ``eigenvalues`` beyond them are guard-band Ritz values.
     wall_time:
-        In-worker wall-clock seconds of this solve.
+        In-worker wall-clock seconds of the whole step (the solve, plus
+        restriction and extraction on the fused path).
     worker_pid:
         PID of the process that executed the solve (distinguishes pool
         workers from the driver).
     coefficients:
         Converged wavefunctions (the next iteration's warm start).
+    weight:
+        The fragment's patching weight alpha_F.
+    contribution:
+        The alpha-weighted region interior of ``density`` — the exact
+        array the Gen_dens reduction sums; ``None`` after a plain solve.
+    gen_vf_time, gen_dens_time:
+        In-worker seconds of the fused restriction and extraction (0 after
+        a plain solve).
     """
 
     label: str
@@ -175,6 +188,43 @@ class FragmentTaskResult:
     wall_time: float
     worker_pid: int
     coefficients: np.ndarray
+    weight: int = 1
+    contribution: np.ndarray | None = None
+    gen_vf_time: float = 0.0
+    gen_dens_time: float = 0.0
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Every field as an array — one fragment's mid-iteration payload.
+
+        The per-fragment half of a *mid-iteration* checkpoint
+        (:func:`repro.io.checkpoint.save_partial_payload`), suitable for an
+        ``.npz`` payload; round-trips exactly through
+        :meth:`from_state_dict`.
+        """
+        return {f.name: np.asarray(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_state_dict(cls, state: dict[str, np.ndarray]) -> "FragmentTaskResult":
+        """Rebuild a result from a :meth:`state_dict` snapshot.
+
+        Bit-identical to the saved result (arrays round-trip exactly
+        through ``.npz``), so replaying it mid-iteration reproduces an
+        uninterrupted run.
+
+        Raises
+        ------
+        ValueError
+            The snapshot's keys are not exactly this record's fields — a
+            stale or foreign payload the caller must re-solve.
+        """
+        names = {f.name for f in fields(cls)}
+        if set(state) != names:
+            raise ValueError(
+                f"fragment payload keys {sorted(state)} are not the "
+                f"record's fields {sorted(names)}"
+            )
+        values = {name: np.asarray(value) for name, value in state.items()}
+        return cls(**{n: v.item() if v.ndim == 0 else v for n, v in values.items()})
 
 
 @dataclass
@@ -519,6 +569,7 @@ def solve_fragment_task(
         wall_time=time.perf_counter() - t0,
         worker_pid=os.getpid(),
         coefficients=result.coefficients,
+        weight=task.weight,
     )
 
 
@@ -616,111 +667,11 @@ def resolve_global_potential(pipeline_task: FragmentPipelineTask) -> np.ndarray:
     return v
 
 
-@dataclass
-class FragmentPipelineResult:
-    """Result of one fused restrict -> solve -> contribute pipeline task.
-
-    ``contribution`` is the fragment's alpha-weighted region interior of
-    the solved density — the exact array the Gen_dens reduction sums, so
-    the driver never cuts into the fragment-box density again.  The
-    driver already knows each fragment's scatter map
-    (``division.global_indices``), so no index arrays ride along.
-    """
-
-    result: FragmentTaskResult
-    contribution: np.ndarray
-    gen_vf_time: float
-    gen_dens_time: float
-
-    @property
-    def label(self) -> str:
-        """The solved fragment's label."""
-        return self.result.label
-
-    @property
-    def worker_pid(self) -> int:
-        """PID of the process that executed the fused task."""
-        return self.result.worker_pid
-
-    @property
-    def wall_time(self) -> float:
-        """In-worker time of the whole fused step (restrict+solve+extract)."""
-        return self.gen_vf_time + self.result.wall_time + self.gen_dens_time
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Serialisable snapshot of this fragment's completed work.
-
-        The per-fragment half of a *mid-iteration* checkpoint
-        (:func:`repro.io.checkpoint.save_partial_payload`): every field a
-        resumed iteration needs to treat this fragment as already solved
-        — density, contribution, energies, solve bookkeeping and the
-        converged wavefunctions — as plain arrays suitable for an
-        ``.npz`` payload.
-
-        Returns
-        -------
-        dict[str, np.ndarray]
-            Array-valued mapping; round-trips exactly through
-            :meth:`from_state_dict`.
-        """
-        r = self.result
-        return {
-            "label": np.asarray(r.label),
-            "eigenvalues": np.asarray(r.eigenvalues),
-            "density": np.asarray(r.density),
-            "quantum_energy": np.float64(r.quantum_energy),
-            "band_energy": np.float64(r.band_energy),
-            "solver_iterations": np.int64(r.solver_iterations),
-            "converged": np.bool_(r.converged),
-            "solve_wall_time": np.float64(r.wall_time),
-            "worker_pid": np.int64(r.worker_pid),
-            "contribution": np.asarray(self.contribution),
-            "gen_vf_time": np.float64(self.gen_vf_time),
-            "gen_dens_time": np.float64(self.gen_dens_time),
-            "coefficients": np.asarray(r.coefficients),
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict[str, np.ndarray]) -> "FragmentPipelineResult":
-        """Rebuild a result from a :meth:`state_dict` snapshot.
-
-        Parameters
-        ----------
-        state:
-            The saved mapping (possibly after an ``.npz`` round trip).
-
-        Returns
-        -------
-        FragmentPipelineResult
-            Bit-identical to the saved result (arrays round-trip exactly
-            through ``.npz``), so replaying it mid-iteration reproduces
-            an uninterrupted run.
-        """
-        result = FragmentTaskResult(
-            label=str(state["label"]),
-            eigenvalues=np.asarray(state["eigenvalues"]),
-            density=np.asarray(state["density"]),
-            quantum_energy=float(state["quantum_energy"]),
-            band_energy=float(state["band_energy"]),
-            solver_iterations=int(state["solver_iterations"]),
-            converged=bool(state["converged"]),
-            wall_time=float(state["solve_wall_time"]),
-            worker_pid=int(state["worker_pid"]),
-            coefficients=np.asarray(state["coefficients"]),
-        )
-        return cls(
-            result=result,
-            contribution=np.asarray(state["contribution"]),
-            gen_vf_time=float(state["gen_vf_time"]),
-            gen_dens_time=float(state["gen_dens_time"]),
-        )
-
-
 def run_fragment_pipeline_task(
     pipeline_task: FragmentPipelineTask,
     problem: TaskProblem | None = None,
     group=None,
-) -> FragmentPipelineResult:
+) -> FragmentTaskResult:
     """Execute one fused fragment pipeline task (worker-side Figure 2 lap).
 
     Performs, in the worker, the three embarrassingly parallel steps of
@@ -751,9 +702,10 @@ def run_fragment_pipeline_task(
 
     Returns
     -------
-    FragmentPipelineResult
-        The solve result plus the alpha-weighted interior density
-        contribution and the in-worker Gen_VF / Gen_dens times.
+    FragmentTaskResult
+        The solve result with the alpha-weighted interior density
+        contribution and the in-worker Gen_VF / Gen_dens times filled in,
+        and ``wall_time`` covering the whole fused step.
     """
     t0 = time.perf_counter()
     ix, iy, iz = pipeline_task.box_indices
@@ -768,14 +720,11 @@ def run_fragment_pipeline_task(
     result = solve_fragment_task(task, problem=problem, group=group)
     t0 = time.perf_counter()
     interior = result.density[pipeline_task.interior_slice]
-    contribution = task.weight * np.real(interior)
-    gen_dens_time = time.perf_counter() - t0
-    return FragmentPipelineResult(
-        result=result,
-        contribution=contribution,
-        gen_vf_time=gen_vf_time,
-        gen_dens_time=gen_dens_time,
-    )
+    result.contribution = task.weight * np.real(interior)
+    result.gen_dens_time = time.perf_counter() - t0
+    result.gen_vf_time = gen_vf_time
+    result.wall_time = gen_vf_time + result.wall_time + result.gen_dens_time
+    return result
 
 
 def run_fragment_pipeline_task_grouped(
@@ -796,7 +745,7 @@ def run_fragment_pipeline_task_grouped(
 
     Returns
     -------
-    tuple[FragmentPipelineResult, repro.parallel.bands.BandGroupStats]
+    tuple[FragmentTaskResult, repro.parallel.bands.BandGroupStats]
         The pipeline result (identical to the ungrouped kernel's) plus
         the solve's band-task accounting.
     """
@@ -807,88 +756,6 @@ def run_fragment_pipeline_task_grouped(
     group = BandGroup(executor, band_slices, install_potentials, root_lock)
     result = run_fragment_pipeline_task(pipeline_task, group=group)
     return result, group.stats
-
-
-class FragmentStateCache:
-    """Executor-agnostic warm-start store, keyed by fragment label.
-
-    The outer SCF loop fills tasks' ``initial_coefficients`` from here and
-    writes converged coefficients back after every iteration, so fragments
-    warm-start across outer iterations regardless of which backend (or
-    which pool worker) solved them last time.  The cache is also the
-    per-fragment half of an SCF checkpoint
-    (:mod:`repro.io.checkpoint`): :meth:`state_dict` /
-    :meth:`load_state_dict` move the stored wavefunction coefficients to
-    and from disk payloads, so a resumed run warm-starts exactly where
-    the interrupted one stopped.
-    """
-
-    def __init__(self) -> None:
-        self._coefficients: dict[str, np.ndarray] = {}
-
-    def get(self, label: str) -> np.ndarray | None:
-        """Warm-start coefficients of one fragment.
-
-        Parameters
-        ----------
-        label:
-            Fragment label (``Fragment.label``).
-
-        Returns
-        -------
-        np.ndarray | None
-            The last converged wavefunction coefficients of that
-            fragment, or ``None`` when it has not been solved yet.
-        """
-        return self._coefficients.get(label)
-
-    def update(self, results: Sequence[FragmentTaskResult]) -> None:
-        """Store the converged coefficients of a batch of solves.
-
-        Parameters
-        ----------
-        results:
-            Executed task results.
-        """
-        for res in results:
-            self._coefficients[res.label] = res.coefficients
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Serialisable snapshot of every stored wavefunction.
-
-        Returns
-        -------
-        dict[str, np.ndarray]
-            Fragment label -> coefficient array, suitable for an
-            ``.npz`` checkpoint payload.  The arrays are the cached
-            objects themselves (the SCF loop never mutates them in
-            place); callers that need isolation should copy.
-        """
-        return dict(self._coefficients)
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Replace the cache contents with a :meth:`state_dict` snapshot.
-
-        Parameters
-        ----------
-        state:
-            Fragment label -> coefficient array mapping (possibly after
-            an ``.npz`` round trip).  Previous contents are discarded,
-            so a resumed run sees exactly the interrupted run's state.
-        """
-        self._coefficients = {
-            str(label): np.asarray(coeffs) for label, coeffs in state.items()
-        }
-
-    def clear(self) -> None:
-        """Drop all stored wavefunctions (fresh-start SCF runs)."""
-        self._coefficients.clear()
-
-    def __len__(self) -> int:
-        return len(self._coefficients)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._coefficients
 
 
 @runtime_checkable
@@ -911,7 +778,7 @@ class FragmentExecutor(Protocol):
         """Submit a batch of fused tasks; one future per task, in task order.
 
         Each future (``done`` / ``result`` / ``add_done_callback``)
-        resolves to that task's :class:`FragmentPipelineResult`.
+        resolves to that task's :class:`FragmentTaskResult`.
         """
         ...
 
@@ -920,10 +787,10 @@ class FragmentExecutor(Protocol):
 class ExecutionReport:
     """Timing summary of one batch of fragment solves.
 
-    ``results`` holds :class:`FragmentTaskResult` objects for plain solve
-    batches and :class:`FragmentPipelineResult` objects for fused pipeline
-    batches; both expose the ``label`` / ``wall_time`` / ``worker_pid``
-    fields the summary properties use.
+    ``results`` holds one :class:`FragmentTaskResult` per task, for plain
+    solve and fused pipeline batches alike (band-slice batches hold
+    :class:`repro.parallel.bands.BandBlockResult`); the summary properties
+    read their ``wall_time`` / ``worker_pid``.
 
     ``resubmissions`` counts tasks this batch re-dispatched after a
     worker died mid-task (always 0 for the local backends, whose workers

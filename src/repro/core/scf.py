@@ -50,11 +50,10 @@ import numpy as np
 
 from repro.atoms.structure import Structure
 from repro.core.division import SpatialDivision
-from repro.core.fragment_solver import FragmentSolveResult, FragmentSolver
+from repro.core.fragment_solver import FragmentSolver
 from repro.core.fragment_task import (
     FragmentExecutor,
-    FragmentPipelineResult,
-    FragmentStateCache,
+    FragmentTaskResult,
     potential_fingerprint,
     run_fragment_pipeline_task_grouped,
 )
@@ -344,7 +343,7 @@ class LS3DFResult:
     energy_history:
         Total energy per iteration.
     fragment_results:
-        Final-iteration per-fragment solve results.
+        Final-iteration per-fragment solve results, in fragment order.
     timings:
         Per-iteration four-subroutine wall-clock timings.
     nfragments:
@@ -359,7 +358,7 @@ class LS3DFResult:
     iterations: int
     convergence_history: list[float] = field(default_factory=list)
     energy_history: list[float] = field(default_factory=list)
-    fragment_results: list[FragmentSolveResult] = field(default_factory=list)
+    fragment_results: list[FragmentTaskResult] = field(default_factory=list)
     timings: list[IterationTimings] = field(default_factory=list)
     nfragments: int = 0
 
@@ -500,7 +499,10 @@ class LS3DFSCF:
                 )
         self.executor = executor
         self.install_potentials = bool(install_potentials)
-        self.state_cache = FragmentStateCache()
+        # Warm-start wavefunctions per fragment label: filled from every
+        # iteration's results whichever backend solved them, and the
+        # per-fragment half of a full checkpoint.
+        self.state_cache: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def _default_grid(self, points_per_bohr: float | None) -> FFTGrid:
@@ -592,14 +594,6 @@ class LS3DFSCF:
             chunk_size=PATCH_CHUNK_SIZE,
         )
 
-    def _adopt_pipeline_results(self, results: Sequence) -> list[FragmentSolveResult]:
-        """Store the warm starts and attach fragments to the kernel results."""
-        self.state_cache.update([p.result for p in results])
-        return [
-            FragmentSolver.result_from_task(f, p.result)
-            for f, p in zip(self.fragments, results)
-        ]
-
     def _run_iteration(
         self,
         v_in: np.ndarray,
@@ -610,13 +604,13 @@ class LS3DFSCF:
         checkpoint_path: Path | None,
         division_signature: str,
         replay_partials: bool,
-    ) -> tuple[np.ndarray, list[FragmentSolveResult]]:
+    ) -> tuple[np.ndarray, list[FragmentTaskResult]]:
         """One fused Gen_VF -> PEtot_F -> Gen_dens lap of the iteration.
 
         The driver builds one
         :class:`~repro.core.fragment_task.FragmentPipelineTask` per
         fragment (timed as ``gen_vf``), obtains each one's
-        :class:`~repro.core.fragment_task.FragmentPipelineResult`, and
+        :class:`~repro.core.fragment_task.FragmentTaskResult`, and
         reduces the contributions with :meth:`_patch_in_fragment_order`.
         The only fork is where the results come from: without band
         groups one executor submission per fragment, each future consumed
@@ -656,7 +650,7 @@ class LS3DFSCF:
         # Time not spent reducing: the submission (the serial backend
         # solves at submit), the group drain, and every blocked pull.
         wait = time.perf_counter() - t0
-        results: list[FragmentPipelineResult] = []
+        results: list[FragmentTaskResult] = []
 
         def resolved():
             nonlocal wait
@@ -693,12 +687,12 @@ class LS3DFSCF:
         ]
 
         # --- Gen_dens residue: only the post-tail work remains serial.
-        # Cache update and conversion are driver work and belong in this
-        # bucket, not in the PEtot_F wall time.
+        # The warm-start update is driver work and belongs in this bucket,
+        # not in the PEtot_F wall time.
         t0 = time.perf_counter()
-        frag_results = self._adopt_pipeline_results(results)
+        self.state_cache.update((r.label, r.coefficients) for r in results)
         t.gen_dens = time.perf_counter() - t0
-        return density, frag_results
+        return density, results
 
     def _drain_band_groups(
         self,
@@ -711,7 +705,7 @@ class LS3DFSCF:
         checkpoint_path: Path | None,
         division_signature: str,
         replay_partials: bool,
-    ) -> tuple[list[FragmentPipelineResult], frozenset[int], float]:
+    ) -> tuple[list[FragmentTaskResult], frozenset[int], float]:
         """The band-parallel side of :meth:`_run_iteration`'s fork.
 
         The two-level hierarchy in action: the fused tasks are
@@ -735,14 +729,16 @@ class LS3DFSCF:
         fragment it holds, then the error is raised.
 
         With ``checkpoint_path`` set, every completed fragment's
-        :class:`~repro.core.fragment_task.FragmentPipelineResult` is
+        :class:`~repro.core.fragment_task.FragmentTaskResult` is
         persisted immediately
         (:func:`repro.io.checkpoint.save_partial_payload`); on entry —
         only when the caller asked to ``resume`` (``replay_partials``) —
         any partials saved for this same iteration are replayed from
         disk instead of re-solved, so a kill mid-PEtot_F costs only the
-        unfinished fragments.  A fresh run never replays (its partials
-        were wiped up front by :meth:`run`).
+        unfinished fragments.  A payload whose keys are not the record's
+        fields is stale, like a torn one: that fragment is re-solved.  A
+        fresh run never replays (its partials were wiped up front by
+        :meth:`run`).
 
         Returns the results in fragment order, the indices of the
         replayed ones, and the seconds of partial-checkpoint I/O (payload
@@ -762,19 +758,20 @@ class LS3DFSCF:
             fp.update(np.float64(eigensolver_tolerance).tobytes())
             fp.update(np.int64(eigensolver_iterations).tobytes())
             state_fingerprint = fp.hexdigest()
-        replayed: dict[str, FragmentPipelineResult] = {}
+        replayed: dict[str, FragmentTaskResult] = {}
         replay_io = 0.0
         if checkpoint_path is not None and replay_partials:
             t0 = time.perf_counter()
-            replayed = {
-                label: FragmentPipelineResult.from_state_dict(arrays)
-                for label, arrays in load_partial_payloads(
-                    checkpoint_path,
-                    iteration,
-                    division_signature,
-                    state_fingerprint=state_fingerprint,
-                ).items()
-            }
+            for label, arrays in load_partial_payloads(
+                checkpoint_path,
+                iteration,
+                division_signature,
+                state_fingerprint=state_fingerprint,
+            ).items():
+                try:
+                    replayed[label] = FragmentTaskResult.from_state_dict(arrays)
+                except ValueError:
+                    continue  # stale payload schema: re-solve the fragment
             replay_io = time.perf_counter() - t0
 
         # --- LPT over group-sized bins, then drain the bins —
@@ -795,7 +792,7 @@ class LS3DFSCF:
         )
         # Replay saved fragments up front (group-independent), leaving each
         # group bin's queue with only the work that still needs solving.
-        results: list[FragmentPipelineResult | None] = [
+        results: list[FragmentTaskResult | None] = [
             replayed.get(f.label) for f in self.fragments
         ]
         replayed_indices = frozenset(
@@ -1030,7 +1027,7 @@ class LS3DFSCF:
                     f"checkpoint carries mixer state but {type(mixer).__name__} "
                     f"has no load_state_dict"
                 )
-            self.state_cache.load_state_dict(restored.fragment_coefficients)
+            self.state_cache = dict(restored.fragment_coefficients)
             conv_history = list(restored.convergence_history)
             energy_history = list(restored.energy_history)
             v_in = restored.v_in.copy()
@@ -1097,7 +1094,7 @@ class LS3DFSCF:
             timings.append(t)
 
             quantum_energy = float(
-                sum(res.fragment.weight * res.quantum_energy for res in frag_results)
+                sum(res.weight * res.quantum_energy for res in frag_results)
             )
             total_energy = (
                 quantum_energy
@@ -1142,7 +1139,7 @@ class LS3DFSCF:
                         mixer_state=(
                             mixer_state_dict() if callable(mixer_state_dict) else {}
                         ),
-                        fragment_coefficients=self.state_cache.state_dict(),
+                        fragment_coefficients=dict(self.state_cache),
                         convergence_history=conv_history,
                         energy_history=energy_history,
                     ),

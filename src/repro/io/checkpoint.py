@@ -33,7 +33,7 @@ unfinished ones, bit-identically.  The functions
 :func:`save_partial_payload` / :func:`load_partial_payloads` /
 :func:`clear_partial_payloads` deal in plain label -> arrays mappings so
 this module stays free of ``core`` imports; the array schema is owned by
-:meth:`repro.core.fragment_task.FragmentPipelineResult.state_dict`.
+:meth:`repro.core.fragment_task.FragmentTaskResult.state_dict`.
 
 The manifest is replaced atomically *after* its payload exists, so the
 pair is consistent even when the process dies mid-save (the previous
@@ -98,8 +98,8 @@ class SCFCheckpoint:
         (Anderson's bounded history; parameters for the stateless
         mixers).
     fragment_coefficients:
-        :meth:`~repro.core.fragment_task.FragmentStateCache.state_dict`
-        snapshot — warm-start wavefunctions keyed by fragment label.
+        Warm-start wavefunctions keyed by fragment label (the
+        ``LS3DFSCF.state_cache`` dict).
     division_signature:
         :meth:`~repro.core.division.SpatialDivision.signature` of the
         run's fragment division, validated on load.
@@ -398,7 +398,7 @@ def save_partial_payload(
         The completed fragment's label.
     arrays:
         Array-valued snapshot of the completed work (canonically
-        :meth:`repro.core.fragment_task.FragmentPipelineResult.state_dict`).
+        :meth:`repro.core.fragment_task.FragmentTaskResult.state_dict`).
     state_fingerprint:
         Digest of the iteration's actual solve inputs (input potential,
         eigensolver controls).  A resumed run whose inputs differ — a

@@ -98,7 +98,6 @@ from repro.parallel.distributed import (
 from repro.parallel.executor import (
     ExecutionReport,
     FragmentExecutor,
-    FragmentPipelineResult,
     FragmentPipelineTask,
     FragmentTask,
     FragmentTaskResult,
@@ -164,7 +163,6 @@ __all__ = [
     "slab_bounds",
     "ExecutionReport",
     "FragmentExecutor",
-    "FragmentPipelineResult",
     "FragmentPipelineTask",
     "FragmentTask",
     "FragmentTaskResult",

@@ -47,7 +47,6 @@ import numpy as np
 from repro.core.fragment_task import (
     ExecutionReport,
     FragmentExecutor,
-    FragmentPipelineResult,
     FragmentPipelineTask,
     FragmentTask,
     FragmentTaskResult,
@@ -74,7 +73,6 @@ __all__ = [
     "BandGroupExecutor",
     "ExecutionReport",
     "FragmentExecutor",
-    "FragmentPipelineResult",
     "FragmentPipelineTask",
     "FragmentScheduler",
     "FragmentTask",

@@ -24,8 +24,8 @@ import pytest
 from _loopback import remote_executor
 from repro.atoms.toy import cscl_binary
 from repro.core.fragment_task import (
-    FragmentPipelineResult,
     FragmentTask,
+    FragmentTaskResult,
     get_task_problem,
     run_fragment_pipeline_task,
     run_fragment_pipeline_task_grouped,
@@ -371,9 +371,9 @@ def test_grouped_pipeline_kernel_matches_ungrouped():
     ref = run_fragment_pipeline_task(make())
     got, stats = run_fragment_pipeline_task_grouped(
         make(), SerialFragmentExecutor(), 2)
-    np.testing.assert_array_equal(got.result.density, ref.result.density)
+    np.testing.assert_array_equal(got.density, ref.density)
     np.testing.assert_array_equal(got.contribution, ref.contribution)
-    assert got.result.quantum_energy == ref.result.quantum_energy
+    assert got.quantum_energy == ref.quantum_energy
     assert stats.submissions == stats.stages * 2
 
 
@@ -499,22 +499,45 @@ def test_measured_intra_group_efficiency_helper():
 
 # --- mid-iteration partial checkpoints --------------------------------------------
 
-def test_pipeline_result_state_dict_roundtrip():
+def test_pipeline_result_state_dict_roundtrip(tmp_path):
+    """Every field of the record survives an ``.npz`` round trip exactly:
+    same type, same value, same array dtype and bits."""
     scf = _tiny_scf()
     v_in = scf.genpot.initial_potential()
     pres = run_fragment_pipeline_task(
         scf.fragment_solver.make_pipeline_task(
             scf.fragments[0], v_in,
             eigensolver_tolerance=1e-4, eigensolver_iterations=40))
-    clone = FragmentPipelineResult.from_state_dict(pres.state_dict())
-    assert clone.label == pres.label
-    np.testing.assert_array_equal(clone.result.density, pres.result.density)
-    np.testing.assert_array_equal(clone.contribution, pres.contribution)
-    np.testing.assert_array_equal(
-        clone.result.coefficients, pres.result.coefficients)
-    assert clone.result.quantum_energy == pres.result.quantum_energy
-    assert clone.result.converged == pres.result.converged
-    assert clone.wall_time == pres.wall_time
+    np.savez(tmp_path / "frag.npz", **pres.state_dict())
+    with np.load(tmp_path / "frag.npz") as payload:
+        clone = FragmentTaskResult.from_state_dict(
+            {name: payload[name] for name in payload.files})
+    for f in dataclasses.fields(FragmentTaskResult):
+        got, want = getattr(clone, f.name), getattr(pres, f.name)
+        assert type(got) is type(want), f.name
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, f.name
+            np.testing.assert_array_equal(got, want, err_msg=f.name)
+        else:
+            assert got == want, f.name
+
+
+def test_partial_payload_with_missing_fields_is_resolved_not_replayed(tmp_path):
+    """Regression: a partial payload that has a label but not every field
+    of the record is stale — skipped and re-solved like a torn ``.npz``,
+    not a ``KeyError`` that kills the resume."""
+    run_kw = dict(max_iterations=1, potential_tolerance=1e-9,
+                  eigensolver_tolerance=1e-4, eigensolver_iterations=40)
+    scf = _tiny_scf(SerialFragmentExecutor(), band_groups=1)
+    label = scf.fragments[0].label
+    save_partial_payload(
+        tmp_path, 1, scf._problem_signature(), label,
+        {"label": np.asarray(label), "density": np.zeros(3)},
+        state_fingerprint=_state_fingerprint(scf))
+    resumed = scf.run(checkpoint_dir=tmp_path, resume=True, **run_kw)
+    assert resumed.timings[0].band_replayed == 0
+    reference = _tiny_scf(SerialFragmentExecutor(), band_groups=1).run(**run_kw)
+    _assert_scf_identical(resumed, reference)
 
 
 def test_partial_payload_save_load_clear(tmp_path):

@@ -68,7 +68,7 @@ def test_ls3df_timings_follow_paper_structure(tiny_ls3df):
 
 def test_ls3df_fragment_results_weights(tiny_ls3df):
     _, ls3df, result = tiny_ls3df
-    weights = sorted(r.fragment.weight for r in result.fragment_results)
+    weights = sorted(r.weight for r in result.fragment_results)
     assert weights.count(1) == 2 and weights.count(-1) == 2
     summary = ls3df.fragment_summary()
     assert len(summary) == 4

@@ -109,7 +109,7 @@ def keyed_pair():
 def _assert_pipeline_equal(got, want):
     for g, w in zip(got, want, strict=True):
         np.testing.assert_array_equal(g.contribution, w.contribution)
-        np.testing.assert_array_equal(g.result.density, w.result.density)
+        np.testing.assert_array_equal(g.density, w.density)
 
 
 @pytest.mark.parametrize("name", BACKENDS)

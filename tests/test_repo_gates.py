@@ -65,6 +65,14 @@ def test_one_transform_path_in_the_basis():
     assert [line for line in (ROOT / "src/repro/pw/basis.py").read_text().splitlines() if "np.fft" in line] == []
 
 
+def test_one_result_and_one_problem_class_per_fragment_solve():
+    source = "".join(
+        (ROOT / "src/repro/core" / name).read_text()
+        for name in ("fragment_task.py", "fragment_solver.py"))
+    assert re.findall(r"^class (\w*Result)\b", source, re.M) == ["FragmentTaskResult"]
+    assert re.findall(r"^class (\w*Problem)\b", source, re.M) == ["TaskProblem"]
+
+
 def test_src_line_count_ratchet():
     workflow = (ROOT / ".github/workflows/ci.yml").read_text()
     limit = int(re.search(r"xargs cat \| wc -l\)\" -le (\d+)", workflow).group(1))

@@ -4,9 +4,9 @@ Every LS3DF solve handled by this layer is a first-class persistent
 object — an append-only *event stream* (``submitted -> scheduled ->
 iteration(k) -> checkpointed -> converged | failed``) on disk, with a
 snapshot index for O(1) catch-up, advisory file locking for concurrent
-writers, and content-addressed problem signatures as dedup keys: two
-clients submitting the identical problem attach to one in-flight solve
-and both stream its events.
+writers, and content-addressed run ids as dedup keys: two clients
+submitting the identical problem attach to one in-flight solve and both
+stream its events.
 
 Layers (bottom up):
 
@@ -17,12 +17,10 @@ Layers (bottom up):
 * :mod:`repro.store.stream` — :class:`~repro.store.stream.EventStream`,
   one run's append-only log + ``head.json`` snapshot, crash-safe via
   the :func:`repro.io.gridio.write_npz_atomic`-grade durable writers.
-* :mod:`repro.store.index` — the store-wide registry mapping problem
-  signatures to run ids.
 * :mod:`repro.store.dedup` — serialisable problem specs, solver
   construction and the content-addressed signature.
 * :mod:`repro.store.store` — :class:`~repro.store.store.RunStore`, the
-  facade tying streams, index, locks and dedup together.
+  facade tying streams, locks and dedup together.
 * :mod:`repro.store.server` / :mod:`repro.store.client` — the
   ``repro-serve`` daemon (socket protocol on the ``RPW1`` framing of
   :mod:`repro.parallel.remote`) and the ``repro-submit`` client/CLI.
@@ -37,9 +35,8 @@ from repro.store.events import (
     decode_record,
     encode_record,
 )
-from repro.store.index import StoreIndex
 from repro.store.lock import FileLock, LockTimeoutError
-from repro.store.store import RunStore, SubmitReceipt
+from repro.store.store import RunStore, SubmitReceipt, UnknownRunError
 from repro.store.stream import AppendFaultPlan, EventStream, KilledAppend
 
 __all__ = [
@@ -52,9 +49,9 @@ __all__ = [
     "KilledAppend",
     "LockTimeoutError",
     "RunStore",
-    "StoreIndex",
     "SubmitReceipt",
     "TornRecordError",
+    "UnknownRunError",
     "build_solver",
     "canonical_spec",
     "decode_record",

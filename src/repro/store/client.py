@@ -34,7 +34,15 @@ __all__ = ["ServiceClient", "ServiceError", "client_main"]
 
 
 class ServiceError(RuntimeError):
-    """The daemon answered a request with ``ok: False``."""
+    """The daemon answered a request with ``ok: False``.
+
+    ``error_type`` names the exception the daemon raised (for instance
+    ``UnknownRunError`` for a malformed or unknown run id).
+    """
+
+    def __init__(self, error_type: str, message: str) -> None:
+        super().__init__(f"{error_type}: {message}")
+        self.error_type = error_type
 
 
 class ServiceClient:
@@ -48,8 +56,8 @@ class ServiceClient:
         Label recorded in ``submitted``/``attached`` events.
     connect_timeout:
         Socket timeout for connect and the handshake; requests
-        afterwards block until answered (a ``wait`` poll never races a
-        slow solve).
+        afterwards block until answered (a ``wait`` request is held
+        server-side until the run ends or its ``poll`` runs out).
     """
 
     def __init__(
@@ -93,8 +101,8 @@ class ServiceClient:
         reply, _ = recv_frame(sock, self.max_frame_bytes)
         if not reply.get("ok"):
             raise ServiceError(
-                f"{reply.get('error_type', 'ServiceError')}: "
-                f"{reply.get('error', 'request failed')}"
+                reply.get("error_type", "ServiceError"),
+                reply.get("error", "request failed"),
             )
         return reply
 
@@ -156,7 +164,12 @@ class ServiceClient:
         return self._request({"op": "stats"})
 
     def wait(self, run_id: str, timeout: float = 300.0, poll: float = 0.1) -> dict:
-        """Poll ``status`` until the run is terminal; returns the head.
+        """Block until the run is terminal; returns the head.
+
+        Each ``wait`` request is held by the daemon for at most ``poll``
+        seconds and answered the moment one of its job slots finishes
+        the run; a run another daemon finishes over the same root is
+        seen within ``poll``.
 
         Raises
         ------
@@ -165,7 +178,9 @@ class ServiceClient:
         """
         deadline = time.monotonic() + float(timeout)
         while True:
-            head = self.status(run_id)
+            hold = min(float(poll), max(0.0, deadline - time.monotonic()))
+            request = {"op": "wait", "run_id": str(run_id), "poll": hold}
+            head = self._request(request)["head"]
             if head["status"] in TERMINAL_KINDS:
                 return head
             if time.monotonic() >= deadline:
@@ -173,7 +188,6 @@ class ServiceClient:
                     f"run {run_id} still {head['status']!r} after "
                     f"{timeout:.1f}s"
                 )
-            time.sleep(float(poll))
 
     def shutdown(self) -> dict:
         """Ask the daemon to stop (in-flight solves resume on restart)."""

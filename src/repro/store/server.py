@@ -5,10 +5,11 @@ request/response protocol on the same ``RPW1`` framing the remote
 fragment workers speak (:func:`repro.parallel.remote.send_frame` /
 :func:`~repro.parallel.remote.recv_frame`): a 4-byte magic, a length,
 a pickled dict.  Clients (:mod:`repro.store.client`) submit problem
-specs and query status/events/results; the daemon multiplexes every
-admitted job onto a small pool of *job slots*, each owning one
-long-lived fragment executor, so N concurrent solves share N warm
-worker pools instead of spawning per job.
+specs, query status/events/results and ``wait`` for a run to end (held
+server-side, woken the moment a job slot finishes it); the daemon
+multiplexes every admitted job onto a small pool of *job slots*, each
+owning one long-lived fragment executor, so N concurrent solves share N
+warm worker pools instead of spawning per job.
 
 Durability is the store's, not the daemon's: every lifecycle transition
 is an appended event, every iteration lands in the run's checkpoint
@@ -26,6 +27,8 @@ import argparse
 import os
 import queue
 import socket
+import threading
+import time
 import traceback
 from pathlib import Path
 from typing import Callable, Sequence
@@ -49,7 +52,7 @@ from repro.store.store import RunStore
 __all__ = ["SERVICE_PROTOCOL_VERSION", "StoreServer", "serve_main"]
 
 #: Bumped on any incompatible change to the request/response dicts.
-SERVICE_PROTOCOL_VERSION = 1
+SERVICE_PROTOCOL_VERSION = 2
 
 
 def _make_executor_factory(
@@ -103,6 +106,8 @@ class StoreServer(_Listener):
         self.jobs_finished = 0
         self._queue: "queue.Queue[str]" = queue.Queue()
         self._queued: set[str] = set()
+        # Notified whenever a job slot lets go of a run, and on stop.
+        self._done = threading.Condition(self._lock)
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> tuple[str, int]:
@@ -120,6 +125,12 @@ class StoreServer(_Listener):
         for slot in range(self.job_slots):
             self._spawn(self._runner_loop, slot)
         return address
+
+    def stop(self) -> None:
+        """Stop serving and release every held ``wait`` request."""
+        super().stop()
+        with self._done:
+            self._done.notify_all()
 
     # -- scheduling ----------------------------------------------------
     def _enqueue(self, run_id: str) -> bool:
@@ -144,8 +155,9 @@ class StoreServer(_Listener):
                 try:
                     self._execute(run_id, executor, slot)
                 finally:
-                    with self._lock:
+                    with self._done:
                         self._queued.discard(run_id)
+                        self._done.notify_all()
         finally:
             close = getattr(executor, "close", None)
             if close is not None:
@@ -261,6 +273,8 @@ class StoreServer(_Listener):
             }
         if op == "status":
             return {"ok": True, "head": self.store.read_head(request["run_id"])}
+        if op == "wait":
+            return {"ok": True, "head": self._wait(request["run_id"], request["poll"])}
         if op == "events":
             events = self.store.events(
                 request["run_id"], since_seq=int(request.get("since_seq", 0))
@@ -287,10 +301,31 @@ class StoreServer(_Listener):
                 }
         if op == "shutdown":
             # Reply first (the client awaits it), then stop; interrupted
-            # solves are no loss — the next daemon resumes them.
+            # solves are no loss — the next daemon resumes them.  Held
+            # waits are released by the stop() that ends serve_main.
             self._stop.set()
             return {"ok": True}
         return _refusal(f"unknown op {op!r}")
+
+    def _wait(self, run_id: str, poll: float) -> dict:
+        """The run's head once terminal, or after at most ``poll`` seconds.
+
+        A job slot of this daemon finishing the run wakes the request at
+        once; a run finished by another process over the same root is
+        seen at the next ``poll`` boundary.
+        """
+        deadline = time.monotonic() + float(poll)
+        with self._done:
+            while True:
+                head = self.store.read_head(run_id)
+                remaining = deadline - time.monotonic()
+                if (
+                    head["status"] in TERMINAL_KINDS
+                    or remaining <= 0
+                    or self._stop.is_set()
+                ):
+                    return head
+                self._done.wait(remaining)
 
 
 def serve_main(argv: Sequence[str] | None = None) -> int:

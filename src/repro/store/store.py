@@ -3,16 +3,20 @@
 A store root looks like::
 
     <root>/
-        store.lock            # serialises submits / index registration
-        index.json            # signature -> run id registry
+        store.lock            # serialises submits
         runs/
-            run-<sig16>/
+            run-<sig16>/      # content-addressed: the directory is the index
                 spec.json     # the canonical problem spec
                 events.log    # the run's event stream (stream.py)
                 head.json     # snapshot index
                 stream.lock
                 payload-*.npz
                 checkpoint/   # LS3DFSCF checkpoints (repro.io.checkpoint)
+
+A run id is ``run-`` plus the first 16 hex digits of the problem
+signature, so dedup is a look at one directory: a submit never reads
+another run's files, whatever the size of the store.  A run exists once
+its ``submitted`` event is in the log; ``run_ids`` lists ``runs/``.
 
 :class:`RunStore` is deliberately daemon-free: it is the persistence
 layer both the ``repro-serve`` daemon and offline tools share.  Two
@@ -24,7 +28,7 @@ locks — which is exactly what the crash/concurrency battery in
 from __future__ import annotations
 
 import json
-import time
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,16 +36,20 @@ import numpy as np
 
 from repro.io.gridio import write_text_atomic
 from repro.store.dedup import canonical_spec, problem_signature
-from repro.store.events import TERMINAL_KINDS, Event
-from repro.store.index import StoreIndex
+from repro.store.events import TERMINAL_KINDS, Event, TornRecordError, decode_record
 from repro.store.lock import FileLock
 from repro.store.stream import EventStream
 
-__all__ = ["RunStore", "SubmitReceipt"]
+__all__ = ["RunStore", "SubmitReceipt", "UnknownRunError"]
 
 SPEC_NAME = "spec.json"
 ROOT_LOCK_NAME = "store.lock"
 RUNS_DIR = "runs"
+_RUN_ID = re.compile(r"run-[0-9a-f]{16}")
+
+
+class UnknownRunError(LookupError):
+    """A run id that is malformed or names no submitted run."""
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,9 @@ class RunStore:
         return self.root / RUNS_DIR
 
     def run_dir(self, run_id: str) -> Path:
-        """A run's directory (existence not checked)."""
+        """A run's directory (existence not checked, the id's form is)."""
+        if not isinstance(run_id, str) or _RUN_ID.fullmatch(run_id) is None:
+            raise UnknownRunError(f"malformed run id {run_id!r}")
         return self.runs_root / run_id
 
     def checkpoint_dir(self, run_id: str) -> Path:
@@ -105,13 +115,13 @@ class RunStore:
     def submit(self, spec: dict, client: str = "anonymous") -> SubmitReceipt:
         """Submit a problem, deduplicating on its signature.
 
-        Under the store root lock: if the signature is already
-        registered, append an ``attached`` event to the existing run's
-        stream and report ``attached=True``; otherwise create the run
-        directory, persist ``spec.json``, append the ``submitted``
-        event, and register the signature in the index — in that order,
-        so a kill at any point leaves either a complete, indexed run or
-        an unindexed directory the next identical submit simply reuses.
+        Under the store root lock, look at the one directory the
+        signature names: if it holds the same spec and a ``submitted``
+        event, append an ``attached`` event and report ``attached=True``;
+        otherwise persist ``spec.json`` and append the ``submitted``
+        event — the commit point — so a kill at any point leaves either
+        a complete run or a directory the next identical submit simply
+        reuses.
 
         Parameters
         ----------
@@ -123,48 +133,77 @@ class RunStore:
         Returns
         -------
         SubmitReceipt
+
+        Raises
+        ------
+        ValueError
+            The directory holds a different spec (a 16-hex-digit
+            signature prefix collision).
         """
         spec = canonical_spec(spec)
         signature = problem_signature(spec)
+        run_id = f"run-{signature[:16]}"
+        rdir = self.run_dir(run_id)
+        text = json.dumps(spec, indent=2, sort_keys=True) + "\n"
         self.root.mkdir(parents=True, exist_ok=True)
         with self._root_lock():
-            index = StoreIndex(self.root)
-            existing = index.lookup(signature)
-            if existing is not None:
-                self.stream(existing).append(
-                    "attached", {"client": client, "signature": signature}
-                )
-                return SubmitReceipt(
-                    run_id=existing, signature=signature, attached=True
-                )
-            run_id = f"run-{signature[:16]}"
-            rdir = self.run_dir(run_id)
+            spec_path = rdir / SPEC_NAME
+            stored = spec_path.read_text() if spec_path.is_file() else None
+            if stored is not None and stored != text:
+                raise ValueError(f"run id {run_id} already holds a different spec")
+            stream = self.stream(run_id)
+            if stored is not None and stream.read_head()["seq"] >= 0:
+                stream.append("attached", {"client": client, "signature": signature})
+                return SubmitReceipt(run_id=run_id, signature=signature, attached=True)
             rdir.mkdir(parents=True, exist_ok=True)
-            write_text_atomic(
-                rdir / SPEC_NAME,
-                json.dumps(spec, indent=2, sort_keys=True) + "\n",
-            )
-            self.stream(run_id).append(
-                "submitted", {"client": client, "signature": signature}
-            )
-            index.register(run_id, signature, ts=time.time())
+            if stored is None:
+                write_text_atomic(spec_path, text)
+            stream.append("submitted", {"client": client, "signature": signature})
             return SubmitReceipt(run_id=run_id, signature=signature, attached=False)
 
     # -- read side -----------------------------------------------------
+    def _submitted_ts(self, run_id: str) -> float | None:
+        """The ``submitted`` event's timestamp, or None if not committed."""
+        try:
+            with open(self.stream(run_id).log_path, "rb") as handle:
+                first = decode_record(handle.readline())
+        except (OSError, TornRecordError):
+            return None
+        return first.ts if first.kind == "submitted" else None
+
     def run_ids(self) -> list[str]:
-        """All known runs, oldest first."""
-        return StoreIndex(self.root).run_ids()
+        """All submitted runs, oldest first."""
+        if not self.runs_root.is_dir():
+            return []
+        stamped = []
+        for entry in self.runs_root.iterdir():
+            if _RUN_ID.fullmatch(entry.name) is None:
+                continue
+            ts = self._submitted_ts(entry.name)
+            if ts is not None:
+                stamped.append((ts, entry.name))
+        return [run_id for _, run_id in sorted(stamped)]
 
     def spec(self, run_id: str) -> dict:
         """A run's persisted canonical spec."""
         return json.loads((self.run_dir(run_id) / SPEC_NAME).read_text())
 
     def read_head(self, run_id: str) -> dict:
-        """The run's folded status snapshot — never touches payloads."""
-        return self.stream(run_id).read_head()
+        """The run's folded status snapshot — never touches payloads.
+
+        Raises
+        ------
+        UnknownRunError
+            The id is malformed or no run was submitted under it.
+        """
+        head = self.stream(run_id).read_head()
+        if head["seq"] < 0:
+            raise UnknownRunError(f"no run {run_id!r} in {self.root}")
+        return head
 
     def events(self, run_id: str, since_seq: int = 0) -> list[Event]:
         """The run's events with ``seq >= since_seq``."""
+        self.read_head(run_id)
         return self.stream(run_id).replay(since_seq=since_seq)
 
     def pending_runs(self) -> list[str]:
@@ -186,8 +225,7 @@ class RunStore:
             ``converged`` event's payload; None while the run is not
             terminal; raises on a ``failed`` run.
         """
-        stream = self.stream(run_id)
-        head = stream.read_head()
+        head = self.read_head(run_id)
         if head["status"] == "failed":
             raise RuntimeError(f"run {run_id} failed: {head.get('error')}")
         if head["status"] != "converged" or head.get("result_payload") is None:
@@ -199,7 +237,7 @@ class RunStore:
             data={},
             payload=head["result_payload"],
         )
-        arrays = stream.load_payload(event)
+        arrays = self.stream(run_id).load_payload(event)
         return {
             "density": arrays["density"],
             "potential": arrays["potential"],

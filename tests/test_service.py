@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -28,9 +29,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.parallel.remote import recv_frame, send_frame
 from repro.store import RunStore, build_solver
 from repro.store.client import ServiceClient, ServiceError, client_main
-from repro.store.server import StoreServer, serve_main
+from repro.store.server import SERVICE_PROTOCOL_VERSION, StoreServer, serve_main
 
 SPEC_FAST = {
     "builder": "cscl_binary",
@@ -213,6 +215,69 @@ class TestServiceInProcess:
             with pytest.raises(ServiceError, match="unknown op"):
                 client._request({"op": "bogus"})
             assert client.ping()["ok"]
+
+    def test_wait_returns_when_the_run_finishes_not_at_the_poll(self, server):
+        # The request is held server-side and woken by the job slot: a
+        # status+sleep loop would take at least one 5 s poll here.
+        with _client(server) as client:
+            run_id = client.submit(SPEC_FAST)["run_id"]
+            t0 = time.monotonic()
+            head = client.wait(run_id, timeout=60, poll=5.0)
+            elapsed = time.monotonic() - t0
+            assert head["status"] == "converged"
+            assert elapsed < 2.0
+            # A terminal run answers at once, whatever the poll.
+            t0 = time.monotonic()
+            assert client.wait(run_id, poll=30.0)["status"] == "converged"
+            assert time.monotonic() - t0 < 1.0
+
+    def test_stop_releases_a_held_wait(self, tmp_path):
+        # A run submitted straight into the store after the startup scan
+        # is never scheduled, so it holds its waiter until stop(), which
+        # must let go of it at once.
+        srv = StoreServer(tmp_path / "store")
+        srv.start()
+        run_id = srv.store.submit(SPEC_FAST).run_id  # never enqueued
+        outcome = []
+        client = ServiceClient(srv.address)
+        client._connect()
+
+        def waiter():
+            try:
+                client.wait(run_id, timeout=120, poll=30.0)
+            except Exception as exc:  # the daemon closes the connection
+                outcome.append(exc)
+
+        thread = threading.Thread(target=waiter, daemon=True)
+        thread.start()
+        time.sleep(0.3)
+        assert thread.is_alive()
+        t0 = time.monotonic()
+        srv.stop()
+        thread.join(timeout=5.0)
+        client.close()
+        assert not thread.is_alive()
+        assert time.monotonic() - t0 < 1.0
+        assert outcome and not isinstance(outcome[0], TimeoutError)
+
+    @pytest.mark.parametrize("run_id", ["run-0123456789abcdef", "run-typo",
+                                        "../../etc"])
+    def test_unknown_run_ids_are_refused(self, server, run_id):
+        with _client(server) as client:
+            for query in (client.status, client.events, client.result,
+                          lambda rid: client.wait(rid, timeout=300)):
+                with pytest.raises(ServiceError) as info:
+                    query(run_id)
+                assert info.value.error_type == "UnknownRunError"
+
+    def test_old_protocol_hello_is_refused(self, server):
+        assert SERVICE_PROTOCOL_VERSION == 2
+        with socket.create_connection(server.address, timeout=10) as sock:
+            send_frame(sock, {"op": "hello", "version": 1})
+            reply, _ = recv_frame(sock)
+        assert not reply["ok"]
+        assert reply["error_type"] == "RemoteProtocolError"
+        assert "service protocol mismatch" in reply["error"]
 
     def test_shutdown_op_stops_the_server(self, server):
         with _client(server) as client:

@@ -20,6 +20,8 @@ Three families of proof:
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import os
 import subprocess
@@ -44,8 +46,8 @@ from repro.store import (
     KilledAppend,
     LockTimeoutError,
     RunStore,
-    StoreIndex,
     TornRecordError,
+    UnknownRunError,
     canonical_spec,
     decode_record,
     encode_record,
@@ -574,7 +576,7 @@ class TestConcurrentWriters:
         assert receipts[0]["run_id"] == receipts[1]["run_id"]
         assert sorted(r["attached"] for r in receipts) == [False, True]
         store = RunStore(root)
-        assert store.run_ids() == [receipts[0]["run_id"]]  # one indexed run
+        assert store.run_ids() == [receipts[0]["run_id"]]  # one run
         events = store.events(receipts[0]["run_id"])
         assert [e.kind for e in events] == ["submitted", "attached"]
         head = store.read_head(receipts[0]["run_id"])
@@ -582,7 +584,7 @@ class TestConcurrentWriters:
 
 
 # ---------------------------------------------------------------------------
-# Store facade / index / spec
+# Store facade / spec
 # ---------------------------------------------------------------------------
 
 
@@ -628,14 +630,86 @@ class TestRunStore:
         with pytest.raises(RuntimeError, match="boom"):
             store.result(receipt.run_id)
 
-    def test_index_conflicting_registration_rejected(self, tmp_path):
-        index = StoreIndex(tmp_path)
-        index.register("run-aaaa", "sig-1", ts=1.0)
-        index.register("run-aaaa", "sig-1", ts=2.0)  # idempotent re-register
-        with pytest.raises(ValueError, match="different signature"):
-            index.register("run-aaaa", "sig-2", ts=3.0)
-        assert index.lookup("sig-1") == "run-aaaa"
-        assert index.lookup("sig-x") is None
+    def test_prefix_collision_rejected(self, tmp_path):
+        # Another problem's spec already sits in the directory the run id
+        # names: a 16-hex-digit signature prefix collision, never an attach.
+        store = RunStore(tmp_path / "store")
+        run_id = f"run-{problem_signature(SPEC)[:16]}"
+        other = json.loads(json.dumps(SPEC))
+        other["run"]["max_iterations"] = 3
+        store.run_dir(run_id).mkdir(parents=True)
+        (store.run_dir(run_id) / "spec.json").write_text(json.dumps(other))
+        with pytest.raises(ValueError, match="different spec"):
+            store.submit(SPEC)
+
+    def test_directory_without_submitted_event_is_reused(self, tmp_path):
+        # The crash window between spec.json and the submitted event: the
+        # run does not exist yet, and the next identical submit creates it.
+        store = RunStore(tmp_path / "store")
+        run_id = f"run-{problem_signature(SPEC)[:16]}"
+        store.run_dir(run_id).mkdir(parents=True)
+        write_text_atomic(store.run_dir(run_id) / "spec.json",
+                          json.dumps(canonical_spec(SPEC), indent=2,
+                                     sort_keys=True) + "\n")
+        assert store.run_ids() == []
+        receipt = store.submit(SPEC, client="a")
+        assert receipt.run_id == run_id and not receipt.attached
+        assert [e.kind for e in store.events(run_id)] == ["submitted"]
+        assert store.run_ids() == [run_id]
+
+    def test_run_ids_are_oldest_submission_first(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        variants = []
+        for n in (5, 3, 4):
+            spec = json.loads(json.dumps(SPEC))
+            spec["run"]["max_iterations"] = n
+            variants.append(store.submit(spec).run_id)
+        (store.runs_root / "not-a-run").mkdir()
+        assert store.run_ids() == variants
+
+    def test_submit_touches_only_its_own_run_directory(self, tmp_path, monkeypatch):
+        # O(1) in the store size: with 200 runs (and a stale index.json
+        # from an older layout) present, a submit opens nothing but the
+        # root lock and files inside the one run directory it names.
+        root = tmp_path / "store"
+        store = RunStore(root)
+        for n in range(200):
+            spec = json.loads(json.dumps(SPEC))
+            spec["run"]["potential_tolerance"] = 1e-9 * (n + 2)
+            store.submit(spec)
+        (root / "index.json").write_text("{}")
+        opened = []
+        real = {"builtins": builtins.open, "io": io.open, "os": os.open}
+
+        def recording(key):
+            def wrapped(path, *args, **kwargs):
+                opened.append(Path(os.fsdecode(path)).resolve())
+                return real[key](path, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(builtins, "open", recording("builtins"))
+        monkeypatch.setattr(io, "open", recording("io"))
+        monkeypatch.setattr(os, "open", recording("os"))
+        receipt = store.submit(SPEC)
+        again = store.submit(SPEC)
+        monkeypatch.undo()
+        assert not receipt.attached and again.attached
+        run_dir = store.run_dir(receipt.run_id).resolve()
+        inside = [p for p in opened if p.is_relative_to(root.resolve())]
+        assert inside
+        assert all(p == (root / "store.lock").resolve()
+                   or p.is_relative_to(run_dir) for p in inside), inside
+        assert len(store.run_ids()) == 201
+
+    @pytest.mark.parametrize("run_id", ["run-0123456789abcdef", "run-typo",
+                                        "../../etc", "run-0123456789ABCDEF"])
+    def test_unknown_or_malformed_run_ids_are_refused(self, tmp_path, run_id):
+        store = RunStore(tmp_path / "store")
+        store.submit(SPEC)
+        for query in (store.read_head, store.events, store.result):
+            with pytest.raises(UnknownRunError):
+                query(run_id)
+        assert not (tmp_path / "etc").exists()
 
 
 class TestSpecValidation:

@@ -1,7 +1,7 @@
-"""Remote-executor benchmark: dispatch latency, wire bytes, group overlap.
+"""Remote-executor benchmark: dispatch latency and wire bytes.
 
 The ISSUE-7 multi-node backend pays a per-task round-trip over TCP; this
-benchmark measures what that costs and what the two optimisations buy
+benchmark measures what that costs and what the install channel buys
 back on a real (loopback) wire:
 
 * **dispatch latency** — median round-trip of a no-op ``ping`` frame,
@@ -10,11 +10,7 @@ back on a real (loopback) wire:
   with the fingerprint install channel on vs. off.  With it on, the
   global potential crosses once per worker per iteration instead of
   once per *fragment*, so the shipped-bytes ratio grows with the
-  fragment count;
-* **measured group overlap** — ``concurrency_efficiency`` of the
-  concurrent band-group pools from the
-  :class:`~repro.parallel.scheduler.GroupExecutionRecord` the SCF loop
-  now records (a measurement, not a model output).
+  fragment count.
 
 Results land in ``benchmarks/results/remote_executor.json``.
 """
@@ -29,7 +25,6 @@ from repro.atoms.toy import cscl_binary
 from repro.core.scf import LS3DFSCF
 from repro.io.results import ResultRecord, save_records
 from repro.io.tables import format_table
-from repro.parallel.executor import ProcessPoolFragmentExecutor
 from repro.parallel.remote import (
     RemoteExecutor,
     RemoteExecutorConfig,
@@ -111,19 +106,11 @@ def test_bench_remote_executor(results_dir):
     assert on["installs"] > 0 and off["installs"] == 0
     savings = 1.0 - on["bytes_sent"] / off["bytes_sent"]
 
-    # -- measured band-group overlap on a local process pool.
-    with ProcessPoolFragmentExecutor(4) as pool:
-        grouped = _tiny_scf(pool, band_groups=2).run(**_RUN_KW)
-    records = [t.band_schedule for t in grouped.timings]
-    assert all(r.concurrent for r in records)
-    efficiency = float(np.mean([r.concurrency_efficiency for r in records]))
-
     rows = [
         {"metric": "ping round-trip (median, us)", "value": f"{latency_us:.0f}"},
         {"metric": "pipeline bytes sent, install on", "value": f"{on['bytes_sent']:,}"},
         {"metric": "pipeline bytes sent, install off", "value": f"{off['bytes_sent']:,}"},
         {"metric": "wire savings from install dedup", "value": f"{100 * savings:.1f}%"},
-        {"metric": "measured group concurrency eff.", "value": f"{efficiency:.3f}"},
     ]
     print()
     print(format_table(rows, ["metric", "value"]))
@@ -140,8 +127,6 @@ def test_bench_remote_executor(results_dir):
                     "install_broadcasts": on["installs"],
                     "install_dedup_savings": savings,
                     "tasks_submitted": on["tasks"],
-                    "group_concurrency_efficiency": efficiency,
-                    "group_walls": [list(r.group_walls) for r in records],
                 },
             )
         ],
@@ -150,7 +135,5 @@ def test_bench_remote_executor(results_dir):
 
     # Qualitative shape: dedup must actually shrink the wire traffic
     # (even on this 4-fragment system, where the potential is small next
-    # to the per-task geometry; the ratio grows with fragment count),
-    # and the measured overlap must be a real efficiency.
+    # to the per-task geometry; the ratio grows with fragment count).
     assert savings > 0.05
-    assert 0.0 < efficiency <= 1.0

@@ -11,9 +11,8 @@ predicts for the same fragment batch, together with the measured Amdahl
 serial fraction of a warm iteration.  Part C exercises the two-level
 hierarchy: the band-parallel eigensolver (``band_groups=``, the paper's
 Np cores per fragment group) at a few slice counts, printing the
-*modelled* intra-group efficiency the grouped LPT schedule carries
-(``choose_group_size`` / ``GroupDecomposition``) next to the *measured*
-one from the recorded band-task times.
+*modelled* intra-group efficiency (``GroupDecomposition``) next to the
+*measured* one from the recorded band-task times.
 
 Usage:  python examples/scaling_study.py [--machine franklin|jaguar|intrepid]
                                          [--workers N]
@@ -27,8 +26,10 @@ from repro.atoms import cscl_binary
 from repro.core import LS3DFSCF
 from repro.io import format_table
 from repro.parallel import (
+    FRANKLIN,
     DirectDFTCostModel,
     FragmentScheduler,
+    GroupDecomposition,
     LS3DFPerformanceModel,
     LS3DFWorkload,
     ProcessPoolFragmentExecutor,
@@ -128,8 +129,8 @@ def band_group_study(max_workers: int) -> None:
     Runs the same small LS3DF system with the band-parallel eigensolver
     at a few slice counts and prints, per configuration, the largest
     fragment's grouped wall time next to two intra-group efficiencies:
-    the modelled one (``ScheduleSummary.intra_group_efficiency``, fed by
-    ``choose_group_size``/``GroupDecomposition``) and the measured one
+    the modelled one (``GroupDecomposition.intra_group_efficiency`` of Np
+    Franklin cores) and the measured one
     (``IterationTimings.measured_intra_group_efficiency``, from the
     recorded per-slice band-task times).
     """
@@ -169,7 +170,8 @@ def band_group_study(max_workers: int) -> None:
         if band_groups is None:
             modeled = measured = "-"
         else:
-            modeled = f"{warm.band_schedule.intra_group_efficiency:.2f}"
+            decomp = GroupDecomposition(band_groups, band_groups)
+            modeled = f"{decomp.intra_group_efficiency(FRANKLIN.core_peak_gflops):.2f}"
             measured = f"{warm.measured_intra_group_efficiency:.2f}"
         rows.append({
             "configuration": name,
@@ -179,10 +181,11 @@ def band_group_study(max_workers: int) -> None:
             "measured intra-group eff": measured,
         })
     print(format_table(rows))
-    print("(modeled = GroupDecomposition.intra_group_efficiency of the grouped"
-          " LPT schedule; measured = band-task CPU / (Np x PEtot_F wall) of a"
-          " warm iteration — 1-core boxes keep the measured value below the"
-          " model, the gap is the group root's cross-band algebra)")
+    print("(modeled = GroupDecomposition.intra_group_efficiency of Np Franklin"
+          " cores; measured = band-task CPU / (Np x G x PEtot_F wall) of a"
+          " warm iteration, G = band groups the workers hold — 1-core boxes"
+          " keep the measured value below the model, the gap is the group"
+          " root's cross-band algebra)")
 
 
 def main() -> None:

@@ -739,7 +739,7 @@ def run_fragment_pipeline_task_grouped(
     Builds the fragment's :class:`repro.parallel.bands.BandGroup`
     (``band_slices`` slices on ``executor``; ``install_potentials`` picks
     keyed or inline shipping of the screening potential, bit-identical
-    either way; ``root_lock`` is the lock the roots of one worker group
+    either way; ``root_lock`` is the lock the band-grouped drain's roots
     share) and runs :func:`run_fragment_pipeline_task` with it — what
     the band-grouped SCF iteration calls once per fragment.
 
@@ -790,19 +790,15 @@ class ExecutionReport:
     ``results`` holds one :class:`FragmentTaskResult` per task, for plain
     solve and fused pipeline batches alike (band-slice batches hold
     :class:`repro.parallel.bands.BandBlockResult`); the summary properties
-    read their ``wall_time`` / ``worker_pid``.
-
-    ``resubmissions`` counts tasks this batch re-dispatched after a
-    worker died mid-task (always 0 for the local backends, whose workers
-    share the driver's fate); results are bit-identical either way, the
-    counter only records that the self-healing path ran.
+    read their ``wall_time`` / ``worker_pid``.  Re-dispatches after a
+    worker death are counted once, on the executor
+    (``RemoteExecutor.resubmissions``).
     """
 
     results: list
     wall_time: float
     worker_count: int
     schedule: object | None = None
-    resubmissions: int = 0
 
     @property
     def total_cpu_time(self) -> float:

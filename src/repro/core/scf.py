@@ -18,12 +18,13 @@ residue and GENPOT; the loop never cares *where* a fragment was solved.
 The paper's parallelism is two-level: fragments go to processor
 *groups*, and the Np cores inside a group distribute one fragment's
 all-band CG among themselves.  ``band_groups=`` reproduces the second
-level — the single fork inside an iteration: the same fused tasks are
-drained group by group with each fragment's solve band-sliced over the
-executor's workers (:mod:`repro.parallel.bands`), driver threads acting
-as group roots (two per group, so a root's dense algebra overlaps the
-other fragment's slices) — so a single huge fragment no longer bounds
-the PEtot_F wall time — while results stay bit-identical to the
+level — the single fork inside an iteration: the same fused tasks go
+into one heaviest-first queue, drained on the one executor by driver
+threads acting as group roots (two per band group the workers hold, so
+a root's dense algebra overlaps another fragment's slices), each
+fragment's solve band-sliced over the workers
+(:mod:`repro.parallel.bands`) — so a single huge fragment no longer
+bounds the PEtot_F wall time — while results stay bit-identical to the
 one-worker-per-fragment side for any slice count and backend.
 
 Long runs can be checkpointed and resumed (``checkpoint_dir=`` /
@@ -121,9 +122,11 @@ class IterationTimings:
     seconds — the layout-conversion cost of the paper's dual-layout
     design.
 
-    With band-parallel PEtot_F (``band_groups > 1``) each fragment's
+    With band-parallel PEtot_F (``band_groups=`` set) each fragment's
     all-band CG is itself distributed: ``band_sliced`` is set,
     ``band_slices`` records the slice count (the local Np per group),
+    ``band_group_count`` how many band groups the executor's workers
+    hold at once (``G = max(1, n_workers // band_slices)``),
     ``band_tasks`` holds the in-worker wall time of every per-slice
     :class:`~repro.parallel.bands.BandBlockTask` (the parallel bucket),
     ``band_stages`` counts the sliced stages dispatched (one per H·psi
@@ -138,12 +141,6 @@ class IterationTimings:
     ``measured_intra_group_efficiency`` is the measured counterpart of
     the modelled
     :meth:`repro.parallel.groups.GroupDecomposition.intra_group_efficiency`.
-    ``band_schedule`` carries a
-    :class:`repro.parallel.scheduler.GroupExecutionRecord`: the LPT
-    plan over group-sized bins *plus* the measured wall time of every
-    group bin and of the whole drain, how many root threads drained
-    each bin, and whether the groups ran concurrently on partitioned
-    sub-pools (see :meth:`LS3DFSCF._drain_band_groups`).
 
     ``checkpoint_io`` records the seconds spent writing this iteration's
     checkpoint — including mid-iteration partial-fragment payloads on
@@ -174,10 +171,10 @@ class IterationTimings:
     checkpoint_io: float = 0.0
     band_sliced: bool = False
     band_slices: int = 0
+    band_group_count: int = 1
     band_stages: int = 0
     band_replayed: int = 0
     band_tasks: list[float] = field(default_factory=list)
-    band_schedule: object | None = None
 
     @property
     def total(self) -> float:
@@ -239,8 +236,10 @@ class IterationTimings:
 
     @property
     def measured_intra_group_efficiency(self) -> float:
-        """Measured efficiency of the band groups: band CPU / (Np x wall).
+        """Measured efficiency of the band groups: band CPU / (Np x G x wall).
 
+        ``G`` (``band_group_count``) groups of ``Np`` (``band_slices``)
+        workers run sliced work side by side, so this stays at most 1.
         Delegates to
         :func:`repro.parallel.amdahl.measured_intra_group_efficiency`
         (imported lazily — a module-level parallel import here would be
@@ -254,7 +253,7 @@ class IterationTimings:
         from repro.parallel.amdahl import measured_intra_group_efficiency
 
         return measured_intra_group_efficiency(
-            self.band_cpu, self.petot_f, self.band_slices
+            self.band_cpu, self.petot_f, self.band_slices * self.band_group_count
         )
 
     @property
@@ -411,13 +410,14 @@ class LS3DFSCF:
         over — the local analogue of the paper's Np cores *per fragment
         group*.  The default ``None`` runs one worker per fragment.
         When set, the iteration takes its band-grouped side
-        (:meth:`_drain_band_groups`): fragments go to worker groups
-        heaviest first, driver threads act as each group's roots (up to
-        :data:`GROUP_ROOTS`, one on a one-worker executor) for the dense
-        cross-band reductions and the elementwise residual step, and
-        the per-slice H·psi work goes through ``executor.run_bands``
-        — bit-identical results to the ungrouped side for any slice
-        count, backend and group concurrency, which is what removes the
+        (:meth:`_drain_band_groups`): one heaviest-first fragment queue,
+        drained by driver threads acting as group roots (up to
+        :data:`GROUP_ROOTS` per band group the workers hold, one on a
+        one-worker executor) for the dense cross-band reductions and the
+        elementwise residual step, and the per-slice H·psi work goes
+        through ``executor.run_bands`` — bit-identical results to the
+        ungrouped side for any slice count, backend and worker count,
+        which is what removes the
         largest-fragment floor on the PEtot_F wall time.  Requires an
         executor with ``run_bands`` (all backends in
         :mod:`repro.parallel.executor`).  With
@@ -708,25 +708,20 @@ class LS3DFSCF:
     ) -> tuple[list[FragmentTaskResult], frozenset[int], float]:
         """The band-parallel side of :meth:`_run_iteration`'s fork.
 
-        The two-level hierarchy in action: the fused tasks are
-        LPT-assigned to *worker groups* (bins of ``band_groups``
-        workers), and each bin's queue is drained heaviest-first by up
-        to :data:`GROUP_ROOTS` root threads sharing the bin's executor,
-        each fragment's per-slice H·psi work spreading over it as
-        :class:`~repro.parallel.bands.BandBlockTask` batches: while one
-        root does its dense cross-band algebra the workers compute the
-        other root's slices (why interleaved fragments are safe:
-        :func:`repro.parallel.bands.run_band_block_task`).  A one-worker
-        executor keeps one root, so "serial" stays on one core.  With
-        more than one bin and a partitionable executor the bins run
-        genuinely in parallel — each on its own worker sub-pool
-        (``executor.partition``) and driver thread; otherwise one after
-        another on the whole executor.  The measured per-group walls and
-        root counts land in ``t.band_schedule`` (a
-        :class:`~repro.parallel.scheduler.GroupExecutionRecord`) and the
-        band accounting in ``t.band_*``.  A root's first error closes
-        its bin's queue: the sibling root finishes (and persists) the
-        fragment it holds, then the error is raised.
+        One fragment queue, heaviest first (the order a pool's
+        ``submit_pipeline_batch`` uses), drained by root threads on the
+        one executor; each fragment's per-slice H·psi work spreads over
+        the workers as :class:`~repro.parallel.bands.BandBlockTask`
+        batches, so while one root does its dense cross-band algebra the
+        workers compute another root's slices (why interleaved fragments
+        are safe: :func:`repro.parallel.bands.run_band_block_task`).  The
+        workers hold ``G = max(1, n_workers // band_groups)`` band groups
+        at once (``t.band_group_count``), and the drain starts
+        ``min(GROUP_ROOTS·G, n_workers, queue length)`` roots, the
+        calling thread first — one on a one-worker executor, so "serial"
+        stays on one core.  A root's first error closes the queue: the
+        sibling roots finish (and persist) the fragment they hold, then
+        the error is raised.
 
         With ``checkpoint_path`` set, every completed fragment's
         :class:`~repro.core.fragment_task.FragmentTaskResult` is
@@ -744,8 +739,10 @@ class LS3DFSCF:
         replayed ones, and the seconds of partial-checkpoint I/O (payload
         reads plus writes) contained in this call's wall time.
         """
+        n_workers = int(getattr(self.executor, "n_workers", 1))
         t.band_sliced = True
         t.band_slices = self.band_groups
+        t.band_group_count = max(1, n_workers // self.band_groups)
         # --- Mid-iteration replay: fragments already completed (and
         # persisted) by a killed attempt at this very iteration.  The
         # state fingerprint pins the replay to this iteration's actual
@@ -774,24 +771,8 @@ class LS3DFSCF:
                     continue  # stale payload schema: re-solve the fragment
             replay_io = time.perf_counter() - t0
 
-        # --- LPT over group-sized bins, then drain the bins —
-        # concurrently on partitioned sub-pools when possible, else one
-        # bin after another on the whole executor.
-        t0 = time.perf_counter()
-        n_workers = int(getattr(self.executor, "n_workers", 1))
-        from repro.parallel.scheduler import FragmentScheduler, GroupExecutionRecord
-
-        plan = FragmentScheduler().schedule_grouped(
-            tasks,
-            total_cores=max(n_workers, self.band_groups),
-            cores_per_group=self.band_groups,
-        )
-        ngroups = len(plan.assignments)
-        concurrent = ngroups > 1 and callable(
-            getattr(self.executor, "partition", None)
-        )
-        # Replay saved fragments up front (group-independent), leaving each
-        # group bin's queue with only the work that still needs solving.
+        # Replay saved fragments up front, leaving the queue with only the
+        # work that still needs solving.
         results: list[FragmentTaskResult | None] = [
             replayed.get(f.label) for f in self.fragments
         ]
@@ -799,123 +780,66 @@ class LS3DFSCF:
             i for i, saved in enumerate(results) if saved is not None
         )
         t.band_replayed = len(replayed_indices)
-        queues = [
-            [idx for idx in members if idx not in replayed_indices]
-            for members in plan.assignments
-        ]
+        queue = deque(
+            int(idx)
+            for idx in np.argsort([task.cost() for task in tasks])[::-1]
+            if int(idx) not in replayed_indices
+        )
+        errors: list[BaseException] = []
+        partial_io = 0.0
+        lock = threading.Lock()  # band accounting and partial saves
+        # One root-local FFT section (density, quantum energy) at a time:
+        # more only grow the driver's FFT workspace pool.
+        root_lock = threading.Lock()
 
-        group_walls = [0.0] * ngroups
-        group_roots = [0] * ngroups
-        group_io = [0.0] * ngroups
-        group_stats: list[list] = [[] for _ in range(ngroups)]
-        io_lock = threading.Lock()
-
-        def _drain_group(group: int, executor) -> None:
-            queue = deque(queues[group])
-            errors: list[BaseException] = []
-            # One root-local FFT section (density, quantum energy) per group
-            # at a time: two only grow the driver's FFT workspace pool.
-            root_lock = threading.Lock()
-
-            def _root() -> None:
-                while True:
-                    try:
-                        idx = queue.popleft()
-                    except IndexError:
-                        return
-                    try:
-                        results[idx], stats = run_fragment_pipeline_task_grouped(
-                            tasks[idx],
-                            executor,
-                            self.band_groups,
-                            install_potentials=self.install_potentials,
-                            root_lock=root_lock,
-                        )
-                        group_stats[group].append(stats)
+        def _root() -> None:
+            nonlocal partial_io
+            while True:
+                try:
+                    idx = queue.popleft()
+                except IndexError:
+                    return
+                try:
+                    results[idx], stats = run_fragment_pipeline_task_grouped(
+                        tasks[idx],
+                        self.executor,
+                        self.band_groups,
+                        install_potentials=self.install_potentials,
+                        root_lock=root_lock,
+                    )
+                    with lock:
+                        t.band_stages += stats.stages
+                        t.band_tasks.extend(stats.task_times)
                         if checkpoint_path is not None:
                             tio = time.perf_counter()
-                            with io_lock:
-                                save_partial_payload(
-                                    checkpoint_path,
-                                    iteration,
-                                    division_signature,
-                                    self.fragments[idx].label,
-                                    results[idx].state_dict(),
-                                    state_fingerprint=state_fingerprint,
-                                )
-                                group_io[group] += time.perf_counter() - tio
-                    except BaseException as exc:
-                        queue.clear()  # the sibling root stops after its fragment
-                        errors.append(exc)
-                        return
-
-            group_roots[group] = min(
-                GROUP_ROOTS, int(getattr(executor, "n_workers", 1)), max(1, len(queue))
-            )
-            siblings = [
-                threading.Thread(target=_root, daemon=True)
-                for _ in range(group_roots[group] - 1)
-            ]
-            g0 = time.perf_counter()
-            for thread in siblings:
-                thread.start()
-            _root()  # the calling thread is the group's first root
-            for thread in siblings:
-                thread.join()
-            group_walls[group] = time.perf_counter() - g0
-            if errors:
-                raise errors[0]
-
-        if concurrent:
-            subs = self.executor.partition(ngroups)
-            # The iteration's input potential was installed on the parent
-            # executor when the tasks were built; each group sub-pool has
-            # its own workers, so install it there too (per-sub-pool dedup
-            # makes repeats free).
-            potential_key = tasks[0].global_potential_key
-            if potential_key is not None:
-                for sub in subs:
-                    if hasattr(sub, "install_state"):
-                        sub.install_state(potential_key, v_in)
-            errors: list[BaseException | None] = [None] * ngroups
-
-            def _drain_on_thread(group: int) -> None:
-                try:
-                    _drain_group(group, subs[group])
+                            save_partial_payload(
+                                checkpoint_path,
+                                iteration,
+                                division_signature,
+                                self.fragments[idx].label,
+                                results[idx].state_dict(),
+                                state_fingerprint=state_fingerprint,
+                            )
+                            partial_io += time.perf_counter() - tio
                 except BaseException as exc:
-                    errors[group] = exc
+                    queue.clear()  # sibling roots stop after their fragment
+                    errors.append(exc)
+                    return
 
-            threads = [
-                threading.Thread(target=_drain_on_thread, args=(g,), daemon=True)
-                for g in range(ngroups)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            # A dead group must not lose its siblings' work: every other
-            # group has finished its queue (and persisted its partials)
-            # before the failure propagates, so a resume re-solves only
-            # the dead group's fragments.
-            for error in errors:
-                if error is not None:
-                    raise error
-        else:
-            for group in range(ngroups):
-                _drain_group(group, self.executor)
-
-        for stats_list in group_stats:
-            for stats in stats_list:
-                t.band_stages += stats.stages
-                t.band_tasks.extend(stats.task_times)
-        t.band_schedule = GroupExecutionRecord(
-            plan=plan,
-            group_walls=group_walls,
-            group_roots=group_roots,
-            wall_time=time.perf_counter() - t0,
-            concurrent=concurrent,
+        n_roots = min(
+            GROUP_ROOTS * t.band_group_count, n_workers, max(1, len(queue))
         )
-        return results, replayed_indices, replay_io + float(sum(group_io))
+        siblings = [
+            threading.Thread(target=_root, daemon=True) for _ in range(n_roots - 1)
+        ]
+        for thread in siblings:
+            thread.start()
+        _root()  # the calling thread is the first root
+        for thread in siblings:
+            thread.join()
+        if errors:
+            raise errors[0]
+        return results, replayed_indices, replay_io + partial_io
 
     # ------------------------------------------------------------------
     def run(

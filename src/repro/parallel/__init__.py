@@ -54,16 +54,8 @@ explicit execution model:
 """
 
 from repro.parallel.machine import Machine, FRANKLIN, JAGUAR, INTREPID, machine_by_name
-from repro.parallel.groups import (
-    GroupDecomposition,
-    choose_group_size,
-    partition_worker_counts,
-)
-from repro.parallel.scheduler import (
-    FragmentScheduler,
-    GroupExecutionRecord,
-    ScheduleSummary,
-)
+from repro.parallel.groups import GroupDecomposition, choose_group_size
+from repro.parallel.scheduler import FragmentScheduler, ScheduleSummary
 from repro.parallel.flops import LS3DFWorkload, FragmentWork
 from repro.parallel.comm import CommunicationModel, CommScheme
 from repro.parallel.perfmodel import LS3DFPerformanceModel, PerformancePoint, DirectDFTCostModel
@@ -128,9 +120,7 @@ __all__ = [
     "machine_by_name",
     "GroupDecomposition",
     "choose_group_size",
-    "partition_worker_counts",
     "FragmentScheduler",
-    "GroupExecutionRecord",
     "ScheduleSummary",
     "LS3DFWorkload",
     "FragmentWork",

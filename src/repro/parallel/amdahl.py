@@ -243,8 +243,10 @@ def measured_intra_group_efficiency(
         eff = task_cpu / (nslices * wall_time)
 
     where ``task_cpu`` is the summed in-worker time of the sliced band
-    tasks (the work the group's Np workers carried) and ``wall_time`` the
-    grouped solve's wall clock — 1.0 means the group's workers were busy
+    tasks (the work the groups' workers carried), ``wall_time`` the
+    grouped solve's wall clock and ``nslices`` the workers those tasks
+    could occupy at once — Np for one group, Np x G when G groups run
+    side by side — so 1.0 means the groups' workers were busy
     with sliced work the whole time; the gap is the group root's dense
     cross-band algebra plus dispatch overhead, the local analogue of the
     group-wide reductions that erode the paper's efficiency at Np = 80.
@@ -258,7 +260,9 @@ def measured_intra_group_efficiency(
     wall_time:
         Wall-clock seconds of the grouped solve(s).
     nslices:
-        Band-slice count (the local Np).
+        Band slices that run at once: the slice count (the local Np)
+        times the concurrent band groups G
+        (:attr:`repro.core.scf.IterationTimings.band_group_count`).
 
     Returns
     -------
@@ -278,28 +282,18 @@ def intra_group_efficiency_history(timings: Sequence) -> list[float]:
     Parameters
     ----------
     timings:
-        A sequence of objects with ``band_cpu`` / ``petot_f`` /
-        ``band_slices`` attributes —
         :class:`repro.core.scf.IterationTimings` as recorded in
-        ``LS3DFResult.timings`` (duck-typed, like
-        :func:`serial_fraction_history`).  Iterations that did not run
-        band-sliced contribute 0.0.
+        ``LS3DFResult.timings``.  Iterations that did not run band-sliced
+        contribute 0.0.
 
     Returns
     -------
     list[float]
         One measured efficiency per iteration, in order — printable next
-        to the modelled value a grouped
-        :class:`repro.parallel.scheduler.ScheduleSummary` carries.
+        to the modelled
+        :meth:`repro.parallel.groups.GroupDecomposition.intra_group_efficiency`.
     """
-    return [
-        measured_intra_group_efficiency(
-            t.band_cpu, t.petot_f, t.band_slices
-        )
-        if getattr(t, "band_sliced", False)
-        else 0.0
-        for t in timings
-    ]
+    return [t.measured_intra_group_efficiency for t in timings]
 
 
 def sharded_genpot_estimate(

@@ -348,7 +348,7 @@ class BandGroup:
         template; falls back to inline shipping when the executor lacks
         an install channel.  Bit-identical either way.
     root_lock:
-        Lock the roots of one worker group share
+        Lock the roots of the band-grouped drain share
         (:meth:`repro.core.scf.LS3DFSCF._drain_band_groups`); the solve
         kernel holds it over its root-local FFT section.  Private when
         omitted.

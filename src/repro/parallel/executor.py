@@ -12,11 +12,12 @@ order-preserving :func:`gather_in_order`; one kernel each:
 :func:`~repro.parallel.bands.run_band_block_task`), the future methods
 ``submit_global`` / ``submit_pipeline_batch`` for callers that consume
 results as they resolve, ``install_state`` with its missed-install heal,
-the submission counters, ``partition`` and ``close`` — and asks a
-backend for three things: ``_submit(task, kernel) -> future``,
-``_split(ngroups)`` and, when its workers live in other processes,
-``_broadcast(key, arr)``.  One physical submission is always one
-logical task, and there is no backend-specific solve path.
+the submission counters and ``close`` — and asks a backend for two
+things: ``_submit(task, kernel) -> future`` and, when its workers live
+in other processes, ``_broadcast(key, arr)``.  One physical submission
+is always one logical task, and there is no backend-specific solve
+path.  Band groups (``LS3DFSCF(band_groups=)``) share one executor: its
+workers run whichever fragment's slices are queued next.
 
 * :class:`SerialFragmentExecutor` — an immediate ``_submit`` in the
   calling process; the default of :class:`repro.core.scf.LS3DFSCF`.
@@ -184,12 +185,11 @@ class _Backend:
     """The dispatch engine every executor backend runs on.
 
     A backend provides ``n_workers``, :meth:`_submit` (hand one task and
-    its kernel to a worker, return a future), :meth:`_split` (the
-    sub-backends behind :meth:`partition`) and, when its workers live in
-    other processes, :meth:`_broadcast`.  Everything the backends share
-    is written here, once: the batch and future methods, the counters,
-    the driver-side install store with its missed-install heal, the
-    partition cache and the context manager.
+    its kernel to a worker, return a future) and, when its workers live
+    in other processes, :meth:`_broadcast`.  Everything the backends
+    share is written here, once: the batch and future methods, the
+    counters, the driver-side install store with its missed-install heal
+    and the context manager.
 
     ``tasks_submitted`` counts every *logical* task ever handed to the
     executor — what the tests use to assert "exactly one submission per
@@ -197,8 +197,7 @@ class _Backend:
     ``pool_submissions`` counts physical kernel invocations: one per
     logical task, plus one per healed install miss.
     ``install_broadcasts`` counts install-channel deliveries to workers
-    (never pool submissions).  Partition children count on, and heal
-    from the store of, the executor they were split from.
+    (never pool submissions).
     """
 
     _INSTALL_PAYLOAD_MAX = 64
@@ -213,12 +212,9 @@ class _Backend:
         self.pool_submissions = 0
         self.install_broadcasts = 0
         self._mutex = threading.Lock()
-        self._root: "_Backend" = self
         # Driver-side copies of installed potentials, for the retry when
-        # a worker misses a broadcast (LRU-bounded; read on the root, so
-        # any group can heal any key).
+        # a worker misses a broadcast (LRU-bounded).
         self._install_payloads: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._partitions: dict[int, list["_Backend"]] = {}
         self._scheduler = FragmentScheduler()
 
     # -- what a backend provides ---------------------------------------
@@ -226,25 +222,15 @@ class _Backend:
         """Hand one task to a worker; the only way a task leaves the driver."""
         raise NotImplementedError
 
-    def _split(self, ngroups: int) -> list["_Backend"]:
-        """``ngroups`` fresh sub-backends sharing out this one's workers."""
-        raise NotImplementedError
-
     def _broadcast(self, key: str, arr: np.ndarray) -> None:
         """Deliver an installed potential to workers in other processes."""
 
     # -- shared machinery ----------------------------------------------
     def _count(self, **deltas: int) -> None:
-        """Thread-safely add to counters on the partition root.
-
-        Children route their accounting there so the parent's
-        one-submission-per-fragment/slice invariants keep holding when
-        band groups run concurrently.
-        """
-        root = self._root
-        with root._mutex:
+        """Thread-safely add to counters (band-group roots share them)."""
+        with self._mutex:
             for name, n in deltas.items():
-                setattr(root, name, getattr(root, name) + n)
+                setattr(self, name, getattr(self, name) + n)
 
     def install_state(self, key: str, payload: np.ndarray) -> None:
         """Install a shared potential once per worker under ``key``.
@@ -258,9 +244,8 @@ class _Backend:
         Re-installing an already-known key is a no-op.
         """
         arr = np.asarray(payload)
-        root = self._root
-        with root._mutex:
-            store = root._install_payloads
+        with self._mutex:
+            store = self._install_payloads
             if key in store:
                 store.move_to_end(key)
             else:
@@ -281,9 +266,8 @@ class _Backend:
         nothing to attach (a retry would miss again).
         """
         attach = getattr(task, "with_potential_payload", None)
-        root = self._root
-        with root._mutex:
-            payload = root._install_payloads.get(key)
+        with self._mutex:
+            payload = self._install_payloads.get(key)
         if attach is None or payload is None:
             return None
         healed = attach(key, payload)
@@ -364,35 +348,11 @@ class _Backend:
             wall_time=time.perf_counter() - t0,
             worker_count=workers,
             schedule=schedule,
-            resubmissions=self._root.resubmissions,
         )
-
-    # -- band-group sub-backends -----------------------------------------
-    def partition(self, ngroups: int) -> list["_Backend"]:
-        """Split into ``ngroups`` sub-executors for concurrent band groups.
-
-        Each child is a backend of the same kind owning a share of this
-        one's workers and its own task queue — the local analogue of the
-        paper giving every fragment group its own Np cores.  Children are
-        cached per ``ngroups``, so each group's workers and their warm
-        static-problem caches survive across iterations.
-        """
-        if ngroups < 1:
-            raise ValueError("ngroups must be positive")
-        cached = self._partitions.get(ngroups)
-        if cached is None:
-            cached = self._partitions[ngroups] = self._split(ngroups)
-            for child in cached:
-                child._root = self._root
-        return cached
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        """Close (and forget) the cached partition children."""
-        partitions, self._partitions = self._partitions, {}
-        for children in partitions.values():
-            for child in children:
-                child.close()
+        """Release the backend's workers (nothing to release by default)."""
 
     def __enter__(self):
         return self
@@ -404,19 +364,14 @@ class _Backend:
 class SerialFragmentExecutor(_Backend):
     """Executes fragment tasks one after another in the calling process.
 
-    The default of :class:`repro.core.scf.LS3DFSCF`.  Partition children
-    run their group's kernels in the calling (group) thread; concurrency
-    then comes from the driver's per-group threads and the GIL-releasing
-    BLAS underneath.
+    The default of :class:`repro.core.scf.LS3DFSCF`.  Band-group roots
+    run their kernels in their own (root) thread.
     """
 
     n_workers = 1
 
     def _submit(self, task, kernel) -> _ImmediateFuture:
         return _immediate(task, kernel)
-
-    def _split(self, ngroups: int) -> list["SerialFragmentExecutor"]:
-        return [SerialFragmentExecutor() for _ in range(ngroups)]
 
 
 class ProcessPoolFragmentExecutor(_Backend):
@@ -441,8 +396,7 @@ class ProcessPoolFragmentExecutor(_Backend):
         self.n_workers = int(n_workers or os.cpu_count() or 1)
         self._pool: ProcessPoolExecutor | None = None
         self._pool_mutex = threading.Lock()
-        # Keys every worker of *this* pool was sent; each partition
-        # child's workers are distinct and need their own broadcast.
+        # Keys every worker of the pool was sent.
         self._broadcast_keys: set[str] = set()
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -459,14 +413,6 @@ class ProcessPoolFragmentExecutor(_Backend):
             self, self._ensure_pool().submit(kernel, task), task, kernel
         )
 
-    def _split(self, ngroups: int) -> list["ProcessPoolFragmentExecutor"]:
-        from repro.parallel.groups import partition_worker_counts
-
-        return [
-            ProcessPoolFragmentExecutor(n_workers=per_group)
-            for per_group in partition_worker_counts(self.n_workers, ngroups)
-        ]
-
     def _broadcast(self, key: str, arr: np.ndarray) -> None:
         """One install submission per worker (a busy one may miss its own)."""
         if self.n_workers == 1 or key in self._broadcast_keys:
@@ -482,14 +428,10 @@ class ProcessPoolFragmentExecutor(_Backend):
         self._count(install_broadcasts=self.n_workers)
 
     def close(self) -> None:
-        """Shut the pool down; a later batch transparently restarts it.
-
-        Cached partition children (and their pools) are closed too.
-        """
+        """Shut the pool down; a later batch transparently restarts it."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        super().close()
 
     def __del__(self) -> None:  # best-effort cleanup
         try:

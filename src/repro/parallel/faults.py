@@ -9,11 +9,10 @@ of the wire:
 * :class:`FaultPlan` + :class:`FlakyWorker` — server-side faults: a
   :class:`repro.parallel.remote.WorkerServer` that kills itself, drops
   the connection, or delays its reply at configured task indices.
-* :class:`FlakyExecutor` — driver-side faults: wraps any local executor
-  (including its band-group ``partition`` children) and raises
-  :class:`repro.parallel.remote.WorkerDiedError` or sleeps at
+* :class:`FlakyExecutor` — driver-side faults: wraps any executor and
+  raises :class:`repro.parallel.remote.WorkerDiedError` or sleeps at
   configured batch indices, so SCF-level healing (mid-iteration partial
-  replay, group restarts) can be tested without sockets.
+  replay of a band-grouped drain) can be tested without sockets.
 
 Both are plain counters over served work — no wall-clock or RNG state
 leaks into the injected schedule, so a failing test replays exactly.
@@ -96,23 +95,17 @@ class FlakyExecutor:
     raises ``error_type`` *instead of* dispatching — the sharpest model
     of a worker group dying between submissions.  ``delay_at`` sleeps
     before dispatching instead.  Everything else (counters, install
-    channel, worker count) delegates to the wrapped executor, and
-    :meth:`partition` wraps the inner executor's children so one band
-    group can be made flaky while its siblings stay healthy.
+    channel, worker count) delegates to the wrapped executor.
 
     Parameters
     ----------
     inner:
-        Any executor from :mod:`repro.parallel.executor` (or a
-        partition child of one).
+        Any executor from :mod:`repro.parallel.executor` or
+        :mod:`repro.parallel.remote`.
     kill_at:
         Batch indices (0-based, per this wrapper) that raise.
     delay_at:
         Batch index -> seconds to sleep before dispatching.
-    kill_group:
-        When set, :meth:`partition` gives the fault schedule only to
-        the child with this group index; other children run clean.
-        When ``None`` (default), every child inherits the full plan.
     error_type:
         Exception class raised at ``kill_at`` indices.
     """
@@ -122,17 +115,14 @@ class FlakyExecutor:
         inner,
         kill_at: Sequence[int] = (),
         delay_at: Mapping[int, float] | None = None,
-        kill_group: int | None = None,
         error_type=WorkerDiedError,
     ) -> None:
         self.inner = inner
         self.kill_at = tuple(int(i) for i in kill_at)
         self.delay_at = dict(delay_at or {})
-        self.kill_group = kill_group
         self.error_type = error_type
         self.batches = 0
         self._lock = threading.Lock()
-        self._partitions: dict[int, list] = {}
 
     # -- fault core ----------------------------------------------------
     def _tick(self) -> None:
@@ -167,34 +157,6 @@ class FlakyExecutor:
         """Dispatch a band-slice batch unless scheduled to fail."""
         self._tick()
         return self.inner.run_bands(tasks)
-
-    def partition(self, ngroups: int):
-        """Partition the inner executor, wrapping the chosen children.
-
-        With ``kill_group`` set only that child gets the fault plan.
-        Wrappers are cached per ``ngroups`` (like the inner partition),
-        so their batch counters — and hence the fault schedule — span
-        the whole run, not one iteration.
-        """
-        cached = self._partitions.get(ngroups)
-        if cached is not None:
-            return cached
-        children = self.inner.partition(ngroups)
-        wrapped = []
-        for g, child in enumerate(children):
-            if self.kill_group is None or g == self.kill_group:
-                wrapped.append(
-                    FlakyExecutor(
-                        child,
-                        kill_at=self.kill_at,
-                        delay_at=self.delay_at,
-                        error_type=self.error_type,
-                    )
-                )
-            else:
-                wrapped.append(child)
-        self._partitions[ngroups] = wrapped
-        return wrapped
 
     def __getattr__(self, name):
         # Counters, install_state, n_workers, close, ... all delegate.

@@ -88,28 +88,6 @@ class GroupDecomposition:
         return float(np.clip(1.0 / (1.0 + x * x), 0.05, 1.0))
 
 
-def partition_worker_counts(total_workers: int, ngroups: int) -> list[int]:
-    """Worker count of each group when ``total_workers`` split ``ngroups`` ways.
-
-    The concurrent band-group path gives every group its own worker
-    sub-pool (``executor.partition``); this is the single home of the
-    split arithmetic: an even block distribution with the remainder
-    spread over the leading groups, and never less than one worker per
-    group (a group with one worker still runs — its slices just
-    serialise, exactly like a one-core MPI group).
-
-    Returns
-    -------
-    list[int]
-        ``ngroups`` positive worker counts summing to at least
-        ``max(total_workers, ngroups)``.
-    """
-    if total_workers < 1 or ngroups < 1:
-        raise ValueError("total_workers and ngroups must be positive")
-    base, extra = divmod(total_workers, ngroups)
-    return [max(1, base + (1 if g < extra else 0)) for g in range(ngroups)]
-
-
 def choose_group_size(
     core_peak_gflops: float,
     nfragments: int,

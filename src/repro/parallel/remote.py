@@ -959,19 +959,6 @@ class RemoteExecutor(_Backend):
             str(reply.get("error_type")), str(reply.get("error"))
         )
 
-    def _split(self, ngroups: int) -> list["RemoteExecutor"]:
-        """Views owning a round-robin share of the worker handles.
-
-        Handle state — connections, installed-key sets, byte counters —
-        is shared with this executor; each view has its own task queue.
-        """
-        children = []
-        for g in range(ngroups):
-            child = RemoteExecutor([], config=self.config, fallback=self._fallback)
-            child._handles = self._handles[g::ngroups]
-            children.append(child)
-        return children
-
     # -- lifecycle -----------------------------------------------------
     def shutdown_workers(self) -> int:
         """Send ``shutdown`` to every live worker; returns how many acked.
@@ -993,15 +980,13 @@ class RemoteExecutor(_Backend):
         return acked
 
     def close(self) -> None:
-        """Stop the drain threads and close every connection, partition
-        children included (workers keep running; see
-        :meth:`shutdown_workers`)."""
+        """Stop the drain threads and close every connection (workers
+        keep running; see :meth:`shutdown_workers`)."""
         with self._stream_cond:
             self._stream_stop = True
             self._stream_cond.notify_all()
         for handle in self._handles:
             handle.close()
-        super().close()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -31,7 +31,7 @@ from repro.core.fragment_task import (
     run_fragment_pipeline_task_grouped,
     solve_fragment_task,
 )
-from repro.core.scf import LS3DFSCF
+from repro.core.scf import IterationTimings, LS3DFSCF
 from repro.io.checkpoint import (
     CheckpointMismatchError,
     clear_partial_payloads,
@@ -53,7 +53,6 @@ from repro.parallel.bands import (
 )
 from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
 from repro.parallel.remote import RemoteExecutor
-from repro.parallel.scheduler import FragmentScheduler
 from repro.pw.eigensolver import _low_kinetic_block, all_band_cg
 from repro.pw.grid import FFTGrid
 
@@ -429,10 +428,8 @@ def test_scf_band_groups_timings_and_accounting(pipeline_run):
         assert t.parallel_cpu == pytest.approx(t.band_cpu + 0.0)
         assert t.serial_time == pytest.approx(
             t.gen_vf + t.gen_dens + t.genpot + t.band_driver + t.checkpoint_io)
-        # The grouped schedule rides along with the modelled efficiency.
-        assert t.band_schedule is not None
-        assert t.band_schedule.cores_per_group == 2
-        assert 0 < t.band_schedule.intra_group_efficiency <= 1.0
+        # One worker holds one band group.
+        assert t.band_group_count == 1
     # Measured-efficiency history helper consumes these timings directly.
     effs = intra_group_efficiency_history(result.timings)
     assert len(effs) == len(result.timings)
@@ -469,24 +466,15 @@ def test_ls3df_driver_accepts_band_groups():
 
 # --- scheduler / amdahl wiring ----------------------------------------------------
 
-def test_schedule_grouped_annotates_summary():
-    tasks = [_make_task(f"f{i}") for i in range(6)]
-    summary = FragmentScheduler().schedule_grouped(
-        tasks, total_cores=4, cores_per_group=2)
-    assert summary.cores_per_group == 2
-    assert 0 < summary.intra_group_efficiency <= 1.0
-    assert len(summary.assignments) == 2  # 4 cores / Np=2 -> 2 group bins
-    assigned = sorted(i for group in summary.assignments for i in group)
-    assert assigned == list(range(len(tasks)))
-    # Automatic Np via choose_group_size: falls back to a divisor of the
-    # core count, and still annotates the summary.
-    auto = FragmentScheduler().schedule_grouped(tasks, total_cores=40)
-    assert auto.cores_per_group >= 1
-    assert auto.intra_group_efficiency is not None
-    # Plain schedules carry no group annotation.
-    plain = FragmentScheduler().schedule_tasks(tasks, 2)
-    assert plain.cores_per_group is None
-    assert plain.intra_group_efficiency is None
+def test_intra_group_efficiency_divides_by_every_concurrent_slice():
+    """G groups of Np slices run side by side: the band CPU is divided by
+    Np x G x wall, so two groups' work cannot read as an efficiency of 2."""
+    timings = IterationTimings(
+        petot_f=2.0, band_sliced=True, band_slices=2, band_group_count=2,
+        band_tasks=[1.5, 1.5, 2.0, 1.0])
+    assert timings.measured_intra_group_efficiency == 6.0 / (2 * 2 * 2.0)
+    assert intra_group_efficiency_history([timings, IterationTimings()]) == [
+        6.0 / (2 * 2 * 2.0), 0.0]
 
 
 def test_measured_intra_group_efficiency_helper():

@@ -2,8 +2,8 @@
 
 ``repro.parallel.executor._Backend`` writes the batch and future
 methods, the submission counters, the driver-side install store with
-its missed-install heal, the partition cache and ``close`` once; a
-backend adds ``_submit`` / ``_split`` / ``_broadcast``.  Every test
+its missed-install heal and ``close`` once; a backend adds ``_submit``
+and ``_broadcast``.  Every test
 here runs unchanged over the serial, process-pool and loopback-remote
 backends (remote workers are in-process threads speaking the full TCP
 protocol), through public names only.
@@ -129,7 +129,6 @@ def test_results_come_back_in_task_order_and_every_task_is_counted_once(name):
         spread = name != "serial"
         assert report.worker_count == (2 if spread else 1)
         assert (report.schedule is not None) == spread
-        assert report.resubmissions == 0
 
         report = ex.run(frags)
         assert [r.label for r in report.results] == [t.label for t in frags]
@@ -184,43 +183,3 @@ def test_miss_of_a_key_the_driver_does_not_hold_propagates(name, keyed_pair):
         )
         assert ex.tasks_submitted == 2
         assert ex.pool_submissions == 2
-
-
-@pytest.mark.parametrize("name", BACKENDS)
-def test_partition_children_count_on_and_heal_from_the_parent(name, keyed_pair):
-    key, v_in, tasks, reference = keyed_pair
-    slabs = [_slab(f"s{i}", size) for i, size in enumerate([4, 9, 6])]
-    with _backend(name, workers=4) as ex:
-        children = ex.partition(2)
-        assert len(children) == 2
-        assert all(type(child) is type(ex) for child in children)
-        assert ex.partition(2) is children  # cached, not rebuilt
-        assert ex.partition(3) is not children
-        with pytest.raises(ValueError):
-            ex.partition(0)
-        a, b = children
-        assert a.n_workers == b.n_workers == (1 if name == "serial" else 2)
-
-        # Submissions land on the parent: the groups are sub-pools of
-        # one pool, not independent executors.
-        report = a.run_global(slabs[:2])
-        assert [r.label for r in report.results] == ["s0", "s1"]
-        assert b.submit_global(slabs[2]).result().label == "s2"
-        assert (ex.tasks_submitted, ex.pool_submissions) == (3, 3)
-        assert (a.tasks_submitted, b.pool_submissions) == (0, 0)
-
-        if name in HEALING:  # what one group installed, any group heals from
-            b.install_state(key, v_in)
-            assert ex.install_broadcasts == DELIVERIES[name]
-            _forget(name, a)
-            _assert_pipeline_equal(a.run_pipeline(tasks).results, reference)
-            assert (ex.tasks_submitted, ex.pool_submissions) == (5, 6)
-
-        closed = []
-        for child in [*children, *ex.partition(3)]:
-            child.close = lambda child=child, close=child.close: (
-                closed.append(child), close()
-            )
-        ex.close()
-        assert len(closed) == 5
-        assert ex.partition(2) is not children  # the cache went with them

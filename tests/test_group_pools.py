@@ -1,32 +1,23 @@
-"""Concurrent band-group pools (ISSUE-7 satellite).
+"""Band groups drain one fragment queue on the whole executor.
 
-PR 5/6 *modelled* ``IterationTimings.band_schedule`` from per-slice
-wall times; this PR makes it a measurement: ``executor.partition``
-splits the worker pool into per-group sub-pools, the band-grouped SCF
-iteration drives one group per thread, and
-:class:`~repro.parallel.scheduler.GroupExecutionRecord` records what
-actually overlapped.  These tests pin down:
+The band-grouped SCF iteration (``LS3DFSCF(band_groups=)``) puts the
+fragments that still need solving into one heaviest-first queue and
+drains it with root threads on the one executor:
+``min(GROUP_ROOTS * G, n_workers, len(queue))`` of them, where
+``G = max(1, n_workers // band_groups)`` is how many band groups the
+workers hold at once.  These tests pin down:
 
-* the worker-splitting arithmetic (:func:`partition_worker_counts`) and
-  the partition-children contract (cached, counters accumulate to the
-  parent pool);
-* bit-identity of the concurrent path against the serial pipeline
-  reference, plus one-submission-per-slice accounting per group;
-* the measured record itself (``concurrent`` flag, per-group walls,
-  ``concurrency_efficiency``) and its LPT-plan delegation;
-* the inline path: an executor without ``partition`` (or with a single
-  worker) drains the same group queues one after another,
-  bit-identically;
-* fault recovery: killing one group mid-iteration with the
-  :class:`~repro.parallel.faults.FlakyExecutor` harness loses only that
-  group's fragments — the PR 5 partial-checkpoint replay heals exactly
-  the dead group's work on resume;
-* two group roots per group (PR 19): at most
-  :data:`~repro.core.scf.GROUP_ROOTS` ``run_bands`` callers per group at
-  a time (one on a one-worker executor), ``==`` the serial reference on
-  every backend, a killed root closes its group's queue without losing
-  its sibling's fragment, and band groups bound to different fragments
-  can share one worker.
+* ``==`` against the serial pipeline reference at 1, 2 and 4 workers on
+  the serial, process and loopback backends, with one submission per
+  slice per stage;
+* the root rule: peak concurrent ``run_bands`` callers equal the root
+  count (one on a one-worker executor, two for two workers, four for
+  four), and the queue hands out the heaviest fragment first;
+* the measured intra-group efficiency stays in (0, 1] when two groups'
+  slices run side by side;
+* fault recovery: a killed root closes the queue, its siblings finish
+  and persist the fragment they hold, and a resume replays exactly that;
+* band groups bound to different fragments can share one worker.
 """
 
 import hashlib
@@ -42,9 +33,7 @@ from repro.core.scf import GROUP_ROOTS, LS3DFSCF
 from repro.io.checkpoint import load_partial_payloads
 from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
 from repro.parallel.faults import FlakyExecutor
-from repro.parallel.groups import partition_worker_counts
 from repro.parallel.remote import LocalWorkerPool, RemoteExecutor, WorkerDiedError
-from repro.parallel.scheduler import FragmentScheduler, GroupExecutionRecord
 
 
 def _tiny_scf(executor=None, **kw) -> LS3DFSCF:
@@ -87,63 +76,11 @@ def _assert_scf_identical(got, want):
     assert got.energy_history == want.energy_history
 
 
-# --- worker splitting -------------------------------------------------------------
+def _executor(backend: str, workers: int):
+    if backend == "loopback":
+        return remote_executor(workers)
+    return ProcessPoolFragmentExecutor(workers)
 
-def test_partition_worker_counts_block_distribution():
-    assert partition_worker_counts(5, 2) == [3, 2]
-    assert partition_worker_counts(4, 2) == [2, 2]
-    assert partition_worker_counts(7, 3) == [3, 2, 2]
-    # Groups never starve: fewer workers than groups still yields one each.
-    assert partition_worker_counts(1, 3) == [1, 1, 1]
-    assert partition_worker_counts(2, 4) == [1, 1, 1, 1]
-
-
-def test_partition_worker_counts_rejects_bad_input():
-    with pytest.raises(ValueError):
-        partition_worker_counts(0, 2)
-    with pytest.raises(ValueError):
-        partition_worker_counts(4, 0)
-
-
-def test_partition_children_are_cached_and_split_the_pool():
-    with ProcessPoolFragmentExecutor(4) as pool:  # never forks: no batch runs
-        children = pool.partition(2)
-        assert len(children) == 2
-        assert [c.n_workers for c in children] == [2, 2]
-        assert pool.partition(2) is children  # cached, not rebuilt
-        assert pool.partition(3) is not children
-        assert [c.n_workers for c in pool.partition(3)] == [2, 1, 1]
-
-
-def test_serial_executor_partition_shares_the_single_worker():
-    serial = SerialFragmentExecutor()
-    children = serial.partition(2)
-    assert len(children) == 2
-    assert all(c.n_workers == 1 for c in children)
-
-
-class _CostedTask:
-    def __init__(self, cost):
-        self._cost = float(cost)
-
-    def cost(self):
-        return self._cost
-
-
-def test_grouped_schedule_is_deterministic_lpt():
-    tasks = [_CostedTask(c) for c in (5.0, 3.0, 3.0, 2.0, 2.0, 1.0, 1.0, 1.0)]
-    scheduler = FragmentScheduler()
-    plans = [
-        scheduler.schedule_grouped(tasks, total_cores=4, cores_per_group=2)
-        for _ in range(3)
-    ]
-    assert plans[0].cores_per_group == 2
-    assert len(plans[0].assignments) == 2
-    first = [tuple(g) for g in plans[0].assignments]
-    assert all([tuple(g) for g in p.assignments] == first for p in plans[1:])
-
-
-# --- the measured concurrent path -------------------------------------------------
 
 @pytest.fixture(scope="module")
 def pipeline_reference():
@@ -151,96 +88,95 @@ def pipeline_reference():
 
 
 @pytest.fixture(scope="module")
-def grouped_concurrent():
+def four_workers():
+    """Four loopback workers, ``band_groups=2``: two groups' worth of
+    workers (G = 2) and four roots on one queue."""
     with remote_executor(4) as pool:
-        scf = _tiny_scf(pool, band_groups=2)
-        result = scf.run(**_RUN_KW)
-        stats = dict(tasks=pool.tasks_submitted, nfragments=scf.nfragments,
-                     lost=pool.workers_lost, degraded=pool.degraded_tasks)
+        result = _tiny_scf(pool, band_groups=2).run(**_RUN_KW)
+        stats = dict(tasks=pool.tasks_submitted, lost=pool.workers_lost,
+                     degraded=pool.degraded_tasks)
     return result, stats
 
 
-def test_groups_on_subpools_bit_identical(pipeline_reference, grouped_concurrent):
-    result, _ = grouped_concurrent
-    _assert_scf_identical(result, pipeline_reference)
+# --- the one queue against the serial reference -----------------------------------
+
+@pytest.mark.parametrize("backend,workers", [
+    ("processes", 1), ("processes", 4), ("loopback", 1), ("loopback", 4)])
+def test_one_queue_bit_identical(backend, workers, pipeline_reference):
+    """``==`` serial at one and four workers (two workers, the
+    benchmark's shape, and the serial backend have their own tests
+    below), with one submission per slice per stage."""
+    with _executor(backend, workers) as executor:
+        result = _tiny_scf(executor, band_groups=2).run(**_RUN_KW)
+        _assert_scf_identical(result, pipeline_reference)
+        stages = sum(t.band_stages for t in result.timings)
+        assert stages > 0 and executor.tasks_submitted == stages * 2
+    assert all(t.band_group_count == max(1, workers // 2) for t in result.timings)
 
 
-def test_band_schedule_is_a_measured_record(grouped_concurrent):
-    result, _ = grouped_concurrent
-    for t in result.timings:
-        record = t.band_schedule
-        assert isinstance(record, GroupExecutionRecord)
-        assert record.concurrent  # groups genuinely overlapped
-        assert len(record.group_walls) == 2
-        assert all(w > 0.0 for w in record.group_walls)
-        assert record.wall_time > 0.0
-        # Measured quantities, not model outputs.
-        assert record.measured_makespan == max(record.group_walls)
-        assert record.measured_imbalance >= 1.0
-        assert 0.0 < record.concurrency_efficiency <= 1.0
-        # Plan delegation still exposes the LPT bookkeeping.
-        assert record.cores_per_group == 2
-        assert len(record.assignments) == 2
-        assert 0.0 < record.intra_group_efficiency <= 1.0
-
-
-def test_groups_on_subpools_one_submission_per_slice(grouped_concurrent):
-    result, stats = grouped_concurrent
+def test_one_queue_one_submission_per_slice(four_workers):
+    result, stats = four_workers
     stages = sum(t.band_stages for t in result.timings)
     assert stages > 0
     # Every sliced stage scatters exactly band_groups=2 slice tasks, and
     # nothing else reaches the pool: one submission per slice per stage.
     assert stats["tasks"] == stages * 2
+    assert stats["lost"] == stats["degraded"] == 0
 
 
-class _Unpartitionable:
-    """A 4-worker pool seen through an executor surface without ``partition``."""
-
-    def __init__(self, pool):
-        self.n_workers = pool.n_workers
-        self.submit_pipeline_batch = pool.submit_pipeline_batch
-        self.run_bands = pool.run_bands
-        self.install_state = pool.install_state
-
-
-def test_groups_run_inline_without_partition(grouped_concurrent):
-    """More workers than ``band_groups`` but no ``partition``: the same
-    per-group queue runner is called inline on the whole executor."""
-    concurrent, _ = grouped_concurrent
-    with remote_executor(4) as pool:
-        result = _tiny_scf(_Unpartitionable(pool), band_groups=2).run(**_RUN_KW)
-    _assert_scf_identical(result, concurrent)
+def test_two_groups_efficiency_stays_at_most_one(four_workers, pipeline_reference):
+    """Two groups' slices run side by side on four workers, so the band
+    CPU is divided by ``band_slices * G`` = 4 workers, not by 2."""
+    result, _ = four_workers
+    _assert_scf_identical(result, pipeline_reference)
     for t in result.timings:
-        assert t.band_schedule.concurrent is False
-        assert len(t.band_schedule.group_walls) == 2
-        assert all(w > 0.0 for w in t.band_schedule.group_walls)
+        assert t.band_group_count == 2
+        assert 0.0 < t.measured_intra_group_efficiency <= 1.0
 
 
 def test_serial_executor_runs_groups_sequentially(pipeline_reference):
     scf = _tiny_scf(SerialFragmentExecutor(), band_groups=2)
     result = scf.run(**_RUN_KW)
     _assert_scf_identical(result, pipeline_reference)
-    # One worker -> one effective group: the sequential path, still with
-    # a real (non-concurrent) measured record.
-    for t in result.timings:
-        assert not t.band_schedule.concurrent
-        assert t.band_schedule.wall_time > 0.0
+    # One worker holds one band group (G = 1) and gets one root.
+    assert all(t.band_group_count == 1 for t in result.timings)
 
 
-def test_remote_partition_children_run_groups_concurrently(grouped_concurrent):
-    """The shared four-worker run: children of the remote executor own two
-    workers each, drain their groups concurrently, and nothing is lost."""
-    with remote_executor(4) as ex:
-        children = ex.partition(2)
-        assert len(children) == 2
-        assert [c.n_workers for c in children] == [2, 2]
-        assert ex.partition(2) is children
-    result, stats = grouped_concurrent
-    assert stats["lost"] == stats["degraded"] == 0
-    assert any(t.band_schedule.concurrent for t in result.timings)
+class _FirstBatchOrder:
+    """Executor wrapper recording each fragment's label and cost in the
+    order its first band batch arrives."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.order: list[tuple[str, float]] = []
+
+    def run_bands(self, tasks):
+        template = tasks[0].template
+        if template.label not in {label for label, _ in self.order}:
+            self.order.append((template.label, template.cost()))
+        return self.inner.run_bands(tasks)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
-# --- fault injection: losing one group mid-iteration ------------------------------
+def test_grouped_schedule_is_deterministic_lpt():
+    """The queue is the LPT order ``submit_pipeline_batch`` gives a pool:
+    ``np.argsort(costs)[::-1]``, heaviest fragment first.  One worker
+    has one root, so fragments start in queue order."""
+    recorder = _FirstBatchOrder(SerialFragmentExecutor())
+    scf = _tiny_scf(recorder, band_groups=2)
+    scf.run(**{**_RUN_KW, "max_iterations": 1})
+    cost = dict(recorder.order)
+    labels = [f.label for f in scf.fragments]
+    assert sorted(cost) == sorted(labels)
+    expected = [labels[i] for i in np.argsort([cost[x] for x in labels])[::-1]]
+    assert [label for label, _ in recorder.order] == expected
+    costs = [c for _, c in recorder.order]
+    assert costs == sorted(costs, reverse=True) and costs[0] > costs[-1]
+
+
+# --- fault injection -------------------------------------------------------------
 
 def test_flaky_executor_kills_at_scheduled_batches():
     inner = SerialFragmentExecutor()
@@ -252,51 +188,16 @@ def test_flaky_executor_kills_at_scheduled_batches():
     flaky.run_pipeline([])  # batch 2: healed
 
 
-def test_flaky_executor_partition_wraps_only_the_doomed_group():
-    with ProcessPoolFragmentExecutor(4) as pool:  # empty batches never fork
-        flaky = FlakyExecutor(pool, kill_at=(0,), kill_group=1)
-        children = flaky.partition(2)
-        assert flaky.partition(2) is children  # cached: ticks accumulate
-        children[0].run_pipeline([])  # healthy group never faults
-        with pytest.raises(WorkerDiedError):
-            children[1].run_pipeline([])
-
-
-def test_killed_group_heals_from_partial_checkpoint(tmp_path, pipeline_reference):
-    """Kill group 1 on its first batch of iteration 1: group 0's solved
-    fragments persist as partials, and resuming with a healthy pool
-    replays exactly the dead group's lost fragments — not the whole
-    iteration."""
-    with remote_executor(4) as pool:
-        flaky = FlakyExecutor(pool, kill_at=(0,), kill_group=1)
-        scf = _tiny_scf(flaky, band_groups=2)
-        with pytest.raises(WorkerDiedError, match="injected fault"):
-            scf.run(checkpoint_dir=tmp_path, resume=True, **_RUN_KW)
-        saved = load_partial_payloads(
-            tmp_path, 1, scf._problem_signature(),
-            state_fingerprint=_state_fingerprint(scf))
-        # Only the surviving group's fragments made it to disk.
-        assert 0 < len(saved) < scf.nfragments
-
-    with remote_executor(4) as pool:
-        resumed = _tiny_scf(pool, band_groups=2).run(
-            checkpoint_dir=tmp_path, resume=True, **_RUN_KW)
-    # The replay healed exactly the dead group's fragments.
-    assert resumed.timings[0].band_replayed == len(saved)
-    _assert_scf_identical(resumed, pipeline_reference)
-
-
-# --- two group roots per worker group ---------------------------------------------
+# --- group roots ------------------------------------------------------------------
 
 class _CallerCount:
     """Executor wrapper recording how many threads are inside ``run_bands``
-    at once — per group: :meth:`partition` wraps each child separately."""
+    at once."""
 
     def __init__(self, inner):
         self.inner = inner
         self.inside = 0
         self.peak = 0
-        self.children: list["_CallerCount"] = []
         self._lock = threading.Lock()
 
     def run_bands(self, tasks):
@@ -309,21 +210,16 @@ class _CallerCount:
             with self._lock:
                 self.inside -= 1
 
-    def partition(self, ngroups):
-        if not self.children:
-            self.children = [_CallerCount(c) for c in self.inner.partition(ngroups)]
-        return self.children
-
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
 
 def test_two_roots_call_run_bands_concurrently(pipeline_reference):
-    """With two workers or more a group's queue is drained by two roots:
-    never more than two ``run_bands`` callers at once, and two at least
-    once — on a single group and on each partitioned sub-pool."""
+    """The root rule ``min(GROUP_ROOTS * G, n_workers, len(queue))``:
+    two ``run_bands`` callers at once on two workers (G = 1), four on
+    four (G = 2) — never more, and that many at least once."""
     assert GROUP_ROOTS == 2
-    for workers, ngroups in ((2, 1), (4, 2)):
+    for workers in (2, 4):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # more threads than cores, switching often
         try:
@@ -335,11 +231,7 @@ def test_two_roots_call_run_bands_concurrently(pipeline_reference):
         # Every fragment was popped by exactly one root.
         _assert_scf_identical(result, pipeline_reference)
         assert pool.tasks_submitted == 2 * sum(t.band_stages for t in result.timings)
-        groups = counted.children or [counted]
-        assert len(groups) == ngroups
-        assert [g.peak for g in groups] == [2] * ngroups
-        for t in result.timings:
-            assert t.band_schedule.group_roots == [2] * ngroups
+        assert counted.peak == workers
 
 
 def test_one_worker_keeps_one_root(pipeline_reference):
@@ -348,16 +240,13 @@ def test_one_worker_keeps_one_root(pipeline_reference):
     result = _tiny_scf(counted, band_groups=2).run(**_RUN_KW)
     _assert_scf_identical(result, pipeline_reference)
     assert counted.peak == 1
-    assert all(t.band_schedule.group_roots == [1] for t in result.timings)
 
 
 def _assert_one_group_two_roots(result, executor, reference):
     _assert_scf_identical(result, reference)
     stages = sum(t.band_stages for t in result.timings)
     assert stages > 0 and executor.tasks_submitted == stages * 2
-    for t in result.timings:
-        assert t.band_schedule.group_roots == [2]
-        assert not t.band_schedule.concurrent
+    assert all(t.band_group_count == 1 for t in result.timings)
 
 
 @pytest.mark.parametrize("backend", ["processes", "loopback"])
@@ -365,11 +254,7 @@ def test_one_group_two_roots_bit_identical(backend, pipeline_reference):
     """The benchmark's shape — ``band_groups=2`` on two workers, so one
     group drained by two roots — is ``==`` serial on every backend, with
     one submission per slice per stage and nothing lost or degraded."""
-    if backend == "loopback":
-        executor_cm = remote_executor(2)
-    else:
-        executor_cm = ProcessPoolFragmentExecutor(2)
-    with executor_cm as executor:
+    with _executor(backend, 2) as executor:
         result = _tiny_scf(executor, band_groups=2).run(**_RUN_KW)
         _assert_one_group_two_roots(result, executor, pipeline_reference)
         if backend == "loopback":
@@ -407,34 +292,57 @@ class _FlakyByFragment(FlakyExecutor):
             raise
 
 
-def test_killed_root_closes_queue_and_sibling_persists(
-        tmp_path, pipeline_reference, grouped_concurrent):
-    """A root dying mid-queue closes its group's queue: the sibling root
-    finishes and persists the fragment it holds, nothing new is started,
-    and a resume replays exactly what was persisted."""
-    # Stage counts are deterministic: die halfway through iteration 1.
-    first_iteration_stages = grouped_concurrent[0].timings[0].band_stages
-    with remote_executor(2) as pool:
+def _kill_midway_and_resume(checkpoint_dir, workers, first_iteration_stages,
+                            reference) -> tuple[LS3DFSCF, dict]:
+    """Kill one root halfway through iteration 1 on ``workers`` loopback
+    workers, check what persisted, then resume on a healthy pool and
+    check the replay.  Returns the killed run and its saved partials."""
+    with remote_executor(workers) as pool:
         flaky = _FlakyByFragment(pool, kill_at=(first_iteration_stages // 2,))
         scf = _tiny_scf(flaky, band_groups=2)
         with pytest.raises(WorkerDiedError, match="injected fault"):
-            scf.run(checkpoint_dir=tmp_path, resume=True, **_RUN_KW)
+            scf.run(checkpoint_dir=checkpoint_dir, resume=True, **_RUN_KW)
         saved = load_partial_payloads(
-            tmp_path, 1, scf._problem_signature(),
+            checkpoint_dir, 1, scf._problem_signature(),
             state_fingerprint=_state_fingerprint(scf))
-    # Every fragment a root had started — the sibling's in-flight one
-    # included — was finished and persisted, except the one that died ...
+    # Every fragment a root had started — the siblings' in-flight ones
+    # included — was finished and persisted, except the one that died.
     assert flaky.killed is not None
     assert set(saved) == flaky.started - {flaky.killed}
     assert len(saved) >= 1
-    # ... and the closed queue handed out nothing more.
-    assert len(flaky.started) < scf.nfragments
+    if workers < scf.nfragments:
+        # With fewer roots than fragments, the closed queue handed
+        # out nothing more.
+        assert len(flaky.started) < scf.nfragments
 
-    with remote_executor(2) as pool:
+    with remote_executor(workers) as pool:
         resumed = _tiny_scf(pool, band_groups=2).run(
-            checkpoint_dir=tmp_path, resume=True, **_RUN_KW)
+            checkpoint_dir=checkpoint_dir, resume=True, **_RUN_KW)
     assert resumed.timings[0].band_replayed == len(saved)
-    _assert_scf_identical(resumed, pipeline_reference)
+    _assert_scf_identical(resumed, reference)
+    return scf, saved
+
+
+def test_killed_root_closes_queue_and_sibling_persists(
+        tmp_path, pipeline_reference, four_workers):
+    """A root dying mid-queue closes the queue: the sibling root finishes
+    and persists the fragment it holds, nothing new is started, and a
+    resume replays exactly what was persisted — two roots on two workers."""
+    # Stage counts are deterministic: die halfway through iteration 1.
+    first_iteration_stages = four_workers[0].timings[0].band_stages
+    _kill_midway_and_resume(tmp_path, 2, first_iteration_stages, pipeline_reference)
+
+
+def test_killed_group_heals_from_partial_checkpoint(
+        tmp_path, pipeline_reference, four_workers):
+    """Four workers hold two band groups' worth of roots (G = 2) on one
+    queue.  Killing one root mid-iteration leaves the fragments the other
+    roots solved on disk as partials, and resuming with a healthy pool
+    replays exactly those — not the whole iteration."""
+    first_iteration_stages = four_workers[0].timings[0].band_stages
+    scf, saved = _kill_midway_and_resume(
+        tmp_path, 4, first_iteration_stages, pipeline_reference)
+    assert 0 < len(saved) < scf.nfragments
 
 
 def test_band_groups_of_two_fragments_share_one_worker():

@@ -73,6 +73,20 @@ def test_one_result_and_one_problem_class_per_fragment_solve():
     assert re.findall(r"^class (\w*Problem)\b", source, re.M) == ["TaskProblem"]
 
 
+def test_the_executor_surface_is_defined_exactly_once():
+    source = "".join(
+        (ROOT / "src/repro/parallel" / name).read_text()
+        for name in ("executor.py", "remote.py"))
+    for method in ("run", "run_pipeline", "run_global", "run_bands", "submit_global",
+                   "submit_pipeline_batch", "install_state"):
+        assert source.count(f"def {method}(") == 1, method
+
+
+def test_one_band_grouped_drain_and_no_pool_partitioning():
+    assert _lines_matching(
+        r"def partition\(|def _split\(|GroupExecutionRecord|schedule_grouped|kill_group") == []
+
+
 def test_src_line_count_ratchet():
     workflow = (ROOT / ".github/workflows/ci.yml").read_text()
     limit = int(re.search(r"xargs cat \| wc -l\)\" -le (\d+)", workflow).group(1))

@@ -118,17 +118,13 @@ def canonical_spec(spec: dict) -> dict:
     )
 
 
-def build_solver(spec: dict, executor=None) -> tuple[LS3DFSCF, dict]:
-    """Materialise a spec into a ready solver plus run kwargs.
+def build_solver(spec: dict) -> tuple[LS3DFSCF, dict]:
+    """Materialise a spec into a ready solver (serial fragments) plus run kwargs.
 
     Parameters
     ----------
     spec:
         A (canonical or raw) problem spec.
-    executor:
-        Optional :class:`~repro.parallel.executor.FragmentExecutor` to
-        run fragments on — the daemon passes its pooled executor here;
-        None means the serial in-process executor.
 
     Returns
     -------
@@ -139,7 +135,7 @@ def build_solver(spec: dict, executor=None) -> tuple[LS3DFSCF, dict]:
     """
     spec = canonical_spec(spec)
     structure = BUILDERS[spec["builder"]](**spec["builder_args"])
-    solver = LS3DFSCF(structure, executor=executor, **spec["solver"])
+    solver = LS3DFSCF(structure, **spec["solver"])
     return solver, dict(spec["run"])
 
 

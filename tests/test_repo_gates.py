@@ -87,6 +87,10 @@ def test_one_band_grouped_drain_and_no_pool_partitioning():
         r"def partition\(|def _split\(|GroupExecutionRecord|schedule_grouped|kill_group") == []
 
 
+def test_job_slots_own_no_fragment_executor():
+    assert [hit for hit in _lines_matching(r'executor_factory|"--workers"') if hit.startswith("src/repro/store/")] == []
+
+
 def test_src_line_count_ratchet():
     workflow = (ROOT / ".github/workflows/ci.yml").read_text()
     limit = int(re.search(r"xargs cat \| wc -l\)\" -le (\d+)", workflow).group(1))

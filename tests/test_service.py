@@ -1,9 +1,9 @@
 """SCF-as-a-service: daemon/client tests, in-process and kill -9.
 
 The in-process half boots :class:`repro.store.server.StoreServer`
-inside the test process (real loopback sockets, threaded runners, tiny
-0.25 s solves) and proves the service contract: submit/status/events/
-result round-trips, two identical submissions sharing one solve, a
+inside the test process (real loopback sockets, job slots forked from
+it, tiny 0.25 s solves) and proves the service contract: submit/status/
+events/result round-trips, two identical submissions sharing one solve, a
 service result bit-identical (``==``, no tolerances) to a direct
 :class:`~repro.core.scf.LS3DFSCF` run, and auto-resume of interrupted
 runs at startup.  These run in tier 1 — they are also what puts the
@@ -32,7 +32,7 @@ import pytest
 from repro.parallel.remote import recv_frame, send_frame
 from repro.store import RunStore, build_solver
 from repro.store.client import ServiceClient, ServiceError, client_main
-from repro.store.server import SERVICE_PROTOCOL_VERSION, StoreServer, serve_main
+from repro.store.server import SERVICE_PROTOCOL_VERSION, StoreServer, run_job, serve_main
 
 SPEC_FAST = {
     "builder": "cscl_binary",
@@ -180,22 +180,64 @@ class TestServiceInProcess:
         assert np.array_equal(result["density"], reference.density)
         assert result["energy"] == reference.total_energy
 
-    def test_solve_failure_lands_as_failed_event(self, tmp_path):
-        # A job slot whose executor is garbage fails the solve; the
-        # stream must record a terminal failed event, and result() must
-        # surface it as an error instead of hanging.
-        srv = StoreServer(tmp_path / "store", executor_factory=lambda: object())
-        srv.start()
+    def test_dead_slot_fails_only_its_run(self, tmp_path, monkeypatch):
+        # A slot process that dies mid-solve: its run ends failed with
+        # the exit code, the daemon keeps serving, and the slot is
+        # forked afresh (from the restored code) for the next run.
+        import repro.store.server as server_module
+
+        monkeypatch.setattr(server_module, "build_solver", lambda spec: os._exit(3))
+        srv = StoreServer(tmp_path / "store")
+        srv.start()  # the forked slot inherits the patch
         try:
             with ServiceClient(srv.address) as client:
                 run_id = client.submit(SPEC_FAST)["run_id"]
                 head = client.wait(run_id, timeout=60)
-                assert head["status"] == "failed"
-                assert head["error"]
+                failed = client.events(run_id)[-1]["data"]
                 with pytest.raises(ServiceError):
                     client.result(run_id)
+                monkeypatch.undo()
+                second = client.submit(_spec_variant(SPEC_FAST, 3))["run_id"]
+                assert client.wait(second, timeout=60)["status"] == "converged"
         finally:
             srv.stop()
+        assert head["status"] == "failed"
+        assert failed["error_type"] == "SlotProcessDied"
+        assert failed["exitcode"] == 3
+
+    def test_slots_are_processes_that_solve_concurrently(self, tmp_path):
+        srv = StoreServer(tmp_path / "store", job_slots=2)
+        srv.start()
+        try:
+            with ServiceClient(srv.address) as client:
+                runs = [client.submit(spec)["run_id"]
+                        for spec in (SPEC_FAST, _spec_variant(SPEC_FAST, 3))]
+                spans = []
+                for run_id in runs:
+                    assert client.wait(run_id, timeout=60)["status"] == "converged"
+                    events = client.events(run_id)
+                    scheduled = [e for e in events if e["kind"] == "scheduled"]
+                    spans.append((scheduled[0]["data"]["pid"],
+                                  scheduled[0]["ts"], events[-1]["ts"]))
+        finally:
+            srv.stop()
+        (pid_a, begin_a, end_a), (pid_b, begin_b, end_b) = spans
+        assert len({pid_a, pid_b, os.getpid()}) == 3
+        assert begin_a < end_b and begin_b < end_a
+
+    def test_run_job_is_the_whole_job(self, tmp_path):
+        # What a slot process runs, here in the test process: one call
+        # takes a submitted run to its terminal event.
+        store = RunStore(tmp_path / "store")
+        ok = store.submit(SPEC_FAST).run_id
+        bad = store.submit(_spec_variant(SPEC_FAST, 0)).run_id
+        for run_id in (ok, bad):
+            run_job(store.root, run_id, slot=0)
+        assert store.read_head(ok)["status"] == "converged"
+        assert store.read_head(bad)["status"] == "failed"
+        scheduled = store.events(ok)[1]
+        assert scheduled.kind == "scheduled"
+        assert scheduled.data == {"resumed": False, "pid": os.getpid(), "slot": 0}
 
     def test_zero_iteration_spec_lands_as_failed_event(self, server):
         # Not a converged run with an all-zero density: the solver refuses
@@ -367,6 +409,15 @@ def _python_env():
     return env
 
 
+def _process_gone(pid):
+    """No such process, or only its zombie (it can write nothing)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat[stat.rindex(")") + 2] == "Z"
+
+
 def _boot_daemon(root):
     proc = subprocess.Popen(
         [sys.executable, "-c", _SERVE_STUB, "--root", str(root)],
@@ -405,11 +456,22 @@ class TestDaemonKillBattery:
         finally:
             daemon.kill()  # SIGKILL: no atexit, no cleanup, mid-iteration
             daemon.wait(timeout=30)
+        killed_at = time.monotonic()
 
+        # The slot process dies with the daemon: nothing writes to the
+        # run the restarted daemon is about to resume.
         store = RunStore(root)
+        events = store.events(run_id)
+        slot_pid = [e for e in events if e.kind == "scheduled"][-1].data["pid"]
+        assert slot_pid != daemon.pid
+        while not _process_gone(slot_pid):
+            assert time.monotonic() - killed_at < 5.0, "slot outlived the daemon"
+            time.sleep(0.05)
         head = store.read_head(run_id)  # the store survived the kill readable
         assert head["status"] in ("scheduled", "running")
         assert head["checkpointed_iteration"] >= 1
+        time.sleep(0.5)
+        assert len(store.events(run_id)) == len(events)
 
         daemon2, address2 = _boot_daemon(root)
         try:

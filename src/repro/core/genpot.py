@@ -13,12 +13,13 @@ global fields live as **1D slabs along the z-axis** and the Poisson/XC/
 mixing work is distributed over those slabs, with explicit layout
 conversion charged to the global step.  ``shards=`` reproduces that:
 :class:`GlobalPotentialSolver` splits every global field into z-slabs and
-streams the per-slab work (:mod:`repro.parallel.streaming`) through the
-same executor backends that run fragment solves
+streams the per-slab Poisson/XC work (:mod:`repro.parallel.streaming`)
+through the same executor backends that run fragment solves
 (:meth:`submit_global <repro.parallel.distributed.GlobalStepExecutor>` on
 any backend from :mod:`repro.parallel.executor`), with deterministic slab
 ordering — the sharded results are **bit-identical** to the serial path
-for any shard count.
+for any shard count.  The mix runs once, on the driver's gathered
+potentials, for every mixer and shard count.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ class GenpotStepTimings:
     evaluation is driver work.
 
     A sharded evaluation (:mod:`repro.parallel.streaming`) interleaves
-    the stages, so ``poisson`` / ``xc`` / ``mix`` hold summed in-worker
-    task walls per category instead of phase walls (a fused pointwise mix
-    rides the finish stage and lands under ``poisson``).  ``task_times``
+    the Poisson and XC stages, so ``poisson`` / ``xc`` hold summed
+    in-worker task walls per category instead of phase walls; ``mix``
+    is the driver-side mix either way.  ``task_times``
     holds the in-worker wall time of every per-slab
     :class:`~repro.parallel.distributed.GlobalStepTask` — the work an
     executor may spread over any number of workers — and ``driver`` the
@@ -140,13 +141,14 @@ class GlobalPotentialSolver:
         Number of 1D z-slabs the global fields are split into (the
         paper's slab data layout for the global steps).  The default 1
         keeps the serial single-array path.  With ``shards > 1`` the
-        Poisson solve runs as a slab-transpose distributed FFT, XC and
-        mixing run slab-wise, and every per-slab unit of work is
-        streamed to ``executor`` the moment its inputs exist: slabs stay
-        resident through fused Poisson/XC/mix stages and the layout
-        conversion overlaps the compute, like the paper's production
-        GENPOT.  Results are bit-identical to the serial path for any
-        shard count (see :mod:`repro.parallel.streaming` for the engine,
+        Poisson solve runs as a slab-transpose distributed FFT, XC runs
+        slab-wise, and every per-slab unit of work is streamed to
+        ``executor`` the moment its inputs exist: slabs stay resident
+        through fused Poisson/XC stages and the layout conversion
+        overlaps the compute, like the paper's production GENPOT; the
+        mix runs on the gathered potentials.  Results are bit-identical
+        to the serial path for any shard count (see
+        :mod:`repro.parallel.streaming` for the engine,
         :mod:`repro.parallel.distributed` for the task machinery, and
         :class:`repro.core.scf.LS3DFSCF` for the ``genpot_shards=``
         wiring into the outer loop).  Must not exceed the number of z
@@ -236,12 +238,12 @@ class GlobalPotentialSolver:
     ) -> GenpotOutput:
         """Run GENPOT for one SCF iteration.
 
-        With ``shards > 1`` the Poisson, XC and mixing fields are computed
-        slab-wise through the executor; the scalar o(N) reductions (charge
-        renormalisation, energies, the convergence metric) stay on the
-        driver, evaluated on the gathered fields exactly as the serial
-        path evaluates them — which is what makes the sharded results
-        bit-identical.
+        With ``shards > 1`` the Poisson and XC fields are computed
+        slab-wise through the executor; the mix and the scalar o(N)
+        reductions (charge renormalisation, energies, the convergence
+        metric) stay on the driver, evaluated on the gathered fields
+        exactly as the serial path evaluates them — which is what makes
+        the sharded results bit-identical.
 
         Parameters
         ----------
@@ -266,19 +268,13 @@ class GlobalPotentialSolver:
         net = rho - self.ionic_density
         timings = GenpotStepTimings(sharded=self.shards > 1, shards=self.shards)
         if self.shards > 1:
-            v_out, e_es, e_xc, v_next = self._evaluate_streaming(
-                rho, net, input_potential, timings
-            )
+            v_out, e_es, e_xc = self._evaluate_streaming(rho, net, timings)
         else:
             v_out, e_es, e_xc = self._evaluate_fields_serial(rho, net, timings)
-            v_next = None
         diff = potential_distance(v_out, input_potential, self.grid)
-        if v_next is None:
-            # Unsharded, or a serial mixer (Anderson): its history
-            # reduction is global by nature, a driver-side sync point.
-            t0 = time.perf_counter()
-            v_next = self.mixer.mix(input_potential, v_out)
-            timings.mix += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        v_next = self.mixer.mix(input_potential, v_out)
+        timings.mix += time.perf_counter() - t0
         total = time.perf_counter() - t_start
         timings.driver = max(total - timings.task_cpu, 0.0)
         return GenpotOutput(
@@ -313,16 +309,12 @@ class GlobalPotentialSolver:
         return v_es + v_xc, e_es, e_xc
 
     def _evaluate_streaming(
-        self,
-        rho: np.ndarray,
-        net: np.ndarray,
-        input_potential: np.ndarray,
-        timings: GenpotStepTimings,
-    ) -> tuple[np.ndarray, float, float, np.ndarray | None]:
-        """Sharded evaluation (resident slabs, fused stages).
+        self, rho: np.ndarray, net: np.ndarray, timings: GenpotStepTimings
+    ) -> tuple[np.ndarray, float, float]:
+        """V_out and energies on the sharded path (resident slabs, fused stages).
 
-        Drives :func:`repro.parallel.streaming.stream_genpot`: the whole
-        Poisson/XC/mix dataflow is issued through the executor's futures
+        Drives :func:`repro.parallel.streaming.stream_genpot`: the
+        Poisson/XC dataflow is issued through the executor's futures
         surface with slabs resident across stages, and the scalar o(N)
         reductions run on the gathered driver arrays with the same
         full-array sums as the serial path (summation order is part of
@@ -330,16 +322,9 @@ class GlobalPotentialSolver:
         """
         from repro.parallel.streaming import stream_genpot
 
-        v_es, v_out, eps_xc, v_next = stream_genpot(
-            net,
-            rho,
-            input_potential,
-            self.grid.g2,
-            self.shards,
-            self.executor,
-            mixer=self.mixer,
-            timings=timings,
+        v_es, v_out, eps_xc = stream_genpot(
+            net, rho, self.grid.g2, self.shards, self.executor, timings=timings
         )
         e_es = 0.5 * float(np.sum(net * v_es) * self.grid.dvol)
         e_xc = float(np.sum(np.maximum(rho, 0.0) * eps_xc) * self.grid.dvol)
-        return v_out, e_es, e_xc, v_next
+        return v_out, e_es, e_xc

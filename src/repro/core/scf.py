@@ -111,12 +111,12 @@ class IterationTimings:
 
     ``genpot_poisson`` / ``genpot_xc`` / ``genpot_mix`` break the GENPOT
     wall time down into its three global steps.  With ``genpot_shards >
-    1`` those steps run as per-slab tasks through the executor: their
+    1`` Poisson and XC run as per-slab tasks through the executor: their
     in-worker wall times land in ``genpot_tasks`` (counted as parallel
     work by ``parallel_cpu``), ``genpot_sharded`` is set, and only the
-    driver residue ``genpot_driver`` (slab scatter/gather/exchange,
-    scalar reductions, task overhead) stays in ``serial_time``.  The
-    three steps interleave per slab (:mod:`repro.parallel.streaming`):
+    driver residue ``genpot_driver`` (slab scatter/gather/exchange, the
+    mix, scalar reductions, task overhead) stays in ``serial_time``.  The
+    two interleave per slab (:mod:`repro.parallel.streaming`):
     ``genpot_wait`` is the driver loop's blocked time and
     ``layout_conversion`` the *measured* scatter/exchange/gather copy
     seconds — the layout-conversion cost of the paper's dual-layout
@@ -397,7 +397,7 @@ class LS3DFSCF:
         Number of 1D z-slabs the GENPOT global steps are distributed
         over (the paper's dual fragment/slab data layout).  The default
         ``None`` (or 1) keeps the serial global step.  With more shards
-        the Poisson solve, XC and mixing stream as per-slab
+        the Poisson solve and XC stream as per-slab
         :class:`~repro.parallel.distributed.GlobalStepTask` units
         through this driver's ``executor`` (resident slabs, fused
         stages, layout conversion overlapped with compute; see

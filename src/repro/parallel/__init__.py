@@ -27,7 +27,7 @@ explicit execution model:
 * :mod:`repro.parallel.distributed` — the paper's 1D slab data layout for
   the *global* steps: the slab bounds and the per-slab
   :class:`~repro.parallel.distributed.GlobalStepTask` units (FFT stages
-  in ``numpy.fft.fftn``'s axis order, Poisson kernel, XC, fused mix) the
+  in ``numpy.fft.fftn``'s axis order, Poisson kernel, XC, fused finish) the
   sharded GENPOT path pushes through the same executor backends;
 * :mod:`repro.parallel.streaming` — the engine that runs them: one
   GENPOT evaluation as a slab dataflow with incremental transposes,

@@ -15,7 +15,7 @@ This module holds the pieces of that layout the executors ship around:
   worker count sees identical slab boundaries.
 * :class:`GlobalStepTask` / :func:`run_global_step_task` — picklable
   per-slab units of global-step work (FFT stages, the Poisson reciprocal-
-  space kernel, LDA XC, the fused finish/mix stage), executed through the
+  space kernel, LDA XC, the fused finish stage), executed through the
   same executor backends that run fragment solves (``submit_global`` /
   ``run_global`` on every backend in :mod:`repro.parallel.executor` and
   :mod:`repro.parallel.remote`).  The stages apply the 1D transforms in
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -95,10 +95,8 @@ class GlobalStepTask:
     layer: a self-contained description the executor backends can ship to
     worker threads/processes.  ``kind`` selects the kernel (see
     :func:`run_global_step_task`); ``data`` is the shard's primary slab,
-    ``aux`` an optional second per-slab array (the Poisson ``|G|^2`` slab,
-    the Kerker filter slab, the other potential of a mix), ``scalars``
-    carries plain float parameters and ``mixer`` a small picklable mixer
-    for pointwise mixing kinds.
+    ``aux`` an optional second per-slab input (the Poisson ``|G|^2`` slab,
+    the XC slab of the finish stage).
     """
 
     kind: str
@@ -106,8 +104,6 @@ class GlobalStepTask:
     nshards: int
     data: np.ndarray
     aux: np.ndarray | None = None
-    scalars: dict = field(default_factory=dict)
-    mixer: object | None = None
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -132,8 +128,8 @@ class GlobalStepResult:
     data:
         The kernel's primary output slab.
     extra:
-        Optional secondary output (the XC kernel returns ``eps_xc``
-        here); ``None`` for the other kinds.
+        Optional secondary output (``eps_xc`` from the XC kernel,
+        ``v_out`` from the finish stage); ``None`` for the other kinds.
     wall_time:
         In-worker wall-clock seconds of the kernel.
     worker_pid:
@@ -172,26 +168,10 @@ def _kernel_poisson_lines(task: GlobalStepTask):
         return vg, None
 
 
-def _kernel_filter_lines(task: GlobalStepTask):
-    # Complete the forward transform, then apply a reciprocal-space filter
-    # slab (the Kerker preconditioner q^2 / (q^2 + q0^2)).
-    with fftcache.scratch(task.data.shape) as w:
-        return task.aux * fftcache.fft(task.data, axis=0, out=w), None
-
-
 def _kernel_ifft_planes(task: GlobalStepTask):
     with fftcache.scratch(task.data.shape) as w:
         a = fftcache.ifft(task.data, axis=2, out=w)
         return np.fft.ifft(a, axis=1), None
-
-
-def _kernel_ifft_lines_combine(task: GlobalStepTask):
-    # Final stage of a spectral (Kerker) mix: finish the inverse
-    # transform of the filtered residual and take the damped step
-    # v_next = v_in + alpha * update on this shard's planes.
-    with fftcache.scratch(task.data.shape) as w:
-        update = fftcache.ifft(task.data, axis=0, out=w).real
-        return task.aux + task.scalars["alpha"] * update, None
 
 
 def _kernel_xc(task: GlobalStepTask):
@@ -203,30 +183,19 @@ def _kernel_xc(task: GlobalStepTask):
 
 def _kernel_genpot_finish(task: GlobalStepTask):
     # Fused final stage of GENPOT: finish the inverse Poisson transform
-    # on this resident slab, add its XC slab, and start the mix — one
-    # task instead of a gather, two driver-side elementwise passes and a
-    # fresh scatter.  ``aux`` is ``(v_xc_slab, v_in_slab_or_None)``;
-    # ``scalars`` may carry ``residual`` (also return v_out - v_in,
-    # feeding a spectral mix); a pointwise ``mixer`` fuses the whole mix
-    # in.
-    v_xc, v_in = task.aux
+    # on this resident slab and add its XC slab (``aux``) — one task
+    # instead of a gather and a driver-side elementwise pass.  Returns
+    # (v_es, v_out) for the shard; the mix runs on the gathered driver
+    # arrays.
     with fftcache.scratch(task.data.shape) as w:
         v_es = fftcache.ifft(task.data, axis=0, out=w).real.copy()
-    v_out = v_es + v_xc
-    extra = {"v_out": v_out}
-    if v_in is not None and task.scalars.get("residual"):
-        extra["resid"] = v_out - v_in
-    if task.mixer is not None and v_in is not None:
-        extra["v_next"] = task.mixer.mix_slab(v_in, v_out)
-    return v_es, extra
+    return v_es, v_es + task.aux
 
 
 _STEP_KERNELS = {
     "fft_planes": _kernel_fft_planes,
     "poisson_lines": _kernel_poisson_lines,
-    "filter_lines": _kernel_filter_lines,
     "ifft_planes": _kernel_ifft_planes,
-    "ifft_lines_combine": _kernel_ifft_lines_combine,
     "xc": _kernel_xc,
     "genpot_finish": _kernel_genpot_finish,
 }
@@ -250,7 +219,7 @@ def run_global_step_task(task: GlobalStepTask) -> GlobalStepResult:
     Returns
     -------
     GlobalStepResult
-        The transformed slab (plus the XC kernel's ``extra``), with
+        The transformed slab (plus the secondary ``extra``), with
         wall time and worker PID for the timing accounting.
     """
     t0 = time.perf_counter()

@@ -1,13 +1,13 @@
 """Streaming GENPOT: resident slabs, dataflow stages, incremental exchange.
 
 The paper's production GENPOT keeps each processor's slab resident
-through the whole Poisson/XC/mixing chain and posts its all-to-all
-contributions as soon as they exist, overlapping the layout conversion
-with compute (Section IV's "the conversion is overlapped with the
-computation").  This module is that engine — the one way sharded GENPOT
-runs — on top of the executor backends' futures surface
-(``submit_global`` on every backend in :mod:`repro.parallel.executor`
-and :mod:`repro.parallel.remote`):
+through the Poisson/XC chain and posts its all-to-all contributions as
+soon as they exist, overlapping the layout conversion with compute
+(Section IV's "the conversion is overlapped with the computation").
+This module is that engine — the one way sharded GENPOT runs — on top of
+the executor backends' futures surface (``submit_global`` on every
+backend in :mod:`repro.parallel.executor` and
+:mod:`repro.parallel.remote`):
 
 * :class:`SlabExchangeBuffer` — the incremental slab transpose.  Target
   slabs are preallocated; every arriving source slab is copied straight
@@ -15,17 +15,17 @@ and :mod:`repro.parallel.remote`):
   to the next stage immediately.  The assembled bytes are exactly the
   target's plane range of the global field, so downstream FFTs see the
   same inputs a single-array transform would.
-* :func:`stream_genpot` — one whole GENPOT evaluation as a dataflow
-  graph over per-slab :class:`~repro.parallel.distributed.GlobalStepTask`
-  units: XC runs concurrently with the Poisson transform chain, the
-  fused ``genpot_finish`` stage (inverse transform + ``v_es + v_xc`` +
-  pointwise mix / residual) fires per slab the moment both of its inputs
-  exist, and a spectral (Kerker) mix streams through the same
-  filter-transform chain slab by slab.  Every 1D transform runs in the
-  order ``numpy.fft.fftn`` uses on the same values, and all o(N) scalar
-  reductions stay on the driver's gathered arrays — so the streamed
-  results are **bit-identical** to the unsharded single-array path on
-  every backend, for any shard count.
+* :func:`stream_genpot` — the fields of one GENPOT evaluation as a
+  dataflow graph over per-slab
+  :class:`~repro.parallel.distributed.GlobalStepTask` units: XC runs
+  concurrently with the Poisson transform chain, and the fused
+  ``genpot_finish`` stage (inverse transform + ``v_es + v_xc``) fires
+  per slab the moment both of its inputs exist.  Every 1D transform runs
+  in the order ``numpy.fft.fftn`` uses on the same values, so the
+  gathered ``v_es`` / ``v_out`` / ``eps_xc`` are **bit-identical** to the
+  unsharded single-array path on every backend, for any shard count.
+  The mix and all o(N) scalar reductions run on the driver's gathered
+  arrays (:meth:`repro.core.genpot.GlobalPotentialSolver.evaluate`).
 
 Timing: the driver loop attributes its wall time to ``wait`` (blocked on
 the completion queue) versus busy work, and separately meters
@@ -140,15 +140,11 @@ _TAG_CATEGORY = {
     "pl": "poisson",
     "pi": "poisson",
     "fin": "poisson",
-    "kf": "mix",
-    "kfilt": "mix",
-    "ki": "mix",
-    "kcomb": "mix",
 }
 
 
 class _StreamEngine:
-    """One GENPOT evaluation as an event-driven slab dataflow.
+    """One GENPOT field evaluation as an event-driven slab dataflow.
 
     Built per call by :func:`stream_genpot`; holds the exchange buffers,
     per-slab result stores and the completion queue the executor's
@@ -156,24 +152,19 @@ class _StreamEngine:
     their inputs are assembled — there is no stage barrier anywhere.
     """
 
-    def __init__(self, net, rho, v_in, g2, nshards, executor, mixer):
+    def __init__(self, net, rho, g2, nshards, executor):
         self.net = net
         self.rho = rho
-        self.v_in = v_in
         self.g2 = g2
         self.S = int(nshards)
         self.executor = executor
-        self.mixer = mixer
         self.shape = tuple(int(s) for s in net.shape)
-        mode = getattr(mixer, "sharding", "serial") if mixer is not None else "serial"
-        self.pointwise_mixer = mixer if mode == "pointwise" else None
-        self.spectral = mode == "spectral"
 
         self._done: queue.Queue = queue.Queue()
         self._inflight = 0
         self.wait = 0.0
         self.conv = 0.0
-        self.walls = {"poisson": 0.0, "xc": 0.0, "mix": 0.0}
+        self.walls = {"poisson": 0.0, "xc": 0.0}
         self.task_times: list[float] = []
 
         S = self.S
@@ -183,7 +174,6 @@ class _StreamEngine:
         self._fin_submitted = [False] * S
         self.v_es_slabs: list = [None] * S
         self.v_out_slabs: list = [None] * S
-        self.v_next_slabs: list = [None] * S
 
         self._handlers = {
             "xc": self._on_xc,
@@ -191,22 +181,16 @@ class _StreamEngine:
             "pl": self._on_pl,
             "pi": self._on_pi,
             "fin": self._on_fin,
-            "kf": self._on_kf,
-            "kfilt": self._on_kfilt,
-            "ki": self._on_ki,
-            "kcomb": self._on_kcomb,
         }
 
     # -- submission / driver loop --------------------------------------
-    def _submit(self, tag, kind, shard, data, aux=None, scalars=None, mixer=None):
+    def _submit(self, tag, kind, shard, data, aux=None):
         task = GlobalStepTask(
             kind=kind,
             shard=shard,
             nshards=self.S,
             data=data,
             aux=aux,
-            scalars=scalars or {},
-            mixer=mixer,
         )
         self._inflight += 1
         future = self.executor.submit_global(task)
@@ -236,10 +220,6 @@ class _StreamEngine:
         self.conv += time.perf_counter() - t0
         return slabs
 
-    def _views(self, array):
-        """Read-only z-slab views (aux inputs; pickled per task if shipped)."""
-        return [array[:, :, lo:hi] for lo, hi in slab_bounds(self.shape[2], self.S)]
-
     def _add(self, buffer, shard, slab):
         """Timed incremental-exchange contribution."""
         t0 = time.perf_counter()
@@ -250,23 +230,11 @@ class _StreamEngine:
     # -- graph construction --------------------------------------------
     def run(self):
         S, shape = self.S, self.shape
-        # Finish-stage aux inputs: the z-slabs of v_in feed the fused
-        # mix/residual; the serial (Anderson) route keeps v_in on the
-        # driver and mixes after the gather.
-        if self.pointwise_mixer is not None or self.spectral:
-            self.v_in_slabs = self._views(self.v_in)
-        else:
-            self.v_in_slabs = [None] * S
-        if self.spectral:
-            self.filter_slabs = self._views(self.mixer.spectral_filter())
-            self.ex_k1 = SlabExchangeBuffer(shape, 2, 0, S, dtype=np.float64)
-            self.ex_k2 = SlabExchangeBuffer(shape, 0, 2, S)
-            self.ex_k3 = SlabExchangeBuffer(shape, 2, 0, S)
-            self.ex_k4 = SlabExchangeBuffer(shape, 0, 2, S)
         self.ex_fwd = SlabExchangeBuffer(shape, 0, 2, S)
         self.ex_inv1 = SlabExchangeBuffer(shape, 2, 0, S)
         self.ex_inv2 = SlabExchangeBuffer(shape, 0, 2, S)
-        self.g2_slabs = self._views(self.g2)
+        # Read-only z-slab views of |G|^2 (pickled per task if shipped).
+        self.g2_slabs = [self.g2[:, :, lo:hi] for lo, hi in slab_bounds(shape[2], S)]
 
         # Roots of the dataflow: XC on the resident z-slabs, and the
         # forward transform on x-slabs of the net density (scattered
@@ -306,55 +274,13 @@ class _StreamEngine:
             return
         self._fin_submitted[k] = True
         self._submit(
-            "fin",
-            "genpot_finish",
-            k,
-            self.spec_ready[k],
-            aux=(self.v_xc_slabs[k], self.v_in_slabs[k]),
-            scalars={"residual": 1} if self.spectral else {},
-            mixer=self.pointwise_mixer,
+            "fin", "genpot_finish", k, self.spec_ready[k], aux=self.v_xc_slabs[k]
         )
         self.spec_ready[k] = None
 
     def _on_fin(self, k, r):
         self.v_es_slabs[k] = r.data
-        extra = r.extra
-        self.v_out_slabs[k] = extra["v_out"]
-        if "v_next" in extra:
-            self.v_next_slabs[k] = extra["v_next"]
-        resid = extra.get("resid")
-        if resid is None:
-            return
-        for i in self._add(self.ex_k1, k, resid):
-            self._submit("kf", "fft_planes", i, self.ex_k1.take(i))
-
-    def _on_kf(self, i, r):
-        for j in self._add(self.ex_k2, i, r.data):
-            self._submit(
-                "kfilt",
-                "filter_lines",
-                j,
-                self.ex_k2.take(j),
-                aux=self.filter_slabs[j],
-            )
-
-    def _on_kfilt(self, j, r):
-        for i in self._add(self.ex_k3, j, r.data):
-            self._submit("ki", "ifft_planes", i, self.ex_k3.take(i))
-
-    def _on_ki(self, i, r):
-        for j in self._add(self.ex_k4, i, r.data):
-            self._submit(
-                "kcomb",
-                "ifft_lines_combine",
-                j,
-                self.ex_k4.take(j),
-                aux=self.v_in_slabs[j],
-                scalars={"alpha": self.mixer.alpha},
-            )
-
-    def _on_kcomb(self, j, r):
-        self.v_next_slabs[j] = r.data
+        self.v_out_slabs[k] = r.extra
 
     # -- reduction -------------------------------------------------------
     def _gather(self):
@@ -362,25 +288,19 @@ class _StreamEngine:
         v_es = np.concatenate(self.v_es_slabs, axis=2)
         v_out = np.concatenate(self.v_out_slabs, axis=2)
         eps_xc = np.concatenate(self.eps_slabs, axis=2)
-        if self.pointwise_mixer is not None or self.spectral:
-            v_next = np.concatenate(self.v_next_slabs, axis=2)
-        else:
-            v_next = None
         self.conv += time.perf_counter() - t0
-        return v_es, v_out, eps_xc, v_next
+        return v_es, v_out, eps_xc
 
 
 def stream_genpot(
     net: np.ndarray,
     rho: np.ndarray,
-    v_in: np.ndarray,
     g2: np.ndarray,
     nshards: int,
     executor,
-    mixer=None,
     timings=None,
 ):
-    """Run one streamed GENPOT field evaluation (Poisson + XC + mix).
+    """Run one streamed GENPOT field evaluation (Poisson + XC).
 
     Parameters
     ----------
@@ -388,8 +308,6 @@ def stream_genpot(
         Net (electron minus ionic) charge density on the global grid.
     rho:
         Clipped, renormalised electron density (XC input).
-    v_in:
-        This iteration's input potential (mix / residual input).
     g2:
         The grid's ``|G|^2`` array.
     nshards:
@@ -397,11 +315,6 @@ def stream_genpot(
     executor:
         Any backend with ``submit_global``
         (:class:`repro.parallel.distributed.GlobalStepExecutor`).
-    mixer:
-        A :class:`repro.pw.mixing.Mixer` or ``None``.  Pointwise mixers
-        fuse into the finish stage, spectral mixers stream through the
-        filter chain; serial mixers (Anderson) are left to the caller —
-        the returned ``v_next`` is then ``None``.
     timings:
         Optional :class:`repro.core.genpot.GenpotStepTimings` to fill:
         per-category task walls, ``task_times``, ``wait`` / ``busy`` and
@@ -410,19 +323,18 @@ def stream_genpot(
     Returns
     -------
     tuple
-        ``(v_es, v_out, eps_xc, v_next_or_None)`` on the global grid —
-        bit-identical to the unsharded single-array evaluation.
+        ``(v_es, v_out, eps_xc)`` on the global grid — bit-identical to
+        the unsharded single-array evaluation.
     """
     t_start = time.perf_counter()
-    engine = _StreamEngine(net, rho, v_in, g2, nshards, executor, mixer)
-    v_es, v_out, eps_xc, v_next = engine.run()
+    engine = _StreamEngine(net, rho, g2, nshards, executor)
+    v_es, v_out, eps_xc = engine.run()
     wall = time.perf_counter() - t_start
     if timings is not None:
         timings.poisson += engine.walls["poisson"]
         timings.xc += engine.walls["xc"]
-        timings.mix += engine.walls["mix"]
         timings.task_times.extend(engine.task_times)
         timings.wait += engine.wait
         timings.busy += max(wall - engine.wait, 0.0)
         timings.layout_conversion += engine.conv
-    return v_es, v_out, eps_xc, v_next
+    return v_es, v_out, eps_xc

@@ -155,8 +155,10 @@ class PlaneWaveBasis:
 
     def conjugate(self, coeffs: np.ndarray) -> np.ndarray:
         """``K c``: coefficients of the complex-conjugate wavefunction,
-        ``c(G) -> c(-G)*``; ``c == K c`` exactly when psi(r) is real."""
-        return np.conj(coeffs[..., self.minus_g])
+        ``c(G) -> c(-G)*``; ``c == K c`` exactly when psi(r) is real.  Always
+        C-contiguous: the index result may come back in Fortran order, and the
+        eigensolver takes float64 views of these rows."""
+        return np.ascontiguousarray(np.conj(coeffs[..., self.minus_g]))
 
     # -- grid scatter / gather -------------------------------------------------
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:

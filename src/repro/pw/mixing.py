@@ -11,11 +11,11 @@ previous iterations.  Three standard mixers are provided:
 * :class:`AndersonMixer` — Anderson/Pulay (DIIS) mixing over a history of
   residuals, the scheme production plane-wave codes (and LS3DF) use.
 
-All mixers implement the :class:`Mixer` protocol — real-space potential
-arrays in, the next input potential out — plus a declared *sharding*
-capability that tells the distributed GENPOT path
-(:mod:`repro.parallel.distributed`) how to run the mix on 1D slabs of the
-global grid without changing a single bit of the result.
+All mixers implement the :class:`Mixer` protocol — whole-grid real-space
+potential arrays in, the next input potential out.  GENPOT calls
+:meth:`Mixer.mix` once per iteration on the driver, on the gathered
+potentials, whether or not the Poisson/XC fields were computed on slabs
+(:mod:`repro.parallel.streaming`).
 
 Mixers are also the one piece of GENPOT with cross-iteration memory
 (Anderson's residual history), so the protocol includes
@@ -42,29 +42,17 @@ class Mixer(Protocol):
     """Protocol of every potential-mixing scheme.
 
     ``kind`` is the mixer's registry name (what :func:`make_mixer`
-    accepts and what checkpoint manifests record); ``sharding`` declares
-    how the mix decomposes over 1D slabs of the global grid (see
-    :func:`repro.parallel.streaming.stream_genpot`):
+    accepts and what checkpoint manifests record).
 
-    * ``"pointwise"`` — the mix is elementwise; the mixer provides
-      ``mix_slab(v_in_slab, v_out_slab)`` and any slab partition of the
-      global mix is bit-identical to the full-array mix;
-    * ``"spectral"``  — the mix filters the residual in reciprocal space;
-      the mixer provides ``spectral_filter()`` (the full-grid filter, to
-      be sliced into slabs) and ``alpha`` (the damped-step weight);
-    * ``"serial"``    — the mix needs global reductions (e.g. a history
-      gram matrix) and runs on the gathered potentials.
-
-    Custom mixers only have to provide ``reset``/``mix`` (and default to
-    serial sharding) to plug into
-    :class:`repro.core.genpot.GlobalPotentialSolver`; implementing
+    Custom mixers only have to provide ``reset``/``mix`` to plug into
+    :class:`repro.core.genpot.GlobalPotentialSolver`, sharded or not;
+    implementing
     ``state_dict``/``load_state_dict`` as well makes them
     checkpointable (stateless custom mixers may omit the pair — the
     checkpoint layer then saves an empty state).
     """
 
     kind: str
-    sharding: str
 
     def reset(self) -> None: ...
 
@@ -135,7 +123,6 @@ class LinearMixer(Mixer):
     """Simple linear (damped) potential mixing."""
 
     kind = "linear"
-    sharding = "pointwise"
 
     def __init__(self, alpha: float = 0.3) -> None:
         if not 0.0 < alpha <= 1.0:
@@ -172,14 +159,6 @@ class LinearMixer(Mixer):
             raise ValueError("potential shape mismatch")
         return (1.0 - self.alpha) * v_in + self.alpha * v_out
 
-    def mix_slab(self, v_in_slab: np.ndarray, v_out_slab: np.ndarray) -> np.ndarray:
-        """Shard-wise mix: elementwise, so any slab of the global mix.
-
-        Same arithmetic as :meth:`mix`, applied to one slab — the
-        gathered slab mixes are bit-identical to the full-array mix.
-        """
-        return (1.0 - self.alpha) * v_in_slab + self.alpha * v_out_slab
-
 
 class KerkerMixer(Mixer):
     """Kerker-preconditioned linear mixing.
@@ -191,7 +170,6 @@ class KerkerMixer(Mixer):
     """
 
     kind = "kerker"
-    sharding = "spectral"
 
     def __init__(self, grid: FFTGrid, alpha: float = 0.5, q0: float = 0.8) -> None:
         if not 0.0 < alpha <= 1.0:
@@ -229,17 +207,6 @@ class KerkerMixer(Mixer):
             resid_g *= self._filter
             update = fftcache.ifftn(resid_g, out=w2)
             return v_in + self.alpha * update.real
-
-    def spectral_filter(self) -> np.ndarray:
-        """Shard-wise mix: the full-grid reciprocal-space filter.
-
-        The sharded GENPOT path slices this into z-slabs aligned with the
-        distributed FFT of the residual, multiplies per slab (bit-
-        identical to the full-array product) and recombines each slab as
-        ``v_in + alpha * update`` — the arithmetic of :meth:`mix`,
-        distributed.
-        """
-        return self._filter
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Snapshot (parameters only — the Kerker filter has no history).
@@ -279,15 +246,9 @@ class AndersonMixer(Mixer):
     minimises the norm of the combined residual, then takes a damped step
     along the combined output.  Falls back to plain linear mixing while the
     history is too short or the normal equations are ill-conditioned.
-
-    Sharding is ``"serial"``: the history gram matrix is a global o(N)
-    reduction over whole-grid residuals, so the sharded GENPOT path
-    gathers the potentials and runs :meth:`mix` on the driver (the same
-    place the paper's global module does its allreduces).
     """
 
     kind = "anderson"
-    sharding = "serial"
 
     def __init__(self, alpha: float = 0.4, history: int = 5) -> None:
         if not 0.0 < alpha <= 1.0:

@@ -88,7 +88,6 @@ def test_mixer_rejects_state_of_differently_configured_mixer(kind, build_other):
 def test_protocol_default_state_dict_is_empty_and_strict():
     class Custom(Mixer):
         kind = "custom"
-        sharding = "serial"
 
         def reset(self):
             pass

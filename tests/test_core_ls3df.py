@@ -32,6 +32,18 @@ def tiny_ls3df():
     return structure, ls3df, result
 
 
+@pytest.mark.parametrize("lattice, ecut", [(6.0, 6.0), (10.0, 2.2), (12.0, 2.2)])
+def test_one_iteration_on_cells_beyond_the_golden_one(lattice, ecut):
+    """Cold starts work on fragment bases larger than the golden cell's."""
+    structure = cscl_binary((2, 1, 1), "Zn", "O", lattice)
+    ls3df = LS3DF(structure, grid_dims=(2, 1, 1), ecut=ecut)
+    result = ls3df.run(max_iterations=1, eigensolver_tolerance=1e-4)
+    assert result.iterations == 1
+    assert np.isfinite(result.total_energy)
+    total = np.sum(result.density) * ls3df.global_grid.dvol
+    assert total == pytest.approx(structure.total_valence_electrons(), rel=1e-6)
+
+
 def test_ls3df_runs_and_produces_density(tiny_ls3df):
     structure, ls3df, result = tiny_ls3df
     assert result.nfragments == ls3df.nfragments == 4

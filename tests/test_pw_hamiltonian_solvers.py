@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.atoms.toy import cscl_binary
 from repro.core.fragment_task import FragmentTask, get_task_problem, solve_fragment_task
@@ -736,6 +738,45 @@ def test_electrostatic_energy_of_neutral_system_is_finite(small_problem):
     e = electrostatic_energy(rho, grid, rho_ion)
     assert np.isfinite(e)
     assert abs(e) < 10.0
+
+
+# --- cold starts on any basis ------------------------------------------------------
+
+@st.composite
+def cells(draw):
+    """An orthorhombic cell and an even FFT grid at 0.4-0.7 Bohr spacing (fine
+    enough for every ``ecut`` below, so the basis is closed under G -> -G)."""
+    shape = tuple(draw(st.tuples(*[st.integers(4, 27)] * 3)))
+    spacing = draw(st.floats(0.4, 0.7))
+    shape = tuple(2 * n for n in shape)
+    return tuple(n * spacing for n in shape), shape
+
+
+# Fragment boxes of ZnO 2x1x1 at a = 10 / 12 and ecut 6.0, and of ZnO 2x2x2 at
+# the golden lattice: conjugate() handed the cold start a Fortran-ordered block
+# there, and _gram's float64 view of it raised.
+@settings(max_examples=30, deadline=None)
+@given(cell=cells(), ecut=st.floats(1.5, 6.0), nbands=st.integers(1, 40))
+@example(cell=((30.0, 20.0, 20.0), (48, 32, 32)), ecut=2.2, nbands=10)
+@example(cell=((36.0, 24.0, 24.0), (54, 36, 36)), ecut=2.2, nbands=10)
+@example(cell=((18.0, 12.0, 12.0), (42, 28, 28)), ecut=6.0, nbands=10)
+@example(cell=((12.0, 18.0, 18.0), (20, 30, 30)), ecut=2.2, nbands=38)
+@example(cell=((18.0, 18.0, 18.0), (30, 30, 30)), ecut=2.2, nbands=34)
+def test_cold_all_band_cg_runs_on_any_basis(cell, ecut, nbands):
+    lengths, shape = cell
+    assume(np.prod(lengths) * (2 * ecut) ** 1.5 / (6 * np.pi**2) < 4000)  # ~npw
+    grid = FFTGrid(lengths, shape)
+    basis = PlaneWaveBasis(grid, ecut)
+    assume(basis.npw >= 2)
+    nbands = min(nbands, basis.npw // 2)
+    x = grid.real_coordinates
+    h = Hamiltonian(basis, np.cos(2 * np.pi * x[..., 0] / lengths[0]))
+    result = all_band_cg(h, nbands, max_iterations=1, tolerance=1e-3)
+    c = result.coefficients
+    assert c.shape == (nbands, basis.npw)
+    assert basis.conjugate(c).flags.c_contiguous
+    assert np.all(np.isfinite(result.eigenvalues))
+    np.testing.assert_allclose(c @ c.conj().T, np.eye(nbands), atol=1e-10)
 
 
 # --- folded spectrum method -----------------------------------------------------------

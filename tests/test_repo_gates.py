@@ -91,6 +91,11 @@ def test_job_slots_own_no_fragment_executor():
     assert [hit for hit in _lines_matching(r'executor_factory|"--workers"') if hit.startswith("src/repro/store/")] == []
 
 
+def test_genpot_mixes_once_on_the_driver():
+    assert _lines_matching(
+        r"sharding =|\.sharding|mix_slab|spectral_filter|filter_lines|ifft_lines_combine") == []
+
+
 def test_src_line_count_ratchet():
     workflow = (ROOT / ".github/workflows/ci.yml").read_text()
     limit = int(re.search(r"xargs cat \| wc -l\)\" -le (\d+)", workflow).group(1))

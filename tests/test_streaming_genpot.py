@@ -27,9 +27,8 @@ from repro.core.scf import LS3DFSCF
 from repro.parallel.distributed import slab_bounds
 from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
 from repro.parallel.faults import FaultPlan
-from repro.parallel.streaming import SlabExchangeBuffer, stream_genpot
+from repro.parallel.streaming import SlabExchangeBuffer
 from repro.pw.grid import FFTGrid
-from repro.pw.mixing import make_mixer
 from repro.pw.pseudopotential import default_pseudopotentials
 
 GRID_SHAPE = (4, 6, 8)
@@ -187,7 +186,7 @@ def test_streaming_timing_counters(grid, fields):
     assert t.wait >= 0.0 and t.busy >= 0.0
     assert 0.0 <= t.occupancy <= 1.0
     assert t.layout_conversion > 0.0
-    assert len(t.task_times) == 9 * 3  # 5 resident stages + 4 spectral-mix
+    assert len(t.task_times) == 5 * 3  # 5 resident stages; the mix is the driver's
     assert t.poisson > 0.0 and t.xc > 0.0 and t.mix > 0.0
     assert t.driver >= 0.0
     # The unsharded path leaves the stream meters untouched.
@@ -292,17 +291,3 @@ def test_stream_degrades_to_fallback_when_all_workers_die(grid, fields):
         )
     _assert_outputs_equal(out, reference)
     _assert_outputs_equal(again, reference)
-
-
-# --- serial mixers ----------------------------------------------------------------
-
-
-def test_stream_genpot_serial_mixer_returns_none(grid, fields):
-    """Serial (Anderson) mixing stays a driver-side sync point."""
-    rho, v_in = fields
-    net = rho - 0.5
-    mixer = make_mixer("anderson", grid=grid)
-    _, _, _, v_next = stream_genpot(
-        net, rho, v_in, grid.g2, 3, SerialFragmentExecutor(), mixer=mixer
-    )
-    assert v_next is None

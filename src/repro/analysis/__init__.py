@@ -1,15 +1,7 @@
 """Post-processing analysis of LS3DF results (band-edge states, spectra)."""
 
-from repro.analysis.states import (
-    inverse_participation_ratio,
-    localization_report,
-    band_structure_summary,
-    oxygen_band_analysis,
-)
+from repro import exports
 
-__all__ = [
-    "inverse_participation_ratio",
-    "localization_report",
-    "band_structure_summary",
-    "oxygen_band_analysis",
-]
+__all__, __getattr__ = exports(__name__, {
+    "states": "inverse_participation_ratio localization_report band_structure_summary oxygen_band_analysis",
+})

@@ -8,25 +8,13 @@ authors to relax the alloy geometries before the electronic-structure
 calculation.
 """
 
-from repro.atoms.structure import Atom, Species, Structure
-from repro.atoms.zincblende import zincblende_unit_cell, zincblende_supercell
-from repro.atoms.alloy import substitute_anions, build_znteo_alloy
-from repro.atoms.neighbors import NeighborList, build_neighbor_list
-from repro.atoms.vff import KeatingVFF, relax_structure
-from repro.atoms.toy import cscl_binary, simple_cubic
+from repro import exports
 
-__all__ = [
-    "Atom",
-    "Species",
-    "Structure",
-    "zincblende_unit_cell",
-    "zincblende_supercell",
-    "substitute_anions",
-    "build_znteo_alloy",
-    "NeighborList",
-    "build_neighbor_list",
-    "KeatingVFF",
-    "relax_structure",
-    "cscl_binary",
-    "simple_cubic",
-]
+__all__, __getattr__ = exports(__name__, {
+    "structure": "Atom Species Structure",
+    "zincblende": "zincblende_unit_cell zincblende_supercell",
+    "alloy": "substitute_anions build_znteo_alloy",
+    "neighbors": "NeighborList build_neighbor_list",
+    "vff": "KeatingVFF relax_structure",
+    "toy": "cscl_binary simple_cubic",
+})

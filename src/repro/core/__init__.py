@@ -25,58 +25,19 @@ API; :mod:`repro.core.compare` provides the LS3DF-vs-direct-DFT accuracy
 comparisons reported in the paper.
 """
 
-from repro.core.fragments import Fragment, enumerate_fragments, fragment_weight, coverage_map
-from repro.core.division import SpatialDivision
-from repro.core.passivation import passivate_fragment
-from repro.core.patching import (
-    restrict_to_fragment,
-    patch_fragment_fields,
-    patch_contributions,
-    patching_identity_residual,
-    tree_reduce_fields,
-)
-from repro.core.genpot import GlobalPotentialSolver
-from repro.core.fragment_task import (
-    ExecutionReport,
-    FragmentExecutor,
-    FragmentPipelineTask,
-    FragmentTask,
-    FragmentTaskResult,
-    clear_problem_cache,
-    run_fragment_pipeline_task,
-    solve_fragment_task,
-)
-from repro.core.fragment_solver import FragmentSolver
-from repro.core.scf import LS3DFSCF, LS3DFResult, IterationTimings
-from repro.core.driver import LS3DF
-from repro.core.compare import compare_ls3df_to_direct, ComparisonReport
+from repro import exports
 
-__all__ = [
-    "Fragment",
-    "enumerate_fragments",
-    "fragment_weight",
-    "coverage_map",
-    "SpatialDivision",
-    "passivate_fragment",
-    "restrict_to_fragment",
-    "patch_fragment_fields",
-    "patch_contributions",
-    "patching_identity_residual",
-    "tree_reduce_fields",
-    "GlobalPotentialSolver",
-    "ExecutionReport",
-    "FragmentExecutor",
-    "FragmentPipelineTask",
-    "FragmentTask",
-    "FragmentTaskResult",
-    "clear_problem_cache",
-    "run_fragment_pipeline_task",
-    "solve_fragment_task",
-    "FragmentSolver",
-    "LS3DFSCF",
-    "LS3DFResult",
-    "IterationTimings",
-    "LS3DF",
-    "compare_ls3df_to_direct",
-    "ComparisonReport",
-]
+__all__, __getattr__ = exports(__name__, {
+    "fragments": "Fragment enumerate_fragments fragment_weight coverage_map",
+    "division": "SpatialDivision",
+    "passivation": "passivate_fragment",
+    "patching": "restrict_to_fragment patch_fragment_fields patch_contributions "
+    "patching_identity_residual tree_reduce_fields",
+    "genpot": "GlobalPotentialSolver",
+    "fragment_task": "ExecutionReport FragmentExecutor FragmentPipelineTask FragmentTask "
+    "FragmentTaskResult clear_problem_cache run_fragment_pipeline_task solve_fragment_task",
+    "fragment_solver": "FragmentSolver",
+    "scf": "LS3DFSCF LS3DFResult IterationTimings",
+    "driver": "LS3DF",
+    "compare": "compare_ls3df_to_direct ComparisonReport",
+})

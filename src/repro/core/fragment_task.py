@@ -749,8 +749,7 @@ def run_fragment_pipeline_task_grouped(
         The pipeline result (identical to the ungrouped kernel's) plus
         the solve's band-task accounting.
     """
-    # Imported lazily: repro.parallel.bands depends on this module, so a
-    # module-level import here would be circular.
+    # Imported here: repro.parallel.bands imports this module at its top.
     from repro.parallel.bands import BandGroup
 
     group = BandGroup(executor, band_slices, install_potentials, root_lock)

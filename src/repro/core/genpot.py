@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.atoms.structure import Structure
+from repro.parallel.distributed import GlobalStepExecutor
+from repro.parallel.executor import SerialFragmentExecutor
 from repro.pw.density import integrated_charge, normalize_density
 from repro.pw.energy import potential_distance, screening_potential
 from repro.pw.grid import FFTGrid
@@ -197,14 +199,7 @@ class GlobalPotentialSolver:
 
     def _check_executor(self):
         """Resolve (and validate) the global-step executor for sharded runs."""
-        # Imported lazily: repro.parallel re-exports the executor backends,
-        # which depend on repro.core.fragment_task — a module-level import
-        # here would be circular (see repro.core.scf for the same pattern).
-        from repro.parallel.distributed import GlobalStepExecutor
-
         if self.executor is None:
-            from repro.parallel.executor import SerialFragmentExecutor
-
             self.executor = SerialFragmentExecutor()
         if not isinstance(self.executor, GlobalStepExecutor):
             raise TypeError(
@@ -320,6 +315,7 @@ class GlobalPotentialSolver:
         full-array sums as the serial path (summation order is part of
         bit-identity).
         """
+        # Imported here: only sharded GENPOT runs load the streaming engine.
         from repro.parallel.streaming import stream_genpot
 
         v_es, v_out, eps_xc = stream_genpot(

@@ -70,6 +70,7 @@ from repro.io.checkpoint import (
     save_checkpoint,
     save_partial_payload,
 )
+from repro.parallel.executor import SerialFragmentExecutor
 from repro.pw.grid import FFTGrid
 from repro.pw.pseudopotential import PseudopotentialSet, default_pseudopotentials
 
@@ -242,8 +243,8 @@ class IterationTimings:
         workers run sliced work side by side, so this stays at most 1.
         Delegates to
         :func:`repro.parallel.amdahl.measured_intra_group_efficiency`
-        (imported lazily — a module-level parallel import here would be
-        circular), the single home of the formula; the measured
+        (imported here: only band-sliced runs read it), the single home
+        of the formula; the measured
         counterpart of the modelled
         :meth:`repro.parallel.groups.GroupDecomposition.intra_group_efficiency`.
         0.0 when the step did not run band-sliced.
@@ -464,11 +465,6 @@ class LS3DFSCF:
             n_empty=n_empty,
         )
         if executor is None:
-            # Imported lazily: repro.parallel.executor depends on
-            # repro.core.fragment_task, so a module-level import here would
-            # be circular.
-            from repro.parallel.executor import SerialFragmentExecutor
-
             executor = SerialFragmentExecutor()
         if not callable(getattr(executor, "submit_pipeline_batch", None)):
             raise TypeError(

@@ -1,32 +1,11 @@
 """Result records, table formatting, grid-data export and checkpoints."""
 
-from repro.io.results import ResultRecord, save_records, load_records
-from repro.io.tables import format_table, table1_layout
-from repro.io.gridio import write_cube_like, write_grid_npz, write_npz_atomic
-from repro.io.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointMismatchError,
-    SCFCheckpoint,
-    has_checkpoint,
-    load_checkpoint,
-    read_manifest,
-    save_checkpoint,
-)
+from repro import exports
 
-__all__ = [
-    "ResultRecord",
-    "save_records",
-    "load_records",
-    "format_table",
-    "table1_layout",
-    "write_cube_like",
-    "write_grid_npz",
-    "write_npz_atomic",
-    "CHECKPOINT_VERSION",
-    "CheckpointMismatchError",
-    "SCFCheckpoint",
-    "has_checkpoint",
-    "load_checkpoint",
-    "read_manifest",
-    "save_checkpoint",
-]
+__all__, __getattr__ = exports(__name__, {
+    "results": "ResultRecord save_records load_records",
+    "tables": "format_table table1_layout",
+    "gridio": "write_cube_like write_grid_npz write_npz_atomic",
+    "checkpoint": "CHECKPOINT_VERSION CheckpointMismatchError SCFCheckpoint has_checkpoint "
+    "load_checkpoint read_manifest save_checkpoint",
+})

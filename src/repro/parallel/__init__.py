@@ -40,8 +40,11 @@ explicit execution model:
   :class:`~repro.parallel.bands.BandGroup` root handle that makes
   ``all_band_cg`` run on a whole worker group — the paper's Np cores per
   fragment group — with bit-identical results;
-* :mod:`repro.parallel.remote` — the *multi-node* backend: a
-  length-prefixed-pickle wire protocol, the ``repro-worker`` daemon
+* :mod:`repro.parallel.wire` — the ``RPW1`` length-prefixed-pickle
+  framing, the one module that knows it (shared by the workers and the
+  :mod:`repro.store` daemon and client; imports nothing from the solver);
+* :mod:`repro.parallel.remote` — the *multi-node* backend: the
+  ``repro-worker`` daemon
   (:class:`~repro.parallel.remote.WorkerServer`) and the driver-side
   :class:`~repro.parallel.remote.RemoteExecutor` pool that runs fragment
   pipelines, GENPOT slabs and band slices on socket-connected workers —
@@ -51,126 +54,30 @@ explicit execution model:
   (:class:`~repro.parallel.faults.FlakyWorker`,
   :class:`~repro.parallel.faults.FlakyExecutor`) for testing the
   failure model end to end.
+
+Names are exported lazily (see :func:`repro.exports`): reading one
+imports only the submodule that defines it.
 """
 
-from repro.parallel.machine import Machine, FRANKLIN, JAGUAR, INTREPID, machine_by_name
-from repro.parallel.groups import GroupDecomposition, choose_group_size
-from repro.parallel.scheduler import FragmentScheduler, ScheduleSummary
-from repro.parallel.flops import LS3DFWorkload, FragmentWork
-from repro.parallel.comm import CommunicationModel, CommScheme
-from repro.parallel.perfmodel import LS3DFPerformanceModel, PerformancePoint, DirectDFTCostModel
-from repro.parallel.amdahl import (
-    amdahl_speedup,
-    fit_amdahl,
-    AmdahlFit,
-    SerialFractionEstimate,
-    intra_group_efficiency_history,
-    measured_intra_group_efficiency,
-    measured_serial_fraction,
-    serial_fraction_history,
-    sharded_genpot_estimate,
-)
-from repro.parallel.bands import (
-    BandBlockResult,
-    BandBlockTask,
-    BandGroup,
-    BandGroupExecutor,
-    BandGroupStats,
-    BandSlice,
-    band_slices,
-    run_band_block_task,
-)
-from repro.parallel.distributed import (
-    GlobalStepExecutor,
-    GlobalStepResult,
-    GlobalStepTask,
-    run_global_step_task,
-    slab_bounds,
-)
-from repro.parallel.executor import (
-    ExecutionReport,
-    FragmentExecutor,
-    FragmentPipelineTask,
-    FragmentTask,
-    FragmentTaskResult,
-    ProcessPoolFragmentExecutor,
-    SerialFragmentExecutor,
-    run_fragment_pipeline_task,
-    solve_fragment_task,
-)
-from repro.parallel.remote import (
-    LocalWorkerPool,
-    NoRemoteWorkersError,
-    RemoteExecutor,
-    RemoteExecutorConfig,
-    RemoteProtocolError,
-    RemoteTaskError,
-    WorkerDiedError,
-    WorkerServer,
-    start_worker_thread,
-    worker_main,
-)
-from repro.parallel.faults import FaultPlan, FlakyExecutor, FlakyWorker
+from repro import exports
 
-__all__ = [
-    "Machine",
-    "FRANKLIN",
-    "JAGUAR",
-    "INTREPID",
-    "machine_by_name",
-    "GroupDecomposition",
-    "choose_group_size",
-    "FragmentScheduler",
-    "ScheduleSummary",
-    "LS3DFWorkload",
-    "FragmentWork",
-    "CommunicationModel",
-    "CommScheme",
-    "LS3DFPerformanceModel",
-    "PerformancePoint",
-    "DirectDFTCostModel",
-    "amdahl_speedup",
-    "fit_amdahl",
-    "AmdahlFit",
-    "SerialFractionEstimate",
-    "intra_group_efficiency_history",
-    "measured_intra_group_efficiency",
-    "measured_serial_fraction",
-    "serial_fraction_history",
-    "sharded_genpot_estimate",
-    "BandBlockResult",
-    "BandBlockTask",
-    "BandGroup",
-    "BandGroupExecutor",
-    "BandGroupStats",
-    "BandSlice",
-    "band_slices",
-    "run_band_block_task",
-    "GlobalStepExecutor",
-    "GlobalStepResult",
-    "GlobalStepTask",
-    "run_global_step_task",
-    "slab_bounds",
-    "ExecutionReport",
-    "FragmentExecutor",
-    "FragmentPipelineTask",
-    "FragmentTask",
-    "FragmentTaskResult",
-    "ProcessPoolFragmentExecutor",
-    "SerialFragmentExecutor",
-    "run_fragment_pipeline_task",
-    "solve_fragment_task",
-    "LocalWorkerPool",
-    "NoRemoteWorkersError",
-    "RemoteExecutor",
-    "RemoteExecutorConfig",
-    "RemoteProtocolError",
-    "RemoteTaskError",
-    "WorkerDiedError",
-    "WorkerServer",
-    "start_worker_thread",
-    "worker_main",
-    "FaultPlan",
-    "FlakyExecutor",
-    "FlakyWorker",
-]
+__all__, __getattr__ = exports(__name__, {
+    "machine": "Machine FRANKLIN JAGUAR INTREPID machine_by_name",
+    "groups": "GroupDecomposition choose_group_size",
+    "scheduler": "FragmentScheduler ScheduleSummary",
+    "flops": "LS3DFWorkload FragmentWork",
+    "comm": "CommunicationModel CommScheme",
+    "perfmodel": "LS3DFPerformanceModel PerformancePoint DirectDFTCostModel",
+    "amdahl": "amdahl_speedup fit_amdahl AmdahlFit SerialFractionEstimate "
+    "intra_group_efficiency_history measured_intra_group_efficiency measured_serial_fraction "
+    "serial_fraction_history sharded_genpot_estimate",
+    "bands": "BandBlockResult BandBlockTask BandGroup BandGroupExecutor BandGroupStats BandSlice "
+    "band_slices run_band_block_task",
+    "distributed": "GlobalStepExecutor GlobalStepResult GlobalStepTask run_global_step_task slab_bounds",
+    "executor": "ExecutionReport FragmentExecutor FragmentPipelineTask FragmentTask FragmentTaskResult "
+    "ProcessPoolFragmentExecutor SerialFragmentExecutor run_fragment_pipeline_task solve_fragment_task",
+    "wire": "RemoteProtocolError",
+    "remote": "LocalWorkerPool NoRemoteWorkersError RemoteExecutor RemoteExecutorConfig "
+    "RemoteTaskError WorkerDiedError WorkerServer start_worker_thread worker_main",
+    "faults": "FaultPlan FlakyExecutor FlakyWorker",
+})

@@ -2,8 +2,8 @@
 
 The paper runs LS3DF across thousands of cores by giving every fragment
 group its own set of MPI ranks; the driver scatters picklable work units
-and gathers results.  This module is the repo's network equivalent: a
-tiny length-prefixed-frame protocol over TCP, a ``repro-worker`` daemon
+and gathers results.  This module is the repo's network equivalent: the
+``RPW1`` frames of :mod:`repro.parallel.wire` over TCP, a ``repro-worker`` daemon
 (:class:`WorkerServer` / :func:`worker_main`) that executes the exact
 same kernels as the local backends, and :class:`RemoteExecutor`, the
 backend that plugs those workers into the one dispatch engine of
@@ -15,8 +15,8 @@ serial backend's.
 
 Wire protocol (version 1)
 -------------------------
-Every message is one *frame*: a 4-byte magic ``b"RPW1"``, an 8-byte
-big-endian unsigned payload length, then a pickled python object.  The
+Every message is one ``RPW1`` frame (:func:`~repro.parallel.wire.send_frame`
+/ :func:`~repro.parallel.wire.recv_frame`, re-exported here).  The
 driver opens one connection per worker and speaks a strict
 request/response alternation; requests are dicts with an ``op`` field:
 
@@ -64,9 +64,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import pickle
 import socket
-import struct
 import sys
 import threading
 import time
@@ -87,6 +85,13 @@ from repro.core.fragment_task import (
 from repro.parallel.bands import run_band_block_task
 from repro.parallel.distributed import run_global_step_task
 from repro.parallel.executor import _Backend
+from repro.parallel.wire import (
+    _DEFAULT_MAX_FRAME,
+    PROTOCOL_VERSION,
+    RemoteProtocolError,
+    recv_frame,
+    send_frame,
+)
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -104,21 +109,12 @@ __all__ = [
     "worker_main",
 ]
 
-PROTOCOL_VERSION = 1
-
-_MAGIC = b"RPW1"
-_HEADER = struct.Struct(">4sQ")
-_DEFAULT_MAX_FRAME = 1 << 30
 #: ``--host`` help of both daemons (``repro-worker``, ``repro-serve``).
 _HOST_HELP = (
     "bind address; frames are unauthenticated pickles, so whoever can "
     "connect can run code as this user - keep the loopback default unless "
     "every host on the network is trusted"
 )
-
-
-class RemoteProtocolError(RuntimeError):
-    """The byte stream violated the framing or handshake protocol."""
 
 
 class WorkerDiedError(RuntimeError):
@@ -140,82 +136,6 @@ class RemoteTaskError(RuntimeError):
     def __init__(self, error_type: str, message: str) -> None:
         super().__init__(f"remote task failed with {error_type}: {message}")
         self.error_type = error_type
-
-
-# ----------------------------------------------------------------------
-# Framing
-# ----------------------------------------------------------------------
-def send_frame(sock: socket.socket, obj, max_bytes: int = _DEFAULT_MAX_FRAME) -> int:
-    """Pickle ``obj`` and send it as one length-prefixed frame.
-
-    Parameters
-    ----------
-    sock:
-        A connected stream socket.
-    obj:
-        Any picklable object.
-    max_bytes:
-        Refuse to send payloads larger than this (a guard against
-        runaway task payloads, mirrored on the receive side).
-
-    Returns
-    -------
-    int
-        Bytes written, header included.
-    """
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > max_bytes:
-        raise RemoteProtocolError(
-            f"frame of {len(payload)} bytes exceeds the {max_bytes}-byte limit"
-        )
-    data = _HEADER.pack(_MAGIC, len(payload)) + payload
-    sock.sendall(data)
-    return len(data)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            raise ConnectionError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_frame(sock: socket.socket, max_bytes: int = _DEFAULT_MAX_FRAME):
-    """Receive one frame and unpickle it.
-
-    Returns
-    -------
-    tuple
-        ``(obj, nbytes)`` — the decoded object and the total bytes read.
-
-    Raises
-    ------
-    RemoteProtocolError
-        Wrong magic, an over-limit length or a payload that does not
-        unpickle (stream corruption).
-    ConnectionError
-        The peer closed the connection mid-frame.  A header may claim up
-        to ``max_bytes``; memory grows only with the bytes that arrive.
-    """
-    header = _recv_exact(sock, _HEADER.size)
-    magic, length = _HEADER.unpack(header)
-    if magic != _MAGIC:
-        raise RemoteProtocolError(f"bad frame magic {magic!r}")
-    if length > max_bytes:
-        raise RemoteProtocolError(
-            f"frame of {length} bytes exceeds the {max_bytes}-byte limit"
-        )
-    payload = _recv_exact(sock, int(length))
-    try:
-        obj = pickle.loads(payload)
-    except Exception as exc:  # damage inside the pickle: any type can come out
-        raise RemoteProtocolError(f"frame payload does not unpickle: {exc!r}") from exc
-    return obj, _HEADER.size + int(length)
 
 
 # ----------------------------------------------------------------------

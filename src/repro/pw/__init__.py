@@ -20,35 +20,15 @@ implements that substrate from scratch in NumPy:
 * :mod:`repro.pw.fsm`        — folded spectrum method for band-edge states
 """
 
-from repro.pw.grid import FFTGrid
-from repro.pw.basis import PlaneWaveBasis
-from repro.pw.pseudopotential import (
-    PseudopotentialSet,
-    SpeciesPseudopotential,
-    default_pseudopotentials,
-)
-from repro.pw.hamiltonian import Hamiltonian
-from repro.pw.eigensolver import all_band_cg, band_by_band_cg, exact_diagonalization
-from repro.pw.mixing import AndersonMixer, KerkerMixer, LinearMixer, Mixer, make_mixer
-from repro.pw.scf import DirectSCF, SCFResult
-from repro.pw.fsm import folded_spectrum
+from repro import exports
 
-__all__ = [
-    "FFTGrid",
-    "PlaneWaveBasis",
-    "PseudopotentialSet",
-    "SpeciesPseudopotential",
-    "default_pseudopotentials",
-    "Hamiltonian",
-    "all_band_cg",
-    "band_by_band_cg",
-    "exact_diagonalization",
-    "AndersonMixer",
-    "KerkerMixer",
-    "LinearMixer",
-    "Mixer",
-    "make_mixer",
-    "DirectSCF",
-    "SCFResult",
-    "folded_spectrum",
-]
+__all__, __getattr__ = exports(__name__, {
+    "grid": "FFTGrid",
+    "basis": "PlaneWaveBasis",
+    "pseudopotential": "PseudopotentialSet SpeciesPseudopotential default_pseudopotentials",
+    "hamiltonian": "Hamiltonian",
+    "eigensolver": "all_band_cg band_by_band_cg exact_diagonalization",
+    "mixing": "AndersonMixer KerkerMixer LinearMixer Mixer make_mixer",
+    "scf": "DirectSCF SCFResult",
+    "fsm": "folded_spectrum",
+})

@@ -23,38 +23,15 @@ Layers (bottom up):
   facade tying streams, locks and dedup together.
 * :mod:`repro.store.server` / :mod:`repro.store.client` — the
   ``repro-serve`` daemon (socket protocol on the ``RPW1`` framing of
-  :mod:`repro.parallel.remote`) and the ``repro-submit`` client/CLI.
+  :mod:`repro.parallel.wire`) and the ``repro-submit`` client/CLI.
 """
 
-from repro.store.dedup import build_solver, canonical_spec, problem_signature
-from repro.store.events import (
-    EVENT_KINDS,
-    TERMINAL_KINDS,
-    Event,
-    TornRecordError,
-    decode_record,
-    encode_record,
-)
-from repro.store.lock import FileLock, LockTimeoutError
-from repro.store.store import RunStore, SubmitReceipt, UnknownRunError
-from repro.store.stream import AppendFaultPlan, EventStream, KilledAppend
+from repro import exports
 
-__all__ = [
-    "EVENT_KINDS",
-    "TERMINAL_KINDS",
-    "AppendFaultPlan",
-    "Event",
-    "EventStream",
-    "FileLock",
-    "KilledAppend",
-    "LockTimeoutError",
-    "RunStore",
-    "SubmitReceipt",
-    "TornRecordError",
-    "UnknownRunError",
-    "build_solver",
-    "canonical_spec",
-    "decode_record",
-    "encode_record",
-    "problem_signature",
-]
+__all__, __getattr__ = exports(__name__, {
+    "dedup": "build_solver canonical_spec problem_signature",
+    "events": "EVENT_KINDS TERMINAL_KINDS Event TornRecordError decode_record encode_record",
+    "lock": "FileLock LockTimeoutError",
+    "store": "RunStore SubmitReceipt UnknownRunError",
+    "stream": "AppendFaultPlan EventStream KilledAppend",
+})

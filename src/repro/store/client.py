@@ -1,8 +1,10 @@
 """``repro-submit``: the run-store service client and CLI.
 
 :class:`ServiceClient` speaks the daemon's strict request/response
-protocol over one persistent connection (``RPW1`` framing shared with
-:mod:`repro.parallel.remote`), with a version handshake on connect.
+protocol over one persistent connection (the ``RPW1`` frames of
+:mod:`repro.parallel.wire`), with a version handshake on connect.  It
+imports the framing and the event kinds only: a ``repro-submit`` call
+loads neither the solver nor, except for ``result``, numpy.
 The CLI wraps it into subcommands — ``submit`` a spec file, ``status``
 / ``events`` / ``result`` / ``wait`` on a run, ``runs`` to list the
 store, ``shutdown`` to stop the daemon — each printing JSON so shell
@@ -19,16 +21,14 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from repro.parallel.remote import (
+from repro.parallel.wire import (
     _DEFAULT_MAX_FRAME,
+    SERVICE_PROTOCOL_VERSION,
     RemoteProtocolError,
     recv_frame,
     send_frame,
 )
 from repro.store.events import TERMINAL_KINDS
-from repro.store.server import SERVICE_PROTOCOL_VERSION
 
 __all__ = ["ServiceClient", "ServiceError", "client_main"]
 
@@ -56,8 +56,8 @@ class ServiceClient:
         Label recorded in ``submitted``/``attached`` events.
     connect_timeout:
         Socket timeout for connect and the handshake; requests
-        afterwards block until answered (a ``wait`` request is held
-        server-side until the run ends or its ``poll`` runs out).
+        afterwards block until answered, except ``wait``, whose reply
+        is due within its hold plus this (see :meth:`wait`).
     """
 
     def __init__(
@@ -91,14 +91,21 @@ class ServiceClient:
         except BaseException:
             sock.close()
             raise
-        sock.settimeout(None)
         self._sock = sock
         return sock
 
-    def _request(self, request: dict) -> dict:
+    def _request(self, request: dict, timeout: float | None = None) -> dict:
         sock = self._connect()
-        send_frame(sock, request, self.max_frame_bytes)
-        reply, _ = recv_frame(sock, self.max_frame_bytes)
+        sock.settimeout(timeout)
+        try:
+            send_frame(sock, request, self.max_frame_bytes)
+            reply, _ = recv_frame(sock, self.max_frame_bytes)
+        except TimeoutError:
+            # A late reply would answer the next request: drop the stream.
+            self.close()
+            raise TimeoutError(
+                f"no reply to {request['op']!r} from {self.address} within {timeout:.1f}s"
+            ) from None
         if not reply.get("ok"):
             raise ServiceError(
                 reply.get("error_type", "ServiceError"),
@@ -169,18 +176,21 @@ class ServiceClient:
         Each ``wait`` request is held by the daemon for at most ``poll``
         seconds and answered the moment one of its job slots finishes
         the run; a run another daemon finishes over the same root is
-        seen within ``poll``.
+        seen within ``poll``.  A reply that is not back within the hold
+        plus ``connect_timeout`` (a stopped, wedged or unreachable
+        daemon) closes the connection.
 
         Raises
         ------
         TimeoutError
-            The run did not reach a terminal state in time.
+            The run did not reach a terminal state in time, or the
+            daemon stopped answering.
         """
         deadline = time.monotonic() + float(timeout)
         while True:
             hold = min(float(poll), max(0.0, deadline - time.monotonic()))
             request = {"op": "wait", "run_id": str(run_id), "poll": hold}
-            head = self._request(request)["head"]
+            head = self._request(request, timeout=hold + self.connect_timeout)["head"]
             if head["status"] in TERMINAL_KINDS:
                 return head
             if time.monotonic() >= deadline:
@@ -268,6 +278,9 @@ def client_main(argv: Sequence[str] | None = None) -> int:
         elif args.command == "events":
             _print_json(client.events(args.run_id, since_seq=args.since))
         elif args.command == "result":
+            # Imported here: the other subcommands start without numpy.
+            import numpy as np
+
             result = client.result(args.run_id)
             if result is None:
                 _print_json(None)

@@ -2,9 +2,9 @@
 
 The daemon fronts one :class:`~repro.store.store.RunStore` with a TCP
 request/response protocol on the same ``RPW1`` framing the remote
-fragment workers speak (:func:`repro.parallel.remote.send_frame` /
-:func:`~repro.parallel.remote.recv_frame`): a 4-byte magic, a length,
-a pickled dict.  Clients (:mod:`repro.store.client`) submit problem
+fragment workers speak (:mod:`repro.parallel.wire`, which also holds
+:data:`~repro.parallel.wire.SERVICE_PROTOCOL_VERSION`): a 4-byte magic,
+a length, a pickled dict.  Clients (:mod:`repro.store.client`) submit problem
 specs, query status/events/results and ``wait`` for a run to end (held
 server-side, woken the moment a job slot finishes it); the daemon
 multiplexes every admitted job onto a small pool of *job slots*, each a
@@ -40,12 +40,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.io.checkpoint import has_checkpoint
-from repro.parallel.remote import (
+from repro.parallel.remote import _HOST_HELP, _Listener, _refusal
+from repro.parallel.wire import (
     _DEFAULT_MAX_FRAME,
-    _HOST_HELP,
+    SERVICE_PROTOCOL_VERSION,
     RemoteProtocolError,
-    _Listener,
-    _refusal,
     recv_frame,
     send_frame,
 )
@@ -54,9 +53,6 @@ from repro.store.events import TERMINAL_KINDS
 from repro.store.store import RunStore
 
 __all__ = ["SERVICE_PROTOCOL_VERSION", "StoreServer", "run_job", "serve_main"]
-
-#: Bumped on any incompatible change to the request/response dicts.
-SERVICE_PROTOCOL_VERSION = 2
 
 _FORK = multiprocessing.get_context("fork")
 

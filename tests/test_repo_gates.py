@@ -96,6 +96,13 @@ def test_genpot_mixes_once_on_the_driver():
         r"sharding =|\.sharding|mix_slab|spectral_filter|filter_lines|ifft_lines_combine") == []
 
 
+def test_one_lazy_export_hook():
+    """Every package's PEP 562 hook is ``repro.__getattr__``, bound by
+    ``repro.exports``; a second module-level copy would come back here."""
+    hooks = _lines_matching(r"^def __getattr__\(")
+    assert [hit.split(":")[0] for hit in hooks] == ["src/repro/__init__.py"]
+
+
 def test_src_line_count_ratchet():
     workflow = (ROOT / ".github/workflows/ci.yml").read_text()
     limit = int(re.search(r"xargs cat \| wc -l\)\" -le (\d+)", workflow).group(1))

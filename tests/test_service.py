@@ -302,7 +302,44 @@ class TestServiceInProcess:
         assert time.monotonic() - t0 < 1.0
         assert outcome and not isinstance(outcome[0], TimeoutError)
 
-    @pytest.mark.parametrize("run_id", ["run-0123456789abcdef", "run-typo",
+    def test_wait_times_out_on_a_daemon_that_stops_answering(self):
+        """A daemon that shakes hands and then swallows every request:
+        ``wait`` gives up after its hold plus ``connect_timeout`` and drops
+        the out-of-step connection."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        swallowed = []
+
+        def wedged_daemon():
+            conn, _ = listener.accept()
+            with conn:
+                hello, _ = recv_frame(conn)
+                send_frame(conn, {"ok": True, "version": hello["version"]})
+                try:
+                    while True:
+                        swallowed.append(recv_frame(conn)[0]["op"])
+                except (ConnectionError, OSError):
+                    pass
+
+        threading.Thread(target=wedged_daemon, daemon=True).start()
+        client = ServiceClient(listener.getsockname(), connect_timeout=0.5)
+        outcome = []
+
+        def waiter():
+            try:
+                client.wait("run-0123456789abcdef", timeout=0.5, poll=0.1)
+            except Exception as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=waiter, daemon=True)
+        thread.start()
+        thread.join(timeout=2.0)
+        listener.close()
+        assert not thread.is_alive()
+        assert len(outcome) == 1 and isinstance(outcome[0], TimeoutError)
+        assert swallowed == ["wait"]
+        assert client._sock is None
+
+    @pytest.mark.parametrize("run_id",["run-0123456789abcdef", "run-typo",
                                         "../../etc"])
     def test_unknown_run_ids_are_refused(self, server, run_id):
         with _client(server) as client:

@@ -92,17 +92,3 @@ def build_znteo_alloy(
     """
     host = zincblende_supercell(dims, "Zn", "Te", lattice_constant)
     return substitute_anions(host, "Te", "O", oxygen_fraction, rng)
-
-
-def oxygen_site_indices(structure: Structure) -> np.ndarray:
-    """Indices of the oxygen atoms in an alloy structure."""
-    return np.array(
-        [i for i, s in enumerate(structure.symbols) if s == "O"], dtype=int
-    )
-
-
-def alloy_composition_summary(structure: Structure) -> dict[str, float]:
-    """Return per-species fractions; useful for verifying alloy builders."""
-    counts = structure.species_counts()
-    total = structure.natoms
-    return {sym: counts[sym] / total for sym in sorted(counts)}

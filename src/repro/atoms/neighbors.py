@@ -43,23 +43,6 @@ class NeighborList:
     def npairs(self) -> int:
         return len(self.pairs)
 
-    def neighbors_of(self, i: int) -> list[int]:
-        """All neighbours of atom ``i`` (both orientations of each pair)."""
-        out: list[int] = []
-        for (a, b) in self.pairs:
-            if a == i:
-                out.append(int(b))
-            elif b == i:
-                out.append(int(a))
-        return out
-
-    def coordination_numbers(self, natoms: int) -> np.ndarray:
-        """Number of neighbours of each atom; shape ``(natoms,)``."""
-        coord = np.zeros(natoms, dtype=int)
-        np.add.at(coord, self.pairs[:, 0], 1)
-        np.add.at(coord, self.pairs[:, 1], 1)
-        return coord
-
     def adjacency(self, natoms: int) -> list[list[tuple[int, np.ndarray]]]:
         """Per-atom adjacency: list of ``(j, vector_i_to_j)`` for each atom."""
         adj: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(natoms)]

@@ -10,11 +10,9 @@ fragment division axis-aligned and simple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-
-from repro.constants import ANGSTROM_TO_BOHR
 
 
 @dataclass(frozen=True)
@@ -133,19 +131,6 @@ class Structure:
         self._symbols = list(symbols)
         self._positions = np.mod(pos, cell_arr[None, :])
 
-    # -- constructors ---------------------------------------------------
-    @classmethod
-    def from_angstrom(
-        cls,
-        cell_ang: Sequence[float],
-        symbols: Sequence[str],
-        positions_ang: np.ndarray | Sequence[Sequence[float]],
-    ) -> "Structure":
-        """Build a structure from Angstrom inputs (converted to Bohr)."""
-        cell = np.asarray(cell_ang, dtype=float) * ANGSTROM_TO_BOHR
-        pos = np.asarray(positions_ang, dtype=float) * ANGSTROM_TO_BOHR
-        return cls(cell, symbols, pos)
-
     # -- basic accessors --------------------------------------------------
     @property
     def cell(self) -> np.ndarray:
@@ -192,13 +177,6 @@ class Structure:
         return " ".join(f"{sym}{counts[sym]}" for sym in sorted(counts))
 
     # -- mutation-ish helpers (return new arrays, keep Structure simple) ---
-    def set_positions(self, positions: np.ndarray) -> None:
-        """Replace all positions (Bohr); wrapped back into the home cell."""
-        pos = np.asarray(positions, dtype=float)
-        if pos.shape != self._positions.shape:
-            raise ValueError("positions shape mismatch")
-        self._positions = np.mod(pos, self._cell[None, :])
-
     def displaced(self, displacements: np.ndarray) -> "Structure":
         """Return a copy with atoms displaced by ``displacements`` (Bohr)."""
         disp = np.asarray(displacements, dtype=float)
@@ -219,16 +197,6 @@ class Structure:
         """Minimum-image distance between atoms ``i`` and ``j`` (Bohr)."""
         return float(np.linalg.norm(self.minimum_image_vector(i, j)))
 
-    def pairwise_min_image(self, positions: np.ndarray | None = None) -> np.ndarray:
-        """All-pairs minimum-image displacement tensor ``(n, n, 3)``.
-
-        Only suitable for small systems (used by tests and the VFF checks);
-        production neighbour finding uses :mod:`repro.atoms.neighbors`.
-        """
-        pos = self._positions if positions is None else np.asarray(positions)
-        d = pos[None, :, :] - pos[:, None, :]
-        return d - self._cell[None, None, :] * np.round(d / self._cell[None, None, :])
-
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:
         return self.natoms
@@ -245,23 +213,3 @@ class Structure:
             f"Structure({self.formula()}, natoms={self.natoms}, "
             f"cell={np.round(self._cell, 3).tolist()} Bohr)"
         )
-
-
-def concatenate_structures(structures: Iterable[Structure]) -> Structure:
-    """Merge structures sharing the same cell into one Structure.
-
-    Used when passivation atoms are appended to a fragment's atom list.
-    """
-    structures = list(structures)
-    if not structures:
-        raise ValueError("need at least one structure")
-    cell = structures[0].cell
-    for s in structures[1:]:
-        if not np.allclose(s.cell, cell):
-            raise ValueError("all structures must share the same cell")
-    symbols: list[str] = []
-    positions: list[np.ndarray] = []
-    for s in structures:
-        symbols.extend(s.symbols)
-        positions.append(s.positions)
-    return Structure(cell, symbols, np.vstack(positions))

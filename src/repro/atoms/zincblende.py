@@ -112,21 +112,3 @@ def zincblende_supercell(
                 positions.append(unit_pos + shift[None, :])
                 symbols.extend(unit_sym)
     return Structure(cell, symbols, np.vstack(positions))
-
-
-def supercell_atom_cell_indices(dims: Sequence[int]) -> np.ndarray:
-    """Return the (m1,m2,m3) cell index of every atom of a supercell.
-
-    The ordering matches :func:`zincblende_supercell`.  Shape is
-    ``(8*m1*m2*m3, 3)``.  Used by the fragment division to assign atoms to
-    grid cells without geometric searches.
-    """
-    dims_arr = np.asarray(dims, dtype=int)
-    if dims_arr.shape != (3,) or np.any(dims_arr < 1):
-        raise ValueError("dims must be three positive integers")
-    indices = []
-    for i in range(dims_arr[0]):
-        for j in range(dims_arr[1]):
-            for k in range(dims_arr[2]):
-                indices.extend([[i, j, k]] * 8)
-    return np.asarray(indices, dtype=int)

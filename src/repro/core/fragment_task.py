@@ -810,8 +810,3 @@ class ExecutionReport:
         if self.wall_time <= 0 or self.worker_count <= 0:
             return 0.0
         return self.total_cpu_time / (self.worker_count * self.wall_time)
-
-    @property
-    def distinct_workers(self) -> int:
-        """Number of distinct worker PIDs that executed the batch."""
-        return len({r.worker_pid for r in self.results})

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -124,14 +124,6 @@ class Fragment:
                     )
         return cells
 
-    def covers_cell(self, cell: Sequence[int]) -> bool:
-        """True if the given grid cell lies inside this fragment."""
-        for c, corner, s, m in zip(cell, self.corner, self.size, self.grid_dims):
-            offset = (int(c) - corner) % m
-            if offset >= s:
-                return False
-        return True
-
 
 def enumerate_fragments(grid_dims: Sequence[int]) -> list[Fragment]:
     """All fragments of an ``m1 x m2 x m3`` periodic fragment grid.
@@ -181,22 +173,3 @@ def coverage_map(grid_dims: Sequence[int]) -> np.ndarray:
         for cell in frag.covered_cells():
             cover[cell] += frag.weight
     return cover
-
-
-def fragments_by_weight(fragments: Sequence[Fragment]) -> dict[int, list[Fragment]]:
-    """Split a fragment list into the +1 and -1 classes."""
-    out: dict[int, list[Fragment]] = {1: [], -1: []}
-    for f in fragments:
-        out[f.weight].append(f)
-    return out
-
-
-def iter_corner_fragments(
-    corner: Sequence[int], grid_dims: Sequence[int]
-) -> Iterator[Fragment]:
-    """Fragments emitted from one specific grid corner (paper's Figure 1)."""
-    dims = tuple(int(m) for m in grid_dims)
-    corner = tuple(int(c) % m for c, m in zip(corner, dims))
-    size_choices = [(1,) if m == 1 else (1, 2) for m in dims]
-    for size in product(*size_choices):
-        yield Fragment(corner, size, fragment_weight(size, dims), dims)

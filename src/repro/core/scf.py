@@ -28,7 +28,7 @@ bounds the PEtot_F wall time — while results stay bit-identical to the
 one-worker-per-fragment side for any slice count and backend.
 
 Long runs can be checkpointed and resumed (``checkpoint_dir=`` /
-``checkpoint_every=`` / ``resume=`` on :meth:`LS3DFSCF.run`): the
+``resume=`` on :meth:`LS3DFSCF.run`): after every iteration the
 cross-iteration state — input potential, mixer history, warm-start
 wavefunctions — is persisted via :mod:`repro.io.checkpoint`, and a
 resumed run's iterates are bit-identical to an uninterrupted run's.  On
@@ -846,7 +846,6 @@ class LS3DFSCF:
         eigensolver_iterations: int = 60,
         initial_potential: np.ndarray | None = None,
         checkpoint_dir: str | Path | None = None,
-        checkpoint_every: int = 1,
         resume: bool = False,
         event_hook: Callable[[str, dict], None] | None = None,
     ) -> LS3DFResult:
@@ -876,16 +875,14 @@ class LS3DFSCF:
             Optional starting input potential (defaults to the neutral-atom
             guess).  Ignored when resuming from a checkpoint.
         checkpoint_dir:
-            Directory to write SCF checkpoints to (input potential, mixer
-            state, warm-start wavefunctions, histories).  ``None``
-            (default) disables checkpointing.  The write time is recorded
-            as serial work in ``IterationTimings.checkpoint_io``.  With
-            band groups (``band_groups=``) each completed fragment
-            is additionally persisted *within* the iteration, so a killed
-            run replays the finished fragments from disk and re-solves
-            only the rest.
-        checkpoint_every:
-            Save every this-many iterations (default 1: every iteration).
+            Directory to write an SCF checkpoint to after every
+            non-converged iteration (input potential, mixer state,
+            warm-start wavefunctions, histories).  ``None`` (default)
+            disables checkpointing.  The write time is recorded as serial
+            work in ``IterationTimings.checkpoint_io``.  With band groups
+            (``band_groups=``) each completed fragment is additionally
+            persisted *within* the iteration, so a killed run replays the
+            finished fragments from disk and re-solves only the rest.
         resume:
             Restore state from ``checkpoint_dir`` and continue at the
             saved iteration.  The checkpoint's grid shape, fragment-
@@ -917,8 +914,6 @@ class LS3DFSCF:
         """
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be positive")
         checkpoint_path = Path(checkpoint_dir) if checkpoint_dir is not None else None
         if resume and checkpoint_path is None:
             raise ValueError("resume=True requires checkpoint_dir")
@@ -1046,7 +1041,7 @@ class LS3DFSCF:
             # input potential, mixer history, warm-start wavefunctions,
             # histories) so a killed run resumes at iteration+1 with
             # bit-identical iterates.  Driver-only I/O, counted as serial.
-            if checkpoint_path is not None and iteration % checkpoint_every == 0:
+            if checkpoint_path is not None:
                 t0 = time.perf_counter()
                 mixer_state_dict = getattr(mixer, "state_dict", None)
                 save_checkpoint(
@@ -1064,11 +1059,9 @@ class LS3DFSCF:
                         energy_history=energy_history,
                     ),
                 )
-                # The full checkpoint supersedes this (and any earlier)
-                # iteration's mid-iteration partials; partials of a later
-                # iteration would still be the only record of that work
-                # and are kept.
-                clear_partial_payloads(checkpoint_path, up_to_iteration=iteration)
+                # The full checkpoint supersedes this iteration's
+                # mid-iteration partials.
+                clear_partial_payloads(checkpoint_path)
                 t.checkpoint_io += time.perf_counter() - t0
                 if event_hook is not None:
                     event_hook("checkpointed", {"iteration": int(iteration)})
@@ -1077,7 +1070,7 @@ class LS3DFSCF:
         # its mid-iteration partials would otherwise outlive the run; the
         # run succeeded, nothing is left to replay.
         if converged and checkpoint_path is not None:
-            clear_partial_payloads(checkpoint_path, up_to_iteration=iteration)
+            clear_partial_payloads(checkpoint_path)
 
         return LS3DFResult(
             density=density,

@@ -2,11 +2,11 @@
 
 The paper's production runs survive machine-time limits and preemption by
 restarting mid-SCF: the per-fragment wavefunctions, the mixing history
-and the current input potential are written out periodically, and a
-restarted job continues from the saved iteration as if it had never been
-killed.  This module reproduces that for
-:class:`repro.core.scf.LS3DFSCF` (``checkpoint_dir=`` /
-``checkpoint_every=`` / ``resume=`` on ``run``).
+and the current input potential are written out once per SCF iteration,
+and a restarted job continues from the saved iteration as if it had never
+been killed.  This module reproduces that for
+:class:`repro.core.scf.LS3DFSCF` (``checkpoint_dir=`` / ``resume=`` on
+``run``).
 
 A checkpoint is one directory holding two files:
 
@@ -21,18 +21,19 @@ A checkpoint is one directory holding two files:
   kind.
 
 For very large fragments a whole iteration is a long time to lose, so a
-``partial/iter-NNNNNN/`` subdirectory additionally holds
-**mid-iteration** state: one ``frag-<digest>.npz`` payload per
-*completed* fragment of the iteration currently in flight, plus a small
-per-iteration manifest (iteration counter, problem signature, and a
-fingerprint of the iteration's solve inputs).  The band-grouped PEtot_F path
-(:class:`repro.core.scf.LS3DFSCF` with ``band_groups=``), which solves
-fragments one group at a time, appends to it as fragments finish; a
-killed run replays the saved fragments from disk and re-solves only the
-unfinished ones, bit-identically.  The functions
-:func:`save_partial_payload` / :func:`load_partial_payloads` /
-:func:`clear_partial_payloads` deal in plain label -> arrays mappings so
-this module stays free of ``core`` imports; the array schema is owned by
+``partial/`` subdirectory additionally holds **mid-iteration** state: one
+``frag-<digest>.npz`` payload per *completed* fragment of the iteration
+in flight, plus a small manifest (iteration counter, problem signature,
+and a fingerprint of the iteration's solve inputs).  Since every
+non-converged iteration ends in a full checkpoint, which clears
+``partial/``, at most one iteration's partials ever exist.  The
+band-grouped PEtot_F path (:class:`repro.core.scf.LS3DFSCF` with
+``band_groups=``) appends to it as fragments finish; a killed run replays
+the saved fragments from disk and re-solves only the unfinished ones,
+bit-identically.  The functions :func:`save_partial_payload` /
+:func:`load_partial_payloads` / :func:`clear_partial_payloads` deal in
+plain label -> arrays mappings so this module stays free of ``core``
+imports; the array schema is owned by
 :meth:`repro.core.fragment_task.FragmentTaskResult.state_dict`.
 
 The manifest is replaced atomically *after* its payload exists, so the
@@ -337,17 +338,6 @@ def load_checkpoint(
 # Mid-iteration partial checkpoints (per-fragment payloads)
 
 
-def _partial_root(directory: str | Path) -> Path:
-    return Path(directory) / PARTIAL_DIRNAME
-
-
-def _partial_dir(directory: str | Path, iteration: int) -> Path:
-    # One subdirectory per in-flight iteration, so a resumed run that
-    # replays earlier iterations never clobbers the partials of a later
-    # one (the only record of that work until the run catches up again).
-    return _partial_root(directory) / f"iter-{int(iteration):06d}"
-
-
 def _partial_payload_name(label: str) -> str:
     # Fragment labels contain characters unfit for filenames ("F(1,0,2)x212");
     # the digest keys the file, the true label rides inside the payload.
@@ -364,6 +354,14 @@ def _read_partial_manifest(pdir: Path) -> dict | None:
         return None
 
 
+def _unlink_payloads(pdir: Path) -> None:
+    for stale in pdir.glob("frag-*.npz*"):
+        try:
+            stale.unlink()
+        except OSError:  # pragma: no cover - cleanup is best effort
+            pass
+
+
 def save_partial_payload(
     directory: str | Path,
     iteration: int,
@@ -374,13 +372,12 @@ def save_partial_payload(
 ) -> Path:
     """Persist one completed fragment's arrays for the in-flight iteration.
 
-    Partials live in one subdirectory per iteration
-    (``partial/iter-NNNNNN/``), so saving for iteration k never disturbs
-    partials of any other iteration.  The first save of a new
-    ``(division_signature, state_fingerprint)`` pair for an iteration
-    wipes that iteration's stale payloads and writes a fresh manifest;
-    subsequent saves append one crash-safe ``.npz`` per fragment.  A
-    kill at any moment leaves every already-saved fragment loadable.
+    ``partial/`` holds one iteration's payloads under one manifest.  The
+    first save for a new ``(iteration, division_signature,
+    state_fingerprint)`` wipes whatever payloads are there and writes a
+    fresh manifest; subsequent saves append one crash-safe ``.npz`` per
+    fragment.  A kill at any moment leaves every already-saved fragment
+    loadable.
 
     Parameters
     ----------
@@ -411,31 +408,20 @@ def save_partial_payload(
     Path
         The written payload path.
     """
-    pdir = _partial_dir(directory, iteration)
+    pdir = Path(directory) / PARTIAL_DIRNAME
     pdir.mkdir(parents=True, exist_ok=True)
-    manifest = _read_partial_manifest(pdir)
-    if (
-        manifest is None
-        or int(manifest.get("iteration", -1)) != int(iteration)
-        or manifest.get("division_signature") != division_signature
-        or manifest.get("state_fingerprint", "") != state_fingerprint
-        or int(manifest.get("version", -1)) != CHECKPOINT_VERSION
-    ):
-        for stale in pdir.glob("frag-*.npz*"):
-            try:
-                stale.unlink()
-            except OSError:  # pragma: no cover - cleanup is best effort
-                pass
-        fresh = {
-            "format": "repro-ls3df-partial",
-            "version": CHECKPOINT_VERSION,
-            "iteration": int(iteration),
-            "division_signature": division_signature,
-            "state_fingerprint": state_fingerprint,
-        }
+    manifest = {
+        "format": "repro-ls3df-partial",
+        "version": CHECKPOINT_VERSION,
+        "iteration": int(iteration),
+        "division_signature": division_signature,
+        "state_fingerprint": state_fingerprint,
+    }
+    if _read_partial_manifest(pdir) != manifest:
+        _unlink_payloads(pdir)
         write_text_atomic(
             pdir / MANIFEST_NAME,
-            json.dumps(fresh, indent=2, sort_keys=True) + "\n",
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         )
     payload_path = pdir / _partial_payload_name(label)
     write_npz_atomic(payload_path, **arrays)
@@ -450,7 +436,7 @@ def load_partial_payloads(
 ) -> dict[str, dict[str, np.ndarray]]:
     """Completed-fragment payloads saved for the given in-flight iteration.
 
-    Stale partials — a different format version, or a
+    Stale partials — another iteration, a different format version, or a
     ``state_fingerprint`` recording different solve inputs (changed
     eigensolver controls, a different input potential) — are silently
     ignored: they belong to work the resuming run must redo.  A
@@ -478,7 +464,7 @@ def load_partial_payloads(
     CheckpointMismatchError
         The partials belong to a different problem signature.
     """
-    pdir = _partial_dir(directory, iteration)
+    pdir = Path(directory) / PARTIAL_DIRNAME
     manifest = _read_partial_manifest(pdir)
     if manifest is None or int(manifest.get("version", -1)) != CHECKPOINT_VERSION:
         return {}
@@ -505,41 +491,20 @@ def load_partial_payloads(
     return payloads
 
 
-def clear_partial_payloads(
-    directory: str | Path, up_to_iteration: int | None = None
-) -> None:
-    """Remove mid-iteration partials that a full checkpoint superseded.
+def clear_partial_payloads(directory: str | Path) -> None:
+    """Remove the mid-iteration partials (a full checkpoint superseded them).
 
     Parameters
     ----------
     directory:
         The run's checkpoint directory.
-    up_to_iteration:
-        When given, only clear the per-iteration partial directories
-        whose iteration is ``<= up_to_iteration`` (partials of a *later*
-        iteration are still the only record of that work and are kept);
-        ``None`` clears everything.
     """
-    root = _partial_root(directory)
-    if not root.is_dir():
+    pdir = Path(directory) / PARTIAL_DIRNAME
+    if not pdir.is_dir():
         return
-    for pdir in sorted(root.glob("iter-*")):
-        if not pdir.is_dir():
-            continue
-        manifest = _read_partial_manifest(pdir)
-        iteration = int(manifest.get("iteration", -1)) if manifest else -1
-        if up_to_iteration is not None and iteration > int(up_to_iteration):
-            continue
-        for stale in list(pdir.glob("frag-*.npz*")) + [pdir / MANIFEST_NAME]:
-            try:
-                stale.unlink()
-            except OSError:  # pragma: no cover - cleanup is best effort
-                pass
-        try:
-            pdir.rmdir()
-        except OSError:  # pragma: no cover - non-empty/racing dir
-            pass
+    _unlink_payloads(pdir)
     try:
-        root.rmdir()
-    except OSError:  # pragma: no cover - still holds newer iterations
+        (pdir / MANIFEST_NAME).unlink(missing_ok=True)
+        pdir.rmdir()
+    except OSError:  # pragma: no cover - cleanup is best effort
         pass

@@ -1,9 +1,8 @@
 """Export of real-space grid data (densities, wavefunctions).
 
 The paper's Figure 7 shows isosurface plots of |psi|^2 for the band-edge
-states.  This repository exports the same grid data in two forms: a
-Gaussian-cube-like text format readable by common viewers and a compact
-NumPy ``.npz`` file for programmatic use.  :func:`write_npz_atomic` is
+states.  This repository exports the same grid data as a compact NumPy
+``.npz`` file (:func:`write_grid_npz`).  :func:`write_npz_atomic` is
 the lower-level crash-safe ``.npz`` writer the checkpoint layer
 (:mod:`repro.io.checkpoint`) builds on.
 """
@@ -18,45 +17,6 @@ import numpy as np
 from repro.atoms.structure import Structure
 from repro.constants import BOHR_TO_ANGSTROM
 from repro.pw.grid import FFTGrid
-
-# Minimal symbol -> atomic number map for the cube header.
-_ATOMIC_NUMBERS = {
-    "H": 1, "H_cation": 1, "H_anion": 1, "O": 8, "Si": 14, "S": 16,
-    "Zn": 30, "Ga": 31, "As": 33, "Se": 34, "Cd": 48, "Te": 52,
-}
-
-
-def write_cube_like(
-    path: str | Path,
-    field: np.ndarray,
-    grid: FFTGrid,
-    structure: Structure,
-    comment: str = "LS3DF field",
-) -> Path:
-    """Write a scalar field in Gaussian-cube format (orthorhombic cells)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if field.shape != grid.shape:
-        raise ValueError("field shape does not match grid")
-    nx, ny, nz = grid.shape
-    spacing = grid.spacing
-    lines = [comment, "generated by repro (LS3DF reproduction)"]
-    lines.append(f"{structure.natoms:5d} {0.0:12.6f} {0.0:12.6f} {0.0:12.6f}")
-    lines.append(f"{nx:5d} {spacing[0]:12.6f} {0.0:12.6f} {0.0:12.6f}")
-    lines.append(f"{ny:5d} {0.0:12.6f} {spacing[1]:12.6f} {0.0:12.6f}")
-    lines.append(f"{nz:5d} {0.0:12.6f} {0.0:12.6f} {spacing[2]:12.6f}")
-    for atom in structure:
-        z = _ATOMIC_NUMBERS.get(atom.symbol, 1)
-        x, y, zz = atom.position
-        lines.append(f"{z:5d} {float(z):12.6f} {x:12.6f} {y:12.6f} {zz:12.6f}")
-    flat = np.asarray(field, dtype=float).reshape(nx, ny, nz)
-    for ix in range(nx):
-        for iy in range(ny):
-            row = flat[ix, iy]
-            for start in range(0, nz, 6):
-                lines.append(" ".join(f"{v: .5E}" for v in row[start : start + 6]))
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 def fsync_directory(directory: str | Path) -> None:

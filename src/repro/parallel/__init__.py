@@ -63,13 +63,13 @@ from repro import exports
 
 __all__, __getattr__ = exports(__name__, {
     "machine": "Machine FRANKLIN JAGUAR INTREPID machine_by_name",
-    "groups": "GroupDecomposition choose_group_size",
+    "groups": "GroupDecomposition",
     "scheduler": "FragmentScheduler ScheduleSummary",
     "flops": "LS3DFWorkload FragmentWork",
     "comm": "CommunicationModel CommScheme",
     "perfmodel": "LS3DFPerformanceModel PerformancePoint DirectDFTCostModel",
     "amdahl": "amdahl_speedup fit_amdahl AmdahlFit SerialFractionEstimate "
-    "intra_group_efficiency_history measured_intra_group_efficiency measured_serial_fraction "
+    "measured_intra_group_efficiency measured_serial_fraction "
     "serial_fraction_history sharded_genpot_estimate",
     "bands": "BandBlockResult BandBlockTask BandGroup BandGroupExecutor BandGroupStats BandSlice "
     "band_slices run_band_block_task",

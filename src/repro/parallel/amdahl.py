@@ -276,26 +276,6 @@ def measured_intra_group_efficiency(
     return task_cpu / (nslices * wall_time)
 
 
-def intra_group_efficiency_history(timings: Sequence) -> list[float]:
-    """Measured intra-group efficiency of every band-sliced iteration.
-
-    Parameters
-    ----------
-    timings:
-        :class:`repro.core.scf.IterationTimings` as recorded in
-        ``LS3DFResult.timings``.  Iterations that did not run band-sliced
-        contribute 0.0.
-
-    Returns
-    -------
-    list[float]
-        One measured efficiency per iteration, in order — printable next
-        to the modelled
-        :meth:`repro.parallel.groups.GroupDecomposition.intra_group_efficiency`.
-    """
-    return [t.measured_intra_group_efficiency for t in timings]
-
-
 def sharded_genpot_estimate(
     estimate: SerialFractionEstimate,
     genpot_time: float,

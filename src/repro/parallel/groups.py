@@ -46,19 +46,6 @@ class GroupDecomposition:
         """Ng, the number of independent fragment groups."""
         return self.total_cores // self.cores_per_group
 
-    def group_of_rank(self, rank: int) -> int:
-        """Group index owning a given MPI rank (block distribution)."""
-        if not 0 <= rank < self.total_cores:
-            raise ValueError("rank out of range")
-        return rank // self.cores_per_group
-
-    def ranks_of_group(self, group: int) -> range:
-        """Ranks belonging to a group."""
-        if not 0 <= group < self.ngroups:
-            raise ValueError("group out of range")
-        start = group * self.cores_per_group
-        return range(start, start + self.cores_per_group)
-
     # ------------------------------------------------------------------
     def intra_group_efficiency(
         self,
@@ -86,39 +73,3 @@ class GroupDecomposition:
             raise ValueError("core_peak_gflops must be positive")
         x = self.cores_per_group * core_peak_gflops / saturation_gflops
         return float(np.clip(1.0 / (1.0 + x * x), 0.05, 1.0))
-
-
-def choose_group_size(
-    core_peak_gflops: float,
-    nfragments: int,
-    total_cores: int,
-    candidates: tuple[int, ...] = (10, 20, 40, 64, 80, 128),
-    min_efficiency: float = 0.85,
-) -> int:
-    """Pick the largest Np whose intra-group efficiency stays acceptable.
-
-    Larger groups shorten each fragment solve (helping strong scaling and
-    load balance when there are few fragments per group), but the intra-
-    group efficiency falls with Np; this helper mirrors the paper's
-    empirical determination that Np = 40 is the sweet spot on the Cray XT4
-    systems.
-    """
-    if total_cores <= 0 or nfragments <= 0:
-        raise ValueError("total_cores and nfragments must be positive")
-    best_np = None
-    for np_cores in sorted(candidates):
-        if total_cores % np_cores != 0:
-            continue
-        decomp = GroupDecomposition(total_cores=total_cores, cores_per_group=np_cores)
-        eff = decomp.intra_group_efficiency(core_peak_gflops)
-        if eff >= min_efficiency:
-            best_np = np_cores
-        elif best_np is not None:
-            break
-    if best_np is None:
-        # Fall back to the smallest candidate that divides the core count.
-        for np_cores in sorted(candidates):
-            if total_cores % np_cores == 0:
-                return np_cores
-        return 1
-    return best_np

@@ -158,8 +158,3 @@ def machine_by_name(name: str) -> Machine:
         raise KeyError(
             f"unknown machine {name!r}; available: {sorted(_MACHINES)}"
         ) from exc
-
-
-def all_machines() -> list[Machine]:
-    """The three evaluation machines, in the paper's Table I order."""
-    return [FRANKLIN, JAGUAR, INTREPID]

@@ -86,7 +86,6 @@ from repro.parallel.bands import run_band_block_task
 from repro.parallel.distributed import run_global_step_task
 from repro.parallel.executor import _Backend
 from repro.parallel.wire import (
-    _DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
     RemoteProtocolError,
     recv_frame,
@@ -167,10 +166,9 @@ class _Listener:
     after :meth:`start`.
     """
 
-    def __init__(self, host: str, port: int, max_frame_bytes: int) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = int(port)
-        self.max_frame_bytes = int(max_frame_bytes)
         self.address: tuple[str, int] | None = None
         self._sock: socket.socket | None = None
         self._threads: list[threading.Thread] = []
@@ -259,18 +257,10 @@ class WorkerServer(_Listener):
         Optional deterministic fault injector
         (:class:`repro.parallel.faults.FaultPlan`) consulted before each
         task reply — the test harness for the failure model.
-    max_frame_bytes:
-        Per-frame size limit (both directions).
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        fault_plan=None,
-        max_frame_bytes: int = _DEFAULT_MAX_FRAME,
-    ) -> None:
-        super().__init__(host, port, max_frame_bytes)
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, fault_plan=None) -> None:
+        super().__init__(host, port)
         self.fault_plan = fault_plan
         self.tasks_served = 0
         self.installs = 0
@@ -281,7 +271,7 @@ class WorkerServer(_Listener):
         with conn:
             while not self._stop.is_set():
                 try:
-                    request, nbytes = recv_frame(conn, self.max_frame_bytes)
+                    request, nbytes = recv_frame(conn)
                 except (ConnectionError, OSError, EOFError):
                     return
                 except RemoteProtocolError:
@@ -297,7 +287,7 @@ class WorkerServer(_Listener):
                 except Exception as exc:  # not a request: refuse, keep serving
                     reply = _refusal(f"malformed request: {exc!r}")
                 try:
-                    self.bytes_sent += send_frame(conn, reply, self.max_frame_bytes)
+                    self.bytes_sent += send_frame(conn, reply)
                 except (ConnectionError, OSError):
                     return
 
@@ -518,8 +508,6 @@ class RemoteExecutorConfig:
         Initial retry backoff in seconds, growing by ``backoff_factor``.
     backoff_factor:
         Multiplier applied to the backoff after every failed attempt.
-    max_frame_bytes:
-        Per-frame size limit (both directions).
     """
 
     connect_timeout: float = 5.0
@@ -528,7 +516,6 @@ class RemoteExecutorConfig:
     max_retries: int = 2
     backoff: float = 0.05
     backoff_factor: float = 2.0
-    max_frame_bytes: int = _DEFAULT_MAX_FRAME
 
 
 class _WorkerHandle:
@@ -586,10 +573,8 @@ class _WorkerHandle:
         )
 
     def _roundtrip(self, request: dict) -> dict:
-        self.bytes_sent += send_frame(
-            self.sock, request, self.config.max_frame_bytes
-        )
-        reply, nbytes = recv_frame(self.sock, self.config.max_frame_bytes)
+        self.bytes_sent += send_frame(self.sock, request)
+        reply, nbytes = recv_frame(self.sock)
         self.bytes_received += nbytes
         return reply
 

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.parallel.wire import (
-    _DEFAULT_MAX_FRAME,
     SERVICE_PROTOCOL_VERSION,
     RemoteProtocolError,
     recv_frame,
@@ -65,12 +64,10 @@ class ServiceClient:
         address: tuple[str, int],
         client: str = "repro-submit",
         connect_timeout: float = 10.0,
-        max_frame_bytes: int = _DEFAULT_MAX_FRAME,
     ) -> None:
         self.address = (str(address[0]), int(address[1]))
         self.client = str(client)
         self.connect_timeout = float(connect_timeout)
-        self.max_frame_bytes = int(max_frame_bytes)
         self._sock: socket.socket | None = None
 
     # -- plumbing ------------------------------------------------------
@@ -80,12 +77,8 @@ class ServiceClient:
         sock = socket.create_connection(self.address, timeout=self.connect_timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
-            send_frame(
-                sock,
-                {"op": "hello", "version": SERVICE_PROTOCOL_VERSION},
-                self.max_frame_bytes,
-            )
-            reply, _ = recv_frame(sock, self.max_frame_bytes)
+            send_frame(sock, {"op": "hello", "version": SERVICE_PROTOCOL_VERSION})
+            reply, _ = recv_frame(sock)
             if not reply.get("ok"):
                 raise RemoteProtocolError(reply.get("error", "handshake refused"))
         except BaseException:
@@ -98,8 +91,8 @@ class ServiceClient:
         sock = self._connect()
         sock.settimeout(timeout)
         try:
-            send_frame(sock, request, self.max_frame_bytes)
-            reply, _ = recv_frame(sock, self.max_frame_bytes)
+            send_frame(sock, request)
+            reply, _ = recv_frame(sock)
         except TimeoutError:
             # A late reply would answer the next request: drop the stream.
             self.close()

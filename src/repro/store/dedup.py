@@ -56,7 +56,6 @@ RUN_KEYS = frozenset(
         "potential_tolerance",
         "eigensolver_tolerance",
         "eigensolver_iterations",
-        "checkpoint_every",
     }
 )
 

@@ -42,7 +42,6 @@ import numpy as np
 from repro.io.checkpoint import has_checkpoint
 from repro.parallel.remote import _HOST_HELP, _Listener, _refusal
 from repro.parallel.wire import (
-    _DEFAULT_MAX_FRAME,
     SERVICE_PROTOCOL_VERSION,
     RemoteProtocolError,
     recv_frame,
@@ -55,6 +54,10 @@ from repro.store.store import RunStore
 __all__ = ["SERVICE_PROTOCOL_VERSION", "StoreServer", "run_job", "serve_main"]
 
 _FORK = multiprocessing.get_context("fork")
+
+#: Fields a request must carry, per op; a frame without them is refused.
+_REQUIRED = {"submit": ("spec",), "status": ("run_id",), "wait": ("run_id", "poll"),
+             "events": ("run_id",), "result": ("run_id",)}
 
 
 def _die_with(parent: int) -> None:
@@ -134,13 +137,10 @@ class StoreServer(_Listener):
         since the slots die with the thread that forked them.
     """
 
-    def __init__(
-        self, root: str | Path, host: str = "127.0.0.1", port: int = 0, job_slots: int = 1,
-        max_frame_bytes: int = _DEFAULT_MAX_FRAME,
-    ) -> None:
+    def __init__(self, root: str | Path, host: str = "127.0.0.1", port: int = 0, job_slots: int = 1) -> None:
         if job_slots < 1:
             raise ValueError("job_slots must be positive")
-        super().__init__(host, port, max_frame_bytes)
+        super().__init__(host, port)
         self.store = RunStore(root)
         self.job_slots = int(job_slots)
         self.jobs_started = 0
@@ -260,7 +260,7 @@ class StoreServer(_Listener):
         with conn:
             while not self._stop.is_set():
                 try:
-                    request, _ = recv_frame(conn, self.max_frame_bytes)
+                    request, _ = recv_frame(conn)
                 except (OSError, EOFError, RemoteProtocolError):
                     return
                 try:
@@ -268,12 +268,17 @@ class StoreServer(_Listener):
                 except Exception as exc:  # never kill the daemon on a request
                     reply = {"ok": False, "error_type": type(exc).__name__, "error": str(exc)}
                 try:
-                    send_frame(conn, reply, self.max_frame_bytes)
+                    send_frame(conn, reply)
                 except (ConnectionError, OSError):
                     return
 
     def _handle(self, request: dict) -> dict:
-        op = request.get("op")
+        op = request.get("op") if isinstance(request, dict) else None
+        if not isinstance(op, str):
+            return _refusal(f"malformed request: no op in a {type(request).__name__} frame")
+        missing = [name for name in _REQUIRED.get(op, ()) if name not in request]
+        if missing:
+            return _refusal(f"malformed {op!r} request: missing {', '.join(missing)}")
         if op == "hello":
             if request.get("version") != SERVICE_PROTOCOL_VERSION:
                 return _refusal(

@@ -10,7 +10,7 @@ from repro.analysis.states import (
     oxygen_band_analysis,
 )
 from repro.atoms.toy import cscl_binary
-from repro.io.gridio import write_cube_like, write_grid_npz
+from repro.io.gridio import write_grid_npz
 from repro.io.results import ResultRecord, load_records, save_records
 from repro.io.tables import format_table, table1_layout
 from repro.parallel.executor import (
@@ -100,10 +100,6 @@ def test_write_grid_outputs(tmp_path):
     structure = cscl_binary((1, 1, 1), "Zn", "O", 6.0)
     grid = FFTGrid(structure.cell, (6, 6, 6))
     field = np.random.default_rng(0).random(grid.shape)
-    cube = write_cube_like(tmp_path / "state.cube", field, grid, structure)
-    assert cube.exists()
-    header = cube.read_text().splitlines()
-    assert int(header[2].split()[0]) == structure.natoms
     npz = write_grid_npz(tmp_path / "state.npz", grid, structure, density=field)
     data = np.load(npz, allow_pickle=False)
     assert np.allclose(data["density"], field)
@@ -152,6 +148,5 @@ def test_process_pool_executor_distributes_tasks():
     report = ProcessPoolFragmentExecutor(n_workers=2).run(tasks)
     assert len(report.results) == 2
     assert {r.label for r in report.results} == {"f0", "f1"}
-    assert report.distinct_workers >= 1
     with pytest.raises(ValueError):
         ProcessPoolFragmentExecutor(n_workers=0)

@@ -3,18 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.atoms.alloy import (
-    alloy_composition_summary,
-    build_znteo_alloy,
-    oxygen_site_indices,
-    substitute_anions,
-)
+from repro.atoms.alloy import build_znteo_alloy, substitute_anions
 from repro.atoms.toy import cscl_binary, simple_cubic
-from repro.atoms.zincblende import (
-    supercell_atom_cell_indices,
-    zincblende_supercell,
-    zincblende_unit_cell,
-)
+from repro.atoms.zincblende import zincblende_supercell, zincblende_unit_cell
 
 
 def test_unit_cell_has_eight_atoms_and_correct_bond_length():
@@ -38,16 +29,6 @@ def test_supercell_atom_count_follows_paper_convention():
     for dims in [(1, 1, 1), (2, 1, 1), (2, 2, 2), (3, 2, 1)]:
         sc = zincblende_supercell(dims, "Zn", "Te")
         assert sc.natoms == 8 * np.prod(dims)
-
-
-def test_supercell_cell_indices_match_positions():
-    dims = (2, 2, 1)
-    sc = zincblende_supercell(dims, "Zn", "Te")
-    idx = supercell_atom_cell_indices(dims)
-    assert idx.shape == (sc.natoms, 3)
-    a = zincblende_unit_cell("Zn", "Te").cell[0]
-    frac_cell = np.floor(sc.positions / a).astype(int)
-    assert np.array_equal(frac_cell, idx)
 
 
 def test_substitute_anions_counts_and_reproducibility():
@@ -77,10 +58,7 @@ def test_build_znteo_alloy_three_percent():
     counts = alloy.species_counts()
     # 3% of 108 Te sites -> 3 oxygen atoms.
     assert counts["O"] == 3
-    assert len(oxygen_site_indices(alloy)) == 3
-    comp = alloy_composition_summary(alloy)
-    assert comp["Zn"] == pytest.approx(0.5)
-    assert comp["O"] == pytest.approx(3 / 216)
+    assert counts["Zn"] == 108
 
 
 def test_cscl_and_simple_cubic_builders():

@@ -38,10 +38,7 @@ from repro.io.checkpoint import (
     load_partial_payloads,
     save_partial_payload,
 )
-from repro.parallel.amdahl import (
-    intra_group_efficiency_history,
-    measured_intra_group_efficiency,
-)
+from repro.parallel.amdahl import measured_intra_group_efficiency
 from repro.parallel.bands import (
     BandBlockResult,
     BandBlockTask,
@@ -430,11 +427,6 @@ def test_scf_band_groups_timings_and_accounting(pipeline_run):
             t.gen_vf + t.gen_dens + t.genpot + t.band_driver + t.checkpoint_io)
         # One worker holds one band group.
         assert t.band_group_count == 1
-    # Measured-efficiency history helper consumes these timings directly.
-    effs = intra_group_efficiency_history(result.timings)
-    assert len(effs) == len(result.timings)
-    assert all(e == t.measured_intra_group_efficiency
-               for e, t in zip(effs, result.timings))
 
 
 def test_scf_band_groups_validation():
@@ -473,8 +465,7 @@ def test_intra_group_efficiency_divides_by_every_concurrent_slice():
         petot_f=2.0, band_sliced=True, band_slices=2, band_group_count=2,
         band_tasks=[1.5, 1.5, 2.0, 1.0])
     assert timings.measured_intra_group_efficiency == 6.0 / (2 * 2 * 2.0)
-    assert intra_group_efficiency_history([timings, IterationTimings()]) == [
-        6.0 / (2 * 2 * 2.0), 0.0]
+    assert IterationTimings().measured_intra_group_efficiency == 0.0
 
 
 def test_measured_intra_group_efficiency_helper():
@@ -541,19 +532,16 @@ def test_partial_payload_save_load_clear(tmp_path):
     # A different problem is a loud error, like the full checkpoint.
     with pytest.raises(CheckpointMismatchError):
         load_partial_payloads(tmp_path, 3, "other-sig")
-    # Iterations live in separate subdirectories: saving for iteration 4
-    # must NOT disturb iteration 3's payloads (a resumed run replaying
-    # iteration 3 would otherwise destroy the only record of iteration
-    # 4's completed fragments).
+    # One iteration is in flight at a time: its first save replaces the
+    # previous iteration's payloads under one flat manifest.
     save_partial_payload(tmp_path, 4, "sig", "F(0,0,0)x111", arrays_a)
     assert sorted(load_partial_payloads(tmp_path, 4, "sig")) == ["F(0,0,0)x111"]
-    assert len(load_partial_payloads(tmp_path, 3, "sig")) == 2
-    # up_to_iteration clears older partials, keeps newer ones.
-    clear_partial_payloads(tmp_path, up_to_iteration=3)
     assert load_partial_payloads(tmp_path, 3, "sig") == {}
-    assert load_partial_payloads(tmp_path, 4, "sig") != {}
+    names = sorted(p.name for p in (tmp_path / "partial").iterdir())
+    assert len(names) == 2 and names[0].startswith("frag-") and names[1] == "manifest.json"
     clear_partial_payloads(tmp_path)
     assert load_partial_payloads(tmp_path, 4, "sig") == {}
+    assert not (tmp_path / "partial").exists()
 
 
 def test_partial_payload_state_fingerprint_gates_replay(tmp_path):

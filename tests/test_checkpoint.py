@@ -316,9 +316,6 @@ def test_resume_argument_validation(tmp_path):
     scf = _solver("kerker")
     with pytest.raises(ValueError, match="checkpoint_dir"):
         scf.run(max_iterations=2, resume=True, **_RUN_KW)
-    with pytest.raises(ValueError, match="checkpoint_every"):
-        scf.run(max_iterations=2, checkpoint_dir=tmp_path, checkpoint_every=0,
-                **_RUN_KW)
 
 
 def test_resume_with_empty_directory_starts_fresh(tmp_path, fresh_runs):
@@ -328,12 +325,21 @@ def test_resume_with_empty_directory_starts_fresh(tmp_path, fresh_runs):
     assert result.convergence_history == fresh_runs["linear"].convergence_history
 
 
-def test_checkpoint_every_skips_intermediate_iterations(tmp_path):
-    partial = _solver("linear").run(
-        max_iterations=3, checkpoint_dir=tmp_path, checkpoint_every=2, **_RUN_KW
+def test_every_iteration_writes_a_checkpoint(tmp_path):
+    """The one cadence: a full checkpoint after every non-converged iteration."""
+    saved = []
+
+    def hook(kind, data):
+        if kind == "checkpointed":
+            saved.append(data["iteration"])
+
+    result = _solver("linear").run(
+        max_iterations=3, checkpoint_dir=tmp_path, event_hook=hook, **_RUN_KW
     )
-    assert load_checkpoint(tmp_path).iteration == 2
-    assert [t.checkpoint_io > 0 for t in partial.timings] == [False, True, False]
+    assert not result.converged
+    assert saved == [1, 2, 3]
+    assert load_checkpoint(tmp_path).iteration == 3
+    assert all(t.checkpoint_io > 0 for t in result.timings)
 
 
 def test_resume_beyond_max_iterations_fails_loudly(tmp_path):

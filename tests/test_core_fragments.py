@@ -10,8 +10,6 @@ from repro.core.fragments import (
     coverage_map,
     enumerate_fragments,
     fragment_weight,
-    fragments_by_weight,
-    iter_corner_fragments,
 )
 
 
@@ -43,8 +41,9 @@ def test_fragment_weight_validation():
 def test_per_corner_signed_cell_count_is_one():
     # 8 - 3*4 + 3*2 - 1 = 1 (the identity quoted in the paper/DESIGN.md).
     total = 0
-    for frag in iter_corner_fragments((0, 0, 0), (5, 5, 5)):
-        total += frag.weight * frag.ncells
+    for frag in enumerate_fragments((5, 5, 5)):
+        if frag.corner == (0, 0, 0):
+            total += frag.weight * frag.ncells
     assert total == 1
 
 
@@ -70,15 +69,7 @@ def test_covered_cells_and_covers_cell_wrap_around():
     frag = Fragment((2, 0, 0), (2, 1, 1), 1, (3, 1, 1))
     cells = frag.covered_cells()
     assert (2, 0, 0) in cells and (0, 0, 0) in cells  # wraps around
-    assert frag.covers_cell((0, 0, 0))
-    assert not frag.covers_cell((1, 0, 0))
-
-
-def test_fragments_by_weight_split():
-    frags = enumerate_fragments((2, 2, 2))
-    split = fragments_by_weight(frags)
-    assert len(split[1]) + len(split[-1]) == len(frags)
-    assert len(split[1]) == len(split[-1])  # 4 of each sign per corner in 3D
+    assert (1, 0, 0) not in cells
 
 
 def test_fragment_labels_unique():

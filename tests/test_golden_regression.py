@@ -46,7 +46,7 @@ def _load(name: str) -> dict:
 def test_golden_regression(name):
     golden = _load(name)
     ls3df, result, states = run_protocol(name)
-    assert ls3df.scf.nfragments <= PATCH_CHUNK_SIZE
+    assert ls3df.nfragments <= PATCH_CHUNK_SIZE
 
     assert result.iterations == golden["iterations"]
     assert result.converged == golden["converged"]
@@ -70,7 +70,7 @@ def test_quantum_energy_needs_no_h_application(name):
     """``band_energy - integral v_scr rho_F`` is the quantum energy the kernel
     used to get from one more H application with the screening zeroed (the
     Ritz values are <x_i|H|x_i> on a fresh image, converged or not)."""
-    scf = build(name).scf
+    scf = build(name)
     fragment = scf.fragments[-1]
     restricted = restrict_to_fragment(scf.division, fragment, scf.genpot.initial_potential())
     task = scf.fragment_solver.make_task(

@@ -281,16 +281,28 @@ def test_worker_protocol_surface():
             stats = _roundtrip(sock, {"op": "stats"})
             assert stats["ok"] and stats["tasks_served"] == 0
             assert stats["bytes_received"] > 0
-            # A well-formed frame that is not a request gets the typed
-            # refusal too, and the connection keeps serving.
-            for junk in ([1, 2], None, {"op": "install"}, {"op": "task", "kind": []}):
+            assert _roundtrip(sock, {"op": "shutdown"})["ok"]
+        finally:
+            sock.close()
+
+
+@pytest.mark.parametrize("daemon, incomplete", [
+    ("worker", [{"op": "install"}, {"op": "task", "kind": []}]),
+    ("store", [{"op": "status"}, {"op": "submit"}, {"op": []}]),
+], ids=["worker", "store"])
+def test_a_frame_that_is_not_a_request_gets_the_typed_refusal(daemon, incomplete, tmp_path):
+    """Both daemons answer a well-formed frame that is not a request (not
+    a mapping, or missing a field its op needs) with the typed refusal,
+    never a Python internal error, and the connection keeps serving."""
+    from repro.store.server import StoreServer
+
+    with WorkerServer() if daemon == "worker" else StoreServer(tmp_path) as server:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            for junk in ([1, 2], None, *incomplete):
                 refused = _roundtrip(sock, junk)
                 assert not refused["ok"]
                 assert refused["error_type"] == "RemoteProtocolError"
                 assert _roundtrip(sock, {"op": "ping"})["ok"]
-            assert _roundtrip(sock, {"op": "shutdown"})["ok"]
-        finally:
-            sock.close()
 
 
 @pytest.mark.parametrize("daemon", ["worker", "store"])

@@ -9,6 +9,7 @@ import inspect
 import re
 from pathlib import Path
 
+from repro.core.driver import LS3DF
 from repro.core.scf import LS3DFSCF
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,7 +40,19 @@ def test_ls3dfscf_takes_exactly_these_parameters():
     assert list(inspect.signature(LS3DFSCF.run).parameters) == [
         "self", "max_iterations", "potential_tolerance", "eigensolver_tolerance",
         "eigensolver_iterations", "initial_potential", "checkpoint_dir",
-        "checkpoint_every", "resume", "event_hook"]
+        "resume", "event_hook"]
+
+
+def test_ls3df_is_the_solver_with_post_processing_only():
+    """``LS3DF`` is ``LS3DFSCF``: no wrapped solver, no forwarding property."""
+    assert issubclass(LS3DF, LS3DFSCF)
+    assert sorted(name for name in vars(LS3DF) if not name.startswith("__") or name == "__init__") == [
+        "__init__", "band_edge_states", "estimate_gap_center", "full_system_hamiltonian", "lowest_states"]
+    assert not any(isinstance(member, property) for member in vars(LS3DF).values())
+
+
+def test_every_iteration_checkpoints_into_one_flat_partial_directory():
+    assert _lines_matching(r"checkpoint_every|up_to_iteration|\biter-") == []
 
 
 def test_no_module_level_scipy_import():

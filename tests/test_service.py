@@ -55,8 +55,7 @@ SPEC_KILL = {
     "solver": {"grid_dims": [2, 1, 1], "ecut": 2.2, "buffer_cells": 0.5,
                "n_empty": 2, "mixer": "kerker"},
     "run": {"max_iterations": 3, "potential_tolerance": 1e-9,
-            "eigensolver_tolerance": 1e-4, "eigensolver_iterations": 40,
-            "checkpoint_every": 1},
+            "eigensolver_tolerance": 1e-4, "eigensolver_iterations": 40},
 }
 
 

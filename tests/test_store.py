@@ -725,12 +725,13 @@ class TestSpecValidation:
         (lambda s: s["builder_args"].pop("dims"), "dims"),
         (lambda s: s["solver"].pop("grid_dims"), "grid_dims"),
         (lambda s: s["solver"].update(executor="x"), "unsupported solver"),
-        # The solver keywords deleted with their code paths.
+        # The solver and run keywords deleted with their code paths.
         *(
-            pytest.param(lambda s, key=key: s["solver"].update({key: value}),
-                         "unsupported solver", id=f"removed-{key}")
-            for key, value in (("eigensolver", "band_by_band"), ("passivate", False),
-                               ("polar_passivation", False))
+            pytest.param(lambda s, part=part, key=key: s[part].update({key: value}),
+                         f"unsupported {part}", id=f"removed-{key}")
+            for part, key, value in (
+                ("solver", "eigensolver", "band_by_band"), ("solver", "passivate", False),
+                ("solver", "polar_passivation", False), ("run", "checkpoint_every", 1))
         ),
         (lambda s: s["run"].update(resume=True), "unsupported run"),
     ])

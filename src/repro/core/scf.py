@@ -895,14 +895,13 @@ class LS3DFSCF:
         event_hook:
             Optional ``event_hook(kind, data)`` called alongside the
             checkpoint hooks — the one per-iteration channel, used by the
-            run store (:mod:`repro.store`).  Emitted kinds: ``"iteration"`` after
-            every completed outer iteration (``iteration``,
-            ``potential_difference``, ``energy``, ``converged``; a
-            printer of these is the way to watch progress) and
-            ``"checkpointed"`` after every checkpoint save
-            (``iteration``).  A hook exception fails the run loudly — a
-            run whose durable record cannot be written must not continue
-            silently.
+            run store (:mod:`repro.store`).  One ``"iteration"`` call per
+            completed outer iteration, after its checkpoint save
+            (``iteration``, ``potential_difference``, ``energy``,
+            ``converged``, and ``checkpointed``: whether that save
+            happened; a printer of these is the way to watch progress).
+            A hook exception fails the run loudly — a run whose durable
+            record cannot be written must not continue silently.
 
         Returns
         -------
@@ -976,7 +975,6 @@ class LS3DFSCF:
 
         # start_iteration <= max_iterations here, so the loop runs at least once.
         timings: list[IterationTimings] = []
-        converged = False
         for iteration in range(start_iteration, max_iterations + 1):
             t = IterationTimings()
 
@@ -1019,30 +1017,16 @@ class LS3DFSCF:
             )
             conv_history.append(out.potential_difference)
             energy_history.append(total_energy)
-            if event_hook is not None:
-                event_hook(
-                    "iteration",
-                    {
-                        "iteration": int(iteration),
-                        "potential_difference": float(out.potential_difference),
-                        "energy": float(total_energy),
-                        "converged": bool(
-                            out.potential_difference < potential_tolerance
-                        ),
-                    },
-                )
-            if out.potential_difference < potential_tolerance:
-                converged = True
-                v_in = out.output_potential
-                break
-            v_in = out.next_input_potential
+            converged = bool(out.potential_difference < potential_tolerance)
+            v_in = out.output_potential if converged else out.next_input_potential
 
             # --- Checkpoint: persist the cross-iteration state (the next
             # input potential, mixer history, warm-start wavefunctions,
             # histories) so a killed run resumes at iteration+1 with
             # bit-identical iterates.  Driver-only I/O, counted as serial.
-            if checkpoint_path is not None:
-                t0 = time.perf_counter()
+            checkpointed = checkpoint_path is not None and not converged
+            t0 = time.perf_counter()
+            if checkpointed:
                 mixer_state_dict = getattr(mixer, "state_dict", None)
                 save_checkpoint(
                     checkpoint_path,
@@ -1059,18 +1043,24 @@ class LS3DFSCF:
                         energy_history=energy_history,
                     ),
                 )
+            if checkpoint_path is not None:
                 # The full checkpoint supersedes this iteration's
-                # mid-iteration partials.
+                # mid-iteration partials; a converged run replays nothing.
                 clear_partial_payloads(checkpoint_path)
                 t.checkpoint_io += time.perf_counter() - t0
-                if event_hook is not None:
-                    event_hook("checkpointed", {"iteration": int(iteration)})
-
-        # A converged iteration breaks out before the checkpoint block, so
-        # its mid-iteration partials would otherwise outlive the run; the
-        # run succeeded, nothing is left to replay.
-        if converged and checkpoint_path is not None:
-            clear_partial_payloads(checkpoint_path)
+            if event_hook is not None:
+                event_hook(
+                    "iteration",
+                    {
+                        "iteration": int(iteration),
+                        "potential_difference": float(out.potential_difference),
+                        "energy": float(total_energy),
+                        "converged": converged,
+                        "checkpointed": checkpointed,
+                    },
+                )
+            if converged:
+                break
 
         return LS3DFResult(
             density=density,

@@ -48,7 +48,7 @@ def replace_atomic(tmp: str | Path, path: str | Path) -> None:
 
 
 def write_npz_atomic(path: str | Path, **arrays: np.ndarray) -> Path:
-    """Write arrays to a compressed ``.npz``, atomically and durably.
+    """Write arrays to an uncompressed ``.npz``, atomically and durably.
 
     The payload is first written to a temporary sibling file, flushed and
     fsynced, then moved over ``path`` with ``os.replace``, and finally
@@ -64,8 +64,8 @@ def write_npz_atomic(path: str | Path, **arrays: np.ndarray) -> Path:
     path:
         Destination file; parent directories are created as needed.
     arrays:
-        Named arrays to store (``np.savez_compressed`` semantics, and
-        lossless: compression never alters the stored bits).
+        Named arrays to store (``np.savez`` semantics: the bits as they
+        are, no compression pass on the save path).
 
     Returns
     -------
@@ -78,7 +78,7 @@ def write_npz_atomic(path: str | Path, **arrays: np.ndarray) -> Path:
     try:
         # Hand savez a file object: with a bare path it appends ".npz".
         with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+            np.savez(handle, **arrays)
             handle.flush()
             os.fsync(handle.fileno())
         replace_atomic(tmp, path)

@@ -2,8 +2,8 @@
 
 Every LS3DF solve handled by this layer is a first-class persistent
 object — an append-only *event stream* (``submitted -> scheduled ->
-iteration(k) -> checkpointed -> converged | failed``) on disk, with a
-snapshot index for O(1) catch-up, advisory file locking for concurrent
+iteration(k) -> ... -> converged | failed``) on disk, with a
+snapshot cache for O(1) catch-up, advisory file locking for concurrent
 writers, and content-addressed run ids as dedup keys: two clients
 submitting the identical problem attach to one in-flight solve and both
 stream its events.
@@ -15,8 +15,8 @@ Layers (bottom up):
 * :mod:`repro.store.lock` — advisory file locks
   (:class:`~repro.store.lock.FileLock`) serialising concurrent writers.
 * :mod:`repro.store.stream` — :class:`~repro.store.stream.EventStream`,
-  one run's append-only log + ``head.json`` snapshot, crash-safe via
-  the :func:`repro.io.gridio.write_npz_atomic`-grade durable writers.
+  one run's append-only log (one fsync commits an event) + ``head.json``
+  snapshot cache.
 * :mod:`repro.store.dedup` — serialisable problem specs, solver
   construction and the content-addressed signature.
 * :mod:`repro.store.store` — :class:`~repro.store.store.RunStore`, the

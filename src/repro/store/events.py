@@ -46,14 +46,13 @@ _HEADER_RE = re.compile(re.escape(_MAGIC) + rb"([0-9a-f]{8}) ([0-9]{8}) ")
 #: Lifecycle vocabulary of a run's event stream, in the order a healthy
 #: run emits them.  ``attached`` records a deduplicated second client;
 #: ``scheduled`` may repeat (a daemon restart re-schedules with
-#: ``resumed: True``); ``iteration`` and ``checkpointed`` repeat per
-#: outer iteration.
+#: ``resumed: True``); ``iteration`` repeats once per outer iteration and
+#: says whether that iteration's checkpoint was written (``checkpointed``).
 EVENT_KINDS = (
     "submitted",
     "attached",
     "scheduled",
     "iteration",
-    "checkpointed",
     "converged",
     "failed",
 )

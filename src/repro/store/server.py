@@ -81,8 +81,8 @@ def run_job(root: str | Path, run_id: str, slot: int) -> None:
     """Run one job to a terminal event, always via the resume path.
 
     The whole job of a slot process: ``scheduled``, the solver's
-    ``iteration`` / ``checkpointed`` events and ``converged`` or
-    ``failed`` go to the run's stream under its file lock.
+    ``iteration`` events and ``converged`` or ``failed`` go to the
+    run's stream under its file lock.
     """
     store = RunStore(root)
     stream = store.stream(run_id)
@@ -224,6 +224,8 @@ class StoreServer(_Listener):
             try:
                 if self.store.read_head(run_id)["status"] not in TERMINAL_KINDS:
                     self._execute(run_id, slot)
+            except Exception:  # a damaged log or a full disk fails this job, not the slot
+                traceback.print_exc()
             finally:
                 with self._done:
                     self._queued.discard(run_id)

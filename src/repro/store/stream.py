@@ -4,17 +4,20 @@ A stream is a directory::
 
     <run_dir>/
         events.log        # newline-framed checksummed records (events.py)
-        head.json         # snapshot index: O(1) catch-up state
+        head.json         # snapshot cache: O(1) catch-up state
         stream.lock       # FileLock serialising writers
         payload-NNNNNN.npz  # sidecar arrays (one per payload-carrying event)
 
-Durability ladder (the ``write_npz_atomic`` discipline applied to a
-log): payload ``.npz`` files are written atomically *before* the event
-that references them; the record append is flushed and fsynced; the
-log's creation fsyncs the directory; and ``head.json`` is replaced
-atomically after the append it describes.  A kill at any byte leaves
-either a fully valid log, or a valid log plus a *torn tail* that replay
-ignores and the next locked append truncates away — never a lie.
+Durability ladder: one fsync commits an event.  A payload ``.npz`` is
+written durably (``write_npz_atomic``) *before* the record that names
+it; the record append is then flushed and fsynced, and that fsync is
+the commit (the log's creation also fsyncs the directory).  A kill at
+any byte leaves either a fully valid log, or a valid log plus a *torn
+tail* that replay ignores and the next locked append truncates away —
+never a lie.  ``head.json`` is a cache, not a commit: it is replaced by
+a rename after the log fsync but never fsynced itself, so after a crash
+it is at worst older than the log, absent or empty, and both readers
+fold the log forward from whatever it holds.
 
 ``head.json`` is the snapshot index: the folded state of every event up
 to a byte ``offset`` into the log.  :meth:`EventStream.read_head` reads
@@ -39,7 +42,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.io.gridio import fsync_directory, write_npz_atomic, write_text_atomic
+from repro.io.gridio import fsync_directory, write_npz_atomic
 from repro.store.events import (
     TERMINAL_KINDS,
     Event,
@@ -165,11 +168,8 @@ def fold_head(head: dict, event: Event, offset: int) -> dict:
         out["iteration"] = int(event.data.get("iteration", out.get("iteration", 0)))
         out["potential_difference"] = event.data.get("potential_difference")
         out["energy"] = event.data.get("energy")
-    elif event.kind == "checkpointed":
-        out["status"] = "running"
-        out["checkpointed_iteration"] = int(
-            event.data.get("iteration", out.get("checkpointed_iteration", 0))
-        )
+        if event.data.get("checkpointed"):
+            out["checkpointed_iteration"] = out["iteration"]
     elif event.kind == "converged":
         out["status"] = "converged"
         out["converged"] = bool(event.data.get("converged", True))
@@ -236,8 +236,8 @@ class EventStream:
         process) by ``stream.lock``; inside the lock it first heals any
         torn tail a killed writer left (truncating to the last valid
         record), assigns the next contiguous ``seq``, writes the payload
-        sidecar (if any) atomically, appends + fsyncs the record, and
-        atomically replaces the ``head.json`` snapshot.
+        sidecar (if any) atomically, appends + fsyncs the record (the
+        commit), and renames a fresh ``head.json`` cache into place.
 
         Parameters
         ----------
@@ -297,9 +297,10 @@ class EventStream:
                     f"injected kill before the head update of event seq {seq}"
                 )
             head = fold_head(head, event, offset)
-            write_text_atomic(
-                self.head_path, json.dumps(head, indent=2, sort_keys=True) + "\n"
-            )
+            # The cache: whole for readers (the rename), never fsynced.
+            tmp = self.head_path.with_name(HEAD_NAME + ".tmp")
+            tmp.write_text(json.dumps(head, indent=2, sort_keys=True) + "\n")
+            os.replace(tmp, self.head_path)
             return event
 
     def _recover_locked(self) -> tuple[dict, list[Event]]:
@@ -334,7 +335,7 @@ class EventStream:
             return _empty_head()
         try:
             head = json.loads(self.head_path.read_text())
-        except (OSError, json.JSONDecodeError):  # pragma: no cover - torn head
+        except (OSError, json.JSONDecodeError):  # a torn cache: fold from byte 0
             return _empty_head()
         if head.get("format") != "repro-run-head":
             return _empty_head()

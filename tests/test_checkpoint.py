@@ -330,7 +330,8 @@ def test_every_iteration_writes_a_checkpoint(tmp_path):
     saved = []
 
     def hook(kind, data):
-        if kind == "checkpointed":
+        assert kind == "iteration"  # the checkpoint rides its iteration's record
+        if data["checkpointed"]:
             saved.append(data["iteration"])
 
     result = _solver("linear").run(

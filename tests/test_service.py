@@ -17,6 +17,7 @@ the resumed run's final density equals an uninterrupted run's exactly.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import socket
@@ -95,11 +96,12 @@ class TestServiceInProcess:
             assert not reply["attached"] and reply["queued"]
             head = client.wait(reply["run_id"], timeout=60)
             assert head["status"] == "converged"
-            kinds = [e["kind"] for e in client.events(reply["run_id"])]
-            assert kinds[0] == "submitted"
-            assert kinds[1] == "scheduled"
-            assert "iteration" in kinds and "checkpointed" in kinds
-            assert kinds[-1] == "converged"
+            events = client.events(reply["run_id"])
+            assert [e["kind"] for e in events] == [
+                "submitted", "scheduled", "iteration", "iteration", "converged"]
+            # One record per iteration; the checkpoint rides the first.
+            assert [(e["data"]["checkpointed"], e["data"]["converged"])
+                    for e in events[2:4]] == [(True, False), (False, True)]
             result = client.result(reply["run_id"])
             assert result["converged"] and result["iterations"] == head["iteration"]
             assert result["density"].ndim == 3
@@ -203,6 +205,33 @@ class TestServiceInProcess:
         assert head["status"] == "failed"
         assert failed["error_type"] == "SlotProcessDied"
         assert failed["exitcode"] == 3
+
+    def test_a_store_error_does_not_retire_the_slot(self, tmp_path):
+        # ENOSPC (or a damaged log) surfacing from one job must not end the
+        # slot's runner thread: the next job on the only slot still runs,
+        # and the failed one, left non-terminal, runs when submitted again.
+        srv = StoreServer(tmp_path / "store", job_slots=1)
+        execute, raised = srv._execute, []
+
+        def disk_full_once(run_id, slot):
+            if not raised:
+                raised.append(run_id)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            execute(run_id, slot)
+
+        srv._execute = disk_full_once
+        srv.start()
+        try:
+            with ServiceClient(srv.address) as client:
+                first = client.submit(SPEC_FAST)["run_id"]
+                second = client.submit(_spec_variant(SPEC_FAST, 3))["run_id"]
+                assert client.wait(second, timeout=30)["status"] == "converged"
+                assert client.status(first)["status"] == "submitted"
+                assert client.submit(SPEC_FAST)["queued"]
+                assert client.wait(first, timeout=30)["status"] == "converged"
+        finally:
+            srv.stop()
+        assert raised == [first]
 
     def test_slots_are_processes_that_solve_concurrently(self, tmp_path):
         srv = StoreServer(tmp_path / "store", job_slots=2)
@@ -349,9 +378,9 @@ class TestServiceInProcess:
                 assert info.value.error_type == "UnknownRunError"
 
     def test_old_protocol_hello_is_refused(self, server):
-        assert SERVICE_PROTOCOL_VERSION == 2
+        assert SERVICE_PROTOCOL_VERSION == 3
         with socket.create_connection(server.address, timeout=10) as sock:
-            send_frame(sock, {"op": "hello", "version": 1})
+            send_frame(sock, {"op": "hello", "version": 2})
             reply, _ = recv_frame(sock)
         assert not reply["ok"]
         assert reply["error_type"] == "RemoteProtocolError"

@@ -7,7 +7,9 @@ Three families of proof:
   ``write_text_atomic`` follow the full tmp-write -> fsync(file) ->
   rename -> fsync(directory) sequence (the rename itself lives in the
   directory entry table, so skipping the directory fsync can lose the
-  *name* of a perfectly synced file).
+  *name* of a perfectly synced file); and the fsync budget: one fsync
+  commits an event, ``head.json`` is never synced, and a torn head
+  costs nothing but a longer fold.
 * **Kill-mid-append** — a fault-injecting append dies after an exact
   byte count; replay must land on the last consistent snapshot, the
   next locked append must truncate the torn tail and continue with a
@@ -37,6 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.io.gridio as gridio
+from bench.gen import SERVICE_SPEC
 from repro.io.gridio import write_npz_atomic, write_text_atomic
 from repro.store import (
     AppendFaultPlan,
@@ -53,7 +56,8 @@ from repro.store import (
     encode_record,
     problem_signature,
 )
-from repro.store.stream import StoreCorruptionError
+from repro.store.server import run_job
+from repro.store.stream import StoreCorruptionError, _empty_head, fold_head
 
 SPEC = {
     "builder": "cscl_binary",
@@ -294,13 +298,76 @@ class TestAtomicWriters:
 
     def test_text_fsync_rename_dirsync_sequence(self, tmp_path, monkeypatch):
         rec = _FsyncRecorder(monkeypatch, tmp_path)
-        target = write_text_atomic(tmp_path / "head.json", '{"seq": 1}\n')
+        target = write_text_atomic(tmp_path / "spec.json", '{"seq": 1}\n')
         assert rec.kinds == ["fsync_file", "replace", "fsync_dir"]
         assert target.read_text() == '{"seq": 1}\n'
-        assert [p.name for p in tmp_path.iterdir()] == ["head.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
     def test_fsync_directory_tolerates_missing_dir(self, tmp_path):
         gridio.fsync_directory(tmp_path / "nope")  # must not raise
+
+
+class _FsyncTargets:
+    """Records the path behind every ``os.fsync`` descriptor (Linux /proc)."""
+
+    def __init__(self, monkeypatch):
+        self.paths: list[Path] = []
+        real_fsync = os.fsync
+
+        def traced_fsync(fd):
+            self.paths.append(Path(os.readlink(f"/proc/self/fd/{fd}")))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", traced_fsync)
+
+    def take(self) -> list[Path]:
+        """The targets since the last call, clearing them; none is the head."""
+        out, self.paths = self.paths, []
+        assert not [p for p in out if p.name.startswith("head.json")], out
+        return out
+
+
+class TestFsyncBudget:
+    """The fsynced log record is an event's only commit; ``head.json`` is a cache."""
+
+    def test_append_to_an_existing_log_is_one_fsync(self, tmp_path, monkeypatch):
+        stream = EventStream(tmp_path / "run")
+        stream.append("submitted", {})
+        fsyncs = _FsyncTargets(monkeypatch)
+        stream.append("scheduled", {"resumed": False})
+        assert fsyncs.take() == [stream.log_path]
+
+    def test_the_append_that_creates_the_log_adds_its_directory(self, tmp_path, monkeypatch):
+        stream = EventStream(tmp_path / "run")
+        fsyncs = _FsyncTargets(monkeypatch)
+        stream.append("submitted", {})
+        assert fsyncs.take() == [stream.log_path, stream.run_dir]
+
+    def test_a_payload_append_syncs_the_payload_its_directory_and_the_log(
+        self, tmp_path, monkeypatch
+    ):
+        stream = EventStream(tmp_path / "run")
+        stream.append("submitted", {})
+        fsyncs = _FsyncTargets(monkeypatch)
+        event = stream.append("converged", {"converged": True},
+                              payload_arrays={"density": np.ones(3)})
+        assert fsyncs.take() == [
+            stream.payload_path(event.payload + ".tmp"), stream.run_dir, stream.log_path]
+
+    def test_one_service_job_costs_fourteen_fsyncs(self, tmp_path, monkeypatch):
+        # submit: spec.json 2 + the log-creating "submitted" 2; run_job:
+        # "scheduled" 1, iteration 1's checkpoint 4 + its record 1, the
+        # converged iteration's record 1, "converged" with its payload 3.
+        store = RunStore(tmp_path / "store")
+        fsyncs = _FsyncTargets(monkeypatch)
+        run_id = store.submit(SERVICE_SPEC, client="a").run_id
+        run_job(store.root, run_id, slot=0)
+        assert store.result(run_id)["converged"]
+        assert len(fsyncs.take()) == 14
+        assert [e.kind for e in store.events(run_id)] == [
+            "submitted", "scheduled", "iteration", "iteration", "converged"]
+        assert store.submit(SERVICE_SPEC, client="b").attached
+        assert fsyncs.take() == [store.stream(run_id).log_path]
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +393,14 @@ class TestEventStream:
         stream.append("attached", {"client": "b"})
         stream.append("scheduled", {"resumed": False})
         stream.append("iteration", {"iteration": 1, "potential_difference": 0.5,
-                                    "energy": -1.0})
-        stream.append("checkpointed", {"iteration": 1})
+                                    "energy": -1.0, "checkpointed": True})
+        stream.append("iteration", {"iteration": 2, "potential_difference": 0.1,
+                                    "energy": -1.1, "checkpointed": False})
         head = stream.read_head()
         assert head["status"] == "running"
         assert head["clients"] == 2
         assert head["solves"] == 1
-        assert head["iteration"] == 1
+        assert head["iteration"] == 2
         assert head["checkpointed_iteration"] == 1
         assert head["offset"] == stream.log_path.stat().st_size
         assert not stream.is_terminal()
@@ -398,7 +466,48 @@ class TestEventStream:
             stream.append("iteration", {"iteration": k})
         stream.head_path.unlink()
         assert stream.read_head()["seq"] == 2
-        assert stream.append("checkpointed", {"iteration": 2}).seq == 3
+        assert stream.append("iteration", {"iteration": 3}).seq == 3
+
+    @pytest.mark.parametrize("damage", ["zero-length", "truncated", "earlier-append"])
+    def test_a_torn_head_is_harmless(self, tmp_path, damage):
+        # head.json is never fsynced, so a crash can leave it empty, cut
+        # short or older than the log; every reader folds forward from it.
+        stream = EventStream(tmp_path / "run")
+        stream.append("submitted", {"client": "a"})
+        earlier = stream.head_path.read_text()
+        stream.append("scheduled", {"resumed": False})
+        stream.append("iteration", {"iteration": 1, "checkpointed": True})
+        text = stream.head_path.read_text()
+        stream.head_path.write_text(
+            {"zero-length": "", "truncated": text[: len(text) // 2],
+             "earlier-append": earlier}[damage])
+
+        def folded_from_byte_zero():
+            head, offset = _empty_head(), 0
+            for event in stream.replay():
+                offset += len(encode_record(event))
+                head = fold_head(head, event, offset)
+            return head
+
+        assert stream.read_head() == folded_from_byte_zero()
+        assert stream.read_head()["checkpointed_iteration"] == 1
+        assert stream.append("iteration", {"iteration": 2}).seq == 3
+        assert [e.seq for e in stream.replay()] == [0, 1, 2, 3]
+        assert json.loads(stream.head_path.read_text()) == folded_from_byte_zero()
+
+    def test_a_legacy_checkpointed_record_replays_and_folds_as_a_no_op(self, tmp_path):
+        # Logs written before a checkpoint rode its iteration's record hold
+        # a separate "checkpointed" event: an unknown kind, folded as such.
+        stream = EventStream(tmp_path / "run")
+        stream.append("submitted", {})
+        stream.append("iteration", {"iteration": 1, "energy": -1.0})
+        stream.append("checkpointed", {"iteration": 1})
+        stream.head_path.unlink()
+        assert [e.kind for e in stream.replay()] == ["submitted", "iteration", "checkpointed"]
+        head = stream.read_head()
+        assert (head["seq"], head["status"], head["iteration"]) == (2, "running", 1)
+        assert head["checkpointed_iteration"] == 0
+        assert stream.append("iteration", {"iteration": 2}).seq == 3
 
     def test_corruption_before_tail_raises(self, tmp_path):
         stream = EventStream(tmp_path / "run")

@@ -10,8 +10,9 @@ two *identical* jobs plus one distinct job through
   second submit, a dedup counter (``solves``) of exactly 1;
 * the distinct job gets its own run;
 * both runs stream their convergence events (``submitted -> scheduled
-  -> iteration -> checkpointed -> ... -> converged``) and finish with a
-  retrievable result.
+  -> iteration -> ... -> converged``, each non-final ``iteration``
+  record carrying ``checkpointed: true``) and finish with a retrievable
+  result.
 
 With ``--kill-and-restart`` it additionally enacts the crash demo from
 the README: SIGKILLs the daemon after the long job's first checkpoint,
@@ -119,11 +120,14 @@ def dedup_and_convergence(address: tuple[str, int]) -> None:
               f"got {shared['solves']}")
         check(shared["clients"] == 2, "both clients recorded on the shared run")
 
-        kinds = [e["kind"] for e in alice.events(first["run_id"])]
-        for needed in ("submitted", "scheduled", "iteration", "checkpointed",
-                       "converged"):
+        events = alice.events(first["run_id"])
+        kinds = [e["kind"] for e in events]
+        for needed in ("submitted", "scheduled", "iteration", "converged"):
             check(needed in kinds, f"shared run streamed a {needed!r} event")
         check(kinds.count("scheduled") == 1, "exactly one solve was scheduled")
+        check([e["data"]["checkpointed"] for e in events if e["kind"] == "iteration"]
+              == [True] * (kinds.count("iteration") - 1) + [False],
+              "every iteration but the converged one recorded its checkpoint")
 
         result = alice.result(first["run_id"])
         check(result is not None and result["density"].ndim == 3,

@@ -32,7 +32,7 @@ import numpy as np
 from repro.atoms import cscl_binary
 from repro.constants import HARTREE_TO_EV
 from repro.core import LS3DF
-from repro.io import has_checkpoint, read_manifest
+from repro.io import has_checkpoint, load_checkpoint
 from repro.pw import DirectSCF
 
 
@@ -69,7 +69,7 @@ def main(argv: list[str] | None = None) -> None:
     ls3df = LS3DF(structure, grid_dims=(2, 1, 1), ecut=2.4, buffer_cells=0.5, n_empty=3)
     print(f"LS3DF fragments: {ls3df.nfragments}, global grid {ls3df.global_grid.shape}")
     if args.resume and has_checkpoint(args.checkpoint_dir):
-        saved_iteration = int(read_manifest(args.checkpoint_dir)["iteration"])
+        saved_iteration = load_checkpoint(args.checkpoint_dir).iteration
         if saved_iteration >= args.max_iterations:
             parser.exit(
                 message=f"Checkpoint in {args.checkpoint_dir} already covers "

@@ -63,6 +63,7 @@ from repro.core.genpot import GlobalPotentialSolver
 from repro.core.patching import PATCH_CHUNK_SIZE, patch_contributions
 from repro.io.checkpoint import (
     SCFCheckpoint,
+    clear_checkpoint,
     clear_partial_payloads,
     has_checkpoint,
     load_checkpoint,
@@ -954,17 +955,18 @@ class LS3DFSCF:
         else:
             # A fresh SCF: drop every piece of cross-iteration state so a
             # reused solver behaves exactly like a newly built one — and,
-            # when the user explicitly asked for a fresh run, wipe any
-            # mid-iteration partials a previous (killed) run left in the
-            # checkpoint directory, so a resume=False run never replays
-            # stale fragment results.  (With resume=True this branch also
+            # when the user explicitly asked for a fresh run, wipe the
+            # checkpoint and the mid-iteration partials a previous run
+            # left in the directory, so neither a resume=False run nor a
+            # later resume of it (killed before its first save) picks up
+            # another run's state.  (With resume=True this branch also
             # runs when no full checkpoint exists yet — a kill during the
             # very first iteration — and the partials are exactly what
             # the resumed run should replay, so they are kept.)
             self.genpot.reset()
             self.state_cache.clear()
             if checkpoint_path is not None and not resume:
-                clear_partial_payloads(checkpoint_path)
+                clear_checkpoint(checkpoint_path)
             v_in = (
                 initial_potential.copy()
                 if initial_potential is not None

@@ -7,5 +7,5 @@ __all__, __getattr__ = exports(__name__, {
     "tables": "format_table table1_layout",
     "gridio": "write_grid_npz write_npz_atomic",
     "checkpoint": "CHECKPOINT_VERSION CheckpointMismatchError SCFCheckpoint has_checkpoint "
-    "load_checkpoint read_manifest save_checkpoint",
+    "load_checkpoint save_checkpoint",
 })

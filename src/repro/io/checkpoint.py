@@ -8,40 +8,40 @@ been killed.  This module reproduces that for
 :class:`repro.core.scf.LS3DFSCF` (``checkpoint_dir=`` / ``resume=`` on
 ``run``).
 
-A checkpoint is one directory holding two files:
+A checkpoint is one file, ``<dir>/state-latest.npz``, written
+crash-safely by :func:`repro.io.gridio.write_npz_atomic` and replaced
+whole by the next save: the array payload (input potential,
+convergence/energy histories, mixer state under ``mixer.<name>`` keys,
+per-fragment wavefunction coefficients under ``frag.<label>`` keys) plus
+what problem the state belongs to — format version, iteration counter,
+global grid shape, the fragment-division signature
+(:meth:`repro.core.division.SpatialDivision.signature`) and the mixer
+kind — as plain (non-object) arrays beside it.  The rename is the
+commit, so a kill at any moment leaves the previous checkpoint or the
+new one, never a mix.
 
-* ``state-NNNNNN.npz`` — the array payload (input potential,
-  convergence/energy histories, mixer state under ``mixer.<name>`` keys,
-  per-fragment wavefunction coefficients under ``frag.<label>`` keys),
-  written crash-safely by :func:`repro.io.gridio.write_npz_atomic`;
-* ``manifest.json`` — small JSON metadata naming the payload file and
-  recording what problem the state belongs to: format version,
-  iteration counter, global grid shape, the fragment-division signature
-  (:meth:`repro.core.division.SpatialDivision.signature`) and the mixer
-  kind.
-
-For very large fragments a whole iteration is a long time to lose, so a
-``partial/`` subdirectory additionally holds **mid-iteration** state: one
-``frag-<digest>.npz`` payload per *completed* fragment of the iteration
-in flight, plus a small manifest (iteration counter, problem signature,
-and a fingerprint of the iteration's solve inputs).  Since every
-non-converged iteration ends in a full checkpoint, which clears
-``partial/``, at most one iteration's partials ever exist.  The
+For very large fragments a whole iteration is a long time to lose, so
+the same directory additionally holds **mid-iteration** state: one
+``frag-<digest>.npz`` per *completed* fragment of the iteration in
+flight, each carrying its own iteration counter, problem signature and
+a fingerprint of the iteration's solve inputs.  Since every
+non-converged iteration ends in a full checkpoint, which clears the
+partials, at most one iteration's partials ever exist.  The
 band-grouped PEtot_F path (:class:`repro.core.scf.LS3DFSCF` with
-``band_groups=``) appends to it as fragments finish; a killed run replays
-the saved fragments from disk and re-solves only the unfinished ones,
-bit-identically.  The functions :func:`save_partial_payload` /
+``band_groups=``) writes one as each fragment finishes; a killed run
+replays the saved fragments from disk and re-solves only the unfinished
+ones, bit-identically.  The functions :func:`save_partial_payload` /
 :func:`load_partial_payloads` / :func:`clear_partial_payloads` deal in
 plain label -> arrays mappings so this module stays free of ``core``
 imports; the array schema is owned by
 :meth:`repro.core.fragment_task.FragmentTaskResult.state_dict`.
 
-The manifest is replaced atomically *after* its payload exists, so the
-pair is consistent even when the process dies mid-save (the previous
-checkpoint simply stays in effect).  On load the manifest is validated
-against the resuming run's grid, division and mixer — a checkpoint from
-a different problem fails loudly with :class:`CheckpointMismatchError`
-instead of silently producing garbage physics.
+On load every file's metadata is read and checked before any payload
+array: a missing or mistyped key or a foreign version raises
+:class:`CheckpointMismatchError` naming the file, and a state file is
+validated against the resuming run's grid, division and mixer — a
+checkpoint from a different problem fails loudly instead of silently
+producing garbage physics.
 
 What is saved is exactly the cross-iteration state of the outer loop;
 everything else (fragment Hamiltonians, executor pools, slab layouts) is
@@ -54,28 +54,41 @@ mixers and for the serial and process backends.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.io.gridio import write_npz_atomic, write_text_atomic
+from repro.io.gridio import write_npz_atomic
 
-CHECKPOINT_VERSION = 1
-MANIFEST_NAME = "manifest.json"
-PARTIAL_DIRNAME = "partial"
+CHECKPOINT_VERSION = 2
+_STATE_NAME = "state-latest.npz"
 
 _MIXER_PREFIX = "mixer."
 _FRAGMENT_PREFIX = "frag."
+# Metadata keys -> (dtype kinds, shape) each file must carry.
+_INT, _STR = ("iu", ()), ("U", ())
+_STATE_KEYS = {
+    "iteration": _INT,
+    "grid_shape": ("iu", (3,)),
+    "division_signature": _STR,
+    "mixer_kind": _STR,
+}
+_PARTIAL_KEYS = {
+    "iteration": _INT,
+    "division_signature": _STR,
+    "state_fingerprint": _STR,
+    "label": _STR,  # payload too: FragmentTaskResult.state_dict carries it
+}
 
 
 class CheckpointMismatchError(ValueError):
     """A checkpoint belongs to a different problem than the resuming run.
 
-    Raised by :func:`load_checkpoint` when the manifest's grid shape,
+    Raised by :func:`load_checkpoint` when the state file's grid shape,
     fragment-division signature, mixer kind or format version does not
-    match what the caller expects.
+    match what the caller expects, and by both loaders for a file whose
+    metadata is missing or mistyped.
     """
 
 
@@ -129,7 +142,7 @@ class SCFCheckpoint:
 
 
 def has_checkpoint(directory: str | Path) -> bool:
-    """Whether ``directory`` holds a loadable checkpoint manifest.
+    """Whether ``directory`` holds a checkpoint state file.
 
     Parameters
     ----------
@@ -139,44 +152,45 @@ def has_checkpoint(directory: str | Path) -> bool:
     Returns
     -------
     bool
-        True when ``manifest.json`` is present.
+        True when ``state-latest.npz`` is present.
     """
-    return (Path(directory) / MANIFEST_NAME).is_file()
+    return (Path(directory) / _STATE_NAME).is_file()
 
 
-def read_manifest(directory: str | Path) -> dict:
-    """The checkpoint's manifest metadata, without loading the payload.
+def _metadata(archive, path: Path, keys: dict) -> dict:
+    """The version and ``keys`` metadata of an open ``.npz``, type-checked.
 
-    Cheap peek for callers that only need the bookkeeping (iteration
-    counter, grid shape, mixer kind) — e.g. to report where a resumed
-    run will continue — while :func:`load_checkpoint` materialises the
-    full array payload.
-
-    Parameters
-    ----------
-    directory:
-        Checkpoint directory written by :func:`save_checkpoint`.
-
-    Returns
-    -------
-    dict
-        The parsed ``manifest.json``; raises ``FileNotFoundError`` when
-        the directory holds no checkpoint.
+    Raises
+    ------
+    CheckpointMismatchError
+        A key is missing, has the wrong dtype or shape, or the version
+        is not :data:`CHECKPOINT_VERSION`; the message names ``path``.
     """
-    manifest_path = Path(directory) / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise FileNotFoundError(f"no checkpoint manifest in {directory}")
-    return json.loads(manifest_path.read_text())
+    meta = {}
+    for key, (kinds, shape) in {"version": _INT, **keys}.items():
+        try:
+            value = archive[key]
+        except (KeyError, ValueError):  # absent, or a pickled object array
+            value = None
+        if value is None or value.dtype.kind not in kinds or value.shape != shape:
+            raise CheckpointMismatchError(
+                f"{path}: metadata key {key!r} is missing or mistyped"
+            )
+        meta[key] = value.tolist()
+        if key == "version" and meta[key] != CHECKPOINT_VERSION:
+            raise CheckpointMismatchError(
+                f"{path}: checkpoint format version {meta[key]} is not the "
+                f"supported version {CHECKPOINT_VERSION}"
+            )
+    return meta
 
 
 def save_checkpoint(directory: str | Path, checkpoint: SCFCheckpoint) -> Path:
     """Write a checkpoint, crash-safely, replacing any previous one.
 
-    The payload ``.npz`` is written first (atomically), then the
-    manifest is atomically replaced to point at it, then stale payload
-    files of earlier checkpoints are pruned (best effort).  A kill at
-    any moment leaves either the previous checkpoint or the new one
-    fully intact.
+    One :func:`~repro.io.gridio.write_npz_atomic` of the state file: a
+    kill at any moment leaves either the previous checkpoint or the new
+    one fully intact.
 
     Parameters
     ----------
@@ -189,14 +203,14 @@ def save_checkpoint(directory: str | Path, checkpoint: SCFCheckpoint) -> Path:
     Returns
     -------
     Path
-        The manifest path.
+        The state file's path.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    payload_name = f"state-{int(checkpoint.iteration):06d}.npz"
-
     arrays: dict[str, np.ndarray] = {
+        "version": np.int64(checkpoint.version),
         "iteration": np.int64(checkpoint.iteration),
+        "grid_shape": np.asarray(checkpoint.grid_shape, dtype=np.int64),
+        "division_signature": np.str_(checkpoint.division_signature),
+        "mixer_kind": np.str_(checkpoint.mixer_kind),
         "v_in": np.asarray(checkpoint.v_in),
         "convergence_history": np.asarray(checkpoint.convergence_history, dtype=float),
         "energy_history": np.asarray(checkpoint.energy_history, dtype=float),
@@ -205,34 +219,7 @@ def save_checkpoint(directory: str | Path, checkpoint: SCFCheckpoint) -> Path:
         arrays[_MIXER_PREFIX + name] = np.asarray(value)
     for label, coeffs in checkpoint.fragment_coefficients.items():
         arrays[_FRAGMENT_PREFIX + label] = np.asarray(coeffs)
-    write_npz_atomic(directory / payload_name, **arrays)
-
-    manifest = {
-        "format": "repro-ls3df-checkpoint",
-        "version": int(checkpoint.version),
-        "iteration": int(checkpoint.iteration),
-        "grid_shape": list(checkpoint.grid_shape),
-        "division_signature": checkpoint.division_signature,
-        "mixer_kind": checkpoint.mixer_kind,
-        "nfragments_cached": len(checkpoint.fragment_coefficients),
-        "payload": payload_name,
-    }
-    manifest_path = write_text_atomic(
-        directory / MANIFEST_NAME,
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-    )
-
-    # Prune earlier payloads and any .tmp orphans a mid-save kill left
-    # behind (the atomic writer's cleanup cannot run when the process
-    # dies between creating the temp file and replacing it).
-    for pattern in ("state-*.npz", "state-*.npz.tmp"):
-        for stale in directory.glob(pattern):
-            if stale.name != payload_name:
-                try:
-                    stale.unlink()
-                except OSError:  # pragma: no cover - cleanup is best effort
-                    pass
-    return manifest_path
+    return write_npz_atomic(Path(directory) / _STATE_NAME, **arrays)
 
 
 def load_checkpoint(
@@ -249,7 +236,7 @@ def load_checkpoint(
         Checkpoint directory written by :func:`save_checkpoint`.
     grid_shape:
         When given, the resuming run's global-grid shape; a differing
-        manifest raises :class:`CheckpointMismatchError`.
+        saved shape raises :class:`CheckpointMismatchError`.
     division_signature:
         When given, the resuming run's fragment-division signature
         (:meth:`~repro.core.division.SpatialDivision.signature`);
@@ -266,50 +253,36 @@ def load_checkpoint(
     Raises
     ------
     FileNotFoundError
-        No manifest (or no payload) in ``directory``.
+        No state file in ``directory``.
     CheckpointMismatchError
-        The checkpoint belongs to a different problem, an unsupported
-        format version, or an inconsistent manifest/payload pair.
+        The checkpoint belongs to a different problem, has an
+        unsupported format version, or missing or mistyped metadata.
     """
-    directory = Path(directory)
-    manifest = read_manifest(directory)
-
-    version = int(manifest.get("version", -1))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointMismatchError(
-            f"checkpoint format version {version} is not the supported "
-            f"version {CHECKPOINT_VERSION}"
-        )
-    if grid_shape is not None and list(grid_shape) != list(manifest["grid_shape"]):
-        raise CheckpointMismatchError(
-            f"checkpoint was written for global grid "
-            f"{tuple(manifest['grid_shape'])}, not {tuple(grid_shape)}"
-        )
-    if (
-        division_signature is not None
-        and division_signature != manifest["division_signature"]
-    ):
-        raise CheckpointMismatchError(
-            "checkpoint belongs to a different structure/fragment division "
-            f"(signature {manifest['division_signature'][:12]}... != "
-            f"{division_signature[:12]}...)"
-        )
-    if mixer_kind is not None and mixer_kind != manifest["mixer_kind"]:
-        raise CheckpointMismatchError(
-            f"checkpoint was written with the {manifest['mixer_kind']!r} "
-            f"mixer, not {mixer_kind!r}"
-        )
-
-    payload_path = directory / manifest["payload"]
-    if not payload_path.is_file():
-        raise FileNotFoundError(f"checkpoint payload {payload_path} is missing")
-    with np.load(payload_path) as payload:
-        arrays = {name: payload[name] for name in payload.files}
-    if int(arrays["iteration"]) != int(manifest["iteration"]):
-        raise CheckpointMismatchError(
-            "manifest and payload disagree on the iteration counter "
-            f"({manifest['iteration']} vs {int(arrays['iteration'])})"
-        )
+    path = Path(directory) / _STATE_NAME
+    if not path.is_file():
+        raise FileNotFoundError(f"no checkpoint in {directory}")
+    with np.load(path) as archive:
+        meta = _metadata(archive, path, _STATE_KEYS)
+        if grid_shape is not None and list(grid_shape) != meta["grid_shape"]:
+            raise CheckpointMismatchError(
+                f"checkpoint was written for global grid "
+                f"{tuple(meta['grid_shape'])}, not {tuple(grid_shape)}"
+            )
+        if (
+            division_signature is not None
+            and division_signature != meta["division_signature"]
+        ):
+            raise CheckpointMismatchError(
+                "checkpoint belongs to a different structure/fragment division "
+                f"(signature {meta['division_signature'][:12]}... != "
+                f"{division_signature[:12]}...)"
+            )
+        if mixer_kind is not None and mixer_kind != meta["mixer_kind"]:
+            raise CheckpointMismatchError(
+                f"checkpoint was written with the {meta['mixer_kind']!r} "
+                f"mixer, not {mixer_kind!r}"
+            )
+        arrays = {name: archive[name] for name in archive.files if name not in meta}
 
     mixer_state = {
         name[len(_MIXER_PREFIX):]: value
@@ -322,15 +295,15 @@ def load_checkpoint(
         if name.startswith(_FRAGMENT_PREFIX)
     }
     return SCFCheckpoint(
-        iteration=int(manifest["iteration"]),
+        iteration=meta["iteration"],
         v_in=arrays["v_in"],
-        mixer_kind=str(manifest["mixer_kind"]),
-        division_signature=str(manifest["division_signature"]),
+        mixer_kind=meta["mixer_kind"],
+        division_signature=meta["division_signature"],
         mixer_state=mixer_state,
         fragment_coefficients=fragment_coefficients,
         convergence_history=[float(x) for x in arrays["convergence_history"]],
         energy_history=[float(x) for x in arrays["energy_history"]],
-        version=version,
+        version=meta["version"],
     )
 
 
@@ -344,24 +317,6 @@ def _partial_payload_name(label: str) -> str:
     return "frag-" + hashlib.sha256(label.encode()).hexdigest()[:16] + ".npz"
 
 
-def _read_partial_manifest(pdir: Path) -> dict | None:
-    manifest_path = pdir / MANIFEST_NAME
-    if not manifest_path.is_file():
-        return None
-    try:
-        return json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError):  # pragma: no cover - torn manifest
-        return None
-
-
-def _unlink_payloads(pdir: Path) -> None:
-    for stale in pdir.glob("frag-*.npz*"):
-        try:
-            stale.unlink()
-        except OSError:  # pragma: no cover - cleanup is best effort
-            pass
-
-
 def save_partial_payload(
     directory: str | Path,
     iteration: int,
@@ -372,18 +327,15 @@ def save_partial_payload(
 ) -> Path:
     """Persist one completed fragment's arrays for the in-flight iteration.
 
-    ``partial/`` holds one iteration's payloads under one manifest.  The
-    first save for a new ``(iteration, division_signature,
-    state_fingerprint)`` wipes whatever payloads are there and writes a
-    fresh manifest; subsequent saves append one crash-safe ``.npz`` per
-    fragment.  A kill at any moment leaves every already-saved fragment
-    loadable.
+    One crash-safe ``frag-<digest>.npz`` per fragment, carrying
+    ``iteration``, ``division_signature`` and ``state_fingerprint``
+    beside the arrays; a save replaces that fragment's earlier file.  A
+    kill at any moment leaves every already-saved fragment loadable.
 
     Parameters
     ----------
     directory:
-        The run's checkpoint directory (the partials live in its
-        ``partial/`` subdirectory).
+        The run's checkpoint directory.
     iteration:
         The iteration currently in flight (1-based, the one whose
         fragments are being solved — *not yet* completed).
@@ -408,24 +360,14 @@ def save_partial_payload(
     Path
         The written payload path.
     """
-    pdir = Path(directory) / PARTIAL_DIRNAME
-    pdir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "format": "repro-ls3df-partial",
-        "version": CHECKPOINT_VERSION,
-        "iteration": int(iteration),
-        "division_signature": division_signature,
-        "state_fingerprint": state_fingerprint,
-    }
-    if _read_partial_manifest(pdir) != manifest:
-        _unlink_payloads(pdir)
-        write_text_atomic(
-            pdir / MANIFEST_NAME,
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        )
-    payload_path = pdir / _partial_payload_name(label)
-    write_npz_atomic(payload_path, **arrays)
-    return payload_path
+    return write_npz_atomic(
+        Path(directory) / _partial_payload_name(label),
+        **arrays,
+        version=np.int64(CHECKPOINT_VERSION),
+        iteration=np.int64(iteration),
+        division_signature=np.str_(division_signature),
+        state_fingerprint=np.str_(state_fingerprint),
+    )
 
 
 def load_partial_payloads(
@@ -436,11 +378,11 @@ def load_partial_payloads(
 ) -> dict[str, dict[str, np.ndarray]]:
     """Completed-fragment payloads saved for the given in-flight iteration.
 
-    Stale partials — another iteration, a different format version, or a
-    ``state_fingerprint`` recording different solve inputs (changed
-    eigensolver controls, a different input potential) — are silently
-    ignored: they belong to work the resuming run must redo.  A
-    *different problem* is an error.
+    Stale partials — another iteration, or a ``state_fingerprint``
+    recording different solve inputs (changed eigensolver controls, a
+    different input potential) — are silently ignored: they belong to
+    work the resuming run must redo.  A *different problem* or malformed
+    metadata is an error.
 
     Parameters
     ----------
@@ -462,32 +404,29 @@ def load_partial_payloads(
     Raises
     ------
     CheckpointMismatchError
-        The partials belong to a different problem signature.
+        A partial belongs to a different problem signature, has a
+        foreign format version, or missing or mistyped metadata.
     """
-    pdir = Path(directory) / PARTIAL_DIRNAME
-    manifest = _read_partial_manifest(pdir)
-    if manifest is None or int(manifest.get("version", -1)) != CHECKPOINT_VERSION:
-        return {}
-    if int(manifest.get("iteration", -1)) != int(iteration):
-        return {}
-    if manifest.get("division_signature") != division_signature:
-        raise CheckpointMismatchError(
-            "mid-iteration partials belong to a different structure/fragment "
-            f"division (signature {str(manifest.get('division_signature'))[:12]}... "
-            f"!= {division_signature[:12]}...)"
-        )
-    if manifest.get("state_fingerprint", "") != state_fingerprint:
-        return {}
     payloads: dict[str, dict[str, np.ndarray]] = {}
-    for path in sorted(pdir.glob("frag-*.npz")):
-        try:
-            with np.load(path) as payload:
-                arrays = {name: payload[name] for name in payload.files}
-        except (OSError, ValueError):  # pragma: no cover - torn payload
-            continue
-        if "label" not in arrays:
-            continue
-        payloads[str(arrays["label"])] = arrays
+    for path in sorted(Path(directory).glob("frag-*.npz")):
+        with np.load(path) as archive:
+            meta = _metadata(archive, path, _PARTIAL_KEYS)
+            if meta["iteration"] != int(iteration):
+                continue
+            if meta["division_signature"] != division_signature:
+                raise CheckpointMismatchError(
+                    f"{path}: mid-iteration partial belongs to a different "
+                    f"structure/fragment division (signature "
+                    f"{meta['division_signature'][:12]}... != "
+                    f"{division_signature[:12]}...)"
+                )
+            if meta["state_fingerprint"] != state_fingerprint:
+                continue
+            payloads[meta["label"]] = {
+                name: archive[name]
+                for name in archive.files
+                if name == "label" or name not in meta
+            }
     return payloads
 
 
@@ -499,12 +438,17 @@ def clear_partial_payloads(directory: str | Path) -> None:
     directory:
         The run's checkpoint directory.
     """
-    pdir = Path(directory) / PARTIAL_DIRNAME
-    if not pdir.is_dir():
-        return
-    _unlink_payloads(pdir)
-    try:
-        (pdir / MANIFEST_NAME).unlink(missing_ok=True)
-        pdir.rmdir()
-    except OSError:  # pragma: no cover - cleanup is best effort
-        pass
+    for stale in Path(directory).glob("frag-*.npz*"):
+        stale.unlink(missing_ok=True)
+
+
+def clear_checkpoint(directory: str | Path) -> None:
+    """Remove the checkpoint and its partials: a fresh run starts from nothing.
+
+    Parameters
+    ----------
+    directory:
+        The run's checkpoint directory.
+    """
+    (Path(directory) / _STATE_NAME).unlink(missing_ok=True)
+    clear_partial_payloads(directory)

@@ -41,12 +41,6 @@ def fsync_directory(directory: str | Path) -> None:
         os.close(fd)
 
 
-def replace_atomic(tmp: str | Path, path: str | Path) -> None:
-    """``os.replace`` plus the directory fsync that makes it durable."""
-    os.replace(tmp, path)
-    fsync_directory(Path(path).parent)
-
-
 def write_npz_atomic(path: str | Path, **arrays: np.ndarray) -> Path:
     """Write arrays to an uncompressed ``.npz``, atomically and durably.
 
@@ -81,41 +75,8 @@ def write_npz_atomic(path: str | Path, **arrays: np.ndarray) -> Path:
             np.savez(handle, **arrays)
             handle.flush()
             os.fsync(handle.fileno())
-        replace_atomic(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return path
-
-
-def write_text_atomic(path: str | Path, text: str) -> Path:
-    """Write ``text`` to ``path`` atomically and durably.
-
-    The text twin of :func:`write_npz_atomic` (tmp write, file fsync,
-    ``os.replace``, directory fsync), used for the small JSON manifests
-    of the checkpoint and run-store layers: a reader never observes a
-    torn manifest, and a completed write cannot vanish on power loss.
-
-    Parameters
-    ----------
-    path:
-        Destination file; parent directories are created as needed.
-    text:
-        Full file contents.
-
-    Returns
-    -------
-    Path
-        The destination path.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        replace_atomic(tmp, path)
+        os.replace(tmp, path)
+        fsync_directory(path.parent)
     finally:
         tmp.unlink(missing_ok=True)
     return path

@@ -31,7 +31,7 @@ __all__ = [
 PROTOCOL_VERSION = 1
 #: Version of the ``repro-serve`` request/response dicts; bumped on any
 #: incompatible change to them.
-SERVICE_PROTOCOL_VERSION = 3
+SERVICE_PROTOCOL_VERSION = 4
 
 _MAGIC = b"RPW1"
 _HEADER = struct.Struct(">4sQ")

@@ -2,8 +2,8 @@
 
 Every LS3DF solve handled by this layer is a first-class persistent
 object — an append-only *event stream* (``submitted -> scheduled ->
-iteration(k) -> ... -> converged | failed``) on disk, with a
-snapshot cache for O(1) catch-up, advisory file locking for concurrent
+iteration(k) -> ... -> converged | failed``) on disk whose first
+record carries the problem spec, advisory file locking for concurrent
 writers, and content-addressed run ids as dedup keys: two clients
 submitting the identical problem attach to one in-flight solve and both
 stream its events.
@@ -15,8 +15,8 @@ Layers (bottom up):
 * :mod:`repro.store.lock` — advisory file locks
   (:class:`~repro.store.lock.FileLock`) serialising concurrent writers.
 * :mod:`repro.store.stream` — :class:`~repro.store.stream.EventStream`,
-  one run's append-only log (one fsync commits an event) + ``head.json``
-  snapshot cache.
+  one run's append-only log (one fsync commits an event), folded for
+  its head on every read — the run's only index.
 * :mod:`repro.store.dedup` — serialisable problem specs, solver
   construction and the content-addressed signature.
 * :mod:`repro.store.store` — :class:`~repro.store.store.RunStore`, the

@@ -208,7 +208,7 @@ def _print_json(obj) -> None:
 def client_main(argv: Sequence[str] | None = None) -> int:
     """``repro-submit`` entry point.
 
-    ``repro-submit --host H --port P submit spec.json [--wait]`` and
+    ``repro-submit --host H --port P submit problem.json [--wait]`` and
     friends; every subcommand prints a JSON document on stdout.
     ``result`` prints scalar metadata and (optionally) saves the arrays
     with ``--save out.npz`` — arrays never land on stdout.

@@ -76,8 +76,8 @@ def canonical_spec(spec: dict) -> dict:
     -------
     dict
         A plain-JSON copy with exactly those four keys, tuples
-        normalised to lists — the form that is persisted as
-        ``spec.json`` and hashed for the signature.
+        normalised to lists — the form that is persisted
+        in the ``submitted`` event and hashed for the signature.
     """
     if not isinstance(spec, dict):
         raise TypeError(f"spec must be a mapping, got {type(spec).__name__}")
@@ -103,7 +103,7 @@ def canonical_spec(spec: dict) -> dict:
     if bad:
         raise ValueError(f"unsupported run keys: {sorted(bad)}")
     # Round-trip through JSON: tuples -> lists, and reject anything that
-    # would not survive spec.json.
+    # would not survive the event record.
     return json.loads(
         json.dumps(
             {

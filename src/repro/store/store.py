@@ -6,9 +6,8 @@ A store root looks like::
         store.lock            # serialises submits
         runs/
             run-<sig16>/      # content-addressed: the directory is the index
-                spec.json     # the canonical problem spec
-                events.log    # the run's event stream (stream.py)
-                head.json     # snapshot index
+                events.log    # the run's event stream (stream.py); its
+                              # first record, "submitted", carries the spec
                 stream.lock
                 payload-*.npz
                 checkpoint/   # LS3DFSCF checkpoints (repro.io.checkpoint)
@@ -16,7 +15,8 @@ A store root looks like::
 A run id is ``run-`` plus the first 16 hex digits of the problem
 signature, so dedup is a look at one directory: a submit never reads
 another run's files, whatever the size of the store.  A run exists once
-its ``submitted`` event is in the log; ``run_ids`` lists ``runs/``.
+its ``submitted`` event — the canonical spec in its ``data["spec"]`` —
+is in the log; ``run_ids`` lists ``runs/``.
 
 :class:`RunStore` is deliberately daemon-free: it is the persistence
 layer both the ``repro-serve`` daemon and offline tools share.  Two
@@ -27,14 +27,12 @@ locks — which is exactly what the crash/concurrency battery in
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.io.gridio import write_text_atomic
 from repro.store.dedup import canonical_spec, problem_signature
 from repro.store.events import TERMINAL_KINDS, Event, TornRecordError, decode_record
 from repro.store.lock import FileLock
@@ -42,7 +40,6 @@ from repro.store.stream import EventStream
 
 __all__ = ["RunStore", "SubmitReceipt", "UnknownRunError"]
 
-SPEC_NAME = "spec.json"
 ROOT_LOCK_NAME = "store.lock"
 RUNS_DIR = "runs"
 _RUN_ID = re.compile(r"run-[0-9a-f]{16}")
@@ -116,12 +113,12 @@ class RunStore:
         """Submit a problem, deduplicating on its signature.
 
         Under the store root lock, look at the one directory the
-        signature names: if it holds the same spec and a ``submitted``
-        event, append an ``attached`` event and report ``attached=True``;
-        otherwise persist ``spec.json`` and append the ``submitted``
-        event — the commit point — so a kill at any point leaves either
-        a complete run or a directory the next identical submit simply
-        reuses.
+        signature names: if its log opens with a ``submitted`` event of
+        the same spec, append an ``attached`` event and report
+        ``attached=True``; otherwise append the ``submitted`` event
+        carrying the spec — the commit point — so a kill at any point
+        leaves either a complete run or a directory the next identical
+        submit simply reuses.
 
         Parameters
         ----------
@@ -137,39 +134,33 @@ class RunStore:
         Raises
         ------
         ValueError
-            The directory holds a different spec (a 16-hex-digit
-            signature prefix collision).
+            The run's ``submitted`` event holds a different spec (a
+            16-hex-digit signature prefix collision).
         """
         spec = canonical_spec(spec)
         signature = problem_signature(spec)
         run_id = f"run-{signature[:16]}"
-        rdir = self.run_dir(run_id)
-        text = json.dumps(spec, indent=2, sort_keys=True) + "\n"
         self.root.mkdir(parents=True, exist_ok=True)
         with self._root_lock():
-            spec_path = rdir / SPEC_NAME
-            stored = spec_path.read_text() if spec_path.is_file() else None
-            if stored is not None and stored != text:
+            submitted = self._submitted(run_id)
+            attached = submitted is not None
+            if attached and submitted.data.get("spec") != spec:
                 raise ValueError(f"run id {run_id} already holds a different spec")
-            stream = self.stream(run_id)
-            if stored is not None and stream.read_head()["seq"] >= 0:
-                stream.append("attached", {"client": client, "signature": signature})
-                return SubmitReceipt(run_id=run_id, signature=signature, attached=True)
-            rdir.mkdir(parents=True, exist_ok=True)
-            if stored is None:
-                write_text_atomic(spec_path, text)
-            stream.append("submitted", {"client": client, "signature": signature})
-            return SubmitReceipt(run_id=run_id, signature=signature, attached=False)
+            data = {"client": client, "signature": signature}
+            if not attached:
+                data["spec"] = spec
+            self.stream(run_id).append("attached" if attached else "submitted", data)
+            return SubmitReceipt(run_id=run_id, signature=signature, attached=attached)
 
     # -- read side -----------------------------------------------------
-    def _submitted_ts(self, run_id: str) -> float | None:
-        """The ``submitted`` event's timestamp, or None if not committed."""
+    def _submitted(self, run_id: str) -> Event | None:
+        """The run's ``submitted`` event, or None if not committed."""
         try:
             with open(self.stream(run_id).log_path, "rb") as handle:
                 first = decode_record(handle.readline())
         except (OSError, TornRecordError):
             return None
-        return first.ts if first.kind == "submitted" else None
+        return first if first.kind == "submitted" else None
 
     def run_ids(self) -> list[str]:
         """All submitted runs, oldest first."""
@@ -179,17 +170,26 @@ class RunStore:
         for entry in self.runs_root.iterdir():
             if _RUN_ID.fullmatch(entry.name) is None:
                 continue
-            ts = self._submitted_ts(entry.name)
-            if ts is not None:
-                stamped.append((ts, entry.name))
+            submitted = self._submitted(entry.name)
+            if submitted is not None:
+                stamped.append((submitted.ts, entry.name))
         return [run_id for _, run_id in sorted(stamped)]
 
     def spec(self, run_id: str) -> dict:
-        """A run's persisted canonical spec."""
-        return json.loads((self.run_dir(run_id) / SPEC_NAME).read_text())
+        """A run's canonical spec, from its ``submitted`` event.
+
+        Raises
+        ------
+        UnknownRunError
+            The id is malformed or no run was submitted under it.
+        """
+        submitted = self._submitted(run_id)
+        if submitted is None:
+            raise UnknownRunError(f"no run {run_id!r} in {self.root}")
+        return submitted.data["spec"]
 
     def read_head(self, run_id: str) -> dict:
-        """The run's folded status snapshot — never touches payloads.
+        """The run's status, folded from its log — never touches payloads.
 
         Raises
         ------

@@ -4,7 +4,6 @@ A stream is a directory::
 
     <run_dir>/
         events.log        # newline-framed checksummed records (events.py)
-        head.json         # snapshot cache: O(1) catch-up state
         stream.lock       # FileLock serialising writers
         payload-NNNNNN.npz  # sidecar arrays (one per payload-carrying event)
 
@@ -14,16 +13,12 @@ it; the record append is then flushed and fsynced, and that fsync is
 the commit (the log's creation also fsyncs the directory).  A kill at
 any byte leaves either a fully valid log, or a valid log plus a *torn
 tail* that replay ignores and the next locked append truncates away —
-never a lie.  ``head.json`` is a cache, not a commit: it is replaced by
-a rename after the log fsync but never fsynced itself, so after a crash
-it is at worst older than the log, absent or empty, and both readers
-fold the log forward from whatever it holds.
+never a lie.
 
-``head.json`` is the snapshot index: the folded state of every event up
-to a byte ``offset`` into the log.  :meth:`EventStream.read_head` reads
-it and folds only the (typically zero) records past the offset, so a
-``status`` query is O(1) in the run's history and never opens a
-payload ``.npz``.
+``events.log`` is the run's only index: :meth:`EventStream.read_head`
+folds it from byte 0 (:func:`fold_head`) without a lock and never opens
+a payload ``.npz``.  A run's log holds a handful of small records, so
+the fold is cheaper than keeping a snapshot file of it up to date.
 
 Fault injection follows the :mod:`repro.parallel.faults` style: an
 :class:`AppendFaultPlan` attached to a stream kills configured appends
@@ -33,10 +28,10 @@ battery in ``tests/test_store.py`` replays exactly.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 from typing import Mapping
 
@@ -61,7 +56,6 @@ __all__ = [
 ]
 
 LOG_NAME = "events.log"
-HEAD_NAME = "head.json"
 LOCK_NAME = "stream.lock"
 
 
@@ -90,30 +84,19 @@ class AppendFaultPlan:
         landed).  The append writes exactly that prefix, fsyncs it, and
         raises :class:`KilledAppend` — the on-disk state is byte-for-
         byte what a real ``kill -9`` at that point leaves behind.
-    skip_head_update_at:
-        Event ``seq`` values whose append writes the full record but
-        dies *before* the ``head.json`` snapshot update — the
-        stale-snapshot crash window, which catch-up must absorb.
     """
 
     torn_at: Mapping[int, int] = field(default_factory=dict)
-    skip_head_update_at: tuple = ()
 
     def bytes_before_kill(self, seq: int) -> int | None:
         """Bytes to write for ``seq`` before dying, or None for no fault."""
         value = self.torn_at.get(int(seq))
         return None if value is None else int(value)
 
-    def kills_head_update(self, seq: int) -> bool:
-        """Whether the ``seq`` append dies between log append and head write."""
-        return int(seq) in self.skip_head_update_at
-
 
 def _empty_head() -> dict:
     return {
-        "format": "repro-run-head",
         "seq": -1,
-        "offset": 0,
         "status": "empty",
         "kind": None,
         "clients": 0,
@@ -129,8 +112,8 @@ def _empty_head() -> dict:
     }
 
 
-def fold_head(head: dict, event: Event, offset: int) -> dict:
-    """Fold one event into the snapshot-index state (pure function).
+def fold_head(head: dict, event: Event) -> dict:
+    """Fold one event into the run's head state (pure function).
 
     Parameters
     ----------
@@ -138,20 +121,17 @@ def fold_head(head: dict, event: Event, offset: int) -> dict:
         The state before the event (not mutated).
     event:
         The event to fold.
-    offset:
-        Byte offset just past the event's record in the log.
 
     Returns
     -------
     dict
-        The updated head: latest ``seq``/``offset``, the derived
+        The updated head: latest ``seq``, the derived
         lifecycle ``status``, client/solve counters, last iteration
         metrics, and the terminal result payload reference — everything
         a ``status`` query needs, none of it requiring a payload read.
     """
     out = dict(head)
     out["seq"] = event.seq
-    out["offset"] = int(offset)
     out["kind"] = event.kind
     out["updated_ts"] = event.ts
     if event.kind == "submitted":
@@ -211,11 +191,6 @@ class EventStream:
         """The record log file."""
         return self.run_dir / LOG_NAME
 
-    @property
-    def head_path(self) -> Path:
-        """The snapshot-index file."""
-        return self.run_dir / HEAD_NAME
-
     def _lock(self) -> FileLock:
         return FileLock(self.run_dir / LOCK_NAME, timeout=self.lock_timeout)
 
@@ -236,8 +211,8 @@ class EventStream:
         process) by ``stream.lock``; inside the lock it first heals any
         torn tail a killed writer left (truncating to the last valid
         record), assigns the next contiguous ``seq``, writes the payload
-        sidecar (if any) atomically, appends + fsyncs the record (the
-        commit), and renames a fresh ``head.json`` cache into place.
+        sidecar (if any) atomically, and appends + fsyncs the record (the
+        commit).
 
         Parameters
         ----------
@@ -257,8 +232,7 @@ class EventStream:
         """
         self.run_dir.mkdir(parents=True, exist_ok=True)
         with self._lock():
-            head, _ = self._recover_locked()
-            seq = int(head["seq"]) + 1
+            seq = self._recover_locked()
             payload_name = None
             if payload_arrays is not None:
                 payload_name = f"payload-{seq:06d}.npz"
@@ -289,89 +263,43 @@ class EventStream:
                 handle.write(record)
                 handle.flush()
                 os.fsync(handle.fileno())
-                offset = handle.tell()
             if created:
                 fsync_directory(self.run_dir)
-            if self.fault_plan is not None and self.fault_plan.kills_head_update(seq):
-                raise KilledAppend(
-                    f"injected kill before the head update of event seq {seq}"
-                )
-            head = fold_head(head, event, offset)
-            # The cache: whole for readers (the rename), never fsynced.
-            tmp = self.head_path.with_name(HEAD_NAME + ".tmp")
-            tmp.write_text(json.dumps(head, indent=2, sort_keys=True) + "\n")
-            os.replace(tmp, self.head_path)
             return event
 
-    def _recover_locked(self) -> tuple[dict, list[Event]]:
-        """Heal the log under the held lock; return the up-to-date head.
+    def _recover_locked(self) -> int:
+        """Heal the log under the held lock; return the next ``seq``.
 
-        Scans the records past the snapshot's verified ``offset``; a
-        torn tail (the signature of a killed append) is truncated away,
-        and any events a crashed writer appended without updating the
-        snapshot are folded in.  Returns ``(head, tail_events)``.
+        Scans the log from byte 0; a torn tail (the signature of a
+        killed append) is truncated away.
         """
-        head = self._load_snapshot()
-        if not self.log_path.exists():
-            return head, []
-        with open(self.log_path, "rb") as handle:
-            handle.seek(int(head["offset"]))
-            tail = handle.read()
-        events, valid, torn = _scan_records(tail, int(head["seq"]) + 1)
-        offset = int(head["offset"])
-        for event, end in zip(events, valid):
-            head = fold_head(head, event, offset + end)
+        events, valid, torn = self._scan()
         if torn:
             # Truncate the torn bytes: the killed append never happened.
             with open(self.log_path, "rb+") as handle:
-                handle.truncate(offset + (valid[-1] if valid else 0))
+                handle.truncate(valid)
                 handle.flush()
                 os.fsync(handle.fileno())
-        return head, events
+        return len(events)
 
     # -- read side -----------------------------------------------------
-    def _load_snapshot(self) -> dict:
-        if not self.head_path.is_file():
-            return _empty_head()
-        try:
-            head = json.loads(self.head_path.read_text())
-        except (OSError, json.JSONDecodeError):  # a torn cache: fold from byte 0
-            return _empty_head()
-        if head.get("format") != "repro-run-head":
-            return _empty_head()
-        return head
+    def _scan(self) -> tuple[list[Event], int, bool]:
+        if not self.log_path.exists():
+            return [], 0, False
+        return _scan_records(self.log_path.read_bytes())
 
     def read_head(self) -> dict:
-        """The run's current folded state — O(1), zero payload reads.
+        """The run's current folded state — zero payload reads.
 
-        Reads ``head.json`` and folds only the records the snapshot has
-        not seen yet (normally none; bounded by the events of a single
-        crashed append window).  Purely a read: the log is never
-        truncated or rewritten, no lock is taken, and no payload
-        ``.npz`` is ever opened.
+        Folds ``events.log`` from byte 0, torn tail ignored.  Purely a
+        read: the log is never truncated or rewritten, no lock is taken,
+        and no payload ``.npz`` is ever opened.
         """
-        head = self._load_snapshot()
-        if not self.log_path.exists():
-            return head
-        size = self.log_path.stat().st_size
-        if size <= int(head["offset"]):
-            return head
-        with open(self.log_path, "rb") as handle:
-            handle.seek(int(head["offset"]))
-            tail = handle.read()
-        events, valid, _torn = _scan_records(tail, int(head["seq"]) + 1)
-        offset = int(head["offset"])
-        for event, end in zip(events, valid):
-            head = fold_head(head, event, offset + end)
-        return head
+        return reduce(fold_head, self._scan()[0], _empty_head())
 
     def replay(self, since_seq: int = 0) -> list[Event]:
         """All valid events with ``seq >= since_seq``, torn tail ignored."""
-        if not self.log_path.exists():
-            return []
-        raw = self.log_path.read_bytes()
-        events, _valid, _torn = _scan_records(raw, 0)
-        return [e for e in events if e.seq >= int(since_seq)]
+        return [e for e in self._scan()[0] if e.seq >= int(since_seq)]
 
     def is_terminal(self) -> bool:
         """Whether the run has converged or failed."""
@@ -396,24 +324,19 @@ class EventStream:
             return {name: payload[name] for name in payload.files}
 
 
-def _scan_records(
-    raw: bytes, first_seq: int
-) -> tuple[list[Event], list[int], bool]:
+def _scan_records(raw: bytes) -> tuple[list[Event], int, bool]:
     """Decode a byte run of records, tolerating only a torn tail.
 
     Parameters
     ----------
     raw:
-        Record bytes starting at a record boundary.
-    first_seq:
-        The ``seq`` the first record must carry (contiguity check).
+        The whole log.
 
     Returns
     -------
     tuple
-        ``(events, end_offsets, torn)`` — the valid events, each one's
-        end offset relative to ``raw``, and whether torn tail bytes
-        follow them.
+        ``(events, valid_bytes, torn)`` — the valid events, the length
+        of the prefix they fill, and whether torn tail bytes follow it.
 
     Raises
     ------
@@ -422,29 +345,25 @@ def _scan_records(
         a sequence-number discontinuity — damage no crash can explain.
     """
     events: list[Event] = []
-    ends: list[int] = []
     pos = 0
-    expected = int(first_seq)
     while pos < len(raw):
         newline = raw.find(b"\n", pos)
         if newline < 0:
-            return events, ends, True  # torn tail: no newline
+            return events, pos, True  # torn tail: no newline
         line = raw[pos : newline + 1]
         try:
             event = decode_record(line)
         except TornRecordError as exc:
             if newline + 1 >= len(raw):
-                return events, ends, True  # torn tail: last line invalid
+                return events, pos, True  # torn tail: last line invalid
             raise StoreCorruptionError(
                 f"invalid record at byte {pos} followed by further data: {exc}"
             ) from exc
-        if event.seq != expected:
+        if event.seq != len(events):
             raise StoreCorruptionError(
                 f"record at byte {pos} carries seq {event.seq}, expected "
-                f"{expected} (lost or duplicated append)"
+                f"{len(events)} (lost or duplicated append)"
             )
         events.append(event)
-        ends.append(newline + 1)
         pos = newline + 1
-        expected += 1
-    return events, ends, False
+    return events, pos, False

@@ -532,22 +532,21 @@ def test_partial_payload_save_load_clear(tmp_path):
     # A different problem is a loud error, like the full checkpoint.
     with pytest.raises(CheckpointMismatchError):
         load_partial_payloads(tmp_path, 3, "other-sig")
-    # One iteration is in flight at a time: its first save replaces the
-    # previous iteration's payloads under one flat manifest.
+    # Each file carries its own iteration: a save replaces that fragment's
+    # file, and every load sees only the files of the iteration it asks for.
     save_partial_payload(tmp_path, 4, "sig", "F(0,0,0)x111", arrays_a)
     assert sorted(load_partial_payloads(tmp_path, 4, "sig")) == ["F(0,0,0)x111"]
-    assert load_partial_payloads(tmp_path, 3, "sig") == {}
-    names = sorted(p.name for p in (tmp_path / "partial").iterdir())
-    assert len(names) == 2 and names[0].startswith("frag-") and names[1] == "manifest.json"
+    assert sorted(load_partial_payloads(tmp_path, 3, "sig")) == ["F(1,0,0)x211"]
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert len(names) == 2 and all(n.startswith("frag-") and n.endswith(".npz") for n in names)
     clear_partial_payloads(tmp_path)
-    assert load_partial_payloads(tmp_path, 4, "sig") == {}
-    assert not (tmp_path / "partial").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_partial_payload_state_fingerprint_gates_replay(tmp_path):
     """Partials saved under different solve inputs (a changed tolerance,
     a different input potential) are stale — ignored, not replayed and
-    not an error — and a save under new inputs wipes them."""
+    not an error — and a save under new inputs replaces them."""
     arrays = {"label": np.asarray("F(0,0,0)x111"), "x": np.arange(4.0)}
     save_partial_payload(
         tmp_path, 1, "sig", "F(0,0,0)x111", arrays, state_fingerprint="inputs-A")
@@ -555,7 +554,7 @@ def test_partial_payload_state_fingerprint_gates_replay(tmp_path):
         tmp_path, 1, "sig", state_fingerprint="inputs-A") != {}
     assert load_partial_payloads(
         tmp_path, 1, "sig", state_fingerprint="inputs-B") == {}
-    # Saving under the new inputs replaces the stale same-iteration set.
+    # Saving the fragment under the new inputs replaces its stale file.
     save_partial_payload(
         tmp_path, 1, "sig", "F(0,0,0)x111", arrays, state_fingerprint="inputs-B")
     assert load_partial_payloads(

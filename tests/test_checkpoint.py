@@ -1,8 +1,8 @@
 """Checkpoint/restart tests (ISSUE 4).
 
 Covers the three state-holding layers (mixer ``state_dict`` round trips
-for all three mixers, the fragment warm-start cache, the checkpoint
-file format with its manifest validation) and the acceptance criterion:
+for all three mixers, the fragment warm-start cache, the self-describing
+checkpoint file with its metadata validation) and the acceptance criterion:
 an LS3DF run killed after iteration k and resumed with ``resume=True``
 produces bit-identical densities/potentials/histories from iteration
 k+1 onward versus an uninterrupted run — for all three mixers on the
@@ -13,10 +13,12 @@ approximation.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+import repro.core.scf as scf_module
 from repro.atoms.toy import cscl_binary
 from repro.core.scf import LS3DFSCF
 from repro.io.checkpoint import (
@@ -24,7 +26,9 @@ from repro.io.checkpoint import (
     SCFCheckpoint,
     has_checkpoint,
     load_checkpoint,
+    load_partial_payloads,
     save_checkpoint,
+    save_partial_payload,
 )
 from repro.io.gridio import write_npz_atomic
 from repro.pw.grid import FFTGrid
@@ -161,12 +165,26 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
 
 
 def test_checkpoint_replaces_previous_and_prunes_stale_payloads(tmp_path):
-    save_checkpoint(tmp_path, _dummy_checkpoint(iteration=1))
-    # Orphan from a hypothetical kill between tmp-write and replace.
-    (tmp_path / "state-000001.npz.tmp").write_bytes(b"half-written")
+    path = save_checkpoint(tmp_path, _dummy_checkpoint(iteration=1))
+    assert path == tmp_path / "state-latest.npz"
+    # Orphan from a hypothetical kill between tmp-write and replace: the
+    # next save writes through the same temp name and leaves nothing.
+    (tmp_path / "state-latest.npz.tmp").write_bytes(b"half-written")
     save_checkpoint(tmp_path, _dummy_checkpoint(iteration=2))
-    assert [p.name for p in sorted(tmp_path.glob("state-*"))] == ["state-000002.npz"]
+    assert [p.name for p in tmp_path.iterdir()] == ["state-latest.npz"]
     assert load_checkpoint(tmp_path).iteration == 2
+
+
+def test_the_state_file_describes_itself_without_pickle(tmp_path):
+    path = save_checkpoint(tmp_path, _dummy_checkpoint())
+    with np.load(path, allow_pickle=False) as archive:
+        meta = {key: archive[key] for key in (
+            "version", "iteration", "grid_shape", "division_signature", "mixer_kind")}
+    assert all(value.dtype.kind != "O" for value in meta.values())
+    assert [value.ndim for value in meta.values()] == [0, 0, 1, 0, 0]
+    assert (int(meta["version"]), int(meta["iteration"])) == (2, 3)
+    assert meta["grid_shape"].tolist() == [4, 4, 4]
+    assert (str(meta["division_signature"]), str(meta["mixer_kind"])) == ("sig-a", "anderson")
 
 
 def test_checkpoint_mismatches_fail_loudly(tmp_path):
@@ -179,20 +197,63 @@ def test_checkpoint_mismatches_fail_loudly(tmp_path):
         load_checkpoint(tmp_path, mixer_kind="kerker")
 
 
-def test_checkpoint_rejects_foreign_versions_and_tampered_pairs(tmp_path):
-    save_checkpoint(tmp_path, _dummy_checkpoint())
-    manifest_path = tmp_path / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
+def _rewrite(path, **changes):
+    """Rewrite an ``.npz`` with keys replaced (or dropped, for ``None``)."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    for key, value in changes.items():
+        if value is None:
+            del arrays[key]
+        else:
+            arrays[key] = value
+    np.savez(path, **arrays)
 
-    bad = dict(manifest, version=99)
-    manifest_path.write_text(json.dumps(bad))
-    with pytest.raises(CheckpointMismatchError, match="version"):
-        load_checkpoint(tmp_path)
 
-    bad = dict(manifest, iteration=manifest["iteration"] + 1)
-    manifest_path.write_text(json.dumps(bad))
-    with pytest.raises(CheckpointMismatchError, match="iteration"):
-        load_checkpoint(tmp_path)
+def _save_state(directory):
+    return save_checkpoint(directory, _dummy_checkpoint())
+
+
+def _save_partial(directory):
+    arrays = {"label": np.asarray("F(0,0,0)x111"), "x": np.arange(4.0)}
+    return save_partial_payload(directory, 1, "sig", "F(0,0,0)x111", arrays)
+
+
+_LOADERS = {
+    "state": (_save_state, load_checkpoint),
+    "partial": (_save_partial, lambda directory: load_partial_payloads(directory, 1, "sig")),
+}
+# (case id, keys replaced or dropped, what the message must name)
+_MALFORMED = [
+    ("foreign-version", {"version": np.int64(99)}, "version 99"),
+    ("missing-version", {"version": None}, "'version'"),
+    ("missing-iteration", {"iteration": None}, "'iteration'"),
+    ("float-iteration", {"iteration": np.float64(1.0)}, "'iteration'"),
+    ("int-signature", {"division_signature": np.int64(7)}, "'division_signature'"),
+    ("pickled-signature", {"division_signature": np.array("sig", dtype=object)},
+     "'division_signature'"),
+]
+_KIND_ONLY = {
+    "state": [("scalar-grid_shape", {"grid_shape": np.int64(4)}, "'grid_shape'"),
+              ("missing-mixer_kind", {"mixer_kind": None}, "'mixer_kind'")],
+    "partial": [("missing-state_fingerprint", {"state_fingerprint": None}, "'state_fingerprint'"),
+                ("missing-label", {"label": None}, "'label'")],
+}
+
+
+@pytest.mark.parametrize("kind, changes, match", [
+    pytest.param(kind, changes, match, id=f"{kind}-{name}")
+    for kind in _LOADERS
+    for name, changes, match in _MALFORMED + _KIND_ONLY[kind]
+])
+def test_checkpoint_rejects_malformed_metadata(tmp_path, kind, changes, match):
+    """A missing or mistyped metadata key, or a foreign version, is a typed
+    error naming the file — never a ``KeyError`` or a pickle load."""
+    save, load = _LOADERS[kind]
+    path = save(tmp_path)
+    _rewrite(path, **changes)
+    with pytest.raises(CheckpointMismatchError, match=re.escape(path.name)) as info:
+        load(tmp_path)
+    assert match in str(info.value)
 
 
 def test_load_checkpoint_missing_directory(tmp_path):
@@ -323,6 +384,40 @@ def test_resume_with_empty_directory_starts_fresh(tmp_path, fresh_runs):
         max_iterations=3, checkpoint_dir=tmp_path / "new", resume=True, **_RUN_KW
     )
     assert result.convergence_history == fresh_runs["linear"].convergence_history
+
+
+def test_an_old_layout_directory_holds_no_checkpoint(tmp_path, fresh_runs):
+    """A directory written in the manifest layout (``manifest.json`` naming
+    a ``state-NNNNNN.npz``) is not read: no checkpoint, a fresh resume."""
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"format": "repro-ls3df-checkpoint", "version": 1, "iteration": 2,
+         "payload": "state-000002.npz"}))
+    np.savez(tmp_path / "state-000002.npz", iteration=np.int64(2),
+             v_in=np.zeros((4, 4, 4)))
+    assert not has_checkpoint(tmp_path)
+    with pytest.raises(FileNotFoundError):
+        load_checkpoint(tmp_path)
+    result = _solver("linear").run(
+        max_iterations=3, checkpoint_dir=tmp_path, resume=True, **_RUN_KW
+    )
+    assert result.convergence_history == fresh_runs["linear"].convergence_history
+    assert len(result.timings) == 3
+
+
+def test_a_fresh_run_removes_the_previous_checkpoint(tmp_path, monkeypatch):
+    """Regression: a resume=False run killed before its first save must not
+    leave the previous run's state (or partials) for a later resume."""
+    save_checkpoint(tmp_path, _dummy_checkpoint())
+    _save_partial(tmp_path)
+
+    def killed(*args, **kwargs):
+        raise RuntimeError("killed before the first save")
+
+    monkeypatch.setattr(scf_module, "save_checkpoint", killed)
+    with pytest.raises(RuntimeError, match="first save"):
+        _solver("linear").run(max_iterations=2, checkpoint_dir=tmp_path, **_RUN_KW)
+    assert not has_checkpoint(tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_iteration_writes_a_checkpoint(tmp_path):

@@ -24,15 +24,19 @@ EXAMPLES = {
 }
 
 
-@pytest.fixture(scope="module")
-def runs(tmp_path_factory):
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
     procs = {
         script: subprocess.Popen(
             [sys.executable, str(ROOT / "examples" / script), *args],
-            cwd=tmp_path_factory.mktemp(script.removesuffix(".py")), env=env,
+            cwd=tmp_path_factory.mktemp(script.removesuffix(".py")), env=_env(),
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         for script, args in EXAMPLES.items()
     }
@@ -50,3 +54,19 @@ def test_every_example_is_listed():
 def test_example_runs(script, runs):
     _, stderr = runs[script].communicate(timeout=300)
     assert runs[script].returncode == 0, stderr[-2000:]
+
+
+def test_quickstart_resume_reads_the_checkpoint(tmp_path):
+    """The resume path: a second run over a checkpoint that already holds
+    the capped iteration reads it and stops with the exit message."""
+    def quickstart(*extra):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "examples" / "quickstart.py"),
+             "--checkpoint-dir", "ckpt", "--max-iterations", "1", *extra],
+            cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=300)
+
+    first = quickstart()
+    assert first.returncode == 0, first.stderr[-2000:]
+    second = quickstart("--resume")
+    assert second.returncode == 0, second.stderr[-2000:]
+    assert "already covers iteration 1" in second.stderr

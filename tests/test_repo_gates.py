@@ -55,13 +55,13 @@ def test_every_iteration_checkpoints_into_one_flat_partial_directory():
     assert _lines_matching(r"checkpoint_every|up_to_iteration|\biter-") == []
 
 
-def test_head_json_is_a_cache_the_stream_never_fsyncs():
-    """The fsynced log record is an event's one commit: ``stream.py`` writes
-    the head with neither durable writer, and its one ``fsync_directory``
-    call is the log's creation."""
-    source = (ROOT / "src/repro/store/stream.py").read_text()
-    assert "write_text_atomic" not in source
-    assert source.count("fsync_directory(") == 1
+def test_the_log_is_the_only_index():
+    """One file per durable fact: no snapshot, spec or manifest file indexes
+    or describes another, and the fsynced log record is an event's one
+    commit (the one ``fsync_directory`` call in ``stream.py`` is the log's
+    creation)."""
+    assert _lines_matching(r"head\.json|spec\.json|manifest\.json|write_text_atomic") == []
+    assert (ROOT / "src/repro/store/stream.py").read_text().count("fsync_directory(") == 1
 
 
 def test_an_iteration_is_one_record_and_no_checkpointed_event_kind():

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.parallel.remote import recv_frame, send_frame
-from repro.store import RunStore, build_solver
+from repro.store import RunStore, build_solver, canonical_spec
 from repro.store.client import ServiceClient, ServiceError, client_main
 from repro.store.server import SERVICE_PROTOCOL_VERSION, StoreServer, run_job, serve_main
 
@@ -96,9 +96,11 @@ class TestServiceInProcess:
             assert not reply["attached"] and reply["queued"]
             head = client.wait(reply["run_id"], timeout=60)
             assert head["status"] == "converged"
+            assert "offset" not in head and "format" not in head
             events = client.events(reply["run_id"])
             assert [e["kind"] for e in events] == [
                 "submitted", "scheduled", "iteration", "iteration", "converged"]
+            assert events[0]["data"]["spec"] == canonical_spec(SPEC_FAST)
             # One record per iteration; the checkpoint rides the first.
             assert [(e["data"]["checkpointed"], e["data"]["converged"])
                     for e in events[2:4]] == [(True, False), (False, True)]
@@ -378,9 +380,9 @@ class TestServiceInProcess:
                 assert info.value.error_type == "UnknownRunError"
 
     def test_old_protocol_hello_is_refused(self, server):
-        assert SERVICE_PROTOCOL_VERSION == 3
+        assert SERVICE_PROTOCOL_VERSION == 4
         with socket.create_connection(server.address, timeout=10) as sock:
-            send_frame(sock, {"op": "hello", "version": 2})
+            send_frame(sock, {"op": "hello", "version": 3})
             reply, _ = recv_frame(sock)
         assert not reply["ok"]
         assert reply["error_type"] == "RemoteProtocolError"

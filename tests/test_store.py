@@ -3,18 +3,17 @@
 Three families of proof:
 
 * **Durability unit tests** — the record framing round-trips and every
-  torn-byte prefix is detected; ``write_npz_atomic`` /
-  ``write_text_atomic`` follow the full tmp-write -> fsync(file) ->
-  rename -> fsync(directory) sequence (the rename itself lives in the
-  directory entry table, so skipping the directory fsync can lose the
-  *name* of a perfectly synced file); and the fsync budget: one fsync
-  commits an event, ``head.json`` is never synced, and a torn head
-  costs nothing but a longer fold.
+  torn-byte prefix is detected; ``write_npz_atomic`` follows the full
+  tmp-write -> fsync(file) -> rename -> fsync(directory) sequence (the
+  rename itself lives in the directory entry table, so skipping the
+  directory fsync can lose the *name* of a perfectly synced file); and
+  the fsync budget: one fsync commits an event, a checkpoint costs two,
+  and a run directory holds nothing but its log, lock, payloads and
+  checkpoint.
 * **Kill-mid-append** — a fault-injecting append dies after an exact
-  byte count; replay must land on the last consistent snapshot, the
+  byte count; replay must land on the last consistent state, and the
   next locked append must truncate the torn tail and continue with a
-  contiguous sequence, and ``read_head`` must absorb the
-  stale-snapshot window.
+  contiguous sequence.
 * **Multi-process contention** — two real writer processes hammer one
   stream's lock (no lost, duplicated or reordered events), and two
   concurrent submits of one problem signature produce exactly one run.
@@ -40,7 +39,8 @@ from hypothesis import strategies as st
 
 import repro.io.gridio as gridio
 from bench.gen import SERVICE_SPEC
-from repro.io.gridio import write_npz_atomic, write_text_atomic
+from repro.io.checkpoint import SCFCheckpoint, save_checkpoint
+from repro.io.gridio import write_npz_atomic
 from repro.store import (
     AppendFaultPlan,
     Event,
@@ -57,7 +57,7 @@ from repro.store import (
     problem_signature,
 )
 from repro.store.server import run_job
-from repro.store.stream import StoreCorruptionError, _empty_head, fold_head
+from repro.store.stream import StoreCorruptionError
 
 SPEC = {
     "builder": "cscl_binary",
@@ -296,13 +296,6 @@ class TestAtomicWriters:
             np.testing.assert_array_equal(data["rho"], np.arange(6.0).reshape(2, 3))
         assert [p.name for p in tmp_path.iterdir()] == ["state.npz"]  # no tmp left
 
-    def test_text_fsync_rename_dirsync_sequence(self, tmp_path, monkeypatch):
-        rec = _FsyncRecorder(monkeypatch, tmp_path)
-        target = write_text_atomic(tmp_path / "spec.json", '{"seq": 1}\n')
-        assert rec.kinds == ["fsync_file", "replace", "fsync_dir"]
-        assert target.read_text() == '{"seq": 1}\n'
-        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
-
     def test_fsync_directory_tolerates_missing_dir(self, tmp_path):
         gridio.fsync_directory(tmp_path / "nope")  # must not raise
 
@@ -321,14 +314,13 @@ class _FsyncTargets:
         monkeypatch.setattr(os, "fsync", traced_fsync)
 
     def take(self) -> list[Path]:
-        """The targets since the last call, clearing them; none is the head."""
+        """The targets since the last call, clearing them."""
         out, self.paths = self.paths, []
-        assert not [p for p in out if p.name.startswith("head.json")], out
         return out
 
 
 class TestFsyncBudget:
-    """The fsynced log record is an event's only commit; ``head.json`` is a cache."""
+    """The fsynced log record is an event's only commit; nothing indexes it."""
 
     def test_append_to_an_existing_log_is_one_fsync(self, tmp_path, monkeypatch):
         stream = EventStream(tmp_path / "run")
@@ -354,20 +346,38 @@ class TestFsyncBudget:
         assert fsyncs.take() == [
             stream.payload_path(event.payload + ".tmp"), stream.run_dir, stream.log_path]
 
-    def test_one_service_job_costs_fourteen_fsyncs(self, tmp_path, monkeypatch):
-        # submit: spec.json 2 + the log-creating "submitted" 2; run_job:
-        # "scheduled" 1, iteration 1's checkpoint 4 + its record 1, the
-        # converged iteration's record 1, "converged" with its payload 3.
+    def test_a_checkpoint_is_its_file_and_its_directory(self, tmp_path, monkeypatch):
+        fsyncs = _FsyncTargets(monkeypatch)
+        path = save_checkpoint(tmp_path, SCFCheckpoint(
+            iteration=1, v_in=np.zeros((2, 2, 2)), mixer_kind="linear",
+            division_signature="sig"))
+        assert fsyncs.take() == [path.with_name(path.name + ".tmp"), tmp_path]
+
+    def test_one_service_job_costs_ten_fsyncs(self, tmp_path, monkeypatch):
+        # submit: the log-creating "submitted" 2; run_job: "scheduled" 1,
+        # iteration 1's checkpoint 2 + its record 1, the converged
+        # iteration's record 1, "converged" with its payload 3.
         store = RunStore(tmp_path / "store")
         fsyncs = _FsyncTargets(monkeypatch)
         run_id = store.submit(SERVICE_SPEC, client="a").run_id
         run_job(store.root, run_id, slot=0)
         assert store.result(run_id)["converged"]
-        assert len(fsyncs.take()) == 14
+        assert len(fsyncs.take()) == 10
         assert [e.kind for e in store.events(run_id)] == [
             "submitted", "scheduled", "iteration", "iteration", "converged"]
         assert store.submit(SERVICE_SPEC, client="b").attached
         assert fsyncs.take() == [store.stream(run_id).log_path]
+
+    def test_a_run_directory_holds_its_log_lock_payloads_and_checkpoint(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        run_id = store.submit(SERVICE_SPEC, client="a").run_id
+        run_job(store.root, run_id, slot=0)
+        run_dir = store.run_dir(run_id)
+        files = sorted(str(p.relative_to(run_dir)) for p in run_dir.rglob("*") if p.is_file())
+        payloads = [name for name in files if name.startswith("payload-") and name.endswith(".npz")]
+        assert payloads == ["payload-000004.npz"]
+        assert sorted(set(files) - set(payloads)) == [
+            "checkpoint/state-latest.npz", "events.log", "stream.lock"]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +412,7 @@ class TestEventStream:
         assert head["solves"] == 1
         assert head["iteration"] == 2
         assert head["checkpointed_iteration"] == 1
-        assert head["offset"] == stream.log_path.stat().st_size
+        assert "offset" not in head and "format" not in head
         assert not stream.is_terminal()
 
     def test_resumed_schedule_does_not_count_a_second_solve(self, tmp_path):
@@ -425,24 +435,6 @@ class TestEventStream:
         np.testing.assert_array_equal(stream.load_payload(event)["density"],
                                       np.ones((2, 2)))
 
-    def test_read_head_catches_up_past_stale_snapshot(self, tmp_path):
-        # A writer killed between the log append and the head update
-        # leaves a stale snapshot; read_head must fold the delta.
-        stream = EventStream(
-            tmp_path / "run",
-            fault_plan=AppendFaultPlan(skip_head_update_at=(1,)),
-        )
-        stream.append("submitted", {})
-        with pytest.raises(KilledAppend):
-            stream.append("scheduled", {"resumed": False})
-        assert json.loads(stream.head_path.read_text())["seq"] == 0  # stale
-        head = stream.read_head()
-        assert head["seq"] == 1 and head["status"] == "scheduled"
-        # The next locked append heals the snapshot too.
-        stream.fault_plan = None
-        stream.append("iteration", {"iteration": 1})
-        assert json.loads(stream.head_path.read_text())["seq"] == 2
-
     def test_read_head_never_opens_payloads(self, tmp_path, monkeypatch):
         # Regression (satellite): a status query is snapshot-only — it
         # must not load a single .npz payload however large the run.
@@ -461,39 +453,14 @@ class TestEventStream:
         assert head["result_payload"] is not None
 
     def test_missing_head_is_rebuilt_from_log(self, tmp_path):
+        # No file holds the head: every read folds it from the log.
         stream = EventStream(tmp_path / "run")
         for k in range(3):
             stream.append("iteration", {"iteration": k})
-        stream.head_path.unlink()
+        assert sorted(p.name for p in stream.run_dir.iterdir()) == ["events.log", "stream.lock"]
         assert stream.read_head()["seq"] == 2
         assert stream.append("iteration", {"iteration": 3}).seq == 3
-
-    @pytest.mark.parametrize("damage", ["zero-length", "truncated", "earlier-append"])
-    def test_a_torn_head_is_harmless(self, tmp_path, damage):
-        # head.json is never fsynced, so a crash can leave it empty, cut
-        # short or older than the log; every reader folds forward from it.
-        stream = EventStream(tmp_path / "run")
-        stream.append("submitted", {"client": "a"})
-        earlier = stream.head_path.read_text()
-        stream.append("scheduled", {"resumed": False})
-        stream.append("iteration", {"iteration": 1, "checkpointed": True})
-        text = stream.head_path.read_text()
-        stream.head_path.write_text(
-            {"zero-length": "", "truncated": text[: len(text) // 2],
-             "earlier-append": earlier}[damage])
-
-        def folded_from_byte_zero():
-            head, offset = _empty_head(), 0
-            for event in stream.replay():
-                offset += len(encode_record(event))
-                head = fold_head(head, event, offset)
-            return head
-
-        assert stream.read_head() == folded_from_byte_zero()
-        assert stream.read_head()["checkpointed_iteration"] == 1
-        assert stream.append("iteration", {"iteration": 2}).seq == 3
-        assert [e.seq for e in stream.replay()] == [0, 1, 2, 3]
-        assert json.loads(stream.head_path.read_text()) == folded_from_byte_zero()
+        assert EventStream(stream.run_dir).read_head()["iteration"] == 3
 
     def test_a_legacy_checkpointed_record_replays_and_folds_as_a_no_op(self, tmp_path):
         # Logs written before a checkpoint rode its iteration's record hold
@@ -502,7 +469,6 @@ class TestEventStream:
         stream.append("submitted", {})
         stream.append("iteration", {"iteration": 1, "energy": -1.0})
         stream.append("checkpointed", {"iteration": 1})
-        stream.head_path.unlink()
         assert [e.kind for e in stream.replay()] == ["submitted", "iteration", "checkpointed"]
         head = stream.read_head()
         assert (head["seq"], head["status"], head["iteration"]) == (2, "running", 1)
@@ -516,9 +482,10 @@ class TestEventStream:
         raw = bytearray(stream.log_path.read_bytes())
         raw[len(raw) // 3] ^= 0xFF  # flip a byte in an *interior* record
         stream.log_path.write_bytes(bytes(raw))
-        stream.head_path.unlink()
         with pytest.raises(StoreCorruptionError):
             stream.replay()
+        with pytest.raises(StoreCorruptionError):
+            stream.read_head()
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +548,7 @@ class TestKillMidAppend:
             tmp_path / "crashed", AppendFaultPlan(torn_at={1: 30}))
         clean, clean_head = history(tmp_path / "clean")
         assert crashed == clean
-        # offset is a byte position and timestamps vary in printed width,
-        # so compare the folded history fields, not the raw offsets.
+        # Timestamps record wall-clock, so compare the folded history fields.
         for key in ("seq", "status", "iteration", "clients", "solves"):
             assert crashed_head[key] == clean_head[key]
 
@@ -663,7 +629,6 @@ class TestConcurrentWriters:
             assert ours == list(range(count))  # per-writer order preserved
         head = EventStream(run_dir).read_head()
         assert head["seq"] == 2 * count - 1
-        assert head["offset"] == (run_dir / "events.log").stat().st_size
 
     def test_dedup_race_runs_exactly_one_solve(self, tmp_path):
         # Satellite: two processes submit the identical spec at once;
@@ -706,6 +671,10 @@ class TestRunStore:
         assert first.run_id == second.run_id
         assert first.run_id == f"run-{first.signature[:16]}"
         assert store.spec(first.run_id) == canonical_spec(SPEC)
+        # The spec rides the submitted record only; nothing else is written.
+        submitted, attached = store.events(first.run_id)
+        assert submitted.data["spec"] == canonical_spec(SPEC)
+        assert "spec" not in attached.data
         assert store.pending_runs() == [first.run_id]
 
     def test_different_run_params_get_different_runs(self, tmp_path):
@@ -740,31 +709,33 @@ class TestRunStore:
             store.result(receipt.run_id)
 
     def test_prefix_collision_rejected(self, tmp_path):
-        # Another problem's spec already sits in the directory the run id
-        # names: a 16-hex-digit signature prefix collision, never an attach.
+        # Another problem's submitted record already opens the log the run
+        # id names: a 16-hex-digit signature prefix collision, never an attach.
         store = RunStore(tmp_path / "store")
         run_id = f"run-{problem_signature(SPEC)[:16]}"
         other = json.loads(json.dumps(SPEC))
         other["run"]["max_iterations"] = 3
-        store.run_dir(run_id).mkdir(parents=True)
-        (store.run_dir(run_id) / "spec.json").write_text(json.dumps(other))
+        store.stream(run_id).append("submitted", {"spec": canonical_spec(other)})
         with pytest.raises(ValueError, match="different spec"):
             store.submit(SPEC)
+        assert len(store.events(run_id)) == 1
 
     def test_directory_without_submitted_event_is_reused(self, tmp_path):
-        # The crash window between spec.json and the submitted event: the
-        # run does not exist yet, and the next identical submit creates it.
+        # A submit killed mid-append leaves a torn first record: the run
+        # does not exist yet, and the next identical submit creates it.
         store = RunStore(tmp_path / "store")
         run_id = f"run-{problem_signature(SPEC)[:16]}"
-        store.run_dir(run_id).mkdir(parents=True)
-        write_text_atomic(store.run_dir(run_id) / "spec.json",
-                          json.dumps(canonical_spec(SPEC), indent=2,
-                                     sort_keys=True) + "\n")
+        victim = EventStream(store.run_dir(run_id), fault_plan=AppendFaultPlan(torn_at={0: 40}))
+        with pytest.raises(KilledAppend):
+            victim.append("submitted", {"spec": canonical_spec(SPEC)})
         assert store.run_ids() == []
+        with pytest.raises(UnknownRunError):
+            store.spec(run_id)
         receipt = store.submit(SPEC, client="a")
         assert receipt.run_id == run_id and not receipt.attached
         assert [e.kind for e in store.events(run_id)] == ["submitted"]
         assert store.run_ids() == [run_id]
+        assert store.spec(run_id) == canonical_spec(SPEC)
 
     def test_run_ids_are_oldest_submission_first(self, tmp_path):
         store = RunStore(tmp_path / "store")
@@ -815,7 +786,7 @@ class TestRunStore:
     def test_unknown_or_malformed_run_ids_are_refused(self, tmp_path, run_id):
         store = RunStore(tmp_path / "store")
         store.submit(SPEC)
-        for query in (store.read_head, store.events, store.result):
+        for query in (store.read_head, store.events, store.result, store.spec):
             with pytest.raises(UnknownRunError):
                 query(run_id)
         assert not (tmp_path / "etc").exists()

@@ -122,6 +122,11 @@ def dedup_and_convergence(address: tuple[str, int]) -> None:
 
         events = alice.events(first["run_id"])
         kinds = [e["kind"] for e in events]
+        check(events[0]["kind"] == "submitted"
+              and events[0]["data"]["spec"]["builder_args"] == SPEC_A["builder_args"],
+              "the submitted event carries the spec")
+        check("offset" not in shared and "format" not in shared,
+              "the head is the folded log, with no snapshot bookkeeping")
         for needed in ("submitted", "scheduled", "iteration", "converged"):
             check(needed in kinds, f"shared run streamed a {needed!r} event")
         check(kinds.count("scheduled") == 1, "exactly one solve was scheduled")

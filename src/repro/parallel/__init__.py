@@ -40,9 +40,9 @@ explicit execution model:
   :class:`~repro.parallel.bands.BandGroup` root handle that makes
   ``all_band_cg`` run on a whole worker group — the paper's Np cores per
   fragment group — with bit-identical results;
-* :mod:`repro.parallel.wire` — the ``RPW1`` length-prefixed-pickle
-  framing, the one module that knows it (shared by the workers and the
-  :mod:`repro.store` daemon and client; imports nothing from the solver);
+* :mod:`repro.parallel.wire` — the one ``RPW1`` endpoint: the framing,
+  the serve loop and handshake of both daemons, the client connection
+  and the daemon spawner (imports nothing from the solver);
 * :mod:`repro.parallel.remote` — the *multi-node* backend: the
   ``repro-worker`` daemon
   (:class:`~repro.parallel.remote.WorkerServer`) and the driver-side
@@ -51,7 +51,7 @@ explicit execution model:
   bit-identical to the serial backend, with heartbeats, timeouts,
   resubmission on worker death and an optional local fallback executor;
 * :mod:`repro.parallel.faults` — seeded deterministic fault injection
-  (:class:`~repro.parallel.faults.FlakyWorker`,
+  (:class:`~repro.parallel.faults.FaultPlan`,
   :class:`~repro.parallel.faults.FlakyExecutor`) for testing the
   failure model end to end.
 
@@ -79,5 +79,5 @@ __all__, __getattr__ = exports(__name__, {
     "wire": "RemoteProtocolError",
     "remote": "LocalWorkerPool NoRemoteWorkersError RemoteExecutor RemoteExecutorConfig "
     "RemoteTaskError WorkerDiedError WorkerServer start_worker_thread worker_main",
-    "faults": "FaultPlan FlakyExecutor FlakyWorker",
+    "faults": "FaultPlan FlakyExecutor",
 })

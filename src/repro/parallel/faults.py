@@ -6,9 +6,10 @@ corruption — are only worth something if the failures are reproducible.
 This module provides seeded, deterministic fault injectors at both ends
 of the wire:
 
-* :class:`FaultPlan` + :class:`FlakyWorker` — server-side faults: a
-  :class:`repro.parallel.remote.WorkerServer` that kills itself, drops
-  the connection, or delays its reply at configured task indices.
+* :class:`FaultPlan` — server-side faults: given as a
+  :class:`repro.parallel.remote.WorkerServer`'s ``fault_plan``, the worker
+  kills itself, drops the connection, or delays its reply at configured
+  task indices.
 * :class:`FlakyExecutor` — driver-side faults: wraps any executor and
   raises :class:`repro.parallel.remote.WorkerDiedError` or sleeps at
   configured batch indices, so SCF-level healing (mid-iteration partial
@@ -25,14 +26,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.parallel.remote import (
-    WorkerDiedError,
-    WorkerServer,
-    _DropConnection,
-    _KillWorker,
-)
+from repro.parallel.remote import WorkerDiedError
+from repro.parallel.wire import Hangup
 
-__all__ = ["FaultPlan", "FlakyExecutor", "FlakyWorker"]
+__all__ = ["FaultPlan", "FlakyExecutor"]
 
 
 @dataclass
@@ -66,25 +63,8 @@ class FaultPlan:
         delay = self.delay_at.get(index)
         if delay:
             time.sleep(delay)
-        if index in self.kill_at:
-            raise _KillWorker()
-        if index in self.drop_at:
-            raise _DropConnection()
-
-
-class FlakyWorker(WorkerServer):
-    """A :class:`WorkerServer` that fails on schedule.
-
-    Parameters
-    ----------
-    plan:
-        The :class:`FaultPlan` consulted before every task reply.
-    host, port:
-        Passed through to :class:`WorkerServer`.
-    """
-
-    def __init__(self, plan: FaultPlan, host: str = "127.0.0.1", port: int = 0):
-        super().__init__(host=host, port=port, fault_plan=plan)
+        if index in self.kill_at or index in self.drop_at:
+            raise Hangup(stop=index in self.kill_at)
 
 
 class FlakyExecutor:

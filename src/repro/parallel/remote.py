@@ -13,34 +13,15 @@ frame with per-worker dedup.  Because workers invoke the same pure
 kernels on the same task bytes, remote results are bit-identical to the
 serial backend's.
 
-Wire protocol (version 1)
--------------------------
-Every message is one ``RPW1`` frame (:func:`~repro.parallel.wire.send_frame`
-/ :func:`~repro.parallel.wire.recv_frame`, re-exported here).  The
-driver opens one connection per worker and speaks a strict
-request/response alternation; requests are dicts with an ``op`` field:
-
-``hello``
-    Handshake; the worker answers with its pid and protocol version (a
-    version mismatch is a loud :class:`RemoteProtocolError`).
-``ping``
-    Heartbeat; answered immediately (used to detect dead workers).
-``install``
-    ``{key, payload}`` — install a fingerprint-keyed potential in the
-    worker's process-level store
-    (:func:`repro.core.fragment_task.install_potential`).  The driver
-    tracks which keys each worker holds and never re-sends one — the
-    install-dedup saving measured in ``benchmarks``.
-``task``
-    ``{kind, task}`` where ``kind`` selects the kernel (``solve`` /
-    ``pipeline`` / ``global`` / ``bands``).  The worker answers
-    ``{ok: True, result}`` or ``{ok: False, error_type, error, key}``
-    (``key`` set for a missed potential install, which the driver heals
-    by resubmitting with the payload attached).
-``shutdown``
-    Stop the worker: the listening socket is closed by the time the
-    reply arrives, so a later connect is refused at once rather than
-    parked in a backlog nobody serves.
+The ``hello`` / ``ping`` handshake, the serve loop and the client
+connection are :mod:`repro.parallel.wire`'s; a worker adds ``install``
+(``{key, payload}``: a fingerprint-keyed potential for the process-level
+store of :func:`repro.core.fragment_task.install_potential`, sent at
+most once per key and worker), ``task`` (``{kind, task}``, ``kind`` one
+of ``solve`` / ``pipeline`` / ``global`` / ``bands``; a missed install
+is answered with its ``key`` and healed by resubmitting with the
+payload attached), ``stats`` and ``shutdown`` (the listening socket is
+closed before the reply).
 
 Failure model (the degradation ladder)
 --------------------------------------
@@ -63,13 +44,11 @@ you trust, exactly like ``multiprocessing`` or MPI.
 from __future__ import annotations
 
 import argparse
-import os
-import socket
 import sys
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,10 +65,16 @@ from repro.parallel.bands import run_band_block_task
 from repro.parallel.distributed import run_global_step_task
 from repro.parallel.executor import _Backend
 from repro.parallel.wire import (
+    HOST_HELP,
     PROTOCOL_VERSION,
+    Connection,
+    Listener,
     RemoteProtocolError,
     recv_frame,
+    refusal,
     send_frame,
+    spawn_daemon,
+    stop_daemon,
 )
 
 __all__ = [
@@ -107,13 +92,6 @@ __all__ = [
     "start_worker_thread",
     "worker_main",
 ]
-
-#: ``--host`` help of both daemons (``repro-worker``, ``repro-serve``).
-_HOST_HELP = (
-    "bind address; frames are unauthenticated pickles, so whoever can "
-    "connect can run code as this user - keep the loopback default unless "
-    "every host on the network is trusted"
-)
 
 
 class WorkerDiedError(RuntimeError):
@@ -151,95 +129,7 @@ _KERNELS = {
 _KINDS = {kernel.__name__: kind for kind, kernel in _KERNELS.items()}
 
 
-def _refusal(message: str) -> dict:
-    """The typed reply to a request that breaks the protocol."""
-    return {"ok": False, "error_type": "RemoteProtocolError", "error": message}
-
-
-class _Listener:
-    """Lifecycle of a TCP daemon: bind, accept loop, ``stop``, ``join``.
-
-    One accept loop feeds one daemon thread per connection, each running
-    the subclass's ``_serve_connection(conn)`` — shared by
-    :class:`WorkerServer` and :class:`repro.store.server.StoreServer`.
-    Port 0 lets the OS pick a free port, published in :attr:`address`
-    after :meth:`start`.
-    """
-
-    def __init__(self, host: str, port: int) -> None:
-        self.host = host
-        self.port = int(port)
-        self.address: tuple[str, int] | None = None
-        self._sock: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
-
-    def start(self) -> tuple[str, int]:
-        """Bind, listen and serve in background threads; returns the address."""
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.host, self.port))
-        sock.listen(16)
-        sock.settimeout(0.2)
-        self._sock = sock
-        self.address = (self.host, int(sock.getsockname()[1]))
-        self._spawn(self._accept_loop, sock)
-        return self.address
-
-    def _spawn(self, target, *args) -> None:
-        thread = threading.Thread(target=target, args=args, daemon=True)
-        thread.start()
-        self._threads.append(thread)
-
-    def stop(self) -> None:
-        """Stop accepting and close the listening socket (idempotent).
-
-        Once this returns a connect is refused at once rather than parked
-        in a backlog nobody serves.
-        """
-        self._stop.set()
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                # Wakes the acceptor blocked on this socket, whose pending
-                # poll would otherwise keep the backlog open until it times
-                # out (Linux; elsewhere ENOTCONN, and the poll runs out).
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - close is best effort
-                pass
-
-    def join(self, timeout: float | None = None) -> None:
-        """Block until :meth:`stop` is called (the daemon's main wait)."""
-        self._stop.wait(timeout)
-
-    def __enter__(self):
-        if self.address is None:
-            self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def _accept_loop(self, sock: socket.socket) -> None:
-        # ``sock`` is the acceptor's own reference: stop() clears the
-        # attribute from another thread.
-        while not self._stop.is_set():
-            try:
-                conn, _ = sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._spawn(self._serve_connection, conn)
-
-
-class WorkerServer(_Listener):
+class WorkerServer(Listener):
     """A ``repro-worker``: serves executor task frames over TCP.
 
     Each connection speaks a strict request/response alternation, so a
@@ -252,56 +142,24 @@ class WorkerServer(_Listener):
     Parameters
     ----------
     host, port:
-        Bind address (see :class:`_Listener`).
+        Bind address (see :class:`repro.parallel.wire.Listener`).
     fault_plan:
         Optional deterministic fault injector
         (:class:`repro.parallel.faults.FaultPlan`) consulted before each
         task reply — the test harness for the failure model.
     """
 
+    VERSION = PROTOCOL_VERSION
+    REQUIRED = {"install": ("key", "payload"), "task": ("kind", "task")}
+
     def __init__(self, host: str = "127.0.0.1", port: int = 0, fault_plan=None) -> None:
         super().__init__(host, port)
         self.fault_plan = fault_plan
         self.tasks_served = 0
         self.installs = 0
-        self.bytes_received = 0
-        self.bytes_sent = 0
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
-            while not self._stop.is_set():
-                try:
-                    request, nbytes = recv_frame(conn)
-                except (ConnectionError, OSError, EOFError):
-                    return
-                except RemoteProtocolError:
-                    return
-                self.bytes_received += nbytes
-                try:
-                    reply = self._handle(request)
-                except _DropConnection:
-                    return
-                except _KillWorker:
-                    self.stop()
-                    return
-                except Exception as exc:  # not a request: refuse, keep serving
-                    reply = _refusal(f"malformed request: {exc!r}")
-                try:
-                    self.bytes_sent += send_frame(conn, reply)
-                except (ConnectionError, OSError):
-                    return
 
     def _handle(self, request: dict) -> dict:
-        op = request.get("op")
-        if op == "hello":
-            if request.get("version") != PROTOCOL_VERSION:
-                return _refusal(
-                    f"protocol version mismatch: driver "
-                    f"{request.get('version')} != worker {PROTOCOL_VERSION}"
-                )
-            return {"ok": True, "pid": os.getpid(), "version": PROTOCOL_VERSION}
-        if op == "ping":
-            return {"ok": True, "pid": os.getpid()}
+        op = request["op"]
         if op == "install":
             install_potential(request["key"], request["payload"])
             with self._lock:
@@ -323,12 +181,13 @@ class WorkerServer(_Listener):
             return {"ok": True}
         if op == "task":
             return self._handle_task(request)
-        return _refusal(f"unknown op {op!r}")
+        return refusal(f"unknown op {op!r}")
 
     def _handle_task(self, request: dict) -> dict:
-        kernel = _KERNELS.get(request.get("kind"))
+        kind = request["kind"]
+        kernel = _KERNELS.get(kind) if isinstance(kind, str) else None
         if kernel is None:
-            return _refusal(f"unknown task kind {request.get('kind')!r}")
+            return refusal(f"unknown task kind {kind!r}")
         with self._lock:
             index = self.tasks_served
             self.tasks_served += 1
@@ -343,21 +202,7 @@ class WorkerServer(_Listener):
                 "error": str(exc),
                 "key": exc.key,
             }
-        except Exception as exc:
-            return {
-                "ok": False,
-                "error_type": type(exc).__name__,
-                "error": str(exc),
-            }
         return {"ok": True, "result": result}
-
-
-class _DropConnection(Exception):
-    """Fault-plan control flow: close the connection without replying."""
-
-
-class _KillWorker(Exception):
-    """Fault-plan control flow: kill the whole worker mid-request."""
 
 
 def worker_main(argv: Sequence[str] | None = None) -> int:
@@ -371,19 +216,10 @@ def worker_main(argv: Sequence[str] | None = None) -> int:
         prog="repro-worker",
         description="LS3DF remote fragment worker (trusted networks only).",
     )
-    parser.add_argument("--host", default="127.0.0.1", help=_HOST_HELP)
+    parser.add_argument("--host", default="127.0.0.1", help=HOST_HELP)
     parser.add_argument("--port", type=int, default=0, help="bind port (0 = any)")
     args = parser.parse_args(argv)
-    server = WorkerServer(host=args.host, port=args.port)
-    host, port = server.start()
-    print(f"REPRO-WORKER LISTENING {host} {port}", flush=True)
-    try:
-        server.join()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        server.stop()
-    return 0
+    return WorkerServer(host=args.host, port=args.port).serve_forever("REPRO-WORKER")
 
 
 def start_worker_thread(
@@ -426,56 +262,27 @@ class LocalWorkerPool:
     def start(self) -> "LocalWorkerPool":
         import subprocess
 
-        import repro
-
-        src_dir = str(os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__))))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_dir + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        for _ in range(self.n):
-            proc = subprocess.Popen(
-                [self.python, "-m", "repro.parallel.remote", "--port", "0"],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                env=env,
-                text=True,
-            )
+        argv = [self.python, "-m", "repro.parallel.remote", "--port", "0"]
+        with ThreadPoolExecutor(self.n) as pool:  # the workers boot side by side
+            futures = [
+                pool.submit(
+                    spawn_daemon, argv, "REPRO-WORKER", self.startup_timeout,
+                    stderr=subprocess.DEVNULL,
+                )
+                for _ in range(self.n)
+            ]
+        errors = [future.exception() for future in futures if future.exception()]
+        for proc, address in (future.result() for future in futures if not future.exception()):
             self.processes.append(proc)
-        deadline = time.monotonic() + self.startup_timeout
-        for proc in self.processes:
-            address = self._read_address(proc, deadline)
             self.addresses.append(address)
+        if errors:
+            self.terminate()
+            raise errors[0]
         return self
-
-    def _read_address(self, proc, deadline: float) -> tuple[str, int]:
-        holder: list = []
-
-        def reader() -> None:
-            line = proc.stdout.readline()
-            holder.append(line)
-
-        thread = threading.Thread(target=reader, daemon=True)
-        thread.start()
-        thread.join(max(0.0, deadline - time.monotonic()))
-        if not holder or not holder[0]:
-            self.terminate()
-            raise RuntimeError("worker subprocess failed to announce its address")
-        parts = holder[0].split()
-        if len(parts) != 4 or parts[:2] != ["REPRO-WORKER", "LISTENING"]:
-            self.terminate()
-            raise RuntimeError(f"unexpected worker announcement {holder[0]!r}")
-        return (parts[2], int(parts[3]))
 
     def terminate(self) -> None:
         for proc in self.processes:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in self.processes:
-            try:
-                proc.wait(timeout=10.0)
-            except Exception:  # pragma: no cover - last resort
-                proc.kill()
+            stop_daemon(proc)
         self.processes = []
 
     def __enter__(self) -> "LocalWorkerPool":
@@ -519,22 +326,19 @@ class RemoteExecutorConfig:
 
 
 class _WorkerHandle:
-    """Driver-side connection to one remote worker."""
+    """Driver-side connection to one remote worker: retried connects,
+    liveness and the potential keys it holds."""
 
     def __init__(self, address: tuple[str, int], config: RemoteExecutorConfig):
-        self.address = (str(address[0]), int(address[1]))
+        self.conn = Connection(address, PROTOCOL_VERSION, config.connect_timeout)
         self.config = config
-        self.sock: socket.socket | None = None
         self.alive = True
-        self.pid: int | None = None
         self.installed_keys: set[str] = set()
-        self.bytes_sent = 0
-        self.bytes_received = 0
         self.lock = threading.Lock()
 
     def connect(self) -> None:
         """Connect and handshake, retrying with exponential backoff."""
-        if self.sock is not None:
+        if self.conn.sock is not None:
             return
         delay = self.config.backoff
         last_error: Exception | None = None
@@ -543,46 +347,23 @@ class _WorkerHandle:
                 time.sleep(delay)
                 delay *= self.config.backoff_factor
             try:
-                sock = socket.create_connection(
-                    self.address, timeout=self.config.connect_timeout
-                )
+                self.conn.open()
             except OSError as exc:
                 last_error = exc
                 continue
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(self.config.request_timeout)
-            self.sock = sock
-            try:
-                reply = self._roundtrip(
-                    {"op": "hello", "version": PROTOCOL_VERSION}
-                )
-            except (OSError, ConnectionError) as exc:
-                self.close()
-                last_error = exc
-                continue
-            if not reply.get("ok"):
-                self.close()
-                raise RemoteProtocolError(str(reply.get("error")))
-            self.pid = reply.get("pid")
             # A fresh process behind the same address knows no keys.
             self.installed_keys.clear()
             return
         raise WorkerDiedError(
-            f"could not connect to worker at {self.address[0]}:{self.address[1]}: "
+            f"could not connect to worker at {self.conn.address[0]}:{self.conn.address[1]}: "
             f"{last_error}"
         )
-
-    def _roundtrip(self, request: dict) -> dict:
-        self.bytes_sent += send_frame(self.sock, request)
-        reply, nbytes = recv_frame(self.sock)
-        self.bytes_received += nbytes
-        return reply
 
     def request(self, request: dict) -> dict:
         """One request/response round trip (connects lazily)."""
         with self.lock:
             self.connect()
-            return self._roundtrip(request)
+            return self.conn.request(request, self.config.request_timeout)
 
     def ping(self) -> bool:
         """Heartbeat; False (and marked dead) when the worker is gone."""
@@ -595,15 +376,7 @@ class _WorkerHandle:
 
     def mark_dead(self) -> None:
         self.alive = False
-        self.close()
-
-    def close(self) -> None:
-        if self.sock is not None:
-            try:
-                self.sock.close()
-            except OSError:  # pragma: no cover - close is best effort
-                pass
-            self.sock = None
+        self.conn.close()
 
 
 def _claim(future: Future) -> bool:
@@ -678,12 +451,12 @@ class RemoteExecutor(_Backend):
     @property
     def bytes_sent(self) -> int:
         """Driver-to-worker bytes over this executor's connections."""
-        return sum(h.bytes_sent for h in self._handles)
+        return sum(h.conn.bytes_sent for h in self._handles)
 
     @property
     def bytes_received(self) -> int:
         """Worker-to-driver bytes over this executor's connections."""
-        return sum(h.bytes_received for h in self._handles)
+        return sum(h.conn.bytes_received for h in self._handles)
 
     def _live_handles(self) -> list[_WorkerHandle]:
         return [h for h in self._handles if h.alive]
@@ -825,7 +598,7 @@ class RemoteExecutor(_Backend):
             future.set_exception(
                 NoRemoteWorkersError(
                     f"no remote worker answered for a {kind} task "
-                    f"(addresses: {[h.address for h in self._handles]}) and "
+                    f"(addresses: {[h.conn.address for h in self._handles]}) and "
                     f"no fallback executor was given"
                 )
             )
@@ -891,7 +664,7 @@ class RemoteExecutor(_Backend):
             self._stream_stop = True
             self._stream_cond.notify_all()
         for handle in self._handles:
-            handle.close()
+            handle.conn.close()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -22,7 +22,7 @@ Layers (bottom up):
 * :mod:`repro.store.store` — :class:`~repro.store.store.RunStore`, the
   facade tying streams, locks and dedup together.
 * :mod:`repro.store.server` / :mod:`repro.store.client` — the
-  ``repro-serve`` daemon (socket protocol on the ``RPW1`` framing of
+  ``repro-serve`` daemon (an op table on the ``RPW1`` endpoint of
   :mod:`repro.parallel.wire`) and the ``repro-submit`` client/CLI.
 """
 

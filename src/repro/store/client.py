@@ -1,9 +1,9 @@
 """``repro-submit``: the run-store service client and CLI.
 
 :class:`ServiceClient` speaks the daemon's strict request/response
-protocol over one persistent connection (the ``RPW1`` frames of
-:mod:`repro.parallel.wire`), with a version handshake on connect.  It
-imports the framing and the event kinds only: a ``repro-submit`` call
+protocol over one persistent :class:`repro.parallel.wire.Connection`,
+with a version handshake on connect.  It imports the wire endpoint and
+the event kinds only: a ``repro-submit`` call
 loads neither the solver nor, except for ``result``, numpy.
 The CLI wraps it into subcommands — ``submit`` a spec file, ``status``
 / ``events`` / ``result`` / ``wait`` on a run, ``runs`` to list the
@@ -15,18 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import socket
 import sys
 import time
 from pathlib import Path
 from typing import Sequence
 
-from repro.parallel.wire import (
-    SERVICE_PROTOCOL_VERSION,
-    RemoteProtocolError,
-    recv_frame,
-    send_frame,
-)
+from repro.parallel.wire import SERVICE_PROTOCOL_VERSION, Connection
 from repro.store.events import TERMINAL_KINDS
 
 __all__ = ["ServiceClient", "ServiceError", "client_main"]
@@ -65,40 +59,12 @@ class ServiceClient:
         client: str = "repro-submit",
         connect_timeout: float = 10.0,
     ) -> None:
-        self.address = (str(address[0]), int(address[1]))
+        self._conn = Connection(address, SERVICE_PROTOCOL_VERSION, connect_timeout)
         self.client = str(client)
-        self.connect_timeout = float(connect_timeout)
-        self._sock: socket.socket | None = None
 
     # -- plumbing ------------------------------------------------------
-    def _connect(self) -> socket.socket:
-        if self._sock is not None:
-            return self._sock
-        sock = socket.create_connection(self.address, timeout=self.connect_timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            send_frame(sock, {"op": "hello", "version": SERVICE_PROTOCOL_VERSION})
-            reply, _ = recv_frame(sock)
-            if not reply.get("ok"):
-                raise RemoteProtocolError(reply.get("error", "handshake refused"))
-        except BaseException:
-            sock.close()
-            raise
-        self._sock = sock
-        return sock
-
     def _request(self, request: dict, timeout: float | None = None) -> dict:
-        sock = self._connect()
-        sock.settimeout(timeout)
-        try:
-            send_frame(sock, request)
-            reply, _ = recv_frame(sock)
-        except TimeoutError:
-            # A late reply would answer the next request: drop the stream.
-            self.close()
-            raise TimeoutError(
-                f"no reply to {request['op']!r} from {self.address} within {timeout:.1f}s"
-            ) from None
+        reply = self._conn.request(request, timeout)
         if not reply.get("ok"):
             raise ServiceError(
                 reply.get("error_type", "ServiceError"),
@@ -108,15 +74,10 @@ class ServiceClient:
 
     def close(self) -> None:
         """Close the connection (idempotent)."""
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - close is best effort
-                pass
+        self._conn.close()
 
     def __enter__(self) -> "ServiceClient":
-        self._connect()
+        self._conn.open()
         return self
 
     def __exit__(self, *exc) -> None:
@@ -183,7 +144,7 @@ class ServiceClient:
         while True:
             hold = min(float(poll), max(0.0, deadline - time.monotonic()))
             request = {"op": "wait", "run_id": str(run_id), "poll": hold}
-            head = self._request(request, timeout=hold + self.connect_timeout)["head"]
+            head = self._request(request, timeout=hold + self._conn.connect_timeout)["head"]
             if head["status"] in TERMINAL_KINDS:
                 return head
             if time.monotonic() >= deadline:

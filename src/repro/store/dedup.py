@@ -143,7 +143,7 @@ def problem_signature(spec: dict) -> str:
 
     Builds the solver (cheaply, for the toy problems the spec language
     covers) and extends its checkpoint-compatibility digest with the
-    mixer and run parameters — the knobs the digest ignores because the
+    mixer it runs and the run parameters — the knobs the digest ignores because the
     checkpoint format does not depend on them, but the *trajectory*
     does.
 
@@ -157,7 +157,7 @@ def problem_signature(spec: dict) -> str:
     h = hashlib.sha256()
     h.update(solver._problem_signature().encode())
     salt = {
-        "mixer": spec["solver"].get("mixer", "kerker"),
+        "mixer": solver.genpot.mixer.kind,
         "mixer_options": spec["solver"].get("mixer_options"),
         "run": run_kwargs,
     }

@@ -30,7 +30,6 @@ import multiprocessing
 import os
 import queue
 import signal
-import socket
 import threading
 import time
 import traceback
@@ -40,12 +39,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.io.checkpoint import has_checkpoint
-from repro.parallel.remote import _HOST_HELP, _Listener, _refusal
 from repro.parallel.wire import (
+    HOST_HELP,
     SERVICE_PROTOCOL_VERSION,
-    RemoteProtocolError,
-    recv_frame,
-    send_frame,
+    Listener,
+    refusal,
+    send_frame,  # noqa: F401 - a public alias the tracer patches
 )
 from repro.store.dedup import build_solver
 from repro.store.events import TERMINAL_KINDS
@@ -54,10 +53,6 @@ from repro.store.store import RunStore
 __all__ = ["SERVICE_PROTOCOL_VERSION", "StoreServer", "run_job", "serve_main"]
 
 _FORK = multiprocessing.get_context("fork")
-
-#: Fields a request must carry, per op; a frame without them is refused.
-_REQUIRED = {"submit": ("spec",), "status": ("run_id",), "wait": ("run_id", "poll"),
-             "events": ("run_id",), "result": ("run_id",)}
 
 
 def _die_with(parent: int) -> None:
@@ -120,7 +115,7 @@ def _slot_main(root: Path, slot: int, parent: int, conn) -> None:
         conn.send(run_id)
 
 
-class StoreServer(_Listener):
+class StoreServer(Listener):
     """The SCF-as-a-service daemon: admission, scheduling, queries.
 
     Parameters
@@ -130,12 +125,16 @@ class StoreServer(_Listener):
         mounts the same directory — coordination is the store's file
         locks).
     host, port:
-        Bind address (see :class:`repro.parallel.remote._Listener`).
+        Bind address (see :class:`repro.parallel.wire.Listener`).
     job_slots:
         Number of concurrent solves, each in a process forked by
         :meth:`start` — call it from a thread that outlives the server,
         since the slots die with the thread that forked them.
     """
+
+    VERSION = SERVICE_PROTOCOL_VERSION
+    REQUIRED = {"submit": ("spec",), "status": ("run_id",), "wait": ("run_id", "poll"),
+                "events": ("run_id",), "result": ("run_id",)}
 
     def __init__(self, root: str | Path, host: str = "127.0.0.1", port: int = 0, job_slots: int = 1) -> None:
         if job_slots < 1:
@@ -258,37 +257,8 @@ class StoreServer(_Listener):
                 self.jobs_finished += 1
 
     # -- serving -------------------------------------------------------
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
-            while not self._stop.is_set():
-                try:
-                    request, _ = recv_frame(conn)
-                except (OSError, EOFError, RemoteProtocolError):
-                    return
-                try:
-                    reply = self._handle(request)
-                except Exception as exc:  # never kill the daemon on a request
-                    reply = {"ok": False, "error_type": type(exc).__name__, "error": str(exc)}
-                try:
-                    send_frame(conn, reply)
-                except (ConnectionError, OSError):
-                    return
-
     def _handle(self, request: dict) -> dict:
-        op = request.get("op") if isinstance(request, dict) else None
-        if not isinstance(op, str):
-            return _refusal(f"malformed request: no op in a {type(request).__name__} frame")
-        missing = [name for name in _REQUIRED.get(op, ()) if name not in request]
-        if missing:
-            return _refusal(f"malformed {op!r} request: missing {', '.join(missing)}")
-        if op == "hello":
-            if request.get("version") != SERVICE_PROTOCOL_VERSION:
-                return _refusal(
-                    f"service protocol mismatch: client {request.get('version')} != server {SERVICE_PROTOCOL_VERSION}"
-                )
-            return {"ok": True, "pid": os.getpid(), "version": SERVICE_PROTOCOL_VERSION, "root": str(self.store.root)}
-        if op == "ping":
-            return {"ok": True, "pid": os.getpid()}
+        op = request["op"]
         if op == "submit":
             receipt = self.store.submit(request["spec"], client=str(request.get("client", "remote")))
             head = self.store.read_head(receipt.run_id)
@@ -320,7 +290,7 @@ class StoreServer(_Listener):
             # waits are released by the stop() that ends serve_main.
             self._stop.set()
             return {"ok": True}
-        return _refusal(f"unknown op {op!r}")
+        return refusal(f"unknown op {op!r}")
 
     def _wait(self, run_id: str, poll: float) -> dict:
         """The run's head once terminal, or after at most ``poll`` seconds.
@@ -353,18 +323,10 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
         description="LS3DF SCF-as-a-service daemon over an event-sourced run store (trusted networks only).",
     )
     parser.add_argument("--root", required=True, help="run store root directory")
-    parser.add_argument("--host", default="127.0.0.1", help=_HOST_HELP)
+    parser.add_argument("--host", default="127.0.0.1", help=HOST_HELP)
     parser.add_argument("--port", type=int, default=0, help="bind port (0 = any)")
     parser.add_argument("--job-slots", type=int, default=1, help="concurrent solves, one process each")
     parser.add_argument("--backend", choices=("serial",), default="serial", help="fragments run serially in a slot")
     args = parser.parse_args(argv)
     server = StoreServer(args.root, host=args.host, port=args.port, job_slots=args.job_slots)
-    host, port = server.start()
-    print(f"REPRO-SERVE LISTENING {host} {port}", flush=True)
-    try:
-        server.join()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        server.stop()
-    return 0
+    return server.serve_forever("REPRO-SERVE")

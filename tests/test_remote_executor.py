@@ -66,6 +66,7 @@ from repro.parallel.remote import (
     send_frame,
     start_worker_thread,
 )
+from repro.parallel.wire import Connection, spawn_daemon, stop_daemon
 from repro.pw.grid import FFTGrid
 
 
@@ -319,6 +320,50 @@ def test_connect_right_after_stop_is_refused(daemon, tmp_path):
             socket.create_connection(address, timeout=5).close()
         with pytest.raises(OSError):
             socket.create_connection(address, timeout=1.0).close()
+
+
+_UNDECODABLE = b"\x80\x05not a pickle"
+
+
+@pytest.mark.parametrize("daemon", ["worker", "store"])
+@pytest.mark.parametrize("damage", [
+    b"JUNK" + bytes(8),
+    b"RPW1" + len(_UNDECODABLE).to_bytes(8, "big") + _UNDECODABLE,
+], ids=["bad-magic", "undecodable"])
+def test_a_broken_frame_ends_only_its_connection(daemon, damage, tmp_path):
+    """A framing error closes that connection without a reply; the daemon
+    serves the next connection."""
+    from repro.store.server import StoreServer
+
+    with WorkerServer() if daemon == "worker" else StoreServer(tmp_path) as server:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(damage)
+            assert sock.recv(1) == b""
+        with socket.create_connection(server.address, timeout=5) as sock:
+            assert _roundtrip(sock, {"op": "ping"})["ok"]
+
+
+@pytest.mark.parametrize("daemon", ["worker", "store"])
+def test_a_wrong_version_hello_is_refused_with_the_typed_error(daemon, tmp_path):
+    from repro.store.server import StoreServer
+
+    with WorkerServer() if daemon == "worker" else StoreServer(tmp_path) as server:
+        wrong = Connection(server.address, server.VERSION + 1, connect_timeout=5)
+        with pytest.raises(RemoteProtocolError, match="protocol version mismatch"):
+            wrong.open()
+        assert wrong.sock is None
+        right = Connection(server.address, server.VERSION, connect_timeout=5)
+        assert right.request({"op": "ping"}, timeout=5)["pid"] == os.getpid()
+        right.close()
+
+
+def test_spawn_daemon_gives_up_within_its_deadline():
+    """A child that never prints its banner is stopped and the spawner
+    raises, within its deadline."""
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="REPRO-WORKER did not announce"):
+        spawn_daemon([sys.executable, "-c", "import time; time.sleep(60)"], "REPRO-WORKER", timeout=1.0)
+    assert time.monotonic() - t0 < 10.0
 
 
 # --- executor basics --------------------------------------------------------------
@@ -722,6 +767,27 @@ def test_failed_batch_raises_and_leaves_nothing_queued(monkeypatch):
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(_GOLDEN_DIR))
+
+
+@pytest.mark.remote
+def test_spawn_daemon_returns_a_real_workers_address():
+    proc, address = spawn_daemon([sys.executable, "-m", "repro.parallel.remote", "--port", "0"], "REPRO-WORKER")
+    try:
+        conn = Connection(address, PROTOCOL_VERSION, connect_timeout=10)
+        assert conn.request({"op": "ping"}, timeout=10)["pid"] == proc.pid
+        conn.close()
+    finally:
+        stop_daemon(proc)
+    assert proc.returncode is not None and proc.stdout.closed
+
+
+@pytest.mark.remote
+def test_terminate_reaps_every_worker_and_closes_its_pipe():
+    pool = LocalWorkerPool(2).start()
+    processes = list(pool.processes)
+    assert len(processes) == 2 and len(pool.addresses) == 2
+    pool.terminate()
+    assert all(proc.returncode is not None and proc.stdout.closed for proc in processes)
 
 
 @pytest.mark.remote

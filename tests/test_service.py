@@ -21,7 +21,6 @@ import errno
 import json
 import os
 import socket
-import subprocess
 import sys
 import threading
 import time
@@ -31,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.parallel.remote import recv_frame, send_frame
+from repro.parallel.wire import spawn_daemon, stop_daemon
 from repro.store import RunStore, build_solver, canonical_spec
 from repro.store.client import ServiceClient, ServiceError, client_main
 from repro.store.server import SERVICE_PROTOCOL_VERSION, StoreServer, run_job, serve_main
@@ -312,7 +312,7 @@ class TestServiceInProcess:
         run_id = srv.store.submit(SPEC_FAST).run_id  # never enqueued
         outcome = []
         client = ServiceClient(srv.address)
-        client._connect()
+        client.ping()
 
         def waiter():
             try:
@@ -350,7 +350,8 @@ class TestServiceInProcess:
                 except (ConnectionError, OSError):
                     pass
 
-        threading.Thread(target=wedged_daemon, daemon=True).start()
+        daemon = threading.Thread(target=wedged_daemon, daemon=True)
+        daemon.start()
         client = ServiceClient(listener.getsockname(), connect_timeout=0.5)
         outcome = []
 
@@ -367,7 +368,8 @@ class TestServiceInProcess:
         assert not thread.is_alive()
         assert len(outcome) == 1 and isinstance(outcome[0], TimeoutError)
         assert swallowed == ["wait"]
-        assert client._sock is None
+        daemon.join(timeout=2.0)  # the client closed the stream: EOF ends it
+        assert not daemon.is_alive()
 
     @pytest.mark.parametrize("run_id",["run-0123456789abcdef", "run-typo",
                                         "../../etc"])
@@ -386,7 +388,7 @@ class TestServiceInProcess:
             reply, _ = recv_frame(sock)
         assert not reply["ok"]
         assert reply["error_type"] == "RemoteProtocolError"
-        assert "service protocol mismatch" in reply["error"]
+        assert "protocol version mismatch" in reply["error"]
 
     def test_shutdown_op_stops_the_server(self, server):
         with _client(server) as client:
@@ -469,13 +471,6 @@ _SERVE_STUB = (
 )
 
 
-def _python_env():
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
 def _process_gone(pid):
     """No such process, or only its zombie (it can write nothing)."""
     try:
@@ -486,18 +481,7 @@ def _process_gone(pid):
 
 
 def _boot_daemon(root):
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _SERVE_STUB, "--root", str(root)],
-        env=_python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True,
-    )
-    line = proc.stdout.readline().strip()
-    if not line.startswith("REPRO-SERVE LISTENING"):
-        proc.kill()
-        raise RuntimeError(f"daemon failed to start: {line!r} / "
-                           f"{proc.stderr.read()}")
-    _, _, host, port = line.split()
-    return proc, (host, int(port))
+    return spawn_daemon([sys.executable, "-c", _SERVE_STUB, "--root", str(root)], "REPRO-SERVE")
 
 
 @pytest.mark.service
@@ -522,7 +506,7 @@ class TestDaemonKillBattery:
                     time.sleep(0.05)
         finally:
             daemon.kill()  # SIGKILL: no atexit, no cleanup, mid-iteration
-            daemon.wait(timeout=30)
+            stop_daemon(daemon)
         killed_at = time.monotonic()
 
         # The slot process dies with the daemon: nothing writes to the
@@ -549,7 +533,7 @@ class TestDaemonKillBattery:
                 client.shutdown()
         finally:
             daemon2.kill()
-            daemon2.wait(timeout=30)
+            stop_daemon(daemon2)
 
         assert final["status"] == "converged"
         resumed = [e for e in events if e["kind"] == "scheduled"
@@ -574,7 +558,7 @@ class TestDaemonKillBattery:
                 client.shutdown()
         finally:
             daemon.kill()
-            daemon.wait(timeout=30)
+            stop_daemon(daemon)
         assert head["status"] == "converged"
         reference = _direct_result(SPEC_FAST)
         assert np.array_equal(result["density"], reference.density)

@@ -799,6 +799,24 @@ class TestSpecValidation:
                     "builder": SPEC["builder"]}
         assert problem_signature(SPEC) == problem_signature(shuffled)
 
+    def test_signature_salts_the_mixer_the_solver_runs(self, monkeypatch):
+        """A spec without ``mixer`` runs the solver's default, so it must
+        share that mixer's signature, whatever the default is."""
+        import functools
+
+        import repro.store.dedup as dedup
+
+        monkeypatch.setattr(dedup, "LS3DFSCF", functools.partial(dedup.LS3DFSCF, mixer="anderson"))
+
+        def signature(mixer):
+            spec = json.loads(json.dumps(SPEC))
+            spec["solver"].pop("mixer", None)
+            if mixer is not None:
+                spec["solver"]["mixer"] = mixer
+            return problem_signature(spec)
+
+        assert signature(None) == signature("anderson") != signature("kerker")
+
     @pytest.mark.parametrize("mutate, match", [
         (lambda s: s.update(builder="nope"), "unknown builder"),
         (lambda s: s.update(extra=1), "unknown spec keys"),

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -37,6 +36,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.parallel.wire import spawn_daemon, stop_daemon  # noqa: E402
 from repro.store import build_solver  # noqa: E402
 from repro.store.client import ServiceClient  # noqa: E402
 
@@ -74,20 +74,11 @@ _SERVE_STUB = (
 
 def boot_daemon(root: Path) -> tuple[subprocess.Popen, tuple[str, int]]:
     """Start one repro-serve subprocess; returns (process, address)."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _SERVE_STUB, "--root", str(root)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    proc, address = spawn_daemon(
+        [sys.executable, "-c", _SERVE_STUB, "--root", str(root)], "REPRO-SERVE"
     )
-    line = proc.stdout.readline().strip()
-    if not line.startswith("REPRO-SERVE LISTENING"):
-        proc.kill()
-        raise SystemExit(f"daemon failed to start: {line!r}\n{proc.stderr.read()}")
-    _, _, host, port = line.split()
-    print(f"[smoke] daemon pid {proc.pid} listening on {host}:{port}")
-    return proc, (host, int(port))
+    print(f"[smoke] daemon pid {proc.pid} listening on {address[0]}:{address[1]}")
+    return proc, address
 
 
 def check(condition: bool, message: str) -> None:
@@ -150,7 +141,7 @@ def kill_and_restart(root: Path) -> None:
                 raise SystemExit("[smoke] FAILED: no checkpoint before kill")
             time.sleep(0.05)
     daemon.kill()
-    daemon.wait(timeout=30)
+    stop_daemon(daemon)
     print(f"[smoke] SIGKILLed daemon pid {daemon.pid} mid-solve")
 
     daemon2, address2 = boot_daemon(root)
@@ -160,6 +151,7 @@ def kill_and_restart(root: Path) -> None:
         result = client.result(run_id)
         client.shutdown()
     daemon2.wait(timeout=30)
+    stop_daemon(daemon2)
     check(final["status"] == "converged", "restarted daemon finished the run")
     check(any(e["kind"] == "scheduled" and e["data"]["resumed"]
               for e in events), "restart rescheduled with resumed: True")
@@ -188,6 +180,7 @@ def main(argv=None) -> int:
             daemon.wait(timeout=30)
         finally:
             daemon.kill()
+            stop_daemon(daemon)
         if args.kill_and_restart:
             kill_and_restart(root)
     print("[smoke] service smoke passed")

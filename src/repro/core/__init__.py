@@ -35,7 +35,7 @@ __all__, __getattr__ = exports(__name__, {
     "patching_identity_residual tree_reduce_fields",
     "genpot": "GlobalPotentialSolver",
     "fragment_task": "ExecutionReport FragmentExecutor FragmentPipelineTask FragmentTask "
-    "FragmentTaskResult clear_problem_cache run_fragment_pipeline_task solve_fragment_task",
+    "FragmentTaskResult run_fragment_pipeline_task solve_fragment_task",
     "fragment_solver": "FragmentSolver",
     "scf": "LS3DFSCF LS3DFResult IterationTimings",
     "driver": "LS3DF",

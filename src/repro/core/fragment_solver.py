@@ -18,6 +18,7 @@ no second solve path.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +74,13 @@ class FragmentSolver:
         self.pseudopotentials = pseudopotentials
         self.ecut = float(ecut)
         self.n_empty = int(n_empty)
+        # The division signature (structure + grids + buffer) salted with the
+        # parameters that shape the warm-start coefficients: the checkpoint
+        # compatibility digest and the scope of the per-process problem cache.
+        h = hashlib.sha256(division.signature().encode())
+        h.update(np.float64(self.ecut).tobytes())
+        h.update(np.int64(self.n_empty).tobytes())
+        self.problem_signature = h.hexdigest()
         self._problems: dict[str, TaskProblem] = {}
         self.passivations: dict[str, PassivationResult] = {}
         self._passivation_potentials: dict[str, np.ndarray | None] = {}
@@ -81,22 +89,20 @@ class FragmentSolver:
     def build_problem(self, fragment: Fragment) -> TaskProblem:
         """Construct (or fetch the cached) static problem of one fragment."""
         key = fragment.label
-        if key in self._problems:
-            return self._problems[key]
-        passivation = passivate_fragment(self.division, fragment)
-        structure = passivation.structure
-        grid = self.division.fragment_grid(fragment)
-        # The basis/Hamiltonian/occupations construction is the shared
-        # kernel's — one build path for this solver and the pool workers.
-        problem = build_task_problem(self._static_task(fragment, structure, grid))
-        # Seed the shared per-process cache so in-process kernels (the
-        # serial backend, loopback workers) reuse this Hamiltonian.
-        # Process pools benefit too on fork platforms: workers forked at
-        # first use inherit the seeded cache copy-on-write.
-        seed_task_problem(problem)
-        self.passivations[key] = passivation
-        self._problems[key] = problem
-        return problem
+        if key not in self._problems:
+            passivation = passivate_fragment(self.division, fragment)
+            grid = self.division.fragment_grid(fragment)
+            # The basis/Hamiltonian/occupations construction is the shared
+            # kernel's — one build path for this solver and the pool workers.
+            task = self._static_task(fragment, passivation.structure, grid)
+            self._problems[key] = build_task_problem(task)
+            self.passivations[key] = passivation
+        # Seed the per-process cache on every call, so in-process kernels (the
+        # serial backend, loopback workers) reuse this Hamiltonian even after
+        # another solver moved the cache to its own run; pool workers forked
+        # at first use inherit the seeded cache copy-on-write.
+        seed_task_problem(self._problems[key], self.problem_signature)
+        return self._problems[key]
 
     def _static_task(
         self,
@@ -118,6 +124,7 @@ class FragmentSolver:
             pseudopotentials=self.pseudopotentials,
             weight=fragment.weight,
             ncells=fragment.ncells,
+            problem_signature=self.problem_signature,
         )
 
     # ------------------------------------------------------------------

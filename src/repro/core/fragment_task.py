@@ -19,7 +19,8 @@ implemented:
   — basis, Hamiltonian, occupations — reproduces the paper's "store
   everything in the LS3DF global module" optimisation: the expensive
   setup happens once per fragment per process, so the second and later
-  outer iterations are cheap even inside pool workers.
+  outer iterations are cheap even inside pool workers.  It is scoped to
+  one run: it holds the problems of one solver signature only.
 * :class:`FragmentTaskResult` is the one per-fragment product — what a
   plain solve, a fused pipeline step, every executor, the SCF result and
   the mid-iteration partial checkpoint all carry.
@@ -48,7 +49,7 @@ from repro.atoms.structure import Structure
 from repro.pw.basis import PlaneWaveBasis
 from repro.pw.density import compute_density, occupations_for_insulator
 from repro.pw.eigensolver import all_band_cg
-from repro.pw.grid import FFTGrid
+from repro.pw.grid import FFTGrid, clear_grid_memo
 from repro.pw.hamiltonian import Hamiltonian
 from repro.pw.pseudopotential import PseudopotentialSet, default_pseudopotentials
 
@@ -94,6 +95,10 @@ class FragmentTask:
         instead of the array and the kernels resolve it with
         :func:`fetch_potential` — so band-slice and pipeline tasks stop
         re-pickling the same potential on every submission.
+    problem_signature:
+        The owning solver's problem signature
+        (:meth:`repro.core.scf.LS3DFSCF._problem_signature`), the scope
+        of the per-process static-problem cache; ad-hoc tasks share ``""``.
     """
 
     label: str
@@ -111,6 +116,7 @@ class FragmentTask:
     weight: int = 1
     ncells: int = 1
     screening_key: str | None = None
+    problem_signature: str = ""
 
     def cost(self) -> float:
         """Relative cost for load balancing (grid volume as npw proxy)."""
@@ -234,7 +240,7 @@ class TaskProblem:
     Building this — plane-wave basis, Hamiltonian with non-local
     projectors — is the expensive setup the paper keeps resident in the
     LS3DF global module between iterations; here it is cached per process
-    keyed by :meth:`FragmentTask.static_fingerprint`.
+    for one run, keyed by :meth:`FragmentTask.static_fingerprint`.
 
     Attributes
     ----------
@@ -311,24 +317,27 @@ def build_task_problem(task: FragmentTask) -> TaskProblem:
     )
 
 
-# Per-process static-problem cache (LRU).  Worker processes populate it on
-# their first iteration and hit it afterwards — the reason LS3DF's "second
-# iteration" is cheap holds inside pool workers too.  The bound must exceed
-# the fragment count of one run (8 * m1 * m2 * m3) or the cache thrashes,
-# rebuilding every Hamiltonian every iteration; beyond that it only limits
-# how much a many-structure session can pin.  Call
-# :func:`clear_problem_cache` to release the memory explicitly.
-_PROBLEM_CACHE: dict[str, TaskProblem] = {}
-_PROBLEM_CACHE_MAX = 4096
+# Per-process static-problem cache, scoped to one run: {signature: {static
+# fingerprint: problem}} with at most one signature.  Worker processes
+# populate it on their first iteration and hit it afterwards — the reason
+# LS3DF's "second iteration" is cheap holds inside pool workers too.  The
+# first task of another signature drops the previous run's problems and its
+# grid-derived arrays (the FFTGrid memo), so a long-lived process (a job
+# slot, a pool worker, a repro-worker) pins the static data of the run it
+# serves, never of every run it ever served.
+_PROBLEMS: dict[str, dict[str, TaskProblem]] = {}
 _PROBLEM_CACHE_LOCK = threading.Lock()
 
 
-def _cache_insert(key: str, problem: TaskProblem) -> None:
-    with _PROBLEM_CACHE_LOCK:
-        _PROBLEM_CACHE.pop(key, None)
-        while len(_PROBLEM_CACHE) >= _PROBLEM_CACHE_MAX:
-            _PROBLEM_CACHE.pop(next(iter(_PROBLEM_CACHE)))  # evict least recent
-        _PROBLEM_CACHE[key] = problem
+def _scope(signature: str) -> dict[str, TaskProblem]:
+    """The cached problems of ``signature``, dropping any other run's (lock held)."""
+    problems = _PROBLEMS.get(signature)
+    if problems is None:
+        if _PROBLEMS:
+            _PROBLEMS.clear()
+            clear_grid_memo()
+        problems = _PROBLEMS[signature] = {}
+    return problems
 
 
 def get_task_problem(task: FragmentTask) -> TaskProblem:
@@ -338,24 +347,27 @@ def get_task_problem(task: FragmentTask) -> TaskProblem:
     ----------
     task:
         The task whose static problem is needed; its
-        :meth:`FragmentTask.static_fingerprint` is the cache key.
+        :meth:`FragmentTask.static_fingerprint` is the cache key and its
+        ``problem_signature`` the cache's scope.
 
     Returns
     -------
     TaskProblem
         The cached problem when one with the same fingerprint exists in
-        this process, otherwise a freshly built (and newly cached) one.
+        this process's scope, otherwise a freshly built (and newly cached)
+        one.
     """
     key = task.static_fingerprint()
     with _PROBLEM_CACHE_LOCK:
-        problem = _PROBLEM_CACHE.get(key)
+        problem = _scope(task.problem_signature).get(key)
     if problem is None:
         problem = build_task_problem(task)
-    _cache_insert(key, problem)  # (re)insert to refresh LRU order
+        with _PROBLEM_CACHE_LOCK:
+            problem = _scope(task.problem_signature).setdefault(key, problem)
     return problem
 
 
-def seed_task_problem(problem: TaskProblem) -> None:
+def seed_task_problem(problem: TaskProblem, signature: str) -> None:
     """Insert an externally built static problem into the process cache.
 
     :class:`repro.core.fragment_solver.FragmentSolver` uses this so the
@@ -365,14 +377,17 @@ def seed_task_problem(problem: TaskProblem) -> None:
     ----------
     problem:
         The built problem; stored under its own ``fingerprint``.
+    signature:
+        The owning solver's problem signature (the cache's scope).
     """
-    _cache_insert(problem.fingerprint, problem)
+    with _PROBLEM_CACHE_LOCK:
+        _scope(signature)[problem.fingerprint] = problem
 
 
 def clear_problem_cache() -> None:
-    """Drop all cached static problems (tests / memory pressure)."""
+    """Drop all cached static problems (tests start from a cold process)."""
     with _PROBLEM_CACHE_LOCK:
-        _PROBLEM_CACHE.clear()
+        _PROBLEMS.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -523,22 +523,12 @@ class LS3DFSCF:
     def _problem_signature(self) -> str:
         """Checkpoint compatibility digest of this solver's SCF problem.
 
-        The division signature (structure + grids + buffer) salted with
-        the solve parameters that shape the persisted state: ``ecut`` and
-        ``n_empty`` determine the warm-start coefficient shapes, so a
-        checkpoint from a differently configured solver must fail the
-        manifest validation instead of crashing mid-solve.
-
-        Returns
-        -------
-        str
-            Hex SHA-256 digest.
+        :attr:`repro.core.fragment_solver.FragmentSolver.problem_signature`:
+        a checkpoint from a differently configured solver fails validation
+        instead of crashing mid-solve, and every fragment task carries it
+        as the scope of the per-process static-problem cache.
         """
-        h = hashlib.sha256()
-        h.update(self.division.signature().encode())
-        h.update(np.float64(self.ecut).tobytes())
-        h.update(np.int64(self.fragment_solver.n_empty).tobytes())
-        return h.hexdigest()
+        return self.fragment_solver.problem_signature
 
     # ------------------------------------------------------------------
     def _build_pipeline_tasks(

@@ -1,25 +1,21 @@
 """Advisory file locks for the run store's concurrent writers.
 
-Appends to one run's event stream — and registrations in the store-wide
-index — can come from several processes at once (two clients submitting,
-a daemon resuming, a test battery hammering one stream on purpose).
+Appends to one run's event stream — its submits included — can come
+from several processes at once (two clients submitting, a daemon
+resuming, a test battery hammering one stream on purpose).
 :class:`FileLock` serialises them with an OS advisory lock
-(``fcntl.flock`` where available, an ``O_EXCL`` spin-lock fallback
-elsewhere): cheap, crash-safe (the OS drops a dead holder's flock
-automatically), and honoured across processes on one host — the same
-trust model as the checkpoint directory itself.
+(``fcntl.flock``): cheap, crash-safe (the OS drops a dead holder's
+flock automatically), and honoured across processes on one host — the
+same trust model as the checkpoint directory itself.  The store runs
+where the daemon does: on POSIX, which forks the job slots.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import time
 from pathlib import Path
-
-try:  # pragma: no cover - import guard for non-POSIX platforms
-    import fcntl
-except ImportError:  # pragma: no cover - Windows fallback path
-    fcntl = None
 
 __all__ = ["FileLock", "LockTimeoutError"]
 
@@ -44,10 +40,8 @@ class FileLock:
 
     Notes
     -----
-    With ``fcntl`` the lock dies with its holder — a ``kill -9``'d
-    writer never wedges the store.  The ``O_EXCL`` fallback (non-POSIX
-    platforms only) is best effort: a stale lock file older than
-    ``stale_after`` seconds is broken.
+    The lock dies with its holder — a ``kill -9``'d writer never wedges
+    the store.
     """
 
     def __init__(
@@ -55,12 +49,10 @@ class FileLock:
         path: str | Path,
         timeout: float = 30.0,
         poll_interval: float = 0.01,
-        stale_after: float = 300.0,
     ) -> None:
         self.path = Path(path)
         self.timeout = float(timeout)
         self.poll_interval = float(poll_interval)
-        self.stale_after = float(stale_after)
         self._fd: int | None = None
 
     @property
@@ -74,38 +66,15 @@ class FileLock:
             raise RuntimeError(f"lock {self.path} is already held by this object")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         deadline = time.monotonic() + self.timeout
-        if fcntl is not None:
-            fd = os.open(str(self.path), os.O_RDWR | os.O_CREAT, 0o644)
-            while True:
-                try:
-                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                    self._fd = fd
-                    return self
-                except OSError:
-                    if time.monotonic() >= deadline:
-                        os.close(fd)
-                        raise LockTimeoutError(
-                            f"could not acquire {self.path} within "
-                            f"{self.timeout:.1f}s"
-                        ) from None
-                    time.sleep(self.poll_interval)
-        # O_EXCL fallback: create-exclusive spin lock with staleness break.
-        while True:  # pragma: no cover - non-POSIX platforms only
+        fd = os.open(str(self.path), os.O_RDWR | os.O_CREAT, 0o644)
+        while True:
             try:
-                fd = os.open(
-                    str(self.path), os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o644
-                )
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
                 self._fd = fd
                 return self
-            except FileExistsError:
-                try:
-                    age = time.time() - self.path.stat().st_mtime
-                    if age > self.stale_after:
-                        self.path.unlink(missing_ok=True)
-                        continue
-                except OSError:
-                    pass
+            except OSError:
                 if time.monotonic() >= deadline:
+                    os.close(fd)
                     raise LockTimeoutError(
                         f"could not acquire {self.path} within {self.timeout:.1f}s"
                     ) from None
@@ -116,15 +85,11 @@ class FileLock:
         fd, self._fd = self._fd, None
         if fd is None:
             return
-        if fcntl is not None:
-            try:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-            except OSError:  # pragma: no cover - release is best effort
-                pass
-            os.close(fd)
-        else:  # pragma: no cover - non-POSIX platforms only
-            os.close(fd)
-            self.path.unlink(missing_ok=True)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_UN)
+        except OSError:  # pragma: no cover - release is best effort
+            pass
+        os.close(fd)
 
     def __enter__(self) -> "FileLock":
         return self.acquire()

@@ -3,20 +3,20 @@
 A store root looks like::
 
     <root>/
-        store.lock            # serialises submits
         runs/
             run-<sig16>/      # content-addressed: the directory is the index
                 events.log    # the run's event stream (stream.py); its
                               # first record, "submitted", carries the spec
-                stream.lock
+                stream.lock   # serialises the run's writers, submits too
                 payload-*.npz
                 checkpoint/   # LS3DFSCF checkpoints (repro.io.checkpoint)
 
 A run id is ``run-`` plus the first 16 hex digits of the problem
 signature, so dedup is a look at one directory: a submit never reads
-another run's files, whatever the size of the store.  A run exists once
-its ``submitted`` event — the canonical spec in its ``data["spec"]`` —
-is in the log; ``run_ids`` lists ``runs/``.
+another run's files or takes another run's lock, whatever the size of
+the store, so submits of different specs never wait for each other.
+A run exists once its ``submitted`` event — the canonical spec in its
+``data["spec"]`` — is in the log; ``run_ids`` lists ``runs/``.
 
 :class:`RunStore` is deliberately daemon-free: it is the persistence
 layer both the ``repro-serve`` daemon and offline tools share.  Two
@@ -35,12 +35,10 @@ import numpy as np
 
 from repro.store.dedup import canonical_spec, problem_signature
 from repro.store.events import TERMINAL_KINDS, Event, TornRecordError, decode_record
-from repro.store.lock import FileLock
 from repro.store.stream import EventStream
 
 __all__ = ["RunStore", "SubmitReceipt", "UnknownRunError"]
 
-ROOT_LOCK_NAME = "store.lock"
 RUNS_DIR = "runs"
 _RUN_ID = re.compile(r"run-[0-9a-f]{16}")
 
@@ -78,7 +76,7 @@ class RunStore:
     root:
         Store root (created on first use).
     lock_timeout:
-        Seconds to wait for the root / stream locks.
+        Seconds to wait for a run's stream lock.
     """
 
     def __init__(self, root: str | Path, lock_timeout: float = 30.0) -> None:
@@ -105,16 +103,13 @@ class RunStore:
         """The run's event stream."""
         return EventStream(self.run_dir(run_id), lock_timeout=self.lock_timeout)
 
-    def _root_lock(self) -> FileLock:
-        return FileLock(self.root / ROOT_LOCK_NAME, timeout=self.lock_timeout)
-
     # -- write side ----------------------------------------------------
     def submit(self, spec: dict, client: str = "anonymous") -> SubmitReceipt:
         """Submit a problem, deduplicating on its signature.
 
-        Under the store root lock, look at the one directory the
-        signature names: if its log opens with a ``submitted`` event of
-        the same spec, append an ``attached`` event and report
+        In one acquisition of the lock of the run the signature names,
+        look at its log: if it opens with a ``submitted`` event of the
+        same spec, append an ``attached`` event and report
         ``attached=True``; otherwise append the ``submitted`` event
         carrying the spec — the commit point — so a kill at any point
         leaves either a complete run or a directory the next identical
@@ -140,17 +135,17 @@ class RunStore:
         spec = canonical_spec(spec)
         signature = problem_signature(spec)
         run_id = f"run-{signature[:16]}"
-        self.root.mkdir(parents=True, exist_ok=True)
-        with self._root_lock():
-            submitted = self._submitted(run_id)
-            attached = submitted is not None
-            if attached and submitted.data.get("spec") != spec:
+        data = {"client": client, "signature": signature}
+
+        def submitted_or_attached(events: list[Event]) -> tuple[str, dict]:
+            if not events or events[0].kind != "submitted":
+                return "submitted", dict(data, spec=spec)
+            if events[0].data.get("spec") != spec:
                 raise ValueError(f"run id {run_id} already holds a different spec")
-            data = {"client": client, "signature": signature}
-            if not attached:
-                data["spec"] = spec
-            self.stream(run_id).append("attached" if attached else "submitted", data)
-            return SubmitReceipt(run_id=run_id, signature=signature, attached=attached)
+            return "attached", data
+
+        event = self.stream(run_id).append(submitted_or_attached)
+        return SubmitReceipt(run_id=run_id, signature=signature, attached=event.kind == "attached")
 
     # -- read side -----------------------------------------------------
     def _submitted(self, run_id: str) -> Event | None:

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -201,7 +201,7 @@ class EventStream:
     # -- write side ----------------------------------------------------
     def append(
         self,
-        kind: str,
+        kind: str | Callable[[list[Event]], tuple[str, dict]],
         data: dict | None = None,
         payload_arrays: Mapping[str, np.ndarray] | None = None,
     ) -> Event:
@@ -217,7 +217,11 @@ class EventStream:
         Parameters
         ----------
         kind:
-            Event kind (see :data:`repro.store.events.EVENT_KINDS`).
+            Event kind (see :data:`repro.store.events.EVENT_KINDS`), or a
+            callable that takes the log's valid events, read under the
+            same lock acquisition, and returns ``(kind, data)`` — a check
+            and an append no other writer can come between; it may raise
+            to refuse the append.
         data:
             Small JSON-serialisable mapping.
         payload_arrays:
@@ -232,7 +236,10 @@ class EventStream:
         """
         self.run_dir.mkdir(parents=True, exist_ok=True)
         with self._lock():
-            seq = self._recover_locked()
+            events = self._recover_locked()
+            seq = len(events)
+            if callable(kind):
+                kind, data = kind(events)
             payload_name = None
             if payload_arrays is not None:
                 payload_name = f"payload-{seq:06d}.npz"
@@ -267,8 +274,8 @@ class EventStream:
                 fsync_directory(self.run_dir)
             return event
 
-    def _recover_locked(self) -> int:
-        """Heal the log under the held lock; return the next ``seq``.
+    def _recover_locked(self) -> list[Event]:
+        """Heal the log under the held lock; return its valid events.
 
         Scans the log from byte 0; a torn tail (the signature of a
         killed append) is truncated away.
@@ -280,7 +287,7 @@ class EventStream:
                 handle.truncate(valid)
                 handle.flush()
                 os.fsync(handle.fileno())
-        return len(events)
+        return events
 
     # -- read side -----------------------------------------------------
     def _scan(self) -> tuple[list[Event], int, bool]:

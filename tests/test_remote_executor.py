@@ -41,6 +41,7 @@ from hypothesis import strategies as st
 from _loopback import cluster as _cluster
 from _loopback import config as _config
 from repro.atoms.toy import cscl_binary
+from repro.core import fragment_task
 from repro.core.fragment_task import (
     FragmentExecutor,
     FragmentTask,
@@ -87,10 +88,9 @@ def _make_task(label="frag") -> FragmentTask:
     )
 
 
-def _tiny_scf(executor=None, **kw) -> LS3DFSCF:
-    structure = cscl_binary((2, 1, 1), "Zn", "O", 6.0)
+def _tiny_scf(executor=None, structure=None, **kw) -> LS3DFSCF:
     return LS3DFSCF(
-        structure,
+        structure or cscl_binary((2, 1, 1), "Zn", "O", 6.0),
         grid_dims=(2, 1, 1),
         ecut=2.2,
         buffer_cells=0.5,
@@ -116,6 +116,22 @@ def _assert_results_equal(got, want):
         np.testing.assert_array_equal(g.eigenvalues, w.eigenvalues)
         np.testing.assert_array_equal(g.density, w.density)
         assert g.quantum_energy == w.quantum_energy
+
+
+def test_one_worker_serves_two_drivers_and_holds_one_problem_scope():
+    """A worker that moves to another run's problem releases the previous
+    one: after two drivers with different structures, the process caches
+    the last driver's problems only, and both solves are `==` to serial."""
+    structures = [cscl_binary((2, 1, 1), "Zn", "O", a) for a in (6.0, 6.06)]
+    serial = [_tiny_scf(structure=s).run(**_RUN_KW) for s in structures]
+    with _cluster(1) as (executor, _):
+        drivers = [_tiny_scf(executor, structure=s) for s in structures]
+        remote = [driver.run(**_RUN_KW) for driver in drivers]
+        assert list(fragment_task._PROBLEMS) == [drivers[1]._problem_signature()]
+    assert drivers[0]._problem_signature() != drivers[1]._problem_signature()
+    for got, want in zip(remote, serial):
+        np.testing.assert_array_equal(got.density, want.density)
+        assert got.total_energy == want.total_energy
 
 
 # --- framing ----------------------------------------------------------------------

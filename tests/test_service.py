@@ -21,6 +21,7 @@ import errno
 import json
 import os
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -58,6 +59,33 @@ SPEC_KILL = {
     "run": {"max_iterations": 3, "potential_tolerance": 1e-9,
             "eigensolver_tolerance": 1e-4, "eigensolver_iterations": 40},
 }
+
+
+# A job slot's life in one process: 36 distinct specs, lattice constants
+# drawn as the service_burst workload draws them, through run_job.
+_SLOT_MEMORY_SCRIPT = """
+import json, sys
+from bench.gen import service_burst
+from repro.core import fragment_task
+from repro.store import RunStore, build_solver
+from repro.store.server import run_job
+
+def vmrss_mb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmRSS:")) / 1024
+
+store = RunStore(sys.argv[1])
+specs, _ = service_burst(0, 1, 36, 0)
+rss = {}
+for job, spec in enumerate(specs, 1):
+    run_job(store.root, store.submit(spec).run_id, 0)
+    rss[job] = vmrss_mb()
+cached = {scope: sorted(problems) for scope, problems in fragment_task._PROBLEMS.items()}
+last, _ = build_solver(specs[-1])
+expected = sorted(last.fragment_solver.build_problem(f).fingerprint for f in last.fragments)
+print(json.dumps({"growth_mb": rss[35] - rss[5], "cached": cached,
+                  "expected": {last._problem_signature(): expected}}))
+"""
 
 
 def _direct_result(spec):
@@ -268,6 +296,21 @@ class TestServiceInProcess:
         scheduled = store.events(ok)[1]
         assert scheduled.kind == "scheduled"
         assert scheduled.data == {"resumed": False, "pid": os.getpid(), "slot": 0}
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS from /proc")
+    def test_a_slot_holds_the_static_problems_of_one_run(self, tmp_path):
+        # A slot serves many runs: after 36 distinct specs its problem
+        # cache holds the last spec's fragments only, and its resident set
+        # does not grow with the number of runs it has served.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SLOT_MEMORY_SCRIPT, str(tmp_path / "store")],
+            env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        report = json.loads(proc.stdout.decode().splitlines()[-1])
+        assert report["cached"] == report["expected"]
+        assert report["growth_mb"] < 3.0, report["growth_mb"]
 
     def test_zero_iteration_spec_lands_as_failed_event(self, server):
         # Not a converged run with an all-zero density: the solver refuses

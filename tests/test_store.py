@@ -594,6 +594,21 @@ receipt = RunStore(root, lock_timeout=60.0).submit(spec, client=client)
 print(json.dumps({"run_id": receipt.run_id, "attached": receipt.attached}))
 """
 
+_STALLED_SUBMIT_SCRIPT = """
+import json, sys
+import repro.store.stream as stream
+from repro.store import RunStore
+encode = stream.encode_record
+
+def stalled(event):  # called inside the append's lock, before the commit
+    print("held", flush=True)
+    sys.stdin.read()
+    return encode(event)
+
+stream.encode_record = stalled
+print(RunStore(sys.argv[1]).submit(json.loads(sys.argv[2])).run_id)
+"""
+
 
 def _python_env():
     env = dict(os.environ)
@@ -655,6 +670,29 @@ class TestConcurrentWriters:
         assert [e.kind for e in events] == ["submitted", "attached"]
         head = store.read_head(receipts[0]["run_id"])
         assert head["clients"] == 2 and head["solves"] == 0
+
+    def test_a_submit_waits_only_for_its_own_run(self, tmp_path):
+        # Run directories are content-addressed, so a submit takes only the
+        # lock of the run it names: spec B commits while another process
+        # is stalled inside its submit of spec A, and only A's submit waits.
+        store = RunStore(tmp_path / "store", lock_timeout=0.5)
+        spec_b = json.loads(json.dumps(SPEC))
+        spec_b["run"]["max_iterations"] = 3
+        holder = subprocess.Popen(
+            [sys.executable, "-c", _STALLED_SUBMIT_SCRIPT, str(store.root), json.dumps(SPEC)],
+            env=_python_env(), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+        try:
+            assert holder.stdout.readline() == b"held\n"
+            receipt = store.submit(spec_b)
+            assert not receipt.attached and store.run_ids() == [receipt.run_id]
+            with pytest.raises(LockTimeoutError):
+                store.submit(SPEC)
+        finally:
+            _, err = holder.communicate(timeout=60)  # EOF on stdin lets A commit
+        assert holder.returncode == 0, err.decode()
+        assert store.submit(SPEC).attached
+        assert len(store.run_ids()) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +787,8 @@ class TestRunStore:
 
     def test_submit_touches_only_its_own_run_directory(self, tmp_path, monkeypatch):
         # O(1) in the store size: with 200 runs (and a stale index.json
-        # from an older layout) present, a submit opens nothing but the
-        # root lock and files inside the one run directory it names.
+        # from an older layout) present, a submit opens nothing but files
+        # inside the one run directory it names — its lock included.
         root = tmp_path / "store"
         store = RunStore(root)
         for n in range(200):
@@ -777,8 +815,7 @@ class TestRunStore:
         run_dir = store.run_dir(receipt.run_id).resolve()
         inside = [p for p in opened if p.is_relative_to(root.resolve())]
         assert inside
-        assert all(p == (root / "store.lock").resolve()
-                   or p.is_relative_to(run_dir) for p in inside), inside
+        assert all(p.is_relative_to(run_dir) for p in inside), inside
         assert len(store.run_ids()) == 201
 
     @pytest.mark.parametrize("run_id", ["run-0123456789abcdef", "run-typo",

@@ -14,6 +14,11 @@ two *identical* jobs plus one distinct job through
   record carrying ``checkpointed: true``) and finish with a retrievable
   result.
 
+It then pushes 30 distinct jobs through the daemon's one job slot and
+checks the slot's peak resident set (``VmHWM``) grows by at most 3 MB
+between job 10 and job 30: a slot keeps the static problems of the run
+it solves, not of every run it has solved (skipped without ``/proc``).
+
 With ``--kill-and-restart`` it additionally enacts the crash demo from
 the README: SIGKILLs the daemon after the long job's first checkpoint,
 restarts it over the same root, and checks the auto-resumed run
@@ -66,6 +71,11 @@ SPEC_LONG = {
             "eigensolver_tolerance": 1e-4, "eigensolver_iterations": 40},
 }
 
+# The slot memory check: distinct jobs, each with its own lattice constant
+# (the service_burst workload's 1 % jitter), and the VmHWM growth bound.
+MEMORY_JOBS = 30
+MEMORY_GROWTH_MB = 3.0
+
 _SERVE_STUB = (
     "import sys; from repro.store.server import serve_main; "
     "sys.exit(serve_main(sys.argv[1:]))"
@@ -75,7 +85,8 @@ _SERVE_STUB = (
 def boot_daemon(root: Path) -> tuple[subprocess.Popen, tuple[str, int]]:
     """Start one repro-serve subprocess; returns (process, address)."""
     proc, address = spawn_daemon(
-        [sys.executable, "-c", _SERVE_STUB, "--root", str(root)], "REPRO-SERVE"
+        [sys.executable, "-c", _SERVE_STUB, "--root", str(root), "--job-slots", "1"],
+        "REPRO-SERVE",
     )
     print(f"[smoke] daemon pid {proc.pid} listening on {address[0]}:{address[1]}")
     return proc, address
@@ -130,6 +141,36 @@ def dedup_and_convergence(address: tuple[str, int]) -> None:
               "result arrays retrievable over the wire")
 
 
+def vmhwm_mb(pid: int) -> float:
+    """A live process's resident-set high-water mark, from ``/proc``."""
+    status = Path(f"/proc/{pid}/status").read_text()
+    return next(int(line.split()[1]) for line in status.splitlines() if line.startswith("VmHWM:")) / 1024
+
+
+def slot_memory_stays_bounded(address: tuple[str, int]) -> None:
+    """30 distinct jobs through one slot: its peak RSS stops growing."""
+    if not Path("/proc/self/status").exists():
+        print("[smoke] skipped: slot memory check (no /proc)")
+        return
+    rng = np.random.default_rng(0)
+    peaks, statuses = {}, set()
+    with ServiceClient(address, client="carol") as client:
+        for job in range(1, MEMORY_JOBS + 1):
+            spec = json.loads(json.dumps(SPEC_A))
+            spec["builder_args"]["lattice_constant"] = 6.0 * (1.0 + 1e-2 * rng.uniform(-1.0, 1.0))
+            run_id = client.submit(spec)["run_id"]
+            statuses.add(client.wait(run_id, timeout=120)["status"])
+            if job in (10, MEMORY_JOBS):
+                pid = next(e["data"]["pid"] for e in client.events(run_id) if e["kind"] == "scheduled")
+                peaks[job] = (pid, vmhwm_mb(pid))
+    check(statuses == {"converged"}, f"{MEMORY_JOBS} distinct jobs converged")
+    (pid10, peak10), (pid30, peak30) = peaks[10], peaks[MEMORY_JOBS]
+    check(pid10 == pid30, "one slot process solved every memory job")
+    check(peak30 - peak10 <= MEMORY_GROWTH_MB,
+          f"slot VmHWM grew {peak30 - peak10:.2f} MB from job 10 to job {MEMORY_JOBS} "
+          f"({peak10:.1f} -> {peak30:.1f} MB, bound {MEMORY_GROWTH_MB} MB)")
+
+
 def kill_and_restart(root: Path) -> None:
     """SIGKILL mid-solve, restart, assert bit-identical completion."""
     daemon, address = boot_daemon(root)
@@ -175,6 +216,7 @@ def main(argv=None) -> int:
         daemon, address = boot_daemon(root)
         try:
             dedup_and_convergence(address)
+            slot_memory_stays_bounded(address)
             with ServiceClient(address) as client:
                 client.shutdown()
             daemon.wait(timeout=30)

@@ -23,7 +23,9 @@ explicit execution model:
 * :mod:`repro.parallel.executor`  — *real* fragment-execution backends
   (serial, persistent process pool) behind the
   :class:`repro.core.fragment_task.FragmentExecutor` protocol, for
-  running actual fragment solves concurrently on local cores;
+  running actual fragment solves concurrently on local cores, and the
+  one dispatch engine every multi-process backend runs on (with its
+  worker, :class:`~repro.parallel.executor.WorkerServer`);
 * :mod:`repro.parallel.distributed` — the paper's 1D slab data layout for
   the *global* steps: the slab bounds and the per-slab
   :class:`~repro.parallel.distributed.GlobalStepTask` units (FFT stages
@@ -45,7 +47,7 @@ explicit execution model:
   and the daemon spawner (imports nothing from the solver);
 * :mod:`repro.parallel.remote` — the *multi-node* backend: the
   ``repro-worker`` daemon
-  (:class:`~repro.parallel.remote.WorkerServer`) and the driver-side
+  (:func:`~repro.parallel.remote.worker_main`) and the driver-side
   :class:`~repro.parallel.remote.RemoteExecutor` pool that runs fragment
   pipelines, GENPOT slabs and band slices on socket-connected workers —
   bit-identical to the serial backend, with heartbeats, timeouts,
@@ -75,9 +77,9 @@ __all__, __getattr__ = exports(__name__, {
     "band_slices run_band_block_task",
     "distributed": "GlobalStepExecutor GlobalStepResult GlobalStepTask run_global_step_task slab_bounds",
     "executor": "ExecutionReport FragmentExecutor FragmentPipelineTask FragmentTask FragmentTaskResult "
-    "ProcessPoolFragmentExecutor SerialFragmentExecutor run_fragment_pipeline_task solve_fragment_task",
+    "NoRemoteWorkersError ProcessPoolFragmentExecutor RemoteTaskError SerialFragmentExecutor WorkerDiedError "
+    "WorkerServer run_fragment_pipeline_task solve_fragment_task",
     "wire": "RemoteProtocolError",
-    "remote": "LocalWorkerPool NoRemoteWorkersError RemoteExecutor RemoteExecutorConfig "
-    "RemoteTaskError WorkerDiedError WorkerServer start_worker_thread worker_main",
+    "remote": "LocalWorkerPool RemoteExecutor RemoteExecutorConfig start_worker_thread worker_main",
     "faults": "FaultPlan FlakyExecutor",
 })

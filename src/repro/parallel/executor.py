@@ -19,13 +19,18 @@ is always one logical task, and there is no backend-specific solve
 path.  Band groups (``LS3DFSCF(band_groups=)``) share one executor: its
 workers run whichever fragment's slices are queued next.
 
+Workers in other processes run :class:`WorkerServer` and are driven by
+:class:`_WorkerBackend` over ``RPW1`` (:mod:`repro.parallel.wire`),
+however their process started.
+
 * :class:`SerialFragmentExecutor` — an immediate ``_submit`` in the
   calling process; the default of :class:`repro.core.scf.LS3DFSCF`.
-* :class:`ProcessPoolFragmentExecutor` — a *persistent* process pool;
-  each worker keeps its static-problem cache alive across outer
-  iterations (the paper's cheap second iteration holds in the workers).
+* :class:`ProcessPoolFragmentExecutor` — *persistent* forked workers,
+  each on its end of a ``socketpair``; a worker keeps its static-problem
+  cache alive across outer iterations (the paper's cheap second
+  iteration holds in the workers).
 * :class:`repro.parallel.remote.RemoteExecutor` — the same engine over
-  socket-connected ``repro-worker`` daemons.
+  TCP-connected ``repro-worker`` daemons.
 
 Batches go out heaviest-first, the greedy longest-processing-time (LPT)
 heuristic :mod:`repro.parallel.scheduler` uses to balance fragment
@@ -37,10 +42,11 @@ batches, whose reports are read for their results only).
 from __future__ import annotations
 
 import os
+import signal
+import socket
 import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
+from collections import OrderedDict, deque
 from typing import Sequence
 
 import numpy as np
@@ -53,40 +59,38 @@ from repro.core.fragment_task import (
     FragmentTaskResult,
     PotentialNotInstalledError,
     install_potential,
-    potential_fingerprint,
     run_fragment_pipeline_task,
     solve_fragment_task,
 )
-from repro.parallel.bands import (
-    BandBlockTask,
-    BandGroupExecutor,
-    run_band_block_task,
+from repro.parallel.bands import BandBlockTask, run_band_block_task
+from repro.parallel.distributed import GlobalStepTask, run_global_step_task
+from repro.parallel.scheduler import FragmentScheduler
+from repro.parallel.wire import (
+    PROTOCOL_VERSION,
+    Connection,
+    Listener,
+    RemoteProtocolError,
+    refusal,
 )
-from repro.parallel.distributed import (
-    GlobalStepExecutor,
-    GlobalStepTask,
-    run_global_step_task,
-)
-from repro.parallel.scheduler import FragmentScheduler, ScheduleSummary
 
 __all__ = [
     "BandBlockTask",
-    "BandGroupExecutor",
     "ExecutionReport",
     "FragmentExecutor",
     "FragmentPipelineTask",
     "FragmentScheduler",
     "FragmentTask",
     "FragmentTaskResult",
-    "GlobalStepExecutor",
     "GlobalStepTask",
+    "NoRemoteWorkersError",
     "PotentialNotInstalledError",
     "ProcessPoolFragmentExecutor",
-    "ScheduleSummary",
+    "RemoteTaskError",
     "SerialFragmentExecutor",
+    "WorkerDiedError",
+    "WorkerServer",
     "gather_in_order",
     "install_potential",
-    "potential_fingerprint",
     "run_band_block_task",
     "run_fragment_pipeline_task",
     "run_global_step_task",
@@ -94,84 +98,193 @@ __all__ = [
 ]
 
 
-class _ImmediateFuture:
-    """A future that already completed: in-process backends run at submit.
+class WorkerDiedError(RuntimeError):
+    """A worker dropped its connection or timed out mid-task."""
 
-    Every backend is driven through the same future surface; the serial
-    executor (and single-worker pools) resolve each submission
-    synchronously, so a stream of submissions degenerates to plain task
-    order — which is what keeps them bit-identical to the pools.
+
+class NoRemoteWorkersError(RuntimeError):
+    """No worker is left and no fallback executor was given."""
+
+
+class RemoteTaskError(RuntimeError):
+    """A task raised inside a worker process (not a transport failure).
+
+    Deterministic kernel errors are *not* resubmitted — the task would
+    fail identically on any worker — so they surface loudly here, with
+    the worker-side exception type and message attached.
     """
 
-    def __init__(self, result=None, error: BaseException | None = None):
-        self._result = result
-        self._error = error
+    def __init__(self, error_type: str, message: str) -> None:
+        super().__init__(f"remote task failed with {error_type}: {message}")
+        self.error_type = error_type
 
-    def done(self) -> bool:
-        return True
+
+# ----------------------------------------------------------------------
+# Worker side
+# ----------------------------------------------------------------------
+_KERNELS = {
+    "solve": solve_fragment_task,
+    "pipeline": run_fragment_pipeline_task,
+    "global": run_global_step_task,
+    "bands": run_band_block_task,
+}
+# The wire's name for a kernel; by function name, because a profiler's
+# ``functools.wraps`` wrapper around a kernel is still that kernel.
+_KINDS = {kernel.__name__: kind for kind, kernel in _KERNELS.items()}
+
+
+class WorkerServer(Listener):
+    """A worker: serves executor task frames, over TCP or a socketpair.
+
+    A ``repro-worker`` daemon (:func:`repro.parallel.remote.worker_main`)
+    listens on TCP; a :class:`ProcessPoolFragmentExecutor` worker serves
+    its socketpair end and never listens.  Kernels and process-level
+    caches (static problems, installed potentials, FFT workspaces) are
+    the same everywhere.  Besides ``hello`` / ``ping`` a worker answers
+    ``install`` (``{key, payload}`` for
+    :func:`repro.core.fragment_task.install_potential`), ``task``
+    (``{kind, task}``, ``kind`` one of ``solve`` / ``pipeline`` /
+    ``global`` / ``bands``; a missed install is answered with its
+    ``key``), ``stats`` and ``shutdown`` (the listening socket is closed
+    before the reply), one request at a time per connection.
+
+    Parameters
+    ----------
+    host, port:
+        Bind address (see :class:`repro.parallel.wire.Listener`).
+    fault_plan:
+        Optional deterministic fault injector
+        (:class:`repro.parallel.faults.FaultPlan`) consulted before each
+        task reply — the test harness for the failure model.
+    """
+
+    VERSION = PROTOCOL_VERSION
+    REQUIRED = {"install": ("key", "payload"), "task": ("kind", "task")}
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, fault_plan=None) -> None:
+        super().__init__(host, port)
+        self.fault_plan = fault_plan
+        self.tasks_served = 0
+        self.installs = 0
+
+    def _handle(self, request: dict) -> dict:
+        op = request["op"]
+        if op == "install":
+            install_potential(request["key"], request["payload"])
+            with self._lock:
+                self.installs += 1
+            return {"ok": True}
+        if op == "stats":
+            return {
+                "ok": True,
+                "tasks_served": self.tasks_served,
+                "installs": self.installs,
+                "bytes_received": self.bytes_received,
+                "bytes_sent": self.bytes_sent,
+            }
+        if op == "shutdown":
+            # Close the listening socket before acking, so that once the
+            # driver has the reply no connect can land in a dead backlog;
+            # this connection's loop ends after the reply is written.
+            self.stop()
+            return {"ok": True}
+        if op == "task":
+            return self._handle_task(request)
+        return refusal(f"unknown op {op!r}")
+
+    def _handle_task(self, request: dict) -> dict:
+        kind = request["kind"]
+        kernel = _KERNELS.get(kind) if isinstance(kind, str) else None
+        if kernel is None:
+            return refusal(f"unknown task kind {kind!r}")
+        with self._lock:
+            index = self.tasks_served
+            self.tasks_served += 1
+        if self.fault_plan is not None:
+            self.fault_plan.apply(index)
+        try:
+            result = kernel(request["task"])
+        except PotentialNotInstalledError as exc:
+            return {
+                "ok": False,
+                "error_type": "PotentialNotInstalledError",
+                "error": str(exc),
+                "key": exc.key,
+            }
+        return {"ok": True, "result": result}
+
+
+# ----------------------------------------------------------------------
+# Driver side
+# ----------------------------------------------------------------------
+class _Future:
+    """One task's result, set once by whoever finishes first (done-callbacks
+    run in that thread); a worker skips a task whose future is done, so
+    cancelling a queued task drops it."""
+
+    def __init__(self) -> None:
+        self._outcome: tuple | None = None  # (value, error) once done
+        self._callbacks: list = []
+        self._lock = threading.Lock()
+        self._done = threading.Event()
 
     def cancel(self) -> bool:
-        return False
+        return self._settle(None, RuntimeError("task cancelled: its batch failed"))
 
-    def result(self, timeout=None):
-        if self._error is not None:
-            raise self._error
-        return self._result
+    def set_result(self, value) -> None:
+        self._settle(value, None)
+
+    def set_exception(self, error: BaseException) -> None:
+        self._settle(None, error)
+
+    def _settle(self, value, error) -> bool:
+        with self._lock:
+            if self._outcome is not None:
+                return False
+            self._outcome = (value, error)
+            callbacks, self._callbacks = self._callbacks, []
+        self._done.set()
+        for fn in callbacks:
+            fn(self)
+        return True
+
+    def done(self) -> bool:
+        return self._done.is_set()
+
+    def result(self, timeout: float | None = None):
+        if not self._done.wait(timeout):
+            raise TimeoutError(f"no result within {timeout} s")
+        value, error = self._outcome
+        if error is not None:
+            raise error
+        return value
 
     def add_done_callback(self, fn) -> None:
+        with self._lock:
+            if self._outcome is None:
+                self._callbacks.append(fn)
+                return
         fn(self)
 
 
-class _HealingFuture:
-    """Pool future that heals a missed potential install on resolve.
-
-    A worker that never received an ``install_state`` broadcast raises
-    :class:`PotentialNotInstalledError`; ``result()`` then resubmits the
-    task once with the driver's payload attached (the backend's
-    ``_heal``).  The key also leaves ``_broadcast_keys`` — that delivery
-    did not happen, so the next ``install_state`` of it broadcasts again.
-    """
-
-    def __init__(self, executor, future, task, kernel):
-        self._executor = executor
-        self._future = future
-        self._task = task
-        self._kernel = kernel
-
-    def done(self) -> bool:
-        return self._future.done()
-
-    def cancel(self) -> bool:
-        return self._future.cancel()
-
-    def result(self, timeout=None):
-        try:
-            return self._future.result()
-        except PotentialNotInstalledError as exc:
-            executor = self._executor
-            executor._broadcast_keys.discard(exc.key)
-            healed = executor._heal(self._task, exc.key)
-            if healed is None:
-                raise
-            return executor._submit(healed, self._kernel).result()
-
-    def add_done_callback(self, fn) -> None:
-        self._future.add_done_callback(lambda _inner: fn(self))
-
-
-def _immediate(task, kernel) -> _ImmediateFuture:
+def _immediate(task, kernel) -> _Future:
+    """A future resolved at submit: in-process backends run the kernel now,
+    so a stream of submissions degenerates to plain task order — which is
+    what keeps them bit-identical to the worker backends."""
+    future = _Future()
     try:
-        return _ImmediateFuture(result=kernel(task))
+        future.set_result(kernel(task))
     except Exception as exc:  # resolved, but carrying the kernel's error
-        return _ImmediateFuture(error=exc)
+        future.set_exception(exc)
+    return future
 
 
 def gather_in_order(futures: Sequence) -> list:
     """Resolve a batch's futures in task order (the ``run_*`` gather).
 
-    When one of them raises, the batch's tasks that no worker has started
-    yet are cancelled before the error propagates: a failed batch leaves
-    nothing queued ahead of the next one.
+    When one of them raises, the batch's unfinished tasks are cancelled
+    before the error propagates — those no worker has started are
+    dropped: a failed batch leaves nothing queued ahead of the next one.
     """
     try:
         return [future.result() for future in futures]
@@ -204,8 +317,6 @@ class _Backend:
     # A batch of one has no round trip to win anything from and runs in
     # the calling process — unless the workers are the only compute nodes.
     _driver_computes = True
-    # Tasks re-dispatched after a worker death (remote workers only).
-    resubmissions = 0
 
     def __init__(self) -> None:
         self.tasks_submitted = 0
@@ -213,7 +324,7 @@ class _Backend:
         self.install_broadcasts = 0
         self._mutex = threading.Lock()
         # Driver-side copies of installed potentials, for the retry when
-        # a worker misses a broadcast (LRU-bounded).
+        # a worker misses an install (LRU-bounded).
         self._install_payloads: OrderedDict[str, np.ndarray] = OrderedDict()
         self._scheduler = FragmentScheduler()
 
@@ -237,10 +348,10 @@ class _Backend:
 
         The driver's process-level store always receives the payload
         (covering every in-process kernel call), then :meth:`_broadcast`
-        delivers it to workers elsewhere.  Delivery is best-effort — a
-        busy or restarted worker may miss it — so key-carrying kernels
-        raise :class:`repro.core.fragment_task.PotentialNotInstalledError`
-        and the backend retries that one task through :meth:`_heal`.
+        delivers it to workers elsewhere.  A worker that lost it anyway —
+        a restarted ``repro-worker`` — makes its key-carrying kernel raise
+        :class:`repro.core.fragment_task.PotentialNotInstalledError`, and
+        the backend retries that one task through :meth:`_heal`.
         Re-installing an already-known key is a no-op.
         """
         arr = np.asarray(payload)
@@ -370,18 +481,255 @@ class SerialFragmentExecutor(_Backend):
 
     n_workers = 1
 
-    def _submit(self, task, kernel) -> _ImmediateFuture:
+    def _submit(self, task, kernel) -> _Future:
         return _immediate(task, kernel)
 
 
-class ProcessPoolFragmentExecutor(_Backend):
-    """Executes fragment tasks concurrently in a persistent process pool.
+class _WorkerHandle:
+    """The driver's end of one worker: connection, liveness, keys it holds."""
 
-    The pool is created on first use and kept alive across batches, so
-    every worker's static-problem cache (and hence the cheap second
-    LS3DF iteration) survives from one outer iteration to the next.
-    Call :meth:`close` (or use as a context manager) to release the
-    workers.
+    def __init__(self, conn: Connection, timeout: float | None) -> None:
+        self.conn = conn
+        self.timeout = timeout
+        self.alive = True
+        self.draining = False  # a drain thread feeds it
+        self.installed_keys: set[str] = set()
+        self.lock = threading.Lock()
+
+    def connect(self) -> None:
+        """Ready the connection for a request; a socketpair end is born connected."""
+
+    def request(self, request: dict) -> dict:
+        """One request/response round trip."""
+        with self.lock:
+            self.connect()
+            return self.conn.request(request, self.timeout)
+
+    def mark_dead(self) -> None:
+        self.alive = False
+        self.conn.close()
+
+
+class _WorkerBackend(_Backend):
+    """The engine's half for workers in other processes.
+
+    Every task — batch or streamed — enters one shared queue the moment
+    the driver submits it, drained by one thread per live worker
+    (:attr:`_handles`), so there is one failure ladder.  A worker that
+    drops the connection, times out or dies mid-task is marked dead and
+    its task goes back to the head of the queue for the survivors
+    (results are bit-identical because the kernels are pure).  When
+    *every* worker is gone the remaining tasks go to the ``fallback``
+    executor — or, without one, fail with :class:`NoRemoteWorkersError`.
+    A genuine kernel exception on a worker is *not* retried: it is
+    raised as a :class:`RemoteTaskError` (the task would fail anywhere).
+    The counters ``resubmissions``, ``workers_lost`` and
+    ``degraded_tasks`` record how much of the ladder a run exercised.
+    """
+
+    def __init__(self, fallback=None) -> None:
+        super().__init__()
+        self._handles: list[_WorkerHandle] = []
+        self._fallback = fallback
+        self.resubmissions = 0
+        self.workers_lost = 0
+        self.degraded_tasks = 0
+        self._cond = threading.Condition()  # guards the queue and `draining`
+        self._queue: deque = deque()
+        self._closed = False
+
+    # -- bookkeeping ---------------------------------------------------
+    @property
+    def bytes_sent(self) -> int:
+        """Driver-to-worker bytes over this executor's connections."""
+        return sum(h.conn.bytes_sent for h in self._handles)
+
+    @property
+    def bytes_received(self) -> int:
+        """Worker-to-driver bytes over this executor's connections."""
+        return sum(h.conn.bytes_received for h in self._handles)
+
+    def _live_handles(self) -> list[_WorkerHandle]:
+        return [h for h in self._handles if h.alive]
+
+    def _lose(self, handle: _WorkerHandle, resubmitted: int = 0) -> None:
+        """Mark a worker dead after a transport failure; one the driver had
+        already let go (:meth:`close`, a shutdown) is not counted lost."""
+        with self._mutex:
+            if handle.alive:
+                self.workers_lost += 1
+                self.resubmissions += resubmitted
+            handle.alive = False
+        handle.conn.close()
+
+    # -- install channel -----------------------------------------------
+    def _broadcast(self, key: str, arr: np.ndarray) -> None:
+        """At most one ``install`` frame per key and worker.
+
+        The per-worker ``installed_keys`` set is the dedup that keeps
+        repeated installs of one iteration's potential off the wire; a
+        busy worker gets its frame after its current task, so none misses.
+        """
+        for handle in self._live_handles():
+            if key in handle.installed_keys:
+                continue
+            try:
+                reply = handle.request({"op": "install", "key": key, "payload": arr})
+            except (OSError, WorkerDiedError, RemoteProtocolError):
+                self._lose(handle)
+                continue
+            if reply.get("ok"):
+                handle.installed_keys.add(key)
+                self._count(install_broadcasts=1)
+
+    # -- dispatch ------------------------------------------------------
+    def _submit(self, task, kernel) -> _Future:
+        """Queue one task for the drain threads — the only way in.
+
+        Tasks enter the shared deque the moment the driver submits them,
+        so slab stages overlap with the driver's layout conversion
+        exactly like the paper's isend/irecv-under-compute.  With no live
+        worker left the task goes straight to the bottom of the ladder
+        (:meth:`_resolve_locally`).
+        """
+        future = _Future()
+        with self._cond:
+            self._closed = False
+            live = self._live_handles()
+            for handle in live:
+                if not handle.draining:
+                    handle.draining = True
+                    threading.Thread(target=self._drain, args=(handle,), daemon=True).start()
+            if live:
+                self._queue.append((task, kernel, future))
+                self._cond.notify()
+        if not live:
+            self._resolve_locally(task, kernel, future)
+        return future
+
+    def _drain(self, handle: _WorkerHandle) -> None:
+        """Feed one worker from the shared queue until it dies or we close.
+
+        A transport failure marks the worker dead and puts its task back
+        at the head of the queue.  A thread stops taking tasks when its
+        worker is dead (mid-task here, in a heartbeat or at close) or the
+        executor closed with nothing queued; the last one to stop hands
+        whatever is still queued to the bottom of the ladder.
+        """
+        while True:
+            leftovers: list = []
+            with self._cond:
+                while handle.alive and not self._queue and not self._closed:
+                    self._cond.wait(0.2)
+                item = self._queue.popleft() if handle.alive and self._queue else None
+                if item is None:
+                    handle.draining = False
+                    self._cond.notify_all()
+                    if not any(h.draining for h in self._handles):
+                        leftovers = list(self._queue)
+                        self._queue.clear()
+            if item is None:
+                for task, kernel, future in leftovers:
+                    self._resolve_locally(task, kernel, future)
+                return
+            task, kernel, future = item
+            if future.done():  # its batch failed and cancelled it
+                continue
+            try:
+                result = self._run_one(handle, task, kernel)
+            except (OSError, WorkerDiedError, RemoteProtocolError):
+                self._lose(handle, resubmitted=1)
+                with self._cond:
+                    self._queue.appendleft(item)
+                continue
+            except Exception as exc:
+                future.set_exception(exc)
+                continue
+            future.set_result(result)
+
+    def _resolve_locally(self, task, kernel, future: _Future) -> None:
+        """Bottom of the ladder: run one task on the fallback executor."""
+        if future.done():
+            return
+        kind = _KINDS[kernel.__name__]
+        fallback = self._fallback
+        if fallback is None:
+            future.set_exception(
+                NoRemoteWorkersError(
+                    f"none of the {len(self._handles)} worker(s) is left for a {kind} "
+                    f"task and no fallback executor was given"
+                )
+            )
+            return
+        self._count(degraded_tasks=1)
+        runner = {
+            "solve": fallback.run,
+            "pipeline": fallback.run_pipeline,
+            "global": fallback.run_global,
+            "bands": fallback.run_bands,
+        }[kind]
+        try:
+            report = runner([task])
+        except Exception as exc:
+            future.set_exception(exc)
+            return
+        future.set_result(report.results[0])
+
+    def _run_one(self, handle: _WorkerHandle, task, kernel):
+        """One task round trip on one worker, healing a missed install."""
+        request = {"op": "task", "kind": _KINDS[kernel.__name__], "task": task}
+        reply = handle.request(request)
+        if reply.get("error_type") == "PotentialNotInstalledError":
+            key = reply.get("key")
+            healed = self._heal(task, key)
+            if healed is not None:
+                reply = handle.request({**request, "task": healed})
+                if reply.get("ok"):
+                    # The worker installed the payload that rode in with its
+                    # key (fragment_task._resolve_potential): later key-only
+                    # tasks there resolve, and install_state need not resend.
+                    handle.installed_keys.add(key)
+        if reply.get("ok"):
+            return reply["result"]
+        raise RemoteTaskError(
+            str(reply.get("error_type")), str(reply.get("error"))
+        )
+
+    # -- lifecycle -----------------------------------------------------
+    def close(self) -> None:
+        """Retire the drain threads and close every connection; a later
+        submission starts them again.  What a worker holds is forgotten
+        with its connection: a later install is sent again."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+        for handle in self._handles:
+            handle.conn.close()
+            handle.installed_keys.clear()
+
+
+def _serve_forked(sock: socket.socket, inherited: list) -> None:
+    """A pool worker's life: serve RPW1 on ``sock`` until the driver hangs up."""
+    try:
+        for other in inherited:
+            other.close()
+        WorkerServer()._serve_connection(sock)
+    finally:
+        os._exit(0)
+
+
+class ProcessPoolFragmentExecutor(_WorkerBackend):
+    """Executes fragment tasks concurrently in persistent forked workers.
+
+    On first use the pool forks ``n_workers`` workers, each serving RPW1
+    on its end of a ``socket.socketpair()`` (a pool worker never binds or
+    listens), and keeps them, so every worker's static-problem cache (and
+    hence the cheap second LS3DF iteration) survives from one outer
+    iteration to the next.  The failure ladder is :class:`_WorkerBackend`'s
+    without a fallback; a worker's death shows up as EOF, so no request is
+    timed and a long solve is never taken for a hang.  A pool of one is
+    the calling process.  :meth:`close` (or the context manager) releases
+    the workers; a later batch forks new ones.
 
     Parameters
     ----------
@@ -394,47 +742,48 @@ class ProcessPoolFragmentExecutor(_Backend):
             raise ValueError("n_workers must be positive")
         super().__init__()
         self.n_workers = int(n_workers or os.cpu_count() or 1)
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_mutex = threading.Lock()
-        # Keys every worker of the pool was sent.
-        self._broadcast_keys: set[str] = set()
+        self._pids: list[int] = []
+        self._fork_lock = threading.Lock()
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._pool_mutex:  # two group roots may reach a cold pool at once
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
-            return self._pool
+    def _start(self) -> None:
+        """Fork the workers unless they run (two group roots may reach a cold pool at once)."""
+        with self._fork_lock:
+            if self._handles:
+                return
+            handles: list[_WorkerHandle] = []
+            for _ in range(self.n_workers):
+                ours, theirs = socket.socketpair()
+                pid = os.fork()
+                if pid == 0:
+                    _serve_forked(theirs, [ours] + [h.conn.sock for h in handles])
+                theirs.close()
+                self._pids.append(pid)
+                handles.append(_WorkerHandle(Connection.adopt(ours, PROTOCOL_VERSION), None))
+            self._handles = handles
 
     def _submit(self, task, kernel):
         """A pool of one is the calling process: no round trip to win."""
         if self.n_workers == 1:
             return _immediate(task, kernel)
-        return _HealingFuture(
-            self, self._ensure_pool().submit(kernel, task), task, kernel
-        )
+        self._start()
+        return super()._submit(task, kernel)
 
     def _broadcast(self, key: str, arr: np.ndarray) -> None:
-        """One install submission per worker (a busy one may miss its own)."""
-        if self.n_workers == 1 or key in self._broadcast_keys:
-            return
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(install_potential, key, arr)
-            for _ in range(self.n_workers)
-        ]
-        for f in futures:
-            f.result()
-        self._broadcast_keys.add(key)
-        self._count(install_broadcasts=self.n_workers)
+        if self.n_workers > 1:
+            self._start()
+            super()._broadcast(key, arr)
 
     def close(self) -> None:
-        """Shut the pool down; a later batch transparently restarts it."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __del__(self) -> None:  # best-effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
+        """Kill and reap the workers; a later batch forks new ones."""
+        with self._fork_lock:
+            handles, self._handles = self._handles, []
+            pids, self._pids = self._pids, []
+        for handle in handles:
+            handle.mark_dead()
+        super().close()
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped already
+                pass

@@ -7,11 +7,11 @@ This module provides seeded, deterministic fault injectors at both ends
 of the wire:
 
 * :class:`FaultPlan` — server-side faults: given as a
-  :class:`repro.parallel.remote.WorkerServer`'s ``fault_plan``, the worker
+  :class:`repro.parallel.executor.WorkerServer`'s ``fault_plan``, the worker
   kills itself, drops the connection, or delays its reply at configured
   task indices.
 * :class:`FlakyExecutor` — driver-side faults: wraps any executor and
-  raises :class:`repro.parallel.remote.WorkerDiedError` or sleeps at
+  raises :class:`repro.parallel.executor.WorkerDiedError` or sleeps at
   configured batch indices, so SCF-level healing (mid-iteration partial
   replay of a band-grouped drain) can be tested without sockets.
 
@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.parallel.remote import WorkerDiedError
+from repro.parallel.executor import WorkerDiedError
 from repro.parallel.wire import Hangup
 
 __all__ = ["FaultPlan", "FlakyExecutor"]

@@ -307,20 +307,32 @@ class Connection:
     The stream opens on the first request (or :meth:`open`), and again
     after :meth:`close`; the byte counters run over every stream opened.
     ``connect_timeout`` bounds the TCP connect and the ``hello`` reply.
+    A connection made by :meth:`adopt` has no address and never reopens.
     """
 
-    def __init__(self, address: tuple[str, int], version: int, connect_timeout: float) -> None:
-        self.address = (str(address[0]), int(address[1]))
+    def __init__(self, address: tuple[str, int] | None, version: int, connect_timeout: float) -> None:
+        self.address = None if address is None else (str(address[0]), int(address[1]))
         self.version = version
         self.connect_timeout = float(connect_timeout)
         self.sock: socket.socket | None = None
         self.bytes_sent = 0
         self.bytes_received = 0
 
+    @classmethod
+    def adopt(cls, sock: socket.socket, version: int) -> "Connection":
+        """The client end of a stream that is connected already (a
+        ``socketpair`` end): no handshake, and once closed it stays closed."""
+        conn = cls(None, version, 0.0)
+        conn.sock = sock
+        return conn
+
     def open(self) -> None:
         """Connect and shake hands unless open; a refused ``hello`` raises
-        :class:`RemoteProtocolError`."""
+        :class:`RemoteProtocolError`, an adopted stream once closed
+        :class:`ConnectionError`."""
         if self.sock is None:
+            if self.address is None:
+                raise ConnectionError("the adopted stream is closed")
             self.sock = socket.create_connection(self.address, timeout=self.connect_timeout)
             self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             try:

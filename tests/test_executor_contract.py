@@ -3,7 +3,8 @@
 ``repro.parallel.executor._Backend`` writes the batch and future
 methods, the submission counters, the driver-side install store with
 its missed-install heal and ``close`` once; a backend adds ``_submit``
-and ``_broadcast``.  Every test
+and ``_broadcast``.  Both multi-process backends run the one RPW1
+engine, so they share one install and heal rule.  Every test
 here runs unchanged over the serial, process-pool and loopback-remote
 backends (remote workers are in-process threads speaking the full TCP
 protocol), through public names only.
@@ -31,10 +32,9 @@ from repro.parallel.remote import RemoteTaskError
 from repro.pw.grid import FFTGrid
 
 BACKENDS = ["serial", "process", "remote"]
-#: Backends whose kernels may run where the install did not reach.
-HEALING = ["process", "remote"]
-#: ``install_broadcasts`` per install on a two-worker executor.
-DELIVERIES = {"serial": 0, "process": 2, "remote": 2}
+#: Backends whose workers live in other processes: one engine, so one
+#: install dedup and one heal rule.
+WORKERS = ["process", "remote"]
 
 
 @contextlib.contextmanager
@@ -52,15 +52,15 @@ def _backend(name: str, workers: int = 2):
         clear_installed_potentials()
 
 
-def _forget(name: str, executor) -> None:
+def _forget(executor) -> None:
     """Worker amnesia: every worker loses what was installed (a restart).
 
-    Loopback workers share this process's store; a process
-    pool is closed, so its next batch forks fresh workers from a driver
-    whose store is empty while the executor still remembers the delivery.
+    ``close`` drops every connection and what the driver knew each worker
+    held — a pool forks fresh workers at its next batch, a remote worker
+    is reconnected — and the cleared store is the one a fork copies and
+    loopback workers share, while the executor keeps the payloads.
     """
-    if name == "process":
-        executor.close()
+    executor.close()
     clear_installed_potentials()
 
 
@@ -88,9 +88,9 @@ def _fragment_task(label: str) -> FragmentTask:
 
 
 @pytest.fixture(scope="module")
-def keyed_pair():
-    """``(key, potential, [keyed task, inline task], reference results)``:
-    two fragments of one SCF, the first shipped by install key only."""
+def scf_tasks():
+    """``(key, potential, keyed, inline)``: one SCF's pipeline task per
+    fragment, shipped by install key only and with the potential inline."""
     structure = cscl_binary((2, 1, 1), "Zn", "O", 6.0)
     scf = LS3DFSCF(
         structure, grid_dims=(2, 1, 1), ecut=2.2, buffer_cells=0.5,
@@ -100,10 +100,18 @@ def keyed_pair():
     key = potential_fingerprint(v_in)
     kw = dict(eigensolver_tolerance=1e-4, eigensolver_iterations=40)
     make = scf.fragment_solver.make_pipeline_task
-    a, b = scf.fragments[:2]
-    reference = [run_fragment_pipeline_task(make(f, v_in, **kw)) for f in (a, b)]
-    tasks = [make(a, v_in, global_potential_key=key, **kw), make(b, v_in, **kw)]
-    return key, v_in, tasks, reference
+    keyed = [make(f, v_in, global_potential_key=key, **kw) for f in scf.fragments]
+    inline = [make(f, v_in, **kw) for f in scf.fragments]
+    return key, v_in, keyed, inline
+
+
+@pytest.fixture(scope="module")
+def keyed_pair(scf_tasks):
+    """``(key, potential, [keyed task, inline task], reference results)``:
+    two fragments of one SCF, the first shipped by install key only."""
+    key, v_in, keyed, inline = scf_tasks
+    reference = [run_fragment_pipeline_task(t) for t in inline[:2]]
+    return key, v_in, [keyed[0], inline[1]], reference
 
 
 def _assert_pipeline_equal(got, want):
@@ -148,26 +156,53 @@ def test_results_come_back_in_task_order_and_every_task_is_counted_once(name):
         assert ex.install_broadcasts == 0
 
 
-@pytest.mark.parametrize("name", HEALING)
+@pytest.mark.parametrize("name", WORKERS)
 def test_missed_install_heals_with_one_extra_submission(name, keyed_pair):
     """A worker that never saw an install raises; the task is resubmitted
     once with the driver's payload attached — same bits, exactly one
-    extra physical submission — and the delivery is forgotten: a process
-    pool broadcasts the key again, a remote worker kept the payload that
-    rode in."""
+    extra physical submission — and the worker that healed keeps the
+    payload, so the next install of the key reaches only the other one."""
     key, v_in, tasks, reference = keyed_pair
     with _backend(name) as ex:
         ex.install_state(key, v_in)
         ex.install_state(key, v_in)  # a known key is a no-op
-        assert ex.install_broadcasts == DELIVERIES[name]
-        _forget(name, ex)
+        assert ex.install_broadcasts == 2
+        _forget(ex)
         futures = ex.submit_pipeline_batch(tasks)
         _assert_pipeline_equal([f.result() for f in futures], reference)
         assert ex.tasks_submitted == 2
         assert ex.pool_submissions == 3
         ex.install_state(key, v_in)
-        again = DELIVERIES[name] if name == "process" else 0
-        assert ex.install_broadcasts == DELIVERIES[name] + again
+        assert ex.install_broadcasts == 3
+
+
+@pytest.mark.parametrize("name", WORKERS)
+def test_close_forgets_what_the_workers_hold(name, keyed_pair):
+    """After ``close`` the driver cannot know a worker still holds a key —
+    a pool forks new ones, a remote worker may have restarted — so the
+    next install of it reaches every worker again."""
+    key, v_in, _, _ = keyed_pair
+    with _backend(name) as ex:
+        ex.install_state(key, v_in)
+        ex.close()
+        ex.install_state(key, v_in)
+        assert ex.install_broadcasts == 4
+
+
+@pytest.mark.parametrize("name", WORKERS)
+def test_an_install_reaches_every_busy_worker_exactly_once(name, scf_tasks):
+    """Both workers are mid-task when the install comes: each still gets
+    it once, on its own connection after its current task, so the keyed
+    batch behind it needs no heal."""
+    key, v_in, keyed, inline = scf_tasks
+    with _backend(name) as ex:
+        busy = ex.submit_pipeline_batch(inline[:2])
+        ex.install_state(key, v_in)
+        futures = ex.submit_pipeline_batch(keyed)
+        results = [f.result(timeout=120) for f in busy + futures]
+        assert ex.install_broadcasts == ex.n_workers == 2
+        assert ex.pool_submissions == ex.tasks_submitted == 2 + len(keyed)
+        _assert_pipeline_equal(results[2:4], results[:2])
 
 
 @pytest.mark.parametrize("name", BACKENDS)

@@ -17,8 +17,12 @@ nothing here asserts a measured parallel speedup, only correctness and
 accounting, so the matrix is meaningful on any machine.
 """
 
+import contextlib
+import os
 import pickle
+import signal
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,13 +33,18 @@ from repro.core.fragment_task import (
     FragmentExecutor,
     FragmentTask,
     FragmentTaskResult,
+    clear_installed_potentials,
     run_fragment_pipeline_task,
     solve_fragment_task,
 )
 from repro.core.patching import PATCH_CHUNK_SIZE, patch_fragment_fields
 from repro.core.scf import LS3DFSCF
 from repro.parallel.distributed import GlobalStepTask
-from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
+from repro.parallel.executor import (
+    NoRemoteWorkersError,
+    ProcessPoolFragmentExecutor,
+    SerialFragmentExecutor,
+)
 from repro.parallel.remote import RemoteExecutor
 from repro.pw.grid import FFTGrid
 
@@ -159,7 +168,6 @@ def test_failed_batch_raises_and_leaves_nothing_queued(monkeypatch):
     """A kernel error surfaces from ``run_*`` and the batch's tasks that no
     worker had started are dropped, so they cannot delay the next batch."""
     import repro.parallel.executor as executor_module
-    from repro.parallel import remote as remote_module
     from repro.parallel.remote import RemoteTaskError
 
     release = threading.Event()
@@ -181,7 +189,7 @@ def test_failed_batch_raises_and_leaves_nothing_queued(monkeypatch):
     # once, the two workers then block inside slow0/slow1 at most.
     batch = [task("bad", 9)] + [task(f"slow{i}", 8 - i) for i in range(6)]
     with monkeypatch.context() as patch, remote_executor(2) as executor:
-        patch.setitem(remote_module._KERNELS, "global", kernel)
+        patch.setitem(executor_module._KERNELS, "global", kernel)
         with pytest.raises(RemoteTaskError, match="boom"):
             executor.run_global(batch)
         release.set()
@@ -194,6 +202,57 @@ def test_failed_batch_raises_and_leaves_nothing_queued(monkeypatch):
     monkeypatch.setattr(executor_module, "run_global_step_task", kernel)
     with pytest.raises(ValueError, match="boom"):
         SerialFragmentExecutor().run_global(batch[:2])
+
+
+def _listening_sockets(pid: int) -> set[str]:
+    """Inodes of the TCP sockets process ``pid`` holds in the LISTEN state."""
+    listening = {
+        line.split()[9]
+        for table in ("tcp", "tcp6")
+        for line in Path(f"/proc/{pid}/net/{table}").read_text().splitlines()[1:]
+        if line.split()[3] == "0A"
+    }
+    held = set()
+    for fd in Path(f"/proc/{pid}/fd").iterdir():
+        with contextlib.suppress(OSError):  # an fd closed while listing
+            held.add(os.readlink(fd))
+    return {inode for inode in listening if f"socket:[{inode}]" in held}
+
+
+@pytest.mark.skipif(not Path("/proc/self/net/tcp").exists(), reason="reads Linux /proc")
+def test_a_pool_worker_killed_mid_batch_requeues_its_task():
+    """SIGKILL one of two pool workers while a pipeline batch is in flight:
+    its task is requeued on the survivor and the results are the serial
+    ones; with both dead the next batch raises the typed error, no hang.
+    Pool workers reach the driver through a socketpair and hold no
+    listening socket of their own."""
+    scf = _tiny_scf()
+    v_in = scf.genpot.initial_potential()
+    tasks = [
+        scf.fragment_solver.make_pipeline_task(
+            f, v_in, eigensolver_tolerance=1e-4, eigensolver_iterations=40)
+        for f in scf.fragments[:4]
+    ]
+    reference = [run_fragment_pipeline_task(t) for t in tasks]
+    with ProcessPoolFragmentExecutor(2) as executor:
+        executor.install_state("boot", np.zeros(1))  # forks the workers
+        victim, survivor = executor._pids
+        for pid in (victim, survivor):
+            assert _listening_sockets(pid) <= _listening_sockets(os.getpid())
+        futures = executor.submit_pipeline_batch(tasks)
+        os.kill(victim, signal.SIGKILL)
+        results = [f.result(timeout=120) for f in futures]
+        for got, want in zip(results, reference, strict=True):
+            np.testing.assert_array_equal(got.contribution, want.contribution)
+            np.testing.assert_array_equal(got.density, want.density)
+        assert {r.worker_pid for r in results} == {survivor}
+        assert executor.workers_lost == 1
+        assert executor.resubmissions >= 1
+        os.kill(survivor, signal.SIGKILL)
+        with pytest.raises(NoRemoteWorkersError):
+            executor.submit_pipeline_batch(tasks[:2])[0].result(timeout=120)
+        assert executor.workers_lost == 2
+    clear_installed_potentials()
 
 
 # --- SCF equivalence beyond one Gen_dens reduce chunk ------------------------------

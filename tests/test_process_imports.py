@@ -31,7 +31,7 @@ from repro.core.fragment_task import FragmentTask, get_task_problem
 from repro.core.scf import LS3DFSCF
 from repro.parallel.bands import BandBlockTask, band_slices
 from repro.parallel.distributed import GlobalStepTask
-from repro.parallel.remote import _KERNELS
+from repro.parallel.executor import _KERNELS
 from repro.pw.grid import FFTGrid
 from repro.store import RunStore
 
@@ -136,13 +136,13 @@ def tasks():
 
 def test_a_pool_worker_imports_nothing_for_its_jobs(tasks, tmp_path):
     """A pool worker is forked from a driver that imported the facade and
-    the pool; it unpickles ``(kernel, task)`` and runs it."""
-    jobs = [pickle.dumps((_KERNELS[kind], tasks[kind])) for kind in ("pipeline", "global")]
-    (tmp_path / "jobs.pkl").write_bytes(pickle.dumps(jobs))
-    job = ("for blob in pickle.load(open('jobs.pkl', 'rb')):\n"
-           "    kernel, task = pickle.loads(blob)\n"
-           "    kernel(task)")
-    entry = "import repro.core.driver\nfrom repro.parallel.executor import ProcessPoolFragmentExecutor"
+    the pool; it answers RPW1 task frames through the worker handler."""
+    frames = [pickle.dumps({"op": "task", "kind": kind, "task": tasks[kind]}) for kind in ("pipeline", "global")]
+    (tmp_path / "frames.pkl").write_bytes(pickle.dumps(frames))
+    job = ("server = WorkerServer()\n"
+           "for frame in pickle.load(open('frames.pkl', 'rb')):\n"
+           "    assert server._handle(pickle.loads(frame))['ok']")
+    entry = "import repro.core.driver\nfrom repro.parallel.executor import ProcessPoolFragmentExecutor, WorkerServer"
     assert _run(_JOB_SCRIPT.format(entry=entry, job=job), tmp_path) == []
 
 

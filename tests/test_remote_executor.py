@@ -746,7 +746,7 @@ def test_failed_batch_raises_and_leaves_nothing_queued(monkeypatch):
     """A kernel error surfaces from ``run_*`` as RemoteTaskError and the
     batch's still-queued tasks are dropped, so they cannot delay the next
     batch (every batch shares the executor's one queue)."""
-    from repro.parallel import remote as remote_module
+    from repro.parallel import executor as executor_module
     from repro.parallel.distributed import GlobalStepTask
 
     release = threading.Event()
@@ -759,7 +759,7 @@ def test_failed_batch_raises_and_leaves_nothing_queued(monkeypatch):
         release.wait(30)
         return task.label
 
-    monkeypatch.setitem(remote_module._KERNELS, "global", kernel)
+    monkeypatch.setitem(executor_module._KERNELS, "global", kernel)
 
     def task(label, size):
         return GlobalStepTask(

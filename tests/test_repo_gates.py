@@ -9,6 +9,7 @@ from pathlib import Path
 
 from repro.core.driver import LS3DF
 from repro.core.scf import LS3DFSCF
+from repro.parallel.executor import ProcessPoolFragmentExecutor, _serve_forked
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
@@ -143,9 +144,20 @@ def test_a_submit_takes_only_its_runs_lock():
     assert _lines_matching(r"(?<![\w.])store\.lock|ROOT_LOCK_NAME") == []
 
 
+def test_one_multi_process_engine():
+    """Both multi-process backends run one RPW1 engine: no executor pool,
+    healing future or per-pool broadcast set comes back, and the pool
+    reaches its forked workers only through a ``socketpair`` — it starts
+    no listener, so a pool worker holds no port."""
+    assert _lines_matching(r"ProcessPoolExecutor|_HealingFuture|_broadcast_keys|concurrent\.futures") == []
+    pool = inspect.getsource(ProcessPoolFragmentExecutor) + inspect.getsource(_serve_forked)
+    assert "socket.socketpair()" in pool and "_serve_connection(" in pool
+    assert not re.search(r"\.start\(|serve_forever|\.bind\(|\.listen\(|create_connection|Listener\(", pool)
+
+
 #: ``src/`` line-count ratchet (ROADMAP aim 2, target <= 14 300): a change may
 #: lower this number, never raise it — new code has to pay for itself in deletions.
-SRC_LINE_LIMIT = 14360
+SRC_LINE_LIMIT = 14357
 
 
 def test_src_line_count_ratchet():

@@ -22,8 +22,8 @@ implemented:
   outer iterations are cheap even inside pool workers.  It is scoped to
   one run: it holds the problems of one solver signature only.
 * :class:`FragmentTaskResult` is the one per-fragment product — what a
-  plain solve, a fused pipeline step, every executor, the SCF result and
-  the mid-iteration partial checkpoint all carry.
+  plain solve, a fused pipeline step, every executor and the SCF result
+  all carry.
 * :class:`FragmentExecutor` is the protocol every backend implements.
 
 Layering note: this module deliberately depends only on the plane-wave
@@ -40,7 +40,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -198,39 +198,6 @@ class FragmentTaskResult:
     contribution: np.ndarray | None = None
     gen_vf_time: float = 0.0
     gen_dens_time: float = 0.0
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Every field as an array — one fragment's mid-iteration payload.
-
-        The per-fragment half of a *mid-iteration* checkpoint
-        (:func:`repro.io.checkpoint.save_partial_payload`), suitable for an
-        ``.npz`` payload; round-trips exactly through
-        :meth:`from_state_dict`.
-        """
-        return {f.name: np.asarray(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_state_dict(cls, state: dict[str, np.ndarray]) -> "FragmentTaskResult":
-        """Rebuild a result from a :meth:`state_dict` snapshot.
-
-        Bit-identical to the saved result (arrays round-trip exactly
-        through ``.npz``), so replaying it mid-iteration reproduces an
-        uninterrupted run.
-
-        Raises
-        ------
-        ValueError
-            The snapshot's keys are not exactly this record's fields — a
-            stale or foreign payload the caller must re-solve.
-        """
-        names = {f.name for f in fields(cls)}
-        if set(state) != names:
-            raise ValueError(
-                f"fragment payload keys {sorted(state)} are not the "
-                f"record's fields {sorted(names)}"
-            )
-        values = {name: np.asarray(value) for name, value in state.items()}
-        return cls(**{n: v.item() if v.ndim == 0 else v for n, v in values.items()})
 
 
 @dataclass

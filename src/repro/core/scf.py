@@ -31,15 +31,13 @@ Long runs can be checkpointed and resumed (``checkpoint_dir=`` /
 ``resume=`` on :meth:`LS3DFSCF.run`): after every iteration the
 cross-iteration state — input potential, mixer history, warm-start
 wavefunctions — is persisted via :mod:`repro.io.checkpoint`, and a
-resumed run's iterates are bit-identical to an uninterrupted run's.  On
-the band-grouped side, completed fragments are additionally persisted
-*within* each iteration, so a kill mid-PEtot_F replays only the
-unfinished fragments.
+resumed run's iterates are bit-identical to an uninterrupted run's.  That
+end-of-iteration checkpoint is the only restart state, on both sides of
+the fork: a kill mid-PEtot_F re-solves the killed iteration.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from collections import deque
@@ -64,12 +62,9 @@ from repro.core.patching import PATCH_CHUNK_SIZE, patch_contributions
 from repro.io.checkpoint import (
     SCFCheckpoint,
     clear_checkpoint,
-    clear_partial_payloads,
     has_checkpoint,
     load_checkpoint,
-    load_partial_payloads,
     save_checkpoint,
-    save_partial_payload,
 )
 from repro.parallel.executor import SerialFragmentExecutor
 from repro.pw.grid import FFTGrid
@@ -132,12 +127,9 @@ class IterationTimings:
     ``band_tasks`` holds the in-worker wall time of every per-slice
     :class:`~repro.parallel.bands.BandBlockTask` (the parallel bucket),
     ``band_stages`` counts the sliced stages dispatched (one per H·psi
-    application of a grouped eigensolve, ``band_slices`` tasks each) and
-    ``band_replayed`` the fragments replayed from a mid-iteration
-    partial checkpoint instead of re-solved (their per-fragment timing
-    entries are zero — this run only paid the payload read, counted in
-    ``checkpoint_io``).  The group roots' residual step and dense
-    cross-band algebra plus dispatch overhead — ``band_driver`` =
+    application of a grouped eigensolve, ``band_slices`` tasks each).
+    The group roots' residual step and dense cross-band algebra plus
+    dispatch overhead — ``band_driver`` =
     ``petot_f - band_cpu`` — is what the workers did not cover (two
     roots per group overlap it with another fragment's slices), so
     ``measured_intra_group_efficiency`` is the measured counterpart of
@@ -145,11 +137,10 @@ class IterationTimings:
     :meth:`repro.parallel.groups.GroupDecomposition.intra_group_efficiency`.
 
     ``checkpoint_io`` records the seconds spent writing this iteration's
-    checkpoint — including mid-iteration partial-fragment payloads on
-    the band-grouped side (zero when checkpointing is off).  Checkpoint
-    I/O happens on the driver while every worker idles, so it is counted
-    in ``serial_time`` — the Amdahl accounting stays honest about the
-    cost of restartability.
+    checkpoint (zero when checkpointing is off).  Checkpoint I/O happens
+    on the driver while every worker idles, so it is counted in
+    ``serial_time`` — the Amdahl accounting stays honest about the cost
+    of restartability.
     """
 
     gen_vf: float = 0.0
@@ -175,7 +166,6 @@ class IterationTimings:
     band_slices: int = 0
     band_group_count: int = 1
     band_stages: int = 0
-    band_replayed: int = 0
     band_tasks: list[float] = field(default_factory=list)
 
     @property
@@ -422,10 +412,9 @@ class LS3DFSCF:
         which is what removes the
         largest-fragment floor on the PEtot_F wall time.  Requires an
         executor with ``run_bands`` (all backends in
-        :mod:`repro.parallel.executor`).  With
-        ``checkpoint_dir=`` set on :meth:`run`, completed fragments are
-        additionally persisted *within* each iteration, so a killed run
-        replays only the unfinished ones (see :mod:`repro.io.checkpoint`).
+        :mod:`repro.parallel.executor`).  A resume re-solves the killed
+        iteration from the end-of-iteration checkpoint, as on the
+        ungrouped side.
     install_potentials:
         Install each iteration's global input potential once per worker
         through the executor's install channel and ship fragment (and
@@ -587,10 +576,6 @@ class LS3DFSCF:
         eigensolver_tolerance: float,
         eigensolver_iterations: int,
         t: IterationTimings,
-        iteration: int,
-        checkpoint_path: Path | None,
-        division_signature: str,
-        replay_partials: bool,
     ) -> tuple[np.ndarray, list[FragmentTaskResult]]:
         """One fused Gen_VF -> PEtot_F -> Gen_dens lap of the iteration.
 
@@ -617,23 +602,10 @@ class LS3DFSCF:
         # --- PEtot_F (fused): restrict + solve + contribute per fragment,
         # with the Gen_dens tree-reduce pulling results in fragment order.
         t0 = time.perf_counter()
-        replayed: frozenset[int] = frozenset()
-        partial_io = 0.0
         if self.band_groups is None:
-            futures = self.executor.submit_pipeline_batch(tasks)
-            stream = (future.result() for future in futures)
+            stream = (f.result() for f in self.executor.submit_pipeline_batch(tasks))
         else:
-            stream, replayed, partial_io = self._drain_band_groups(
-                tasks,
-                v_in,
-                eigensolver_tolerance,
-                eigensolver_iterations,
-                t,
-                iteration,
-                checkpoint_path,
-                division_signature,
-                replay_partials,
-            )
+            stream = self._drain_band_groups(tasks, t)
         # Time not spent reducing: the submission (the serial backend
         # solves at submit), the group drain, and every blocked pull.
         wait = time.perf_counter() - t0
@@ -652,26 +624,13 @@ class LS3DFSCF:
         # The consume loop is PEtot_F as the outer loop sees it; its
         # blocked/busy split is the overlap accounting (the busy part ran
         # under still-working workers and leaves the serial residue).
-        # Partial-checkpoint I/O is booked as checkpoint_io, not here.
-        elapsed = time.perf_counter() - t0
-        t.checkpoint_io += partial_io
-        t.petot_f = max(0.0, elapsed - partial_io)
-        t.overlap_wait = max(0.0, wait - partial_io)
-        t.overlap_busy = max(0.0, elapsed - wait)
+        t.petot_f = time.perf_counter() - t0
+        t.overlap_wait = wait
+        t.overlap_busy = max(0.0, t.petot_f - wait)
         t.petot_f_workers = int(getattr(self.executor, "n_workers", 1))
-        # Replayed fragments cost this run only the payload read (already in
-        # checkpoint_io), so their entries are zero — the killed attempt's
-        # wall times must not inflate this iteration's petot_f_cpu/speedup.
-        t.petot_f_fragments = [
-            0.0 if i in replayed else p.wall_time for i, p in enumerate(results)
-        ]
-        t.gen_vf_fragments = [
-            0.0 if i in replayed else p.gen_vf_time for i, p in enumerate(results)
-        ]
-        t.gen_dens_fragments = [
-            0.0 if i in replayed else p.gen_dens_time
-            for i, p in enumerate(results)
-        ]
+        t.petot_f_fragments = [p.wall_time for p in results]
+        t.gen_vf_fragments = [p.gen_vf_time for p in results]
+        t.gen_dens_fragments = [p.gen_dens_time for p in results]
 
         # --- Gen_dens residue: only the post-tail work remains serial.
         # The warm-start update is driver work and belongs in this bucket,
@@ -682,17 +641,8 @@ class LS3DFSCF:
         return density, results
 
     def _drain_band_groups(
-        self,
-        tasks: list,
-        v_in: np.ndarray,
-        eigensolver_tolerance: float,
-        eigensolver_iterations: int,
-        t: IterationTimings,
-        iteration: int,
-        checkpoint_path: Path | None,
-        division_signature: str,
-        replay_partials: bool,
-    ) -> tuple[list[FragmentTaskResult], frozenset[int], float]:
+        self, tasks: list, t: IterationTimings
+    ) -> list[FragmentTaskResult]:
         """The band-parallel side of :meth:`_run_iteration`'s fork.
 
         One fragment queue, heaviest first (the order a pool's
@@ -707,80 +657,26 @@ class LS3DFSCF:
         ``min(GROUP_ROOTS·G, n_workers, queue length)`` roots, the
         calling thread first — one on a one-worker executor, so "serial"
         stays on one core.  A root's first error closes the queue: the
-        sibling roots finish (and persist) the fragment they hold, then
-        the error is raised.
+        sibling roots finish the fragment they hold, then the error is
+        raised.
 
-        With ``checkpoint_path`` set, every completed fragment's
-        :class:`~repro.core.fragment_task.FragmentTaskResult` is
-        persisted immediately
-        (:func:`repro.io.checkpoint.save_partial_payload`); on entry —
-        only when the caller asked to ``resume`` (``replay_partials``) —
-        any partials saved for this same iteration are replayed from
-        disk instead of re-solved, so a kill mid-PEtot_F costs only the
-        unfinished fragments.  A payload whose keys are not the record's
-        fields is stale, like a torn one: that fragment is re-solved.  A
-        fresh run never replays (its partials were wiped up front by
-        :meth:`run`).
-
-        Returns the results in fragment order, the indices of the
-        replayed ones, and the seconds of partial-checkpoint I/O (payload
-        reads plus writes) contained in this call's wall time.
+        Returns the results in fragment order.
         """
         n_workers = int(getattr(self.executor, "n_workers", 1))
         t.band_sliced = True
         t.band_slices = self.band_groups
         t.band_group_count = max(1, n_workers // self.band_groups)
-        # --- Mid-iteration replay: fragments already completed (and
-        # persisted) by a killed attempt at this very iteration.  The
-        # state fingerprint pins the replay to this iteration's actual
-        # solve inputs — a resume with a changed tolerance or a different
-        # input potential re-solves instead of splicing stale results.
-        state_fingerprint = ""
-        if checkpoint_path is not None:
-            fp = hashlib.sha256()
-            fp.update(np.ascontiguousarray(v_in).tobytes())
-            fp.update(np.float64(eigensolver_tolerance).tobytes())
-            fp.update(np.int64(eigensolver_iterations).tobytes())
-            state_fingerprint = fp.hexdigest()
-        replayed: dict[str, FragmentTaskResult] = {}
-        replay_io = 0.0
-        if checkpoint_path is not None and replay_partials:
-            t0 = time.perf_counter()
-            for label, arrays in load_partial_payloads(
-                checkpoint_path,
-                iteration,
-                division_signature,
-                state_fingerprint=state_fingerprint,
-            ).items():
-                try:
-                    replayed[label] = FragmentTaskResult.from_state_dict(arrays)
-                except ValueError:
-                    continue  # stale payload schema: re-solve the fragment
-            replay_io = time.perf_counter() - t0
-
-        # Replay saved fragments up front, leaving the queue with only the
-        # work that still needs solving.
-        results: list[FragmentTaskResult | None] = [
-            replayed.get(f.label) for f in self.fragments
-        ]
-        replayed_indices = frozenset(
-            i for i, saved in enumerate(results) if saved is not None
-        )
-        t.band_replayed = len(replayed_indices)
+        results: list[FragmentTaskResult | None] = [None] * len(tasks)
         queue = deque(
-            int(idx)
-            for idx in np.argsort([task.cost() for task in tasks])[::-1]
-            if int(idx) not in replayed_indices
+            int(idx) for idx in np.argsort([task.cost() for task in tasks])[::-1]
         )
         errors: list[BaseException] = []
-        partial_io = 0.0
-        lock = threading.Lock()  # band accounting and partial saves
+        lock = threading.Lock()  # band accounting
         # One root-local FFT section (density, quantum energy) at a time:
         # more only grow the driver's FFT workspace pool.
         root_lock = threading.Lock()
 
         def _root() -> None:
-            nonlocal partial_io
             while True:
                 try:
                     idx = queue.popleft()
@@ -797,25 +693,12 @@ class LS3DFSCF:
                     with lock:
                         t.band_stages += stats.stages
                         t.band_tasks.extend(stats.task_times)
-                        if checkpoint_path is not None:
-                            tio = time.perf_counter()
-                            save_partial_payload(
-                                checkpoint_path,
-                                iteration,
-                                division_signature,
-                                self.fragments[idx].label,
-                                results[idx].state_dict(),
-                                state_fingerprint=state_fingerprint,
-                            )
-                            partial_io += time.perf_counter() - tio
                 except BaseException as exc:
                     queue.clear()  # sibling roots stop after their fragment
                     errors.append(exc)
                     return
 
-        n_roots = min(
-            GROUP_ROOTS * t.band_group_count, n_workers, max(1, len(queue))
-        )
+        n_roots = min(GROUP_ROOTS * t.band_group_count, n_workers, len(queue))
         siblings = [
             threading.Thread(target=_root, daemon=True) for _ in range(n_roots - 1)
         ]
@@ -826,7 +709,7 @@ class LS3DFSCF:
             thread.join()
         if errors:
             raise errors[0]
-        return results, replayed_indices, replay_io + partial_io
+        return results
 
     # ------------------------------------------------------------------
     def run(
@@ -870,10 +753,9 @@ class LS3DFSCF:
             non-converged iteration (input potential, mixer state,
             warm-start wavefunctions, histories).  ``None`` (default)
             disables checkpointing.  The write time is recorded as serial
-            work in ``IterationTimings.checkpoint_io``.  With band groups
-            (``band_groups=``) each completed fragment is additionally
-            persisted *within* the iteration, so a killed run replays the
-            finished fragments from disk and re-solves only the rest.
+            work in ``IterationTimings.checkpoint_io``.  It is the only
+            restart state: a run killed mid-iteration re-solves that
+            iteration on resume, with or without band groups.
         resume:
             Restore state from ``checkpoint_dir`` and continue at the
             saved iteration.  The checkpoint's grid shape, fragment-
@@ -946,13 +828,9 @@ class LS3DFSCF:
             # A fresh SCF: drop every piece of cross-iteration state so a
             # reused solver behaves exactly like a newly built one — and,
             # when the user explicitly asked for a fresh run, wipe the
-            # checkpoint and the mid-iteration partials a previous run
-            # left in the directory, so neither a resume=False run nor a
-            # later resume of it (killed before its first save) picks up
-            # another run's state.  (With resume=True this branch also
-            # runs when no full checkpoint exists yet — a kill during the
-            # very first iteration — and the partials are exactly what
-            # the resumed run should replay, so they are kept.)
+            # checkpoint a previous run left in the directory, so a later
+            # resume of this run (killed before its first save) does not
+            # pick up another run's state.
             self.genpot.reset()
             self.state_cache.clear()
             if checkpoint_path is not None and not resume:
@@ -975,10 +853,6 @@ class LS3DFSCF:
                 eigensolver_tolerance,
                 eigensolver_iterations,
                 t,
-                iteration,
-                checkpoint_path,
-                division_signature,
-                replay_partials=resume,
             )
 
             # --- GENPOT: global Poisson + XC + mixing (slab-distributed
@@ -1017,8 +891,8 @@ class LS3DFSCF:
             # histories) so a killed run resumes at iteration+1 with
             # bit-identical iterates.  Driver-only I/O, counted as serial.
             checkpointed = checkpoint_path is not None and not converged
-            t0 = time.perf_counter()
             if checkpointed:
+                t0 = time.perf_counter()
                 mixer_state_dict = getattr(mixer, "state_dict", None)
                 save_checkpoint(
                     checkpoint_path,
@@ -1035,11 +909,7 @@ class LS3DFSCF:
                         energy_history=energy_history,
                     ),
                 )
-            if checkpoint_path is not None:
-                # The full checkpoint supersedes this iteration's
-                # mid-iteration partials; a converged run replays nothing.
-                clear_partial_payloads(checkpoint_path)
-                t.checkpoint_io += time.perf_counter() - t0
+                t.checkpoint_io = time.perf_counter() - t0
             if event_hook is not None:
                 event_hook(
                     "iteration",

@@ -20,25 +20,15 @@ kind — as plain (non-object) arrays beside it.  The rename is the
 commit, so a kill at any moment leaves the previous checkpoint or the
 new one, never a mix.
 
-For very large fragments a whole iteration is a long time to lose, so
-the same directory additionally holds **mid-iteration** state: one
-``frag-<digest>.npz`` per *completed* fragment of the iteration in
-flight, each carrying its own iteration counter, problem signature and
-a fingerprint of the iteration's solve inputs.  Since every
-non-converged iteration ends in a full checkpoint, which clears the
-partials, at most one iteration's partials ever exist.  The
-band-grouped PEtot_F path (:class:`repro.core.scf.LS3DFSCF` with
-``band_groups=``) writes one as each fragment finishes; a killed run
-replays the saved fragments from disk and re-solves only the unfinished
-ones, bit-identically.  The functions :func:`save_partial_payload` /
-:func:`load_partial_payloads` / :func:`clear_partial_payloads` deal in
-plain label -> arrays mappings so this module stays free of ``core``
-imports; the array schema is owned by
-:meth:`repro.core.fragment_task.FragmentTaskResult.state_dict`.
+A resume reads this file and nothing else.  A run killed mid-iteration
+re-solves that whole iteration from the saved state, which gives the
+same bits as an uninterrupted run because a fragment's result is a pure
+function of its task.  Per-fragment files that an older layout left
+beside the state are not read.
 
-On load every file's metadata is read and checked before any payload
+On load the file's metadata is read and checked before any payload
 array: a missing or mistyped key or a foreign version raises
-:class:`CheckpointMismatchError` naming the file, and a state file is
+:class:`CheckpointMismatchError` naming the file, and the state is
 validated against the resuming run's grid, division and mixer — a
 checkpoint from a different problem fails loudly instead of silently
 producing garbage physics.
@@ -53,7 +43,6 @@ mixers and for the serial and process backends.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,19 +55,13 @@ _STATE_NAME = "state-latest.npz"
 
 _MIXER_PREFIX = "mixer."
 _FRAGMENT_PREFIX = "frag."
-# Metadata keys -> (dtype kinds, shape) each file must carry.
+# Metadata keys -> (dtype kinds, shape) the state file must carry.
 _INT, _STR = ("iu", ()), ("U", ())
 _STATE_KEYS = {
     "iteration": _INT,
     "grid_shape": ("iu", (3,)),
     "division_signature": _STR,
     "mixer_kind": _STR,
-}
-_PARTIAL_KEYS = {
-    "iteration": _INT,
-    "division_signature": _STR,
-    "state_fingerprint": _STR,
-    "label": _STR,  # payload too: FragmentTaskResult.state_dict carries it
 }
 
 
@@ -87,8 +70,8 @@ class CheckpointMismatchError(ValueError):
 
     Raised by :func:`load_checkpoint` when the state file's grid shape,
     fragment-division signature, mixer kind or format version does not
-    match what the caller expects, and by both loaders for a file whose
-    metadata is missing or mistyped.
+    match what the caller expects, or when its metadata is missing or
+    mistyped.
     """
 
 
@@ -157,8 +140,8 @@ def has_checkpoint(directory: str | Path) -> bool:
     return (Path(directory) / _STATE_NAME).is_file()
 
 
-def _metadata(archive, path: Path, keys: dict) -> dict:
-    """The version and ``keys`` metadata of an open ``.npz``, type-checked.
+def _metadata(archive, path: Path) -> dict:
+    """The version and state metadata of an open ``.npz``, type-checked.
 
     Raises
     ------
@@ -167,7 +150,7 @@ def _metadata(archive, path: Path, keys: dict) -> dict:
         is not :data:`CHECKPOINT_VERSION`; the message names ``path``.
     """
     meta = {}
-    for key, (kinds, shape) in {"version": _INT, **keys}.items():
+    for key, (kinds, shape) in {"version": _INT, **_STATE_KEYS}.items():
         try:
             value = archive[key]
         except (KeyError, ValueError):  # absent, or a pickled object array
@@ -262,7 +245,7 @@ def load_checkpoint(
     if not path.is_file():
         raise FileNotFoundError(f"no checkpoint in {directory}")
     with np.load(path) as archive:
-        meta = _metadata(archive, path, _STATE_KEYS)
+        meta = _metadata(archive, path)
         if grid_shape is not None and list(grid_shape) != meta["grid_shape"]:
             raise CheckpointMismatchError(
                 f"checkpoint was written for global grid "
@@ -307,143 +290,8 @@ def load_checkpoint(
     )
 
 
-# ---------------------------------------------------------------------------
-# Mid-iteration partial checkpoints (per-fragment payloads)
-
-
-def _partial_payload_name(label: str) -> str:
-    # Fragment labels contain characters unfit for filenames ("F(1,0,2)x212");
-    # the digest keys the file, the true label rides inside the payload.
-    return "frag-" + hashlib.sha256(label.encode()).hexdigest()[:16] + ".npz"
-
-
-def save_partial_payload(
-    directory: str | Path,
-    iteration: int,
-    division_signature: str,
-    label: str,
-    arrays: dict[str, np.ndarray],
-    state_fingerprint: str = "",
-) -> Path:
-    """Persist one completed fragment's arrays for the in-flight iteration.
-
-    One crash-safe ``frag-<digest>.npz`` per fragment, carrying
-    ``iteration``, ``division_signature`` and ``state_fingerprint``
-    beside the arrays; a save replaces that fragment's earlier file.  A
-    kill at any moment leaves every already-saved fragment loadable.
-
-    Parameters
-    ----------
-    directory:
-        The run's checkpoint directory.
-    iteration:
-        The iteration currently in flight (1-based, the one whose
-        fragments are being solved — *not yet* completed).
-    division_signature:
-        The run's problem signature
-        (:meth:`repro.core.division.SpatialDivision.signature`-derived);
-        validated on load so partials never cross problems.
-    label:
-        The completed fragment's label.
-    arrays:
-        Array-valued snapshot of the completed work (canonically
-        :meth:`repro.core.fragment_task.FragmentTaskResult.state_dict`).
-    state_fingerprint:
-        Digest of the iteration's actual solve inputs (input potential,
-        eigensolver controls).  A resumed run whose inputs differ — a
-        changed tolerance, a different initial potential — must not
-        splice these fragments into its iteration; load treats a
-        mismatch as stale (re-solve), not as an error.
-
-    Returns
-    -------
-    Path
-        The written payload path.
-    """
-    return write_npz_atomic(
-        Path(directory) / _partial_payload_name(label),
-        **arrays,
-        version=np.int64(CHECKPOINT_VERSION),
-        iteration=np.int64(iteration),
-        division_signature=np.str_(division_signature),
-        state_fingerprint=np.str_(state_fingerprint),
-    )
-
-
-def load_partial_payloads(
-    directory: str | Path,
-    iteration: int,
-    division_signature: str,
-    state_fingerprint: str = "",
-) -> dict[str, dict[str, np.ndarray]]:
-    """Completed-fragment payloads saved for the given in-flight iteration.
-
-    Stale partials — another iteration, or a ``state_fingerprint``
-    recording different solve inputs (changed eigensolver controls, a
-    different input potential) — are silently ignored: they belong to
-    work the resuming run must redo.  A *different problem* or malformed
-    metadata is an error.
-
-    Parameters
-    ----------
-    directory:
-        The run's checkpoint directory.
-    iteration:
-        The iteration about to (re)run.
-    division_signature:
-        The resuming run's problem signature.
-    state_fingerprint:
-        The resuming iteration's solve-input digest; must match what the
-        partials were saved under for them to be replayed.
-
-    Returns
-    -------
-    dict[str, dict[str, np.ndarray]]
-        Fragment label -> saved arrays, empty when nothing usable exists.
-
-    Raises
-    ------
-    CheckpointMismatchError
-        A partial belongs to a different problem signature, has a
-        foreign format version, or missing or mistyped metadata.
-    """
-    payloads: dict[str, dict[str, np.ndarray]] = {}
-    for path in sorted(Path(directory).glob("frag-*.npz")):
-        with np.load(path) as archive:
-            meta = _metadata(archive, path, _PARTIAL_KEYS)
-            if meta["iteration"] != int(iteration):
-                continue
-            if meta["division_signature"] != division_signature:
-                raise CheckpointMismatchError(
-                    f"{path}: mid-iteration partial belongs to a different "
-                    f"structure/fragment division (signature "
-                    f"{meta['division_signature'][:12]}... != "
-                    f"{division_signature[:12]}...)"
-                )
-            if meta["state_fingerprint"] != state_fingerprint:
-                continue
-            payloads[meta["label"]] = {
-                name: archive[name]
-                for name in archive.files
-                if name == "label" or name not in meta
-            }
-    return payloads
-
-
-def clear_partial_payloads(directory: str | Path) -> None:
-    """Remove the mid-iteration partials (a full checkpoint superseded them).
-
-    Parameters
-    ----------
-    directory:
-        The run's checkpoint directory.
-    """
-    for stale in Path(directory).glob("frag-*.npz*"):
-        stale.unlink(missing_ok=True)
-
-
 def clear_checkpoint(directory: str | Path) -> None:
-    """Remove the checkpoint and its partials: a fresh run starts from nothing.
+    """Remove the checkpoint: a fresh run starts from nothing.
 
     Parameters
     ----------
@@ -451,4 +299,3 @@ def clear_checkpoint(directory: str | Path) -> None:
         The run's checkpoint directory.
     """
     (Path(directory) / _STATE_NAME).unlink(missing_ok=True)
-    clear_partial_payloads(directory)

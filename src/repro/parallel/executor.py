@@ -346,24 +346,23 @@ class _Backend:
     def install_state(self, key: str, payload: np.ndarray) -> None:
         """Install a shared potential once per worker under ``key``.
 
-        The driver's process-level store always receives the payload
-        (covering every in-process kernel call), then :meth:`_broadcast`
-        delivers it to workers elsewhere.  A worker that lost it anyway —
-        a restarted ``repro-worker`` — makes its key-carrying kernel raise
+        The driver's process-level store receives the payload on every
+        call, a known key included: it is what every in-process kernel
+        reads, and its LRU may have evicted a key the heal copy still
+        holds.  Then :meth:`_broadcast` delivers it to workers elsewhere.
+        A worker that lost it anyway — a restarted ``repro-worker`` —
+        makes its key-carrying kernel raise
         :class:`repro.core.fragment_task.PotentialNotInstalledError`, and
         the backend retries that one task through :meth:`_heal`.
-        Re-installing an already-known key is a no-op.
         """
         arr = np.asarray(payload)
         with self._mutex:
+            install_potential(key, arr)
             store = self._install_payloads
-            if key in store:
-                store.move_to_end(key)
-            else:
-                install_potential(key, arr)
-                store[key] = arr
-                while len(store) > self._INSTALL_PAYLOAD_MAX:
-                    store.popitem(last=False)
+            store.pop(key, None)
+            store[key] = arr
+            while len(store) > self._INSTALL_PAYLOAD_MAX:
+                store.popitem(last=False)
         self._broadcast(key, arr)
 
     def _heal(self, task, key: str):

@@ -12,8 +12,9 @@ of the wire:
   task indices.
 * :class:`FlakyExecutor` — driver-side faults: wraps any executor and
   raises :class:`repro.parallel.executor.WorkerDiedError` or sleeps at
-  configured batch indices, so SCF-level healing (mid-iteration partial
-  replay of a band-grouped drain) can be tested without sockets.
+  configured batch indices, so SCF-level recovery (a band-grouped drain
+  killed mid-iteration, then resumed from its checkpoint) can be tested
+  without sockets.
 
 Both are plain counters over served work — no wall-clock or RNG state
 leaks into the injected schedule, so a failing test replays exactly.

@@ -5,9 +5,8 @@ Covers the tentpole acceptance criteria: grouped ``all_band_cg`` runs are
 {1, 2, 3, nbands} on the serial, process and remote backends; every
 sliced stage is exactly one executor submission per slice; the grouped
 SCF path (``band_groups=``) reproduces the fused-pipeline results bit
-for bit; and the mid-iteration partial checkpoints let a run killed in
-the middle of PEtot_F replay only its unfinished fragments, with
-bit-identical final iterates.
+for bit; and a run killed in the middle of PEtot_F resumes from its
+end-of-iteration checkpoint with bit-identical final iterates.
 
 Nothing here asserts a measured parallel speedup — the CI container may
 have a single core (``os.cpu_count() == 1``); only correctness and
@@ -25,19 +24,12 @@ from _loopback import remote_executor
 from repro.atoms.toy import cscl_binary
 from repro.core.fragment_task import (
     FragmentTask,
-    FragmentTaskResult,
     get_task_problem,
     run_fragment_pipeline_task,
     run_fragment_pipeline_task_grouped,
     solve_fragment_task,
 )
 from repro.core.scf import IterationTimings, LS3DFSCF
-from repro.io.checkpoint import (
-    CheckpointMismatchError,
-    clear_partial_payloads,
-    load_partial_payloads,
-    save_partial_payload,
-)
 from repro.parallel.amdahl import measured_intra_group_efficiency
 from repro.parallel.bands import (
     BandBlockResult,
@@ -476,207 +468,53 @@ def test_measured_intra_group_efficiency_helper():
         measured_intra_group_efficiency(-1.0, 1.0, 4)
 
 
-# --- mid-iteration partial checkpoints --------------------------------------------
-
-def test_pipeline_result_state_dict_roundtrip(tmp_path):
-    """Every field of the record survives an ``.npz`` round trip exactly:
-    same type, same value, same array dtype and bits."""
-    scf = _tiny_scf()
-    v_in = scf.genpot.initial_potential()
-    pres = run_fragment_pipeline_task(
-        scf.fragment_solver.make_pipeline_task(
-            scf.fragments[0], v_in,
-            eigensolver_tolerance=1e-4, eigensolver_iterations=40))
-    np.savez(tmp_path / "frag.npz", **pres.state_dict())
-    with np.load(tmp_path / "frag.npz") as payload:
-        clone = FragmentTaskResult.from_state_dict(
-            {name: payload[name] for name in payload.files})
-    for f in dataclasses.fields(FragmentTaskResult):
-        got, want = getattr(clone, f.name), getattr(pres, f.name)
-        assert type(got) is type(want), f.name
-        if isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype, f.name
-            np.testing.assert_array_equal(got, want, err_msg=f.name)
-        else:
-            assert got == want, f.name
-
-
-def test_partial_payload_with_missing_fields_is_resolved_not_replayed(tmp_path):
-    """Regression: a partial payload that has a label but not every field
-    of the record is stale — skipped and re-solved like a torn ``.npz``,
-    not a ``KeyError`` that kills the resume."""
-    run_kw = dict(max_iterations=1, potential_tolerance=1e-9,
-                  eigensolver_tolerance=1e-4, eigensolver_iterations=40)
-    scf = _tiny_scf(SerialFragmentExecutor(), band_groups=1)
-    label = scf.fragments[0].label
-    save_partial_payload(
-        tmp_path, 1, scf._problem_signature(), label,
-        {"label": np.asarray(label), "density": np.zeros(3)},
-        state_fingerprint=_state_fingerprint(scf))
-    resumed = scf.run(checkpoint_dir=tmp_path, resume=True, **run_kw)
-    assert resumed.timings[0].band_replayed == 0
-    reference = _tiny_scf(SerialFragmentExecutor(), band_groups=1).run(**run_kw)
-    _assert_scf_identical(resumed, reference)
-
-
-def test_partial_payload_save_load_clear(tmp_path):
-    arrays_a = {"label": np.asarray("F(0,0,0)x111"), "x": np.arange(4.0)}
-    arrays_b = {"label": np.asarray("F(1,0,0)x211"), "x": np.arange(3.0)}
-    save_partial_payload(tmp_path, 3, "sig", "F(0,0,0)x111", arrays_a)
-    save_partial_payload(tmp_path, 3, "sig", "F(1,0,0)x211", arrays_b)
-    loaded = load_partial_payloads(tmp_path, 3, "sig")
-    assert sorted(loaded) == ["F(0,0,0)x111", "F(1,0,0)x211"]
-    np.testing.assert_array_equal(loaded["F(0,0,0)x111"]["x"], np.arange(4.0))
-    # A different iteration sees nothing (stale partials are not replayed).
-    assert load_partial_payloads(tmp_path, 4, "sig") == {}
-    # A different problem is a loud error, like the full checkpoint.
-    with pytest.raises(CheckpointMismatchError):
-        load_partial_payloads(tmp_path, 3, "other-sig")
-    # Each file carries its own iteration: a save replaces that fragment's
-    # file, and every load sees only the files of the iteration it asks for.
-    save_partial_payload(tmp_path, 4, "sig", "F(0,0,0)x111", arrays_a)
-    assert sorted(load_partial_payloads(tmp_path, 4, "sig")) == ["F(0,0,0)x111"]
-    assert sorted(load_partial_payloads(tmp_path, 3, "sig")) == ["F(1,0,0)x211"]
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert len(names) == 2 and all(n.startswith("frag-") and n.endswith(".npz") for n in names)
-    clear_partial_payloads(tmp_path)
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_partial_payload_state_fingerprint_gates_replay(tmp_path):
-    """Partials saved under different solve inputs (a changed tolerance,
-    a different input potential) are stale — ignored, not replayed and
-    not an error — and a save under new inputs replaces them."""
-    arrays = {"label": np.asarray("F(0,0,0)x111"), "x": np.arange(4.0)}
-    save_partial_payload(
-        tmp_path, 1, "sig", "F(0,0,0)x111", arrays, state_fingerprint="inputs-A")
-    assert load_partial_payloads(
-        tmp_path, 1, "sig", state_fingerprint="inputs-A") != {}
-    assert load_partial_payloads(
-        tmp_path, 1, "sig", state_fingerprint="inputs-B") == {}
-    # Saving the fragment under the new inputs replaces its stale file.
-    save_partial_payload(
-        tmp_path, 1, "sig", "F(0,0,0)x111", arrays, state_fingerprint="inputs-B")
-    assert load_partial_payloads(
-        tmp_path, 1, "sig", state_fingerprint="inputs-A") == {}
-    assert load_partial_payloads(
-        tmp_path, 1, "sig", state_fingerprint="inputs-B") != {}
-
-
-def _state_fingerprint(scf, tolerance=1e-4, iterations=40):
-    """The solve-input digest the grouped path salts its partials with
-    (duplicated here so a drift in the production formula is caught)."""
-    import hashlib
-
-    fp = hashlib.sha256()
-    fp.update(np.ascontiguousarray(scf.genpot.initial_potential()).tobytes())
-    fp.update(np.float64(tolerance).tobytes())
-    fp.update(np.int64(iterations).tobytes())
-    return fp.hexdigest()
-
+# --- resume after a kill -----------------------------------------------------------
 
 class _KillAfterFragments(SerialFragmentExecutor):
     """Serial backend that dies on the first band batch of the fragment
-    after the ``nfragments``-th, i.e. once that many have been solved
-    (the serial grouped path finishes one fragment before the next)."""
+    after the ``nfragments``-th it starts, counting across iterations (the
+    serial grouped path finishes one fragment before the next)."""
 
     def __init__(self, nfragments):
         super().__init__()
         self.nfragments = nfragments
-        self.seen = set()
+        self.started = 0
+        self.current = None
 
     def run_bands(self, tasks):
-        self.seen.add(tasks[0].template.label)
-        if len(self.seen) > self.nfragments:
+        label = tasks[0].template.label
+        if label != self.current:
+            self.current, self.started = label, self.started + 1
+        if self.started > self.nfragments:
             raise RuntimeError("simulated mid-PEtot_F kill")
         return super().run_bands(tasks)
 
 
-def test_mid_iteration_checkpoint_replays_only_unfinished(tmp_path):
-    """A run killed mid-PEtot_F resumes bit-identically, replaying the
-    already-completed fragments from disk instead of re-solving them."""
-    run_kw = dict(max_iterations=2, potential_tolerance=1e-9,
+def test_run_killed_mid_petot_f_resumes_bit_identically(tmp_path):
+    """A run killed mid-PEtot_F of its second iteration resumes from the
+    end-of-iteration checkpoint, re-solves that iteration and ends ``==``
+    the uninterrupted run; the directory only ever holds the state file."""
+    run_kw = dict(max_iterations=3, potential_tolerance=1e-9,
                   eigensolver_tolerance=1e-4, eigensolver_iterations=40)
     reference = _tiny_scf(SerialFragmentExecutor(), band_groups=2).run(**run_kw)
 
-    killer = _KillAfterFragments(1)
-    scf = _tiny_scf(killer, band_groups=2)
+    nfragments = len(reference.fragment_results)
+    killer = _KillAfterFragments(nfragments + 1)  # one fragment into iteration 2
     with pytest.raises(RuntimeError, match="simulated"):
-        scf.run(checkpoint_dir=tmp_path, resume=True, **run_kw)
-    saved = load_partial_payloads(
-        tmp_path, 1, scf._problem_signature(),
-        state_fingerprint=_state_fingerprint(scf))
-    assert 0 < len(saved) < scf.nfragments  # some done, some not
+        _tiny_scf(killer, band_groups=2).run(
+            checkpoint_dir=tmp_path, resume=True, **run_kw)
+    assert [p.name for p in tmp_path.iterdir()] == ["state-latest.npz"]
 
     resumed = _tiny_scf(SerialFragmentExecutor(), band_groups=2).run(
         checkpoint_dir=tmp_path, resume=True, **run_kw)
+    assert len(resumed.timings) == 2  # iterations 2 and 3, re-solved whole
     _assert_scf_identical(resumed, reference)
-    # The first resumed iteration replayed exactly the persisted fragments.
-    assert resumed.timings[0].band_replayed == len(saved)
-    assert resumed.timings[1].band_replayed == 0
-    # The end-of-iteration checkpoints superseded the partials.
-    assert load_partial_payloads(
-        tmp_path, 1, scf._problem_signature(),
-        state_fingerprint=_state_fingerprint(scf)) == {}
-
-
-def test_resume_with_changed_inputs_does_not_splice_stale_partials(tmp_path):
-    """Regression: partials are pinned to the iteration's solve inputs.
-    Resuming with a changed eigensolver setting must re-solve everything
-    (replaying fragments solved under the old setting would silently mix
-    two inconsistent calculations into one iteration)."""
-    kill_kw = dict(max_iterations=1, potential_tolerance=1e-9,
-                   eigensolver_tolerance=1e-4, eigensolver_iterations=40)
-    killer = _KillAfterFragments(1)
-    scf = _tiny_scf(killer, band_groups=2)
-    with pytest.raises(RuntimeError, match="simulated"):
-        scf.run(checkpoint_dir=tmp_path, resume=True, **kill_kw)
-
-    changed_kw = dict(kill_kw, eigensolver_iterations=25)  # changed input
-    resumed = _tiny_scf(SerialFragmentExecutor(), band_groups=2).run(
-        checkpoint_dir=tmp_path, resume=True, **changed_kw)
-    assert resumed.timings[0].band_replayed == 0
-    honest = _tiny_scf(SerialFragmentExecutor(), band_groups=2).run(**changed_kw)
-    _assert_scf_identical(resumed, honest)
-
-
-def test_fresh_run_never_replays_stale_partials(tmp_path):
-    """Regression: a resume=False run into a directory holding a killed
-    run's partials must wipe them and solve everything itself — replaying
-    another run's results without being asked would silently mix state."""
-    run_kw = dict(max_iterations=1, potential_tolerance=1e-9,
-                  eigensolver_tolerance=1e-4, eigensolver_iterations=40)
-    killer = _KillAfterFragments(1)
-    scf = _tiny_scf(killer, band_groups=2)
-    with pytest.raises(RuntimeError, match="simulated"):
-        scf.run(checkpoint_dir=tmp_path, resume=True, **run_kw)
-    assert load_partial_payloads(
-        tmp_path, 1, scf._problem_signature(),
-        state_fingerprint=_state_fingerprint(scf))
-
-    fresh = _tiny_scf(SerialFragmentExecutor(), band_groups=2).run(
-        checkpoint_dir=tmp_path, resume=False, **run_kw)
-    assert fresh.timings[0].band_replayed == 0
-    reference = _tiny_scf(SerialFragmentExecutor(), band_groups=2).run(**run_kw)
-    _assert_scf_identical(fresh, reference)
-
-
-def test_converged_run_clears_its_partials(tmp_path):
-    """Regression: a run that converges breaks out before the checkpoint
-    block; its final iteration's partials must not outlive the run."""
-    result = _tiny_scf(SerialFragmentExecutor(), band_groups=2).run(
-        max_iterations=30, potential_tolerance=1e9,  # converges immediately
-        eigensolver_tolerance=1e-4, eigensolver_iterations=40,
-        checkpoint_dir=tmp_path)
-    assert result.converged
-    scf = _tiny_scf()
-    assert load_partial_payloads(
-        tmp_path, result.iterations, scf._problem_signature()) == {}
+    assert [p.name for p in tmp_path.iterdir()] == ["state-latest.npz"]
 
 
 def test_grouped_checkpoint_resume_matches_uninterrupted(tmp_path):
     """Ordinary iteration-boundary resume also stays bit-identical on the
-    grouped path (partials cleared by each full checkpoint)."""
+    grouped path."""
     run_kw = dict(potential_tolerance=1e-9,
                   eigensolver_tolerance=1e-4, eigensolver_iterations=40)
     reference = _tiny_scf(SerialFragmentExecutor(), band_groups=2).run(

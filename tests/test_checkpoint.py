@@ -6,12 +6,16 @@ checkpoint file with its metadata validation) and the acceptance criterion:
 an LS3DF run killed after iteration k and resumed with ``resume=True``
 produces bit-identical densities/potentials/histories from iteration
 k+1 onward versus an uninterrupted run — for all three mixers on the
-serial backend and for the process-pool backend.
+serial backend and for the process-pool backend.  A run killed in the
+middle of an iteration's fragment batch resumes from the previous
+iteration's checkpoint, the only restart state, just as bit-identically.
 
 Everything asserts with ``==`` (no tolerances): resume is replay, not
 approximation.
 """
 
+import concurrent.futures
+import contextlib
 import json
 import re
 
@@ -19,6 +23,7 @@ import numpy as np
 import pytest
 
 import repro.core.scf as scf_module
+from _loopback import remote_executor
 from repro.atoms.toy import cscl_binary
 from repro.core.scf import LS3DFSCF
 from repro.io.checkpoint import (
@@ -26,11 +31,10 @@ from repro.io.checkpoint import (
     SCFCheckpoint,
     has_checkpoint,
     load_checkpoint,
-    load_partial_payloads,
     save_checkpoint,
-    save_partial_payload,
 )
 from repro.io.gridio import write_npz_atomic
+from repro.parallel.executor import SerialFragmentExecutor
 from repro.pw.grid import FFTGrid
 from repro.pw.mixing import AndersonMixer, KerkerMixer, LinearMixer, Mixer, make_mixer
 
@@ -209,19 +213,6 @@ def _rewrite(path, **changes):
     np.savez(path, **arrays)
 
 
-def _save_state(directory):
-    return save_checkpoint(directory, _dummy_checkpoint())
-
-
-def _save_partial(directory):
-    arrays = {"label": np.asarray("F(0,0,0)x111"), "x": np.arange(4.0)}
-    return save_partial_payload(directory, 1, "sig", "F(0,0,0)x111", arrays)
-
-
-_LOADERS = {
-    "state": (_save_state, load_checkpoint),
-    "partial": (_save_partial, lambda directory: load_partial_payloads(directory, 1, "sig")),
-}
 # (case id, keys replaced or dropped, what the message must name)
 _MALFORMED = [
     ("foreign-version", {"version": np.int64(99)}, "version 99"),
@@ -231,28 +222,21 @@ _MALFORMED = [
     ("int-signature", {"division_signature": np.int64(7)}, "'division_signature'"),
     ("pickled-signature", {"division_signature": np.array("sig", dtype=object)},
      "'division_signature'"),
+    ("scalar-grid_shape", {"grid_shape": np.int64(4)}, "'grid_shape'"),
+    ("missing-mixer_kind", {"mixer_kind": None}, "'mixer_kind'"),
 ]
-_KIND_ONLY = {
-    "state": [("scalar-grid_shape", {"grid_shape": np.int64(4)}, "'grid_shape'"),
-              ("missing-mixer_kind", {"mixer_kind": None}, "'mixer_kind'")],
-    "partial": [("missing-state_fingerprint", {"state_fingerprint": None}, "'state_fingerprint'"),
-                ("missing-label", {"label": None}, "'label'")],
-}
 
 
-@pytest.mark.parametrize("kind, changes, match", [
-    pytest.param(kind, changes, match, id=f"{kind}-{name}")
-    for kind in _LOADERS
-    for name, changes, match in _MALFORMED + _KIND_ONLY[kind]
+@pytest.mark.parametrize("changes, match", [
+    pytest.param(changes, match, id=f"state-{name}") for name, changes, match in _MALFORMED
 ])
-def test_checkpoint_rejects_malformed_metadata(tmp_path, kind, changes, match):
+def test_checkpoint_rejects_malformed_metadata(tmp_path, changes, match):
     """A missing or mistyped metadata key, or a foreign version, is a typed
     error naming the file — never a ``KeyError`` or a pickle load."""
-    save, load = _LOADERS[kind]
-    path = save(tmp_path)
+    path = save_checkpoint(tmp_path, _dummy_checkpoint())
     _rewrite(path, **changes)
     with pytest.raises(CheckpointMismatchError, match=re.escape(path.name)) as info:
-        load(tmp_path)
+        load_checkpoint(tmp_path)
     assert match in str(info.value)
 
 
@@ -338,6 +322,47 @@ def test_killed_run_resumes_bit_identically_process_backend(tmp_path, fresh_runs
     _assert_bit_identical(resumed, fresh_runs[mixer], executed_iterations=n - k)
 
 
+class _KillSecondIteration:
+    """An executor whose second pipeline batch — iteration 2's PEtot_F —
+    loses its middle fragment: the run dies with that iteration half solved."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = 0
+
+    def submit_pipeline_batch(self, tasks):
+        self.batches += 1
+        futures = self.inner.submit_pipeline_batch(tasks)
+        if self.batches == 2:
+            lost = concurrent.futures.Future()
+            lost.set_exception(RuntimeError("simulated mid-PEtot_F kill"))
+            futures[len(futures) // 2] = lost
+        return futures
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+@pytest.mark.parametrize("workers", [None, 2, 4])
+def test_run_killed_mid_petot_f_resumes_bit_identically(tmp_path, fresh_runs, workers):
+    """The ungrouped side: a kill in the middle of iteration 2's fragment
+    batch (serial, or 2 and 4 loopback workers) resumes from iteration 1's
+    checkpoint, re-solves iteration 2 whole and ends ``==`` the
+    uninterrupted run."""
+    mixer, n = "kerker", 3
+    cluster = contextlib.nullcontext() if workers is None else remote_executor(workers)
+    with cluster as executor:
+        killed = _solver(mixer, executor=_KillSecondIteration(executor or SerialFragmentExecutor()))
+        with pytest.raises(RuntimeError, match="simulated"):
+            killed.run(max_iterations=n, checkpoint_dir=tmp_path, resume=True, **_RUN_KW)
+        assert load_checkpoint(tmp_path).iteration == 1
+        resumed = _solver(mixer, executor=executor).run(
+            max_iterations=n, checkpoint_dir=tmp_path, resume=True, **_RUN_KW
+        )
+    _assert_bit_identical(resumed, fresh_runs[mixer], executed_iterations=n - 1)
+    assert [p.name for p in tmp_path.iterdir()] == ["state-latest.npz"]
+
+
 def test_resume_validates_against_the_running_problem(tmp_path, fresh_runs):
     _solver("kerker").run(max_iterations=1, checkpoint_dir=tmp_path, **_RUN_KW)
     # Same grid and division, different mixer kind: must refuse.
@@ -406,9 +431,8 @@ def test_an_old_layout_directory_holds_no_checkpoint(tmp_path, fresh_runs):
 
 def test_a_fresh_run_removes_the_previous_checkpoint(tmp_path, monkeypatch):
     """Regression: a resume=False run killed before its first save must not
-    leave the previous run's state (or partials) for a later resume."""
+    leave the previous run's state for a later resume."""
     save_checkpoint(tmp_path, _dummy_checkpoint())
-    _save_partial(tmp_path)
 
     def killed(*args, **kwargs):
         raise RuntimeError("killed before the first save")

@@ -16,11 +16,11 @@ workers hold at once.  These tests pin down:
 * the measured intra-group efficiency stays in (0, 1] when two groups'
   slices run side by side;
 * fault recovery: a killed root closes the queue, its siblings finish
-  and persist the fragment they hold, and a resume replays exactly that;
+  the fragment they hold, and a resume from the end-of-iteration
+  checkpoint is ``==`` the uninterrupted run;
 * band groups bound to different fragments can share one worker.
 """
 
-import hashlib
 import sys
 import threading
 
@@ -30,7 +30,6 @@ import pytest
 from _loopback import remote_executor
 from repro.atoms.toy import cscl_binary
 from repro.core.scf import GROUP_ROOTS, LS3DFSCF
-from repro.io.checkpoint import load_partial_payloads
 from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
 from repro.parallel.faults import FlakyExecutor
 from repro.parallel.remote import LocalWorkerPool, RemoteExecutor, WorkerDiedError
@@ -56,15 +55,6 @@ _RUN_KW = dict(
     eigensolver_tolerance=1e-4,
     eigensolver_iterations=40,
 )
-
-
-def _state_fingerprint(scf) -> str:
-    """The solve-input digest the grouped path salts its partials with."""
-    fp = hashlib.sha256()
-    fp.update(np.ascontiguousarray(scf.genpot.initial_potential()).tobytes())
-    fp.update(np.float64(_RUN_KW["eigensolver_tolerance"]).tobytes())
-    fp.update(np.int64(_RUN_KW["eigensolver_iterations"]).tobytes())
-    return fp.hexdigest()
 
 
 def _assert_scf_identical(got, want):
@@ -293,23 +283,16 @@ class _FlakyByFragment(FlakyExecutor):
 
 
 def _kill_midway_and_resume(checkpoint_dir, workers, first_iteration_stages,
-                            reference) -> tuple[LS3DFSCF, dict]:
+                            reference) -> _FlakyByFragment:
     """Kill one root halfway through iteration 1 on ``workers`` loopback
-    workers, check what persisted, then resume on a healthy pool and
-    check the replay.  Returns the killed run and its saved partials."""
+    workers, then resume on a healthy pool: the resume is ``==`` the
+    uninterrupted run and no per-fragment file was written."""
     with remote_executor(workers) as pool:
         flaky = _FlakyByFragment(pool, kill_at=(first_iteration_stages // 2,))
         scf = _tiny_scf(flaky, band_groups=2)
         with pytest.raises(WorkerDiedError, match="injected fault"):
             scf.run(checkpoint_dir=checkpoint_dir, resume=True, **_RUN_KW)
-        saved = load_partial_payloads(
-            checkpoint_dir, 1, scf._problem_signature(),
-            state_fingerprint=_state_fingerprint(scf))
-    # Every fragment a root had started — the siblings' in-flight ones
-    # included — was finished and persisted, except the one that died.
     assert flaky.killed is not None
-    assert set(saved) == flaky.started - {flaky.killed}
-    assert len(saved) >= 1
     if workers < scf.nfragments:
         # With fewer roots than fragments, the closed queue handed
         # out nothing more.
@@ -318,31 +301,31 @@ def _kill_midway_and_resume(checkpoint_dir, workers, first_iteration_stages,
     with remote_executor(workers) as pool:
         resumed = _tiny_scf(pool, band_groups=2).run(
             checkpoint_dir=checkpoint_dir, resume=True, **_RUN_KW)
-    assert resumed.timings[0].band_replayed == len(saved)
     _assert_scf_identical(resumed, reference)
-    return scf, saved
+    assert list(checkpoint_dir.glob("frag-*.npz")) == []
+    return flaky
 
 
-def test_killed_root_closes_queue_and_sibling_persists(
+def test_killed_root_closes_queue_and_resume_matches(
         tmp_path, pipeline_reference, four_workers):
-    """A root dying mid-queue closes the queue: the sibling root finishes
-    and persists the fragment it holds, nothing new is started, and a
-    resume replays exactly what was persisted — two roots on two workers."""
+    """A root dying mid-queue closes the queue: nothing new is started,
+    and the resume is ``==`` the uninterrupted run — two roots on two
+    workers."""
     # Stage counts are deterministic: die halfway through iteration 1.
     first_iteration_stages = four_workers[0].timings[0].band_stages
     _kill_midway_and_resume(tmp_path, 2, first_iteration_stages, pipeline_reference)
 
 
-def test_killed_group_heals_from_partial_checkpoint(
+def test_killed_group_resumes_from_the_checkpoint(
         tmp_path, pipeline_reference, four_workers):
     """Four workers hold two band groups' worth of roots (G = 2) on one
-    queue.  Killing one root mid-iteration leaves the fragments the other
-    roots solved on disk as partials, and resuming with a healthy pool
-    replays exactly those — not the whole iteration."""
+    queue.  Killing one root mid-iteration stops the drain with some
+    fragments solved by the other roots, and resuming with a healthy pool
+    re-solves the iteration to the same bits."""
     first_iteration_stages = four_workers[0].timings[0].band_stages
-    scf, saved = _kill_midway_and_resume(
+    flaky = _kill_midway_and_resume(
         tmp_path, 4, first_iteration_stages, pipeline_reference)
-    assert 0 < len(saved) < scf.nfragments
+    assert len(flaky.started - {flaky.killed}) >= 1
 
 
 def test_band_groups_of_two_fragments_share_one_worker():

@@ -392,6 +392,21 @@ def test_potential_fingerprint_and_install_lru():
         clear_installed_potentials()
 
 
+def test_install_state_reinstalls_a_key_the_process_store_evicted():
+    """The process store is the driver's only copy of an installed
+    potential: re-installing a key it evicted stores it again, so an
+    in-process kernel (the serial backend, a band-group root) resolves it."""
+    clear_installed_potentials()
+    try:
+        executor = SerialFragmentExecutor()
+        for i in range(33):  # one more than the store holds: key-0 is evicted
+            executor.install_state(f"key-{i}", np.full(1, float(i)))
+        executor.install_state("key-0", np.zeros(1))
+        np.testing.assert_array_equal(fetch_potential("key-0"), np.zeros(1))
+    finally:
+        clear_installed_potentials()
+
+
 def test_keyed_submission_ships_without_the_global_potential():
     """What the install channel saves per pipeline submission: a keyed
     task pickles smaller than an inline one by (most of) the potential."""

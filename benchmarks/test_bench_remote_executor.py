@@ -56,7 +56,6 @@ _RUN_KW = dict(
 _CONFIG = dict(
     connect_timeout=2.0,
     request_timeout=60.0,
-    heartbeat_interval=1e9,
     max_retries=1,
     backoff=0.01,
 )

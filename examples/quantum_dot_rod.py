@@ -20,21 +20,16 @@ from repro.core.compare import dipole_moment
 from repro.pw import DirectSCF
 
 
-def print_iteration(kind: str, data: dict) -> None:
-    """``event_hook`` printer: one line per completed LS3DF iteration."""
-    if kind == "iteration":
-        print(f"LS3DF {data['iteration']:3d}: |Vout-Vin| = "
-              f"{data['potential_difference']:.3e}  E = {data['energy']:.6f} Ha")
-
-
 def main() -> None:
     # An elongated ("rod-like") Cd-Se toy cell: 3 cells along x.
     structure = cscl_binary((3, 1, 1), "Cd", "Se", 6.8)
     print(f"Rod-like system: {structure.formula()} ({structure.natoms} atoms)")
 
     ls3df = LS3DF(structure, grid_dims=(3, 1, 1), ecut=2.2, buffer_cells=0.5, n_empty=2)
-    ls_result = ls3df.run(max_iterations=10, potential_tolerance=3e-3,
-                          eigensolver_tolerance=1e-4, event_hook=print_iteration)
+    for ls_result in ls3df.iterate(max_iterations=10, potential_tolerance=3e-3,
+                                   eigensolver_tolerance=1e-4):
+        print(f"LS3DF {ls_result.iterations:3d}: |Vout-Vin| = "
+              f"{ls_result.convergence_history[-1]:.3e}  E = {ls_result.total_energy:.6f} Ha")
 
     direct = DirectSCF(structure, ecut=2.2, grid=ls3df.global_grid, n_empty=3)
     d_result = direct.run(max_scf_iterations=25, potential_tolerance=3e-3,

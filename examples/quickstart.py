@@ -36,13 +36,6 @@ from repro.io import has_checkpoint, load_checkpoint
 from repro.pw import DirectSCF
 
 
-def print_iteration(kind: str, data: dict) -> None:
-    """``event_hook`` printer: one line per completed LS3DF iteration."""
-    if kind == "iteration":
-        print(f"LS3DF {data['iteration']:3d}: |Vout-Vin| = "
-              f"{data['potential_difference']:.3e}  E = {data['energy']:.6f} Ha")
-
-
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -78,9 +71,11 @@ def main(argv: list[str] | None = None) -> None:
                 f"directory to start over.\n"
             )
         print(f"Resuming from {args.checkpoint_dir} at iteration {saved_iteration + 1}")
-    ls_result = ls3df.run(max_iterations=args.max_iterations, potential_tolerance=2e-3,
-                          eigensolver_tolerance=1e-5, event_hook=print_iteration,
-                          checkpoint_dir=args.checkpoint_dir, resume=args.resume)
+    for ls_result in ls3df.iterate(max_iterations=args.max_iterations, potential_tolerance=2e-3,
+                                   eigensolver_tolerance=1e-5,
+                                   checkpoint_dir=args.checkpoint_dir, resume=args.resume):
+        print(f"LS3DF {ls_result.iterations:3d}: |Vout-Vin| = "
+              f"{ls_result.convergence_history[-1]:.3e}  E = {ls_result.total_energy:.6f} Ha")
     print(f"LS3DF total energy:  {ls_result.total_energy:.6f} Ha "
           f"(converged={ls_result.converged}, {ls_result.iterations} iterations)")
 

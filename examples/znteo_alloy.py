@@ -30,13 +30,6 @@ from repro.core import LS3DF
 from repro.io import write_grid_npz
 
 
-def print_iteration(kind: str, data: dict) -> None:
-    """``event_hook`` printer: one line per completed LS3DF iteration."""
-    if kind == "iteration":
-        print(f"LS3DF {data['iteration']:3d}: |Vout-Vin| = "
-              f"{data['potential_difference']:.3e}  E = {data['energy']:.6f} Ha")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dims", type=int, nargs=3, default=[2, 1, 1],
@@ -62,8 +55,10 @@ def main() -> None:
     ls3df = LS3DF(relaxed, grid_dims=tuple(args.dims), ecut=args.ecut,
                   buffer_cells=0.5, n_empty=3)
     print(f"{ls3df.nfragments} fragments, global grid {ls3df.global_grid.shape}")
-    result = ls3df.run(max_iterations=args.iterations, potential_tolerance=2e-3,
-                       eigensolver_tolerance=1e-4, event_hook=print_iteration)
+    for result in ls3df.iterate(max_iterations=args.iterations, potential_tolerance=2e-3,
+                                eigensolver_tolerance=1e-4):
+        print(f"LS3DF {result.iterations:3d}: |Vout-Vin| = "
+              f"{result.convergence_history[-1]:.3e}  E = {result.total_energy:.6f} Ha")
     print(f"LS3DF energy {result.total_energy:.4f} Ha, "
           f"|Vout-Vin| history: {[round(v, 2) for v in result.convergence_history]}")
 

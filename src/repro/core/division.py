@@ -219,10 +219,10 @@ class SpatialDivision:
         fragment grid dimensions, the global FFT grid shape and the
         buffer thickness.  Solver parameters that also shape persisted
         state (plane-wave cutoff, empty-band count) live outside the
-        division; :meth:`repro.core.scf.LS3DFSCF._problem_signature`
-        salts this digest with them before it is stored in a checkpoint
-        manifest, and resuming refuses to load when the combined
-        signature differs.
+        division; :attr:`repro.core.fragment_solver.FragmentSolver.problem_signature`
+        salts this digest with them before it is stored in a checkpoint,
+        and resuming refuses to load when the combined signature
+        differs.
 
         Returns
         -------

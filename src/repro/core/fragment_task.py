@@ -97,7 +97,7 @@ class FragmentTask:
         re-pickling the same potential on every submission.
     problem_signature:
         The owning solver's problem signature
-        (:meth:`repro.core.scf.LS3DFSCF._problem_signature`), the scope
+        (:attr:`repro.core.fragment_solver.FragmentSolver.problem_signature`), the scope
         of the per-process static-problem cache; ad-hoc tasks share ``""``.
     """
 

@@ -27,13 +27,15 @@ fragment's solve band-sliced over the workers
 bounds the PEtot_F wall time — while results stay bit-identical to the
 one-worker-per-fragment side for any slice count and backend.
 
-Long runs can be checkpointed and resumed (``checkpoint_dir=`` /
-``resume=`` on :meth:`LS3DFSCF.run`): after every iteration the
-cross-iteration state — input potential, mixer history, warm-start
-wavefunctions — is persisted via :mod:`repro.io.checkpoint`, and a
-resumed run's iterates are bit-identical to an uninterrupted run's.  That
-end-of-iteration checkpoint is the only restart state, on both sides of
-the fork: a kill mid-PEtot_F re-solves the killed iteration.
+The loop is the generator :meth:`LS3DFSCF.iterate`, which yields the run
+after every iteration; :meth:`LS3DFSCF.run` drains it.  Long runs can be
+checkpointed and resumed (``checkpoint_dir=`` / ``resume=``): after
+every iteration the cross-iteration state — input potential, mixer
+history, warm-start wavefunctions — is persisted via
+:mod:`repro.io.checkpoint`, and a resumed run's iterates are
+bit-identical to an uninterrupted run's.  That end-of-iteration
+checkpoint is the only restart state, on both sides of the fork: a kill
+mid-PEtot_F re-solves the killed iteration.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -509,16 +511,6 @@ class LS3DFSCF:
     def nfragments(self) -> int:
         return len(self.fragments)
 
-    def _problem_signature(self) -> str:
-        """Checkpoint compatibility digest of this solver's SCF problem.
-
-        :attr:`repro.core.fragment_solver.FragmentSolver.problem_signature`:
-        a checkpoint from a differently configured solver fails validation
-        instead of crashing mid-solve, and every fragment task carries it
-        as the scope of the per-process static-problem cache.
-        """
-        return self.fragment_solver.problem_signature
-
     # ------------------------------------------------------------------
     def _build_pipeline_tasks(
         self,
@@ -712,7 +704,7 @@ class LS3DFSCF:
         return results
 
     # ------------------------------------------------------------------
-    def run(
+    def iterate(
         self,
         max_iterations: int = 30,
         potential_tolerance: float = 1e-3,
@@ -721,9 +713,8 @@ class LS3DFSCF:
         initial_potential: np.ndarray | None = None,
         checkpoint_dir: str | Path | None = None,
         resume: bool = False,
-        event_hook: Callable[[str, dict], None] | None = None,
-    ) -> LS3DFResult:
-        """Run the LS3DF outer loop.
+    ) -> Iterator[LS3DFResult]:
+        """The LS3DF outer loop, yielding the run after every iteration.
 
         Each call is a fresh SCF by default: the mixing history and the
         warm-start wavefunction cache are cleared up front, so
@@ -732,7 +723,8 @@ class LS3DFSCF:
         state is instead restored from ``checkpoint_dir`` and the loop
         continues at the saved iteration, producing iterates
         bit-identical to a never-interrupted run (see
-        :mod:`repro.io.checkpoint`).
+        :mod:`repro.io.checkpoint`).  Argument errors surface at the
+        first ``next()``.
 
         Parameters
         ----------
@@ -751,11 +743,13 @@ class LS3DFSCF:
         checkpoint_dir:
             Directory to write an SCF checkpoint to after every
             non-converged iteration (input potential, mixer state,
-            warm-start wavefunctions, histories).  ``None`` (default)
-            disables checkpointing.  The write time is recorded as serial
-            work in ``IterationTimings.checkpoint_io``.  It is the only
-            restart state: a run killed mid-iteration re-solves that
-            iteration on resume, with or without band groups.
+            warm-start wavefunctions, histories), before that iteration
+            is yielded.  ``None`` (default) disables checkpointing.  The
+            write time is recorded as serial work in
+            ``IterationTimings.checkpoint_io``.  It is the only restart
+            state: a run killed mid-iteration (or a consumer that stops
+            iterating) re-solves that iteration on resume, with or
+            without band groups.
         resume:
             Restore state from ``checkpoint_dir`` and continue at the
             saved iteration.  The checkpoint's grid shape, fragment-
@@ -765,24 +759,17 @@ class LS3DFSCF:
             the directory holds no checkpoint yet, the run simply starts
             fresh (so a kill-and-rerun workflow can always pass
             ``resume=True``).
-        event_hook:
-            Optional ``event_hook(kind, data)`` called alongside the
-            checkpoint hooks — the one per-iteration channel, used by the
-            run store (:mod:`repro.store`).  One ``"iteration"`` call per
-            completed outer iteration, after its checkpoint save
-            (``iteration``, ``potential_difference``, ``energy``,
-            ``converged``, and ``checkpointed``: whether that save
-            happened; a printer of these is the way to watch progress).
-            A hook exception fails the run loudly — a run whose durable
-            record cannot be written must not continue silently.
 
-        Returns
-        -------
+        Yields
+        ------
         LS3DFResult
-            Converged (or iteration-limited) density, potential, energies
-            and per-iteration histories.  On a resumed run the histories
-            include the checkpointed iterations; ``timings`` covers only
-            the iterations this call executed.
+            The run so far, once per completed iteration: that
+            iteration's density, next input potential (the output
+            potential once converged), energies and fragment results,
+            with histories and timings lists of its own.  The last yield
+            is the converged (or iteration-limited) run.  On a resumed
+            run the histories include the checkpointed iterations;
+            ``timings`` covers only the iterations this call executed.
         """
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
@@ -791,7 +778,7 @@ class LS3DFSCF:
             raise ValueError("resume=True requires checkpoint_dir")
         mixer = self.genpot.mixer
         mixer_kind = getattr(mixer, "kind", type(mixer).__name__)
-        division_signature = self._problem_signature()
+        division_signature = self.fragment_solver.problem_signature
 
         restored = None
         if resume and has_checkpoint(checkpoint_path):
@@ -890,8 +877,7 @@ class LS3DFSCF:
             # input potential, mixer history, warm-start wavefunctions,
             # histories) so a killed run resumes at iteration+1 with
             # bit-identical iterates.  Driver-only I/O, counted as serial.
-            checkpointed = checkpoint_path is not None and not converged
-            if checkpointed:
+            if checkpoint_path is not None and not converged:
                 t0 = time.perf_counter()
                 mixer_state_dict = getattr(mixer, "state_dict", None)
                 save_checkpoint(
@@ -910,30 +896,24 @@ class LS3DFSCF:
                     ),
                 )
                 t.checkpoint_io = time.perf_counter() - t0
-            if event_hook is not None:
-                event_hook(
-                    "iteration",
-                    {
-                        "iteration": int(iteration),
-                        "potential_difference": float(out.potential_difference),
-                        "energy": float(total_energy),
-                        "converged": converged,
-                        "checkpointed": checkpointed,
-                    },
-                )
+            yield LS3DFResult(
+                density=density,
+                potential=v_in,
+                total_energy=total_energy,
+                quantum_energy=quantum_energy,
+                converged=converged,
+                iterations=iteration,
+                convergence_history=list(conv_history),
+                energy_history=list(energy_history),
+                fragment_results=frag_results,
+                timings=list(timings),
+                nfragments=self.nfragments,
+            )
             if converged:
-                break
+                return
 
-        return LS3DFResult(
-            density=density,
-            potential=v_in,
-            total_energy=total_energy,
-            quantum_energy=quantum_energy,
-            converged=converged,
-            iterations=iteration,
-            convergence_history=conv_history,
-            energy_history=energy_history,
-            fragment_results=frag_results,
-            timings=timings,
-            nfragments=self.nfragments,
-        )
+    def run(self, **kwargs) -> LS3DFResult:
+        """Drain :meth:`iterate` (same keywords) and return its last yield."""
+        for result in self.iterate(**kwargs):
+            pass
+        return result

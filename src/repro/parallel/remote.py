@@ -8,8 +8,8 @@ and gathers results.  This module is the repo's network equivalent: the
 :class:`RemoteExecutor`, the process pool's dispatch engine with its
 workers reached by address instead of forked.  TCP adds to the
 engine's failure model a timeout on every socket wait (a hung worker
-cannot hang the driver), connect retries with backoff, a heartbeat
-ahead of a batch when one is due and an optional ``fallback=``
+cannot hang the driver), connect retries with backoff, an on-demand
+:meth:`RemoteExecutor.heartbeat` ping and an optional ``fallback=``
 executor for the tasks no worker is left for.
 
 Security: frames are pickles — run workers only on hosts and networks
@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.fragment_task import ExecutionReport
 from repro.parallel.executor import (
     NoRemoteWorkersError,
     RemoteTaskError,
@@ -168,9 +167,6 @@ class RemoteExecutorConfig:
     request_timeout:
         Seconds allowed for each send/receive pair (bounds every task,
         install and ping — the guarantee that no failure hangs).
-    heartbeat_interval:
-        Ping workers at most this often, piggybacked on batch dispatch
-        (0 pings before every batch).
     max_retries:
         Reconnection attempts per worker on connect failure.
     backoff:
@@ -181,7 +177,6 @@ class RemoteExecutorConfig:
 
     connect_timeout: float = 5.0
     request_timeout: float = 120.0
-    heartbeat_interval: float = 30.0
     max_retries: int = 2
     backoff: float = 0.05
     backoff_factor: float = 2.0
@@ -253,7 +248,6 @@ class RemoteExecutor(_WorkerBackend):
         super().__init__(fallback)
         self.config = config or RemoteExecutorConfig()
         self._handles = [_TcpHandle(a, self.config) for a in addresses]
-        self._last_heartbeat = time.monotonic()
 
     @property
     def n_workers(self) -> int:
@@ -268,18 +262,7 @@ class RemoteExecutor(_WorkerBackend):
                 alive += bool(handle.request({"op": "ping"}).get("ok"))
             except (OSError, WorkerDiedError, RemoteProtocolError):
                 self._lose(handle)
-        self._last_heartbeat = time.monotonic()
         return alive
-
-    def _execute(self, tasks: Sequence, kernel) -> ExecutionReport:
-        """A batch, with the heartbeat riding ahead of it when one is due."""
-        if (
-            tasks
-            and time.monotonic() - self._last_heartbeat
-            >= self.config.heartbeat_interval
-        ):
-            self.heartbeat()
-        return super()._execute(tasks, kernel)
 
     def shutdown_workers(self) -> int:
         """Send ``shutdown`` to every live worker; returns how many acked.

@@ -6,7 +6,7 @@ solver, and the run parameters.  From a spec this module can (a) build
 the actual solver — identically on any host, which is what makes the
 daemon's auto-resume bit-identical — and (b) derive the *problem
 signature*: the solver's own checkpoint-compatibility digest
-(``LS3DFSCF._problem_signature``: structure + grids + buffer + ecut +
+(``FragmentSolver.problem_signature``: structure + grids + buffer + ecut +
 n_empty) salted with every remaining knob that shapes the trajectory
 (mixer, eigensolver tolerances, iteration budget).
 
@@ -48,8 +48,8 @@ SOLVER_KEYS = frozenset(
     }
 )
 
-#: Keyword arguments a spec may pass to :meth:`LS3DFSCF.run` (the store
-#: controls ``checkpoint_dir``/``resume``/``event_hook`` itself).
+#: Keyword arguments a spec may pass to :meth:`LS3DFSCF.iterate` (the store
+#: controls ``checkpoint_dir``/``resume`` itself).
 RUN_KEYS = frozenset(
     {
         "max_iterations",
@@ -155,7 +155,7 @@ def problem_signature(spec: dict) -> str:
     spec = canonical_spec(spec)
     solver, run_kwargs = build_solver(spec)
     h = hashlib.sha256()
-    h.update(solver._problem_signature().encode())
+    h.update(solver.fragment_solver.problem_signature.encode())
     salt = {
         "mixer": solver.genpot.mixer.kind,
         "mixer_options": spec["solver"].get("mixer_options"),

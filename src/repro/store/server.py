@@ -50,7 +50,7 @@ from repro.store.dedup import build_solver
 from repro.store.events import TERMINAL_KINDS
 from repro.store.store import RunStore
 
-__all__ = ["SERVICE_PROTOCOL_VERSION", "StoreServer", "run_job", "serve_main"]
+__all__ = ["SERVICE_PROTOCOL_VERSION", "StoreServer", "iteration_event", "run_job", "serve_main"]
 
 _FORK = multiprocessing.get_context("fork")
 
@@ -72,12 +72,29 @@ def _die_with(parent: int) -> None:
         os._exit(1)
 
 
+def iteration_event(result) -> dict:
+    """The ``iteration`` event of one record yielded by ``LS3DFSCF.iterate``.
+
+    A job always runs with a checkpoint directory, so every non-converged
+    iteration was saved before it was yielded.
+    """
+    return {
+        "iteration": int(result.iterations),
+        "potential_difference": float(result.convergence_history[-1]),
+        "energy": float(result.total_energy),
+        "converged": bool(result.converged),
+        "checkpointed": not result.converged,
+    }
+
+
 def run_job(root: str | Path, run_id: str, slot: int) -> None:
     """Run one job to a terminal event, always via the resume path.
 
-    The whole job of a slot process: ``scheduled``, the solver's
-    ``iteration`` events and ``converged`` or ``failed`` go to the
-    run's stream under its file lock.
+    The whole job of a slot process: ``scheduled``, one ``iteration``
+    event per record the solver yields and ``converged`` (from the last
+    one) or ``failed`` go to the run's stream under its file lock.  An
+    append that fails fails the run: a run whose durable record cannot
+    be written must not continue silently.
     """
     store = RunStore(root)
     stream = store.stream(run_id)
@@ -85,9 +102,8 @@ def run_job(root: str | Path, run_id: str, slot: int) -> None:
     stream.append("scheduled", {"resumed": has_checkpoint(ckpt), "pid": os.getpid(), "slot": int(slot)})
     try:
         solver, run_kwargs = build_solver(store.spec(run_id))
-        result = solver.run(
-            checkpoint_dir=ckpt, resume=True, event_hook=lambda kind, data: stream.append(kind, data), **run_kwargs
-        )
+        for result in solver.iterate(checkpoint_dir=ckpt, resume=True, **run_kwargs):
+            stream.append("iteration", iteration_event(result))
     except Exception as exc:
         error = {"error_type": type(exc).__name__, "error": str(exc), "traceback": traceback.format_exc(limit=20)}
         stream.append("failed", error)

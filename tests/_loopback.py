@@ -16,11 +16,10 @@ from repro.parallel.remote import (
 
 
 def config(**overrides) -> RemoteExecutorConfig:
-    """Test defaults: fast retries, no heartbeat between a test's batches."""
+    """Test defaults: fast connects and retries."""
     base = dict(
         connect_timeout=2.0,
         request_timeout=60.0,
-        heartbeat_interval=1e9,
         max_retries=1,
         backoff=0.01,
     )

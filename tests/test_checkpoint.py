@@ -445,21 +445,17 @@ def test_a_fresh_run_removes_the_previous_checkpoint(tmp_path, monkeypatch):
 
 
 def test_every_iteration_writes_a_checkpoint(tmp_path):
-    """The one cadence: a full checkpoint after every non-converged iteration."""
+    """The one cadence: a full checkpoint after every non-converged
+    iteration, saved before that iteration is yielded."""
     saved = []
-
-    def hook(kind, data):
-        assert kind == "iteration"  # the checkpoint rides its iteration's record
-        if data["checkpointed"]:
-            saved.append(data["iteration"])
-
-    result = _solver("linear").run(
-        max_iterations=3, checkpoint_dir=tmp_path, event_hook=hook, **_RUN_KW
-    )
-    assert not result.converged
+    for step in _solver("linear").iterate(
+        max_iterations=3, checkpoint_dir=tmp_path, **_RUN_KW
+    ):
+        assert not step.converged
+        saved.append(load_checkpoint(tmp_path).iteration)
+        assert step.timings[-1].checkpoint_io > 0
     assert saved == [1, 2, 3]
-    assert load_checkpoint(tmp_path).iteration == 3
-    assert all(t.checkpoint_io > 0 for t in result.timings)
+    assert [t.checkpoint_io > 0 for t in step.timings] == [True] * 3
 
 
 def test_resume_beyond_max_iterations_fails_loudly(tmp_path):

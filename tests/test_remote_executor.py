@@ -127,8 +127,8 @@ def test_one_worker_serves_two_drivers_and_holds_one_problem_scope():
     with _cluster(1) as (executor, _):
         drivers = [_tiny_scf(executor, structure=s) for s in structures]
         remote = [driver.run(**_RUN_KW) for driver in drivers]
-        assert list(fragment_task._PROBLEMS) == [drivers[1]._problem_signature()]
-    assert drivers[0]._problem_signature() != drivers[1]._problem_signature()
+        assert list(fragment_task._PROBLEMS) == [drivers[1].fragment_solver.problem_signature]
+    assert drivers[0].fragment_solver.problem_signature != drivers[1].fragment_solver.problem_signature
     for got, want in zip(remote, serial):
         np.testing.assert_array_equal(got.density, want.density)
         assert got.total_energy == want.total_energy

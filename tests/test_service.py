@@ -30,11 +30,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.io.checkpoint import load_checkpoint
 from repro.parallel.remote import recv_frame, send_frame
 from repro.parallel.wire import spawn_daemon, stop_daemon
 from repro.store import RunStore, build_solver, canonical_spec
 from repro.store.client import ServiceClient, ServiceError, client_main
-from repro.store.server import SERVICE_PROTOCOL_VERSION, StoreServer, run_job, serve_main
+from repro.store.server import SERVICE_PROTOCOL_VERSION, StoreServer, iteration_event, run_job, serve_main
 
 SPEC_FAST = {
     "builder": "cscl_binary",
@@ -84,7 +85,7 @@ cached = {scope: sorted(problems) for scope, problems in fragment_task._PROBLEMS
 last, _ = build_solver(specs[-1])
 expected = sorted(last.fragment_solver.build_problem(f).fingerprint for f in last.fragments)
 print(json.dumps({"growth_mb": rss[35] - rss[5], "cached": cached,
-                  "expected": {last._problem_signature(): expected}}))
+                  "expected": {last.fragment_solver.problem_signature: expected}}))
 """
 
 
@@ -176,22 +177,21 @@ class TestServiceInProcess:
         assert result["energy"] == reference.total_energy
 
     def test_startup_scan_resumes_interrupted_run(self, tmp_path):
-        # A run killed mid-solve (here: stopped after one checkpointed
-        # iteration) must be picked up by a fresh daemon with no client
-        # involvement and finish bit-identical to a never-interrupted run.
+        # A run killed mid-solve (here: a job that stops iterating after
+        # one checkpointed iteration) must be picked up by a fresh daemon
+        # with no client involvement and finish bit-identical to a
+        # never-interrupted run.
         root = tmp_path / "store"
         store = RunStore(root)
         receipt = store.submit(SPEC_FAST, client="alice")
         stream = store.stream(receipt.run_id)
         stream.append("scheduled", {"resumed": False, "pid": os.getpid()})
         solver, run_kwargs = build_solver(SPEC_FAST)
-        run_kwargs["max_iterations"] = 1  # the "interrupted" first leg
-        solver.run(
-            checkpoint_dir=store.checkpoint_dir(receipt.run_id),
-            resume=True,
-            event_hook=lambda kind, data: stream.append(kind, data),
-            **run_kwargs,
-        )
+        ckpt = store.checkpoint_dir(receipt.run_id)
+        for step in solver.iterate(checkpoint_dir=ckpt, resume=True, **run_kwargs):
+            stream.append("iteration", iteration_event(step))
+            break  # the "interrupted" first leg
+        assert not step.converged and load_checkpoint(ckpt).iteration == 1
         assert store.pending_runs() == [receipt.run_id]
 
         srv = StoreServer(root)

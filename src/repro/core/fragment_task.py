@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import threading
 import time
 from collections import OrderedDict
@@ -138,11 +137,11 @@ class FragmentTask:
         h.update(np.float64(self.ecut).tobytes())
         h.update(np.int64(self.n_empty).tobytes())
         if self.pseudopotentials is not None:
-            h.update(pickle.dumps(self.pseudopotentials))
+            h.update(self.pseudopotentials.fingerprint.encode())
         return h.hexdigest()
 
 
-@dataclass
+@dataclass(eq=False)
 class FragmentTaskResult:
     """The product of one fragment solve — the only per-fragment record.
 

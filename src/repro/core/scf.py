@@ -69,7 +69,7 @@ from repro.io.checkpoint import (
     save_checkpoint,
 )
 from repro.parallel.executor import SerialFragmentExecutor
-from repro.pw.grid import FFTGrid
+from repro.pw.grid import FFTGrid, grid_density
 from repro.pw.pseudopotential import PseudopotentialSet, default_pseudopotentials
 
 #: Root threads per band group (at most one per worker and per queued
@@ -312,7 +312,7 @@ class IterationTimings:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class LS3DFResult:
     """Outcome of an LS3DF self-consistent calculation.
 
@@ -445,7 +445,7 @@ class LS3DFSCF:
         self.grid_dims = tuple(int(m) for m in grid_dims)
         self.pseudopotentials = pseudopotentials or default_pseudopotentials()
         self.ecut = float(ecut)
-        self.global_grid = self._default_grid(points_per_bohr)
+        self.global_grid = FFTGrid.for_structure(structure.cell, grid_density(ecut, points_per_bohr), self.grid_dims)
         self.division = SpatialDivision(
             structure, self.grid_dims, self.global_grid, buffer_cells
         )
@@ -491,21 +491,6 @@ class LS3DFSCF:
         # iteration's results whichever backend solved them, and the
         # per-fragment half of a full checkpoint.
         self.state_cache: dict[str, np.ndarray] = {}
-
-    # ------------------------------------------------------------------
-    def _default_grid(self, points_per_bohr: float | None) -> FFTGrid:
-        """Global grid whose axes divide evenly into the fragment grid."""
-        if points_per_bohr is None:
-            gmax = np.sqrt(2.0 * self.ecut)
-            points_per_bohr = max(1.2, 2.0 * gmax / np.pi * 1.05)
-        cell = self.structure.cell
-        shape = []
-        for c, m in zip(cell, self.grid_dims):
-            per_cell = max(4, int(np.ceil(c / m * points_per_bohr)))
-            if per_cell % 2:
-                per_cell += 1
-            shape.append(per_cell * m)
-        return FFTGrid(cell, shape)
 
     @property
     def nfragments(self) -> int:

@@ -43,8 +43,8 @@ explicit execution model:
   ``all_band_cg`` run on a whole worker group — the paper's Np cores per
   fragment group — with bit-identical results;
 * :mod:`repro.parallel.wire` — the one ``RPW1`` endpoint: the framing,
-  the serve loop and handshake of both daemons, the client connection
-  and the daemon spawner (imports nothing from the solver);
+  the serve loop and handshake, the client connection, the daemon
+  spawner and ``fork_peer`` (imports nothing from the solver);
 * :mod:`repro.parallel.remote` — the *multi-node* backend: the
   ``repro-worker`` daemon
   (:func:`~repro.parallel.remote.worker_main`) and the driver-side

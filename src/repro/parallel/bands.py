@@ -185,7 +185,7 @@ class BandBlockTask:
         return replace(self, template=replace(t, screening_potential=payload))
 
 
-@dataclass
+@dataclass(eq=False)
 class BandBlockResult:
     """Result of one executed band-slice task.
 

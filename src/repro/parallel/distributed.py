@@ -115,7 +115,7 @@ class GlobalStepTask:
         return float(self.data.size)
 
 
-@dataclass
+@dataclass(eq=False)
 class GlobalStepResult:
     """Result of one executed global-step task.
 

@@ -25,10 +25,9 @@ however their process started.
 
 * :class:`SerialFragmentExecutor` — an immediate ``_submit`` in the
   calling process; the default of :class:`repro.core.scf.LS3DFSCF`.
-* :class:`ProcessPoolFragmentExecutor` — *persistent* forked workers,
-  each on its end of a ``socketpair``; a worker keeps its static-problem
-  cache alive across outer iterations (the paper's cheap second
-  iteration holds in the workers).
+* :class:`ProcessPoolFragmentExecutor` — *persistent*
+  :func:`~repro.parallel.wire.fork_peer` workers that keep their
+  static-problem caches across outer iterations.
 * :class:`repro.parallel.remote.RemoteExecutor` — the same engine over
   TCP-connected ``repro-worker`` daemons.
 
@@ -42,8 +41,6 @@ batches, whose reports are read for their results only).
 from __future__ import annotations
 
 import os
-import signal
-import socket
 import threading
 import time
 from collections import OrderedDict, deque
@@ -70,6 +67,8 @@ from repro.parallel.wire import (
     Connection,
     Listener,
     RemoteProtocolError,
+    fork_peer,
+    reap,
     refusal,
 )
 
@@ -137,11 +136,10 @@ class WorkerServer(Listener):
     """A worker: serves executor task frames, over TCP or a socketpair.
 
     A ``repro-worker`` daemon (:func:`repro.parallel.remote.worker_main`)
-    listens on TCP; a :class:`ProcessPoolFragmentExecutor` worker serves
-    its socketpair end and never listens.  Kernels and process-level
-    caches (static problems, installed potentials, FFT workspaces) are
-    the same everywhere.  Besides ``hello`` / ``ping`` a worker answers
-    ``install`` (``{key, payload}`` for
+    listens on TCP; a pool worker serves a socketpair end.  Kernels and
+    process-level caches (static problems, installed potentials, FFT
+    workspaces) are the same everywhere.  Besides ``hello`` / ``ping`` a
+    worker answers ``install`` (``{key, payload}`` for
     :func:`repro.core.fragment_task.install_potential`), ``task``
     (``{kind, task}``, ``kind`` one of ``solve`` / ``pipeline`` /
     ``global`` / ``bands``; a missed install is answered with its
@@ -707,28 +705,19 @@ class _WorkerBackend(_Backend):
             handle.installed_keys.clear()
 
 
-def _serve_forked(sock: socket.socket, inherited: list) -> None:
-    """A pool worker's life: serve RPW1 on ``sock`` until the driver hangs up."""
-    try:
-        for other in inherited:
-            other.close()
-        WorkerServer()._serve_connection(sock)
-    finally:
-        os._exit(0)
-
-
 class ProcessPoolFragmentExecutor(_WorkerBackend):
     """Executes fragment tasks concurrently in persistent forked workers.
 
-    On first use the pool forks ``n_workers`` workers, each serving RPW1
-    on its end of a ``socket.socketpair()`` (a pool worker never binds or
-    listens), and keeps them, so every worker's static-problem cache (and
-    hence the cheap second LS3DF iteration) survives from one outer
-    iteration to the next.  The failure ladder is :class:`_WorkerBackend`'s
-    without a fallback; a worker's death shows up as EOF, so no request is
-    timed and a long solve is never taken for a hang.  A pool of one is
-    the calling process.  :meth:`close` (or the context manager) releases
-    the workers; a later batch forks new ones.
+    On first use the pool forks ``n_workers``
+    :func:`~repro.parallel.wire.fork_peer` workers and keeps them, so every
+    worker's static-problem cache (and hence the cheap second LS3DF
+    iteration) survives from one outer iteration to the next.  They do not
+    die with the forking thread, which may be a short-lived band-group
+    root.  The failure ladder is :class:`_WorkerBackend`'s without a
+    fallback; a death is EOF, so no request is timed and a long solve is
+    never taken for a hang.  A pool of one is the calling process.
+    :meth:`close` (or the context manager) kills and reaps the workers; a
+    later batch forks new ones.
 
     Parameters
     ----------
@@ -751,13 +740,9 @@ class ProcessPoolFragmentExecutor(_WorkerBackend):
                 return
             handles: list[_WorkerHandle] = []
             for _ in range(self.n_workers):
-                ours, theirs = socket.socketpair()
-                pid = os.fork()
-                if pid == 0:
-                    _serve_forked(theirs, [ours] + [h.conn.sock for h in handles])
-                theirs.close()
+                pid, conn = fork_peer(WorkerServer(), [h.conn.sock for h in handles])
                 self._pids.append(pid)
-                handles.append(_WorkerHandle(Connection.adopt(ours, PROTOCOL_VERSION), None))
+                handles.append(_WorkerHandle(conn, None))
             self._handles = handles
 
     def _submit(self, task, kernel):
@@ -780,9 +765,5 @@ class ProcessPoolFragmentExecutor(_WorkerBackend):
         for handle in handles:
             handle.mark_dead()
         super().close()
-        for pid in pids:
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):  # reaped already
-                pass
+        for pid in pids:  # only this reaps them, so a dead one is a zombie still
+            reap(pid, kill=True)

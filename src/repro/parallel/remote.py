@@ -13,7 +13,7 @@ cannot hang the driver), connect retries with backoff, an on-demand
 executor for the tasks no worker is left for.
 
 Security: frames are pickles — run workers only on hosts and networks
-you trust, exactly like ``multiprocessing`` or MPI.
+you trust, exactly like MPI.
 """
 
 from __future__ import annotations

@@ -24,13 +24,14 @@ gets the typed :func:`refusal`; an op that raises is answered
 ends only that connection.
 
 Security: frames are pickles — speak this protocol only with hosts and
-networks you trust, exactly like ``multiprocessing`` or MPI.
+networks you trust, exactly like MPI.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import signal
 import socket
 import struct
 import threading
@@ -43,6 +44,8 @@ __all__ = [
     "Hangup",
     "Listener",
     "RemoteProtocolError",
+    "fork_peer",
+    "reap",
     "recv_frame",
     "refusal",
     "send_frame",
@@ -307,7 +310,7 @@ class Connection:
     The stream opens on the first request (or :meth:`open`), and again
     after :meth:`close`; the byte counters run over every stream opened.
     ``connect_timeout`` bounds the TCP connect and the ``hello`` reply.
-    A connection made by :meth:`adopt` has no address and never reopens.
+    Without an address (a :func:`fork_peer` end) it never reopens.
     """
 
     def __init__(self, address: tuple[str, int] | None, version: int, connect_timeout: float) -> None:
@@ -318,21 +321,13 @@ class Connection:
         self.bytes_sent = 0
         self.bytes_received = 0
 
-    @classmethod
-    def adopt(cls, sock: socket.socket, version: int) -> "Connection":
-        """The client end of a stream that is connected already (a
-        ``socketpair`` end): no handshake, and once closed it stays closed."""
-        conn = cls(None, version, 0.0)
-        conn.sock = sock
-        return conn
-
     def open(self) -> None:
         """Connect and shake hands unless open; a refused ``hello`` raises
-        :class:`RemoteProtocolError`, an adopted stream once closed
+        :class:`RemoteProtocolError`, an address-less stream once closed
         :class:`ConnectionError`."""
         if self.sock is None:
             if self.address is None:
-                raise ConnectionError("the adopted stream is closed")
+                raise ConnectionError("the socketpair stream is closed")
             self.sock = socket.create_connection(self.address, timeout=self.connect_timeout)
             self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             try:
@@ -368,6 +363,54 @@ class Connection:
                 sock.close()
             except OSError:  # pragma: no cover - close is best effort
                 pass
+
+
+def fork_peer(listener: Listener, inherited=(), die_with_parent: bool = False) -> tuple[int, Connection]:
+    """Fork a child serving ``listener`` on a ``socketpair`` end until EOF;
+    returns ``(pid, connection)``: the parent's end, no handshake.
+
+    The child first closes the parent's end and the ``inherited`` sockets
+    (the parent's ends of its other peers, whose EOF it would hold off).
+    ``die_with_parent``: SIGKILL it when the forking *thread* dies
+    (``PR_SET_PDEATHSIG``, Linux) and ignore Ctrl-C, which reaches the whole
+    process group: the parent, not the signal, decides whether its job ends.
+    Call it under the lock guarding the parent's peers, so no concurrent
+    fork inherits a half-made pair.
+    """
+    ours, theirs = socket.socketpair()
+    parent = os.getpid()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            for sock in (ours, *inherited):
+                sock.close()
+            if die_with_parent:
+                import ctypes
+
+                libc = ctypes.CDLL(None)
+                if hasattr(libc, "prctl"):  # Linux
+                    libc.prctl.argtypes, libc.prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+                    libc.prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+                if os.getppid() != parent:  # it died before prctl took effect
+                    os._exit(1)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+            listener._serve_connection(theirs)
+            code = 0
+        finally:
+            os._exit(code)
+    theirs.close()
+    conn = Connection(None, listener.VERSION, 0.0)
+    conn.sock = ours
+    return pid, conn
+
+
+def reap(pid: int, kill: bool = False) -> int:
+    """Wait for a forked child, SIGKILLed first with ``kill``; its exit
+    code, ``-N`` if signal N ended it."""
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def spawn_daemon(argv: list[str], banner: str, timeout: float = 60.0, **popen):

@@ -23,7 +23,7 @@ implements that substrate from scratch in NumPy:
 from repro import exports
 
 __all__, __getattr__ = exports(__name__, {
-    "grid": "FFTGrid",
+    "grid": "FFTGrid grid_density",
     "basis": "PlaneWaveBasis",
     "pseudopotential": "PseudopotentialSet SpeciesPseudopotential default_pseudopotentials",
     "hamiltonian": "Hamiltonian",

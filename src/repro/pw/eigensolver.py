@@ -36,7 +36,7 @@ import numpy as np
 from repro.pw.hamiltonian import Hamiltonian
 
 
-@dataclass
+@dataclass(eq=False)
 class EigensolverResult:
     """Result of an iterative (or exact) diagonalisation.
 

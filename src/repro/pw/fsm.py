@@ -48,7 +48,7 @@ class FoldedHamiltonian:
         return p * p
 
 
-@dataclass
+@dataclass(eq=False)
 class FoldedSpectrumResult:
     """Band-edge states found by the folded spectrum method.
 

@@ -191,7 +191,7 @@ class FFTGrid:
         cls,
         cell: Sequence[float],
         points_per_bohr: float = 2.0,
-        even: bool = True,
+        grid_dims: Sequence[int] = (1, 1, 1),
     ) -> "FFTGrid":
         """Choose a grid shape from a target real-space resolution.
 
@@ -202,18 +202,26 @@ class FFTGrid:
         points_per_bohr:
             Grid density.  The paper's 40-point grid on an ~11.5 Bohr cell
             corresponds to ~3.5 points/Bohr; model runs use ~1.5-2.
-        even:
-            Round the grid size up to an even number (faster FFTs, and the
-            fragment grids then always divide evenly).
+        grid_dims:
+            Fragment cells per axis: each axis gets the same even number of
+            points (at least 4) in every cell, so fragment grids divide evenly.
         """
         shape = []
-        for c in cell:
-            n = max(4, int(np.ceil(c * points_per_bohr)))
-            if even and n % 2:
+        for c, m in zip(cell, grid_dims):
+            n = max(4, int(np.ceil(c / m * points_per_bohr)))
+            if n % 2:
                 n += 1
-            shape.append(n)
+            shape.append(n * m)
         return cls(cell, shape)
 
     def compatible_with(self, other: "FFTGrid") -> bool:
         """True when both grids share the same spacing (fragment/global check)."""
         return bool(np.allclose(self.spacing, other.spacing, rtol=1e-10, atol=1e-12))
+
+
+def grid_density(ecut: float, points_per_bohr: float | None = None) -> float:
+    """``points_per_bohr`` if given, else the density resolving the density
+    cutoff ``2 sqrt(2 ecut)`` (Nyquist, +5 %, at least 1.2 points/Bohr)."""
+    if points_per_bohr is not None:
+        return points_per_bohr
+    return max(1.2, 2.0 * np.sqrt(2.0 * ecut) / np.pi * 1.05)

@@ -25,6 +25,7 @@ host conduction states (the paper's mid-band-gap states).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -166,8 +167,8 @@ class PseudopotentialSet:
         for sym, pp in self._params.items():
             if pp.symbol != sym:
                 raise ValueError(f"key {sym!r} does not match symbol {pp.symbol!r}")
-            if pp.sigma <= 0 or pp.nonlocal_radius <= 0:
-                raise ValueError(f"widths for {sym!r} must be positive")
+        params = repr([self._params[sym] for sym in sorted(self._params)])  # every field, exact floats
+        self.fingerprint = hashlib.sha256(params.encode()).hexdigest()  # computed once: the set is immutable
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._params
@@ -177,9 +178,6 @@ class PseudopotentialSet:
             return self._params[symbol]
         except KeyError as exc:
             raise KeyError(f"no pseudopotential for species {symbol!r}") from exc
-
-    def species(self) -> list[str]:
-        return sorted(self._params)
 
     # ------------------------------------------------------------------
     def _lattice_sum(self, structure: Structure, grid: FFTGrid, key: str, form_factor) -> np.ndarray:

@@ -27,13 +27,13 @@ from repro.pw.energy import (
     total_energy_from_orbitals,
 )
 from repro.pw.density import normalize_density
-from repro.pw.grid import FFTGrid
+from repro.pw.grid import FFTGrid, grid_density
 from repro.pw.hamiltonian import Hamiltonian
 from repro.pw.mixing import make_mixer
 from repro.pw.pseudopotential import PseudopotentialSet, default_pseudopotentials
 
 
-@dataclass
+@dataclass(eq=False)
 class SCFResult:
     """Outcome of a self-consistent field calculation.
 
@@ -93,9 +93,8 @@ class DirectSCF:
     ecut:
         Plane-wave cutoff (Hartree).
     grid:
-        Optional explicit FFT grid; by default one is chosen from the
-        cutoff via ``FFTGrid.for_structure`` with a density matched to the
-        cutoff sphere.
+        Optional explicit FFT grid; by default one resolving the
+        cutoff's density (:func:`~repro.pw.grid.grid_density`).
     pseudopotentials:
         Model pseudopotential set; defaults to the paper's species set.
     nbands:
@@ -126,12 +125,7 @@ class DirectSCF:
             if sym not in self.pseudopotentials:
                 raise KeyError(f"missing pseudopotential for {sym!r}")
         if grid is None:
-            if points_per_bohr is None:
-                # Nyquist criterion: the grid must support 2*sqrt(2*ecut)
-                # (density cutoff) along each axis.
-                gmax = np.sqrt(2.0 * ecut)
-                points_per_bohr = max(1.2, 2.0 * gmax / np.pi * 1.05)
-            grid = FFTGrid.for_structure(structure.cell, points_per_bohr)
+            grid = FFTGrid.for_structure(structure.cell, grid_density(ecut, points_per_bohr))
         self.grid = grid
         self.basis = PlaneWaveBasis(grid, ecut)
         self.nelectrons = structure.total_valence_electrons()

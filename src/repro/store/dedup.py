@@ -21,10 +21,16 @@ signature and gets its own run.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 
 from repro.atoms.toy import cscl_binary, simple_cubic
+from repro.core.division import SpatialDivision
+from repro.core.fragment_solver import FragmentSolver
 from repro.core.scf import LS3DFSCF
+from repro.pw.grid import FFTGrid, grid_density
+from repro.pw.mixing import make_mixer
+from repro.pw.pseudopotential import default_pseudopotentials
 
 __all__ = ["BUILDERS", "build_solver", "canonical_spec", "problem_signature"]
 
@@ -139,13 +145,10 @@ def build_solver(spec: dict) -> tuple[LS3DFSCF, dict]:
 
 
 def problem_signature(spec: dict) -> str:
-    """Content-addressed dedup key of a spec.
+    """Content-addressed dedup key of a spec (see the module docstring).
 
-    Builds the solver (cheaply, for the toy problems the spec language
-    covers) and extends its checkpoint-compatibility digest with the
-    mixer it runs and the run parameters — the knobs the digest ignores because the
-    checkpoint format does not depend on them, but the *trajectory*
-    does.
+    Builds only what the digest hashes — structure, global grid, division,
+    not GENPOT — and the mixer, so an unknown kind or option is refused here.
 
     Returns
     -------
@@ -153,13 +156,20 @@ def problem_signature(spec: dict) -> str:
         Hex SHA-256 digest; ``run-<first 16 hex>`` becomes the run id.
     """
     spec = canonical_spec(spec)
-    solver, run_kwargs = build_solver(spec)
-    h = hashlib.sha256()
-    h.update(solver.fragment_solver.problem_signature.encode())
+    # The solver's own defaults for the keys the spec leaves out.
+    knobs = {name: p.default for name, p in inspect.signature(LS3DFSCF).parameters.items() if name in SOLVER_KEYS}
+    knobs.update(spec["solver"])
+    structure = BUILDERS[spec["builder"]](**spec["builder_args"])
+    density = grid_density(knobs["ecut"], knobs["points_per_bohr"])
+    grid = FFTGrid.for_structure(structure.cell, density, knobs["grid_dims"])
+    division = SpatialDivision(structure, knobs["grid_dims"], grid, knobs["buffer_cells"])
+    fragments = FragmentSolver(division, default_pseudopotentials(), knobs["ecut"], knobs["n_empty"])
+    mixer = make_mixer(knobs["mixer"], grid=grid, **(knobs["mixer_options"] or {}))
+    h = hashlib.sha256(fragments.problem_signature.encode())
     salt = {
-        "mixer": solver.genpot.mixer.kind,
+        "mixer": mixer.kind,
         "mixer_options": spec["solver"].get("mixer_options"),
-        "run": run_kwargs,
+        "run": dict(spec["run"]),
     }
     h.update(json.dumps(salt, sort_keys=True, separators=(",", ":")).encode())
     return h.hexdigest()

@@ -8,9 +8,9 @@ a length, a pickled dict.  Clients (:mod:`repro.store.client`) submit problem
 specs, query status/events/results and ``wait`` for a run to end (held
 server-side, woken the moment a job slot finishes it); the daemon
 multiplexes every admitted job onto a small pool of *job slots*, each a
-forked process that solves one run at a time and dies with the daemon,
-so N concurrent solves run on N cores instead of sharing one
-interpreter lock.
+:class:`SlotServer` forked by :func:`~repro.parallel.wire.fork_peer`
+that solves one run at a time and dies with the daemon, so N concurrent
+solves run on N cores instead of sharing one interpreter lock.
 
 Durability is the store's, not the daemon's: every lifecycle transition
 is an appended event, every iteration lands in the run's checkpoint
@@ -25,11 +25,8 @@ latest checkpoint and finishes bit-identical to an uninterrupted run
 from __future__ import annotations
 
 import argparse
-import ctypes
-import multiprocessing
 import os
 import queue
-import signal
 import threading
 import time
 import traceback
@@ -43,6 +40,8 @@ from repro.parallel.wire import (
     HOST_HELP,
     SERVICE_PROTOCOL_VERSION,
     Listener,
+    fork_peer,
+    reap,
     refusal,
     send_frame,  # noqa: F401 - a public alias the tracer patches
 )
@@ -50,26 +49,7 @@ from repro.store.dedup import build_solver
 from repro.store.events import TERMINAL_KINDS
 from repro.store.store import RunStore
 
-__all__ = ["SERVICE_PROTOCOL_VERSION", "StoreServer", "iteration_event", "run_job", "serve_main"]
-
-_FORK = multiprocessing.get_context("fork")
-
-
-def _die_with(parent: int) -> None:
-    """Have the kernel SIGKILL this process when ``parent`` dies (Linux).
-
-    The signal follows the *thread* that forked this process; the
-    re-check covers a parent that died before ``prctl`` took effect.
-    """
-    try:
-        prctl = ctypes.CDLL(None).prctl
-    except (AttributeError, OSError):  # pragma: no cover - not Linux
-        pass
-    else:
-        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-    if os.getppid() != parent:
-        os._exit(1)
+__all__ = ["SERVICE_PROTOCOL_VERSION", "SlotServer", "StoreServer", "iteration_event", "run_job", "serve_main"]
 
 
 def iteration_event(result) -> dict:
@@ -116,19 +96,21 @@ def run_job(root: str | Path, run_id: str, slot: int) -> None:
         )
 
 
-def _slot_main(root: Path, slot: int, parent: int, conn) -> None:
-    """A job slot's process: solve each run id the daemon sends, then reply."""
-    _die_with(parent)
-    # Ctrl-C reaches the whole process group; a slot it killed first would
-    # read as a dead slot and fail its run instead of leaving it to resume.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        try:
-            run_id = conn.recv()
-        except EOFError:
-            return
-        run_job(root, run_id, slot)
-        conn.send(run_id)
+class SlotServer(Listener):
+    """A job slot's process: its one op, ``job``, runs :func:`run_job` and replies."""
+
+    VERSION = SERVICE_PROTOCOL_VERSION
+    REQUIRED = {"job": ("run_id",)}
+
+    def __init__(self, root: str | Path, slot: int) -> None:
+        super().__init__("127.0.0.1", 0)
+        self.root, self.slot = root, int(slot)
+
+    def _handle(self, request: dict) -> dict:
+        if request["op"] != "job":
+            return refusal(f"unknown op {request['op']!r}")
+        run_job(self.root, request["run_id"], self.slot)
+        return {"ok": True}
 
 
 class StoreServer(Listener):
@@ -143,9 +125,9 @@ class StoreServer(Listener):
     host, port:
         Bind address (see :class:`repro.parallel.wire.Listener`).
     job_slots:
-        Number of concurrent solves, each in a process forked by
-        :meth:`start` — call it from a thread that outlives the server,
-        since the slots die with the thread that forked them.
+        Number of concurrent solves, each in a :class:`SlotServer` process
+        forked by :meth:`start` — call it from a thread that outlives the
+        server, since the slots die with the thread that forked them.
     """
 
     VERSION = SERVICE_PROTOCOL_VERSION
@@ -162,7 +144,7 @@ class StoreServer(Listener):
         self.jobs_finished = 0
         self._queue: "queue.Queue[str]" = queue.Queue()
         self._queued: set[str] = set()
-        # Per slot: (process, the daemon's end of its pipe), None once dead.
+        # Per slot: (pid, the daemon's Connection to it), None once dead.
         self._slots: list = [None] * self.job_slots
         # Notified whenever a job slot lets go of a run, and on stop.
         self._done = threading.Condition(self._lock)
@@ -196,10 +178,9 @@ class StoreServer(Listener):
         """
         super().stop()
         with self._lock:  # no _fork after this: it checks _stop under the lock
-            processes = [entry[0] for entry in self._slots if entry is not None]
-        for process in processes:
-            process.kill()
-            process.join()
+            entries, self._slots = self._slots, [None] * self.job_slots
+        for entry in filter(None, entries):
+            reap(entry[0], kill=True)
         with self._done:
             self._done.notify_all()
 
@@ -213,22 +194,16 @@ class StoreServer(Listener):
         self._queue.put(run_id)
         return True
 
-    def _fork(self, slot: int) -> bool:
-        """Fork one slot's process; False once the server is stopping."""
-        # Under the lock: a concurrent fork must not inherit this pipe's
-        # child end, or the slot's death would never read as EOF here.  A
-        # re-fork runs beside the daemon's threads; the child touches no
+    def _fork(self, slot: int) -> tuple | None:
+        """Fork one slot's process: its ``(pid, connection)``, None once stopping."""
+        # A re-fork runs beside the daemon's threads; the child touches no
         # lock of theirs, only the store's files and the solver.
         with self._lock:
             if self._stop.is_set():
-                return False
-            conn, child = _FORK.Pipe()
-            args = (self.store.root, slot, os.getpid(), child)
-            process = _FORK.Process(target=_slot_main, args=args, daemon=True)
-            process.start()
-            child.close()
-            self._slots[slot] = (process, conn)
-            return True
+                return None
+            others = [entry[1].sock for entry in self._slots if entry is not None]
+            self._slots[slot] = fork_peer(SlotServer(self.store.root, slot), others, die_with_parent=True)
+            return self._slots[slot]
 
     def _runner_loop(self, slot: int) -> None:
         while not self._stop.is_set():
@@ -252,22 +227,28 @@ class StoreServer(Listener):
         A slot whose process died is forked afresh when it takes its
         next run, from the daemon's code as it is then.
         """
-        if self._slots[slot] is None and not self._fork(slot):
+        entry = self._slots[slot] or self._fork(slot)
+        if entry is None:
             return
-        process, conn = self._slots[slot]
+        pid, conn = entry
         with self._lock:
             self.jobs_started += 1
         try:
-            conn.send(run_id)
-            conn.recv()
-        except (EOFError, OSError):
-            self._slots[slot] = None
+            reply = conn.request({"op": "job", "run_id": run_id})
+            if not reply["ok"]:  # run_job could not write the run's terminal event
+                raise RuntimeError(f"job slot {slot} on {run_id}: {reply['error_type']}: {reply['error']}")
+        except OSError:  # EOF: the slot's process is gone
+            with self._lock:
+                mine = self._slots[slot] is not None  # else stop() kills and reaps it
+                self._slots[slot] = None
             conn.close()
-            process.join()
+            if not mine:
+                return
+            exitcode = reap(pid)
             stream = self.store.stream(run_id)
             if not self._stop.is_set() and not stream.is_terminal():
-                error = f"job slot {slot} process {process.pid} died with exit code {process.exitcode}"
-                stream.append("failed", {"error_type": "SlotProcessDied", "error": error, "exitcode": process.exitcode})
+                error = f"job slot {slot} process {pid} died with exit code {exitcode}"
+                stream.append("failed", {"error_type": "SlotProcessDied", "error": error, "exitcode": exitcode})
         finally:
             with self._lock:
                 self.jobs_finished += 1

@@ -22,6 +22,7 @@ import os
 import pickle
 import signal
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from repro.parallel.executor import (
 )
 from repro.parallel.remote import RemoteExecutor
 from repro.pw.grid import FFTGrid
+from repro.pw.pseudopotential import default_pseudopotentials
 
 
 def _make_task(label="frag") -> FragmentTask:
@@ -109,6 +111,18 @@ def test_fingerprint_ignores_iteration_state_but_not_geometry():
     c = _make_task()
     c.positions = c.positions + 0.1
     assert c.static_fingerprint() != a.static_fingerprint()
+
+
+def test_fingerprint_hashes_the_pseudopotential_parameters():
+    # Two independently built default sets are one key (no object identity
+    # or pickle layout in it); one changed parameter is another key.
+    a, b = _make_task(), _make_task()
+    a.pseudopotentials, b.pseudopotentials = default_pseudopotentials(), default_pseudopotentials()
+    assert a.pseudopotentials.fingerprint == b.pseudopotentials.fingerprint
+    assert a.static_fingerprint() == b.static_fingerprint()
+    zn = b.pseudopotentials["Zn"]
+    b.pseudopotentials = b.pseudopotentials.with_override({"Zn": replace(zn, v0=zn.v0 + 1e-12)})
+    assert b.static_fingerprint() != a.static_fingerprint()
 
 
 def test_thread_backend_same_fingerprint_tasks_do_not_race():

@@ -9,7 +9,8 @@ from pathlib import Path
 
 from repro.core.driver import LS3DF
 from repro.core.scf import LS3DFSCF
-from repro.parallel.executor import ProcessPoolFragmentExecutor, _serve_forked
+from repro.parallel.executor import ProcessPoolFragmentExecutor
+from repro.parallel.wire import fork_peer
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
@@ -175,14 +176,30 @@ def test_one_multi_process_engine():
     reaches its forked workers only through a ``socketpair`` — it starts
     no listener, so a pool worker holds no port."""
     assert _lines_matching(r"ProcessPoolExecutor|_HealingFuture|_broadcast_keys|concurrent\.futures") == []
-    pool = inspect.getsource(ProcessPoolFragmentExecutor) + inspect.getsource(_serve_forked)
-    assert "socket.socketpair()" in pool and "_serve_connection(" in pool
-    assert not re.search(r"\.start\(|serve_forever|\.bind\(|\.listen\(|create_connection|Listener\(", pool)
+    pool = inspect.getsource(ProcessPoolFragmentExecutor)
+    fork = inspect.getsource(fork_peer)
+    assert "fork_peer(WorkerServer()" in pool
+    assert "socket.socketpair()" in fork and "_serve_connection(" in fork
+    assert not re.search(r"\.start\(|serve_forever|\.bind\(|\.listen\(|create_connection|Listener\(", pool + fork)
+
+
+def test_no_multiprocessing_in_src():
+    """Children are forked one way (``wire.fork_peer``), not through
+    ``multiprocessing`` with its own pipes and exit-code bookkeeping."""
+    assert _lines_matching(r"multiprocessing") == []
+
+
+def test_one_fork_call_site():
+    """Pool workers and job slots are both ``fork_peer`` children: RPW1 on
+    a ``socketpair``, dead on EOF, exit code from ``wire.reap``."""
+    hits = _lines_matching(r"os\.fork\(")
+    assert [hit.split(":")[0] for hit in hits] == ["src/repro/parallel/wire.py"]
+    assert "os.fork()" in inspect.getsource(fork_peer)
 
 
 #: ``src/`` line-count ratchet (ROADMAP aim 2, target <= 14 300): a change may
 #: lower this number, never raise it — new code has to pay for itself in deletions.
-SRC_LINE_LIMIT = 14020
+SRC_LINE_LIMIT = 14019
 
 
 def test_src_line_count_ratchet():

@@ -20,6 +20,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -235,6 +236,33 @@ class TestServiceInProcess:
         assert head["status"] == "failed"
         assert failed["error_type"] == "SlotProcessDied"
         assert failed["exitcode"] == 3
+
+    def test_a_slot_killed_mid_job_fails_its_run_and_is_forked_again(self, tmp_path):
+        # The slot is an RPW1 peer: SIGKILL reads as EOF on the daemon's
+        # request, the exit code comes from reaping it, and the next run
+        # goes to a fresh slot process.
+        srv = StoreServer(tmp_path / "store", job_slots=1)
+        srv.start()
+        try:
+            with ServiceClient(srv.address) as client:
+                run_id = client.submit(SPEC_KILL)["run_id"]
+                deadline = time.monotonic() + 60.0
+                while not (scheduled := [e for e in client.events(run_id) if e["kind"] == "scheduled"]):
+                    assert time.monotonic() < deadline, "the run was never scheduled"
+                    time.sleep(0.02)
+                killed = scheduled[0]["data"]["pid"]
+                os.kill(killed, signal.SIGKILL)
+                head = client.wait(run_id, timeout=60)
+                failed = client.events(run_id)[-1]["data"]
+                second = client.submit(SPEC_FAST)["run_id"]
+                assert client.wait(second, timeout=60)["status"] == "converged"
+                rescheduled = [e for e in client.events(second) if e["kind"] == "scheduled"]
+        finally:
+            srv.stop()
+        assert head["status"] == "failed"
+        assert failed["error_type"] == "SlotProcessDied"
+        assert failed["exitcode"] == -signal.SIGKILL
+        assert rescheduled[0]["data"]["pid"] not in (killed, os.getpid())
 
     def test_a_store_error_does_not_retire_the_slot(self, tmp_path):
         # ENOSPC (or a damaged log) surfacing from one job must not end the

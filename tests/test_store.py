@@ -22,6 +22,7 @@ Three families of proof:
 from __future__ import annotations
 
 import builtins
+import hashlib
 import io
 import json
 import os
@@ -39,6 +40,7 @@ from hypothesis import strategies as st
 
 import repro.io.gridio as gridio
 from bench.gen import SERVICE_SPEC
+from repro.core.genpot import GlobalPotentialSolver
 from repro.io.checkpoint import SCFCheckpoint, save_checkpoint
 from repro.io.gridio import write_npz_atomic
 from repro.store import (
@@ -51,6 +53,7 @@ from repro.store import (
     RunStore,
     TornRecordError,
     UnknownRunError,
+    build_solver,
     canonical_spec,
     decode_record,
     encode_record,
@@ -853,6 +856,33 @@ class TestSpecValidation:
             return problem_signature(spec)
 
         assert signature(None) == signature("anderson") != signature("kerker")
+
+    @pytest.mark.parametrize("spec", [SERVICE_SPEC, {
+        "builder": "simple_cubic", "builder_args": {"dims": [2, 1, 1], "lattice_constant": 5.0},
+        "solver": {"grid_dims": [2, 1, 1], "ecut": 2.5, "buffer_cells": 0.25,
+                   "mixer": "Anderson", "mixer_options": {"alpha": 0.3}},
+        "run": {"max_iterations": 3},
+    }], ids=["service", "simple_cubic"])
+    def test_the_dedup_key_is_the_solvers_without_building_genpot(self, spec, monkeypatch):
+        solver, run_kwargs = build_solver(spec)
+        expected = hashlib.sha256(solver.fragment_solver.problem_signature.encode())
+        salt = {"mixer": solver.genpot.mixer.kind, "mixer_options": spec["solver"].get("mixer_options"),
+                "run": run_kwargs}
+        expected.update(json.dumps(salt, sort_keys=True, separators=(",", ":")).encode())
+
+        def no_genpot(*args, **kwargs):
+            raise AssertionError("the dedup key built GENPOT")
+
+        monkeypatch.setattr(GlobalPotentialSolver, "__init__", no_genpot)
+        assert problem_signature(spec) == expected.hexdigest()
+
+    def test_an_unknown_mixer_is_refused_at_submit(self, tmp_path):
+        spec = json.loads(json.dumps(SPEC))
+        spec["solver"]["mixer"] = "broyden"
+        store = RunStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="unknown mixer kind 'broyden'"):
+            store.submit(spec)
+        assert store.run_ids() == []
 
     @pytest.mark.parametrize("mutate, match", [
         (lambda s: s.update(builder="nope"), "unknown builder"),

@@ -10,9 +10,11 @@ records) is printed next to the speedup the LPT load-balancing model
 predicts for the same fragment batch, together with the measured Amdahl
 serial fraction of a warm iteration.  Part C exercises the two-level
 hierarchy: the band-parallel eigensolver (``band_groups=``, the paper's
-Np cores per fragment group) at a few slice counts, printing the
-*modelled* intra-group efficiency (``GroupDecomposition``) next to the
-*measured* one from the recorded band-task times.
+Np cores per fragment group) at a few slice counts, printing which side
+each run took — band slices only when the workers outnumber the
+fragments, whole fragments otherwise — and the *modelled* intra-group
+efficiency (``GroupDecomposition``) next to the *measured* one from the
+recorded band-task times of the sliced runs.
 
 Usage:  python examples/scaling_study.py [--machine franklin|jaguar|intrepid]
                                          [--workers N]
@@ -127,10 +129,13 @@ def band_group_study(max_workers: int) -> None:
     """Part C: the two-level hierarchy, modelled vs measured.
 
     Runs the same small LS3DF system with the band-parallel eigensolver
-    at a few slice counts and prints, per configuration, the largest
-    fragment's grouped wall time next to two intra-group efficiencies:
-    the modelled one (``GroupDecomposition.intra_group_efficiency`` of Np
-    Franklin cores) and the measured one
+    at a few slice counts and prints, per configuration, which side the
+    warm iteration took (``IterationTimings.band_sliced``: band slices
+    only with more workers than fragments, so the 16 fragments of this
+    2×2×1 division run whole on up to 16 workers), the largest
+    fragment's wall time and two intra-group efficiencies: the modelled
+    one (``GroupDecomposition.intra_group_efficiency`` of Np Franklin
+    cores) and, for sliced runs only, the measured one
     (``IterationTimings.measured_intra_group_efficiency``, from the
     recorded per-slice band-task times).
     """
@@ -167,25 +172,28 @@ def band_group_study(max_workers: int) -> None:
             executor.close()
         warm = result.timings[-1]  # warm iteration: the representative one
         largest = max(warm.petot_f_fragments)
-        if band_groups is None:
-            modeled = measured = "-"
-        else:
+        modeled = measured = "-"
+        if band_groups is not None:
             decomp = GroupDecomposition(band_groups, band_groups)
             modeled = f"{decomp.intra_group_efficiency(FRANKLIN.core_peak_gflops):.2f}"
+        if warm.band_sliced:
             measured = f"{warm.measured_intra_group_efficiency:.2f}"
         rows.append({
             "configuration": name,
+            "side": "band slices" if warm.band_sliced else "whole fragments",
             "largest-fragment wall [s]": round(largest, 3),
             "PEtot_F wall [s]": round(warm.petot_f, 2),
             "modeled intra-group eff": modeled,
             "measured intra-group eff": measured,
         })
     print(format_table(rows))
-    print("(modeled = GroupDecomposition.intra_group_efficiency of Np Franklin"
+    print("(side = band slices only when the workers outnumber the"
+          f" {scf.nfragments} fragments; modeled ="
+          " GroupDecomposition.intra_group_efficiency of Np Franklin"
           " cores; measured = band-task CPU / (Np x G x PEtot_F wall) of a"
-          " warm iteration, G = band groups the workers hold — 1-core boxes"
-          " keep the measured value below the model, the gap is the group"
-          " root's cross-band algebra)")
+          " sliced warm iteration, G = band groups the workers hold — 1-core"
+          " boxes keep the measured value below the model, the gap is the"
+          " group root's cross-band algebra)")
 
 
 def main() -> None:

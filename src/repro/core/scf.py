@@ -18,13 +18,13 @@ residue and GENPOT; the loop never cares *where* a fragment was solved.
 The paper's parallelism is two-level: fragments go to processor
 *groups*, and the Np cores inside a group distribute one fragment's
 all-band CG among themselves.  ``band_groups=`` reproduces the second
-level — the single fork inside an iteration: the same fused tasks go
-into one heaviest-first queue, drained on the one executor by driver
-threads acting as group roots (two per band group the workers hold, so
-a root's dense algebra overlaps another fragment's slices), each
-fragment's solve band-sliced over the workers
-(:mod:`repro.parallel.bands`) — so a single huge fragment no longer
-bounds the PEtot_F wall time — while results stay bit-identical to the
+level — the single fork inside an iteration, taken with more workers
+than fragments: the same fused tasks go into one heaviest-first queue,
+drained on the one executor by driver threads acting as group roots
+(two per band group the workers hold, so a root's dense algebra
+overlaps another fragment's slices), each fragment's solve band-sliced
+over the workers (:mod:`repro.parallel.bands`) so that a huge fragment
+no longer bounds the PEtot_F wall time, bit-identical to the
 one-worker-per-fragment side for any slice count and backend.
 
 The loop is the generator :meth:`LS3DFSCF.iterate`, which yields the run
@@ -72,9 +72,9 @@ from repro.parallel.executor import SerialFragmentExecutor
 from repro.pw.grid import FFTGrid, grid_density
 from repro.pw.pseudopotential import PseudopotentialSet, default_pseudopotentials
 
-#: Root threads per band group (at most one per worker and per queued
-#: fragment).  A grouped solve alternates "root waits for slices" with
-#: "workers wait for the root's algebra"; a second root fills each phase
+#: Root threads per band group (at most one per queued fragment).  A
+#: grouped solve alternates "root waits for slices" with "workers wait
+#: for the root's algebra"; a second root fills each phase
 #: with another fragment's, a third measured worse (0.80 s against
 #: 0.73-0.78 s on ``scf_remote_bands``).
 GROUP_ROOTS = 2
@@ -121,7 +121,7 @@ class IterationTimings:
     seconds — the layout-conversion cost of the paper's dual-layout
     design.
 
-    With band-parallel PEtot_F (``band_groups=`` set) each fragment's
+    When band-parallel PEtot_F ran (see ``band_groups=``) each fragment's
     all-band CG is itself distributed: ``band_sliced`` is set,
     ``band_slices`` records the slice count (the local Np per group),
     ``band_group_count`` how many band groups the executor's workers
@@ -400,19 +400,19 @@ class LS3DFSCF:
         per-slab work as parallel (see :class:`IterationTimings`).
         Requires an executor with ``submit_global``.
     band_groups:
-        Number of band slices each fragment's all-band CG is distributed
-        over — the local analogue of the paper's Np cores *per fragment
-        group*.  The default ``None`` runs one worker per fragment.
-        When set, the iteration takes its band-grouped side
-        (:meth:`_drain_band_groups`): one heaviest-first fragment queue,
+        Up to this many band slices per fragment, used when workers
+        outnumber fragments — the paper's Np cores *per fragment group*.
+        Otherwise, and with the default ``None``, one worker runs each
+        fragment: slicing would only add round trips (measured in
+        ``docs/ARCHITECTURE.md``).  The band-grouped side is
+        :meth:`_drain_band_groups`: one heaviest-first fragment queue,
         drained by driver threads acting as group roots (up to
-        :data:`GROUP_ROOTS` per band group the workers hold, one on a
-        one-worker executor) for the dense cross-band reductions and the
-        elementwise residual step, and the per-slice H·psi work goes
-        through ``executor.run_bands`` — bit-identical results to the
-        ungrouped side for any slice count, backend and worker count,
-        which is what removes the
-        largest-fragment floor on the PEtot_F wall time.  Requires an
+        :data:`GROUP_ROOTS` per group) for the dense cross-band
+        reductions and the elementwise residual step, and the per-slice
+        H·psi work goes through ``executor.run_bands`` — bit-identical
+        results to the ungrouped side for any slice count, backend and
+        worker count, which is what removes the largest-fragment floor
+        on the PEtot_F wall time.  Requires an
         executor with ``run_bands`` (all backends in
         :mod:`repro.parallel.executor`).  A resume re-solves the killed
         iteration from the end-of-iteration checkpoint, as on the
@@ -561,13 +561,13 @@ class LS3DFSCF:
         fragment (timed as ``gen_vf``), obtains each one's
         :class:`~repro.core.fragment_task.FragmentTaskResult`, and
         reduces the contributions with :meth:`_patch_in_fragment_order`.
-        The only fork is where the results come from: without band
-        groups one executor submission per fragment, each future consumed
-        by the reduce as soon as it resolves instead of idling until the
-        whole batch returns; with ``band_groups`` the finished list of
-        :meth:`_drain_band_groups`.  A fragment's result is a pure
-        function of its task and the reduce order is fixed, so both sides
-        give the same bits on every backend.
+        The only fork is where the results come from: one executor
+        submission per fragment, each future consumed by the reduce as
+        soon as it resolves instead of idling until the whole batch
+        returns; or, with ``band_groups`` and more workers than
+        fragments, the finished list of :meth:`_drain_band_groups`.  A
+        fragment's result is a pure function of its task and the reduce
+        order is fixed, so both sides give the same bits on every backend.
         """
         # --- Gen_VF (driver residue): build one fused task per fragment.
         t0 = time.perf_counter()
@@ -579,10 +579,11 @@ class LS3DFSCF:
         # --- PEtot_F (fused): restrict + solve + contribute per fragment,
         # with the Gen_dens tree-reduce pulling results in fragment order.
         t0 = time.perf_counter()
-        if self.band_groups is None:
-            stream = (f.result() for f in self.executor.submit_pipeline_batch(tasks))
+        n_workers = int(getattr(self.executor, "n_workers", 1))
+        if self.band_groups is not None and len(tasks) < n_workers:
+            stream = self._drain_band_groups(tasks, n_workers, t)
         else:
-            stream = self._drain_band_groups(tasks, t)
+            stream = (f.result() for f in self.executor.submit_pipeline_batch(tasks))
         # Time not spent reducing: the submission (the serial backend
         # solves at submit), the group drain, and every blocked pull.
         wait = time.perf_counter() - t0
@@ -604,7 +605,7 @@ class LS3DFSCF:
         t.petot_f = time.perf_counter() - t0
         t.overlap_wait = wait
         t.overlap_busy = max(0.0, t.petot_f - wait)
-        t.petot_f_workers = int(getattr(self.executor, "n_workers", 1))
+        t.petot_f_workers = n_workers
         t.petot_f_fragments = [p.wall_time for p in results]
         t.gen_vf_fragments = [p.gen_vf_time for p in results]
         t.gen_dens_fragments = [p.gen_dens_time for p in results]
@@ -618,7 +619,7 @@ class LS3DFSCF:
         return density, results
 
     def _drain_band_groups(
-        self, tasks: list, t: IterationTimings
+        self, tasks: list, n_workers: int, t: IterationTimings
     ) -> list[FragmentTaskResult]:
         """The band-parallel side of :meth:`_run_iteration`'s fork.
 
@@ -631,15 +632,13 @@ class LS3DFSCF:
         are safe: :func:`repro.parallel.bands.run_band_block_task`).  The
         workers hold ``G = max(1, n_workers // band_groups)`` band groups
         at once (``t.band_group_count``), and the drain starts
-        ``min(GROUP_ROOTS·G, n_workers, queue length)`` roots, the
-        calling thread first — one on a one-worker executor, so "serial"
-        stays on one core.  A root's first error closes the queue: the
-        sibling roots finish the fragment they hold, then the error is
-        raised.
+        ``min(GROUP_ROOTS·G, queue length)`` roots (fewer than the
+        workers), the calling thread first.  A root's first error closes
+        the queue: the sibling roots finish the fragment they hold, then
+        the error is raised.
 
         Returns the results in fragment order.
         """
-        n_workers = int(getattr(self.executor, "n_workers", 1))
         t.band_sliced = True
         t.band_slices = self.band_groups
         t.band_group_count = max(1, n_workers // self.band_groups)
@@ -675,7 +674,7 @@ class LS3DFSCF:
                     errors.append(exc)
                     return
 
-        n_roots = min(GROUP_ROOTS * t.band_group_count, n_workers, len(queue))
+        n_roots = min(GROUP_ROOTS * t.band_group_count, len(queue))
         siblings = [
             threading.Thread(target=_root, daemon=True) for _ in range(n_roots - 1)
         ]

@@ -740,7 +740,7 @@ class ProcessPoolFragmentExecutor(_WorkerBackend):
                 return
             handles: list[_WorkerHandle] = []
             for _ in range(self.n_workers):
-                pid, conn = fork_peer(WorkerServer(), [h.conn.sock for h in handles])
+                pid, conn = fork_peer(WorkerServer())
                 self._pids.append(pid)
                 handles.append(_WorkerHandle(conn, None))
             self._handles = handles

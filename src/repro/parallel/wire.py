@@ -365,17 +365,16 @@ class Connection:
                 pass
 
 
-def fork_peer(listener: Listener, inherited=(), die_with_parent: bool = False) -> tuple[int, Connection]:
+def fork_peer(listener: Listener, die_with_parent: bool = False) -> tuple[int, Connection]:
     """Fork a child serving ``listener`` on a ``socketpair`` end until EOF;
     returns ``(pid, connection)``: the parent's end, no handshake.
 
-    The child first closes the parent's end and the ``inherited`` sockets
-    (the parent's ends of its other peers, whose EOF it would hold off).
+    The child first closes every descriptor above stderr but its own end:
+    the parent's end, its other peers' ends (whose EOF it would hold off),
+    a daemon's listener and client sockets.
     ``die_with_parent``: SIGKILL it when the forking *thread* dies
     (``PR_SET_PDEATHSIG``, Linux) and ignore Ctrl-C, which reaches the whole
     process group: the parent, not the signal, decides whether its job ends.
-    Call it under the lock guarding the parent's peers, so no concurrent
-    fork inherits a half-made pair.
     """
     ours, theirs = socket.socketpair()
     parent = os.getpid()
@@ -383,8 +382,8 @@ def fork_peer(listener: Listener, inherited=(), die_with_parent: bool = False) -
     if pid == 0:
         code = 1
         try:
-            for sock in (ours, *inherited):
-                sock.close()
+            os.closerange(3, theirs.fileno())
+            os.closerange(theirs.fileno() + 1, os.sysconf("SC_OPEN_MAX"))
             if die_with_parent:
                 import ctypes
 

@@ -201,8 +201,7 @@ class StoreServer(Listener):
         with self._lock:
             if self._stop.is_set():
                 return None
-            others = [entry[1].sock for entry in self._slots if entry is not None]
-            self._slots[slot] = fork_peer(SlotServer(self.store.root, slot), others, die_with_parent=True)
+            self._slots[slot] = fork_peer(SlotServer(self.store.root, slot), die_with_parent=True)
             return self._slots[slot]
 
     def _runner_loop(self, slot: int) -> None:

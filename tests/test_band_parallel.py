@@ -6,7 +6,10 @@ Covers the tentpole acceptance criteria: grouped ``all_band_cg`` runs are
 sliced stage is exactly one executor submission per slice; the grouped
 SCF path (``band_groups=``) reproduces the fused-pipeline results bit
 for bit; and a run killed in the middle of PEtot_F resumes from its
-end-of-iteration checkpoint with bit-identical final iterates.
+end-of-iteration checkpoint with bit-identical final iterates.  The SCF
+only band-slices when the executor has more workers than the iteration
+has fragments, so the SCF-level cases run a one-fragment (1×1×1)
+division on two loopback workers.
 
 Nothing here asserts a measured parallel speedup — the CI container may
 have a single core (``os.cpu_count() == 1``); only correctness and
@@ -63,11 +66,13 @@ def _make_task(label="frag", screening=0.02) -> FragmentTask:
     )
 
 
-def _tiny_scf(executor=None, **kw) -> LS3DFSCF:
-    structure = cscl_binary((2, 1, 1), "Zn", "O", 6.0)
+def _tiny_scf(executor=None, dims=(2, 1, 1), **kw) -> LS3DFSCF:
+    """The ZnO CsCl cell of ``dims`` cells, divided one fragment cell
+    per cell: 2×1×1 has four fragments, 1×1×1 one."""
+    structure = cscl_binary(dims, "Zn", "O", 6.0)
     return LS3DFSCF(
         structure,
-        grid_dims=(2, 1, 1),
+        grid_dims=dims,
         ecut=2.2,
         buffer_cells=0.5,
         n_empty=2,
@@ -367,10 +372,14 @@ def test_grouped_pipeline_kernel_matches_ungrouped():
 
 # --- grouped SCF (end to end) -----------------------------------------------------
 
+ONE_FRAGMENT = (1, 1, 1)
+
+
 @pytest.fixture(scope="module")
 def pipeline_run():
-    """The ungrouped serial reference the grouped side must reproduce."""
-    return _tiny_scf(SerialFragmentExecutor()).run(**_RUN_KW)
+    """The ungrouped serial reference the grouped side must reproduce:
+    one fragment, so two workers band-slice it."""
+    return _tiny_scf(SerialFragmentExecutor(), dims=ONE_FRAGMENT).run(**_RUN_KW)
 
 
 def _assert_scf_identical(result, reference):
@@ -382,28 +391,37 @@ def _assert_scf_identical(result, reference):
     assert result.energy_history == reference.energy_history
 
 
+def _assert_band_sliced(result):
+    assert all(t.band_sliced for t in result.timings)
+
+
 def test_scf_band_groups_bit_identical_serial(pipeline_run):
-    for nslices in (1, 2, 3):
-        result = _tiny_scf(
-            SerialFragmentExecutor(), band_groups=nslices).run(**_RUN_KW)
-        _assert_scf_identical(result, pipeline_run)
+    """``==`` the serial reference for 1, 2 and 3 slices."""
+    with remote_executor(2) as executor:
+        for nslices in (1, 2, 3):
+            result = _tiny_scf(
+                executor, dims=ONE_FRAGMENT, band_groups=nslices).run(**_RUN_KW)
+            _assert_scf_identical(result, pipeline_run)
+            _assert_band_sliced(result)
 
 
 def test_scf_band_groups_bit_identical_pools(pipeline_run):
     with remote_executor(2) as executor:
-        remote = _tiny_scf(executor, band_groups=2).run(**_RUN_KW)
+        remote = _tiny_scf(executor, dims=ONE_FRAGMENT, band_groups=2).run(**_RUN_KW)
     _assert_scf_identical(remote, pipeline_run)
+    _assert_band_sliced(remote)
     with ProcessPoolFragmentExecutor(n_workers=2) as executor:
-        pooled = _tiny_scf(executor, band_groups=2).run(**_RUN_KW)
+        pooled = _tiny_scf(executor, dims=ONE_FRAGMENT, band_groups=2).run(**_RUN_KW)
     _assert_scf_identical(pooled, pipeline_run)
+    _assert_band_sliced(pooled)
 
 
-def test_scf_band_groups_timings_and_accounting(pipeline_run):
-    executor = SerialFragmentExecutor()
-    scf = _tiny_scf(executor, band_groups=2)
-    result = scf.run(**_RUN_KW)
-    assert executor.tasks_submitted == sum(
-        t.band_stages for t in result.timings) * 2
+def test_scf_band_groups_timings_and_accounting():
+    with remote_executor(2) as executor:
+        scf = _tiny_scf(executor, dims=ONE_FRAGMENT, band_groups=2)
+        result = scf.run(**_RUN_KW)
+        assert executor.tasks_submitted == sum(
+            t.band_stages for t in result.timings) * 2
     for t in result.timings:
         assert t.band_sliced
         assert t.band_slices == 2
@@ -417,7 +435,7 @@ def test_scf_band_groups_timings_and_accounting(pipeline_run):
         assert t.parallel_cpu == pytest.approx(t.band_cpu + 0.0)
         assert t.serial_time == pytest.approx(
             t.gen_vf + t.gen_dens + t.genpot + t.band_driver + t.checkpoint_io)
-        # One worker holds one band group.
+        # Two workers hold one band group of two slices.
         assert t.band_group_count == 1
 
 
@@ -438,12 +456,13 @@ def test_scf_band_groups_validation():
 def test_ls3df_driver_accepts_band_groups():
     from repro.core import LS3DF
 
-    ls3df = LS3DF(
-        cscl_binary((2, 1, 1), "Zn", "O", 6.0), grid_dims=(2, 1, 1),
-        ecut=2.2, executor=SerialFragmentExecutor(), band_groups=2)
-    assert ls3df.band_groups == 2
-    result = ls3df.run(max_iterations=1, potential_tolerance=1e-9,
-                       eigensolver_tolerance=1e-4, eigensolver_iterations=40)
+    with remote_executor(2) as executor:
+        ls3df = LS3DF(
+            cscl_binary(ONE_FRAGMENT, "Zn", "O", 6.0), grid_dims=ONE_FRAGMENT,
+            ecut=2.2, executor=executor, band_groups=2)
+        assert ls3df.band_groups == 2
+        result = ls3df.run(max_iterations=1, potential_tolerance=1e-9,
+                           eigensolver_tolerance=1e-4, eigensolver_iterations=40)
     assert result.iterations == 1
     assert result.timings[0].band_sliced
 
@@ -470,24 +489,23 @@ def test_measured_intra_group_efficiency_helper():
 
 # --- resume after a kill -----------------------------------------------------------
 
-class _KillAfterFragments(SerialFragmentExecutor):
-    """Serial backend that dies on the first band batch of the fragment
-    after the ``nfragments``-th it starts, counting across iterations (the
-    serial grouped path finishes one fragment before the next)."""
+class _KillAtBatch:
+    """Executor wrapper whose ``run_bands`` dies at its ``batch``-th call,
+    counting from 0 across iterations."""
 
-    def __init__(self, nfragments):
-        super().__init__()
-        self.nfragments = nfragments
-        self.started = 0
-        self.current = None
+    def __init__(self, inner, batch):
+        self.inner = inner
+        self.batch = batch
+        self.calls = 0
 
     def run_bands(self, tasks):
-        label = tasks[0].template.label
-        if label != self.current:
-            self.current, self.started = label, self.started + 1
-        if self.started > self.nfragments:
+        self.calls += 1
+        if self.calls > self.batch:
             raise RuntimeError("simulated mid-PEtot_F kill")
-        return super().run_bands(tasks)
+        return self.inner.run_bands(tasks)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 def test_run_killed_mid_petot_f_resumes_bit_identically(tmp_path):
@@ -496,18 +514,23 @@ def test_run_killed_mid_petot_f_resumes_bit_identically(tmp_path):
     the uninterrupted run; the directory only ever holds the state file."""
     run_kw = dict(max_iterations=3, potential_tolerance=1e-9,
                   eigensolver_tolerance=1e-4, eigensolver_iterations=40)
-    reference = _tiny_scf(SerialFragmentExecutor(), band_groups=2).run(**run_kw)
+    with remote_executor(2) as executor:
+        reference = _tiny_scf(executor, dims=ONE_FRAGMENT, band_groups=2).run(**run_kw)
+        _assert_band_sliced(reference)
 
-    nfragments = len(reference.fragment_results)
-    killer = _KillAfterFragments(nfragments + 1)  # one fragment into iteration 2
-    with pytest.raises(RuntimeError, match="simulated"):
-        _tiny_scf(killer, band_groups=2).run(
+        # Halfway through the second iteration's one fragment.
+        first, second = (t.band_stages for t in reference.timings[:2])
+        killer = _KillAtBatch(executor, first + second // 2)
+        with pytest.raises(RuntimeError, match="simulated"):
+            _tiny_scf(killer, dims=ONE_FRAGMENT, band_groups=2).run(
+                checkpoint_dir=tmp_path, resume=True, **run_kw)
+        assert killer.calls == first + second // 2 + 1
+        assert [p.name for p in tmp_path.iterdir()] == ["state-latest.npz"]
+
+        resumed = _tiny_scf(executor, dims=ONE_FRAGMENT, band_groups=2).run(
             checkpoint_dir=tmp_path, resume=True, **run_kw)
-    assert [p.name for p in tmp_path.iterdir()] == ["state-latest.npz"]
-
-    resumed = _tiny_scf(SerialFragmentExecutor(), band_groups=2).run(
-        checkpoint_dir=tmp_path, resume=True, **run_kw)
     assert len(resumed.timings) == 2  # iterations 2 and 3, re-solved whole
+    _assert_band_sliced(resumed)
     _assert_scf_identical(resumed, reference)
     assert [p.name for p in tmp_path.iterdir()] == ["state-latest.npz"]
 
@@ -517,10 +540,12 @@ def test_grouped_checkpoint_resume_matches_uninterrupted(tmp_path):
     grouped path."""
     run_kw = dict(potential_tolerance=1e-9,
                   eigensolver_tolerance=1e-4, eigensolver_iterations=40)
-    reference = _tiny_scf(SerialFragmentExecutor(), band_groups=2).run(
-        max_iterations=3, **run_kw)
-    _tiny_scf(SerialFragmentExecutor(), band_groups=2).run(
-        max_iterations=2, checkpoint_dir=tmp_path, **run_kw)
-    resumed = _tiny_scf(SerialFragmentExecutor(), band_groups=2).run(
-        max_iterations=3, checkpoint_dir=tmp_path, resume=True, **run_kw)
+    with remote_executor(2) as executor:
+        grouped = lambda: _tiny_scf(executor, dims=ONE_FRAGMENT, band_groups=2)  # noqa: E731
+        reference = grouped().run(max_iterations=3, **run_kw)
+        first = grouped().run(max_iterations=2, checkpoint_dir=tmp_path, **run_kw)
+        resumed = grouped().run(
+            max_iterations=3, checkpoint_dir=tmp_path, resume=True, **run_kw)
+    for result in (reference, first, resumed):
+        _assert_band_sliced(result)
     _assert_scf_identical(resumed, reference)

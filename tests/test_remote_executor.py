@@ -88,10 +88,10 @@ def _make_task(label="frag") -> FragmentTask:
     )
 
 
-def _tiny_scf(executor=None, structure=None, **kw) -> LS3DFSCF:
+def _tiny_scf(executor=None, structure=None, dims=(2, 1, 1), **kw) -> LS3DFSCF:
     return LS3DFSCF(
-        structure or cscl_binary((2, 1, 1), "Zn", "O", 6.0),
-        grid_dims=(2, 1, 1),
+        structure or cscl_binary(dims, "Zn", "O", 6.0),
+        grid_dims=dims,
         ecut=2.2,
         buffer_cells=0.5,
         n_empty=2,
@@ -554,19 +554,22 @@ def test_band_group_wire_carries_h_psi_only():
 
 @pytest.fixture(scope="module")
 def remote_scf_runs():
-    """Serial reference + one remote run per protocol family.
+    """Serial references + one remote run per protocol family.
 
-    Module-scoped because the four tiny SCF runs dominate this file's
-    cost; every run crosses real loopback TCP for every task.
+    Module-scoped because the tiny SCF runs dominate this file's cost;
+    every run crosses real loopback TCP for every task.  The band-sliced
+    run is a one-fragment (1×1×1) division, since two workers band-slice
+    only fewer than two fragments; it has its own serial reference.
     """
     reference = _tiny_scf(SerialFragmentExecutor()).run(**_RUN_KW)
-    runs = {"reference": (reference, None)}
+    bands_reference = _tiny_scf(SerialFragmentExecutor(), dims=(1, 1, 1)).run(**_RUN_KW)
+    runs = {"reference": (reference, None), "bands_reference": (bands_reference, None)}
     servers = [start_worker_thread() for _ in range(2)]
     try:
         cases = [
             ("pipeline", dict()),
             ("genpot", dict(genpot_shards=2)),
-            ("bands", dict(band_groups=2)),
+            ("bands", dict(band_groups=2, dims=(1, 1, 1))),
         ]
         for name, kw in cases:
             with RemoteExecutor(
@@ -595,8 +598,8 @@ def remote_scf_runs():
 def test_remote_scf_bit_identical_for_all_protocols(remote_scf_runs):
     """Acceptance criterion: remote == serial, bit for bit, for the
     fused pipeline, the sharded GENPOT slabs and the band-grouped path."""
-    reference = remote_scf_runs["reference"][0]
     for name in ("pipeline", "genpot", "bands"):
+        reference = remote_scf_runs["bands_reference" if name == "bands" else "reference"][0]
         result, stats = remote_scf_runs[name]
         np.testing.assert_array_equal(
             result.density, reference.density, err_msg=name)
@@ -618,6 +621,7 @@ def test_remote_scf_accounting(remote_scf_runs):
     assert stats["sent"] > 0 and stats["received"] > 0
     # Band-grouped: one submission per band-task batch, `slices` each.
     bands_result, bands_stats = remote_scf_runs["bands"]
+    assert all(t.band_sliced for t in bands_result.timings)
     stages = sum(t.band_stages for t in bands_result.timings)
     assert bands_stats["tasks"] == stages * 2
 

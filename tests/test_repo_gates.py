@@ -199,7 +199,7 @@ def test_one_fork_call_site():
 
 #: ``src/`` line-count ratchet (ROADMAP aim 2, target <= 14 300): a change may
 #: lower this number, never raise it — new code has to pay for itself in deletions.
-SRC_LINE_LIMIT = 14019
+SRC_LINE_LIMIT = 14016
 
 
 def test_src_line_count_ratchet():

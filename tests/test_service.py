@@ -264,6 +264,29 @@ class TestServiceInProcess:
         assert failed["exitcode"] == -signal.SIGKILL
         assert rescheduled[0]["data"]["pid"] not in (killed, os.getpid())
 
+    @pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="reads Linux /proc")
+    def test_a_slot_forked_again_holds_only_its_own_socket(self, tmp_path):
+        # A slot forked afresh after a death is forked by the running
+        # daemon, beside its listener and a connected client (both ends in
+        # this process): it closes every inherited descriptor but its own
+        # end of the socketpair.
+        srv = StoreServer(tmp_path / "store", job_slots=1)
+        srv.start()
+        try:
+            with ServiceClient(srv.address) as client:
+                first = srv._slots[0][0]
+                os.kill(first, signal.SIGKILL)
+                lost = client.submit(SPEC_FAST)["run_id"]
+                assert client.wait(lost, timeout=60)["status"] == "failed"
+                second = client.submit(_spec_variant(SPEC_FAST, 3))["run_id"]
+                assert client.wait(second, timeout=60)["status"] == "converged"
+                pid = srv._slots[0][0]
+                links = [os.readlink(fd) for fd in Path(f"/proc/{pid}/fd").iterdir()]
+        finally:
+            srv.stop()
+        assert pid != first
+        assert sum(link.startswith("socket:") for link in links) == 1
+
     def test_a_store_error_does_not_retire_the_slot(self, tmp_path):
         # ENOSPC (or a damaged log) surfacing from one job must not end the
         # slot's runner thread: the next job on the only slot still runs,

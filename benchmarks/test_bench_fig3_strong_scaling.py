@@ -140,82 +140,6 @@ def test_fig3_measured_serial_fraction(results_dir):
 
 
 @pytest.mark.paper_experiment
-def test_fig3_genpot_sharding_serial_fraction(results_dir):
-    """Measured serial fraction with and without GENPOT sharding.
-
-    With the per-fragment work fused into the tasks, the serial GENPOT
-    global step is what remains of the driver's per-iteration serial time; pushing it
-    through the executor as per-slab tasks (``genpot_shards``) is the
-    paper's dual fragment/slab layout.  This companion runs the same
-    workload both ways and records every iteration's measured
-    alpha, the *warm* iterations separately (the first iteration is
-    dominated by one-off task building, exactly like the paper's
-    expensive first iteration).  Results are bit-identical between the
-    two runs, which is what makes the alphas comparable; the two warm
-    alphas sit within a few percent of each other, so the test asserts
-    the accounting identity, not an inequality between two wall clocks.
-    """
-    from repro.atoms.toy import cscl_binary
-    from repro.core.scf import LS3DFSCF
-    from repro.parallel.amdahl import serial_fraction_history
-
-    def run(genpot_shards):
-        structure = cscl_binary((2, 1, 1), "Zn", "O", 6.0)
-        scf = LS3DFSCF(structure, grid_dims=(2, 1, 1), ecut=2.2,
-                       buffer_cells=0.5, n_empty=2, mixer="kerker",
-                       points_per_bohr=2.8,
-                       genpot_shards=genpot_shards)
-        return scf.run(max_iterations=3, potential_tolerance=1e-12,
-                       eigensolver_tolerance=1e-4, eigensolver_iterations=40)
-
-    unsharded = run(None)
-    sharded = run(4)
-
-    rows = []
-    for label, result in (("serial genpot", unsharded), ("genpot_shards=4", sharded)):
-        for i, (est, t) in enumerate(
-            zip(serial_fraction_history(result.timings), result.timings), 1
-        ):
-            rows.append({
-                "path": label, "iteration": i,
-                "serial [ms]": round(1e3 * est.serial_time, 3),
-                "parallel cpu [ms]": round(1e3 * est.parallel_time, 3),
-                "genpot [ms]": round(1e3 * t.genpot, 3),
-                "genpot driver [ms]": round(1e3 * t.genpot_driver, 3),
-                "alpha": round(est.serial_fraction, 6),
-            })
-    print("\nFigure 3 companion (measured serial fraction, GENPOT sharding):")
-    print(format_table(rows))
-
-    warm = slice(1, None)  # skip the cold first iteration (one-off builds)
-    alpha_serial = [t.measured_serial_fraction for t in unsharded.timings[warm]]
-    alpha_sharded = [t.measured_serial_fraction for t in sharded.timings[warm]]
-    save_records(
-        [ResultRecord("fig3_genpot_sharding", {
-            "rows": rows,
-            "warm_alpha_serial_genpot": alpha_serial,
-            "warm_alpha_sharded_genpot": alpha_sharded,
-            "cpu_count": os.cpu_count(),
-        })],
-        results_dir / "fig3_genpot_sharding.json",
-    )
-
-    # Identical physics on both paths — the sharded global step is
-    # bit-identical, so the alphas compare the same workload.
-    np.testing.assert_array_equal(sharded.density, unsharded.density)
-    assert sharded.total_energy == unsharded.total_energy
-    # The sharded run really did push GENPOT through the executor...
-    for t in sharded.timings:
-        assert t.genpot_sharded and t.genpot_cpu > 0
-        # ...and counting that work as serial again can only raise alpha
-        # (the arithmetic guarantee behind the measured comparison).
-        counterfactual = (t.serial_time + t.genpot_cpu) / (
-            t.serial_time + t.genpot_cpu + t.petot_f_cpu
-        )
-        assert t.measured_serial_fraction < counterfactual
-
-
-@pytest.mark.paper_experiment
 def test_bench_fig3_strong_scaling(benchmark, results_dir):
     ls3df, petot = benchmark.pedantic(_strong_scaling, rounds=1, iterations=1)
     cores = np.array(CORES, dtype=float)

@@ -67,15 +67,26 @@ class LS3DF(LS3DFSCF):
         Vestige kept for the benchmark harness (ROADMAP flagship 3):
         the fused task is the one iteration path, so anything but True
         raises ``ValueError`` and the value is not forwarded.
+    genpot_shards:
+        Vestige kept for the benchmark harness, like ``pipeline``: the
+        loop's GENPOT always runs unsharded on the driver, so a positive
+        int or None is accepted and not forwarded, and anything else
+        raises ``ValueError``.
     args, kwargs:
         Forwarded to :class:`repro.core.scf.LS3DFSCF`.
     """
 
-    def __init__(self, *args, pipeline: bool = True, **kwargs) -> None:
+    def __init__(self, *args, pipeline: bool = True, genpot_shards: int | None = None, **kwargs) -> None:
         if pipeline is not True:
             raise ValueError(
                 f"pipeline={pipeline!r}: PR 18 removed the unfused per-fragment "
                 f"driver loop; the fused task is the only path, drop the argument"
+            )
+        if genpot_shards is not None and (type(genpot_shards) is not int or genpot_shards < 1):
+            raise ValueError(
+                f"genpot_shards={genpot_shards!r}: the SCF loop's GENPOT runs "
+                f"unsharded on the driver; the argument is ignored but must be "
+                f"a positive int or None"
             )
         super().__init__(*args, **kwargs)
 

@@ -746,10 +746,11 @@ class FragmentExecutor(Protocol):
     fragment and consumes the futures in fragment order.  The backends
     in :mod:`repro.parallel.executor` and :mod:`repro.parallel.remote`
     also offer gathered batch forms (``run``, ``run_pipeline``, returning
-    an :class:`ExecutionReport`) and the optional ``run_bands``
-    (``band_groups=``) and ``submit_global`` (``genpot_shards=``)
-    surfaces; anything with this shape — e.g. an MPI- or cluster-backed
-    mapper — plugs into the SCF loop the same way.
+    an :class:`ExecutionReport`), the optional ``run_bands``
+    (``band_groups=``) and ``submit_global`` (the sharded
+    :class:`~repro.core.genpot.GlobalPotentialSolver`, which the SCF
+    loop does not use) surfaces; anything with this shape — e.g. an
+    MPI- or cluster-backed mapper — plugs into the SCF loop the same way.
     """
 
     n_workers: int

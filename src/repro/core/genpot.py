@@ -20,6 +20,13 @@ any backend from :mod:`repro.parallel.executor`), with deterministic slab
 ordering — the sharded results are **bit-identical** to the serial path
 for any shard count.  The mix runs once, on the driver's gathered
 potentials, for every mixer and shard count.
+
+:class:`repro.core.scf.LS3DFSCF` builds the unsharded solver: every SCF
+iteration runs its GENPOT once, on the driver.  The slab layout pays only
+once a cell is far too big for one node, and on every input measured here
+the sharded step lost (0.27 s against 0.07 s per step on a 64×64×128 grid,
+and slower end to end on every SCF run tried).  ``shards=`` stays only
+for the standalone ``genpot_sharded`` benchmark workload.
 """
 
 from __future__ import annotations
@@ -151,9 +158,8 @@ class GlobalPotentialSolver:
         mix runs on the gathered potentials.  Results are bit-identical
         to the serial path for any shard count (see
         :mod:`repro.parallel.streaming` for the engine,
-        :mod:`repro.parallel.distributed` for the task machinery, and
-        :class:`repro.core.scf.LS3DFSCF` for the ``genpot_shards=``
-        wiring into the outer loop).  Must not exceed the number of z
+        :mod:`repro.parallel.distributed` for the task machinery; the
+        SCF loop does not shard).  Must not exceed the number of z
         planes of ``grid``.
     executor:
         Backend implementing

@@ -109,17 +109,11 @@ class IterationTimings:
     the last fragment landed.
 
     ``genpot_poisson`` / ``genpot_xc`` / ``genpot_mix`` break the GENPOT
-    wall time down into its three global steps.  With ``genpot_shards >
-    1`` Poisson and XC run as per-slab tasks through the executor: their
-    in-worker wall times land in ``genpot_tasks`` (counted as parallel
-    work by ``parallel_cpu``), ``genpot_sharded`` is set, and only the
-    driver residue ``genpot_driver`` (slab scatter/gather/exchange, the
-    mix, scalar reductions, task overhead) stays in ``serial_time``.  The
-    two interleave per slab (:mod:`repro.parallel.streaming`):
-    ``genpot_wait`` is the driver loop's blocked time and
-    ``layout_conversion`` the *measured* scatter/exchange/gather copy
-    seconds — the layout-conversion cost of the paper's dual-layout
-    design.
+    wall time down into its three global steps, all run on the driver.
+    ``genpot_tasks``, ``genpot_sharded``, ``genpot_wait`` and
+    ``layout_conversion`` are always empty (``[]``, False, 0.0, 0.0):
+    the loop's GENPOT is never sharded, and the fields stay only until
+    the benchmark harness stops reading them.
 
     When band-parallel PEtot_F ran (see ``band_groups=``) each fragment's
     all-band CG is itself distributed: ``band_sliced`` is set,
@@ -158,7 +152,6 @@ class IterationTimings:
     genpot_poisson: float = 0.0
     genpot_xc: float = 0.0
     genpot_mix: float = 0.0
-    genpot_driver: float = 0.0
     genpot_tasks: list[float] = field(default_factory=list)
     genpot_sharded: bool = False
     genpot_wait: float = 0.0
@@ -189,11 +182,6 @@ class IterationTimings:
         if self.petot_f <= 0:
             return 0.0
         return self.petot_f_cpu / self.petot_f
-
-    @property
-    def genpot_cpu(self) -> float:
-        """Summed in-worker time of the sharded GENPOT's per-slab tasks."""
-        return float(sum(self.genpot_tasks))
 
     @property
     def overlap_occupancy(self) -> float:
@@ -255,21 +243,16 @@ class IterationTimings:
         """Driver-side unparallelised time of the iteration.
 
         The Gen_VF and Gen_dens entries time task building and the
-        residue of the chunked tree-reduce.  GENPOT is serial by
-        default; with ``genpot_shards > 1`` the per-slab Poisson/XC/
-        mixing work moves to the executor (parallel bucket) and only the
-        driver residue — layout conversion, scalar reductions, task
-        overhead (``genpot_driver``) — remains serial.  With band-sliced
-        PEtot_F the group root's share (``band_driver``) is likewise
-        serial, while the sliced band tasks count as parallel.
-        Checkpoint I/O, when enabled, is driver-only work and counts
-        here too.
+        residue of the chunked tree-reduce; GENPOT runs on the driver.
+        With band-sliced PEtot_F the group root's share
+        (``band_driver``) is serial too, while the sliced band tasks
+        count as parallel.  Checkpoint I/O, when enabled, is driver-only
+        work and counts here too.
         """
-        genpot_serial = self.genpot_driver if self.genpot_sharded else self.genpot
         return (
             self.gen_vf
             + self.gen_dens
-            + genpot_serial
+            + self.genpot
             + self.band_driver
             + self.checkpoint_io
         )
@@ -278,22 +261,17 @@ class IterationTimings:
     def parallel_cpu(self) -> float:
         """Serial-equivalent cost of the executor-distributable work.
 
-        The summed per-fragment wall times (replaced by the summed
-        per-slice band-task times when PEtot_F ran band-sliced — the
-        fragment walls then contain root-side serial work), plus the
-        summed per-slab GENPOT task times when the global step is
-        sharded.
+        The summed per-fragment wall times, replaced by the summed
+        per-slice band-task times when PEtot_F ran band-sliced (the
+        fragment walls then contain root-side serial work).
         """
-        genpot_parallel = self.genpot_cpu if self.genpot_sharded else 0.0
-        petot_parallel = self.band_cpu if self.band_sliced else self.petot_f_cpu
-        return petot_parallel + genpot_parallel
+        return self.band_cpu if self.band_sliced else self.petot_f_cpu
 
     @property
     def measured_serial_fraction(self) -> float:
         """Measured Amdahl alpha: serial / (serial + parallelisable CPU).
 
-        The parallelisable part is the summed per-fragment wall time
-        (plus the per-slab GENPOT task time when sharded) — the
+        The parallelisable part is ``parallel_cpu`` — the
         serial-equivalent cost of the work the executor may spread over
         any number of workers.
         """
@@ -359,6 +337,14 @@ class LS3DFResult:
 class LS3DFSCF:
     """LS3DF self-consistent field driver.
 
+    GENPOT — Poisson, XC and the mix — runs once per iteration on the
+    driver, so the executor only ever sees fragment tasks.  The paper's
+    z-slab layout for the global step pays only once a cell is far too
+    big for one node; sharded through the executor it lost on every
+    input measured (``docs/ARCHITECTURE.md``), and
+    :class:`~repro.core.genpot.GlobalPotentialSolver` keeps ``shards=``
+    only for the standalone ``genpot_sharded`` benchmark.
+
     Parameters
     ----------
     structure:
@@ -387,18 +373,6 @@ class LS3DFSCF:
         iteration consumes ``executor.submit_pipeline_batch`` futures,
         so an object without that method is rejected with a
         ``TypeError`` here rather than mid-run.
-    genpot_shards:
-        Number of 1D z-slabs the GENPOT global steps are distributed
-        over (the paper's dual fragment/slab data layout).  The default
-        ``None`` (or 1) keeps the serial global step.  With more shards
-        the Poisson solve and XC stream as per-slab
-        :class:`~repro.parallel.distributed.GlobalStepTask` units
-        through this driver's ``executor`` (resident slabs, fused
-        stages, layout conversion overlapped with compute; see
-        :mod:`repro.parallel.streaming`) — bit-identical results for
-        any shard count and backend — and the iteration timings count the
-        per-slab work as parallel (see :class:`IterationTimings`).
-        Requires an executor with ``submit_global``.
     band_groups:
         Up to this many band slices per fragment, used when workers
         outnumber fragments — the paper's Np cores *per fragment group*.
@@ -437,7 +411,6 @@ class LS3DFSCF:
         mixer_options: dict | None = None,
         points_per_bohr: float | None = None,
         executor: FragmentExecutor | None = None,
-        genpot_shards: int | None = None,
         band_groups: int | None = None,
         install_potentials: bool = True,
     ) -> None:
@@ -470,10 +443,7 @@ class LS3DFSCF:
             self.pseudopotentials,
             mixer=mixer,
             mixer_options=mixer_options,
-            shards=genpot_shards,
-            executor=executor,
         )
-        self.genpot_shards = self.genpot.shards
         self.band_groups = None if band_groups is None else int(band_groups)
         if self.band_groups is not None:
             if self.band_groups < 1:
@@ -826,8 +796,7 @@ class LS3DFSCF:
                 t,
             )
 
-            # --- GENPOT: global Poisson + XC + mixing (slab-distributed
-            # through the executor when genpot_shards > 1).
+            # --- GENPOT: global Poisson + XC + mixing, on the driver.
             t0 = time.perf_counter()
             out = self.genpot.evaluate(density, v_in)
             density = out.density
@@ -836,11 +805,6 @@ class LS3DFSCF:
                 t.genpot_poisson = out.timings.poisson
                 t.genpot_xc = out.timings.xc
                 t.genpot_mix = out.timings.mix
-                t.genpot_driver = out.timings.driver
-                t.genpot_tasks = out.timings.task_times
-                t.genpot_sharded = out.timings.sharded
-                t.genpot_wait = out.timings.wait
-                t.layout_conversion = out.timings.layout_conversion
             timings.append(t)
 
             quantum_energy = float(

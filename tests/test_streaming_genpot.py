@@ -6,15 +6,15 @@
 * The streamed GENPOT evaluation is bit-identical (``==``, not allclose)
   to the *unsharded serial* evaluation across the serial / process /
   remote-socket backends, shard counts {1, 2, 3, nz} and the
-  kerker / linear / anderson mixers, including full SCF iterate
-  histories through :class:`repro.core.scf.LS3DFSCF`.
+  kerker / linear / anderson mixers.  (The SCF loop itself never
+  shards GENPOT: :class:`repro.core.scf.LS3DFSCF` runs it on the driver.)
 * An executor without the ``submit_global`` futures surface is refused
   at construction (``TypeError``), not silently routed elsewhere.
 * A worker killed mid-stream is resubmitted to the survivors (and a
   fallback executor drains the queue when no worker survives), with
   bit-identical results either way.
-* The stream accounting: occupancy in [0, 1], measured layout
-  conversion, and the pipeline reduce's wait/busy split.
+* The stream accounting: occupancy in [0, 1] and measured layout
+  conversion.
 """
 
 import numpy as np
@@ -23,7 +23,6 @@ import pytest
 from _loopback import cluster as _cluster
 from repro.atoms.toy import cscl_binary
 from repro.core.genpot import GlobalPotentialSolver
-from repro.core.scf import LS3DFSCF
 from repro.parallel.distributed import slab_bounds
 from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
 from repro.parallel.faults import FaultPlan
@@ -192,68 +191,6 @@ def test_streaming_timing_counters(grid, fields):
     # The unsharded path leaves the stream meters untouched.
     t_serial = _make_solver(grid, "kerker").evaluate(rho, v_in).timings
     assert t_serial.occupancy == 0.0 and t_serial.layout_conversion == 0.0
-
-
-# --- full SCF: sharded iterates == unsharded serial iterates ----------------------
-
-
-def _scf(executor=None, **kw) -> LS3DFSCF:
-    structure = cscl_binary((2, 1, 1), "Zn", "O", 6.0)
-    return LS3DFSCF(
-        structure,
-        grid_dims=(2, 1, 1),
-        ecut=2.2,
-        buffer_cells=0.5,
-        n_empty=2,
-        mixer="kerker",
-        executor=executor,
-        **kw,
-    )
-
-
-_RUN_KW = dict(
-    max_iterations=3,
-    potential_tolerance=1e-6,  # never met in 3 iterations: fixed work
-    eigensolver_tolerance=1e-4,
-    eigensolver_iterations=40,
-)
-
-
-def _assert_runs_equal(got, want):
-    assert got.convergence_history == want.convergence_history
-    assert got.energy_history == want.energy_history
-    np.testing.assert_array_equal(got.density, want.density)
-    np.testing.assert_array_equal(got.potential, want.potential)
-    assert got.total_energy == want.total_energy
-
-
-@pytest.fixture(scope="module")
-def scf_reference():
-    """Unsharded pipeline run on the serial backend."""
-    return _scf(SerialFragmentExecutor()).run(**_RUN_KW)
-
-
-def test_scf_streaming_bit_identical_serial(scf_reference):
-    scf = _scf(SerialFragmentExecutor(), genpot_shards=4)
-    result = scf.run(**_RUN_KW)
-    _assert_runs_equal(result, scf_reference)
-    t = result.timings[0]
-    assert t.genpot_sharded and not scf_reference.timings[0].genpot_sharded
-    assert 0.0 <= t.overlap_occupancy <= 1.0
-    assert t.layout_conversion > 0.0
-    assert scf_reference.timings[0].layout_conversion == 0.0
-
-
-def test_scf_streaming_bit_identical_process(scf_reference):
-    with ProcessPoolFragmentExecutor(n_workers=2) as executor:
-        result = _scf(executor, genpot_shards=4).run(**_RUN_KW)
-    _assert_runs_equal(result, scf_reference)
-
-
-def test_scf_streaming_bit_identical_remote(scf_reference):
-    with _cluster(2) as (executor, _):
-        result = _scf(executor, genpot_shards=4).run(**_RUN_KW)
-    _assert_runs_equal(result, scf_reference)
 
 
 # --- fault tolerance mid-stream ---------------------------------------------------

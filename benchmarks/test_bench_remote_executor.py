@@ -1,16 +1,13 @@
 """Remote-executor benchmark: dispatch latency and wire bytes.
 
-The ISSUE-7 multi-node backend pays a per-task round-trip over TCP; this
-benchmark measures what that costs and what the install channel buys
-back on a real (loopback) wire:
+The multi-node backend pays a per-task round-trip over TCP; this
+benchmark measures what that costs on a real (loopback) wire:
 
 * **dispatch latency** — median round-trip of a no-op ``ping`` frame,
   the floor under every remote task;
-* **install dedup** — bytes on the wire for a 2-iteration pipeline run
-  with the fingerprint install channel on vs. off.  With it on, the
-  global potential crosses once per worker per iteration instead of
-  once per *fragment*, so the shipped-bytes ratio grows with the
-  fragment count.
+* **pipeline bytes** — bytes on the wire for a 2-iteration run, where
+  every fused fragment task carries the iteration's global potential
+  inline (nothing is installed).
 
 Results land in ``benchmarks/results/remote_executor.json``.
 """
@@ -61,19 +58,20 @@ _CONFIG = dict(
 )
 
 
-def _remote_run(n_workers=2, **scf_kw):
+def _remote_run(n_workers=2):
     servers = [start_worker_thread() for _ in range(n_workers)]
     try:
         with RemoteExecutor(
             [s.address for s in servers], config=RemoteExecutorConfig(**_CONFIG)
         ) as executor:
-            scf = _tiny_scf(executor, **scf_kw)
+            scf = _tiny_scf(executor)
             result = scf.run(**_RUN_KW)
             stats = dict(
                 tasks=executor.tasks_submitted,
                 installs=executor.install_broadcasts,
                 bytes_sent=executor.bytes_sent,
                 bytes_received=executor.bytes_received,
+                nfragments=scf.nfragments,
             )
     finally:
         for server in servers:
@@ -98,18 +96,15 @@ def test_bench_remote_executor(results_dir):
         server.stop()
     latency_us = float(np.median(samples) * 1e6)
 
-    # -- install dedup: shipped bytes with the fingerprint channel on/off.
-    on_result, on = _remote_run()
-    off_result, off = _remote_run(install_potentials=False)
-    assert on_result.total_energy == off_result.total_energy  # same physics
-    assert on["installs"] > 0 and off["installs"] == 0
-    savings = 1.0 - on["bytes_sent"] / off["bytes_sent"]
+    # -- pipeline bytes: V_in rides inline in every fused task.
+    result, run = _remote_run()
+    assert run["installs"] == 0
+    assert run["tasks"] == run["nfragments"] * result.iterations
 
     rows = [
         {"metric": "ping round-trip (median, us)", "value": f"{latency_us:.0f}"},
-        {"metric": "pipeline bytes sent, install on", "value": f"{on['bytes_sent']:,}"},
-        {"metric": "pipeline bytes sent, install off", "value": f"{off['bytes_sent']:,}"},
-        {"metric": "wire savings from install dedup", "value": f"{100 * savings:.1f}%"},
+        {"metric": "pipeline bytes sent", "value": f"{run['bytes_sent']:,}"},
+        {"metric": "pipeline bytes received", "value": f"{run['bytes_received']:,}"},
     ]
     print()
     print(format_table(rows, ["metric", "value"]))
@@ -120,19 +115,12 @@ def test_bench_remote_executor(results_dir):
                 "remote_executor",
                 {
                     "ping_median_us": latency_us,
-                    "pipeline_bytes_sent_install_on": on["bytes_sent"],
-                    "pipeline_bytes_sent_install_off": off["bytes_sent"],
-                    "pipeline_bytes_received": on["bytes_received"],
-                    "install_broadcasts": on["installs"],
-                    "install_dedup_savings": savings,
-                    "tasks_submitted": on["tasks"],
+                    "pipeline_bytes_sent": run["bytes_sent"],
+                    "pipeline_bytes_received": run["bytes_received"],
+                    "install_broadcasts": run["installs"],
+                    "tasks_submitted": run["tasks"],
                 },
             )
         ],
         results_dir / "remote_executor.json",
     )
-
-    # Qualitative shape: dedup must actually shrink the wire traffic
-    # (even on this 4-fragment system, where the potential is small next
-    # to the per-task geometry; the ratio grows with fragment count).
-    assert savings > 0.05

@@ -72,11 +72,23 @@ class LS3DF(LS3DFSCF):
         loop's GENPOT always runs unsharded on the driver, so a positive
         int or None is accepted and not forwarded, and anything else
         raises ``ValueError``.
+    install_potentials:
+        Vestige kept for the benchmark harness, like ``pipeline``: every
+        fragment task carries the iteration's potential inline, so a bool
+        is accepted and not forwarded, and anything else raises
+        ``ValueError``.
     args, kwargs:
         Forwarded to :class:`repro.core.scf.LS3DFSCF`.
     """
 
-    def __init__(self, *args, pipeline: bool = True, genpot_shards: int | None = None, **kwargs) -> None:
+    def __init__(
+        self,
+        *args,
+        pipeline: bool = True,
+        genpot_shards: int | None = None,
+        install_potentials: bool = False,
+        **kwargs,
+    ) -> None:
         if pipeline is not True:
             raise ValueError(
                 f"pipeline={pipeline!r}: PR 18 removed the unfused per-fragment "
@@ -87,6 +99,12 @@ class LS3DF(LS3DFSCF):
                 f"genpot_shards={genpot_shards!r}: the SCF loop's GENPOT runs "
                 f"unsharded on the driver; the argument is ignored but must be "
                 f"a positive int or None"
+            )
+        if type(install_potentials) is not bool:
+            raise ValueError(
+                f"install_potentials={install_potentials!r}: fragment tasks always "
+                f"carry the potential inline; the argument is ignored but must be "
+                f"a bool"
             )
         super().__init__(*args, **kwargs)
 

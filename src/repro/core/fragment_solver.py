@@ -215,7 +215,6 @@ class FragmentSolver:
         eigensolver_tolerance: float = 1e-5,
         eigensolver_iterations: int = 60,
         initial_coefficients: np.ndarray | None = None,
-        global_potential_key: str | None = None,
     ) -> FragmentPipelineTask:
         """Fused Gen_VF -> PEtot_F -> Gen_dens task for one fragment.
 
@@ -227,11 +226,6 @@ class FragmentSolver:
         (:func:`repro.core.fragment_task.run_fragment_pipeline_task`).
         This is what :class:`repro.core.scf.LS3DFSCF` hands to its
         executor every outer iteration.
-
-        With ``global_potential_key`` set (the PR 6 install channel) the
-        task references the potential by fingerprint instead of carrying
-        the array — the caller must have installed ``global_potential``
-        under that key through the executor first.
         """
         if global_potential.shape != self.division.global_grid.shape:
             raise ValueError("global potential shape mismatch")
@@ -243,11 +237,10 @@ class FragmentSolver:
         box = self.division.fragment_box(fragment)
         return FragmentPipelineTask(
             task=task,
-            global_potential=None if global_potential_key else global_potential,
+            global_potential=global_potential,
             box_indices=self.division.global_indices(fragment, interior_only=False),
             interior_slice=box.interior_slice,
             passivation_potential=self.passivation_potential(fragment),
-            global_potential_key=global_potential_key,
         )
 
     # ------------------------------------------------------------------

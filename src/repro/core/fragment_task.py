@@ -39,7 +39,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -357,12 +357,13 @@ def clear_problem_cache() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Install-once potential channel (PR 6)
+# Install-once potential channel
 #
-# Band-parallel and pipeline execution used to re-pickle the same screening
-# (or global) potential into every slice of every stage of every task.  The
-# install channel breaks that: the driver installs a potential once per
-# worker under a content fingerprint, and tasks carry only the key.  Workers
+# A band-sliced solve would re-pickle its fragment's screening potential
+# into every slice of every stage.  The install channel breaks that: the
+# group root installs the potential once per worker under a content
+# fingerprint, and band-slice tasks carry only the key (fused pipeline tasks
+# always carry V_in inline).  Workers
 # resolve keys from a small per-process LRU; a worker that has never seen
 # the key raises :class:`PotentialNotInstalledError` and the executor
 # retries that one task with the payload attached — self-healing, no
@@ -450,34 +451,26 @@ def clear_installed_potentials() -> None:
         _INSTALLED_POTENTIALS.clear()
 
 
-def _resolve_potential(inline: np.ndarray | None, key: str | None) -> np.ndarray | None:
-    """Inline array or installed key; ``None`` when the task has neither.
+def resolve_screening_potential(task: FragmentTask) -> np.ndarray:
+    """The task's screening potential — inline array or installed key.
 
     A task that arrives with both is the executor's retry after a missed
     install: the payload is installed under its key on the way, so later
     key-only tasks in this worker resolve without another retry.
-    """
-    if inline is not None:
-        arr = np.asarray(inline)
-        if key is not None:
-            install_potential(key, arr)
-        return arr
-    if key is not None:
-        return fetch_potential(key)
-    return None
-
-
-def resolve_screening_potential(task: FragmentTask) -> np.ndarray:
-    """The task's screening potential — inline array or installed key.
 
     Raises :class:`PotentialNotInstalledError` when the task carries only
     a key this worker has not installed, and ``ValueError`` when it
     carries neither.
     """
-    v = _resolve_potential(task.screening_potential, task.screening_key)
-    if v is None:
+    key = task.screening_key
+    if task.screening_potential is not None:
+        arr = np.asarray(task.screening_potential)
+        if key is not None:
+            install_potential(key, arr)
+        return arr
+    if key is None:
         raise ValueError(f"task {task.label!r} has no screening potential")
-    return v
+    return fetch_potential(key)
 
 
 def solve_fragment_task(
@@ -567,10 +560,12 @@ class FragmentPipelineTask:
     per SCF iteration and no per-fragment loop left on the driver.
 
     IPC trade-off (process pools): each submission carries the *global*
-    potential (or its fingerprint key, with the install channel) instead
-    of a box-sized restriction; at the scales this reproduction runs a
-    driver-side restriction loop would cost more than the bytes.  The
-    production code avoids both by point-to-point isend/irecv of
+    potential inline instead of a box-sized restriction; at the scales
+    this reproduction runs a driver-side restriction loop would cost more
+    than the bytes.  On the golden ZnO 2x1x1 cell V_in is 16 KB, against
+    64 KB of passivation potential per 1x1x1 fragment: a first-iteration
+    1x1x1 task pickles to 83 KB, an unpassivated 2x1x1 one to 19 KB.
+    The production code avoids both by point-to-point isend/irecv of
     box-sized pieces.
 
     Attributes
@@ -580,9 +575,7 @@ class FragmentPipelineTask:
         ``None``; the worker assembles it from ``global_potential`` and
         ``passivation_potential``.
     global_potential:
-        The global input potential V_in of this iteration, or ``None``
-        when the potential was installed once per worker and
-        ``global_potential_key`` references it instead.
+        The global input potential V_in of this iteration.
     box_indices:
         Per-axis global-grid index arrays (periodically wrapped) of the
         full fragment box — the Gen_VF gather map.
@@ -592,18 +585,13 @@ class FragmentPipelineTask:
     passivation_potential:
         The fixed passivation correction Delta V_F (subtracted from the
         restricted potential), or ``None`` for unpassivated fragments.
-    global_potential_key:
-        Install-channel fingerprint of V_in (see
-        :func:`install_potential`); workers resolve it with
-        :func:`fetch_potential` when ``global_potential`` is ``None``.
     """
 
     task: FragmentTask
-    global_potential: np.ndarray | None
+    global_potential: np.ndarray
     box_indices: tuple[np.ndarray, np.ndarray, np.ndarray]
     interior_slice: tuple[slice, slice, slice]
     passivation_potential: np.ndarray | None = None
-    global_potential_key: str | None = None
 
     @property
     def label(self) -> str:
@@ -613,39 +601,6 @@ class FragmentPipelineTask:
     def cost(self) -> float:
         """Relative cost for load balancing (the solve dominates)."""
         return self.task.cost()
-
-    def with_potential_payload(
-        self, key: str, payload: np.ndarray
-    ) -> "FragmentPipelineTask":
-        """Copy of this task with the installed potential attached inline.
-
-        The executor's retry path: a worker that raised
-        :class:`PotentialNotInstalledError` for ``key`` gets the task
-        back with the actual array riding along.  Returns ``self``
-        unchanged when the key does not match (or the array is already
-        inline).
-        """
-        if self.global_potential_key != key or self.global_potential is not None:
-            return self
-        return replace(self, global_potential=payload)
-
-
-def resolve_global_potential(pipeline_task: FragmentPipelineTask) -> np.ndarray:
-    """The pipeline task's global potential — inline array or installed key.
-
-    Raises :class:`PotentialNotInstalledError` when the task carries only
-    a key this worker has not installed, and ``ValueError`` when it
-    carries neither.
-    """
-    v = _resolve_potential(
-        pipeline_task.global_potential, pipeline_task.global_potential_key
-    )
-    if v is None:
-        raise ValueError(
-            f"pipeline task {pipeline_task.label!r} has neither a global "
-            "potential nor an installed-potential key"
-        )
-    return v
 
 
 def run_fragment_pipeline_task(
@@ -690,9 +645,8 @@ def run_fragment_pipeline_task(
     """
     t0 = time.perf_counter()
     ix, iy, iz = pipeline_task.box_indices
-    global_potential = resolve_global_potential(pipeline_task)
     # Advanced indexing already yields a fresh array — no copy needed.
-    v_screen = global_potential[np.ix_(ix, iy, iz)]
+    v_screen = pipeline_task.global_potential[np.ix_(ix, iy, iz)]
     if pipeline_task.passivation_potential is not None:
         v_screen = v_screen - pipeline_task.passivation_potential
     task = pipeline_task.task
@@ -712,16 +666,13 @@ def run_fragment_pipeline_task_grouped(
     pipeline_task: FragmentPipelineTask,
     executor,
     band_slices: int,
-    install_potentials: bool = True,
     root_lock=None,
 ):
     """One fused fragment pipeline with its solve sliced over ``executor``.
 
     Builds the fragment's :class:`repro.parallel.bands.BandGroup`
-    (``band_slices`` slices on ``executor``; ``install_potentials`` picks
-    keyed or inline shipping of the screening potential, bit-identical
-    either way; ``root_lock`` is the lock the band-grouped drain's roots
-    share) and runs :func:`run_fragment_pipeline_task` with it — what
+    (``band_slices`` slices on ``executor``; ``root_lock`` is the lock the
+    band-grouped drain's roots share) and runs :func:`run_fragment_pipeline_task` with it — what
     the band-grouped SCF iteration calls once per fragment.
 
     Returns
@@ -733,7 +684,7 @@ def run_fragment_pipeline_task_grouped(
     # Imported here: repro.parallel.bands imports this module at its top.
     from repro.parallel.bands import BandGroup
 
-    group = BandGroup(executor, band_slices, install_potentials, root_lock)
+    group = BandGroup(executor, band_slices, root_lock)
     result = run_fragment_pipeline_task(pipeline_task, group=group)
     return result, group.stats
 

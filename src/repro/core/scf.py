@@ -55,7 +55,6 @@ from repro.core.fragment_solver import FragmentSolver
 from repro.core.fragment_task import (
     FragmentExecutor,
     FragmentTaskResult,
-    potential_fingerprint,
     run_fragment_pipeline_task_grouped,
 )
 from repro.core.fragments import Fragment, enumerate_fragments
@@ -391,12 +390,11 @@ class LS3DFSCF:
         :mod:`repro.parallel.executor`).  A resume re-solves the killed
         iteration from the end-of-iteration checkpoint, as on the
         ungrouped side.
-    install_potentials:
-        Install each iteration's global input potential once per worker
-        through the executor's install channel and ship fragment (and
-        band-slice) tasks with a fingerprint key instead of the array.
-        Bit-identical on or off; silently falls back to inline
-        shipping when the executor lacks ``install_state``.
+
+    Every fragment task carries the iteration's global input potential
+    inline: there is one way to ship V_in.  Only band slices install
+    their fragment's screening potential once per worker
+    (:class:`repro.parallel.bands.BandGroup`).
     """
 
     def __init__(
@@ -412,7 +410,6 @@ class LS3DFSCF:
         points_per_bohr: float | None = None,
         executor: FragmentExecutor | None = None,
         band_groups: int | None = None,
-        install_potentials: bool = True,
     ) -> None:
         self.structure = structure
         self.grid_dims = tuple(int(m) for m in grid_dims)
@@ -456,7 +453,6 @@ class LS3DFSCF:
                     f"band_groups=None"
                 )
         self.executor = executor
-        self.install_potentials = bool(install_potentials)
         # Warm-start wavefunctions per fragment label: filled from every
         # iteration's results whichever backend solved them, and the
         # per-fragment half of a full checkpoint.
@@ -473,18 +469,8 @@ class LS3DFSCF:
         eigensolver_tolerance: float,
         eigensolver_iterations: int,
     ) -> list:
-        """One fused pipeline task per fragment (the driver's Gen_VF residue).
-
-        With ``install_potentials`` (and an executor exposing
-        ``install_state``) the iteration's V_in is installed once per
-        worker and the tasks carry only its fingerprint key — the
-        restriction then reads the exact installed bytes, so results are
-        bit-identical to inline shipping.
-        """
-        potential_key = None
-        if self.install_potentials and hasattr(self.executor, "install_state"):
-            potential_key = potential_fingerprint(v_in)
-            self.executor.install_state(potential_key, v_in)
+        """One fused pipeline task per fragment (the driver's Gen_VF residue),
+        each carrying ``v_in`` inline."""
         return [
             self.fragment_solver.make_pipeline_task(
                 f,
@@ -492,7 +478,6 @@ class LS3DFSCF:
                 eigensolver_tolerance=eigensolver_tolerance,
                 eigensolver_iterations=eigensolver_iterations,
                 initial_coefficients=self.state_cache.get(f.label),
-                global_potential_key=potential_key,
             )
             for f in self.fragments
         ]
@@ -633,7 +618,6 @@ class LS3DFSCF:
                         tasks[idx],
                         self.executor,
                         self.band_groups,
-                        install_potentials=self.install_potentials,
                         root_lock=root_lock,
                     )
                     with lock:

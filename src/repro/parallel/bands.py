@@ -342,11 +342,6 @@ class BandGroup:
     nslices:
         Number of band slices — the local analogue of the paper's Np
         cores per fragment group.
-    install:
-        Install the screening potential once per worker through
-        ``executor.install_state`` and strip the array from the shipped
-        template; falls back to inline shipping when the executor lacks
-        an install channel.  Bit-identical either way.
     root_lock:
         Lock the roots of the band-grouped drain share
         (:meth:`repro.core.scf.LS3DFSCF._drain_band_groups`); the solve
@@ -361,7 +356,6 @@ class BandGroup:
         self,
         executor: BandGroupExecutor,
         nslices: int,
-        install: bool = True,
         root_lock: threading.Lock | None = None,
     ) -> None:
         if nslices < 1:
@@ -373,7 +367,6 @@ class BandGroup:
             )
         self.executor = executor
         self.nslices = int(nslices)
-        self.install = bool(install) and hasattr(executor, "install_state")
         self.root_lock = root_lock or threading.Lock()
         self.template: FragmentTask | None = None
         self.stats = BandGroupStats(nslices=self.nslices)
@@ -390,7 +383,7 @@ class BandGroup:
         # the band kernel never reads it, and it is the largest field after
         # the screening potential, which the install channel strips next.
         template = replace(task, initial_coefficients=None)
-        if self.install and template.screening_potential is not None:
+        if hasattr(self.executor, "install_state") and template.screening_potential is not None:
             v = np.asarray(template.screening_potential)
             key = potential_fingerprint(v)
             self.executor.install_state(key, v)

@@ -564,7 +564,7 @@ class _WorkerBackend(_Backend):
         """At most one ``install`` frame per key and worker.
 
         The per-worker ``installed_keys`` set is the dedup that keeps
-        repeated installs of one iteration's potential off the wire; a
+        repeated installs of one screening potential off the wire; a
         busy worker gets its frame after its current task, so none misses.
         """
         for handle in self._live_handles():
@@ -683,7 +683,7 @@ class _WorkerBackend(_Backend):
                 reply = handle.request({**request, "task": healed})
                 if reply.get("ok"):
                     # The worker installed the payload that rode in with its
-                    # key (fragment_task._resolve_potential): later key-only
+                    # key (fragment_task.resolve_screening_potential): later key-only
                     # tasks there resolve, and install_state need not resend.
                     handle.installed_keys.add(key)
         if reply.get("ok"):

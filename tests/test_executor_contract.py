@@ -11,6 +11,7 @@ protocol), through public names only.
 """
 
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -21,11 +22,11 @@ from repro.core.fragment_task import (
     FragmentTask,
     PotentialNotInstalledError,
     clear_installed_potentials,
-    potential_fingerprint,
-    run_fragment_pipeline_task,
+    get_task_problem,
     solve_fragment_task,
 )
 from repro.core.scf import LS3DFSCF
+from repro.parallel.bands import BandBlockTask, BandGroup, band_slices, run_band_block_task
 from repro.parallel.distributed import GlobalStepTask, run_global_step_task
 from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
 from repro.parallel.remote import RemoteTaskError
@@ -88,36 +89,53 @@ def _fragment_task(label: str) -> FragmentTask:
 
 
 @pytest.fixture(scope="module")
-def scf_tasks():
-    """``(key, potential, keyed, inline)``: one SCF's pipeline task per
-    fragment, shipped by install key only and with the potential inline."""
+def slice_tasks():
+    """``(key, potential, keyed, inline)``: the two band slices of one
+    H·psi stage, shipped by install key only (the template
+    ``BandGroup.bind`` builds) and with the screening potential inline."""
+    task = _fragment_task("sliced")
+    v = np.asarray(task.screening_potential)
+    try:
+        template = BandGroup(SerialFragmentExecutor(), 2).bind(task).template
+    finally:
+        clear_installed_potentials()
+    key = template.screening_key
+    inline_template = dataclasses.replace(template, screening_potential=v, screening_key=None)
+    x = get_task_problem(task).hamiltonian.basis.random_coefficients(4, np.random.default_rng(2))
+    slices = band_slices(4, 2)
+    keyed = [BandBlockTask(bands=s, template=template, block=x[s.lo : s.hi]) for s in slices]
+    inline = [BandBlockTask(bands=s, template=inline_template, block=x[s.lo : s.hi]) for s in slices]
+    return key, v, keyed, inline
+
+
+@pytest.fixture(scope="module")
+def keyed_pair(slice_tasks):
+    """``(key, potential, [keyed task, inline task], reference results)``:
+    two band slices of one stage, the first shipped by install key only."""
+    key, v, keyed, inline = slice_tasks
+    reference = [run_band_block_task(t) for t in inline]
+    return key, v, [keyed[0], inline[1]], reference
+
+
+@pytest.fixture(scope="module")
+def busy_tasks():
+    """Two fused pipeline tasks of one SCF, to keep both workers busy."""
     structure = cscl_binary((2, 1, 1), "Zn", "O", 6.0)
     scf = LS3DFSCF(
         structure, grid_dims=(2, 1, 1), ecut=2.2, buffer_cells=0.5,
         n_empty=2, mixer="kerker",
     )
     v_in = scf.genpot.initial_potential()
-    key = potential_fingerprint(v_in)
-    kw = dict(eigensolver_tolerance=1e-4, eigensolver_iterations=40)
-    make = scf.fragment_solver.make_pipeline_task
-    keyed = [make(f, v_in, global_potential_key=key, **kw) for f in scf.fragments]
-    inline = [make(f, v_in, **kw) for f in scf.fragments]
-    return key, v_in, keyed, inline
+    return [
+        scf.fragment_solver.make_pipeline_task(
+            f, v_in, eigensolver_tolerance=1e-4, eigensolver_iterations=40)
+        for f in scf.fragments[:2]
+    ]
 
 
-@pytest.fixture(scope="module")
-def keyed_pair(scf_tasks):
-    """``(key, potential, [keyed task, inline task], reference results)``:
-    two fragments of one SCF, the first shipped by install key only."""
-    key, v_in, keyed, inline = scf_tasks
-    reference = [run_fragment_pipeline_task(t) for t in inline[:2]]
-    return key, v_in, [keyed[0], inline[1]], reference
-
-
-def _assert_pipeline_equal(got, want):
+def _assert_slices_equal(got, want):
     for g, w in zip(got, want, strict=True):
-        np.testing.assert_array_equal(g.contribution, w.contribution)
-        np.testing.assert_array_equal(g.density, w.density)
+        np.testing.assert_array_equal(g.data, w.data)
 
 
 @pytest.mark.parametrize("name", BACKENDS)
@@ -162,17 +180,16 @@ def test_missed_install_heals_with_one_extra_submission(name, keyed_pair):
     once with the driver's payload attached — same bits, exactly one
     extra physical submission — and the worker that healed keeps the
     payload, so the next install of the key reaches only the other one."""
-    key, v_in, tasks, reference = keyed_pair
+    key, v, tasks, reference = keyed_pair
     with _backend(name) as ex:
-        ex.install_state(key, v_in)
-        ex.install_state(key, v_in)  # a known key is a no-op
+        ex.install_state(key, v)
+        ex.install_state(key, v)  # a known key is a no-op
         assert ex.install_broadcasts == 2
         _forget(ex)
-        futures = ex.submit_pipeline_batch(tasks)
-        _assert_pipeline_equal([f.result() for f in futures], reference)
+        _assert_slices_equal(ex.run_bands(tasks).results, reference)
         assert ex.tasks_submitted == 2
         assert ex.pool_submissions == 3
-        ex.install_state(key, v_in)
+        ex.install_state(key, v)
         assert ex.install_broadcasts == 3
 
 
@@ -181,28 +198,30 @@ def test_close_forgets_what_the_workers_hold(name, keyed_pair):
     """After ``close`` the driver cannot know a worker still holds a key —
     a pool forks new ones, a remote worker may have restarted — so the
     next install of it reaches every worker again."""
-    key, v_in, _, _ = keyed_pair
+    key, v, _, _ = keyed_pair
     with _backend(name) as ex:
-        ex.install_state(key, v_in)
+        ex.install_state(key, v)
         ex.close()
-        ex.install_state(key, v_in)
+        ex.install_state(key, v)
         assert ex.install_broadcasts == 4
 
 
 @pytest.mark.parametrize("name", WORKERS)
-def test_an_install_reaches_every_busy_worker_exactly_once(name, scf_tasks):
+def test_an_install_reaches_every_busy_worker_exactly_once(name, slice_tasks, busy_tasks):
     """Both workers are mid-task when the install comes: each still gets
     it once, on its own connection after its current task, so the keyed
     batch behind it needs no heal."""
-    key, v_in, keyed, inline = scf_tasks
+    key, v, keyed, inline = slice_tasks
+    reference = [run_band_block_task(t) for t in inline]
     with _backend(name) as ex:
-        busy = ex.submit_pipeline_batch(inline[:2])
-        ex.install_state(key, v_in)
-        futures = ex.submit_pipeline_batch(keyed)
-        results = [f.result(timeout=120) for f in busy + futures]
+        busy = ex.submit_pipeline_batch(busy_tasks)
+        ex.install_state(key, v)
+        results = ex.run_bands(keyed).results
+        for future in busy:
+            future.result(timeout=120)
         assert ex.install_broadcasts == ex.n_workers == 2
-        assert ex.pool_submissions == ex.tasks_submitted == 2 + len(keyed)
-        _assert_pipeline_equal(results[2:4], results[:2])
+        assert ex.pool_submissions == ex.tasks_submitted == len(busy_tasks) + len(keyed)
+        _assert_slices_equal(results, reference)
 
 
 @pytest.mark.parametrize("name", BACKENDS)
@@ -212,7 +231,7 @@ def test_miss_of_a_key_the_driver_does_not_hold_propagates(name, keyed_pair):
     clear_installed_potentials()
     with _backend(name) as ex:
         with pytest.raises((PotentialNotInstalledError, RemoteTaskError)) as err:
-            ex.run_pipeline(tasks)
+            ex.run_bands(tasks)
         assert "PotentialNotInstalledError" in (
             type(err.value).__name__, getattr(err.value, "error_type", "")
         )

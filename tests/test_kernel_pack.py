@@ -9,16 +9,16 @@ the plain computation it replaces:
 * the blocked fixed-shape nonlocal kernel
   (:meth:`repro.pw.hamiltonian.Hamiltonian.add_nonlocal`) and the BLAS
   GEMM content-independence property that makes it row-slice stable;
-* the install-once potential channel (fingerprint-keyed worker state plus
-  the executor's resubmit-with-payload self-healing).
+* the install-once potential channel of band slices (fingerprint-keyed
+  worker state plus the executor's resubmit-with-payload self-healing).
 
 Plus the satellite regressions: grid-level memoisation cache hits, the
 Gen_dens accumulator-reuse byte-identity and allocation bounds, and the
-end-to-end backend x knob equivalence matrix through LS3DFSCF.
+end-to-end backend equivalence matrix through LS3DFSCF, where every
+fragment task carries its potential inline.
 """
 
 import functools
-import pickle
 
 import numpy as np
 import pytest
@@ -38,7 +38,6 @@ from repro.core.fragment_task import (
     install_potential,
     installed_potential_count,
     potential_fingerprint,
-    run_fragment_pipeline_task,
     solve_fragment_task,
 )
 from repro.core.patching import (
@@ -47,8 +46,9 @@ from repro.core.patching import (
     reset_reduce_stats,
     tree_reduce_fields,
 )
+from repro.core.driver import LS3DF
 from repro.core.scf import LS3DFSCF
-from repro.parallel.bands import BandGroup
+from repro.parallel.bands import BandBlockTask, BandGroup, band_slices, run_band_block_task
 from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
 from repro.pw import fftcache
 from repro.pw.grid import FFTGrid, clear_grid_memo, grid_memo_stats
@@ -77,9 +77,9 @@ def _make_task(label="frag") -> FragmentTask:
     )
 
 
-def _tiny_scf(executor=None, **kwargs) -> LS3DFSCF:
+def _tiny_scf(executor=None, cls=LS3DFSCF, **kwargs) -> LS3DFSCF:
     structure = cscl_binary((2, 1, 1), "Zn", "O", 6.0)
-    return LS3DFSCF(
+    return cls(
         structure,
         grid_dims=(2, 1, 1),
         ecut=2.2,
@@ -407,37 +407,28 @@ def test_install_state_reinstalls_a_key_the_process_store_evicted():
         clear_installed_potentials()
 
 
-def test_keyed_submission_ships_without_the_global_potential():
-    """What the install channel saves per pipeline submission: a keyed
-    task pickles smaller than an inline one by (most of) the potential."""
-    scf = _tiny_scf()
-    v_in = scf.genpot.initial_potential()
-    inline = scf.fragment_solver.make_pipeline_task(scf.fragments[0], v_in)
-    keyed = scf.fragment_solver.make_pipeline_task(
-        scf.fragments[0], v_in, global_potential_key=potential_fingerprint(v_in)
-    )
-    saved = len(pickle.dumps(inline)) - len(pickle.dumps(keyed))
-    assert 0.5 * v_in.nbytes < saved <= v_in.nbytes + 512
-
-
 def test_task_with_key_and_payload_installs_it_in_the_worker():
-    """The retry's inline payload stays behind: later key-only tasks in
-    that worker resolve without another retry."""
-    scf = _tiny_scf()
-    v_in = scf.genpot.initial_potential()
-    key = potential_fingerprint(v_in)
-    keyed = scf.fragment_solver.make_pipeline_task(
-        scf.fragments[0], v_in, eigensolver_tolerance=1e-4,
-        eigensolver_iterations=40, global_potential_key=key,
-    )
+    """The retry's inline payload stays behind: later key-only band-slice
+    tasks in that worker resolve without another retry."""
+    task = _make_task("keyed-slice")
+    v = np.asarray(task.screening_potential)
     clear_installed_potentials()
     try:
+        template = BandGroup(SerialFragmentExecutor(), 2).bind(task).template
+        key = template.screening_key
+        assert key == potential_fingerprint(v)
+        assert template.screening_potential is None  # shipped by key only
+        h = get_task_problem(task).hamiltonian
+        x = h.basis.random_coefficients(4, np.random.default_rng(3))
+        s = band_slices(4, 2)[0]
+        keyed = BandBlockTask(bands=s, template=template, block=x[s.lo : s.hi])
+        clear_installed_potentials()
         with pytest.raises(PotentialNotInstalledError):
-            run_fragment_pipeline_task(keyed)
-        healed = run_fragment_pipeline_task(keyed.with_potential_payload(key, v_in))
-        np.testing.assert_array_equal(fetch_potential(key), v_in)
-        again = run_fragment_pipeline_task(keyed)  # key-only now resolves
-        np.testing.assert_array_equal(again.contribution, healed.contribution)
+            run_band_block_task(keyed)
+        healed = run_band_block_task(keyed.with_potential_payload(key, v))
+        np.testing.assert_array_equal(fetch_potential(key), v)
+        again = run_band_block_task(keyed)  # key-only now resolves
+        np.testing.assert_array_equal(again.data, healed.data)
     finally:
         clear_installed_potentials()
 
@@ -482,45 +473,34 @@ def test_patch_contributions_recycles_accumulators():
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: backend x knob equivalence matrix
+# End-to-end: backend equivalence matrix
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def knob_matrix():
+def backend_matrix():
+    """One run per backend.  Each ships V_in inline in every fragment task:
+    nothing is installed, and every iteration submits one task per fragment."""
     runs = {}
-    runs["serial-off"] = _tiny_scf(
-        executor=SerialFragmentExecutor(), install_potentials=False
-    ).run(**_RUN_KW)
-    runs["serial-on"] = _tiny_scf(executor=SerialFragmentExecutor()).run(
-        **_RUN_KW
-    )
-    with ProcessPoolFragmentExecutor(2) as ex:
-        runs["processes-on"] = _tiny_scf(executor=ex).run(**_RUN_KW)
-        assert ex.install_broadcasts > 0  # the install fan-out really ran
-    with remote_executor(2) as ex:
-        runs["remote-on"] = _tiny_scf(executor=ex).run(**_RUN_KW)
-        # The fingerprint install channel crossed the wire, once per
-        # worker per iteration, instead of riding along in each task.
-        assert ex.install_broadcasts > 0
-        assert ex.workers_lost == 0 and ex.degraded_tasks == 0
-        submitted = ex.tasks_submitted
-    with remote_executor(2) as ex:
-        runs["remote-off"] = _tiny_scf(
-            executor=ex, install_potentials=False
-        ).run(**_RUN_KW)
-        # Logical accounting is knob-invariant: one task per fragment per
-        # iteration, keyed or inline.
-        assert ex.tasks_submitted == submitted
-        assert ex.install_broadcasts == 0
+    for name, make in [
+        ("serial", SerialFragmentExecutor),
+        ("processes", functools.partial(ProcessPoolFragmentExecutor, 2)),
+        ("remote", functools.partial(remote_executor, 2)),
+    ]:
+        with make() as ex:
+            scf = _tiny_scf(executor=ex)
+            runs[name] = result = scf.run(**_RUN_KW)
+            assert ex.install_broadcasts == 0, name
+            assert ex.tasks_submitted == scf.nfragments * result.iterations, name
+            if name == "remote":
+                assert ex.workers_lost == 0 and ex.degraded_tasks == 0
     return runs
 
 
-def test_knob_matrix_bit_identical(knob_matrix):
-    """Every backend, with every optimisation on or off, lands on the
-    same bits."""
-    ref = knob_matrix["serial-off"]
-    for name, result in knob_matrix.items():
+def test_backend_matrix_bit_identical(backend_matrix):
+    """Every backend lands on the same bits."""
+    ref = backend_matrix["serial"]
+    for name, result in backend_matrix.items():
         np.testing.assert_array_equal(
             result.density, ref.density, err_msg=name
         )
@@ -528,3 +508,23 @@ def test_knob_matrix_bit_identical(knob_matrix):
             result.potential, ref.potential, err_msg=name
         )
         assert result.total_energy == ref.total_energy, name
+
+
+def test_install_potentials_is_an_ignored_vestige(backend_matrix):
+    """``LS3DF(install_potentials=)`` survives for the benchmark harness
+    only: a pool run passing it installs nothing and is ``==`` serial,
+    ``LS3DFSCF`` has no such parameter, and ``LS3DF`` takes only a bool."""
+    ref = backend_matrix["serial"]
+    with ProcessPoolFragmentExecutor(2) as ex:
+        result = _tiny_scf(executor=ex, cls=LS3DF, install_potentials=False).run(**_RUN_KW)
+        assert ex.install_broadcasts == 0
+    np.testing.assert_array_equal(result.density, ref.density)
+    np.testing.assert_array_equal(result.potential, ref.potential)
+    assert result.total_energy == ref.total_energy
+    assert result.convergence_history == ref.convergence_history
+    assert result.energy_history == ref.energy_history
+    with pytest.raises(TypeError, match="install_potentials"):
+        _tiny_scf(install_potentials=True)
+    for bad in ("no", 1):
+        with pytest.raises(ValueError, match="install_potentials"):
+            _tiny_scf(cls=LS3DF, install_potentials=bad)

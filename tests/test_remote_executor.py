@@ -47,12 +47,12 @@ from repro.core.fragment_task import (
     FragmentTask,
     clear_installed_potentials,
     fetch_potential,
+    get_task_problem,
     potential_fingerprint,
-    run_fragment_pipeline_task,
     solve_fragment_task,
 )
 from repro.core.scf import LS3DFSCF
-from repro.parallel.bands import BandGroup
+from repro.parallel.bands import BandBlockTask, BandGroup, band_slices, run_band_block_task
 from repro.parallel.executor import SerialFragmentExecutor
 from repro.parallel.faults import FaultPlan
 from repro.parallel.remote import (
@@ -479,49 +479,47 @@ def test_install_dedup_keeps_repeats_off_the_wire():
 
 
 def test_missed_install_heals_with_payload_then_reinstalls():
-    """A worker that never saw the install answers with the typed miss;
-    the driver resubmits once with the payload inline (bit-identical
-    result) and the worker keeps that payload under its key, so the heal
-    happens once and the potential crosses the wire once per heal."""
-    scf = _tiny_scf()
-    v_in = scf.genpot.initial_potential()
-    key = potential_fingerprint(v_in)
-    keyed = scf.fragment_solver.make_pipeline_task(
-        scf.fragments[0], v_in, eigensolver_tolerance=1e-4,
-        eigensolver_iterations=40, global_potential_key=key)
-    inline = scf.fragment_solver.make_pipeline_task(
-        scf.fragments[0], v_in, eigensolver_tolerance=1e-4,
-        eigensolver_iterations=40)
-    reference = run_fragment_pipeline_task(inline)
+    """A worker that never saw the install answers a keyed band-slice
+    task with the typed miss; the driver resubmits once with the payload
+    inline (bit-identical result) and the worker keeps that payload under
+    its key, so the heal happens once and the potential crosses the wire
+    once per heal."""
+    task = _make_task("heal")
+    v = np.asarray(task.screening_potential)
+    key = potential_fingerprint(v)
     try:
+        template = BandGroup(SerialFragmentExecutor(), 1).bind(task).template
+        x = get_task_problem(task).hamiltonian.basis.random_coefficients(
+            2, np.random.default_rng(4))
+        keyed = BandBlockTask(bands=band_slices(2, 1)[0], template=template, block=x)
+        reference = run_band_block_task(dataclasses.replace(keyed, template=task))
+        clear_installed_potentials()
         with _cluster(1) as (executor, _):
-            executor.install_state(key, v_in)
+            executor.install_state(key, v)
             clear_installed_potentials()  # simulate worker amnesia
             sent = [executor.bytes_sent]
-            report = executor.run_pipeline([keyed])
+            report = executor.run_bands([keyed])
             sent.append(executor.bytes_sent)
-            np.testing.assert_array_equal(
-                report.results[0].contribution, reference.contribution)
+            np.testing.assert_array_equal(report.results[0].data, reference.data)
             assert executor.tasks_submitted == 1
             assert executor.pool_submissions == 2  # one heal retry
             assert executor.install_broadcasts == 1  # no install frame after it
             # The retry's payload restocked the worker store ...
-            np.testing.assert_array_equal(fetch_potential(key), v_in)
+            np.testing.assert_array_equal(fetch_potential(key), v)
             # ... so a second key-only task there needs no further heal, and
             # a repeated install_state of the key sends nothing.
-            again = executor.run_pipeline([keyed])
+            again = executor.run_bands([keyed])
             sent.append(executor.bytes_sent)
-            np.testing.assert_array_equal(
-                again.results[0].contribution, reference.contribution)
+            np.testing.assert_array_equal(again.results[0].data, reference.data)
             assert executor.pool_submissions == 3
-            executor.install_state(key, v_in)
+            executor.install_state(key, v)
             assert executor.install_broadcasts == 1
             assert executor.bytes_sent == sent[2]
             # One payload crossed the wire for the heal: the healed batch is
             # two task frames (miss, retry) plus the potential, once.
             task_frame = sent[2] - sent[1]
             extra = (sent[1] - sent[0]) - 2 * task_frame
-            assert v_in.nbytes <= extra < 1.5 * v_in.nbytes
+            assert v.nbytes <= extra < 1.5 * v.nbytes
     finally:
         clear_installed_potentials()
 
@@ -635,8 +633,8 @@ def test_remote_scf_accounting(remote_scf_runs):
     result, stats = remote_scf_runs["pipeline"]
     # One submission per fragment per iteration, like every backend.
     assert stats["tasks"] == stats["nfragments"] * result.iterations
-    # One install per worker per iteration potential (dedup holds).
-    assert stats["installs"] == 2 * result.iterations
+    # V_in rides inline in every fused task: nothing is installed.
+    assert stats["installs"] == 0
     assert stats["sent"] > 0 and stats["received"] > 0
     # Band-grouped: one submission per band-task batch, `slices` each.
     bands_result, bands_stats = remote_scf_runs["bands"]
@@ -859,7 +857,7 @@ def test_remote_subprocess_workers_match_golden_systems(name):
             remote = build(executor).run(**PROTOCOL["run"])
             assert executor.workers_lost == 0
             assert executor.degraded_tasks == 0
-            assert executor.install_broadcasts > 0
+            assert executor.install_broadcasts == 0  # V_in rides inline
             assert executor.bytes_sent > 0
     np.testing.assert_array_equal(remote.density, serial.density)
     np.testing.assert_array_equal(remote.potential, serial.potential)

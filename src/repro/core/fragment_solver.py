@@ -29,8 +29,7 @@ from repro.core.fragment_task import (
     FragmentPipelineTask,
     FragmentTask,
     TaskProblem,
-    build_task_problem,
-    seed_task_problem,
+    get_task_problem,
 )
 from repro.core.fragments import Fragment
 from repro.core.passivation import PassivationResult, passivate_fragment
@@ -56,11 +55,12 @@ class FragmentSolver:
     Every fragment is passivated with partially charged pseudo-hydrogens
     (H_cation / H_anion) and solved by the all-band CG, as in the paper.
 
-    The static problem of each fragment is built once and kept per label
-    — the paper's "store everything in the LS3DF global module" — as the
-    same :class:`~repro.core.fragment_task.TaskProblem` every backend's
-    kernel uses, with the fragment's passivation result in
-    :attr:`passivations` and its cached Delta V_F beside it.
+    The static problem of each fragment is built once per process — the
+    paper's "store everything in the LS3DF global module" — in the one
+    problem cache every backend's kernel uses
+    (:func:`~repro.core.fragment_task.get_task_problem`); this solver keeps
+    only the fragment's passivation result in :attr:`passivations` and its
+    cached Delta V_F beside it.
     """
 
     def __init__(
@@ -81,28 +81,18 @@ class FragmentSolver:
         h.update(np.float64(self.ecut).tobytes())
         h.update(np.int64(self.n_empty).tobytes())
         self.problem_signature = h.hexdigest()
-        self._problems: dict[str, TaskProblem] = {}
         self.passivations: dict[str, PassivationResult] = {}
         self._passivation_potentials: dict[str, np.ndarray | None] = {}
 
     # ------------------------------------------------------------------
     def build_problem(self, fragment: Fragment) -> TaskProblem:
-        """Construct (or fetch the cached) static problem of one fragment."""
-        key = fragment.label
-        if key not in self._problems:
-            passivation = passivate_fragment(self.division, fragment)
-            grid = self.division.fragment_grid(fragment)
-            # The basis/Hamiltonian/occupations construction is the shared
-            # kernel's — one build path for this solver and the pool workers.
-            task = self._static_task(fragment, passivation.structure, grid)
-            self._problems[key] = build_task_problem(task)
-            self.passivations[key] = passivation
-        # Seed the per-process cache on every call, so in-process kernels (the
-        # serial backend, loopback workers) reuse this Hamiltonian even after
-        # another solver moved the cache to its own run; pool workers forked
-        # at first use inherit the seeded cache copy-on-write.
-        seed_task_problem(self._problems[key], self.problem_signature)
-        return self._problems[key]
+        """The static problem of one fragment, from the per-process cache
+        (built there on first use; pool workers forked later inherit it)."""
+        passivation = self.passivations.get(fragment.label)
+        if passivation is None:
+            passivation = self.passivations[fragment.label] = passivate_fragment(self.division, fragment)
+        grid = self.division.fragment_grid(fragment)
+        return get_task_problem(self._static_task(fragment, passivation.structure, grid))
 
     def _static_task(
         self,
@@ -242,8 +232,3 @@ class FragmentSolver:
             interior_slice=box.interior_slice,
             passivation_potential=self.passivation_potential(fragment),
         )
-
-    # ------------------------------------------------------------------
-    def problems(self) -> dict[str, TaskProblem]:
-        """All fragment problems built so far, keyed by fragment label."""
-        return dict(self._problems)

@@ -48,7 +48,7 @@ from repro.atoms.structure import Structure
 from repro.pw.basis import PlaneWaveBasis
 from repro.pw.density import compute_density, occupations_for_insulator
 from repro.pw.eigensolver import all_band_cg
-from repro.pw.grid import FFTGrid, clear_grid_memo
+from repro.pw.grid import FFTGrid
 from repro.pw.hamiltonian import Hamiltonian
 from repro.pw.pseudopotential import PseudopotentialSet, default_pseudopotentials
 
@@ -287,10 +287,9 @@ def build_task_problem(task: FragmentTask) -> TaskProblem:
 # fingerprint: problem}} with at most one signature.  Worker processes
 # populate it on their first iteration and hit it afterwards — the reason
 # LS3DF's "second iteration" is cheap holds inside pool workers too.  The
-# first task of another signature drops the previous run's problems and its
-# grid-derived arrays (the FFTGrid memo), so a long-lived process (a job
-# slot, a pool worker, a repro-worker) pins the static data of the run it
-# serves, never of every run it ever served.
+# first task of another signature drops the previous run's problems, so a
+# long-lived process (a job slot, a pool worker, a repro-worker) pins the
+# static data of the run it serves, never of every run it ever served.
 _PROBLEMS: dict[str, dict[str, TaskProblem]] = {}
 _PROBLEM_CACHE_LOCK = threading.Lock()
 
@@ -299,9 +298,7 @@ def _scope(signature: str) -> dict[str, TaskProblem]:
     """The cached problems of ``signature``, dropping any other run's (lock held)."""
     problems = _PROBLEMS.get(signature)
     if problems is None:
-        if _PROBLEMS:
-            _PROBLEMS.clear()
-            clear_grid_memo()
+        _PROBLEMS.clear()
         problems = _PROBLEMS[signature] = {}
     return problems
 
@@ -331,23 +328,6 @@ def get_task_problem(task: FragmentTask) -> TaskProblem:
         with _PROBLEM_CACHE_LOCK:
             problem = _scope(task.problem_signature).setdefault(key, problem)
     return problem
-
-
-def seed_task_problem(problem: TaskProblem, signature: str) -> None:
-    """Insert an externally built static problem into the process cache.
-
-    :class:`repro.core.fragment_solver.FragmentSolver` uses this so the
-    in-process backends never rebuild a Hamiltonian the solver already has.
-
-    Parameters
-    ----------
-    problem:
-        The built problem; stored under its own ``fingerprint``.
-    signature:
-        The owning solver's problem signature (the cache's scope).
-    """
-    with _PROBLEM_CACHE_LOCK:
-        _scope(signature)[problem.fingerprint] = problem
 
 
 def clear_problem_cache() -> None:

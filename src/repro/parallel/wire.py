@@ -34,6 +34,7 @@ import pickle
 import signal
 import socket
 import struct
+import sys
 import threading
 
 __all__ = [
@@ -365,13 +366,36 @@ class Connection:
                 pass
 
 
+#: Environment variables that set a BLAS or OpenMP thread count.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _pin_blas() -> None:
+    """Set numpy's bundled OpenBLAS to one thread unless the environment sets
+    a count.  A forked child runs the library its parent loaded, which no
+    environment variable reaches any more; a no-op while numpy is not
+    loaded or bundles no such library."""
+    numpy = sys.modules.get("numpy")
+    if numpy is None or any(var in os.environ for var in _THREAD_VARS):
+        return
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_(1)
+
+
 def fork_peer(listener: Listener, die_with_parent: bool = False) -> tuple[int, Connection]:
     """Fork a child serving ``listener`` on a ``socketpair`` end until EOF;
     returns ``(pid, connection)``: the parent's end, no handshake.
 
     The child first closes every descriptor above stderr but its own end:
     the parent's end, its other peers' ends (whose EOF it would hold off),
-    a daemon's listener and client sockets.
+    a daemon's listener and client sockets.  Like a :func:`spawn_daemon`
+    child it runs one BLAS thread unless the environment sets a count.
     ``die_with_parent``: SIGKILL it when the forking *thread* dies
     (``PR_SET_PDEATHSIG``, Linux) and ignore Ctrl-C, which reaches the whole
     process group: the parent, not the signal, decides whether its job ends.
@@ -384,6 +408,7 @@ def fork_peer(listener: Listener, die_with_parent: bool = False) -> tuple[int, C
         try:
             os.closerange(3, theirs.fileno())
             os.closerange(theirs.fileno() + 1, os.sysconf("SC_OPEN_MAX"))
+            _pin_blas()
             if die_with_parent:
                 import ctypes
 
@@ -425,7 +450,7 @@ def spawn_daemon(argv: list[str], banner: str, timeout: float = 60.0, **popen):
     import subprocess
 
     env = dict(os.environ)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in _THREAD_VARS:
         env.setdefault(var, "1")
     src = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))

@@ -19,12 +19,11 @@ shape and its bits do not depend on how many bands share the call
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
 from repro.pw import fftcache
-from repro.pw.grid import FFTGrid
+from repro.pw.grid import FFTGrid, lazy
 
 # Bands per trip through the pooled workspace of ``apply_potential``; chunking
 # changes no bit.  Measured at 2, 4 and 8 on the two benchmark fragment grids
@@ -84,6 +83,8 @@ class PlaneWaveBasis:
         self._g = grid.g_vectors.reshape(-1, 3)[self._indices]
         self._g2 = g2.ravel()[self._indices]
         self._kinetic = 0.5 * self._g2
+        #: Index of the G = 0 plane wave within the basis (always inside: ecut > 0).
+        self.gzero_index = int(np.flatnonzero(self._g2 < 1e-12)[0])
         # Box of the sphere: per axis, the sorted FFT indices that carry a
         # basis vector, and every vector's flat position in the box.
         ix, iy, iz = np.unravel_index(self._indices, grid.shape)
@@ -129,15 +130,7 @@ class PlaneWaveBasis:
         """Kinetic-energy diagonal |G|^2/2, shape ``(npw,)``."""
         return self._kinetic
 
-    @cached_property
-    def gzero_index(self) -> int:
-        """Index of the G = 0 plane wave within the basis."""
-        idx = np.nonzero(self._g2 < 1e-12)[0]
-        if len(idx) != 1:
-            raise RuntimeError("basis must contain exactly one G=0 vector")
-        return int(idx[0])
-
-    @cached_property
+    @lazy
     def minus_g(self) -> np.ndarray:
         """Index of ``-G`` for every basis vector ``G``; ``ValueError`` when the
         sphere is not closed under ``G -> -G`` (it reaches the Nyquist plane

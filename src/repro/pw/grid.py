@@ -9,41 +9,36 @@ reproduction uses smaller grids but the machinery is identical.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.pw import fftcache
 
-# -- cross-instance memo -------------------------------------------------------
-# LS3DF instantiates one FFTGrid per fragment, but fragments of the same
-# class share (cell, shape) — and everything derived from ``g2`` (Poisson
-# masks, Kerker filters, pseudopotential form factors) is then identical
-# across those instances.  The memo below shares such arrays across *equal*
-# grids so repeated fragment instantiation stops recomputing them.  Memoized
-# ndarrays are frozen read-only because they are shared.
-_MEMO_LOCK = threading.Lock()
-_MEMO: "OrderedDict[tuple, object]" = OrderedDict()
-_MEMO_MAX = 512
-_MEMO_STATS = {"hits": 0, "misses": 0}
 
+class lazy:
+    """A per-instance value computed on first read and stored in the
+    instance's ``__dict__``, where it shadows this non-data descriptor.
 
-def grid_memo_stats() -> dict:
-    """Snapshot of the grid-memo hit/miss counters."""
-    with _MEMO_LOCK:
-        return dict(_MEMO_STATS, entries=len(_MEMO))
+    It takes no lock.  The standard library's cached property does on
+    Python 3.11: one lock per attribute, shared by every instance, held
+    while any of them computes, so a child forked meanwhile inherits it held
+    for good.  Two threads that race here compute equal values twice.
+    """
 
+    def __init__(self, func: Callable) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
 
-def clear_grid_memo() -> None:
-    """Drop all memoized grid-derived arrays and zero the counters."""
-    with _MEMO_LOCK:
-        _MEMO.clear()
-        _MEMO_STATS["hits"] = 0
-        _MEMO_STATS["misses"] = 0
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -70,30 +65,24 @@ class FFTGrid:
             raise ValueError("shape must be three integers >= 2")
         object.__setattr__(self, "cell", cell_arr)
         object.__setattr__(self, "shape", shape_arr)
+        #: Total number of real-space grid points.
+        object.__setattr__(self, "npoints", int(np.prod(shape_arr)))
+        #: Cell volume (Bohr^3).
+        object.__setattr__(self, "volume", float(np.prod(cell_arr)))
+        #: Volume element associated with one grid point (Bohr^3).
+        object.__setattr__(self, "dvol", self.volume / self.npoints)
+        #: Largest representable |G|^2 before aliasing (Nyquist sphere).
+        gnyq = np.pi * np.asarray(shape_arr) / np.asarray(cell_arr)
+        object.__setattr__(self, "gmax2", float(np.min(gnyq) ** 2))
 
     # -- sizes -------------------------------------------------------------
-    @cached_property
-    def npoints(self) -> int:
-        """Total number of real-space grid points."""
-        return int(np.prod(self.shape))
-
-    @cached_property
-    def volume(self) -> float:
-        """Cell volume (Bohr^3)."""
-        return float(np.prod(self.cell))
-
-    @cached_property
-    def dvol(self) -> float:
-        """Volume element associated with one grid point (Bohr^3)."""
-        return self.volume / self.npoints
-
     @property
     def spacing(self) -> np.ndarray:
         """Grid spacing along each axis (Bohr)."""
         return np.asarray(self.cell) / np.asarray(self.shape)
 
     # -- coordinates ---------------------------------------------------------
-    @cached_property
+    @lazy
     def real_coordinates(self) -> np.ndarray:
         """Cartesian coordinates of every grid point, shape ``(*shape, 3)``."""
         axes = [
@@ -102,7 +91,7 @@ class FFTGrid:
         xx, yy, zz = np.meshgrid(*axes, indexing="ij")
         return np.stack([xx, yy, zz], axis=-1)
 
-    @cached_property
+    @lazy
     def g_vectors(self) -> np.ndarray:
         """Reciprocal lattice vectors G on the FFT grid, shape ``(*shape, 3)``.
 
@@ -115,46 +104,11 @@ class FFTGrid:
         gx, gy, gz = np.meshgrid(*axes, indexing="ij")
         return np.stack([gx, gy, gz], axis=-1)
 
-    @cached_property
+    @lazy
     def g2(self) -> np.ndarray:
         """|G|^2 for every FFT-grid reciprocal vector, shape ``shape``."""
         g = self.g_vectors
         return np.einsum("...i,...i->...", g, g)
-
-    @cached_property
-    def gmax2(self) -> float:
-        """Largest representable |G|^2 before aliasing (Nyquist sphere)."""
-        gnyq = np.pi * np.asarray(self.shape) / np.asarray(self.cell)
-        return float(np.min(gnyq) ** 2)
-
-    # -- derived-array memo -----------------------------------------------------
-    def memo(self, key, factory: Callable[[], object]):
-        """Memoize a grid-derived value across *equal* grids.
-
-        ``key`` must uniquely describe the derivation (include every extra
-        parameter, e.g. an ``ecut``); the value is shared by every
-        ``FFTGrid`` with the same ``(cell, shape)``, so returned ndarrays
-        are frozen read-only.  Hot-path users: the Poisson nonzero mask,
-        the Kerker filter and the pseudopotential form factors.
-        """
-        full = (self.cell, self.shape, key)
-        with _MEMO_LOCK:
-            if full in _MEMO:
-                _MEMO.move_to_end(full)
-                _MEMO_STATS["hits"] += 1
-                return _MEMO[full]
-        value = factory()
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        with _MEMO_LOCK:
-            if full in _MEMO:
-                _MEMO_STATS["hits"] += 1
-            else:
-                _MEMO[full] = value
-                _MEMO_STATS["misses"] += 1
-                while len(_MEMO) > _MEMO_MAX:
-                    _MEMO.popitem(last=False)
-            return _MEMO[full]
 
     # -- transforms -----------------------------------------------------------
     def to_reciprocal(self, field_r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

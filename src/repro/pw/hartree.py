@@ -18,11 +18,6 @@ from repro.pw import fftcache
 from repro.pw.grid import FFTGrid
 
 
-def poisson_nonzero_mask(grid: FFTGrid) -> np.ndarray:
-    """Memoized ``|G|^2 > 0`` mask shared by every Poisson solve on ``grid``."""
-    return grid.memo("poisson_nonzero", lambda: grid.g2 > 1e-12)
-
-
 def hartree_potential(density: np.ndarray, grid: FFTGrid) -> np.ndarray:
     """Hartree potential (Hartree a.u.) of a periodic density on ``grid``.
 
@@ -41,7 +36,7 @@ def hartree_potential(density: np.ndarray, grid: FFTGrid) -> np.ndarray:
     if density.shape != grid.shape:
         raise ValueError("density shape does not match grid")
     g2 = grid.g2
-    nonzero = poisson_nonzero_mask(grid)
+    nonzero = g2 > 1e-12
     # Workspace-pooled transforms: identical operations on reused buffers,
     # bit-identical to the allocating path (fftcache module docstring).
     with fftcache.scratch(grid.shape) as w1, fftcache.scratch(grid.shape) as w2:

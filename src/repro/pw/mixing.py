@@ -179,18 +179,10 @@ class KerkerMixer(Mixer):
         self.grid = grid
         self.alpha = float(alpha)
         self.q0 = float(q0)
-
-        def build_filter() -> np.ndarray:
-            g2 = grid.g2
-            filt = g2 / (g2 + q0 * q0)
-            # G=0: keep a small fraction so the average potential can
-            # still move.
-            filt.flat[0] = alpha and 1.0
-            return filt
-
-        # Shared (read-only) across equal grids; the G=0 entry is always
-        # 1.0 for any valid alpha > 0, so the filter depends only on q0.
-        self._filter = grid.memo(("kerker_filter", self.q0), build_filter)
+        g2 = grid.g2
+        self._filter = g2 / (g2 + q0 * q0)
+        # G=0: keep a small fraction so the average potential can still move.
+        self._filter.flat[0] = alpha and 1.0
 
     def reset(self) -> None:
         """No state to clear; provided for interface uniformity."""

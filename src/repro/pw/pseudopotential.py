@@ -180,12 +180,12 @@ class PseudopotentialSet:
             raise KeyError(f"no pseudopotential for species {symbol!r}") from exc
 
     # ------------------------------------------------------------------
-    def _lattice_sum(self, structure: Structure, grid: FFTGrid, key: str, form_factor) -> np.ndarray:
+    def _lattice_sum(self, structure: Structure, grid: FFTGrid, form_factor) -> np.ndarray:
         """Real-space field ``(1/Omega) sum_s f_s(|G|) S_s(G)``, transformed back.
 
         Assembled in reciprocal space, so periodic images are summed exactly
-        (no minimum-image truncation).  ``form_factor(pp, |G|^2)`` depends only
-        on (grid, species params) and is memoized on the grid under ``key``.
+        (no minimum-image truncation).  ``form_factor(pp, |G|^2)`` is
+        evaluated once per species.
         """
         g = grid.g_vectors
         axes = g[:, 0, 0, 0], g[0, :, 0, 1], g[0, 0, :, 2]
@@ -198,13 +198,13 @@ class PseudopotentialSet:
             tau = structure.positions[symbols == sym]
             px, py, pz = (np.exp(-1j * np.outer(t, ax)) for t, ax in zip(tau.T, axes))
             sfac = np.einsum("ax,ay,az->xyz", px, py, pz)
-            fg += sfac * grid.memo((key, pp), lambda: form_factor(pp, grid.g2))
+            fg += sfac * form_factor(pp, grid.g2)
         return np.real(np.fft.ifftn(fg / grid.volume) * grid.npoints)
 
     def local_potential(self, structure: Structure, grid: FFTGrid) -> np.ndarray:
         """Total local pseudopotential on the real-space grid (Hartree)."""
         return self._lattice_sum(
-            structure, grid, "local_ff", SpeciesPseudopotential.local_form_factor
+            structure, grid, SpeciesPseudopotential.local_form_factor
         )
 
     def ionic_density(self, structure: Structure, grid: FFTGrid) -> np.ndarray:
@@ -216,7 +216,7 @@ class PseudopotentialSet:
         ``rho_electrons - rho_ions``.
         """
         return self._lattice_sum(
-            structure, grid, "ionic_ff", SpeciesPseudopotential.ionic_charge_form_factor
+            structure, grid, SpeciesPseudopotential.ionic_charge_form_factor
         )
 
     def total_ionic_charge(self, structure: Structure) -> float:
@@ -248,18 +248,15 @@ class PseudopotentialSet:
         gvec = basis.g_vectors
         rows: list[np.ndarray] = []
         strengths: list[float] = []
+        radial: dict[str, np.ndarray] = {}  # per species: the loop runs per atom
         for atom in structure:
             pp = self[atom.symbol]
             if pp.nonlocal_strength == 0.0:
                 continue
-            # Keyed by ecut too: the basis |G|^2 set depends on the cutoff
-            # (the grid alone does not determine it).
-            radial = basis.grid.memo(
-                ("proj_ff", pp, basis.ecut),
-                lambda: pp.projector_form_factor(basis.g2),
-            )
+            if atom.symbol not in radial:
+                radial[atom.symbol] = pp.projector_form_factor(basis.g2)
             phase = np.exp(-1j * gvec @ atom.position)
-            proj = radial * phase / np.sqrt(basis.grid.volume)
+            proj = radial[atom.symbol] * phase / np.sqrt(basis.grid.volume)
             rows.append(proj)
             strengths.append(pp.nonlocal_strength)
         projectors = np.array(rows, dtype=complex).reshape(-1, basis.npw)

@@ -12,8 +12,7 @@ the plain computation it replaces:
 * the install-once potential channel of band slices (fingerprint-keyed
   worker state plus the executor's resubmit-with-payload self-healing).
 
-Plus the satellite regressions: grid-level memoisation cache hits, the
-Gen_dens accumulator-reuse byte-identity and allocation bounds, and the
+Plus the satellite regressions: the Gen_dens accumulator-reuse byte-identity and allocation bounds, and the
 end-to-end backend equivalence matrix through LS3DFSCF, where every
 fragment task carries its potential inline.
 """
@@ -51,8 +50,7 @@ from repro.core.scf import LS3DFSCF
 from repro.parallel.bands import BandBlockTask, BandGroup, band_slices, run_band_block_task
 from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
 from repro.pw import fftcache
-from repro.pw.grid import FFTGrid, clear_grid_memo, grid_memo_stats
-from repro.pw.pseudopotential import default_pseudopotentials
+from repro.pw.grid import FFTGrid
 
 
 def _bits(a: np.ndarray) -> bytes:
@@ -327,40 +325,6 @@ def test_grouped_solve_bit_identical_across_slice_counts():
         np.testing.assert_array_equal(got.density, ref.density)
         np.testing.assert_array_equal(got.coefficients, ref.coefficients)
         assert got.quantum_energy == ref.quantum_energy
-
-
-# ---------------------------------------------------------------------------
-# Grid-level memoisation
-# ---------------------------------------------------------------------------
-
-
-def test_grid_memo_serves_rebuilt_problems_from_cache():
-    clear_grid_memo()
-    clear_problem_cache()
-    task = _make_task("memo")
-
-    def local_form_factor(problem):
-        """The memoised local form factor of the task's first species (a hit:
-        building the problem derived it, so the factory must not run)."""
-        pp = default_pseudopotentials()[task.symbols[0]]
-        return problem.grid.memo(("local_ff", pp), lambda: pytest.fail("re-derived"))
-
-    p1 = build_task_problem(task)
-    first = grid_memo_stats()
-    assert first["misses"] > 0  # the form factors populated it
-    a = local_form_factor(p1)
-    # A rebuilt problem (fresh grid/basis objects, same geometry) re-derives
-    # nothing: every g2-derived array comes back from the memo.
-    clear_problem_cache()
-    p2 = build_task_problem(task)
-    assert p2.grid is not p1.grid
-    b = local_form_factor(p2)
-    second = grid_memo_stats()
-    assert second["misses"] == first["misses"]
-    assert second["hits"] > first["hits"] + 2
-    assert a is b
-    # Memoised values are frozen: nobody can corrupt a shared array.
-    assert not a.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ from repro.parallel.remote import (
     send_frame,
     start_worker_thread,
 )
-from repro.parallel.wire import Connection, spawn_daemon, stop_daemon
+from repro.parallel.wire import Connection, Listener, fork_peer, reap, spawn_daemon, stop_daemon
 from repro.pw.grid import FFTGrid
 
 
@@ -400,6 +400,53 @@ def test_spawn_daemon_pins_blas_threads_unless_the_caller_did(monkeypatch):
     proc, (pins, _) = spawn_daemon([sys.executable, "-c", _ENV_STUB], "REPRO-WORKER")
     stop_daemon(proc)
     assert pins == "3,1,1"
+
+
+def _openblas_threads():
+    """``(get, set)`` of numpy's bundled OpenBLAS thread count, or a skip."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    pytest.skip("numpy bundles no scipy-openblas64")
+
+
+class _BlasThreads(Listener):
+    """Answers ``threads`` with this process's OpenBLAS thread count."""
+
+    VERSION = PROTOCOL_VERSION
+
+    def __init__(self) -> None:
+        super().__init__("127.0.0.1", 0)
+
+    def _handle(self, request: dict) -> dict:
+        return {"ok": True, "threads": _openblas_threads()[0]()}
+
+
+def test_a_forked_peer_runs_one_blas_thread_unless_the_caller_set_one(monkeypatch):
+    get, set_threads = _openblas_threads()
+    before = get()
+    for var in _BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    try:
+        set_threads(2)
+        if get() < 2:
+            pytest.skip("OpenBLAS cannot run more than one thread here")
+        counts = {}
+        for setting in (None, "2"):
+            if setting is not None:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", setting)
+            pid, conn = fork_peer(_BlasThreads())
+            counts[setting] = conn.request({"op": "threads"}, timeout=30)["threads"]
+            conn.close()
+            assert reap(pid) == 0
+    finally:
+        set_threads(before)
+    assert counts == {None: 1, "2": 2}
 
 
 # --- executor basics --------------------------------------------------------------

@@ -34,6 +34,7 @@ import pytest
 from repro.io.checkpoint import load_checkpoint
 from repro.parallel.remote import recv_frame, send_frame
 from repro.parallel.wire import spawn_daemon, stop_daemon
+from repro.pw.grid import FFTGrid
 from repro.store import RunStore, build_solver, canonical_spec
 from repro.store.client import ServiceClient, ServiceError, client_main
 from repro.store.server import SERVICE_PROTOCOL_VERSION, StoreServer, iteration_event, run_job, serve_main
@@ -286,6 +287,43 @@ class TestServiceInProcess:
             srv.stop()
         assert pid != first
         assert sum(link.startswith("socket:") for link in links) == 1
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="Linux job slots")
+    def test_a_slot_forked_while_a_thread_derives_a_grid_still_solves(self, tmp_path):
+        # A slot forked afresh runs beside the daemon's threads.  One of them
+        # paused inside a grid's |G|^2 derivation must leave the child no
+        # held lock: the new slot derives its own grids' |G|^2 and finishes.
+        entered, release = threading.Event(), threading.Event()
+
+        def pause_in_g2(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "g2" and frame.f_code.co_filename.endswith("grid.py"):
+                entered.set()
+                release.wait(120)
+
+        def derive():
+            sys.settrace(pause_in_g2)  # this thread only
+            try:
+                FFTGrid((4.0, 4.0, 4.0), (4, 4, 4)).g2
+            finally:
+                sys.settrace(None)
+
+        paused = threading.Thread(target=derive, daemon=True)
+        srv = StoreServer(tmp_path / "store", job_slots=1)
+        srv.start()
+        try:
+            with ServiceClient(srv.address) as client:
+                os.kill(srv._slots[0][0], signal.SIGKILL)
+                lost = client.submit(SPEC_FAST)["run_id"]
+                assert client.wait(lost, timeout=60)["status"] == "failed"
+                paused.start()
+                assert entered.wait(30)
+                run_id = client.submit(_spec_variant(SPEC_FAST, 3))["run_id"]
+                head = client.wait(run_id, timeout=30)
+        finally:
+            release.set()
+            paused.join(30)
+            srv.stop()
+        assert head["status"] == "converged"
 
     def test_a_store_error_does_not_retire_the_slot(self, tmp_path):
         # ENOSPC (or a damaged log) surfacing from one job must not end the

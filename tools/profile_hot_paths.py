@@ -250,7 +250,7 @@ def main() -> int:
         return tasks
 
     tasks = profile_stage("Gen_VF", lambda: gen_vf(v_in), args.top)
-    report_products(scf.fragment_solver.problems().values())
+    report_products(scf.fragment_solver.build_problem(f) for f in scf.fragments)
 
     # PEtot_F: the per-fragment Kohn-Sham solves (the dominant stage).
     solves = []

@@ -26,8 +26,14 @@ implemented:
   all carry.
 * :class:`FragmentExecutor` is the protocol every backend implements.
 
+Every process that imports this module — the driver, a pool worker, a
+``repro-worker``, a job slot — runs numpy's BLAS on one thread unless the
+environment sets a count (:func:`repro.parallel.wire.pin_blas`): the bits
+of a solve depend on the BLAS reduction order, so all of them must agree.
+
 Layering note: this module deliberately depends only on the plane-wave
-substrate (:mod:`repro.pw`) and :mod:`repro.atoms`; the backends in
+substrate (:mod:`repro.pw`), :mod:`repro.atoms` and the stdlib-only
+:mod:`repro.parallel.wire` leaf (for that pin); the backends in
 :mod:`repro.parallel.executor` depend on it, never the other way round.
 """
 
@@ -37,7 +43,6 @@ import hashlib
 import os
 import threading
 import time
-from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
@@ -45,12 +50,15 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.atoms.structure import Structure
+from repro.parallel.wire import pin_blas
 from repro.pw.basis import PlaneWaveBasis
 from repro.pw.density import compute_density, occupations_for_insulator
 from repro.pw.eigensolver import all_band_cg
 from repro.pw.grid import FFTGrid
 from repro.pw.hamiltonian import Hamiltonian
 from repro.pw.pseudopotential import PseudopotentialSet, default_pseudopotentials
+
+pin_blas()
 
 
 @dataclass
@@ -87,13 +95,6 @@ class FragmentTask:
         The fragment's patching weight alpha_F (carried for bookkeeping).
     ncells:
         Number of grid cells the fragment covers (1..8).
-    screening_key:
-        Install-channel reference (PR 6): when the screening potential
-        was installed once per worker via
-        :func:`install_potential`, tasks carry this fingerprint key
-        instead of the array and the kernels resolve it with
-        :func:`fetch_potential` — so band-slice and pipeline tasks stop
-        re-pickling the same potential on every submission.
     problem_signature:
         The owning solver's problem signature
         (:attr:`repro.core.fragment_solver.FragmentSolver.problem_signature`), the scope
@@ -114,7 +115,6 @@ class FragmentTask:
     pseudopotentials: PseudopotentialSet | None = None
     weight: int = 1
     ncells: int = 1
-    screening_key: str | None = None
     problem_signature: str = ""
 
     def cost(self) -> float:
@@ -336,123 +336,6 @@ def clear_problem_cache() -> None:
         _PROBLEMS.clear()
 
 
-# ---------------------------------------------------------------------------
-# Install-once potential channel
-#
-# A band-sliced solve would re-pickle its fragment's screening potential
-# into every slice of every stage.  The install channel breaks that: the
-# group root installs the potential once per worker under a content
-# fingerprint, and band-slice tasks carry only the key (fused pipeline tasks
-# always carry V_in inline).  Workers
-# resolve keys from a small per-process LRU; a worker that has never seen
-# the key raises :class:`PotentialNotInstalledError` and the executor
-# retries that one task with the payload attached — self-healing, no
-# barrier, and bit-identical because the exact array bytes travel either
-# way.
-
-_INSTALLED_POTENTIALS: OrderedDict[str, np.ndarray] = OrderedDict()
-_INSTALLED_MAX = 32
-_INSTALLED_LOCK = threading.Lock()
-
-
-class PotentialNotInstalledError(RuntimeError):
-    """A task referenced a potential key this worker has not installed.
-
-    Executors catch this per-future and resubmit the task with the
-    payload attached (see ``with_potential_payload``); user code should
-    never see it escape an executor.
-    """
-
-    def __init__(self, key: str) -> None:
-        super().__init__(
-            f"potential {key!r} is not installed in worker {os.getpid()}; "
-            "the executor retries with the payload attached"
-        )
-        self.key = key
-
-
-def potential_fingerprint(array: np.ndarray) -> str:
-    """Content fingerprint of a potential array (the install-channel key).
-
-    Covers dtype, shape and the exact bytes, so two bit-identical arrays
-    share a key and any numeric change produces a new one — which is what
-    makes installing once per (fragment, iteration) safe.
-    """
-    arr = np.ascontiguousarray(array)
-    h = hashlib.sha256()
-    h.update(str(arr.dtype).encode())
-    h.update(np.asarray(arr.shape, dtype=np.int64).tobytes())
-    h.update(arr.tobytes())
-    return h.hexdigest()
-
-
-def install_potential(key: str, array: np.ndarray) -> str:
-    """Store a potential in this process under ``key`` (LRU, bounded).
-
-    Returns the key for chaining.  Executors broadcast this to pool
-    workers; the serial backend calls it in-process.
-    """
-    arr = np.asarray(array)
-    with _INSTALLED_LOCK:
-        _INSTALLED_POTENTIALS.pop(key, None)
-        _INSTALLED_POTENTIALS[key] = arr
-        while len(_INSTALLED_POTENTIALS) > _INSTALLED_MAX:
-            _INSTALLED_POTENTIALS.popitem(last=False)
-    return key
-
-
-def fetch_potential(key: str) -> np.ndarray:
-    """Resolve an installed potential by key.
-
-    Raises
-    ------
-    PotentialNotInstalledError
-        When this process has no potential under ``key`` (the executor's
-        retry-with-payload signal).
-    """
-    with _INSTALLED_LOCK:
-        try:
-            arr = _INSTALLED_POTENTIALS[key]
-        except KeyError:
-            raise PotentialNotInstalledError(key) from None
-        _INSTALLED_POTENTIALS.move_to_end(key)
-        return arr
-
-
-def installed_potential_count() -> int:
-    """Number of potentials currently installed in this process."""
-    with _INSTALLED_LOCK:
-        return len(_INSTALLED_POTENTIALS)
-
-
-def clear_installed_potentials() -> None:
-    """Drop every installed potential (tests / memory pressure)."""
-    with _INSTALLED_LOCK:
-        _INSTALLED_POTENTIALS.clear()
-
-
-def resolve_screening_potential(task: FragmentTask) -> np.ndarray:
-    """The task's screening potential — inline array or installed key.
-
-    A task that arrives with both is the executor's retry after a missed
-    install: the payload is installed under its key on the way, so later
-    key-only tasks in this worker resolve without another retry.
-
-    Raises :class:`PotentialNotInstalledError` when the task carries only
-    a key this worker has not installed, and ``ValueError`` when it
-    carries neither.
-    """
-    key = task.screening_key
-    if task.screening_potential is not None:
-        arr = np.asarray(task.screening_potential)
-        if key is not None:
-            install_potential(key, arr)
-        return arr
-    if key is None:
-        raise ValueError(f"task {task.label!r} has no screening potential")
-    return fetch_potential(key)
-
-
 def solve_fragment_task(
     task: FragmentTask, problem: TaskProblem | None = None, group=None
 ) -> FragmentTaskResult:
@@ -465,7 +348,7 @@ def solve_fragment_task(
     ----------
     task:
         The fragment solve description; must carry a real
-        ``screening_potential`` array (or an installed ``screening_key``).
+        ``screening_potential`` array (``ValueError`` otherwise).
     problem:
         Optional pre-built static problem, bypassing the per-process
         cache lookup when the caller already holds the data.
@@ -484,7 +367,9 @@ def solve_fragment_task(
         converged wavefunctions.
     """
     t0 = time.perf_counter()
-    v_screen = resolve_screening_potential(task)
+    if task.screening_potential is None:
+        raise ValueError(f"task {task.label!r} has no screening potential")
+    v_screen = np.asarray(task.screening_potential)
     if problem is None:
         problem = get_task_problem(task)
     hamiltonian = problem.hamiltonian

@@ -391,10 +391,9 @@ class LS3DFSCF:
         iteration from the end-of-iteration checkpoint, as on the
         ungrouped side.
 
-    Every fragment task carries the iteration's global input potential
-    inline: there is one way to ship V_in.  Only band slices install
-    their fragment's screening potential once per worker
-    (:class:`repro.parallel.bands.BandGroup`).
+    Every task carries its potential inline: a fragment task the
+    iteration's global input potential, a band slice its fragment's
+    screening potential (:class:`repro.parallel.bands.BandGroup`).
     """
 
     def __init__(

@@ -53,13 +53,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.core.fragment_task import (
-    FragmentTask,
-    TaskProblem,
-    get_task_problem,
-    potential_fingerprint,
-    resolve_screening_potential,
-)
+from repro.core.fragment_task import FragmentTask, TaskProblem, get_task_problem
 from repro.parallel.distributed import slab_bounds
 
 
@@ -143,12 +137,8 @@ class BandBlockTask:
         keys the per-process static-problem cache, so pool workers build
         each fragment's basis/Hamiltonian once and reuse it for every
         slice of every sweep; the iteration's screening potential rides
-        either inline (``screening_potential``) or — with the install
-        channel — as a fingerprint key (``screening_key``) the
-        worker resolves from its installed-potential store, so the array
-        is pickled once per (fragment, iteration, worker) instead of
-        once per slice per stage.  :class:`BandGroup` strips the
-        (never-read) warm-start block either way.
+        inline (``screening_potential``), as in every fragment task.
+        :class:`BandGroup` strips the (never-read) warm-start block.
     block:
         The slice's rows of the band block H is applied to.
     label:
@@ -171,18 +161,6 @@ class BandBlockTask:
     def cost(self) -> float:
         """Relative cost for LPT scheduling (rows x plane waves)."""
         return float(self.block.size)
-
-    def with_potential_payload(self, key: str, payload: np.ndarray) -> "BandBlockTask":
-        """Copy of this task with the installed potential attached inline.
-
-        The executor's retry path for
-        :class:`~repro.core.fragment_task.PotentialNotInstalledError`;
-        returns ``self`` unchanged when the key does not match.
-        """
-        t = self.template
-        if t.screening_key != key or t.screening_potential is not None:
-            return self
-        return replace(self, template=replace(t, screening_potential=payload))
 
 
 @dataclass(eq=False)
@@ -249,11 +227,8 @@ def run_band_block_task(
     if problem is None:
         problem = get_task_problem(task.template)
     h = problem.hamiltonian
-    # Raises PotentialNotInstalledError for an uninstalled key — the
-    # executor retries this task with the payload attached.
-    v_screen = resolve_screening_potential(task.template)
     # Idempotent across the slices of one grouped solve (same array).
-    h.set_effective_potential(v_screen)
+    h.set_effective_potential(task.template.screening_potential)
     cblock = np.asarray(task.block, dtype=complex)
     # Blocked fixed-shape KB kernel aligned to the GLOBAL band index —
     # concatenated slices match the full-block bits.
@@ -374,21 +349,15 @@ class BandGroup:
     def bind(self, task: FragmentTask) -> "BandGroup":
         """Attach the fragment solve whose band block this group slices.
 
-        ``task`` must carry a real ``screening_potential`` or an installed
-        ``screening_key``; a copy of it ships with every band task so pool
-        workers can reach the cached static problem.
+        ``task`` must carry a real ``screening_potential``; a copy of it,
+        potential inline, ships with every band task so pool workers can
+        reach the cached static problem.
         """
         # Every band task of every stage ships this template (the process
-        # backend pickles it each time), so drop the warm-start block —
-        # the band kernel never reads it, and it is the largest field after
-        # the screening potential, which the install channel strips next.
-        template = replace(task, initial_coefficients=None)
-        if hasattr(self.executor, "install_state") and template.screening_potential is not None:
-            v = np.asarray(template.screening_potential)
-            key = potential_fingerprint(v)
-            self.executor.install_state(key, v)
-            template = replace(template, screening_potential=None, screening_key=key)
-        self.template = template
+        # backend pickles it each time), so drop the warm-start block — the
+        # band kernel never reads it, and it is the largest field after the
+        # screening potential.
+        self.template = replace(task, initial_coefficients=None)
         return self
 
     def apply_h(self, block: np.ndarray) -> np.ndarray:

@@ -11,13 +11,12 @@ order-preserving :func:`gather_in_order`; one kernel each:
 :func:`~repro.parallel.distributed.run_global_step_task`,
 :func:`~repro.parallel.bands.run_band_block_task`), the future methods
 ``submit_global`` / ``submit_pipeline_batch`` for callers that consume
-results as they resolve, ``install_state`` with its missed-install heal,
-the submission counters and ``close`` — and asks a backend for two
-things: ``_submit(task, kernel) -> future`` and, when its workers live
-in other processes, ``_broadcast(key, arr)``.  One physical submission
-is always one logical task, and there is no backend-specific solve
-path.  Band groups (``LS3DFSCF(band_groups=)``) share one executor: its
-workers run whichever fragment's slices are queued next.
+results as they resolve, the submission counters and ``close`` — and
+asks a backend for one thing: ``_submit(task, kernel) -> future``.  Every
+task carries its potential inline, so one physical submission is always
+one logical task, and there is no backend-specific solve path.  Band
+groups (``LS3DFSCF(band_groups=)``) share one executor: its workers run
+whichever fragment's slices are queued next.
 
 Workers in other processes run :class:`WorkerServer` and are driven by
 :class:`_WorkerBackend` over ``RPW1`` (:mod:`repro.parallel.wire`),
@@ -43,7 +42,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -54,8 +53,6 @@ from repro.core.fragment_task import (
     FragmentPipelineTask,
     FragmentTask,
     FragmentTaskResult,
-    PotentialNotInstalledError,
-    install_potential,
     run_fragment_pipeline_task,
     solve_fragment_task,
 )
@@ -82,14 +79,12 @@ __all__ = [
     "FragmentTaskResult",
     "GlobalStepTask",
     "NoRemoteWorkersError",
-    "PotentialNotInstalledError",
     "ProcessPoolFragmentExecutor",
     "RemoteTaskError",
     "SerialFragmentExecutor",
     "WorkerDiedError",
     "WorkerServer",
     "gather_in_order",
-    "install_potential",
     "run_band_block_task",
     "run_fragment_pipeline_task",
     "run_global_step_task",
@@ -137,14 +132,12 @@ class WorkerServer(Listener):
 
     A ``repro-worker`` daemon (:func:`repro.parallel.remote.worker_main`)
     listens on TCP; a pool worker serves a socketpair end.  Kernels and
-    process-level caches (static problems, installed potentials, FFT
-    workspaces) are the same everywhere.  Besides ``hello`` / ``ping`` a
-    worker answers ``install`` (``{key, payload}`` for
-    :func:`repro.core.fragment_task.install_potential`), ``task``
+    process-level caches (static problems, FFT workspaces) are the same
+    everywhere.  Besides ``hello`` / ``ping`` a worker answers ``task``
     (``{kind, task}``, ``kind`` one of ``solve`` / ``pipeline`` /
-    ``global`` / ``bands``; a missed install is answered with its
-    ``key``), ``stats`` and ``shutdown`` (the listening socket is closed
-    before the reply), one request at a time per connection.
+    ``global`` / ``bands``), ``stats`` and ``shutdown`` (the listening
+    socket is closed before the reply), one request at a time per
+    connection.
 
     Parameters
     ----------
@@ -157,26 +150,19 @@ class WorkerServer(Listener):
     """
 
     VERSION = PROTOCOL_VERSION
-    REQUIRED = {"install": ("key", "payload"), "task": ("kind", "task")}
+    REQUIRED = {"task": ("kind", "task")}
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, fault_plan=None) -> None:
         super().__init__(host, port)
         self.fault_plan = fault_plan
         self.tasks_served = 0
-        self.installs = 0
 
     def _handle(self, request: dict) -> dict:
         op = request["op"]
-        if op == "install":
-            install_potential(request["key"], request["payload"])
-            with self._lock:
-                self.installs += 1
-            return {"ok": True}
         if op == "stats":
             return {
                 "ok": True,
                 "tasks_served": self.tasks_served,
-                "installs": self.installs,
                 "bytes_received": self.bytes_received,
                 "bytes_sent": self.bytes_sent,
             }
@@ -200,16 +186,7 @@ class WorkerServer(Listener):
             self.tasks_served += 1
         if self.fault_plan is not None:
             self.fault_plan.apply(index)
-        try:
-            result = kernel(request["task"])
-        except PotentialNotInstalledError as exc:
-            return {
-                "ok": False,
-                "error_type": "PotentialNotInstalledError",
-                "error": str(exc),
-                "key": exc.key,
-            }
-        return {"ok": True, "result": result}
+        return {"ok": True, "result": kernel(request["task"])}
 
 
 # ----------------------------------------------------------------------
@@ -295,23 +272,18 @@ def gather_in_order(futures: Sequence) -> list:
 class _Backend:
     """The dispatch engine every executor backend runs on.
 
-    A backend provides ``n_workers``, :meth:`_submit` (hand one task and
-    its kernel to a worker, return a future) and, when its workers live
-    in other processes, :meth:`_broadcast`.  Everything the backends
-    share is written here, once: the batch and future methods, the
-    counters, the driver-side install store with its missed-install heal
-    and the context manager.
+    A backend provides ``n_workers`` and :meth:`_submit` (hand one task
+    and its kernel to a worker, return a future).  Everything the
+    backends share is written here, once: the batch and future methods,
+    the counters and the context manager.
 
     ``tasks_submitted`` counts every *logical* task ever handed to the
     executor — what the tests use to assert "exactly one submission per
     fragment (or slab, or band slice) per iteration".
-    ``pool_submissions`` counts physical kernel invocations: one per
-    logical task, plus one per healed install miss.
-    ``install_broadcasts`` counts install-channel deliveries to workers
-    (never pool submissions).
+    ``pool_submissions`` always equals it; it is kept only for the
+    benchmark harness, which reads it.
     """
 
-    _INSTALL_PAYLOAD_MAX = 64
     # A batch of one has no round trip to win anything from and runs in
     # the calling process — unless the workers are the only compute nodes.
     _driver_computes = True
@@ -319,11 +291,7 @@ class _Backend:
     def __init__(self) -> None:
         self.tasks_submitted = 0
         self.pool_submissions = 0
-        self.install_broadcasts = 0
         self._mutex = threading.Lock()
-        # Driver-side copies of installed potentials, for the retry when
-        # a worker misses an install (LRU-bounded).
-        self._install_payloads: OrderedDict[str, np.ndarray] = OrderedDict()
         self._scheduler = FragmentScheduler()
 
     # -- what a backend provides ---------------------------------------
@@ -331,58 +299,12 @@ class _Backend:
         """Hand one task to a worker; the only way a task leaves the driver."""
         raise NotImplementedError
 
-    def _broadcast(self, key: str, arr: np.ndarray) -> None:
-        """Deliver an installed potential to workers in other processes."""
-
     # -- shared machinery ----------------------------------------------
     def _count(self, **deltas: int) -> None:
         """Thread-safely add to counters (band-group roots share them)."""
         with self._mutex:
             for name, n in deltas.items():
                 setattr(self, name, getattr(self, name) + n)
-
-    def install_state(self, key: str, payload: np.ndarray) -> None:
-        """Install a shared potential once per worker under ``key``.
-
-        The driver's process-level store receives the payload on every
-        call, a known key included: it is what every in-process kernel
-        reads, and its LRU may have evicted a key the heal copy still
-        holds.  Then :meth:`_broadcast` delivers it to workers elsewhere.
-        A worker that lost it anyway — a restarted ``repro-worker`` —
-        makes its key-carrying kernel raise
-        :class:`repro.core.fragment_task.PotentialNotInstalledError`, and
-        the backend retries that one task through :meth:`_heal`.
-        """
-        arr = np.asarray(payload)
-        with self._mutex:
-            install_potential(key, arr)
-            store = self._install_payloads
-            store.pop(key, None)
-            store[key] = arr
-            while len(store) > self._INSTALL_PAYLOAD_MAX:
-                store.popitem(last=False)
-        self._broadcast(key, arr)
-
-    def _heal(self, task, key: str):
-        """``task`` with the driver's payload for ``key`` attached, or None.
-
-        The one-shot answer to a worker that never received ``key``: the
-        bytes are those of the install, so the result is unchanged, and
-        the worker keeps the payload it was sent.  Counts one physical
-        submission.  None — the miss propagates — for tasks without an
-        install channel, keys the driver does not hold, and tasks with
-        nothing to attach (a retry would miss again).
-        """
-        attach = getattr(task, "with_potential_payload", None)
-        with self._mutex:
-            payload = self._install_payloads.get(key)
-        if attach is None or payload is None:
-            return None
-        healed = attach(key, payload)
-        if healed is task:
-            return None
-        self._count(pool_submissions=1)
-        return healed
 
     # -- the batch methods: submit, then gather in task order ------------
     def run(self, tasks: Sequence[FragmentTask]) -> ExecutionReport:
@@ -483,14 +405,13 @@ class SerialFragmentExecutor(_Backend):
 
 
 class _WorkerHandle:
-    """The driver's end of one worker: connection, liveness, keys it holds."""
+    """The driver's end of one worker: connection and liveness."""
 
     def __init__(self, conn: Connection, timeout: float | None) -> None:
         self.conn = conn
         self.timeout = timeout
         self.alive = True
         self.draining = False  # a drain thread feeds it
-        self.installed_keys: set[str] = set()
         self.lock = threading.Lock()
 
     def connect(self) -> None:
@@ -558,26 +479,6 @@ class _WorkerBackend(_Backend):
                 self.resubmissions += resubmitted
             handle.alive = False
         handle.conn.close()
-
-    # -- install channel -----------------------------------------------
-    def _broadcast(self, key: str, arr: np.ndarray) -> None:
-        """At most one ``install`` frame per key and worker.
-
-        The per-worker ``installed_keys`` set is the dedup that keeps
-        repeated installs of one screening potential off the wire; a
-        busy worker gets its frame after its current task, so none misses.
-        """
-        for handle in self._live_handles():
-            if key in handle.installed_keys:
-                continue
-            try:
-                reply = handle.request({"op": "install", "key": key, "payload": arr})
-            except (OSError, WorkerDiedError, RemoteProtocolError):
-                self._lose(handle)
-                continue
-            if reply.get("ok"):
-                handle.installed_keys.add(key)
-                self._count(install_broadcasts=1)
 
     # -- dispatch ------------------------------------------------------
     def _submit(self, task, kernel) -> _Future:
@@ -673,19 +574,8 @@ class _WorkerBackend(_Backend):
         future.set_result(report.results[0])
 
     def _run_one(self, handle: _WorkerHandle, task, kernel):
-        """One task round trip on one worker, healing a missed install."""
-        request = {"op": "task", "kind": _KINDS[kernel.__name__], "task": task}
-        reply = handle.request(request)
-        if reply.get("error_type") == "PotentialNotInstalledError":
-            key = reply.get("key")
-            healed = self._heal(task, key)
-            if healed is not None:
-                reply = handle.request({**request, "task": healed})
-                if reply.get("ok"):
-                    # The worker installed the payload that rode in with its
-                    # key (fragment_task.resolve_screening_potential): later key-only
-                    # tasks there resolve, and install_state need not resend.
-                    handle.installed_keys.add(key)
+        """One task round trip on one worker."""
+        reply = handle.request({"op": "task", "kind": _KINDS[kernel.__name__], "task": task})
         if reply.get("ok"):
             return reply["result"]
         raise RemoteTaskError(
@@ -695,14 +585,12 @@ class _WorkerBackend(_Backend):
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
         """Retire the drain threads and close every connection; a later
-        submission starts them again.  What a worker holds is forgotten
-        with its connection: a later install is sent again."""
+        submission starts them again."""
         with self._cond:
             self._closed = True
             self._cond.notify_all()
         for handle in self._handles:
             handle.conn.close()
-            handle.installed_keys.clear()
 
 
 class ProcessPoolFragmentExecutor(_WorkerBackend):
@@ -752,10 +640,14 @@ class ProcessPoolFragmentExecutor(_WorkerBackend):
         self._start()
         return super()._submit(task, kernel)
 
-    def _broadcast(self, key: str, arr: np.ndarray) -> None:
+    def install_state(self, key: str, payload) -> None:
+        """Fork the workers now, unless the pool is one process; installs nothing.
+
+        A vestige: every task carries its potential inline.  The benchmark
+        harness calls it to boot the pool before it starts timing.
+        """
         if self.n_workers > 1:
             self._start()
-            super()._broadcast(key, arr)
 
     def close(self) -> None:
         """Kill and reap the workers; a later batch forks new ones."""

@@ -75,8 +75,8 @@ class FlakyExecutor:
     counter across all four) and, at the configured batch indices,
     raises ``error_type`` *instead of* dispatching — the sharpest model
     of a worker group dying between submissions.  ``delay_at`` sleeps
-    before dispatching instead.  Everything else (counters, install
-    channel, worker count) delegates to the wrapped executor.
+    before dispatching instead.  Everything else (counters, worker
+    count) delegates to the wrapped executor.
 
     Parameters
     ----------
@@ -140,5 +140,5 @@ class FlakyExecutor:
         return self.inner.run_bands(tasks)
 
     def __getattr__(self, name):
-        # Counters, install_state, n_workers, close, ... all delegate.
+        # Counters, n_workers, close, ... all delegate.
         return getattr(self.inner, name)

@@ -165,8 +165,8 @@ class RemoteExecutorConfig:
     connect_timeout:
         Seconds allowed for the TCP connect + hello handshake.
     request_timeout:
-        Seconds allowed for each send/receive pair (bounds every task,
-        install and ping — the guarantee that no failure hangs).
+        Seconds allowed for each send/receive pair (bounds every task
+        and ping — the guarantee that no failure hangs).
     max_retries:
         Reconnection attempts per worker on connect failure.
     backoff:
@@ -204,8 +204,6 @@ class _TcpHandle(_WorkerHandle):
             except OSError as exc:
                 last_error = exc
                 continue
-            # A fresh process behind the same address knows no keys.
-            self.installed_keys.clear()
             return
         raise WorkerDiedError(
             f"could not connect to worker at {self.conn.address[0]}:{self.conn.address[1]}: "

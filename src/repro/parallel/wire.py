@@ -46,6 +46,7 @@ __all__ = [
     "Listener",
     "RemoteProtocolError",
     "fork_peer",
+    "pin_blas",
     "reap",
     "recv_frame",
     "refusal",
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 #: Version of the ``repro-worker`` ops, checked by the ``hello`` handshake.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 #: Version of the ``repro-serve`` request/response dicts; bumped on any
 #: incompatible change to them.
 SERVICE_PROTOCOL_VERSION = 4
@@ -370,11 +371,13 @@ class Connection:
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _pin_blas() -> None:
+def pin_blas() -> None:
     """Set numpy's bundled OpenBLAS to one thread unless the environment sets
-    a count.  A forked child runs the library its parent loaded, which no
-    environment variable reaches any more; a no-op while numpy is not
-    loaded or bundles no such library."""
+    a count.  The one pin of every solving process: the solve kernel's
+    module calls it at import (the driver) and :func:`fork_peer` in each
+    child, which runs the library its parent loaded, out of reach of any
+    environment variable.  A no-op while numpy is not loaded or bundles no
+    such library."""
     numpy = sys.modules.get("numpy")
     if numpy is None or any(var in os.environ for var in _THREAD_VARS):
         return
@@ -408,7 +411,7 @@ def fork_peer(listener: Listener, die_with_parent: bool = False) -> tuple[int, C
         try:
             os.closerange(3, theirs.fileno())
             os.closerange(theirs.fileno() + 1, os.sysconf("SC_OPEN_MAX"))
-            _pin_blas()
+            pin_blas()
             if die_with_parent:
                 import ctypes
 

@@ -18,9 +18,12 @@ accounting, so the matrix is meaningful on any machine.
 """
 
 import contextlib
+import ctypes
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -34,7 +37,6 @@ from repro.core.fragment_task import (
     FragmentExecutor,
     FragmentTask,
     FragmentTaskResult,
-    clear_installed_potentials,
     run_fragment_pipeline_task,
     solve_fragment_task,
 )
@@ -249,7 +251,7 @@ def test_a_pool_worker_killed_mid_batch_requeues_its_task():
     ]
     reference = [run_fragment_pipeline_task(t) for t in tasks]
     with ProcessPoolFragmentExecutor(2) as executor:
-        executor.install_state("boot", np.zeros(1))  # forks the workers
+        executor.install_state("boot", np.zeros(1))  # forks the workers, installs nothing
         victim, survivor = executor._pids
         for pid in (victim, survivor):
             assert _listening_sockets(pid) <= _listening_sockets(os.getpid())
@@ -266,7 +268,48 @@ def test_a_pool_worker_killed_mid_batch_requeues_its_task():
         with pytest.raises(NoRemoteWorkersError):
             executor.submit_pipeline_batch(tasks[:2])[0].result(timeout=120)
         assert executor.workers_lost == 2
-    clear_installed_potentials()
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_UNPINNED_SOLVES = """
+from repro.atoms.toy import cscl_binary
+from repro.core import LS3DF
+from repro.parallel.executor import ProcessPoolFragmentExecutor
+
+structure = cscl_binary((2, 2, 1), "Zn", "O", 6.0)
+kw = dict(max_iterations=1, eigensolver_tolerance=1e-4)
+serial = LS3DF(structure, grid_dims=(2, 2, 1), ecut=2.2).run(**kw).total_energy
+with ProcessPoolFragmentExecutor(2) as executor:
+    pool = LS3DF(structure, grid_dims=(2, 2, 1), ecut=2.2, executor=executor).run(**kw).total_energy
+print(repr(serial), repr(pool))
+"""
+
+
+def _openblas_can_be_pinned() -> bool:
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in libs.glob("libscipy_openblas64_*"):
+        if hasattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_"):
+            return True
+    return False
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: an unpinned BLAS runs one thread anyway")
+def test_an_unpinned_driver_runs_the_blas_threads_of_its_pool_workers():
+    """With no BLAS thread count in the environment the driver and its
+    forked pool workers both run one BLAS thread, so a serial solve is
+    ``==`` a pool solve.  A driver left at one BLAS thread per core sums
+    in another order than its workers: on ZnO 2×2×1 the energies then
+    differ in the eighth significant digit after one iteration."""
+    if not _openblas_can_be_pinned():
+        pytest.skip("numpy bundles no scipy-openblas64")
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _UNPINNED_SOLVES], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    serial, pool = proc.stdout.split()
+    assert serial == pool
 
 
 # --- SCF equivalence beyond one Gen_dens reduce chunk ------------------------------

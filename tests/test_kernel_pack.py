@@ -1,6 +1,6 @@
 """Tests for the PR 6 hot-path kernel pack.
 
-Three cooperating optimisations, each required to be *bit-identical* to
+Two cooperating optimisations, each required to be *bit-identical* to
 the plain computation it replaces:
 
 * the :mod:`repro.pw.fftcache` shape-keyed FFT workspace pool (and the
@@ -8,9 +8,7 @@ the plain computation it replaces:
   results into ``out=`` buffers);
 * the blocked fixed-shape nonlocal kernel
   (:meth:`repro.pw.hamiltonian.Hamiltonian.add_nonlocal`) and the BLAS
-  GEMM content-independence property that makes it row-slice stable;
-* the install-once potential channel of band slices (fingerprint-keyed
-  worker state plus the executor's resubmit-with-payload self-healing).
+  GEMM content-independence property that makes it row-slice stable.
 
 Plus the satellite regressions: the Gen_dens accumulator-reuse byte-identity and allocation bounds, and the
 end-to-end backend equivalence matrix through LS3DFSCF, where every
@@ -28,15 +26,9 @@ from _loopback import remote_executor
 from repro.atoms.toy import cscl_binary
 from repro.core.fragment_task import (
     FragmentTask,
-    PotentialNotInstalledError,
     build_task_problem,
-    clear_installed_potentials,
     clear_problem_cache,
-    fetch_potential,
     get_task_problem,
-    install_potential,
-    installed_potential_count,
-    potential_fingerprint,
     solve_fragment_task,
 )
 from repro.core.patching import (
@@ -47,7 +39,7 @@ from repro.core.patching import (
 )
 from repro.core.driver import LS3DF
 from repro.core.scf import LS3DFSCF
-from repro.parallel.bands import BandBlockTask, BandGroup, band_slices, run_band_block_task
+from repro.parallel.bands import BandGroup
 from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
 from repro.pw import fftcache
 from repro.pw.grid import FFTGrid
@@ -298,13 +290,13 @@ def test_nonlocal_block_env_in_child_changes_nothing(backend, monkeypatch):
     if backend == "processes":
         with ProcessPoolFragmentExecutor(2) as ex:
             got = solve_fragment_task(task, group=BandGroup(ex, 2))
-            workers = ex.install_broadcasts
+            sent = ex.bytes_sent
     else:
         with LocalWorkerPool(2) as pool:
             with RemoteExecutor(pool.addresses) as ex:
                 got = solve_fragment_task(task, group=BandGroup(ex, 2))
-                workers = ex.install_broadcasts
-    assert workers == 2  # the slices really ran in the children
+                sent = ex.bytes_sent
+    assert sent > 0  # the slices really ran in the children
     np.testing.assert_array_equal(got.eigenvalues, ref.eigenvalues)
     np.testing.assert_array_equal(got.density, ref.density)
     np.testing.assert_array_equal(got.coefficients, ref.coefficients)
@@ -325,76 +317,6 @@ def test_grouped_solve_bit_identical_across_slice_counts():
         np.testing.assert_array_equal(got.density, ref.density)
         np.testing.assert_array_equal(got.coefficients, ref.coefficients)
         assert got.quantum_energy == ref.quantum_energy
-
-
-# ---------------------------------------------------------------------------
-# Install-once potential channel
-# ---------------------------------------------------------------------------
-
-
-def test_potential_fingerprint_and_install_lru():
-    rng = np.random.default_rng(4)
-    v = rng.standard_normal((5, 4, 3))
-    key = potential_fingerprint(v)
-    assert key == potential_fingerprint(v.copy())
-    assert key != potential_fingerprint(v + 1e-12)  # content-sensitive
-    assert key != potential_fingerprint(v.reshape(3, 4, 5))  # shape-sensitive
-    assert key != potential_fingerprint(v.astype(np.float32))  # dtype-sensitive
-
-    clear_installed_potentials()
-    try:
-        assert install_potential(key, v) == key
-        assert installed_potential_count() == 1
-        np.testing.assert_array_equal(fetch_potential(key), v)
-        with pytest.raises(PotentialNotInstalledError) as err:
-            fetch_potential("no-such-key")
-        assert err.value.key == "no-such-key"
-        for i in range(40):  # the worker-side store is a bounded LRU
-            install_potential(f"key-{i}", np.zeros(1))
-        assert installed_potential_count() == 32
-    finally:
-        clear_installed_potentials()
-
-
-def test_install_state_reinstalls_a_key_the_process_store_evicted():
-    """The process store is the driver's only copy of an installed
-    potential: re-installing a key it evicted stores it again, so an
-    in-process kernel (the serial backend, a band-group root) resolves it."""
-    clear_installed_potentials()
-    try:
-        executor = SerialFragmentExecutor()
-        for i in range(33):  # one more than the store holds: key-0 is evicted
-            executor.install_state(f"key-{i}", np.full(1, float(i)))
-        executor.install_state("key-0", np.zeros(1))
-        np.testing.assert_array_equal(fetch_potential("key-0"), np.zeros(1))
-    finally:
-        clear_installed_potentials()
-
-
-def test_task_with_key_and_payload_installs_it_in_the_worker():
-    """The retry's inline payload stays behind: later key-only band-slice
-    tasks in that worker resolve without another retry."""
-    task = _make_task("keyed-slice")
-    v = np.asarray(task.screening_potential)
-    clear_installed_potentials()
-    try:
-        template = BandGroup(SerialFragmentExecutor(), 2).bind(task).template
-        key = template.screening_key
-        assert key == potential_fingerprint(v)
-        assert template.screening_potential is None  # shipped by key only
-        h = get_task_problem(task).hamiltonian
-        x = h.basis.random_coefficients(4, np.random.default_rng(3))
-        s = band_slices(4, 2)[0]
-        keyed = BandBlockTask(bands=s, template=template, block=x[s.lo : s.hi])
-        clear_installed_potentials()
-        with pytest.raises(PotentialNotInstalledError):
-            run_band_block_task(keyed)
-        healed = run_band_block_task(keyed.with_potential_payload(key, v))
-        np.testing.assert_array_equal(fetch_potential(key), v)
-        again = run_band_block_task(keyed)  # key-only now resolves
-        np.testing.assert_array_equal(again.data, healed.data)
-    finally:
-        clear_installed_potentials()
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +365,8 @@ def test_patch_contributions_recycles_accumulators():
 
 @pytest.fixture(scope="module")
 def backend_matrix():
-    """One run per backend.  Each ships V_in inline in every fragment task:
-    nothing is installed, and every iteration submits one task per fragment."""
+    """One run per backend.  Each ships V_in inline in every fragment task,
+    and every iteration submits one task per fragment."""
     runs = {}
     for name, make in [
         ("serial", SerialFragmentExecutor),
@@ -454,7 +376,6 @@ def backend_matrix():
         with make() as ex:
             scf = _tiny_scf(executor=ex)
             runs[name] = result = scf.run(**_RUN_KW)
-            assert ex.install_broadcasts == 0, name
             assert ex.tasks_submitted == scf.nfragments * result.iterations, name
             if name == "remote":
                 assert ex.workers_lost == 0 and ex.degraded_tasks == 0
@@ -476,12 +397,11 @@ def test_backend_matrix_bit_identical(backend_matrix):
 
 def test_install_potentials_is_an_ignored_vestige(backend_matrix):
     """``LS3DF(install_potentials=)`` survives for the benchmark harness
-    only: a pool run passing it installs nothing and is ``==`` serial,
+    only: a pool run passing it is ``==`` serial,
     ``LS3DFSCF`` has no such parameter, and ``LS3DF`` takes only a bool."""
     ref = backend_matrix["serial"]
     with ProcessPoolFragmentExecutor(2) as ex:
         result = _tiny_scf(executor=ex, cls=LS3DF, install_potentials=False).run(**_RUN_KW)
-        assert ex.install_broadcasts == 0
     np.testing.assert_array_equal(result.density, ref.density)
     np.testing.assert_array_equal(result.potential, ref.potential)
     assert result.total_energy == ref.total_energy

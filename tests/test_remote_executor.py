@@ -4,8 +4,8 @@ Covers the wire protocol (framing, handshake, typed protocol errors),
 the ``repro-worker`` server surface, and the driver-side
 :class:`~repro.parallel.remote.RemoteExecutor` — bit-identical (``==``)
 to the serial backend for all executor protocols (``run`` /
-``run_pipeline`` / ``run_global`` / ``run_bands``), with install-once
-dedup accounting and byte counters.
+``run_pipeline`` / ``run_global`` / ``run_bands``), with its submission
+and byte counters.
 
 The second half drives the failure model with the deterministic fault
 harness (:mod:`repro.parallel.faults`): dropped connections, killed
@@ -45,14 +45,10 @@ from repro.core import fragment_task
 from repro.core.fragment_task import (
     FragmentExecutor,
     FragmentTask,
-    clear_installed_potentials,
-    fetch_potential,
-    get_task_problem,
-    potential_fingerprint,
     solve_fragment_task,
 )
 from repro.core.scf import LS3DFSCF
-from repro.parallel.bands import BandBlockTask, BandGroup, band_slices, run_band_block_task
+from repro.parallel.bands import BandBlockTask, BandGroup, band_slices
 from repro.parallel.executor import SerialFragmentExecutor
 from repro.parallel.faults import FaultPlan
 from repro.parallel.remote import (
@@ -304,7 +300,7 @@ def test_worker_protocol_surface():
 
 
 @pytest.mark.parametrize("daemon, incomplete", [
-    ("worker", [{"op": "install"}, {"op": "task", "kind": []}]),
+    ("worker", [{"op": "task"}, {"op": "task", "kind": []}]),
     ("store", [{"op": "status"}, {"op": "submit"}, {"op": []}]),
 ], ids=["worker", "store"])
 def test_a_frame_that_is_not_a_request_gets_the_typed_refusal(daemon, incomplete, tmp_path):
@@ -502,117 +498,52 @@ def test_heartbeat_flags_dead_workers():
         assert executor.n_workers == 1
 
 
-# --- install channel --------------------------------------------------------------
-
-def test_install_dedup_keeps_repeats_off_the_wire():
-    rng = np.random.default_rng(11)
-    v = rng.standard_normal((6, 5, 4))
-    key = potential_fingerprint(v)
-    try:
-        with _cluster(2) as (executor, servers):
-            executor.install_state(key, v)
-            assert executor.install_broadcasts == 2  # once per worker
-            sent = executor.bytes_sent
-            executor.install_state(key, v)  # dedup: no frames at all
-            assert executor.install_broadcasts == 2
-            assert executor.bytes_sent == sent
-            other = potential_fingerprint(v + 1.0)
-            executor.install_state(other, v + 1.0)
-            assert executor.install_broadcasts == 4
-            assert executor.bytes_sent > sent
-            assert sum(s.installs for s in servers) == 4
-    finally:
-        clear_installed_potentials()
-
-
-def test_missed_install_heals_with_payload_then_reinstalls():
-    """A worker that never saw the install answers a keyed band-slice
-    task with the typed miss; the driver resubmits once with the payload
-    inline (bit-identical result) and the worker keeps that payload under
-    its key, so the heal happens once and the potential crosses the wire
-    once per heal."""
-    task = _make_task("heal")
-    v = np.asarray(task.screening_potential)
-    key = potential_fingerprint(v)
-    try:
-        template = BandGroup(SerialFragmentExecutor(), 1).bind(task).template
-        x = get_task_problem(task).hamiltonian.basis.random_coefficients(
-            2, np.random.default_rng(4))
-        keyed = BandBlockTask(bands=band_slices(2, 1)[0], template=template, block=x)
-        reference = run_band_block_task(dataclasses.replace(keyed, template=task))
-        clear_installed_potentials()
-        with _cluster(1) as (executor, _):
-            executor.install_state(key, v)
-            clear_installed_potentials()  # simulate worker amnesia
-            sent = [executor.bytes_sent]
-            report = executor.run_bands([keyed])
-            sent.append(executor.bytes_sent)
-            np.testing.assert_array_equal(report.results[0].data, reference.data)
-            assert executor.tasks_submitted == 1
-            assert executor.pool_submissions == 2  # one heal retry
-            assert executor.install_broadcasts == 1  # no install frame after it
-            # The retry's payload restocked the worker store ...
-            np.testing.assert_array_equal(fetch_potential(key), v)
-            # ... so a second key-only task there needs no further heal, and
-            # a repeated install_state of the key sends nothing.
-            again = executor.run_bands([keyed])
-            sent.append(executor.bytes_sent)
-            np.testing.assert_array_equal(again.results[0].data, reference.data)
-            assert executor.pool_submissions == 3
-            executor.install_state(key, v)
-            assert executor.install_broadcasts == 1
-            assert executor.bytes_sent == sent[2]
-            # One payload crossed the wire for the heal: the healed batch is
-            # two task frames (miss, retry) plus the potential, once.
-            task_frame = sent[2] - sent[1]
-            extra = (sent[1] - sent[0]) - 2 * task_frame
-            assert v.nbytes <= extra < 1.5 * v.nbytes
-    finally:
-        clear_installed_potentials()
-
-
 # --- band-group wire contract -----------------------------------------------------
 
 def test_band_group_wire_carries_h_psi_only():
     """A grouped solve ships H·psi and nothing else: one stage of
     ``nslices`` task frames per ``apply_h`` call the solver makes (the
-    residual step stays on the root), and the bytes sent are the blocks
-    handed to ``apply_h`` plus per-task framing."""
-    # A basis large enough (341 plane waves) that the band rows, not the
-    # ~0.9 KB of template and framing per task, are what a frame weighs.
+    residual step stays on the root), and the bytes sent are exactly those
+    frames — each the slice's rows of the block handed to ``apply_h`` plus
+    the fragment's template with its screening potential inline."""
     task = dataclasses.replace(_make_task(), ecut=10.0)
     reference = solve_fragment_task(task)
     nslices = 2
     blocks = []
-    try:
-        with _cluster(2) as (executor, servers):
-            group = BandGroup(executor, nslices)
-            sliced_apply_h = group.apply_h
+    with _cluster(2) as (executor, servers):
+        group = BandGroup(executor, nslices)
+        sliced_apply_h = group.apply_h
 
-            def counting_apply_h(block):
-                blocks.append(block)
-                return sliced_apply_h(block)
+        def counting_apply_h(block):
+            blocks.append(block.copy())
+            return sliced_apply_h(block)
 
-            group.apply_h = counting_apply_h
-            # Connect and install up front, so the growth measured below is
-            # task frames only (the solve's own install is then deduped).
-            v = np.asarray(task.screening_potential)
-            executor.install_state(potential_fingerprint(v), v)
-            sent = executor.bytes_sent
-            result = solve_fragment_task(task, group=group)
-            sent = executor.bytes_sent - sent
-            _assert_results_equal([result], [reference])
-            # The initial image, one per iteration, one per verification.
-            assert result.solver_iterations + 2 <= len(blocks) <= (
-                2 * result.solver_iterations + 2)
-            assert group.stats.stages == len(blocks)
-            assert group.stats.submissions == nslices * len(blocks)
-            assert sum(s.tasks_served for s in servers) == nslices * len(blocks)
-            assert executor.install_broadcasts == 2
-            payload = sum(len(pickle.dumps(b, pickle.HIGHEST_PROTOCOL)) for b in blocks)
-            assert sent < 1.2 * payload
-    finally:
-        clear_installed_potentials()
+        group.apply_h = counting_apply_h
+        # Connect up front, so the growth measured below is task frames only.
+        assert executor.heartbeat() == 2
+        sent = executor.bytes_sent
+        result = solve_fragment_task(task, group=group)
+        sent = executor.bytes_sent - sent
+        _assert_results_equal([result], [reference])
+        # The initial image, one per iteration, one per verification.
+        assert result.solver_iterations + 2 <= len(blocks) <= (
+            2 * result.solver_iterations + 2)
+        assert group.stats.stages == len(blocks)
+        assert group.stats.submissions == nslices * len(blocks)
+        assert sum(s.tasks_served for s in servers) == nslices * len(blocks)
+    template = group.template
+    np.testing.assert_array_equal(template.screening_potential, task.screening_potential)
+    assert template.initial_coefficients is None
+    tasks = [
+        BandBlockTask(bands=s, template=template, block=block[s.lo : s.hi])
+        for block in blocks
+        for s in band_slices(block.shape[0], nslices)
+    ]
+    assert sent == sum(len(_frame_bytes({"op": "task", "kind": "bands", "task": t})) for t in tasks)
+    # Each frame is its rows plus one inline template, plus framing.
+    rows = sum(len(pickle.dumps(t.block, pickle.HIGHEST_PROTOCOL)) for t in tasks)
+    inline = len(tasks) * len(pickle.dumps(template, pickle.HIGHEST_PROTOCOL))
+    assert rows + inline < sent
 
 
 # --- SCF equivalence through every protocol ---------------------------------------
@@ -645,7 +576,6 @@ def remote_scf_runs():
                     result,
                     dict(
                         tasks=executor.tasks_submitted,
-                        installs=executor.install_broadcasts,
                         sent=executor.bytes_sent,
                         received=executor.bytes_received,
                         lost=executor.workers_lost,
@@ -680,8 +610,6 @@ def test_remote_scf_accounting(remote_scf_runs):
     result, stats = remote_scf_runs["pipeline"]
     # One submission per fragment per iteration, like every backend.
     assert stats["tasks"] == stats["nfragments"] * result.iterations
-    # V_in rides inline in every fused task: nothing is installed.
-    assert stats["installs"] == 0
     assert stats["sent"] > 0 and stats["received"] > 0
     # Band-grouped: one submission per band-task batch, `slices` each.
     bands_result, bands_stats = remote_scf_runs["bands"]
@@ -904,7 +832,6 @@ def test_remote_subprocess_workers_match_golden_systems(name):
             remote = build(executor).run(**PROTOCOL["run"])
             assert executor.workers_lost == 0
             assert executor.degraded_tasks == 0
-            assert executor.install_broadcasts == 0  # V_in rides inline
             assert executor.bytes_sent > 0
     np.testing.assert_array_equal(remote.density, serial.density)
     np.testing.assert_array_equal(remote.potential, serial.potential)

@@ -210,8 +210,7 @@ def main() -> int:
         return 0
 
     from repro.atoms.toy import cscl_binary
-    from repro.core.fragment_task import (
-        get_task_problem, resolve_screening_potential, solve_fragment_task)
+    from repro.core.fragment_task import get_task_problem, solve_fragment_task
     from repro.core.patching import patch_fragment_fields, restrict_to_fragment
     from repro.core.scf import LS3DFSCF
     from repro.pw.eigensolver import _low_kinetic_block, all_band_cg
@@ -274,7 +273,7 @@ def main() -> int:
         gate fires."""
         for i, task in enumerate(tasks, len(solves) - len(tasks)):
             h = get_task_problem(task).hamiltonian
-            h.set_effective_potential(resolve_screening_potential(task))
+            h.set_effective_potential(task.screening_potential)
             before = h.counter.n_apply
             every = all_band_cg(
                 h, solves[i][2], initial=task.initial_coefficients,

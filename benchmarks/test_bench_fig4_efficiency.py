@@ -8,8 +8,6 @@ high concurrency, mostly due to Gen_VF / Gen_dens.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
@@ -84,77 +82,6 @@ def test_fig4_measured_parallel_efficiency(results_dir):
     # efficiencies.
     assert report.schedule is not None
     assert report.schedule.imbalance < 1.25
-
-
-@pytest.mark.slow
-@pytest.mark.paper_experiment
-def test_fig4_band_groups_largest_fragment(results_dir):
-    """Figure 4 companion: the band-parallel eigensolver on the largest
-    fragment.
-
-    The measured counterpart of the paper's Np-cores-per-group design
-    point: solve the single most expensive fragment of a real batch once
-    on one worker and once band-sliced over a process group, and record
-    both wall times (plus the measured intra-group efficiency) to
-    ``fig4_band_groups.json``.  On a single-core CI box the grouped wall
-    cannot beat the ungrouped one, so no speedup is asserted — only that
-    the grouped solve stays bit-identical and the record is written; on
-    real multi-core hardware the recorded ratio is the point of the
-    subsystem (the largest fragment stops bounding PEtot_F).
-    """
-    from _real_tasks import make_real_tasks
-    from repro.core.fragment_task import solve_fragment_task
-    from repro.parallel.amdahl import measured_intra_group_efficiency
-    from repro.parallel.bands import BandGroup
-    from repro.parallel.executor import ProcessPoolFragmentExecutor
-
-    tasks = make_real_tasks((2, 2, 1))
-    largest = max(tasks, key=lambda t: t.cost())
-    nslices = 2
-
-    # Warm the static-problem cache so both timings see the paper's
-    # cheap-second-iteration conditions (setup excluded, solve timed).
-    solve_fragment_task(largest)
-
-    t0 = time.perf_counter()
-    reference = solve_fragment_task(largest)
-    ungrouped_wall = time.perf_counter() - t0
-
-    with ProcessPoolFragmentExecutor(n_workers=nslices) as executor:
-        t0 = time.perf_counter()
-        group = BandGroup(executor, nslices)
-        grouped = solve_fragment_task(largest, group=group)
-        grouped_wall = time.perf_counter() - t0
-    stats = group.stats
-
-    np.testing.assert_array_equal(grouped.eigenvalues, reference.eigenvalues)
-    np.testing.assert_array_equal(grouped.density, reference.density)
-
-    efficiency = measured_intra_group_efficiency(
-        stats.task_cpu, grouped_wall, nslices)
-    record = {
-        "fragment": largest.label,
-        "fragment_cost": largest.cost(),
-        "band_slices": nslices,
-        "ungrouped_wall": ungrouped_wall,
-        "grouped_wall": grouped_wall,
-        "wall_reduction": ungrouped_wall / grouped_wall,
-        "band_task_cpu": stats.task_cpu,
-        "band_stages": stats.stages,
-        "measured_intra_group_efficiency": efficiency,
-    }
-    print("\nFigure 4 companion (largest-fragment wall, band groups):")
-    print(f"  fragment {largest.label}: 1 worker {ungrouped_wall:.2f}s,"
-          f"  {nslices} band slices {grouped_wall:.2f}s"
-          f"  (x{record['wall_reduction']:.2f},"
-          f" intra-group eff {efficiency:.2f})")
-    save_records(
-        [ResultRecord("fig4_band_groups", record)],
-        results_dir / "fig4_band_groups.json",
-    )
-    assert ungrouped_wall > 0 and grouped_wall > 0
-    assert stats.submissions == stats.stages * nslices
-    assert 0 < efficiency <= 1.0
 
 
 @pytest.mark.paper_experiment

@@ -8,13 +8,9 @@ fragment one fused Gen_VF->solve->Gen_dens task per iteration) and the
 *measured* PEtot_F speedup (from the per-fragment wall times the SCF loop
 records) is printed next to the speedup the LPT load-balancing model
 predicts for the same fragment batch, together with the measured Amdahl
-serial fraction of a warm iteration.  Part C exercises the two-level
-hierarchy: the band-parallel eigensolver (``band_groups=``, the paper's
-Np cores per fragment group) at a few slice counts, printing which side
-each run took — band slices only when the workers outnumber the
-fragments, whole fragments otherwise — and the *modelled* intra-group
-efficiency (``GroupDecomposition``) next to the *measured* one from the
-recorded band-task times of the sliced runs.
+serial fraction of a warm iteration.  The paper's second parallel level
+(Np cores sharing one fragment's solve) appears only in Part A's model:
+every real backend solves a fragment on one worker.
 
 Usage:  python examples/scaling_study.py [--machine franklin|jaguar|intrepid]
                                          [--workers N]
@@ -28,10 +24,8 @@ from repro.atoms import cscl_binary
 from repro.core import LS3DFSCF
 from repro.io import format_table
 from repro.parallel import (
-    FRANKLIN,
     DirectDFTCostModel,
     FragmentScheduler,
-    GroupDecomposition,
     LS3DFPerformanceModel,
     LS3DFWorkload,
     ProcessPoolFragmentExecutor,
@@ -125,77 +119,6 @@ def real_strong_scaling(max_workers: int) -> None:
           " serial fraction = measured Amdahl alpha of the last iteration)")
 
 
-def band_group_study(max_workers: int) -> None:
-    """Part C: the two-level hierarchy, modelled vs measured.
-
-    Runs the same small LS3DF system with the band-parallel eigensolver
-    at a few slice counts and prints, per configuration, which side the
-    warm iteration took (``IterationTimings.band_sliced``: band slices
-    only with more workers than fragments, so the 16 fragments of this
-    2×2×1 division run whole on up to 16 workers), the largest
-    fragment's wall time and two intra-group efficiencies: the modelled
-    one (``GroupDecomposition.intra_group_efficiency`` of Np Franklin
-    cores) and, for sliced runs only, the measured one
-    (``IterationTimings.measured_intra_group_efficiency``, from the
-    recorded per-slice band-task times).
-    """
-    print("\n=== Band-parallel eigensolver (two-level hierarchy) ===")
-    structure = cscl_binary((2, 2, 1), "Zn", "Se", 6.5)
-    rows = []
-    configs: list[tuple[str, object, int | None]] = [
-        ("serial (no groups)", SerialFragmentExecutor, None)
-    ]
-    for nslices in sorted({2, max(2, min(max_workers, 4))}):
-        configs.append((f"processes, band_groups={nslices}",
-                        lambda: ProcessPoolFragmentExecutor(
-                            n_workers=max(2, max_workers)),
-                        nslices))
-    for name, make_executor, band_groups in configs:
-        executor = make_executor()
-        scf = LS3DFSCF(
-            structure,
-            grid_dims=(2, 2, 1),
-            ecut=2.2,
-            buffer_cells=0.5,
-            n_empty=2,
-            mixer="kerker",
-            executor=executor,
-            band_groups=band_groups,
-        )
-        result = scf.run(
-            max_iterations=2,
-            potential_tolerance=1e-6,
-            eigensolver_tolerance=1e-4,
-            eigensolver_iterations=40,
-        )
-        if hasattr(executor, "close"):
-            executor.close()
-        warm = result.timings[-1]  # warm iteration: the representative one
-        largest = max(warm.petot_f_fragments)
-        modeled = measured = "-"
-        if band_groups is not None:
-            decomp = GroupDecomposition(band_groups, band_groups)
-            modeled = f"{decomp.intra_group_efficiency(FRANKLIN.core_peak_gflops):.2f}"
-        if warm.band_sliced:
-            measured = f"{warm.measured_intra_group_efficiency:.2f}"
-        rows.append({
-            "configuration": name,
-            "side": "band slices" if warm.band_sliced else "whole fragments",
-            "largest-fragment wall [s]": round(largest, 3),
-            "PEtot_F wall [s]": round(warm.petot_f, 2),
-            "modeled intra-group eff": modeled,
-            "measured intra-group eff": measured,
-        })
-    print(format_table(rows))
-    print("(side = band slices only when the workers outnumber the"
-          f" {scf.nfragments} fragments; modeled ="
-          " GroupDecomposition.intra_group_efficiency of Np Franklin"
-          " cores; measured = band-task CPU / (Np x G x PEtot_F wall) of a"
-          " sliced warm iteration, G = band groups the workers hold — 1-core"
-          " boxes keep the measured value below the model, the gap is the"
-          " group root's cross-band algebra)")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--machine", default="franklin",
@@ -207,7 +130,6 @@ def main() -> None:
     modelled_evaluation(args.machine)
     if not args.skip_real:
         real_strong_scaling(args.workers)
-        band_group_study(args.workers)
 
 
 if __name__ == "__main__":

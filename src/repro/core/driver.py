@@ -77,6 +77,11 @@ class LS3DF(LS3DFSCF):
         fragment task carries the iteration's potential inline, so a bool
         is accepted and not forwarded, and anything else raises
         ``ValueError``.
+    band_groups:
+        Vestige kept for the benchmark harness, like ``pipeline``: one
+        worker solves each fragment whole, so a positive int or None is
+        accepted and not forwarded, and anything else raises
+        ``ValueError``.
     args, kwargs:
         Forwarded to :class:`repro.core.scf.LS3DFSCF`.
     """
@@ -87,6 +92,7 @@ class LS3DF(LS3DFSCF):
         pipeline: bool = True,
         genpot_shards: int | None = None,
         install_potentials: bool = False,
+        band_groups: int | None = None,
         **kwargs,
     ) -> None:
         if pipeline is not True:
@@ -105,6 +111,11 @@ class LS3DF(LS3DFSCF):
                 f"install_potentials={install_potentials!r}: fragment tasks always "
                 f"carry the potential inline; the argument is ignored but must be "
                 f"a bool"
+            )
+        if band_groups is not None and (type(band_groups) is not int or band_groups < 1):
+            raise ValueError(
+                f"band_groups={band_groups!r}: one worker solves each fragment "
+                f"whole; the argument is ignored but must be a positive int or None"
             )
         super().__init__(*args, **kwargs)
 

@@ -12,9 +12,7 @@ implemented:
   live solver objects.
 * :func:`solve_fragment_task` executes one task.  It is the kernel the
   executors in :mod:`repro.parallel.executor` call in-process and from
-  worker threads or processes; with ``group=`` the same body spreads the
-  fragment's band block over a worker group (the paper's Np cores per
-  fragment — Np = 1 is the same code).
+  worker processes; one worker solves a whole fragment.
 * A per-process cache of the static (iteration-independent) problem data
   — basis, Hamiltonian, occupations — reproduces the paper's "store
   everything in the LS3DF global module" optimisation: the expensive
@@ -43,7 +41,6 @@ import hashlib
 import os
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -337,7 +334,7 @@ def clear_problem_cache() -> None:
 
 
 def solve_fragment_task(
-    task: FragmentTask, problem: TaskProblem | None = None, group=None
+    task: FragmentTask, problem: TaskProblem | None = None
 ) -> FragmentTaskResult:
     """Solve one fragment task — THE shared PEtot_F kernel.
 
@@ -352,13 +349,6 @@ def solve_fragment_task(
     problem:
         Optional pre-built static problem, bypassing the per-process
         cache lookup when the caller already holds the data.
-    group:
-        Optional :class:`repro.parallel.bands.BandGroup`: the calling
-        process is then the *group root* — it runs the all-band CG loop and
-        every cross-band reduction — while H·psi of the unconverged bands is
-        sliced over the group's executor.  **Bit-identical** to the ungrouped
-        solve for any slice count and backend (``tests/test_band_parallel.py``).
-        The group's task accounting is left on ``group.stats``.
 
     Returns
     -------
@@ -373,9 +363,6 @@ def solve_fragment_task(
     if problem is None:
         problem = get_task_problem(task)
     hamiltonian = problem.hamiltonian
-    # Held across a grouped solve too: the band-slice kernel never takes
-    # this lock (see repro.parallel.bands.run_band_block_task), and it is
-    # what keeps two group roots off one static problem at a time.
     with problem.lock:
         hamiltonian.set_effective_potential(v_screen)
         result = all_band_cg(
@@ -384,14 +371,11 @@ def solve_fragment_task(
             initial=task.initial_coefficients,
             max_iterations=task.max_iterations,
             tolerance=task.tolerance,
-            band_groups=None if group is None else group.bind(task),
             nconverge=problem.noccupied,
         )
-        # The root-local FFT work; a band group's roots take turns at it.
-        with group.root_lock if group is not None else nullcontext():
-            density = compute_density(
-                problem.basis, result.coefficients, problem.occupations
-            )
+        density = compute_density(
+            problem.basis, result.coefficients, problem.occupations
+        )
     band_energy = float(np.sum(problem.occupations * result.eigenvalues))
     # Quantum energy: kinetic + short-range ionic + nonlocal only (GENPOT
     # assembles the screened parts); the Ritz values are <x_i|H|x_i> on a
@@ -471,7 +455,6 @@ class FragmentPipelineTask:
 def run_fragment_pipeline_task(
     pipeline_task: FragmentPipelineTask,
     problem: TaskProblem | None = None,
-    group=None,
 ) -> FragmentTaskResult:
     """Execute one fused fragment pipeline task (worker-side Figure 2 lap).
 
@@ -496,10 +479,9 @@ def run_fragment_pipeline_task(
     ----------
     pipeline_task:
         The fused work unit (solve task + global potential + index maps).
-    problem, group:
-        Optional pre-built static problem and band group, forwarded to
-        :func:`solve_fragment_task`.  With a group the restriction and
-        the extraction still run here, on the group root.
+    problem:
+        Optional pre-built static problem, forwarded to
+        :func:`solve_fragment_task`.
 
     Returns
     -------
@@ -517,7 +499,7 @@ def run_fragment_pipeline_task(
     task = pipeline_task.task
     task.screening_potential = v_screen
     gen_vf_time = time.perf_counter() - t0
-    result = solve_fragment_task(task, problem=problem, group=group)
+    result = solve_fragment_task(task, problem=problem)
     t0 = time.perf_counter()
     interior = result.density[pipeline_task.interior_slice]
     result.contribution = task.weight * np.real(interior)
@@ -527,31 +509,12 @@ def run_fragment_pipeline_task(
     return result
 
 
-def run_fragment_pipeline_task_grouped(
-    pipeline_task: FragmentPipelineTask,
-    executor,
-    band_slices: int,
-    root_lock=None,
-):
-    """One fused fragment pipeline with its solve sliced over ``executor``.
+def run_fragment_pipeline_task_grouped(*args, **kwargs):
+    """Harness-only stub: band-sliced fragment solves are gone, so this raises.
 
-    Builds the fragment's :class:`repro.parallel.bands.BandGroup`
-    (``band_slices`` slices on ``executor``; ``root_lock`` is the lock the
-    band-grouped drain's roots share) and runs :func:`run_fragment_pipeline_task` with it — what
-    the band-grouped SCF iteration calls once per fragment.
-
-    Returns
-    -------
-    tuple[FragmentTaskResult, repro.parallel.bands.BandGroupStats]
-        The pipeline result (identical to the ungrouped kernel's) plus
-        the solve's band-task accounting.
+    Kept by name because the benchmark harness's tracer resolves it.
     """
-    # Imported here: repro.parallel.bands imports this module at its top.
-    from repro.parallel.bands import BandGroup
-
-    group = BandGroup(executor, band_slices, root_lock)
-    result = run_fragment_pipeline_task(pipeline_task, group=group)
-    return result, group.stats
+    raise NotImplementedError("band-sliced fragment solves were removed; use run_fragment_pipeline_task")
 
 
 @runtime_checkable
@@ -562,8 +525,7 @@ class FragmentExecutor(Protocol):
     fragment and consumes the futures in fragment order.  The backends
     in :mod:`repro.parallel.executor` and :mod:`repro.parallel.remote`
     also offer gathered batch forms (``run``, ``run_pipeline``, returning
-    an :class:`ExecutionReport`), the optional ``run_bands``
-    (``band_groups=``) and ``submit_global`` (the sharded
+    an :class:`ExecutionReport`) and ``submit_global`` (the sharded
     :class:`~repro.core.genpot.GlobalPotentialSolver`, which the SCF
     loop does not use) surfaces; anything with this shape — e.g. an
     MPI- or cluster-backed mapper — plugs into the SCF loop the same way.
@@ -585,8 +547,8 @@ class ExecutionReport:
     """Timing summary of one batch of fragment solves.
 
     ``results`` holds one :class:`FragmentTaskResult` per task, for plain
-    solve and fused pipeline batches alike (band-slice batches hold
-    :class:`repro.parallel.bands.BandBlockResult`); the summary properties
+    solve and fused pipeline batches alike (global-step batches hold
+    :class:`repro.parallel.distributed.GlobalStepResult`); the summary properties
     read their ``wall_time`` / ``worker_pid``.  Re-dispatches after a
     worker death are counted once, on the executor
     (``RemoteExecutor.resubmissions``).

@@ -16,16 +16,11 @@ the driver's serial work per iteration is task building, the reduce's
 residue and GENPOT; the loop never cares *where* a fragment was solved.
 
 The paper's parallelism is two-level: fragments go to processor
-*groups*, and the Np cores inside a group distribute one fragment's
-all-band CG among themselves.  ``band_groups=`` reproduces the second
-level — the single fork inside an iteration, taken with more workers
-than fragments: the same fused tasks go into one heaviest-first queue,
-drained on the one executor by driver threads acting as group roots
-(two per band group the workers hold, so a root's dense algebra
-overlaps another fragment's slices), each fragment's solve band-sliced
-over the workers (:mod:`repro.parallel.bands`) so that a huge fragment
-no longer bounds the PEtot_F wall time, bit-identical to the
-one-worker-per-fragment side for any slice count and backend.
+*groups*, and the Np cores inside a group share one fragment's all-band
+CG.  Only the first level executes here — one worker solves a whole
+fragment — because the second pays only with more workers than
+fragments, a shape no workload here has; :mod:`repro.parallel.perfmodel`
+and :mod:`repro.parallel.groups` keep it as a model.
 
 The loop is the generator :meth:`LS3DFSCF.iterate`, which yields the run
 after every iteration; :meth:`LS3DFSCF.run` drains it.  Long runs can be
@@ -34,15 +29,13 @@ every iteration the cross-iteration state — input potential, mixer
 history, warm-start wavefunctions — is persisted via
 :mod:`repro.io.checkpoint`, and a resumed run's iterates are
 bit-identical to an uninterrupted run's.  That end-of-iteration
-checkpoint is the only restart state, on both sides of the fork: a kill
-mid-PEtot_F re-solves the killed iteration.
+checkpoint is the only restart state: a kill mid-PEtot_F re-solves the
+killed iteration.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -52,11 +45,7 @@ import numpy as np
 from repro.atoms.structure import Structure
 from repro.core.division import SpatialDivision
 from repro.core.fragment_solver import FragmentSolver
-from repro.core.fragment_task import (
-    FragmentExecutor,
-    FragmentTaskResult,
-    run_fragment_pipeline_task_grouped,
-)
+from repro.core.fragment_task import FragmentExecutor, FragmentTaskResult
 from repro.core.fragments import Fragment, enumerate_fragments
 from repro.core.genpot import GlobalPotentialSolver
 from repro.core.patching import PATCH_CHUNK_SIZE, patch_contributions
@@ -70,13 +59,6 @@ from repro.io.checkpoint import (
 from repro.parallel.executor import SerialFragmentExecutor
 from repro.pw.grid import FFTGrid, grid_density
 from repro.pw.pseudopotential import PseudopotentialSet, default_pseudopotentials
-
-#: Root threads per band group (at most one per queued fragment).  A
-#: grouped solve alternates "root waits for slices" with "workers wait
-#: for the root's algebra"; a second root fills each phase
-#: with another fragment's, a third measured worse (0.80 s against
-#: 0.73-0.78 s on ``scf_remote_bands``).
-GROUP_ROOTS = 2
 
 
 @dataclass
@@ -102,40 +84,22 @@ class IterationTimings:
     The reduce consumes fragment results in fragment order while the
     batch tail is still draining: ``overlap_wait`` / ``overlap_busy``
     split the PEtot_F wall into not-reducing (the submission, blocked
-    pulls; with band groups the whole drain, which finishes before the
-    reduce starts) versus useful reduce work (see
-    ``overlap_occupancy``), and ``gen_dens`` is the residue left *after*
-    the last fragment landed.
+    pulls) versus useful reduce work (see ``overlap_occupancy``), and
+    ``gen_dens`` is the residue left *after* the last fragment landed.
 
     ``genpot_poisson`` / ``genpot_xc`` / ``genpot_mix`` break the GENPOT
     wall time down into its three global steps, all run on the driver.
-    ``genpot_tasks``, ``genpot_sharded``, ``genpot_wait`` and
-    ``layout_conversion`` are always empty (``[]``, False, 0.0, 0.0):
-    the loop's GENPOT is never sharded, and the fields stay only until
-    the benchmark harness stops reading them.
-
-    When band-parallel PEtot_F ran (see ``band_groups=``) each fragment's
-    all-band CG is itself distributed: ``band_sliced`` is set,
-    ``band_slices`` records the slice count (the local Np per group),
-    ``band_group_count`` how many band groups the executor's workers
-    hold at once (``G = max(1, n_workers // band_slices)``),
-    ``band_tasks`` holds the in-worker wall time of every per-slice
-    :class:`~repro.parallel.bands.BandBlockTask` (the parallel bucket),
-    ``band_stages`` counts the sliced stages dispatched (one per H·psi
-    application of a grouped eigensolve, ``band_slices`` tasks each).
-    The group roots' residual step and dense cross-band algebra plus
-    dispatch overhead — ``band_driver`` =
-    ``petot_f - band_cpu`` — is what the workers did not cover (two
-    roots per group overlap it with another fragment's slices), so
-    ``measured_intra_group_efficiency`` is the measured counterpart of
-    the modelled
-    :meth:`repro.parallel.groups.GroupDecomposition.intra_group_efficiency`.
 
     ``checkpoint_io`` records the seconds spent writing this iteration's
     checkpoint (zero when checkpointing is off).  Checkpoint I/O happens
     on the driver while every worker idles, so it is counted in
     ``serial_time`` — the Amdahl accounting stays honest about the cost
     of restartability.
+
+    ``band_tasks`` (always ``[]``), ``genpot_tasks`` (always ``[]``) and
+    ``genpot_sharded`` (always False) are harness-only vestiges: the
+    loop never band-slices a solve nor shards GENPOT, and the benchmark
+    harness still reads the three fields.
     """
 
     gen_vf: float = 0.0
@@ -151,16 +115,10 @@ class IterationTimings:
     genpot_poisson: float = 0.0
     genpot_xc: float = 0.0
     genpot_mix: float = 0.0
+    checkpoint_io: float = 0.0
+    band_tasks: list[float] = field(default_factory=list)
     genpot_tasks: list[float] = field(default_factory=list)
     genpot_sharded: bool = False
-    genpot_wait: float = 0.0
-    layout_conversion: float = 0.0
-    checkpoint_io: float = 0.0
-    band_sliced: bool = False
-    band_slices: int = 0
-    band_group_count: int = 1
-    band_stages: int = 0
-    band_tasks: list[float] = field(default_factory=list)
 
     @property
     def total(self) -> float:
@@ -190,52 +148,10 @@ class IterationTimings:
         tail drains: ``overlap_busy`` seconds went into the chunked
         tree-reduce under still-running workers and ``overlap_wait``
         seconds were spent blocked on the next future.  This is their
-        ratio (near zero on a band-grouped iteration, which reduces
-        after its drain).
+        ratio.
         """
         denom = self.overlap_busy + self.overlap_wait
         return self.overlap_busy / denom if denom > 0 else 0.0
-
-    @property
-    def band_cpu(self) -> float:
-        """Summed in-worker time of the band-sliced eigensolver tasks."""
-        return float(sum(self.band_tasks))
-
-    @property
-    def band_driver(self) -> float:
-        """Group-root residue of a band-sliced PEtot_F step.
-
-        The PEtot_F wall time minus the summed in-worker band-task time
-        (clamped at zero, since a real pool overlaps tasks): the
-        residual step, dense cross-band reductions, gathers and dispatch
-        overhead the group root keeps.  Zero when the step did not run
-        band-sliced.
-        """
-        if not self.band_sliced:
-            return 0.0
-        return max(0.0, self.petot_f - self.band_cpu)
-
-    @property
-    def measured_intra_group_efficiency(self) -> float:
-        """Measured efficiency of the band groups: band CPU / (Np x G x wall).
-
-        ``G`` (``band_group_count``) groups of ``Np`` (``band_slices``)
-        workers run sliced work side by side, so this stays at most 1.
-        Delegates to
-        :func:`repro.parallel.amdahl.measured_intra_group_efficiency`
-        (imported here: only band-sliced runs read it), the single home
-        of the formula; the measured
-        counterpart of the modelled
-        :meth:`repro.parallel.groups.GroupDecomposition.intra_group_efficiency`.
-        0.0 when the step did not run band-sliced.
-        """
-        if not self.band_sliced:
-            return 0.0
-        from repro.parallel.amdahl import measured_intra_group_efficiency
-
-        return measured_intra_group_efficiency(
-            self.band_cpu, self.petot_f, self.band_slices * self.band_group_count
-        )
 
     @property
     def serial_time(self) -> float:
@@ -243,38 +159,20 @@ class IterationTimings:
 
         The Gen_VF and Gen_dens entries time task building and the
         residue of the chunked tree-reduce; GENPOT runs on the driver.
-        With band-sliced PEtot_F the group root's share
-        (``band_driver``) is serial too, while the sliced band tasks
-        count as parallel.  Checkpoint I/O, when enabled, is driver-only
-        work and counts here too.
+        Checkpoint I/O, when enabled, is driver-only work and counts
+        here too.
         """
-        return (
-            self.gen_vf
-            + self.gen_dens
-            + self.genpot
-            + self.band_driver
-            + self.checkpoint_io
-        )
-
-    @property
-    def parallel_cpu(self) -> float:
-        """Serial-equivalent cost of the executor-distributable work.
-
-        The summed per-fragment wall times, replaced by the summed
-        per-slice band-task times when PEtot_F ran band-sliced (the
-        fragment walls then contain root-side serial work).
-        """
-        return self.band_cpu if self.band_sliced else self.petot_f_cpu
+        return self.gen_vf + self.gen_dens + self.genpot + self.checkpoint_io
 
     @property
     def measured_serial_fraction(self) -> float:
         """Measured Amdahl alpha: serial / (serial + parallelisable CPU).
 
-        The parallelisable part is ``parallel_cpu`` — the
-        serial-equivalent cost of the work the executor may spread over
-        any number of workers.
+        The parallelisable part is ``petot_f_cpu`` — the
+        serial-equivalent cost of the fused fragment tasks, which the
+        executor may spread over any number of workers.
         """
-        denominator = self.serial_time + self.parallel_cpu
+        denominator = self.serial_time + self.petot_f_cpu
         if denominator <= 0:
             return 0.0
         return self.serial_time / denominator
@@ -372,28 +270,9 @@ class LS3DFSCF:
         iteration consumes ``executor.submit_pipeline_batch`` futures,
         so an object without that method is rejected with a
         ``TypeError`` here rather than mid-run.
-    band_groups:
-        Up to this many band slices per fragment, used when workers
-        outnumber fragments — the paper's Np cores *per fragment group*.
-        Otherwise, and with the default ``None``, one worker runs each
-        fragment: slicing would only add round trips (measured in
-        ``docs/ARCHITECTURE.md``).  The band-grouped side is
-        :meth:`_drain_band_groups`: one heaviest-first fragment queue,
-        drained by driver threads acting as group roots (up to
-        :data:`GROUP_ROOTS` per group) for the dense cross-band
-        reductions and the elementwise residual step, and the per-slice
-        H·psi work goes through ``executor.run_bands`` — bit-identical
-        results to the ungrouped side for any slice count, backend and
-        worker count, which is what removes the largest-fragment floor
-        on the PEtot_F wall time.  Requires an
-        executor with ``run_bands`` (all backends in
-        :mod:`repro.parallel.executor`).  A resume re-solves the killed
-        iteration from the end-of-iteration checkpoint, as on the
-        ungrouped side.
 
-    Every task carries its potential inline: a fragment task the
-    iteration's global input potential, a band slice its fragment's
-    screening potential (:class:`repro.parallel.bands.BandGroup`).
+    Every fragment task carries the iteration's global input potential
+    inline, and one worker solves each fragment whole.
     """
 
     def __init__(
@@ -408,7 +287,6 @@ class LS3DFSCF:
         mixer_options: dict | None = None,
         points_per_bohr: float | None = None,
         executor: FragmentExecutor | None = None,
-        band_groups: int | None = None,
     ) -> None:
         self.structure = structure
         self.grid_dims = tuple(int(m) for m in grid_dims)
@@ -440,17 +318,6 @@ class LS3DFSCF:
             mixer=mixer,
             mixer_options=mixer_options,
         )
-        self.band_groups = None if band_groups is None else int(band_groups)
-        if self.band_groups is not None:
-            if self.band_groups < 1:
-                raise ValueError("band_groups must be positive")
-            if not hasattr(executor, "run_bands"):
-                raise TypeError(
-                    f"band_groups needs an executor with run_bands(); "
-                    f"{type(executor).__name__} does not provide one — use a "
-                    f"backend from repro.parallel.executor or set "
-                    f"band_groups=None"
-                )
         self.executor = executor
         # Warm-start wavefunctions per fragment label: filled from every
         # iteration's results whichever backend solved them, and the
@@ -515,13 +382,11 @@ class LS3DFSCF:
         fragment (timed as ``gen_vf``), obtains each one's
         :class:`~repro.core.fragment_task.FragmentTaskResult`, and
         reduces the contributions with :meth:`_patch_in_fragment_order`.
-        The only fork is where the results come from: one executor
-        submission per fragment, each future consumed by the reduce as
-        soon as it resolves instead of idling until the whole batch
-        returns; or, with ``band_groups`` and more workers than
-        fragments, the finished list of :meth:`_drain_band_groups`.  A
-        fragment's result is a pure function of its task and the reduce
-        order is fixed, so both sides give the same bits on every backend.
+        One executor submission per fragment, each future consumed by
+        the reduce as soon as it resolves instead of idling until the
+        whole batch returns.  A fragment's result is a pure function of
+        its task and the reduce order is fixed, so every backend gives
+        the same bits.
         """
         # --- Gen_VF (driver residue): build one fused task per fragment.
         t0 = time.perf_counter()
@@ -533,13 +398,9 @@ class LS3DFSCF:
         # --- PEtot_F (fused): restrict + solve + contribute per fragment,
         # with the Gen_dens tree-reduce pulling results in fragment order.
         t0 = time.perf_counter()
-        n_workers = int(getattr(self.executor, "n_workers", 1))
-        if self.band_groups is not None and len(tasks) < n_workers:
-            stream = self._drain_band_groups(tasks, n_workers, t)
-        else:
-            stream = (f.result() for f in self.executor.submit_pipeline_batch(tasks))
+        stream = (f.result() for f in self.executor.submit_pipeline_batch(tasks))
         # Time not spent reducing: the submission (the serial backend
-        # solves at submit), the group drain, and every blocked pull.
+        # solves at submit) and every blocked pull.
         wait = time.perf_counter() - t0
         results: list[FragmentTaskResult] = []
 
@@ -559,7 +420,7 @@ class LS3DFSCF:
         t.petot_f = time.perf_counter() - t0
         t.overlap_wait = wait
         t.overlap_busy = max(0.0, t.petot_f - wait)
-        t.petot_f_workers = n_workers
+        t.petot_f_workers = int(getattr(self.executor, "n_workers", 1))
         t.petot_f_fragments = [p.wall_time for p in results]
         t.gen_vf_fragments = [p.gen_vf_time for p in results]
         t.gen_dens_fragments = [p.gen_dens_time for p in results]
@@ -571,74 +432,6 @@ class LS3DFSCF:
         self.state_cache.update((r.label, r.coefficients) for r in results)
         t.gen_dens = time.perf_counter() - t0
         return density, results
-
-    def _drain_band_groups(
-        self, tasks: list, n_workers: int, t: IterationTimings
-    ) -> list[FragmentTaskResult]:
-        """The band-parallel side of :meth:`_run_iteration`'s fork.
-
-        One fragment queue, heaviest first (the order a pool's
-        ``submit_pipeline_batch`` uses), drained by root threads on the
-        one executor; each fragment's per-slice H·psi work spreads over
-        the workers as :class:`~repro.parallel.bands.BandBlockTask`
-        batches, so while one root does its dense cross-band algebra the
-        workers compute another root's slices (why interleaved fragments
-        are safe: :func:`repro.parallel.bands.run_band_block_task`).  The
-        workers hold ``G = max(1, n_workers // band_groups)`` band groups
-        at once (``t.band_group_count``), and the drain starts
-        ``min(GROUP_ROOTS·G, queue length)`` roots (fewer than the
-        workers), the calling thread first.  A root's first error closes
-        the queue: the sibling roots finish the fragment they hold, then
-        the error is raised.
-
-        Returns the results in fragment order.
-        """
-        t.band_sliced = True
-        t.band_slices = self.band_groups
-        t.band_group_count = max(1, n_workers // self.band_groups)
-        results: list[FragmentTaskResult | None] = [None] * len(tasks)
-        queue = deque(
-            int(idx) for idx in np.argsort([task.cost() for task in tasks])[::-1]
-        )
-        errors: list[BaseException] = []
-        lock = threading.Lock()  # band accounting
-        # One root-local FFT section (density, quantum energy) at a time:
-        # more only grow the driver's FFT workspace pool.
-        root_lock = threading.Lock()
-
-        def _root() -> None:
-            while True:
-                try:
-                    idx = queue.popleft()
-                except IndexError:
-                    return
-                try:
-                    results[idx], stats = run_fragment_pipeline_task_grouped(
-                        tasks[idx],
-                        self.executor,
-                        self.band_groups,
-                        root_lock=root_lock,
-                    )
-                    with lock:
-                        t.band_stages += stats.stages
-                        t.band_tasks.extend(stats.task_times)
-                except BaseException as exc:
-                    queue.clear()  # sibling roots stop after their fragment
-                    errors.append(exc)
-                    return
-
-        n_roots = min(GROUP_ROOTS * t.band_group_count, len(queue))
-        siblings = [
-            threading.Thread(target=_root, daemon=True) for _ in range(n_roots - 1)
-        ]
-        for thread in siblings:
-            thread.start()
-        _root()  # the calling thread is the first root
-        for thread in siblings:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return results
 
     # ------------------------------------------------------------------
     def iterate(
@@ -685,8 +478,7 @@ class LS3DFSCF:
             write time is recorded as serial work in
             ``IterationTimings.checkpoint_io``.  It is the only restart
             state: a run killed mid-iteration (or a consumer that stops
-            iterating) re-solves that iteration on resume, with or
-            without band groups.
+            iterating) re-solves that iteration on resume.
         resume:
             Restore state from ``checkpoint_dir`` and continue at the
             saved iteration.  The checkpoint's grid shape, fragment-

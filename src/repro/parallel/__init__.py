@@ -9,7 +9,9 @@ explicit execution model:
 * :mod:`repro.parallel.machine`   — machine descriptions (cores, clock,
   flops/cycle, memory, network latency/bandwidth) for the three systems;
 * :mod:`repro.parallel.groups`    — processor-group decomposition (Np cores
-  per group, Ng groups) used by PEtot_F;
+  per group, Ng groups) of the modelled PEtot_F — the paper's second
+  parallel level, which only the model carries (one worker solves a
+  whole fragment in every real backend);
 * :mod:`repro.parallel.scheduler` — assignment of fragments to groups with
   load balancing;
 * :mod:`repro.parallel.flops`     — analytic floating-point operation counts
@@ -34,14 +36,6 @@ explicit execution model:
 * :mod:`repro.parallel.streaming` — the engine that runs them: one
   GENPOT evaluation as a slab dataflow with incremental transposes,
   bit-identical to the single-array path;
-* :mod:`repro.parallel.bands` — the band-parallel distributed
-  eigensolver: :class:`~repro.parallel.bands.BandSlice` partitions of a
-  fragment's band block, per-slice
-  :class:`~repro.parallel.bands.BandBlockTask` units (the slice's rows
-  of H·psi, row-independent bit for bit) and the
-  :class:`~repro.parallel.bands.BandGroup` root handle that makes
-  ``all_band_cg`` run on a whole worker group — the paper's Np cores per
-  fragment group — with bit-identical results;
 * :mod:`repro.parallel.wire` — the one ``RPW1`` endpoint: the framing,
   the serve loop and handshake, the client connection, the daemon
   spawner and ``fork_peer`` (imports nothing from the solver);
@@ -49,7 +43,7 @@ explicit execution model:
   ``repro-worker`` daemon
   (:func:`~repro.parallel.remote.worker_main`) and the driver-side
   :class:`~repro.parallel.remote.RemoteExecutor` pool that runs fragment
-  pipelines, GENPOT slabs and band slices on socket-connected workers —
+  pipelines and GENPOT slabs on socket-connected workers —
   bit-identical to the serial backend, with heartbeats, timeouts,
   resubmission on worker death and an optional local fallback executor;
 * :mod:`repro.parallel.faults` — seeded deterministic fault injection
@@ -73,8 +67,6 @@ __all__, __getattr__ = exports(__name__, {
     "amdahl": "amdahl_speedup fit_amdahl AmdahlFit SerialFractionEstimate "
     "measured_intra_group_efficiency measured_serial_fraction "
     "serial_fraction_history sharded_genpot_estimate",
-    "bands": "BandBlockResult BandBlockTask BandGroup BandGroupExecutor BandGroupStats BandSlice "
-    "band_slices run_band_block_task",
     "distributed": "GlobalStepExecutor GlobalStepResult GlobalStepTask run_global_step_task slab_bounds",
     "executor": "ExecutionReport FragmentExecutor FragmentPipelineTask FragmentTask FragmentTaskResult "
     "NoRemoteWorkersError ProcessPoolFragmentExecutor RemoteTaskError SerialFragmentExecutor WorkerDiedError "

@@ -182,7 +182,7 @@ def measured_serial_fraction(
         serial GENPOT share and checkpoint I/O).
     parallel_time:
         Serial-equivalent seconds of the executor-distributable work
-        (``IterationTimings.parallel_cpu``).
+        (``IterationTimings.petot_f_cpu``).
 
     Returns
     -------
@@ -206,8 +206,8 @@ def serial_fraction_history(timings: Sequence) -> list[SerialFractionEstimate]:
     Parameters
     ----------
     timings:
-        A sequence of objects with ``serial_time`` and ``parallel_cpu``
-        (or legacy ``petot_f_cpu``) attributes —
+        A sequence of objects with ``serial_time`` and ``petot_f_cpu``
+        attributes —
         :class:`repro.core.scf.IterationTimings` as recorded in
         ``LS3DFResult.timings`` (duck-typed here to keep this module
         free of core imports).
@@ -218,10 +218,7 @@ def serial_fraction_history(timings: Sequence) -> list[SerialFractionEstimate]:
         One estimate per iteration, in order.
     """
     return [
-        measured_serial_fraction(
-            t.serial_time,
-            t.parallel_cpu if hasattr(t, "parallel_cpu") else t.petot_f_cpu,
-        )
+        measured_serial_fraction(t.serial_time, t.petot_f_cpu)
         for t in timings
     ]
 
@@ -229,36 +226,29 @@ def serial_fraction_history(timings: Sequence) -> list[SerialFractionEstimate]:
 def measured_intra_group_efficiency(
     task_cpu: float, wall_time: float, nslices: int
 ) -> float:
-    """Measured intra-group efficiency of band-sliced fragment solves.
+    """Measured intra-group efficiency of one group's shared solve.
 
     The paper's two-level hierarchy gives each fragment group Np cores;
     the efficiency of one fragment solve on those Np cores is what
     :meth:`repro.parallel.groups.GroupDecomposition.intra_group_efficiency`
-    *models*.  This is the measured counterpart:
+    *models*.  This is the measured counterpart, for timings taken
+    anywhere (no backend here splits one solve over several workers):
 
         eff = task_cpu / (nslices * wall_time)
 
-    where ``task_cpu`` is the summed in-worker time of the sliced band
-    tasks (the work the groups' workers carried), ``wall_time`` the
-    grouped solve's wall clock and ``nslices`` the workers those tasks
-    could occupy at once — Np for one group, Np x G when G groups run
-    side by side — so 1.0 means the groups' workers were busy
-    with sliced work the whole time; the gap is the group root's dense
-    cross-band algebra plus dispatch overhead, the local analogue of the
-    group-wide reductions that erode the paper's efficiency at Np = 80.
+    so 1.0 means all ``nslices`` workers were busy the whole time; the
+    gap is the group-wide reductions plus dispatch overhead, which erode
+    the paper's efficiency at Np = 80.
 
     Parameters
     ----------
     task_cpu:
-        Summed in-worker band-task seconds
-        (:attr:`repro.core.scf.IterationTimings.band_cpu` or
-        :attr:`repro.parallel.bands.BandGroupStats.task_cpu`).
+        Summed seconds the group's workers spent on the solve's work.
     wall_time:
-        Wall-clock seconds of the grouped solve(s).
+        Wall-clock seconds of the solve.
     nslices:
-        Band slices that run at once: the slice count (the local Np)
-        times the concurrent band groups G
-        (:attr:`repro.core.scf.IterationTimings.band_group_count`).
+        Workers that could run that work at once (Np, or Np x G when G
+        groups run side by side).
 
     Returns
     -------

@@ -4,19 +4,18 @@ The paper's parallelism comes from solving independent fragments on
 independent processor groups; its driver scatters picklable work and
 never cares where a task ran.  :class:`_Backend` is that driver, written
 once.  It owns the whole public surface — the batch methods ``run`` /
-``run_pipeline`` / ``run_global`` / ``run_bands`` (submit, then an
-order-preserving :func:`gather_in_order`; one kernel each:
+``run_pipeline`` / ``run_global`` (submit, then an order-preserving
+:func:`gather_in_order`; one kernel each:
 :func:`~repro.core.fragment_task.solve_fragment_task`,
 :func:`~repro.core.fragment_task.run_fragment_pipeline_task`,
-:func:`~repro.parallel.distributed.run_global_step_task`,
-:func:`~repro.parallel.bands.run_band_block_task`), the future methods
+:func:`~repro.parallel.distributed.run_global_step_task`), the future methods
 ``submit_global`` / ``submit_pipeline_batch`` for callers that consume
 results as they resolve, the submission counters and ``close`` — and
 asks a backend for one thing: ``_submit(task, kernel) -> future``.  Every
 task carries its potential inline, so one physical submission is always
-one logical task, and there is no backend-specific solve path.  Band
-groups (``LS3DFSCF(band_groups=)``) share one executor: its workers run
-whichever fragment's slices are queued next.
+one logical task, and there is no backend-specific solve path.  A
+worker solves a whole fragment; nothing slices one fragment's bands
+over several workers.
 
 Workers in other processes run :class:`WorkerServer` and are driven by
 :class:`_WorkerBackend` over ``RPW1`` (:mod:`repro.parallel.wire`),
@@ -33,8 +32,7 @@ however their process started.
 Batches go out heaviest-first, the greedy longest-processing-time (LPT)
 heuristic :mod:`repro.parallel.scheduler` uses to balance fragment
 classes whose costs differ by ~8x (1x1x1 vs 2x2x2 cells); the report
-carries the scheduler's predicted assignment (not for ``run_bands``
-batches, whose reports are read for their results only).
+carries the scheduler's predicted assignment.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ from repro.core.fragment_task import (
     run_fragment_pipeline_task,
     solve_fragment_task,
 )
-from repro.parallel.bands import BandBlockTask, run_band_block_task
 from repro.parallel.distributed import GlobalStepTask, run_global_step_task
 from repro.parallel.scheduler import FragmentScheduler
 from repro.parallel.wire import (
@@ -70,7 +67,6 @@ from repro.parallel.wire import (
 )
 
 __all__ = [
-    "BandBlockTask",
     "ExecutionReport",
     "FragmentExecutor",
     "FragmentPipelineTask",
@@ -85,7 +81,6 @@ __all__ = [
     "WorkerDiedError",
     "WorkerServer",
     "gather_in_order",
-    "run_band_block_task",
     "run_fragment_pipeline_task",
     "run_global_step_task",
     "solve_fragment_task",
@@ -120,7 +115,6 @@ _KERNELS = {
     "solve": solve_fragment_task,
     "pipeline": run_fragment_pipeline_task,
     "global": run_global_step_task,
-    "bands": run_band_block_task,
 }
 # The wire's name for a kernel; by function name, because a profiler's
 # ``functools.wraps`` wrapper around a kernel is still that kernel.
@@ -135,7 +129,7 @@ class WorkerServer(Listener):
     process-level caches (static problems, FFT workspaces) are the same
     everywhere.  Besides ``hello`` / ``ping`` a worker answers ``task``
     (``{kind, task}``, ``kind`` one of ``solve`` / ``pipeline`` /
-    ``global`` / ``bands``), ``stats`` and ``shutdown`` (the listening
+    ``global``), ``stats`` and ``shutdown`` (the listening
     socket is closed before the reply), one request at a time per
     connection.
 
@@ -279,9 +273,7 @@ class _Backend:
 
     ``tasks_submitted`` counts every *logical* task ever handed to the
     executor — what the tests use to assert "exactly one submission per
-    fragment (or slab, or band slice) per iteration".
-    ``pool_submissions`` always equals it; it is kept only for the
-    benchmark harness, which reads it.
+    fragment (or slab) per iteration".
     """
 
     # A batch of one has no round trip to win anything from and runs in
@@ -290,7 +282,6 @@ class _Backend:
 
     def __init__(self) -> None:
         self.tasks_submitted = 0
-        self.pool_submissions = 0
         self._mutex = threading.Lock()
         self._scheduler = FragmentScheduler()
 
@@ -301,7 +292,7 @@ class _Backend:
 
     # -- shared machinery ----------------------------------------------
     def _count(self, **deltas: int) -> None:
-        """Thread-safely add to counters (band-group roots share them)."""
+        """Thread-safely add to counters (drain threads share them)."""
         with self._mutex:
             for name, n in deltas.items():
                 setattr(self, name, getattr(self, name) + n)
@@ -321,9 +312,12 @@ class _Backend:
         """Run per-slab GENPOT global-step tasks; results in slab order."""
         return self._execute(tasks, run_global_step_task)
 
-    def run_bands(self, tasks: Sequence[BandBlockTask]) -> ExecutionReport:
-        """Run per-slice band-eigensolver tasks; results in slice order."""
-        return self._execute(tasks, run_band_block_task)
+    def run_bands(self, tasks) -> ExecutionReport:
+        """Harness-only stub: band-sliced solves are gone, so this raises.
+
+        Kept by name because the benchmark harness's tracer resolves it.
+        """
+        raise NotImplementedError("band-sliced fragment solves were removed")
 
     # -- the future methods: results consumed as they resolve ------------
     def submit_global(self, task: GlobalStepTask):
@@ -334,7 +328,7 @@ class _Backend:
         behind a scatter barrier; in-process backends resolve at submit
         (the stream then runs in plain submission order).
         """
-        self._count(tasks_submitted=1, pool_submissions=1)
+        self._count(tasks_submitted=1)
         return self._submit(task, run_global_step_task)
 
     def submit_pipeline_batch(self, tasks: Sequence) -> list:
@@ -353,7 +347,7 @@ class _Backend:
         LPT balancing of the scheduler; one worker gets them in task
         order.
         """
-        self._count(tasks_submitted=len(tasks), pool_submissions=len(tasks))
+        self._count(tasks_submitted=len(tasks))
         if self._driver_computes and len(tasks) <= 1:
             return [_immediate(t, kernel) for t in tasks]
         if self.n_workers == 1:
@@ -368,9 +362,7 @@ class _Backend:
         t0 = time.perf_counter()
         workers = self.n_workers if len(tasks) > 1 else 1
         schedule = None
-        # Not for band stages: hundreds per solve on the group root's
-        # critical path, and their reports are read for .results only.
-        if workers > 1 and kernel is not run_band_block_task:
+        if workers > 1:
             schedule = self._scheduler.schedule_tasks(tasks, workers)
         results = gather_in_order(self._submit_batch(tasks, kernel))
         return ExecutionReport(
@@ -394,8 +386,7 @@ class _Backend:
 class SerialFragmentExecutor(_Backend):
     """Executes fragment tasks one after another in the calling process.
 
-    The default of :class:`repro.core.scf.LS3DFSCF`.  Band-group roots
-    run their kernels in their own (root) thread.
+    The default of :class:`repro.core.scf.LS3DFSCF`.
     """
 
     n_workers = 1
@@ -448,6 +439,9 @@ class _WorkerBackend(_Backend):
     def __init__(self, fallback=None) -> None:
         super().__init__()
         self._handles: list[_WorkerHandle] = []
+        # Bytes of the handles a pool's close() let go, so the counters
+        # only grow across re-forks, as they do on RemoteExecutor.
+        self._retired_bytes = (0, 0)
         self._fallback = fallback
         self.resubmissions = 0
         self.workers_lost = 0
@@ -459,13 +453,15 @@ class _WorkerBackend(_Backend):
     # -- bookkeeping ---------------------------------------------------
     @property
     def bytes_sent(self) -> int:
-        """Driver-to-worker bytes over this executor's connections."""
-        return sum(h.conn.bytes_sent for h in self._handles)
+        """Driver-to-worker bytes over every connection this executor held."""
+        with self._mutex:
+            return self._retired_bytes[0] + sum(h.conn.bytes_sent for h in self._handles)
 
     @property
     def bytes_received(self) -> int:
-        """Worker-to-driver bytes over this executor's connections."""
-        return sum(h.conn.bytes_received for h in self._handles)
+        """Worker-to-driver bytes over every connection this executor held."""
+        with self._mutex:
+            return self._retired_bytes[1] + sum(h.conn.bytes_received for h in self._handles)
 
     def _live_handles(self) -> list[_WorkerHandle]:
         return [h for h in self._handles if h.alive]
@@ -564,7 +560,6 @@ class _WorkerBackend(_Backend):
             "solve": fallback.run,
             "pipeline": fallback.run_pipeline,
             "global": fallback.run_global,
-            "bands": fallback.run_bands,
         }[kind]
         try:
             report = runner([task])
@@ -600,10 +595,9 @@ class ProcessPoolFragmentExecutor(_WorkerBackend):
     :func:`~repro.parallel.wire.fork_peer` workers and keeps them, so every
     worker's static-problem cache (and hence the cheap second LS3DF
     iteration) survives from one outer iteration to the next.  They do not
-    die with the forking thread, which may be a short-lived band-group
-    root.  The failure ladder is :class:`_WorkerBackend`'s without a
-    fallback; a death is EOF, so no request is timed and a long solve is
-    never taken for a hang.  A pool of one is the calling process.
+    die with the forking thread.  The failure ladder is
+    :class:`_WorkerBackend`'s without a fallback; a death is EOF, so no
+    request is timed and a long solve is never taken for a hang.  A pool of one is the calling process.
     :meth:`close` (or the context manager) kills and reaps the workers; a
     later batch forks new ones.
 
@@ -622,7 +616,7 @@ class ProcessPoolFragmentExecutor(_WorkerBackend):
         self._fork_lock = threading.Lock()
 
     def _start(self) -> None:
-        """Fork the workers unless they run (two group roots may reach a cold pool at once)."""
+        """Fork the workers unless they run (two submitting threads may reach a cold pool at once)."""
         with self._fork_lock:
             if self._handles:
                 return
@@ -652,10 +646,17 @@ class ProcessPoolFragmentExecutor(_WorkerBackend):
     def close(self) -> None:
         """Kill and reap the workers; a later batch forks new ones."""
         with self._fork_lock:
-            handles, self._handles = self._handles, []
+            handles = self._handles
             pids, self._pids = self._pids, []
-        for handle in handles:
-            handle.mark_dead()
+            for handle in handles:
+                handle.mark_dead()
+            with self._mutex:
+                sent, received = self._retired_bytes
+                self._retired_bytes = (
+                    sent + sum(h.conn.bytes_sent for h in handles),
+                    received + sum(h.conn.bytes_received for h in handles),
+                )
+                self._handles = []
         super().close()
         for pid in pids:  # only this reaps them, so a dead one is a zombie still
             reap(pid, kill=True)

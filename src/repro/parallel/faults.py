@@ -12,9 +12,8 @@ of the wire:
   task indices.
 * :class:`FlakyExecutor` — driver-side faults: wraps any executor and
   raises :class:`repro.parallel.executor.WorkerDiedError` or sleeps at
-  configured batch indices, so SCF-level recovery (a band-grouped drain
-  killed mid-iteration, then resumed from its checkpoint) can be tested
-  without sockets.
+  configured batch indices, so recovery from a batch that dies can be
+  tested without sockets.
 
 Both are plain counters over served work — no wall-clock or RNG state
 leaks into the injected schedule, so a failing test replays exactly.
@@ -72,7 +71,7 @@ class FlakyExecutor:
     """Wrap a local executor with deterministic driver-side failures.
 
     Counts the batches flowing through each ``run*`` protocol (one
-    counter across all four) and, at the configured batch indices,
+    counter across all three) and, at the configured batch indices,
     raises ``error_type`` *instead of* dispatching — the sharpest model
     of a worker group dying between submissions.  ``delay_at`` sleeps
     before dispatching instead.  Everything else (counters, worker
@@ -133,11 +132,6 @@ class FlakyExecutor:
         """Dispatch a global-step batch unless scheduled to fail."""
         self._tick()
         return self.inner.run_global(tasks)
-
-    def run_bands(self, tasks):
-        """Dispatch a band-slice batch unless scheduled to fail."""
-        self._tick()
-        return self.inner.run_bands(tasks)
 
     def __getattr__(self, name):
         # Counters, n_workers, close, ... all delegate.

@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 #: Version of the ``repro-worker`` ops, checked by the ``hello`` handshake.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 #: Version of the ``repro-serve`` request/response dicts; bumped on any
 #: incompatible change to them.
 SERVICE_PROTOCOL_VERSION = 4

@@ -20,10 +20,7 @@ Two solvers are provided, mirroring the paper's PEtot_F optimisation story:
   for the test-suite's correctness checks.
 
 :func:`all_band_cg` works on real orbitals (``c(-G) = c(G)*``), two of them
-per complex row of H·psi, and accepts ``band_groups=`` — a band-parallel
-worker group (:class:`repro.parallel.bands.BandGroup`) that distributes those
-rows over executor workers while the caller stays the group root for the
-cross-band reductions; results are bit-identical for any slice count.
+per complex row of H·psi.
 """
 
 from __future__ import annotations
@@ -187,7 +184,6 @@ def all_band_cg(
     max_iterations: int = 60,
     tolerance: float = 1e-6,
     rng: np.random.Generator | int | None = 0,
-    band_groups=None,
     nconverge: int | None = None,
 ) -> EigensolverResult:
     """All-band preconditioned block solver (LOBPCG on an orthonormal basis).
@@ -231,15 +227,6 @@ def all_band_cg(
     rng:
         Seed/generator of the cold start's random rows (they break the cell's
         symmetry, which the shells cannot).
-    band_groups:
-        Optional band-parallel worker group (duck-typed; canonically a
-        :class:`repro.parallel.bands.BandGroup`): its ``apply_h`` then runs
-        every H application, sliced over workers, while this function (the
-        *group root*) keeps the elementwise residual step and every
-        cross-band reduction.  Bit-identical to the in-process path for any
-        slice count: the active rows are chosen and packed here, before the
-        scatter, the sliced kernel is row-independent bit for bit and the
-        root's algebra runs on full blocks of identical shape.
     nconverge:
         How many of the lowest bands the stop test waits for (the ones that
         carry charge); ``None`` is ``nbands``.
@@ -279,8 +266,7 @@ def all_band_cg(
     if len(x) < nbands:
         raise np.linalg.LinAlgError("linearly dependent band block")
 
-    rows = h.apply if band_groups is None else band_groups.apply_h
-    apply_h = partial(_apply_packed, rows, basis)
+    apply_h = partial(_apply_packed, h.apply, basis)
     history: list[float] = []
     it = 0
     # ``held`` = [x, p] (p: the previous search directions, none before the first
@@ -294,8 +280,6 @@ def all_band_cg(
             evals, u = evals[:nbands], u[:, :nbands].T
             held, hheld = _mix(u, held), _mix(u, hheld)
         x, hx = held[:nbands], hheld[:nbands]
-        # Preconditioned residuals: elementwise, so cheaper to compute here
-        # on the full block than to ship; the one sliced kernel is apply_h.
         w = hx - evals[:, None] * x
         rnorm = np.linalg.norm(w, axis=1)
         stop = rnorm[:nconverge].max() < tolerance or it == max_iterations

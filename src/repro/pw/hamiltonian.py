@@ -29,7 +29,7 @@ from repro.pw.pseudopotential import PseudopotentialSet
 # Column-block width of the fixed-shape nonlocal kernel.  A constant, not a
 # setting: it fixes the GEMM operand shapes and hence the result bits, so
 # every process of a run (driver, pool workers, repro-worker daemons) must
-# agree on it for sliced solves to stay bit-identical.
+# agree on it for their solves to stay bit-identical.
 _NONLOCAL_BLOCK = 8
 
 
@@ -165,11 +165,8 @@ class Hamiltonian:
         *row-independent bit for bit*: every output row depends only on the
         matching input row through elementwise products and the
         box-restricted DFT products of :meth:`PlaneWaveBasis.apply_potential`,
-        in which the band index is a batch dimension, never a GEMM row.  The
-        band-sliced eigensolver (:mod:`repro.parallel.bands`) therefore ships
-        row slices of a band block through this kernel on worker
-        threads/processes and concatenates the outputs, bit-identical to one
-        full-block call.
+        in which the band index is a batch dimension, never a GEMM row, so
+        a band's image does not depend on how many bands share the block.
         """
         c = np.asarray(coefficients, dtype=complex)
         if c.ndim != 2 or c.shape[1] != self.basis.npw:
@@ -183,25 +180,20 @@ class Hamiltonian:
         out += self.basis.apply_potential(c, self._v_local)
         return out
 
-    def add_nonlocal(
-        self, out: np.ndarray, coefficients: np.ndarray, band_offset: int = 0
-    ) -> np.ndarray:
+    def add_nonlocal(self, out: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
         """Add the nonlocal KB term of a band block to ``out`` (in place).
 
         Blocked fixed-shape kernel.  Bands are pushed through the two
         projection GEMMs in column blocks of exactly ``_NONLOCAL_BLOCK``
-        columns, aligned to the *global* band index
-        ``band_offset + i``; columns the call does not own are zero-filled.
-        A BLAS GEMM output column depends only on its own input column once
-        the operand shapes and the column position are fixed (verified
+        columns; the last block's unused columns are zero-filled.  A BLAS
+        GEMM output column depends only on its own input column once the
+        operand shapes and the column position are fixed (verified
         property, ``tests/test_kernel_pack.py`` — the column form of the
-        fixed-shape property ``apply_local``'s DFT products rest on), so every
-        band's result is bit-identical no matter how the block is sliced
-        across workers.  The band-sliced eigensolver therefore runs this
-        term inside band slices (``band_offset = slice.lo``).  (One GEMM
-        pair over the whole variable-shape block would *not* be row-slice
-        stable: a 1-row product may dispatch to GEMV with a different
-        accumulation order.)
+        fixed-shape property ``apply_local``'s DFT products rest on), so a
+        band's image depends on its position in the block, not on how many
+        bands the block holds.  (One GEMM pair over the whole
+        variable-shape block would not be: a 1-row product may dispatch to
+        GEMV with a different accumulation order.)
         """
         if not self.nproj:
             return out
@@ -220,27 +212,21 @@ class Hamiltonian:
         blk = _NONLOCAL_BLOCK
         if m:
             cblk = np.empty((self.basis.npw, blk), dtype=complex)
-            first = band_offset // blk
-            last = (band_offset + m - 1) // blk
-            for k in range(first, last + 1):
-                g_lo = max(band_offset, k * blk)
-                g_hi = min(band_offset + m, (k + 1) * blk)
-                cols = slice(g_lo - k * blk, g_hi - k * blk)
-                rows = slice(g_lo - band_offset, g_hi - band_offset)
-                if g_hi - g_lo < blk:
+            for lo in range(0, m, blk):
+                hi = min(m, lo + blk)
+                if hi - lo < blk:
                     cblk.fill(0)
-                cblk[:, cols] = c[rows].T
+                cblk[:, : hi - lo] = c[lo:hi].T
                 beta = self._projectors_conj @ cblk  # (nproj, blk)
                 nl = projectors_t @ (strengths * beta)  # (npw, blk)
-                out[rows] += nl[:, cols].T
+                out[lo:hi] += nl[:, : hi - lo].T
         return out
 
     def apply(self, coefficients: np.ndarray) -> np.ndarray:
         """Apply H to a block of band coefficients ``(nbands, npw)``.
 
         Accepts a single vector ``(npw,)`` as well.  Exactly
-        :meth:`apply_local` followed by :meth:`add_nonlocal` — the split the
-        band-sliced eigensolver distributes.
+        :meth:`apply_local` followed by :meth:`add_nonlocal`.
         """
         c = np.asarray(coefficients, dtype=complex)
         single = c.ndim == 1

@@ -345,10 +345,9 @@ class _KillSecondIteration:
 
 @pytest.mark.parametrize("workers", [None, 2, 4])
 def test_run_killed_mid_petot_f_resumes_bit_identically(tmp_path, fresh_runs, workers):
-    """The ungrouped side: a kill in the middle of iteration 2's fragment
-    batch (serial, or 2 and 4 loopback workers) resumes from iteration 1's
-    checkpoint, re-solves iteration 2 whole and ends ``==`` the
-    uninterrupted run."""
+    """A kill in the middle of iteration 2's fragment batch (serial, or 2
+    and 4 loopback workers) resumes from iteration 1's checkpoint,
+    re-solves iteration 2 whole and ends ``==`` the uninterrupted run."""
     mixer, n = "kerker", 3
     cluster = contextlib.nullcontext() if workers is None else remote_executor(workers)
     with cluster as executor:

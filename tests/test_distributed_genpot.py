@@ -280,13 +280,13 @@ def test_scf_genpot_sharding_accounting(scf_default):
     for t in scf_default.timings:
         assert not t.genpot_sharded
         assert t.genpot_tasks == []
-        assert t.parallel_cpu == t.petot_f_cpu
+        assert t.band_tasks == []
         assert t.serial_time == t.gen_vf + t.gen_dens + t.genpot
-    # serial_fraction_history consumes the parallel_cpu accounting.
+    # serial_fraction_history consumes the petot_f_cpu accounting.
     history = serial_fraction_history(scf_default.timings)
     for est, t in zip(history, scf_default.timings):
         assert est.serial_fraction == t.measured_serial_fraction
-        assert est.parallel_time == t.parallel_cpu
+        assert est.parallel_time == t.petot_f_cpu
 
 
 def test_iteration_timings_breakdown_populated(scf_default):

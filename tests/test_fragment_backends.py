@@ -371,22 +371,6 @@ def test_scf_remote_workers_match_serial(ten_fragment_serial):
     _assert_scf_identical(remote, ten_fragment_serial)
 
 
-def test_scf_band_groups_match_serial():
-    """Band groups slice a fragment only when the workers outnumber the
-    fragments (ten fragments would need eleven workers), so this runs a
-    one-fragment 1×1×1 division on two loopback workers."""
-    def one_fragment_scf(executor=None, **kwargs):
-        return LS3DFSCF(
-            cscl_binary((1, 1, 1), "Zn", "O", 6.0), grid_dims=(1, 1, 1), ecut=2.2,
-            buffer_cells=0.5, n_empty=2, mixer="kerker", executor=executor, **kwargs)
-
-    serial = one_fragment_scf().run(**_TEN_RUN_KW)
-    with remote_executor(2) as executor:
-        grouped = one_fragment_scf(executor, band_groups=2).run(**_TEN_RUN_KW)
-    _assert_scf_identical(grouped, serial)
-    assert all(t.band_sliced for t in grouped.timings)
-
-
 # --- warm starts ------------------------------------------------------------------
 
 class _RecordingExecutor(SerialFragmentExecutor):

@@ -16,17 +16,15 @@ fragment task carries its potential inline.
 """
 
 import functools
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from _loopback import remote_executor
 from repro.atoms.toy import cscl_binary
 from repro.core.fragment_task import (
     FragmentTask,
-    build_task_problem,
     clear_problem_cache,
     get_task_problem,
     solve_fragment_task,
@@ -39,7 +37,6 @@ from repro.core.patching import (
 )
 from repro.core.driver import LS3DF
 from repro.core.scf import LS3DFSCF
-from repro.parallel.bands import BandGroup
 from repro.parallel.executor import ProcessPoolFragmentExecutor, SerialFragmentExecutor
 from repro.pw import fftcache
 from repro.pw.grid import FFTGrid
@@ -220,54 +217,23 @@ def _fresh_problem(label):
     return problem
 
 
-@functools.lru_cache(maxsize=None)
-def _sliced_hamiltonian():
-    """One Hamiltonian for the whole hypothesis run (the build dominates)."""
-    return build_task_problem(_make_task("nl-property")).hamiltonian
-
-
 def test_blocked_nonlocal_row_slice_stable():
+    """The KB term runs in fixed column blocks of ``_NONLOCAL_BLOCK``: a
+    band's image depends on its position in the block, not on how many
+    bands the block holds — block-aligned slices and every prefix of the
+    block reproduce the full-block bits."""
     problem = _fresh_problem("nl-sliced")
     h = problem.hamiltonian
-    nbands = problem.nbands
+    nbands = problem.nbands + 9  # more than one column block, a ragged tail
     rng = np.random.default_rng(2)
     block = rng.standard_normal((nbands, h.basis.npw)) + 1j * rng.standard_normal(
         (nbands, h.basis.npw)
     )
     full = h.apply(block)
-    for nslices in (1, 2, nbands):
-        bounds = np.linspace(0, nbands, nslices + 1).astype(int)
-        parts = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            part = h.apply_local(block[lo:hi])
-            h.add_nonlocal(part, block[lo:hi], band_offset=int(lo))
-            parts.append(part)
-        assert _bits(np.concatenate(parts, axis=0)) == _bits(full)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    nbands=st.integers(1, 19),
-    cuts=st.lists(st.integers(0, 19), max_size=5),
-    seed=st.integers(0, 2**16),
-)
-def test_sliced_apply_h_concatenates_to_full_block_bits(nbands, cuts, seed):
-    """What a band slice computes — ``apply_local`` then
-    ``add_nonlocal(band_offset=lo)`` — concatenates to the bits of one
-    full-block ``apply`` for any cut points: inside a block of 8, repeated
-    (empty slices), and with ``nbands % 8 != 0``."""
-    h = _sliced_hamiltonian()
-    rng = np.random.default_rng(seed)
-    block = rng.standard_normal((nbands, h.basis.npw)) + 1j * rng.standard_normal(
-        (nbands, h.basis.npw)
-    )
-    full = h.apply(block)
-    bounds = [0] + sorted(min(c, nbands) for c in cuts) + [nbands]
-    parts = [
-        h.add_nonlocal(h.apply_local(block[lo:hi]), block[lo:hi], band_offset=lo)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
+    parts = [h.apply(block[lo : lo + 8]) for lo in range(0, nbands, 8)]
     assert _bits(np.concatenate(parts, axis=0)) == _bits(full)
+    for m in range(1, nbands + 1):
+        assert _bits(h.apply(block[:m])) == _bits(full[:m])
 
 
 @pytest.mark.parametrize(
@@ -276,7 +242,7 @@ def test_sliced_apply_h_concatenates_to_full_block_bits(nbands, cuts, seed):
 def test_nonlocal_block_env_in_child_changes_nothing(backend, monkeypatch):
     """The projector block width is a constant: a pool / ``repro-worker``
     child started with the retired block-width variable set to 5 in its
-    environment slices a grouped solve to the same bits the driver computes
+    environment solves a fragment to the same bits the driver computes
     alone.  (While the variable was read, that child ran a different GEMM
     blocking.)"""
     from repro.parallel.remote import LocalWorkerPool, RemoteExecutor
@@ -287,32 +253,16 @@ def test_nonlocal_block_env_in_child_changes_nothing(backend, monkeypatch):
     # Spelt in two pieces so a grep of the tree for the retired name is empty.
     monkeypatch.setenv("REPRO_NONLOCAL" + "_BLOCK", "5")
     clear_problem_cache()  # every process builds its Hamiltonian afresh
+    # Two tasks: a batch of one would run in the driver.
     if backend == "processes":
         with ProcessPoolFragmentExecutor(2) as ex:
-            got = solve_fragment_task(task, group=BandGroup(ex, 2))
-            sent = ex.bytes_sent
+            results = ex.run([task, task]).results
     else:
         with LocalWorkerPool(2) as pool:
             with RemoteExecutor(pool.addresses) as ex:
-                got = solve_fragment_task(task, group=BandGroup(ex, 2))
-                sent = ex.bytes_sent
-    assert sent > 0  # the slices really ran in the children
-    np.testing.assert_array_equal(got.eigenvalues, ref.eigenvalues)
-    np.testing.assert_array_equal(got.density, ref.density)
-    np.testing.assert_array_equal(got.coefficients, ref.coefficients)
-    assert got.quantum_energy == ref.quantum_energy
-
-
-def test_grouped_solve_bit_identical_across_slice_counts():
-    """Band-sliced solves (which run the KB term inside slices) match the
-    single-process solve bit for bit at 1, 2 and nbands slices."""
-    task = _make_task("grouped-slices")
-    clear_problem_cache()
-    ref = solve_fragment_task(task)
-    problem = get_task_problem(task)
-    for nslices in (1, 2, problem.nbands):
-        with SerialFragmentExecutor() as ex:
-            got = solve_fragment_task(task, group=BandGroup(ex, nslices))
+                results = ex.run([task, task]).results
+    assert os.getpid() not in {r.worker_pid for r in results}  # solved in the children
+    for got in results:
         np.testing.assert_array_equal(got.eigenvalues, ref.eigenvalues)
         np.testing.assert_array_equal(got.density, ref.density)
         np.testing.assert_array_equal(got.coefficients, ref.coefficients)

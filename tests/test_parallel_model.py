@@ -12,7 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fragments import enumerate_fragments
-from repro.parallel.amdahl import amdahl_performance, amdahl_speedup, fit_amdahl
+from repro.parallel.amdahl import (
+    amdahl_performance,
+    amdahl_speedup,
+    fit_amdahl,
+    measured_intra_group_efficiency,
+)
 from repro.parallel.comm import CommScheme, CommunicationModel
 from repro.parallel.flops import LS3DFWorkload
 from repro.parallel.groups import GroupDecomposition
@@ -240,6 +245,14 @@ def test_ls3df_speedup_and_crossover_shape():
 
 
 # --- Amdahl -----------------------------------------------------------------------------
+
+def test_measured_intra_group_efficiency_helper():
+    assert measured_intra_group_efficiency(2.0, 1.0, 4) == pytest.approx(0.5)
+    assert measured_intra_group_efficiency(0.0, 1.0, 4) == 0.0
+    assert measured_intra_group_efficiency(1.0, 0.0, 4) == 0.0
+    with pytest.raises(ValueError):
+        measured_intra_group_efficiency(-1.0, 1.0, 4)
+
 
 def test_amdahl_speedup_limits():
     assert amdahl_speedup(1, 0.01) == pytest.approx(1.0)

@@ -27,9 +27,8 @@ import pytest
 
 import repro
 from repro.atoms.toy import cscl_binary
-from repro.core.fragment_task import FragmentTask, get_task_problem
+from repro.core.fragment_task import FragmentTask
 from repro.core.scf import LS3DFSCF
-from repro.parallel.bands import BandBlockTask, band_slices
 from repro.parallel.distributed import GlobalStepTask
 from repro.parallel.executor import _KERNELS
 from repro.pw.grid import FFTGrid
@@ -125,12 +124,10 @@ def tasks():
     pipeline = scf.fragment_solver.make_pipeline_task(
         scf.fragments[0], scf.genpot.initial_potential(),
         eigensolver_tolerance=1e-4, eigensolver_iterations=40)
-    block = get_task_problem(solve).basis.random_coefficients(4, np.random.default_rng(0))
     return {
         "solve": solve,
         "pipeline": pipeline,
         "global": GlobalStepTask(kind="xc", shard=0, nshards=1, data=np.full(grid.shape, 0.1)),
-        "bands": BandBlockTask(bands=band_slices(4, 2)[0], template=solve, block=block[:2]),
     }
 
 

@@ -1,5 +1,6 @@
 """Tests for the Hamiltonian, the eigensolvers, energies and the FSM."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -339,10 +340,10 @@ def test_all_band_cg_does_not_believe_the_recurrence(small_problem):
     """A carried residual under the tolerance only triggers a fresh H·x; when
     that disagrees the solve carries on (without p) to real convergence.
 
-    The band group (all a group has to offer is ``apply_h``) lies once: its
-    first in-loop image is H·w compressed to span[x, w].  With a flat
+    The operator double (``h.apply`` routed through ``apply_h``) lies once:
+    its first in-loop image is H·w compressed to span[x, w].  With a flat
     preconditioner H·x lies in that span too, so the Ritz step is the honest
-    one but the image carried for the new block is exactly eps·x.  The group
+    one but the image carried for the new block is exactly eps·x.  The double
     sees packed rows ``a + i b``; it unpacks them to name that span."""
     h = small_problem[4]
 
@@ -353,6 +354,9 @@ def test_all_band_cg_does_not_believe_the_recurrence(small_problem):
 
     class Unpreconditioned:
         basis = h.basis
+
+        def apply(self, block):
+            return group.apply_h(block)
 
         def preconditioner(self, reference_kinetic):
             return np.ones(h.basis.npw)
@@ -370,11 +374,11 @@ def test_all_band_cg_does_not_believe_the_recurrence(small_problem):
             return image
 
     group = LiesOnce()
-    # From a supplied block, so that the first block the group sees spans x
+    # From a supplied block, so that the first block the double sees spans x
     # (a cold start's is wider: shells and random rows, Ritz-reduced after).
     res = all_band_cg(
         Unpreconditioned(), 6, initial=_symmetric_block(h.basis, 6, seed=0),
-        max_iterations=150, tolerance=1e-7, band_groups=group)
+        max_iterations=150, tolerance=1e-7)
     assert res.iterations > 1
     assert res.converged
     # Initial image, one per iteration, and two verifications: the false
@@ -389,12 +393,13 @@ def test_all_band_cg_reactivates_locked_bands(small_problem):
     """Locked is not for ever: a band under the tolerance stops being expanded
     on only while its residual stays there, and only a fresh image ends a solve.
 
-    The band group lies at the worst moment: the blocks it sees shrink as bands
-    lock, and from the first full block after that — the exit verification —
-    it applies a slightly different operator.  Every carried residual said
-    converged; the fresh ones say 8e-3, so all bands are expanded on again
-    (full blocks after the false alarm), lock again one by one, and the solve
-    ends converged on fresh images of the operator the group ended with."""
+    The operator double lies at the worst moment: the blocks it sees shrink as
+    bands lock, and from the first full block after that — the exit
+    verification — it applies a slightly different operator.  Every carried
+    residual said converged; the fresh ones say 8e-3, so all bands are expanded
+    on again (full blocks after the false alarm), lock again one by one, and
+    the solve ends converged on fresh images of the operator the double ended
+    with."""
     basis, h = small_problem[3], small_problem[4]
     nb, full = 7, 4
     ramp = np.cos(2 * np.pi * np.arange(basis.grid.shape[0]) / basis.grid.shape[0])
@@ -412,7 +417,7 @@ def test_all_band_cg_reactivates_locked_bands(small_problem):
             return self.operator.apply(block)
 
     group = ShiftsAtTheVerification()
-    res = all_band_cg(h, nb, max_iterations=150, tolerance=1e-7, band_groups=group)
+    res = all_band_cg(_routed(h, group.apply_h), nb, max_iterations=150, tolerance=1e-7)
     rows = group.rows
     false_alarm = next(i for i in range(1, len(rows)) if rows[i - 1] < rows[i] == full)
     assert min(rows[:false_alarm]) == 1  # one band was left, the rest locked
@@ -480,8 +485,16 @@ def test_all_band_cg_warm_starts_from_any_complex_block(small_problem):
         all_band_cg(h, nb, initial=cold.coefficients[[0, 1, 2, 3, 4, 5, 0]])
 
 
+def _routed(h, apply_h):
+    """A copy of ``h`` whose H applications go through ``apply_h`` (an
+    instance attribute shadows the method; the solver has no other hook)."""
+    double = copy.copy(h)
+    double.apply = apply_h
+    return double
+
+
 class _RecordingGroup:
-    """Band-group double: keeps every packed block handed to ``apply_h``."""
+    """Keeps every packed block the solver hands to H."""
 
     def __init__(self, h):
         self.h, self.blocks = h, []
@@ -559,7 +572,7 @@ def test_all_band_cg_cold_start_is_capped_by_the_basis(small_problem):
     assert np.abs(shells @ shells.conj().T - np.eye(27)).max() < 1e-15
     assert np.array_equal(shells, basis.conjugate(shells))
     group = _RecordingGroup(h)
-    res = all_band_cg(h, nb, max_iterations=300, tolerance=1e-7, nconverge=8, band_groups=group)
+    res = all_band_cg(_routed(h, group.apply_h), nb, max_iterations=300, tolerance=1e-7, nconverge=8)
     assert res.converged
     assert len(group.blocks[0]) == -(-(27 + nb) // 2)
     assert np.abs(res.eigenvalues - exact_diagonalization(h, nb).eigenvalues)[:8].max() < 1e-12
@@ -575,12 +588,65 @@ def test_all_band_cg_warm_start_applies_the_rows_it_was_given(small_problem):
     nb = 5
     start = _symmetric_block(basis, nb, seed=4)
     group = _RecordingGroup(h)
-    all_band_cg(h, nb, initial=start, max_iterations=2, tolerance=1e-8, band_groups=group)
+    all_band_cg(_routed(h, group.apply_h), nb, initial=start, max_iterations=2, tolerance=1e-8)
     rows = _expansion_block(basis, np.vstack([start, np.zeros_like(start)]), start[:0])
     packed = rows[0::2].copy()
     packed[: nb // 2] += 1j * rows[1::2]
     assert np.array_equal(group.blocks[0], packed)
     assert np.abs(rows @ rows.conj().T - np.eye(nb)).max() < 1e-14
+
+
+def _zno_fragment_problem():
+    """The 5-band ZnO 1x1x1 fragment problem (10^3 grid, ecut 2), screened."""
+    structure = cscl_binary((1, 1, 1), "Zn", "O", 6.0)
+    grid = FFTGrid(structure.cell, (10, 10, 10))
+    task = FragmentTask(
+        label="frag", cell=tuple(structure.cell), grid_shape=grid.shape,
+        symbols=structure.symbols, positions=structure.positions,
+        screening_potential=np.full(grid.shape, 0.02), ecut=2.0, n_empty=1,
+        tolerance=1e-5, max_iterations=40)
+    problem = get_task_problem(task)
+    problem.hamiltonian.set_effective_potential(task.screening_potential)
+    return problem
+
+
+def test_cold_fragment_solve_takes_fewer_applications_than_the_parent():
+    """The 5-band reference fragment from cold: 28 packed rows / 10 steps at
+    1e-5 and 45 / 16 at 1e-8 at the parent of PR 24, pinned as upper bounds."""
+    problem = _zno_fragment_problem()
+    h = problem.hamiltonian
+    for tolerance, rows, steps in ((1e-5, 28, 10), (1e-8, 45, 16)):
+        h.counter.reset()
+        res = all_band_cg(h, problem.nbands, max_iterations=60, tolerance=tolerance)
+        assert res.converged
+        assert h.counter.n_apply < rows and res.iterations < steps
+
+
+def test_soft_locking_shrinks_the_applied_block():
+    """From a cold start the first block H sees is the ``n0`` start rows
+    (low-kinetic shells and ``nb`` random rows).  Bands under the tolerance
+    are not expanded on, so after it the blocks shrink below the band block
+    through odd sizes, down to a single band and up again when a locked band
+    comes back; the exit verification applies H to every band."""
+    problem = _zno_fragment_problem()
+    h, nb = problem.hamiltonian, problem.nbands
+    active = []
+
+    def watched(block):
+        lone = np.linalg.norm(block[-1] - h.basis.conjugate(block[-1])) < 0.5
+        active.append(2 * len(block) - int(lone))  # a lone last row has no odd part
+        return h.apply(block)
+
+    res = all_band_cg(_routed(h, watched), nb, max_iterations=60, tolerance=1e-8)
+    assert res.converged
+    inloop = active[1:-1]
+    n0 = len(_low_kinetic_block(h.basis, nb)) + nb
+    assert active[0] == n0 == 24 and active[-1] == nb == 5
+    # Initial block, one per step, the exit verification - and one more full
+    # block per verification that found a carried residual too optimistic.
+    assert len(active) >= res.iterations + 2
+    assert {1, 2, 3} <= set(inloop)
+    assert any(after > before for before, after in zip(inloop, inloop[1:]))
 
 
 def test_solvers_floor_the_kinetic_energy_of_a_pure_g0_band(small_problem):

@@ -4,8 +4,8 @@ products per direction) against the dense 3-D reference (``ifftn`` of
 
 The contract has two halves.  *Row independence is bitwise*: the band index is
 a batch dimension of every product, so a band's bits do not depend on which
-or how many bands share the call — band slices, chunking and process stacking
-rest on that.  *Equality to the dense transform is to rounding*: ``max|diff|
+or how many bands share the call — soft locking's shrinking blocks, chunking
+and process stacking rest on that.  *Equality to the dense transform is to rounding*: ``max|diff|
 <= 1e-13 bound``, ``bound`` the input's magnitude carried through the same
 normalisation; the products sum in another order than an FFT.
 """
@@ -218,8 +218,8 @@ NBANDS = 19  # four full chunks of apply_potential and a remainder
 )
 def test_apply_local_row_slice_stable(grid, cuts, seed):
     """Any split of the band block concatenates to the full-block bits, through
-    ``apply_local``, ``to_real_space`` and ``from_real_space`` — what the
-    band-sliced eigensolver relies on."""
+    ``apply_local``, ``to_real_space`` and ``from_real_space`` — what every
+    block size the eigensolver hands in relies on."""
     cell, shape, ecut = grid
     basis = PlaneWaveBasis(FFTGrid(cell, shape), ecut)
     rng = np.random.default_rng(seed)

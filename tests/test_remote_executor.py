@@ -4,7 +4,7 @@ Covers the wire protocol (framing, handshake, typed protocol errors),
 the ``repro-worker`` server surface, and the driver-side
 :class:`~repro.parallel.remote.RemoteExecutor` — bit-identical (``==``)
 to the serial backend for all executor protocols (``run`` /
-``run_pipeline`` / ``run_global`` / ``run_bands``), with its submission
+``run_pipeline`` / ``run_global``), with its submission
 and byte counters.
 
 The second half drives the failure model with the deterministic fault
@@ -23,7 +23,6 @@ against the golden-regression systems; CI runs it in the dedicated
 ``remote-smoke`` job.
 """
 
-import dataclasses
 import json
 import os
 import pickle
@@ -48,7 +47,6 @@ from repro.core.fragment_task import (
     solve_fragment_task,
 )
 from repro.core.scf import LS3DFSCF
-from repro.parallel.bands import BandBlockTask, BandGroup, band_slices
 from repro.parallel.executor import SerialFragmentExecutor
 from repro.parallel.faults import FaultPlan
 from repro.parallel.remote import (
@@ -461,7 +459,6 @@ def test_remote_run_matches_local_kernels():
         report = executor.run(tasks)
         assert report.worker_count == 2
         assert executor.tasks_submitted == 3
-        assert executor.pool_submissions == 3
         assert executor.workers_lost == 0 and executor.degraded_tasks == 0
         assert executor.bytes_sent > 0 and executor.bytes_received > 0
         _assert_results_equal(report.results, reference)
@@ -498,54 +495,6 @@ def test_heartbeat_flags_dead_workers():
         assert executor.n_workers == 1
 
 
-# --- band-group wire contract -----------------------------------------------------
-
-def test_band_group_wire_carries_h_psi_only():
-    """A grouped solve ships H·psi and nothing else: one stage of
-    ``nslices`` task frames per ``apply_h`` call the solver makes (the
-    residual step stays on the root), and the bytes sent are exactly those
-    frames — each the slice's rows of the block handed to ``apply_h`` plus
-    the fragment's template with its screening potential inline."""
-    task = dataclasses.replace(_make_task(), ecut=10.0)
-    reference = solve_fragment_task(task)
-    nslices = 2
-    blocks = []
-    with _cluster(2) as (executor, servers):
-        group = BandGroup(executor, nslices)
-        sliced_apply_h = group.apply_h
-
-        def counting_apply_h(block):
-            blocks.append(block.copy())
-            return sliced_apply_h(block)
-
-        group.apply_h = counting_apply_h
-        # Connect up front, so the growth measured below is task frames only.
-        assert executor.heartbeat() == 2
-        sent = executor.bytes_sent
-        result = solve_fragment_task(task, group=group)
-        sent = executor.bytes_sent - sent
-        _assert_results_equal([result], [reference])
-        # The initial image, one per iteration, one per verification.
-        assert result.solver_iterations + 2 <= len(blocks) <= (
-            2 * result.solver_iterations + 2)
-        assert group.stats.stages == len(blocks)
-        assert group.stats.submissions == nslices * len(blocks)
-        assert sum(s.tasks_served for s in servers) == nslices * len(blocks)
-    template = group.template
-    np.testing.assert_array_equal(template.screening_potential, task.screening_potential)
-    assert template.initial_coefficients is None
-    tasks = [
-        BandBlockTask(bands=s, template=template, block=block[s.lo : s.hi])
-        for block in blocks
-        for s in band_slices(block.shape[0], nslices)
-    ]
-    assert sent == sum(len(_frame_bytes({"op": "task", "kind": "bands", "task": t})) for t in tasks)
-    # Each frame is its rows plus one inline template, plus framing.
-    rows = sum(len(pickle.dumps(t.block, pickle.HIGHEST_PROTOCOL)) for t in tasks)
-    inline = len(tasks) * len(pickle.dumps(template, pickle.HIGHEST_PROTOCOL))
-    assert rows + inline < sent
-
-
 # --- SCF equivalence through every protocol ---------------------------------------
 
 @pytest.fixture(scope="module")
@@ -553,20 +502,13 @@ def remote_scf_runs():
     """Serial references + one remote run per protocol family.
 
     Module-scoped because the tiny SCF runs dominate this file's cost;
-    every run crosses real loopback TCP for every task.  The band-sliced
-    run is a one-fragment (1×1×1) division, since two workers band-slice
-    only fewer than two fragments; it has its own serial reference.
+    every run crosses real loopback TCP for every task.
     """
     reference = _tiny_scf(SerialFragmentExecutor()).run(**_RUN_KW)
-    bands_reference = _tiny_scf(SerialFragmentExecutor(), dims=(1, 1, 1)).run(**_RUN_KW)
-    runs = {"reference": (reference, None), "bands_reference": (bands_reference, None)}
+    runs = {"reference": (reference, None)}
     servers = [start_worker_thread() for _ in range(2)]
     try:
-        cases = [
-            ("pipeline", dict()),
-            ("bands", dict(band_groups=2, dims=(1, 1, 1))),
-        ]
-        for name, kw in cases:
+        for name, kw in [("pipeline", dict())]:
             with RemoteExecutor(
                 [s.address for s in servers], config=_config()
             ) as executor:
@@ -591,9 +533,9 @@ def remote_scf_runs():
 
 def test_remote_scf_bit_identical_for_all_protocols(remote_scf_runs):
     """Acceptance criterion: remote == serial, bit for bit, for the
-    fused pipeline and the band-grouped path."""
-    for name in ("pipeline", "bands"):
-        reference = remote_scf_runs["bands_reference" if name == "bands" else "reference"][0]
+    fused pipeline, the one task shape of an SCF iteration."""
+    for name in ("pipeline",):
+        reference = remote_scf_runs["reference"][0]
         result, stats = remote_scf_runs[name]
         np.testing.assert_array_equal(
             result.density, reference.density, err_msg=name)
@@ -611,11 +553,6 @@ def test_remote_scf_accounting(remote_scf_runs):
     # One submission per fragment per iteration, like every backend.
     assert stats["tasks"] == stats["nfragments"] * result.iterations
     assert stats["sent"] > 0 and stats["received"] > 0
-    # Band-grouped: one submission per band-task batch, `slices` each.
-    bands_result, bands_stats = remote_scf_runs["bands"]
-    assert all(t.band_sliced for t in bands_result.timings)
-    stages = sum(t.band_stages for t in bands_result.timings)
-    assert bands_stats["tasks"] == stages * 2
 
 
 # --- the failure model, scenario by scenario --------------------------------------

@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.fragment_task import FragmentTaskResult
 from repro.core.scf import LS3DFResult
-from repro.parallel.bands import BandBlockResult
 from repro.parallel.distributed import GlobalStepResult
 from repro.pw.eigensolver import EigensolverResult
 from repro.pw.fsm import FoldedSpectrumResult
@@ -28,7 +27,7 @@ def _build(cls):
 
 @pytest.mark.parametrize("cls", [
     LS3DFResult, SCFResult, EigensolverResult, FragmentTaskResult,
-    BandBlockResult, GlobalStepResult, FoldedSpectrumResult,
+    GlobalStepResult, FoldedSpectrumResult,
 ])
 def test_results_with_array_fields_compare_by_identity(cls):
     a, b = _build(cls), _build(cls)
